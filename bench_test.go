@@ -19,6 +19,7 @@ import (
 	"repro/internal/gcs"
 	"repro/internal/kv"
 	"repro/internal/lifetime"
+	"repro/internal/lifetime/ledgertest"
 	"repro/internal/mcts"
 	"repro/internal/objectstore"
 	"repro/internal/rl"
@@ -49,111 +50,6 @@ func mustCluster(b *testing.B, cfg cluster.Config) *cluster.Cluster {
 	}
 	b.Cleanup(c.Shutdown)
 	return c
-}
-
-// --- E1: §4.1 task creation (paper ~35µs) ---
-
-func BenchmarkSubmitLatency(b *testing.B) {
-	c := mustCluster(b, cluster.Config{Nodes: 1, Registry: noopRegistry(), DisableEventLog: true})
-	d := c.Driver()
-	ctx := context.Background()
-	b.ResetTimer()
-	var pending []core.ObjectRef
-	for i := 0; i < b.N; i++ {
-		ref, err := d.Submit1(noopCall())
-		if err != nil {
-			b.Fatal(err)
-		}
-		pending = append(pending, ref)
-		// Drain periodically (untimed) so the measurement reflects submit
-		// latency rather than contention with an ever-growing backlog.
-		if len(pending) >= 256 {
-			b.StopTimer()
-			if _, _, err := d.Wait(ctx, pending, len(pending), time.Minute); err != nil {
-				b.Fatal(err)
-			}
-			pending = pending[:0]
-			b.StartTimer()
-		}
-	}
-}
-
-// --- E2: §4.1 result retrieval (paper ~110µs) ---
-
-func BenchmarkGetLatency(b *testing.B) {
-	c := mustCluster(b, cluster.Config{Nodes: 1, Registry: noopRegistry(), DisableEventLog: true})
-	d := c.Driver()
-	ctx := context.Background()
-	// A bounded pool of finished objects, cycled: objects are immutable, so
-	// repeated Gets are representative, and the pool keeps setup O(1) in
-	// b.N.
-	pool := 512
-	if pool > b.N {
-		pool = b.N
-	}
-	refs := make([]core.ObjectRef, pool)
-	for i := range refs {
-		ref, err := d.Submit1(noopCall())
-		if err != nil {
-			b.Fatal(err)
-		}
-		refs[i] = ref
-	}
-	if _, _, err := d.Wait(ctx, refs, len(refs), 5*time.Minute); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Get(ctx, refs[i%pool]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- E3: §4.1 end-to-end local (paper ~290µs) ---
-
-func BenchmarkEndToEndLocal(b *testing.B) {
-	c := mustCluster(b, cluster.Config{Nodes: 1, Registry: noopRegistry(), DisableEventLog: true})
-	d := c.Driver()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ref, err := d.Submit1(noopCall())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.Get(ctx, ref); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- E4: §4.1 end-to-end remote (paper ~1ms) ---
-
-func BenchmarkEndToEndRemote(b *testing.B) {
-	c := mustCluster(b, cluster.Config{
-		Nodes: 2,
-		PerNodeResources: []types.Resources{
-			types.CPU(4),
-			{types.ResCPU: 4, types.ResGPU: 1},
-		},
-		Registry:        noopRegistry(),
-		HopLatency:      100 * time.Microsecond,
-		DisableEventLog: true,
-	})
-	d := c.Driver()
-	ctx := context.Background()
-	call := core.Call{Function: "noop", Resources: types.Resources{types.ResGPU: 0.001}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ref, err := d.Submit1(call)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.Get(ctx, ref); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- E5: §4.2 RL comparison (paper: Spark 9x slower, ours 7x faster, 63x) ---
@@ -258,43 +154,6 @@ func BenchmarkControlPlaneShards(b *testing.B) {
 			wg.Wait()
 		})
 	}
-}
-
-func BenchmarkTaskThroughput(b *testing.B) {
-	c := mustCluster(b, cluster.Config{Nodes: 4, NodeResources: types.CPU(4), Registry: noopRegistry(), DisableEventLog: true})
-	d := c.Driver()
-	ctx := context.Background()
-	const window = 200 // steady-state pipelining, not one giant burst
-	runWindow := func(k int) {
-		refs := make([]core.ObjectRef, k)
-		for i := 0; i < k; i++ {
-			ref, err := d.Submit1(noopCall())
-			if err != nil {
-				b.Fatal(err)
-			}
-			refs[i] = ref
-		}
-		if _, _, err := d.Wait(ctx, refs, k, time.Minute); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Warm up before the clock starts: worker pools, per-peer connections,
-	// and subscription streams all come up lazily on the first windows. At
-	// short -benchtime runs those cold windows dominated the measurement
-	// and under-reported steady state badly.
-	for w := 0; w < 3; w++ {
-		runWindow(window)
-	}
-	b.ResetTimer()
-	start := time.Now()
-	for done := 0; done < b.N; done += window {
-		k := window
-		if b.N-done < k {
-			k = b.N - done
-		}
-		runWindow(k)
-	}
-	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "tasks/sec")
 }
 
 // BenchmarkOwnerTransferLatency measures the owner-death transfer protocol
@@ -781,8 +640,7 @@ func BenchmarkInlineDispatchScheduler(b *testing.B) {
 			// Batched async ledger, as the real node wires it — without it,
 			// every transition is a synchronous encoded table write and the
 			// control plane, not the dispatch path, dominates both legs.
-			led := lifetime.NewTaskLedger(ctrl)
-			led.SetNode(nid)
+			led := ledgertest.New(ctrl, nid)
 			led.Start()
 			b.Cleanup(led.Stop)
 			l := scheduler.NewLocal(scheduler.LocalConfig{
@@ -812,10 +670,7 @@ func BenchmarkInlineDispatchScheduler(b *testing.B) {
 				// Untimed admission, mirroring Local.record for a
 				// locally-born task: table row owned from birth, ledger
 				// adopted so the timed transitions take the batched path.
-				ctrl.AddTask(types.TaskState{
-					Spec: specs[i], Status: types.TaskPending, Node: nid, Owner: nid,
-				})
-				led.Adopt(specs[i].ID, 0, types.TaskPending)
+				ledgertest.Admit(ctrl, led, specs[i])
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -832,8 +687,8 @@ func BenchmarkInlineDispatchScheduler(b *testing.B) {
 	}
 }
 
-// BenchmarkInlineTaskThroughput is the tiny-task variant of
-// BenchmarkTaskThroughput: one node, zero-dep sub-microsecond bodies,
+// BenchmarkInlineTaskThroughput is the tiny-task variant of the repo
+// benchmark's noop_window workload: one node, zero-dep sub-microsecond bodies,
 // windowed steady-state pipelining, inline on vs off. Unlike the
 // per-task benchmarks above it keeps the full driver-side submit cost in
 // the timed region, so the speedup it reports is what a real tiny-task

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/bsp"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/kv"
 	"repro/internal/mcts"
 	"repro/internal/rl"
 	"repro/internal/rnn"
@@ -47,127 +45,6 @@ func iters(quick bool, full, reduced int) int {
 		return reduced
 	}
 	return full
-}
-
-// --- E1 ---
-
-func expSubmitLatency(quick bool) {
-	c := mustCluster(cluster.Config{Nodes: 1, Registry: noopRegistry(), DisableEventLog: true})
-	defer c.Shutdown()
-	d := c.Driver()
-	n := iters(quick, 5000, 500)
-	sample := stats.NewSample(n)
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		if _, err := d.Submit1(noopCall()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		sample.Add(time.Since(start))
-	}
-	tbl := stats.Table{Header: []string{"metric", "paper", "measured (p50)", "mean", "p99"}}
-	tbl.AddRow("task creation", "~35µs", sample.Percentile(50).Round(time.Microsecond),
-		sample.Mean().Round(time.Microsecond), sample.Percentile(99).Round(time.Microsecond))
-	tbl.Render(os.Stdout)
-	fmt.Println("(p50 is the representative figure; the mean absorbs GC pauses on the 1-core host)")
-}
-
-// --- E2 ---
-
-func expGetLatency(quick bool) {
-	c := mustCluster(cluster.Config{Nodes: 1, Registry: noopRegistry(), DisableEventLog: true})
-	defer c.Shutdown()
-	d := c.Driver()
-	ctx := context.Background()
-	n := iters(quick, 2000, 200)
-	sample := stats.NewSample(n)
-	for i := 0; i < n; i++ {
-		ref, _ := d.Submit1(noopCall())
-		// Ensure the task has finished before timing the retrieval.
-		if _, _, err := d.Wait(ctx, []core.ObjectRef{ref}, 1, 10*time.Second); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		start := time.Now()
-		if _, err := d.Get(ctx, ref); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		sample.Add(time.Since(start))
-	}
-	tbl := stats.Table{Header: []string{"metric", "paper", "measured (mean)", "p50", "p99"}}
-	tbl.AddRow("result retrieval", "~110µs", sample.Mean(), sample.Percentile(50), sample.Percentile(99))
-	tbl.Render(os.Stdout)
-	fmt.Println("(the paper's 110µs is an IPC round trip to a separate store process; workers here")
-	fmt.Println(" share the node's address space, so retrieval of a local object is a map lookup)")
-}
-
-// --- E3 / E4 ---
-
-func e2eSample(d *core.Client, call core.Call, n int) (*stats.Sample, error) {
-	ctx := context.Background()
-	sample := stats.NewSample(n)
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		ref, err := d.Submit1(call)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := d.Get(ctx, ref); err != nil {
-			return nil, err
-		}
-		sample.Add(time.Since(start))
-	}
-	return sample, nil
-}
-
-func expEndToEndLocal(quick bool) {
-	c := mustCluster(cluster.Config{Nodes: 1, Registry: noopRegistry(), DisableEventLog: true})
-	defer c.Shutdown()
-	sample, err := e2eSample(c.Driver(), noopCall(), iters(quick, 2000, 200))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	tbl := stats.Table{Header: []string{"metric", "paper", "measured (mean)", "p50", "p99"}}
-	tbl.AddRow("end-to-end local", "~290µs", sample.Mean().Round(time.Microsecond),
-		sample.Percentile(50).Round(time.Microsecond), sample.Percentile(99).Round(time.Microsecond))
-	tbl.Render(os.Stdout)
-}
-
-func expEndToEndRemote(quick bool) {
-	// Two nodes; the task demands a GPU that only the remote node has,
-	// forcing spill -> global placement -> remote execution -> result
-	// transfer back. Hop latency is zero so the measurement isolates the
-	// extra software round trips; on a real network each of the four hops
-	// adds one propagation delay on top (the paper's gap to ~1ms).
-	c := mustCluster(cluster.Config{
-		Nodes: 2,
-		PerNodeResources: []types.Resources{
-			types.CPU(4),
-			{types.ResCPU: 4, types.ResGPU: 1},
-		},
-		Registry:        noopRegistry(),
-		DisableEventLog: true,
-	})
-	defer c.Shutdown()
-	local, err := e2eSample(c.Driver(), noopCall(), iters(quick, 1000, 100))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	remoteCall := core.Call{Function: "noop", Resources: types.Resources{types.ResGPU: 0.001}}
-	remote, err := e2eSample(c.Driver(), remoteCall, iters(quick, 500, 50))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	ratio := float64(remote.Mean()) / float64(local.Mean())
-	tbl := stats.Table{Header: []string{"metric", "paper", "measured (mean)", "p50"}}
-	tbl.AddRow("end-to-end local", "~290µs", local.Mean().Round(time.Microsecond), local.Percentile(50).Round(time.Microsecond))
-	tbl.AddRow("end-to-end remote", "~1ms", remote.Mean().Round(time.Microsecond), remote.Percentile(50).Round(time.Microsecond))
-	tbl.AddRow("remote/local ratio", "~3.4x", fmt.Sprintf("%.1fx", ratio), "")
-	tbl.Render(os.Stdout)
 }
 
 // --- E5 ---
@@ -257,77 +134,6 @@ func expWaitPipelining(quick bool) {
 	tbl.Render(os.Stdout)
 	fmt.Printf("speedup from wait-pipelining under stragglers: %.2fx (identical learning results)\n",
 		float64(barriered.Elapsed)/float64(pipelined.Elapsed))
-}
-
-// --- E7 ---
-
-func expThroughput(quick bool) {
-	// Control-plane scaling: concurrent mixed put/get against the sharded
-	// kv store, sweeping shard counts.
-	ops := iters(quick, 200000, 20000)
-	workers := 16
-	tbl := stats.Table{Header: []string{"kv shards", "ops/sec"}}
-	var base float64
-	for _, shards := range []int{1, 2, 4, 8, 16} {
-		store := kv.New(shards)
-		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < ops/workers; i++ {
-					key := fmt.Sprintf("task:%d:%d", w, i)
-					store.Put(key, []byte("x"))
-					store.Get(key)
-				}
-			}(w)
-		}
-		wg.Wait()
-		rate := stats.Rate(ops*2, time.Since(start))
-		if shards == 1 {
-			base = rate
-		}
-		tbl.AddRow(shards, fmt.Sprintf("%.0f (%.1fx)", rate, rate/base))
-	}
-	tbl.Render(os.Stdout)
-
-	// End-to-end task throughput through the full stack, measured in the
-	// steady state: submissions flow in bounded windows so the runnable
-	// queues stay at production depth instead of absorbing one giant burst.
-	reg := noopRegistry()
-	c := mustCluster(cluster.Config{Nodes: 4, NodeResources: types.CPU(4), Registry: reg, DisableEventLog: true})
-	defer c.Shutdown()
-	d := c.Driver()
-	n := iters(quick, 20000, 2000)
-	window := 500
-	ctx := context.Background()
-	start := time.Now()
-	for done := 0; done < n; done += window {
-		k := window
-		if n-done < k {
-			k = n - done
-		}
-		refs := make([]core.ObjectRef, k)
-		for i := 0; i < k; i++ {
-			ref, err := d.Submit1(noopCall())
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			refs[i] = ref
-		}
-		if _, _, err := d.Wait(ctx, refs, k, time.Minute); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-	}
-	total := time.Since(start)
-	fmt.Printf("task throughput (4 nodes, windows of %d): %.0f tasks/s completed (n=%d)\n",
-		window, stats.Rate(n, total), n)
-	fmt.Printf("paper targets millions of tasks/s cluster-wide via sharding + bottom-up scheduling;\n")
-	fmt.Printf("the shard sweep above shows the scaling mechanism (flat on this single-core host,\n")
-	fmt.Printf("where independent shard locks cannot run concurrently anyway).\n")
 }
 
 // --- E8 ---

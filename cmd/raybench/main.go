@@ -1,7 +1,9 @@
-// Command raybench regenerates every quantitative artifact of the paper
-// (see DESIGN.md §5 for the experiment index E1–E13). Each experiment
+// Command raybench regenerates the paper's workload-level artifacts (E5, E6
+// and E8–E13 of the experiment index in DESIGN.md §5). Each experiment
 // prints a paper-style table together with the paper's claimed value, so
-// the output can be pasted into EXPERIMENTS.md.
+// the output can be pasted into EXPERIMENTS.md. The latency and throughput
+// micros (E1–E4, E7) are workloads of the repo benchmark instead:
+// `go run -C bench . -workload noop_serial|gpu_remote|noop_window`.
 //
 //	raybench            # run everything
 //	raybench -exp E5    # one experiment
@@ -24,18 +26,13 @@ type experiment struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (E1..E13 or all)")
+	exp := flag.String("exp", "all", "experiment to run (E5, E6, E8..E13 or all)")
 	quick := flag.Bool("quick", false, "reduced parameters for fast runs")
 	flag.Parse()
 
 	experiments := []experiment{
-		{"E1", "§4.1 task creation latency (paper: ~35µs)", expSubmitLatency},
-		{"E2", "§4.1 result retrieval latency (paper: ~110µs)", expGetLatency},
-		{"E3", "§4.1 end-to-end, local (paper: ~290µs)", expEndToEndLocal},
-		{"E4", "§4.1 end-to-end, remote (paper: ~1ms, ~3.4x local)", expEndToEndRemote},
 		{"E5", "§4.2 RL workload: serial vs BSP(Spark) vs ours (paper: Spark 9x slower than serial, ours 7x faster, 63x vs Spark)", expRLComparison},
 		{"E6", "§4.2 wait-based pipelining under stragglers", expWaitPipelining},
-		{"E7", "§3.2.1 control-plane sharding + task throughput (R2)", expThroughput},
 		{"E8", "§3.2.2 hybrid vs central-only scheduling ablation", expHybridAblation},
 		{"E9", "§3.2.1 fault tolerance: lineage reconstruction (R6)", expReconstruction},
 		{"E10", "Fig 2b MCTS: dynamic task graph speedup (R3)", expMCTS},

@@ -208,20 +208,27 @@ func TestGangRemoveFailsPendingMembers(t *testing.T) {
 	if err := pg2.WaitReady(ctx, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// The blocker must still be running when the removal's release RPCs
-	// land; a generous sleep keeps the test stable under full-suite load.
+	// Submission order is not dispatch order on the spill/placement path
+	// (DESIGN.md §9), so the test gates on observed state: the blocker holds
+	// the bundle before the second member is submitted, and that member is
+	// queued on the bundle node before the removal.
 	blocker, err := d.SubmitOpts("gang.sleep", []types.Arg{core.Val(2000)},
 		core.WithPlacementGroup(pg2.ID, 0), core.WithResources(types.CPU(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued, err := fn.Options(pg2.Bundle(0), core.WithResources(types.CPU(1))).Remote(d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "blocker running", func() bool {
 		st, ok := c.API.GetTask(mustTaskOf(c, blocker[0]))
 		return ok && st.Status == types.TaskRunning
+	})
+	queued, err := fn.Options(pg2.Bundle(0), core.WithResources(types.CPU(1))).Remote(d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, _ := c.API.GetPlacementGroup(pg2.ID)
+	waitFor(t, 5*time.Second, "second member queued on the bundle node", func() bool {
+		st, ok := c.API.GetTask(mustTaskOf(c, queued.Untyped()))
+		return ok && st.Status == types.TaskQueued && st.Node == live.BundleNodes[0]
 	})
 	if err := pg2.Remove(); err != nil {
 		t.Fatal(err)
@@ -295,4 +302,38 @@ func TestGangConcurrentCreateRemove(t *testing.T) {
 		return true
 	})
 	assertZeroReservations(t, c, nil)
+}
+
+// TestGangMemberBornOnHolder is the regression for the grouped dispatch
+// claim reading a stale follower: a member submitted on the node that holds
+// its bundle is PENDING in the task table until the owner ledger's QUEUED
+// stamp flushes, and dispatch claims QUEUED→SCHEDULED against that table.
+// Dispatch must flush the task first; it used to lose the claim to its own
+// unflushed stamp and drop the task as if a group removal had buried it.
+func TestGangMemberBornOnHolder(t *testing.T) {
+	reg, fn := gangRegistry()
+	c, err := New(Config{Nodes: 1, NodeResources: types.CPU(4), Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	d := c.Driver()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	pg, err := d.CreatePlacementGroup("solo", types.StrategyPack, []types.Resources{types.CPU(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pg.WaitReady(ctx, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		ref, err := fn.Options(pg.Bundle(0), core.WithResources(types.CPU(1))).Remote(d, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := core.Get(ctx, d, ref); err != nil || v != i {
+			t.Fatalf("member %d born on the bundle holder: got %v, %v", i, v, err)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -256,6 +257,85 @@ func TestFastFieldSetsCovered(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%v fields changed: now %v, fast.go encodes %v — update fast.go and this list together", typ, got, want)
 		}
+	}
+}
+
+// Records encoded before MutOps/RefOps became types.OpRing (captured from
+// the parent commit with the sample fixtures above). The rings are stored in
+// every task, object, node and job record and in the WAL, so the change of
+// field type must not move a byte: each golden must decode to today's
+// sample and today's sample must encode back to the golden.
+const (
+	goldenObjectInfo = "040101010101010101010101010101010101808080010202020202020202020202020202020202020303030303030303" +
+		"0303030303030303040404040404040404040404040404040e010309808080808080808080012a010404040404040404" +
+		"040404040404040402030303030303030303030303030303030a0404040404040404040404040404040404"
+	goldenTaskState = "04020505050505050505050505050505050505747261696e020106060606060606060606060606060606000000000000" +
+		"00000000000000000000000006696e6c696e65040203435055000000000000004003475055000000000000e03f070707" +
+		"070707070707070707070707070c06080808080808080808080808080808080909090909090909090909090909090902" +
+		"effdb6f50d0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e01060a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0b0b0b0b0b0b0b0b0b" +
+		"0b0b0b0b0b0b0b0f7061727469616c206661696c75726502c8019003d80401d804024d4e0d0d0d0d0d0d0d0d0d0d0d0d" +
+		"0d0d0d0d0e"
+	goldenNodeInfo = "04040c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c6e6f64652d31323a373030300103435055000000000000204001aab4de" +
+		"7502541201034350550000000000000c40020406080a0c0e03010203"
+	goldenJobInfo = "04060e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0874656e616e742d610680028001808080800802c801880e00880e000205" +
+		"808080808080808020"
+	goldenGobTaskState = "01ffcd7f030101095461736b537461746501ff8000010e01045370656301ff8200010653746174757301040001044e6f" +
+		"646501ff8e000106576f726b657201ff940001054572726f72010c00010752657472696573010400010b5375626d6974" +
+		"7465644e73010400010b5363686564756c65644e730104000109537461727465644e73010400010a46696e6973686564" +
+		"4e7301040001104c6173745472616e736974696f6e4e7301040001064d75744f707301ff960001054f776e657201ff8e" +
+		"0001084f776e65725365710106000000ffc1ff81030101085461736b5370656301ff8200010e0102494401ff84000108" +
+		"46756e6374696f6e010c0001044172677301ff8a00010a4e756d52657475726e7301040001095265736f757263657301" +
+		"ff8c000106506172656e7401ff8400010b5375626d6974496e646578010600010a4d6178526574726965730104000108" +
+		"4c6f63616c69747901ff8e00010547726f757001ff9000010642756e646c650104000107547261636549440106000103" +
+		"4a6f6201ff920001054163746f72010200000016ff83010101065461736b494401ff84000106012000001aff89020101" +
+		"0b5b5d74797065732e41726701ff8a0001ff8600002eff850301010341726701ff860001030105497352656601020001" +
+		"0352656601ff8800010556616c7565010a00000018ff87010101084f626a656374494401ff880001060120000019ff8b" +
+		"040101095265736f757263657301ff8c00010c0108000016ff8d010101064e6f6465494401ff8e0001060120000020ff" +
+		"8f01010110506c6163656d656e7447726f7570494401ff900001060120000015ff91010101054a6f62494401ff920001" +
+		"060120000018ff9301010108576f726b6572494401ff940001060120000016ff95020101085b5d75696e74363401ff96" +
+		"0001060000fe0118ff80010110050505050505050505050505050505050105747261696e010201010110060606060606" +
+		"06060606060606060606000210000000000000000000000000000000000106696e6c696e65000104010203475055fee0" +
+		"3f0343505540011007070707070707070707070707070707010c01060110080808080808080808080808080808080110" +
+		"09090909090909090909090909090909010201fcdeadbeef01100e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e010100010601" +
+		"100a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a01100b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b010f7061727469616c20666169" +
+		"6c757265010201ffc801fe019001fe0258010101fe025801024d4e01100d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d010e00"
+)
+
+func goldenRoundTrip[T any](t *testing.T, golden string, want T) {
+	t.Helper()
+	raw, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeAs[T](raw)
+	if err != nil {
+		t.Fatalf("decode pre-change %T: %v", want, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pre-change %T decoded to\n got %+v\nwant %+v", want, got, want)
+	}
+	if enc := MustEncode(want); !bytes.Equal(enc, raw) {
+		t.Fatalf("%T encoding moved:\n got %x\nwant %x", want, enc, raw)
+	}
+}
+
+func TestFastEncodingUnchangedByOpRing(t *testing.T) {
+	goldenRoundTrip(t, goldenObjectInfo, sampleObjectInfo())
+	goldenRoundTrip(t, goldenTaskState, sampleTaskState())
+	goldenRoundTrip(t, goldenNodeInfo, sampleNodeInfo())
+	goldenRoundTrip(t, goldenJobInfo, sampleJobInfo())
+	// A gob-tagged record written before the change (the WAL's legacy form)
+	// still decodes into the named ring type.
+	raw, err := hex.DecodeString(goldenGobTaskState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeAs[types.TaskState](raw)
+	if err != nil {
+		t.Fatalf("decode pre-change gob TaskState: %v", err)
+	}
+	if !reflect.DeepEqual(got, sampleTaskState()) {
+		t.Fatalf("pre-change gob TaskState decoded to %+v", got)
 	}
 }
 

@@ -39,10 +39,6 @@ type API interface {
 	// submissions deduplicate.
 	AddTask(state types.TaskState) bool
 	GetTask(id types.TaskID) (types.TaskState, bool)
-	SetTaskStatus(id types.TaskID, status types.TaskStatus, node types.NodeID, worker types.WorkerID, errMsg string)
-	// SetTaskStatusAt is SetTaskStatus with a caller-captured transition
-	// timestamp (non-positive = now); see the executor's finish stamping.
-	SetTaskStatusAt(id types.TaskID, status types.TaskStatus, node types.NodeID, worker types.WorkerID, errMsg string, atNs int64)
 	// CASTaskStatus atomically transitions the task's status to `to` iff the
 	// current status is in `from`, reporting success. Replay/resubmission
 	// races are settled through this: exactly one contender wins the
@@ -55,7 +51,6 @@ type API interface {
 	// must exceed — so a stale delta from any earlier ownership tenure can
 	// never apply past the transfer.
 	ClaimTask(id types.TaskID, from []types.TaskStatus, to types.TaskStatus, owner types.NodeID) (uint64, bool)
-	RecordTaskRetry(id types.TaskID) int
 	// ModifyTaskStates applies one owner's task-ledger flush: a batch of
 	// full-state deltas (latest owner view per task, transitions coalesced),
 	// bound to one idempotency token recorded in each touched record's

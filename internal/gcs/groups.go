@@ -123,13 +123,9 @@ func (s *Store) CASPlacementGroupStateOp(id types.PlacementGroupID, from []types
 		if err != nil {
 			return nil, false
 		}
-		if op != 0 {
-			for _, seen := range info.MutOps {
-				if seen == op {
-					dupWin = true // this exact CAS already applied
-					return nil, false
-				}
-			}
+		if info.MutOps.Seen(op) {
+			dupWin = true // this exact CAS already applied
+			return nil, false
 		}
 		eligible := false
 		for _, f := range from {
@@ -160,12 +156,7 @@ func (s *Store) CASPlacementGroupStateOp(id types.PlacementGroupID, from []types
 			claim != 0 && info.ClaimToken != claim {
 			return nil, false
 		}
-		if op != 0 {
-			info.MutOps = append(info.MutOps, op)
-			if len(info.MutOps) > refOpHistory {
-				info.MutOps = info.MutOps[len(info.MutOps)-refOpHistory:]
-			}
-		}
+		info.MutOps.Record(op, refOpHistory)
 		info.State = to
 		info.LastTransitionNs = now
 		switch to {

@@ -83,13 +83,9 @@ func (s *Store) CASJobStateOp(id types.JobID, from []types.JobState, to types.Jo
 		if err != nil {
 			return nil, false
 		}
-		if op != 0 {
-			for _, seen := range info.MutOps {
-				if seen == op {
-					dupWin = true // this exact CAS already applied
-					return nil, false
-				}
-			}
+		if info.MutOps.Seen(op) {
+			dupWin = true // this exact CAS already applied
+			return nil, false
 		}
 		eligible := false
 		for _, f := range from {
@@ -101,12 +97,7 @@ func (s *Store) CASJobStateOp(id types.JobID, from []types.JobState, to types.Jo
 		if !eligible {
 			return nil, false
 		}
-		if op != 0 {
-			info.MutOps = append(info.MutOps, op)
-			if len(info.MutOps) > refOpHistory {
-				info.MutOps = info.MutOps[len(info.MutOps)-refOpHistory:]
-			}
-		}
+		info.MutOps.Record(op, refOpHistory)
 		info.State = to
 		info.LastTransitionNs = now
 		switch to {

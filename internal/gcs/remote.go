@@ -81,16 +81,6 @@ func (r *Remote) GetTask(id types.TaskID) (types.TaskState, bool) {
 	return v.State, ok && v.OK
 }
 
-// SetTaskStatus implements API.
-func (r *Remote) SetTaskStatus(id types.TaskID, status types.TaskStatus, node types.NodeID, worker types.WorkerID, errMsg string) {
-	call[bool](r, MethodSetTaskStatus, setStatusReq{ID: id, Status: status, Node: node, Worker: worker, Err: errMsg})
-}
-
-// SetTaskStatusAt implements API.
-func (r *Remote) SetTaskStatusAt(id types.TaskID, status types.TaskStatus, node types.NodeID, worker types.WorkerID, errMsg string, atNs int64) {
-	call[bool](r, MethodSetTaskStatus, setStatusReq{ID: id, Status: status, Node: node, Worker: worker, Err: errMsg, AtNs: atNs})
-}
-
 // CASTaskStatus implements API.
 func (r *Remote) CASTaskStatus(id types.TaskID, from []types.TaskStatus, to types.TaskStatus) bool {
 	v, _ := call[bool](r, MethodCASTaskStatus, casStatusReq{ID: id, From: from, To: to})
@@ -101,12 +91,6 @@ func (r *Remote) CASTaskStatus(id types.TaskID, from []types.TaskStatus, to type
 func (r *Remote) ClaimTask(id types.TaskID, from []types.TaskStatus, to types.TaskStatus, owner types.NodeID) (uint64, bool) {
 	v, ok := call[claimTaskResp](r, MethodClaimTask, claimTaskReq{ID: id, From: from, To: to, Owner: owner})
 	return v.Seq, ok && v.OK
-}
-
-// RecordTaskRetry implements API.
-func (r *Remote) RecordTaskRetry(id types.TaskID) int {
-	v, _ := call[int](r, MethodRecordTaskRetry, recordRetryReq{ID: id})
-	return v
 }
 
 // ModifyTaskStates implements API: the single-head control plane takes the

@@ -68,19 +68,20 @@ func exerciseAPI(t *testing.T, api API, backing *Store) {
 		t.Fatalf("GetTask: %+v %v", got, ok)
 	}
 	n := nodeID(50)
-	api.SetTaskStatus(st.Spec.ID, types.TaskRunning, n, types.NilWorkerID, "")
+	running := delta(st.Spec.ID, 1, types.TaskRunning)
+	running.Node, running.Retries = n, 1
+	if failed := api.ModifyTaskStates(types.NilNodeID, []types.TaskStateDelta{running}, 0); len(failed) != 0 {
+		t.Fatalf("ModifyTaskStates failed for %v", failed)
+	}
 	got, _ = api.GetTask(st.Spec.ID)
-	if got.Status != types.TaskRunning || got.Node != n {
-		t.Fatalf("after SetTaskStatus: %+v", got)
+	if got.Status != types.TaskRunning || got.Node != n || got.Retries != 1 {
+		t.Fatalf("after ModifyTaskStates: %+v", got)
 	}
 	if !api.CASTaskStatus(st.Spec.ID, []types.TaskStatus{types.TaskRunning}, types.TaskFinished) {
 		t.Fatal("CAS lost")
 	}
 	if api.CASTaskStatus(st.Spec.ID, []types.TaskStatus{types.TaskRunning}, types.TaskFinished) {
 		t.Fatal("CAS from wrong state won")
-	}
-	if api.RecordTaskRetry(st.Spec.ID) != 1 {
-		t.Fatal("retry count wrong")
 	}
 	if len(api.Tasks()) != 1 {
 		t.Fatal("Tasks scan wrong")
@@ -185,7 +186,7 @@ func TestRemoteTaskStatusSubscription(t *testing.T) {
 	api.AddTask(st)
 	sub := api.SubscribeTaskStatus(st.Spec.ID)
 	defer sub.Close()
-	api.SetTaskStatus(st.Spec.ID, types.TaskFinished, types.NilNodeID, types.NilWorkerID, "")
+	api.ModifyTaskStates(types.NilNodeID, []types.TaskStateDelta{delta(st.Spec.ID, 1, types.TaskFinished)}, 0)
 	select {
 	case msg := <-sub.C():
 		if types.TaskStatus(msg[0]) != types.TaskFinished {

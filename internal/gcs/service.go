@@ -17,10 +17,8 @@ const (
 	MethodNowNs            = "gcs.now"
 	MethodAddTask          = "gcs.addTask"
 	MethodGetTask          = "gcs.getTask"
-	MethodSetTaskStatus    = "gcs.setTaskStatus"
 	MethodCASTaskStatus    = "gcs.casTaskStatus"
 	MethodClaimTask        = "gcs.claimTask"
-	MethodRecordTaskRetry  = "gcs.recordTaskRetry"
 	MethodModifyTaskStates = "gcs.modifyTaskStates"
 	MethodLiveTasksOwned   = "gcs.liveTasksOwnedBy"
 	MethodTasks            = "gcs.tasks"
@@ -76,26 +74,12 @@ const (
 
 // Wire request/response shapes (gob via codec).
 type (
-	setStatusReq struct {
-		ID     types.TaskID
-		Status types.TaskStatus
-		Node   types.NodeID
-		Worker types.WorkerID
-		Err    string
-		AtNs   int64 // non-positive = stamp server-side now
-	}
 	casStatusReq struct {
 		ID   types.TaskID
 		From []types.TaskStatus
 		To   types.TaskStatus
 		// Op is the idempotency token for retried CAS claims (0 = no
 		// dedup); see Store.CASTaskStatusOp.
-		Op uint64
-	}
-	recordRetryReq struct {
-		ID types.TaskID
-		// Op is the idempotency token for redelivered increments (0 = no
-		// dedup); see Store.RecordTaskRetryOp.
 		Op uint64
 	}
 	claimTaskReq struct {
@@ -248,14 +232,6 @@ func RegisterService(srv Registrar, store *Store) {
 		st, ok := store.GetTask(id)
 		return maybeTask{State: st, OK: ok}, nil
 	})
-	unary(MethodSetTaskStatus, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[setStatusReq](p)
-		if err != nil {
-			return nil, err
-		}
-		store.SetTaskStatusAt(req.ID, req.Status, req.Node, req.Worker, req.Err, req.AtNs)
-		return true, nil
-	})
 	unary(MethodCASTaskStatus, func(p []byte) (any, error) {
 		req, err := codec.DecodeAs[casStatusReq](p)
 		if err != nil {
@@ -270,13 +246,6 @@ func RegisterService(srv Registrar, store *Store) {
 		}
 		seq, ok := store.ClaimTaskOp(req.ID, req.From, req.To, req.Owner, req.Op)
 		return claimTaskResp{Seq: seq, OK: ok}, nil
-	})
-	unary(MethodRecordTaskRetry, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[recordRetryReq](p)
-		if err != nil {
-			return nil, err
-		}
-		return store.RecordTaskRetryOp(req.ID, req.Op), nil
 	})
 	unary(MethodModifyTaskStates, func(p []byte) (any, error) {
 		req, err := codec.DecodeAs[types.TaskLedgerBatch](p)

@@ -467,7 +467,9 @@ func TestStalePendingIndexFollowsTransitions(t *testing.T) {
 		t.Fatalf("claimed task still in pending index: %v", got)
 	}
 	// Retry path: reset to PENDING re-enters the index.
-	s.SetTaskStatus(task, types.TaskPending, types.NilNodeID, types.NilWorkerID, "retry")
+	reset := delta(task, 1, types.TaskPending)
+	reset.LastTransitionNs = s.NowNs()
+	s.ModifyTaskStates(types.NilNodeID, []types.TaskStateDelta{reset}, 0)
 	if got := s.StalePendingTasks(0); len(got) != 1 {
 		t.Fatalf("reset-to-pending task missing from index: %v", got)
 	}

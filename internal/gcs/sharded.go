@@ -364,16 +364,6 @@ func (s *Sharded) GetTask(id types.TaskID) (types.TaskState, bool) {
 	return v.State, ok && v.OK
 }
 
-// SetTaskStatus implements API.
-func (s *Sharded) SetTaskStatus(id types.TaskID, status types.TaskStatus, node types.NodeID, worker types.WorkerID, errMsg string) {
-	shardCall[bool](s, TaskKey(id), MethodSetTaskStatus, setStatusReq{ID: id, Status: status, Node: node, Worker: worker, Err: errMsg})
-}
-
-// SetTaskStatusAt implements API.
-func (s *Sharded) SetTaskStatusAt(id types.TaskID, status types.TaskStatus, node types.NodeID, worker types.WorkerID, errMsg string, atNs int64) {
-	shardCall[bool](s, TaskKey(id), MethodSetTaskStatus, setStatusReq{ID: id, Status: status, Node: node, Worker: worker, Err: errMsg, AtNs: atNs})
-}
-
 // CASTaskStatus implements API. Like refcount deltas, a CAS claim is not
 // response-idempotent (the retry would lose to its own commit), so each
 // logical CAS carries a token held fixed across retries; the shard's
@@ -381,14 +371,6 @@ func (s *Sharded) SetTaskStatusAt(id types.TaskID, status types.TaskStatus, node
 func (s *Sharded) CASTaskStatus(id types.TaskID, from []types.TaskStatus, to types.TaskStatus) bool {
 	v, _ := shardCall[bool](s, TaskKey(id), MethodCASTaskStatus,
 		casStatusReq{ID: id, From: from, To: to, Op: newOpToken()})
-	return v
-}
-
-// RecordTaskRetry implements API: tokenized like CAS and refcount deltas,
-// so a redelivered increment never burns an extra retry attempt.
-func (s *Sharded) RecordTaskRetry(id types.TaskID) int {
-	v, _ := shardCall[int](s, TaskKey(id), MethodRecordTaskRetry,
-		recordRetryReq{ID: id, Op: newOpToken()})
 	return v
 }
 

@@ -164,69 +164,6 @@ func (s *Store) GetTask(id types.TaskID) (types.TaskState, bool) {
 	return st, true
 }
 
-// SetTaskStatus implements API. It stamps the transition time, stores the
-// new state, publishes on the task's status channel, and logs an event.
-func (s *Store) SetTaskStatus(id types.TaskID, status types.TaskStatus, node types.NodeID, worker types.WorkerID, errMsg string) {
-	s.SetTaskStatusAt(id, status, node, worker, errMsg, s.NowNs())
-}
-
-// SetTaskStatusAt implements API: SetTaskStatus with a caller-captured
-// transition timestamp (non-positive means "now"). The executor uses it to
-// stamp Finished at the instant the task's function returned, before its
-// outputs are stored — so recorded timelines preserve the happens-before
-// edge from producer finish to consumer start.
-func (s *Store) SetTaskStatusAt(id types.TaskID, status types.TaskStatus, node types.NodeID, worker types.WorkerID, errMsg string, atNs int64) {
-	now := atNs
-	if now <= 0 {
-		now = s.NowNs()
-	}
-	wasPending := false
-	committed := false
-	s.db.Update(keyTask+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false
-		}
-		st, err := codec.DecodeAs[types.TaskState](cur)
-		if err != nil {
-			return nil, false
-		}
-		if st.Status.Terminal() && status != st.Status {
-			// Terminal states are left only through CASTaskStatus: a plain
-			// stamp racing a terminal transition (e.g. a node's enqueue
-			// QUEUED stamp landing after a FailTask claim buried the task)
-			// must not resurrect the task — the claim fence relies on it.
-			return nil, false
-		}
-		wasPending = st.Status == types.TaskPending
-		committed = true
-		st.Status = status
-		if !node.IsNil() {
-			st.Node = node
-		}
-		if !worker.IsNil() {
-			st.Worker = worker
-		}
-		if errMsg != "" {
-			st.Error = errMsg
-		}
-		st.LastTransitionNs = now
-		switch status {
-		case types.TaskScheduled:
-			st.ScheduledNs = now
-		case types.TaskRunning:
-			st.StartedNs = now
-		case types.TaskFinished, types.TaskFailed:
-			st.FinishedNs = now
-		}
-		return codec.MustEncode(st), true
-	})
-	if committed {
-		s.syncPendingIndex(id, wasPending, status)
-	}
-	s.db.Publish(chanTaskStatus+id.Hex(), []byte{byte(status)})
-	s.logEvent(types.Event{Kind: "status:" + status.String(), Task: id, Node: node, Worker: worker, Detail: errMsg})
-}
-
 // syncPendingIndex maintains the durable PENDING marker set on status
 // transitions (only when the PENDING-ness actually flips, so the common
 // QUEUED→SCHEDULED→RUNNING→FINISHED ladder costs nothing extra).
@@ -263,13 +200,9 @@ func (s *Store) CASTaskStatusOp(id types.TaskID, from []types.TaskStatus, to typ
 		if err != nil {
 			return nil, false
 		}
-		if op != 0 {
-			for _, seen := range st.MutOps {
-				if seen == op {
-					dupWin = true // this exact CAS already applied
-					return nil, false
-				}
-			}
+		if st.MutOps.Seen(op) {
+			dupWin = true // this exact CAS already applied
+			return nil, false
 		}
 		eligible := false
 		for _, f := range from {
@@ -281,12 +214,7 @@ func (s *Store) CASTaskStatusOp(id types.TaskID, from []types.TaskStatus, to typ
 		if !eligible {
 			return nil, false
 		}
-		if op != 0 {
-			st.MutOps = append(st.MutOps, op)
-			if len(st.MutOps) > refOpHistory {
-				st.MutOps = st.MutOps[len(st.MutOps)-refOpHistory:]
-			}
-		}
+		st.MutOps.Record(op, refOpHistory)
 		wasPending = st.Status == types.TaskPending
 		st.Status = to
 		if to == types.TaskPending {
@@ -343,14 +271,10 @@ func (s *Store) ClaimTaskOp(id types.TaskID, from []types.TaskStatus, to types.T
 		if err != nil {
 			return nil, false
 		}
-		if op != 0 {
-			for _, seen := range st.MutOps {
-				if seen == op {
-					dupWin = true
-					seq = st.OwnerSeq // the sequence the original commit stamped
-					return nil, false
-				}
-			}
+		if st.MutOps.Seen(op) {
+			dupWin = true
+			seq = st.OwnerSeq // the sequence the original commit stamped
+			return nil, false
 		}
 		eligible := false
 		for _, f := range from {
@@ -362,12 +286,7 @@ func (s *Store) ClaimTaskOp(id types.TaskID, from []types.TaskStatus, to types.T
 		if !eligible {
 			return nil, false
 		}
-		if op != 0 {
-			st.MutOps = append(st.MutOps, op)
-			if len(st.MutOps) > refOpHistory {
-				st.MutOps = st.MutOps[len(st.MutOps)-refOpHistory:]
-			}
-		}
+		st.MutOps.Record(op, refOpHistory)
 		wasPending = st.Status == types.TaskPending
 		st.Status = to
 		st.Owner = owner
@@ -392,44 +311,6 @@ func (s *Store) ClaimTaskOp(id types.TaskID, from []types.TaskStatus, to types.T
 		s.logEvent(types.Event{Kind: "claim:" + to.String(), Task: id, Node: owner})
 	}
 	return seq, won || dupWin
-}
-
-// RecordTaskRetry implements API; returns the new retry count.
-func (s *Store) RecordTaskRetry(id types.TaskID) int {
-	return s.RecordTaskRetryOp(id, 0)
-}
-
-// RecordTaskRetryOp is RecordTaskRetry with an idempotency token (0 = no
-// dedup): a redelivered increment — retry of a call whose commit survived
-// a shard crash — must not burn an extra attempt from the task's retry
-// budget.
-func (s *Store) RecordTaskRetryOp(id types.TaskID, op uint64) int {
-	retries := 0
-	s.db.Update(keyTask+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false
-		}
-		st, err := codec.DecodeAs[types.TaskState](cur)
-		if err != nil {
-			return nil, false
-		}
-		if op != 0 {
-			for _, seen := range st.MutOps {
-				if seen == op {
-					retries = st.Retries // duplicate delivery: no re-apply
-					return nil, false
-				}
-			}
-			st.MutOps = append(st.MutOps, op)
-			if len(st.MutOps) > refOpHistory {
-				st.MutOps = st.MutOps[len(st.MutOps)-refOpHistory:]
-			}
-		}
-		st.Retries++
-		retries = st.Retries
-		return codec.MustEncode(st), true
-	})
-	return retries
 }
 
 // ModifyTaskStates implements API: one owner's task-ledger flush. Each
@@ -461,14 +342,10 @@ func (s *Store) applyTaskDelta(d types.TaskStateDelta, op uint64) {
 		if err != nil {
 			return nil, false
 		}
-		if op != 0 {
-			for _, seen := range st.MutOps {
-				if seen == op {
-					dup = true
-					status = st.Status
-					return nil, false
-				}
-			}
+		if st.MutOps.Seen(op) {
+			dup = true
+			status = st.Status
+			return nil, false
 		}
 		if st.Owner != d.Owner || d.Seq <= st.OwnerSeq {
 			// Authority moved on (spill-away, owner-death transfer, a newer
@@ -478,16 +355,11 @@ func (s *Store) applyTaskDelta(d types.TaskStateDelta, op uint64) {
 			return nil, false
 		}
 		if st.Status.Terminal() && d.Status != st.Status {
-			// A terminal bury (FailTask) wins over a late owner flush, the
-			// same fence SetTaskStatusAt enforces for plain stamps.
+			// A terminal bury (FailTask) wins over a late owner flush:
+			// terminal states are left only through a CAS or a claim.
 			return nil, false
 		}
-		if op != 0 {
-			st.MutOps = append(st.MutOps, op)
-			if len(st.MutOps) > refOpHistory {
-				st.MutOps = st.MutOps[len(st.MutOps)-refOpHistory:]
-			}
-		}
+		st.MutOps.Record(op, refOpHistory)
 		wasPending = st.Status == types.TaskPending
 		st.Status = d.Status
 		st.OwnerSeq = d.Seq
@@ -739,7 +611,7 @@ func (s *Store) ModifyObjectRefCount(id types.ObjectID, delta int64) int64 {
 	return s.ModifyObjectRefCountOp(id, delta, 0)
 }
 
-// refOpHistory bounds ObjectInfo.RefOps. A retry's token must survive in
+// refOpHistory bounds every record's OpRing. A retry's token must survive in
 // the ring for the full retry window (seconds) even while other clients'
 // queued deltas land on the same hot object after a shard restart — e.g.
 // a widely-shared dependency borrowed by dozens of queued tasks — so the
@@ -768,24 +640,17 @@ func (s *Store) ModifyObjectRefCountOp(id types.ObjectID, delta int64, op uint64
 		} else {
 			info = types.ObjectInfo{ID: id}
 		}
-		if op != 0 {
-			for _, seen := range info.RefOps {
-				if seen == op {
-					after = info.RefCount // duplicate delivery: no re-apply
-					// The original commit may have died before its marker
-					// write and GC publish; redo those side effects if the
-					// record is still eligible AND undrained (a drained
-					// object's marker already retired for good — don't
-					// resurrect it).
-					gc = info.EverRetained && info.RefCount == 0 && len(info.Locations) > 0
-					return nil, false
-				}
-			}
-			info.RefOps = append(info.RefOps, op)
-			if len(info.RefOps) > refOpHistory {
-				info.RefOps = info.RefOps[len(info.RefOps)-refOpHistory:]
-			}
+		if info.RefOps.Seen(op) {
+			after = info.RefCount // duplicate delivery: no re-apply
+			// The original commit may have died before its marker
+			// write and GC publish; redo those side effects if the
+			// record is still eligible AND undrained (a drained
+			// object's marker already retired for good — don't
+			// resurrect it).
+			gc = info.EverRetained && info.RefCount == 0 && len(info.Locations) > 0
+			return nil, false
 		}
+		info.RefOps.Record(op, refOpHistory)
 		before := info.RefCount
 		wasEligible = info.EverRetained && before == 0
 		info.RefCount += delta
@@ -845,22 +710,15 @@ func (s *Store) applyLedgerDelta(node types.NodeID, id types.ObjectID, delta int
 		} else {
 			info = types.ObjectInfo{ID: id}
 		}
-		if op != 0 {
-			for _, seen := range info.RefOps {
-				if seen == op {
-					// Duplicate delivery of this batch for this object: the
-					// count already moved. Redo only the crash-droppable side
-					// effects (marker + GC publish), as the single-ID path does.
-					gc = info.EverRetained && info.RefCount == 0 && len(info.Locations) > 0
-					after = info.RefCount
-					return nil, false
-				}
-			}
-			info.RefOps = append(info.RefOps, op)
-			if len(info.RefOps) > refOpHistory {
-				info.RefOps = info.RefOps[len(info.RefOps)-refOpHistory:]
-			}
+		if info.RefOps.Seen(op) {
+			// Duplicate delivery of this batch for this object: the
+			// count already moved. Redo only the crash-droppable side
+			// effects (marker + GC publish), as the single-ID path does.
+			gc = info.EverRetained && info.RefCount == 0 && len(info.Locations) > 0
+			after = info.RefCount
+			return nil, false
 		}
+		info.RefOps.Record(op, refOpHistory)
 		before := info.RefCount
 		wasEligible = info.EverRetained && before == 0
 		info.RefCount += delta
@@ -1161,13 +1019,9 @@ func (s *Store) CASNodeStateOp(id types.NodeID, from []types.NodeState, to types
 		if err != nil {
 			return nil, false
 		}
-		if op != 0 {
-			for _, seen := range info.MutOps {
-				if seen == op {
-					dupWin = true // this exact CAS already applied
-					return nil, false
-				}
-			}
+		if info.MutOps.Seen(op) {
+			dupWin = true // this exact CAS already applied
+			return nil, false
 		}
 		eligible := false
 		for _, f := range from {
@@ -1179,12 +1033,7 @@ func (s *Store) CASNodeStateOp(id types.NodeID, from []types.NodeState, to types
 		if !eligible {
 			return nil, false
 		}
-		if op != 0 {
-			info.MutOps = append(info.MutOps, op)
-			if len(info.MutOps) > refOpHistory {
-				info.MutOps = info.MutOps[len(info.MutOps)-refOpHistory:]
-			}
-		}
+		info.MutOps.Record(op, refOpHistory)
 		info.State = to
 		switch to {
 		case types.NodeDraining:

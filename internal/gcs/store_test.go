@@ -34,7 +34,13 @@ func TestAddTaskExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestSetTaskStatusTimestampsAndPublish(t *testing.T) {
+// delta builds a one-task ledger flush for the unowned records mkTask makes
+// (a nil Owner on both sides passes the store's tenure fence).
+func delta(id types.TaskID, seq uint64, status types.TaskStatus) types.TaskStateDelta {
+	return types.TaskStateDelta{ID: id, Seq: seq, Status: status}
+}
+
+func TestModifyTaskStatesTimestampsAndPublish(t *testing.T) {
 	s := NewStore(4)
 	st := mkTask(2)
 	s.AddTask(st)
@@ -43,13 +49,15 @@ func TestSetTaskStatusTimestampsAndPublish(t *testing.T) {
 
 	n := nodeID(1)
 	w := types.WorkerID(types.DeriveTaskID(types.NilTaskID, 2000))
-	s.SetTaskStatus(st.Spec.ID, types.TaskRunning, n, w, "")
+	running := delta(st.Spec.ID, 1, types.TaskRunning)
+	running.Node, running.Worker, running.StartedNs = n, w, 300
+	s.ModifyTaskStates(types.NilNodeID, []types.TaskStateDelta{running}, 0)
 	got, _ := s.GetTask(st.Spec.ID)
 	if got.Status != types.TaskRunning || got.Node != n || got.Worker != w {
 		t.Fatalf("state after running: %+v", got)
 	}
-	if got.StartedNs == 0 {
-		t.Fatal("start timestamp not set")
+	if got.StartedNs != 300 {
+		t.Fatalf("owner's start timestamp not taken as given: %d", got.StartedNs)
 	}
 	select {
 	case msg := <-sub.C():
@@ -60,39 +68,49 @@ func TestSetTaskStatusTimestampsAndPublish(t *testing.T) {
 		t.Fatal("status not published")
 	}
 
-	s.SetTaskStatus(st.Spec.ID, types.TaskFinished, types.NilNodeID, types.NilWorkerID, "")
+	finished := delta(st.Spec.ID, 2, types.TaskFinished)
+	finished.FinishedNs = 400
+	s.ModifyTaskStates(types.NilNodeID, []types.TaskStateDelta{finished}, 0)
 	got, _ = s.GetTask(st.Spec.ID)
-	if got.FinishedNs == 0 {
-		t.Fatal("finish timestamp not set")
+	if got.FinishedNs != 400 || got.StartedNs != 300 {
+		t.Fatalf("timestamps after finish: started=%d finished=%d", got.StartedNs, got.FinishedNs)
 	}
 	if got.Node != n {
 		t.Fatal("nil node ID overwrote recorded node")
 	}
 }
 
-func TestSetTaskStatusError(t *testing.T) {
+func TestModifyTaskStatesError(t *testing.T) {
 	s := NewStore(2)
 	st := mkTask(3)
 	s.AddTask(st)
-	s.SetTaskStatus(st.Spec.ID, types.TaskFailed, types.NilNodeID, types.NilWorkerID, "boom")
+	failed := delta(st.Spec.ID, 1, types.TaskFailed)
+	failed.Error = "boom"
+	s.ModifyTaskStates(types.NilNodeID, []types.TaskStateDelta{failed}, 0)
 	got, _ := s.GetTask(st.Spec.ID)
 	if got.Status != types.TaskFailed || got.Error != "boom" {
 		t.Fatalf("failed state: %+v", got)
 	}
 }
 
-func TestRecordTaskRetry(t *testing.T) {
+// TestTaskRetriesRideDeltas: the retry count is part of the owner's
+// full-state delta and only ever grows in the follower.
+func TestTaskRetriesRideDeltas(t *testing.T) {
 	s := NewStore(2)
 	st := mkTask(4)
 	s.AddTask(st)
-	if n := s.RecordTaskRetry(st.Spec.ID); n != 1 {
-		t.Fatalf("first retry = %d", n)
+	for seq, retries := range []int{1, 2, 1} {
+		d := delta(st.Spec.ID, uint64(seq+1), types.TaskPending)
+		d.Retries = retries
+		s.ModifyTaskStates(types.NilNodeID, []types.TaskStateDelta{d}, 0)
 	}
-	if n := s.RecordTaskRetry(st.Spec.ID); n != 2 {
-		t.Fatalf("second retry = %d", n)
+	if got, _ := s.GetTask(st.Spec.ID); got.Retries != 2 {
+		t.Fatalf("retries = %d, want 2", got.Retries)
 	}
-	if n := s.RecordTaskRetry(types.DeriveTaskID(types.NilTaskID, 999)); n != 0 {
-		t.Fatalf("retry of unknown task = %d", n)
+	unknown := delta(types.DeriveTaskID(types.NilTaskID, 999), 1, types.TaskPending)
+	unknown.Retries = 1
+	if failed := s.ModifyTaskStates(types.NilNodeID, []types.TaskStateDelta{unknown}, 0); len(failed) != 0 {
+		t.Fatalf("delta for an unknown task must be consumed, got failed=%v", failed)
 	}
 }
 

@@ -295,8 +295,11 @@ func TestPrefetchPullsReadySet(t *testing.T) {
 
 	pm.Prefetch([]types.ObjectID{ready1, ready2, local, pending})
 
+	// A pull counts itself after its bytes land, so residency alone does
+	// not mean both background pulls have finished: wait for the count too.
+	pulled := func() int64 { objects, _, _ := pm.Stats(); return objects }
 	deadline := time.Now().Add(5 * time.Second)
-	for !(dst.Contains(ready1) && dst.Contains(ready2)) {
+	for !(dst.Contains(ready1) && dst.Contains(ready2) && pulled() == 2) {
 		if time.Now().After(deadline) {
 			t.Fatal("prefetch did not pull ready objects")
 		}
@@ -312,7 +315,7 @@ func TestPrefetchPullsReadySet(t *testing.T) {
 	if err := pm.Fetch(context.Background(), ready2, []types.NodeID{src.Node()}); err != nil {
 		t.Fatal(err)
 	}
-	if objects, _, _ := pm.Stats(); objects != 2 {
+	if objects := pulled(); objects != 2 {
 		t.Fatalf("objects pulled = %d, want 2 (no double transfer)", objects)
 	}
 }

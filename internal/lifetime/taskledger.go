@@ -260,11 +260,10 @@ func (l *TaskLedger) TransitionAt(id types.TaskID, status types.TaskStatus, work
 
 // TransitionRetry folds the retry bookkeeping into ONE ledger transition:
 // the retry count bump and the reset to PENDING land atomically in a
-// single sequenced delta, closing the crash window the old two-RPC
-// sequence (RecordTaskRetry, then SetTaskStatus) left open — a node dying
-// between the two burned a retry attempt without ever rescheduling the
-// task. When the bump exhausts maxRetries the reset is skipped (the
-// caller stamps the terminal failure next; the count rides that delta).
+// single sequenced delta, so there is no instant at which a node dying
+// mid-retry has burned an attempt without rescheduling the task. When the
+// bump exhausts maxRetries the reset is skipped (the caller stamps the
+// terminal failure next; the count rides that delta).
 // Returns the new count and whether the task should retry, or (-1, false)
 // when the task is not owned here.
 func (l *TaskLedger) TransitionRetry(id types.TaskID, maxRetries int) (int, bool) {
@@ -425,7 +424,11 @@ func (l *TaskLedger) UnflushedTasks() []types.TaskID {
 func (l *TaskLedger) Flush() bool {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
+	return l.flushLocked()
+}
 
+// flushLocked is Flush's body; the caller holds flushMu.
+func (l *TaskLedger) flushLocked() bool {
 	l.mu.Lock()
 	if l.dead {
 		l.mu.Unlock()
@@ -552,7 +555,15 @@ func (l *TaskLedger) Flush() bool {
 // burst would serialize each task behind every other task's batch — the
 // per-task sync write this design exists to remove. Falls back to a full
 // Flush when parked batches exist, preserving per-task FIFO delivery.
+//
+// It holds flushMu, so it is a barrier: when it returns, a background flush
+// that had already taken this task's delta off the dirty set has landed
+// too. Callers CAS against the follower table right after (grouped
+// dispatch, FailTask, the respill paths) and must not read a state older
+// than the ledger's.
 func (l *TaskLedger) FlushTask(id types.TaskID) {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
 	l.mu.Lock()
 	if l.dead {
 		l.mu.Unlock()
@@ -563,7 +574,7 @@ func (l *TaskLedger) FlushTask(id types.TaskID) {
 		// fresh one around it is exactly the reorder flushMu exists to
 		// prevent. Rare (a shard was just down) — take the slow path.
 		l.mu.Unlock()
-		l.Flush()
+		l.flushLocked()
 		return
 	}
 	var ensures map[types.ObjectID]types.TaskID

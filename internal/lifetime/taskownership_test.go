@@ -195,3 +195,58 @@ func TestTaskOwnershipConservationAcrossShardKill(t *testing.T) {
 	}
 	ledger.Stop()
 }
+
+// slowFlushCtrl holds the first ModifyTaskStates it sees until released,
+// modelling a background flush whose RPC is still in flight.
+type slowFlushCtrl struct {
+	gcs.API
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (s *slowFlushCtrl) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
+	s.once.Do(func() {
+		close(s.entered)
+		<-s.release
+	})
+	return s.API.ModifyTaskStates(node, deltas, op)
+}
+
+// TestFlushTaskWaitsForInFlightFlush: FlushTask is the barrier callers put
+// in front of a CAS on the follower table. A background flush that already
+// took the task's delta off the dirty set leaves nothing for FlushTask to
+// send — it must still not return before that flush has landed, or the CAS
+// reads a table older than the ledger.
+func TestFlushTaskWaitsForInFlightFlush(t *testing.T) {
+	st := gcs.NewStore(2)
+	owner := types.NodeID{0xD1}
+	ctrl := &slowFlushCtrl{API: st, entered: make(chan struct{}), release: make(chan struct{})}
+	led := NewTaskLedger(ctrl)
+	led.SetNode(owner)
+	led.Start() // batched mode: Transition only marks dirty
+	defer led.Stop()
+
+	spec := ownSpec(9)
+	st.AddTask(types.TaskState{Spec: spec, Status: types.TaskPending, Owner: owner})
+	led.Adopt(spec.ID, 0, types.TaskPending)
+	led.Transition(spec.ID, types.TaskQueued, types.WorkerID{}, "")
+	go led.Flush()
+	<-ctrl.entered // the flush holds the QUEUED delta; the table still says PENDING
+
+	returned := make(chan struct{})
+	go func() {
+		led.FlushTask(spec.ID)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+		t.Fatal("FlushTask returned while the flush carrying the task's delta was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(ctrl.release)
+	<-returned
+	if got, _ := st.GetTask(spec.ID); got.Status != types.TaskQueued {
+		t.Fatalf("follower after FlushTask = %v, want QUEUED", got.Status)
+	}
+}

@@ -41,7 +41,7 @@ func newExecutorShim(n *Node) *executorShim {
 			_ = n.sched.Enqueue(spec)
 		},
 	}
-	s.inner = workerpkg.NewExecutor(n.id, n.ctrl, n.cfg.Registry, n, hooks)
+	s.inner = workerpkg.NewExecutor(n.id, n.ctrl, n.cfg.Registry, n, n.taskled, hooks)
 	s.tracer = n.tracer
 	s.execNs = n.reg.Histogram("worker.exec.ns")
 	return s

@@ -277,7 +277,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.sched.SetRecon(func(obj types.ObjectID) { _ = n.recon.RequestObject(obj) })
 	n.exec = newExecutorShim(n)
-	n.exec.inner.SetLedger(n.taskled)
 	n.sched.SetExec(n.exec.Execute)
 	n.sched.SetExecInline(n.exec.ExecuteInline)
 

@@ -123,7 +123,7 @@ func (l *Local) ReleaseGroup(group types.PlacementGroupID, removed bool) {
 // respill race-free against concurrent placements; if it is lost, whoever
 // won owns the task.
 func (l *Local) respillGrouped(spec types.TaskSpec) {
-	l.bridgeSpill(spec)
+	l.bridgeSpill(spec) // flushes this task's ledger state: the table the CAS reads is current
 	if !l.cfg.Ctrl.CASTaskStatus(spec.ID, []types.TaskStatus{types.TaskQueued, types.TaskScheduled}, types.TaskPending) {
 		return
 	}
@@ -145,27 +145,36 @@ func (l *Local) respillGrouped(spec types.TaskSpec) {
 // Job-stop burials (DESIGN.md §14) are the exception: they also claim
 // SCHEDULED and RUNNING. A stop destroys the tenant's records and objects
 // wholesale, so the conflicting-value hazard has nothing left to protect;
-// the Disown below fences the worker's late terminal stamp, and the error
-// payload Put is best-effort against a racing real value (a Get that
-// observes the real bytes saw a task that genuinely completed first).
+// the claim and the Disown below fence the worker's late terminal stamp,
+// and the error payload Put is best-effort against a racing real value (a
+// Get that observes the real bytes saw a task that genuinely completed
+// first).
 func (l *Local) FailTask(spec types.TaskSpec, reason string) {
 	claim := []types.TaskStatus{types.TaskPending, types.TaskQueued}
 	if strings.HasPrefix(reason, types.ReasonJobStopped) {
 		claim = append(claim, types.TaskScheduled, types.TaskRunning)
 	}
-	if !l.cfg.Ctrl.CASTaskStatus(spec.ID, claim, types.TaskFailed) {
+	// The claim reads the follower table; when the task is owned here, push
+	// the ledger's view first so a stamp still waiting on the flusher (a
+	// FINISHED the worker just wrote, say) is not buried from stale state.
+	l.cfg.Ledger.FlushTask(spec.ID)
+	// The burial is an ownership claim: it fences whichever node owned the
+	// task (its late deltas no longer match Owner) and opens a one-stamp
+	// tenure here that records the burying node and the reason.
+	seq, ok := l.cfg.Ctrl.ClaimTask(spec.ID, claim, types.TaskFailed, l.cfg.Node)
+	if !ok {
 		return
 	}
 	for i := 0; i < spec.NumReturns; i++ {
 		// Best effort: the store may itself be failing.
 		_ = l.cfg.Store.Put(spec.ReturnID(i), codec.EncodeError(reason))
 	}
-	if l.cfg.Ledger != nil {
-		// The CAS buried the task directly in the table; drop any local
-		// tenure so the ledger never re-stamps over the burial.
-		l.cfg.Ledger.Disown(spec.ID)
-	}
-	l.cfg.Ctrl.SetTaskStatus(spec.ID, types.TaskFailed, l.cfg.Node, types.NilWorkerID, reason)
+	l.cfg.Ledger.Adopt(spec.ID, seq, types.TaskFailed)
+	l.cfg.Ledger.Transition(spec.ID, types.TaskFailed, types.NilWorkerID, reason)
+	l.cfg.Ledger.FlushTask(spec.ID)
+	// Drop the tenure (a prior local one included) so a worker still running
+	// the task under a job stop finds it unowned and its stamps vanish.
+	l.cfg.Ledger.Disown(spec.ID)
 }
 
 // hasBundle reports whether this node holds (group, bundle)'s reservation.

@@ -361,6 +361,7 @@ func (g *Global) transferDeadOwner(owner types.NodeID) {
 	}
 	tasks, complete := g.cfg.Ctrl.LiveTasksOwnedBy(owner)
 	for _, st := range tasks {
+		// The dead owner's ledger is gone: the follower is the only copy left to CAS.
 		if !g.cfg.Ctrl.CASTaskStatus(st.Spec.ID,
 			[]types.TaskStatus{types.TaskPending, types.TaskQueued, types.TaskScheduled, types.TaskRunning},
 			types.TaskPending) {

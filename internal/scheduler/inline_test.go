@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/gcs"
+	"repro/internal/lifetime/ledgertest"
 	"repro/internal/objectstore"
 	"repro/internal/types"
 )
@@ -21,18 +22,20 @@ func buildInlineLocal(t *testing.T, fence func() bool) (*Local, *execLog, *gcs.S
 	ctrl.RegisterNode(types.NodeInfo{ID: nid, Addr: "x", Total: types.CPU(2)})
 	store := objectstore.New(nid, ctrl, 0)
 	log := newExecLog()
+	led := ledgertest.New(ctrl, nid)
 	l := NewLocal(LocalConfig{
 		Node:            nid,
 		Total:           types.CPU(2),
 		Ctrl:            ctrl,
 		Store:           store,
+		Ledger:          led,
 		SpillThreshold:  SpillNever,
 		DepPollInterval: 5 * time.Millisecond,
 		InlineDispatch:  true,
 		InlineFence:     fence,
 	})
-	l.SetExec(log.exec(ctrl, nid, store))
-	l.SetExecInline(log.exec(ctrl, nid, store))
+	l.SetExec(log.exec(led, store))
+	l.SetExecInline(log.exec(led, store))
 	l.Start()
 	t.Cleanup(l.Stop)
 	return l, log, ctrl, store
@@ -153,6 +156,7 @@ func TestInlineDepthThreadsToChildren(t *testing.T) {
 		Total:           types.CPU(2),
 		Ctrl:            ctrl,
 		Store:           store,
+		Ledger:          ledgertest.New(ctrl, nid),
 		SpillThreshold:  SpillNever,
 		DepPollInterval: 5 * time.Millisecond,
 		InlineDispatch:  true,

@@ -118,8 +118,8 @@ type LocalConfig struct {
 	// Refs records argument borrows for the lifetime subsystem; nil
 	// disables borrow tracking.
 	Refs RefLedger
-	// Ledger is the owner-side task-state ledger (DESIGN.md §13); nil
-	// falls back to per-transition synchronous control-plane writes.
+	// Ledger is the owner-side task-state ledger (DESIGN.md §13), the one
+	// writer of task state on this node. Required.
 	Ledger TaskLedger
 	// Exec runs ready tasks (assigned after construction by the node).
 	Exec ExecFunc
@@ -247,6 +247,9 @@ type schedObs struct {
 
 // NewLocal builds a local scheduler; call Start before submitting.
 func NewLocal(cfg LocalConfig) *Local {
+	if cfg.Ledger == nil {
+		panic("scheduler: LocalConfig.Ledger is required")
+	}
 	if cfg.DepPollInterval <= 0 {
 		cfg.DepPollInterval = 20 * time.Millisecond
 	}
@@ -420,18 +423,14 @@ func (l *Local) SubmitAt(spec types.TaskSpec, placed bool, depth int) error {
 		// A global-scheduler assignment. Several global schedulers may each
 		// place the same spilled task ("one or more global schedulers",
 		// Section 3.2); the QUEUED claim below makes exactly one
-		// destination own it. With a ledger the claim also opens this
-		// node's ownership tenure: the returned sequence is the fence base
-		// every ledger delta for this task must exceed.
-		if l.cfg.Ledger != nil {
-			seq, ok := l.cfg.Ctrl.ClaimTask(spec.ID, []types.TaskStatus{types.TaskPending}, types.TaskQueued, l.cfg.Node)
-			if !ok {
-				return nil
-			}
-			l.cfg.Ledger.Adopt(spec.ID, seq, types.TaskQueued)
-		} else if !l.cfg.Ctrl.CASTaskStatus(spec.ID, []types.TaskStatus{types.TaskPending}, types.TaskQueued) {
+		// destination own it. The claim also opens this node's ownership
+		// tenure: the returned sequence is the fence base every ledger delta
+		// for this task must exceed.
+		seq, ok := l.cfg.Ctrl.ClaimTask(spec.ID, []types.TaskStatus{types.TaskPending}, types.TaskQueued, l.cfg.Node)
+		if !ok {
 			return nil
 		}
+		l.cfg.Ledger.Adopt(spec.ID, seq, types.TaskQueued)
 		// The claim won: this node owns the task. An eligible tiny task
 		// runs inline right here — a globally-placed assignment arrives on
 		// an RPC handler goroutine, the same submit-side position as a
@@ -560,13 +559,8 @@ func (l *Local) runInline(spec types.TaskSpec, depth int) bool {
 		l.cfg.Refs.Retain(deps...)
 		l.cfg.Refs.Flush()
 	}
-	if l.cfg.Ledger != nil {
-		l.cfg.Ledger.Transition(spec.ID, types.TaskQueued, types.NilWorkerID, "")
-		l.cfg.Ledger.Transition(spec.ID, types.TaskScheduled, types.NilWorkerID, "")
-	} else {
-		l.cfg.Ctrl.SetTaskStatus(spec.ID, types.TaskQueued, l.cfg.Node, types.NilWorkerID, "")
-		l.cfg.Ctrl.SetTaskStatus(spec.ID, types.TaskScheduled, l.cfg.Node, types.NilWorkerID, "")
-	}
+	l.cfg.Ledger.Transition(spec.ID, types.TaskQueued, types.NilWorkerID, "")
+	l.cfg.Ledger.Transition(spec.ID, types.TaskScheduled, types.NilWorkerID, "")
 	args, missing := l.gatherArgs(spec)
 	if missing {
 		// An arg was evicted between the Contains probe and the pinned Get.
@@ -608,17 +602,15 @@ func (l *Local) runInline(spec types.TaskSpec, depth int) bool {
 // transition) or a terminal state; an unplaceable task keeps its bridge,
 // which is the conservative direction (leak, never lose a live argument).
 func (l *Local) bridgeSpill(spec types.TaskSpec) {
-	if l.cfg.Ledger != nil {
-		// Flush-before-handoff for task state: the spilled task's lineage
-		// ensures and latest stamped state must be in the follower table
-		// before another node can act on the spill, and local authority
-		// drops — whoever claims the task next owns its lifecycle. Only
-		// THIS task's unflushed state matters for the handoff; a full
-		// ledger flush here would serialize every spill behind the whole
-		// dirty set (a per-task sync round trip on the submit path).
-		l.cfg.Ledger.FlushTask(spec.ID)
-		l.cfg.Ledger.Disown(spec.ID)
-	}
+	// Flush-before-handoff for task state: the spilled task's lineage
+	// ensures and latest stamped state must be in the follower table before
+	// another node can act on the spill, and local authority drops — whoever
+	// claims the task next owns its lifecycle. Only THIS task's unflushed
+	// state matters for the handoff; a full ledger flush here would
+	// serialize every spill behind the whole dirty set (a per-task sync
+	// round trip on the submit path).
+	l.cfg.Ledger.FlushTask(spec.ID)
+	l.cfg.Ledger.Disown(spec.ID)
 	if l.cfg.Refs == nil {
 		return
 	}
@@ -740,7 +732,7 @@ func (l *Local) DrainBacklog() int {
 // whenever the task ends up unowned — if the CAS lost to a concurrent
 // placement, whoever won owns the task and no publish is needed.
 func (l *Local) spillAway(spec types.TaskSpec) {
-	l.bridgeSpill(spec)
+	l.bridgeSpill(spec) // flushes this task's ledger state: the table the CAS reads is current
 	if !l.cfg.Ctrl.CASTaskStatus(spec.ID, []types.TaskStatus{types.TaskQueued, types.TaskScheduled}, types.TaskPending) {
 		if st, ok := l.cfg.Ctrl.GetTask(spec.ID); !ok || st.Status != types.TaskPending {
 			return // claimed elsewhere (or terminal): not ours to publish
@@ -770,47 +762,36 @@ func (l *Local) SetExecInline(fn ExecFunc) { l.cfg.ExecInline = fn }
 // skipping the ensure would leave return objects without their Producer
 // edge — losing lineage reconstructability for anything this task outputs.
 //
-// With a ledger this is the ONE synchronous control-plane write a
-// locally-born task pays (admission): the task is owned from birth, and
-// its return-object producer edges ride the ledger's batched flush
-// instead of one EnsureObject round trip per return.
+// This is the ONE synchronous control-plane write a locally-born task pays
+// (admission): the task is owned from birth, and its return-object producer
+// edges ride the ledger's batched flush instead of one EnsureObject round
+// trip per return.
 func (l *Local) record(spec types.TaskSpec, placed bool) bool {
-	if l.cfg.Ledger != nil {
-		st := types.TaskState{Spec: spec, Status: types.TaskPending, Node: l.cfg.Node}
-		if !placed {
-			st.Owner = l.cfg.Node // born here: owned from birth (§13)
-		}
-		added := l.cfg.Ctrl.AddTask(st)
-		if added && !placed {
-			l.cfg.Ledger.Adopt(spec.ID, 0, types.TaskPending)
-		}
-		returns := make([]types.ObjectID, spec.NumReturns)
-		for i := range returns {
-			returns[i] = spec.ReturnID(i)
-		}
-		l.cfg.Ledger.EnsureLineage(spec.ID, returns...)
-		return added
+	st := types.TaskState{Spec: spec, Status: types.TaskPending, Node: l.cfg.Node}
+	if !placed {
+		st.Owner = l.cfg.Node // born here: owned from birth (§13)
 	}
-	added := l.cfg.Ctrl.AddTask(types.TaskState{Spec: spec, Status: types.TaskPending, Node: l.cfg.Node})
-	for i := 0; i < spec.NumReturns; i++ {
-		l.cfg.Ctrl.EnsureObject(spec.ReturnID(i), spec.ID)
+	added := l.cfg.Ctrl.AddTask(st)
+	if added && !placed {
+		l.cfg.Ledger.Adopt(spec.ID, 0, types.TaskPending)
 	}
+	returns := make([]types.ObjectID, spec.NumReturns)
+	for i := range returns {
+		returns[i] = spec.ReturnID(i)
+	}
+	l.cfg.Ledger.EnsureLineage(spec.ID, returns...)
 	return added
 }
 
 // claimPending re-owns a stale task for this node (the steal paths of
-// shouldRerun): with a ledger the claim names this node as the new owner
-// and seeds the tenure's fence base; without one it is the legacy CAS
-// reset. Either way the previous tenure's straggler writes lose.
+// shouldRerun): the claim names this node as the new owner and seeds the
+// tenure's fence base, so the previous tenure's straggler writes lose.
 func (l *Local) claimPending(id types.TaskID, from []types.TaskStatus) bool {
-	if l.cfg.Ledger != nil {
-		seq, ok := l.cfg.Ctrl.ClaimTask(id, from, types.TaskPending, l.cfg.Node)
-		if ok {
-			l.cfg.Ledger.Adopt(id, seq, types.TaskPending)
-		}
-		return ok
+	seq, ok := l.cfg.Ctrl.ClaimTask(id, from, types.TaskPending, l.cfg.Node)
+	if ok {
+		l.cfg.Ledger.Adopt(id, seq, types.TaskPending)
 	}
-	return l.cfg.Ctrl.CASTaskStatus(id, from, types.TaskPending)
+	return ok
 }
 
 // shouldRerun decides whether a duplicate submission must actually
@@ -913,13 +894,9 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 	// the task still queued, the task table points at a dead node and the
 	// owner-death transfer (or any consumer's reconstruction check) will
 	// re-own the task (R6); without the stamp, a task queued-but-not-
-	// dispatched on a dead node would be invisible. With a ledger the
-	// stamp is an in-process append that rides the next batched flush.
-	if l.cfg.Ledger != nil {
-		l.cfg.Ledger.Transition(spec.ID, types.TaskQueued, types.NilWorkerID, "")
-	} else {
-		l.cfg.Ctrl.SetTaskStatus(spec.ID, types.TaskQueued, l.cfg.Node, types.NilWorkerID, "")
-	}
+	// dispatched on a dead node would be invisible. The stamp is an
+	// in-process append that rides the next batched flush.
+	l.cfg.Ledger.Transition(spec.ID, types.TaskQueued, types.NilWorkerID, "")
 	missing := make(map[types.ObjectID]bool)
 	var missingList []types.ObjectID
 	for _, dep := range spec.Deps() {
@@ -1086,35 +1063,27 @@ func (l *Local) dispatchReady() {
 		// task while it sat runnable (group removal racing placement), and
 		// running it anyway would produce a second, conflicting set of
 		// bytes under return IDs that already hold error payloads. The
-		// loser drops its copy and settles its books. Either branch costs
-		// one control-plane write on this serial hot path: the CAS already
-		// stamps status and timestamps, and the holder node was stamped at
-		// enqueue, so no follow-up write is needed; non-grouped tasks have
-		// no competing QUEUED-state claimant and keep the plain stamp.
+		// loser drops its copy and settles its books. The CAS reads the
+		// follower table, so this task's enqueue-time QUEUED stamp is
+		// flushed first — a member born on the bundle holder is PENDING in
+		// the table until then, and would lose the claim to its own
+		// unflushed stamp. Non-grouped tasks have no competing QUEUED-state
+		// claimant and pay no control-plane write here.
 		if task.spec.InGroup() {
+			l.cfg.Ledger.FlushTask(task.spec.ID)
 			if !l.cfg.Ctrl.CASTaskStatus(task.spec.ID, []types.TaskStatus{types.TaskQueued}, types.TaskScheduled) {
 				l.releaseHeld(task.spec)
 				if l.cfg.Refs != nil {
 					l.cfg.Refs.Release(task.spec.Deps()...)
 				}
-				if l.cfg.Ledger != nil {
-					l.cfg.Ledger.Disown(task.spec.ID) // buried by FailTask: dead tenure
-				}
+				l.cfg.Ledger.Disown(task.spec.ID) // buried by FailTask: dead tenure
 				continue
 			}
-			// The CAS stamped the table; mirror it into the ledger so the
-			// next flush's full-state delta carries SCHEDULED, not a stale
-			// QUEUED that would regress the follower.
-			if l.cfg.Ledger != nil {
-				l.cfg.Ledger.Transition(task.spec.ID, types.TaskScheduled, types.NilWorkerID, "")
-			}
-		} else if l.cfg.Ledger != nil {
-			// Serial hot path: the SCHEDULED stamp is an in-process ledger
-			// append instead of a synchronous control-plane write.
-			l.cfg.Ledger.Transition(task.spec.ID, types.TaskScheduled, types.NilWorkerID, "")
-		} else {
-			l.cfg.Ctrl.SetTaskStatus(task.spec.ID, types.TaskScheduled, l.cfg.Node, types.NilWorkerID, "")
 		}
+		// An in-process ledger append. For a group member it mirrors what
+		// the CAS already stamped, so the next flush's full-state delta
+		// carries SCHEDULED rather than regressing the follower to QUEUED.
+		l.cfg.Ledger.Transition(task.spec.ID, types.TaskScheduled, types.NilWorkerID, "")
 		l.dispatched.Add(1)
 		l.obs.dispatched.Inc()
 		l.obs.dispatchNs.Observe(time.Since(task.enqueuedAt).Nanoseconds())

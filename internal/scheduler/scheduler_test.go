@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/gcs"
+	"repro/internal/lifetime/ledgertest"
 	"repro/internal/objectstore"
 	"repro/internal/types"
 )
@@ -46,7 +47,7 @@ func newExecLog() *execLog {
 	return &execLog{seen: make(map[types.TaskID]bool), ch: make(chan types.TaskID, 256)}
 }
 
-func (e *execLog) exec(ctrl gcs.API, node types.NodeID, store *objectstore.Store) ExecFunc {
+func (e *execLog) exec(led TaskLedger, store *objectstore.Store) ExecFunc {
 	return func(ctx context.Context, spec types.TaskSpec, args [][]byte) {
 		e.mu.Lock()
 		e.order = append(e.order, spec.ID)
@@ -56,7 +57,7 @@ func (e *execLog) exec(ctrl gcs.API, node types.NodeID, store *objectstore.Store
 		for i := 0; i < spec.NumReturns; i++ {
 			_ = store.Put(spec.ReturnID(i), []byte("r"))
 		}
-		ctrl.SetTaskStatus(spec.ID, types.TaskFinished, node, types.NilWorkerID, "")
+		led.Transition(spec.ID, types.TaskFinished, types.NilWorkerID, "")
 		e.ch <- spec.ID
 	}
 }
@@ -68,15 +69,17 @@ func buildLocal(t *testing.T, total types.Resources, spillThreshold int) (*Local
 	ctrl.RegisterNode(types.NodeInfo{ID: nid, Addr: "x", Total: total})
 	store := objectstore.New(nid, ctrl, 0)
 	log := newExecLog()
+	led := ledgertest.New(ctrl, nid)
 	l := NewLocal(LocalConfig{
 		Node:            nid,
 		Total:           total,
 		Ctrl:            ctrl,
 		Store:           store,
+		Ledger:          led,
 		SpillThreshold:  spillThreshold,
 		DepPollInterval: 5 * time.Millisecond,
 	})
-	l.SetExec(log.exec(ctrl, nid, store))
+	l.SetExec(log.exec(led, store))
 	l.Start()
 	t.Cleanup(l.Stop)
 	return l, log, ctrl, store
@@ -186,7 +189,8 @@ func TestResourceBoundedConcurrency(t *testing.T) {
 	store := objectstore.New(nid, ctrl, 0)
 	var running, peak atomic.Int32
 	done := make(chan struct{}, 64)
-	l := NewLocal(LocalConfig{Node: nid, Total: types.CPU(2), Ctrl: ctrl, Store: store, SpillThreshold: SpillNever})
+	led := ledgertest.New(ctrl, nid)
+	l := NewLocal(LocalConfig{Node: nid, Total: types.CPU(2), Ctrl: ctrl, Store: store, Ledger: led, SpillThreshold: SpillNever})
 	l.SetExec(func(ctx context.Context, spec types.TaskSpec, args [][]byte) {
 		cur := running.Add(1)
 		for {
@@ -197,7 +201,7 @@ func TestResourceBoundedConcurrency(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 		running.Add(-1)
-		ctrl.SetTaskStatus(spec.ID, types.TaskFinished, nid, types.NilWorkerID, "")
+		led.Transition(spec.ID, types.TaskFinished, types.NilWorkerID, "")
 		done <- struct{}{}
 	})
 	l.Start()
@@ -435,7 +439,9 @@ func TestGlobalSweepRescuesUnclaimedPending(t *testing.T) {
 	ctrl.AddTask(types.TaskState{Spec: lost, Status: types.TaskPending, Node: nid})
 	claimed := tSpec(62, nil)
 	ctrl.AddTask(types.TaskState{Spec: claimed, Status: types.TaskPending, Node: nid})
-	ctrl.SetTaskStatus(claimed.ID, types.TaskQueued, nid, types.NilWorkerID, "")
+	if _, ok := ctrl.ClaimTask(claimed.ID, []types.TaskStatus{types.TaskPending}, types.TaskQueued, nid); !ok {
+		t.Fatal("setup: claim lost")
+	}
 
 	placed := make(chan types.TaskID, 8)
 	g := NewGlobal(GlobalConfig{

@@ -7,6 +7,7 @@ import (
 	"repro/internal/chaostest"
 	"repro/internal/gcs"
 	"repro/internal/lifetime"
+	"repro/internal/lifetime/ledgertest"
 	"repro/internal/objectstore"
 	"repro/internal/types"
 )
@@ -37,6 +38,7 @@ func TestStopReturnsQueuedBorrows(t *testing.T) {
 		Ctrl:            ctrl,
 		Store:           store,
 		Refs:            tracker,
+		Ledger:          ledgertest.New(ctrl, nid),
 		SpillThreshold:  SpillNever,
 		DepPollInterval: 5 * time.Millisecond,
 	})

@@ -133,11 +133,8 @@ type JobInfo struct {
 	// tombstoned after the post-stop grace period; zero means reclamation
 	// of records is still pending (or the job is live).
 	PurgedNs int64
-	// MutOps remembers recent state-CAS operation tokens (a small ring),
-	// mirroring TaskState.MutOps: a retried CAS whose commit survived a
-	// shard crash is recognized and reported won instead of losing to its
-	// own earlier commit.
-	MutOps []uint64
+	// MutOps dedups a state CAS retried across a shard crash (see OpRing).
+	MutOps OpRing
 }
 
 // Stopped reports whether the job reached its terminal state.

@@ -123,11 +123,8 @@ type PlacementGroupInfo struct {
 	PlacedNs         int64
 	RemovedNs        int64
 	LastTransitionNs int64
-	// MutOps remembers recent state-CAS operation tokens (a small ring),
-	// mirroring TaskState.MutOps: a retried CAS whose commit survived a
-	// shard crash is recognized and reported won instead of losing to its
-	// own earlier commit.
-	MutOps []uint64
+	// MutOps dedups a state CAS retried across a shard crash (see OpRing).
+	MutOps OpRing
 	// ClaimToken identifies which scheduler holds the Placing claim: set by
 	// the Pending→Placing CAS, required to match at the Placing→Placed
 	// commit, and cleared on every rollback to Pending. It closes the

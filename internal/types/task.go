@@ -150,14 +150,10 @@ type TaskState struct {
 	// it, so a freshly-reset task gets its full grace period instead of
 	// being measured from the original submit.
 	LastTransitionNs int64
-	// MutOps remembers recent non-idempotent-mutation operation tokens (a
-	// small ring), mirroring ObjectInfo.RefOps: a CAS claim or retry-count
-	// increment whose commit survived a shard crash but whose response did
-	// not is recognized when redelivered — a CAS retry is reported as won
-	// instead of losing to its own commit (stranding the task claimed but
-	// never enqueued), and a retry-count redelivery does not burn an extra
-	// attempt.
-	MutOps []uint64
+	// MutOps dedups redelivered CAS claims and ledger batches (see OpRing):
+	// a claim reported lost to its own commit would strand the task claimed
+	// but never enqueued.
+	MutOps OpRing
 	// Owner is the node whose task ledger holds authority over this record
 	// (DESIGN.md §13): transitions arrive as batched async deltas from the
 	// owner, and the table is a follower. Set by AddTask to the submitting
@@ -245,13 +241,8 @@ type ObjectInfo struct {
 	// crash may have dropped (never-retained objects stay ineligible, as
 	// before the lifetime subsystem).
 	EverRetained bool
-	// RefOps remembers the most recent refcount-mutation operation tokens
-	// applied to this record (a small ring). A client retrying a delta
-	// whose response was lost — e.g. the owning GCS shard died between
-	// committing the mutation and answering — resends the same token, and
-	// the (possibly restarted) shard recognizes it instead of applying the
-	// delta twice. Durable with the record, so dedup survives failover.
-	RefOps []uint64
+	// RefOps dedups redelivered refcount deltas (see OpRing).
+	RefOps OpRing
 	// Holders attributes RefCount to the nodes whose ledger flushes
 	// contributed it (DESIGN.md §12). When a node dies without releasing,
 	// the owner-death sweep subtracts its attributed share instead of
@@ -346,11 +337,8 @@ type NodeInfo struct {
 	Available Resources
 	// Store is the object-store usage published with heartbeats.
 	Store StoreStats
-	// MutOps remembers recent state-CAS operation tokens (a small ring),
-	// mirroring TaskState.MutOps: a drain CAS retried across a control-
-	// plane shard crash is recognized and reported won instead of losing
-	// to its own earlier commit.
-	MutOps []uint64
+	// MutOps dedups a drain CAS retried across a shard crash (see OpRing).
+	MutOps OpRing
 }
 
 // Schedulable reports whether new work may be placed on the node: it must

@@ -30,9 +30,8 @@ type Hooks struct {
 // executor stamps RUNNING and terminal transitions into it instead of
 // paying a synchronous control-plane write per transition. TransitionRetry
 // folds the retry count bump and the PENDING reset into one sequenced
-// delta — the old two-RPC sequence (RecordTaskRetry, then SetTaskStatus)
-// had a crash window between them that burned a retry attempt without
-// ever rescheduling the task. lifetime.TaskLedger is the implementation.
+// delta, so a node dying mid-retry can never burn an attempt without
+// rescheduling the task. lifetime.TaskLedger is the implementation.
 type TaskLedger interface {
 	ClockNs() int64
 	Transition(id types.TaskID, status types.TaskStatus, worker types.WorkerID, errMsg string) bool
@@ -56,14 +55,11 @@ type Executor struct {
 }
 
 // NewExecutor wires an executor. backend is the node's core.Backend, used
-// to build TaskContexts so tasks can submit subtasks.
-func NewExecutor(node types.NodeID, ctrl gcs.API, reg *core.Registry, backend core.Backend, hooks Hooks) *Executor {
-	return &Executor{node: node, ctrl: ctrl, reg: reg, backend: backend, hooks: hooks}
+// to build TaskContexts so tasks can submit subtasks; ledger is the node's
+// task ledger, the only writer of the states the executor stamps.
+func NewExecutor(node types.NodeID, ctrl gcs.API, reg *core.Registry, backend core.Backend, ledger TaskLedger, hooks Hooks) *Executor {
+	return &Executor{node: node, ctrl: ctrl, reg: reg, backend: backend, ledger: ledger, hooks: hooks}
 }
-
-// SetLedger wires the owner-side task ledger; nil keeps the legacy
-// synchronous control-plane writes. Call before the first Execute.
-func (e *Executor) SetLedger(l TaskLedger) { e.ledger = l }
 
 // Active returns the number of currently executing tasks.
 func (e *Executor) Active() int64 { return e.active.Load() }
@@ -101,11 +97,7 @@ func (e *Executor) Execute(ctx context.Context, spec types.TaskSpec, args [][]by
 	e.active.Add(1)
 	defer e.active.Add(-1)
 	wid := workerIDFor(spec)
-	if e.ledger != nil {
-		e.ledger.Transition(spec.ID, types.TaskRunning, wid, "")
-	} else {
-		e.ctrl.SetTaskStatus(spec.ID, types.TaskRunning, e.node, wid, "")
-	}
+	e.ledger.Transition(spec.ID, types.TaskRunning, wid, "")
 
 	rets, err := e.invoke(ctx, spec, args)
 	if err != nil {
@@ -119,14 +111,9 @@ func (e *Executor) Execute(ctx context.Context, spec types.TaskSpec, args [][]by
 	// Capture the finish instant before storing outputs: the first Put can
 	// unblock a consumer, and a consumer's recorded start must never
 	// precede its producer's recorded finish. The status transition itself
-	// still publishes only after every output is durable. With a ledger
-	// the instant comes off the local cluster clock — no NowNs round trip.
-	var finishNs int64
-	if e.ledger != nil {
-		finishNs = e.ledger.ClockNs()
-	} else {
-		finishNs = e.ctrl.NowNs()
-	}
+	// still publishes only after every output is durable. The instant comes
+	// off the ledger's local cluster clock — no NowNs round trip.
+	finishNs := e.ledger.ClockNs()
 	for i, data := range rets {
 		if data == nil {
 			data = codec.MustEncode(nil)
@@ -137,11 +124,7 @@ func (e *Executor) Execute(ctx context.Context, spec types.TaskSpec, args [][]by
 		}
 	}
 	e.executed.Add(1)
-	if e.ledger != nil {
-		e.ledger.TransitionAt(spec.ID, types.TaskFinished, wid, "", finishNs)
-	} else {
-		e.ctrl.SetTaskStatusAt(spec.ID, types.TaskFinished, e.node, wid, "", finishNs)
-	}
+	e.ledger.TransitionAt(spec.ID, types.TaskFinished, wid, "", finishNs)
 }
 
 // invoke runs the function with panic isolation: a panicking task must not
@@ -169,38 +152,19 @@ func (e *Executor) invoke(ctx context.Context, spec types.TaskSpec, args [][]byt
 // failure, error payloads are stored under every return object so that
 // blocked Gets observe the failure (instead of hanging).
 func (e *Executor) fail(spec types.TaskSpec, wid types.WorkerID, taskErr error) {
-	if e.ledger != nil {
-		retries, retrying := e.ledger.TransitionRetry(spec.ID, spec.MaxRetries)
-		if retries < 0 {
-			// Ownership moved out from under the execution (a transfer
-			// after a false-positive death verdict): the successor re-runs
-			// the task, and any stamp from this tenure would be a zombie
-			// write the fence consumes anyway.
-			return
-		}
-		if retrying && e.hooks.Resubmit != nil {
-			e.ctrl.LogEvent(types.Event{
-				Kind: "retry", Task: spec.ID, Node: e.node, Worker: wid,
-				Detail: fmt.Sprintf("attempt %d/%d: %v", retries, spec.MaxRetries, taskErr),
-			})
-			e.hooks.Resubmit(spec)
-			return
-		}
-		e.failed.Add(1)
-		for i := 0; i < spec.NumReturns; i++ {
-			// Best effort: the store may itself be failing.
-			_ = e.backend.PutObject(spec.ReturnID(i), codec.EncodeError(taskErr.Error()))
-		}
-		e.ledger.Transition(spec.ID, types.TaskFailed, wid, taskErr.Error())
+	retries, retrying := e.ledger.TransitionRetry(spec.ID, spec.MaxRetries)
+	if retries < 0 {
+		// Ownership moved out from under the execution (a transfer after a
+		// false-positive death verdict): the successor re-runs the task, and
+		// any stamp from this tenure would be a zombie write the fence
+		// consumes anyway.
 		return
 	}
-	retries := e.ctrl.RecordTaskRetry(spec.ID)
-	if retries <= spec.MaxRetries && e.hooks.Resubmit != nil {
+	if retrying && e.hooks.Resubmit != nil {
 		e.ctrl.LogEvent(types.Event{
 			Kind: "retry", Task: spec.ID, Node: e.node, Worker: wid,
 			Detail: fmt.Sprintf("attempt %d/%d: %v", retries, spec.MaxRetries, taskErr),
 		})
-		e.ctrl.SetTaskStatus(spec.ID, types.TaskPending, e.node, wid, taskErr.Error())
 		e.hooks.Resubmit(spec)
 		return
 	}
@@ -209,5 +173,5 @@ func (e *Executor) fail(spec types.TaskSpec, wid types.WorkerID, taskErr error) 
 		// Best effort: the store may itself be failing.
 		_ = e.backend.PutObject(spec.ReturnID(i), codec.EncodeError(taskErr.Error()))
 	}
-	e.ctrl.SetTaskStatus(spec.ID, types.TaskFailed, e.node, wid, taskErr.Error())
+	e.ledger.Transition(spec.ID, types.TaskFailed, wid, taskErr.Error())
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gcs"
 	"repro/internal/lifetime"
+	"repro/internal/lifetime/ledgertest"
 	"repro/internal/types"
 )
 
@@ -17,6 +18,8 @@ import (
 type stubBackend struct {
 	ctrl *gcs.Store
 	node types.NodeID
+	led  *lifetime.TaskLedger
+	rec  *ledgerRecorder
 
 	mu      sync.Mutex
 	objects map[types.ObjectID][]byte
@@ -64,13 +67,20 @@ func mkSpec(i uint64, fn string, returns int) types.TaskSpec {
 	}
 }
 
+// setup builds an executor over the shared sync-mode ledger fixture; tests
+// admit their task through b.admit before executing it, and b.rec holds
+// every flush the executor's stamps produced.
 func setup(t *testing.T, hooks Hooks) (*Executor, *stubBackend, *core.Registry) {
 	t.Helper()
 	b := newStub()
+	b.rec = &ledgerRecorder{API: b.ctrl}
+	b.led = ledgertest.New(b.rec, b.node)
 	reg := core.NewRegistry()
-	ex := NewExecutor(b.node, b.ctrl, reg, b, hooks)
+	ex := NewExecutor(b.node, b.ctrl, reg, b, b.led, hooks)
 	return ex, b, reg
 }
+
+func (s *stubBackend) admit(spec types.TaskSpec) { ledgertest.Admit(s.ctrl, s.led, spec) }
 
 func TestExecuteStoresReturnsAndStatus(t *testing.T) {
 	ex, b, reg := setup(t, Hooks{})
@@ -78,7 +88,7 @@ func TestExecuteStoresReturnsAndStatus(t *testing.T) {
 		return [][]byte{codec.MustEncode(1), codec.MustEncode(2)}, nil
 	})
 	spec := mkSpec(1, "two", 2)
-	b.ctrl.AddTask(types.TaskState{Spec: spec})
+	b.admit(spec)
 	ex.Execute(context.Background(), spec, nil)
 
 	for i := 0; i < 2; i++ {
@@ -98,7 +108,7 @@ func TestExecuteStoresReturnsAndStatus(t *testing.T) {
 func TestUnregisteredFunctionFails(t *testing.T) {
 	ex, b, _ := setup(t, Hooks{})
 	spec := mkSpec(2, "ghost", 1)
-	b.ctrl.AddTask(types.TaskState{Spec: spec})
+	b.admit(spec)
 	ex.Execute(context.Background(), spec, nil)
 	st, _ := b.ctrl.GetTask(spec.ID)
 	if st.Status != types.TaskFailed {
@@ -117,7 +127,7 @@ func TestWrongReturnCountFails(t *testing.T) {
 		return [][]byte{codec.MustEncode(1)}, nil // declares 2
 	})
 	spec := mkSpec(3, "liar", 2)
-	b.ctrl.AddTask(types.TaskState{Spec: spec})
+	b.admit(spec)
 	ex.Execute(context.Background(), spec, nil)
 	st, _ := b.ctrl.GetTask(spec.ID)
 	if st.Status != types.TaskFailed {
@@ -131,7 +141,7 @@ func TestPanicIsolated(t *testing.T) {
 		panic("explosive")
 	})
 	spec := mkSpec(4, "boom", 1)
-	b.ctrl.AddTask(types.TaskState{Spec: spec})
+	b.admit(spec)
 	ex.Execute(context.Background(), spec, nil) // must not panic the test
 	st, _ := b.ctrl.GetTask(spec.ID)
 	if st.Status != types.TaskFailed || st.Error == "" {
@@ -152,7 +162,7 @@ func TestRetryPathResubmits(t *testing.T) {
 	})
 	spec := mkSpec(5, "flaky", 1)
 	spec.MaxRetries = 2
-	b.ctrl.AddTask(types.TaskState{Spec: spec})
+	b.admit(spec)
 
 	ex.Execute(context.Background(), spec, nil) // attempt 1 -> retry
 	select {
@@ -207,7 +217,7 @@ func TestBlockHookReachesHooks(t *testing.T) {
 		return [][]byte{codec.MustEncode(0)}, nil
 	})
 	spec := mkSpec(6, "getter", 1)
-	b.ctrl.AddTask(types.TaskState{Spec: spec})
+	b.admit(spec)
 	ex.Execute(context.Background(), spec, nil)
 	st, _ := b.ctrl.GetTask(spec.ID)
 	if st.Status != types.TaskFinished {
@@ -230,7 +240,7 @@ func TestActiveCounter(t *testing.T) {
 		return [][]byte{codec.MustEncode(0)}, nil
 	})
 	spec := mkSpec(7, "probe", 1)
-	b.ctrl.AddTask(types.TaskState{Spec: spec})
+	b.admit(spec)
 	ex.Execute(context.Background(), spec, nil)
 	if got := <-probe; got != 1 {
 		t.Fatalf("active during exec = %d", got)
@@ -246,7 +256,7 @@ func TestNilReturnBecomesNullPayload(t *testing.T) {
 		return [][]byte{nil}, nil
 	})
 	spec := mkSpec(8, "nilret", 1)
-	b.ctrl.AddTask(types.TaskState{Spec: spec})
+	b.admit(spec)
 	ex.Execute(context.Background(), spec, nil)
 	if !b.ObjectLocal(spec.ReturnID(0)) {
 		t.Fatal("nil return not stored")
@@ -257,13 +267,10 @@ func TestNilReturnBecomesNullPayload(t *testing.T) {
 	}
 }
 
-// ledgerRecorder wraps the store to observe the executor's control-plane
-// traffic on the ledger path: every ModifyTaskStates batch is captured, and
-// the legacy two-RPC retry surface (RecordTaskRetry + SetTaskStatus) trips
-// the test — the ledger path must never fall back to it.
+// ledgerRecorder wraps the store to capture every ModifyTaskStates batch the
+// executor's ledger stamps produce.
 type ledgerRecorder struct {
 	gcs.API
-	t *testing.T
 
 	mu     sync.Mutex
 	deltas []types.TaskStateDelta
@@ -276,41 +283,25 @@ func (r *ledgerRecorder) ModifyTaskStates(node types.NodeID, deltas []types.Task
 	return r.API.ModifyTaskStates(node, deltas, op)
 }
 
-func (r *ledgerRecorder) RecordTaskRetry(id types.TaskID) int {
-	r.t.Errorf("ledger path used legacy RecordTaskRetry for %v", id)
-	return r.API.RecordTaskRetry(id)
-}
-
-func (r *ledgerRecorder) SetTaskStatus(id types.TaskID, status types.TaskStatus, node types.NodeID, worker types.WorkerID, errMsg string) {
-	r.t.Errorf("ledger path used legacy SetTaskStatus(%v, %v)", id, status)
-	r.API.SetTaskStatus(id, status, node, worker, errMsg)
-}
-
 // TestRetryCrashWindowClosed is the regression test for the retry crash
-// window (DESIGN.md §13): the old sequence was two control-plane RPCs —
-// RecordTaskRetry bumping the count, then SetTaskStatus resetting to
-// PENDING — and a node dying between them burned a retry attempt without
-// ever rescheduling the task. On the ledger path both must ride ONE
-// sequenced delta: every delta that carries a retry bump also carries the
-// PENDING reset, so there is no instant at which the table holds the bump
-// without the reset.
+// window (DESIGN.md §13): a retry that bumped the count in one control-plane
+// write and reset the task to PENDING in another let a node dying between
+// them burn an attempt without ever rescheduling the task. Both must ride
+// ONE sequenced delta: every delta that carries a retry bump also carries
+// the PENDING reset, so there is no instant at which the table holds the
+// bump without the reset.
 func TestRetryCrashWindowClosed(t *testing.T) {
 	resubmitted := make(chan types.TaskSpec, 4)
 	ex, b, reg := setup(t, Hooks{
 		Resubmit: func(spec types.TaskSpec) { resubmitted <- spec },
 	})
-	rec := &ledgerRecorder{API: b.ctrl, t: t}
-	led := lifetime.NewTaskLedger(rec)
-	led.SetNode(b.node)
-	ex.SetLedger(led) // synchronous mode: every transition flushes inline
 
 	reg.Register("flaky", func(tc *core.TaskContext, args [][]byte) ([][]byte, error) {
 		return nil, errors.New("transient")
 	})
 	spec := mkSpec(9, "flaky", 1)
 	spec.MaxRetries = 2
-	b.ctrl.AddTask(types.TaskState{Spec: spec, Owner: b.node})
-	led.Adopt(spec.ID, 0, types.TaskPending)
+	b.admit(spec)
 
 	ex.Execute(context.Background(), spec, nil) // attempt 1 -> retry
 	select {
@@ -345,6 +336,7 @@ func TestRetryCrashWindowClosed(t *testing.T) {
 	// The crash-window invariant: a delta bumping Retries must carry the
 	// PENDING reset (or be terminal, where the count rides the failure) in
 	// the SAME delta. Any bump-only delta reopens the window.
+	rec := b.rec
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	bumps := 0
