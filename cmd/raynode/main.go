@@ -13,7 +13,13 @@
 //	raynode -head -gcs 127.0.0.1:6380 -gcs-shards 3 -gcs-data /var/ray/gcs -listen 127.0.0.1:6390
 //
 // Additional worker nodes (any number, any machine that can reach the
-// head; the worker auto-detects whether the head is sharded):
+// head; in-memory and sharded heads speak the same protocol — the worker
+// fetches the shard map from -join and dials the shard addresses in it,
+// which derive from the head's -gcs, so -gcs must be an address workers
+// can reach). A worker whose head dies retries each control-plane call for
+// a few seconds before giving up, and its subscriptions reattach when the
+// head comes back; -join to an address that is not a control plane exits
+// with an error naming it.
 //
 //	raynode -join 127.0.0.1:6380 -listen 127.0.0.1:6382 -cpu 8 -gpu 1
 //
@@ -97,72 +103,20 @@ func main() {
 	var ctrl gcs.API
 	var super *gcs.Supervisor
 	if *head {
-		if *gcsNum > 0 {
-			// Sharded control plane: N supervised shard services, each with
-			// its own WAL + snapshot, on consecutive ports after the map
-			// service. A crashed shard is restarted from disk automatically.
-			shardAddrs, err := derivePortAddrs(*gcsAddr, *gcsNum)
-			if err != nil {
-				log.Fatalf("raynode: shard addresses: %v", err)
-			}
-			for _, a := range shardAddrs {
-				if a == *listen {
-					log.Fatalf("raynode: -listen %s collides with control-plane shard address %s "+
-						"(shards occupy the %d ports after -gcs %s); pick a -listen outside that range",
-						*listen, a, *gcsNum, *gcsAddr)
-				}
-			}
-			super, err = gcs.NewSupervisor(gcs.SupervisorConfig{
-				Shards:      *gcsNum,
-				Network:     transport.TCP{},
-				MapAddr:     *gcsAddr,
-				ShardAddrs:  shardAddrs,
-				DataDir:     *gcsData,
-				SubShards:   *shards,
-				AutoRestart: 200 * time.Millisecond,
-				Metrics:     procMetrics,
-			})
-			if err != nil {
-				log.Fatalf("raynode: start sharded control plane: %v", err)
-			}
-			defer super.Close()
-			sh, err := gcs.NewSharded(gcs.ShardedConfig{Network: transport.TCP{}, MapAddr: *gcsAddr})
-			if err != nil {
-				log.Fatalf("raynode: connect sharded control plane: %v", err)
-			}
-			defer sh.Close()
-			ctrl = sh
-			log.Printf("sharded control plane: map on %s, %d shards on %v (data in %s)",
-				*gcsAddr, *gcsNum, shardAddrs, *gcsData)
-		} else {
-			localStore := gcs.NewStore(*shards)
-			ctrl = localStore
-			srv := transport.NewServer()
-			gcs.RegisterService(srv, localStore)
-			l, err := (transport.TCP{}).Listen(*gcsAddr, srv)
-			if err != nil {
-				log.Fatalf("raynode: serve control plane: %v", err)
-			}
-			defer l.Close()
-			log.Printf("control plane serving on %s (%d shards)", *gcsAddr, *shards)
+		var stop func()
+		var err error
+		ctrl, super, stop, err = serveControlPlane(*gcsAddr, *listen, *gcsNum, *gcsData, *shards, procMetrics)
+		if err != nil {
+			log.Fatalf("raynode: %v", err)
 		}
+		defer stop()
 	} else {
-		// Probe for a sharded head first: the map fetch succeeds only when
-		// the address serves MethodShardMap; otherwise fall back to the
-		// single-service protocol.
-		if sh, err := gcs.NewSharded(gcs.ShardedConfig{Network: transport.TCP{}, MapAddr: *join}); err == nil {
-			defer sh.Close()
-			ctrl = sh
-			log.Printf("joined sharded control plane at %s (%d shards)", *join, sh.Map().NumShards())
-		} else {
-			client, err := (transport.TCP{}).Dial(*join)
-			if err != nil {
-				log.Fatalf("raynode: join %s: %v", *join, err)
-			}
-			defer client.Close()
-			ctrl = gcs.NewRemote(client)
-			log.Printf("joined control plane at %s", *join)
+		sh, err := joinControlPlane(*join)
+		if err != nil {
+			log.Fatalf("raynode: %v", err)
 		}
+		defer sh.Close()
+		ctrl = sh
 	}
 
 	n, err := node.New(node.Config{
@@ -264,6 +218,73 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	log.Printf("shutting down")
+}
+
+// serveControlPlane starts the head's control plane at gcsAddr and returns
+// the head's own handle on it. With gcsShards == 0 that is one in-memory
+// store, used in-process by the head and served to joiners as a one-shard
+// control plane; otherwise it is gcsShards supervised shard services, each
+// with its own WAL + snapshot under dataDir, on the consecutive ports after
+// gcsAddr (a crashed shard is restarted from disk automatically), reached
+// by the head through the same client joiners use. The supervisor is nil in
+// the in-memory mode. stop releases everything started here.
+func serveControlPlane(gcsAddr, listen string, gcsShards int, dataDir string, kvShards int, reg *metrics.Registry) (ctrl gcs.API, super *gcs.Supervisor, stop func(), err error) {
+	if gcsShards == 0 {
+		store := gcs.NewStore(kvShards)
+		srv := transport.NewServer()
+		gcs.RegisterSingleShard(srv, store, gcsAddr)
+		l, err := (transport.TCP{}).Listen(gcsAddr, srv)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("serve control plane: %w", err)
+		}
+		log.Printf("in-memory control plane serving on %s (%d kv stripes)", gcsAddr, kvShards)
+		return store, nil, func() { l.Close() }, nil
+	}
+	shardAddrs, err := derivePortAddrs(gcsAddr, gcsShards)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("shard addresses: %w", err)
+	}
+	for _, a := range shardAddrs {
+		if a == listen {
+			return nil, nil, nil, fmt.Errorf("-listen %s collides with control-plane shard address %s "+
+				"(shards occupy the %d ports after -gcs %s); pick a -listen outside that range",
+				listen, a, gcsShards, gcsAddr)
+		}
+	}
+	super, err = gcs.NewSupervisor(gcs.SupervisorConfig{
+		Shards:      gcsShards,
+		Network:     transport.TCP{},
+		MapAddr:     gcsAddr,
+		ShardAddrs:  shardAddrs,
+		DataDir:     dataDir,
+		SubShards:   kvShards,
+		AutoRestart: 200 * time.Millisecond,
+		Metrics:     reg,
+	})
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("start sharded control plane: %w", err)
+	}
+	sh, err := joinControlPlane(gcsAddr)
+	if err != nil {
+		super.Close()
+		return nil, nil, nil, err
+	}
+	log.Printf("sharded control plane: map on %s, %d shards on %v (data in %s)", gcsAddr, gcsShards, shardAddrs, dataDir)
+	return sh, super, func() { sh.Close(); super.Close() }, nil
+}
+
+// joinControlPlane attaches to the control plane at addr, in-memory or
+// sharded alike: both answer the shard-map request, so an address that
+// does not is not a control plane and the join fails naming it. Calls
+// through the returned client retry for its RetryWindow when the head (or
+// one shard) dies, and its subscriptions reattach instead of closing.
+func joinControlPlane(addr string) (*gcs.Sharded, error) {
+	sh, err := gcs.NewSharded(gcs.ShardedConfig{Network: transport.TCP{}, MapAddr: addr})
+	if err != nil {
+		return nil, fmt.Errorf("no control plane at %s: %w", addr, err)
+	}
+	log.Printf("attached to control plane at %s (%d shards)", addr, sh.Map().NumShards())
+	return sh, nil
 }
 
 // localProvisioner implements autoscale.NodeProvisioner for raynode: each

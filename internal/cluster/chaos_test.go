@@ -103,7 +103,7 @@ func TestChaosRepeatedKillsWithRetries(t *testing.T) {
 	d := c.Driver()
 	var refs []core.Ref[int]
 	for i := 0; i < 12; i++ {
-		ref, err := flaky.Remote(d, i, core.WithRetries(10))
+		ref, err := flaky.Remote(d, i, core.WithMaxRetries(10))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,17 +20,6 @@ type Submitter interface {
 	Submit(call Call) ([]ObjectRef, error)
 }
 
-// CallOpt adjusts a call's options.
-//
-// Deprecated: CallOpt is an alias of Option kept for source compatibility;
-// use Option.
-type CallOpt = Option
-
-// WithRetries sets how many times the task is retried on failure.
-//
-// Deprecated: renamed to WithMaxRetries for symmetry with TaskOptions.
-func WithRetries(n int) Option { return WithMaxRetries(n) }
-
 // submitOne submits a single-return call through the options path. The
 // full slice expression forces the append to copy, so a Bound handle's
 // shared opts backing is never written through.

@@ -28,8 +28,8 @@ var ErrControlUnavailable = errors.New("fault: control plane unavailable (retrya
 
 // ctrlReachable distinguishes "record absent" from "control plane down"
 // when a read comes back empty: implementations exposing a liveness probe
-// (gcs.Remote, gcs.Sharded) are consulted; a plain in-process store is
-// always reachable.
+// (the gcs.Sharded transport client) are consulted; a plain in-process
+// store is always reachable.
 func (r *Reconstructor) ctrlReachable() bool {
 	if p, ok := r.Ctrl.(gcs.Pinger); ok {
 		return p.Ping()

@@ -12,7 +12,8 @@ import (
 )
 
 // Sub is a pub/sub subscription handle. kv.Subscription satisfies it; the
-// remote (TCP) client provides its own implementation with the same shape.
+// transport client (Sharded) provides its own resilient implementation
+// with the same shape.
 type Sub interface {
 	C() <-chan []byte
 	Close()

@@ -1,0 +1,462 @@
+package gcs
+
+import (
+	"maps"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/metrics"
+	"repro/internal/transport"
+	"repro/internal/types"
+)
+
+// wireLog records which methods a server registered and which methods a
+// client actually put on the wire.
+type wireLog struct {
+	mu             sync.Mutex
+	served, called map[string]bool
+}
+
+func newWireLog() *wireLog {
+	return &wireLog{served: make(map[string]bool), called: make(map[string]bool)}
+}
+
+func (w *wireLog) note(set map[string]bool, method string) {
+	w.mu.Lock()
+	set[method] = true
+	w.mu.Unlock()
+}
+
+// assertNoDrift is the guard that replaces keeping the server dispatch and
+// the client in step by hand: no handler without a caller, no call without
+// a handler.
+func (w *wireLog) assertNoDrift(t *testing.T) {
+	t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, m := range slices.Sorted(maps.Keys(w.served)) {
+		if !w.called[m] {
+			t.Errorf("handler %q is registered but the client never calls it (or the conformance table misses it)", m)
+		}
+	}
+	for _, m := range slices.Sorted(maps.Keys(w.called)) {
+		if !w.served[m] {
+			t.Errorf("client calls %q but no handler is registered", m)
+		}
+	}
+}
+
+type recordingRegistrar struct {
+	Registrar
+	log *wireLog
+}
+
+func (r recordingRegistrar) Handle(method string, h transport.Handler) {
+	r.log.note(r.log.served, method)
+	r.Registrar.Handle(method, h)
+}
+
+func (r recordingRegistrar) HandleStream(method string, h transport.StreamHandler) {
+	r.log.note(r.log.served, method)
+	r.Registrar.HandleStream(method, h)
+}
+
+type recordingNetwork struct {
+	transport.Network
+	log *wireLog
+}
+
+func (n recordingNetwork) Dial(addr string) (transport.Client, error) {
+	c, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return recordingClient{c, n.log}, nil
+}
+
+type recordingClient struct {
+	transport.Client
+	log *wireLog
+}
+
+func (c recordingClient) Call(method string, payload []byte) ([]byte, error) {
+	c.log.note(c.log.called, method)
+	return c.Client.Call(method, payload)
+}
+
+func (c recordingClient) OpenStream(method string, payload []byte) (transport.Stream, error) {
+	c.log.note(c.log.called, method)
+	return c.Client.OpenStream(method, payload)
+}
+
+// oneShard serves an in-memory Store as a one-shard control plane at addr
+// (what `raynode -head` without -gcs-shards runs) and attaches the one
+// transport client to it, with both ends of the wire recorded.
+func oneShard(t *testing.T, nw transport.Network, addr string) (*Sharded, *Store, *wireLog) {
+	t.Helper()
+	store := NewStore(4)
+	log := newWireLog()
+	srv := transport.NewServer()
+	RegisterSingleShard(recordingRegistrar{srv, log}, store, addr)
+	l, err := nw.Listen(addr, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	client, err := NewSharded(ShardedConfig{Network: recordingNetwork{nw, log}, MapAddr: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(client.Close)
+	return client, store, log
+}
+
+// TestAPIConformance runs one script over every gcs.API method against
+// every way of reaching a control plane. On the one-shard targets it is
+// also the wire drift guard (wireLog.assertNoDrift).
+func TestAPIConformance(t *testing.T) {
+	type backing func(types.TaskID) (types.TaskState, bool)
+	targets := []struct {
+		name string
+		open func(t *testing.T) (API, backing, *wireLog)
+	}{
+		{"store", func(t *testing.T) (API, backing, *wireLog) {
+			s := NewStore(4)
+			return s, s.GetTask, nil
+		}},
+		{"one-shard/inproc", func(t *testing.T) (API, backing, *wireLog) {
+			c, s, log := oneShard(t, transport.NewInproc(0), "gcs")
+			return c, s.GetTask, log
+		}},
+		{"one-shard/tcp", func(t *testing.T) (API, backing, *wireLog) {
+			c, s, log := oneShard(t, transport.TCP{}, "127.0.0.1:39481")
+			return c, s.GetTask, log
+		}},
+		{"three-supervised-shards", func(t *testing.T) (API, backing, *wireLog) {
+			sup, nw := newTestSupervisor(t, 3, 0)
+			c := newTestSharded(t, nw)
+			return c, func(id types.TaskID) (types.TaskState, bool) {
+				return sup.Shard(c.Map().ShardForKey(TaskKey(id))).Store().GetTask(id)
+			}, nil
+		}},
+	}
+	for _, tgt := range targets {
+		t.Run(tgt.name, func(t *testing.T) {
+			api, backing, log := tgt.open(t)
+			exerciseAPI(t, api, backing)
+			if log != nil {
+				log.assertNoDrift(t)
+			}
+		})
+	}
+}
+
+// recv waits for one message on sub.
+func recv(t *testing.T, sub Sub, what string) []byte {
+	t.Helper()
+	select {
+	case msg, ok := <-sub.C():
+		if !ok {
+			t.Fatalf("%s: subscription closed", what)
+		}
+		return msg
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s not delivered", what)
+		return nil
+	}
+}
+
+func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskState, bool)) {
+	t.Helper()
+	n := nodeID(50)
+	var job types.JobID
+	job[0] = 7
+
+	// Clock and liveness.
+	if api.NowNs() <= 0 {
+		t.Fatal("clock dead")
+	}
+	if !api.(Pinger).Ping() {
+		t.Fatal("Ping failed on a healthy control plane")
+	}
+
+	// Task table.
+	st := mkTask(500)
+	st.Spec.Job = job
+	if !api.AddTask(st) {
+		t.Fatal("AddTask failed")
+	}
+	if api.AddTask(st) {
+		t.Fatal("duplicate AddTask succeeded")
+	}
+	got, ok := api.GetTask(st.Spec.ID)
+	if !ok || got.Spec.Function != "f" {
+		t.Fatalf("GetTask: %+v %v", got, ok)
+	}
+	if stale := api.StalePendingTasks(0); len(stale) != 1 || stale[0].ID != st.Spec.ID {
+		t.Fatalf("StalePendingTasks: %v", stale)
+	}
+	seq, ok := api.ClaimTask(st.Spec.ID, []types.TaskStatus{types.TaskPending}, types.TaskQueued, n)
+	if !ok || seq == 0 {
+		t.Fatalf("ClaimTask: seq %d ok %v", seq, ok)
+	}
+	if _, ok := api.ClaimTask(st.Spec.ID, []types.TaskStatus{types.TaskPending}, types.TaskQueued, nodeID(51)); ok {
+		t.Fatal("second claim from the wrong state won")
+	}
+	if live, complete := api.LiveTasksOwnedBy(n); !complete || len(live) != 1 || live[0].Spec.ID != st.Spec.ID {
+		t.Fatalf("LiveTasksOwnedBy: %v complete=%v", live, complete)
+	}
+	statusSub := api.SubscribeTaskStatus(st.Spec.ID)
+	defer statusSub.Close()
+	running := delta(st.Spec.ID, seq+1, types.TaskRunning)
+	running.Owner, running.Node, running.Retries = n, n, 1
+	if failed := api.ModifyTaskStates(n, []types.TaskStateDelta{running}, 41); len(failed) != 0 {
+		t.Fatalf("ModifyTaskStates failed for %v", failed)
+	}
+	if msg := recv(t, statusSub, "task status"); types.TaskStatus(msg[0]) != types.TaskRunning {
+		t.Fatalf("status payload %v", msg)
+	}
+	got, _ = api.GetTask(st.Spec.ID)
+	if got.Status != types.TaskRunning || got.Node != n || got.Retries != 1 {
+		t.Fatalf("after ModifyTaskStates: %+v", got)
+	}
+	if !api.CASTaskStatus(st.Spec.ID, []types.TaskStatus{types.TaskRunning}, types.TaskFinished) {
+		t.Fatal("CAS lost")
+	}
+	if api.CASTaskStatus(st.Spec.ID, []types.TaskStatus{types.TaskRunning}, types.TaskFinished) {
+		t.Fatal("CAS from wrong state won")
+	}
+	if len(api.Tasks()) != 1 {
+		t.Fatal("Tasks scan wrong")
+	}
+	// Writes made through the API must be visible in the backing store.
+	if _, ok := backing(st.Spec.ID); !ok {
+		t.Fatal("write did not reach the backing store")
+	}
+
+	// Object table, lifetime and subscriptions.
+	obj, obj2 := st.Spec.ReturnID(0), testObjectID(9)
+	api.EnsureObject(obj, st.Spec.ID)
+	if failed := api.EnsureObjects(map[types.ObjectID]types.TaskID{obj2: st.Spec.ID}); len(failed) != 0 {
+		t.Fatalf("EnsureObjects failed for %v", failed)
+	}
+	if info, ok := api.GetObject(obj2); !ok || info.Producer != st.Spec.ID {
+		t.Fatalf("EnsureObjects lineage edge: %+v %v", info, ok)
+	}
+	readySub := api.SubscribeObjectReady(obj)
+	defer readySub.Close()
+	api.AddObjectLocation(obj, n, 64)
+	recv(t, readySub, "object-ready")
+	api.MarkObjectSpilled(obj, n, true)
+	info, ok := api.GetObject(obj)
+	if !ok || info.State != types.ObjectReady || info.Size != 64 || !info.IsSpilledOn(n) {
+		t.Fatalf("GetObject: %+v %v", info, ok)
+	}
+	gcSub := api.SubscribeObjectGC()
+	defer gcSub.Close()
+	if c := api.ModifyObjectRefCount(obj, 1); c != 1 {
+		t.Fatalf("ModifyObjectRefCount = %d", c)
+	}
+	if failed := api.ModifyObjectRefCounts(n, map[types.ObjectID]int64{obj: 1}, 42); len(failed) != 0 {
+		t.Fatalf("ModifyObjectRefCounts failed for %v", failed)
+	}
+	if swept := api.SweepDeadNodeRefs(n); swept != 1 {
+		t.Fatalf("SweepDeadNodeRefs = %d, want the one object n held", swept)
+	}
+	if c := api.ModifyObjectRefCount(obj, -1); c != 0 {
+		t.Fatalf("refcount after sweep and release = %d", c)
+	}
+	var gcID types.ObjectID
+	copy(gcID[:], recv(t, gcSub, "GC publish"))
+	if gcID != obj {
+		t.Fatalf("GC published %v, want %v", gcID, obj)
+	}
+	if len(api.Objects()) != 2 {
+		t.Fatal("Objects scan wrong")
+	}
+
+	// Spill pub/sub.
+	spillSub := api.SubscribeSpill()
+	defer spillSub.Close()
+	api.PublishSpill(st.Spec)
+	if spec, err := DecodeSpillSpec(recv(t, spillSub, "spill")); err != nil || spec.ID != st.Spec.ID {
+		t.Fatalf("spill payload: %v %v", spec.ID, err)
+	}
+
+	// Node table.
+	nodeSub := api.SubscribeNodeEvents()
+	defer nodeSub.Close()
+	api.RegisterNode(types.NodeInfo{ID: n, Addr: "w1", Total: types.CPU(2)})
+	recv(t, nodeSub, "node event")
+	api.Heartbeat(n, 3, types.CPU(1), types.StoreStats{UsedBytes: 64})
+	ninfo, ok := api.GetNode(n)
+	if !ok || ninfo.QueueLen != 3 || ninfo.Store.UsedBytes != 64 {
+		t.Fatalf("GetNode: %+v %v", ninfo, ok)
+	}
+	if !api.CASNodeState(n, []types.NodeState{types.NodeActive}, types.NodeDraining) {
+		t.Fatal("drain CAS lost")
+	}
+	if api.CASNodeState(n, []types.NodeState{types.NodeActive}, types.NodeDraining) {
+		t.Fatal("second drain CAS won")
+	}
+	api.MarkNodeDead(n)
+	if ninfo, _ = api.GetNode(n); ninfo.Alive {
+		t.Fatal("node still alive")
+	}
+	if len(api.Nodes()) != 1 {
+		t.Fatal("Nodes scan wrong")
+	}
+
+	// Placement-group table.
+	groupSub := api.SubscribePlacementGroups()
+	defer groupSub.Close()
+	group := testGroupSpec(4, 1)
+	if !api.CreatePlacementGroup(group) || api.CreatePlacementGroup(group) {
+		t.Fatal("CreatePlacementGroup is not exactly-once")
+	}
+	if ev, err := DecodeGroupEvent(recv(t, groupSub, "group event")); err != nil || ev.Spec.ID != group.ID {
+		t.Fatalf("group event: %+v %v", ev, err)
+	}
+	pending, placing := []types.PlacementGroupState{types.GroupPending}, []types.PlacementGroupState{types.GroupPlacing}
+	if !api.CASPlacementGroupStateClaim(group.ID, pending, types.GroupPlacing, nil, 7) {
+		t.Fatal("gang claim lost")
+	}
+	if api.CASPlacementGroupStateClaim(group.ID, placing, types.GroupPlaced, []types.NodeID{n}, 8) {
+		t.Fatal("commit under a stale claim token won")
+	}
+	if !api.CASPlacementGroupStateClaim(group.ID, placing, types.GroupPlaced, []types.NodeID{n}, 7) {
+		t.Fatal("commit under the recorded claim lost")
+	}
+	if ginfo, ok := api.GetPlacementGroup(group.ID); !ok || ginfo.State != types.GroupPlaced || ginfo.NodeFor(0) != n {
+		t.Fatalf("GetPlacementGroup: %+v %v", ginfo, ok)
+	}
+	if !api.CASPlacementGroupState(group.ID, []types.PlacementGroupState{types.GroupPlaced}, types.GroupPending, nil) {
+		t.Fatal("rollback CAS lost")
+	}
+	if len(api.PlacementGroups()) != 1 {
+		t.Fatal("PlacementGroups scan wrong")
+	}
+	if !api.RemovePlacementGroup(group.ID) || api.RemovePlacementGroup(group.ID) {
+		t.Fatal("RemovePlacementGroup is not idempotent-terminal")
+	}
+
+	// Job table and bulk reclaim.
+	jobSub := api.SubscribeJobs()
+	defer jobSub.Close()
+	if !api.CreateJob(types.JobSpec{ID: job, Name: "j"}) || api.CreateJob(types.JobSpec{ID: job, Name: "j"}) {
+		t.Fatal("CreateJob is not exactly-once")
+	}
+	if ev, err := DecodeJobEvent(recv(t, jobSub, "job event")); err != nil || ev.Spec.ID != job {
+		t.Fatalf("job event: %+v %v", ev, err)
+	}
+	if jinfo, ok := api.GetJob(job); !ok || jinfo.State != types.JobRunning {
+		t.Fatalf("GetJob: %+v %v", jinfo, ok)
+	}
+	if len(api.Jobs()) != 1 {
+		t.Fatal("Jobs scan wrong")
+	}
+	if tasks, complete := api.JobTasks(job); !complete || len(tasks) != 1 || tasks[0].Spec.ID != st.Spec.ID {
+		t.Fatalf("JobTasks: %v complete=%v", tasks, complete)
+	}
+	if api.MarkJobPurged(job) {
+		t.Fatal("MarkJobPurged stamped a running job")
+	}
+	if !api.CASJobState(job, []types.JobState{types.JobRunning}, types.JobStopping) ||
+		api.CASJobState(job, []types.JobState{types.JobRunning}, types.JobStopping) ||
+		!api.CASJobState(job, []types.JobState{types.JobStopping}, types.JobStopped) {
+		t.Fatal("job lifecycle CAS wrong")
+	}
+	if failed := api.ForceReleaseObjects([]types.ObjectID{obj, obj2}); len(failed) != 0 {
+		t.Fatalf("ForceReleaseObjects failed for %v", failed)
+	}
+	// obj still has its copy on n, so only obj2 (no copies, no refs) drains.
+	if left := api.PurgeObjects([]types.ObjectID{obj, obj2}); len(left) != 1 || left[0] != obj {
+		t.Fatalf("PurgeObjects left %v, want [%v]", left, obj)
+	}
+	api.RemoveObjectLocation(obj, n)
+	if left := api.PurgeObjects([]types.ObjectID{obj}); len(left) != 0 {
+		t.Fatalf("PurgeObjects left %v after the last copy went", left)
+	}
+	if _, ok := api.GetObject(obj); ok {
+		t.Fatal("purged object still readable")
+	}
+	if purged, complete := api.PurgeJobTasks(job); !complete || purged != 1 {
+		t.Fatalf("PurgeJobTasks = %d complete=%v", purged, complete)
+	}
+	if !api.MarkJobPurged(job) || api.MarkJobPurged(job) {
+		t.Fatal("MarkJobPurged is not idempotent")
+	}
+
+	// Functions, events, telemetry.
+	api.RegisterFunction(FunctionInfo{Name: "g", NumReturns: 1})
+	if !api.HasFunction("g") || len(api.Functions()) != 1 {
+		t.Fatal("function table wrong")
+	}
+	api.LogEvent(types.Event{Kind: "custom", Node: n})
+	if !slices.ContainsFunc(api.Events(), func(ev types.Event) bool { return ev.Kind == "custom" }) {
+		t.Fatal("event lost")
+	}
+	sink := api.(TelemetrySink)
+	sink.PublishTelemetry(n, metrics.Snapshot{Counters: map[string]int64{"c": 3}}, []metrics.SpanRecord{{Name: "s"}})
+	if snaps := sink.Telemetry(); len(snaps) != 1 || snaps[0].Node != n || snaps[0].Snap.Counters["c"] != 3 {
+		t.Fatalf("Telemetry: %+v", snaps)
+	}
+	if spans := sink.Spans(); len(spans) != 1 || spans[0].Name != "s" {
+		t.Fatalf("Spans: %+v", spans)
+	}
+}
+
+// TestOneShardTaskStatusSubscription: the subscription is acked by the
+// service before SubscribeTaskStatus returns, so a publish made right
+// after cannot be missed.
+func TestOneShardTaskStatusSubscription(t *testing.T) {
+	api, _, _ := oneShard(t, transport.NewInproc(0), "gcs")
+	st := mkTask(600)
+	api.AddTask(st)
+	sub := api.SubscribeTaskStatus(st.Spec.ID)
+	defer sub.Close()
+	api.ModifyTaskStates(types.NilNodeID, []types.TaskStateDelta{delta(st.Spec.ID, 1, types.TaskFinished)}, 0)
+	if msg := recv(t, sub, "status"); types.TaskStatus(msg[0]) != types.TaskFinished {
+		t.Fatalf("status payload %v", msg)
+	}
+}
+
+func TestOneShardSubCloseIdempotent(t *testing.T) {
+	api, _, _ := oneShard(t, transport.NewInproc(0), "gcs")
+	sub := api.SubscribeSpill()
+	sub.Close()
+	sub.Close()
+}
+
+// TestFanOutObserved: fan-out reads go through the same per-attempt RPC
+// primitive as keyed calls, so a scan is timed per shard and a scan against
+// a killed shard bumps that shard's error counter.
+func TestFanOutObserved(t *testing.T) {
+	sup, nw := newTestSupervisor(t, 2, 0)
+	reg := metrics.NewRegistry()
+	s, err := NewSharded(ShardedConfig{Network: nw, MapAddr: "gcs", Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	s.Tasks()
+	snap := reg.Snapshot()
+	for _, shard := range []string{"0", "1"} {
+		if h := snap.Hists["gcs.rpc.ns;method="+MethodTasks+";shard="+shard]; h.Count != 1 {
+			t.Fatalf("shard %s: scan observed %d times, want 1", shard, h.Count)
+		}
+	}
+	errs := "gcs.rpc.errors;method=" + MethodTasks + ";shard=1"
+	if got := snap.Counters[errs]; got != 0 {
+		t.Fatalf("%s = %d on a healthy control plane", errs, got)
+	}
+
+	sup.KillShard(1)
+	s.Tasks()
+	if got := reg.Snapshot().Counters[errs]; got == 0 {
+		t.Fatalf("%s not bumped by a fan-out read against a killed shard", errs)
+	}
+}

@@ -204,334 +204,141 @@ type Registrar interface {
 	HandleStream(method string, h transport.StreamHandler)
 }
 
-// RegisterService exposes a local Store over a transport server.
-func RegisterService(srv Registrar, store *Store) {
-	unary := func(method string, h func(payload []byte) (any, error)) {
-		srv.Handle(method, func(payload []byte) ([]byte, error) {
-			out, err := h(payload)
-			if err != nil {
-				return nil, err
-			}
-			return codec.Encode(out)
-		})
-	}
+// handle registers one unary method: decode the request, call fn, encode
+// its answer. Store methods whose signature is already func(Req) Resp are
+// passed directly; the rest unpack a request struct in a one-line closure.
+func handle[Req, Resp any](srv Registrar, method string, fn func(Req) Resp) {
+	srv.Handle(method, func(payload []byte) ([]byte, error) {
+		req, err := codec.DecodeAs[Req](payload)
+		if err != nil {
+			return nil, err
+		}
+		return codec.Encode(fn(req))
+	})
+}
 
-	unary(MethodNowNs, func(p []byte) (any, error) { return store.NowNs(), nil })
-	unary(MethodAddTask, func(p []byte) (any, error) {
-		st, err := codec.DecodeAs[types.TaskState](p)
-		if err != nil {
-			return nil, err
-		}
-		return store.AddTask(st), nil
-	})
-	unary(MethodGetTask, func(p []byte) (any, error) {
-		id, err := codec.DecodeAs[types.TaskID](p)
-		if err != nil {
-			return nil, err
-		}
+// handle0 registers a unary method that takes no request.
+func handle0[Resp any](srv Registrar, method string, fn func() Resp) {
+	srv.Handle(method, func([]byte) ([]byte, error) { return codec.Encode(fn()) })
+}
+
+// ack adapts a method with no result to the wire's `true` acknowledgement.
+func ack[Req any](fn func(Req)) func(Req) bool {
+	return func(req Req) bool { fn(req); return true }
+}
+
+// RegisterService exposes a local Store over a transport server. The batch
+// and scan methods drop the store's failed-set / complete results: a local
+// store applies everything it is given and scans its whole table, so both
+// are client-side (sharded transport) concepts.
+func RegisterService(srv Registrar, store *Store) {
+	handle0(srv, MethodNowNs, store.NowNs)
+
+	handle(srv, MethodAddTask, store.AddTask)
+	handle(srv, MethodGetTask, func(id types.TaskID) maybeTask {
 		st, ok := store.GetTask(id)
-		return maybeTask{State: st, OK: ok}, nil
+		return maybeTask{State: st, OK: ok}
 	})
-	unary(MethodCASTaskStatus, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[casStatusReq](p)
-		if err != nil {
-			return nil, err
-		}
-		return store.CASTaskStatusOp(req.ID, req.From, req.To, req.Op), nil
+	handle(srv, MethodCASTaskStatus, func(r casStatusReq) bool {
+		return store.CASTaskStatusOp(r.ID, r.From, r.To, r.Op)
 	})
-	unary(MethodClaimTask, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[claimTaskReq](p)
-		if err != nil {
-			return nil, err
-		}
-		seq, ok := store.ClaimTaskOp(req.ID, req.From, req.To, req.Owner, req.Op)
-		return claimTaskResp{Seq: seq, OK: ok}, nil
+	handle(srv, MethodClaimTask, func(r claimTaskReq) claimTaskResp {
+		seq, ok := store.ClaimTaskOp(r.ID, r.From, r.To, r.Owner, r.Op)
+		return claimTaskResp{Seq: seq, OK: ok}
 	})
-	unary(MethodModifyTaskStates, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[types.TaskLedgerBatch](p)
-		if err != nil {
-			return nil, err
-		}
-		// The local store applies everything it is given; the failed set is
-		// a client-side (sharded transport) concept.
-		store.ModifyTaskStates(req.Node, req.Deltas, req.Op)
-		return true, nil
+	handle(srv, MethodModifyTaskStates, ack(func(r types.TaskLedgerBatch) {
+		store.ModifyTaskStates(r.Node, r.Deltas, r.Op)
+	}))
+	handle(srv, MethodLiveTasksOwned, func(owner types.NodeID) []types.TaskState {
+		tasks, _ := store.LiveTasksOwnedBy(owner)
+		return tasks
 	})
-	unary(MethodLiveTasksOwned, func(p []byte) (any, error) {
-		id, err := codec.DecodeAs[types.NodeID](p)
-		if err != nil {
-			return nil, err
-		}
-		tasks, _ := store.LiveTasksOwnedBy(id)
-		return tasks, nil
-	})
-	unary(MethodTasks, func(p []byte) (any, error) { return store.Tasks(), nil })
-	unary(MethodStalePending, func(p []byte) (any, error) {
-		age, err := codec.DecodeAs[int64](p)
-		if err != nil {
-			return nil, err
-		}
-		return store.StalePendingTasks(age), nil
-	})
-	unary(MethodEnsureObject, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[ensureObjectReq](p)
-		if err != nil {
-			return nil, err
-		}
-		store.EnsureObject(req.ID, req.Producer)
-		return true, nil
-	})
-	unary(MethodEnsureObjects, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[ensureObjectsReq](p)
-		if err != nil {
-			return nil, err
-		}
-		store.EnsureObjects(req.Producers)
-		return true, nil
-	})
-	unary(MethodAddObjLocation, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[objLocationReq](p)
-		if err != nil {
-			return nil, err
-		}
-		store.AddObjectLocation(req.ID, req.Node, req.Size)
-		return true, nil
-	})
-	unary(MethodRemoveObjLoc, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[objLocationReq](p)
-		if err != nil {
-			return nil, err
-		}
-		store.RemoveObjectLocation(req.ID, req.Node)
-		return true, nil
-	})
-	unary(MethodGetObject, func(p []byte) (any, error) {
-		id, err := codec.DecodeAs[types.ObjectID](p)
-		if err != nil {
-			return nil, err
-		}
+	handle0(srv, MethodTasks, store.Tasks)
+	handle(srv, MethodStalePending, store.StalePendingTasks)
+
+	handle(srv, MethodEnsureObject, ack(func(r ensureObjectReq) { store.EnsureObject(r.ID, r.Producer) }))
+	handle(srv, MethodEnsureObjects, ack(func(r ensureObjectsReq) { store.EnsureObjects(r.Producers) }))
+	handle(srv, MethodAddObjLocation, ack(func(r objLocationReq) { store.AddObjectLocation(r.ID, r.Node, r.Size) }))
+	handle(srv, MethodRemoveObjLoc, ack(func(r objLocationReq) { store.RemoveObjectLocation(r.ID, r.Node) }))
+	handle(srv, MethodGetObject, func(id types.ObjectID) maybeObject {
 		info, ok := store.GetObject(id)
-		return maybeObject{Info: info, OK: ok}, nil
+		return maybeObject{Info: info, OK: ok}
 	})
-	unary(MethodObjects, func(p []byte) (any, error) { return store.Objects(), nil })
-	unary(MethodModifyObjRef, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[modifyRefReq](p)
-		if err != nil {
-			return nil, err
-		}
-		return store.ModifyObjectRefCountOp(req.ID, req.Delta, req.Op), nil
+	handle0(srv, MethodObjects, store.Objects)
+	handle(srv, MethodModifyObjRef, func(r modifyRefReq) int64 {
+		return store.ModifyObjectRefCountOp(r.ID, r.Delta, r.Op)
 	})
-	unary(MethodModifyObjRefs, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[modifyRefsReq](p)
-		if err != nil {
-			return nil, err
-		}
-		// The local store applies everything it is given; the failed set is
-		// a client-side (sharded transport) concept.
-		store.ModifyObjectRefCounts(req.Node, req.Deltas, req.Op)
-		return true, nil
-	})
-	unary(MethodSweepDeadRefs, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[sweepRefsReq](p)
-		if err != nil {
-			return nil, err
-		}
-		return store.SweepDeadNodeRefs(req.Node), nil
-	})
-	unary(MethodMarkObjSpilled, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[markSpilledReq](p)
-		if err != nil {
-			return nil, err
-		}
-		store.MarkObjectSpilled(req.ID, req.Node, req.Spilled)
-		return true, nil
-	})
-	unary(MethodCreateGroup, func(p []byte) (any, error) {
-		spec, err := codec.DecodeAs[types.PlacementGroupSpec](p)
-		if err != nil {
-			return nil, err
-		}
-		return store.CreatePlacementGroup(spec), nil
-	})
-	unary(MethodRemoveGroup, func(p []byte) (any, error) {
-		id, err := codec.DecodeAs[types.PlacementGroupID](p)
-		if err != nil {
-			return nil, err
-		}
-		return store.RemovePlacementGroup(id), nil
-	})
-	unary(MethodGetGroup, func(p []byte) (any, error) {
-		id, err := codec.DecodeAs[types.PlacementGroupID](p)
-		if err != nil {
-			return nil, err
-		}
+	handle(srv, MethodModifyObjRefs, ack(func(r modifyRefsReq) {
+		store.ModifyObjectRefCounts(r.Node, r.Deltas, r.Op)
+	}))
+	handle(srv, MethodSweepDeadRefs, func(r sweepRefsReq) int { return store.SweepDeadNodeRefs(r.Node) })
+	handle(srv, MethodMarkObjSpilled, ack(func(r markSpilledReq) { store.MarkObjectSpilled(r.ID, r.Node, r.Spilled) }))
+
+	handle(srv, MethodCreateGroup, store.CreatePlacementGroup)
+	handle(srv, MethodRemoveGroup, store.RemovePlacementGroup)
+	handle(srv, MethodGetGroup, func(id types.PlacementGroupID) maybeGroup {
 		info, ok := store.GetPlacementGroup(id)
-		return maybeGroup{Info: info, OK: ok}, nil
+		return maybeGroup{Info: info, OK: ok}
 	})
-	unary(MethodGroups, func(p []byte) (any, error) { return store.PlacementGroups(), nil })
-	unary(MethodCASGroup, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[casGroupReq](p)
-		if err != nil {
-			return nil, err
-		}
-		return store.CASPlacementGroupStateOp(req.ID, req.From, req.To, req.Nodes, req.Claim, req.Op), nil
+	handle0(srv, MethodGroups, store.PlacementGroups)
+	handle(srv, MethodCASGroup, func(r casGroupReq) bool {
+		return store.CASPlacementGroupStateOp(r.ID, r.From, r.To, r.Nodes, r.Claim, r.Op)
 	})
-	unary(MethodCreateJob, func(p []byte) (any, error) {
-		spec, err := codec.DecodeAs[types.JobSpec](p)
-		if err != nil {
-			return nil, err
-		}
-		return store.CreateJob(spec), nil
-	})
-	unary(MethodGetJob, func(p []byte) (any, error) {
-		id, err := codec.DecodeAs[types.JobID](p)
-		if err != nil {
-			return nil, err
-		}
+
+	handle(srv, MethodCreateJob, store.CreateJob)
+	handle(srv, MethodGetJob, func(id types.JobID) maybeJob {
 		info, ok := store.GetJob(id)
-		return maybeJob{Info: info, OK: ok}, nil
+		return maybeJob{Info: info, OK: ok}
 	})
-	unary(MethodJobs, func(p []byte) (any, error) { return store.Jobs(), nil })
-	unary(MethodCASJob, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[casJobReq](p)
-		if err != nil {
-			return nil, err
-		}
-		return store.CASJobStateOp(req.ID, req.From, req.To, req.Op), nil
+	handle0(srv, MethodJobs, store.Jobs)
+	handle(srv, MethodCASJob, func(r casJobReq) bool { return store.CASJobStateOp(r.ID, r.From, r.To, r.Op) })
+	handle(srv, MethodMarkJobPurged, store.MarkJobPurged)
+	handle(srv, MethodJobTasks, func(job types.JobID) []types.TaskState {
+		tasks, _ := store.JobTasks(job)
+		return tasks
 	})
-	unary(MethodMarkJobPurged, func(p []byte) (any, error) {
-		id, err := codec.DecodeAs[types.JobID](p)
-		if err != nil {
-			return nil, err
-		}
-		return store.MarkJobPurged(id), nil
+	handle(srv, MethodForceReleaseObjs, ack(func(r objectIDsReq) { store.ForceReleaseObjects(r.IDs) }))
+	handle(srv, MethodPurgeObjects, func(r objectIDsReq) objectIDsReq {
+		return objectIDsReq{IDs: store.PurgeObjects(r.IDs)}
 	})
-	unary(MethodJobTasks, func(p []byte) (any, error) {
-		id, err := codec.DecodeAs[types.JobID](p)
-		if err != nil {
-			return nil, err
-		}
-		tasks, _ := store.JobTasks(id)
-		return tasks, nil
+	handle(srv, MethodPurgeJobTasks, func(job types.JobID) int {
+		n, _ := store.PurgeJobTasks(job)
+		return n
 	})
-	unary(MethodForceReleaseObjs, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[objectIDsReq](p)
-		if err != nil {
-			return nil, err
-		}
-		// The local store applies everything it is given; the failed set
-		// is a client-side (sharded transport) concept.
-		store.ForceReleaseObjects(req.IDs)
-		return true, nil
-	})
-	unary(MethodPurgeObjects, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[objectIDsReq](p)
-		if err != nil {
-			return nil, err
-		}
-		return objectIDsReq{IDs: store.PurgeObjects(req.IDs)}, nil
-	})
-	unary(MethodPurgeJobTasks, func(p []byte) (any, error) {
-		id, err := codec.DecodeAs[types.JobID](p)
-		if err != nil {
-			return nil, err
-		}
-		n, _ := store.PurgeJobTasks(id)
-		return n, nil
-	})
-	unary(MethodPublishSpill, func(p []byte) (any, error) {
-		spec, err := codec.DecodeAs[types.TaskSpec](p)
-		if err != nil {
-			return nil, err
-		}
-		store.PublishSpill(spec)
-		return true, nil
-	})
-	unary(MethodRegisterNode, func(p []byte) (any, error) {
-		info, err := codec.DecodeAs[types.NodeInfo](p)
-		if err != nil {
-			return nil, err
-		}
-		store.RegisterNode(info)
-		return true, nil
-	})
-	unary(MethodHeartbeat, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[heartbeatReq](p)
-		if err != nil {
-			return nil, err
-		}
-		store.Heartbeat(req.ID, req.Queue, req.Avail, req.Store)
-		return true, nil
-	})
-	unary(MethodMarkNodeDead, func(p []byte) (any, error) {
-		id, err := codec.DecodeAs[types.NodeID](p)
-		if err != nil {
-			return nil, err
-		}
-		store.MarkNodeDead(id)
-		return true, nil
-	})
-	unary(MethodCASNodeState, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[casNodeReq](p)
-		if err != nil {
-			return nil, err
-		}
-		return store.CASNodeStateOp(req.ID, req.From, req.To, req.Op), nil
-	})
-	unary(MethodGetNode, func(p []byte) (any, error) {
-		id, err := codec.DecodeAs[types.NodeID](p)
-		if err != nil {
-			return nil, err
-		}
+
+	handle(srv, MethodPublishSpill, ack(store.PublishSpill))
+	handle(srv, MethodRegisterNode, ack(store.RegisterNode))
+	handle(srv, MethodHeartbeat, ack(func(r heartbeatReq) { store.Heartbeat(r.ID, r.Queue, r.Avail, r.Store) }))
+	handle(srv, MethodMarkNodeDead, ack(store.MarkNodeDead))
+	handle(srv, MethodCASNodeState, func(r casNodeReq) bool { return store.CASNodeStateOp(r.ID, r.From, r.To, r.Op) })
+	handle(srv, MethodGetNode, func(id types.NodeID) maybeNode {
 		info, ok := store.GetNode(id)
-		return maybeNode{Info: info, OK: ok}, nil
+		return maybeNode{Info: info, OK: ok}
 	})
-	unary(MethodNodes, func(p []byte) (any, error) { return store.Nodes(), nil })
-	unary(MethodRegisterFunction, func(p []byte) (any, error) {
-		info, err := codec.DecodeAs[FunctionInfo](p)
-		if err != nil {
-			return nil, err
-		}
-		store.RegisterFunction(info)
-		return true, nil
-	})
-	unary(MethodHasFunction, func(p []byte) (any, error) {
-		name, err := codec.DecodeAs[string](p)
-		if err != nil {
-			return nil, err
-		}
-		return store.HasFunction(name), nil
-	})
-	unary(MethodFunctions, func(p []byte) (any, error) { return store.Functions(), nil })
-	unary(MethodLogEvent, func(p []byte) (any, error) {
-		ev, err := codec.DecodeAs[types.Event](p)
-		if err != nil {
-			return nil, err
-		}
-		store.LogEvent(ev)
-		return true, nil
-	})
-	unary(MethodEvents, func(p []byte) (any, error) { return store.Events(), nil })
-	unary(MethodPublishTelemetry, func(p []byte) (any, error) {
-		req, err := codec.DecodeAs[publishTelemetryReq](p)
-		if err != nil {
-			return nil, err
-		}
-		store.PublishTelemetry(req.ID, req.Snap, req.Spans)
-		return true, nil
-	})
-	unary(MethodTelemetry, func(p []byte) (any, error) { return store.Telemetry(), nil })
-	unary(MethodSpans, func(p []byte) (any, error) { return store.Spans(), nil })
+	handle0(srv, MethodNodes, store.Nodes)
+	handle(srv, MethodRegisterFunction, ack(store.RegisterFunction))
+	handle(srv, MethodHasFunction, store.HasFunction)
+	handle0(srv, MethodFunctions, store.Functions)
+	handle(srv, MethodLogEvent, ack(store.LogEvent))
+	handle0(srv, MethodEvents, store.Events)
+	handle(srv, MethodPublishTelemetry, ack(func(r publishTelemetryReq) { store.PublishTelemetry(r.ID, r.Snap, r.Spans) }))
+	handle0(srv, MethodTelemetry, store.Telemetry)
+	handle0(srv, MethodSpans, store.Spans)
 
 	// Streaming subscriptions: forward the local subscription's messages
 	// until the client disconnects. The first message is an empty ack sent
 	// after the local subscription exists, so a client that has seen the
-	// ack knows no later publish can be missed (Remote.subscribe blocks on
-	// it).
-	forward := func(sub Sub, stream transport.ServerStream) error {
+	// ack knows no later publish can be missed (the client's attach blocks
+	// on it). replay goes out between the ack and the live feed.
+	forward := func(sub Sub, stream transport.ServerStream, replay ...[]byte) error {
 		defer sub.Close()
 		if err := stream.Send(nil); err != nil {
-			return nil
+			return nil // client gone
+		}
+		for _, msg := range replay {
+			if err := stream.Send(msg); err != nil {
+				return nil
+			}
 		}
 		for {
 			select {
@@ -540,7 +347,7 @@ func RegisterService(srv Registrar, store *Store) {
 					return nil
 				}
 				if err := stream.Send(msg); err != nil {
-					return nil // client gone
+					return nil
 				}
 			case <-stream.Done():
 				return nil
@@ -561,46 +368,38 @@ func RegisterService(srv Registrar, store *Store) {
 		}
 		return forward(store.SubscribeObjectReady(id), stream)
 	})
-	srv.HandleStream(StreamSpill, func(payload []byte, stream transport.ServerStream) error {
-		return forward(store.SubscribeSpill(), stream)
-	})
-	srv.HandleStream(StreamNodes, func(payload []byte, stream transport.ServerStream) error {
-		return forward(store.SubscribeNodeEvents(), stream)
-	})
-	srv.HandleStream(StreamGroups, func(payload []byte, stream transport.ServerStream) error {
-		return forward(store.SubscribePlacementGroups(), stream)
-	})
-	srv.HandleStream(StreamJobs, func(payload []byte, stream transport.ServerStream) error {
-		return forward(store.SubscribeJobs(), stream)
-	})
-	srv.HandleStream(StreamObjGC, func(payload []byte, stream transport.ServerStream) error {
+	broadcast := func(method string, subscribe func() Sub) {
+		srv.HandleStream(method, func(_ []byte, stream transport.ServerStream) error {
+			return forward(subscribe(), stream)
+		})
+	}
+	broadcast(StreamSpill, store.SubscribeSpill)
+	broadcast(StreamNodes, store.SubscribeNodeEvents)
+	broadcast(StreamGroups, store.SubscribePlacementGroups)
+	broadcast(StreamJobs, store.SubscribeJobs)
+	srv.HandleStream(StreamObjGC, func(_ []byte, stream transport.ServerStream) error {
 		// Subscribe first (so nothing published after this point is lost),
 		// then replay the currently GC-eligible set before forwarding live
 		// messages: a subscriber (re)attaching after a shard crash learns
 		// of zero-refcount transitions whose publish died with the old
 		// incarnation. Reclaim is idempotent, so overlap is harmless.
 		sub := store.SubscribeObjectGC()
-		defer sub.Close()
-		if err := stream.Send(nil); err != nil {
-			return nil
-		}
+		var eligible [][]byte
 		for _, id := range store.GCEligibleObjects() {
-			if err := stream.Send(id[:]); err != nil {
-				return nil
-			}
+			eligible = append(eligible, id[:])
 		}
-		for {
-			select {
-			case msg, ok := <-sub.C():
-				if !ok {
-					return nil
-				}
-				if err := stream.Send(msg); err != nil {
-					return nil
-				}
-			case <-stream.Done():
-				return nil
-			}
-		}
+		return forward(sub, stream, eligible...)
 	})
+}
+
+// RegisterSingleShard exposes an in-memory Store at addr as a complete
+// one-shard control plane: the service plus a static one-entry shard map
+// and the shard identity check, so the Sharded client that routes over N
+// supervised shards attaches to it unchanged. addr is what clients dial,
+// so it must be reachable from their side.
+func RegisterSingleShard(srv Registrar, store *Store, addr string) {
+	RegisterService(srv, store)
+	self := ShardInfo{Index: 0, Addr: addr, Incarnation: 1, Alive: true}
+	handle0(srv, MethodShardMap, func() ShardMap { return ShardMap{Version: 1, Shards: []ShardInfo{self}} })
+	handle0(srv, MethodShardInfo, func() ShardInfo { return self })
 }

@@ -59,35 +59,49 @@ func TestShardServiceDurableRestart(t *testing.T) {
 	}
 	defer svc.Close()
 
-	client, err := nw.Dial("shard-0")
+	// A lone shard has no supervisor; serve the one-entry map a client
+	// needs to find it.
+	mapSrv := transport.NewServer()
+	handle0(mapSrv, MethodShardMap, func() ShardMap {
+		return ShardMap{Version: 1, Shards: []ShardInfo{{Index: 0, Addr: "shard-0"}}}
+	})
+	ml, err := nw.Listen("gcs", mapSrv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := NewRemote(client)
+	defer ml.Close()
+	// A short retry window: the reads against the killed shard below must
+	// give up, not ride out the default 3s.
+	client, err := NewSharded(ShardedConfig{Network: nw, MapAddr: "gcs", RetryWindow: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
 	task := testTaskID(1)
 	obj := testObjectID(2)
-	if !remote.AddTask(types.TaskState{Spec: types.TaskSpec{ID: task, Function: "f"}, Status: types.TaskPending}) {
+	if !client.AddTask(types.TaskState{Spec: types.TaskSpec{ID: task, Function: "f"}, Status: types.TaskPending}) {
 		t.Fatal("AddTask failed")
 	}
-	remote.EnsureObject(obj, task)
-	remote.AddObjectLocation(obj, testNodeID(3), 128)
-	if n := remote.ModifyObjectRefCount(obj, 2); n != 2 {
+	client.EnsureObject(obj, task)
+	client.AddObjectLocation(obj, testNodeID(3), 128)
+	if n := client.ModifyObjectRefCount(obj, 2); n != 2 {
 		t.Fatalf("refcount = %d", n)
 	}
 	// Checkpoint now; post-checkpoint mutations must come back via WAL.
 	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if n := remote.ModifyObjectRefCount(obj, 1); n != 3 {
+	if n := client.ModifyObjectRefCount(obj, 1); n != 3 {
 		t.Fatalf("refcount = %d", n)
 	}
-	preKillNow := remote.NowNs()
+	preKillNow := client.NowNs()
 
 	svc.Kill()
-	if remote.Ping() {
+	if client.Ping() {
 		t.Fatal("killed shard still answering")
 	}
-	if _, ok := remote.GetTask(task); ok {
+	if _, ok := client.GetTask(task); ok {
 		t.Fatal("killed shard served a read")
 	}
 
@@ -97,17 +111,12 @@ func TestShardServiceDurableRestart(t *testing.T) {
 	if svc.Incarnation() != 2 {
 		t.Fatalf("incarnation = %d, want 2", svc.Incarnation())
 	}
-	// The old client's connection routes to the old (gated) server on the
-	// in-process network; a fresh dial reaches the new incarnation.
-	client2, err := nw.Dial("shard-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := NewRemote(client2)
-	if st, ok := r2.GetTask(task); !ok || st.Spec.Function != "f" {
+	// The same client reaches the new incarnation: its connection to the
+	// old (gated) server was dropped on the failed calls above.
+	if st, ok := client.GetTask(task); !ok || st.Spec.Function != "f" {
 		t.Fatal("task record lost across restart")
 	}
-	info, ok := r2.GetObject(obj)
+	info, ok := client.GetObject(obj)
 	if !ok {
 		t.Fatal("object record lost across restart")
 	}
@@ -117,7 +126,7 @@ func TestShardServiceDurableRestart(t *testing.T) {
 	if !info.HasLocation(testNodeID(3)) || info.Size != 128 {
 		t.Fatal("object location/size lost across restart")
 	}
-	if now := r2.NowNs(); now < preKillNow {
+	if now := client.NowNs(); now < preKillNow {
 		t.Fatalf("clock went backwards across restart: %d -> %d", preKillNow, now)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -18,24 +20,29 @@ import (
 type ShardedConfig struct {
 	// Network dials shard services and the map service.
 	Network transport.Network
-	// MapAddr is where the supervisor serves MethodShardMap.
+	// MapAddr is where the control plane (a supervisor, or an in-memory
+	// head's RegisterSingleShard service) serves MethodShardMap.
 	MapAddr string
 	// RetryWindow bounds how long a keyed call retries against a dead or
-	// restarting shard before giving up (returning the zero value, matching
-	// Remote's forgiving read semantics). Default 3s — generously above a
-	// supervised restart, far below a human-visible hang.
+	// restarting shard before giving up (returning the zero value: a dead
+	// control plane reads like an empty one and components keep polling).
+	// Default 3s — generously above a supervised restart, far below a
+	// human-visible hang.
 	RetryWindow time.Duration
 	// Metrics, when set, records per-method/per-shard RPC latency
-	// histograms ("gcs.rpc.ns;method=...;shard=N") and retry/error
-	// counters. Nil disables instrumentation.
+	// histograms ("gcs.rpc.ns;method=...;shard=N") and failed-attempt
+	// counters ("gcs.rpc.errors;..."). Nil disables instrumentation.
 	Metrics *metrics.Registry
 }
 
-// Sharded implements API over a set of independently-failing control-plane
-// shard services. Every keyed operation routes through a versioned shard
-// map fetched at connect time; when a shard stops answering — or answers
-// as the wrong shard, the redirect signal of a stale map — the client
-// refreshes the map and retries against the shard's new incarnation.
+// Sharded is the one transport client of the control plane: it implements
+// API over a set of independently-failing shard services — N supervised
+// durable shards, or the single in-memory service of RegisterSingleShard,
+// which is the same protocol with a static one-entry map. Every keyed
+// operation routes through a versioned shard map fetched at connect time;
+// when a shard stops answering — or answers as the wrong shard, the
+// redirect signal of a stale map — the client refreshes the map and
+// retries against the shard's new incarnation.
 // Fan-out reads (Tasks, Objects, Nodes, Events…) merge per-shard partial
 // scans and degrade gracefully: a dead shard's rows are simply absent
 // until it recovers. Subscriptions transparently resubscribe to restarted
@@ -53,6 +60,8 @@ type Sharded struct {
 	subs        map[*resilientSub]struct{}
 	closed      chan struct{}
 	closeOnce   sync.Once
+
+	rpcm sync.Map // rpcKey -> *metrics.Histogram (rpcLatency)
 }
 
 // NewSharded connects to the shard-map service and fetches the initial
@@ -80,7 +89,10 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 // SetMetrics attaches an RPC-latency registry after construction (the
 // node wires its own registry into the client it was handed). Call before
 // the client sees concurrent traffic; nil detaches.
-func (s *Sharded) SetMetrics(reg *metrics.Registry) { s.cfg.Metrics = reg }
+func (s *Sharded) SetMetrics(reg *metrics.Registry) {
+	s.cfg.Metrics = reg
+	s.rpcm.Clear()
+}
 
 // Map returns the client's current view of the shard map.
 func (s *Sharded) Map() ShardMap {
@@ -233,9 +245,56 @@ func (s *Sharded) dropConn(idx int, c transport.Client) {
 	c.Close()
 }
 
-// shardCall performs one keyed unary RPC with failover: on error it drops
-// the connection, refreshes the map, and retries until RetryWindow
-// elapses. ok=false after exhaustion.
+// rpcKey names one (method, shard) pair of RPC instruments.
+type rpcKey struct {
+	method string
+	shard  int
+}
+
+func (k rpcKey) name(family string) string {
+	return fmt.Sprintf("%s;method=%s;shard=%d", family, k.method, k.shard)
+}
+
+// rpcLatency returns the pair's latency histogram (nil, which is disabled
+// but safe, without a registry), cached so the hot path formats no names.
+func (s *Sharded) rpcLatency(k rpcKey) *metrics.Histogram {
+	if s.cfg.Metrics == nil {
+		return nil
+	}
+	if h, ok := s.rpcm.Load(k); ok {
+		return h.(*metrics.Histogram)
+	}
+	h := s.cfg.Metrics.Histogram(k.name("gcs.rpc.ns"))
+	s.rpcm.Store(k, h)
+	return h
+}
+
+// attempt sends one unary RPC to shard idx. Every control-plane call —
+// keyed or fan-out — leaves the client here, so each is timed and each
+// failure counted exactly once under the same method/shard labels. A
+// failed attempt drops the connection and refreshes the map, so the
+// caller's next attempt re-routes to the shard's new incarnation.
+func (s *Sharded) attempt(idx int, method string, payload []byte) ([]byte, error) {
+	k := rpcKey{method, idx}
+	c, err := s.conn(idx)
+	if err == nil {
+		start := time.Now()
+		var resp []byte
+		resp, err = c.Call(method, payload)
+		s.rpcLatency(k).Observe(time.Since(start).Nanoseconds())
+		if err == nil {
+			return resp, nil
+		}
+		s.dropConn(idx, c)
+	}
+	s.cfg.Metrics.Counter(k.name("gcs.rpc.errors")).Inc()
+	s.refreshMap(false)
+	return nil, err
+}
+
+// shardCall performs one keyed unary RPC with failover: failed attempts
+// are retried, re-resolving the key against the refreshed map each time,
+// until RetryWindow elapses. ok=false after exhaustion.
 func shardCall[R any](s *Sharded, key, method string, req any) (R, bool) {
 	var zero R
 	payload, err := codec.Encode(req)
@@ -245,28 +304,13 @@ func shardCall[R any](s *Sharded, key, method string, req any) (R, bool) {
 	deadline := time.Now().Add(s.cfg.RetryWindow)
 	backoff := time.Millisecond
 	for {
-		idx := s.Map().ShardForKey(key)
-		c, err := s.conn(idx)
-		if err == nil {
-			start := time.Now()
-			resp, callErr := c.Call(method, payload)
-			if s.cfg.Metrics != nil {
-				s.cfg.Metrics.Histogram(fmt.Sprintf("gcs.rpc.ns;method=%s;shard=%d", method, idx)).Observe(time.Since(start).Nanoseconds())
-			}
-			if callErr == nil {
-				out, decErr := codec.DecodeAs[R](resp)
-				if decErr != nil {
-					return zero, false
-				}
-				return out, true
-			}
-			s.dropConn(idx, c)
-			s.cfg.Metrics.Counter(fmt.Sprintf("gcs.rpc.retries;method=%s;shard=%d", method, idx)).Inc()
+		if resp, err := s.attempt(s.Map().ShardForKey(key), method, payload); err == nil {
+			out, decErr := codec.DecodeAs[R](resp)
+			return out, decErr == nil
 		}
 		if time.Now().After(deadline) {
 			return zero, false
 		}
-		s.refreshMap(false)
 		select {
 		case <-s.closed:
 			return zero, false
@@ -286,35 +330,96 @@ func scanShard[R any](s *Sharded, idx int, method string, req any) (R, bool) {
 	if err != nil {
 		return zero, false
 	}
-	for attempt := 0; attempt < 2; attempt++ {
-		c, err := s.conn(idx)
-		if err != nil {
-			s.refreshMap(false)
-			continue
+	for range 2 {
+		if resp, err := s.attempt(idx, method, payload); err == nil {
+			out, decErr := codec.DecodeAs[R](resp)
+			return out, decErr == nil
 		}
-		resp, callErr := c.Call(method, payload)
-		if callErr != nil {
-			s.dropConn(idx, c)
-			s.refreshMap(false)
-			continue
-		}
-		out, decErr := codec.DecodeAs[R](resp)
-		if decErr != nil {
-			return zero, false
-		}
-		return out, true
 	}
 	return zero, false
 }
 
-// fanOut merges one scan method across every shard.
-func fanOut[R any](s *Sharded, method string) []R {
-	n := s.Map().NumShards()
-	var out []R
-	for idx := 0; idx < n; idx++ {
-		if part, ok := scanShard[[]R](s, idx, method, nil); ok {
-			out = append(out, part...)
+// scanAll is the one fan-out: it asks every shard and returns the answers
+// of those that replied, plus whether all did. Records are spread over
+// every shard, so a shard that stays unreachable makes the view incomplete
+// — callers that must not conclude from a partial scan (owner-death
+// transfer, job reclaim, the dead-node ref sweep) retry on false.
+func scanAll[R any](s *Sharded, method string, req any) (parts []R, complete bool) {
+	complete = true
+	for idx := range s.Map().NumShards() {
+		if part, ok := scanShard[R](s, idx, method, req); ok {
+			parts = append(parts, part)
+		} else {
+			complete = false
 		}
+	}
+	return parts, complete
+}
+
+// fanOut merges one list scan across every shard, degrading gracefully: a
+// dead shard's rows are absent until it recovers.
+func fanOut[R any](s *Sharded, method string, req any) ([]R, bool) {
+	parts, complete := scanAll[[]R](s, method, req)
+	return slices.Concat(parts...), complete
+}
+
+// fanOutSum totals one counting pass across every shard.
+func fanOutSum(s *Sharded, method string, req any) (int, bool) {
+	parts, complete := scanAll[int](s, method, req)
+	total := 0
+	for _, n := range parts {
+		total += n
+	}
+	return total, complete
+}
+
+// partition is the one batch fan-out: items are grouped by the shard
+// owning key(item), each group is delivered as one keyed RPC — round trips
+// proportional to the shards touched, not the items — with groups in
+// flight concurrently, and the leftovers are collected: left(resp) for a
+// delivered group (nil left: nothing), the whole group for one whose shard
+// stayed unreachable past the retry window, so the caller requeues or
+// retries exactly those. A group is routed by any member: shardCall
+// re-resolves the key each retry, so a failover re-routes the batch to the
+// new incarnation.
+func partition[T, Resp any](s *Sharded, items []T, key func(T) string, method string, req func([]T) any, left func(Resp) []T) []T {
+	if len(items) == 0 {
+		return nil
+	}
+	m := s.Map()
+	parts := make(map[int][]T)
+	for _, it := range items {
+		idx := m.ShardForKey(key(it))
+		parts[idx] = append(parts[idx], it)
+	}
+	var (
+		mu   sync.Mutex
+		rest []T
+		wg   sync.WaitGroup
+	)
+	for _, part := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, ok := shardCall[Resp](s, key(part[0]), method, req(part))
+			mu.Lock()
+			defer mu.Unlock()
+			if !ok {
+				rest = append(rest, part...)
+			} else if left != nil {
+				rest = append(rest, left(resp)...)
+			}
+		}()
+	}
+	wg.Wait()
+	return rest
+}
+
+// subMap returns m restricted to keys.
+func subMap[K comparable, V any](m map[K]V, keys []K) map[K]V {
+	out := make(map[K]V, len(keys))
+	for _, k := range keys {
+		out[k] = m[k]
 	}
 	return out
 }
@@ -338,16 +443,8 @@ func (s *Sharded) NowNs() int64 {
 // dead shard makes reads unreliable (its records look absent), so callers
 // distinguishing missing-record from unreachable need the conjunction.
 func (s *Sharded) Ping() bool {
-	n := s.Map().NumShards()
-	if n == 0 {
-		return false
-	}
-	for idx := 0; idx < n; idx++ {
-		if _, ok := scanShard[int64](s, idx, MethodNowNs, nil); !ok {
-			return false
-		}
-	}
-	return true
+	parts, complete := scanAll[int64](s, MethodNowNs, nil)
+	return complete && len(parts) > 0
 }
 
 // --- API: task table ---
@@ -384,49 +481,24 @@ func (s *Sharded) ClaimTask(id types.TaskID, from []types.TaskStatus, to types.T
 }
 
 // ModifyTaskStates implements API: one owner-ledger flush, partitioned by
-// the shard owning each task record and delivered as one RPC per shard,
-// mirroring ModifyObjectRefCounts. Every partition carries the caller's
-// token (dedup is recorded per task), partitions fly concurrently, and a
-// shard unreachable past the retry window contributes its whole partition
-// to the failed set so the owner requeues those deltas under the same token.
+// the shard owning each task record. Every partition carries the caller's
+// token (dedup is recorded per task), and a shard unreachable past the
+// retry window contributes its whole partition to the failed set so the
+// owner requeues those deltas under the same token.
 func (s *Sharded) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
-	if len(deltas) == 0 {
-		return nil
+	rest := partition[types.TaskStateDelta, bool](s, deltas,
+		func(d types.TaskStateDelta) string { return TaskKey(d.ID) }, MethodModifyTaskStates,
+		func(part []types.TaskStateDelta) any { return types.TaskLedgerBatch{Node: node, Deltas: part, Op: op} }, nil)
+	var failed []types.TaskID
+	for _, d := range rest {
+		failed = append(failed, d.ID)
 	}
-	m := s.Map()
-	parts := make(map[int][]types.TaskStateDelta)
-	for _, d := range deltas {
-		idx := m.ShardForKey(TaskKey(d.ID))
-		parts[idx] = append(parts[idx], d)
-	}
-	var (
-		mu     sync.Mutex
-		failed []types.TaskID
-		wg     sync.WaitGroup
-	)
-	for _, part := range parts {
-		wg.Add(1)
-		go func(part []types.TaskStateDelta) {
-			defer wg.Done()
-			// Routed by any member task: shardCall re-resolves the key each
-			// retry, so a failover re-routes the batch to the new incarnation.
-			key := TaskKey(part[0].ID)
-			if _, ok := shardCall[bool](s, key, MethodModifyTaskStates, types.TaskLedgerBatch{Node: node, Deltas: part, Op: op}); !ok {
-				mu.Lock()
-				for _, d := range part {
-					failed = append(failed, d.ID)
-				}
-				mu.Unlock()
-			}
-		}(part)
-	}
-	wg.Wait()
 	return failed
 }
 
 // Tasks implements API: merged scan, restored to submit order.
 func (s *Sharded) Tasks() []types.TaskState {
-	out := fanOut[types.TaskState](s, MethodTasks)
+	out, _ := fanOut[types.TaskState](s, MethodTasks, nil)
 	sort.Slice(out, func(i, j int) bool { return out[i].SubmittedNs < out[j].SubmittedNs })
 	return out
 }
@@ -434,32 +506,15 @@ func (s *Sharded) Tasks() []types.TaskState {
 // StalePendingTasks implements API: each shard filters on its own clock,
 // so only the (normally tiny) stale set crosses the wire.
 func (s *Sharded) StalePendingTasks(olderThanNs int64) []types.TaskSpec {
-	n := s.Map().NumShards()
-	var out []types.TaskSpec
-	for idx := 0; idx < n; idx++ {
-		if part, ok := scanShard[[]types.TaskSpec](s, idx, MethodStalePending, olderThanNs); ok {
-			out = append(out, part...)
-		}
-	}
+	out, _ := fanOut[types.TaskSpec](s, MethodStalePending, olderThanNs)
 	return out
 }
 
-// LiveTasksOwnedBy implements API: task records are spread over every
-// shard, so the owner scan fans out. A shard that stays unreachable makes
-// the view incomplete (false) — the owner-death transfer keeps the dead
-// owner on its sweep list and retries rather than re-owning a partial set.
+// LiveTasksOwnedBy implements API. On an incomplete view the owner-death
+// transfer keeps the dead owner on its sweep list and retries rather than
+// re-owning a partial set.
 func (s *Sharded) LiveTasksOwnedBy(owner types.NodeID) ([]types.TaskState, bool) {
-	n := s.Map().NumShards()
-	var out []types.TaskState
-	complete := true
-	for idx := 0; idx < n; idx++ {
-		if part, ok := scanShard[[]types.TaskState](s, idx, MethodLiveTasksOwned, owner); ok {
-			out = append(out, part...)
-		} else {
-			complete = false
-		}
-	}
-	return out, complete
+	return fanOut[types.TaskState](s, MethodLiveTasksOwned, owner)
 }
 
 // SubscribeTaskStatus implements API.
@@ -479,45 +534,8 @@ func (s *Sharded) EnsureObject(id types.ObjectID, producer types.TaskID) {
 // a missing producer), so partitions carry no token; a shard unreachable
 // past the retry window contributes its partition to the failed set.
 func (s *Sharded) EnsureObjects(producers map[types.ObjectID]types.TaskID) []types.ObjectID {
-	if len(producers) == 0 {
-		return nil
-	}
-	m := s.Map()
-	parts := make(map[int]map[types.ObjectID]types.TaskID)
-	for id, p := range producers {
-		idx := m.ShardForKey(ObjectKey(id))
-		part := parts[idx]
-		if part == nil {
-			part = make(map[types.ObjectID]types.TaskID)
-			parts[idx] = part
-		}
-		part[id] = p
-	}
-	var (
-		mu     sync.Mutex
-		failed []types.ObjectID
-		wg     sync.WaitGroup
-	)
-	for _, part := range parts {
-		wg.Add(1)
-		go func(part map[types.ObjectID]types.TaskID) {
-			defer wg.Done()
-			var key string
-			for id := range part {
-				key = ObjectKey(id)
-				break
-			}
-			if _, ok := shardCall[bool](s, key, MethodEnsureObjects, ensureObjectsReq{Producers: part}); !ok {
-				mu.Lock()
-				for id := range part {
-					failed = append(failed, id)
-				}
-				mu.Unlock()
-			}
-		}(part)
-	}
-	wg.Wait()
-	return failed
+	return partition[types.ObjectID, bool](s, slices.Collect(maps.Keys(producers)), ObjectKey, MethodEnsureObjects,
+		func(part []types.ObjectID) any { return ensureObjectsReq{Producers: subMap(producers, part)} }, nil)
 }
 
 // AddObjectLocation implements API.
@@ -538,7 +556,8 @@ func (s *Sharded) GetObject(id types.ObjectID) (types.ObjectInfo, bool) {
 
 // Objects implements API.
 func (s *Sharded) Objects() []types.ObjectInfo {
-	return fanOut[types.ObjectInfo](s, MethodObjects)
+	out, _ := fanOut[types.ObjectInfo](s, MethodObjects, nil)
+	return out
 }
 
 // ModifyObjectRefCount implements API. Refcount deltas are the one
@@ -553,75 +572,25 @@ func (s *Sharded) ModifyObjectRefCount(id types.ObjectID, delta int64) int64 {
 }
 
 // ModifyObjectRefCounts implements API: one ledger flush, partitioned by
-// owning shard and delivered as one RPC per shard — the whole point of
-// batching: a flush costs round trips proportional to the shards touched,
-// not the objects. Every partition carries the caller's token (dedup is
-// recorded per object, so slices of one batch cannot confuse each other)
-// and partitions fly concurrently. A shard unreachable past the retry
-// window contributes its whole partition to the failed set; the caller
-// requeues those deltas under the same token, which is what makes the
-// eventual redelivery safe against a crash that committed the partition
-// but lost the ack.
+// owning shard. Every partition carries the caller's token (dedup is
+// recorded per object, so slices of one batch cannot confuse each other).
+// A shard unreachable past the retry window contributes its whole
+// partition to the failed set; the caller requeues those deltas under the
+// same token, which is what makes the eventual redelivery safe against a
+// crash that committed the partition but lost the ack.
 func (s *Sharded) ModifyObjectRefCounts(node types.NodeID, deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
-	if len(deltas) == 0 {
-		return nil
-	}
-	m := s.Map()
-	parts := make(map[int]map[types.ObjectID]int64)
-	for id, d := range deltas {
-		idx := m.ShardForKey(ObjectKey(id))
-		p := parts[idx]
-		if p == nil {
-			p = make(map[types.ObjectID]int64)
-			parts[idx] = p
-		}
-		p[id] = d
-	}
-	var (
-		mu     sync.Mutex
-		failed []types.ObjectID
-		wg     sync.WaitGroup
-	)
-	for _, part := range parts {
-		wg.Add(1)
-		go func(part map[types.ObjectID]int64) {
-			defer wg.Done()
-			// Routed by any member object: shardCall re-resolves the key each
-			// retry, so a failover re-routes the batch to the new incarnation.
-			var key string
-			for id := range part {
-				key = ObjectKey(id)
-				break
-			}
-			if _, ok := shardCall[bool](s, key, MethodModifyObjRefs, modifyRefsReq{Node: node, Deltas: part, Op: op}); !ok {
-				mu.Lock()
-				for id := range part {
-					failed = append(failed, id)
-				}
-				mu.Unlock()
-			}
-		}(part)
-	}
-	wg.Wait()
-	return failed
+	return partition[types.ObjectID, bool](s, slices.Collect(maps.Keys(deltas)), ObjectKey, MethodModifyObjRefs,
+		func(part []types.ObjectID) any {
+			return modifyRefsReq{Node: node, Deltas: subMap(deltas, part), Op: op}
+		}, nil)
 }
 
-// SweepDeadNodeRefs implements API: object records are spread over every
-// shard, so the sweep fans out. A shard that stays unreachable makes the
-// result negative — "incomplete, retry later" — and the caller (the global
-// scheduler's death sweep) keeps the node on its sweep list; the sweep is
-// idempotent so the overlap is free.
+// SweepDeadNodeRefs implements API. An incomplete pass is reported
+// negative — "retry later" — and the caller (the global scheduler's death
+// sweep) keeps the node on its sweep list; the sweep is idempotent so the
+// overlap is free.
 func (s *Sharded) SweepDeadNodeRefs(node types.NodeID) int {
-	n := s.Map().NumShards()
-	total := 0
-	complete := true
-	for idx := 0; idx < n; idx++ {
-		if v, ok := scanShard[int](s, idx, MethodSweepDeadRefs, sweepRefsReq{Node: node}); ok {
-			total += v
-		} else {
-			complete = false
-		}
-	}
+	total, complete := fanOutSum(s, MethodSweepDeadRefs, sweepRefsReq{Node: node})
 	if !complete {
 		return -1
 	}
@@ -677,7 +646,8 @@ func (s *Sharded) GetPlacementGroup(id types.PlacementGroupID) (types.PlacementG
 
 // PlacementGroups implements API.
 func (s *Sharded) PlacementGroups() []types.PlacementGroupInfo {
-	return fanOut[types.PlacementGroupInfo](s, MethodGroups)
+	out, _ := fanOut[types.PlacementGroupInfo](s, MethodGroups, nil)
+	return out
 }
 
 // CASPlacementGroupState implements API. Like task-status CAS, a gang
@@ -723,7 +693,7 @@ func (s *Sharded) GetJob(id types.JobID) (types.JobInfo, bool) {
 
 // Jobs implements API: merged scan, creation-ordered.
 func (s *Sharded) Jobs() []types.JobInfo {
-	out := fanOut[types.JobInfo](s, MethodJobs)
+	out, _ := fanOut[types.JobInfo](s, MethodJobs, nil)
 	sort.Slice(out, func(i, j int) bool { return out[i].CreatedNs < out[j].CreatedNs })
 	return out
 }
@@ -745,61 +715,19 @@ func (s *Sharded) MarkJobPurged(id types.JobID) bool {
 	return v
 }
 
-// JobTasks implements API: task records are spread over every shard, so
-// the scan fans out. A shard that stays unreachable makes the view
-// incomplete (false) — the reclaim pass must not declare a job drained
-// off a partial scan, so it retries instead.
+// JobTasks implements API. The reclaim pass must not declare a job
+// drained off a partial scan, so on an incomplete view it retries.
 func (s *Sharded) JobTasks(job types.JobID) ([]types.TaskState, bool) {
-	n := s.Map().NumShards()
-	var out []types.TaskState
-	complete := true
-	for idx := 0; idx < n; idx++ {
-		if part, ok := scanShard[[]types.TaskState](s, idx, MethodJobTasks, job); ok {
-			out = append(out, part...)
-		} else {
-			complete = false
-		}
-	}
-	return out, complete
+	return fanOut[types.TaskState](s, MethodJobTasks, job)
 }
 
 // ForceReleaseObjects implements API: partitioned by the shard owning
-// each object record, one RPC per shard, partitions in flight
-// concurrently. Force release is idempotent (counts clamp to zero), so
-// partitions carry no token; a shard unreachable past the retry window
+// each object record. Force release is idempotent (counts clamp to zero),
+// so partitions carry no token; a shard unreachable past the retry window
 // contributes its partition to the failed set and the reclaim pass
 // retries it.
 func (s *Sharded) ForceReleaseObjects(ids []types.ObjectID) []types.ObjectID {
-	if len(ids) == 0 {
-		return nil
-	}
-	m := s.Map()
-	parts := make(map[int][]types.ObjectID)
-	for _, id := range ids {
-		idx := m.ShardForKey(ObjectKey(id))
-		parts[idx] = append(parts[idx], id)
-	}
-	var (
-		mu     sync.Mutex
-		failed []types.ObjectID
-		wg     sync.WaitGroup
-	)
-	for _, part := range parts {
-		wg.Add(1)
-		go func(part []types.ObjectID) {
-			defer wg.Done()
-			// Routed by any member object: shardCall re-resolves the key each
-			// retry, so a failover re-routes the batch to the new incarnation.
-			key := ObjectKey(part[0])
-			if _, ok := shardCall[bool](s, key, MethodForceReleaseObjs, objectIDsReq{IDs: part}); !ok {
-				mu.Lock()
-				failed = append(failed, part...)
-				mu.Unlock()
-			}
-		}(part)
-	}
-	wg.Wait()
-	return failed
+	return partition[types.ObjectID, bool](s, ids, ObjectKey, MethodForceReleaseObjs, objectIDs, nil)
 }
 
 // PurgeObjects implements API: partitioned like ForceReleaseObjects. A
@@ -807,54 +735,16 @@ func (s *Sharded) ForceReleaseObjects(ids []types.ObjectID) []types.ObjectID {
 // unreachable shard's whole partition is reported remaining so the
 // reclaim pass retries it.
 func (s *Sharded) PurgeObjects(ids []types.ObjectID) []types.ObjectID {
-	if len(ids) == 0 {
-		return nil
-	}
-	m := s.Map()
-	parts := make(map[int][]types.ObjectID)
-	for _, id := range ids {
-		idx := m.ShardForKey(ObjectKey(id))
-		parts[idx] = append(parts[idx], id)
-	}
-	var (
-		mu        sync.Mutex
-		remaining []types.ObjectID
-		wg        sync.WaitGroup
-	)
-	for _, part := range parts {
-		wg.Add(1)
-		go func(part []types.ObjectID) {
-			defer wg.Done()
-			key := ObjectKey(part[0])
-			v, ok := shardCall[objectIDsReq](s, key, MethodPurgeObjects, objectIDsReq{IDs: part})
-			mu.Lock()
-			if !ok {
-				remaining = append(remaining, part...)
-			} else {
-				remaining = append(remaining, v.IDs...)
-			}
-			mu.Unlock()
-		}(part)
-	}
-	wg.Wait()
-	return remaining
+	return partition(s, ids, ObjectKey, MethodPurgeObjects, objectIDs,
+		func(resp objectIDsReq) []types.ObjectID { return resp.IDs })
 }
 
-// PurgeJobTasks implements API: fans out like JobTasks; an unreachable
-// shard makes the pass incomplete (false) so the reclaim pass re-runs it
-// before stamping the job purged.
+func objectIDs(ids []types.ObjectID) any { return objectIDsReq{IDs: ids} }
+
+// PurgeJobTasks implements API: an incomplete pass (false) makes the
+// reclaim pass re-run it before stamping the job purged.
 func (s *Sharded) PurgeJobTasks(job types.JobID) (int, bool) {
-	n := s.Map().NumShards()
-	total := 0
-	complete := true
-	for idx := 0; idx < n; idx++ {
-		if v, ok := scanShard[int](s, idx, MethodPurgeJobTasks, job); ok {
-			total += v
-		} else {
-			complete = false
-		}
-	}
-	return total, complete
+	return fanOutSum(s, MethodPurgeJobTasks, job)
 }
 
 // SubscribeJobs implements API: merged over every shard (each job's
@@ -912,7 +802,7 @@ func (s *Sharded) GetNode(id types.NodeID) (types.NodeInfo, bool) {
 
 // Nodes implements API.
 func (s *Sharded) Nodes() []types.NodeInfo {
-	out := fanOut[types.NodeInfo](s, MethodNodes)
+	out, _ := fanOut[types.NodeInfo](s, MethodNodes, nil)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID.Hex() < out[j].ID.Hex() })
 	return out
 }
@@ -937,7 +827,7 @@ func (s *Sharded) HasFunction(name string) bool {
 
 // Functions implements API.
 func (s *Sharded) Functions() []FunctionInfo {
-	out := fanOut[FunctionInfo](s, MethodFunctions)
+	out, _ := fanOut[FunctionInfo](s, MethodFunctions, nil)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -951,7 +841,7 @@ func (s *Sharded) LogEvent(ev types.Event) {
 
 // Events implements API: merged, time-ordered (shards share one epoch).
 func (s *Sharded) Events() []types.Event {
-	out := fanOut[types.Event](s, MethodEvents)
+	out, _ := fanOut[types.Event](s, MethodEvents, nil)
 	sort.Slice(out, func(i, j int) bool { return out[i].TimeNs < out[j].TimeNs })
 	return out
 }
@@ -965,14 +855,14 @@ func (s *Sharded) PublishTelemetry(id types.NodeID, snap metrics.Snapshot, spans
 
 // Telemetry implements TelemetrySink: merged across shards.
 func (s *Sharded) Telemetry() []TelemetrySnapshot {
-	out := fanOut[TelemetrySnapshot](s, MethodTelemetry)
+	out, _ := fanOut[TelemetrySnapshot](s, MethodTelemetry, nil)
 	sort.Slice(out, func(i, j int) bool { return out[i].Node.String() < out[j].Node.String() })
 	return out
 }
 
 // Spans implements TelemetrySink: merged across shards, time-ordered.
 func (s *Sharded) Spans() []metrics.SpanRecord {
-	out := fanOut[metrics.SpanRecord](s, MethodSpans)
+	out, _ := fanOut[metrics.SpanRecord](s, MethodSpans, nil)
 	sort.Slice(out, func(i, j int) bool { return out[i].StartNs < out[j].StartNs })
 	return out
 }

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"repro/internal/codec"
 	"repro/internal/kv"
 	"repro/internal/metrics"
 	"repro/internal/transport"
@@ -133,13 +132,13 @@ func (s *ShardService) start() error {
 	}
 	RegisterService(reg, store)
 	incarnation := s.incarnation + 1
-	reg.Handle(MethodShardInfo, func([]byte) ([]byte, error) {
-		return codec.Encode(ShardInfo{
+	handle0(reg, MethodShardInfo, func() ShardInfo {
+		return ShardInfo{
 			Index:       s.cfg.Index,
 			Addr:        s.cfg.Addr,
 			Incarnation: incarnation,
 			Alive:       true,
-		})
+		}
 	})
 	listener, err := s.cfg.Network.Listen(s.cfg.Addr, srv)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/metrics"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -106,9 +105,7 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	s.resetAfterRecovery()
 
 	srv := transport.NewServer()
-	srv.Handle(MethodShardMap, func([]byte) ([]byte, error) {
-		return codec.Encode(s.Map())
-	})
+	handle0(srv, MethodShardMap, s.Map)
 	l, err := cfg.Network.Listen(cfg.MapAddr, srv)
 	if err != nil {
 		s.Close()
