@@ -367,6 +367,14 @@ func BenchmarkReconstruction(b *testing.B) {
 			b.Fatal(err)
 		}
 		c.KillNode(2)
+		// Small results are delivered to the driver's node as they finish
+		// (DESIGN.md §6.3). It gives those copies up here, or it would hold
+		// all twelve values and the loop below would replay nothing.
+		for _, r := range raw {
+			if st, ok := c.Ctrl.GetTask(r.Task); ok && st.Node != c.Node(0).ID() {
+				c.Node(0).Store().Delete(r.ID)
+			}
+		}
 		b.StartTimer()
 		for j, r := range refs {
 			v, err := core.Get(ctx, d, r)

@@ -429,8 +429,12 @@ func TestReconstructionAfterNodeDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill a non-driver node: objects whose only copy lived there are lost.
+	// Kill a non-driver node, and have the driver's node lose the copies that
+	// were delivered to it (small results go to their origin as they finish,
+	// DESIGN.md §6.3): objects produced on the killed node are now lost.
 	c.KillNode(2)
+	c.Node(0).Store().DropAll()
+	ran := c.Node(0).Executor().Executed() + c.Node(1).Executor().Executed()
 
 	// Every value must still be retrievable, via lineage replay if needed.
 	for i, r := range refs {
@@ -441,6 +445,9 @@ func TestReconstructionAfterNodeDeath(t *testing.T) {
 		if v != i*i {
 			t.Fatalf("reconstructed value %d = %d, want %d", i, v, i*i)
 		}
+	}
+	if c.Node(0).Executor().Executed()+c.Node(1).Executor().Executed() == ran {
+		t.Fatal("nothing was replayed: the kill lost no object, so this test tested nothing")
 	}
 }
 
@@ -465,8 +472,10 @@ func TestReconstructionOfDependencyChain(t *testing.T) {
 	if _, err := core.Get(ctx, d, chain); err != nil {
 		t.Fatal(err)
 	}
-	// Lose everything on node 1; the chain must be replayable end to end.
+	// Lose everything on node 1, and the copies delivered to the driver's
+	// node; the chain must be replayable end to end.
 	c.KillNode(1)
+	c.Node(0).Store().DropAll()
 	v, err := core.Get(ctx, d, chain)
 	if err != nil {
 		t.Fatal(err)
@@ -524,9 +533,12 @@ func TestCentralOnlyAblationStillCorrect(t *testing.T) {
 			t.Fatalf("task %d: %d, %v", i, v, err)
 		}
 	}
-	if c.Globals[0].Placed() < 16 {
-		t.Fatalf("central-only mode placed %d < 16", c.Globals[0].Placed())
-	}
+	// A placement is counted when the assignment call returns, which a fast
+	// task's result — delivered to the driver's node as it finishes — can
+	// beat.
+	waitFor(t, 5*time.Second, "central-only mode to count all 16 placements", func() bool {
+		return c.Globals[0].Placed() >= 16
+	})
 }
 
 func TestManySmallTasksThroughput(t *testing.T) {

@@ -1,9 +1,11 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/types"
@@ -41,17 +43,17 @@ const (
 func encodeFast(v any) ([]byte, bool) {
 	switch x := v.(type) {
 	case types.ObjectInfo:
-		return appendObjectInfo([]byte{tagBin, binObjectInfo}, &x), true
+		return appendObjectInfo(record(binObjectInfo, objectRecordCap), &x), true
 	case *types.ObjectInfo:
-		return appendObjectInfo([]byte{tagBin, binObjectInfo}, x), true
+		return appendObjectInfo(record(binObjectInfo, objectRecordCap), x), true
 	case types.TaskState:
-		return appendTaskState([]byte{tagBin, binTaskState}, &x), true
+		return appendTaskState(record(binTaskState, taskRecordCap), &x), true
 	case *types.TaskState:
-		return appendTaskState([]byte{tagBin, binTaskState}, x), true
+		return appendTaskState(record(binTaskState, taskRecordCap), x), true
 	case types.TaskSpec:
-		return appendTaskSpec([]byte{tagBin, binTaskSpec}, &x), true
+		return appendOrigin(appendTaskSpec(record(binTaskSpec, taskRecordCap), &x), x.Origin), true
 	case *types.TaskSpec:
-		return appendTaskSpec([]byte{tagBin, binTaskSpec}, x), true
+		return appendOrigin(appendTaskSpec(record(binTaskSpec, taskRecordCap), x), x.Origin), true
 	case types.NodeInfo:
 		return appendNodeInfo([]byte{tagBin, binNodeInfo}, &x), true
 	case *types.NodeInfo:
@@ -68,7 +70,29 @@ func encodeFast(v any) ([]byte, bool) {
 	return nil, false
 }
 
+// Initial capacities of the records written on every task's path, so that
+// encoding the common record is one allocation: grown by append from the
+// two header bytes, a record is reallocated at every doubling on the way.
+// A TaskState of a task without inline arguments is about 270 bytes —
+// Origin's 16 put it just past the 256-byte step — and an ObjectInfo with
+// two locations, which is what a delivered result has, about 150.
+const (
+	taskRecordCap   = 320
+	objectRecordCap = 192
+)
+
+// record starts a payload of the given type with room for capacity bytes.
+func record(kind byte, capacity int) []byte {
+	b := make([]byte, 2, capacity)
+	b[0], b[1] = tagBin, kind
+	return b
+}
+
 // decodeFast deserializes a tagBin payload (data excludes the tag byte).
+// The record readers fill out in place. Returned by value, one temporary of
+// every record type made this frame 1.2 KB, at the bottom of every
+// control-plane call chain — enough to push a task's goroutine, already deep
+// in a delivery, through one more stack doubling.
 func decodeFast(data []byte, out any) error {
 	if len(data) == 0 {
 		return fmt.Errorf("codec: truncated binary payload")
@@ -81,37 +105,39 @@ func decodeFast(data []byte, out any) error {
 		if !ok {
 			return fmt.Errorf("codec: binary ObjectInfo payload into %T", out)
 		}
-		*p, err = r.objectInfo()
+		err = r.objectInfo(p)
 	case binTaskState:
 		p, ok := out.(*types.TaskState)
 		if !ok {
 			return fmt.Errorf("codec: binary TaskState payload into %T", out)
 		}
-		*p, err = r.taskState()
+		err = r.taskState(p)
 	case binTaskSpec:
 		p, ok := out.(*types.TaskSpec)
 		if !ok {
 			return fmt.Errorf("codec: binary TaskSpec payload into %T", out)
 		}
-		*p, err = r.taskSpec()
+		if err = r.taskSpec(p); err == nil {
+			p.Origin, err = r.origin(), r.err
+		}
 	case binNodeInfo:
 		p, ok := out.(*types.NodeInfo)
 		if !ok {
 			return fmt.Errorf("codec: binary NodeInfo payload into %T", out)
 		}
-		*p, err = r.nodeInfo()
+		err = r.nodeInfo(p)
 	case binTaskLedgerBatch:
 		p, ok := out.(*types.TaskLedgerBatch)
 		if !ok {
 			return fmt.Errorf("codec: binary TaskLedgerBatch payload into %T", out)
 		}
-		*p, err = r.taskLedgerBatch()
+		err = r.taskLedgerBatch(p)
 	case binJobInfo:
 		p, ok := out.(*types.JobInfo)
 		if !ok {
 			return fmt.Errorf("codec: binary JobInfo payload into %T", out)
 		}
-		*p, err = r.jobInfo()
+		err = r.jobInfo(p)
 	default:
 		return fmt.Errorf("codec: unknown binary type 0x%02x", data[0])
 	}
@@ -139,7 +165,7 @@ func appendObjectInfo(b []byte, o *types.ObjectInfo) []byte {
 	for k := range o.Holders {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return string(keys[i][:]) < string(keys[j][:]) })
+	slices.SortFunc(keys, func(a, b types.NodeID) int { return bytes.Compare(a[:], b[:]) })
 	for _, k := range keys {
 		b = append(b, k[:]...)
 		b = binary.AppendVarint(b, o.Holders[k])
@@ -147,6 +173,8 @@ func appendObjectInfo(b []byte, o *types.ObjectInfo) []byte {
 	return b
 }
 
+// appendTaskSpec writes every spec field but Origin, which trails the
+// enclosing record (see appendOrigin).
 func appendTaskSpec(b []byte, s *types.TaskSpec) []byte {
 	b = append(b, s.ID[:]...)
 	b = appendString(b, s.Function)
@@ -169,6 +197,17 @@ func appendTaskSpec(b []byte, s *types.TaskSpec) []byte {
 	b = append(b, s.Job[:]...)
 	b = appendBool(b, s.Actor)
 	return b
+}
+
+// appendOrigin ends a TaskSpec or TaskState record with the spec's Origin.
+// The field trails the whole record and is left out when nil, so a record
+// written before the field existed (snapshots, WALs) is byte for byte the
+// encoding of the same record with a nil Origin, and still decodes.
+func appendOrigin(b []byte, origin types.NodeID) []byte {
+	if origin.IsNil() {
+		return b
+	}
+	return append(b, origin[:]...)
 }
 
 func appendJobInfo(b []byte, j *types.JobInfo) []byte {
@@ -203,7 +242,7 @@ func appendTaskState(b []byte, t *types.TaskState) []byte {
 	b = appendU64s(b, t.MutOps)
 	b = append(b, t.Owner[:]...)
 	b = binary.AppendUvarint(b, t.OwnerSeq)
-	return b
+	return appendOrigin(b, t.Spec.Origin)
 }
 
 func appendTaskStateDelta(b []byte, d *types.TaskStateDelta) []byte {
@@ -431,8 +470,8 @@ func (r *binReader) resources() types.Resources {
 	return res
 }
 
-func (r *binReader) objectInfo() (types.ObjectInfo, error) {
-	var o types.ObjectInfo
+func (r *binReader) objectInfo(o *types.ObjectInfo) error {
+	*o = types.ObjectInfo{}
 	o.ID = r.id16()
 	o.Size = r.varint()
 	o.Producer = r.id16()
@@ -449,11 +488,22 @@ func (r *binReader) objectInfo() (types.ObjectInfo, error) {
 			o.Holders[k] = r.varint()
 		}
 	}
-	return o, r.err
+	return r.err
 }
 
-func (r *binReader) taskSpec() (types.TaskSpec, error) {
-	var s types.TaskSpec
+// origin reads the optional trailing Origin of a TaskSpec or TaskState
+// record (see appendOrigin): absent means nil.
+func (r *binReader) origin() (id types.NodeID) {
+	if r.err == nil && r.pos < len(r.buf) {
+		id = r.id16()
+	}
+	return id
+}
+
+// taskSpec reads every spec field but Origin, which trails the enclosing
+// record.
+func (r *binReader) taskSpec(s *types.TaskSpec) error {
+	*s = types.TaskSpec{}
 	s.ID = r.id16()
 	s.Function = r.string()
 	if n := r.count(18); n > 0 {
@@ -475,11 +525,11 @@ func (r *binReader) taskSpec() (types.TaskSpec, error) {
 	s.TraceID = r.uvarint()
 	s.Job = r.id16()
 	s.Actor = r.bool()
-	return s, r.err
+	return r.err
 }
 
-func (r *binReader) jobInfo() (types.JobInfo, error) {
-	var j types.JobInfo
+func (r *binReader) jobInfo(j *types.JobInfo) error {
+	*j = types.JobInfo{}
 	j.Spec.ID = r.id16()
 	j.Spec.Name = r.string()
 	j.Spec.Weight = int(r.varint())
@@ -493,14 +543,13 @@ func (r *binReader) jobInfo() (types.JobInfo, error) {
 	j.LastTransitionNs = r.varint()
 	j.PurgedNs = r.varint()
 	j.MutOps = r.u64s()
-	return j, r.err
+	return r.err
 }
 
-func (r *binReader) taskState() (types.TaskState, error) {
-	var t types.TaskState
-	var err error
-	if t.Spec, err = r.taskSpec(); err != nil {
-		return t, err
+func (r *binReader) taskState(t *types.TaskState) error {
+	*t = types.TaskState{}
+	if err := r.taskSpec(&t.Spec); err != nil {
+		return err
 	}
 	t.Status = types.TaskStatus(r.varint())
 	t.Node = r.id16()
@@ -515,7 +564,8 @@ func (r *binReader) taskState() (types.TaskState, error) {
 	t.MutOps = r.u64s()
 	t.Owner = r.id16()
 	t.OwnerSeq = r.uvarint()
-	return t, r.err
+	t.Spec.Origin = r.origin()
+	return r.err
 }
 
 func (r *binReader) taskStateDelta() types.TaskStateDelta {
@@ -536,8 +586,8 @@ func (r *binReader) taskStateDelta() types.TaskStateDelta {
 	return d
 }
 
-func (r *binReader) taskLedgerBatch() (types.TaskLedgerBatch, error) {
-	var t types.TaskLedgerBatch
+func (r *binReader) taskLedgerBatch(t *types.TaskLedgerBatch) error {
+	*t = types.TaskLedgerBatch{}
 	t.Node = r.id16()
 	// A delta is at least two IDs plus a handful of varints.
 	if n := r.count(32); n > 0 {
@@ -547,11 +597,11 @@ func (r *binReader) taskLedgerBatch() (types.TaskLedgerBatch, error) {
 		}
 	}
 	t.Op = r.uvarint()
-	return t, r.err
+	return r.err
 }
 
-func (r *binReader) nodeInfo() (types.NodeInfo, error) {
-	var n types.NodeInfo
+func (r *binReader) nodeInfo(n *types.NodeInfo) error {
+	*n = types.NodeInfo{}
 	n.ID = r.id16()
 	n.Addr = r.string()
 	n.Total = r.resources()
@@ -569,5 +619,5 @@ func (r *binReader) nodeInfo() (types.NodeInfo, error) {
 	n.Store.Reclaimed = r.varint()
 	n.Store.TierEvicted = r.varint()
 	n.MutOps = r.u64s()
-	return n, r.err
+	return r.err
 }

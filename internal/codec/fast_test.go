@@ -175,6 +175,28 @@ func TestFastRoundTrip(t *testing.T) {
 	roundTrip(t, sampleJobInfo())
 }
 
+// TestFastOriginTrailsTheRecord: Origin rides at the end of a TaskSpec or
+// TaskState record and only when set, so both forms round-trip and a record
+// with a nil Origin is the pre-Origin encoding (the goldens below pin that).
+func TestFastOriginTrailsTheRecord(t *testing.T) {
+	spec, state := sampleTaskSpec(), sampleTaskState()
+	roundTrip(t, spec)
+	roundTrip(t, state)
+	bare := [2]int{len(MustEncode(spec)), len(MustEncode(state))}
+	spec.Origin = types.NodeID(id16(15))
+	state.Spec.Origin = types.NodeID(id16(15))
+	roundTrip(t, spec)
+	roundTrip(t, state)
+	if got := [2]int{len(MustEncode(spec)), len(MustEncode(state))}; got != [2]int{bare[0] + 16, bare[1] + 16} {
+		t.Fatalf("Origin added %v bytes over %v, want 16 each", got, bare)
+	}
+	// A cut inside the trailing ID is an error, not a nil Origin.
+	data := MustEncode(state)
+	if _, err := DecodeAs[types.TaskState](data[:len(data)-1]); err == nil {
+		t.Fatal("TaskState with a truncated Origin decoded")
+	}
+}
+
 func TestFastRoundTripZeroValues(t *testing.T) {
 	roundTrip(t, types.ObjectInfo{})
 	roundTrip(t, types.TaskSpec{})
@@ -236,7 +258,7 @@ func TestFastWrongTarget(t *testing.T) {
 func TestFastFieldSetsCovered(t *testing.T) {
 	expect := map[reflect.Type][]string{
 		reflect.TypeOf(types.ObjectInfo{}): {"ID", "Size", "Producer", "State", "Locations", "RefCount", "EverRetained", "RefOps", "Holders", "SpilledOn"},
-		reflect.TypeOf(types.TaskSpec{}):   {"ID", "Function", "Args", "NumReturns", "Resources", "Parent", "SubmitIndex", "MaxRetries", "Locality", "Group", "Bundle", "TraceID", "Job", "Actor"},
+		reflect.TypeOf(types.TaskSpec{}):   {"ID", "Function", "Args", "NumReturns", "Resources", "Parent", "SubmitIndex", "MaxRetries", "Locality", "Group", "Bundle", "TraceID", "Job", "Actor", "Origin"},
 		reflect.TypeOf(types.TaskState{}):  {"Spec", "Status", "Node", "Worker", "Error", "Retries", "SubmittedNs", "ScheduledNs", "StartedNs", "FinishedNs", "LastTransitionNs", "MutOps", "Owner", "OwnerSeq"},
 		reflect.TypeOf(types.NodeInfo{}):   {"ID", "Addr", "Total", "Alive", "LastSeen", "State", "DrainNs", "QueueLen", "Available", "Store", "MutOps"},
 		reflect.TypeOf(types.Arg{}):        {"IsRef", "Ref", "Value"},

@@ -212,6 +212,7 @@ func (c *caller) submit(function string, args []types.Arg, o TaskOptions) ([]Obj
 		TraceID:     c.trace,
 		Job:         job,
 		Actor:       o.Actor,
+		Origin:      c.backend.NodeID(),
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -268,20 +268,13 @@ func (m *Migrator) targets() []types.NodeInfo {
 func (m *Migrator) pushTo(target types.NodeInfo, id types.ObjectID) error {
 	addr := target.Addr
 	if addr == "" {
-		if a, ok := m.pm.resolveAddr(target.ID); ok {
+		if a, ok := m.pm.peerAddr(target.ID); ok {
 			addr = a
 		} else {
 			return fmt.Errorf("lifetime: no address for %v", target.ID)
 		}
 	}
-	client, err := m.pm.conn(addr)
-	if err != nil {
-		return err
-	}
 	req := codec.MustEncode(MigrateReq{ID: id, From: m.pm.store.Node()})
-	if _, err := client.Call(MigrateInMethod, req); err != nil {
-		m.pm.dropConn(addr)
-		return err
-	}
-	return nil
+	_, err := m.pm.call(addr, MigrateInMethod, req)
+	return err
 }

@@ -42,23 +42,26 @@ func (c PullConfig) withDefaults() PullConfig {
 	return c
 }
 
-// PullManager pulls remote objects into the local store. It replaces the
-// original single-shot fetcher: large objects transfer as parallel chunk
-// streams spread over every peer holding a copy (memory copies preferred
-// over spilled ones), small objects still take one round trip. Concurrent
-// fetches of the same object collapse into a single pull, and peer
-// connections are cached.
+// PullManager moves objects between this node's store and its peers'. It
+// replaces the original single-shot fetcher: large objects transfer as
+// parallel chunk streams spread over every peer holding a copy (memory
+// copies preferred over spilled ones), small objects still take one round
+// trip. Concurrent fetches of the same object collapse into a single pull.
+// Peer connections and addresses are cached, and shared by pulls, drain
+// migration and result delivery (Deliver).
 type PullManager struct {
 	store *objectstore.Store
 	ctrl  gcs.API
 	net   transport.Network
-	// resolveAddr maps a node to its transport address (node-table lookup).
+	// resolveAddr maps a live node to its transport address (node-table
+	// lookup); peerAddr caches its answers.
 	resolveAddr func(types.NodeID) (string, bool)
 	cfg         PullConfig
 
 	mu       sync.Mutex
 	inflight map[types.ObjectID]chan error
 	conns    map[string]transport.Client
+	addrs    map[types.NodeID]string
 	windows  map[string]chan struct{}
 	// stop gates new connections after Close; baseCtx cancels background
 	// prefetches: fire-and-forget pulls must not outlive the node,
@@ -88,6 +91,9 @@ type pullObs struct {
 	migrated   *metrics.Counter
 	pullNs     *metrics.Histogram
 	chunkNs    *metrics.Histogram
+	pushSent   *metrics.Counter
+	pushBytes  *metrics.Counter
+	pushFailed *metrics.Counter
 	tracer     *metrics.Tracer
 }
 
@@ -105,6 +111,7 @@ func NewPullManager(store *objectstore.Store, ctrl gcs.API, net transport.Networ
 		cfg:         cfg.withDefaults(),
 		inflight:    make(map[types.ObjectID]chan error),
 		conns:       make(map[string]transport.Client),
+		addrs:       make(map[types.NodeID]string),
 		windows:     make(map[string]chan struct{}),
 		stop:        make(chan struct{}),
 	}
@@ -122,6 +129,9 @@ func (p *PullManager) SetObservability(reg *metrics.Registry, tracer *metrics.Tr
 		migrated:   reg.Counter("lifetime.migrated.objects"),
 		pullNs:     reg.Histogram("lifetime.pull.ns"),
 		chunkNs:    reg.Histogram("lifetime.pull.chunk.ns"),
+		pushSent:   reg.Counter("objectstore.push.sent"),
+		pushBytes:  reg.Counter("objectstore.push.bytes"),
+		pushFailed: reg.Counter("objectstore.push.failed"),
 		tracer:     tracer,
 	}
 }
@@ -179,14 +189,30 @@ func (p *PullManager) Prefetch(ids []types.ObjectID) {
 			p.obs.prefetches.Inc()
 			ctx, cancel := context.WithTimeout(p.baseCtx, prefetchTimeout)
 			defer cancel()
-			_ = p.Fetch(ctx, id, info.Locations) // best effort; resolvers are the backstop
+			_ = p.FetchObject(ctx, info) // best effort; resolvers are the backstop
 		}(id)
 	}
 }
 
 // Fetch ensures id is locally resident, pulling from the given candidate
 // locations. Concurrent fetches of one object collapse into a single pull.
+// The pull reads the object's record for its size and spill state; a caller
+// that already holds the record uses FetchObject and saves that read.
 func (p *PullManager) Fetch(ctx context.Context, id types.ObjectID, locations []types.NodeID) error {
+	return p.fetch(ctx, id, locations, nil)
+}
+
+// FetchObject is Fetch for a caller that has just read the object's record:
+// the pull takes locations, size and spill state from info instead of
+// reading the record a second time (one control-plane RPC per pull on a
+// sharded control plane).
+func (p *PullManager) FetchObject(ctx context.Context, info types.ObjectInfo) error {
+	return p.fetch(ctx, info.ID, info.Locations, &info)
+}
+
+// fetch is the pull both entry points share; rec is the object's record
+// when the caller had it, nil when the pull must read it.
+func (p *PullManager) fetch(ctx context.Context, id types.ObjectID, locations []types.NodeID, rec *types.ObjectInfo) error {
 	if p.store.Contains(id) {
 		return nil
 	}
@@ -208,7 +234,7 @@ func (p *PullManager) Fetch(ctx context.Context, id types.ObjectID, locations []
 
 	sp := p.obs.tracer.Begin("pull", "lifetime.pull")
 	start := time.Now()
-	err := p.pull(ctx, id, locations)
+	err := p.pull(ctx, id, locations, rec)
 	p.mu.Lock()
 	delete(p.inflight, id)
 	p.mu.Unlock()
@@ -223,6 +249,52 @@ func (p *PullManager) Fetch(ctx context.Context, id types.ObjectID, locations []
 	return err
 }
 
+// maxDeliverBytes is the largest return value Deliver sends to the task's
+// origin. Up to here the transfer costs less than the hop it rides on;
+// larger results wait to be asked for and move by the chunked pull, with
+// its per-peer windows, like every dependency fetch does.
+const maxDeliverBytes = 64 << 10
+
+// deliverTimeout bounds how long one delivery holds its task's executor
+// slot. A healthy origin answers within a network round trip; this is the
+// ceiling for one that is stalled.
+const deliverTimeout = time.Second
+
+// Deliver sends a return value of a task that finished on this node to the
+// store of the node the task was submitted through, where the Get on its
+// future most likely blocks: the bytes arrive one hop after the function
+// returned, instead of after the location is published, the waiter woken
+// and the object pulled (DESIGN.md §6.3). The executor calls it BEFORE
+// storing the value locally, so the origin never learns of a remote copy to
+// pull while the delivery is still on its way.
+//
+// Delivery is an optimization and nothing depends on it: no origin, this
+// node its own origin, a value over maxDeliverBytes, an origin that is
+// dead, draining, full, failing or silent for deliverTimeout — every such
+// case returns with nothing delivered, and the origin pulls the value when
+// it is asked for, as it always did.
+func (p *PullManager) Deliver(origin types.NodeID, task types.TaskID, trace uint64, id types.ObjectID, data []byte) {
+	if origin.IsNil() || origin == p.store.Node() || len(data) > maxDeliverBytes {
+		return
+	}
+	sp := p.obs.tracer.Begin("push", "objectstore.push")
+	sp.Task, sp.Object, sp.Trace = task.Hex(), id.Hex(), trace
+	var err error
+	if addr, ok := p.peerAddr(origin); ok {
+		_, err = p.callWithin(addr, objectstore.PushMethod, objectstore.EncodePushRequest(id, data), deliverTimeout)
+	} else {
+		err = fmt.Errorf("lifetime: origin %v is not a live node", origin)
+	}
+	if err != nil {
+		p.obs.pushFailed.Inc()
+		sp.Detail = "not delivered: " + err.Error()
+	} else {
+		p.obs.pushSent.Inc()
+		p.obs.pushBytes.Add(int64(len(data)))
+	}
+	sp.End()
+}
+
 // peer is one resolved source for a pull.
 type peer struct {
 	node    types.NodeID
@@ -233,18 +305,18 @@ type peer struct {
 // resolvePeers maps candidate locations to dialable peers, memory-resident
 // copies first (restoring from a peer's disk costs that peer a spill-tier
 // read, so memory copies are strictly cheaper sources).
-func (p *PullManager) resolvePeers(id types.ObjectID, locations []types.NodeID, info types.ObjectInfo, haveInfo bool) []peer {
+func (p *PullManager) resolvePeers(locations []types.NodeID, rec *types.ObjectInfo) []peer {
 	var mem, disk []peer
 	for _, loc := range locations {
 		if loc == p.store.Node() {
 			continue // stale self-location; the object is gone locally
 		}
-		addr, ok := p.resolveAddr(loc)
+		addr, ok := p.peerAddr(loc)
 		if !ok {
 			continue
 		}
 		pr := peer{node: loc, addr: addr}
-		if haveInfo && info.IsSpilledOn(loc) {
+		if rec != nil && rec.IsSpilledOn(loc) {
 			pr.spilled = true
 			disk = append(disk, pr)
 		} else {
@@ -254,9 +326,13 @@ func (p *PullManager) resolvePeers(id types.ObjectID, locations []types.NodeID, 
 	return append(mem, disk...)
 }
 
-func (p *PullManager) pull(ctx context.Context, id types.ObjectID, locations []types.NodeID) error {
-	info, haveInfo := p.ctrl.GetObject(id)
-	peers := p.resolvePeers(id, locations, info, haveInfo)
+func (p *PullManager) pull(ctx context.Context, id types.ObjectID, locations []types.NodeID, rec *types.ObjectInfo) error {
+	if rec == nil {
+		if info, ok := p.ctrl.GetObject(id); ok {
+			rec = &info
+		}
+	}
+	peers := p.resolvePeers(locations, rec)
 	if len(peers) == 0 {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -264,8 +340,8 @@ func (p *PullManager) pull(ctx context.Context, id types.ObjectID, locations []t
 		return fmt.Errorf("lifetime: no reachable locations for %v", id)
 	}
 	size := int64(0)
-	if haveInfo {
-		size = info.Size
+	if rec != nil {
+		size = rec.Size
 	}
 	if size <= p.cfg.ChunkSize {
 		return p.pullWhole(ctx, id, peers)
@@ -281,15 +357,9 @@ func (p *PullManager) pullWhole(ctx context.Context, id types.ObjectID, peers []
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		client, err := p.conn(pr.addr)
+		data, err := p.call(pr.addr, objectstore.PullMethod, id[:])
 		if err != nil {
 			lastErr = err
-			continue
-		}
-		data, err := client.Call(objectstore.PullMethod, id[:])
-		if err != nil {
-			lastErr = err
-			p.dropConn(pr.addr) // peer may be dead; redial next time
 			continue
 		}
 		p.chunks.Add(1)
@@ -365,22 +435,16 @@ func (p *PullManager) pullChunk(ctx context.Context, id types.ObjectID, dst []by
 			return ctx.Err()
 		}
 		pr := peers[(c+attempt)%len(peers)]
-		client, err := p.conn(pr.addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
 		win := p.window(pr.addr)
 		select {
 		case win <- struct{}{}:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		resp, err := client.Call(objectstore.PullChunkMethod, req)
+		resp, err := p.call(pr.addr, objectstore.PullChunkMethod, req)
 		<-win
 		if err != nil {
 			lastErr = err
-			p.dropConn(pr.addr)
 			continue
 		}
 		if int64(len(resp)) != length {
@@ -422,13 +486,74 @@ func (p *PullManager) conn(addr string) (transport.Client, error) {
 	return c, nil
 }
 
-func (p *PullManager) dropConn(addr string) {
+// call makes one unary call to the peer at addr over its cached
+// connection. An error the peer's handler answered with (a stale location's
+// ErrNotFound, a refused push) leaves the connection alone: it is healthy,
+// and over TCP closing it would fail every other call in flight to that
+// peer. Only a connection failure drops it, so the next call redials.
+func (p *PullManager) call(addr, method string, payload []byte) ([]byte, error) {
+	return p.callWithin(addr, method, payload, 0)
+}
+
+// callWithin is call given up on after limit (0: never). transport.Client
+// takes no deadline, so the limit is a watchdog that closes the connection:
+// over a real network that fails the pending call with a connection error,
+// which is also what the next caller needs — a redial. (In process a call
+// is a function call on this goroutine and only ends when the handler
+// does; nothing there outlasts the handler's own bounded waits.) The call
+// stays on the caller's goroutine on purpose: a goroutine per call would
+// grow a fresh stack through the whole handler chain every time.
+func (p *PullManager) callWithin(addr, method string, payload []byte, limit time.Duration) ([]byte, error) {
+	client, err := p.conn(addr)
+	if err != nil {
+		p.forget(addr, nil)
+		return nil, err
+	}
+	if limit > 0 {
+		watchdog := time.AfterFunc(limit, func() { p.forget(addr, client) })
+		defer watchdog.Stop()
+	}
+	resp, err := client.Call(method, payload)
+	if err != nil && !transport.IsRemote(err) {
+		p.forget(addr, client)
+	}
+	return resp, err
+}
+
+// forget drops what is cached about the peer at addr after a connection
+// failure: the connection, if it is still the one that failed (failed nil:
+// the dial itself failed), and every node's address that resolved to addr —
+// the peer may be dead, and resolveAddr is what knows.
+func (p *PullManager) forget(addr string, failed transport.Client) {
 	p.mu.Lock()
-	if c, ok := p.conns[addr]; ok {
+	defer p.mu.Unlock()
+	if c, ok := p.conns[addr]; ok && c == failed {
 		delete(p.conns, addr)
 		c.Close()
 	}
+	for node, a := range p.addrs {
+		if a == addr {
+			delete(p.addrs, node)
+		}
+	}
+}
+
+// peerAddr is resolveAddr behind a cache, so that a pull or a delivery to
+// a known peer costs no node-table read. An entry lives until a connection
+// to its address fails.
+func (p *PullManager) peerAddr(node types.NodeID) (string, bool) {
+	p.mu.Lock()
+	addr, ok := p.addrs[node]
 	p.mu.Unlock()
+	if ok {
+		return addr, true
+	}
+	if addr, ok = p.resolveAddr(node); ok {
+		p.mu.Lock()
+		p.addrs[node] = addr
+		p.mu.Unlock()
+	}
+	return addr, ok
 }
 
 // window returns the per-peer backpressure semaphore for addr.

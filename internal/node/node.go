@@ -283,6 +283,9 @@ func New(cfg Config) (*Node, error) {
 	n.server = transport.NewServer()
 	n.server.SetMetrics(n.reg)
 	objectstore.RegisterPullHandler(n.server, n.store)
+	objectstore.RegisterPushHandler(n.server, n.store, func() bool {
+		return !n.dead.Load() && !n.sched.Draining()
+	})
 	lifetime.RegisterMigrateHandler(n.server, n.fetcher)
 	n.server.Handle(AssignMethod, func(payload []byte) ([]byte, error) {
 		spec, err := codec.DecodeAs[types.TaskSpec](payload)
@@ -617,7 +620,7 @@ func (n *Node) ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, er
 			case types.ObjectReady:
 				if len(info.Locations) > 0 {
 					fctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-					err := n.fetcher.Fetch(fctx, id, info.Locations)
+					err := n.fetcher.FetchObject(fctx, info)
 					cancel()
 					if err == nil {
 						continue

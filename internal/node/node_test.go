@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -267,5 +268,112 @@ func TestTCPClusterSmoke(t *testing.T) {
 	}
 	if !n2.Store().Contains(ref.ID) {
 		t.Fatal("dependency never transferred to node 2")
+	}
+
+	// A task submitted through node 1 and assigned to node 2, as the global
+	// scheduler would, sends its result to node 1 over TCP when it finishes:
+	// node 1's Get is served by the delivered copy, without a pull.
+	pulled, _, _ := n1.Puller().Stats()
+	spec := types.TaskSpec{
+		ID:         types.DeriveTaskID(types.NilTaskID, 81),
+		Function:   "double",
+		Args:       []types.Arg{core.Val(7)},
+		NumReturns: 1,
+		Resources:  types.CPU(1),
+		Origin:     n1.ID(),
+	}
+	client, err := nw.Dial("127.0.0.1:39382")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Call(AssignMethod, codec.MustEncode(spec)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err = d1.Get(ctx, core.ObjectRef{ID: spec.ReturnID(0)})
+	if v, _ := codec.DecodeAs[int](raw); err != nil || v != 14 {
+		t.Fatalf("delivered result = %d, %v", v, err)
+	}
+	if after, _, _ := n1.Puller().Stats(); after != pulled {
+		t.Fatalf("node 1 pulled %d objects for a result that should have been delivered", after-pulled)
+	}
+	if got := n1.Metrics().Snapshot().Counters["objectstore.push.received"]; got != 1 {
+		t.Fatalf("objectstore.push.received on node 1 = %d, want 1", got)
+	}
+}
+
+// countingCtrl counts object-record reads, per object.
+type countingCtrl struct {
+	gcs.API
+	mu    sync.Mutex
+	reads map[types.ObjectID]int
+}
+
+func (c *countingCtrl) GetObject(id types.ObjectID) (types.ObjectInfo, bool) {
+	c.mu.Lock()
+	c.reads[id]++
+	c.mu.Unlock()
+	return c.API.GetObject(id)
+}
+
+func (c *countingCtrl) readsOf(id types.ObjectID) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reads[id]
+}
+
+// TestRemoteResolveReadsTheRecordOnce: resolving an object that lives on
+// another node costs one object-table read, whether a Get or a task's
+// dependency asks — the pull takes size and spill state from the record the
+// resolver fetched for its locations. On a sharded control plane each read
+// is an RPC.
+func TestRemoteResolveReadsTheRecordOnce(t *testing.T) {
+	store := gcs.NewStore(2)
+	nw := transport.NewInproc(0)
+	holder := newTestNode(t, store, nw, "holder", testRegistry())
+	ctrl := &countingCtrl{API: store, reads: make(map[types.ObjectID]int)}
+	n, err := New(Config{
+		Resources: types.CPU(4), Network: nw, ListenAddr: "resolver", Ctrl: ctrl, Registry: testRegistry(),
+		SpillThreshold: scheduler.SpillNever,
+		// The park-time prefetch is a second, concurrent resolver of the same
+		// dependency, with a read of its own.
+		DisablePrefetch: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Shutdown)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	forGet := types.PutObjectID(types.NilTaskID, 1)
+	if err := holder.PutObject(forGet, codec.MustEncode(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.ResolveObject(ctx, forGet); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctrl.readsOf(forGet); got != 1 {
+		t.Fatalf("a Get of a remote object read its record %d times, want 1", got)
+	}
+
+	forDep := types.PutObjectID(types.NilTaskID, 2)
+	if err := holder.PutObject(forDep, codec.MustEncode(21)); err != nil {
+		t.Fatal(err)
+	}
+	d := core.NewClient(n)
+	ref, err := d.Submit1(core.Call{Function: "double", Args: []types.Arg{types.RefArg(forDep)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := d.Get(ctx, ref)
+	if v, derr := codec.DecodeAs[int](raw); err != nil || derr != nil || v != 42 {
+		t.Fatalf("double(ref 21) = %d, %v, %v", v, err, derr)
+	}
+	if got := ctrl.readsOf(forDep); got != 1 {
+		t.Fatalf("resolving a task's remote dependency read its record %d times, want 1", got)
+	}
+	if objects, _, _ := n.Puller().Stats(); objects != 2 {
+		t.Fatalf("pulled %d objects, want 2", objects)
 	}
 }

@@ -230,6 +230,7 @@ type Store struct {
 type storeObs struct {
 	puts, gets, misses *metrics.Counter
 	drops              *metrics.Counter
+	pushReceived       *metrics.Counter
 	spillBytes         *metrics.Counter
 	restoreBytes       *metrics.Counter
 	spillNs            *metrics.Histogram
@@ -270,6 +271,7 @@ func (s *Store) SetObservability(reg *metrics.Registry, tracer *metrics.Tracer) 
 		gets:         reg.Counter("objectstore.gets"),
 		misses:       reg.Counter("objectstore.get.misses"),
 		drops:        reg.Counter("objectstore.drops"),
+		pushReceived: reg.Counter("objectstore.push.received"),
 		spillBytes:   reg.Counter("objectstore.spill.bytes"),
 		restoreBytes: reg.Counter("objectstore.restore.bytes"),
 		spillNs:      reg.Histogram("objectstore.spill.ns"),

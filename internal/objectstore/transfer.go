@@ -22,6 +22,11 @@ const (
 	// is EncodeChunkRequest, response is the requested slice. Large objects
 	// are pulled as bounded-concurrency chunk streams.
 	PullChunkMethod = "objectstore.pullChunk"
+	// PushMethod stores an object the caller sends unasked: request payload
+	// is EncodePushRequest, response is empty. A node that finishes a task
+	// for another node's future delivers a small result this way (DESIGN.md
+	// §6.3); the sending side is PullManager.Deliver.
+	PushMethod = "objectstore.push"
 )
 
 // ErrNotFound is returned by the pull handlers for objects not resident.
@@ -55,6 +60,39 @@ func DecodeChunkRequest(payload []byte) (id types.ObjectID, offset, length int64
 		return id, 0, 0, fmt.Errorf("%w: offset %d length %d", ErrBadChunk, offset, length)
 	}
 	return id, offset, length, nil
+}
+
+// EncodePushRequest builds the wire form of a push: ObjectID | object bytes.
+func EncodePushRequest(id types.ObjectID, data []byte) []byte {
+	buf := make([]byte, types.IDSize+len(data))
+	copy(buf, id[:])
+	copy(buf[types.IDSize:], data)
+	return buf
+}
+
+// RegisterPushHandler lets peers store objects here (PushMethod). The copy
+// is an ordinary Put: it wakes local waiters, publishes this node as a
+// location, and from then on is refcounted, collected, migrated and swept
+// like a pulled copy. accepting gates it: a draining or stopped node must
+// not take in copies it would only have to migrate or strand.
+func RegisterPushHandler(srv *transport.Server, store *Store, accepting func() bool) {
+	srv.Handle(PushMethod, func(payload []byte) ([]byte, error) {
+		if len(payload) < types.IDSize {
+			return nil, fmt.Errorf("objectstore: bad push request of %d bytes", len(payload))
+		}
+		if !accepting() {
+			return nil, fmt.Errorf("objectstore: push refused by %v", store.node)
+		}
+		var id types.ObjectID
+		copy(id[:], payload)
+		// The stored bytes alias the request buffer, which EncodePushRequest
+		// allocated for this one call and the sender never touches again.
+		if err := store.Put(id, payload[types.IDSize:]); err != nil {
+			return nil, err
+		}
+		store.obs.pushReceived.Inc()
+		return nil, nil
+	})
 }
 
 // RegisterPullHandler exposes the store's objects to peers, both whole

@@ -28,7 +28,10 @@ type ReconFunc func(id types.ObjectID)
 // Fetcher pulls a remote object into the local store. lifetime.PullManager
 // is the production implementation (chunked, with per-peer backpressure).
 type Fetcher interface {
-	Fetch(ctx context.Context, id types.ObjectID, locations []types.NodeID) error
+	// FetchObject pulls the object info describes from info.Locations. It
+	// takes the whole record because the caller has just read it, and the
+	// pull needs its size and spill state too.
+	FetchObject(ctx context.Context, info types.ObjectInfo) error
 }
 
 // Prefetcher is optionally implemented by Fetchers that can start
@@ -956,7 +959,7 @@ func (l *Local) resolveDep(task types.TaskID, obj types.ObjectID, cancel <-chan 
 			case types.ObjectReady:
 				if l.cfg.Fetcher != nil && len(info.Locations) > 0 {
 					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-					err := l.cfg.Fetcher.Fetch(ctx, obj, info.Locations)
+					err := l.cfg.Fetcher.FetchObject(ctx, info)
 					cancel()
 					if err == nil {
 						continue

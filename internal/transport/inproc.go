@@ -106,7 +106,10 @@ func (c *inprocClient) Call(method string, payload []byte) ([]byte, error) {
 	c.net.hopN(len(payload)) // request hop
 	resp, err := c.srv.dispatch(method, payload)
 	c.net.hopN(len(resp)) // response hop
-	return resp, err
+	if err != nil {
+		return nil, &RemoteError{Msg: err.Error()}
+	}
+	return resp, nil
 }
 
 func (c *inprocClient) OpenStream(method string, payload []byte) (Stream, error) {

@@ -290,7 +290,7 @@ func (c *tcpClient) teardown(err error) {
 	c.streams = make(map[uint64]*tcpClientStream)
 	c.mu.Unlock()
 	for _, ch := range pending {
-		ch <- &frame{Kind: frameResponse, Err: ErrClosed.Error()}
+		ch <- nil // no response will come: Call reports ErrClosed
 	}
 	for _, st := range streams {
 		st.deliver(&frame{Kind: frameStreamEnd, Err: io.EOF.Error()})
@@ -321,8 +321,11 @@ func (c *tcpClient) Call(method string, payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	f := <-ch
+	if f == nil {
+		return nil, ErrClosed
+	}
 	if f.Err != "" {
-		return nil, errors.New(f.Err)
+		return nil, &RemoteError{Msg: f.Err}
 	}
 	return f.Payload, nil
 }

@@ -60,6 +60,25 @@ var ErrNoMethod = errors.New("transport: no such method")
 // ErrClosed is returned from operations on closed clients or streams.
 var ErrClosed = errors.New("transport: closed")
 
+// RemoteError is the error Call returns when the server answered with one:
+// the request reached a live server and its handler (or the method lookup)
+// refused it. Every other error from Call is a connection failure. The
+// distinction decides what a caller holding a cached Client does next — a
+// RemoteError says the connection is healthy and the other calls sharing it
+// must not be torn down; anything else says redial. Only the server-side
+// error's text crosses a real network, so that is all it carries on either
+// one.
+type RemoteError struct{ Msg string }
+
+func (e *RemoteError) Error() string { return e.Msg }
+
+// IsRemote reports whether err is a server's answer (a RemoteError) rather
+// than a connection failure.
+func IsRemote(err error) bool {
+	var re *RemoteError
+	return errors.As(err, &re)
+}
+
 // Server is a method registry shared by all Network implementations.
 type Server struct {
 	mu       sync.RWMutex

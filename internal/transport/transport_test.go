@@ -59,10 +59,27 @@ func runNetworkSuite(t *testing.T, nw Network, addr string) {
 		if err == nil || err.Error() != "nope" {
 			t.Fatalf("err = %v", err)
 		}
+		if !IsRemote(err) {
+			t.Fatalf("a handler's error is not a RemoteError: %T", err)
+		}
 	})
 	t.Run("no method", func(t *testing.T) {
-		if _, err := c.Call("missing", nil); err == nil {
+		_, err := c.Call("missing", nil)
+		if err == nil {
 			t.Fatal("missing method accepted")
+		}
+		if !IsRemote(err) {
+			t.Fatalf("the server's refusal of a method is not a RemoteError: %T", err)
+		}
+	})
+	t.Run("closed client is not a remote error", func(t *testing.T) {
+		c2, err := nw.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c2.Close()
+		if _, err := c2.Call("echo", nil); err == nil || IsRemote(err) {
+			t.Fatalf("call on a closed client: %v (remote: %v)", err, IsRemote(err))
 		}
 	})
 	t.Run("concurrent calls", func(t *testing.T) {
@@ -210,6 +227,45 @@ func TestTCPLargePayload(t *testing.T) {
 	resp, err := c.Call("echo", big)
 	if err != nil || !bytes.Equal(resp, big) {
 		t.Fatalf("large echo failed: %v (len %d)", err, len(resp))
+	}
+}
+
+// A call cut off by its connection closing reports ErrClosed, not the
+// server's answer: callers that cache clients redial on the first and keep
+// the connection on the second.
+func TestTCPCloseFailsPendingCallWithErrClosed(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	defer close(release)
+	srv := NewServer()
+	srv.Handle("hold", func(p []byte) ([]byte, error) {
+		close(entered)
+		<-release
+		return nil, nil
+	})
+	l, err := TCP{}.Listen("127.0.0.1:39184", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c, err := TCP{}.Dial("127.0.0.1:39184")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Call("hold", nil)
+		errc <- err
+	}()
+	<-entered
+	c.Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrClosed) || IsRemote(err) {
+			t.Fatalf("pending call ended with %v (remote: %v), want ErrClosed", err, IsRemote(err))
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("pending call not failed by Close")
 	}
 }
 

@@ -55,6 +55,13 @@ type TaskSpec struct {
 	// dispatch (DESIGN.md §15) must never run it on the submitting
 	// goroutine ahead of methods already queued.
 	Actor bool
+	// Origin is the node the task was submitted through — where the futures
+	// it returns were created and where a Get on them most likely blocks. A
+	// node that finishes the task elsewhere sends a small result straight to
+	// Origin's object store (DESIGN.md §6.3). It is part of the lineage
+	// record, so on a replay it may name a node that has since died; nil
+	// (specs recorded before the field existed) means no delivery.
+	Origin NodeID
 }
 
 // InGroup reports whether the task is pinned to a placement-group bundle.

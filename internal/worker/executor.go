@@ -24,6 +24,14 @@ type Hooks struct {
 	OnBlocked func(spec types.TaskSpec, blocked bool)
 	// Resubmit re-enqueues a task that should retry after a failure.
 	Resubmit func(spec types.TaskSpec)
+	// Deliver, when set, is offered every return value (or error payload)
+	// just before it is stored locally, so the node can send a small one
+	// straight to the node the task was submitted through (DESIGN.md §6.3).
+	// Best effort: it reports nothing, and the local store and the terminal
+	// stamp follow whatever it did. It takes the three spec fields it uses,
+	// not the spec: the call chain under it is the deepest a task's
+	// goroutine runs, and a TaskSpec by value is 200 bytes in every frame.
+	Deliver func(origin types.NodeID, task types.TaskID, trace uint64, id types.ObjectID, data []byte)
 }
 
 // TaskLedger is the owner-side task-state ledger (DESIGN.md §13): the
@@ -118,13 +126,25 @@ func (e *Executor) Execute(ctx context.Context, spec types.TaskSpec, args [][]by
 		if data == nil {
 			data = codec.MustEncode(nil)
 		}
-		if perr := e.backend.PutObject(spec.ReturnID(i), data); perr != nil {
+		if perr := e.storeReturn(&spec, i, data); perr != nil {
 			e.fail(spec, wid, fmt.Errorf("storing return %d: %w", i, perr))
 			return
 		}
 	}
 	e.executed.Add(1)
 	e.ledger.TransitionAt(spec.ID, types.TaskFinished, wid, "", finishNs)
+}
+
+// storeReturn makes return value i resolvable: delivered to the task's
+// origin first (when the node does that), then stored here. In that order
+// the origin cannot hear of this node's copy, and start pulling it, while
+// the delivery is still on its way — and both precede the terminal stamp.
+func (e *Executor) storeReturn(spec *types.TaskSpec, i int, data []byte) error {
+	id := spec.ReturnID(i)
+	if e.hooks.Deliver != nil {
+		e.hooks.Deliver(spec.Origin, spec.ID, spec.TraceID, id, data)
+	}
+	return e.backend.PutObject(id, data)
 }
 
 // invoke runs the function with panic isolation: a panicking task must not
@@ -171,7 +191,7 @@ func (e *Executor) fail(spec types.TaskSpec, wid types.WorkerID, taskErr error) 
 	e.failed.Add(1)
 	for i := 0; i < spec.NumReturns; i++ {
 		// Best effort: the store may itself be failing.
-		_ = e.backend.PutObject(spec.ReturnID(i), codec.EncodeError(taskErr.Error()))
+		_ = e.storeReturn(&spec, i, codec.EncodeError(taskErr.Error()))
 	}
 	e.ledger.Transition(spec.ID, types.TaskFailed, wid, taskErr.Error())
 }

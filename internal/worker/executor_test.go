@@ -381,3 +381,42 @@ func mustResolve(t *testing.T, b *stubBackend, id types.ObjectID) []byte {
 	}
 	return data
 }
+
+// TestReturnsAreOfferedForDeliveryBeforeTheyAreStored: every return value —
+// and every error payload of a terminal failure — reaches the Deliver hook
+// while the object is still unpublished and the task not yet terminal, so
+// the task's origin cannot learn of this node's copy, and pull it, before
+// the delivered one arrives.
+func TestReturnsAreOfferedForDeliveryBeforeTheyAreStored(t *testing.T) {
+	var b *stubBackend
+	offered := make(map[types.ObjectID][]byte)
+	ex, b, reg := setup(t, Hooks{Deliver: func(origin types.NodeID, task types.TaskID, trace uint64, id types.ObjectID, data []byte) {
+		if b.ObjectLocal(id) {
+			t.Errorf("%v was stored before it was offered for delivery", id)
+		}
+		if st, _ := b.ctrl.GetTask(task); st.Status.Terminal() {
+			t.Errorf("task %v was %v before %v was offered for delivery", task, st.Status, id)
+		}
+		offered[id] = data
+	}})
+	reg.Register("two", func(tc *core.TaskContext, args [][]byte) ([][]byte, error) {
+		return [][]byte{codec.MustEncode(1), nil}, nil
+	})
+	reg.Register("boom", func(tc *core.TaskContext, args [][]byte) ([][]byte, error) {
+		return nil, errors.New("kaput")
+	})
+	ok, bad := mkSpec(30, "two", 2), mkSpec(31, "boom", 1)
+	for _, spec := range []types.TaskSpec{ok, bad} {
+		b.admit(spec)
+		ex.Execute(context.Background(), spec, nil)
+	}
+	for _, id := range []types.ObjectID{ok.ReturnID(0), ok.ReturnID(1), bad.ReturnID(0)} {
+		stored, _ := b.ResolveObject(context.Background(), id)
+		if got, was := offered[id]; !was || string(got) != string(stored) || len(stored) == 0 {
+			t.Fatalf("%v: offered %q (%v), stored %q", id, got, was, stored)
+		}
+	}
+	if msg, isErr := codec.AsError(offered[bad.ReturnID(0)]); !isErr || msg != "kaput" {
+		t.Fatalf("failed task offered %q, want its error payload", offered[bad.ReturnID(0)])
+	}
+}
