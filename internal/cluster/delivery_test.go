@@ -3,12 +3,16 @@ package cluster
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chaostest"
 	"repro/internal/core"
+	"repro/internal/gcs"
+	"repro/internal/node"
 	"repro/internal/profile"
+	"repro/internal/scheduler"
 	"repro/internal/types"
 )
 
@@ -121,6 +125,23 @@ func awaitTraffic(t *testing.T, c *Cluster, base, want traffic, what string) {
 	}
 }
 
+// getCountingCtrl counts the two control-plane calls a blocking Get makes
+// when it has to go through the resolver.
+type getCountingCtrl struct {
+	gcs.API
+	subscribes, reads atomic.Int64
+}
+
+func (c *getCountingCtrl) SubscribeObjectReady(id types.ObjectID) gcs.Sub {
+	c.subscribes.Add(1)
+	return c.API.SubscribeObjectReady(id)
+}
+
+func (c *getCountingCtrl) GetObject(id types.ObjectID) (types.ObjectInfo, bool) {
+	c.reads.Add(1)
+	return c.API.GetObject(id)
+}
+
 func testCtx(t *testing.T) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	t.Cleanup(cancel)
@@ -169,6 +190,33 @@ func TestMessageBudget(t *testing.T) {
 		t.Fatalf("big(1 MiB) = %d bytes, %v", len(v), err)
 	}
 	awaitTraffic(t, c, base, traffic{messages: 6, pulledObjects: 1, pulledChunks: 5, executed: 1}, "remote task, 1 MiB result")
+
+	// A local task does not touch the control plane to wait for its result
+	// either: a Get of a task the driver's own node owns opens no readiness
+	// subscription and reads no object record (DESIGN.md §13). The
+	// reconstructor's first act is such a read, so it was not called.
+	// Counted on one more node, joined through a counting view of the same
+	// control plane.
+	counted := &getCountingCtrl{API: c.API}
+	extra, err := node.New(node.Config{
+		Resources: types.CPU(4), Network: c.Network, ListenAddr: "node-counted", Ctrl: counted,
+		Registry: f.reg, SpillThreshold: scheduler.SpillNever,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(extra.Shutdown)
+	de := core.NewClient(extra)
+	ref, err = f.local.Remote(de, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := core.Get(ctx, de, ref); err != nil || v != 8 {
+		t.Fatalf("local(8) on the counted node = %d, %v", v, err)
+	}
+	if subs, reads := counted.subscribes.Load(), counted.reads.Load(); subs != 0 || reads != 0 {
+		t.Fatalf("a local submit and Get made %d SubscribeObjectReady and %d GetObject calls, want none", subs, reads)
+	}
 }
 
 // TestDeliverySpanJoinsTheTaskTrace: the producer's push span carries the

@@ -49,14 +49,19 @@ type RefCounted interface {
 // TaskOwner is optionally implemented by Backends wired to the task
 // ownership ledger (node.Node is; DESIGN.md §13). Futures whose producing
 // task is owned by this node resolve from the ledger's in-process state
-// events — a wait on locally-submitted work costs zero control-plane
-// subscriptions. OwnsTask reports current local authority;
-// WatchTaskTerminal's channel closes when the task reaches a terminal
-// state OR local authority is dropped (transfer), so waiters re-check
-// rather than trust the wake blindly.
+// events and the node's own store — a Get or Wait on locally-submitted work
+// costs zero control-plane calls. OwnsTask reports current local authority.
+// NotifyTaskEnd sends a task's ID on ch when it reaches a terminal state OR
+// local authority is dropped (transfer) — at once if that already happened
+// — so waiters re-check rather than trust the wake blindly; ch needs room
+// for one event per id, and StopNotifyTaskEnd unregisters what has not
+// fired. ResolveTaskOutput is ResolveObject for a return of task, waiting
+// owner-side while the task is owned here.
 type TaskOwner interface {
 	OwnsTask(id types.TaskID) bool
-	WatchTaskTerminal(id types.TaskID) <-chan struct{}
+	NotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID)
+	StopNotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID)
+	ResolveTaskOutput(ctx context.Context, task types.TaskID, id types.ObjectID) ([]byte, error)
 }
 
 // InlineBackend is optionally implemented by Backends whose local scheduler
@@ -248,7 +253,13 @@ func (c *caller) get(ctx context.Context, ref ObjectRef) ([]byte, error) {
 	}
 	c.enterBlocked()
 	defer c.exitBlocked()
-	data, err := c.backend.ResolveObject(ctx, ref.ID)
+	var data []byte
+	var err error
+	if owner, ok := c.backend.(TaskOwner); ok && !ref.Task.IsNil() {
+		data, err = owner.ResolveTaskOutput(ctx, ref.Task, ref.ID)
+	} else {
+		data, err = c.backend.ResolveObject(ctx, ref.ID)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -391,11 +402,11 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 	// node's ledger owns needs NO control-plane subscription — the
 	// executor stores outputs (or error payloads) strictly before the
 	// terminal transition, so the ledger's terminal event implies the
-	// object is resolvable locally. Those refs wake from the in-process
-	// watch channel; only refs produced elsewhere (or by Puts) pay the
-	// per-ref subscription stream. A ledger wake is advisory (the channel
-	// also closes on ownership transfer), so it triggers a re-check, not a
-	// blind completion.
+	// object is resolvable locally. Those refs wake from the ledger's
+	// in-process events; only refs produced elsewhere (or by Puts) pay the
+	// per-ref subscription stream. A ledger wake is advisory (it also fires
+	// on ownership transfer), so it triggers a re-check, not a blind
+	// completion.
 	owner, _ := c.backend.(TaskOwner)
 	subs := make([]gcs.Sub, 0, len(refs))
 	defer func() {
@@ -408,7 +419,6 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 	// instead of re-scanning (and re-fetching) every pending object, which
 	// made a window of W waits cost O(W²) object-table reads.
 	readyC := make(chan types.ObjectID, len(refs))
-	wakeC := make(chan types.ObjectID, len(refs))
 	subscribe := func(id types.ObjectID) {
 		sub := ctrl.SubscribeObjectReady(id)
 		subs = append(subs, sub)
@@ -418,19 +428,28 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 			}
 		}(sub, id)
 	}
+	// owned maps each task this node owns to its refs still waited on; all
+	// of them wake through one channel the ledger sends the task's ID on.
+	owned := make(map[types.TaskID][]types.ObjectID)
 	for _, r := range refs {
 		if done[r.ID] {
 			continue // already ready on the first scan: no wake source needed
 		}
 		if owner != nil && !r.Task.IsNil() && owner.OwnsTask(r.Task) {
-			watch := owner.WatchTaskTerminal(r.Task)
-			go func(w <-chan struct{}, id types.ObjectID) {
-				<-w
-				wakeC <- id // buffered one slot per ref; never blocks
-			}(watch, r.ID)
+			owned[r.Task] = append(owned[r.Task], r.ID)
 			continue
 		}
 		subscribe(r.ID)
+	}
+	var wakeC chan types.TaskID
+	if len(owned) > 0 {
+		tasks := make([]types.TaskID, 0, len(owned))
+		for task := range owned {
+			tasks = append(tasks, task)
+		}
+		wakeC = make(chan types.TaskID, len(tasks)) // one slot per task; never blocks the ledger
+		owner.NotifyTaskEnd(wakeC, tasks...)
+		defer owner.StopNotifyTaskEnd(wakeC, tasks...)
 	}
 
 	// The poll is a safety net for missed edges only — completions arrive
@@ -447,24 +466,24 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 				done[id] = true
 				n++
 			}
-		case id := <-wakeC:
-			// Ledger event for one owned ref: re-check that ref only, never
-			// trust blindly — the watch also closes on ownership transfer. A
+		case task := <-wakeC:
+			// Ledger event for one owned task: re-check its refs only, never
+			// trust blindly — the event also fires on ownership transfer. A
 			// full countReady() here cost O(W) object-table reads per wake,
 			// O(W²) per window. If the task terminated, the executor already
-			// stored the output locally; if ownership moved instead, fall
+			// stored the outputs locally; if ownership moved instead, fall
 			// back to the per-object stream (subscribe-then-recheck, same
 			// no-missed-edge order as the setup loop).
-			if done[id] {
-				break
-			}
-			if isReady(id) {
-				done[id] = true
-				n++
-				break
-			}
-			subscribe(id)
-			if isReady(id) {
+			for _, id := range owned[task] {
+				if done[id] {
+					continue
+				}
+				if !isReady(id) {
+					subscribe(id)
+					if !isReady(id) {
+						continue
+					}
+				}
 				done[id] = true
 				n++
 			}

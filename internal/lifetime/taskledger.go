@@ -41,7 +41,7 @@ type TaskLedger struct {
 	dirty   map[types.TaskID]struct{}
 	ensures map[types.ObjectID]types.TaskID
 	retry   []taskBatch
-	watch   map[types.TaskID][]chan struct{}
+	watch   map[types.TaskID][]chan<- types.TaskID
 	async   bool
 	// dead latches after Abandon: the ledger belongs to a "crashed" node
 	// and must never reach the control plane again.
@@ -91,7 +91,7 @@ func NewTaskLedger(ctrl gcs.API) *TaskLedger {
 		tasks:   make(map[types.TaskID]*ownedTask),
 		dirty:   make(map[types.TaskID]struct{}),
 		ensures: make(map[types.ObjectID]types.TaskID),
-		watch:   make(map[types.TaskID][]chan struct{}),
+		watch:   make(map[types.TaskID][]chan<- types.TaskID),
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
 		kick:    make(chan struct{}, 1),
@@ -299,10 +299,7 @@ func (l *TaskLedger) Disown(id types.TaskID) {
 	if l.tasks[id] != nil {
 		delete(l.tasks, id)
 		delete(l.dirty, id)
-		for _, ch := range l.watch[id] {
-			close(ch)
-		}
-		delete(l.watch, id)
+		l.wakeLocked(id)
 	}
 	l.mu.Unlock()
 }
@@ -328,11 +325,20 @@ func (l *TaskLedger) stampLocked(id types.TaskID, t *ownedTask, status types.Tas
 	}
 	l.dirty[id] = struct{}{}
 	if status.Terminal() {
-		for _, ch := range l.watch[id] {
-			close(ch)
-		}
-		delete(l.watch, id)
+		l.wakeLocked(id)
 	}
+}
+
+// wakeLocked delivers id to every channel watching it, once. A send never
+// blocks the ledger: a channel without room (see Notify) loses the event.
+func (l *TaskLedger) wakeLocked(id types.TaskID) {
+	for _, ch := range l.watch[id] {
+		select {
+		case ch <- id:
+		default:
+		}
+	}
+	delete(l.watch, id)
 }
 
 // EnsureLineage records return-object → producer edges in the ledger.
@@ -374,21 +380,46 @@ func (l *TaskLedger) Lookup(id types.TaskID) (types.TaskState, bool) {
 	}, true
 }
 
-// WatchTerminal returns a channel closed when id reaches a terminal
-// state. Already-terminal and not-owned tasks get an already-closed
-// channel — "nothing more to wait for here, re-check the table".
-func (l *TaskLedger) WatchTerminal(id types.TaskID) <-chan struct{} {
+// Notify registers ch for one event per task in ids: the task's ID is sent
+// when it reaches a terminal state or local authority over it is dropped
+// (Disown: spill-away, drain, burial, an observed transfer). Tasks already
+// terminal or not owned here are sent before Notify returns — "nothing more
+// to wait for here, re-check". An event is a hint to re-check, not a
+// completion. ch needs room for one event per id, which is also the most it
+// will receive; StopNotify unregisters whatever has not fired.
+func (l *TaskLedger) Notify(ch chan<- types.TaskID, ids ...types.TaskID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	t := l.tasks[id]
-	if t == nil || t.status.Terminal() {
-		ch := make(chan struct{})
-		close(ch)
-		return ch
+	for _, id := range ids {
+		if t := l.tasks[id]; t == nil || t.status.Terminal() {
+			select {
+			case ch <- id:
+			default:
+			}
+			continue
+		}
+		l.watch[id] = append(l.watch[id], ch)
 	}
-	ch := make(chan struct{})
-	l.watch[id] = append(l.watch[id], ch)
-	return ch
+}
+
+// StopNotify drops ch's registrations for ids that have not fired.
+func (l *TaskLedger) StopNotify(ch chan<- types.TaskID, ids ...types.TaskID) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, id := range ids {
+		chans := l.watch[id]
+		for i, c := range chans {
+			if c == ch {
+				chans = append(chans[:i], chans[i+1:]...)
+				break
+			}
+		}
+		if len(chans) == 0 {
+			delete(l.watch, id)
+		} else {
+			l.watch[id] = chans
+		}
+	}
 }
 
 // UnflushedTasks snapshots the tasks whose latest state the follower table

@@ -250,3 +250,75 @@ func TestFlushTaskWaitsForInFlightFlush(t *testing.T) {
 		t.Fatalf("follower after FlushTask = %v, want QUEUED", got.Status)
 	}
 }
+
+// TestNotifyDeliversEndOfTenureOnOneChannel: one channel carries the
+// end-of-tenure events of a set of tasks — a terminal stamp, a Disown —
+// each exactly once; a task already terminal, or never owned, is delivered
+// by the registration itself; a non-terminal stamp (a retry's reset to
+// PENDING included) delivers nothing; and StopNotify leaves no registration
+// behind for a later event to fire into.
+func TestNotifyDeliversEndOfTenureOnOneChannel(t *testing.T) {
+	st := gcs.NewStore(2)
+	led := NewTaskLedger(st) // unstarted: transitions flush inline
+	led.SetNode(types.NodeID{0xD2})
+	finishes, moves, retries, stays, done, stranger := ownTask(20), ownTask(21), ownTask(22), ownTask(23), ownTask(24), ownTask(25)
+	for _, id := range []types.TaskID{finishes, moves, retries, stays, done} {
+		st.AddTask(types.TaskState{Spec: types.TaskSpec{ID: id}, Status: types.TaskPending, Owner: led.Node()})
+		led.Adopt(id, 0, types.TaskPending)
+	}
+	// Terminal with its final delta not yet acked — the state between the
+	// executor's stamp and the flush that drops the record. (A Transition
+	// here would flush inline and drop it at once.)
+	led.mu.Lock()
+	led.tasks[done].status = types.TaskFinished
+	led.mu.Unlock()
+
+	ids := []types.TaskID{finishes, moves, retries, stays, done, stranger}
+	ch := make(chan types.TaskID, len(ids))
+	led.Notify(ch, ids...)
+	got := map[types.TaskID]int{}
+	drain := func() {
+		for {
+			select {
+			case id := <-ch:
+				got[id]++
+			default:
+				return
+			}
+		}
+	}
+	drain()
+	if len(got) != 2 || got[done] != 1 || got[stranger] != 1 {
+		t.Fatalf("registration delivered %v, want the terminal task and the one not owned, once each", got)
+	}
+
+	led.Transition(stays, types.TaskRunning, types.WorkerID{}, "")
+	if n, retrying := led.TransitionRetry(retries, 1); n != 1 || !retrying {
+		t.Fatalf("TransitionRetry = %d, %v", n, retrying)
+	}
+	drain()
+	if len(got) != 2 {
+		t.Fatalf("a non-terminal stamp delivered an event: %v", got)
+	}
+
+	led.Transition(finishes, types.TaskFinished, types.WorkerID{}, "")
+	led.Disown(moves)
+	led.Transition(retries, types.TaskFailed, types.WorkerID{}, "boom")
+	drain()
+	if len(got) != 5 || got[finishes] != 1 || got[moves] != 1 || got[retries] != 1 {
+		t.Fatalf("after a finish, a disown and a failure: %v", got)
+	}
+
+	led.StopNotify(ch, ids...)
+	led.mu.Lock()
+	left := len(led.watch)
+	led.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d registrations left after StopNotify", left)
+	}
+	led.Transition(stays, types.TaskFinished, types.WorkerID{}, "")
+	drain()
+	if got[stays] != 0 {
+		t.Fatal("an unregistered channel still received an event")
+	}
+}

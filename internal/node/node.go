@@ -143,7 +143,7 @@ type Node struct {
 	admit   *jobs.Admission
 	sched   *scheduler.Local
 	exec    *worker
-	recon   *fault.Reconstructor
+	recon   reconstructor
 	// reg/tracer are this node's telemetry plane; nil when disabled. The
 	// heartbeat loop ships snapshots and drained spans to the GCS.
 	reg    *metrics.Registry
@@ -164,6 +164,13 @@ type Node struct {
 
 // worker aliases the executor to keep the Node struct readable.
 type worker = executorShim
+
+// reconstructor is what the node asks of the fault-tolerance layer
+// (fault.Reconstructor): make a lost object, or one whose producer is
+// stranded on a dead node, resolvable again.
+type reconstructor interface {
+	RequestObject(id types.ObjectID) error
+}
 
 // New builds and starts a node: object store, pull server, local scheduler,
 // executor, reconstructor, heartbeats, and control-plane registration.
@@ -577,14 +584,44 @@ func (n *Node) ReleaseObject(id types.ObjectID) { n.life.Tracker().Release(id) }
 // NodeID implements core.Backend.
 func (n *Node) NodeID() types.NodeID { return n.id }
 
-// OwnsTask implements core.TaskOwner: waits on futures whose producing
-// task this node owns resolve from the in-process ledger's state events
-// instead of per-object control-plane subscriptions (DESIGN.md §13).
+// OwnsTask implements core.TaskOwner: futures whose producing task this
+// node owns resolve from the in-process ledger's state events instead of
+// per-object control-plane subscriptions (DESIGN.md §13).
 func (n *Node) OwnsTask(id types.TaskID) bool { return n.taskled.Owns(id) }
 
-// WatchTaskTerminal implements core.TaskOwner.
-func (n *Node) WatchTaskTerminal(id types.TaskID) <-chan struct{} {
-	return n.taskled.WatchTerminal(id)
+// NotifyTaskEnd implements core.TaskOwner (lifetime.TaskLedger.Notify).
+func (n *Node) NotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID) {
+	n.taskled.Notify(ch, ids...)
+}
+
+// StopNotifyTaskEnd implements core.TaskOwner.
+func (n *Node) StopNotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID) {
+	n.taskled.StopNotify(ch, ids...)
+}
+
+// ResolveTaskOutput implements core.TaskOwner: ResolveObject for id, a
+// return of task. While this node's ledger owns the task, the object can
+// only appear in this node's own store — the executor puts it (or an error
+// payload) there before the terminal stamp — so the wait is on exactly the
+// store's arrival channel and the ledger's end-of-tenure event: no
+// control-plane call. The resolver takes over, unchanged, when the tenure
+// ends with the object still absent (spilled away, drained, transferred,
+// output evicted) and for every task not owned here.
+func (n *Node) ResolveTaskOutput(ctx context.Context, task types.TaskID, id types.ObjectID) ([]byte, error) {
+	if n.taskled.Owns(task) {
+		ended := make(chan types.TaskID, 1)
+		n.taskled.Notify(ended, task)
+		defer n.taskled.StopNotify(ended, task)
+		select {
+		case <-n.store.WaitChan(id):
+		case <-ended:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-n.stop:
+			return nil, scheduler.ErrStopped
+		}
+	}
+	return n.ResolveObject(ctx, id)
 }
 
 // AdmitJobTask implements core.JobGate: one tenanted submission is decided
@@ -607,10 +644,12 @@ func (n *Node) ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, er
 	poll := time.NewTicker(10 * time.Millisecond)
 	defer poll.Stop()
 	// Stranded-producer probing is throttled (see scheduler.Local.resolveDep
-	// for the rationale); ~every 20 wakeups ≈ 200ms worst case to detect a
-	// producer that died while queued.
+	// for the rationale); every 20 wakeups ≈ 200ms worst case to detect a
+	// producer that died while queued. The count starts at 1 so the first
+	// probe comes a period in: a Get of a pending object on a healthy
+	// producer — every remote round trip — pays none.
 	const strandedCheckPeriod = 20
-	wakeups := 0
+	wakeups := 1
 	for {
 		if data, ok := n.store.Get(id); ok {
 			return data, nil

@@ -2,9 +2,11 @@ package node
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -375,5 +377,127 @@ func TestRemoteResolveReadsTheRecordOnce(t *testing.T) {
 	}
 	if objects, _, _ := n.Puller().Stats(); objects != 2 {
 		t.Fatalf("pulled %d objects, want 2", objects)
+	}
+}
+
+// countingRecon counts the node's calls into the fault-tolerance layer.
+type countingRecon struct {
+	reconstructor
+	calls atomic.Int64
+}
+
+func (c *countingRecon) RequestObject(id types.ObjectID) error {
+	c.calls.Add(1)
+	return c.reconstructor.RequestObject(id)
+}
+
+// countRecon puts a counter in front of n's reconstructor. Call it before
+// anything resolves an object through n.
+func countRecon(n *Node) *countingRecon {
+	c := &countingRecon{reconstructor: n.recon}
+	n.recon = c
+	return c
+}
+
+// TestHealthyRemoteGetDoesNotProbeTheReconstructor: a Get that finds its
+// object pending — every remote round trip does — must not run the
+// stranded-producer check on its first pass. The check is for a producer
+// that died with the task, and it is due a poll period in (~200 ms).
+func TestHealthyRemoteGetDoesNotProbeTheReconstructor(t *testing.T) {
+	ctrl := gcs.NewStore(2)
+	nw := transport.NewInproc(0)
+	reg := testRegistry()
+	entered, gate := make(chan struct{}), make(chan struct{})
+	core.Register1(reg, "gated", func(tc *core.TaskContext, x int) (int, error) {
+		close(entered)
+		<-gate
+		return -x, nil
+	})
+	originCtrl := &countingCtrl{API: ctrl, reads: make(map[types.ObjectID]int)}
+	origin := newTestNode(t, originCtrl, nw, "origin", reg)
+	producer := newTestNode(t, ctrl, nw, "producer", reg)
+	recon := countRecon(origin)
+
+	// Submitted through origin, placed on producer, as the global scheduler
+	// would: origin does not own the task, so its Get takes the resolver.
+	spec := types.TaskSpec{
+		ID: types.DeriveTaskID(types.NilTaskID, 90), Function: "gated", Args: []types.Arg{core.Val(7)},
+		NumReturns: 1, Resources: types.CPU(1), Origin: origin.ID(),
+	}
+	if err := producer.sched.Submit(spec, true); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	ret := spec.ReturnID(0)
+	producer.taskled.Flush() // the object's record, with its producer edge, is in the table
+	if info, ok := ctrl.GetObject(ret); !ok || info.State != types.ObjectPending || info.Producer != spec.ID {
+		t.Fatalf("object record before the Get: %+v, %v", info, ok)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	got := make(chan error, 1)
+	go func() {
+		raw, err := core.NewClient(origin).Get(ctx, core.ObjectRef{ID: ret, Task: spec.ID})
+		if v, derr := codec.DecodeAs[int](raw); err == nil && (derr != nil || v != -7) {
+			err = fmt.Errorf("gated(7) = %d, %v", v, derr)
+		}
+		got <- err
+	}()
+	// The resolver's first pass has read the record — where the probe used
+	// to follow — before the producer is let go.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if originCtrl.readsOf(ret) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the Get never reached the resolver")
+		}
+	}
+	close(gate)
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	// One probe is due per 20 wakeups of at most 10 ms: none, unless this
+	// host stalled the round trip for that long.
+	if allowed := int64(time.Since(start) / (100 * time.Millisecond)); recon.calls.Load() > allowed {
+		t.Fatalf("%d reconstructor calls during a healthy remote round trip of %v, want 0", recon.calls.Load(), time.Since(start))
+	}
+}
+
+// TestStrandedProducerIsStillReplayed: the check the healthy path no longer
+// pays on its first pass still finds a producer stranded on a dead node — a
+// task that was queued there when it died, its output forever pending — and
+// replays it, a poll period into the Get.
+func TestStrandedProducerIsStillReplayed(t *testing.T) {
+	ctrl := gcs.NewStore(2)
+	n := newTestNode(t, ctrl, transport.NewInproc(0), "waiter", testRegistry())
+	recon := countRecon(n)
+
+	dead := types.NodeID(types.DeriveTaskID(types.NilTaskID, 91))
+	ctrl.RegisterNode(types.NodeInfo{ID: dead, Addr: "gone", Total: types.CPU(1)})
+	ctrl.MarkNodeDead(dead)
+	spec := types.TaskSpec{
+		ID: types.DeriveTaskID(types.NilTaskID, 92), Function: "double", Args: []types.Arg{core.Val(21)},
+		NumReturns: 1, Resources: types.CPU(1),
+	}
+	ctrl.AddTask(types.TaskState{Spec: spec, Status: types.TaskQueued, Node: dead, Owner: dead})
+	ctrl.EnsureObject(spec.ReturnID(0), spec.ID)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	raw, err := core.NewClient(n).Get(ctx, core.ObjectRef{ID: spec.ReturnID(0), Task: spec.ID})
+	if v, derr := codec.DecodeAs[int](raw); err != nil || derr != nil || v != 42 {
+		t.Fatalf("Get of a stranded producer's output = %d, %v, %v", v, err, derr)
+	}
+	if recon.calls.Load() == 0 {
+		t.Fatal("the value arrived without the stranded-producer check")
+	}
+	// ~200 ms is the documented detection time; the margin is for a loaded
+	// host, the bound is against the check never coming due.
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("replay took %v, want about 200 ms", took)
 	}
 }

@@ -113,7 +113,7 @@ func (l *Local) ReleaseGroup(group types.PlacementGroupID, removed bool) {
 	if released {
 		l.cfg.Ctrl.LogEvent(types.Event{Kind: "gang-release", Node: l.cfg.Node,
 			Detail: fmt.Sprintf("%v removed=%v members=%d", group, removed, len(members))})
-		l.kickDispatch()
+		l.dispatchReady()
 	}
 }
 

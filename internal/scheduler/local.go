@@ -152,9 +152,9 @@ type LocalConfig struct {
 	// §15): an eligible locally-born task — zero unresolved deps, small
 	// resources that fit right now, not an actor method, node not draining,
 	// inline chain under the depth cap — runs synchronously on the
-	// submitting goroutine, skipping queue, dispatch loop, and worker
-	// goroutine. Every queued-path invariant (borrows, ledger stamps, pins,
-	// resource accounting) is preserved; only the hops are removed.
+	// submitting goroutine, skipping the queue and the worker goroutine.
+	// Every queued-path invariant (borrows, ledger stamps, pins, resource
+	// accounting) is preserved; only the hops are removed.
 	InlineDispatch bool
 	// InlineFence, when set, disables inline dispatch while it returns true.
 	// The node wires it to the multi-tenant contention signal so a flooding
@@ -200,10 +200,12 @@ type waitingTask struct {
 // when their resource demand fits, and spill to the global scheduler when
 // the node is overloaded or the task is locally infeasible.
 type Local struct {
-	cfg  LocalConfig
-	res  *resourcePool
-	stop chan struct{}
-	kick chan struct{}
+	cfg LocalConfig
+	res *resourcePool
+	// stopCtx is the scheduler's lifetime: cancelled once, in Stop. Every
+	// dispatched task runs under it, and every background wait selects on it.
+	stopCtx    context.Context
+	stopCancel context.CancelFunc
 
 	mu       sync.Mutex
 	runnable []*queuedTask
@@ -217,6 +219,9 @@ type Local struct {
 	// (Detach forwarding routes releases into dead pools to the general
 	// pool, so the captured instance is always safe to release into.)
 	holding map[types.TaskID]*resourcePool
+	// started gates admission: tasks submitted before Start (the node wires
+	// Exec in between) queue, and Start dispatches them.
+	started bool
 	stopped bool
 
 	wg sync.WaitGroup
@@ -259,11 +264,10 @@ func NewLocal(cfg LocalConfig) *Local {
 	l := &Local{
 		cfg:     cfg,
 		res:     newResourcePool(cfg.Total),
-		stop:    make(chan struct{}),
-		kick:    make(chan struct{}, 1),
 		waiting: make(map[types.TaskID]*waitingTask),
 		holding: make(map[types.TaskID]*resourcePool),
 	}
+	l.stopCtx, l.stopCancel = context.WithCancel(context.Background())
 	l.obs = schedObs{
 		submitted:  cfg.Metrics.Counter("scheduler.tasks.submitted"),
 		spilled:    cfg.Metrics.Counter("scheduler.tasks.spilled"),
@@ -279,10 +283,16 @@ func NewLocal(cfg LocalConfig) *Local {
 	return l
 }
 
-// Start launches the dispatch loop.
+// Start opens admission and dispatches whatever was submitted before it.
+// There is no dispatcher goroutine: from here on, every event that can make
+// a task admissible — a submission, a dependency landing, a task or a
+// reservation returning resources — dispatches on the goroutine it happens
+// on (dispatchReady).
 func (l *Local) Start() {
-	l.wg.Add(1)
-	go l.dispatchLoop()
+	l.mu.Lock()
+	l.started = true
+	l.mu.Unlock()
+	l.dispatchReady()
 }
 
 // Stop halts dispatching and abandons queued work (node shutdown). Every
@@ -291,8 +301,10 @@ func (l *Local) Start() {
 // exactly where they would be had the tasks never been enqueued — without
 // this, queued tasks' dependencies stayed retained forever and the
 // cluster GC could never reclaim them. Tasks already dispatched are not
-// touched: runTask's deferred release settles those, and wg.Wait below
-// lets them finish doing so.
+// touched: their context is cancelled, runTask's deferred release settles
+// them, and wg.Wait below lets them finish doing so. A dispatch racing Stop
+// either admitted its task before the stopped flag went up — then wg already
+// counts it (admitOne) and Stop waits for it — or admits nothing.
 func (l *Local) Stop() {
 	l.mu.Lock()
 	if l.stopped {
@@ -311,7 +323,7 @@ func (l *Local) Stop() {
 		close(w.cancel) // stop its resolvers' polling and fetching
 	}
 	l.mu.Unlock()
-	close(l.stop)
+	l.stopCancel()
 	if l.cfg.Refs != nil && len(abandoned) > 0 {
 		for _, spec := range abandoned {
 			l.cfg.Refs.Release(spec.Deps()...)
@@ -359,7 +371,7 @@ func (l *Local) Available() types.Resources {
 // rollback or re-reservation.
 func (l *Local) ReleaseFor(spec types.TaskSpec) {
 	l.releaseHeld(spec)
-	l.kickDispatch()
+	l.dispatchReady()
 }
 
 // ReacquireFor blocks until the lent resources are regained. The wait is
@@ -375,15 +387,14 @@ func (l *Local) ReacquireFor(spec types.TaskSpec) {
 			timeout = reResolve
 		}
 		pool := l.poolFor(spec)
-		if pool.acquireBlocking(spec.Resources, l.stop, timeout) {
+		if pool.acquireBlocking(spec.Resources, l.stopCtx.Done(), timeout) {
 			l.bindHeld(spec.ID, pool)
 			return
 		}
-		select {
-		case <-l.stop:
+		if l.stopCtx.Err() != nil {
 			return
-		default: // pool detached or re-resolve tick: retry against the current pool
 		}
+		// pool detached or re-resolve tick: retry against the current pool
 	}
 }
 
@@ -513,7 +524,7 @@ func (l *Local) inlineEligible(spec types.TaskSpec, depth int) bool {
 	}
 	// Small tasks only: a demand over one unit of any resource is not the
 	// sub-millisecond shape this path exists for, and letting it cut the
-	// queue would invert the dispatch loop's admission order.
+	// queue would invert the queue's admission order.
 	for _, amt := range spec.Resources {
 		if amt > 1 {
 			return false
@@ -543,7 +554,7 @@ func (l *Local) runInline(spec types.TaskSpec, depth int) bool {
 	}
 	if !l.res.tryAcquire(spec.Resources) {
 		l.mu.Unlock()
-		return false // no headroom right now: the dispatch loop will admit it
+		return false // no headroom right now: the next release admits it from the queue
 	}
 	l.holding[spec.ID] = l.res
 	// Count the inline run in wg so Stop's wg.Wait covers it exactly like a
@@ -552,7 +563,7 @@ func (l *Local) runInline(spec types.TaskSpec, depth int) bool {
 	l.wg.Add(1)
 	l.mu.Unlock()
 	defer l.wg.Done()
-	defer l.kickDispatch()
+	defer l.dispatchReady()
 
 	// Borrow-before-stamp, exactly as enqueue: the flush puts this node's
 	// share in the control plane's count before any state the rest of the
@@ -588,7 +599,7 @@ func (l *Local) runInline(spec types.TaskSpec, depth int) bool {
 	l.inlined.Add(1)
 	l.obs.inlined.Inc()
 	l.obs.dispatchNs.Observe(time.Since(start).Nanoseconds())
-	// No cancel-watcher goroutine: Stop's wg.Wait already waits for this
+	// Not under the stop context: Stop's wg.Wait already waits for this
 	// frame, and the depth in the context lets child submissions trampoline.
 	ctx := types.WithInlineDepth(context.Background(), depth+1)
 	l.cfg.ExecInline(ctx, spec, args)
@@ -646,7 +657,7 @@ func (l *Local) releaseBridge(task types.TaskID, deps []types.ObjectID) {
 		select {
 		case <-sub.C():
 		case <-time.After(l.cfg.DepPollInterval):
-		case <-l.stop:
+		case <-l.stopCtx.Done():
 			// Node stopping mid-bridge: keep the borrow rather than expose
 			// a task still parked in the queue. Node.Shutdown's tracker
 			// ReleaseAll settles the count.
@@ -920,17 +931,19 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 	if len(missing) == 0 {
 		l.runnable = append(l.runnable, &queuedTask{spec: spec, enqueuedAt: time.Now()})
 		l.mu.Unlock()
-		l.kickDispatch()
+		l.dispatchReady()
 		return
 	}
 	w := &waitingTask{spec: spec, missing: missing, cancel: make(chan struct{})}
 	l.waiting[spec.ID] = w
+	// Counted under the lock that checked stopped, so Stop's wg.Wait cannot
+	// slip between the check and the resolvers' registration.
+	l.wg.Add(len(missingList))
 	l.mu.Unlock()
 	// Spawn resolvers from the snapshot slice, not the map: once the
 	// waiting entry is published, resolvers may delete from the map
 	// concurrently (depSatisfied holds the lock; this loop does not).
 	for _, dep := range missingList {
-		l.wg.Add(1)
 		go l.resolveDep(spec.ID, dep, w.cancel)
 	}
 }
@@ -986,7 +999,7 @@ func (l *Local) resolveDep(task types.TaskID, obj types.ObjectID, cancel <-chan 
 		case <-time.After(l.cfg.DepPollInterval):
 		case <-cancel:
 			return // task evicted from waiting (group release)
-		case <-l.stop:
+		case <-l.stopCtx.Done():
 			return
 		}
 	}
@@ -1021,31 +1034,17 @@ func (l *Local) depSatisfied(task types.TaskID, obj types.ObjectID) {
 	delete(l.waiting, task)
 	l.runnable = append(l.runnable, &queuedTask{spec: w.spec, enqueuedAt: time.Now()})
 	l.mu.Unlock()
-	l.kickDispatch()
+	l.dispatchReady()
 }
 
-func (l *Local) kickDispatch() {
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
-}
-
-// dispatchLoop admits runnable tasks whenever resources allow. Admission
-// scans past a head-of-line task whose demand does not currently fit, so a
-// large task cannot starve small ones (R4 heterogeneity).
-func (l *Local) dispatchLoop() {
-	defer l.wg.Done()
-	for {
-		l.dispatchReady()
-		select {
-		case <-l.kick:
-		case <-l.stop:
-			return
-		}
-	}
-}
-
+// dispatchReady admits runnable tasks while resources allow, on the
+// caller's goroutine: the submitter's, a dependency resolver's, a finishing
+// task's, a blocked task's lending its resources. Concurrent callers are
+// safe — admitOne pops one task at a time under l.mu, in queue order — and
+// no caller holds l.mu. Admission scans past a head-of-line task whose
+// demand does not currently fit, so a large task cannot starve small ones
+// (R4 heterogeneity). A task started from a goroutine about to block (a
+// driver entering Get) is next to run on that goroutine's processor.
 func (l *Local) dispatchReady() {
 	for {
 		task, strays, ok := l.admitOne()
@@ -1080,6 +1079,7 @@ func (l *Local) dispatchReady() {
 					l.cfg.Refs.Release(task.spec.Deps()...)
 				}
 				l.cfg.Ledger.Disown(task.spec.ID) // buried by FailTask: dead tenure
+				l.wg.Done()                       // admitOne's count: nothing will run
 				continue
 			}
 		}
@@ -1090,7 +1090,6 @@ func (l *Local) dispatchReady() {
 		l.dispatched.Add(1)
 		l.obs.dispatched.Inc()
 		l.obs.dispatchNs.Observe(time.Since(task.enqueuedAt).Nanoseconds())
-		l.wg.Add(1)
 		go l.runTask(task.spec)
 	}
 }
@@ -1098,10 +1097,16 @@ func (l *Local) dispatchReady() {
 // admitOne pops the first runnable task whose resources are available —
 // from its bundle's reservation pool for placement-group members, from the
 // general pool otherwise. Grouped tasks stranded without a reservation are
-// returned separately for respilling.
+// returned separately for respilling. Nothing is admitted before Start or
+// after Stop. An admitted task is counted in wg before the lock drops, so a
+// Stop racing the dispatch waits for the task instead of missing it; the
+// caller owes that count to runTask (or a wg.Done if it drops the task).
 func (l *Local) admitOne() (admitted *queuedTask, strays []types.TaskSpec, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if !l.started || l.stopped {
+		return nil, nil, false
+	}
 	kept := l.runnable[:0]
 	for _, t := range l.runnable {
 		if t.spec.InGroup() {
@@ -1121,6 +1126,7 @@ func (l *Local) admitOne() (admitted *queuedTask, strays []types.TaskSpec, ok bo
 		if pool.tryAcquire(t.spec.Resources) {
 			l.runnable = append(l.runnable[:i], l.runnable[i+1:]...)
 			l.holding[t.spec.ID] = pool
+			l.wg.Add(1)
 			return t, strays, true
 		}
 	}
@@ -1152,7 +1158,7 @@ func (l *Local) bindHeld(id types.TaskID, pool *resourcePool) {
 // back to waiting.
 func (l *Local) runTask(spec types.TaskSpec) {
 	defer l.wg.Done()
-	defer l.kickDispatch()
+	defer l.dispatchReady()
 	// Return the enqueue-time borrows last (LIFO): the evicted-args path
 	// below re-enqueues — and re-borrows — before this defer runs.
 	if l.cfg.Refs != nil {
@@ -1166,16 +1172,7 @@ func (l *Local) runTask(spec types.TaskSpec) {
 	}
 	defer l.releaseHeld(spec)
 	defer l.unpinArgs(spec)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		select {
-		case <-l.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	l.cfg.Exec(ctx, spec, args)
+	l.cfg.Exec(l.stopCtx, spec, args)
 }
 
 // gatherArgs pins and reads reference arguments from the local store.

@@ -29,7 +29,7 @@ func TestStopReturnsQueuedBorrows(t *testing.T) {
 	tracker.Start()
 	defer tracker.Stop()
 
-	// The dispatch loop is deliberately NOT started: submitted tasks park
+	// The scheduler is deliberately NOT started: submitted tasks park
 	// in runnable/waiting, which is exactly the state an abrupt Stop
 	// abandons.
 	l := NewLocal(LocalConfig{
