@@ -54,7 +54,7 @@ func TestControlPlaneFailover(t *testing.T) {
 	// Snapshot the control database, then crash everything: nodes die with
 	// their object stores, the control plane process is gone.
 	var snap bytes.Buffer
-	if err := c1.Ctrl.DB().Snapshot(&snap); err != nil {
+	if err := c1.Ctrl.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	c1.Shutdown()

@@ -159,21 +159,7 @@ func (s *Store) SubscribeJobs() Sub { return s.db.Subscribe(chanJobs) }
 // (terminal records to tombstone, object IDs to derive). The in-process
 // store always has a complete view.
 func (s *Store) JobTasks(job types.JobID) ([]types.TaskState, bool) {
-	var out []types.TaskState
-	for _, k := range s.db.Keys(keyTask) {
-		raw, ok := s.db.Get(k)
-		if !ok {
-			continue
-		}
-		st, err := codec.DecodeAs[types.TaskState](raw)
-		if err != nil {
-			continue
-		}
-		if st.Spec.Job == job {
-			out = append(out, st)
-		}
-	}
-	return out, true
+	return s.tasks.collect(func(st *types.TaskState) bool { return st.Spec.Job == job }), true
 }
 
 // ForceReleaseObjects implements API: the job-stop reclaim hammer. Each
@@ -194,54 +180,42 @@ func (s *Store) ForceReleaseObjects(ids []types.ObjectID) []types.ObjectID {
 // its copies have not drained yet.
 func (s *Store) forceReleaseObject(id types.ObjectID) {
 	gc := false
-	s.db.Update(keyObject+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false
+	s.objects.mutate(id, existing, func(info *types.ObjectInfo, _ bool) bool {
+		gc = len(info.Locations) > 0
+		if info.RefCount == 0 && len(info.Holders) == 0 && info.EverRetained {
+			return false // already released; just redo the side effects
 		}
-		info, err := codec.DecodeAs[types.ObjectInfo](cur)
-		if err != nil {
-			return nil, false
-		}
-		changed := info.RefCount != 0 || len(info.Holders) != 0 || !info.EverRetained
 		info.RefCount = 0
 		info.Holders = nil
 		info.EverRetained = true
-		gc = len(info.Locations) > 0
-		if !changed {
-			return nil, false // already released; just redo the side effects
-		}
-		return codec.MustEncode(info), true
+		return true
 	})
 	if gc {
-		s.db.Put(keyGCIdx+id.Hex(), nil)
-		s.db.Publish(chanObjGC, id[:])
-		s.logEvent(types.Event{Kind: "job-force-release", Object: id})
+		s.publishGC(id, "job-force-release", types.NodeID{})
 	}
 }
 
 // PurgeObjects implements API: tombstone drained object records. A record
 // still holding copies or references is skipped (returned for retry) — the
-// force release and the lifetime GC it triggers must drain it first. The
-// kv delete is WAL'd, so the tombstone survives shard restarts.
+// force release and the lifetime GC it triggers must drain it first. On a
+// durable shard the delete is WAL'd, so the tombstone survives restarts.
 func (s *Store) PurgeObjects(ids []types.ObjectID) []types.ObjectID {
 	var remaining []types.ObjectID
 	for _, id := range ids {
-		if raw, ok := s.db.Get(keyObject + id.Hex()); ok {
-			info, err := codec.DecodeAs[types.ObjectInfo](raw)
-			if err == nil && (info.RefCount != 0 || len(info.Locations) != 0) {
-				// Not drained yet: retry after GC catches up. Re-kick the GC
-				// publish — the original event is crash-droppable, and after
-				// the job commits Stopped nothing else refires it.
-				if info.RefCount == 0 && len(info.Locations) != 0 {
-					s.db.Put(keyGCIdx+id.Hex(), nil)
-					s.db.Publish(chanObjGC, id[:])
-				}
-				remaining = append(remaining, id)
-				continue
-			}
+		rekick := false
+		if s.objects.remove(id, func(info *types.ObjectInfo) bool {
+			// Not drained yet: retry after GC catches up, re-kicking the GC
+			// publish — the original event is crash-droppable, and after
+			// the job commits Stopped nothing else refires it.
+			rekick = info.RefCount == 0 && len(info.Locations) != 0
+			return info.RefCount == 0 && len(info.Locations) == 0
+		}) {
+			continue
 		}
-		s.db.Delete(keyObject + id.Hex())
-		s.db.Delete(keyGCIdx + id.Hex())
+		if rekick {
+			s.db.Publish(chanObjGC, id[:])
+		}
+		remaining = append(remaining, id)
 	}
 	return remaining
 }
@@ -251,22 +225,18 @@ func (s *Store) PurgeObjects(ids []types.ObjectID) []types.ObjectID {
 // pass buries them first and re-runs the purge. The in-process store
 // always has a complete view.
 func (s *Store) PurgeJobTasks(job types.JobID) (int, bool) {
+	purgeable := func(st *types.TaskState) bool { return st.Spec.Job == job && st.Status.Terminal() }
+	var ids []types.TaskID
+	s.tasks.scan(func(id types.TaskID, st *types.TaskState) {
+		if purgeable(st) {
+			ids = append(ids, id)
+		}
+	})
 	purged := 0
-	for _, k := range s.db.Keys(keyTask) {
-		raw, ok := s.db.Get(k)
-		if !ok {
-			continue
+	for _, id := range ids {
+		if s.tasks.remove(id, purgeable) {
+			purged++
 		}
-		st, err := codec.DecodeAs[types.TaskState](raw)
-		if err != nil {
-			continue
-		}
-		if st.Spec.Job != job || !st.Status.Terminal() {
-			continue
-		}
-		s.db.Delete(k)
-		s.db.Delete(keyPendIdx + st.Spec.ID.Hex())
-		purged++
 	}
 	if purged > 0 {
 		s.logEvent(types.Event{Kind: "job-purge-tasks", Detail: job.String()})

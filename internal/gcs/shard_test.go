@@ -372,6 +372,20 @@ func TestCASOpDuplicateReportsWon(t *testing.T) {
 	}
 }
 
+// setMark tears a marker index the way a crash between a record's WAL write
+// and its marker's does: it plants or drops id's marker behind the table's
+// back, leaving the record alone.
+func setMark[K ~[types.IDSize]byte, V any](t *table[K, V], id K, on bool) {
+	st := t.stripe(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if on {
+		st.marks[id] = struct{}{}
+	} else {
+		delete(st.marks, id)
+	}
+}
+
 // TestAddTaskDuplicateHealsPendingMarker: a retried AddTask whose first
 // commit lost its marker to a crash re-establishes it.
 func TestAddTaskDuplicateHealsPendingMarker(t *testing.T) {
@@ -380,7 +394,7 @@ func TestAddTaskDuplicateHealsPendingMarker(t *testing.T) {
 	state := types.TaskState{Spec: types.TaskSpec{ID: task}, Status: types.TaskPending}
 	s.AddTask(state)
 	// Simulate the crash window: record durable, marker lost.
-	s.DB().Delete(keyPendIdx + task.Hex())
+	setMark(s.tasks, task, false)
 	if got := s.StalePendingTasks(0); len(got) != 0 {
 		t.Fatal("setup: marker should be gone")
 	}
@@ -403,7 +417,7 @@ func TestRefOpDuplicateRepublishesGC(t *testing.T) {
 	s.ModifyObjectRefCountOp(obj, 1, 91)
 	s.ModifyObjectRefCountOp(obj, -1, 92)
 	// Simulate the crash window: delta committed, marker lost.
-	s.DB().Delete(keyGCIdx + obj.Hex())
+	setMark(s.objects, obj, false)
 	if got := s.GCEligibleObjects(); len(got) != 0 {
 		t.Fatal("setup: marker should be gone")
 	}
@@ -443,9 +457,9 @@ func TestRebuildIndexesReconciles(t *testing.T) {
 	s.ModifyObjectRefCount(garbage, -1)
 
 	// Tear the indexes both ways: drop a live marker, plant a stale one.
-	s.DB().Delete(keyPendIdx + pending.Hex())
-	s.DB().Put(keyPendIdx+claimed.Hex(), nil)
-	s.DB().Delete(keyGCIdx + garbage.Hex())
+	setMark(s.tasks, pending, false)
+	setMark(s.tasks, claimed, true)
+	setMark(s.objects, garbage, false)
 
 	s.RebuildIndexes()
 

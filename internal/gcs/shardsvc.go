@@ -273,7 +273,7 @@ func (s *ShardService) Stats() ShardStats {
 		Replayed:    s.replayed,
 	}
 	if s.alive {
-		st.Ops = s.store.DB().Ops()
+		st.Ops = s.store.Ops()
 	}
 	if fi, err := os.Stat(filepath.Join(s.cfg.DataDir, kv.WALName)); err == nil {
 		st.WALBytes = fi.Size()

@@ -1,6 +1,10 @@
 package gcs
 
 import (
+	"bytes"
+	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -10,8 +14,12 @@ import (
 	"repro/internal/types"
 )
 
-// Store is the kv-backed control plane. It is the only stateful component
-// in the system; everything else can crash and resubscribe.
+// Store is the control plane. It is the only stateful component in the
+// system; everything else can crash and resubscribe. The three tables every
+// task touches — tasks, objects, nodes — are decoded records in typed
+// tables (table.go); functions, jobs, placement groups, events and the clock
+// epoch live in the kv store, which is also the pub/sub bus and, on a
+// durable shard, the hot tables' journal.
 type Store struct {
 	db    kv.DB
 	epoch time.Time
@@ -20,10 +28,14 @@ type Store struct {
 	// telemetry holds published node metrics and data-plane spans —
 	// in-memory only, never WAL'd (see telemetry.go).
 	telemetry telemetry
+
+	tasks   *table[types.TaskID, types.TaskState]
+	objects *table[types.ObjectID, types.ObjectInfo]
+	nodes   *table[types.NodeID, types.NodeInfo]
 }
 
-// NewStore creates a control plane over a kv store with the given shard
-// count. Event logging starts enabled.
+// NewStore creates an in-memory control plane with the given stripe count.
+// Event logging starts enabled.
 func NewStore(shards int) *Store {
 	return RecoverStore(kv.New(shards))
 }
@@ -31,9 +43,15 @@ func NewStore(shards int) *Store {
 // RecoverStore wraps an existing kv database — a bare in-memory store, one
 // reconstituted from a snapshot plus write-ahead-log replay (kv.Restore,
 // kv.Replay, kv.RecoverDir), or a WAL-teeing kv.Logger — as a control
-// plane. This is the database-side half of the Section 3.2.1 fault-
-// tolerance story: the control state survives a control-plane crash, and
-// the stateless components simply reconnect and resubscribe.
+// plane, filling the typed tables with one scan of it. This is the
+// database-side half of the Section 3.2.1 fault-tolerance story: the
+// control state survives a control-plane crash, and the stateless
+// components simply reconnect and resubscribe.
+//
+// What db is decides durability, and nothing else does: over a kv.Logger
+// every committed hot record is also written through it, so WAL, snapshot
+// and checkpoint hold exactly what they always held; over a bare kv.Store
+// the hot tables encode nothing.
 //
 // The clock epoch is itself part of the durable state (keyMetaEpoch): the
 // first incarnation stamps it, and every recovery re-reads it, so NowNs
@@ -49,12 +67,56 @@ func RecoverStore(db kv.DB) *Store {
 		db.Put(keyMetaEpoch, codec.MustEncode(s.epoch.UnixNano()))
 	}
 	s.eventsOn.Store(true)
+	_, durable := db.(*kv.Logger)
+	n := db.NumShards()
+	s.tasks = newTable[types.TaskID](n, keyTask, keyPendIdx, taskPending, (*types.TaskState).Clone)
+	s.objects = newTable[types.ObjectID](n, keyObject, keyGCIdx, gcEligible, (*types.ObjectInfo).Clone)
+	s.nodes = newTable[types.NodeID](n, keyNode, "", nil, (*types.NodeInfo).Clone)
+	s.tasks.load(db, durable)
+	s.objects.load(db, durable)
+	s.nodes.load(db, durable)
 	return s
 }
 
-// DB exposes the underlying kv database for throughput benchmarks (E7) and
-// snapshotting.
-func (s *Store) DB() kv.DB { return s.db }
+// taskPending and gcEligible are the marker-index predicates: the tasks the
+// rescue sweep walks, and the objects whose refcount drained to zero after
+// having been retained while copies remain to collect.
+func taskPending(st *types.TaskState) bool { return st.Status == types.TaskPending }
+
+func gcEligible(o *types.ObjectInfo) bool {
+	return o.EverRetained && o.RefCount == 0 && len(o.Locations) > 0
+}
+
+// Snapshot writes the whole control state in the kv snapshot format, so
+// kv.Restore + RecoverStore reconstitute it. A durable store's journal
+// already holds every hot record; an in-memory store encodes its tables
+// beside a copy of the kv-resident ones.
+func (s *Store) Snapshot(w io.Writer) error {
+	if s.tasks.journal != nil {
+		return s.db.Snapshot(w)
+	}
+	all := kv.New(s.db.NumShards())
+	for _, k := range s.db.Keys("") {
+		if v, ok := s.db.Get(k); ok {
+			all.Put(k, v)
+		}
+	}
+	for _, k := range s.db.ListKeys("") {
+		for _, v := range s.db.List(k) {
+			all.Append(k, v)
+		}
+	}
+	s.tasks.dump(all.Put)
+	s.objects.dump(all.Put)
+	s.nodes.dump(all.Put)
+	return all.Snapshot(w)
+}
+
+// Ops returns the cumulative count of table and kv operations (monotonic;
+// the dashboard's kv_ops, E7).
+func (s *Store) Ops() int64 {
+	return s.db.Ops() + s.tasks.ops.Load() + s.objects.ops.Load() + s.nodes.ops.Load()
+}
 
 // SetEventLogging toggles the event log (used by the overhead bench, E13).
 func (s *Store) SetEventLogging(on bool) { s.eventsOn.Store(on) }
@@ -89,91 +151,38 @@ func (s *Store) ResetAfterRecovery() {
 // (recovery already walks the whole state, so the full scan is free in
 // complexity terms) and every later sweep can trust the markers.
 func (s *Store) RebuildIndexes() {
-	for _, k := range s.db.Keys(keyTask) {
-		raw, ok := s.db.Get(k)
-		if !ok {
-			continue
-		}
-		st, err := codec.DecodeAs[types.TaskState](raw)
-		if err != nil {
-			continue
-		}
-		marker := keyPendIdx + st.Spec.ID.Hex()
-		if st.Status == types.TaskPending {
-			s.db.Put(marker, nil)
-		} else if _, stale := s.db.Get(marker); stale {
-			s.db.Delete(marker)
-		}
-	}
-	for _, k := range s.db.Keys(keyObject) {
-		raw, ok := s.db.Get(k)
-		if !ok {
-			continue
-		}
-		info, err := codec.DecodeAs[types.ObjectInfo](raw)
-		if err != nil {
-			continue
-		}
-		marker := keyGCIdx + info.ID.Hex()
-		eligible := info.EverRetained && info.RefCount == 0 && len(info.Locations) > 0
-		if eligible {
-			s.db.Put(marker, nil)
-		} else if _, stale := s.db.Get(marker); stale {
-			s.db.Delete(marker)
-		}
-	}
+	s.tasks.reindex()
+	s.objects.reindex()
 }
 
 // --- task table ---
 
-// AddTask implements API: exactly-once insertion keyed by task ID.
+// AddTask implements API: exactly-once insertion keyed by task ID. A
+// duplicate — often a client retry after a crash suppressed the original
+// ack — changes nothing, but like every touch re-derives the PENDING
+// marker the crash may have cut off from its record.
 func (s *Store) AddTask(state types.TaskState) bool {
 	state.SubmittedNs = s.NowNs()
 	state.LastTransitionNs = state.SubmittedNs
-	ok := s.db.PutIfAbsent(keyTask+state.Spec.ID.Hex(), codec.MustEncode(state))
-	if ok {
-		if state.Status == types.TaskPending {
-			s.db.Put(keyPendIdx+state.Spec.ID.Hex(), nil)
+	added, _ := s.tasks.mutate(state.Spec.ID, upsert, func(st *types.TaskState, exists bool) bool {
+		if !exists {
+			*st = state.Clone()
 		}
+		return !exists
+	})
+	if added {
 		s.logEvent(types.Event{Kind: "submit", Task: state.Spec.ID, Node: state.Node})
-	} else {
-		// Duplicate insert — often a client retry after a crash suppressed
-		// the original ack. The record write and the marker write are
-		// separate WAL records, so a crash between them can leave a
-		// durable PENDING record with no marker; heal it here so the
-		// rescue sweep can see the task.
-		if raw, found := s.db.Get(keyTask + state.Spec.ID.Hex()); found {
-			if st, err := codec.DecodeAs[types.TaskState](raw); err == nil && st.Status == types.TaskPending {
-				s.db.Put(keyPendIdx+state.Spec.ID.Hex(), nil)
-			}
-		}
 	}
-	return ok
+	return added
 }
 
 // GetTask implements API.
-func (s *Store) GetTask(id types.TaskID) (types.TaskState, bool) {
-	raw, ok := s.db.Get(keyTask + id.Hex())
-	if !ok {
-		return types.TaskState{}, false
-	}
-	st, err := codec.DecodeAs[types.TaskState](raw)
-	if err != nil {
-		return types.TaskState{}, false
-	}
-	return st, true
-}
+func (s *Store) GetTask(id types.TaskID) (types.TaskState, bool) { return s.tasks.get(id) }
 
-// syncPendingIndex maintains the durable PENDING marker set on status
-// transitions (only when the PENDING-ness actually flips, so the common
-// QUEUED→SCHEDULED→RUNNING→FINISHED ladder costs nothing extra).
-func (s *Store) syncPendingIndex(id types.TaskID, wasPending bool, status types.TaskStatus) {
-	isPending := status == types.TaskPending
-	switch {
-	case isPending && !wasPending:
-		s.db.Put(keyPendIdx+id.Hex(), nil)
-	case !isPending && wasPending:
-		s.db.Delete(keyPendIdx + id.Hex())
+// publishStatus fires the task's status channel, if anyone listens.
+func (s *Store) publishStatus(id types.TaskID, status types.TaskStatus, watched bool) {
+	if watched {
+		s.db.Publish(key(chanTaskStatus, id), []byte{byte(status)})
 	}
 }
 
@@ -188,62 +197,8 @@ func (s *Store) CASTaskStatus(id types.TaskID, from []types.TaskStatus, to types
 // won, so the claimant proceeds (enqueues the task) instead of treating
 // its own earlier commit as a lost race.
 func (s *Store) CASTaskStatusOp(id types.TaskID, from []types.TaskStatus, to types.TaskStatus, op uint64) bool {
-	now := s.NowNs()
-	won := false
-	dupWin := false
-	wasPending := false
-	s.db.Update(keyTask+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false
-		}
-		st, err := codec.DecodeAs[types.TaskState](cur)
-		if err != nil {
-			return nil, false
-		}
-		if st.MutOps.Seen(op) {
-			dupWin = true // this exact CAS already applied
-			return nil, false
-		}
-		eligible := false
-		for _, f := range from {
-			if st.Status == f {
-				eligible = true
-				break
-			}
-		}
-		if !eligible {
-			return nil, false
-		}
-		st.MutOps.Record(op, refOpHistory)
-		wasPending = st.Status == types.TaskPending
-		st.Status = to
-		if to == types.TaskPending {
-			// Back into the unowned spill queue (spill-away, owner-death
-			// transfer, replay steal): no ledger holds authority until the
-			// next claim. Bumping OwnerSeq keeps the sequence monotonic
-			// across ownership tenures, so a previous owner's straggler
-			// delta can never apply past this fence.
-			st.Owner = types.NodeID{}
-			st.OwnerSeq++
-		}
-		st.LastTransitionNs = now
-		switch to {
-		case types.TaskScheduled:
-			st.ScheduledNs = now
-		case types.TaskRunning:
-			st.StartedNs = now
-		case types.TaskFinished, types.TaskFailed:
-			st.FinishedNs = now
-		}
-		won = true
-		return codec.MustEncode(st), true
-	})
-	if won {
-		s.syncPendingIndex(id, wasPending, to)
-		s.db.Publish(chanTaskStatus+id.Hex(), []byte{byte(to)})
-		s.logEvent(types.Event{Kind: "cas:" + to.String(), Task: id})
-	}
-	return won || dupWin
+	_, won := s.transition(id, from, to, nil, op)
+	return won
 }
 
 // ClaimTask implements API: the ownership-transfer CAS. A successful
@@ -258,40 +213,38 @@ func (s *Store) ClaimTask(id types.TaskID, from []types.TaskStatus, to types.Tas
 // claim retried across a shard crash is recognized by its token and
 // reported won with the sequence its original commit stamped.
 func (s *Store) ClaimTaskOp(id types.TaskID, from []types.TaskStatus, to types.TaskStatus, owner types.NodeID, op uint64) (uint64, bool) {
+	return s.transition(id, from, to, &owner, op)
+}
+
+// transition is the tokened status CAS behind CASTaskStatusOp (owner nil)
+// and ClaimTaskOp. It reports the record's OwnerSeq after the commit — or,
+// for a redelivered token, the one the original commit stamped.
+func (s *Store) transition(id types.TaskID, from []types.TaskStatus, to types.TaskStatus, owner *types.NodeID, op uint64) (seq uint64, ok bool) {
 	now := s.NowNs()
-	won := false
-	dupWin := false
-	wasPending := false
-	var seq uint64
-	s.db.Update(keyTask+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false
-		}
-		st, err := codec.DecodeAs[types.TaskState](cur)
-		if err != nil {
-			return nil, false
-		}
+	dup := false
+	won, watched := s.tasks.mutate(id, existing, func(st *types.TaskState, _ bool) bool {
 		if st.MutOps.Seen(op) {
-			dupWin = true
-			seq = st.OwnerSeq // the sequence the original commit stamped
-			return nil, false
+			dup, seq = true, st.OwnerSeq // this exact CAS already applied
+			return false
 		}
-		eligible := false
-		for _, f := range from {
-			if st.Status == f {
-				eligible = true
-				break
-			}
-		}
-		if !eligible {
-			return nil, false
+		if !slices.Contains(from, st.Status) {
+			return false
 		}
 		st.MutOps.Record(op, refOpHistory)
-		wasPending = st.Status == types.TaskPending
 		st.Status = to
-		st.Owner = owner
-		st.Node = owner
-		st.OwnerSeq++
+		switch {
+		case owner != nil:
+			st.Owner, st.Node = *owner, *owner
+			st.OwnerSeq++
+		case to == types.TaskPending:
+			// Back into the unowned spill queue (spill-away, owner-death
+			// transfer, replay steal): no ledger holds authority until the
+			// next claim. Bumping OwnerSeq keeps the sequence monotonic
+			// across ownership tenures, so a previous owner's straggler
+			// delta can never apply past this fence.
+			st.Owner = types.NodeID{}
+			st.OwnerSeq++
+		}
 		seq = st.OwnerSeq
 		st.LastTransitionNs = now
 		switch to {
@@ -302,15 +255,17 @@ func (s *Store) ClaimTaskOp(id types.TaskID, from []types.TaskStatus, to types.T
 		case types.TaskFinished, types.TaskFailed:
 			st.FinishedNs = now
 		}
-		won = true
-		return codec.MustEncode(st), true
+		return true
 	})
 	if won {
-		s.syncPendingIndex(id, wasPending, to)
-		s.db.Publish(chanTaskStatus+id.Hex(), []byte{byte(to)})
-		s.logEvent(types.Event{Kind: "claim:" + to.String(), Task: id, Node: owner})
+		s.publishStatus(id, to, watched)
+		if owner != nil {
+			s.logKind("claim:", to, types.Event{Task: id, Node: *owner})
+		} else {
+			s.logKind("cas:", to, types.Event{Task: id})
+		}
 	}
-	return seq, won || dupWin
+	return seq, won || dup
 }
 
 // ModifyTaskStates implements API: one owner's task-ledger flush. Each
@@ -319,48 +274,38 @@ func (s *Store) ClaimTaskOp(id types.TaskID, from []types.TaskStatus, to types.T
 // (rather than fail) deltas whose authority has moved on. The in-process
 // store is always fully reachable, so this never reports failures.
 func (s *Store) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
-	for _, d := range deltas {
-		s.applyTaskDelta(d, op)
+	for i := range deltas {
+		s.applyTaskDelta(&deltas[i], op)
 	}
 	return nil
 }
 
 // applyTaskDelta applies one ledger delta to the follower record. Mirrors
-// applyLedgerDelta's crash discipline: a redelivered token skips the state
-// write but redoes the crash-droppable side effects (pending-index heal and
-// the status publish), since the original commit may have died before them.
-func (s *Store) applyTaskDelta(d types.TaskStateDelta, op uint64) {
-	applied := false
+// applyRefDelta's crash discipline: a redelivered token skips the state
+// write but redoes the crash-droppable side effects (the marker, which any
+// touch re-derives, and the status publish), since the original commit may
+// have died before them.
+func (s *Store) applyTaskDelta(d *types.TaskStateDelta, op uint64) {
 	dup := false
-	wasPending := false
 	status := d.Status
-	s.db.Update(keyTask+d.ID.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false // no AddTask record: nothing to follow
-		}
-		st, err := codec.DecodeAs[types.TaskState](cur)
-		if err != nil {
-			return nil, false
-		}
+	applied, watched := s.tasks.mutate(d.ID, existing, func(st *types.TaskState, _ bool) bool {
 		if st.MutOps.Seen(op) {
-			dup = true
-			status = st.Status
-			return nil, false
+			dup, status = true, st.Status
+			return false
 		}
 		if st.Owner != d.Owner || d.Seq <= st.OwnerSeq {
 			// Authority moved on (spill-away, owner-death transfer, a newer
 			// claim) or this is an out-of-order straggler: the delta is
 			// consumed, never failed — the sender's ledger no longer speaks
 			// for this record.
-			return nil, false
+			return false
 		}
 		if st.Status.Terminal() && d.Status != st.Status {
 			// A terminal bury (FailTask) wins over a late owner flush:
 			// terminal states are left only through a CAS or a claim.
-			return nil, false
+			return false
 		}
 		st.MutOps.Record(op, refOpHistory)
-		wasPending = st.Status == types.TaskPending
 		st.Status = d.Status
 		st.OwnerSeq = d.Seq
 		if !d.Node.IsNil() {
@@ -372,9 +317,7 @@ func (s *Store) applyTaskDelta(d types.TaskStateDelta, op uint64) {
 		if d.Error != "" {
 			st.Error = d.Error
 		}
-		if d.Retries > st.Retries {
-			st.Retries = d.Retries
-		}
+		st.Retries = max(st.Retries, d.Retries)
 		// The owner stamps transition times on its cluster clock; take them
 		// as given so profiling timelines reflect when transitions actually
 		// happened, not when the flush landed.
@@ -390,22 +333,13 @@ func (s *Store) applyTaskDelta(d types.TaskStateDelta, op uint64) {
 		if d.LastTransitionNs > 0 {
 			st.LastTransitionNs = d.LastTransitionNs
 		}
-		applied = true
-		return codec.MustEncode(st), true
+		return true
 	})
+	if applied || dup {
+		s.publishStatus(d.ID, status, watched)
+	}
 	if applied {
-		s.syncPendingIndex(d.ID, wasPending, d.Status)
-		s.db.Publish(chanTaskStatus+d.ID.Hex(), []byte{byte(d.Status)})
-		s.logEvent(types.Event{Kind: "status:" + d.Status.String(), Task: d.ID, Node: d.Node, Worker: d.Worker, Detail: d.Error})
-	} else if dup {
-		// Redelivery after a crash between commit and side effects: heal the
-		// index and refire the (ephemeral) status publish.
-		if raw, ok := s.db.Get(keyTask + d.ID.Hex()); ok {
-			if st, err := codec.DecodeAs[types.TaskState](raw); err == nil {
-				s.syncPendingIndex(d.ID, st.Status != types.TaskPending, st.Status)
-			}
-		}
-		s.db.Publish(chanTaskStatus+d.ID.Hex(), []byte{byte(status)})
+		s.logKind("status:", d.Status, types.Event{Task: d.ID, Node: d.Node, Worker: d.Worker, Detail: d.Error})
 	}
 }
 
@@ -413,41 +347,21 @@ func (s *Store) applyTaskDelta(d types.TaskStateDelta, op uint64) {
 // truth. Scans the follower table for non-terminal records whose ledger
 // authority is `owner`; the in-process store always has a complete view.
 func (s *Store) LiveTasksOwnedBy(owner types.NodeID) ([]types.TaskState, bool) {
-	var out []types.TaskState
-	for _, k := range s.db.Keys(keyTask) {
-		raw, ok := s.db.Get(k)
-		if !ok {
-			continue
-		}
-		st, err := codec.DecodeAs[types.TaskState](raw)
-		if err != nil {
-			continue
-		}
-		if st.Owner == owner && !st.Status.Terminal() {
-			out = append(out, st)
-		}
-	}
-	return out, true
+	return s.tasks.collect(func(st *types.TaskState) bool {
+		return st.Owner == owner && !st.Status.Terminal()
+	}), true
 }
 
 // Tasks implements API (inspection scan, R7).
 func (s *Store) Tasks() []types.TaskState {
-	keys := s.db.Keys(keyTask)
-	out := make([]types.TaskState, 0, len(keys))
-	for _, k := range keys {
-		if raw, ok := s.db.Get(k); ok {
-			if st, err := codec.DecodeAs[types.TaskState](raw); err == nil {
-				out = append(out, st)
-			}
-		}
-	}
+	out := s.tasks.collect(nil)
 	sort.Slice(out, func(i, j int) bool { return out[i].SubmittedNs < out[j].SubmittedNs })
 	return out
 }
 
 // SubscribeTaskStatus implements API.
 func (s *Store) SubscribeTaskStatus(id types.TaskID) Sub {
-	return s.db.Subscribe(chanTaskStatus + id.Hex())
+	return s.tasks.subscribe(s.db, chanTaskStatus, id)
 }
 
 // StalePendingTasks implements API: the server-side filter behind the
@@ -455,31 +369,16 @@ func (s *Store) SubscribeTaskStatus(id types.TaskID) Sub {
 // index — O(currently-pending), not O(task history) — and measures
 // staleness from the latest recorded transition on this store's own
 // clock, so the sweep never pays for (or trips over) cross-client clock
-// skew, and only the handful of stale specs crosses the wire. Markers
-// whose task is no longer PENDING (possible only if a crash split the
-// record write from the marker write) are healed lazily.
+// skew, and only the handful of stale specs crosses the wire.
 func (s *Store) StalePendingTasks(olderThanNs int64) []types.TaskSpec {
 	now := s.NowNs()
 	var out []types.TaskSpec
-	for _, k := range s.db.Keys(keyPendIdx) {
-		hex := k[len(keyPendIdx):]
-		raw, ok := s.db.Get(keyTask + hex)
-		if !ok {
-			s.db.Delete(k)
-			continue
+	for _, id := range s.tasks.markedIDs() {
+		st, ok := s.tasks.get(id)
+		if !ok || st.Status != types.TaskPending {
+			continue // claimed since the index was read
 		}
-		st, err := codec.DecodeAs[types.TaskState](raw)
-		if err != nil {
-			continue
-		}
-		if st.Status != types.TaskPending {
-			s.db.Delete(k) // stale marker: heal the index
-			continue
-		}
-		last := st.SubmittedNs
-		if st.LastTransitionNs > last {
-			last = st.LastTransitionNs
-		}
+		last := max(st.SubmittedNs, st.LastTransitionNs)
 		if last == 0 || now-last < olderThanNs {
 			continue
 		}
@@ -496,17 +395,16 @@ func (s *Store) StalePendingTasks(olderThanNs int64) []types.TaskSpec {
 // arrives — so a late ensure heals a missing Producer instead of being a
 // pure put-if-absent, keeping the object reconstructable.
 func (s *Store) EnsureObject(id types.ObjectID, producer types.TaskID) {
-	s.db.Update(keyObject+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
+	s.objects.mutate(id, upsert, func(info *types.ObjectInfo, exists bool) bool {
 		if !exists {
-			info := types.ObjectInfo{ID: id, Producer: producer, State: types.ObjectPending}
-			return codec.MustEncode(info), true
+			*info = types.ObjectInfo{ID: id, Producer: producer, State: types.ObjectPending}
+			return true
 		}
-		info, err := codec.DecodeAs[types.ObjectInfo](cur)
-		if err != nil || !info.Producer.IsNil() || producer.IsNil() {
-			return nil, false
+		if !info.Producer.IsNil() || producer.IsNil() {
+			return false
 		}
 		info.Producer = producer
-		return codec.MustEncode(info), true
+		return true
 	})
 }
 
@@ -520,84 +418,63 @@ func (s *Store) EnsureObjects(producers map[types.ObjectID]types.TaskID) []types
 	return nil
 }
 
+// publishGC announces that id's refcount drained to zero. The payload is
+// all a subscriber gets, and the event is crash-droppable: the gcidx marker
+// the same commit derived is what a recovered shard replays from.
+func (s *Store) publishGC(id types.ObjectID, kind string, node types.NodeID) {
+	s.db.Publish(chanObjGC, id[:])
+	s.logEvent(types.Event{Kind: kind, Object: id, Node: node})
+}
+
 // AddObjectLocation implements API. The first location moves the object to
 // Ready and fires its ready channel, which is what unblocks dataflow
 // dispatch in every local scheduler waiting on it.
 func (s *Store) AddObjectLocation(id types.ObjectID, node types.NodeID, size int64) {
 	garbage := false
-	s.db.Update(keyObject+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		var info types.ObjectInfo
-		if exists {
-			var err error
-			info, err = codec.DecodeAs[types.ObjectInfo](cur)
-			if err != nil {
-				return nil, false
-			}
-		} else {
-			info = types.ObjectInfo{ID: id}
-		}
+	_, watched := s.objects.mutate(id, upsert, func(info *types.ObjectInfo, _ bool) bool {
+		info.ID = id
 		if !info.HasLocation(node) {
 			info.Locations = append(info.Locations, node)
 		}
 		info.Size = size
 		info.State = types.ObjectReady
 		garbage = info.EverRetained && info.RefCount == 0
-		return codec.MustEncode(info), true
+		return true
 	})
-	s.db.Publish(chanObjReady+id.Hex(), id[:])
+	if watched {
+		s.db.Publish(key(chanObjReady, id), id[:])
+	}
 	if garbage {
 		// The object's references came and went before its bytes arrived —
 		// possible since batched ledger flushes can deliver a retain+release
 		// "touch" while the producer is still running. Nobody else will ever
 		// publish this object on the GC channel, so the produce does, or the
 		// copy would be stranded forever.
-		s.db.Put(keyGCIdx+id.Hex(), nil)
 		s.db.Publish(chanObjGC, id[:])
 	}
 	s.logEvent(types.Event{Kind: "object-ready", Object: id, Node: node})
 }
 
+// dropNode removes node from ids in place.
+func dropNode(ids []types.NodeID, node types.NodeID) []types.NodeID {
+	return slices.DeleteFunc(ids, func(n types.NodeID) bool { return n == node })
+}
+
 // RemoveObjectLocation implements API. Dropping the last live copy of a
 // ready object marks it Lost — the trigger for lineage reconstruction (R6).
+// Once every copy is gone and nobody holds a reference, collection is
+// complete and the GC-eligible marker retires with the last location.
 func (s *Store) RemoveObjectLocation(id types.ObjectID, node types.NodeID) {
 	lost := false
-	drained := false
-	s.db.Update(keyObject+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false
-		}
-		info, err := codec.DecodeAs[types.ObjectInfo](cur)
-		if err != nil {
-			return nil, false
-		}
-		locs := info.Locations[:0]
-		for _, n := range info.Locations {
-			if n != node {
-				locs = append(locs, n)
-			}
-		}
-		info.Locations = locs
-		if info.IsSpilledOn(node) {
-			disk := info.SpilledOn[:0]
-			for _, n := range info.SpilledOn {
-				if n != node {
-					disk = append(disk, n)
-				}
-			}
-			info.SpilledOn = disk
-		}
-		if len(locs) == 0 && info.State == types.ObjectReady {
+	s.objects.mutate(id, existing, func(info *types.ObjectInfo, _ bool) bool {
+		info.Locations = dropNode(info.Locations, node)
+		info.SpilledOn = dropNode(info.SpilledOn, node)
+		if len(info.Locations) == 0 && info.State == types.ObjectReady {
 			info.State = types.ObjectLost
 			lost = true
 		}
-		drained = len(locs) == 0 && info.RefCount == 0 && info.EverRetained
-		return codec.MustEncode(info), true
+		return true
 	})
-	if drained {
-		// Every copy is gone and nobody holds a reference: collection is
-		// complete, so the GC-eligible marker (and its replay) retires.
-		s.db.Delete(keyGCIdx + id.Hex())
-	}
 	if lost {
 		s.logEvent(types.Event{Kind: "object-lost", Object: id, Node: node})
 	}
@@ -626,54 +503,7 @@ const refOpHistory = 64
 // count without re-applying the delta. op 0 disables dedup (in-process
 // and non-retrying callers).
 func (s *Store) ModifyObjectRefCountOp(id types.ObjectID, delta int64, op uint64) int64 {
-	var after int64
-	gc := false
-	wasEligible := false
-	s.db.Update(keyObject+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		var info types.ObjectInfo
-		if exists {
-			var err error
-			info, err = codec.DecodeAs[types.ObjectInfo](cur)
-			if err != nil {
-				return nil, false
-			}
-		} else {
-			info = types.ObjectInfo{ID: id}
-		}
-		if info.RefOps.Seen(op) {
-			after = info.RefCount // duplicate delivery: no re-apply
-			// The original commit may have died before its marker
-			// write and GC publish; redo those side effects if the
-			// record is still eligible AND undrained (a drained
-			// object's marker already retired for good — don't
-			// resurrect it).
-			gc = info.EverRetained && info.RefCount == 0 && len(info.Locations) > 0
-			return nil, false
-		}
-		info.RefOps.Record(op, refOpHistory)
-		before := info.RefCount
-		wasEligible = info.EverRetained && before == 0
-		info.RefCount += delta
-		if info.RefCount < 0 {
-			info.RefCount = 0
-		}
-		if info.RefCount > 0 {
-			info.EverRetained = true
-		}
-		after = info.RefCount
-		gc = before > 0 && after == 0
-		return codec.MustEncode(info), true
-	})
-	// Maintain the durable GC-eligible index on transitions only (the
-	// common increment/decrement traffic above zero touches no marker).
-	if gc {
-		s.db.Put(keyGCIdx+id.Hex(), nil)
-		s.db.Publish(chanObjGC, id[:])
-		s.logEvent(types.Event{Kind: "object-gc-eligible", Object: id})
-	} else if wasEligible && after > 0 {
-		s.db.Delete(keyGCIdx + id.Hex()) // re-retained from zero
-	}
-	return after
+	return s.applyRefDelta(types.NodeID{}, id, delta, false, op)
 }
 
 // ModifyObjectRefCounts implements API: one node's ledger flush, applied
@@ -688,75 +518,51 @@ func (s *Store) ModifyObjectRefCountOp(id types.ObjectID, delta int64, op uint64
 // in-process store cannot fail partially, so the failed set is always nil.
 func (s *Store) ModifyObjectRefCounts(node types.NodeID, deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
 	for id, delta := range deltas {
-		s.applyLedgerDelta(node, id, delta, op)
+		s.applyRefDelta(node, id, delta, delta == 0, op)
 	}
 	return nil
 }
 
-// applyLedgerDelta is one object's share of a ledger flush: the tokened,
-// holder-attributed generalization of ModifyObjectRefCountOp.
-func (s *Store) applyLedgerDelta(node types.NodeID, id types.ObjectID, delta int64, op uint64) {
+// applyRefDelta is the one tokened refcount mutation: a single-ID delta
+// (nil holder, no touch) or one object's share of a ledger flush,
+// attributed to the flushing node. It returns the count afterwards.
+func (s *Store) applyRefDelta(holder types.NodeID, id types.ObjectID, delta int64, touch bool, op uint64) (after int64) {
 	gc := false
-	wasEligible := false
-	after := int64(0)
-	s.db.Update(keyObject+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		var info types.ObjectInfo
-		if exists {
-			var err error
-			info, err = codec.DecodeAs[types.ObjectInfo](cur)
-			if err != nil {
-				return nil, false
-			}
-		} else {
-			info = types.ObjectInfo{ID: id}
-		}
+	s.objects.mutate(id, upsert, func(info *types.ObjectInfo, _ bool) bool {
+		after = info.RefCount
 		if info.RefOps.Seen(op) {
-			// Duplicate delivery of this batch for this object: the
-			// count already moved. Redo only the crash-droppable side
-			// effects (marker + GC publish), as the single-ID path does.
-			gc = info.EverRetained && info.RefCount == 0 && len(info.Locations) > 0
-			after = info.RefCount
-			return nil, false
+			// Duplicate delivery: the count already moved. The original
+			// commit may have died before its marker write and GC publish;
+			// the touch re-derives the marker, and the publish is redone if
+			// the record is still eligible AND undrained.
+			gc = gcEligible(info)
+			return false
 		}
+		info.ID = id
 		info.RefOps.Record(op, refOpHistory)
-		before := info.RefCount
-		wasEligible = info.EverRetained && before == 0
-		info.RefCount += delta
-		if info.RefCount < 0 {
-			info.RefCount = 0
-		}
-		if delta >= 0 {
-			// A positive delta means live references exist; a zero delta is a
-			// touch. Either way the object has now been retained at least once.
+		wasZero := info.EverRetained && info.RefCount == 0
+		info.RefCount = max(info.RefCount+delta, 0)
+		if info.RefCount > 0 || touch {
 			info.EverRetained = true
 		}
-		if !node.IsNil() && delta != 0 {
-			h := int64(0)
-			if info.Holders != nil {
-				h = info.Holders[node]
-			}
-			h += delta
-			switch {
-			case h > 0:
+		if !holder.IsNil() && delta != 0 {
+			if h := info.Holders[holder] + delta; h > 0 {
 				if info.Holders == nil {
 					info.Holders = make(map[types.NodeID]int64, 1)
 				}
-				info.Holders[node] = h
-			case info.Holders != nil:
-				delete(info.Holders, node)
+				info.Holders[holder] = h
+			} else if delete(info.Holders, holder); len(info.Holders) == 0 {
+				info.Holders = nil
 			}
 		}
 		after = info.RefCount
-		gc = !wasEligible && info.EverRetained && after == 0
-		return codec.MustEncode(info), true
+		gc = !wasZero && info.EverRetained && after == 0
+		return true
 	})
 	if gc {
-		s.db.Put(keyGCIdx+id.Hex(), nil)
-		s.db.Publish(chanObjGC, id[:])
-		s.logEvent(types.Event{Kind: "object-gc-eligible", Object: id})
-	} else if wasEligible && after > 0 {
-		s.db.Delete(keyGCIdx + id.Hex()) // re-retained from zero
+		s.publishGC(id, "object-gc-eligible", types.NodeID{})
 	}
+	return after
 }
 
 // SweepDeadNodeRefs implements API: drop every refcount share attributed
@@ -771,43 +577,33 @@ func (s *Store) SweepDeadNodeRefs(node types.NodeID) int {
 	if node.IsNil() {
 		return 0
 	}
-	swept := 0
-	for _, k := range s.db.Keys(keyObject) {
-		id, err := types.ParseObjectID(k[len(keyObject):])
-		if err != nil {
-			continue
+	var held []types.ObjectID
+	s.objects.scan(func(id types.ObjectID, info *types.ObjectInfo) {
+		if info.Holders[node] > 0 {
+			held = append(held, id)
 		}
+	})
+	swept := 0
+	for _, id := range held {
 		gc := false
-		adjusted := false
-		s.db.Update(k, func(cur []byte, exists bool) ([]byte, bool) {
-			if !exists {
-				return nil, false
+		adjusted, _ := s.objects.mutate(id, existing, func(info *types.ObjectInfo, _ bool) bool {
+			share := info.Holders[node]
+			if share <= 0 {
+				return false
 			}
-			info, err := codec.DecodeAs[types.ObjectInfo](cur)
-			if err != nil {
-				return nil, false
+			if delete(info.Holders, node); len(info.Holders) == 0 {
+				info.Holders = nil
 			}
-			held := info.Holders[node]
-			if held <= 0 {
-				return nil, false
-			}
-			delete(info.Holders, node)
 			before := info.RefCount
-			info.RefCount -= held
-			if info.RefCount < 0 {
-				info.RefCount = 0
-			}
-			adjusted = true
+			info.RefCount = max(before-share, 0)
 			gc = before > 0 && info.RefCount == 0
-			return codec.MustEncode(info), true
+			return true
 		})
 		if adjusted {
 			swept++
 		}
 		if gc {
-			s.db.Put(keyGCIdx+id.Hex(), nil)
-			s.db.Publish(chanObjGC, id[:])
-			s.logEvent(types.Event{Kind: "owner-death-sweep", Object: id, Node: node})
+			s.publishGC(id, "owner-death-sweep", node)
 		}
 	}
 	return swept
@@ -819,33 +615,18 @@ func (s *Store) SweepDeadNodeRefs(node types.NodeID) int {
 // it describes was already removed — dropping it here keeps a raced delete
 // from resurrecting a phantom disk copy.
 func (s *Store) MarkObjectSpilled(id types.ObjectID, node types.NodeID, spilled bool) {
-	s.db.Update(keyObject+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false
-		}
-		info, err := codec.DecodeAs[types.ObjectInfo](cur)
-		if err != nil {
-			return nil, false
-		}
-		if spilled && !info.HasLocation(node) {
-			return nil, false // location already removed; stale async mark
-		}
-		onDisk := info.IsSpilledOn(node)
-		switch {
-		case spilled && !onDisk:
+	s.objects.mutate(id, existing, func(info *types.ObjectInfo, _ bool) bool {
+		switch onDisk := info.IsSpilledOn(node); {
+		case spilled == onDisk:
+			return false // no change; skip the write
+		case !spilled:
+			info.SpilledOn = dropNode(info.SpilledOn, node)
+		case info.HasLocation(node):
 			info.SpilledOn = append(info.SpilledOn, node)
-		case !spilled && onDisk:
-			kept := info.SpilledOn[:0]
-			for _, n := range info.SpilledOn {
-				if n != node {
-					kept = append(kept, n)
-				}
-			}
-			info.SpilledOn = kept
 		default:
-			return nil, false // no change; skip the write
+			return false // location already removed; stale async mark
 		}
-		return codec.MustEncode(info), true
+		return true
 	})
 }
 
@@ -861,60 +642,21 @@ func (s *Store) SubscribeObjectGC() Sub { return s.db.Subscribe(chanObjGC) }
 // forever. The walk is over the durable marker index (retired when the
 // last copy drains), so replay cost tracks outstanding garbage, not the
 // cluster's full object history; reclaim is idempotent, so the inherent
-// duplicates are harmless. Markers out of sync with their record (a crash
-// between the two writes) are healed lazily.
-func (s *Store) GCEligibleObjects() []types.ObjectID {
-	var out []types.ObjectID
-	for _, k := range s.db.Keys(keyGCIdx) {
-		hex := k[len(keyGCIdx):]
-		id, err := types.ParseObjectID(hex)
-		if err != nil {
-			s.db.Delete(k)
-			continue
-		}
-		info, ok := s.GetObject(id)
-		if !ok || !info.EverRetained || info.RefCount > 0 || len(info.Locations) == 0 {
-			s.db.Delete(k) // stale or drained marker: heal the index
-			continue
-		}
-		out = append(out, id)
-	}
-	return out
-}
+// duplicates are harmless.
+func (s *Store) GCEligibleObjects() []types.ObjectID { return s.objects.markedIDs() }
 
 // Ping implements Pinger: the in-process store is always reachable.
 func (s *Store) Ping() bool { return true }
 
 // GetObject implements API.
-func (s *Store) GetObject(id types.ObjectID) (types.ObjectInfo, bool) {
-	raw, ok := s.db.Get(keyObject + id.Hex())
-	if !ok {
-		return types.ObjectInfo{}, false
-	}
-	info, err := codec.DecodeAs[types.ObjectInfo](raw)
-	if err != nil {
-		return types.ObjectInfo{}, false
-	}
-	return info, true
-}
+func (s *Store) GetObject(id types.ObjectID) (types.ObjectInfo, bool) { return s.objects.get(id) }
 
 // Objects implements API (inspection scan, R7).
-func (s *Store) Objects() []types.ObjectInfo {
-	keys := s.db.Keys(keyObject)
-	out := make([]types.ObjectInfo, 0, len(keys))
-	for _, k := range keys {
-		if raw, ok := s.db.Get(k); ok {
-			if info, err := codec.DecodeAs[types.ObjectInfo](raw); err == nil {
-				out = append(out, info)
-			}
-		}
-	}
-	return out
-}
+func (s *Store) Objects() []types.ObjectInfo { return s.objects.collect(nil) }
 
 // SubscribeObjectReady implements API.
 func (s *Store) SubscribeObjectReady(id types.ObjectID) Sub {
-	return s.db.Subscribe(chanObjReady + id.Hex())
+	return s.objects.subscribe(s.db, chanObjReady, id)
 }
 
 // --- spillover ---
@@ -930,69 +672,52 @@ func (s *Store) SubscribeSpill() Sub { return s.db.Subscribe(chanSpill) }
 
 // --- node table ---
 
+// publishNode announces a node record on the membership channel. next is
+// a copy private to the caller, never the table's own record.
+func (s *Store) publishNode(next *types.NodeInfo, kind string) {
+	s.db.Publish(chanNodes, codec.MustEncode(next))
+	s.logEvent(types.Event{Kind: kind, Node: next.ID})
+}
+
 // RegisterNode implements API.
 func (s *Store) RegisterNode(info types.NodeInfo) {
 	info.Alive = true
 	info.LastSeen = s.NowNs()
-	s.db.Put(keyNode+info.ID.Hex(), codec.MustEncode(info))
-	s.db.Publish(chanNodes, codec.MustEncode(info))
-	s.logEvent(types.Event{Kind: "node-join", Node: info.ID})
-}
-
-// unloggedUpdater is optionally implemented by the kv layer (kv.Logger)
-// to apply an update without writing it to the WAL. Heartbeats use it:
-// liveness stamps are the highest-churn mutation in the system and purely
-// ephemeral — a recovered shard repopulates them from the next heartbeat
-// within one interval — so logging them would grow the WAL without bound
-// for zero recovery value.
-type unloggedUpdater interface {
-	UpdateUnlogged(key string, fn func(cur []byte, exists bool) ([]byte, bool)) bool
+	s.nodes.mutate(info.ID, upsert, func(rec *types.NodeInfo, _ bool) bool {
+		*rec = info.Clone()
+		return true
+	})
+	s.publishNode(&info, "node-join")
 }
 
 // Heartbeat implements API. Load snapshots feed the global scheduler's
-// placement policy. The stamp bypasses the WAL (see unloggedUpdater).
+// placement policy. Liveness stamps are the highest-churn mutation in the
+// system and purely ephemeral — a recovered shard repopulates them from the
+// next heartbeat within one interval — so they stay out of the WAL, which
+// would otherwise grow without bound for zero recovery value; the journal
+// sees them only as part of the node's next logged mutation.
 func (s *Store) Heartbeat(id types.NodeID, queueLen int, avail types.Resources, store types.StoreStats) {
 	now := s.NowNs()
-	update := s.db.Update
-	if u, ok := s.db.(unloggedUpdater); ok {
-		update = u.UpdateUnlogged
-	}
-	update(keyNode+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false
-		}
-		info, err := codec.DecodeAs[types.NodeInfo](cur)
-		if err != nil {
-			return nil, false
-		}
+	s.nodes.mutate(id, unlogged, func(info *types.NodeInfo, _ bool) bool {
 		info.LastSeen = now
 		info.QueueLen = queueLen
-		info.Available = avail
+		info.Available = avail.Clone()
 		info.Store = store
 		info.Alive = true
-		return codec.MustEncode(info), true
+		return true
 	})
 }
 
 // MarkNodeDead implements API.
 func (s *Store) MarkNodeDead(id types.NodeID) {
 	var dead types.NodeInfo
-	found := false
-	s.db.Update(keyNode+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false
-		}
-		info, err := codec.DecodeAs[types.NodeInfo](cur)
-		if err != nil {
-			return nil, false
-		}
+	found, _ := s.nodes.mutate(id, existing, func(info *types.NodeInfo, _ bool) bool {
 		info.Alive = false
-		dead, found = info, true
-		return codec.MustEncode(info), true
+		dead = info.Clone()
+		return true
 	})
 	if found {
-		s.db.Publish(chanNodes, codec.MustEncode(dead))
-		s.logEvent(types.Event{Kind: "node-dead", Node: id})
+		s.publishNode(&dead, "node-dead")
 	}
 }
 
@@ -1008,30 +733,15 @@ func (s *Store) CASNodeState(id types.NodeID, from []types.NodeState, to types.N
 // instead of treating its own earlier commit as a lost race.
 func (s *Store) CASNodeStateOp(id types.NodeID, from []types.NodeState, to types.NodeState, op uint64) bool {
 	now := s.NowNs()
-	won := false
-	dupWin := false
+	dup := false
 	var next types.NodeInfo
-	s.db.Update(keyNode+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false
-		}
-		info, err := codec.DecodeAs[types.NodeInfo](cur)
-		if err != nil {
-			return nil, false
-		}
+	won, _ := s.nodes.mutate(id, existing, func(info *types.NodeInfo, _ bool) bool {
 		if info.MutOps.Seen(op) {
-			dupWin = true // this exact CAS already applied
-			return nil, false
+			dup = true // this exact CAS already applied
+			return false
 		}
-		eligible := false
-		for _, f := range from {
-			if info.State == f {
-				eligible = true
-				break
-			}
-		}
-		if !eligible {
-			return nil, false
+		if !slices.Contains(from, info.State) {
+			return false
 		}
 		info.MutOps.Record(op, refOpHistory)
 		info.State = to
@@ -1041,42 +751,22 @@ func (s *Store) CASNodeStateOp(id types.NodeID, from []types.NodeState, to types
 		case types.NodeActive:
 			info.DrainNs = 0 // rollback: the drain never happened
 		}
-		won = true
-		next = info
-		return codec.MustEncode(info), true
+		next = info.Clone()
+		return true
 	})
 	if won {
-		s.db.Publish(chanNodes, codec.MustEncode(next))
-		s.logEvent(types.Event{Kind: "node-state:" + to.String(), Node: id})
+		s.publishNode(&next, "node-state:"+to.String())
 	}
-	return won || dupWin
+	return won || dup
 }
 
 // GetNode implements API.
-func (s *Store) GetNode(id types.NodeID) (types.NodeInfo, bool) {
-	raw, ok := s.db.Get(keyNode + id.Hex())
-	if !ok {
-		return types.NodeInfo{}, false
-	}
-	info, err := codec.DecodeAs[types.NodeInfo](raw)
-	if err != nil {
-		return types.NodeInfo{}, false
-	}
-	return info, true
-}
+func (s *Store) GetNode(id types.NodeID) (types.NodeInfo, bool) { return s.nodes.get(id) }
 
-// Nodes implements API.
+// Nodes implements API, ordered by ID.
 func (s *Store) Nodes() []types.NodeInfo {
-	keys := s.db.Keys(keyNode)
-	out := make([]types.NodeInfo, 0, len(keys))
-	for _, k := range keys {
-		if raw, ok := s.db.Get(k); ok {
-			if info, err := codec.DecodeAs[types.NodeInfo](raw); err == nil {
-				out = append(out, info)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Hex() < out[j].ID.Hex() })
+	out := s.nodes.collect(nil)
+	slices.SortFunc(out, func(a, b types.NodeInfo) int { return bytes.Compare(a.ID[:], b.ID[:]) })
 	return out
 }
 
@@ -1112,6 +802,15 @@ func (s *Store) Functions() []FunctionInfo {
 }
 
 // --- event log ---
+
+// logKind logs ev under kind prefix+state, building the string only when
+// the event log is on.
+func (s *Store) logKind(prefix string, state fmt.Stringer, ev types.Event) {
+	if s.eventsOn.Load() {
+		ev.Kind = prefix + state.String()
+		s.logEvent(ev)
+	}
+}
 
 func (s *Store) logEvent(ev types.Event) {
 	if !s.eventsOn.Load() {

@@ -272,19 +272,6 @@ func (l *Logger) Update(key string, fn func(cur []byte, exists bool) ([]byte, bo
 	return ok
 }
 
-// UpdateUnlogged applies an update WITHOUT writing it to the WAL, for
-// state that is deliberately non-durable (heartbeat liveness stamps). The
-// store apply itself is safe against concurrent logged mutators (the
-// store's shard lock serializes the read-modify-write), and checkpoint
-// atomicity is not at stake: a snapshot either captured the unlogged value
-// or it didn't, and neither outcome can desynchronize replay because the
-// WAL never saw it. Callers accept that recovery resurrects the last
-// LOGGED value of the key; use only for fields a live cluster re-stamps
-// continuously.
-func (l *Logger) UpdateUnlogged(key string, fn func(cur []byte, exists bool) ([]byte, bool)) bool {
-	return l.Store.Update(key, fn)
-}
-
 // Delete logs and applies atomically.
 func (l *Logger) Delete(key string) bool {
 	<-l.mu

@@ -959,9 +959,12 @@ func (l *Local) resolveDep(task types.TaskID, obj types.ObjectID, cancel <-chan 
 	// case of a producer dying with the task still queued, so probing every
 	// ~25 wakeups (~0.5s at the default poll interval) detects failures
 	// promptly without taxing the control plane on healthy pending-heavy
-	// graphs.
+	// graphs. The count starts at 1 so the first probe comes a period in: a
+	// dependency parked on a healthy producer — nearly every one — pays
+	// none, and one whose producer was stranded before the task parked is
+	// replayed after at most strandedCheckPeriod × DepPollInterval.
 	const strandedCheckPeriod = 25
-	wakeups := 0
+	wakeups := 1
 	for {
 		if l.cfg.Store.Contains(obj) {
 			l.depSatisfied(task, obj)

@@ -1,6 +1,11 @@
 package types
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // Arg is a task argument: either an inline encoded value or a reference to
 // an object produced by another task. Reference arguments are what create
@@ -62,6 +67,17 @@ type TaskSpec struct {
 	// record, so on a replay it may name a node that has since died; nil
 	// (specs recorded before the field existed) means no delivery.
 	Origin NodeID
+}
+
+// Clone returns a deep copy: no slice or map is shared with s.
+func (s *TaskSpec) Clone() TaskSpec {
+	c := *s
+	c.Args = slices.Clone(s.Args)
+	for i := range c.Args {
+		c.Args[i].Value = bytes.Clone(c.Args[i].Value)
+	}
+	c.Resources = s.Resources.Clone()
+	return c
 }
 
 // InGroup reports whether the task is pinned to a placement-group bundle.
@@ -176,6 +192,14 @@ type TaskState struct {
 	OwnerSeq uint64
 }
 
+// Clone returns a deep copy: no slice or map is shared with t.
+func (t *TaskState) Clone() TaskState {
+	c := *t
+	c.Spec = t.Spec.Clone()
+	c.MutOps = slices.Clone(t.MutOps)
+	return c
+}
+
 // TaskStateDelta is one owner-ledger entry in a batched ModifyTaskStates
 // flush (DESIGN.md §13). It carries the owner's full latest view of the
 // mutable execution state — not an increment — so transitions that
@@ -263,6 +287,16 @@ type ObjectInfo struct {
 	SpilledOn []NodeID
 }
 
+// Clone returns a deep copy: no slice or map is shared with o.
+func (o *ObjectInfo) Clone() ObjectInfo {
+	c := *o
+	c.Locations = slices.Clone(o.Locations)
+	c.SpilledOn = slices.Clone(o.SpilledOn)
+	c.RefOps = slices.Clone(o.RefOps)
+	c.Holders = maps.Clone(o.Holders)
+	return c
+}
+
 // HasLocation reports whether node holds a copy.
 func (o *ObjectInfo) HasLocation(node NodeID) bool {
 	for _, n := range o.Locations {
@@ -346,6 +380,15 @@ type NodeInfo struct {
 	Store StoreStats
 	// MutOps dedups a drain CAS retried across a shard crash (see OpRing).
 	MutOps OpRing
+}
+
+// Clone returns a deep copy: no slice or map is shared with n.
+func (n *NodeInfo) Clone() NodeInfo {
+	c := *n
+	c.Total = n.Total.Clone()
+	c.Available = n.Available.Clone()
+	c.MutOps = slices.Clone(n.MutOps)
+	return c
 }
 
 // Schedulable reports whether new work may be placed on the node: it must

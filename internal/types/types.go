@@ -98,45 +98,29 @@ func ParseNodeID(s string) (NodeID, error) {
 	return id, nil
 }
 
+// derive hashes tag ‖ id ‖ n — the one function behind every derived ID,
+// and a pure one: lineage replay re-derives IDs and must land on the same
+// bytes (DESIGN.md §4.1). The input is assembled in a stack array and
+// Sum256 returns an array, so a derivation allocates nothing.
+func derive(tag string, id [IDSize]byte, n uint64) (out [IDSize]byte) {
+	var buf [4 + IDSize + 8]byte // the longest tag is "task"
+	b := append(buf[:0], tag...)
+	b = append(b, id[:]...)
+	b = binary.BigEndian.AppendUint64(b, n)
+	sum := sha256.Sum256(b)
+	copy(out[:], sum[:])
+	return out
+}
+
 // DeriveTaskID deterministically derives the ID of the index-th task
 // submitted by parent. Determinism is what makes lineage replay idempotent
 // (DESIGN.md §4.1): re-executing a parent produces byte-identical child IDs,
 // so a reconstructed task resolves to the same objects as the original.
-func DeriveTaskID(parent TaskID, index uint64) TaskID {
-	h := sha256.New()
-	h.Write([]byte("task"))
-	h.Write(parent[:])
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], index)
-	h.Write(buf[:])
-	var id TaskID
-	copy(id[:], h.Sum(nil))
-	return id
-}
+func DeriveTaskID(parent TaskID, index uint64) TaskID { return derive("task", parent, index) }
 
 // ObjectIDForReturn derives the ID of the i-th return value of a task.
-func ObjectIDForReturn(task TaskID, i int) ObjectID {
-	h := sha256.New()
-	h.Write([]byte("ret"))
-	h.Write(task[:])
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(i))
-	h.Write(buf[:])
-	var id ObjectID
-	copy(id[:], h.Sum(nil))
-	return id
-}
+func ObjectIDForReturn(task TaskID, i int) ObjectID { return derive("ret", task, uint64(i)) }
 
 // PutObjectID derives the ID for the i-th object Put directly (not returned
 // by a task) by the given task or driver.
-func PutObjectID(owner TaskID, i uint64) ObjectID {
-	h := sha256.New()
-	h.Write([]byte("put"))
-	h.Write(owner[:])
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], i)
-	h.Write(buf[:])
-	var id ObjectID
-	copy(id[:], h.Sum(nil))
-	return id
-}
+func PutObjectID(owner TaskID, i uint64) ObjectID { return derive("put", owner, i) }

@@ -18,6 +18,31 @@ func TestDeriveTaskIDDeterministic(t *testing.T) {
 	}
 }
 
+// TestDerivedIDsPinned holds every derivation to the bytes it has always
+// produced (recorded lineage names objects by them) and to zero allocations.
+func TestDerivedIDsPinned(t *testing.T) {
+	p := DeriveTaskID(NilTaskID, 7)
+	for _, c := range []struct{ got, want string }{
+		{p.Hex(), "8e561c871048e7d49c5de9022d7b693c"},
+		{DeriveTaskID(p, 1<<40+3).Hex(), "53cdacc37af2d798671819a4519242d2"},
+		{ObjectIDForReturn(p, 2).Hex(), "7cfbea5d412e16c9f3c0fdba49ea66cb"},
+		{PutObjectID(p, 9).Hex(), "7976075018fd83ff10d9dedf0177bb6c"},
+	} {
+		if c.got != c.want {
+			t.Errorf("derived %s, want %s", c.got, c.want)
+		}
+	}
+	var sink [IDSize]byte
+	if n := testing.AllocsPerRun(100, func() {
+		sink = DeriveTaskID(p, 1)
+		sink = ObjectIDForReturn(p, 1)
+		sink = PutObjectID(p, 1)
+	}); n != 0 {
+		t.Errorf("deriving IDs allocates %.0f times", n)
+	}
+	_ = sink
+}
+
 func TestDeriveTaskIDDistinctFromParent(t *testing.T) {
 	parent := DeriveTaskID(NilTaskID, 0)
 	child := DeriveTaskID(parent, 0)
