@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -227,6 +228,30 @@ func TestTaskErrorPropagates(t *testing.T) {
 	}
 	if err == nil || !contains(err.Error(), "boom") {
 		t.Fatalf("error message lost: %v", err)
+	}
+}
+
+// TestRecordValuedResultIsNotAnError: error payloads and the control-plane
+// records' binary form once shared a tag byte, so a task returning cluster
+// state came back from Get as ErrTaskFailed with the record as its message.
+func TestRecordValuedResultIsNotAnError(t *testing.T) {
+	reg := core.NewRegistry()
+	want := types.NodeInfo{Addr: "x", Total: types.CPU(2), Alive: true}
+	describe := core.Register0(reg, "describe", func(tc *core.TaskContext) (types.NodeInfo, error) {
+		return want, nil
+	})
+	c, err := New(Config{Nodes: 1, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	ref, err := describe.Remote(c.Driver())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.Get(context.Background(), c.Driver(), ref)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Get of a NodeInfo-valued task: %+v, %v", got, err)
 	}
 }
 

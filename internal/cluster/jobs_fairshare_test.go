@@ -115,66 +115,75 @@ func TestJobFairShareDispatch(t *testing.T) {
 	}
 }
 
-// TestJobIsolationLatency checks E25's noisy-neighbor bound: a victim
-// burst's median submit→dispatch latency with an equal-weight neighbor
-// flooding 4x the work stays within 3x its solo latency. Plain FIFO
-// dispatch would queue the victim behind the entire flood (~8x and up);
-// weighted fair share caps the slowdown near the 2x an equal split costs.
+// TestJobIsolationLatency checks E25's noisy-neighbor property: a victim
+// arriving behind an equal-weight neighbor's flood of 4x the work is not
+// queued behind it. From the victim's last submission until its last
+// dispatch both jobs hold backlog by construction, so deficit round-robin
+// alternates them: the neighbor dispatches no more often than the victim,
+// give or take what was already in the nodes' pipelines. Plain FIFO would
+// dispatch the whole flood (~200 tasks) in that span. Read from the durable
+// stamps, so it holds at any speed: the bound this replaced compared
+// wall-clock medians and failed on a slow or a fast day.
 func TestJobIsolationLatency(t *testing.T) {
 	const victimTasks, noisyTasks = 60, 240
-
-	run := func(withNoisy bool) time.Duration {
-		reg := core.NewRegistry()
-		work := sleepTask(reg, "iso.work")
-		c := fairShareCluster(t, reg)
-		d := c.Driver()
-		victim, err := d.CreateJob("victim", 1, types.JobQuota{})
-		if err != nil {
+	reg := core.NewRegistry()
+	work := sleepTask(reg, "iso.work")
+	c := fairShareCluster(t, reg)
+	d := c.Driver()
+	noisy, err := d.CreateJob("noisy", 1, types.JobQuota{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := d.CreateJob("victim", 1, types.JobQuota{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < noisyTasks; i++ {
+		if _, err := work.Options(noisy.Option()).Remote(d, 8); err != nil {
 			t.Fatal(err)
 		}
-		if withNoisy {
-			noisy, err := d.CreateJob("noisy", 1, types.JobQuota{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < noisyTasks; i++ {
-				if _, err := work.Options(noisy.Option()).Remote(d, 8); err != nil {
-					t.Fatal(err)
-				}
-			}
+	}
+	refs := make([]core.Ref[int], victimTasks)
+	for i := range refs {
+		if refs[i], err = work.Options(victim.Option()).Remote(d, 8); err != nil {
+			t.Fatal(err)
 		}
-		refs := make([]core.Ref[int], victimTasks)
-		for i := range refs {
-			if refs[i], err = work.Options(victim.Option()).Remote(d, 8); err != nil {
-				t.Fatal(err)
-			}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for _, ref := range refs {
+		if _, err := core.Get(ctx, d, ref); err != nil {
+			t.Fatal(err)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		for _, ref := range refs {
-			if _, err := core.Get(ctx, d, ref); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var lats []int64
-		tasks, _ := c.API.JobTasks(victim.ID)
-		for _, st := range tasks {
-			if st.ScheduledNs > 0 && st.SubmittedNs > 0 {
-				lats = append(lats, st.ScheduledNs-st.SubmittedNs)
-			}
-		}
-		if len(lats) != victimTasks {
-			t.Fatalf("victim dispatch stamps = %d, want %d", len(lats), victimTasks)
-		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		return time.Duration(lats[len(lats)/2])
 	}
 
-	solo := run(false)
-	contended := run(true)
-	t.Logf("victim median submit→dispatch: solo %v, with equal-weight noisy neighbor %v (%.2fx)",
-		solo, contended, float64(contended)/float64(solo))
-	if contended > 3*solo {
-		t.Fatalf("victim median dispatch latency %v exceeds 3x solo (%v)", contended, solo)
+	var allSubmitted int64
+	tasks, _ := c.API.JobTasks(victim.ID)
+	for _, st := range tasks {
+		allSubmitted = max(allSubmitted, st.SubmittedNs)
+	}
+	vs := scheduledStamps(c, victim.ID)
+	if len(vs) != victimTasks || allSubmitted == 0 {
+		t.Fatalf("victim stamps: %d dispatched (want %d), last submitted at %d", len(vs), victimTasks, allSubmitted)
+	}
+	between := func(stamps []int64) (n int) {
+		for _, ts := range stamps {
+			if ts > allSubmitted && ts <= vs[len(vs)-1] {
+				n++
+			}
+		}
+		return n
+	}
+	victimIn, noisyIn := between(vs), between(scheduledStamps(c, noisy.ID))
+	// A stamp trails its fair-queue pop by the node's pipeline: up to 6 per
+	// node popped before the span and stamped inside it, 6 more on the node
+	// that is ahead at its end, and the round-robin's phase.
+	const pipeline = 3*6 + 2
+	limit := victimIn + (victimIn+9)/10 + pipeline
+	t.Logf("with both jobs backlogged: victim %d dispatches, noisy %d (limit %d; FIFO would be ~%d)",
+		victimIn, noisyIn, limit, noisyTasks-pipeline)
+	if noisyIn > limit {
+		t.Fatalf("noisy neighbor dispatched %d tasks while the victim, backlogged throughout, dispatched %d: over the equal share (limit %d)",
+			noisyIn, victimIn, limit)
 	}
 }

@@ -1,0 +1,57 @@
+//go:build !race
+
+package codec
+
+import (
+	"runtime"
+	"testing"
+)
+
+// TestAllocBudgetValues pins the allocations of one Encode plus one Decode
+// of what an RL task passes. Through a gob stream per value, which is what
+// Encode did for these before the value form, the same three cost 29, 173
+// and 319: the budgets are under a quarter of that, and a change that sends
+// plain data back through gob, or boxes per element, fails here. Not under
+// -race, whose instrumentation allocates.
+func TestAllocBudgetValues(t *testing.T) {
+	budgets := map[string]float64{"int": 3, "float64x16": 4, "carry": 7}
+	for _, c := range benchValues {
+		got := testing.AllocsPerRun(200, func() {
+			if err := Decode(MustEncode(c.v), c.out()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > budgets[c.name] {
+			t.Errorf("%s: %.0f allocations per Encode+Decode, budget %.0f", c.name, got, budgets[c.name])
+		}
+	}
+}
+
+// TestAllocBudgetDecodeSeeds holds every seed of FuzzDecode, into every one
+// of its targets, to the bound the fuzz body reads off the decoded value —
+// here on bytes allocated, so that a length prefix which makes memory and
+// then fails shows too. TotalAlloc counts the whole process; whatever else
+// allocates only adds, so the least of a few repeats is Decode's own.
+func TestAllocBudgetDecodeSeeds(t *testing.T) {
+	const slack = 2 << 10 // the reader, the error and its text
+	for i, seed := range fuzzSeeds() {
+		if len(seed) == 0 || seed[0] == tagGob {
+			continue
+		}
+		limit := uint64(decodedPerByte*len(seed) + slack)
+		for j := range fuzzTargets() {
+			least := ^uint64(0)
+			for rep := 0; rep < 5 && least > limit; rep++ {
+				out := fuzzTargets()[j]
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				Decode(seed, out)
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			if least > limit {
+				t.Errorf("seed %d (%d bytes) into %T allocated %d, limit %d", i, len(seed), fuzzTargets()[j], least, limit)
+			}
+		}
+	}
+}

@@ -125,20 +125,6 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncodeAsMatchesEncode(t *testing.T) {
-	a, err := EncodeAs(3.14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Encode(3.14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("EncodeAs and Encode disagree")
-	}
-}
-
 func TestMustEncodePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

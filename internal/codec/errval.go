@@ -3,9 +3,9 @@ package codec
 // Error values: when a task fails, the system stores a tagged error payload
 // under each of the task's return object IDs so that any Get on those
 // futures surfaces the failure instead of blocking forever. This mirrors
-// how the paper's prototype propagated exceptions through futures.
-
-const tagErrVal = 0x04
+// how the paper's prototype propagated exceptions through futures. An error
+// payload lives only in object stores and on the wire to them — never in the
+// WAL or a snapshot, where a failed task is TaskState.Error.
 
 // EncodeError builds an error payload carrying msg.
 func EncodeError(msg string) []byte {

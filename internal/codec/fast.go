@@ -26,7 +26,6 @@ import (
 // internal/types — a new field must be added to both sides here (the
 // round-trip tests in fast_test.go enforce this with reflection over the
 // field sets).
-const tagBin = 0x04
 
 // Type bytes following tagBin.
 const (
@@ -360,7 +359,7 @@ func (r *binReader) fail() {
 }
 
 func (r *binReader) take(n int) []byte {
-	if r.err != nil || r.pos+n > len(r.buf) {
+	if r.err != nil || n < 0 || n > len(r.buf)-r.pos {
 		r.fail()
 		return nil
 	}
@@ -406,8 +405,14 @@ func (r *binReader) id16() (id [16]byte) {
 // perElem the minimum wire size of one element — a corrupt length prefix
 // fails fast instead of allocating gigabytes.
 func (r *binReader) count(perElem int) int {
-	n := r.uvarint()
-	if r.err == nil && int(n)*perElem > len(r.buf)-r.pos {
+	return r.bounded(r.uvarint(), perElem)
+}
+
+// bounded is count for a length already read. The comparison is in uint64
+// against remaining/perElem: the length came off a socket, and 1<<63
+// converted to int first is negative and passes any signed check.
+func (r *binReader) bounded(n uint64, perElem int) int {
+	if r.err == nil && n > uint64(len(r.buf)-r.pos)/uint64(perElem) {
 		r.fail()
 		return 0
 	}
@@ -454,7 +459,7 @@ func (r *binReader) u64s() []uint64 {
 }
 
 func (r *binReader) resources() types.Resources {
-	n := r.count(1)
+	n := r.count(9) // a name's length byte and a quantity
 	if n == 0 {
 		return nil
 	}

@@ -2,6 +2,9 @@ package gcs
 
 import (
 	"bytes"
+	"encoding/gob"
+	"encoding/hex"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -71,6 +74,48 @@ func sameRecords[V any](t *testing.T, what string, got []V, want ...V) {
 	}
 }
 
+// The journaled records with no binary form of their own ride gob. These are
+// the fixture's, as codec.MustEncode wrote them at commit 6414c6d, before
+// plain data had a positional form: bytes on disk from that build.
+var (
+	parentGroup = types.PlacementGroupInfo{
+		Spec: types.PlacementGroupSpec{ID: types.PlacementGroupID(testNodeID(30)), Name: "g", Strategy: types.StrategyStrictSpread,
+			Bundles: []types.Bundle{{Resources: types.CPU(1)}, {Resources: types.CPU(2)}}},
+		State: types.GroupPlaced, BundleNodes: []types.NodeID{testNodeID(1), testNodeID(2)},
+		CreatedNs: 1, PlacedNs: 5, LastTransitionNs: 5, MutOps: types.OpRing{9},
+	}
+	parentFunc  = FunctionInfo{Name: "f", NumReturns: 2}
+	parentEvent = types.Event{TimeNs: 7, Kind: "finish", Task: testTaskID(10), Object: testObjectID(20), Node: testNodeID(1), Worker: types.WorkerID(testNodeID(3)), Detail: "d"}
+	parentEpoch = int64(1700000000123456789)
+)
+
+const (
+	parentGroupHex = "01ff9d7f03010112506c6163656d656e7447726f7570496e666f01ff8000010901045370656301ff820001055374617465010400010b42756e646c654e6f64657301ff8e000109437265617465644e730104000108506c616365644e73010400010952656d6f7665644e7301040001104c6173745472616e736974696f6e4e7301040001064d75744f707301ff9000010a436c61696d546f6b656e01060000004bff8103010112506c6163656d656e7447726f75705370656301ff820001040102494401ff840001044e616d65010c0001085374726174656779010400010742756e646c657301ff8a00000020ff8301010110506c6163656d656e7447726f7570494401ff84000106012000001dff890201010e5b5d74797065732e42756e646c6501ff8a0001ff86000023ff850301010642756e646c6501ff8600010101095265736f757263657301ff8800000019ff87040101095265736f757263657301ff8800010c010800001dff8d0201010e5b5d74797065732e4e6f6465494401ff8e0001ff8c000016ff8b010101064e6f6465494401ff8c0001060120000014ff8f020101064f7052696e6701ff9000010600005fff800101101e00000000000000000000000000000001016701020102010103435055fef03f0001010343505540000001040102100100000000000000000000000000000010020000000000000000000000000000000102010a020a01010900"
+	parentFuncHex  = "0132ff910301010c46756e6374696f6e496e666f01ff9200010201044e616d65010c00010a4e756d52657475726e73010400000008ff92010166010400"
+	parentEventHex = "015eff93030101054576656e7401ff94000107010654696d654e7301040001044b696e64010c0001045461736b01ff960001064f626a65637401ff980001044e6f646501ff8c000106576f726b657201ff9a00010644657461696c010c00000016ff95010101065461736b494401ff960001060120000018ff97010101084f626a656374494401ff980001060120000016ff8b010101064e6f6465494401ff8c0001060120000018ff9901010108576f726b6572494401ff9a0001060120000058ff94010e010666696e69736801100a00000000000000000000000000000001101400000000000000000000000000000001100100000000000000000000000000000001100300000000000000000000000000000001016400"
+	parentEpochHex = "010b0400f82f2f39fc7b0b9a2a"
+)
+
+func unhex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// parentEncode is what codec.Encode did at that commit for every value but
+// []byte, nil and the binary records: the gob tag and a fresh gob stream.
+func parentEncode(t *testing.T, v any) []byte {
+	t.Helper()
+	buf := bytes.NewBuffer([]byte{0x01})
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func startTestShard(t *testing.T, dir string) *ShardService {
 	t.Helper()
 	svc, err := StartShard(ShardConfig{Index: 0, Addr: "shard-fmt", Network: transport.NewInproc(0), DataDir: dir})
@@ -97,6 +142,9 @@ func TestRecoversParentEncodedState(t *testing.T) {
 	}
 	logger := kv.NewLogger(db, wal)
 	pairs := f.encodings()
+	pairs[keyGroup+parentGroup.Spec.ID.Hex()] = unhex(t, parentGroupHex)
+	pairs[keyFunc+parentFunc.Name] = unhex(t, parentFuncHex)
+	pairs[keyMetaEpoch] = unhex(t, parentEpochHex)
 	keys := make([]string, 0, len(pairs))
 	for k := range pairs {
 		keys = append(keys, k)
@@ -110,11 +158,24 @@ func TestRecoversParentEncodedState(t *testing.T) {
 		}
 		logger.Put(k, pairs[k])
 	}
+	logger.Append(keyEvents+parentEvent.Node.Hex(), unhex(t, parentEventHex))
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	s := startTestShard(t, dir).Store()
+	if got := s.PlacementGroups(); len(got) != 1 || !reflect.DeepEqual(got[0], parentGroup) {
+		t.Errorf("PlacementGroups = %+v, want %+v", got, parentGroup)
+	}
+	if got := s.Functions(); !slices.Equal(got, []FunctionInfo{parentFunc}) {
+		t.Errorf("Functions = %+v, want %+v", got, parentFunc)
+	}
+	if got := s.Events(); !slices.Contains(got, parentEvent) {
+		t.Errorf("Events = %+v, want %+v among them", got, parentEvent)
+	}
+	if got := s.epoch.UnixNano(); got != parentEpoch {
+		t.Errorf("epoch = %d, want %d", got, parentEpoch)
+	}
 	sameRecords(t, "Tasks", s.Tasks(), f.pending, f.finished)
 	sameRecords(t, "Objects", s.Objects(), f.garbage, f.live)
 	sameRecords(t, "Nodes", s.Nodes(), f.node)
@@ -141,7 +202,11 @@ func TestDurableStoreWritesParentFormat(t *testing.T) {
 	s.ModifyObjectRefCounts(testNodeID(1), map[types.ObjectID]int64{obj: -2}, 44) // drains: a gcidx marker
 	s.AddTask(types.TaskState{Spec: types.TaskSpec{ID: testTaskID(12), Function: "g"}, Status: types.TaskPending})
 	s.CASTaskStatusOp(task, []types.TaskStatus{types.TaskRunning}, types.TaskPending, 45) // a second pendidx marker
+	s.CreatePlacementGroup(parentGroup.Spec)
+	s.RegisterFunction(parentFunc)
+	s.LogEvent(parentEvent)
 	tasks, objects, nodes := s.Tasks(), s.Objects(), s.Nodes()
+	groups, funcs, epoch := s.PlacementGroups(), s.Functions(), s.epoch.UnixNano()
 	pending, garbage := s.StalePendingTasks(0), s.GCEligibleObjects()
 	svc.Close()
 
@@ -166,7 +231,33 @@ func TestDurableStoreWritesParentFormat(t *testing.T) {
 		want[keyPendIdx+spec.ID.Hex()] = nil
 	}
 	want[keyGCIdx+garbage[0].Hex()] = nil
-	for _, prefix := range []string{keyTask, keyObject, keyNode, keyPendIdx, keyGCIdx} {
+	// The gob-borne records: what is on disk is the parent's encoding of
+	// what the store lists. (One resource per bundle: gob writes a map in
+	// iteration order.)
+	for i := range groups {
+		want[keyGroup+groups[i].Spec.ID.Hex()] = parentEncode(t, groups[i])
+	}
+	for i := range funcs {
+		want[keyFunc+funcs[i].Name] = parentEncode(t, funcs[i])
+	}
+	want[keyMetaEpoch] = parentEncode(t, epoch)
+	if len(groups) != 1 || len(funcs) != 1 {
+		t.Fatalf("setup: %d groups, %d functions", len(groups), len(funcs))
+	}
+	logged := 0
+	for _, k := range db.ListKeys(keyEvents) {
+		for _, raw := range db.List(k) {
+			ev, err := codec.DecodeAs[types.Event](raw)
+			if err != nil || !bytes.Equal(raw, parentEncode(t, ev)) {
+				t.Errorf("an event under %s is not the parent's encoding of %+v (%v)", k, ev, err)
+			}
+			logged++
+		}
+	}
+	if logged == 0 {
+		t.Error("no events on disk")
+	}
+	for _, prefix := range []string{keyTask, keyObject, keyNode, keyPendIdx, keyGCIdx, keyGroup, keyFunc, keyMetaEpoch} {
 		for _, k := range db.Keys(prefix) {
 			raw, _ := db.Get(k)
 			enc, ok := want[k]

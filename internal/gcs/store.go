@@ -64,7 +64,7 @@ func RecoverStore(db kv.DB) *Store {
 			s.epoch = time.Unix(0, ns)
 		}
 	} else {
-		db.Put(keyMetaEpoch, codec.MustEncode(s.epoch.UnixNano()))
+		db.Put(keyMetaEpoch, codec.MustEncodeGob(s.epoch.UnixNano()))
 	}
 	s.eventsOn.Store(true)
 	_, durable := db.(*kv.Logger)
@@ -777,7 +777,7 @@ func (s *Store) SubscribeNodeEvents() Sub { return s.db.Subscribe(chanNodes) }
 
 // RegisterFunction implements API.
 func (s *Store) RegisterFunction(info FunctionInfo) {
-	s.db.Put(keyFunc+info.Name, codec.MustEncode(info))
+	s.db.Put(keyFunc+info.Name, codec.MustEncodeGob(info))
 }
 
 // HasFunction implements API.
@@ -817,7 +817,7 @@ func (s *Store) logEvent(ev types.Event) {
 		return
 	}
 	ev.TimeNs = s.NowNs()
-	s.db.Append(keyEvents+ev.Node.Hex(), codec.MustEncode(ev))
+	s.db.Append(keyEvents+ev.Node.Hex(), codec.MustEncodeGob(ev))
 }
 
 // LogEvent implements API (for components logging their own events).

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/codec/codectest"
 	"repro/internal/core"
 	"repro/internal/types"
 )
@@ -118,4 +119,10 @@ func TestUCBPrefersUnvisited(t *testing.T) {
 	if parent.ucb(fresh, 1.4) <= parent.ucb(visited, 1.4) {
 		t.Fatal("unvisited child not prioritized")
 	}
+}
+
+// TestWireTypesArePlainData: a simulation's argument and its value cross in
+// codec's value form.
+func TestWireTypesArePlainData(t *testing.T) {
+	codectest.PlainData(t, simArg{Path: []int{1, 2}, Seed: 3, CostNs: 4, Actions: 5, Depth: 6}, simArg{}, 0.5)
 }

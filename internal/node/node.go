@@ -46,7 +46,8 @@ const (
 	FailTaskMethod = "scheduler.failTask"
 )
 
-// Wire shapes for the gang-scheduling methods (gob via codec).
+// Wire shapes for the gang-scheduling methods (through codec; the two that
+// hold a Resources map ride gob, GroupReleaseReq is plain data).
 type (
 	// ReserveReq asks for one bundle reservation.
 	ReserveReq struct {

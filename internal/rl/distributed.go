@@ -36,8 +36,9 @@ func (pw policyWire) policy() *sim.Policy {
 // RegisterFuncs installs the RL remote functions into a registry. Call once
 // per registry before building the cluster.
 func RegisterFuncs(reg *core.Registry) {
-	// FuncStep: args = [gob(carry), gob([]int actions, may be nil),
-	// gob(int chunk index)] -> gob(carry). The carry and actions arguments
+	// FuncStep: args = [enc(carry), enc([]int actions, may be nil),
+	// enc(int chunk index)] -> enc(carry), enc being codec.Encode: all of
+	// these are plain data and cross in its value form. The carry and actions arguments
 	// are usually futures (outputs of the previous step and of the action
 	// task), which is what builds the dataflow of Fig. 1b. A CPU task of
 	// ~StepCost — the paper's ~7ms simulation.
@@ -69,7 +70,7 @@ func RegisterFuncs(reg *core.Registry) {
 		return [][]byte{enc}, nil
 	})
 
-	// FuncAct: args = [gob(policyWire), gob(carry)...] -> gob([]int): one
+	// FuncAct: args = [enc(policyWire), enc(carry)...] -> enc([]int): one
 	// action per carry, in argument order. A GPU kernel (paper: actions
 	// computed "in parallel on GPUs").
 	reg.Register(FuncAct, func(tc *core.TaskContext, args [][]byte) ([][]byte, error) {

@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/bsp"
 	"repro/internal/cluster"
+	"repro/internal/codec/codectest"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/types"
 )
 
@@ -162,4 +164,15 @@ func TestBSPOverheadSlowsDriver(t *testing.T) {
 	if slowRep.Elapsed < fastRep.Elapsed+30*time.Millisecond {
 		t.Fatalf("overhead not visible: fast=%v slow=%v", fastRep.Elapsed, slowRep.Elapsed)
 	}
+}
+
+// TestWireTypesArePlainData: everything a step or an action task is handed
+// or returns — a carry after a real step (its Env.Cfg holds a Duration, its
+// Obs is a named slice), the policy, the BSP input, the action batch and its
+// nil "no actions yet" form — crosses in codec's value form.
+func TestWireTypesArePlainData(t *testing.T) {
+	cfg := testConfig()
+	c := stepSim(initialCarries(cfg)[0], 1)
+	codectest.PlainData(t, c, wirePolicy(sim.NewPolicy(cfg.ObsDim, cfg.NumActions, cfg.EvalCost)),
+		bspStepIn{Carry: c, Action: 2}, []int{1, 0, 3}, []int(nil), 7)
 }

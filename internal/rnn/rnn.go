@@ -96,8 +96,8 @@ func cellCompute(arg cellArg, h, x []float64) []float64 {
 
 // RegisterFuncs installs the cell function.
 func RegisterFuncs(reg *core.Registry) {
-	// FuncCell: args = [gob(cellArg), gob([]float64 h_prev),
-	// gob([]float64 x_below)] -> gob([]float64 h).
+	// FuncCell (enc is codec.Encode): args = [enc(cellArg), enc([]float64 h_prev),
+	// enc([]float64 x_below)] -> enc([]float64 h).
 	reg.Register(FuncCell, func(tc *core.TaskContext, args [][]byte) ([][]byte, error) {
 		if len(args) != 3 {
 			return nil, fmt.Errorf("rnn.cell expects 3 args, got %d", len(args))

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/codec/codectest"
 	"repro/internal/core"
 	"repro/internal/types"
 )
@@ -109,4 +110,10 @@ func TestDifferentSeedsDifferentOutputs(t *testing.T) {
 	if vecEqual(a.Output, b.Output) {
 		t.Fatal("different seeds produced identical outputs")
 	}
+}
+
+// TestWireTypesArePlainData: a cell's argument and its vectors cross in
+// codec's value form.
+func TestWireTypesArePlainData(t *testing.T) {
+	codectest.PlainData(t, cellArg{Layer: 1, Step: 2, Hidden: 8, CostNs: 1000, Seed: 9}, []float64{0.5, -1}, []float64{})
 }

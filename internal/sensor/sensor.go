@@ -74,7 +74,7 @@ type kernelArg struct{ CostNs int64 }
 
 // RegisterFuncs installs the preprocessing, fusion, and estimate functions.
 func RegisterFuncs(reg *core.Registry) {
-	// FuncPreprocess: [gob(kernelArg), gob(reading)] -> gob(reading).
+	// FuncPreprocess (enc is codec.Encode): [enc(kernelArg), enc(reading)] -> enc(reading).
 	reg.Register(FuncPreprocess, func(tc *core.TaskContext, args [][]byte) ([][]byte, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("sensor.preprocess expects 2 args")
@@ -103,7 +103,7 @@ func RegisterFuncs(reg *core.Registry) {
 		return [][]byte{enc}, nil
 	})
 
-	// FuncFuse: [gob(kernelArg), gob(reading), gob(reading)] -> gob(reading).
+	// FuncFuse: [enc(kernelArg), enc(reading), enc(reading)] -> enc(reading).
 	reg.Register(FuncFuse, func(tc *core.TaskContext, args [][]byte) ([][]byte, error) {
 		if len(args) != 3 {
 			return nil, fmt.Errorf("sensor.fuse expects 3 args")
@@ -136,7 +136,7 @@ func RegisterFuncs(reg *core.Registry) {
 		return [][]byte{enc}, nil
 	})
 
-	// FuncEstimate: [gob(reading)] -> gob(float64): the scalar environment
+	// FuncEstimate: [enc(reading)] -> enc(float64): the scalar environment
 	// estimate controlling the actuator.
 	reg.Register(FuncEstimate, func(tc *core.TaskContext, args [][]byte) ([][]byte, error) {
 		if len(args) != 1 {

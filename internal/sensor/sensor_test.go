@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/codec/codectest"
 	"repro/internal/core"
 	"repro/internal/types"
 )
@@ -131,4 +132,10 @@ func TestPipeliningKeepsMultipleWindowsInFlight(t *testing.T) {
 	if rep.Elapsed > seqSum {
 		t.Fatalf("no pipelining visible: elapsed %v vs sequential %v", rep.Elapsed, seqSum)
 	}
+}
+
+// TestWireTypesArePlainData: readings, kernel arguments and estimates cross
+// in codec's value form.
+func TestWireTypesArePlainData(t *testing.T) {
+	codectest.PlainData(t, reading{Stream: 1, Window: 2, Data: []float64{1, 2, 3}}, reading{}, kernelArg{CostNs: 5}, 0.25)
 }
