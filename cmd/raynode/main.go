@@ -238,6 +238,7 @@ func serveControlPlane(gcsAddr, listen string, gcsShards int, dataDir string, kv
 			return nil, nil, nil, fmt.Errorf("serve control plane: %w", err)
 		}
 		log.Printf("in-memory control plane serving on %s (%d kv stripes)", gcsAddr, kvShards)
+		gcs.ExportRecords(reg, store.Records)
 		return store, nil, func() { l.Close() }, nil
 	}
 	shardAddrs, err := derivePortAddrs(gcsAddr, gcsShards)
@@ -270,6 +271,7 @@ func serveControlPlane(gcsAddr, listen string, gcsShards int, dataDir string, kv
 		return nil, nil, nil, err
 	}
 	log.Printf("sharded control plane: map on %s, %d shards on %v (data in %s)", gcsAddr, gcsShards, shardAddrs, dataDir)
+	gcs.ExportRecords(reg, super.Records)
 	return sh, super, func() { sh.Close(); super.Close() }, nil
 }
 

@@ -54,23 +54,24 @@ func main() {
 		log.Fatal(err)
 	}
 	defer c.Shutdown()
-	d := c.Driver()     // attached to node 0
-	d1 := c.DriverOn(1) // attached to node 1: its submissions are born there
+	d := c.Driver() // attached to node 0
 	ctx := context.Background()
 
-	// 1. Create a live working set 6x one node's memory, half born on each
-	//    node. Every output is referenced by a driver, so nothing may be
-	//    dropped — without the spill tier this workload dies with
-	//    ErrStoreFull.
+	// 1. Create a live working set 6x one node's memory, half produced on
+	//    each node. Every output is referenced by the driver, so nothing may
+	//    be dropped — without the spill tier this workload dies with
+	//    ErrStoreFull — and the references live on node 0, so they survive
+	//    node 1: a future keeps its lineage exactly as long as something
+	//    holds a reference to it (DESIGN.md §17).
 	fmt.Printf("working set: %d blobs x %d KiB against %d KiB of memory/node\n",
 		numBlobs, blobSize>>10, capacity>>10)
 	refs := make([]core.Ref[[]byte], numBlobs)
 	for i := range refs {
-		owner := d
+		opts := []core.Option{core.WithResources(types.CPU(0.1))}
 		if i%2 == 1 {
-			owner = d1
+			opts = append(opts, core.WithLocality(c.Node(1).ID()))
 		}
-		if refs[i], err = blob.Remote(owner, i+1, blobSize, core.WithResources(types.CPU(0.1))); err != nil {
+		if refs[i], err = blob.Remote(d, i+1, blobSize, opts...); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -120,31 +121,11 @@ func main() {
 	}
 	report("after crash")
 
-	// 3. Drop every reference (each driver releases the futures it
-	//    created): the distributed refcounts hit zero and the lifetime GC
-	//    reclaims memory and disk on every surviving node.
-	for i, r := range refs {
-		if i%2 == 1 {
-			d1.Release(r.Untyped())
-		} else {
-			d.Release(r.Untyped())
-		}
-	}
-	deadline := time.After(10 * time.Second)
-	store := c.Node(0).Store()
-	for store.Used() != 0 || store.SpilledBytes() != 0 {
-		select {
-		case <-deadline:
-			log.Fatalf("reclamation stalled: used=%d spilled=%d", store.Used(), store.SpilledBytes())
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	report("after release")
-
-	// 4. Export the merged trace: task-table spans plus the data-plane
+	// 3. Export the merged trace: task-table spans plus the data-plane
 	//    spans (spill, restore, pull chunks, GCS RPCs) every node shipped
 	//    via heartbeats, stitched to their owning tasks. Load the file in
-	//    chrome://tracing or ui.perfetto.dev.
+	//    chrome://tracing or ui.perfetto.dev. Before the release: a task's
+	//    spans come from its record, which goes when its outputs do.
 	time.Sleep(100 * time.Millisecond) // let the last heartbeat ship spans
 	tracePath := "memorypressure-trace.json"
 	f, err := os.Create(tracePath)
@@ -160,5 +141,21 @@ func main() {
 	}
 	fmt.Printf("trace: %d task spans + %d data-plane spans -> %s\n",
 		len(tl.Spans), len(tl.Data), tracePath)
+	// 4. Drop every reference: the distributed refcounts hit zero, the
+	//    lifetime GC reclaims memory and disk on every surviving node, and
+	//    the records of the blobs and of the tasks that made them are
+	//    retired from the control plane.
+	d.Release(raw...)
+	deadline := time.After(10 * time.Second)
+	store := c.Node(0).Store()
+	for store.Used() != 0 || store.SpilledBytes() != 0 {
+		select {
+		case <-deadline:
+			log.Fatalf("reclamation stalled: used=%d spilled=%d", store.Used(), store.SpilledBytes())
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	report("after release")
+
 	fmt.Println("ok: oversized working set served via spill/restore, survived a crash, and was fully reclaimed")
 }

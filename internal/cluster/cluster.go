@@ -166,6 +166,14 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 
+	// The control plane lives in this process, so its table sizes ship with
+	// the first node's telemetry.
+	if c.Super != nil {
+		gcs.ExportRecords(c.Node(0).Metrics(), c.Super.Records)
+	} else {
+		gcs.ExportRecords(c.Node(0).Metrics(), c.Ctrl.Records)
+	}
+
 	for i := 0; i < cfg.GlobalSchedulers; i++ {
 		ctrl, err := c.ctrlClient()
 		if err != nil {

@@ -169,6 +169,12 @@ func appendObjectInfo(b []byte, o *types.ObjectInfo) []byte {
 		b = append(b, k[:]...)
 		b = binary.AppendVarint(b, o.Holders[k])
 	}
+	// LineagePins trails the record and is left out at zero, like Origin
+	// (appendOrigin): a record without pins is byte for byte what it was
+	// before the field existed, in both directions.
+	if o.LineagePins != 0 {
+		b = binary.AppendVarint(b, o.LineagePins)
+	}
 	return b
 }
 
@@ -492,6 +498,9 @@ func (r *binReader) objectInfo(o *types.ObjectInfo) error {
 			k := types.NodeID(r.id16())
 			o.Holders[k] = r.varint()
 		}
+	}
+	if r.err == nil && r.pos < len(r.buf) {
+		o.LineagePins = r.varint()
 	}
 	return r.err
 }

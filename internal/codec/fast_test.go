@@ -197,6 +197,19 @@ func TestFastOriginTrailsTheRecord(t *testing.T) {
 	}
 }
 
+// TestFastLineagePinsTrailing: the pin counter rides after the record, so a
+// record without pins is the bytes it always was, and a pinned one decodes.
+func TestFastLineagePinsTrailing(t *testing.T) {
+	o := sampleObjectInfo()
+	bare := MustEncode(o)
+	o.LineagePins = 3
+	pinned := MustEncode(o)
+	if !bytes.HasPrefix(pinned, bare) || len(pinned) != len(bare)+1 {
+		t.Fatalf("pinned record is not the unpinned one plus a trailing varint: %d vs %d bytes", len(pinned), len(bare))
+	}
+	roundTrip(t, o)
+}
+
 func TestFastRoundTripZeroValues(t *testing.T) {
 	roundTrip(t, types.ObjectInfo{})
 	roundTrip(t, types.TaskSpec{})
@@ -257,7 +270,7 @@ func TestFastWrongTarget(t *testing.T) {
 // learns the field (the expected lists below are updated as part of that).
 func TestFastFieldSetsCovered(t *testing.T) {
 	expect := map[reflect.Type][]string{
-		reflect.TypeOf(types.ObjectInfo{}): {"ID", "Size", "Producer", "State", "Locations", "RefCount", "EverRetained", "RefOps", "Holders", "SpilledOn"},
+		reflect.TypeOf(types.ObjectInfo{}): {"ID", "Size", "Producer", "State", "Locations", "RefCount", "EverRetained", "RefOps", "Holders", "SpilledOn", "LineagePins"},
 		reflect.TypeOf(types.TaskSpec{}):   {"ID", "Function", "Args", "NumReturns", "Resources", "Parent", "SubmitIndex", "MaxRetries", "Locality", "Group", "Bundle", "TraceID", "Job", "Actor", "Origin"},
 		reflect.TypeOf(types.TaskState{}):  {"Spec", "Status", "Node", "Worker", "Error", "Retries", "SubmittedNs", "ScheduledNs", "StartedNs", "FinishedNs", "LastTransitionNs", "MutOps", "Owner", "OwnerSeq"},
 		reflect.TypeOf(types.NodeInfo{}):   {"ID", "Addr", "Total", "Alive", "LastSeen", "State", "DrainNs", "QueueLen", "Available", "Store", "MutOps"},

@@ -104,6 +104,15 @@ var DefaultTaskResources = types.CPU(1)
 // ErrTaskFailed wraps application-level task failures surfaced through Get.
 var ErrTaskFailed = errors.New("core: task failed")
 
+// ErrReclaimed is returned by Get and Wait for a future that came too late:
+// every reference to the object was released, its copies were collected,
+// and its record and its producer's were retired from the control plane
+// (DESIGN.md §17), so there is nothing to fetch and nothing to replay it
+// from. A task submitted with such a future as an argument fails with it
+// (and with ErrTaskFailed). Submitting the producer again runs it again,
+// under the same IDs.
+var ErrReclaimed = types.ErrReclaimed
+
 // ErrWaitInvalid marks a structurally invalid Wait call (numReturns out of
 // range, duplicate refs) that could otherwise block forever.
 var ErrWaitInvalid = errors.New("core: invalid Wait")
@@ -281,6 +290,9 @@ func checkErrPayload(data []byte) ([]byte, error) {
 		if isJobStoppedPayload(msg) {
 			return nil, fmt.Errorf("%w: %w: %s", ErrTaskFailed, ErrJobTerminated, msg)
 		}
+		if hasReason(msg, types.ReasonReclaimed, "obj-") {
+			return nil, fmt.Errorf("%w: %w: %s", ErrTaskFailed, ErrReclaimed, msg)
+		}
 		return nil, fmt.Errorf("%w: %s", ErrTaskFailed, msg)
 	}
 	return data, nil
@@ -291,11 +303,17 @@ func checkErrPayload(data []byte) ([]byte, error) {
 // application error that merely starts with the prefix text is not
 // misclassified as a gang removal.
 func isGroupRemovedPayload(msg string) bool {
-	rest, ok := strings.CutPrefix(msg, types.ReasonGroupRemoved)
+	return hasReason(msg, types.ReasonGroupRemoved, "pg-")
+}
+
+// hasReason reports whether msg is exactly reason followed by a short ID
+// (its tag and twelve hex digits), the shape the schedulers store.
+func hasReason(msg, reason, tag string) bool {
+	rest, ok := strings.CutPrefix(msg, reason)
 	if !ok {
 		return false
 	}
-	rest, ok = strings.CutPrefix(rest, "pg-")
+	rest, ok = strings.CutPrefix(rest, tag)
 	if !ok || len(rest) != 12 {
 		return false
 	}
@@ -373,23 +391,30 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 	c.enterBlocked()
 	defer c.exitBlocked()
 
-	isReady := func(id types.ObjectID) bool {
-		if c.backend.ObjectLocal(id) {
+	// unknown collects, per countReady, the refs the object table has no
+	// record of: the ones that may have been retired.
+	var unknown []ObjectRef
+	isReady := func(r ObjectRef) bool {
+		if c.backend.ObjectLocal(r.ID) {
 			return true
 		}
-		info, ok := ctrl.GetObject(id)
+		info, ok := ctrl.GetObject(r.ID)
+		if !ok {
+			unknown = append(unknown, r)
+		}
 		return ok && info.State == types.ObjectReady
 	}
 
 	done := make(map[types.ObjectID]bool, len(refs))
 	countReady := func() int {
 		n := 0
+		unknown = unknown[:0]
 		for _, r := range refs {
 			if done[r.ID] {
 				n++
 				continue
 			}
-			if isReady(r.ID) {
+			if isReady(r) {
 				done[r.ID] = true
 				n++
 			}
@@ -430,13 +455,13 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 	}
 	// owned maps each task this node owns to its refs still waited on; all
 	// of them wake through one channel the ledger sends the task's ID on.
-	owned := make(map[types.TaskID][]types.ObjectID)
+	owned := make(map[types.TaskID][]ObjectRef)
 	for _, r := range refs {
 		if done[r.ID] {
 			continue // already ready on the first scan: no wake source needed
 		}
 		if owner != nil && !r.Task.IsNil() && owner.OwnsTask(r.Task) {
-			owned[r.Task] = append(owned[r.Task], r.ID)
+			owned[r.Task] = append(owned[r.Task], r)
 			continue
 		}
 		subscribe(r.ID)
@@ -474,21 +499,26 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 			// stored the outputs locally; if ownership moved instead, fall
 			// back to the per-object stream (subscribe-then-recheck, same
 			// no-missed-edge order as the setup loop).
-			for _, id := range owned[task] {
-				if done[id] {
+			for _, r := range owned[task] {
+				if done[r.ID] {
 					continue
 				}
-				if !isReady(id) {
-					subscribe(id)
-					if !isReady(id) {
+				if !isReady(r) {
+					subscribe(r.ID)
+					if !isReady(r) {
 						continue
 					}
 				}
-				done[id] = true
+				done[r.ID] = true
 				n++
 			}
 		case <-poll.C:
 			n = countReady() // safety net against missed edges
+			if n < numReturns {
+				if err := reclaimedAmong(ctrl, unknown); err != nil {
+					return nil, nil, err
+				}
+			}
 		case <-deadline:
 			goto out
 		case <-ctx.Done():
@@ -504,6 +534,28 @@ out:
 		}
 	}
 	return ready, pending, nil
+}
+
+// reclaimedAmong reports ErrReclaimed if one of refs — futures the object
+// table has no record of — can never complete because the task table has no
+// record of its producer either. AddTask is synchronous at submit and a
+// Put's location is published before its ref exists, so this absence is not
+// lateness: the records were retired (DESIGN.md §17).
+func reclaimedAmong(ctrl gcs.API, refs []ObjectRef) error {
+	for _, r := range refs {
+		if !r.Task.IsNil() {
+			if _, ok := ctrl.GetTask(r.Task); ok {
+				continue
+			}
+		}
+		if p, ok := ctrl.(gcs.Pinger); ok && !p.Ping() {
+			return nil // an unreachable shard reads as absent
+		}
+		if _, ok := ctrl.GetObject(r.ID); !ok {
+			return fmt.Errorf("%w: %v", ErrReclaimed, r.ID)
+		}
+	}
+	return nil
 }
 
 // Client is the driver's handle to the cluster: the root of the task tree.
@@ -574,9 +626,11 @@ func (cl *Client) Put(v any) (ObjectRef, error) { return cl.put(v) }
 
 // Release drops the driver's references to the given futures. Once every
 // reference in the cluster is gone the lifetime subsystem reclaims the
-// objects' bytes on every node. Releasing a future and then using it (or a
-// copy of it) races with that reclamation: the Get may pay a lineage
-// replay. On backends without lifetime support Release is a no-op.
+// objects' bytes on every node, and shortly after retires their records and
+// their producers' (DESIGN.md §17). Releasing a future and then using it
+// (or a copy of it) races with both: the Get may pay a lineage replay, or
+// fail with ErrReclaimed. On backends without lifetime support Release is a
+// no-op.
 func (cl *Client) Release(refs ...ObjectRef) { cl.release(refs) }
 
 // Backend exposes the underlying backend (examples and tools use it).

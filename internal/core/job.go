@@ -3,7 +3,6 @@ package core
 import (
 	"crypto/rand"
 	"fmt"
-	"strings"
 
 	"repro/internal/jobs"
 	"repro/internal/types"
@@ -54,20 +53,7 @@ func (c *caller) admitJob(job types.JobID) error {
 // application error that merely starts with the prefix text is not
 // misclassified as a job stop.
 func isJobStoppedPayload(msg string) bool {
-	rest, ok := strings.CutPrefix(msg, types.ReasonJobStopped)
-	if !ok {
-		return false
-	}
-	rest, ok = strings.CutPrefix(rest, "job-")
-	if !ok || len(rest) != 12 {
-		return false
-	}
-	for _, c := range rest {
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
-			return false
-		}
-	}
-	return true
+	return hasReason(msg, types.ReasonJobStopped, "job-")
 }
 
 // Job is the driver's handle to a tenant job.

@@ -8,6 +8,7 @@ package dashboard
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -310,14 +311,14 @@ type TaskView struct {
 	ID string `json:"id"`
 	// IDHex is the full task ID, the form /api/tasks?id= (rayctl tasks
 	// <id-hex>) takes.
-	IDHex    string `json:"id_hex"`
-	Function string `json:"function"`
-	Status   string `json:"status"`
-	Node     string `json:"node"`
-	Owner    string `json:"owner,omitempty"`
-	OwnerSeq uint64 `json:"owner_seq,omitempty"`
-	Error    string `json:"error,omitempty"`
-	Retries  int    `json:"retries,omitempty"`
+	IDHex    string  `json:"id_hex"`
+	Function string  `json:"function"`
+	Status   string  `json:"status"`
+	Node     string  `json:"node"`
+	Owner    string  `json:"owner,omitempty"`
+	OwnerSeq uint64  `json:"owner_seq,omitempty"`
+	Error    string  `json:"error,omitempty"`
+	Retries  int     `json:"retries,omitempty"`
 	E2EMs    float64 `json:"e2e_ms"`
 	// LastTransitionAgeMs is how long the task has sat in its current
 	// status — the first thing to look at for a stuck task.
@@ -370,8 +371,8 @@ func tasksView(ctrl gcs.API) []TaskView {
 
 func taskDetail(ctrl gcs.API, t types.TaskState) TaskDetail {
 	d := TaskDetail{
-		TaskView:   taskView(t, ctrl.NowNs()),
-		MaxRetries: t.Spec.MaxRetries,
+		TaskView:    taskView(t, ctrl.NowNs()),
+		MaxRetries:  t.Spec.MaxRetries,
 		SubmittedNs: t.SubmittedNs, ScheduledNs: t.ScheduledNs,
 		StartedNs: t.StartedNs, FinishedNs: t.FinishedNs,
 	}
@@ -549,6 +550,35 @@ func eventsView(ctrl gcs.API) []EventView {
 	return out
 }
 
+// recordLifetimeRow is the overview's one line on record lifetime (DESIGN.md
+// §17): how big the tables are, how much of that is dead records waiting
+// out their grace (or, if it only grows, leaked: dead with nobody left to
+// propose them), what the nodes have retired, what they have queued, and
+// why proposals were refused.
+func recordLifetimeRow(w io.Writer, tasks int, objects []types.ObjectInfo, nodes []metrics.NodeSnapshot) {
+	dead := 0
+	for i := range objects {
+		if objects[i].Dead() {
+			dead++
+		}
+	}
+	var c struct{ tasks, objects, queued, oldestMs, referenced, located, pinned, live, dropped int64 }
+	for _, n := range nodes {
+		c.tasks += n.Snap.Counters["lifetime.retire.tasks"]
+		c.objects += n.Snap.Counters["lifetime.retire.objects"]
+		c.queued += n.Snap.Gauges["lifetime.retire.queued"]
+		c.oldestMs = max(c.oldestMs, n.Snap.Gauges["lifetime.retire.oldest_ms"])
+		c.referenced += n.Snap.Counters["lifetime.retire.refused;cause=referenced"]
+		c.located += n.Snap.Counters["lifetime.retire.refused;cause=located"]
+		c.pinned += n.Snap.Counters["lifetime.retire.refused;cause=pinned"]
+		c.live += n.Snap.Counters["lifetime.retire.refused;cause=producer-live"]
+		c.dropped += n.Snap.Counters["lifetime.retire.dropped"]
+	}
+	fmt.Fprintf(w, "records: %d tasks, %d objects live (%d dead); retired %d tasks, %d objects; proposals: %d queued, oldest %dms; "+
+		"refused: referenced=%d located=%d pinned=%d producer-live=%d (dropped %d)\n",
+		tasks, len(objects), dead, c.tasks, c.objects, c.queued, c.oldestMs, c.referenced, c.located, c.pinned, c.live, c.dropped)
+}
+
 func overview(ctrl gcs.API, o handlerOpts, w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if o.shardStats != nil {
@@ -612,8 +642,10 @@ func overview(ctrl gcs.API, o handlerOpts, w http.ResponseWriter) {
 	}
 	fmt.Fprintf(w, "object memory: %d B in memory, %d B spilled, %d reclaimed\n",
 		memUsed, memSpilled, reclaimed)
+	objects := ctrl.Objects()
 	fmt.Fprintf(w, "objects: %d, functions: %d, events: %d\n",
-		len(ctrl.Objects()), len(ctrl.Functions()), len(ctrl.Events()))
+		len(objects), len(ctrl.Functions()), len(ctrl.Events()))
+	recordLifetimeRow(w, len(tasks), objects, telemetryOf(ctrl))
 	if jobRecords := ctrl.Jobs(); len(jobRecords) > 0 {
 		byState := map[types.JobState]int{}
 		for _, j := range jobRecords {

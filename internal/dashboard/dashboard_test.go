@@ -174,7 +174,7 @@ func TestEndpoints(t *testing.T) {
 		if code != 200 {
 			t.Fatalf("status %d", code)
 		}
-		for _, want := range []string{"nodes: 2", "tasks: 1", "FINISHED=1"} {
+		for _, want := range []string{"nodes: 2", "tasks: 1", "FINISHED=1", "records: 1 tasks, ", "proposals: 0 queued"} {
 			if !strings.Contains(body, want) {
 				t.Fatalf("overview missing %q:\n%s", want, body)
 			}

@@ -44,6 +44,15 @@ type TaskLookup interface {
 	Lookup(id types.TaskID) (types.TaskState, bool)
 }
 
+// producerOf finds the task that returns id: hint's record when the caller
+// named one, a scan of the table otherwise.
+func (r *Reconstructor) producerOf(id types.ObjectID, hint types.TaskID) (types.TaskState, bool) {
+	if hint.IsNil() {
+		return r.deriveProducer(id)
+	}
+	return r.Ctrl.GetTask(hint)
+}
+
 // Reconstructor replays producing tasks to regenerate lost objects.
 type Reconstructor struct {
 	Ctrl gcs.API
@@ -63,9 +72,13 @@ type Reconstructor struct {
 // ensure flush — a crash (or a control-plane snapshot taken) inside that
 // window loses only the index, never the lineage. Return-object IDs are
 // deterministic (H("ret" ‖ task ‖ index)), so the edge is recomputable
-// from the specs. O(tasks × returns), paid only when a Lost object has no
-// recorded producer — the catastrophic-failover path, not a hot one.
+// from the specs. O(tasks × returns) over a table the size of the live
+// set, paid only when an object without a copy has no recorded producer —
+// a catastrophic failover, or a reader holding a ref to something retired.
 func (r *Reconstructor) deriveProducer(id types.ObjectID) (types.TaskState, bool) {
+	if !r.ctrlReachable() {
+		return types.TaskState{}, false // a partial scan proves nothing
+	}
 	for _, st := range r.Ctrl.Tasks() {
 		for i := 0; i < st.Spec.NumReturns; i++ {
 			if st.Spec.ReturnID(i) == id {
@@ -85,7 +98,21 @@ func (r *Reconstructor) deriveProducer(id types.ObjectID) (types.TaskState, bool
 // reconstruction of the replayed task's own lost inputs happens naturally:
 // the scheduler's dependency resolver calls back into RequestObject for
 // each unavailable dependency it encounters.
+//
+// An object with no lineage anywhere — no producer edge on its record (or
+// no record) and no task in the table that returns it — yields
+// types.ErrReclaimed: AddTask is synchronous at submit, so a return whose
+// task the table does not know was retired (or never submitted), and there
+// is nothing to wait for. Callers ask only after a first poll, so the one
+// flush interval by which an edge may trail its task costs no scan.
 func (r *Reconstructor) RequestObject(id types.ObjectID) error {
+	return r.RequestReturn(id, types.NilTaskID)
+}
+
+// RequestReturn is RequestObject by a caller that knows id is a return of
+// task (a future carries its producer): where the record has no producer
+// edge, the one task-table read replaces the scan that derives it.
+func (r *Reconstructor) RequestReturn(id types.ObjectID, task types.TaskID) error {
 	info, ok := r.Ctrl.GetObject(id)
 	if !ok {
 		if !r.ctrlReachable() {
@@ -95,24 +122,26 @@ func (r *Reconstructor) RequestObject(id types.ObjectID) error {
 		// while the shard was down and the ping succeeded against its new
 		// incarnation. One re-read settles record-absent vs unlucky timing.
 		if info, ok = r.Ctrl.GetObject(id); !ok {
-			return fmt.Errorf("fault: object %v unknown to control plane", id)
+			info = types.ObjectInfo{ID: id, State: types.ObjectPending}
 		}
 	}
 	if info.State == types.ObjectReady {
 		return nil
 	}
 	if info.Producer.IsNil() {
-		// Pending with no lineage edge is transient under owner-based
-		// lineage (DESIGN.md §13): the record was created by a refcount
-		// flush and the owner's EnsureObjects delta is still in flight — a
-		// genuinely producerless object (a Put) is born Ready, never
-		// Pending. Keep waiting; only a Lost object with no producer needs
-		// the edge derived (or is truly beyond replay).
-		if info.State == types.ObjectPending {
-			return nil
-		}
-		st, ok := r.deriveProducer(id)
-		if !ok {
+		// No lineage edge. Transient under owner-based lineage (DESIGN.md
+		// §13) — the record was created by a refcount flush and the owner's
+		// EnsureObjects delta is still in flight — unless no task returns
+		// the object at all: then it is a Put whose copies are gone, or, if
+		// it never had a copy, something retired.
+		st, found := r.producerOf(id, task)
+		if !found {
+			if !r.ctrlReachable() {
+				return fmt.Errorf("%w: deriving the producer of %v", ErrControlUnavailable, id)
+			}
+			if info.State == types.ObjectPending {
+				return fmt.Errorf("%w: %v", types.ErrReclaimed, id)
+			}
 			return fmt.Errorf("%w: %v", ErrNotReconstructable, id)
 		}
 		r.Ctrl.EnsureObject(id, st.Spec.ID) // heal: next resolve is O(1) again
@@ -141,7 +170,7 @@ func (r *Reconstructor) RequestObject(id types.ObjectID) error {
 			return fmt.Errorf("%w: looking up lineage of %v", ErrControlUnavailable, info.Producer)
 		}
 		if st, ok = r.Ctrl.GetTask(info.Producer); !ok {
-			return fmt.Errorf("fault: lineage record for task %v missing", info.Producer)
+			return fmt.Errorf("%w: %v (lineage record for task %v gone)", types.ErrReclaimed, id, info.Producer)
 		}
 	}
 	if info.State == types.ObjectPending {

@@ -172,15 +172,36 @@ type API interface {
 	// shard was unreachable so the caller retries them; nil means fully
 	// applied.
 	ForceReleaseObjects(ids []types.ObjectID) []types.ObjectID
-	// PurgeObjects tombstones drained object records (refcount zero, no
-	// copies). Returns the IDs not purged — undrained yet or shard
+	// PurgeObjects removes dead object records (types.ObjectInfo.Dead).
+	// Returns the IDs not purged — undrained yet, pinned, or shard
 	// unreachable — so the caller retries; nil means fully purged.
 	PurgeObjects(ids []types.ObjectID) []types.ObjectID
-	// PurgeJobTasks tombstones the job's terminal task records (and their
-	// durable markers), returning how many were deleted and whether the
-	// scan covered the whole table. Called only after the job is Stopped
-	// and its grace period elapsed.
+	// PurgeJobTasks removes the job's terminal task records (and their
+	// durable markers) and drops the lineage pins they held, returning how
+	// many were deleted and whether the scan covered the whole table.
+	// Called only after the job is Stopped and its grace period elapsed.
 	PurgeJobTasks(job types.JobID) (int, bool)
+
+	// Record lifetime (DESIGN.md §17). Retire is the one entry point: it
+	// takes objects believed dead — a node proposes what its GC drained, a
+	// job purge everything the job produced — re-checks each against the
+	// tables, and removes the task records (with their return objects'
+	// records) that are lineage for nobody any more, following unpinned
+	// arguments back through a released chain. Early, duplicate and stale
+	// proposals are refused; the call is idempotent.
+	Retire(objects []types.ObjectID) Retired
+	// PurgeTasks removes the terminal records among ids. args holds what
+	// the removed records took by reference, once per record and distinct
+	// argument: the caller owes each a PinObjects of -1. left holds the
+	// IDs still in the table — not terminal, or shard unreachable.
+	PurgeTasks(ids []types.TaskID) (args []types.ObjectID, left []types.TaskID)
+	// PinObjects adds deltas to the objects' LineagePins (clamped at zero),
+	// under one idempotency token recorded per object like a reference
+	// flush's. The owner's task ledger sends +1 for each distinct
+	// by-reference argument of a task whose AddTask inserted a fresh
+	// record; whoever removes a task record sends the -1. Returns the IDs
+	// whose shard stayed unreachable, to be retried under the same token.
+	PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID
 
 	// Spillover queue (Section 3.2.2): local schedulers publish tasks they
 	// decline; global schedulers subscribe.

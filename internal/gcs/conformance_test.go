@@ -389,6 +389,92 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 		t.Fatal("MarkJobPurged is not idempotent")
 	}
 
+	// Record lifetime: t1 -> a, t2(a, a) -> b. A record goes only when
+	// nothing can ask for it again, and then the whole released chain goes.
+	t1, t2 := mkTask(510), mkTask(511)
+	a, b := t1.Spec.ReturnID(0), t2.Spec.ReturnID(0)
+	t2.Spec.Args = []types.Arg{types.RefArg(a), types.ValueArg([]byte{1}), types.RefArg(a)}
+	for _, ts := range []types.TaskState{t1, t2} {
+		if !api.AddTask(ts) {
+			t.Fatal("AddTask failed")
+		}
+		out := ts.Spec.ReturnID(0)
+		api.EnsureObject(out, ts.Spec.ID)
+		api.AddObjectLocation(out, n, 8)
+		api.ModifyObjectRefCount(out, 1)
+	}
+	pin := map[types.ObjectID]int64{a: 1}
+	if failed := api.PinObjects(pin, 61); len(failed) != 0 {
+		t.Fatalf("PinObjects failed for %v", failed)
+	}
+	api.PinObjects(pin, 61) // redelivered: the token is on the record
+	if info, _ := api.GetObject(a); info.LineagePins != 1 {
+		t.Fatalf("LineagePins = %d after one pin delivered twice, want 1", info.LineagePins)
+	}
+	finish := func(id types.TaskID) {
+		if !api.CASTaskStatus(id, []types.TaskStatus{types.TaskPending}, types.TaskFinished) {
+			t.Fatal("finishing CAS lost")
+		}
+	}
+	refused := func(what string, got, want Retired) {
+		t.Helper()
+		if got.Tasks != 0 || got.Objects != 0 || got.Referenced != want.Referenced || got.Located != want.Located ||
+			got.Pinned != want.Pinned || !slices.Equal(got.Again, want.Again) {
+			t.Fatalf("Retire of a %s object = %+v, want %+v", what, got, want)
+		}
+	}
+	finish(t1.Spec.ID)
+	refused("referenced", api.Retire([]types.ObjectID{a}), Retired{Referenced: 1})
+	api.ModifyObjectRefCount(a, -1)
+	refused("located", api.Retire([]types.ObjectID{a}), Retired{Located: 1})
+	api.RemoveObjectLocation(a, n)
+	refused("pinned", api.Retire([]types.ObjectID{a}), Retired{Pinned: 1})
+	api.ModifyObjectRefCount(b, -1)
+	api.RemoveObjectLocation(b, n)
+	refused("dead object of an unfinished task", api.Retire([]types.ObjectID{b}), Retired{Again: []types.ObjectID{b}})
+	if args, left := api.PurgeTasks([]types.TaskID{t2.Spec.ID}); len(args) != 0 || len(left) != 1 {
+		t.Fatalf("PurgeTasks of an unfinished task = %v, %v, want it left", args, left)
+	}
+	finish(t2.Spec.ID)
+	// b is dead and its producer terminal: t2 and b go, which unpins a, so
+	// t1 and a go in the same call.
+	if got := api.Retire([]types.ObjectID{b}); got.Tasks != 2 || got.Objects != 2 {
+		t.Fatalf("Retire of a released chain = %+v, want 2 tasks and 2 objects", got)
+	}
+	for _, ts := range []types.TaskState{t1, t2} {
+		if _, ok := api.GetTask(ts.Spec.ID); ok {
+			t.Fatalf("task %v survived the retire of its chain", ts.Spec.ID)
+		}
+		if _, ok := api.GetObject(ts.Spec.ReturnID(0)); ok {
+			t.Fatalf("return of %v survived the retire of its chain", ts.Spec.ID)
+		}
+	}
+	if got := api.Retire([]types.ObjectID{a, b}); got.Tasks != 0 || got.Objects != 0 || len(got.Again) != 0 {
+		t.Fatalf("second Retire = %+v, want nothing to do", got)
+	}
+	// A retire cut short after its task purge left a dead object record
+	// without a producer; proposing the object again finishes the job.
+	t3 := mkTask(512)
+	t3.Spec.Args = []types.Arg{types.RefArg(obj2)}
+	c := t3.Spec.ReturnID(0)
+	api.AddTask(t3)
+	api.EnsureObject(c, t3.Spec.ID)
+	api.ModifyObjectRefCounts(n, map[types.ObjectID]int64{c: 0}, 62) // retained and released
+	finish(t3.Spec.ID)
+	if args, left := api.PurgeTasks([]types.TaskID{t3.Spec.ID}); !slices.Equal(args, []types.ObjectID{obj2}) || len(left) != 0 {
+		t.Fatalf("PurgeTasks = %v, %v, want the one argument and nothing left", args, left)
+	}
+	api.PinObjects(map[types.ObjectID]int64{obj2: -1}, 63) // nothing to unpin: no record is started, no count goes negative
+	if _, ok := api.GetObject(obj2); ok {
+		t.Fatal("an unpin started a record")
+	}
+	if got := api.Retire([]types.ObjectID{c}); got.Tasks != 0 || got.Objects != 1 {
+		t.Fatalf("Retire after a cut-short one = %+v, want the one object record", got)
+	}
+	if _, ok := api.GetObject(c); ok {
+		t.Fatal("orphaned object record survived")
+	}
+
 	// Functions, events, telemetry.
 	api.RegisterFunction(FunctionInfo{Name: "g", NumReturns: 1})
 	if !api.HasFunction("g") || len(api.Functions()) != 1 {

@@ -22,9 +22,9 @@ import (
 // formatFixture is a small control state with one record of every kind the
 // hot tables and their marker indexes hold.
 type formatFixture struct {
-	pending, finished types.TaskState
-	garbage, live     types.ObjectInfo
-	node              types.NodeInfo
+	pending, finished     types.TaskState
+	garbage, live, pinned types.ObjectInfo
+	node                  types.NodeInfo
 }
 
 func newFormatFixture() formatFixture {
@@ -40,6 +40,7 @@ func newFormatFixture() formatFixture {
 		finished: types.TaskState{Spec: spec(11), Status: types.TaskFinished, Node: n, Owner: n, OwnerSeq: 4, SubmittedNs: 2, LastTransitionNs: 9, FinishedNs: 9, MutOps: types.OpRing{7}},
 		garbage:  types.ObjectInfo{ID: testObjectID(20), Size: 8, Producer: testTaskID(11), State: types.ObjectReady, Locations: []types.NodeID{n}, EverRetained: true, RefOps: types.OpRing{5, 6}},
 		live:     types.ObjectInfo{ID: testObjectID(21), Size: 8, State: types.ObjectReady, Locations: []types.NodeID{n, testNodeID(2)}, SpilledOn: []types.NodeID{n}, RefCount: 2, EverRetained: true, Holders: map[types.NodeID]int64{n: 2}},
+		pinned:   types.ObjectInfo{ID: testObjectID(22), Size: 8, Producer: testTaskID(10), State: types.ObjectLost, EverRetained: true, RefOps: types.OpRing{4}, LineagePins: 2},
 		node:     types.NodeInfo{ID: n, Addr: "a", Total: types.GPU(4, 1), Available: types.CPU(3), Alive: true, LastSeen: 3, MutOps: types.OpRing{8}},
 	}
 }
@@ -52,6 +53,7 @@ func (f formatFixture) encodings() map[string][]byte {
 		TaskKey(f.finished.Spec.ID):          codec.MustEncode(f.finished),
 		ObjectKey(f.garbage.ID):              codec.MustEncode(f.garbage),
 		ObjectKey(f.live.ID):                 codec.MustEncode(f.live),
+		ObjectKey(f.pinned.ID):               codec.MustEncode(f.pinned),
 		NodeKey(f.node.ID):                   codec.MustEncode(f.node),
 		keyPendIdx + f.pending.Spec.ID.Hex(): nil,
 		keyGCIdx + f.garbage.ID.Hex():        nil,
@@ -177,7 +179,7 @@ func TestRecoversParentEncodedState(t *testing.T) {
 		t.Errorf("epoch = %d, want %d", got, parentEpoch)
 	}
 	sameRecords(t, "Tasks", s.Tasks(), f.pending, f.finished)
-	sameRecords(t, "Objects", s.Objects(), f.garbage, f.live)
+	sameRecords(t, "Objects", s.Objects(), f.garbage, f.live, f.pinned)
 	sameRecords(t, "Nodes", s.Nodes(), f.node)
 	if got := s.StalePendingTasks(0); len(got) != 1 || got[0].ID != f.pending.Spec.ID {
 		t.Errorf("StalePendingTasks = %v, want the one pending task", got)
@@ -202,6 +204,7 @@ func TestDurableStoreWritesParentFormat(t *testing.T) {
 	s.ModifyObjectRefCounts(testNodeID(1), map[types.ObjectID]int64{obj: -2}, 44) // drains: a gcidx marker
 	s.AddTask(types.TaskState{Spec: types.TaskSpec{ID: testTaskID(12), Function: "g"}, Status: types.TaskPending})
 	s.CASTaskStatusOp(task, []types.TaskStatus{types.TaskRunning}, types.TaskPending, 45) // a second pendidx marker
+	s.PinObjects(map[types.ObjectID]int64{obj: 1}, 46)                                    // a pinned object record
 	s.CreatePlacementGroup(parentGroup.Spec)
 	s.RegisterFunction(parentFunc)
 	s.LogEvent(parentEvent)

@@ -195,10 +195,11 @@ func (s *Store) forceReleaseObject(id types.ObjectID) {
 	}
 }
 
-// PurgeObjects implements API: tombstone drained object records. A record
-// still holding copies or references is skipped (returned for retry) — the
-// force release and the lifetime GC it triggers must drain it first. On a
-// durable shard the delete is WAL'd, so the tombstone survives restarts.
+// PurgeObjects implements API: remove dead object records. A record still
+// holding copies, references or lineage pins is skipped (returned for
+// retry) — the force release and the lifetime GC it triggers must drain it
+// first, and a pin goes with the task record that holds it. On a durable
+// shard the delete is WAL'd, so the record stays gone across restarts.
 func (s *Store) PurgeObjects(ids []types.ObjectID) []types.ObjectID {
 	var remaining []types.ObjectID
 	for _, id := range ids {
@@ -208,7 +209,7 @@ func (s *Store) PurgeObjects(ids []types.ObjectID) []types.ObjectID {
 			// publish — the original event is crash-droppable, and after
 			// the job commits Stopped nothing else refires it.
 			rekick = info.RefCount == 0 && len(info.Locations) != 0
-			return info.RefCount == 0 && len(info.Locations) == 0
+			return info.Dead()
 		}) {
 			continue
 		}
@@ -220,24 +221,35 @@ func (s *Store) PurgeObjects(ids []types.ObjectID) []types.ObjectID {
 	return remaining
 }
 
-// PurgeJobTasks implements API: tombstone the job's terminal task records
-// and their durable markers. Live records are left alone — the reclaim
-// pass buries them first and re-runs the purge. The in-process store
-// always has a complete view.
+// PurgeTasks implements API: remove the terminal records among ids. What a
+// removed record pinned comes back in args, once per (record, argument).
+func (s *Store) PurgeTasks(ids []types.TaskID) (args []types.ObjectID, left []types.TaskID) {
+	for _, id := range ids {
+		if !s.tasks.remove(id, func(st *types.TaskState) bool {
+			if !st.Status.Terminal() {
+				return false
+			}
+			args = append(args, st.Spec.DistinctDeps()...)
+			return true
+		}) {
+			left = append(left, id)
+		}
+	}
+	return args, left
+}
+
+// PurgeJobTasks implements API: remove the job's terminal task records and
+// drop the pins they held. Live records are left alone — the reclaim pass
+// buries them first and re-runs the purge. The in-process store always has
+// a complete view.
 func (s *Store) PurgeJobTasks(job types.JobID) (int, bool) {
-	purgeable := func(st *types.TaskState) bool { return st.Spec.Job == job && st.Status.Terminal() }
 	var ids []types.TaskID
 	s.tasks.scan(func(id types.TaskID, st *types.TaskState) {
-		if purgeable(st) {
+		if st.Spec.Job == job && st.Status.Terminal() {
 			ids = append(ids, id)
 		}
 	})
-	purged := 0
-	for _, id := range ids {
-		if s.tasks.remove(id, purgeable) {
-			purged++
-		}
-	}
+	purged := purgeAndUnpin(s, ids)
 	if purged > 0 {
 		s.logEvent(types.Event{Kind: "job-purge-tasks", Detail: job.String()})
 	}

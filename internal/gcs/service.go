@@ -47,7 +47,9 @@ const (
 	MethodJobTasks         = "gcs.jobTasks"
 	MethodForceReleaseObjs = "gcs.forceReleaseObjects"
 	MethodPurgeObjects     = "gcs.purgeObjects"
-	MethodPurgeJobTasks    = "gcs.purgeJobTasks"
+	MethodPurgeTasks       = "gcs.purgeTasks"
+	MethodPinObjects       = "gcs.pinObjects"
+	MethodRecordFacts      = "gcs.recordFacts"
 	MethodRegisterNode     = "gcs.registerNode"
 	MethodHeartbeat        = "gcs.heartbeat"
 	MethodMarkNodeDead     = "gcs.markNodeDead"
@@ -193,6 +195,28 @@ type (
 	objectIDsReq struct {
 		IDs []types.ObjectID
 	}
+	taskIDsReq struct {
+		IDs []types.TaskID
+	}
+	purgeTasksResp struct {
+		Args []types.ObjectID
+		Left []types.TaskID
+	}
+	// recordFactsReq asks for what Retire reads of the named records;
+	// recordFactsResp answers in the order asked.
+	recordFactsReq struct {
+		Objects []types.ObjectID
+		Tasks   []types.TaskID
+	}
+	recordFactsResp struct {
+		Objects []objectFacts
+		Tasks   []taskFacts
+	}
+	pinObjectsReq struct {
+		Deltas map[types.ObjectID]int64
+		// Op is the batch's idempotency token, recorded per object.
+		Op uint64
+	}
 )
 
 // Registrar is the method-registration surface RegisterService needs.
@@ -301,10 +325,14 @@ func RegisterService(srv Registrar, store *Store) {
 	handle(srv, MethodPurgeObjects, func(r objectIDsReq) objectIDsReq {
 		return objectIDsReq{IDs: store.PurgeObjects(r.IDs)}
 	})
-	handle(srv, MethodPurgeJobTasks, func(job types.JobID) int {
-		n, _ := store.PurgeJobTasks(job)
-		return n
+	handle(srv, MethodPurgeTasks, func(r taskIDsReq) purgeTasksResp {
+		args, left := store.PurgeTasks(r.IDs)
+		return purgeTasksResp{Args: args, Left: left}
 	})
+	handle(srv, MethodRecordFacts, func(r recordFactsReq) recordFactsResp {
+		return recordFactsResp{Objects: store.objectFacts(r.Objects), Tasks: store.taskFacts(r.Tasks)}
+	})
+	handle(srv, MethodPinObjects, ack(func(r pinObjectsReq) { store.PinObjects(r.Deltas, r.Op) }))
 
 	handle(srv, MethodPublishSpill, ack(store.PublishSpill))
 	handle(srv, MethodRegisterNode, ack(store.RegisterNode))

@@ -741,10 +741,93 @@ func (s *Sharded) PurgeObjects(ids []types.ObjectID) []types.ObjectID {
 
 func objectIDs(ids []types.ObjectID) any { return objectIDsReq{IDs: ids} }
 
-// PurgeJobTasks implements API: an incomplete pass (false) makes the
-// reclaim pass re-run it before stamping the job purged.
+// PurgeJobTasks implements API: the job's terminal records, found by scan,
+// go through PurgeTasks, and the pins they held — on whatever shards —
+// are dropped. An incomplete pass (false) makes the reclaim pass re-run it
+// before stamping the job purged.
 func (s *Sharded) PurgeJobTasks(job types.JobID) (int, bool) {
-	return fanOutSum(s, MethodPurgeJobTasks, job)
+	tasks, complete := s.JobTasks(job)
+	var ids []types.TaskID
+	for i := range tasks {
+		if tasks[i].Status.Terminal() {
+			ids = append(ids, tasks[i].Spec.ID)
+		}
+	}
+	return purgeAndUnpin(s, ids), complete
+}
+
+// PurgeTasks implements API: partitioned by the shard owning each task
+// record. A delete cannot be told from its own retry, so a partition whose
+// ack died with its shard reports nothing removed the second time and the
+// pins those records held stay — the leak-safe direction.
+func (s *Sharded) PurgeTasks(ids []types.TaskID) (args []types.ObjectID, left []types.TaskID) {
+	left = partition(s, ids, TaskKey, MethodPurgeTasks,
+		func(part []types.TaskID) any { return taskIDsReq{IDs: part} },
+		func(resp purgeTasksResp) []types.TaskID {
+			args = append(args, resp.Args...) // partition calls this under its lock
+			return resp.Left
+		})
+	return args, left
+}
+
+// PinObjects implements API: partitioned like ModifyObjectRefCounts, every
+// partition under the caller's token.
+func (s *Sharded) PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
+	return partition[types.ObjectID, bool](s, slices.Collect(maps.Keys(deltas)), ObjectKey, MethodPinObjects,
+		func(part []types.ObjectID) any { return pinObjectsReq{Deltas: subMap(deltas, part), Op: op} }, nil)
+}
+
+// Retire implements API: the policy of retire.go, its reads and removals as
+// keyed calls.
+func (s *Sharded) Retire(objects []types.ObjectID) Retired { return retire(s, objects) }
+
+// recordFacts is one of retire's batched reads: the records of ids, grouped
+// by owning shard, one message per shard, answered in ids' order. A shard
+// gets two quick attempts where other keyed calls ride out the retry
+// window — the caller holds a batch, and a dead shard must cost it one
+// short wait — and its records then read as down.
+func recordFacts[K ~[types.IDSize]byte, F any](s *Sharded, ids []K, key func(K) string, req func([]K) recordFactsReq, facts func(recordFactsResp) []F, down F) []F {
+	out := make([]F, len(ids))
+	m := s.Map()
+	byShard := make(map[int][]int)
+	for i, id := range ids {
+		idx := m.ShardForKey(key(id))
+		byShard[idx] = append(byShard[idx], i)
+	}
+	var wg sync.WaitGroup
+	for idx, at := range byShard {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			part := make([]K, len(at))
+			for j, i := range at {
+				part[j] = ids[i]
+			}
+			resp, ok := scanShard[recordFactsResp](s, idx, MethodRecordFacts, req(part))
+			got := facts(resp)
+			for j, i := range at {
+				if ok && j < len(got) {
+					out[i] = got[j]
+				} else {
+					out[i] = down
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+func (s *Sharded) objectFacts(ids []types.ObjectID) []objectFacts {
+	return recordFacts(s, ids, ObjectKey,
+		func(part []types.ObjectID) recordFactsReq { return recordFactsReq{Objects: part} },
+		func(resp recordFactsResp) []objectFacts { return resp.Objects }, objectFacts{Look: unreachable})
+}
+
+func (s *Sharded) taskFacts(ids []types.TaskID) []taskFacts {
+	return recordFacts(s, ids, TaskKey,
+		func(part []types.TaskID) recordFactsReq { return recordFactsReq{Tasks: part} },
+		func(resp recordFactsResp) []taskFacts { return resp.Tasks }, taskFacts{Look: unreachable})
 }
 
 // SubscribeJobs implements API: merged over every shard (each job's

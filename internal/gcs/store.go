@@ -565,6 +565,58 @@ func (s *Store) applyRefDelta(holder types.NodeID, id types.ObjectID, delta int6
 	return after
 }
 
+// PinObjects implements API: one batch of lineage-pin deltas under one
+// token, recorded per object like a reference flush's. A pin may reach the
+// table before the record it pins (the owner's lineage ensure rides the
+// same flush), so a positive delta starts a missing record; an unpin never
+// does. The in-process store cannot fail partially.
+func (s *Store) PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
+	for id, delta := range deltas {
+		m := existing
+		if delta > 0 {
+			m = upsert
+		}
+		s.objects.mutate(id, m, func(info *types.ObjectInfo, _ bool) bool {
+			if delta == 0 || info.RefOps.Seen(op) {
+				return false
+			}
+			info.ID = id
+			info.RefOps.Record(op, refOpHistory)
+			info.LineagePins = max(info.LineagePins+delta, 0)
+			return true
+		})
+	}
+	return nil
+}
+
+// Retire implements API (retire.go holds the policy).
+func (s *Store) Retire(objects []types.ObjectID) Retired { return retire(s, objects) }
+
+func (s *Store) objectFacts(ids []types.ObjectID) []objectFacts {
+	out := make([]objectFacts, len(ids))
+	for i, id := range ids {
+		if !s.objects.view(id, func(o *types.ObjectInfo) { out[i] = objectFactsOf(o) }) {
+			out[i].Look = absent
+		}
+	}
+	return out
+}
+
+func (s *Store) taskFacts(ids []types.TaskID) []taskFacts {
+	out := make([]taskFacts, len(ids))
+	for i, id := range ids {
+		if !s.tasks.view(id, func(t *types.TaskState) { out[i] = taskFactsOf(t) }) {
+			out[i].Look = absent
+		}
+	}
+	return out
+}
+
+// Records returns how many task and object records the tables hold.
+func (s *Store) Records() (tasks, objects int64) {
+	return s.tasks.live.Load(), s.objects.live.Load()
+}
+
 // SweepDeadNodeRefs implements API: drop every refcount share attributed
 // to node, which died without flushing releases (DESIGN.md §12). Counts a
 // dead node's ledger would eventually have released are subtracted in one
@@ -812,12 +864,16 @@ func (s *Store) logKind(prefix string, state fmt.Stringer, ev types.Event) {
 	}
 }
 
+// eventRing bounds each node's event list: the log is a narrative of recent
+// history for people and profilers (R7); nothing replays it.
+const eventRing = 1024
+
 func (s *Store) logEvent(ev types.Event) {
 	if !s.eventsOn.Load() {
 		return
 	}
 	ev.TimeNs = s.NowNs()
-	s.db.Append(keyEvents+ev.Node.Hex(), codec.MustEncodeGob(ev))
+	s.db.AppendRing(keyEvents+ev.Node.Hex(), codec.MustEncodeGob(ev), eventRing)
 }
 
 // LogEvent implements API (for components logging their own events).

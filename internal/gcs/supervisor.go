@@ -185,6 +185,17 @@ func (s *Supervisor) Stats() []ShardStats {
 	return out
 }
 
+// Records returns how many task and object records the live shards hold.
+func (s *Supervisor) Records() (tasks, objects int64) {
+	for _, svc := range s.shards {
+		if st := svc.Store(); st != nil {
+			t, o := st.Records()
+			tasks, objects = tasks+t, objects+o
+		}
+	}
+	return tasks, objects
+}
+
 // Close stops supervision and every shard (durable state stays on disk).
 func (s *Supervisor) Close() {
 	s.stopOnce.Do(func() { close(s.stop) })

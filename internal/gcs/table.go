@@ -38,6 +38,7 @@ type table[K ~[types.IDSize]byte, V any] struct {
 	marked     func(*V) bool
 	journal    kv.DB // nil: in-memory store
 	ops        atomic.Int64
+	live       atomic.Int64 // records in the table
 	stripes    []stripe[K, V]
 }
 
@@ -94,6 +95,7 @@ func (t *table[K, V]) mutate(id K, m mode, fn func(rec *V, exists bool) bool) (c
 		rec = new(V)
 		if changed = fn(rec, false); changed {
 			st.recs[id] = rec
+			t.live.Add(1)
 		} else {
 			rec = nil
 		}
@@ -144,6 +146,21 @@ func (t *table[K, V]) get(id K) (V, bool) {
 	return t.clone(rec), true
 }
 
+// view runs fn on id's record in place, under its stripe's lock, and reports
+// whether there is one: a read that copies nothing. fn must neither change
+// rec nor keep it.
+func (t *table[K, V]) view(id K, fn func(rec *V)) bool {
+	t.ops.Add(1)
+	st := t.stripe(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	rec, ok := st.recs[id]
+	if ok {
+		fn(rec)
+	}
+	return ok
+}
+
 // remove deletes id's record, and its marker with it, if ok approves. It
 // reports whether the record is gone.
 func (t *table[K, V]) remove(id K, ok func(*V) bool) bool {
@@ -156,6 +173,7 @@ func (t *table[K, V]) remove(id K, ok func(*V) bool) bool {
 			return false
 		}
 		delete(st.recs, id)
+		t.live.Add(-1)
 		if t.journal != nil {
 			t.journal.Delete(key(t.prefix, id))
 		}
@@ -243,6 +261,7 @@ func (t *table[K, V]) load(db kv.DB, durable bool) {
 	each(t.prefix, func(id K, raw []byte) {
 		if rec, err := codec.DecodeAs[V](raw); err == nil {
 			t.stripe(id).recs[id] = &rec
+			t.live.Add(1)
 		}
 	})
 	if t.marked != nil {

@@ -78,3 +78,16 @@ func (s *Store) Telemetry() []TelemetrySnapshot { return s.telemetry.snapshots()
 
 // Spans implements TelemetrySink.
 func (s *Store) Spans() []metrics.SpanRecord { return s.telemetry.all() }
+
+// ExportRecords publishes the control plane's live record counts — the
+// size the tables are now, which record lifetime (DESIGN.md §17) keeps near
+// the live set — as gauges in reg, the registry of whichever node's
+// telemetry the hosting process ships. records is Store.Records or
+// Supervisor.Records.
+func ExportRecords(reg *metrics.Registry, records func() (tasks, objects int64)) {
+	if reg == nil {
+		return
+	}
+	reg.GaugeFunc("gcs.records.tasks", func() int64 { t, _ := records(); return t })
+	reg.GaugeFunc("gcs.records.objects", func() int64 { _, o := records(); return o })
+}

@@ -13,7 +13,7 @@ type DB interface {
 	PutIfAbsent(key string, value []byte) bool
 	Update(key string, fn func(cur []byte, exists bool) (next []byte, ok bool)) bool
 	Delete(key string) bool
-	Append(key string, value []byte)
+	AppendRing(key string, value []byte, keep int)
 	List(key string) [][]byte
 	ListLen(key string) int
 	Keys(prefix string) []string

@@ -195,6 +195,24 @@ func (s *Store) Append(key string, value []byte) {
 	sh.mu.Unlock()
 }
 
+// AppendRing appends value to the list at key and drops its oldest entries
+// beyond keep, so the list holds the newest keep values in order.
+func (s *Store) AppendRing(key string, value []byte, keep int) {
+	s.ops.Add(1)
+	v := make([]byte, len(value))
+	copy(v, value)
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	list := append(sh.lists[key], v)
+	if over := len(list) - keep; over > 0 {
+		// The dropped head stays reachable until append next outgrows the
+		// array and copies the live tail: at most keep entries more.
+		list = list[over:]
+	}
+	sh.lists[key] = list
+	sh.mu.Unlock()
+}
+
 // List returns a copy of the list at key.
 func (s *Store) List(key string) [][]byte {
 	s.ops.Add(1)

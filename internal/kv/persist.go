@@ -148,6 +148,9 @@ const (
 	// the token pairing this WAL with the snapshot written by the same
 	// Checkpoint. Replay skips it; RecoverDir compares it.
 	walFence
+	// walAppendRing is a bounded append: the value is a 4-byte big-endian
+	// keep count followed by the element.
+	walAppendRing
 )
 
 // Logger wraps a Store, teeing every mutation to an append-only log.
@@ -289,6 +292,17 @@ func (l *Logger) Append(key string, value []byte) {
 	l.mu <- struct{}{}
 }
 
+// AppendRing logs and applies atomically.
+func (l *Logger) AppendRing(key string, value []byte, keep int) {
+	rec := make([]byte, 4+len(value))
+	binary.BigEndian.PutUint32(rec, uint32(keep))
+	copy(rec[4:], value)
+	<-l.mu
+	l.logLocked(walAppendRing, key, rec)
+	l.Store.AppendRing(key, value, keep)
+	l.mu <- struct{}{}
+}
+
 // Replay applies a mutation log to store. A truncated final record (torn
 // write during a crash) ends replay without error; anything else malformed
 // is reported.
@@ -323,6 +337,11 @@ func Replay(r io.Reader, store *Store) (records int, err error) {
 			store.Delete(string(key))
 		case walAppend:
 			store.Append(string(key), val)
+		case walAppendRing:
+			if len(val) < 4 {
+				return records, fmt.Errorf("kv: corrupt bounded append at record %d", records)
+			}
+			store.AppendRing(string(key), val[4:], int(binary.BigEndian.Uint32(val)))
 		case walFence:
 			continue // checkpoint metadata, no state change, not counted
 		default:

@@ -450,3 +450,29 @@ func TestLoggerLatchesWriteFailure(t *testing.T) {
 		t.Fatal("write failure not latched")
 	}
 }
+
+// TestAppendRingKeepsNewest: a bounded list holds the newest keep elements
+// in order, in memory and after its WAL is replayed.
+func TestAppendRingKeepsNewest(t *testing.T) {
+	const keep = 4
+	var wal bytes.Buffer
+	l := NewLogger(New(2), &wal)
+	for i := 0; i < 10*keep; i++ {
+		l.AppendRing("ring", []byte{byte(i)}, keep)
+	}
+	replayed := New(2)
+	if _, err := Replay(bytes.NewReader(wal.Bytes()), replayed); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Store{"live": l.Store, "replayed": replayed} {
+		got := s.List("ring")
+		if len(got) != keep {
+			t.Fatalf("%s: %d elements, want %d", name, len(got), keep)
+		}
+		for i, v := range got {
+			if want := byte(10*keep - keep + i); v[0] != want {
+				t.Fatalf("%s: element %d = %d, want %d", name, i, v[0], want)
+			}
+		}
+	}
+}

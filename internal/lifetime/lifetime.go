@@ -89,6 +89,10 @@ type Tracker struct {
 	stopped  chan struct{}
 	stopOnce sync.Once
 	kick     chan struct{}
+	// onTick, when set before Start, runs on the flusher after each timed
+	// flush: the Manager hangs its retire proposals on this cadence rather
+	// than keep a ticker of its own.
+	onTick func()
 }
 
 // refBatch is one flush that could not be delivered: its deltas and the
@@ -182,6 +186,9 @@ func (t *Tracker) flusher() {
 		select {
 		case <-tick.C:
 			t.Flush()
+			if t.onTick != nil {
+				t.onTick()
+			}
 		case <-t.kick:
 			t.Flush()
 		case <-t.stop:
@@ -345,11 +352,7 @@ func (t *Tracker) Flush() bool {
 		t.mu.Lock()
 		t.retry = t.retry[1:]
 		if len(failed) > 0 {
-			sub := make(map[types.ObjectID]int64, len(failed))
-			for _, id := range failed {
-				sub[id] = b.deltas[id]
-			}
-			t.retry = append([]refBatch{{op: b.op, deltas: sub}}, t.retry...)
+			t.retry = append([]refBatch{{op: b.op, deltas: deltasOf(b.deltas, failed)}}, t.retry...)
 			t.mu.Unlock()
 			return false
 		}
@@ -378,16 +381,22 @@ func (t *Tracker) Flush() bool {
 	op := newRefToken()
 	failed := t.ctrl.ModifyObjectRefCounts(node, deltas, op)
 	if len(failed) > 0 {
-		sub := make(map[types.ObjectID]int64, len(failed))
-		for _, id := range failed {
-			sub[id] = deltas[id]
-		}
 		t.mu.Lock()
-		t.retry = append(t.retry, refBatch{op: op, deltas: sub})
+		t.retry = append(t.retry, refBatch{op: op, deltas: deltasOf(deltas, failed)})
 		t.mu.Unlock()
 		return false
 	}
 	return true
+}
+
+// deltasOf is the part of a batch a shard did not take, to park under the
+// batch's token.
+func deltasOf(deltas map[types.ObjectID]int64, failed []types.ObjectID) map[types.ObjectID]int64 {
+	sub := make(map[types.ObjectID]int64, len(failed))
+	for _, id := range failed {
+		sub[id] = deltas[id]
+	}
+	return sub
 }
 
 // newRefToken returns a random non-zero idempotency token for one flush

@@ -1,20 +1,36 @@
 package lifetime
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/gcs"
+	"repro/internal/metrics"
 	"repro/internal/objectstore"
 	"repro/internal/types"
 )
+
+// reclaimGrace is how long after a node dropped an object's last local copy
+// it proposes the object's record for retiring (DESIGN.md §17). The drain
+// can run ahead of the control plane's view of the producer: a task whose
+// output is released the moment it is read has its FINISHED stamp, its
+// lineage ensure and its consumers' pins still in owner ledgers, at most a
+// flush interval (plus a redelivery) behind. Twenty-five intervals cover
+// that with a wide margin and are still short against anything a person
+// or a dashboard sees; a proposal that was early all the same is made once
+// more after twice as long, then given up.
+const reclaimGrace = 25 * defaultFlushInterval
 
 // Manager runs the lifetime subsystem on one node: it owns the node's
 // reference Tracker, answers the store's "is this still referenced?"
 // queries, and consumes the control plane's GC channel, dropping local
 // copies (memory and spill tier) of objects whose cluster-wide count fell
 // to zero. Every node runs one; each reclaims only its own copy, so a
-// single zero-transition publish empties the whole cluster.
+// single zero-transition publish empties the whole cluster. What it drops
+// it later proposes for retiring: the drain is the only trigger record
+// lifetime has, so an object nobody released is never looked at.
 type Manager struct {
 	ctrl    gcs.API
 	store   *objectstore.Store
@@ -26,6 +42,26 @@ type Manager struct {
 	wg       sync.WaitGroup
 
 	reclaimed atomic.Int64
+
+	// drained and again are the retire proposals, each in the order made:
+	// objects whose local copy this node dropped, and the ones a first
+	// proposal could conclude nothing about.
+	pmu     sync.Mutex
+	drained []proposal
+	again   []proposal
+	obs     retireObs
+}
+
+// proposal is an object to propose for retiring once at is a grace old.
+type proposal struct {
+	id types.ObjectID
+	at time.Time
+}
+
+// retireObs are the record-lifetime instruments (nil-safe).
+type retireObs struct {
+	proposed, tasks, objects, dropped  *metrics.Counter
+	referenced, located, pinned, early *metrics.Counter
 }
 
 // NewManager builds a manager for store; call Start to begin collecting.
@@ -36,6 +72,94 @@ func NewManager(ctrl gcs.API, store *objectstore.Store) *Manager {
 		tracker: NewTracker(ctrl),
 		stop:    make(chan struct{}),
 	}
+}
+
+// SetMetrics attaches the registry the record-lifetime counters and the
+// proposal-queue gauges are published in. Call before Start; nil detaches.
+func (m *Manager) SetMetrics(reg *metrics.Registry) {
+	refused := func(cause string) *metrics.Counter {
+		return reg.Counter("lifetime.retire.refused;cause=" + cause)
+	}
+	m.obs = retireObs{
+		proposed:   reg.Counter("lifetime.retire.proposed"),
+		tasks:      reg.Counter("lifetime.retire.tasks"),
+		objects:    reg.Counter("lifetime.retire.objects"),
+		dropped:    reg.Counter("lifetime.retire.dropped"),
+		referenced: refused("referenced"),
+		located:    refused("located"),
+		pinned:     refused("pinned"),
+		early:      refused("producer-live"),
+	}
+	if reg != nil {
+		reg.GaugeFunc("lifetime.retire.queued", func() int64 { n, _ := m.Proposals(); return int64(n) })
+		reg.GaugeFunc("lifetime.retire.oldest_ms", func() int64 { _, age := m.Proposals(); return age.Milliseconds() })
+	}
+}
+
+// Proposals reports how many retire proposals are queued and the age of
+// the oldest.
+func (m *Manager) Proposals() (queued int, oldest time.Duration) {
+	m.pmu.Lock()
+	defer m.pmu.Unlock()
+	for _, q := range [][]proposal{m.drained, m.again} {
+		if len(q) > 0 {
+			oldest = max(oldest, time.Since(q[0].at))
+		}
+		queued += len(q)
+	}
+	return queued, oldest
+}
+
+// RetireDue hands every proposal a grace old at now (twice that for a
+// second attempt) to the control plane's Retire in one batch. The tracker's
+// flusher calls it each tick; tests call it with a later now.
+func (m *Manager) RetireDue(now time.Time) gcs.Retired {
+	m.pmu.Lock()
+	first := takeDue(&m.drained, now.Add(-reclaimGrace))
+	second := takeDue(&m.again, now.Add(-2*reclaimGrace))
+	m.pmu.Unlock()
+	if len(first)+len(second) == 0 {
+		return gcs.Retired{}
+	}
+	res := m.ctrl.Retire(append(first, second...))
+	m.obs.tasks.Add(int64(res.Tasks))
+	m.obs.objects.Add(int64(res.Objects))
+	m.obs.referenced.Add(int64(res.Referenced))
+	m.obs.located.Add(int64(res.Located))
+	m.obs.pinned.Add(int64(res.Pinned))
+	m.obs.early.Add(int64(len(res.Again)))
+	if len(res.Again) > 0 {
+		m.pmu.Lock()
+		for _, id := range res.Again {
+			if slices.Contains(second, id) {
+				// Still nothing to conclude: the record stays, as every
+				// record did before there was anything to retire it.
+				m.obs.dropped.Inc()
+			} else {
+				m.again = append(m.again, proposal{id: id, at: now})
+			}
+		}
+		m.pmu.Unlock()
+	}
+	return res
+}
+
+// takeDue removes and returns the leading proposals made at or before
+// cutoff.
+func takeDue(q *[]proposal, cutoff time.Time) []types.ObjectID {
+	n := 0
+	for n < len(*q) && !(*q)[n].at.After(cutoff) {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	ids := make([]types.ObjectID, n)
+	for i, p := range (*q)[:n] {
+		ids[i] = p.id
+	}
+	*q = (*q)[n:]
+	return ids
 }
 
 // Tracker returns the node's reference ledger (futures and borrows).
@@ -74,6 +198,7 @@ func (m *Manager) Referenced(id types.ObjectID) bool {
 // ledger mode attributed to this node, and launches the collection loop.
 func (m *Manager) Start() {
 	m.tracker.SetNode(m.store.Node())
+	m.tracker.onTick = func() { m.RetireDue(time.Now()) }
 	m.tracker.Start()
 	m.sub = m.ctrl.SubscribeObjectGC()
 	m.wg.Add(1)
@@ -142,6 +267,12 @@ func (m *Manager) maybeReclaim(id types.ObjectID) {
 		// re-trigger GC.
 		return
 	}
+	if !m.store.Contains(id) {
+		// Every node hears every GC publish and most hold no copy (memory or
+		// spill tier): nothing to drop here, so nothing to ask the control
+		// plane.
+		return
+	}
 	info, ok := m.ctrl.GetObject(id)
 	if !ok || info.RefCount > 0 {
 		return
@@ -149,6 +280,10 @@ func (m *Manager) maybeReclaim(id types.ObjectID) {
 	if m.store.Delete(id) {
 		m.reclaimed.Add(1)
 		m.ctrl.LogEvent(types.Event{Kind: "object-reclaimed", Object: id, Node: m.store.Node()})
+		m.obs.proposed.Inc()
+		m.pmu.Lock()
+		m.drained = append(m.drained, proposal{id: id, at: time.Now()})
+		m.pmu.Unlock()
 	}
 }
 

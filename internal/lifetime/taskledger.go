@@ -30,8 +30,9 @@ import (
 // batch recorded in the tasks' MutOps rings, FIFO redelivery of parked
 // batches under their original tokens, and flushMu serializing flushes so
 // one task's deltas land in ledger order. Lineage edges (return object →
-// producing task) ride the same flusher as batched EnsureObjects calls,
-// delivered ahead of the task deltas they justify.
+// producing task) ride the same flusher as batched EnsureObjects calls, and
+// lineage pins (by-reference argument ← task record, PinLineage) as batched
+// PinObjects calls, both delivered ahead of the task deltas they justify.
 type TaskLedger struct {
 	ctrl gcs.API
 
@@ -40,9 +41,14 @@ type TaskLedger struct {
 	tasks   map[types.TaskID]*ownedTask
 	dirty   map[types.TaskID]struct{}
 	ensures map[types.ObjectID]types.TaskID
-	retry   []taskBatch
-	watch   map[types.TaskID][]chan<- types.TaskID
-	async   bool
+	// pins holds, per freshly recorded task, the objects its record takes
+	// by reference and has yet to pin (PinLineage); pinRetry the pin
+	// batches a shard did not take, under their original tokens.
+	pins     map[types.TaskID][]types.ObjectID
+	pinRetry []refBatch
+	retry    []taskBatch
+	watch    map[types.TaskID][]chan<- types.TaskID
+	async    bool
 	// dead latches after Abandon: the ledger belongs to a "crashed" node
 	// and must never reach the control plane again.
 	dead bool
@@ -91,6 +97,7 @@ func NewTaskLedger(ctrl gcs.API) *TaskLedger {
 		tasks:   make(map[types.TaskID]*ownedTask),
 		dirty:   make(map[types.TaskID]struct{}),
 		ensures: make(map[types.ObjectID]types.TaskID),
+		pins:    make(map[types.TaskID][]types.ObjectID),
 		watch:   make(map[types.TaskID][]chan<- types.TaskID),
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
@@ -156,6 +163,8 @@ func (l *TaskLedger) Abandon() {
 		l.dead = true
 		l.dirty = make(map[types.TaskID]struct{})
 		l.ensures = make(map[types.ObjectID]types.TaskID)
+		l.pins = make(map[types.TaskID][]types.ObjectID)
+		l.pinRetry = nil
 		l.retry = nil
 		l.mu.Unlock()
 		if wasAsync {
@@ -362,6 +371,64 @@ func (l *TaskLedger) EnsureLineage(producer types.TaskID, returns ...types.Objec
 	}
 }
 
+// PinLineage records that task's record — freshly inserted by this node's
+// AddTask, and only then — takes args by reference: each arg's record is
+// pinned once (types.ObjectInfo.LineagePins) until the task's record is
+// removed, so the lineage behind an argument outlives the references to
+// it for as long as a replay of task could need it. The pins flush with the
+// lineage ensures, ahead of the task's deltas: the table cannot show the
+// task terminal — and so removable, its pins dropped — before they landed.
+// They may lag AddTask by a flush interval because until the task ends its
+// scheduler holds real references to the same objects.
+func (l *TaskLedger) PinLineage(task types.TaskID, args ...types.ObjectID) {
+	if len(args) == 0 {
+		return
+	}
+	l.mu.Lock()
+	if !l.dead {
+		l.pins[task] = args
+	}
+	sync := !l.async
+	l.mu.Unlock()
+	if sync {
+		l.Flush()
+	}
+}
+
+// flushPins delivers the parked pin batches under their original tokens,
+// then pins as a fresh batch. Pin deltas commute, so a batch a shard did
+// not take does not hold back the others. Caller holds flushMu.
+func (l *TaskLedger) flushPins(pins map[types.TaskID][]types.ObjectID) bool {
+	l.mu.Lock()
+	batches := l.pinRetry
+	l.pinRetry = nil
+	l.mu.Unlock()
+	if len(pins) > 0 {
+		deltas := make(map[types.ObjectID]int64, len(pins))
+		for _, args := range pins {
+			for _, id := range args {
+				deltas[id]++
+			}
+		}
+		batches = append(batches, refBatch{op: newRefToken(), deltas: deltas})
+	}
+	var parked []refBatch
+	for _, b := range batches {
+		if failed := l.ctrl.PinObjects(b.deltas, b.op); len(failed) > 0 {
+			parked = append(parked, refBatch{op: b.op, deltas: deltasOf(b.deltas, failed)})
+		}
+	}
+	if len(parked) == 0 {
+		return true
+	}
+	l.mu.Lock()
+	if !l.dead {
+		l.pinRetry = append(parked, l.pinRetry...)
+	}
+	l.mu.Unlock()
+	return false
+}
+
 // Lookup returns the owner's authoritative view of id, shaped as the
 // table record the follower will eventually hold. Owner-side readers
 // (driver wait loops, the reconstructor) consult this before the table.
@@ -446,8 +513,8 @@ func (l *TaskLedger) UnflushedTasks() []types.TaskID {
 }
 
 // Flush pushes the ledger to the control plane: parked batches first in
-// FIFO order (under their original tokens), then pending lineage ensures,
-// then the accumulated transitions as one fresh batch — one delta per
+// FIFO order (under their original tokens), then pending lineage ensures
+// and pins, then the accumulated transitions as one fresh batch — one delta per
 // task carrying its full latest view, so coalesced intermediate states
 // cost nothing. Returns true when the ledger fully drained; false parks
 // the remainder for the next flush. Callers needing a happens-before edge
@@ -528,6 +595,18 @@ func (l *TaskLedger) flushLocked() bool {
 	}
 
 	l.mu.Lock()
+	var pins map[types.TaskID][]types.ObjectID
+	if len(l.pins) > 0 {
+		pins = l.pins
+		l.pins = make(map[types.TaskID][]types.ObjectID)
+	}
+	parkedPins := len(l.pinRetry) > 0
+	l.mu.Unlock()
+	if (len(pins) > 0 || parkedPins) && !l.flushPins(pins) {
+		ensuresOK = false
+	}
+
+	l.mu.Lock()
 	if len(l.dirty) == 0 {
 		l.mu.Unlock()
 		return ensuresOK
@@ -579,7 +658,7 @@ func (l *TaskLedger) flushLocked() bool {
 }
 
 // FlushTask synchronously pushes ONE task's unflushed state — its lineage
-// ensures and its dirty delta, if any — ahead of an ownership handoff
+// ensures and pins and its dirty delta, if any — ahead of an ownership handoff
 // (spill bridge, drain migration). The handoff invariant only concerns the
 // task changing hands, so draining the whole ledger inline here would put
 // a full ModifyTaskStates round trip on every spill; a spill-heavy submit
@@ -618,6 +697,11 @@ func (l *TaskLedger) FlushTask(id types.TaskID) {
 			delete(l.ensures, oid)
 		}
 	}
+	var pins map[types.TaskID][]types.ObjectID
+	if args, ok := l.pins[id]; ok {
+		pins = map[types.TaskID][]types.ObjectID{id: args}
+		delete(l.pins, id)
+	}
 	var deltas []types.TaskStateDelta
 	if _, dirty := l.dirty[id]; dirty {
 		if t := l.tasks[id]; t != nil {
@@ -633,8 +717,11 @@ func (l *TaskLedger) FlushTask(id types.TaskID) {
 	}
 	node := l.node
 	l.mu.Unlock()
+	if len(pins) > 0 {
+		l.flushPins(pins)
+	}
 	if len(ensures) == 0 && len(deltas) == 0 {
-		return // nothing unflushed for this task (the common birth-spill case)
+		return // nothing more unflushed for this task (the common birth-spill case)
 	}
 	if len(ensures) > 0 {
 		if failed := l.ctrl.EnsureObjects(ensures); len(failed) > 0 {

@@ -171,6 +171,7 @@ type worker = executorShim
 // stranded on a dead node, resolvable again.
 type reconstructor interface {
 	RequestObject(id types.ObjectID) error
+	RequestReturn(id types.ObjectID, task types.TaskID) error
 }
 
 // New builds and starts a node: object store, pull server, local scheduler,
@@ -214,6 +215,7 @@ func New(cfg Config) (*Node, error) {
 	n.store = objectstore.New(id, cfg.Ctrl, cfg.StoreCapacity)
 	n.store.SetObservability(n.reg, n.tracer)
 	n.life = lifetime.NewManager(cfg.Ctrl, n.store)
+	n.life.SetMetrics(n.reg)
 	n.store.SetRefChecker(n.life.Referenced)
 	if cfg.SpillDir != "" {
 		tier, err := lifetime.NewDiskSpiller(cfg.SpillDir)
@@ -283,7 +285,11 @@ func New(cfg Config) (*Node, error) {
 			return n.sched.Submit(spec, false)
 		},
 	}
-	n.sched.SetRecon(func(obj types.ObjectID) { _ = n.recon.RequestObject(obj) })
+	n.sched.SetRecon(func(obj types.ObjectID) {
+		if errors.Is(n.recon.RequestObject(obj), types.ErrReclaimed) {
+			n.sched.FailParkedOn(obj) // nothing will ever produce it
+		}
+	})
 	n.exec = newExecutorShim(n)
 	n.sched.SetExec(n.exec.Execute)
 	n.sched.SetExecInline(n.exec.ExecuteInline)
@@ -622,7 +628,7 @@ func (n *Node) ResolveTaskOutput(ctx context.Context, task types.TaskID, id type
 			return nil, scheduler.ErrStopped
 		}
 	}
-	return n.ResolveObject(ctx, id)
+	return n.resolve(ctx, id, task)
 }
 
 // AdmitJobTask implements core.JobGate: one tenanted submission is decided
@@ -635,8 +641,16 @@ func (n *Node) TaskLedger() *lifetime.TaskLedger { return n.taskled }
 
 // ResolveObject implements core.Backend: block until the object is locally
 // resident, pulling remote copies and replaying lineage for lost ones. This
-// is the machinery under every Get.
+// is the machinery under every Get. A reader that comes too late — the
+// object's record and its producer's were retired (DESIGN.md §17) — gets
+// types.ErrReclaimed within one poll, not a wait for something that no
+// longer has a way to appear.
 func (n *Node) ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, error) {
+	return n.resolve(ctx, id, types.NilTaskID)
+}
+
+// resolve is ResolveObject; task, when known, is the task id is a return of.
+func (n *Node) resolve(ctx context.Context, id types.ObjectID, task types.TaskID) ([]byte, error) {
 	if data, ok := n.store.Get(id); ok {
 		return data, nil
 	}
@@ -655,31 +669,39 @@ func (n *Node) ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, er
 		if data, ok := n.store.Get(id); ok {
 			return data, nil
 		}
-		if info, ok := n.ctrl.GetObject(id); ok {
-			switch info.State {
-			case types.ObjectReady:
-				if len(info.Locations) > 0 {
-					fctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-					err := n.fetcher.FetchObject(fctx, info)
-					cancel()
-					if err == nil {
-						continue
-					}
-				}
-			case types.ObjectLost:
-				if err := n.recon.RequestObject(id); err != nil && !errors.Is(err, fault.ErrControlUnavailable) {
+		info, ok := n.ctrl.GetObject(id)
+		switch {
+		case !ok || info.State == types.ObjectPending && info.Producer.IsNil():
+			// No lineage in sight. On the first look that is the producer
+			// edge trailing its task by a ledger flush; after a poll it is
+			// worth asking whether any task returns the object at all.
+			if wakeups > 1 {
+				if err := n.recon.RequestReturn(id, task); err != nil && !errors.Is(err, fault.ErrControlUnavailable) {
 					return nil, err
 				}
-				// ErrControlUnavailable is retryable: a GCS incarnation died
-				// mid-request. Keep waiting; the request is re-issued against
-				// the restarted shard on a later wakeup.
-			case types.ObjectPending:
-				// The reconstructor no-ops for healthy in-flight producers
-				// and replays producers stranded on dead nodes.
-				if wakeups%strandedCheckPeriod == 0 {
-					if err := n.recon.RequestObject(id); err != nil && !errors.Is(err, fault.ErrControlUnavailable) {
-						return nil, err
-					}
+			}
+		case info.State == types.ObjectReady:
+			if len(info.Locations) > 0 {
+				fctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+				err := n.fetcher.FetchObject(fctx, info)
+				cancel()
+				if err == nil {
+					continue
+				}
+			}
+		case info.State == types.ObjectLost:
+			if err := n.recon.RequestObject(id); err != nil && !errors.Is(err, fault.ErrControlUnavailable) {
+				return nil, err
+			}
+			// ErrControlUnavailable is retryable: a GCS incarnation died
+			// mid-request. Keep waiting; the request is re-issued against
+			// the restarted shard on a later wakeup.
+		case info.State == types.ObjectPending:
+			// The reconstructor no-ops for healthy in-flight producers
+			// and replays producers stranded on dead nodes.
+			if wakeups%strandedCheckPeriod == 0 {
+				if err := n.recon.RequestObject(id); err != nil && !errors.Is(err, fault.ErrControlUnavailable) {
+					return nil, err
 				}
 			}
 		}

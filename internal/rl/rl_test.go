@@ -176,3 +176,25 @@ func TestWireTypesArePlainData(t *testing.T) {
 	codectest.PlainData(t, c, wirePolicy(sim.NewPolicy(cfg.ObsDim, cfg.NumActions, cfg.EvalCost)),
 		bspStepIn{Carry: c, Action: 2}, []int{1, 0, 3}, []int(nil), 7)
 }
+
+// TestCoreProposesNothing: RunCore holds every future it creates, so the
+// record-lifetime machinery has nothing to look at — nothing drains, no
+// node proposes a record, nothing is retired. A proposal here would mean
+// something polls the living.
+func TestCoreProposesNothing(t *testing.T) {
+	cfg := testConfig()
+	c := testCluster(t, cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := RunCore(ctx, cfg, c.Driver()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < c.NumNodes(); i++ {
+		n := c.Node(i)
+		res := n.Lifetime().RetireDue(time.Now().Add(time.Hour))
+		queued, _ := n.Lifetime().Proposals()
+		if got := n.Metrics().Snapshot().Counters["lifetime.retire.proposed"]; got != 0 || queued != 0 || res.Tasks+res.Objects != 0 {
+			t.Fatalf("node %d: %d proposals made, %d queued, %+v retired by an application that released nothing", i, got, queued, res)
+		}
+	}
+}

@@ -284,11 +284,18 @@ func (g *Global) jobObjectIDs(tasks []types.TaskState) []types.ObjectID {
 	return ids
 }
 
-// purgeJob tombstones a Stopped job's task and object records once the
-// grace period has lapsed. Objects go first (they are derived from the
-// task records — purging tasks first would orphan them for a crash in
-// between), then tasks, then the purge stamp; the Stopped job record
-// itself survives as the durable tombstone that fences replays.
+// purgeJob retires a Stopped job's task and object records once the grace
+// period has lapsed: the bulk caller of the one mechanism that ends every
+// record's life (gcs.API.Retire, DESIGN.md §17). The reclaim pass left the
+// job's tasks terminal and its objects unreferenced, so once their copies
+// drain everything the job produced is dead and goes, each consumer before
+// its producer. What the retire cannot take is either still draining —
+// wait for the GC — or pinned: the task purge that follows removes whatever
+// job records are left and drops their pins, and a last retire takes what
+// only those held. An object a record outside the job still takes by
+// reference outlives the job, with that record.
+// The Stopped job record itself survives as the durable tombstone that
+// fences replays.
 func (g *Global) purgeJob(j types.JobInfo) {
 	if g.cfg.JobGrace < 0 {
 		return
@@ -305,12 +312,19 @@ func (g *Global) purgeJob(j types.JobInfo) {
 	if !complete {
 		return
 	}
-	if remaining := g.cfg.Ctrl.PurgeObjects(g.jobObjectIDs(tasks)); len(remaining) > 0 {
+	objects := g.jobObjectIDs(tasks)
+	// Idempotent, and what refires the GC publish for a copy whose first
+	// one a crash dropped: after the job committed Stopped nothing else does.
+	if unreleased := g.cfg.Ctrl.ForceReleaseObjects(objects); len(unreleased) > 0 {
+		return
+	}
+	if res := g.cfg.Ctrl.Retire(objects); res.Located+res.Referenced+len(res.Again) > 0 {
 		return // copies not drained yet: the GC is still working, retry
 	}
 	if _, ok := g.cfg.Ctrl.PurgeJobTasks(job); !ok {
 		return
 	}
+	g.cfg.Ctrl.Retire(objects) // what only the job's own leftover records pinned
 	if g.cfg.Ctrl.MarkJobPurged(job) {
 		g.cfg.Ctrl.LogEvent(types.Event{Kind: "job-purged",
 			Detail: fmt.Sprintf("%s tasks=%d", job, len(tasks))})

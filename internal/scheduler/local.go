@@ -22,7 +22,8 @@ type ExecFunc func(ctx context.Context, spec types.TaskSpec, args [][]byte)
 
 // ReconFunc asks the fault-tolerance layer to make a lost object
 // reconstructable again (lineage replay). May be nil when fault tolerance
-// is disabled.
+// is disabled. Where it finds the object has no lineage left at all, it
+// calls FailParkedOn.
 type ReconFunc func(id types.ObjectID)
 
 // Fetcher pulls a remote object into the local store. lifetime.PullManager
@@ -66,13 +67,15 @@ type RefLedger interface {
 // implementation. Adopt seeds a tenure (after the one synchronous AddTask
 // or ClaimTask that establishes it), Transition stamps a state change
 // without a control-plane round trip, EnsureLineage records return-object
-// producer edges to ride the same flush, Disown drops local authority
+// producer edges and PinLineage the record's hold on its by-reference
+// arguments' records to ride the same flush, Disown drops local authority
 // when the task leaves this node, and Flush forces the happens-before
 // edge on every handoff another node may act on.
 type TaskLedger interface {
 	Adopt(id types.TaskID, baseSeq uint64, status types.TaskStatus)
 	Transition(id types.TaskID, status types.TaskStatus, worker types.WorkerID, errMsg string) bool
 	EnsureLineage(producer types.TaskID, returns ...types.ObjectID)
+	PinLineage(task types.TaskID, args ...types.ObjectID)
 	Disown(id types.TaskID)
 	Owns(id types.TaskID) bool
 	Flush() bool
@@ -789,6 +792,12 @@ func (l *Local) record(spec types.TaskSpec, placed bool) bool {
 	if added && !placed {
 		l.cfg.Ledger.Adopt(spec.ID, 0, types.TaskPending)
 	}
+	if added {
+		// The record now in the table takes these objects by reference;
+		// whoever removes it drops the pins (DESIGN.md §17). Exactly once:
+		// a duplicate AddTask inserted nothing and pins nothing.
+		l.cfg.Ledger.PinLineage(spec.ID, spec.DistinctDeps()...)
+	}
 	returns := make([]types.ObjectID, spec.NumReturns)
 	for i := range returns {
 		returns[i] = spec.ReturnID(i)
@@ -965,34 +974,41 @@ func (l *Local) resolveDep(task types.TaskID, obj types.ObjectID, cancel <-chan 
 	// replayed after at most strandedCheckPeriod × DepPollInterval.
 	const strandedCheckPeriod = 25
 	wakeups := 1
+	recon := l.cfg.Recon
+	if recon == nil {
+		recon = func(types.ObjectID) {}
+	}
 	for {
 		if l.cfg.Store.Contains(obj) {
 			l.depSatisfied(task, obj)
 			return
 		}
-		if info, ok := l.cfg.Ctrl.GetObject(obj); ok {
-			switch info.State {
-			case types.ObjectReady:
-				if l.cfg.Fetcher != nil && len(info.Locations) > 0 {
-					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-					err := l.cfg.Fetcher.FetchObject(ctx, info)
-					cancel()
-					if err == nil {
-						continue
-					}
-				}
-			case types.ObjectLost:
-				if l.cfg.Recon != nil {
-					l.cfg.Recon(obj)
-				}
-			case types.ObjectPending:
-				// Possibly a producer stranded on a dead node (queued or
-				// running there when it died). The reconstructor no-ops for
-				// healthy producers.
-				if l.cfg.Recon != nil && wakeups%strandedCheckPeriod == 0 {
-					l.cfg.Recon(obj)
+		info, ok := l.cfg.Ctrl.GetObject(obj)
+		switch {
+		case !ok || info.State == types.ObjectPending && info.Producer.IsNil():
+			// No lineage in sight: on the first look, a producer edge one
+			// ledger flush behind its task. After a poll it is worth asking;
+			// if the object was retired (DESIGN.md §17) the task fails here
+			// instead of waiting for what nothing will produce.
+			if wakeups > 1 {
+				recon(obj)
+			}
+		case info.State == types.ObjectReady:
+			if l.cfg.Fetcher != nil && len(info.Locations) > 0 {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				err := l.cfg.Fetcher.FetchObject(ctx, info)
+				cancel()
+				if err == nil {
+					continue
 				}
 			}
+		case info.State == types.ObjectLost:
+			recon(obj)
+		case wakeups%strandedCheckPeriod == 0:
+			// Pending: possibly a producer stranded on a dead node (queued
+			// or running there when it died). The reconstructor no-ops for
+			// healthy producers.
+			recon(obj)
 		}
 		wakeups++
 		localArrival := l.cfg.Store.WaitChan(obj)
@@ -1004,6 +1020,28 @@ func (l *Local) resolveDep(task types.TaskID, obj types.ObjectID, cancel <-chan 
 			return // task evicted from waiting (group release)
 		case <-l.stopCtx.Done():
 			return
+		}
+	}
+}
+
+// FailParkedOn fails every task waiting here for obj, which no record says
+// anything can produce any more (types.ReasonReclaimed; Get on their returns
+// yields core.ErrReclaimed).
+func (l *Local) FailParkedOn(obj types.ObjectID) {
+	l.mu.Lock()
+	var parked []types.TaskSpec
+	for id, w := range l.waiting {
+		if w.missing[obj] {
+			parked = append(parked, w.spec)
+			delete(l.waiting, id)
+			close(w.cancel) // stop its resolvers' polling and fetching
+		}
+	}
+	l.mu.Unlock()
+	for _, spec := range parked {
+		l.FailTask(spec, types.ReasonReclaimed+obj.String())
+		if l.cfg.Refs != nil {
+			l.cfg.Refs.Release(spec.Deps()...)
 		}
 	}
 }

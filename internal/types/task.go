@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -96,6 +97,18 @@ func (s *TaskSpec) Deps() []ObjectID {
 	var deps []ObjectID
 	for _, a := range s.Args {
 		if a.IsRef {
+			deps = append(deps, a.Ref)
+		}
+	}
+	return deps
+}
+
+// DistinctDeps is Deps without repeats: the objects whose records this
+// task's record pins once each (ObjectInfo.LineagePins).
+func (s *TaskSpec) DistinctDeps() []ObjectID {
+	var deps []ObjectID
+	for _, a := range s.Args {
+		if a.IsRef && !slices.Contains(deps, a.Ref) {
 			deps = append(deps, a.Ref)
 		}
 	}
@@ -285,6 +298,20 @@ type ObjectInfo struct {
 	// node's disk spill tier rather than in memory. Pulling from a memory
 	// location is cheaper, so placement and transfer both prefer them.
 	SpilledOn []NodeID
+	// LineagePins counts the task records in the task table that take this
+	// object by reference: replaying any of them needs the object, and so
+	// its producer's record, even after every reference to it is gone. Pins
+	// are not references — they keep the record, never the bytes — and are
+	// seen only by Dead.
+	LineagePins int64
+}
+
+// Dead reports whether nothing can ask for the object again: it was
+// referenced once, no reference and no copy is left, and no surviving task
+// record would need it for a replay. A dead record is lineage for nobody
+// and may be retired (DESIGN.md §17).
+func (o *ObjectInfo) Dead() bool {
+	return o.EverRetained && o.RefCount == 0 && len(o.Locations) == 0 && o.LineagePins == 0
 }
 
 // Clone returns a deep copy: no slice or map is shared with o.
@@ -316,6 +343,18 @@ func (o *ObjectInfo) IsSpilledOn(node NodeID) bool {
 	}
 	return false
 }
+
+// ErrReclaimed is what a late reader of a retired object gets: neither the
+// object's record nor its producer's is in the control plane, so there are
+// no bytes to fetch and no lineage to replay them from (DESIGN.md §17).
+// Resubmitting the producer's spec runs it again under the same IDs.
+// core.ErrReclaimed is this value.
+var ErrReclaimed = errors.New("object reclaimed: its record and its lineage were retired")
+
+// ReasonReclaimed prefixes the failure message stored into the returns of a
+// task that was parked on a retired argument; the core layer recognizes it
+// and surfaces ErrReclaimed from Get.
+const ReasonReclaimed = "argument-reclaimed: "
 
 // StoreStats is a node's object-store usage snapshot. Nodes publish it with
 // heartbeats so dashboards and placement see memory pressure without asking
