@@ -19,7 +19,6 @@ import (
 	"repro/internal/gcs"
 	"repro/internal/kv"
 	"repro/internal/lifetime"
-	"repro/internal/lifetime/ledgertest"
 	"repro/internal/mcts"
 	"repro/internal/objectstore"
 	"repro/internal/rl"
@@ -582,172 +581,4 @@ func BenchmarkChunkedPull(b *testing.B) {
 	b.Run("chunked-2peer", func(b *testing.B) {
 		run(b, 2, lifetime.PullConfig{ChunkSize: 4 << 20})
 	})
-}
-
-// --- E26: inline trampoline dispatch for tiny tasks (DESIGN.md §15) ---
-
-// BenchmarkInlineDispatch measures the tiny-task round trip — submit one
-// no-op, get its result — with the inline fast path on and off on an
-// otherwise identical single-node cluster. The queued leg pays the full
-// queue → dispatch loop → worker goroutine → completion-wakeup chain per
-// task; the inline leg runs the task on the submitting goroutine. Run the
-// A/B interleaved (-count) for EXPERIMENTS.md E26.
-func BenchmarkInlineDispatch(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		inline bool
-	}{{"inline", true}, {"queued", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := mustCluster(b, cluster.Config{
-				Nodes:           1,
-				Registry:        noopRegistry(),
-				DisableEventLog: true,
-				InlineDispatch:  mode.inline,
-			})
-			d := c.Driver()
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ref, err := d.Submit1(noopCall())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := d.Get(ctx, ref); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if mode.inline && c.Node(0).Scheduler().Inlined() == 0 {
-				b.Fatal("inline mode never took the fast path")
-			}
-		})
-	}
-}
-
-// BenchmarkInlineDispatchScheduler isolates the tier the fast path
-// actually removes: one scheduler.Local with a no-op executor, measuring
-// Enqueue → execution-complete per task. Admission — the one synchronous
-// AddTask a locally-born task pays, plus ledger adoption — is identical in
-// both legs and is done untimed in setup, exactly the state an executor
-// retry re-enters Enqueue with. The timed region is then purely the
-// dispatch tier: the queued leg pays runnable-queue push → dispatch-loop
-// wakeup → per-task goroutine + cancel-watcher → completion signal; the
-// inline leg executes during Enqueue. Both legs drain the same completion
-// channel so the measured work differs only in the dispatch path.
-func BenchmarkInlineDispatchScheduler(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		inline bool
-	}{{"inline", true}, {"queued", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			ctrl := gcs.NewStore(1)
-			ctrl.SetEventLogging(false)
-			nid := types.NodeID(types.DeriveTaskID(types.NilTaskID, 7001))
-			ctrl.RegisterNode(types.NodeInfo{ID: nid, Addr: "bench", Total: types.CPU(4)})
-			store := objectstore.New(nid, ctrl, 0)
-			// Batched async ledger, as the real node wires it — without it,
-			// every transition is a synchronous encoded table write and the
-			// control plane, not the dispatch path, dominates both legs.
-			led := ledgertest.New(ctrl, nid)
-			led.Start()
-			b.Cleanup(led.Stop)
-			l := scheduler.NewLocal(scheduler.LocalConfig{
-				Node:           nid,
-				Total:          types.CPU(4),
-				Ctrl:           ctrl,
-				Store:          store,
-				Ledger:         led,
-				SpillThreshold: -1,
-				InlineDispatch: mode.inline,
-			})
-			done := make(chan struct{}, 1)
-			exec := func(ctx context.Context, spec types.TaskSpec, args [][]byte) {
-				done <- struct{}{}
-			}
-			l.SetExec(exec)
-			l.SetExecInline(exec)
-			l.Start()
-			b.Cleanup(l.Stop)
-			specs := make([]types.TaskSpec, b.N)
-			for i := range specs {
-				specs[i] = types.TaskSpec{
-					ID:        types.DeriveTaskID(types.NilTaskID, uint64(i)+1_000_000),
-					Function:  "noop",
-					Resources: types.CPU(1),
-				}
-				// Untimed admission, mirroring Local.record for a
-				// locally-born task: table row owned from birth, ledger
-				// adopted so the timed transitions take the batched path.
-				ledgertest.Admit(ctrl, led, specs[i])
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := l.Enqueue(specs[i]); err != nil {
-					b.Fatal(err)
-				}
-				<-done
-			}
-			b.StopTimer()
-			if mode.inline && l.Inlined() == 0 {
-				b.Fatal("inline mode never took the fast path")
-			}
-		})
-	}
-}
-
-// BenchmarkInlineTaskThroughput is the tiny-task variant of the repo
-// benchmark's noop_window workload: one node, zero-dep sub-microsecond bodies,
-// windowed steady-state pipelining, inline on vs off. Unlike the
-// per-task benchmarks above it keeps the full driver-side submit cost in
-// the timed region, so the speedup it reports is what a real tiny-task
-// workload sees end to end, with per-submit admission amortized across
-// the window rather than removed.
-func BenchmarkInlineTaskThroughput(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		inline bool
-	}{{"inline", true}, {"queued", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := mustCluster(b, cluster.Config{
-				Nodes:           1,
-				NodeResources:   types.CPU(4),
-				Registry:        noopRegistry(),
-				DisableEventLog: true,
-				InlineDispatch:  mode.inline,
-			})
-			d := c.Driver()
-			ctx := context.Background()
-			const window = 200
-			runWindow := func(k int) {
-				refs := make([]core.ObjectRef, k)
-				for i := 0; i < k; i++ {
-					ref, err := d.Submit1(noopCall())
-					if err != nil {
-						b.Fatal(err)
-					}
-					refs[i] = ref
-				}
-				if _, _, err := d.Wait(ctx, refs, k, time.Minute); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for w := 0; w < 3; w++ {
-				runWindow(window)
-			}
-			b.ResetTimer()
-			start := time.Now()
-			for done := 0; done < b.N; done += window {
-				k := window
-				if b.N-done < k {
-					k = b.N - done
-				}
-				runWindow(k)
-			}
-			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "tasks/sec")
-			b.StopTimer()
-			if mode.inline && c.Node(0).Scheduler().Inlined() == 0 {
-				b.Fatal("inline mode never took the fast path")
-			}
-		})
-	}
 }

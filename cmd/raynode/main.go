@@ -75,7 +75,6 @@ func main() {
 		gcsNum   = flag.Int("gcs-shards", 0, "run the control plane as N supervised shard services with per-shard WAL/snapshot (head only; 0 = single in-memory service)")
 		gcsData  = flag.String("gcs-data", "raynode-data/gcs", "data directory for control-plane shard WALs and snapshots (sharded mode)")
 		spill    = flag.Int("spill", 16, "local scheduler spill threshold")
-		inline   = flag.Bool("inline-dispatch", false, "run eligible tiny tasks inline on the submitting goroutine (trampoline dispatch)")
 		storeCap = flag.Int64("store-cap", 0, "object store memory capacity in bytes (0 = unlimited)")
 		spillDir = flag.String("spill-dir", "", "directory for the object store's disk spill tier (empty = disabled)")
 		spillCap = flag.Int64("spill-budget", 0, "disk budget for the spill tier in bytes (0 = unlimited)")
@@ -129,7 +128,6 @@ func main() {
 		Ctrl:              ctrl,
 		Registry:          reg,
 		SpillThreshold:    *spill,
-		InlineDispatch:    *inline,
 		HeartbeatInterval: 100 * time.Millisecond,
 		Metrics:           procMetrics,
 	})
@@ -170,7 +168,6 @@ func main() {
 				registry: reg,
 				res:      res,
 				spill:    *spill,
-				inline:   *inline,
 				storeCap: *storeCap,
 			}
 			defer prov.shutdownAll()
@@ -301,7 +298,6 @@ type localProvisioner struct {
 	registry *core.Registry
 	res      types.Resources
 	spill    int
-	inline   bool
 	storeCap int64
 
 	mu    sync.Mutex
@@ -326,7 +322,6 @@ func (p *localProvisioner) ProvisionNode() error {
 		Ctrl:              p.ctrl,
 		Registry:          p.registry,
 		SpillThreshold:    p.spill,
-		InlineDispatch:    p.inline,
 		HeartbeatInterval: 100 * time.Millisecond,
 	})
 	if err != nil {

@@ -87,9 +87,6 @@ type Config struct {
 	// DisablePrefetch turns off park-time dependency prefetch in every
 	// local scheduler (the before arm of experiment E19).
 	DisablePrefetch bool
-	// InlineDispatch enables every local scheduler's inline (trampoline)
-	// fast path for eligible tiny tasks (DESIGN.md §15).
-	InlineDispatch bool
 	// JobGrace is how long a Stopped job's task and object records survive
 	// before the purge pass tombstones them (DESIGN.md §14). Zero selects
 	// the scheduler default; negative disables purging.
@@ -238,7 +235,6 @@ func (c *Cluster) AddNode() (*node.Node, error) {
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		DepPollInterval:   cfg.DepPollInterval,
 		DisablePrefetch:   cfg.DisablePrefetch,
-		InlineDispatch:    cfg.InlineDispatch,
 	})
 	if err != nil {
 		return nil, err

@@ -64,15 +64,6 @@ type TaskOwner interface {
 	ResolveTaskOutput(ctx context.Context, task types.TaskID, id types.ObjectID) ([]byte, error)
 }
 
-// InlineBackend is optionally implemented by Backends whose local scheduler
-// supports inline (trampoline) dispatch (node.Node is; DESIGN.md §15).
-// SubmitTaskAt carries the submitter's inline-dispatch depth so the
-// scheduler can bounce deep inline chains back to the queue instead of
-// growing the submitting goroutine's stack.
-type InlineBackend interface {
-	SubmitTaskAt(spec types.TaskSpec, depth int) error
-}
-
 // Call describes one task invocation.
 //
 // Deprecated: Call predates the options pipeline and carries only a subset
@@ -133,12 +124,6 @@ type caller struct {
 	job     types.JobID
 	counter atomic.Uint64
 	puts    atomic.Uint64
-	// depth is the caller's inline-dispatch depth (DESIGN.md §15): zero for
-	// drivers and queued tasks, >0 inside a task running inline on its
-	// submitter's goroutine. Threaded into child submissions so the
-	// scheduler's trampoline cap can see how deep the inline chain already
-	// is.
-	depth int
 	// blockHook, when non-nil, brackets blocking operations so the node can
 	// release the task's resources while it waits (worker lending).
 	blockHook func(blocked bool)
@@ -231,16 +216,7 @@ func (c *caller) submit(function string, args []types.Arg, o TaskOptions) ([]Obj
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	// Inside an inline execution, carry the depth to the scheduler so its
-	// trampoline cap can bounce a too-deep chain back to the queue. The
-	// futures below still resolve synchronously for an inline child: by the
-	// time SubmitTaskAt returns from an inline run, the outputs are already
-	// in the local store and Get takes the tryLocal fast path.
-	if ib, ok := c.backend.(InlineBackend); ok && c.depth > 0 {
-		if err := ib.SubmitTaskAt(spec, c.depth); err != nil {
-			return nil, err
-		}
-	} else if err := c.backend.SubmitTask(spec); err != nil {
+	if err := c.backend.SubmitTask(spec); err != nil {
 		return nil, err
 	}
 	refs := make([]ObjectRef, o.NumReturns)
@@ -653,7 +629,6 @@ func NewTaskContext(ctx context.Context, b Backend, spec types.TaskSpec, blockHo
 	tc.owner = spec.ID
 	tc.trace = spec.TraceID
 	tc.job = spec.Job
-	tc.depth = types.InlineDepthFrom(ctx)
 	tc.blockHook = blockHook
 	return tc
 }

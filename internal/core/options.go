@@ -32,9 +32,8 @@ type TaskOptions struct {
 	// reclaimed with it. Nil inherits the submitting task's job (driver
 	// submissions with no job stay untenanted).
 	Job types.JobID
-	// Actor marks the task as an actor method or constructor, excluding it
-	// from inline dispatch (DESIGN.md §15): actor methods are ordered
-	// against each other and must flow through the queue.
+	// Actor marks the task as an actor method or constructor; it is copied
+	// to TaskSpec.Actor.
 	Actor bool
 }
 

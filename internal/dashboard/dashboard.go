@@ -622,15 +622,14 @@ func overview(ctrl gcs.API, o handlerOpts, w http.ResponseWriter) {
 		}
 	}
 	fmt.Fprintln(w)
-	// Dispatch-mode split (DESIGN.md §15), summed over the nodes' latest
-	// heartbeat telemetry; omitted when no node has reported yet.
-	var dispatched, inlined int64
+	// Dispatched tasks, summed over the nodes' latest heartbeat telemetry;
+	// omitted when no node has reported yet.
+	var dispatched int64
 	for _, snap := range telemetryOf(ctrl) {
 		dispatched += snap.Snap.Counters["scheduler.tasks.dispatched"]
-		inlined += snap.Snap.Counters["scheduler.tasks.inlined"]
 	}
 	if dispatched > 0 {
-		fmt.Fprintf(w, "dispatch: %d total, %d inline, %d queued\n", dispatched, inlined, dispatched-inlined)
+		fmt.Fprintf(w, "dispatch: %d\n", dispatched)
 	}
 	var memUsed, memSpilled, reclaimed int64
 	for _, n := range nodes {

@@ -74,18 +74,6 @@ type Admission struct {
 	usage    map[types.JobID]Usage
 	usageAt  time.Time
 	inflight map[types.JobID]int
-
-	// Multi-tenancy signal cache (DESIGN.md §15): MultiTenant sits on the
-	// submit fast path exactly like Admit, so the job-table scan behind it
-	// is amortized under the same TTL.
-	multi   bool
-	multiAt time.Time
-}
-
-// jobLister is the optional slice of the control plane that can enumerate
-// job records. gcs.API implements it; minimal test fixtures need not.
-type jobLister interface {
-	Jobs() []types.JobInfo
 }
 
 type cachedJob struct {
@@ -168,39 +156,6 @@ func (a *Admission) Admit(job types.JobID) error {
 	a.inflight[job]++
 	a.mu.Unlock()
 	return nil
-}
-
-// MultiTenant reports whether two or more jobs are currently Running — the
-// same contention signal the global scheduler's fair-dispatch gate keys on
-// (scheduler.Global.runningJobs). The local scheduler fences its inline
-// fast path on it so a tenant's inline submissions cannot bypass DRR
-// ordering while fair share is in effect. TTL-cached; a control plane that
-// cannot enumerate jobs reads as single-tenant.
-func (a *Admission) MultiTenant() bool {
-	a.mu.Lock()
-	fresh := !a.multiAt.IsZero() && time.Since(a.multiAt) < a.ttl
-	cached := a.multi
-	a.mu.Unlock()
-	if fresh {
-		return cached
-	}
-	lister, ok := a.ctrl.(jobLister)
-	running := 0
-	if ok {
-		for _, j := range lister.Jobs() {
-			if j.State == types.JobRunning {
-				running++
-				if running >= 2 {
-					break
-				}
-			}
-		}
-	}
-	a.mu.Lock()
-	a.multi = running >= 2
-	a.multiAt = time.Now()
-	a.mu.Unlock()
-	return running >= 2
 }
 
 // jobUsage returns the job's scanned usage plus its optimistic in-flight

@@ -59,20 +59,6 @@ func (s *executorShim) Execute(ctx context.Context, spec types.TaskSpec, args []
 	sp.End()
 }
 
-// ExecuteInline implements scheduler.ExecFunc for the inline dispatch path
-// (DESIGN.md §15). The span carries inline=true so traces distinguish the
-// two modes — by contract the only observable difference besides latency.
-func (s *executorShim) ExecuteInline(ctx context.Context, spec types.TaskSpec, args [][]byte) {
-	sp := s.tracer.Begin("exec", "worker.exec")
-	sp.Task = spec.ID.Hex()
-	sp.Trace = spec.TraceID
-	sp.Detail = "inline=true"
-	start := time.Now()
-	s.inner.ExecuteInline(ctx, spec, args)
-	s.execNs.Observe(time.Since(start).Nanoseconds())
-	sp.End()
-}
-
 // Active implements ExecStats.
 func (s *executorShim) Active() int64 { return s.inner.Active() }
 

@@ -104,9 +104,6 @@ type Config struct {
 	DepPollInterval time.Duration
 	// DisablePrefetch turns off park-time dependency prefetch (E19).
 	DisablePrefetch bool
-	// InlineDispatch enables the local scheduler's inline (trampoline)
-	// fast path for eligible tiny tasks (DESIGN.md §15).
-	InlineDispatch bool
 	// DrainPollInterval bounds how quickly the node notices a Draining
 	// mark on its own control-plane record (the pub/sub fast path makes it
 	// rarely matter). Zero selects a default.
@@ -263,17 +260,12 @@ func New(cfg Config) (*Node, error) {
 		SpillThreshold:  cfg.SpillThreshold,
 		DepPollInterval: cfg.DepPollInterval,
 		DisablePrefetch: cfg.DisablePrefetch,
-		InlineDispatch:  cfg.InlineDispatch,
 		Metrics:         n.reg,
 		Tracer:          n.tracer,
 		JobFence: func(id types.JobID) bool {
 			info, ok := n.admit.Job(id)
 			return ok && info.State != types.JobRunning
 		},
-		// Fair-share fence (DESIGN.md §15): while two or more tenants are
-		// running, inline submission would bypass the DRR dispatch gate, so
-		// the trampoline stands down and every task flows through the queue.
-		InlineFence: func() bool { return n.admit.MultiTenant() },
 	})
 	n.recon = &fault.Reconstructor{
 		Ctrl:   cfg.Ctrl,
@@ -292,7 +284,6 @@ func New(cfg Config) (*Node, error) {
 	})
 	n.exec = newExecutorShim(n)
 	n.sched.SetExec(n.exec.Execute)
-	n.sched.SetExecInline(n.exec.ExecuteInline)
 
 	n.server = transport.NewServer()
 	n.server.SetMetrics(n.reg)
@@ -558,16 +549,6 @@ func (n *Node) SubmitTask(spec types.TaskSpec) error {
 		return scheduler.ErrStopped
 	}
 	return n.sched.Submit(spec, false)
-}
-
-// SubmitTaskAt implements core.InlineBackend: a submission from a task
-// running inline carries its depth so the scheduler's trampoline cap can
-// bounce deep chains back to the queue (DESIGN.md §15).
-func (n *Node) SubmitTaskAt(spec types.TaskSpec, depth int) error {
-	if n.dead.Load() {
-		return scheduler.ErrStopped
-	}
-	return n.sched.SubmitAt(spec, false, depth)
 }
 
 // ObjectLocal implements core.Backend.

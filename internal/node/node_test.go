@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -299,7 +300,13 @@ func TestTCPClusterSmoke(t *testing.T) {
 	if after, _, _ := n1.Puller().Stats(); after != pulled {
 		t.Fatalf("node 1 pulled %d objects for a result that should have been delivered", after-pulled)
 	}
-	if got := n1.Metrics().Snapshot().Counters["objectstore.push.received"]; got != 1 {
+	// The push handler counts a push once its Put has returned, and that Put
+	// is what woke the Get above: wait for the count rather than race it.
+	received := func() int64 { return n1.Metrics().Snapshot().Counters["objectstore.push.received"] }
+	for deadline := time.Now().Add(5 * time.Second); received() == 0 && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if got := received(); got != 1 {
 		t.Fatalf("objectstore.push.received on node 1 = %d, want 1", got)
 	}
 }

@@ -151,31 +151,7 @@ type LocalConfig struct {
 	// submissions under such a job are refused with ErrJobFenced. Nil
 	// disables the fence (single-tenant deployments).
 	JobFence func(types.JobID) bool
-	// InlineDispatch enables the inline (trampoline) fast path (DESIGN.md
-	// §15): an eligible locally-born task — zero unresolved deps, small
-	// resources that fit right now, not an actor method, node not draining,
-	// inline chain under the depth cap — runs synchronously on the
-	// submitting goroutine, skipping the queue and the worker goroutine.
-	// Every queued-path invariant (borrows, ledger stamps, pins, resource
-	// accounting) is preserved; only the hops are removed.
-	InlineDispatch bool
-	// InlineFence, when set, disables inline dispatch while it returns true.
-	// The node wires it to the multi-tenant contention signal so a flooding
-	// tenant cannot use inline submission to bypass fair-share dispatch.
-	InlineFence func() bool
-	// ExecInline runs inline tasks (assigned after construction by the
-	// node, like Exec). It is a separate hook so the executor can skip the
-	// per-task goroutine bookkeeping and tag spans inline=true.
-	ExecInline ExecFunc
 }
-
-// inlineDepthCap bounds how many inline executions may nest on one
-// goroutine: a task running inline that submits an eligible child runs it
-// inline too (depth+1), until the cap bounces the chain back to the queue —
-// the trampoline that keeps recursive submission chains from growing the
-// stack without bound. Eight levels covers realistic fan-in chains while
-// keeping worst-case stack growth trivial.
-const inlineDepthCap = 8
 
 // queuedTask is a task whose dependencies are all local, awaiting
 // resources.
@@ -239,7 +215,6 @@ type Local struct {
 	submitted  atomic.Int64
 	spilled    atomic.Int64
 	dispatched atomic.Int64
-	inlined    atomic.Int64
 
 	// obs holds pre-resolved instruments (nil-safe; see LocalConfig).
 	obs schedObs
@@ -251,9 +226,7 @@ type schedObs struct {
 	submitted  *metrics.Counter
 	spilled    *metrics.Counter
 	dispatched *metrics.Counter
-	inlined    *metrics.Counter
 	dispatchNs *metrics.Histogram
-	inlineNs   *metrics.Histogram
 }
 
 // NewLocal builds a local scheduler; call Start before submitting.
@@ -275,9 +248,7 @@ func NewLocal(cfg LocalConfig) *Local {
 		submitted:  cfg.Metrics.Counter("scheduler.tasks.submitted"),
 		spilled:    cfg.Metrics.Counter("scheduler.tasks.spilled"),
 		dispatched: cfg.Metrics.Counter("scheduler.tasks.dispatched"),
-		inlined:    cfg.Metrics.Counter("scheduler.tasks.inlined"),
 		dispatchNs: cfg.Metrics.Histogram("scheduler.dispatch.latency.ns"),
-		inlineNs:   cfg.Metrics.Histogram("scheduler.inline.latency.ns"),
 	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.GaugeFunc("scheduler.queue.depth", func() int64 { return int64(l.QueueLen()) })
@@ -355,10 +326,11 @@ func (l *Local) Stats() (int64, int64, int64) {
 	return l.submitted.Load(), l.spilled.Load(), l.dispatched.Load()
 }
 
-// Inlined reports how many tasks ran through the inline fast path
-// (DESIGN.md §15). Inline dispatches are also counted in dispatched, so
-// dispatched-inlined is the queued-path share.
-func (l *Local) Inlined() int64 { return l.inlined.Load() }
+// Inlined is always 0: every admitted task reaches its worker through
+// dispatchReady, and no task runs on the goroutine that submitted it. It
+// stays only because the repo benchmark reports it as
+// scheduler.inlined_per_op.
+func (l *Local) Inlined() int64 { return 0 }
 
 // Available snapshots the resource pool (heartbeat load signal).
 func (l *Local) Available() types.Resources {
@@ -405,14 +377,6 @@ func (l *Local) ReacquireFor(spec types.TaskSpec) {
 // for tasks assigned by the global scheduler (placed=true). It implements
 // the spillover decision of Section 3.2.2.
 func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
-	return l.SubmitAt(spec, placed, 0)
-}
-
-// SubmitAt is Submit carrying the submitter's inline-dispatch depth
-// (DESIGN.md §15): zero for drivers and queued tasks, >0 for submissions
-// made by a task currently running inline on this goroutine. The depth
-// only affects the trampoline cap; every other decision is Submit's.
-func (l *Local) SubmitAt(spec types.TaskSpec, placed bool, depth int) error {
 	l.mu.Lock()
 	if l.stopped {
 		l.mu.Unlock()
@@ -448,13 +412,6 @@ func (l *Local) SubmitAt(spec types.TaskSpec, placed bool, depth int) error {
 			return nil
 		}
 		l.cfg.Ledger.Adopt(spec.ID, seq, types.TaskQueued)
-		// The claim won: this node owns the task. An eligible tiny task
-		// runs inline right here — a globally-placed assignment arrives on
-		// an RPC handler goroutine, the same submit-side position as a
-		// local birth (§15) — and falls back to the queue otherwise.
-		if l.inlineEligible(spec, depth) && l.runInline(spec, depth) {
-			return nil
-		}
 		l.enqueue(spec)
 		return nil
 	}
@@ -492,122 +449,8 @@ func (l *Local) SubmitAt(spec types.TaskSpec, placed bool, depth int) error {
 		l.cfg.Ctrl.PublishSpill(spec)
 		return nil
 	}
-	// Inline fast path (DESIGN.md §15): after every refusal above has had
-	// its say — job fence, dedupe, group routing, spill decision — an
-	// eligible task runs right here on the submitting goroutine. Falling
-	// through to enqueue on any failure keeps inline strictly an
-	// optimization: the queued path is always a correct answer.
-	if l.inlineEligible(spec, depth) && l.runInline(spec, depth) {
-		return nil
-	}
 	l.enqueue(spec)
 	return nil
-}
-
-// inlineEligible is the cheap pre-check of the §15 eligibility predicate.
-// It runs lock-free and may go stale immediately (an arg evicted after the
-// Contains probe, the pool drained by a racing dispatch); runInline
-// re-validates everything that matters under the proper synchronization
-// and falls back to the queue when the optimistic read was wrong.
-func (l *Local) inlineEligible(spec types.TaskSpec, depth int) bool {
-	if !l.cfg.InlineDispatch || l.cfg.ExecInline == nil {
-		return false
-	}
-	if depth >= inlineDepthCap {
-		return false // trampoline: deep inline chains bounce to the queue
-	}
-	if spec.Actor || spec.InGroup() {
-		return false // ordered (actor) and gang (group) work keeps the queue
-	}
-	if l.draining.Load() {
-		return false
-	}
-	if l.cfg.InlineFence != nil && l.cfg.InlineFence() {
-		return false // multi-tenant contention: fair-share ordering governs
-	}
-	// Small tasks only: a demand over one unit of any resource is not the
-	// sub-millisecond shape this path exists for, and letting it cut the
-	// queue would invert the queue's admission order.
-	for _, amt := range spec.Resources {
-		if amt > 1 {
-			return false
-		}
-	}
-	for _, dep := range spec.Deps() {
-		if !l.cfg.Store.Contains(dep) {
-			return false
-		}
-	}
-	return true
-}
-
-// runInline executes one eligible task synchronously on the submitting
-// goroutine, preserving the queued path's invariant order: resources
-// acquired and bound, borrows retained AND flushed before the QUEUED stamp,
-// ledger transitions under the same owner fencing, args pinned for the
-// duration of execution, releases in runTask's LIFO order. Returns false —
-// with all books balanced — when admission or argument gathering fails, in
-// which case the caller enqueues normally.
-func (l *Local) runInline(spec types.TaskSpec, depth int) bool {
-	start := time.Now()
-	l.mu.Lock()
-	if l.stopped {
-		l.mu.Unlock()
-		return false
-	}
-	if !l.res.tryAcquire(spec.Resources) {
-		l.mu.Unlock()
-		return false // no headroom right now: the next release admits it from the queue
-	}
-	l.holding[spec.ID] = l.res
-	// Count the inline run in wg so Stop's wg.Wait covers it exactly like a
-	// dispatched runTask; registered before mu unlocks so a concurrent Stop
-	// cannot miss it.
-	l.wg.Add(1)
-	l.mu.Unlock()
-	defer l.wg.Done()
-	defer l.dispatchReady()
-
-	// Borrow-before-stamp, exactly as enqueue: the flush puts this node's
-	// share in the control plane's count before any state the rest of the
-	// cluster can act on.
-	deps := spec.Deps()
-	if l.cfg.Refs != nil && len(deps) > 0 {
-		l.cfg.Refs.Retain(deps...)
-		l.cfg.Refs.Flush()
-	}
-	l.cfg.Ledger.Transition(spec.ID, types.TaskQueued, types.NilWorkerID, "")
-	l.cfg.Ledger.Transition(spec.ID, types.TaskScheduled, types.NilWorkerID, "")
-	args, missing := l.gatherArgs(spec)
-	if missing {
-		// An arg was evicted between the Contains probe and the pinned Get.
-		// Settle every book this attempt opened (pins are already unwound by
-		// gatherArgs) and let the caller enqueue — which re-retains before
-		// parking, the same re-borrow ordering as runTask's requeue path.
-		l.releaseHeld(spec)
-		if l.cfg.Refs != nil {
-			l.cfg.Refs.Release(deps...)
-		}
-		return false
-	}
-	// LIFO to mirror runTask: borrows release last, after unpin and the
-	// resource release.
-	if l.cfg.Refs != nil {
-		defer l.cfg.Refs.Release(deps...)
-	}
-	defer l.releaseHeld(spec)
-	defer l.unpinArgs(spec)
-	l.dispatched.Add(1)
-	l.obs.dispatched.Inc()
-	l.inlined.Add(1)
-	l.obs.inlined.Inc()
-	l.obs.dispatchNs.Observe(time.Since(start).Nanoseconds())
-	// Not under the stop context: Stop's wg.Wait already waits for this
-	// frame, and the depth in the context lets child submissions trampoline.
-	ctx := types.WithInlineDepth(context.Background(), depth+1)
-	l.cfg.ExecInline(ctx, spec, args)
-	l.obs.inlineNs.Observe(time.Since(start).Nanoseconds())
-	return true
 }
 
 // bridgeSpill holds a borrow on a spilled task's dependencies while the
@@ -679,13 +522,6 @@ func (l *Local) Enqueue(spec types.TaskSpec) error {
 		return ErrStopped
 	}
 	l.mu.Unlock()
-	// Inline fast path for already-admitted work (executor retries,
-	// recovered tasks): same eligibility predicate as Submit, at depth 0 —
-	// the caller is not an inline frame. Recursion through a failing
-	// task's retry re-enqueue is bounded by its MaxRetries budget.
-	if l.inlineEligible(spec, 0) && l.runInline(spec, 0) {
-		return nil
-	}
 	l.enqueue(spec)
 	return nil
 }
@@ -767,10 +603,6 @@ func (l *Local) SetExec(fn ExecFunc) { l.cfg.Exec = fn }
 
 // SetRecon assigns the lost-object reconstruction trigger.
 func (l *Local) SetRecon(fn ReconFunc) { l.cfg.Recon = fn }
-
-// SetExecInline assigns the inline execution callback (DESIGN.md §15);
-// must be called before Start, alongside SetExec.
-func (l *Local) SetExecInline(fn ExecFunc) { l.cfg.ExecInline = fn }
 
 // record writes the lineage record; reports whether the task is new.
 // The lineage ensure runs unconditionally (it is create-or-heal): a

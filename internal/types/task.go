@@ -56,10 +56,9 @@ type TaskSpec struct {
 	// and a job stop buries it and reclaims its records. Nil means jobless
 	// (the default weight-1 share, never bulk-reclaimed).
 	Job JobID
-	// Actor marks the task as an actor method (or constructor): its
-	// execution order against the actor's other methods matters, so inline
-	// dispatch (DESIGN.md §15) must never run it on the submitting
-	// goroutine ahead of methods already queued.
+	// Actor marks the task as an actor method (or constructor). It rides
+	// the task record and the wire form; no scheduling decision reads it,
+	// and actor methods are dispatched like any other task.
 	Actor bool
 	// Origin is the node the task was submitted through — where the futures
 	// it returns were created and where a Get on them most likely blocks. A

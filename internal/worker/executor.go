@@ -59,7 +59,6 @@ type Executor struct {
 	active   atomic.Int64
 	executed atomic.Int64
 	failed   atomic.Int64
-	inlined  atomic.Int64
 }
 
 // NewExecutor wires an executor. backend is the node's core.Backend, used
@@ -77,20 +76,6 @@ func (e *Executor) Executed() int64 { return e.executed.Load() }
 
 // Failed returns the cumulative count of failed executions.
 func (e *Executor) Failed() int64 { return e.failed.Load() }
-
-// Inlined returns the cumulative count of inline executions.
-func (e *Executor) Inlined() int64 { return e.inlined.Load() }
-
-// ExecuteInline runs one task synchronously on the caller's goroutine (the
-// inline dispatch path, DESIGN.md §15). Execution semantics — RUNNING and
-// terminal ledger stamps, output puts, retry and failure handling, panic
-// isolation, worker lending through the block hook — are exactly Execute's;
-// only the calling convention differs (no dedicated goroutine, and ctx
-// carries the inline depth for child submissions to trampoline on).
-func (e *Executor) ExecuteInline(ctx context.Context, spec types.TaskSpec, args [][]byte) {
-	e.inlined.Add(1)
-	e.Execute(ctx, spec, args)
-}
 
 // workerIDFor derives a stable pseudo worker identity for profiling.
 func workerIDFor(spec types.TaskSpec) types.WorkerID {
