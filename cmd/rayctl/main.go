@@ -74,8 +74,6 @@ func main() {
 			fatal(fmt.Errorf("usage: rayctl drain <node-id-hex> (full hex; see `rayctl nodes`)"))
 		}
 		drainNode(*addr, id)
-	case "functions":
-		os.Stdout.Write(fetch(*addr + "/api/functions"))
 	case "events":
 		os.Stdout.Write(fetch(*addr + "/api/events"))
 	case "profile":

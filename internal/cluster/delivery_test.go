@@ -132,9 +132,11 @@ type getCountingCtrl struct {
 	subscribes, reads atomic.Int64
 }
 
-func (c *getCountingCtrl) SubscribeObjectReady(id types.ObjectID) gcs.Sub {
-	c.subscribes.Add(1)
-	return c.API.SubscribeObjectReady(id)
+func (c *getCountingCtrl) Subscribe(topic gcs.Topic, id [types.IDSize]byte) gcs.Sub {
+	if topic == gcs.TopicObjectReady {
+		c.subscribes.Add(1)
+	}
+	return c.API.Subscribe(topic, id)
 }
 
 func (c *getCountingCtrl) GetObject(id types.ObjectID) (types.ObjectInfo, bool) {
@@ -215,7 +217,7 @@ func TestMessageBudget(t *testing.T) {
 		t.Fatalf("local(8) on the counted node = %d, %v", v, err)
 	}
 	if subs, reads := counted.subscribes.Load(), counted.reads.Load(); subs != 0 || reads != 0 {
-		t.Fatalf("a local submit and Get made %d SubscribeObjectReady and %d GetObject calls, want none", subs, reads)
+		t.Fatalf("a local submit and Get made %d object-ready subscriptions and %d GetObject calls, want none", subs, reads)
 	}
 }
 

@@ -67,7 +67,7 @@ func MustEncode(v any) []byte {
 
 // MustEncodeGob writes v in the gob form whatever its shape. It is for the
 // control-plane records that are journaled and have no binary form of their
-// own (function table, event log, clock epoch): what outlives a process
+// own (event log, clock epoch): what outlives a process
 // keeps the form that evolves by field name. Decode reads it like any other
 // payload.
 func MustEncodeGob(v any) []byte {

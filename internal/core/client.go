@@ -421,7 +421,7 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 	// made a window of W waits cost O(W²) object-table reads.
 	readyC := make(chan types.ObjectID, len(refs))
 	subscribe := func(id types.ObjectID) {
-		sub := ctrl.SubscribeObjectReady(id)
+		sub := ctrl.Subscribe(gcs.TopicObjectReady, id)
 		subs = append(subs, sub)
 		go func(s gcs.Sub, id types.ObjectID) {
 			if _, ok := <-s.C(); ok {

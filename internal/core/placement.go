@@ -83,7 +83,7 @@ func (pg *PlacementGroup) Remove() error { return pg.cl.RemovePlacementGroup(pg.
 // a timeout reports the group's last observed state.
 func (pg *PlacementGroup) WaitReady(ctx context.Context, timeout time.Duration) error {
 	ctrl := pg.cl.backend.Control()
-	sub := ctrl.SubscribePlacementGroups()
+	sub := ctrl.Subscribe(gcs.TopicPlacementGroups, types.NilPlacementGroupID)
 	defer sub.Close()
 
 	var deadline <-chan time.Time

@@ -58,7 +58,6 @@ func WithPprof() Option {
 //	GET /api/nodes     — node table with liveness and load
 //	GET /api/tasks     — task table (status, timing, placement)
 //	GET /api/objects   — object table (size, locations, state)
-//	GET /api/functions — registered remote functions
 //	GET /api/events    — raw event log
 //	GET /api/profile   — per-function summary statistics
 //	GET /api/trace     — Chrome trace-event JSON of the whole timeline
@@ -106,9 +105,6 @@ func Handler(ctrl gcs.API, opts ...Option) http.Handler {
 	})
 	mux.HandleFunc("/api/objects", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, objectsView(ctrl))
-	})
-	mux.HandleFunc("/api/functions", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, ctrl.Functions())
 	})
 	mux.HandleFunc("/api/events", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, eventsView(ctrl))
@@ -642,8 +638,7 @@ func overview(ctrl gcs.API, o handlerOpts, w http.ResponseWriter) {
 	fmt.Fprintf(w, "object memory: %d B in memory, %d B spilled, %d reclaimed\n",
 		memUsed, memSpilled, reclaimed)
 	objects := ctrl.Objects()
-	fmt.Fprintf(w, "objects: %d, functions: %d, events: %d\n",
-		len(objects), len(ctrl.Functions()), len(ctrl.Events()))
+	fmt.Fprintf(w, "objects: %d, events: %d\n", len(objects), len(ctrl.Events()))
 	recordLifetimeRow(w, len(tasks), objects, telemetryOf(ctrl))
 	if jobRecords := ctrl.Jobs(); len(jobRecords) > 0 {
 		byState := map[types.JobState]int{}
@@ -671,5 +666,5 @@ func overview(ctrl gcs.API, o handlerOpts, w http.ResponseWriter) {
 		}
 		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w, "\nendpoints: /api/nodes /api/tasks /api/objects /api/functions /api/events /api/profile /api/trace /api/shards /api/placement /api/autoscale /api/jobs /api/metrics /metrics")
+	fmt.Fprintln(w, "\nendpoints: /api/nodes /api/tasks /api/objects /api/events /api/profile /api/trace /api/shards /api/placement /api/autoscale /api/jobs /api/metrics /metrics")
 }

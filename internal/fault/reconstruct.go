@@ -144,7 +144,7 @@ func (r *Reconstructor) RequestReturn(id types.ObjectID, task types.TaskID) erro
 			}
 			return fmt.Errorf("%w: %v", ErrNotReconstructable, id)
 		}
-		r.Ctrl.EnsureObject(id, st.Spec.ID) // heal: next resolve is O(1) again
+		r.Ctrl.EnsureObjects(map[types.ObjectID]types.TaskID{id: st.Spec.ID}) // heal: next resolve is O(1) again
 		info.Producer = st.Spec.ID
 	}
 	// Owner-ledger fast path: if this node owns the producer, its liveness

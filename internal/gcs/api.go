@@ -1,9 +1,9 @@
 // Package gcs implements the logically-centralized control plane of the
 // paper's Section 3.2.1 (what Ray later called the Global Control Store).
-// It layers typed tables — task table, object table, function table, node
-// table, and event log — over the sharded kv store, and publishes the
-// notifications (object ready, task status, spillover, node membership)
-// that let every other component be stateless.
+// It layers typed tables — task table, object table, node table, and event
+// log — over the sharded kv store, and publishes the notifications (object
+// ready, task status, spillover, node membership) that let every other
+// component be stateless.
 package gcs
 
 import (
@@ -17,12 +17,6 @@ import (
 type Sub interface {
 	C() <-chan []byte
 	Close()
-}
-
-// FunctionInfo is a function-table record: one registered remote function.
-type FunctionInfo struct {
-	Name       string
-	NumReturns int
 }
 
 // API is the control-plane surface consumed by schedulers, workers, object
@@ -75,43 +69,36 @@ type API interface {
 	// control-plane shard. The global scheduler's rescue sweep consumes
 	// it; filtering server-side keeps the sweep O(stale), not O(history).
 	StalePendingTasks(olderThanNs int64) []types.TaskSpec
-	SubscribeTaskStatus(id types.TaskID) Sub
 
-	// Object table. EnsureObject creates a pending entry recording the
-	// producer (the lineage edge). AddObjectLocation marks the object ready
-	// and publishes on its ready channel; RemoveObjectLocation transitions
-	// to Lost when the last copy disappears.
-	EnsureObject(id types.ObjectID, producer types.TaskID)
-	// EnsureObjects is the batched form the task ledger's flush uses for
-	// lineage edges (DESIGN.md §13): each entry ensures the object exists
-	// and records its producing task, healing a missing Producer on records
-	// that a location publish created first. Returns the IDs that could NOT
-	// be ensured (their shard stayed unreachable) so the caller requeues
-	// them; nil means fully applied. Idempotent, so no token is needed.
+	// Object table. EnsureObjects is the lineage flush of the task ledger
+	// (DESIGN.md §13): each entry creates a pending record naming its
+	// producing task, or heals a missing Producer on a record that a
+	// location publish created first. Returns the IDs that could NOT be
+	// ensured (their shard stayed unreachable) so the caller requeues them;
+	// nil means fully applied. Idempotent, so no token is needed.
+	// AddObjectLocation marks the object ready and publishes on its ready
+	// channel; RemoveObjectLocation transitions to Lost when the last copy
+	// disappears.
 	EnsureObjects(producers map[types.ObjectID]types.TaskID) []types.ObjectID
 	AddObjectLocation(id types.ObjectID, node types.NodeID, size int64)
 	RemoveObjectLocation(id types.ObjectID, node types.NodeID)
 	GetObject(id types.ObjectID) (types.ObjectInfo, bool)
 	Objects() []types.ObjectInfo
-	SubscribeObjectReady(id types.ObjectID) Sub
 
-	// Object lifetime (internal/lifetime). ModifyObjectRefCount adjusts the
-	// cluster-wide reference count and returns the new value; a transition
-	// from positive to zero publishes the object on the GC channel, which is
-	// what makes reclamation automatic. MarkObjectSpilled records whether a
-	// node's copy is on its disk spill tier (transfer and placement prefer
-	// memory copies). SubscribeObjectGC delivers the IDs of newly
-	// garbage-eligible objects; payload is the raw ObjectID bytes.
-	ModifyObjectRefCount(id types.ObjectID, delta int64) int64
-	// ModifyObjectRefCounts applies one node's ledger flush: a batch of net
-	// per-object deltas attributed to node, bound to one idempotency token
-	// recorded in each touched object's RefOps ring (so redelivery after a
-	// shard crash re-applies exactly the objects the crash missed). A zero
-	// delta is a touch: retain+release cycles that net out within a flush
-	// interval still mark the object ever-retained and, at count zero,
-	// GC-eligible. Returns the IDs whose deltas could NOT be applied (their
-	// shard stayed unreachable past the retry window) so the caller can
-	// requeue them under the same token; nil means fully applied.
+	// Object lifetime (internal/lifetime). ModifyObjectRefCounts applies one
+	// node's ledger flush: a batch of net per-object deltas attributed to
+	// node, bound to one idempotency token recorded in each touched object's
+	// RefOps ring (so redelivery after a shard crash re-applies exactly the
+	// objects the crash missed; op 0 disables dedup). A transition from
+	// positive to zero publishes the object on TopicObjectGC, which is what
+	// makes reclamation automatic. A zero delta is a touch: retain+release
+	// cycles that net out within a flush interval still mark the object
+	// ever-retained and, at count zero, GC-eligible. Returns the IDs whose
+	// deltas could NOT be applied (their shard stayed unreachable past the
+	// retry window) so the caller can requeue them under the same token; nil
+	// means fully applied. MarkObjectSpilled records whether a node's copy
+	// is on its disk spill tier (transfer and placement prefer memory
+	// copies).
 	ModifyObjectRefCounts(node types.NodeID, deltas map[types.ObjectID]int64, op uint64) []types.ObjectID
 	// SweepDeadNodeRefs subtracts every refcount share attributed to node —
 	// an owner that died without flushing its releases — making the objects
@@ -120,7 +107,6 @@ type API interface {
 	// caller should retry the (idempotent) sweep later.
 	SweepDeadNodeRefs(node types.NodeID) int
 	MarkObjectSpilled(id types.ObjectID, node types.NodeID, spilled bool)
-	SubscribeObjectGC() Sub
 
 	// Placement-group table (gang scheduling). CreatePlacementGroup inserts
 	// the record exactly once (idempotent by group ID); RemovePlacementGroup
@@ -130,27 +116,24 @@ type API interface {
 	// protocol: Pending→Placing claims a group for one scheduler's
 	// reservation pass, Placing→Placed commits the bundle→node assignment,
 	// and rollback paths transition back to Pending (clearing BundleNodes).
-	// Every transition publishes the updated record on the group channel.
+	// The claimant token fences it: a transition to Placing records claim, a
+	// transition to Placed additionally requires it to match the recorded
+	// claim, and every rollback to Pending clears it. claim 0 skips the
+	// token bookkeeping (the stale-claim sweep and the dead-member rollback,
+	// which fence by state alone). Every transition publishes the updated
+	// record on TopicPlacementGroups.
 	CreatePlacementGroup(spec types.PlacementGroupSpec) bool
 	RemovePlacementGroup(id types.PlacementGroupID) bool
 	GetPlacementGroup(id types.PlacementGroupID) (types.PlacementGroupInfo, bool)
 	PlacementGroups() []types.PlacementGroupInfo
-	CASPlacementGroupState(id types.PlacementGroupID, from []types.PlacementGroupState, to types.PlacementGroupState, bundleNodes []types.NodeID) bool
-	// CASPlacementGroupStateClaim is CASPlacementGroupState carrying a
-	// claimant token: a transition to Placing records the token, a
-	// transition to Placed additionally requires it to match the recorded
-	// claim, and every rollback to Pending clears it. claim 0 skips the
-	// token bookkeeping (legacy callers and the stale-claim sweep, which
-	// fences by state alone).
-	CASPlacementGroupStateClaim(id types.PlacementGroupID, from []types.PlacementGroupState, to types.PlacementGroupState, bundleNodes []types.NodeID, claim uint64) bool
-	SubscribePlacementGroups() Sub
+	CASPlacementGroupState(id types.PlacementGroupID, from []types.PlacementGroupState, to types.PlacementGroupState, bundleNodes []types.NodeID, claim uint64) bool
 
 	// Job table (multi-tenancy, DESIGN.md §14). CreateJob inserts the record
 	// exactly once (idempotent by job ID); CASJobState drives the lifecycle
 	// (Running→Stopping→Stopped; Stopped is the terminal tombstone that
 	// outlives the job's purged records). Every transition publishes the
-	// updated record on the jobs channel, which the global schedulers'
-	// fair-share queue and reclaim pass consume.
+	// updated record on TopicJobs, which the global schedulers' fair-share
+	// queue and reclaim pass consume.
 	CreateJob(spec types.JobSpec) bool
 	GetJob(id types.JobID) (types.JobInfo, bool)
 	Jobs() []types.JobInfo
@@ -159,7 +142,6 @@ type API interface {
 	// object records have been tombstoned; idempotent (false if already
 	// stamped, missing, or not Stopped).
 	MarkJobPurged(id types.JobID) bool
-	SubscribeJobs() Sub
 	// JobTasks returns every task record (any status) attributed to the
 	// job, plus whether the scan covered the whole table (false when a
 	// shard was unreachable — the reclaim pass retries rather than
@@ -172,15 +154,6 @@ type API interface {
 	// shard was unreachable so the caller retries them; nil means fully
 	// applied.
 	ForceReleaseObjects(ids []types.ObjectID) []types.ObjectID
-	// PurgeObjects removes dead object records (types.ObjectInfo.Dead).
-	// Returns the IDs not purged — undrained yet, pinned, or shard
-	// unreachable — so the caller retries; nil means fully purged.
-	PurgeObjects(ids []types.ObjectID) []types.ObjectID
-	// PurgeJobTasks removes the job's terminal task records (and their
-	// durable markers) and drops the lineage pins they held, returning how
-	// many were deleted and whether the scan covered the whole table.
-	// Called only after the job is Stopped and its grace period elapsed.
-	PurgeJobTasks(job types.JobID) (int, bool)
 
 	// Record lifetime (DESIGN.md §17). Retire is the one entry point: it
 	// takes objects believed dead — a node proposes what its GC drained, a
@@ -204,11 +177,10 @@ type API interface {
 	PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID
 
 	// Spillover queue (Section 3.2.2): local schedulers publish tasks they
-	// decline; global schedulers subscribe.
+	// decline; global schedulers subscribe to TopicSpill.
 	PublishSpill(spec types.TaskSpec)
-	SubscribeSpill() Sub
 
-	// Node table and membership events.
+	// Node table and membership events (TopicNodes).
 	RegisterNode(info types.NodeInfo)
 	Heartbeat(id types.NodeID, queueLen int, avail types.Resources, store types.StoreStats)
 	MarkNodeDead(id types.NodeID)
@@ -222,16 +194,58 @@ type API interface {
 	CASNodeState(id types.NodeID, from []types.NodeState, to types.NodeState) bool
 	GetNode(id types.NodeID) (types.NodeInfo, bool)
 	Nodes() []types.NodeInfo
-	SubscribeNodeEvents() Sub
-
-	// Function table.
-	RegisterFunction(info FunctionInfo)
-	HasFunction(name string) bool
-	Functions() []FunctionInfo
 
 	// Event log (R7).
 	LogEvent(ev types.Event)
 	Events() []types.Event
+
+	// Subscribe opens one of the control plane's pub/sub channels. A
+	// per-record topic hears only the record id names; a broadcast topic
+	// ignores id (callers pass the nil ID of the kind it carries). Once
+	// Subscribe returns, no later publish on the channel can be missed.
+	Subscribe(topic Topic, id [types.IDSize]byte) Sub
+}
+
+// Topic names a control-plane pub/sub channel (API.Subscribe). The first
+// two are per record: the subscription hears one task's or one object's
+// channel, which lives on the shard owning that record. The rest are
+// broadcasts every shard publishes on; a subscription to one merges every
+// shard's feed and ignores the ID it was given.
+type Topic uint8
+
+const (
+	// TopicTaskStatus carries one task's status transitions; payload
+	// [1]byte{status}.
+	TopicTaskStatus Topic = iota
+	// TopicObjectReady fires when one object gains a copy; payload the
+	// ObjectID bytes.
+	TopicObjectReady
+	// TopicObjectGC carries objects whose reference count drained to zero;
+	// payload the ObjectID bytes. A subscription over the wire first
+	// replays the objects eligible now, so a publish a shard crash dropped
+	// is delivered late rather than never.
+	TopicObjectGC
+	// TopicSpill carries the tasks local schedulers decline
+	// (DecodeSpillSpec).
+	TopicSpill
+	// TopicNodes carries a node record on every join, death and drain
+	// transition (DecodeNodeEvent).
+	TopicNodes
+	// TopicPlacementGroups carries a placement-group record on every
+	// transition (DecodeGroupEvent).
+	TopicPlacementGroups
+	// TopicJobs carries a job record on every transition (DecodeJobEvent).
+	TopicJobs
+)
+
+// broadcastChannel is the kv channel of each broadcast topic ("" for the
+// per-record ones).
+var broadcastChannel = [...]string{
+	TopicObjectGC:        chanObjGC,
+	TopicSpill:           chanSpill,
+	TopicNodes:           chanNodes,
+	TopicPlacementGroups: chanGroups,
+	TopicJobs:            chanJobs,
 }
 
 // TelemetrySnapshot is a node's most recent published metrics snapshot as
@@ -277,7 +291,6 @@ const (
 	keyTask   = "task:"   // + TaskID hex -> TaskState
 	keyObject = "obj:"    // + ObjectID hex -> ObjectInfo
 	keyNode   = "node:"   // + NodeID hex -> NodeInfo
-	keyFunc   = "func:"   // + name -> FunctionInfo
 	keyGroup  = "pg:"     // + PlacementGroupID hex -> PlacementGroupInfo
 	keyJob    = "jobrec:" // + JobID hex -> JobInfo
 	keyEvents = "events:" // + NodeID hex -> list of Event

@@ -153,6 +153,22 @@ func TestAPIConformance(t *testing.T) {
 	}
 }
 
+// addRef applies one unattributed reference delta, untokened: a one-object
+// ledger flush.
+func addRef(api API, id types.ObjectID, delta int64) {
+	api.ModifyObjectRefCounts(types.NilNodeID, map[types.ObjectID]int64{id: delta}, 0)
+}
+
+// refCount reads id's reference count back.
+func refCount(t *testing.T, api API, id types.ObjectID) int64 {
+	t.Helper()
+	info, ok := api.GetObject(id)
+	if !ok {
+		t.Fatalf("object %v has no record", id)
+	}
+	return info.RefCount
+}
+
 // recv waits for one message on sub.
 func recv(t *testing.T, sub Sub, what string) []byte {
 	t.Helper()
@@ -208,7 +224,7 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	if live, complete := api.LiveTasksOwnedBy(n); !complete || len(live) != 1 || live[0].Spec.ID != st.Spec.ID {
 		t.Fatalf("LiveTasksOwnedBy: %v complete=%v", live, complete)
 	}
-	statusSub := api.SubscribeTaskStatus(st.Spec.ID)
+	statusSub := api.Subscribe(TopicTaskStatus, st.Spec.ID)
 	defer statusSub.Close()
 	running := delta(st.Spec.ID, seq+1, types.TaskRunning)
 	running.Owner, running.Node, running.Retries = n, n, 1
@@ -238,14 +254,13 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 
 	// Object table, lifetime and subscriptions.
 	obj, obj2 := st.Spec.ReturnID(0), testObjectID(9)
-	api.EnsureObject(obj, st.Spec.ID)
-	if failed := api.EnsureObjects(map[types.ObjectID]types.TaskID{obj2: st.Spec.ID}); len(failed) != 0 {
+	if failed := api.EnsureObjects(map[types.ObjectID]types.TaskID{obj: st.Spec.ID, obj2: st.Spec.ID}); len(failed) != 0 {
 		t.Fatalf("EnsureObjects failed for %v", failed)
 	}
-	if info, ok := api.GetObject(obj2); !ok || info.Producer != st.Spec.ID {
+	if info, ok := api.GetObject(obj2); !ok || info.Producer != st.Spec.ID || info.State != types.ObjectPending {
 		t.Fatalf("EnsureObjects lineage edge: %+v %v", info, ok)
 	}
-	readySub := api.SubscribeObjectReady(obj)
+	readySub := api.Subscribe(TopicObjectReady, obj)
 	defer readySub.Close()
 	api.AddObjectLocation(obj, n, 64)
 	recv(t, readySub, "object-ready")
@@ -254,18 +269,20 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	if !ok || info.State != types.ObjectReady || info.Size != 64 || !info.IsSpilledOn(n) {
 		t.Fatalf("GetObject: %+v %v", info, ok)
 	}
-	gcSub := api.SubscribeObjectGC()
+	gcSub := api.Subscribe(TopicObjectGC, types.NilObjectID)
 	defer gcSub.Close()
-	if c := api.ModifyObjectRefCount(obj, 1); c != 1 {
-		t.Fatalf("ModifyObjectRefCount = %d", c)
-	}
+	addRef(api, obj, 1)
 	if failed := api.ModifyObjectRefCounts(n, map[types.ObjectID]int64{obj: 1}, 42); len(failed) != 0 {
 		t.Fatalf("ModifyObjectRefCounts failed for %v", failed)
+	}
+	if c := refCount(t, api, obj); c != 2 {
+		t.Fatalf("refcount = %d, want 2", c)
 	}
 	if swept := api.SweepDeadNodeRefs(n); swept != 1 {
 		t.Fatalf("SweepDeadNodeRefs = %d, want the one object n held", swept)
 	}
-	if c := api.ModifyObjectRefCount(obj, -1); c != 0 {
+	addRef(api, obj, -1)
+	if c := refCount(t, api, obj); c != 0 {
 		t.Fatalf("refcount after sweep and release = %d", c)
 	}
 	var gcID types.ObjectID
@@ -278,7 +295,7 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	}
 
 	// Spill pub/sub.
-	spillSub := api.SubscribeSpill()
+	spillSub := api.Subscribe(TopicSpill, types.NilTaskID)
 	defer spillSub.Close()
 	api.PublishSpill(st.Spec)
 	if spec, err := DecodeSpillSpec(recv(t, spillSub, "spill")); err != nil || spec.ID != st.Spec.ID {
@@ -286,7 +303,7 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	}
 
 	// Node table.
-	nodeSub := api.SubscribeNodeEvents()
+	nodeSub := api.Subscribe(TopicNodes, types.NilNodeID)
 	defer nodeSub.Close()
 	api.RegisterNode(types.NodeInfo{ID: n, Addr: "w1", Total: types.CPU(2)})
 	recv(t, nodeSub, "node event")
@@ -310,7 +327,7 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	}
 
 	// Placement-group table.
-	groupSub := api.SubscribePlacementGroups()
+	groupSub := api.Subscribe(TopicPlacementGroups, types.NilPlacementGroupID)
 	defer groupSub.Close()
 	group := testGroupSpec(4, 1)
 	if !api.CreatePlacementGroup(group) || api.CreatePlacementGroup(group) {
@@ -320,19 +337,19 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 		t.Fatalf("group event: %+v %v", ev, err)
 	}
 	pending, placing := []types.PlacementGroupState{types.GroupPending}, []types.PlacementGroupState{types.GroupPlacing}
-	if !api.CASPlacementGroupStateClaim(group.ID, pending, types.GroupPlacing, nil, 7) {
+	if !api.CASPlacementGroupState(group.ID, pending, types.GroupPlacing, nil, 7) {
 		t.Fatal("gang claim lost")
 	}
-	if api.CASPlacementGroupStateClaim(group.ID, placing, types.GroupPlaced, []types.NodeID{n}, 8) {
+	if api.CASPlacementGroupState(group.ID, placing, types.GroupPlaced, []types.NodeID{n}, 8) {
 		t.Fatal("commit under a stale claim token won")
 	}
-	if !api.CASPlacementGroupStateClaim(group.ID, placing, types.GroupPlaced, []types.NodeID{n}, 7) {
+	if !api.CASPlacementGroupState(group.ID, placing, types.GroupPlaced, []types.NodeID{n}, 7) {
 		t.Fatal("commit under the recorded claim lost")
 	}
 	if ginfo, ok := api.GetPlacementGroup(group.ID); !ok || ginfo.State != types.GroupPlaced || ginfo.NodeFor(0) != n {
 		t.Fatalf("GetPlacementGroup: %+v %v", ginfo, ok)
 	}
-	if !api.CASPlacementGroupState(group.ID, []types.PlacementGroupState{types.GroupPlaced}, types.GroupPending, nil) {
+	if !api.CASPlacementGroupState(group.ID, []types.PlacementGroupState{types.GroupPlaced}, types.GroupPending, nil, 0) {
 		t.Fatal("rollback CAS lost")
 	}
 	if len(api.PlacementGroups()) != 1 {
@@ -343,7 +360,7 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	}
 
 	// Job table and bulk reclaim.
-	jobSub := api.SubscribeJobs()
+	jobSub := api.Subscribe(TopicJobs, types.NilJobID)
 	defer jobSub.Close()
 	if !api.CreateJob(types.JobSpec{ID: job, Name: "j"}) || api.CreateJob(types.JobSpec{ID: job, Name: "j"}) {
 		t.Fatal("CreateJob is not exactly-once")
@@ -372,18 +389,20 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 		t.Fatalf("ForceReleaseObjects failed for %v", failed)
 	}
 	// obj still has its copy on n, so only obj2 (no copies, no refs) drains.
-	if left := api.PurgeObjects([]types.ObjectID{obj, obj2}); len(left) != 1 || left[0] != obj {
+	// PurgeObjects is retire's, not the API's: every target has it.
+	ops := api.(retireOps)
+	if left := ops.PurgeObjects([]types.ObjectID{obj, obj2}); len(left) != 1 || left[0] != obj {
 		t.Fatalf("PurgeObjects left %v, want [%v]", left, obj)
 	}
 	api.RemoveObjectLocation(obj, n)
-	if left := api.PurgeObjects([]types.ObjectID{obj}); len(left) != 0 {
+	if left := ops.PurgeObjects([]types.ObjectID{obj}); len(left) != 0 {
 		t.Fatalf("PurgeObjects left %v after the last copy went", left)
 	}
 	if _, ok := api.GetObject(obj); ok {
 		t.Fatal("purged object still readable")
 	}
-	if purged, complete := api.PurgeJobTasks(job); !complete || purged != 1 {
-		t.Fatalf("PurgeJobTasks = %d complete=%v", purged, complete)
+	if purged := PurgeAndUnpin(api, []types.TaskID{st.Spec.ID}); purged != 1 {
+		t.Fatalf("PurgeAndUnpin of the job's finished task = %d, want 1", purged)
 	}
 	if !api.MarkJobPurged(job) || api.MarkJobPurged(job) {
 		t.Fatal("MarkJobPurged is not idempotent")
@@ -399,9 +418,9 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 			t.Fatal("AddTask failed")
 		}
 		out := ts.Spec.ReturnID(0)
-		api.EnsureObject(out, ts.Spec.ID)
+		api.EnsureObjects(map[types.ObjectID]types.TaskID{out: ts.Spec.ID})
 		api.AddObjectLocation(out, n, 8)
-		api.ModifyObjectRefCount(out, 1)
+		addRef(api, out, 1)
 	}
 	pin := map[types.ObjectID]int64{a: 1}
 	if failed := api.PinObjects(pin, 61); len(failed) != 0 {
@@ -425,11 +444,11 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	}
 	finish(t1.Spec.ID)
 	refused("referenced", api.Retire([]types.ObjectID{a}), Retired{Referenced: 1})
-	api.ModifyObjectRefCount(a, -1)
+	addRef(api, a, -1)
 	refused("located", api.Retire([]types.ObjectID{a}), Retired{Located: 1})
 	api.RemoveObjectLocation(a, n)
 	refused("pinned", api.Retire([]types.ObjectID{a}), Retired{Pinned: 1})
-	api.ModifyObjectRefCount(b, -1)
+	addRef(api, b, -1)
 	api.RemoveObjectLocation(b, n)
 	refused("dead object of an unfinished task", api.Retire([]types.ObjectID{b}), Retired{Again: []types.ObjectID{b}})
 	if args, left := api.PurgeTasks([]types.TaskID{t2.Spec.ID}); len(args) != 0 || len(left) != 1 {
@@ -458,7 +477,7 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	t3.Spec.Args = []types.Arg{types.RefArg(obj2)}
 	c := t3.Spec.ReturnID(0)
 	api.AddTask(t3)
-	api.EnsureObject(c, t3.Spec.ID)
+	api.EnsureObjects(map[types.ObjectID]types.TaskID{c: t3.Spec.ID})
 	api.ModifyObjectRefCounts(n, map[types.ObjectID]int64{c: 0}, 62) // retained and released
 	finish(t3.Spec.ID)
 	if args, left := api.PurgeTasks([]types.TaskID{t3.Spec.ID}); !slices.Equal(args, []types.ObjectID{obj2}) || len(left) != 0 {
@@ -475,11 +494,7 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 		t.Fatal("orphaned object record survived")
 	}
 
-	// Functions, events, telemetry.
-	api.RegisterFunction(FunctionInfo{Name: "g", NumReturns: 1})
-	if !api.HasFunction("g") || len(api.Functions()) != 1 {
-		t.Fatal("function table wrong")
-	}
+	// Events, telemetry.
 	api.LogEvent(types.Event{Kind: "custom", Node: n})
 	if !slices.ContainsFunc(api.Events(), func(ev types.Event) bool { return ev.Kind == "custom" }) {
 		t.Fatal("event lost")
@@ -495,13 +510,13 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 }
 
 // TestOneShardTaskStatusSubscription: the subscription is acked by the
-// service before SubscribeTaskStatus returns, so a publish made right
-// after cannot be missed.
+// service before Subscribe returns, so a publish made right after cannot be
+// missed.
 func TestOneShardTaskStatusSubscription(t *testing.T) {
 	api, _, _ := oneShard(t, transport.NewInproc(0), "gcs")
 	st := mkTask(600)
 	api.AddTask(st)
-	sub := api.SubscribeTaskStatus(st.Spec.ID)
+	sub := api.Subscribe(TopicTaskStatus, st.Spec.ID)
 	defer sub.Close()
 	api.ModifyTaskStates(types.NilNodeID, []types.TaskStateDelta{delta(st.Spec.ID, 1, types.TaskFinished)}, 0)
 	if msg := recv(t, sub, "status"); types.TaskStatus(msg[0]) != types.TaskFinished {
@@ -511,9 +526,32 @@ func TestOneShardTaskStatusSubscription(t *testing.T) {
 
 func TestOneShardSubCloseIdempotent(t *testing.T) {
 	api, _, _ := oneShard(t, transport.NewInproc(0), "gcs")
-	sub := api.SubscribeSpill()
+	sub := api.Subscribe(TopicSpill, types.NilTaskID)
 	sub.Close()
 	sub.Close()
+}
+
+// TestOneShardRejectsBadSubscription: a subscription payload off the wire
+// with an unknown topic or the wrong length is refused — the stream ends
+// without the ack a subscriber waits for.
+func TestOneShardRejectsBadSubscription(t *testing.T) {
+	nw := transport.NewInproc(0)
+	oneShard(t, nw, "gcs")
+	c, err := nw.Dial("gcs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, payload := range [][]byte{nil, subPayload(TopicJobs+1, types.NilTaskID), subPayload(TopicSpill, types.NilTaskID)[:5]} {
+		stream, err := c.OpenStream(StreamSub, payload)
+		if err != nil {
+			continue
+		}
+		if _, err := stream.Recv(); err == nil {
+			t.Errorf("subscription %x acked", payload)
+		}
+		stream.Close()
+	}
 }
 
 // TestFanOutObserved: fan-out reads go through the same per-attempt RPC

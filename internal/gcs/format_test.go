@@ -86,13 +86,15 @@ var (
 		State: types.GroupPlaced, BundleNodes: []types.NodeID{testNodeID(1), testNodeID(2)},
 		CreatedNs: 1, PlacedNs: 5, LastTransitionNs: 5, MutOps: types.OpRing{9},
 	}
-	parentFunc  = FunctionInfo{Name: "f", NumReturns: 2}
 	parentEvent = types.Event{TimeNs: 7, Kind: "finish", Task: testTaskID(10), Object: testObjectID(20), Node: testNodeID(1), Worker: types.WorkerID(testNodeID(3)), Detail: "d"}
 	parentEpoch = int64(1700000000123456789)
 )
 
 const (
 	parentGroupHex = "01ff9d7f03010112506c6163656d656e7447726f7570496e666f01ff8000010901045370656301ff820001055374617465010400010b42756e646c654e6f64657301ff8e000109437265617465644e730104000108506c616365644e73010400010952656d6f7665644e7301040001104c6173745472616e736974696f6e4e7301040001064d75744f707301ff9000010a436c61696d546f6b656e01060000004bff8103010112506c6163656d656e7447726f75705370656301ff820001040102494401ff840001044e616d65010c0001085374726174656779010400010742756e646c657301ff8a00000020ff8301010110506c6163656d656e7447726f7570494401ff84000106012000001dff890201010e5b5d74797065732e42756e646c6501ff8a0001ff86000023ff850301010642756e646c6501ff8600010101095265736f757263657301ff8800000019ff87040101095265736f757263657301ff8800010c010800001dff8d0201010e5b5d74797065732e4e6f6465494401ff8e0001ff8c000016ff8b010101064e6f6465494401ff8c0001060120000014ff8f020101064f7052696e6701ff9000010600005fff800101101e00000000000000000000000000000001016701020102010103435055fef03f0001010343505540000001040102100100000000000000000000000000000010020000000000000000000000000000000102010a020a01010900"
+	// parentFuncHex is a function-table record ({Name: "f", NumReturns: 2})
+	// under "func:f". The table is gone; a directory that holds one still
+	// recovers, the record inert in the kv.
 	parentFuncHex  = "0132ff910301010c46756e6374696f6e496e666f01ff9200010201044e616d65010c00010a4e756d52657475726e73010400000008ff92010166010400"
 	parentEventHex = "015eff93030101054576656e7401ff94000107010654696d654e7301040001044b696e64010c0001045461736b01ff960001064f626a65637401ff980001044e6f646501ff8c000106576f726b657201ff9a00010644657461696c010c00000016ff95010101065461736b494401ff960001060120000018ff97010101084f626a656374494401ff980001060120000016ff8b010101064e6f6465494401ff8c0001060120000018ff9901010108576f726b6572494401ff9a0001060120000058ff94010e010666696e69736801100a00000000000000000000000000000001101400000000000000000000000000000001100100000000000000000000000000000001100300000000000000000000000000000001016400"
 	parentEpochHex = "010b0400f82f2f39fc7b0b9a2a"
@@ -145,7 +147,7 @@ func TestRecoversParentEncodedState(t *testing.T) {
 	logger := kv.NewLogger(db, wal)
 	pairs := f.encodings()
 	pairs[keyGroup+parentGroup.Spec.ID.Hex()] = unhex(t, parentGroupHex)
-	pairs[keyFunc+parentFunc.Name] = unhex(t, parentFuncHex)
+	pairs["func:f"] = unhex(t, parentFuncHex)
 	pairs[keyMetaEpoch] = unhex(t, parentEpochHex)
 	keys := make([]string, 0, len(pairs))
 	for k := range pairs {
@@ -169,8 +171,8 @@ func TestRecoversParentEncodedState(t *testing.T) {
 	if got := s.PlacementGroups(); len(got) != 1 || !reflect.DeepEqual(got[0], parentGroup) {
 		t.Errorf("PlacementGroups = %+v, want %+v", got, parentGroup)
 	}
-	if got := s.Functions(); !slices.Equal(got, []FunctionInfo{parentFunc}) {
-		t.Errorf("Functions = %+v, want %+v", got, parentFunc)
+	if got, _ := s.db.Get("func:f"); !bytes.Equal(got, unhex(t, parentFuncHex)) {
+		t.Errorf("the function record was rewritten or dropped: %x", got)
 	}
 	if got := s.Events(); !slices.Contains(got, parentEvent) {
 		t.Errorf("Events = %+v, want %+v among them", got, parentEvent)
@@ -206,10 +208,9 @@ func TestDurableStoreWritesParentFormat(t *testing.T) {
 	s.CASTaskStatusOp(task, []types.TaskStatus{types.TaskRunning}, types.TaskPending, 45) // a second pendidx marker
 	s.PinObjects(map[types.ObjectID]int64{obj: 1}, 46)                                    // a pinned object record
 	s.CreatePlacementGroup(parentGroup.Spec)
-	s.RegisterFunction(parentFunc)
 	s.LogEvent(parentEvent)
 	tasks, objects, nodes := s.Tasks(), s.Objects(), s.Nodes()
-	groups, funcs, epoch := s.PlacementGroups(), s.Functions(), s.epoch.UnixNano()
+	groups, epoch := s.PlacementGroups(), s.epoch.UnixNano()
 	pending, garbage := s.StalePendingTasks(0), s.GCEligibleObjects()
 	svc.Close()
 
@@ -240,12 +241,9 @@ func TestDurableStoreWritesParentFormat(t *testing.T) {
 	for i := range groups {
 		want[keyGroup+groups[i].Spec.ID.Hex()] = parentEncode(t, groups[i])
 	}
-	for i := range funcs {
-		want[keyFunc+funcs[i].Name] = parentEncode(t, funcs[i])
-	}
 	want[keyMetaEpoch] = parentEncode(t, epoch)
-	if len(groups) != 1 || len(funcs) != 1 {
-		t.Fatalf("setup: %d groups, %d functions", len(groups), len(funcs))
+	if len(groups) != 1 {
+		t.Fatalf("setup: %d groups", len(groups))
 	}
 	logged := 0
 	for _, k := range db.ListKeys(keyEvents) {
@@ -260,7 +258,7 @@ func TestDurableStoreWritesParentFormat(t *testing.T) {
 	if logged == 0 {
 		t.Error("no events on disk")
 	}
-	for _, prefix := range []string{keyTask, keyObject, keyNode, keyPendIdx, keyGCIdx, keyGroup, keyFunc, keyMetaEpoch} {
+	for _, prefix := range []string{keyTask, keyObject, keyNode, keyPendIdx, keyGCIdx, keyGroup, "func:", keyMetaEpoch} {
 		for _, k := range db.Keys(prefix) {
 			raw, _ := db.Get(k)
 			enc, ok := want[k]

@@ -89,27 +89,21 @@ func (s *Store) PlacementGroups() []types.PlacementGroupInfo {
 	return out
 }
 
-// CASPlacementGroupState implements API.
-func (s *Store) CASPlacementGroupState(id types.PlacementGroupID, from []types.PlacementGroupState, to types.PlacementGroupState, bundleNodes []types.NodeID) bool {
-	return s.CASPlacementGroupStateOp(id, from, to, bundleNodes, 0, 0)
-}
-
-// CASPlacementGroupStateClaim implements API: the claim-token form of the
-// gang CAS. A transition to Placing records the claimant's token; a
-// transition to Placed requires the caller's token to match the recorded
-// claim — so a claimant stalled past the stale-claim sweep cannot commit
-// over a successor's claim (the successor's Pending→Placing rewrote the
-// token). Rollbacks to Pending clear the token.
-func (s *Store) CASPlacementGroupStateClaim(id types.PlacementGroupID, from []types.PlacementGroupState, to types.PlacementGroupState, bundleNodes []types.NodeID, claim uint64) bool {
+// CASPlacementGroupState implements API: the gang CAS under a claimant
+// token. A transition to Placing records the claimant's token; a transition
+// to Placed requires the caller's token to match the recorded claim — so a
+// claimant stalled past the stale-claim sweep cannot commit over a
+// successor's claim (the successor's Pending→Placing rewrote the token).
+// Rollbacks to Pending clear the token.
+func (s *Store) CASPlacementGroupState(id types.PlacementGroupID, from []types.PlacementGroupState, to types.PlacementGroupState, bundleNodes []types.NodeID, claim uint64) bool {
 	return s.CASPlacementGroupStateOp(id, from, to, bundleNodes, claim, 0)
 }
 
-// CASPlacementGroupStateOp is the full gang CAS: claim token (0 = no claim
-// bookkeeping) plus idempotency token (0 = no dedup), the latter mirroring
-// CASTaskStatusOp: a retried claim whose original commit survived a shard
-// crash is recognized by its token and reported won, so the gang pass
-// proceeds instead of treating its own earlier commit as a lost race
-// (which would strand the group in Placing).
+// CASPlacementGroupStateOp is CASPlacementGroupState with an idempotency
+// token (0 = no dedup), mirroring CASTaskStatusOp: a retried claim whose
+// original commit survived a shard crash is recognized by its token and
+// reported won, so the gang pass proceeds instead of treating its own
+// earlier commit as a lost race (which would strand the group in Placing).
 func (s *Store) CASPlacementGroupStateOp(id types.PlacementGroupID, from []types.PlacementGroupState, to types.PlacementGroupState, bundleNodes []types.NodeID, claim uint64, op uint64) bool {
 	now := s.NowNs()
 	won := false
@@ -183,6 +177,3 @@ func (s *Store) CASPlacementGroupStateOp(id types.PlacementGroupID, from []types
 	}
 	return won || dupWin
 }
-
-// SubscribePlacementGroups implements API.
-func (s *Store) SubscribePlacementGroups() Sub { return s.db.Subscribe(chanGroups) }

@@ -36,13 +36,13 @@ func TestGroupTableLifecycle(t *testing.T) {
 	// Claim, commit with bundle nodes, verify.
 	var n1, n2 types.NodeID
 	n1[0], n2[0] = 1, 2
-	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil) {
+	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, 0) {
 		t.Fatal("claim CAS failed")
 	}
-	if s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil) {
+	if s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, 0) {
 		t.Fatal("second claim must lose")
 	}
-	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPlaced, []types.NodeID{n1, n2}) {
+	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPlaced, []types.NodeID{n1, n2}, 0) {
 		t.Fatal("commit CAS failed")
 	}
 	info, _ = s.GetPlacementGroup(spec.ID)
@@ -54,7 +54,7 @@ func TestGroupTableLifecycle(t *testing.T) {
 	}
 
 	// Rollback clears the assignment.
-	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlaced}, types.GroupPending, nil) {
+	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlaced}, types.GroupPending, nil, 0) {
 		t.Fatal("rollback CAS failed")
 	}
 	info, _ = s.GetPlacementGroup(spec.ID)
@@ -69,7 +69,7 @@ func TestGroupTableLifecycle(t *testing.T) {
 	if s.RemovePlacementGroup(spec.ID) {
 		t.Fatal("second remove must report false")
 	}
-	if s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending, types.GroupRemoved}, types.GroupPlacing, nil) {
+	if s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending, types.GroupRemoved}, types.GroupPlacing, nil, 0) {
 		// Removed is in `from`, so the CAS is eligible — but allowing a
 		// removed group back into Placing would resurrect it. The gang
 		// pass never passes Removed in `from`; this documents that the
@@ -107,12 +107,12 @@ func TestGroupCASTokenDedup(t *testing.T) {
 // TestGroupSubscription checks create/transition/remove all publish.
 func TestGroupSubscription(t *testing.T) {
 	s := NewStore(2)
-	sub := s.SubscribePlacementGroups()
+	sub := s.Subscribe(TopicPlacementGroups, types.NilPlacementGroupID)
 	defer sub.Close()
 
 	spec := testGroupSpec(3, 1)
 	s.CreatePlacementGroup(spec)
-	s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil)
+	s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, 0)
 	s.RemovePlacementGroup(spec.ID)
 
 	states := []types.PlacementGroupState{types.GroupPending, types.GroupPlacing, types.GroupRemoved}
@@ -149,8 +149,8 @@ func TestGroupConcurrentCreateRemove(t *testing.T) {
 		go func(id types.PlacementGroupID) {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				s.CASPlacementGroupState(id, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil)
-				s.CASPlacementGroupState(id, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPending, nil)
+				s.CASPlacementGroupState(id, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, 0)
+				s.CASPlacementGroupState(id, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPending, nil, 0)
 			}
 		}(spec.ID)
 		go func(id types.PlacementGroupID) {
@@ -193,30 +193,30 @@ func TestGangClaimTokenFencesStaleCommit(t *testing.T) {
 	nodeA[0], nodeB[0] = 1, 2
 
 	// A claims and stalls mid-reservation.
-	if !s.CASPlacementGroupStateClaim(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, tokenA) {
+	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, tokenA) {
 		t.Fatal("claimant A's claim failed")
 	}
 	// The stale-claim sweep fences A out: token-less rollback to Pending.
-	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPending, nil) {
+	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPending, nil, 0) {
 		t.Fatal("sweep rollback failed")
 	}
 	// Successor B claims.
-	if !s.CASPlacementGroupStateClaim(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, tokenB) {
+	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, tokenB) {
 		t.Fatal("successor B's claim failed")
 	}
 	// A wakes up and commits: the state IS Placing, so before claim tokens
 	// this CAS won and installed A's placement over B's claim. The token
 	// mismatch must now fail it.
-	if s.CASPlacementGroupStateClaim(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPlaced, []types.NodeID{nodeA}, tokenA) {
+	if s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPlaced, []types.NodeID{nodeA}, tokenA) {
 		t.Fatal("stale claimant's commit must lose to the successor's claim")
 	}
 	// A's rollback attempt (reserve-failure path carries its claim) must
 	// not yank B's live claim either.
-	if s.CASPlacementGroupStateClaim(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPending, nil, tokenA) {
+	if s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPending, nil, tokenA) {
 		t.Fatal("stale claimant's rollback must not clear the successor's claim")
 	}
 	// B commits normally.
-	if !s.CASPlacementGroupStateClaim(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPlaced, []types.NodeID{nodeB}, tokenB) {
+	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPlaced, []types.NodeID{nodeB}, tokenB) {
 		t.Fatal("successor's commit must win")
 	}
 	info, ok := s.GetPlacementGroup(spec.ID)
@@ -235,27 +235,27 @@ func TestGangClaimTokenLegacyPaths(t *testing.T) {
 	var n types.NodeID
 	n[0] = 7
 
-	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil) {
+	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, 0) {
 		t.Fatal("token-less claim failed")
 	}
-	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPlaced, []types.NodeID{n}) {
+	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPlaced, []types.NodeID{n}, 0) {
 		t.Fatal("token-less commit with no recorded claim must pass")
 	}
 	// Roll back and run a tokened cycle; then a sweep reset must clear the
 	// token so the next token-less cycle is unencumbered.
-	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlaced}, types.GroupPending, nil) {
+	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlaced}, types.GroupPending, nil, 0) {
 		t.Fatal("rollback failed")
 	}
-	if !s.CASPlacementGroupStateClaim(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, 42) {
+	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, 42) {
 		t.Fatal("tokened claim failed")
 	}
-	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPending, nil) {
+	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPending, nil, 0) {
 		t.Fatal("sweep reset failed")
 	}
-	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil) {
+	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, 0) {
 		t.Fatal("token-less claim after sweep failed")
 	}
-	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPlaced, []types.NodeID{n}) {
+	if !s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPlaced, []types.NodeID{n}, 0) {
 		t.Fatal("token cleared by sweep: token-less commit must pass")
 	}
 }

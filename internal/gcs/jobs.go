@@ -150,9 +150,6 @@ func (s *Store) MarkJobPurged(id types.JobID) bool {
 	return won
 }
 
-// SubscribeJobs implements API.
-func (s *Store) SubscribeJobs() Sub { return s.db.Subscribe(chanJobs) }
-
 // JobTasks implements API: the reclaim pass's source of truth. Scans the
 // task table for records attributed to the job — any status, so one scan
 // serves both the bury phase (live tasks to fail) and the purge phase
@@ -195,11 +192,12 @@ func (s *Store) forceReleaseObject(id types.ObjectID) {
 	}
 }
 
-// PurgeObjects implements API: remove dead object records. A record still
-// holding copies, references or lineage pins is skipped (returned for
-// retry) — the force release and the lifetime GC it triggers must drain it
-// first, and a pin goes with the task record that holds it. On a durable
-// shard the delete is WAL'd, so the record stays gone across restarts.
+// PurgeObjects is retire's object removal: the dead records among ids
+// (types.ObjectInfo.Dead) go, and the rest come back for retry. A record
+// still holding copies, references or lineage pins is skipped — the force
+// release and the lifetime GC it triggers must drain it first, and a pin
+// goes with the task record that holds it. On a durable shard the delete is
+// WAL'd, so the record stays gone across restarts.
 func (s *Store) PurgeObjects(ids []types.ObjectID) []types.ObjectID {
 	var remaining []types.ObjectID
 	for _, id := range ids {
@@ -236,22 +234,4 @@ func (s *Store) PurgeTasks(ids []types.TaskID) (args []types.ObjectID, left []ty
 		}
 	}
 	return args, left
-}
-
-// PurgeJobTasks implements API: remove the job's terminal task records and
-// drop the pins they held. Live records are left alone — the reclaim pass
-// buries them first and re-runs the purge. The in-process store always has
-// a complete view.
-func (s *Store) PurgeJobTasks(job types.JobID) (int, bool) {
-	var ids []types.TaskID
-	s.tasks.scan(func(id types.TaskID, st *types.TaskState) {
-		if st.Spec.Job == job && st.Status.Terminal() {
-			ids = append(ids, id)
-		}
-	})
-	purged := purgeAndUnpin(s, ids)
-	if purged > 0 {
-		s.logEvent(types.Event{Kind: "job-purge-tasks", Detail: job.String()})
-	}
-	return purged, true
 }

@@ -102,14 +102,20 @@ func taskFactsOf(t *types.TaskState) taskFacts {
 	return taskFacts{Terminal: t.Status.Terminal(), Returns: t.Spec.NumReturns}
 }
 
-// retireOps is what the policy needs of a control plane. The reads answer
-// in the order asked.
+// taskPurger is what PurgeAndUnpin needs of a control plane: every API
+// has it.
+type taskPurger interface {
+	PurgeTasks(ids []types.TaskID) (args []types.ObjectID, left []types.TaskID)
+	PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID
+}
+
+// retireOps is what the policy needs of a control plane: Store and Sharded
+// have it. The reads answer in the order asked.
 type retireOps interface {
+	taskPurger
 	objectFacts(ids []types.ObjectID) []objectFacts
 	taskFacts(ids []types.TaskID) []taskFacts
-	PurgeTasks(ids []types.TaskID) (args []types.ObjectID, left []types.TaskID)
 	PurgeObjects(ids []types.ObjectID) []types.ObjectID
-	PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID
 }
 
 // retiree is one return object of a task found retirable.
@@ -254,10 +260,10 @@ func distinctObjects(ids []types.ObjectID) []types.ObjectID {
 	return slices.Compact(ids)
 }
 
-// purgeAndUnpin removes terminal task records by ID and drops the pins
+// PurgeAndUnpin removes terminal task records by ID and drops the pins
 // they held: the tail of every path that removes task records outside
-// retire. It reports how many records went.
-func purgeAndUnpin(c retireOps, ids []types.TaskID) int {
+// retire (the job reclaim pass's purge). It reports how many records went.
+func PurgeAndUnpin(c taskPurger, ids []types.TaskID) int {
 	if len(ids) == 0 {
 		return 0
 	}

@@ -40,7 +40,7 @@ func lifecycle(api API, node types.NodeID, base, n int) {
 		st.Owner = node
 		objs[i] = st.Spec.ReturnID(0)
 		api.AddTask(st)
-		api.EnsureObject(objs[i], st.Spec.ID)
+		api.EnsureObjects(map[types.ObjectID]types.TaskID{objs[i]: st.Spec.ID})
 		api.AddObjectLocation(objs[i], node, 8)
 		api.ModifyObjectRefCounts(node, map[types.ObjectID]int64{objs[i]: 0}, uint64(base+i+1))
 		api.RemoveObjectLocation(objs[i], node)
@@ -76,7 +76,7 @@ func TestCheckpointShrinksWithTheLiveSet(t *testing.T) {
 	held := mkTask(1)
 	svc.Store().AddTask(held)
 	svc.Store().EnsureObject(held.Spec.ReturnID(0), held.Spec.ID)
-	svc.Store().ModifyObjectRefCount(held.Spec.ReturnID(0), 1)
+	addRef(svc.Store(), held.Spec.ReturnID(0), 1)
 	before := snapshot()
 	lifecycle(svc.Store(), node, 100, 5000)
 	if tasks, objects := svc.Store().Records(); tasks != 1 || objects != 1 {
@@ -116,7 +116,7 @@ func TestRetireAcrossAShardRestart(t *testing.T) {
 	}
 	obj := st.Spec.ReturnID(0)
 	c.AddTask(st)
-	c.EnsureObject(obj, st.Spec.ID)
+	c.EnsureObjects(map[types.ObjectID]types.TaskID{obj: st.Spec.ID})
 	c.AddObjectLocation(obj, node, 8)
 	c.ModifyObjectRefCounts(node, map[types.ObjectID]int64{obj: 0}, 71)
 	c.RemoveObjectLocation(obj, node)

@@ -23,13 +23,11 @@ const (
 	MethodLiveTasksOwned   = "gcs.liveTasksOwnedBy"
 	MethodTasks            = "gcs.tasks"
 	MethodStalePending     = "gcs.stalePendingTasks"
-	MethodEnsureObject     = "gcs.ensureObject"
 	MethodEnsureObjects    = "gcs.ensureObjects"
 	MethodAddObjLocation   = "gcs.addObjLocation"
 	MethodRemoveObjLoc     = "gcs.removeObjLocation"
 	MethodGetObject        = "gcs.getObject"
 	MethodObjects          = "gcs.objects"
-	MethodModifyObjRef     = "gcs.modifyObjRefCount"
 	MethodModifyObjRefs    = "gcs.modifyObjRefCounts"
 	MethodSweepDeadRefs    = "gcs.sweepDeadNodeRefs"
 	MethodMarkObjSpilled   = "gcs.markObjSpilled"
@@ -56,22 +54,15 @@ const (
 	MethodCASNodeState     = "gcs.casNodeState"
 	MethodGetNode          = "gcs.getNode"
 	MethodNodes            = "gcs.nodes"
-	MethodRegisterFunction = "gcs.registerFunction"
-	MethodHasFunction      = "gcs.hasFunction"
-	MethodFunctions        = "gcs.functions"
 	MethodLogEvent         = "gcs.logEvent"
 	MethodEvents           = "gcs.events"
 	MethodPublishTelemetry = "gcs.publishTelemetry"
 	MethodTelemetry        = "gcs.telemetry"
 	MethodSpans            = "gcs.spans"
 
-	StreamTaskStatus = "gcs.sub.taskStatus" // payload: TaskID hex
-	StreamObjReady   = "gcs.sub.objReady"   // payload: ObjectID hex
-	StreamSpill      = "gcs.sub.spill"
-	StreamNodes      = "gcs.sub.nodes"
-	StreamObjGC      = "gcs.sub.objGC"
-	StreamGroups     = "gcs.sub.groups"
-	StreamJobs       = "gcs.sub.jobs"
+	// StreamSub is every subscription: the payload is the topic byte, then
+	// the ID (subPayload).
+	StreamSub = "gcs.sub"
 )
 
 // Wire request/response shapes (gob via codec).
@@ -100,10 +91,6 @@ type (
 	ensureObjectsReq struct {
 		Producers map[types.ObjectID]types.TaskID
 	}
-	ensureObjectReq struct {
-		ID       types.ObjectID
-		Producer types.TaskID
-	}
 	objLocationReq struct {
 		ID   types.ObjectID
 		Node types.NodeID
@@ -114,13 +101,6 @@ type (
 		Queue int
 		Avail types.Resources
 		Store types.StoreStats
-	}
-	modifyRefReq struct {
-		ID    types.ObjectID
-		Delta int64
-		// Op is the idempotency token for retried deltas (0 = no dedup);
-		// see Store.ModifyObjectRefCountOp.
-		Op uint64
 	}
 	modifyRefsReq struct {
 		// Node attributes the deltas for the owner-death sweep.
@@ -145,7 +125,7 @@ type (
 		Nodes []types.NodeID
 		// Claim is the claimant token recorded at Placing and required at
 		// the Placed commit (0 = no claim bookkeeping); see
-		// Store.CASPlacementGroupStateClaim.
+		// Store.CASPlacementGroupState.
 		Claim uint64
 		// Op is the idempotency token for retried gang-state CAS claims
 		// (0 = no dedup); see Store.CASPlacementGroupStateOp.
@@ -280,7 +260,6 @@ func RegisterService(srv Registrar, store *Store) {
 	handle0(srv, MethodTasks, store.Tasks)
 	handle(srv, MethodStalePending, store.StalePendingTasks)
 
-	handle(srv, MethodEnsureObject, ack(func(r ensureObjectReq) { store.EnsureObject(r.ID, r.Producer) }))
 	handle(srv, MethodEnsureObjects, ack(func(r ensureObjectsReq) { store.EnsureObjects(r.Producers) }))
 	handle(srv, MethodAddObjLocation, ack(func(r objLocationReq) { store.AddObjectLocation(r.ID, r.Node, r.Size) }))
 	handle(srv, MethodRemoveObjLoc, ack(func(r objLocationReq) { store.RemoveObjectLocation(r.ID, r.Node) }))
@@ -289,9 +268,6 @@ func RegisterService(srv Registrar, store *Store) {
 		return maybeObject{Info: info, OK: ok}
 	})
 	handle0(srv, MethodObjects, store.Objects)
-	handle(srv, MethodModifyObjRef, func(r modifyRefReq) int64 {
-		return store.ModifyObjectRefCountOp(r.ID, r.Delta, r.Op)
-	})
 	handle(srv, MethodModifyObjRefs, ack(func(r modifyRefsReq) {
 		store.ModifyObjectRefCounts(r.Node, r.Deltas, r.Op)
 	}))
@@ -344,9 +320,6 @@ func RegisterService(srv Registrar, store *Store) {
 		return maybeNode{Info: info, OK: ok}
 	})
 	handle0(srv, MethodNodes, store.Nodes)
-	handle(srv, MethodRegisterFunction, ack(store.RegisterFunction))
-	handle(srv, MethodHasFunction, store.HasFunction)
-	handle0(srv, MethodFunctions, store.Functions)
 	handle(srv, MethodLogEvent, ack(store.LogEvent))
 	handle0(srv, MethodEvents, store.Events)
 	handle(srv, MethodPublishTelemetry, ack(func(r publishTelemetryReq) { store.PublishTelemetry(r.ID, r.Snap, r.Spans) }))
@@ -382,42 +355,31 @@ func RegisterService(srv Registrar, store *Store) {
 			}
 		}
 	}
-	srv.HandleStream(StreamTaskStatus, func(payload []byte, stream transport.ServerStream) error {
-		id, err := types.ParseTaskID(string(payload))
-		if err != nil {
-			return fmt.Errorf("gcs: bad task-status subscription: %w", err)
+	srv.HandleStream(StreamSub, func(payload []byte, stream transport.ServerStream) error {
+		if len(payload) != 1+types.IDSize || Topic(payload[0]) > TopicJobs {
+			return fmt.Errorf("gcs: bad subscription %x", payload)
 		}
-		return forward(store.SubscribeTaskStatus(id), stream)
-	})
-	srv.HandleStream(StreamObjReady, func(payload []byte, stream transport.ServerStream) error {
-		id, err := types.ParseObjectID(string(payload))
-		if err != nil {
-			return fmt.Errorf("gcs: bad object-ready subscription: %w", err)
+		topic := Topic(payload[0])
+		sub := store.Subscribe(topic, [types.IDSize]byte(payload[1:]))
+		var replay [][]byte
+		if topic == TopicObjectGC {
+			// Subscribed first (so nothing published after this point is
+			// lost), then the currently GC-eligible set goes out before the
+			// live feed: a subscriber (re)attaching after a shard crash
+			// learns of zero-refcount transitions whose publish died with
+			// the old incarnation. Reclaim is idempotent, so overlap is
+			// harmless.
+			for _, id := range store.GCEligibleObjects() {
+				replay = append(replay, id[:])
+			}
 		}
-		return forward(store.SubscribeObjectReady(id), stream)
+		return forward(sub, stream, replay...)
 	})
-	broadcast := func(method string, subscribe func() Sub) {
-		srv.HandleStream(method, func(_ []byte, stream transport.ServerStream) error {
-			return forward(subscribe(), stream)
-		})
-	}
-	broadcast(StreamSpill, store.SubscribeSpill)
-	broadcast(StreamNodes, store.SubscribeNodeEvents)
-	broadcast(StreamGroups, store.SubscribePlacementGroups)
-	broadcast(StreamJobs, store.SubscribeJobs)
-	srv.HandleStream(StreamObjGC, func(_ []byte, stream transport.ServerStream) error {
-		// Subscribe first (so nothing published after this point is lost),
-		// then replay the currently GC-eligible set before forwarding live
-		// messages: a subscriber (re)attaching after a shard crash learns
-		// of zero-refcount transitions whose publish died with the old
-		// incarnation. Reclaim is idempotent, so overlap is harmless.
-		sub := store.SubscribeObjectGC()
-		var eligible [][]byte
-		for _, id := range store.GCEligibleObjects() {
-			eligible = append(eligible, id[:])
-		}
-		return forward(sub, stream, eligible...)
-	})
+}
+
+// subPayload is a StreamSub request: the topic byte, then the ID.
+func subPayload(topic Topic, id [types.IDSize]byte) []byte {
+	return append([]byte{byte(topic)}, id[:]...)
 }
 
 // RegisterSingleShard exposes an in-memory Store at addr as a complete

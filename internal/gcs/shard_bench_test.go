@@ -28,7 +28,7 @@ func populateShardDir(b *testing.B, nw *transport.Inproc, dir string, addr strin
 			var obj types.ObjectID
 			copy(obj[:], fmt.Sprintf("o%07d", base+i))
 			st.EnsureObject(obj, task)
-			st.ModifyObjectRefCount(obj, 1)
+			addRef(st, obj, 1)
 		}
 	}
 	fill(snapRecords, 0)

@@ -83,16 +83,18 @@ func TestShardServiceDurableRestart(t *testing.T) {
 	if !client.AddTask(types.TaskState{Spec: types.TaskSpec{ID: task, Function: "f"}, Status: types.TaskPending}) {
 		t.Fatal("AddTask failed")
 	}
-	client.EnsureObject(obj, task)
+	client.EnsureObjects(map[types.ObjectID]types.TaskID{obj: task})
 	client.AddObjectLocation(obj, testNodeID(3), 128)
-	if n := client.ModifyObjectRefCount(obj, 2); n != 2 {
+	addRef(client, obj, 2)
+	if n := refCount(t, client, obj); n != 2 {
 		t.Fatalf("refcount = %d", n)
 	}
 	// Checkpoint now; post-checkpoint mutations must come back via WAL.
 	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if n := client.ModifyObjectRefCount(obj, 1); n != 3 {
+	addRef(client, obj, 1)
+	if n := refCount(t, client, obj); n != 3 {
 		t.Fatalf("refcount = %d", n)
 	}
 	preKillNow := client.NowNs()
@@ -179,7 +181,7 @@ func TestShardedClientEndToEnd(t *testing.T) {
 			t.Fatalf("AddTask %d", i)
 		}
 		obj := testObjectID(i)
-		s.EnsureObject(obj, task)
+		s.EnsureObjects(map[types.ObjectID]types.TaskID{obj: task})
 		s.AddObjectLocation(obj, testNodeID(1), int64(i))
 	}
 	if got := len(s.Tasks()); got != 12 {
@@ -202,11 +204,6 @@ func TestShardedClientEndToEnd(t *testing.T) {
 	}
 	if len(s.Nodes()) != 1 {
 		t.Fatal("node scan wrong")
-	}
-
-	s.RegisterFunction(FunctionInfo{Name: "fn", NumReturns: 1})
-	if !s.HasFunction("fn") || len(s.Functions()) != 1 {
-		t.Fatal("function table through sharded client broken")
 	}
 
 	s.LogEvent(types.Event{Kind: "test", Node: testNodeID(1)})
@@ -260,12 +257,10 @@ func TestResilientSubscriptionSurvivesShardRestart(t *testing.T) {
 	s := newTestSharded(t, nw)
 
 	objA, objB := testObjectID(1), testObjectID(2)
-	s.EnsureObject(objA, types.NilTaskID)
 	s.AddObjectLocation(objA, testNodeID(1), 8)
-	s.EnsureObject(objB, types.NilTaskID)
 	s.AddObjectLocation(objB, testNodeID(1), 8)
 
-	sub := s.SubscribeObjectGC()
+	sub := s.Subscribe(TopicObjectGC, types.NilObjectID)
 	defer sub.Close()
 
 	// recv drains until the target ID arrives (restarted shards may replay
@@ -290,8 +285,8 @@ func TestResilientSubscriptionSurvivesShardRestart(t *testing.T) {
 	}
 
 	// Zero-transition before the kill: delivered live.
-	s.ModifyObjectRefCount(objA, 1)
-	s.ModifyObjectRefCount(objA, -1)
+	addRef(s, objA, 1)
+	addRef(s, objA, -1)
 	if !recv(objA, 2*time.Second) {
 		t.Fatal("live GC publish not delivered")
 	}
@@ -307,8 +302,8 @@ func TestResilientSubscriptionSurvivesShardRestart(t *testing.T) {
 	if err := sup.RestartShard(1); err != nil {
 		t.Fatal(err)
 	}
-	s.ModifyObjectRefCount(objB, 1)
-	s.ModifyObjectRefCount(objB, -1)
+	addRef(s, objB, 1)
+	addRef(s, objB, -1)
 	if !recv(objB, 5*time.Second) {
 		t.Fatal("GC publish after shard restart not delivered to old Sub")
 	}
@@ -322,28 +317,32 @@ func TestModifyRefCountOpIdempotent(t *testing.T) {
 	s := NewStore(2)
 	obj := testObjectID(7)
 	s.EnsureObject(obj, types.NilTaskID)
+	apply := func(delta int64, op uint64) int64 {
+		s.ModifyObjectRefCounts(types.NilNodeID, map[types.ObjectID]int64{obj: delta}, op)
+		return refCount(t, s, obj)
+	}
 
 	const opA, opB, opC = 11, 22, 33
-	if n := s.ModifyObjectRefCountOp(obj, 1, opA); n != 1 {
+	if n := apply(1, opA); n != 1 {
 		t.Fatalf("first apply = %d", n)
 	}
-	if n := s.ModifyObjectRefCountOp(obj, 1, opA); n != 1 {
+	if n := apply(1, opA); n != 1 {
 		t.Fatalf("duplicate apply changed count to %d", n)
 	}
-	if n := s.ModifyObjectRefCountOp(obj, 1, opB); n != 2 {
+	if n := apply(1, opB); n != 2 {
 		t.Fatalf("distinct op = %d, want 2", n)
 	}
-	if n := s.ModifyObjectRefCountOp(obj, -1, opC); n != 1 {
+	if n := apply(-1, opC); n != 1 {
 		t.Fatalf("release = %d", n)
 	}
-	if n := s.ModifyObjectRefCountOp(obj, -1, opC); n != 1 {
+	if n := apply(-1, opC); n != 1 {
 		t.Fatalf("duplicate release = %d, want 1", n)
 	}
-	// Token 0 disables dedup (legacy / non-retrying callers).
-	if n := s.ModifyObjectRefCountOp(obj, 1, 0); n != 2 {
+	// Token 0 disables dedup (non-retrying callers).
+	if n := apply(1, 0); n != 2 {
 		t.Fatalf("op 0 = %d", n)
 	}
-	if n := s.ModifyObjectRefCountOp(obj, 1, 0); n != 3 {
+	if n := apply(1, 0); n != 3 {
 		t.Fatalf("op 0 repeat = %d (must not dedup)", n)
 	}
 }
@@ -414,16 +413,17 @@ func TestRefOpDuplicateRepublishesGC(t *testing.T) {
 	obj := testObjectID(6)
 	s.EnsureObject(obj, types.NilTaskID)
 	s.AddObjectLocation(obj, testNodeID(1), 8)
-	s.ModifyObjectRefCountOp(obj, 1, 91)
-	s.ModifyObjectRefCountOp(obj, -1, 92)
+	s.ModifyObjectRefCounts(types.NilNodeID, map[types.ObjectID]int64{obj: 1}, 91)
+	s.ModifyObjectRefCounts(types.NilNodeID, map[types.ObjectID]int64{obj: -1}, 92)
 	// Simulate the crash window: delta committed, marker lost.
 	setMark(s.objects, obj, false)
 	if got := s.GCEligibleObjects(); len(got) != 0 {
 		t.Fatal("setup: marker should be gone")
 	}
-	sub := s.SubscribeObjectGC()
+	sub := s.Subscribe(TopicObjectGC, types.NilObjectID)
 	defer sub.Close()
-	if n := s.ModifyObjectRefCountOp(obj, -1, 92); n != 0 {
+	s.ModifyObjectRefCounts(types.NilNodeID, map[types.ObjectID]int64{obj: -1}, 92)
+	if n := refCount(t, s, obj); n != 0 {
 		t.Fatalf("duplicate release applied: count %d", n)
 	}
 	if got := s.GCEligibleObjects(); len(got) != 1 {
@@ -453,8 +453,8 @@ func TestRebuildIndexesReconciles(t *testing.T) {
 	garbage := testObjectID(12)
 	s.EnsureObject(garbage, types.NilTaskID)
 	s.AddObjectLocation(garbage, node, 8)
-	s.ModifyObjectRefCount(garbage, 1)
-	s.ModifyObjectRefCount(garbage, -1)
+	addRef(s, garbage, 1)
+	addRef(s, garbage, -1)
 
 	// Tear the indexes both ways: drop a live marker, plant a stale one.
 	setMark(s.tasks, pending, false)
@@ -512,21 +512,21 @@ func TestGCEligibleIndexRetires(t *testing.T) {
 	s.EnsureObject(obj, types.NilTaskID)
 	s.AddObjectLocation(obj, node, 8)
 
-	s.ModifyObjectRefCount(obj, 1)
+	addRef(s, obj, 1)
 	if got := s.GCEligibleObjects(); len(got) != 0 {
 		t.Fatalf("retained object eligible: %v", got)
 	}
-	s.ModifyObjectRefCount(obj, -1)
+	addRef(s, obj, -1)
 	if got := s.GCEligibleObjects(); len(got) != 1 || got[0] != obj {
 		t.Fatalf("zero-transition not indexed: %v", got)
 	}
 	// Re-retained from zero: no longer eligible.
-	s.ModifyObjectRefCount(obj, 1)
+	addRef(s, obj, 1)
 	if got := s.GCEligibleObjects(); len(got) != 0 {
 		t.Fatalf("re-retained object still eligible: %v", got)
 	}
 	// Back to eligible, then fully drained: marker retires for good.
-	s.ModifyObjectRefCount(obj, -1)
+	addRef(s, obj, -1)
 	s.RemoveObjectLocation(obj, node)
 	if got := s.GCEligibleObjects(); len(got) != 0 {
 		t.Fatalf("fully-drained object still replayed: %v", got)
@@ -542,13 +542,12 @@ func TestGCEligibleReplayOnSubscribe(t *testing.T) {
 	s := newTestSharded(t, nw)
 
 	obj := testObjectID(5)
-	s.EnsureObject(obj, types.NilTaskID)
 	s.AddObjectLocation(obj, testNodeID(1), 8)
-	s.ModifyObjectRefCount(obj, 1)
-	s.ModifyObjectRefCount(obj, -1)
+	addRef(s, obj, 1)
+	addRef(s, obj, -1)
 	// No subscriber existed for that transition; the publish went nowhere.
 
-	sub := s.SubscribeObjectGC()
+	sub := s.Subscribe(TopicObjectGC, types.NilObjectID)
 	defer sub.Close()
 	select {
 	case msg := <-sub.C():

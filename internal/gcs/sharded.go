@@ -517,17 +517,7 @@ func (s *Sharded) LiveTasksOwnedBy(owner types.NodeID) ([]types.TaskState, bool)
 	return fanOut[types.TaskState](s, MethodLiveTasksOwned, owner)
 }
 
-// SubscribeTaskStatus implements API.
-func (s *Sharded) SubscribeTaskStatus(id types.TaskID) Sub {
-	return s.newResilientSub(StreamTaskStatus, []byte(id.Hex()), s.shardIdx(TaskKey(id)))
-}
-
 // --- API: object table ---
-
-// EnsureObject implements API.
-func (s *Sharded) EnsureObject(id types.ObjectID, producer types.TaskID) {
-	shardCall[bool](s, ObjectKey(id), MethodEnsureObject, ensureObjectReq{ID: id, Producer: producer})
-}
 
 // EnsureObjects implements API: one lineage flush, partitioned by the
 // shard owning each object record. Ensure is naturally idempotent (heal
@@ -558,17 +548,6 @@ func (s *Sharded) GetObject(id types.ObjectID) (types.ObjectInfo, bool) {
 func (s *Sharded) Objects() []types.ObjectInfo {
 	out, _ := fanOut[types.ObjectInfo](s, MethodObjects, nil)
 	return out
-}
-
-// ModifyObjectRefCount implements API. Refcount deltas are the one
-// mutation where blind retry corrupts state (a shard can commit the delta
-// and die before answering), so every logical call carries an idempotency
-// token that stays fixed across retries; the shard's durable RefOps ring
-// recognizes the duplicate and skips the re-apply.
-func (s *Sharded) ModifyObjectRefCount(id types.ObjectID, delta int64) int64 {
-	v, _ := shardCall[int64](s, ObjectKey(id), MethodModifyObjRef,
-		modifyRefReq{ID: id, Delta: delta, Op: newOpToken()})
-	return v
 }
 
 // ModifyObjectRefCounts implements API: one ledger flush, partitioned by
@@ -611,17 +590,6 @@ func (s *Sharded) MarkObjectSpilled(id types.ObjectID, node types.NodeID, spille
 	shardCall[bool](s, ObjectKey(id), MethodMarkObjSpilled, markSpilledReq{ID: id, Node: node, Spilled: spilled})
 }
 
-// SubscribeObjectReady implements API.
-func (s *Sharded) SubscribeObjectReady(id types.ObjectID) Sub {
-	return s.newResilientSub(StreamObjReady, []byte(id.Hex()), s.shardIdx(ObjectKey(id)))
-}
-
-// SubscribeObjectGC implements API: merged over every shard (refcount
-// zero-transitions publish on the shard owning the object record).
-func (s *Sharded) SubscribeObjectGC() Sub {
-	return s.newResilientSub(StreamObjGC, nil, s.allShards())
-}
-
 // --- API: placement-group table ---
 
 // CreatePlacementGroup implements API. Create is naturally idempotent
@@ -655,24 +623,10 @@ func (s *Sharded) PlacementGroups() []types.PlacementGroupInfo {
 // commit, stranding the group in Placing), so each logical CAS carries a
 // token held fixed across retries; the shard's durable MutOps ring reports
 // the duplicate as won.
-func (s *Sharded) CASPlacementGroupState(id types.PlacementGroupID, from []types.PlacementGroupState, to types.PlacementGroupState, bundleNodes []types.NodeID) bool {
-	v, _ := shardCall[bool](s, GroupKey(id), MethodCASGroup,
-		casGroupReq{ID: id, From: from, To: to, Nodes: bundleNodes, Op: newOpToken()})
-	return v
-}
-
-// CASPlacementGroupStateClaim implements API: the claim-token gang CAS,
-// with the same crash-retry idempotency token as the claimless form.
-func (s *Sharded) CASPlacementGroupStateClaim(id types.PlacementGroupID, from []types.PlacementGroupState, to types.PlacementGroupState, bundleNodes []types.NodeID, claim uint64) bool {
+func (s *Sharded) CASPlacementGroupState(id types.PlacementGroupID, from []types.PlacementGroupState, to types.PlacementGroupState, bundleNodes []types.NodeID, claim uint64) bool {
 	v, _ := shardCall[bool](s, GroupKey(id), MethodCASGroup,
 		casGroupReq{ID: id, From: from, To: to, Nodes: bundleNodes, Claim: claim, Op: newOpToken()})
 	return v
-}
-
-// SubscribePlacementGroups implements API: merged over every shard (each
-// group's transitions publish on the shard owning its record).
-func (s *Sharded) SubscribePlacementGroups() Sub {
-	return s.newResilientSub(StreamGroups, nil, s.allShards())
 }
 
 // --- API: job table ---
@@ -730,31 +684,16 @@ func (s *Sharded) ForceReleaseObjects(ids []types.ObjectID) []types.ObjectID {
 	return partition[types.ObjectID, bool](s, ids, ObjectKey, MethodForceReleaseObjs, objectIDs, nil)
 }
 
-// PurgeObjects implements API: partitioned like ForceReleaseObjects. A
-// shard reports back the subset of its partition still undrained; an
-// unreachable shard's whole partition is reported remaining so the
-// reclaim pass retries it.
+// PurgeObjects is retire's object removal, partitioned like
+// ForceReleaseObjects. A shard reports back the subset of its partition
+// still undrained; an unreachable shard's whole partition is reported
+// remaining so the caller retries it.
 func (s *Sharded) PurgeObjects(ids []types.ObjectID) []types.ObjectID {
 	return partition(s, ids, ObjectKey, MethodPurgeObjects, objectIDs,
 		func(resp objectIDsReq) []types.ObjectID { return resp.IDs })
 }
 
 func objectIDs(ids []types.ObjectID) any { return objectIDsReq{IDs: ids} }
-
-// PurgeJobTasks implements API: the job's terminal records, found by scan,
-// go through PurgeTasks, and the pins they held — on whatever shards —
-// are dropped. An incomplete pass (false) makes the reclaim pass re-run it
-// before stamping the job purged.
-func (s *Sharded) PurgeJobTasks(job types.JobID) (int, bool) {
-	tasks, complete := s.JobTasks(job)
-	var ids []types.TaskID
-	for i := range tasks {
-		if tasks[i].Status.Terminal() {
-			ids = append(ids, tasks[i].Spec.ID)
-		}
-	}
-	return purgeAndUnpin(s, ids), complete
-}
 
 // PurgeTasks implements API: partitioned by the shard owning each task
 // record. A delete cannot be told from its own retry, so a partition whose
@@ -830,12 +769,6 @@ func (s *Sharded) taskFacts(ids []types.TaskID) []taskFacts {
 		func(resp recordFactsResp) []taskFacts { return resp.Tasks }, taskFacts{Look: unreachable})
 }
 
-// SubscribeJobs implements API: merged over every shard (each job's
-// transitions publish on the shard owning its record).
-func (s *Sharded) SubscribeJobs() Sub {
-	return s.newResilientSub(StreamJobs, nil, s.allShards())
-}
-
 // --- API: spillover ---
 
 // PublishSpill implements API. The publish lands on the shard owning the
@@ -844,11 +777,6 @@ func (s *Sharded) SubscribeJobs() Sub {
 // shard crash.
 func (s *Sharded) PublishSpill(spec types.TaskSpec) {
 	shardCall[bool](s, TaskKey(spec.ID), MethodPublishSpill, spec)
-}
-
-// SubscribeSpill implements API: merged over every shard.
-func (s *Sharded) SubscribeSpill() Sub {
-	return s.newResilientSub(StreamSpill, nil, s.allShards())
 }
 
 // --- API: node table ---
@@ -890,31 +818,6 @@ func (s *Sharded) Nodes() []types.NodeInfo {
 	return out
 }
 
-// SubscribeNodeEvents implements API: merged over every shard.
-func (s *Sharded) SubscribeNodeEvents() Sub {
-	return s.newResilientSub(StreamNodes, nil, s.allShards())
-}
-
-// --- API: function table ---
-
-// RegisterFunction implements API.
-func (s *Sharded) RegisterFunction(info FunctionInfo) {
-	shardCall[bool](s, FuncKey(info.Name), MethodRegisterFunction, info)
-}
-
-// HasFunction implements API.
-func (s *Sharded) HasFunction(name string) bool {
-	v, _ := shardCall[bool](s, FuncKey(name), MethodHasFunction, name)
-	return v
-}
-
-// Functions implements API.
-func (s *Sharded) Functions() []FunctionInfo {
-	out, _ := fanOut[FunctionInfo](s, MethodFunctions, nil)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // --- API: event log ---
 
 // LogEvent implements API.
@@ -952,16 +855,24 @@ func (s *Sharded) Spans() []metrics.SpanRecord {
 
 // --- resilient subscriptions ---
 
-func (s *Sharded) shardIdx(key string) []int {
-	return []int{s.Map().ShardForKey(key)}
-}
-
-func (s *Sharded) allShards() []int {
-	out := make([]int, s.Map().NumShards())
-	for i := range out {
-		out[i] = i
+// Subscribe implements API. A per-record topic attaches to the one shard
+// owning the record, which is where its channel publishes; a broadcast
+// topic merges every shard's feed (each record's transitions publish on
+// the shard that owns it).
+func (s *Sharded) Subscribe(topic Topic, id [types.IDSize]byte) Sub {
+	m := s.Map()
+	var shards []int
+	switch topic {
+	case TopicTaskStatus:
+		shards = []int{m.ShardForKey(TaskKey(id))}
+	case TopicObjectReady:
+		shards = []int{m.ShardForKey(ObjectKey(id))}
+	default:
+		for i := range m.NumShards() {
+			shards = append(shards, i)
+		}
 	}
-	return out
+	return s.newResilientSub(subPayload(topic, id), shards)
 }
 
 // resilientSub keeps one logical subscription alive across shard crashes:
@@ -982,7 +893,7 @@ type resilientSub struct {
 // no-missed-publish-after-return guarantee for live shards. A dead shard
 // cannot publish, so it is attached optimistically by its loop instead of
 // blocking the caller.
-func (s *Sharded) newResilientSub(method string, payload []byte, shards []int) Sub {
+func (s *Sharded) newResilientSub(payload []byte, shards []int) Sub {
 	r := &resilientSub{
 		s:    s,
 		out:  make(chan []byte, 64),
@@ -992,7 +903,7 @@ func (s *Sharded) newResilientSub(method string, payload []byte, shards []int) S
 	for _, idx := range shards {
 		r.wg.Add(1)
 		firstAttach.Add(1)
-		go r.run(idx, method, payload, &firstAttach)
+		go r.run(idx, payload, &firstAttach)
 	}
 	go func() {
 		r.wg.Wait()
@@ -1007,7 +918,7 @@ func (s *Sharded) newResilientSub(method string, payload []byte, shards []int) S
 	return r
 }
 
-func (r *resilientSub) run(idx int, method string, payload []byte, firstAttach *sync.WaitGroup) {
+func (r *resilientSub) run(idx int, payload []byte, firstAttach *sync.WaitGroup) {
 	defer r.wg.Done()
 	attachOnce := sync.OnceFunc(firstAttach.Done)
 	defer attachOnce()
@@ -1021,7 +932,7 @@ func (r *resilientSub) run(idx int, method string, payload []byte, firstAttach *
 			return
 		default:
 		}
-		stream := r.attach(idx, method, payload)
+		stream := r.attach(idx, payload)
 		if stream != nil {
 			attachOnce()
 			backoff = time.Millisecond
@@ -1051,12 +962,12 @@ func (r *resilientSub) run(idx int, method string, payload []byte, firstAttach *
 }
 
 // attach opens the stream and waits for the service's established ack.
-func (r *resilientSub) attach(idx int, method string, payload []byte) transport.Stream {
+func (r *resilientSub) attach(idx int, payload []byte) transport.Stream {
 	c, err := r.s.conn(idx)
 	if err != nil {
 		return nil
 	}
-	stream, err := c.OpenStream(method, payload)
+	stream, err := c.OpenStream(StreamSub, payload)
 	if err != nil {
 		r.s.dropConn(idx, c)
 		return nil

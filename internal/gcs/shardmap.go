@@ -67,9 +67,6 @@ func ObjectKey(id types.ObjectID) string { return keyObject + id.Hex() }
 // NodeKey is the routing (and storage) key of a node record.
 func NodeKey(id types.NodeID) string { return keyNode + id.Hex() }
 
-// FuncKey is the routing (and storage) key of a function record.
-func FuncKey(name string) string { return keyFunc + name }
-
 // GroupKey is the routing (and storage) key of a placement-group record.
 func GroupKey(id types.PlacementGroupID) string { return keyGroup + id.Hex() }
 

@@ -17,8 +17,8 @@ import (
 // Store is the control plane. It is the only stateful component in the
 // system; everything else can crash and resubscribe. The three tables every
 // task touches — tasks, objects, nodes — are decoded records in typed
-// tables (table.go); functions, jobs, placement groups, events and the clock
-// epoch live in the kv store, which is also the pub/sub bus and, on a
+// tables (table.go); jobs, placement groups, events and the clock epoch
+// live in the kv store, which is also the pub/sub bus and, on a
 // durable shard, the hot tables' journal.
 type Store struct {
 	db    kv.DB
@@ -192,7 +192,7 @@ func (s *Store) CASTaskStatus(id types.TaskID, from []types.TaskStatus, to types
 }
 
 // CASTaskStatusOp is CASTaskStatus with an idempotency token (0 = no
-// dedup), mirroring ModifyObjectRefCountOp: a retried CAS whose original
+// dedup), mirroring a reference flush's: a retried CAS whose original
 // commit survived a shard crash is recognized by its token and reported
 // won, so the claimant proceeds (enqueues the task) instead of treating
 // its own earlier commit as a lost race.
@@ -359,11 +359,6 @@ func (s *Store) Tasks() []types.TaskState {
 	return out
 }
 
-// SubscribeTaskStatus implements API.
-func (s *Store) SubscribeTaskStatus(id types.TaskID) Sub {
-	return s.tasks.subscribe(s.db, chanTaskStatus, id)
-}
-
 // StalePendingTasks implements API: the server-side filter behind the
 // global scheduler's rescue sweep. It walks the durable PENDING marker
 // index — O(currently-pending), not O(task history) — and measures
@@ -389,11 +384,11 @@ func (s *Store) StalePendingTasks(olderThanNs int64) []types.TaskSpec {
 
 // --- object table ---
 
-// EnsureObject implements API. Since lineage edges flush asynchronously
-// from the owner's task ledger (DESIGN.md §13), an executing node's
-// AddObjectLocation can now create the record before the producer edge
-// arrives — so a late ensure heals a missing Producer instead of being a
-// pure put-if-absent, keeping the object reconstructable.
+// EnsureObject is one record's step of EnsureObjects. Since lineage edges
+// flush asynchronously from the owner's task ledger (DESIGN.md §13), an
+// executing node's AddObjectLocation can create the record before the
+// producer edge arrives — so a late ensure heals a missing Producer instead
+// of being a pure put-if-absent, keeping the object reconstructable.
 func (s *Store) EnsureObject(id types.ObjectID, producer types.TaskID) {
 	s.objects.mutate(id, upsert, func(info *types.ObjectInfo, exists bool) bool {
 		if !exists {
@@ -480,14 +475,6 @@ func (s *Store) RemoveObjectLocation(id types.ObjectID, node types.NodeID) {
 	}
 }
 
-// ModifyObjectRefCount implements API. The count never goes below zero (a
-// raced double-release clamps), and only a positive-to-zero transition
-// publishes on the GC channel — objects nobody ever retained stay at zero
-// without ever becoming GC-eligible, preserving pre-lifetime behaviour.
-func (s *Store) ModifyObjectRefCount(id types.ObjectID, delta int64) int64 {
-	return s.ModifyObjectRefCountOp(id, delta, 0)
-}
-
 // refOpHistory bounds every record's OpRing. A retry's token must survive in
 // the ring for the full retry window (seconds) even while other clients'
 // queued deltas land on the same hot object after a shard restart — e.g.
@@ -495,16 +482,6 @@ func (s *Store) ModifyObjectRefCount(id types.ObjectID, delta int64) int64 {
 // ring is sized well past any realistic burst of concurrent mutators
 // (512 B worst case per high-churn record).
 const refOpHistory = 64
-
-// ModifyObjectRefCountOp is ModifyObjectRefCount with an idempotency
-// token. A non-zero op already present in the record's RefOps ring means
-// this exact mutation was applied and its response lost (typically to a
-// shard crash between commit and reply); the retry returns the current
-// count without re-applying the delta. op 0 disables dedup (in-process
-// and non-retrying callers).
-func (s *Store) ModifyObjectRefCountOp(id types.ObjectID, delta int64, op uint64) int64 {
-	return s.applyRefDelta(types.NodeID{}, id, delta, false, op)
-}
 
 // ModifyObjectRefCounts implements API: one node's ledger flush, applied
 // as independent per-object mutations sharing the batch's idempotency
@@ -514,22 +491,26 @@ func (s *Store) ModifyObjectRefCountOp(id types.ObjectID, delta int64, op uint64
 // dedup on the token, the rest apply. A zero delta is a "touch" — the
 // object was retained and fully released within one flush interval — and
 // carries the retain's semantic obligations (EverRetained, and a GC
-// publish if the count sits at zero) without moving the count. The
+// publish if the count sits at zero) without moving the count. The count
+// never goes below zero (a raced double-release clamps), and only a
+// positive-to-zero transition publishes on the GC channel — objects nobody
+// ever retained stay at zero without ever becoming GC-eligible. The
 // in-process store cannot fail partially, so the failed set is always nil.
 func (s *Store) ModifyObjectRefCounts(node types.NodeID, deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
 	for id, delta := range deltas {
-		s.applyRefDelta(node, id, delta, delta == 0, op)
+		s.applyRefDelta(node, id, delta, op)
 	}
 	return nil
 }
 
-// applyRefDelta is the one tokened refcount mutation: a single-ID delta
-// (nil holder, no touch) or one object's share of a ledger flush,
-// attributed to the flushing node. It returns the count afterwards.
-func (s *Store) applyRefDelta(holder types.NodeID, id types.ObjectID, delta int64, touch bool, op uint64) (after int64) {
+// applyRefDelta is one object's share of a ledger flush, attributed to the
+// flushing node (nil: to nobody). A non-zero op already in the record's
+// RefOps ring means this exact delta was applied and its ack lost
+// (typically to a shard crash between commit and reply): it is not applied
+// again, but the side effects the crash may have cut off are redone.
+func (s *Store) applyRefDelta(holder types.NodeID, id types.ObjectID, delta int64, op uint64) {
 	gc := false
 	s.objects.mutate(id, upsert, func(info *types.ObjectInfo, _ bool) bool {
-		after = info.RefCount
 		if info.RefOps.Seen(op) {
 			// Duplicate delivery: the count already moved. The original
 			// commit may have died before its marker write and GC publish;
@@ -542,7 +523,7 @@ func (s *Store) applyRefDelta(holder types.NodeID, id types.ObjectID, delta int6
 		info.RefOps.Record(op, refOpHistory)
 		wasZero := info.EverRetained && info.RefCount == 0
 		info.RefCount = max(info.RefCount+delta, 0)
-		if info.RefCount > 0 || touch {
+		if info.RefCount > 0 || delta == 0 {
 			info.EverRetained = true
 		}
 		if !holder.IsNil() && delta != 0 {
@@ -555,14 +536,12 @@ func (s *Store) applyRefDelta(holder types.NodeID, id types.ObjectID, delta int6
 				info.Holders = nil
 			}
 		}
-		after = info.RefCount
-		gc = !wasZero && info.EverRetained && after == 0
+		gc = !wasZero && info.EverRetained && info.RefCount == 0
 		return true
 	})
 	if gc {
 		s.publishGC(id, "object-gc-eligible", types.NodeID{})
 	}
-	return after
 }
 
 // PinObjects implements API: one batch of lineage-pin deltas under one
@@ -682,9 +661,6 @@ func (s *Store) MarkObjectSpilled(id types.ObjectID, node types.NodeID, spilled 
 	})
 }
 
-// SubscribeObjectGC implements API.
-func (s *Store) SubscribeObjectGC() Sub { return s.db.Subscribe(chanObjGC) }
-
 // GCEligibleObjects returns objects whose refcount fell to zero after
 // having been retained and whose copies are not yet fully drained —
 // exactly the set whose GC publish a subscriber may have missed. A
@@ -706,11 +682,6 @@ func (s *Store) GetObject(id types.ObjectID) (types.ObjectInfo, bool) { return s
 // Objects implements API (inspection scan, R7).
 func (s *Store) Objects() []types.ObjectInfo { return s.objects.collect(nil) }
 
-// SubscribeObjectReady implements API.
-func (s *Store) SubscribeObjectReady(id types.ObjectID) Sub {
-	return s.objects.subscribe(s.db, chanObjReady, id)
-}
-
 // --- spillover ---
 
 // PublishSpill implements API.
@@ -718,9 +689,6 @@ func (s *Store) PublishSpill(spec types.TaskSpec) {
 	s.db.Publish(chanSpill, codec.MustEncode(spec))
 	s.logEvent(types.Event{Kind: "spill", Task: spec.ID})
 }
-
-// SubscribeSpill implements API.
-func (s *Store) SubscribeSpill() Sub { return s.db.Subscribe(chanSpill) }
 
 // --- node table ---
 
@@ -822,37 +790,6 @@ func (s *Store) Nodes() []types.NodeInfo {
 	return out
 }
 
-// SubscribeNodeEvents implements API.
-func (s *Store) SubscribeNodeEvents() Sub { return s.db.Subscribe(chanNodes) }
-
-// --- function table ---
-
-// RegisterFunction implements API.
-func (s *Store) RegisterFunction(info FunctionInfo) {
-	s.db.Put(keyFunc+info.Name, codec.MustEncodeGob(info))
-}
-
-// HasFunction implements API.
-func (s *Store) HasFunction(name string) bool {
-	_, ok := s.db.Get(keyFunc + name)
-	return ok
-}
-
-// Functions implements API.
-func (s *Store) Functions() []FunctionInfo {
-	keys := s.db.Keys(keyFunc)
-	out := make([]FunctionInfo, 0, len(keys))
-	for _, k := range keys {
-		if raw, ok := s.db.Get(k); ok {
-			if info, err := codec.DecodeAs[FunctionInfo](raw); err == nil {
-				out = append(out, info)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // --- event log ---
 
 // logKind logs ev under kind prefix+state, building the string only when
@@ -891,6 +828,19 @@ func (s *Store) Events() []types.Event {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].TimeNs < out[j].TimeNs })
 	return out
+}
+
+// Subscribe implements API. The per-record topics count the record as
+// watched while the subscription is open, so a mutation nobody listens to
+// publishes nothing.
+func (s *Store) Subscribe(topic Topic, id [types.IDSize]byte) Sub {
+	switch topic {
+	case TopicTaskStatus:
+		return s.tasks.subscribe(s.db, chanTaskStatus, types.TaskID(id))
+	case TopicObjectReady:
+		return s.objects.subscribe(s.db, chanObjReady, types.ObjectID(id))
+	}
+	return s.db.Subscribe(broadcastChannel[topic])
 }
 
 var _ API = (*Store)(nil)

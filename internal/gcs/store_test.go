@@ -44,7 +44,7 @@ func TestModifyTaskStatesTimestampsAndPublish(t *testing.T) {
 	s := NewStore(4)
 	st := mkTask(2)
 	s.AddTask(st)
-	sub := s.SubscribeTaskStatus(st.Spec.ID)
+	sub := s.Subscribe(TopicTaskStatus, st.Spec.ID)
 	defer sub.Close()
 
 	n := nodeID(1)
@@ -125,7 +125,7 @@ func TestObjectLifecycle(t *testing.T) {
 		t.Fatalf("pending object: %+v, %v", info, ok)
 	}
 
-	sub := s.SubscribeObjectReady(obj)
+	sub := s.Subscribe(TopicObjectReady, obj)
 	defer sub.Close()
 	n1, n2 := nodeID(1), nodeID(2)
 	s.AddObjectLocation(obj, n1, 128)
@@ -174,7 +174,7 @@ func TestAddLocationWithoutEnsure(t *testing.T) {
 
 func TestSpillPubSub(t *testing.T) {
 	s := NewStore(4)
-	sub := s.SubscribeSpill()
+	sub := s.Subscribe(TopicSpill, types.NilTaskID)
 	defer sub.Close()
 	spec := mkTask(7).Spec
 	s.PublishSpill(spec)
@@ -191,7 +191,7 @@ func TestSpillPubSub(t *testing.T) {
 
 func TestNodeTable(t *testing.T) {
 	s := NewStore(4)
-	sub := s.SubscribeNodeEvents()
+	sub := s.Subscribe(TopicNodes, types.NilNodeID)
 	defer sub.Close()
 	n := nodeID(10)
 	s.RegisterNode(types.NodeInfo{ID: n, Addr: "inproc:1", Total: types.CPU(4)})
@@ -231,22 +231,6 @@ func TestHeartbeatUnknownNodeIgnored(t *testing.T) {
 	s.Heartbeat(nodeID(99), 1, nil, types.StoreStats{}) // must not panic or create entries
 	if len(s.Nodes()) != 0 {
 		t.Fatal("heartbeat created a node record")
-	}
-}
-
-func TestFunctionTable(t *testing.T) {
-	s := NewStore(2)
-	if s.HasFunction("f") {
-		t.Fatal("unknown function reported present")
-	}
-	s.RegisterFunction(FunctionInfo{Name: "f", NumReturns: 1})
-	s.RegisterFunction(FunctionInfo{Name: "a", NumReturns: 2})
-	if !s.HasFunction("f") {
-		t.Fatal("registered function missing")
-	}
-	fns := s.Functions()
-	if len(fns) != 2 || fns[0].Name != "a" || fns[1].Name != "f" {
-		t.Fatalf("Functions = %+v", fns)
 	}
 }
 
@@ -307,7 +291,7 @@ func TestNodeDrainStateMachine(t *testing.T) {
 	id[0] = 9
 	s.RegisterNode(types.NodeInfo{ID: id, Addr: "n", Total: types.CPU(4)})
 
-	sub := s.SubscribeNodeEvents()
+	sub := s.Subscribe(TopicNodes, types.NilNodeID)
 	defer sub.Close()
 
 	if s.CASNodeState(id, []types.NodeState{types.NodeDraining}, types.NodeDrained) {

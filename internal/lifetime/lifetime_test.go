@@ -44,7 +44,7 @@ func TestTrackerDoubleReleaseIsNoop(t *testing.T) {
 
 func TestZeroTransitionPublishesGC(t *testing.T) {
 	ctrl := gcs.NewStore(2)
-	sub := ctrl.SubscribeObjectGC()
+	sub := ctrl.Subscribe(gcs.TopicObjectGC, types.NilObjectID)
 	defer sub.Close()
 	tr := NewTracker(ctrl)
 	id := testObj(62)
@@ -62,8 +62,8 @@ func TestZeroTransitionPublishesGC(t *testing.T) {
 		t.Fatal("zero transition did not publish GC")
 	}
 
-	// Objects never retained must never become GC-eligible.
-	ctrl.ModifyObjectRefCount(testObj(63), 0)
+	// Objects never retained must never become GC-eligible, copy or not.
+	ctrl.AddObjectLocation(testObj(63), testNode(1), 8)
 	select {
 	case <-sub.C():
 		t.Fatal("untracked object published GC")

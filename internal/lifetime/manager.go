@@ -200,7 +200,7 @@ func (m *Manager) Start() {
 	m.tracker.SetNode(m.store.Node())
 	m.tracker.onTick = func() { m.RetireDue(time.Now()) }
 	m.tracker.Start()
-	m.sub = m.ctrl.SubscribeObjectGC()
+	m.sub = m.ctrl.Subscribe(gcs.TopicObjectGC, types.NilObjectID)
 	m.wg.Add(1)
 	go m.run()
 }

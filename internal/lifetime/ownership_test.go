@@ -122,7 +122,7 @@ func TestOwnershipLedgerShardKillRedelivery(t *testing.T) {
 
 	// Releasing everything must reach zero and publish GC — a stranded
 	// object here would mean the dedup also swallowed fresh deltas.
-	sub := st.SubscribeObjectGC()
+	sub := st.Subscribe(gcs.TopicObjectGC, types.NilObjectID)
 	defer sub.Close()
 	if failed := st.ModifyObjectRefCounts(node, map[types.ObjectID]int64{a: -1, b: -2}, 98); len(failed) != 0 {
 		t.Fatalf("release failed for %v", failed)
@@ -164,7 +164,7 @@ func TestOwnershipLedgerConservationAcrossShardKill(t *testing.T) {
 	var objs []types.ObjectID
 	for i := byte(0); i < 24; i++ {
 		id := ownObj(0x10 + i)
-		client.EnsureObject(id, types.NilTaskID)
+		client.EnsureObjects(map[types.ObjectID]types.TaskID{id: types.NilTaskID})
 		client.AddObjectLocation(id, node, 8)
 		objs = append(objs, id)
 	}

@@ -426,7 +426,7 @@ func (n *Node) publishTelemetry() {
 // fast path; the poll is the at-least-once fallback for a dropped event.
 func (n *Node) drainWatch() {
 	defer n.wg.Done()
-	sub := n.ctrl.SubscribeNodeEvents()
+	sub := n.ctrl.Subscribe(gcs.TopicNodes, types.NilNodeID)
 	defer sub.Close()
 	// The poll is deliberately slow: the subscription is the fast path, a
 	// drain start tolerates sub-second latency, and every poll tick is a
@@ -635,7 +635,7 @@ func (n *Node) resolve(ctx context.Context, id types.ObjectID, task types.TaskID
 	if data, ok := n.store.Get(id); ok {
 		return data, nil
 	}
-	sub := n.ctrl.SubscribeObjectReady(id)
+	sub := n.ctrl.Subscribe(gcs.TopicObjectReady, id)
 	defer sub.Close()
 	poll := time.NewTicker(10 * time.Millisecond)
 	defer poll.Stop()

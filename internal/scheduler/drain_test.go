@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gcs"
 	"repro/internal/types"
 )
 
@@ -15,7 +16,7 @@ import (
 // resumes normal admission when the fence drops.
 func TestDrainingAdmissionFence(t *testing.T) {
 	l, log, ctrl, _ := buildLocal(t, types.CPU(4), SpillNever)
-	sub := ctrl.SubscribeSpill()
+	sub := ctrl.Subscribe(gcs.TopicSpill, types.NilTaskID)
 	defer sub.Close()
 
 	l.SetDraining(true)
@@ -60,7 +61,7 @@ func TestDrainingAdmissionFence(t *testing.T) {
 // scheduler quiescent.
 func TestDrainBacklogRespills(t *testing.T) {
 	l, log, ctrl, _ := buildLocal(t, types.CPU(2), SpillNever)
-	sub := ctrl.SubscribeSpill()
+	sub := ctrl.Subscribe(gcs.TopicSpill, types.NilTaskID)
 	defer sub.Close()
 
 	// A task parked on a dependency that never arrives.

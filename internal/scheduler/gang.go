@@ -146,7 +146,7 @@ func (g *Global) tryPlaceGroup(info types.PlacementGroupInfo) {
 	}
 	id := info.Spec.ID
 	claim := newClaimToken()
-	if !g.cfg.Ctrl.CASPlacementGroupStateClaim(id, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, claim) {
+	if !g.cfg.Ctrl.CASPlacementGroupState(id, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, claim) {
 		return // another scheduler claimed it, or it was removed
 	}
 	addr := addrIndex(nodes)
@@ -157,11 +157,11 @@ func (g *Global) tryPlaceGroup(info types.PlacementGroupInfo) {
 			// The rollback carries our claim so it can never yank a
 			// successor's claim if ours was already swept stale.
 			g.releaseEverywhere(id, false, plan)
-			g.cfg.Ctrl.CASPlacementGroupStateClaim(id, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPending, nil, claim)
+			g.cfg.Ctrl.CASPlacementGroupState(id, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPending, nil, claim)
 			return
 		}
 	}
-	if !g.cfg.Ctrl.CASPlacementGroupStateClaim(id, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPlaced, plan, claim) {
+	if !g.cfg.Ctrl.CASPlacementGroupState(id, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPlaced, plan, claim) {
 		// Removed while we were reserving — or our claim was swept stale
 		// and a successor re-claimed (the token mismatch fails us): undo.
 		g.releaseEverywhere(id, false, plan)
@@ -188,7 +188,7 @@ func (g *Global) sweepStalePlacing(info types.PlacementGroupInfo) {
 	if g.cfg.Ctrl.NowNs()-info.LastTransitionNs < staleNs {
 		return // recent claim: assume its owner is still reserving
 	}
-	if !g.cfg.Ctrl.CASPlacementGroupState(info.Spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPending, nil) {
+	if !g.cfg.Ctrl.CASPlacementGroupState(info.Spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPending, nil, 0) {
 		return // claimant committed (or group removed) meanwhile
 	}
 	g.cacheGroup(info.Spec.ID, types.GroupPending, nil)
@@ -287,7 +287,7 @@ func (g *Global) checkGroupMembers(info types.PlacementGroupInfo) {
 		// deferred to a pass with a complete view.
 		return
 	}
-	if !g.cfg.Ctrl.CASPlacementGroupState(info.Spec.ID, []types.PlacementGroupState{types.GroupPlaced}, types.GroupPending, nil) {
+	if !g.cfg.Ctrl.CASPlacementGroupState(info.Spec.ID, []types.PlacementGroupState{types.GroupPlaced}, types.GroupPending, nil, 0) {
 		return
 	}
 	g.cacheGroup(info.Spec.ID, types.GroupPending, nil)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gcs"
 	"repro/internal/types"
 )
 
@@ -87,7 +88,7 @@ func TestGroupedTaskRunsFromReservation(t *testing.T) {
 // node without its bundle goes to the spill queue instead of running.
 func TestGroupedTaskWithoutReservationSpills(t *testing.T) {
 	l, log, ctrl, _ := buildLocal(t, types.CPU(4), SpillNever)
-	sub := ctrl.SubscribeSpill()
+	sub := ctrl.Subscribe(gcs.TopicSpill, types.NilTaskID)
 	defer sub.Close()
 
 	spec := tSpec(51, types.CPU(1))
@@ -112,7 +113,7 @@ func TestGroupedTaskWithoutReservationSpills(t *testing.T) {
 // through the global scheduler.
 func TestLocalityHintSpills(t *testing.T) {
 	l, _, ctrl, _ := buildLocal(t, types.CPU(4), SpillNever)
-	sub := ctrl.SubscribeSpill()
+	sub := ctrl.Subscribe(gcs.TopicSpill, types.NilTaskID)
 	defer sub.Close()
 
 	spec := tSpec(52, types.CPU(1))

@@ -157,10 +157,10 @@ func NewGlobal(cfg GlobalConfig) *Global {
 // Start launches the placement loop. Subscriptions are established before
 // Start returns, so no spill published after Start can be missed.
 func (g *Global) Start() {
-	g.spillSub = g.cfg.Ctrl.SubscribeSpill()
-	g.nodeSub = g.cfg.Ctrl.SubscribeNodeEvents()
-	g.groupSub = g.cfg.Ctrl.SubscribePlacementGroups()
-	g.jobSub = g.cfg.Ctrl.SubscribeJobs()
+	g.spillSub = g.cfg.Ctrl.Subscribe(gcs.TopicSpill, types.NilTaskID)
+	g.nodeSub = g.cfg.Ctrl.Subscribe(gcs.TopicNodes, types.NilNodeID)
+	g.groupSub = g.cfg.Ctrl.Subscribe(gcs.TopicPlacementGroups, types.NilPlacementGroupID)
+	g.jobSub = g.cfg.Ctrl.Subscribe(gcs.TopicJobs, types.NilJobID)
 	g.wg.Add(1)
 	go g.run()
 }
@@ -229,33 +229,19 @@ func (g *Global) run() {
 				spillC = nil
 				continue
 			}
-			spec, err := gcs.DecodeSpillSpec(raw)
-			if err != nil {
-				continue
-			}
-			// Route through the fair queue: gather whatever else the burst
-			// already delivered so DRR has a window to order it, then drain.
-			// An uncontended spill degenerates to push-pop-place.
-			g.fair.Push(spec)
-			g.gatherSpill(spillC)
-			g.dispatchFair()
+			g.spilled(raw, spillC, jobC)
 		case raw, ok := <-jobC:
 			if !ok {
 				jobC = nil
 				continue
 			}
-			if info, err := gcs.DecodeJobEvent(raw); err == nil {
-				g.observeJob(info)
-				if info.State != types.JobRunning {
-					g.jobPass() // a stop event: start reclaiming immediately
-				}
-			}
+			g.jobEvent(raw)
 		case _, ok := <-nodeC:
 			if !ok {
 				nodeC = nil
 				continue
 			}
-			drain(nodeC) // coalesce membership bursts into one pass
+			drain(nodeC, nil) // coalesce membership bursts into one pass
 			g.mu.Lock()
 			g.nodeCache = nil // membership changed: never place off a stale view
 			g.mu.Unlock()
@@ -270,7 +256,7 @@ func (g *Global) run() {
 			// One placement publishes several transitions (create, claim,
 			// commit) from every group; reconcile the burst once instead of
 			// paying a table fan-out per event.
-			drain(groupC)
+			drain(groupC, nil)
 			g.gangPass(true)
 			g.retryParked() // parked member tasks may be routable now
 		case <-pace.C:
@@ -462,18 +448,21 @@ func (g *Global) place(spec types.TaskSpec) types.NodeID {
 	return id
 }
 
-// drain empties whatever is already queued on a subscription channel so a
-// burst of events collapses into one reconciliation pass. It stops on a
-// closed channel (receives from one are always ready — an unbounded loop
-// would spin forever, e.g. on a subscription torn down by a dead control
-// plane) and bounds the sweep so a high-rate publisher cannot hold the
-// loop hostage.
-func drain(c <-chan []byte) {
+// drain hands fn (nil: discard) whatever is already queued on a
+// subscription channel, so a burst of events collapses into one
+// reconciliation pass. It stops on a closed channel (receives from one are
+// always ready — an unbounded loop would spin forever, e.g. on a
+// subscription torn down by a dead control plane) and bounds the sweep so a
+// high-rate publisher cannot hold the loop hostage.
+func drain(c <-chan []byte, fn func([]byte)) {
 	for i := 0; i < 64; i++ {
 		select {
-		case _, ok := <-c:
+		case raw, ok := <-c:
 			if !ok {
 				return
+			}
+			if fn != nil {
+				fn(raw)
 			}
 		default:
 			return

@@ -13,23 +13,33 @@ import (
 // already runs the cluster's reconciliation sweeps (so bulk reclaim is one
 // more idempotent pass over durable tables).
 
-// gatherSpill opportunistically decodes whatever spill events are already
-// queued into the fair queue, bounded like drain so a high-rate publisher
-// cannot hold the loop hostage.
-func (g *Global) gatherSpill(c <-chan []byte) {
-	for i := 0; i < 64; i++ {
-		select {
-		case raw, ok := <-c:
-			if !ok {
-				return
-			}
-			if spec, err := gcs.DecodeSpillSpec(raw); err != nil {
-				continue
-			} else {
-				g.fair.Push(spec)
-			}
-		default:
-			return
+// spilled routes one spill event through the fair queue: gather whatever
+// else the burst already delivered so DRR has a window to order it, then
+// dispatch. An uncontended spill degenerates to push-pop-place. The job
+// events already delivered are folded in first: the gate decides
+// multi-tenancy from the job cache, and a burst dispatched ahead of a
+// waiting CreateJob event would go to node FIFOs ungated.
+func (g *Global) spilled(raw []byte, spillC, jobC <-chan []byte) {
+	g.pushSpill(raw)
+	drain(spillC, g.pushSpill)
+	drain(jobC, g.jobEvent)
+	g.dispatchFair()
+}
+
+// pushSpill queues one spill event's task for fair dispatch.
+func (g *Global) pushSpill(raw []byte) {
+	if spec, err := gcs.DecodeSpillSpec(raw); err == nil {
+		g.fair.Push(spec)
+	}
+}
+
+// jobEvent folds one job event into the cache; a stop starts reclaiming at
+// once.
+func (g *Global) jobEvent(raw []byte) {
+	if info, err := gcs.DecodeJobEvent(raw); err == nil {
+		g.observeJob(info)
+		if info.State != types.JobRunning {
+			g.jobPass()
 		}
 	}
 }
@@ -321,8 +331,16 @@ func (g *Global) purgeJob(j types.JobInfo) {
 	if res := g.cfg.Ctrl.Retire(objects); res.Located+res.Referenced+len(res.Again) > 0 {
 		return // copies not drained yet: the GC is still working, retry
 	}
-	if _, ok := g.cfg.Ctrl.PurgeJobTasks(job); !ok {
-		return
+	// The job's tasks are all terminal by now (Stopped commits only over a
+	// complete view with none live); the ones the retire took read as gone.
+	var done []types.TaskID
+	for _, st := range tasks {
+		if st.Status.Terminal() {
+			done = append(done, st.Spec.ID)
+		}
+	}
+	if gcs.PurgeAndUnpin(g.cfg.Ctrl, done) > 0 {
+		g.cfg.Ctrl.LogEvent(types.Event{Kind: "job-purge-tasks", Detail: job.String()})
 	}
 	g.cfg.Ctrl.Retire(objects) // what only the job's own leftover records pinned
 	if g.cfg.Ctrl.MarkJobPurged(job) {

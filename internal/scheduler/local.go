@@ -490,7 +490,7 @@ func (l *Local) bridgeSpill(spec types.TaskSpec) {
 
 func (l *Local) releaseBridge(task types.TaskID, deps []types.ObjectID) {
 	defer l.wg.Done()
-	sub := l.cfg.Ctrl.SubscribeTaskStatus(task)
+	sub := l.cfg.Ctrl.Subscribe(gcs.TopicTaskStatus, task)
 	defer sub.Close()
 	for {
 		if st, ok := l.cfg.Ctrl.GetTask(task); ok {
@@ -613,8 +613,8 @@ func (l *Local) SetRecon(fn ReconFunc) { l.cfg.Recon = fn }
 //
 // This is the ONE synchronous control-plane write a locally-born task pays
 // (admission): the task is owned from birth, and its return-object producer
-// edges ride the ledger's batched flush instead of one EnsureObject round
-// trip per return.
+// edges ride the ledger's batched flush instead of one ensure round trip
+// per return.
 func (l *Local) record(spec types.TaskSpec, placed bool) bool {
 	st := types.TaskState{Spec: spec, Status: types.TaskPending, Node: l.cfg.Node}
 	if !placed {
@@ -794,7 +794,7 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 // or request reconstruction if it was lost.
 func (l *Local) resolveDep(task types.TaskID, obj types.ObjectID, cancel <-chan struct{}) {
 	defer l.wg.Done()
-	sub := l.cfg.Ctrl.SubscribeObjectReady(obj)
+	sub := l.cfg.Ctrl.Subscribe(gcs.TopicObjectReady, obj)
 	defer sub.Close()
 	// Stranded-producer checks are throttled: they exist to detect the rare
 	// case of a producer dying with the task still queued, so probing every

@@ -134,7 +134,7 @@ func TestDependencyGatesDispatch(t *testing.T) {
 
 func TestInfeasibleTaskSpills(t *testing.T) {
 	l, _, ctrl, _ := buildLocal(t, types.CPU(2), SpillNever)
-	sub := ctrl.SubscribeSpill()
+	sub := ctrl.Subscribe(gcs.TopicSpill, types.NilTaskID)
 	defer sub.Close()
 	spec := tSpec(3, types.GPU(1, 1)) // no GPU on this node
 	if err := l.Submit(spec, false); err != nil {
@@ -157,7 +157,7 @@ func TestInfeasibleTaskSpills(t *testing.T) {
 
 func TestSpillAlwaysForwardsEverything(t *testing.T) {
 	l, _, ctrl, _ := buildLocal(t, types.CPU(2), SpillAlways)
-	sub := ctrl.SubscribeSpill()
+	sub := ctrl.Subscribe(gcs.TopicSpill, types.NilTaskID)
 	defer sub.Close()
 	for i := uint64(10); i < 14; i++ {
 		if err := l.Submit(tSpec(i, nil), false); err != nil {

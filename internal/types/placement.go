@@ -131,7 +131,7 @@ type PlacementGroupInfo struct {
 	// stale-claimant hole the sweep alone could not: a claimant stalled
 	// past the stale-claim sweep cannot commit over a successor's claim,
 	// because the successor's claim rewrote the token (mirrors the MutOps
-	// idempotency rings; see gcs.Store.CASPlacementGroupStateClaim).
+	// idempotency rings; see gcs.Store.CASPlacementGroupState).
 	ClaimToken uint64
 }
 
