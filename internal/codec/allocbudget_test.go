@@ -27,6 +27,42 @@ func TestAllocBudgetValues(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetRaw pins the raw form at one object-sized buffer: one
+// allocation of the payload's exact size (a large allocation rounds up to a
+// page, hence the 8 KiB), nothing to spare for an append to write into, and
+// no memory shared with the caller's slice. That the buffer is not zeroed
+// first is not countable; BenchmarkEncodeRaw1MiB shows it.
+func TestAllocBudgetRaw(t *testing.T) {
+	x := make([]byte, 1<<20)
+	for i := range x {
+		x[i] = byte(i)
+	}
+	var v any = x // boxed once: the conversion is the caller's allocation
+	if got := testing.AllocsPerRun(100, func() { MustEncode(v) }); got != 1 {
+		t.Errorf("%.0f allocations per raw Encode, want 1", got)
+	}
+	limit := uint64(len(x) + 8<<10)
+	least := ^uint64(0)
+	for rep := 0; rep < 5; rep++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		MustEncode(v)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > limit {
+		t.Errorf("raw Encode of %d bytes allocated %d, limit %d", len(x), least, limit)
+	}
+	out := MustEncode(v)
+	if len(out) != 1+len(x) || cap(out) != len(out) {
+		t.Fatalf("raw payload len %d cap %d, want both %d", len(out), cap(out), 1+len(x))
+	}
+	x[0]++
+	if out[1] == x[0] {
+		t.Error("raw payload aliases the encoded slice")
+	}
+}
+
 // TestAllocBudgetDecodeSeeds holds every seed of FuzzDecode, into every one
 // of its targets, to the bound the fuzz body reads off the decoded value —
 // here on bytes allocated, so that a length prefix which makes memory and

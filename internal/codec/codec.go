@@ -35,10 +35,9 @@ func Encode(v any) ([]byte, error) {
 	case nil:
 		return []byte{tagNull}, nil
 	case []byte:
-		out := make([]byte, 1+len(x))
-		out[0] = tagRaw
-		copy(out[1:], x)
-		return out, nil
+		// Join allocates without zeroing, exactly len == cap: a 1 MiB payload
+		// is not cleared only to be overwritten.
+		return bytes.Join([][]byte{{tagRaw}, x}, nil), nil
 	}
 	if b, ok := encodeFast(v); ok {
 		return b, nil
@@ -47,6 +46,13 @@ func Encode(v any) ([]byte, error) {
 		return b, nil
 	}
 	return encodeGob(v)
+}
+
+// clone copies b into an allocation that is not zeroed first and caps it at
+// its length, so that a holder's append reallocates instead of writing into
+// spare capacity. nil stays nil and empty stays empty.
+func clone(b []byte) []byte {
+	return bytes.Clone(b)[:len(b):len(b)]
 }
 
 // encodeGob is the fallback form, and the one a journaled record that must

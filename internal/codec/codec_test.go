@@ -54,6 +54,15 @@ func TestRawFastPath(t *testing.T) {
 	}
 }
 
+func BenchmarkEncodeRaw1MiB(b *testing.B) {
+	var v any = make([]byte, 1<<20)
+	b.SetBytes(1 << 20)
+	b.ReportAllocs()
+	for b.Loop() {
+		benchSink = MustEncode(v)
+	}
+}
+
 func TestRawIntoWrongTypeFails(t *testing.T) {
 	b := MustEncode([]byte("hi"))
 	var s string

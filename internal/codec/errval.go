@@ -7,12 +7,12 @@ package codec
 // payload lives only in object stores and on the wire to them — never in the
 // WAL or a snapshot, where a failed task is TaskState.Error.
 
-// EncodeError builds an error payload carrying msg.
+import "bytes"
+
+// EncodeError builds an error payload carrying msg, in one exact-size
+// allocation that is not zeroed first, as Encode's raw form.
 func EncodeError(msg string) []byte {
-	out := make([]byte, 1+len(msg))
-	out[0] = tagErrVal
-	copy(out[1:], msg)
-	return out
+	return bytes.Join([][]byte{{tagErrVal}, []byte(msg)}, nil)
 }
 
 // AsError reports whether data is an error payload, and if so its message.

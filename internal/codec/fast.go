@@ -435,9 +435,7 @@ func (r *binReader) bytes() []byte {
 	if n == 0 {
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, r.take(n))
-	return b
+	return clone(r.take(n))
 }
 
 func (r *binReader) nodeIDs() []types.NodeID {

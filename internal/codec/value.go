@@ -281,9 +281,7 @@ func buildSlice(t reflect.Type, open map[reflect.Type]bool) *valuePlan {
 				v.SetZero()
 				return
 			}
-			s := make([]byte, n)
-			copy(s, r.take(n))
-			v.SetBytes(s)
+			v.SetBytes(clone(r.take(n)))
 		}
 		return p
 	}
@@ -357,8 +355,7 @@ func encodeValue(v any) ([]byte, bool) {
 	b := append((*bp)[:0], tagVal)
 	b = binary.LittleEndian.AppendUint64(b, p.fp)
 	b = p.enc(b, reflect.ValueOf(v))
-	out := make([]byte, len(b))
-	copy(out, b)
+	out := clone(b)
 	if cap(b) <= maxScratch {
 		*bp = b
 		scratch.Put(bp)

@@ -1,6 +1,7 @@
 package lifetime
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -374,10 +375,12 @@ func (p *PullManager) pullWhole(ctx context.Context, id types.ObjectID, peers []
 // pullChunked transfers a large object as bounded-concurrency chunks. Each
 // chunk starts on a peer picked round-robin and falls back to the
 // remaining peers on error; a per-peer window provides backpressure and a
-// global semaphore bounds the pull's total parallelism.
+// global semaphore bounds the pull's total parallelism. The checked chunk
+// responses are held until the last one lands and then joined into the
+// stored copy in one allocation that is not zeroed first (DESIGN.md §6.3).
 func (p *PullManager) pullChunked(ctx context.Context, id types.ObjectID, size int64, peers []peer) error {
-	buf := make([]byte, size)
 	nchunks := int((size + p.cfg.ChunkSize - 1) / p.cfg.ChunkSize)
+	parts := make([][]byte, nchunks)
 	slots := make(chan struct{}, p.cfg.MaxConcurrent)
 
 	var wg sync.WaitGroup
@@ -395,9 +398,11 @@ func (p *PullManager) pullChunked(ctx context.Context, id types.ObjectID, size i
 		select {
 		case slots <- struct{}{}:
 		case <-ctx.Done():
-			fail(ctx.Err())
 		}
-		if ctx.Err() != nil {
+		// A chunk never started must fail the pull even when the slot was
+		// won: stored with a chunk missing, the copy would be short.
+		if err := ctx.Err(); err != nil {
+			fail(err)
 			break
 		}
 		wg.Add(1)
@@ -409,9 +414,12 @@ func (p *PullManager) pullChunked(ctx context.Context, id types.ObjectID, size i
 			if offset+length > size {
 				length = size - offset
 			}
-			if err := p.pullChunk(ctx, id, buf[offset:offset+length], offset, length, peers, c); err != nil {
+			resp, err := p.pullChunk(ctx, id, offset, length, peers, c)
+			if err != nil {
 				fail(err)
+				return
 			}
+			parts[c] = resp
 		}(c)
 	}
 	wg.Wait()
@@ -420,26 +428,27 @@ func (p *PullManager) pullChunked(ctx context.Context, id types.ObjectID, size i
 	}
 	p.bytes.Add(size)
 	p.obs.bytes.Add(size)
-	return p.store.Put(id, buf)
+	return p.store.Put(id, bytes.Join(parts, nil))
 }
 
-// pullChunk fetches one byte range into dst, trying each peer at most once
-// starting from the round-robin choice for chunk c.
-func (p *PullManager) pullChunk(ctx context.Context, id types.ObjectID, dst []byte, offset, length int64, peers []peer, c int) error {
+// pullChunk fetches one byte range, trying each peer at most once starting
+// from the round-robin choice for chunk c. The response it returns may alias
+// the serving store's bytes (in process) and must not be written.
+func (p *PullManager) pullChunk(ctx context.Context, id types.ObjectID, offset, length int64, peers []peer, c int) ([]byte, error) {
 	req := objectstore.EncodeChunkRequest(id, offset, length)
 	sp := p.obs.tracer.Begin("pull", "lifetime.pull.chunk")
 	start := time.Now()
 	var lastErr error
 	for attempt := 0; attempt < len(peers); attempt++ {
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 		pr := peers[(c+attempt)%len(peers)]
 		win := p.window(pr.addr)
 		select {
 		case win <- struct{}{}:
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 		resp, err := p.call(pr.addr, objectstore.PullChunkMethod, req)
 		<-win
@@ -451,16 +460,15 @@ func (p *PullManager) pullChunk(ctx context.Context, id types.ObjectID, dst []by
 			lastErr = fmt.Errorf("lifetime: chunk at %d of %v: got %d bytes, want %d", offset, id, len(resp), length)
 			continue
 		}
-		copy(dst, resp)
 		p.chunks.Add(1)
 		p.obs.chunks.Inc()
 		p.obs.chunkNs.Observe(time.Since(start).Nanoseconds())
 		sp.Object = id.Hex()
 		sp.Detail = fmt.Sprintf("chunk %d @%d+%d from %s", c, offset, length, pr.node)
 		sp.End()
-		return nil
+		return resp, nil
 	}
-	return lastErr
+	return nil, lastErr
 }
 
 func (p *PullManager) conn(addr string) (transport.Client, error) {

@@ -23,7 +23,7 @@ func testObj(i uint64) types.ObjectID {
 
 // pullFixture builds a destination store pulling from n source stores over
 // nw. Sources are addressable as "src-0", "src-1", ...
-func pullFixture(t *testing.T, nw transport.Network, nsrc int, cfg PullConfig) (srcs []*objectstore.Store, dst *objectstore.Store, ctrl *gcs.Store, pm *PullManager) {
+func pullFixture(t testing.TB, nw transport.Network, nsrc int, cfg PullConfig) (srcs []*objectstore.Store, dst *objectstore.Store, ctrl *gcs.Store, pm *PullManager) {
 	t.Helper()
 	ctrl = gcs.NewStore(4)
 	addrs := make(map[types.NodeID]string)
@@ -155,6 +155,47 @@ func TestChunkedPullAssembles(t *testing.T) {
 	}
 	if bytesPulled != int64(len(payload)) {
 		t.Fatalf("bytes = %d, want %d", bytesPulled, len(payload))
+	}
+}
+
+// BenchmarkChunkedPull1MiB is one in-process pull of a 1 MiB object at the
+// default chunk size: four chunk calls that alias the source's bytes, and the
+// reassembled copy the puller stores.
+func BenchmarkChunkedPull1MiB(b *testing.B) {
+	srcs, dst, _, pm := pullFixture(b, transport.NewInproc(0), 1, PullConfig{})
+	id := testObj(45)
+	if err := srcs[0].Put(id, patterned(1<<20)); err != nil {
+		b.Fatal(err)
+	}
+	locs := []types.NodeID{srcs[0].Node()}
+	b.SetBytes(1 << 20)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := pm.Fetch(context.Background(), id, locs); err != nil {
+			b.Fatal(err)
+		}
+		dst.Delete(id)
+	}
+}
+
+// TestChunkedPullCancelledStoresNothing pulls with a context that is already
+// done. The first chunk's wait then sees a free slot and the cancellation at
+// once and takes either; taking the slot must not skip recording the
+// cancellation, or the pull reports success and stores a copy none of whose
+// chunks were fetched. 32 tries take the slot about 16 times.
+func TestChunkedPullCancelledStoresNothing(t *testing.T) {
+	srcs, dst, _, pm := pullFixture(t, transport.NewInproc(0), 1, PullConfig{ChunkSize: 1 << 10})
+	id := testObj(47)
+	srcs[0].Put(id, patterned(4<<10))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 32; i++ {
+		if err := pm.Fetch(ctx, id, []types.NodeID{srcs[0].Node()}); err == nil {
+			t.Fatalf("pull %d with a cancelled context returned no error", i)
+		}
+		if dst.Contains(id) {
+			t.Fatalf("pull %d with a cancelled context stored a copy", i)
+		}
 	}
 }
 

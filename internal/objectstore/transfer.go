@@ -1,6 +1,7 @@
 package objectstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -62,12 +63,10 @@ func DecodeChunkRequest(payload []byte) (id types.ObjectID, offset, length int64
 	return id, offset, length, nil
 }
 
-// EncodePushRequest builds the wire form of a push: ObjectID | object bytes.
+// EncodePushRequest builds the wire form of a push: ObjectID | object bytes,
+// in one exact-size allocation that is not zeroed first.
 func EncodePushRequest(id types.ObjectID, data []byte) []byte {
-	buf := make([]byte, types.IDSize+len(data))
-	copy(buf, id[:])
-	copy(buf[types.IDSize:], data)
-	return buf
+	return bytes.Join([][]byte{id[:], data}, nil)
 }
 
 // RegisterPushHandler lets peers store objects here (PushMethod). The copy
