@@ -515,7 +515,9 @@ func TestMetricsEndpointFamilies(t *testing.T) {
 
 	srv := httptest.NewServer(Handler(c.API))
 	defer srv.Close()
-	want := []string{"scheduler_", "objectstore_", "gcs_", "lifetime_", "autoscale_"}
+	want := []string{"scheduler_", "objectstore_", "gcs_", "lifetime_", "autoscale_",
+		`lifetime_ledger_unflushed{ledger="refs"`, `lifetime_ledger_unflushed{ledger="tasks"`,
+		`lifetime_ledger_parked{ledger="refs"`, `lifetime_ledger_parked{ledger="tasks"`}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		resp, err := srv.Client().Get(srv.URL + "/metrics")

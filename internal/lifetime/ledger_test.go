@@ -1,0 +1,214 @@
+package lifetime
+
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/gcs"
+	"repro/internal/metrics"
+	"repro/internal/types"
+)
+
+// callCounter is a control plane that counts the calls the two ledgers
+// flush through.
+type callCounter struct {
+	*gcs.Store
+	refs, states, ensures, pins atomic.Int64
+}
+
+func (c *callCounter) ModifyObjectRefCounts(node types.NodeID, deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
+	c.refs.Add(1)
+	return c.Store.ModifyObjectRefCounts(node, deltas, op)
+}
+
+func (c *callCounter) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
+	c.states.Add(1)
+	return c.Store.ModifyTaskStates(node, deltas, op)
+}
+
+func (c *callCounter) EnsureObjects(producers map[types.ObjectID]types.TaskID) []types.ObjectID {
+	c.ensures.Add(1)
+	return c.Store.EnsureObjects(producers)
+}
+
+func (c *callCounter) PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
+	c.pins.Add(1)
+	return c.Store.PinObjects(deltas, op)
+}
+
+func (c *callCounter) counts() [4]int64 {
+	return [4]int64{c.refs.Load(), c.states.Load(), c.ensures.Load(), c.pins.Load()}
+}
+
+// ledgerWorkload drives both ledgers: 100 retain/release pairs over 50
+// objects, and 100 task lifecycles — Adopt, three transitions, a lineage
+// edge and a lineage pin each.
+func ledgerWorkload(ctrl *callCounter, tr *Tracker, led *TaskLedger) {
+	obj := func(i int) types.ObjectID { return sweepObjID(byte(1 + i%50)) }
+	for i := 0; i < 100; i++ {
+		tr.Retain(obj(i))
+		tr.Release(obj(i))
+	}
+	for i := 0; i < 100; i++ {
+		task := types.DeriveTaskID(types.NilTaskID, uint64(1000+i))
+		ctrl.AddTask(types.TaskState{Spec: types.TaskSpec{ID: task, Function: "f"}, Owner: led.Node()})
+		led.Adopt(task, 0, types.TaskPending)
+		for _, s := range []types.TaskStatus{types.TaskQueued, types.TaskRunning, types.TaskFinished} {
+			led.Transition(task, s, types.WorkerID{}, "")
+		}
+		led.EnsureLineage(task, types.ObjectIDForReturn(task, 0))
+		led.PinLineage(task, obj(i))
+	}
+}
+
+func newCountedLedgers() (*callCounter, *Tracker, *TaskLedger) {
+	ctrl := &callCounter{Store: gcs.NewStore(2)}
+	tr, led := NewTracker(ctrl), NewTaskLedger(ctrl)
+	tr.SetNode(retireTestNode(3))
+	led.SetNode(retireTestNode(3))
+	return ctrl, tr, led
+}
+
+// TestLedgerFlushBudget pins what the two ledgers cost the control plane.
+// Batched, a whole workload is one call of each kind; before Start, every
+// mutation is one call; past flushKickThreshold entries of any kind the
+// flusher is kicked; and Start→Stop or Start→Abandon leaves no goroutine
+// behind.
+func TestLedgerFlushBudget(t *testing.T) {
+	t.Run("batched", func(t *testing.T) {
+		ctrl, tr, led := newCountedLedgers()
+		tr.async, led.async = true, true // batched, with this test as the flusher
+		ledgerWorkload(ctrl, tr, led)
+		if got := ctrl.counts(); got != [4]int64{} {
+			t.Fatalf("batched mutations reached the control plane: refs, states, ensures, pins = %v", got)
+		}
+		if !tr.Flush() || !led.Flush() {
+			t.Fatal("a flush did not drain")
+		}
+		if got := ctrl.counts(); got != [4]int64{1, 1, 1, 1} {
+			t.Fatalf("one flush of each ledger made refs, states, ensures, pins = %v calls, want one each", got)
+		}
+		if info, _ := ctrl.GetObject(sweepObjID(7)); !info.EverRetained || info.RefCount != 0 || info.LineagePins != 2 {
+			t.Fatalf("object after the flush: %+v", info)
+		}
+	})
+
+	t.Run("sync", func(t *testing.T) {
+		ctrl, tr, led := newCountedLedgers()
+		ledgerWorkload(ctrl, tr, led)
+		if got := ctrl.counts(); got != [4]int64{200, 300, 100, 100} {
+			t.Fatalf("unstarted ledgers made refs, states, ensures, pins = %v calls, want one per mutation (200, 300, 100, 100)", got)
+		}
+	})
+
+	t.Run("kick", func(t *testing.T) {
+		_, _, led := newCountedLedgers()
+		led.async = true // batched, and no flusher takes the kick
+		task := types.DeriveTaskID(types.NilTaskID, 2000)
+		for i := 0; i < 300; i++ {
+			led.EnsureLineage(task, types.ObjectIDForReturn(task, i))
+			if kicked := len(led.kick) == 1; kicked != (i+1 >= flushKickThreshold) {
+				t.Fatalf("after %d lineage edges kicked = %v", i+1, kicked)
+			}
+		}
+	})
+
+	t.Run("goroutines", func(t *testing.T) {
+		for _, end := range []string{"Stop", "Abandon"} {
+			_, tr, led := newCountedLedgers()
+			before := runtime.NumGoroutine()
+			tr.Start()
+			led.Start()
+			if end == "Stop" {
+				tr.Stop()
+				led.Stop()
+			} else {
+				tr.Abandon()
+				led.Abandon()
+			}
+			deadline := time.Now().Add(time.Second)
+			for runtime.NumGoroutine() != before {
+				if time.Now().After(deadline) {
+					t.Fatalf("Start then %s: %d goroutines, %d before", end, runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	})
+}
+
+// TestBatchedRetainReleaseTouches: on a started tracker, a retain and a
+// release of a fresh object inside one flush interval net to a delta of 0
+// that still flushes, so the record is ever-retained and its zero count is
+// published for collection.
+func TestBatchedRetainReleaseTouches(t *testing.T) {
+	ctrl := gcs.NewStore(2)
+	sub := ctrl.Subscribe(gcs.TopicObjectGC, types.NilObjectID)
+	defer sub.Close()
+	tr := NewTracker(ctrl)
+	tr.SetNode(retireTestNode(4))
+	tr.Start()
+	defer tr.Stop()
+	id := sweepObjID(90)
+
+	tr.flushMu.Lock() // hold the flusher off: both land in one interval
+	tr.Retain(id)
+	tr.Release(id)
+	d, ok := tr.Unflushed()[id]
+	tr.flushMu.Unlock()
+	if !ok || d != 0 {
+		t.Fatalf("unflushed delta after a retain and a release = %d (present %v), want a 0 entry", d, ok)
+	}
+	tr.Flush()
+	if info, _ := ctrl.GetObject(id); !info.EverRetained || info.RefCount != 0 {
+		t.Fatalf("record after the flush: %+v, want ever retained at count 0", info)
+	}
+	select {
+	case msg := <-sub.C():
+		var got types.ObjectID
+		copy(got[:], msg)
+		if got != id {
+			t.Fatalf("GC published %v, want %v", got, id)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the batched touch did not publish GC")
+	}
+}
+
+// TestLedgerFlushLagGauges: each ledger publishes its waiting entries and
+// parked batches under its own label.
+func TestLedgerFlushLagGauges(t *testing.T) {
+	ctrl := &pinRecorder{Store: gcs.NewStore(2)}
+	reg := metrics.NewRegistry()
+	tr, led := NewTracker(ctrl), NewTaskLedger(ctrl)
+	tr.SetMetrics(reg)
+	led.SetMetrics(reg)
+	tr.async, led.async = true, true // batched, with this test as the flusher
+	tr.Retain(sweepObjID(91), sweepObjID(92))
+	task := types.DeriveTaskID(types.NilTaskID, 3000)
+	led.EnsureLineage(task, types.ObjectIDForReturn(task, 0))
+	led.PinLineage(task, sweepObjID(91))
+	gauges := func() [4]int64 {
+		g := reg.Snapshot().Gauges
+		return [4]int64{
+			g["lifetime.ledger.unflushed;ledger=refs"], g["lifetime.ledger.parked;ledger=refs"],
+			g["lifetime.ledger.unflushed;ledger=tasks"], g["lifetime.ledger.parked;ledger=tasks"],
+		}
+	}
+	if got := gauges(); got != [4]int64{2, 0, 2, 0} {
+		t.Fatalf("refs unflushed, parked, tasks unflushed, parked = %v before a flush, want 2 0 2 0", got)
+	}
+	ctrl.refuse = true
+	tr.Flush()
+	led.Flush()
+	if got := gauges(); got != [4]int64{0, 0, 0, 1} {
+		t.Fatalf("after a flush with the pins refused = %v, want 0 0 0 1", got)
+	}
+	ctrl.refuse = false
+	led.Flush()
+	if got := gauges(); got != [4]int64{} {
+		t.Fatalf("after a clean flush = %v, want all zero", got)
+	}
+}

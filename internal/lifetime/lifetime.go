@@ -26,175 +26,41 @@
 package lifetime
 
 import (
-	"crypto/rand"
-	"encoding/binary"
-	"sync"
-	"time"
+	"maps"
 
 	"repro/internal/gcs"
 	"repro/internal/types"
 )
 
-// Flush tuning. The interval bounds how stale the GCS's view of the
-// cluster count may go (and therefore GC latency); the size kick bounds
-// ledger memory on a node churning references faster than the ticker.
-const (
-	defaultFlushInterval = 2 * time.Millisecond
-	flushKickThreshold   = 256
-)
-
 // Tracker is one node's reference ledger — the "owner" half of the
 // ownership protocol (DESIGN.md §12). held is the authoritative in-process
 // count of the references this node's drivers, borrows, and bridges hold;
-// pending accumulates the net unflushed delta per object; touched records
-// objects retained at all since the last flush, so a retain+release cycle
-// that nets to zero still flushes as a delta-0 "touch" (the GCS must learn
-// the object was referenced, or it would never become GC-eligible).
+// pending is the net delta per object since the last flush. A key stays in
+// pending when its delta nets to zero, so a retain+release cycle inside one
+// interval still flushes, as a delta-0 "touch": the GCS must learn the
+// object was referenced, or it would never become GC-eligible.
 //
-// Flushes are batched: one control-plane round trip per shard per flush
-// covers every delta accumulated in the interval, each batch bound to an
-// idempotency token recorded in the touched objects' RefOps rings. A flush
-// that cannot reach a shard parks its batch — token and all — on a FIFO
-// retry queue; redelivery under the original token makes the
-// crash-between-commit-and-ack case safe (the shard recognizes the token
-// and skips the re-apply), and FIFO order keeps one object's deltas
-// applying in ledger order, which is what keeps the server-side clamp at
-// zero from ever manufacturing or leaking a count.
-//
-// A Tracker built by NewTracker flushes synchronously inside every mutate
-// (per-call behaviour, nothing to start or stop). Start switches it to
-// batched mode with a background flusher; that is what nodes run.
+// The embedded ledger flushes: one ModifyObjectRefCounts per interval
+// carries every delta, under a token the objects' RefOps rings record, so a
+// shard that committed a batch and lost the ack dedups its redelivery.
 type Tracker struct {
-	ctrl gcs.API
-
-	mu      sync.Mutex
-	node    types.NodeID
+	ledger[map[types.ObjectID]int64, types.ObjectID]
+	ctrl    gcs.API
 	held    map[types.ObjectID]int64
 	pending map[types.ObjectID]int64
-	touched map[types.ObjectID]struct{}
-	retry   []refBatch
-	async   bool
-	// dead latches after Abandon: the ledger belongs to a "crashed" node
-	// and must never reach the control plane again, no matter what later
-	// teardown code (scheduler Stop, deferred releases) appends to it.
-	dead bool
-
-	// flushMu serializes flush RPCs. Two concurrent flushes could deliver
-	// one object's deltas out of ledger order, and the server clamps the
-	// count at zero — a release applied before the retain it follows would
-	// clamp away a decrement and leak the object forever.
-	flushMu sync.Mutex
-
-	stop     chan struct{}
-	stopped  chan struct{}
-	stopOnce sync.Once
-	kick     chan struct{}
-	// onTick, when set before Start, runs on the flusher after each timed
-	// flush: the Manager hangs its retire proposals on this cadence rather
-	// than keep a ticker of its own.
-	onTick func()
-}
-
-// refBatch is one flush that could not be delivered: its deltas and the
-// idempotency token the delivery attempt carried (fixed for all retries).
-type refBatch struct {
-	op     uint64
-	deltas map[types.ObjectID]int64
 }
 
 // NewTracker creates an empty ledger publishing into ctrl, in synchronous
 // mode: every Retain/Release flushes inline. Call SetNode and Start to
 // switch to batched async flushing.
 func NewTracker(ctrl gcs.API) *Tracker {
-	return &Tracker{
+	t := &Tracker{
 		ctrl:    ctrl,
 		held:    make(map[types.ObjectID]int64),
 		pending: make(map[types.ObjectID]int64),
-		touched: make(map[types.ObjectID]struct{}),
-		stop:    make(chan struct{}),
-		stopped: make(chan struct{}),
-		kick:    make(chan struct{}, 1),
 	}
-}
-
-// SetNode attributes this ledger's flushes to node in the GCS object
-// table's per-holder accounting — what the owner-death sweep reconstructs
-// counts from when the node dies. Call before Start.
-func (t *Tracker) SetNode(node types.NodeID) {
-	t.mu.Lock()
-	t.node = node
-	t.mu.Unlock()
-}
-
-// Start switches the tracker to batched mode and launches the background
-// flusher. Mutations stop flushing inline; the flusher drains the ledger
-// every flush interval (or sooner when it grows past the kick threshold).
-func (t *Tracker) Start() {
-	t.mu.Lock()
-	if t.async {
-		t.mu.Unlock()
-		return
-	}
-	t.async = true
-	t.mu.Unlock()
-	go t.flusher()
-}
-
-// Stop halts the flusher after one final synchronous flush, so a graceful
-// shutdown leaves nothing unflushed. Safe to call multiple times and on a
-// tracker never started.
-func (t *Tracker) Stop() {
-	t.stopOnce.Do(func() {
-		close(t.stop)
-		t.mu.Lock()
-		wasAsync := t.async
-		t.async = false
-		t.mu.Unlock()
-		if wasAsync {
-			<-t.stopped
-		}
-		t.Flush()
-	})
-}
-
-// Abandon halts the flusher WITHOUT flushing, discarding pending deltas
-// and the retry queue — the crash-simulation path (Node.Kill). The GCS
-// keeps whatever this node already flushed; the owner-death sweep is what
-// reconciles that remainder, exactly as it would for a real crash.
-func (t *Tracker) Abandon() {
-	t.stopOnce.Do(func() {
-		close(t.stop)
-		t.mu.Lock()
-		wasAsync := t.async
-		t.async = false
-		t.dead = true
-		t.pending = make(map[types.ObjectID]int64)
-		t.touched = make(map[types.ObjectID]struct{})
-		t.retry = nil
-		t.mu.Unlock()
-		if wasAsync {
-			<-t.stopped
-		}
-	})
-}
-
-func (t *Tracker) flusher() {
-	defer close(t.stopped)
-	tick := time.NewTicker(defaultFlushInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			t.Flush()
-			if t.onTick != nil {
-				t.onTick()
-			}
-		case <-t.kick:
-			t.Flush()
-		case <-t.stop:
-			return
-		}
-	}
+	t.init("refs", t)
+	return t
 }
 
 // Retain records new references in the ledger. In batched mode this is a
@@ -207,19 +73,8 @@ func (t *Tracker) Retain(ids ...types.ObjectID) {
 		}
 		t.held[id]++
 		t.pending[id]++
-		t.touched[id] = struct{}{}
 	}
-	grown := len(t.pending) >= flushKickThreshold
-	sync := !t.async
-	t.mu.Unlock()
-	if sync {
-		t.Flush()
-	} else if grown {
-		select {
-		case t.kick <- struct{}{}:
-		default:
-		}
-	}
+	t.unlock(true)
 }
 
 // Release drops references previously retained through this tracker.
@@ -241,11 +96,7 @@ func (t *Tracker) Release(ids ...types.ObjectID) {
 		t.pending[id]--
 		any = true
 	}
-	sync := !t.async && any
-	t.mu.Unlock()
-	if sync {
-		t.Flush()
-	}
+	t.unlock(any)
 }
 
 // Held reports how many references to id this tracker currently holds.
@@ -262,11 +113,7 @@ func (t *Tracker) Held(id types.ObjectID) int64 {
 func (t *Tracker) HeldAll() map[types.ObjectID]int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[types.ObjectID]int64, len(t.held))
-	for id, n := range t.held {
-		out[id] = n
-	}
-	return out
+	return maps.Clone(t.held)
 }
 
 // Unflushed snapshots the net delta per object the GCS has not yet acked:
@@ -276,10 +123,7 @@ func (t *Tracker) HeldAll() map[types.ObjectID]int64 {
 func (t *Tracker) Unflushed() map[types.ObjectID]int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[types.ObjectID]int64, len(t.pending))
-	for id, d := range t.pending {
-		out[id] = d
-	}
+	out := maps.Clone(t.pending)
 	for _, b := range t.retry {
 		for id, d := range b.deltas {
 			out[id] += d
@@ -317,94 +161,29 @@ func (t *Tracker) ReleaseAll() {
 	t.Flush()
 }
 
-// Flush pushes the ledger to the control plane: first redelivers any
-// parked batches in FIFO order (under their original tokens), then sends
-// the accumulated deltas as a fresh batch. Returns true when the ledger
-// fully drained — false means a shard was unreachable and the remainder is
-// parked for the next flush. Callers needing a happens-before edge (the
-// scheduler stamping QUEUED after its borrows, the spill bridge before the
-// respill publish) call this inline; the background flusher calls it on
-// its interval.
-func (t *Tracker) Flush() bool {
-	t.flushMu.Lock()
-	defer t.flushMu.Unlock()
+// The payload half of the embedded ledger.
 
+func (t *Tracker) send(node types.NodeID, deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
+	return t.ctrl.ModifyObjectRefCounts(node, deltas, op)
+}
+
+func (t *Tracker) settleLocked(deltas map[types.ObjectID]int64, failed []types.ObjectID) map[types.ObjectID]int64 {
+	return deltasOf(deltas, failed)
+}
+
+func (t *Tracker) fresh() bool {
 	t.mu.Lock()
-	if t.dead {
-		t.mu.Unlock()
-		return true // abandoned: a crashed node's ledger never flushes again
-	}
-	t.mu.Unlock()
-
-	// Redeliver parked batches first: per-object ordering requires older
-	// deltas to land before newer ones, and a batch must keep its token so
-	// a shard that committed it before crashing dedups the redelivery.
-	for {
-		t.mu.Lock()
-		if len(t.retry) == 0 {
-			t.mu.Unlock()
-			break
-		}
-		b := t.retry[0]
-		node := t.node
-		t.mu.Unlock()
-		failed := t.ctrl.ModifyObjectRefCounts(node, b.deltas, b.op)
-		t.mu.Lock()
-		t.retry = t.retry[1:]
-		if len(failed) > 0 {
-			t.retry = append([]refBatch{{op: b.op, deltas: deltasOf(b.deltas, failed)}}, t.retry...)
-			t.mu.Unlock()
-			return false
-		}
-		t.mu.Unlock()
-	}
-
-	t.mu.Lock()
-	if len(t.pending) == 0 && len(t.touched) == 0 {
+	if t.dead || len(t.pending) == 0 {
 		t.mu.Unlock()
 		return true
 	}
-	deltas := make(map[types.ObjectID]int64, len(t.pending)+len(t.touched))
-	for id, d := range t.pending {
-		deltas[id] = d
-	}
-	for id := range t.touched {
-		if _, ok := deltas[id]; !ok {
-			deltas[id] = 0 // touch: retained and released within one interval
-		}
-	}
+	deltas := t.pending
 	t.pending = make(map[types.ObjectID]int64)
-	t.touched = make(map[types.ObjectID]struct{})
 	node := t.node
 	t.mu.Unlock()
-
-	op := newRefToken()
-	failed := t.ctrl.ModifyObjectRefCounts(node, deltas, op)
-	if len(failed) > 0 {
-		t.mu.Lock()
-		t.retry = append(t.retry, refBatch{op: op, deltas: deltasOf(deltas, failed)})
-		t.mu.Unlock()
-		return false
-	}
-	return true
+	return t.deliver(node, deltas)
 }
 
-// deltasOf is the part of a batch a shard did not take, to park under the
-// batch's token.
-func deltasOf(deltas map[types.ObjectID]int64, failed []types.ObjectID) map[types.ObjectID]int64 {
-	sub := make(map[types.ObjectID]int64, len(failed))
-	for _, id := range failed {
-		sub[id] = deltas[id]
-	}
-	return sub
-}
+func (t *Tracker) backlogLocked() (int, int, int) { return len(t.pending), len(t.pending), 0 }
 
-// newRefToken returns a random non-zero idempotency token for one flush
-// batch.
-func newRefToken() uint64 {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return 1 // degraded but non-zero; collisions only dedup spuriously
-	}
-	return binary.BigEndian.Uint64(b[:]) | 1
-}
+func (t *Tracker) discardLocked() { t.pending = make(map[types.ObjectID]int64) }

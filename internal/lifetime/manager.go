@@ -74,9 +74,11 @@ func NewManager(ctrl gcs.API, store *objectstore.Store) *Manager {
 	}
 }
 
-// SetMetrics attaches the registry the record-lifetime counters and the
-// proposal-queue gauges are published in. Call before Start; nil detaches.
+// SetMetrics attaches the registry the record-lifetime counters, the
+// proposal-queue gauges and the tracker's flush-lag gauges are published
+// in. Call before Start; nil detaches.
 func (m *Manager) SetMetrics(reg *metrics.Registry) {
+	m.tracker.SetMetrics(reg)
 	refused := func(cause string) *metrics.Counter {
 		return reg.Counter("lifetime.retire.refused;cause=" + cause)
 	}

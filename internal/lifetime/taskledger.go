@@ -1,6 +1,8 @@
 package lifetime
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,19 +27,14 @@ import (
 // straggler deltas are consumed without effect rather than clobbering the
 // successor's writes.
 //
-// Flush mechanics mirror Tracker: batched async deltas (one per task per
-// flush, carrying the owner's full latest view), an idempotency token per
-// batch recorded in the tasks' MutOps rings, FIFO redelivery of parked
-// batches under their original tokens, and flushMu serializing flushes so
-// one task's deltas land in ledger order. Lineage edges (return object →
-// producing task) ride the same flusher as batched EnsureObjects calls, and
-// lineage pins (by-reference argument ← task record, PinLineage) as batched
-// PinObjects calls, both delivered ahead of the task deltas they justify.
+// The embedded ledger flushes as the Tracker's does, one delta per task
+// under a token the tasks' MutOps rings record. Lineage edges (return
+// object → producing task, EnsureLineage) and pins (by-reference argument
+// ← task record, PinLineage) ride the same flusher as batched
+// EnsureObjects and PinObjects calls, ahead of the deltas they justify.
 type TaskLedger struct {
-	ctrl gcs.API
-
-	mu      sync.Mutex
-	node    types.NodeID
+	ledger[[]types.TaskStateDelta, types.TaskID]
+	ctrl    gcs.API
 	tasks   map[types.TaskID]*ownedTask
 	dirty   map[types.TaskID]struct{}
 	ensures map[types.ObjectID]types.TaskID
@@ -45,27 +42,12 @@ type TaskLedger struct {
 	// by reference and has yet to pin (PinLineage); pinRetry the pin
 	// batches a shard did not take, under their original tokens.
 	pins     map[types.TaskID][]types.ObjectID
-	pinRetry []refBatch
-	retry    []taskBatch
+	pinRetry []batch[map[types.ObjectID]int64]
 	watch    map[types.TaskID][]chan<- types.TaskID
-	async    bool
-	// dead latches after Abandon: the ledger belongs to a "crashed" node
-	// and must never reach the control plane again.
-	dead bool
-
-	// flushMu serializes flush RPCs; two concurrent flushes could deliver
-	// one task's deltas out of sequence order, and the store consumes (not
-	// fails) out-of-order deltas — the newer state would be lost.
-	flushMu sync.Mutex
 
 	clockOnce  sync.Once
 	clockBoot  int64
 	clockStart time.Time
-
-	stop     chan struct{}
-	stopped  chan struct{}
-	stopOnce sync.Once
-	kick     chan struct{}
 }
 
 // ownedTask is the authoritative record for one task this node owns.
@@ -81,36 +63,20 @@ type ownedTask struct {
 	lastNs   int64
 }
 
-// taskBatch is one flush that could not be delivered: its deltas and the
-// idempotency token the delivery attempt carried (fixed for all retries).
-type taskBatch struct {
-	op     uint64
-	deltas []types.TaskStateDelta
-}
-
 // NewTaskLedger creates an empty ledger publishing into ctrl, in
 // synchronous mode: every transition flushes inline (per-call behaviour
 // for store-level tests). Call SetNode and Start for batched async mode.
 func NewTaskLedger(ctrl gcs.API) *TaskLedger {
-	return &TaskLedger{
+	l := &TaskLedger{
 		ctrl:    ctrl,
 		tasks:   make(map[types.TaskID]*ownedTask),
 		dirty:   make(map[types.TaskID]struct{}),
 		ensures: make(map[types.ObjectID]types.TaskID),
 		pins:    make(map[types.TaskID][]types.ObjectID),
 		watch:   make(map[types.TaskID][]chan<- types.TaskID),
-		stop:    make(chan struct{}),
-		stopped: make(chan struct{}),
-		kick:    make(chan struct{}, 1),
 	}
-}
-
-// SetNode attributes this ledger's flushes to node — the Owner the store's
-// fencing guard matches deltas against. Call before Start.
-func (l *TaskLedger) SetNode(node types.NodeID) {
-	l.mu.Lock()
-	l.node = node
-	l.mu.Unlock()
+	l.init("tasks", l)
+	return l
 }
 
 // Node returns the owner identity this ledger stamps into its tasks.
@@ -118,75 +84,6 @@ func (l *TaskLedger) Node() types.NodeID {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.node
-}
-
-// Start switches the ledger to batched mode and launches the background
-// flusher (same cadence as the refcount Tracker).
-func (l *TaskLedger) Start() {
-	l.mu.Lock()
-	if l.async {
-		l.mu.Unlock()
-		return
-	}
-	l.async = true
-	l.mu.Unlock()
-	go l.flusher()
-}
-
-// Stop halts the flusher after one final synchronous flush, so a graceful
-// shutdown leaves the follower table current. Safe to call multiple times
-// and on a ledger never started.
-func (l *TaskLedger) Stop() {
-	l.stopOnce.Do(func() {
-		close(l.stop)
-		l.mu.Lock()
-		wasAsync := l.async
-		l.async = false
-		l.mu.Unlock()
-		if wasAsync {
-			<-l.stopped
-		}
-		l.Flush()
-	})
-}
-
-// Abandon halts the flusher WITHOUT flushing, discarding dirty state and
-// the retry queue — the crash-simulation path (Node.Kill). The follower
-// table keeps whatever was already flushed; the owner-death transfer is
-// what re-owns the remainder, exactly as for a real crash.
-func (l *TaskLedger) Abandon() {
-	l.stopOnce.Do(func() {
-		close(l.stop)
-		l.mu.Lock()
-		wasAsync := l.async
-		l.async = false
-		l.dead = true
-		l.dirty = make(map[types.TaskID]struct{})
-		l.ensures = make(map[types.ObjectID]types.TaskID)
-		l.pins = make(map[types.TaskID][]types.ObjectID)
-		l.pinRetry = nil
-		l.retry = nil
-		l.mu.Unlock()
-		if wasAsync {
-			<-l.stopped
-		}
-	})
-}
-
-func (l *TaskLedger) flusher() {
-	defer close(l.stopped)
-	tick := time.NewTicker(defaultFlushInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			l.Flush()
-		case <-l.kick:
-			l.Flush()
-		case <-l.stop:
-			return
-		}
-	}
 }
 
 // now returns cluster-epoch nanoseconds: one control-plane NowNs at first
@@ -253,17 +150,7 @@ func (l *TaskLedger) TransitionAt(id types.TaskID, status types.TaskStatus, work
 		return false
 	}
 	l.stampLocked(id, t, status, worker, errMsg, atNs)
-	grown := len(l.dirty) >= flushKickThreshold
-	sync := !l.async
-	l.mu.Unlock()
-	if sync {
-		l.Flush()
-	} else if grown {
-		select {
-		case l.kick <- struct{}{}:
-		default:
-		}
-	}
+	l.unlock(true)
 	return true
 }
 
@@ -290,11 +177,7 @@ func (l *TaskLedger) TransitionRetry(id types.TaskID, maxRetries int) (int, bool
 		return n, false
 	}
 	l.stampLocked(id, t, types.TaskPending, types.WorkerID{}, "", atNs)
-	sync := !l.async
-	l.mu.Unlock()
-	if sync {
-		l.Flush()
-	}
+	l.unlock(true)
 	return n, true
 }
 
@@ -364,11 +247,7 @@ func (l *TaskLedger) EnsureLineage(producer types.TaskID, returns ...types.Objec
 			}
 		}
 	}
-	sync := !l.async
-	l.mu.Unlock()
-	if sync {
-		l.Flush()
-	}
+	l.unlock(true)
 }
 
 // PinLineage records that task's record — freshly inserted by this node's
@@ -388,11 +267,7 @@ func (l *TaskLedger) PinLineage(task types.TaskID, args ...types.ObjectID) {
 	if !l.dead {
 		l.pins[task] = args
 	}
-	sync := !l.async
-	l.mu.Unlock()
-	if sync {
-		l.Flush()
-	}
+	l.unlock(true)
 }
 
 // flushPins delivers the parked pin batches under their original tokens,
@@ -403,6 +278,9 @@ func (l *TaskLedger) flushPins(pins map[types.TaskID][]types.ObjectID) bool {
 	batches := l.pinRetry
 	l.pinRetry = nil
 	l.mu.Unlock()
+	if len(batches)+len(pins) == 0 {
+		return true
+	}
 	if len(pins) > 0 {
 		deltas := make(map[types.ObjectID]int64, len(pins))
 		for _, args := range pins {
@@ -410,12 +288,12 @@ func (l *TaskLedger) flushPins(pins map[types.TaskID][]types.ObjectID) bool {
 				deltas[id]++
 			}
 		}
-		batches = append(batches, refBatch{op: newRefToken(), deltas: deltas})
+		batches = append(batches, batch[map[types.ObjectID]int64]{op: newRefToken(), deltas: deltas})
 	}
-	var parked []refBatch
+	var parked []batch[map[types.ObjectID]int64]
 	for _, b := range batches {
 		if failed := l.ctrl.PinObjects(b.deltas, b.op); len(failed) > 0 {
-			parked = append(parked, refBatch{op: b.op, deltas: deltasOf(b.deltas, failed)})
+			parked = append(parked, batch[map[types.ObjectID]int64]{op: b.op, deltas: deltasOf(b.deltas, failed)})
 		}
 	}
 	if len(parked) == 0 {
@@ -496,165 +374,13 @@ func (l *TaskLedger) StopNotify(ch chan<- types.TaskID, ids ...types.TaskID) {
 func (l *TaskLedger) UnflushedTasks() []types.TaskID {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	seen := make(map[types.TaskID]struct{}, len(l.dirty))
-	for id := range l.dirty {
-		seen[id] = struct{}{}
-	}
+	seen := maps.Clone(l.dirty)
 	for _, b := range l.retry {
 		for _, d := range b.deltas {
 			seen[d.ID] = struct{}{}
 		}
 	}
-	out := make([]types.TaskID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	return out
-}
-
-// Flush pushes the ledger to the control plane: parked batches first in
-// FIFO order (under their original tokens), then pending lineage ensures
-// and pins, then the accumulated transitions as one fresh batch — one delta per
-// task carrying its full latest view, so coalesced intermediate states
-// cost nothing. Returns true when the ledger fully drained; false parks
-// the remainder for the next flush. Callers needing a happens-before edge
-// (spill bridge publishing a spec another node will run) call this inline.
-func (l *TaskLedger) Flush() bool {
-	l.flushMu.Lock()
-	defer l.flushMu.Unlock()
-	return l.flushLocked()
-}
-
-// flushLocked is Flush's body; the caller holds flushMu.
-func (l *TaskLedger) flushLocked() bool {
-	l.mu.Lock()
-	if l.dead {
-		l.mu.Unlock()
-		return true // abandoned: a crashed node's ledger never flushes again
-	}
-	l.mu.Unlock()
-
-	// Redeliver parked batches first: per-task ordering requires older
-	// deltas to land before newer ones, and a batch keeps its token so a
-	// shard that committed it before crashing dedups the redelivery.
-	for {
-		l.mu.Lock()
-		if len(l.retry) == 0 {
-			l.mu.Unlock()
-			break
-		}
-		b := l.retry[0]
-		node := l.node
-		l.mu.Unlock()
-		failed := l.ctrl.ModifyTaskStates(node, b.deltas, b.op)
-		l.mu.Lock()
-		l.retry = l.retry[1:]
-		if len(failed) > 0 {
-			fset := make(map[types.TaskID]struct{}, len(failed))
-			for _, id := range failed {
-				fset[id] = struct{}{}
-			}
-			var sub []types.TaskStateDelta
-			for _, d := range b.deltas {
-				if _, ok := fset[d.ID]; ok {
-					sub = append(sub, d)
-				}
-			}
-			l.retry = append([]taskBatch{{op: b.op, deltas: sub}}, l.retry...)
-			l.mu.Unlock()
-			return false
-		}
-		l.markAckedLocked(b.deltas)
-		l.mu.Unlock()
-	}
-
-	// Lineage ensures ride ahead of the task deltas that reference them:
-	// a FINISHED record whose return objects lack a producer would strand
-	// the reconstructor. Ensure is idempotent, so failures just re-pend.
-	l.mu.Lock()
-	var ensures map[types.ObjectID]types.TaskID
-	if len(l.ensures) > 0 {
-		ensures = l.ensures
-		l.ensures = make(map[types.ObjectID]types.TaskID)
-	}
-	l.mu.Unlock()
-	ensuresOK := true
-	if len(ensures) > 0 {
-		if failed := l.ctrl.EnsureObjects(ensures); len(failed) > 0 {
-			ensuresOK = false
-			l.mu.Lock()
-			if !l.dead {
-				for _, id := range failed {
-					if _, ok := l.ensures[id]; !ok {
-						l.ensures[id] = ensures[id]
-					}
-				}
-			}
-			l.mu.Unlock()
-		}
-	}
-
-	l.mu.Lock()
-	var pins map[types.TaskID][]types.ObjectID
-	if len(l.pins) > 0 {
-		pins = l.pins
-		l.pins = make(map[types.TaskID][]types.ObjectID)
-	}
-	parkedPins := len(l.pinRetry) > 0
-	l.mu.Unlock()
-	if (len(pins) > 0 || parkedPins) && !l.flushPins(pins) {
-		ensuresOK = false
-	}
-
-	l.mu.Lock()
-	if len(l.dirty) == 0 {
-		l.mu.Unlock()
-		return ensuresOK
-	}
-	deltas := make([]types.TaskStateDelta, 0, len(l.dirty))
-	for id := range l.dirty {
-		t := l.tasks[id]
-		if t == nil {
-			continue
-		}
-		deltas = append(deltas, types.TaskStateDelta{
-			ID: id, Owner: l.node, Seq: t.seq,
-			Status: t.status, Node: l.node, Worker: t.worker,
-			Error: t.errMsg, Retries: t.retries,
-			ScheduledNs: t.schedNs, StartedNs: t.startNs,
-			FinishedNs: t.finishNs, LastTransitionNs: t.lastNs,
-		})
-	}
-	l.dirty = make(map[types.TaskID]struct{})
-	node := l.node
-	l.mu.Unlock()
-
-	op := newRefToken()
-	failed := l.ctrl.ModifyTaskStates(node, deltas, op)
-	if len(failed) > 0 {
-		fset := make(map[types.TaskID]struct{}, len(failed))
-		for _, id := range failed {
-			fset[id] = struct{}{}
-		}
-		var sub []types.TaskStateDelta
-		var acked []types.TaskStateDelta
-		for _, d := range deltas {
-			if _, ok := fset[d.ID]; ok {
-				sub = append(sub, d)
-			} else {
-				acked = append(acked, d)
-			}
-		}
-		l.mu.Lock()
-		l.retry = append(l.retry, taskBatch{op: op, deltas: sub})
-		l.markAckedLocked(acked)
-		l.mu.Unlock()
-		return false
-	}
-	l.mu.Lock()
-	l.markAckedLocked(deltas)
-	l.mu.Unlock()
-	return ensuresOK
+	return slices.Collect(maps.Keys(seen))
 }
 
 // FlushTask synchronously pushes ONE task's unflushed state — its lineage
@@ -704,63 +430,131 @@ func (l *TaskLedger) FlushTask(id types.TaskID) {
 	}
 	var deltas []types.TaskStateDelta
 	if _, dirty := l.dirty[id]; dirty {
-		if t := l.tasks[id]; t != nil {
-			deltas = append(deltas, types.TaskStateDelta{
-				ID: id, Owner: l.node, Seq: t.seq,
-				Status: t.status, Node: l.node, Worker: t.worker,
-				Error: t.errMsg, Retries: t.retries,
-				ScheduledNs: t.schedNs, StartedNs: t.startNs,
-				FinishedNs: t.finishNs, LastTransitionNs: t.lastNs,
-			})
-		}
 		delete(l.dirty, id)
+		if t := l.tasks[id]; t != nil {
+			deltas = []types.TaskStateDelta{l.deltaLocked(id, t)}
+		}
 	}
 	node := l.node
 	l.mu.Unlock()
-	if len(pins) > 0 {
-		l.flushPins(pins)
-	}
-	if len(ensures) == 0 && len(deltas) == 0 {
-		return // nothing more unflushed for this task (the common birth-spill case)
-	}
-	if len(ensures) > 0 {
-		if failed := l.ctrl.EnsureObjects(ensures); len(failed) > 0 {
-			l.mu.Lock()
-			if !l.dead {
-				for _, oid := range failed {
-					if _, ok := l.ensures[oid]; !ok {
-						l.ensures[oid] = ensures[oid]
-					}
-				}
-			}
-			l.mu.Unlock()
-		}
-	}
+	l.ensure(ensures)
+	l.flushPins(pins)
 	if len(deltas) > 0 {
-		op := newRefToken()
-		if failed := l.ctrl.ModifyTaskStates(node, deltas, op); len(failed) > 0 {
-			l.mu.Lock()
-			l.retry = append(l.retry, taskBatch{op: op, deltas: deltas})
-			l.mu.Unlock()
-			return
-		}
-		l.mu.Lock()
-		l.markAckedLocked(deltas)
-		l.mu.Unlock()
+		l.deliver(node, deltas)
 	}
 }
 
-// markAckedLocked drops terminal records whose final delta the control
-// plane acked, unless a newer transition re-dirtied them — that bounds
-// ledger memory to the node's live task set.
-func (l *TaskLedger) markAckedLocked(deltas []types.TaskStateDelta) {
-	for _, d := range deltas {
-		t := l.tasks[d.ID]
-		if t == nil || t.seq != d.Seq {
-			continue // re-dirtied since this delta was built
+// ensure delivers lineage edges. Ensure is idempotent, so an edge a shard
+// did not take simply waits for the next flush again.
+func (l *TaskLedger) ensure(ensures map[types.ObjectID]types.TaskID) bool {
+	if len(ensures) == 0 {
+		return true
+	}
+	failed := l.ctrl.EnsureObjects(ensures)
+	if len(failed) == 0 {
+		return true
+	}
+	l.mu.Lock()
+	if !l.dead {
+		for _, id := range failed {
+			if _, ok := l.ensures[id]; !ok {
+				l.ensures[id] = ensures[id]
+			}
 		}
-		if t.status.Terminal() {
+	}
+	l.mu.Unlock()
+	return false
+}
+
+// deltaLocked is the delta that carries t's latest state to the follower
+// table.
+func (l *TaskLedger) deltaLocked(id types.TaskID, t *ownedTask) types.TaskStateDelta {
+	return types.TaskStateDelta{
+		ID: id, Owner: l.node, Seq: t.seq,
+		Status: t.status, Node: l.node, Worker: t.worker,
+		Error: t.errMsg, Retries: t.retries,
+		ScheduledNs: t.schedNs, StartedNs: t.startNs,
+		FinishedNs: t.finishNs, LastTransitionNs: t.lastNs,
+	}
+}
+
+// The payload half of the embedded ledger.
+
+func (l *TaskLedger) send(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
+	return l.ctrl.ModifyTaskStates(node, deltas, op)
+}
+
+// settleLocked returns the deltas a shard did not take, and drops each
+// terminal record whose final delta it did take unless a newer transition
+// re-dirtied it — that bounds ledger memory to the node's live task set.
+func (l *TaskLedger) settleLocked(deltas []types.TaskStateDelta, failed []types.TaskID) (rest []types.TaskStateDelta) {
+	var fset map[types.TaskID]bool
+	if len(failed) > 0 {
+		fset = make(map[types.TaskID]bool, len(failed))
+		for _, id := range failed {
+			fset[id] = true
+		}
+	}
+	for _, d := range deltas {
+		if fset[d.ID] {
+			rest = append(rest, d)
+		} else if t := l.tasks[d.ID]; t != nil && t.seq == d.Seq && t.status.Terminal() {
 			delete(l.tasks, d.ID)
 		}
 	}
+	return rest
+}
+
+// fresh delivers, in this order, the pending lineage ensures, the pins, and
+// the accumulated transitions as one batch — one delta per task carrying
+// its full latest view, so coalesced intermediate states cost nothing.
+// Ensures and pins go first because a FINISHED record whose return objects
+// lack a producer would strand the reconstructor, and a terminal record's
+// removal drops pins that must have landed. All three are taken at once,
+// so every edge stamped before a transition travels ahead of it.
+func (l *TaskLedger) fresh() bool {
+	l.mu.Lock()
+	if l.dead {
+		l.mu.Unlock()
+		return true
+	}
+	var ensures map[types.ObjectID]types.TaskID
+	if len(l.ensures) > 0 {
+		ensures, l.ensures = l.ensures, make(map[types.ObjectID]types.TaskID)
+	}
+	var pins map[types.TaskID][]types.ObjectID
+	if len(l.pins) > 0 {
+		pins, l.pins = l.pins, make(map[types.TaskID][]types.ObjectID)
+	}
+	var deltas []types.TaskStateDelta
+	if len(l.dirty) > 0 {
+		deltas = make([]types.TaskStateDelta, 0, len(l.dirty))
+		for id := range l.dirty {
+			if t := l.tasks[id]; t != nil {
+				deltas = append(deltas, l.deltaLocked(id, t))
+			}
+		}
+		l.dirty = make(map[types.TaskID]struct{})
+	}
+	node := l.node
+	l.mu.Unlock()
+
+	ok := l.ensure(ensures)
+	ok = l.flushPins(pins) && ok
+	if len(deltas) > 0 {
+		ok = l.deliver(node, deltas) && ok
+	}
+	return ok
+}
+
+func (l *TaskLedger) backlogLocked() (int, int, int) {
+	d, e, p := len(l.dirty), len(l.ensures), len(l.pins)
+	return d + e + p, max(d, e, p), len(l.pinRetry)
+}
+
+func (l *TaskLedger) discardLocked() {
+	l.dirty = make(map[types.TaskID]struct{})
+	l.ensures = make(map[types.ObjectID]types.TaskID)
+	l.pins = make(map[types.TaskID][]types.ObjectID)
+	l.pinRetry = nil
 }

@@ -245,6 +245,7 @@ func New(cfg Config) (*Node, error) {
 	// GCS task table follows via batched async deltas.
 	n.taskled = lifetime.NewTaskLedger(cfg.Ctrl)
 	n.taskled.SetNode(id)
+	n.taskled.SetMetrics(n.reg)
 	// Per-submit job admission (DESIGN.md §14). The TTL cache amortizes the
 	// job-record read and quota usage scan across a burst of submissions.
 	n.admit = jobs.NewAdmission(cfg.Ctrl, 0)
