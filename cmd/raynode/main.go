@@ -104,7 +104,7 @@ func main() {
 	if *head {
 		var stop func()
 		var err error
-		ctrl, super, stop, err = serveControlPlane(*gcsAddr, *listen, *gcsNum, *gcsData, *shards, procMetrics)
+		ctrl, _, super, stop, err = serveControlPlane(*gcsAddr, *listen, *gcsNum, *gcsData, *shards, procMetrics)
 		if err != nil {
 			log.Fatalf("raynode: %v", err)
 		}
@@ -135,7 +135,7 @@ func main() {
 		log.Fatalf("raynode: start node: %v", err)
 	}
 	defer n.Shutdown()
-	log.Printf("node %v up at %s with %v", n.ID(), *listen, res)
+	log.Printf("node %v up at %s with %v", n.ID(), n.Addr(), res)
 
 	if *head {
 		calls := newTCPCaller()
@@ -218,33 +218,35 @@ func main() {
 }
 
 // serveControlPlane starts the head's control plane at gcsAddr and returns
-// the head's own handle on it. With gcsShards == 0 that is one in-memory
-// store, used in-process by the head and served to joiners as a one-shard
-// control plane; otherwise it is gcsShards supervised shard services, each
-// with its own WAL + snapshot under dataDir, on the consecutive ports after
-// gcsAddr (a crashed shard is restarted from disk automatically), reached
-// by the head through the same client joiners use. The supervisor is nil in
-// the in-memory mode. stop releases everything started here.
-func serveControlPlane(gcsAddr, listen string, gcsShards int, dataDir string, kvShards int, reg *metrics.Registry) (ctrl gcs.API, super *gcs.Supervisor, stop func(), err error) {
+// the head's own handle on it and the address joiners dial. With gcsShards
+// == 0 that is one in-memory store, used in-process by the head and served
+// to joiners as a one-shard control plane at the address it bound (gcsAddr
+// with port 0 picks one); otherwise it is gcsShards supervised shard
+// services, each with its own WAL + snapshot under dataDir, on the
+// consecutive ports after gcsAddr (a crashed shard is restarted from disk
+// automatically), reached by the head through the same client joiners use.
+// The supervisor is nil in the in-memory mode. stop releases everything
+// started here.
+func serveControlPlane(gcsAddr, listen string, gcsShards int, dataDir string, kvShards int, reg *metrics.Registry) (ctrl gcs.API, addr string, super *gcs.Supervisor, stop func(), err error) {
 	if gcsShards == 0 {
 		store := gcs.NewStore(kvShards)
 		srv := transport.NewServer()
-		gcs.RegisterSingleShard(srv, store, gcsAddr)
 		l, err := (transport.TCP{}).Listen(gcsAddr, srv)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("serve control plane: %w", err)
+			return nil, "", nil, nil, fmt.Errorf("serve control plane: %w", err)
 		}
-		log.Printf("in-memory control plane serving on %s (%d kv stripes)", gcsAddr, kvShards)
+		gcs.RegisterSingleShard(srv, store, l.Addr())
+		log.Printf("in-memory control plane serving on %s (%d kv stripes)", l.Addr(), kvShards)
 		gcs.ExportRecords(reg, store.Records)
-		return store, nil, func() { l.Close() }, nil
+		return store, l.Addr(), nil, func() { l.Close() }, nil
 	}
 	shardAddrs, err := derivePortAddrs(gcsAddr, gcsShards)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("shard addresses: %w", err)
+		return nil, "", nil, nil, fmt.Errorf("shard addresses: %w", err)
 	}
 	for _, a := range shardAddrs {
 		if a == listen {
-			return nil, nil, nil, fmt.Errorf("-listen %s collides with control-plane shard address %s "+
+			return nil, "", nil, nil, fmt.Errorf("-listen %s collides with control-plane shard address %s "+
 				"(shards occupy the %d ports after -gcs %s); pick a -listen outside that range",
 				listen, a, gcsShards, gcsAddr)
 		}
@@ -260,16 +262,16 @@ func serveControlPlane(gcsAddr, listen string, gcsShards int, dataDir string, kv
 		Metrics:     reg,
 	})
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("start sharded control plane: %w", err)
+		return nil, "", nil, nil, fmt.Errorf("start sharded control plane: %w", err)
 	}
 	sh, err := joinControlPlane(gcsAddr)
 	if err != nil {
 		super.Close()
-		return nil, nil, nil, err
+		return nil, "", nil, nil, err
 	}
 	log.Printf("sharded control plane: map on %s, %d shards on %v (data in %s)", gcsAddr, gcsShards, shardAddrs, dataDir)
 	gcs.ExportRecords(reg, super.Records)
-	return sh, super, func() { sh.Close(); super.Close() }, nil
+	return sh, gcsAddr, super, func() { sh.Close(); super.Close() }, nil
 }
 
 // joinControlPlane attaches to the control plane at addr, in-memory or

@@ -11,17 +11,20 @@ import (
 // TestJoinControlPlane: over real TCP, a joiner attaches to an in-memory
 // head and to a sharded head through the same one client, and a task
 // record written by the joiner is read back through the head's own handle.
+// The sharded head derives its shards' ports from the map's, so its case
+// takes fixed ports, below the ephemeral range outgoing connections draw
+// from.
 func TestJoinControlPlane(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		gcsAddr   string
 		gcsShards int
 	}{
-		{"in-memory head", "127.0.0.1:39581", 0},
-		{"-gcs-shards 2 head", "127.0.0.1:39591", 2},
+		{"in-memory head", "127.0.0.1:0", 0},
+		{"-gcs-shards 2 head", "127.0.0.1:29591", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			head, super, stop, err := serveControlPlane(tc.gcsAddr, "127.0.0.1:39599", tc.gcsShards, t.TempDir(), 4, nil)
+			head, addr, super, stop, err := serveControlPlane(tc.gcsAddr, "127.0.0.1:0", tc.gcsShards, t.TempDir(), 4, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -29,7 +32,7 @@ func TestJoinControlPlane(t *testing.T) {
 			if (super != nil) != (tc.gcsShards > 0) {
 				t.Fatalf("supervisor = %v with %d shards", super, tc.gcsShards)
 			}
-			joiner, err := joinControlPlane(tc.gcsAddr)
+			joiner, err := joinControlPlane(addr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,13 +60,18 @@ func TestJoinControlPlane(t *testing.T) {
 // where something other than a control plane does, is one error that names
 // the address — never a silent fallback.
 func TestJoinNotAControlPlane(t *testing.T) {
-	const nodeAddr = "127.0.0.1:39598"
-	l, err := transport.TCP{}.Listen(nodeAddr, transport.NewServer())
-	if err != nil {
-		t.Fatal(err)
+	listen := func() transport.Listener {
+		l, err := transport.TCP{}.Listen("127.0.0.1:0", transport.NewServer())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
 	}
-	defer l.Close()
-	for _, addr := range []string{"127.0.0.1:39597", nodeAddr} {
+	node := listen()
+	defer node.Close()
+	gone := listen()
+	gone.Close()
+	for _, addr := range []string{gone.Addr(), node.Addr()} {
 		sh, err := joinControlPlane(addr)
 		if err == nil {
 			sh.Close()

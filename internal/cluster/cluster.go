@@ -79,8 +79,6 @@ type Config struct {
 	Registry *core.Registry
 	// HeartbeatInterval for node load reports (default 20ms).
 	HeartbeatInterval time.Duration
-	// DepPollInterval for local schedulers (default from scheduler pkg).
-	DepPollInterval time.Duration
 	// DisableEventLog turns off control-plane event logging (E13 measures
 	// the difference).
 	DisableEventLog bool
@@ -233,7 +231,6 @@ func (c *Cluster) AddNode() (*node.Node, error) {
 		Ctrl:              ctrl,
 		Registry:          cfg.Registry,
 		HeartbeatInterval: cfg.HeartbeatInterval,
-		DepPollInterval:   cfg.DepPollInterval,
 		DisablePrefetch:   cfg.DisablePrefetch,
 	})
 	if err != nil {

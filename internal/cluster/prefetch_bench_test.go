@@ -52,7 +52,6 @@ func BenchmarkDepPrefetch(b *testing.B) {
 					HopLatency:      hop,
 					Registry:        reg,
 					DisablePrefetch: disable,
-					DepPollInterval: 2 * time.Millisecond,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -228,23 +228,38 @@ func TestOwnedGetFollowsATaskDrainedAway(t *testing.T) {
 
 // TestGetSurvivesTheOwnersDeath: the waiter sits on another node than the
 // task's owner, so it is in the resolver from the start; the owner dies
-// with the task still queued, and the replay produces the value.
+// with the task still queued, and the replay produces the value. The
+// driver's reference dies with the owner's node. A waiter holding one of its
+// own always gets the value; an object nothing references any more may be
+// retired with its lineage before the replay runs (DESIGN.md §17), so a
+// waiter holding none gets the value or ErrReclaimed.
 func TestGetSurvivesTheOwnersDeath(t *testing.T) {
-	f := newOwnerFuncs()
-	// The survivor has room for both orphans: the owner-death transfer
-	// re-places the blocker too, and it blocks again wherever it lands.
-	c := ownerCluster(t, f, 1, 2)
-	ref := queuedBehindBlocker(t, f, c.Driver())
-	await(t, "the task's output to be recorded", func() bool {
-		_, ok := c.API.GetObject(ref.Ref.ID)
-		return ok
-	})
-	waiter, reached := probedClient(c.Node(1))
-	got := asyncGet(testCtx(t), waiter, ref)
-	<-reached
-	c.KillNode(0) // cancels the blocker's context; the queued task dies with the queue
-	if r := <-got; r.err != nil || r.v != -5 {
-		t.Fatalf("Get after the owner died = %d, %v", r.v, r.err)
+	for _, held := range []bool{true, false} {
+		name := map[bool]string{true: "waiter holds a reference", false: "no reference survives"}[held]
+		t.Run(name, func(t *testing.T) {
+			f := newOwnerFuncs()
+			// The survivor has room for both orphans: the owner-death transfer
+			// re-places the blocker too, and it blocks again wherever it lands.
+			c := ownerCluster(t, f, 1, 2)
+			ref := queuedBehindBlocker(t, f, c.Driver())
+			await(t, "the task's output to be recorded", func() bool {
+				_, ok := c.API.GetObject(ref.Ref.ID)
+				return ok
+			})
+			if held {
+				c.Node(1).RetainObject(ref.Ref.ID)
+				c.Node(1).Lifetime().Tracker().Flush()
+			}
+			waiter, reached := probedClient(c.Node(1))
+			got := asyncGet(testCtx(t), waiter, ref)
+			<-reached
+			c.KillNode(0) // cancels the blocker's context; the queued task dies with the queue
+			r := <-got
+			if r.err == nil && r.v == -5 || !held && errors.Is(r.err, core.ErrReclaimed) {
+				return
+			}
+			t.Fatalf("Get after the owner died = %d, %v", r.v, r.err)
+		})
 	}
 }
 

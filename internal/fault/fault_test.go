@@ -20,7 +20,7 @@ func TestRequestObjectReadyIsNoop(t *testing.T) {
 		called = true
 		return nil
 	}}
-	if err := r.RequestObject(obj); err != nil {
+	if err := r.RequestReturn(obj, types.NilTaskID); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -43,7 +43,7 @@ func TestRequestObjectReplaysProducer(t *testing.T) {
 		resubmitted = &s
 		return nil
 	}}
-	if err := r.RequestObject(obj); err != nil {
+	if err := r.RequestReturn(obj, types.NilTaskID); err != nil {
 		t.Fatal(err)
 	}
 	if resubmitted == nil || resubmitted.ID != spec.ID {
@@ -69,7 +69,7 @@ func TestRequestObjectPutIsNotReconstructable(t *testing.T) {
 	ctrl.RemoveObjectLocation(obj, node)
 
 	r := &Reconstructor{Ctrl: ctrl, Resubmit: func(s types.TaskSpec) error { return nil }}
-	err := r.RequestObject(obj)
+	err := r.RequestReturn(obj, types.NilTaskID)
 	if !errors.Is(err, ErrNotReconstructable) {
 		t.Fatalf("err = %v", err)
 	}
@@ -79,7 +79,7 @@ func TestRequestObjectUnknown(t *testing.T) {
 	ctrl := gcs.NewStore(2)
 	r := &Reconstructor{Ctrl: ctrl, Resubmit: func(s types.TaskSpec) error { return nil }}
 	obj := types.ObjectIDForReturn(types.DeriveTaskID(types.NilTaskID, 4), 0)
-	if err := r.RequestObject(obj); err == nil {
+	if err := r.RequestReturn(obj, types.NilTaskID); err == nil {
 		t.Fatal("unknown object accepted")
 	}
 }
@@ -110,7 +110,7 @@ func (d *deadCtrl) GetTask(id types.TaskID) (types.TaskState, bool) {
 func (d *deadCtrl) Ping() bool { return false }
 
 // TestRequestObjectDeadControlPlaneIsRetryable is the regression test for
-// the resolver-wedging bug: RequestObject against a dead GCS incarnation
+// the resolver-wedging bug: RequestReturn against a dead GCS incarnation
 // must return ErrControlUnavailable — a retryable error the resolver loop
 // keeps waiting on — instead of a permanent "object unknown" failure (or,
 // worse, a spurious replay of a healthy task).
@@ -125,7 +125,7 @@ func TestRequestObjectDeadControlPlaneIsRetryable(t *testing.T) {
 		Ctrl:     &deadCtrl{API: backing, deadObjects: true},
 		Resubmit: func(types.TaskSpec) error { t.Fatal("resubmitted through a dead control plane"); return nil },
 	}
-	err := r.RequestObject(obj)
+	err := r.RequestReturn(obj, types.NilTaskID)
 	if !errors.Is(err, ErrControlUnavailable) {
 		t.Fatalf("object lookup against dead GCS: err = %v, want ErrControlUnavailable", err)
 	}
@@ -133,7 +133,7 @@ func TestRequestObjectDeadControlPlaneIsRetryable(t *testing.T) {
 	// Same when the object read succeeds but the lineage lookup hits the
 	// dead shard.
 	r.Ctrl = &deadCtrl{API: backing, deadTasks: true}
-	err = r.RequestObject(obj)
+	err = r.RequestReturn(obj, types.NilTaskID)
 	if !errors.Is(err, ErrControlUnavailable) {
 		t.Fatalf("lineage lookup against dead GCS: err = %v, want ErrControlUnavailable", err)
 	}
@@ -145,7 +145,7 @@ func TestRequestObjectDeadControlPlaneIsRetryable(t *testing.T) {
 	// attempted; accept it quietly to prove the error cleared.
 	resubmitted := false
 	r.Resubmit = func(types.TaskSpec) error { resubmitted = true; return nil }
-	if err := r.RequestObject(obj); err != nil {
+	if err := r.RequestReturn(obj, types.NilTaskID); err != nil {
 		t.Fatalf("after recovery: %v", err)
 	}
 	if !resubmitted {
@@ -163,7 +163,7 @@ func TestRequestObjectMissingLineage(t *testing.T) {
 	ctrl.RemoveObjectLocation(obj, node)
 
 	r := &Reconstructor{Ctrl: ctrl, Resubmit: func(s types.TaskSpec) error { return nil }}
-	if err := r.RequestObject(obj); err == nil {
+	if err := r.RequestReturn(obj, types.NilTaskID); err == nil {
 		t.Fatal("missing lineage record accepted")
 	}
 }

@@ -89,15 +89,20 @@ func (r *Reconstructor) deriveProducer(id types.ObjectID) (types.TaskState, bool
 	return types.TaskState{}, false
 }
 
-// RequestObject triggers reconstruction of id if it is lost, or if it is
+// RequestReturn triggers reconstruction of id if it is lost, or if it is
 // pending but its producer is stranded (recorded on a node that has died —
 // which covers both tasks that were running there and tasks that sat in its
 // queues without ever being dispatched). It returns nil when the object is
 // ready, healthily being produced, or a replay was initiated; the caller
 // continues waiting for the object-ready notification. Transitive
 // reconstruction of the replayed task's own lost inputs happens naturally:
-// the scheduler's dependency resolver calls back into RequestObject for
-// each unavailable dependency it encounters.
+// the scheduler's resolve loop calls back into RequestReturn for each
+// unavailable dependency it encounters.
+//
+// A caller that knows id is a return of task (a future carries its
+// producer) passes it: where the record has no producer edge, the one
+// task-table read replaces the scan that derives it. Others pass
+// types.NilTaskID.
 //
 // An object with no lineage anywhere — no producer edge on its record (or
 // no record) and no task in the table that returns it — yields
@@ -105,13 +110,6 @@ func (r *Reconstructor) deriveProducer(id types.ObjectID) (types.TaskState, bool
 // task the table does not know was retired (or never submitted), and there
 // is nothing to wait for. Callers ask only after a first poll, so the one
 // flush interval by which an edge may trail its task costs no scan.
-func (r *Reconstructor) RequestObject(id types.ObjectID) error {
-	return r.RequestReturn(id, types.NilTaskID)
-}
-
-// RequestReturn is RequestObject by a caller that knows id is a return of
-// task (a future carries its producer): where the record has no producer
-// edge, the one task-table read replaces the scan that derives it.
 func (r *Reconstructor) RequestReturn(id types.ObjectID, task types.TaskID) error {
 	info, ok := r.Ctrl.GetObject(id)
 	if !ok {

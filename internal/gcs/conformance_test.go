@@ -99,13 +99,13 @@ func oneShard(t *testing.T, nw transport.Network, addr string) (*Sharded, *Store
 	store := NewStore(4)
 	log := newWireLog()
 	srv := transport.NewServer()
-	RegisterSingleShard(recordingRegistrar{srv, log}, store, addr)
 	l, err := nw.Listen(addr, srv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	client, err := NewSharded(ShardedConfig{Network: recordingNetwork{nw, log}, MapAddr: addr})
+	RegisterSingleShard(recordingRegistrar{srv, log}, store, l.Addr())
+	client, err := NewSharded(ShardedConfig{Network: recordingNetwork{nw, log}, MapAddr: l.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAPIConformance(t *testing.T) {
 			return c, s.GetTask, log
 		}},
 		{"one-shard/tcp", func(t *testing.T) (API, backing, *wireLog) {
-			c, s, log := oneShard(t, transport.TCP{}, "127.0.0.1:39481")
+			c, s, log := oneShard(t, transport.TCP{}, "127.0.0.1:0")
 			return c, s.GetTask, log
 		}},
 		{"three-supervised-shards", func(t *testing.T) (API, backing, *wireLog) {

@@ -20,7 +20,6 @@ import (
 // peer open. Over real TCP closing it fails every other call in flight on
 // it, so the concurrent pull of an object that IS there would die too.
 func TestMissingObjectKeepsPeerConnection(t *testing.T) {
-	const addr = "127.0.0.1:39191"
 	present, absent := testObj(60), testObj(61)
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -33,11 +32,12 @@ func TestMissingObjectKeepsPeerConnection(t *testing.T) {
 		<-release
 		return []byte("present"), nil
 	})
-	l, err := transport.TCP{}.Listen(addr, srv)
+	l, err := transport.TCP{}.Listen("127.0.0.1:0", srv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	addr := l.Addr()
 
 	ctrl := gcs.NewStore(1)
 	dst := objectstore.New(testNode(99), ctrl, 0)
@@ -247,7 +247,6 @@ func TestDeliverFallsBackQuietly(t *testing.T) {
 // A stalled origin holds the executor for deliverTimeout at most, over a
 // real connection; giving up closes it, and the next delivery redials.
 func TestDeliverGivesUpOnAStalledOrigin(t *testing.T) {
-	const addr = "127.0.0.1:39192"
 	release := make(chan struct{})
 	var stalled atomic.Bool
 	stalled.Store(true)
@@ -261,11 +260,12 @@ func TestDeliverGivesUpOnAStalledOrigin(t *testing.T) {
 		copy(id[:], payload)
 		return nil, origin.Put(id, payload[types.IDSize:])
 	})
-	l, err := transport.TCP{}.Listen(addr, srv)
+	l, err := transport.TCP{}.Listen("127.0.0.1:0", srv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	addr := l.Addr()
 	defer close(release)
 	reg := metrics.NewRegistry()
 	pm := NewPullManager(objectstore.New(testNode(2), gcs.NewStore(1), 0), gcs.NewStore(1), transport.TCP{},

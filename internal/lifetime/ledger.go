@@ -229,7 +229,9 @@ func (l *ledger[B, K]) flushLocked() bool {
 		if l.dead {
 			break
 		}
-		if rest := l.p.settleLocked(b.deltas, failed); len(failed) > 0 {
+		// Settle the batch as it stands now, not the one sent: Tracker.Forget
+		// may have swapped in a map without a key, which must stay out.
+		if rest := l.p.settleLocked(l.retry[0].deltas, failed); len(failed) > 0 {
 			l.retry[0].deltas = rest
 			l.mu.Unlock()
 			return false
@@ -253,14 +255,17 @@ func (l *ledger[B, K]) deliver(node types.NodeID, b B) bool {
 	return len(failed) == 0
 }
 
-// deltasOf is the part of a count-delta batch a shard did not take.
+// deltasOf is the part of a count-delta batch a shard did not take. A failed
+// key the batch no longer holds was forgotten during the send and is skipped.
 func deltasOf(deltas map[types.ObjectID]int64, failed []types.ObjectID) map[types.ObjectID]int64 {
 	if len(failed) == 0 {
 		return nil
 	}
 	sub := make(map[types.ObjectID]int64, len(failed))
 	for _, id := range failed {
-		sub[id] = deltas[id]
+		if d, ok := deltas[id]; ok {
+			sub[id] = d
+		}
 	}
 	return sub
 }

@@ -1,7 +1,9 @@
 package lifetime
 
 import (
+	"maps"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -211,4 +213,79 @@ func TestLedgerFlushLagGauges(t *testing.T) {
 	if got := gauges(); got != [4]int64{} {
 		t.Fatalf("after a clean flush = %v, want all zero", got)
 	}
+}
+
+// flakyRefs is a control plane whose first `fails` refcount flushes reach no
+// shard and whose later ones land. The second call closes sending as it
+// starts, so the caller can act while the send is under way; with resume
+// set, that call then waits for it before it returns.
+type flakyRefs struct {
+	*gcs.Store
+	fails   int64
+	calls   atomic.Int64
+	sending chan struct{}
+	resume  chan struct{}
+}
+
+func (c *flakyRefs) ModifyObjectRefCounts(node types.NodeID, deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
+	n := c.calls.Add(1)
+	var failed []types.ObjectID
+	if n <= c.fails {
+		failed = slices.Collect(maps.Keys(deltas))
+	}
+	if n == 2 {
+		close(c.sending)
+		if c.resume != nil {
+			<-c.resume
+		}
+	}
+	if failed != nil {
+		return failed
+	}
+	return c.Store.ModifyObjectRefCounts(node, deltas, op)
+}
+
+// TestForgetRacingRedelivery: Forget runs while a flush redelivers a parked
+// batch with the ledger's mutex released. It must leave the map being sent
+// alone — under -race a write to it is reported — and the forgotten object
+// is gone from the ledger whether the redelivery lands or fails again: a
+// failed one re-parks what is left of the batch, not what it sent.
+func TestForgetRacingRedelivery(t *testing.T) {
+	a, b := sweepObjID(201), sweepObjID(202)
+	t.Run("lands", func(t *testing.T) {
+		for i := 0; i < 100; i++ {
+			ctrl := &flakyRefs{Store: gcs.NewStore(1), fails: 1, sending: make(chan struct{})}
+			tr := NewTracker(ctrl) // unstarted: the Retain flushes inline, and its batch parks
+			tr.Retain(a, b)
+			redelivered := make(chan bool)
+			go func() { redelivered <- tr.Flush() }()
+			<-ctrl.sending
+			tr.Forget(a)
+			if !<-redelivered {
+				t.Fatal("the redelivery did not land")
+			}
+			if tr.Held(a) != 0 || tr.Held(b) != 1 || len(tr.Unflushed()) != 0 {
+				t.Fatalf("after the race: held a=%d b=%d, unflushed %v", tr.Held(a), tr.Held(b), tr.Unflushed())
+			}
+		}
+	})
+	t.Run("fails again", func(t *testing.T) {
+		ctrl := &flakyRefs{Store: gcs.NewStore(1), fails: 2, sending: make(chan struct{}), resume: make(chan struct{})}
+		tr := NewTracker(ctrl)
+		tr.Retain(a, b)
+		redelivered := make(chan bool)
+		go func() { redelivered <- tr.Flush() }()
+		<-ctrl.sending
+		tr.Forget(a)
+		close(ctrl.resume)
+		if <-redelivered {
+			t.Fatal("the redelivery landed; want it to fail")
+		}
+		if got := tr.Unflushed(); len(got) != 1 || got[b] != 1 {
+			t.Fatalf("re-parked %v, want only b's +1", got)
+		}
+		if !tr.Flush() || len(tr.Unflushed()) != 0 {
+			t.Fatalf("the third delivery did not land: unflushed %v", tr.Unflushed())
+		}
+	})
 }

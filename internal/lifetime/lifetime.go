@@ -137,13 +137,17 @@ func (t *Tracker) Unflushed() map[types.ObjectID]int64 {
 // §14), so flushing this node's holds — or replaying their unflushed
 // retains — would only fight the force-release. Pending and parked deltas
 // for the object are discarded; a later Release of a surviving handle
-// no-ops through the held<=0 guard.
+// no-ops through the held<=0 guard. A parked batch's map is replaced, never
+// written: a redelivery may be sending it with mu released.
 func (t *Tracker) Forget(id types.ObjectID) {
 	t.mu.Lock()
 	delete(t.held, id)
 	delete(t.pending, id)
-	for _, b := range t.retry {
-		delete(b.deltas, id)
+	for i, b := range t.retry {
+		if _, ok := b.deltas[id]; ok {
+			t.retry[i].deltas = maps.Clone(b.deltas)
+			delete(t.retry[i].deltas, id)
+		}
 	}
 	t.mu.Unlock()
 }

@@ -280,13 +280,13 @@ func TestChunkedPullOverTCP(t *testing.T) {
 	dst := objectstore.New(testNode(2), ctrl, 0)
 	srv := transport.NewServer()
 	objectstore.RegisterPullHandler(srv, src)
-	l, err := transport.TCP{}.Listen("127.0.0.1:39281", srv)
+	l, err := transport.TCP{}.Listen("127.0.0.1:0", srv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	pm := NewPullManager(dst, ctrl, transport.TCP{}, func(n types.NodeID) (string, bool) {
-		return "127.0.0.1:39281", n == testNode(1)
+		return l.Addr(), n == testNode(1)
 	}, PullConfig{ChunkSize: 32 << 10})
 	defer pm.Close()
 	id := testObj(36)

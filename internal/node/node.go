@@ -9,9 +9,7 @@ package node
 import (
 	"context"
 	"crypto/rand"
-	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,7 +90,8 @@ type Config struct {
 	Network transport.Network
 	// ListenAddr is the node server's bind address.
 	ListenAddr string
-	// AdvertiseAddr is the address peers dial; defaults to ListenAddr.
+	// AdvertiseAddr is the address peers dial; defaults to the address the
+	// node bound (ListenAddr with an ephemeral port resolved).
 	AdvertiseAddr string
 	// Ctrl is the control plane.
 	Ctrl gcs.API
@@ -100,8 +99,6 @@ type Config struct {
 	Registry *core.Registry
 	// HeartbeatInterval for load reporting; 0 disables heartbeats.
 	HeartbeatInterval time.Duration
-	// DepPollInterval is forwarded to the local scheduler (tests tighten it).
-	DepPollInterval time.Duration
 	// DisablePrefetch turns off park-time dependency prefetch (E19).
 	DisablePrefetch bool
 	// DrainPollInterval bounds how quickly the node notices a Draining
@@ -152,7 +149,7 @@ type Node struct {
 	draining atomic.Bool
 
 	server   *transport.Server
-	listener io.Closer
+	listener transport.Listener
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -165,9 +162,10 @@ type worker = executorShim
 
 // reconstructor is what the node asks of the fault-tolerance layer
 // (fault.Reconstructor): make a lost object, or one whose producer is
-// stranded on a dead node, resolvable again.
+// stranded on a dead node, resolvable again. The scheduler's resolver reads
+// the field at call time, so a wrapper put in front of it after New (a test's
+// counter) sees every call.
 type reconstructor interface {
-	RequestObject(id types.ObjectID) error
 	RequestReturn(id types.ObjectID, task types.TaskID) error
 }
 
@@ -180,15 +178,12 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Resources == nil {
 		cfg.Resources = types.CPU(8)
 	}
-	if cfg.AdvertiseAddr == "" {
-		cfg.AdvertiseAddr = cfg.ListenAddr
-	}
 	var id types.NodeID
 	if _, err := rand.Read(id[:]); err != nil {
 		return nil, err
 	}
 
-	n := &Node{id: id, addr: cfg.AdvertiseAddr, cfg: cfg, ctrl: cfg.Ctrl, stop: make(chan struct{})}
+	n := &Node{id: id, cfg: cfg, ctrl: cfg.Ctrl, stop: make(chan struct{})}
 	if !cfg.DisableTelemetry {
 		n.reg = cfg.Metrics
 		if n.reg == nil {
@@ -250,24 +245,6 @@ func New(cfg Config) (*Node, error) {
 	// job-record read and quota usage scan across a burst of submissions.
 	n.admit = jobs.NewAdmission(cfg.Ctrl, 0)
 
-	n.sched = scheduler.NewLocal(scheduler.LocalConfig{
-		Node:            id,
-		Total:           cfg.Resources,
-		Ctrl:            cfg.Ctrl,
-		Store:           n.store,
-		Fetcher:         n.fetcher,
-		Refs:            n.life.Tracker(),
-		Ledger:          n.taskled,
-		SpillThreshold:  cfg.SpillThreshold,
-		DepPollInterval: cfg.DepPollInterval,
-		DisablePrefetch: cfg.DisablePrefetch,
-		Metrics:         n.reg,
-		Tracer:          n.tracer,
-		JobFence: func(id types.JobID) bool {
-			info, ok := n.admit.Job(id)
-			return ok && info.State != types.JobRunning
-		},
-	})
 	n.recon = &fault.Reconstructor{
 		Ctrl:   cfg.Ctrl,
 		Ledger: n.taskled,
@@ -278,10 +255,23 @@ func New(cfg Config) (*Node, error) {
 			return n.sched.Submit(spec, false)
 		},
 	}
-	n.sched.SetRecon(func(obj types.ObjectID) {
-		if errors.Is(n.recon.RequestObject(obj), types.ErrReclaimed) {
-			n.sched.FailParkedOn(obj) // nothing will ever produce it
-		}
+	n.sched = scheduler.NewLocal(scheduler.LocalConfig{
+		Node:            id,
+		Total:           cfg.Resources,
+		Ctrl:            cfg.Ctrl,
+		Store:           n.store,
+		Fetcher:         n.fetcher,
+		Refs:            n.life.Tracker(),
+		Ledger:          n.taskled,
+		Recon:           func(id types.ObjectID, task types.TaskID) error { return n.recon.RequestReturn(id, task) },
+		SpillThreshold:  cfg.SpillThreshold,
+		DisablePrefetch: cfg.DisablePrefetch,
+		Metrics:         n.reg,
+		Tracer:          n.tracer,
+		JobFence: func(id types.JobID) bool {
+			info, ok := n.admit.Job(id)
+			return ok && info.State != types.JobRunning
+		},
 	})
 	n.exec = newExecutorShim(n)
 	n.sched.SetExec(n.exec.Execute)
@@ -334,8 +324,12 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node: listen %s: %w", cfg.ListenAddr, err)
 	}
 	n.listener = listener
+	n.addr = cfg.AdvertiseAddr
+	if n.addr == "" {
+		n.addr = listener.Addr()
+	}
 
-	cfg.Ctrl.RegisterNode(types.NodeInfo{ID: id, Addr: cfg.AdvertiseAddr, Total: cfg.Resources.Clone()})
+	cfg.Ctrl.RegisterNode(types.NodeInfo{ID: id, Addr: n.addr, Total: cfg.Resources.Clone()})
 	n.life.Start()
 	n.taskled.Start()
 	n.sched.Start()
@@ -610,7 +604,7 @@ func (n *Node) ResolveTaskOutput(ctx context.Context, task types.TaskID, id type
 			return nil, scheduler.ErrStopped
 		}
 	}
-	return n.resolve(ctx, id, task)
+	return n.sched.Resolve(ctx, id, task)
 }
 
 // AdmitJobTask implements core.JobGate: one tenanted submission is decided
@@ -621,84 +615,10 @@ func (n *Node) AdmitJobTask(job types.JobID) error { return n.admit.Admit(job) }
 // TaskLedger exposes the owner-side task ledger (tests, dashboards).
 func (n *Node) TaskLedger() *lifetime.TaskLedger { return n.taskled }
 
-// ResolveObject implements core.Backend: block until the object is locally
-// resident, pulling remote copies and replaying lineage for lost ones. This
-// is the machinery under every Get. A reader that comes too late — the
-// object's record and its producer's were retired (DESIGN.md §17) — gets
-// types.ErrReclaimed within one poll, not a wait for something that no
-// longer has a way to appear.
+// ResolveObject implements core.Backend: the local scheduler's resolver
+// (scheduler.Local.Resolve), run on the caller's goroutine.
 func (n *Node) ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, error) {
-	return n.resolve(ctx, id, types.NilTaskID)
-}
-
-// resolve is ResolveObject; task, when known, is the task id is a return of.
-func (n *Node) resolve(ctx context.Context, id types.ObjectID, task types.TaskID) ([]byte, error) {
-	if data, ok := n.store.Get(id); ok {
-		return data, nil
-	}
-	sub := n.ctrl.Subscribe(gcs.TopicObjectReady, id)
-	defer sub.Close()
-	poll := time.NewTicker(10 * time.Millisecond)
-	defer poll.Stop()
-	// Stranded-producer probing is throttled (see scheduler.Local.resolveDep
-	// for the rationale); every 20 wakeups ≈ 200ms worst case to detect a
-	// producer that died while queued. The count starts at 1 so the first
-	// probe comes a period in: a Get of a pending object on a healthy
-	// producer — every remote round trip — pays none.
-	const strandedCheckPeriod = 20
-	wakeups := 1
-	for {
-		if data, ok := n.store.Get(id); ok {
-			return data, nil
-		}
-		info, ok := n.ctrl.GetObject(id)
-		switch {
-		case !ok || info.State == types.ObjectPending && info.Producer.IsNil():
-			// No lineage in sight. On the first look that is the producer
-			// edge trailing its task by a ledger flush; after a poll it is
-			// worth asking whether any task returns the object at all.
-			if wakeups > 1 {
-				if err := n.recon.RequestReturn(id, task); err != nil && !errors.Is(err, fault.ErrControlUnavailable) {
-					return nil, err
-				}
-			}
-		case info.State == types.ObjectReady:
-			if len(info.Locations) > 0 {
-				fctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-				err := n.fetcher.FetchObject(fctx, info)
-				cancel()
-				if err == nil {
-					continue
-				}
-			}
-		case info.State == types.ObjectLost:
-			if err := n.recon.RequestObject(id); err != nil && !errors.Is(err, fault.ErrControlUnavailable) {
-				return nil, err
-			}
-			// ErrControlUnavailable is retryable: a GCS incarnation died
-			// mid-request. Keep waiting; the request is re-issued against
-			// the restarted shard on a later wakeup.
-		case info.State == types.ObjectPending:
-			// The reconstructor no-ops for healthy in-flight producers
-			// and replays producers stranded on dead nodes.
-			if wakeups%strandedCheckPeriod == 0 {
-				if err := n.recon.RequestObject(id); err != nil && !errors.Is(err, fault.ErrControlUnavailable) {
-					return nil, err
-				}
-			}
-		}
-		wakeups++
-		arrival := n.store.WaitChan(id)
-		select {
-		case <-arrival:
-		case <-sub.C():
-		case <-poll.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-n.stop:
-			return nil, scheduler.ErrStopped
-		}
-	}
+	return n.sched.Resolve(ctx, id, types.NilTaskID)
 }
 
 // --- lifecycle ---

@@ -222,7 +222,7 @@ func TestTCPClusterSmoke(t *testing.T) {
 	n1, err := New(Config{
 		Resources:      types.CPU(2),
 		Network:        nw,
-		ListenAddr:     "127.0.0.1:39381",
+		ListenAddr:     "127.0.0.1:0",
 		Ctrl:           ctrl,
 		Registry:       reg,
 		SpillThreshold: scheduler.SpillNever,
@@ -234,7 +234,7 @@ func TestTCPClusterSmoke(t *testing.T) {
 	n2, err := New(Config{
 		Resources:      types.CPU(2),
 		Network:        nw,
-		ListenAddr:     "127.0.0.1:39382",
+		ListenAddr:     "127.0.0.1:0",
 		Ctrl:           ctrl,
 		Registry:       reg,
 		SpillThreshold: scheduler.SpillNever,
@@ -285,7 +285,7 @@ func TestTCPClusterSmoke(t *testing.T) {
 		Resources:  types.CPU(1),
 		Origin:     n1.ID(),
 	}
-	client, err := nw.Dial("127.0.0.1:39382")
+	client, err := nw.Dial(n2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,9 +393,9 @@ type countingRecon struct {
 	calls atomic.Int64
 }
 
-func (c *countingRecon) RequestObject(id types.ObjectID) error {
+func (c *countingRecon) RequestReturn(id types.ObjectID, task types.TaskID) error {
 	c.calls.Add(1)
-	return c.reconstructor.RequestObject(id)
+	return c.reconstructor.RequestReturn(id, task)
 }
 
 // countRecon puts a counter in front of n's reconstructor. Call it before

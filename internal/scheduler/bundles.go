@@ -89,11 +89,10 @@ func (l *Local) ReleaseGroup(group types.PlacementGroupID, removed bool) {
 		}
 	}
 	l.runnable = kept
-	for id, w := range l.waiting {
+	for _, w := range l.waiting {
 		if w.spec.Group == group {
 			members = append(members, w.spec)
-			delete(l.waiting, id)
-			close(w.cancel) // stop its resolvers' polling and fetching
+			l.unparkLocked(w)
 		}
 	}
 	l.mu.Unlock()

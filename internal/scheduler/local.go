@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/gcs"
 	"repro/internal/jobs"
 	"repro/internal/metrics"
@@ -19,12 +20,6 @@ import (
 // bytes. The local scheduler invokes it on a dedicated goroutine after
 // acquiring the task's resources.
 type ExecFunc func(ctx context.Context, spec types.TaskSpec, args [][]byte)
-
-// ReconFunc asks the fault-tolerance layer to make a lost object
-// reconstructable again (lineage replay). May be nil when fault tolerance
-// is disabled. Where it finds the object has no lineage left at all, it
-// calls FailParkedOn.
-type ReconFunc func(id types.ObjectID)
 
 // Fetcher pulls a remote object into the local store. lifetime.PullManager
 // is the production implementation (chunked, with per-peer backpressure).
@@ -39,7 +34,7 @@ type Fetcher interface {
 // background pulls for a whole dependency set at once (lifetime.PullManager
 // does). When a task parks waiting, the scheduler hands over its full
 // missing-dependency list so overlapping chunked pulls begin immediately,
-// before the per-dependency resolvers have even attached their readiness
+// before the per-object resolvers have even attached their readiness
 // subscriptions (which on a sharded control plane each cost a stream
 // round trip).
 type Prefetcher interface {
@@ -129,15 +124,15 @@ type LocalConfig struct {
 	Ledger TaskLedger
 	// Exec runs ready tasks (assigned after construction by the node).
 	Exec ExecFunc
-	// Recon triggers lineage reconstruction of lost dependencies.
-	Recon ReconFunc
+	// Recon asks the fault-tolerance layer to make an object — lost, or
+	// pending on a producer stranded on a dead node — resolvable again by
+	// lineage replay; task, when known, is the task it is a return of.
+	// fault.Reconstructor.RequestReturn; nil disables reconstruction.
+	Recon func(id types.ObjectID, task types.TaskID) error
 	// SpillThreshold: locally-born tasks spill to the global scheduler when
 	// the runnable backlog reaches this length. SpillNever / SpillAlways
 	// select the extremes.
 	SpillThreshold int
-	// DepPollInterval bounds how stale a missed object-ready edge can be;
-	// the pub/sub fast path makes it rarely matter. Zero selects a default.
-	DepPollInterval time.Duration
 	// DisablePrefetch turns off the park-time dependency prefetch (the
 	// before/after arm of experiment E19).
 	DisablePrefetch bool
@@ -166,12 +161,24 @@ type queuedTask struct {
 type waitingTask struct {
 	spec    types.TaskSpec
 	missing map[types.ObjectID]bool
-	// cancel is closed when the task is evicted from the waiting set
-	// without its dependencies arriving (placement-group release), so its
-	// resolver goroutines stop polling — and stop fetching bytes a task
-	// that will never run here has no use for.
-	cancel chan struct{}
 }
+
+// parkedObj is one row of the dependency table: the tasks parked on one
+// missing object, and the cancel of its one resolver. The row goes, and the
+// resolver stops polling and fetching, once no parked task needs the object.
+type parkedObj struct {
+	tasks  map[types.TaskID]*waitingTask
+	cancel context.CancelFunc
+}
+
+// The resolve loop's periods (DESIGN.md §4.2): a missed object-ready edge
+// is noticed within pollPeriod, and a pending object's producer is probed
+// for a stranded task every strandedPeriod wakeups (≤ 200 ms), starting one
+// period in, so a healthy producer costs no probe.
+const (
+	pollPeriod     = 10 * time.Millisecond
+	strandedPeriod = 20
+)
 
 // Local is the per-node scheduler: the first stop for every task born on
 // this node (bottom-up scheduling). Tasks become runnable when their
@@ -189,7 +196,8 @@ type Local struct {
 	mu       sync.Mutex
 	runnable []*queuedTask
 	waiting  map[types.TaskID]*waitingTask
-	bundles  map[bundleKey]*resourcePool // gang reservations held here
+	parked   map[types.ObjectID]*parkedObj // the dependency table: waiting, by object
+	bundles  map[bundleKey]*resourcePool   // gang reservations held here
 	// holding maps a dispatched task to the pool instance it acquired its
 	// resources from. Releases must go through this exact instance: a
 	// bundle released and re-reserved creates a NEW pool under the same
@@ -234,13 +242,11 @@ func NewLocal(cfg LocalConfig) *Local {
 	if cfg.Ledger == nil {
 		panic("scheduler: LocalConfig.Ledger is required")
 	}
-	if cfg.DepPollInterval <= 0 {
-		cfg.DepPollInterval = 20 * time.Millisecond
-	}
 	l := &Local{
 		cfg:     cfg,
 		res:     newResourcePool(cfg.Total),
 		waiting: make(map[types.TaskID]*waitingTask),
+		parked:  make(map[types.ObjectID]*parkedObj),
 		holding: make(map[types.TaskID]*resourcePool),
 	}
 	l.stopCtx, l.stopCancel = context.WithCancel(context.Background())
@@ -253,6 +259,11 @@ func NewLocal(cfg LocalConfig) *Local {
 	if cfg.Metrics != nil {
 		cfg.Metrics.GaugeFunc("scheduler.queue.depth", func() int64 { return int64(l.QueueLen()) })
 		cfg.Metrics.GaugeFunc("scheduler.waiting.depth", func() int64 { return int64(l.WaitingLen()) })
+		cfg.Metrics.GaugeFunc("scheduler.waiting.objects", func() int64 {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			return int64(len(l.parked))
+		})
 	}
 	return l
 }
@@ -291,10 +302,9 @@ func (l *Local) Stop() {
 		abandoned = append(abandoned, t.spec)
 	}
 	l.runnable = nil
-	for id, w := range l.waiting {
+	for _, w := range l.waiting {
 		abandoned = append(abandoned, w.spec)
-		delete(l.waiting, id)
-		close(w.cancel) // stop its resolvers' polling and fetching
+		l.unparkLocked(w)
 	}
 	l.mu.Unlock()
 	l.stopCancel()
@@ -502,7 +512,7 @@ func (l *Local) releaseBridge(task types.TaskID, deps []types.ObjectID) {
 		}
 		select {
 		case <-sub.C():
-		case <-time.After(l.cfg.DepPollInterval):
+		case <-time.After(pollPeriod):
 		case <-l.stopCtx.Done():
 			// Node stopping mid-bridge: keep the borrow rather than expose
 			// a task still parked in the queue. Node.Shutdown's tracker
@@ -561,10 +571,9 @@ func (l *Local) DrainBacklog() int {
 		evicted = append(evicted, t.spec)
 	}
 	l.runnable = nil
-	for id, w := range l.waiting {
+	for _, w := range l.waiting {
 		evicted = append(evicted, w.spec)
-		delete(l.waiting, id)
-		close(w.cancel) // stop its resolvers' polling and fetching
+		l.unparkLocked(w)
 	}
 	l.mu.Unlock()
 	for _, spec := range evicted {
@@ -600,9 +609,6 @@ func (l *Local) spillAway(spec types.TaskSpec) {
 // (The node wires this after constructing the executor, which needs the
 // node itself as the tasks' API backend.)
 func (l *Local) SetExec(fn ExecFunc) { l.cfg.Exec = fn }
-
-// SetRecon assigns the lost-object reconstruction trigger.
-func (l *Local) SetRecon(fn ReconFunc) { l.cfg.Recon = fn }
 
 // record writes the lineage record; reports whether the task is new.
 // The lineage ensure runs unconditionally (it is create-or-heal): a
@@ -693,7 +699,8 @@ func (l *Local) outputsIntact(spec types.TaskSpec) bool {
 }
 
 // enqueue moves a task into runnable or waiting depending on dependency
-// residency, starting a resolver per missing dependency (dataflow trigger).
+// residency, parking it in the dependency table under each missing object
+// (dataflow trigger).
 func (l *Local) enqueue(spec types.TaskSpec) {
 	// Drain divert: paths that bypass Submit's fence (the executor's retry
 	// re-enqueue, runTask's evicted-args requeue, racing placements) land
@@ -706,7 +713,7 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 	// Prefetch the missing dependency set before anything else: the pulls
 	// run in the background while the control-plane writes below (status
 	// stamp, per-dependency borrow retains) pay their round trips, so by
-	// the time the per-dependency resolvers attach, small dependencies are
+	// the time the per-object resolvers attach, small dependencies are
 	// often already local (E19). The snapshot races nothing: prefetch is
 	// best-effort and the authoritative missing set is recomputed under
 	// the lock below.
@@ -753,11 +760,9 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 	// in-process append that rides the next batched flush.
 	l.cfg.Ledger.Transition(spec.ID, types.TaskQueued, types.NilWorkerID, "")
 	missing := make(map[types.ObjectID]bool)
-	var missingList []types.ObjectID
 	for _, dep := range spec.Deps() {
 		if !missing[dep] && !l.cfg.Store.Contains(dep) {
 			missing[dep] = true
-			missingList = append(missingList, dep)
 		}
 	}
 	l.mu.Lock()
@@ -775,102 +780,157 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 		l.dispatchReady()
 		return
 	}
-	w := &waitingTask{spec: spec, missing: missing, cancel: make(chan struct{})}
+	w := &waitingTask{spec: spec, missing: missing}
 	l.waiting[spec.ID] = w
-	// Counted under the lock that checked stopped, so Stop's wg.Wait cannot
-	// slip between the check and the resolvers' registration.
-	l.wg.Add(len(missingList))
+	for dep := range missing {
+		row := l.parked[dep]
+		if row == nil {
+			// The object's first parked task starts its one resolver, counted
+			// under the lock that checked stopped, so Stop's wg.Wait cannot
+			// slip between the check and the resolver's registration.
+			row = &parkedObj{tasks: make(map[types.TaskID]*waitingTask)}
+			var ctx context.Context
+			ctx, row.cancel = context.WithCancel(l.stopCtx)
+			l.parked[dep] = row
+			l.wg.Add(1)
+			go l.resolveParked(ctx, dep)
+		}
+		row.tasks[spec.ID] = w
+	}
 	l.mu.Unlock()
-	// Spawn resolvers from the snapshot slice, not the map: once the
-	// waiting entry is published, resolvers may delete from the map
-	// concurrently (depSatisfied holds the lock; this loop does not).
-	for _, dep := range missingList {
-		go l.resolveDep(spec.ID, dep, w.cancel)
+}
+
+// Resolve blocks until id is resident here and returns its bytes, pulling a
+// remote copy and replaying lineage for a lost one: the machinery under
+// every Get. task, when known, is the task id is a return of. It returns
+// any reconstructor error but the transient fault.ErrControlUnavailable, so
+// a reader of a retired object (DESIGN.md §17) gets types.ErrReclaimed.
+func (l *Local) Resolve(ctx context.Context, id types.ObjectID, task types.TaskID) ([]byte, error) {
+	if data, ok := l.cfg.Store.Get(id); ok {
+		return data, nil
+	}
+	return l.resolve(ctx, id, task, false)
+}
+
+// resolveParked is the one resolver of a missing object tasks are parked
+// on. It ends when the object lands, when nothing can produce it any more,
+// or when its row empties and cancels it.
+func (l *Local) resolveParked(ctx context.Context, obj types.ObjectID) {
+	defer l.wg.Done()
+	_, err := l.resolve(ctx, obj, types.NilTaskID, true)
+	switch {
+	case err == nil:
+		l.landed(obj)
+	case errors.Is(err, types.ErrReclaimed):
+		l.failParkedOn(obj)
 	}
 }
 
-// resolveDep drives one missing dependency to local residency: wait for it
-// to become ready (pub/sub with a poll safety net), fetch it from a peer,
-// or request reconstruction if it was lost.
-func (l *Local) resolveDep(task types.TaskID, obj types.ObjectID, cancel <-chan struct{}) {
-	defer l.wg.Done()
-	sub := l.cfg.Ctrl.Subscribe(gcs.TopicObjectReady, obj)
+// resolve is the one resolve loop, under a Get and under a parked
+// dependency: check the store, read the record, fetch, reconstruct or probe,
+// then wait for the arrival, the ready topic or a poll. It subscribes before
+// its first check, so no ready edge falls between them. A parked resolver
+// needs only residency, and fails only on types.ErrReclaimed.
+func (l *Local) resolve(ctx context.Context, id types.ObjectID, task types.TaskID, parked bool) ([]byte, error) {
+	sub := l.cfg.Ctrl.Subscribe(gcs.TopicObjectReady, id)
 	defer sub.Close()
-	// Stranded-producer checks are throttled: they exist to detect the rare
-	// case of a producer dying with the task still queued, so probing every
-	// ~25 wakeups (~0.5s at the default poll interval) detects failures
-	// promptly without taxing the control plane on healthy pending-heavy
-	// graphs. The count starts at 1 so the first probe comes a period in: a
-	// dependency parked on a healthy producer — nearly every one — pays
-	// none, and one whose producer was stranded before the task parked is
-	// replayed after at most strandedCheckPeriod × DepPollInterval.
-	const strandedCheckPeriod = 25
-	wakeups := 1
-	recon := l.cfg.Recon
-	if recon == nil {
-		recon = func(types.ObjectID) {}
-	}
-	for {
-		if l.cfg.Store.Contains(obj) {
-			l.depSatisfied(task, obj)
-			return
+	poll := time.NewTicker(pollPeriod)
+	defer poll.Stop()
+	for wakeups := 1; ; wakeups++ {
+		if parked {
+			if l.cfg.Store.Contains(id) {
+				return nil, nil
+			}
+		} else if data, ok := l.cfg.Store.Get(id); ok {
+			return data, nil
 		}
-		info, ok := l.cfg.Ctrl.GetObject(obj)
+		probe := false
+		info, ok := l.cfg.Ctrl.GetObject(id)
 		switch {
 		case !ok || info.State == types.ObjectPending && info.Producer.IsNil():
-			// No lineage in sight: on the first look, a producer edge one
-			// ledger flush behind its task. After a poll it is worth asking;
-			// if the object was retired (DESIGN.md §17) the task fails here
-			// instead of waiting for what nothing will produce.
-			if wakeups > 1 {
-				recon(obj)
-			}
+			// No lineage in sight. On the first look that is the producer
+			// edge trailing its task by a ledger flush; after a poll it is
+			// worth asking whether any task returns the object at all.
+			probe = wakeups > 1
 		case info.State == types.ObjectReady:
 			if l.cfg.Fetcher != nil && len(info.Locations) > 0 {
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				err := l.cfg.Fetcher.FetchObject(ctx, info)
+				fctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+				err := l.cfg.Fetcher.FetchObject(fctx, info)
 				cancel()
 				if err == nil {
 					continue
 				}
 			}
 		case info.State == types.ObjectLost:
-			recon(obj)
-		case wakeups%strandedCheckPeriod == 0:
-			// Pending: possibly a producer stranded on a dead node (queued
-			// or running there when it died). The reconstructor no-ops for
-			// healthy producers.
-			recon(obj)
+			probe = true
+		default:
+			// Pending: possibly a producer stranded on a dead node (queued or
+			// running there when it died). The reconstructor no-ops for
+			// healthy producers and replays stranded ones.
+			probe = wakeups%strandedPeriod == 0
 		}
-		wakeups++
-		localArrival := l.cfg.Store.WaitChan(obj)
+		if probe && l.cfg.Recon != nil {
+			err := l.cfg.Recon(id, task)
+			if errors.Is(err, types.ErrReclaimed) || err != nil && !parked && !errors.Is(err, fault.ErrControlUnavailable) {
+				return nil, err
+			}
+		}
 		select {
-		case <-localArrival:
+		case <-l.cfg.Store.WaitChan(id):
 		case <-sub.C():
-		case <-time.After(l.cfg.DepPollInterval):
-		case <-cancel:
-			return // task evicted from waiting (group release)
+		case <-poll.C:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		case <-l.stopCtx.Done():
-			return
+			return nil, ErrStopped
 		}
 	}
 }
 
-// FailParkedOn fails every task waiting here for obj, which no record says
-// anything can produce any more (types.ReasonReclaimed; Get on their returns
-// yields core.ErrReclaimed).
-func (l *Local) FailParkedOn(obj types.ObjectID) {
+// landed clears obj from every task parked on it; a task whose missing set
+// empties becomes runnable. One wake clears every dependency of the task that
+// has already landed, not just obj: under a busy runqueue each object's
+// resolver waits for a timeslice, so clearing strictly one per wake would
+// make the park→scheduled edge grow linearly in dependency count even when
+// all the objects are long since local.
+func (l *Local) landed(obj types.ObjectID) {
 	l.mu.Lock()
-	var parked []types.TaskSpec
-	for id, w := range l.waiting {
-		if w.missing[obj] {
-			parked = append(parked, w.spec)
-			delete(l.waiting, id)
-			close(w.cancel) // stop its resolvers' polling and fetching
+	ready := false
+	if row := l.parked[obj]; row != nil {
+		for id, w := range row.tasks {
+			for dep := range w.missing {
+				if dep == obj || l.cfg.Store.Contains(dep) {
+					delete(w.missing, dep)
+					l.unwaitLocked(dep, id)
+				}
+			}
+			if len(w.missing) == 0 {
+				delete(l.waiting, id)
+				l.runnable = append(l.runnable, &queuedTask{spec: w.spec, enqueuedAt: time.Now()})
+				ready = true
+			}
 		}
 	}
 	l.mu.Unlock()
-	for _, spec := range parked {
+	if ready {
+		l.dispatchReady()
+	}
+}
+
+// failParkedOn fails every task parked here on obj, which no record says
+// anything can produce any more (types.ReasonReclaimed; Get on their returns
+// yields core.ErrReclaimed).
+func (l *Local) failParkedOn(obj types.ObjectID) {
+	l.mu.Lock()
+	var failed []types.TaskSpec
+	if row := l.parked[obj]; row != nil {
+		for _, w := range row.tasks {
+			failed = append(failed, w.spec)
+			l.unparkLocked(w)
+		}
+	}
+	l.mu.Unlock()
+	for _, spec := range failed {
 		l.FailTask(spec, types.ReasonReclaimed+obj.String())
 		if l.cfg.Refs != nil {
 			l.cfg.Refs.Release(spec.Deps()...)
@@ -878,36 +938,25 @@ func (l *Local) FailParkedOn(obj types.ObjectID) {
 	}
 }
 
-// depSatisfied clears one dependency; the task becomes runnable when its
-// missing set empties.
-func (l *Local) depSatisfied(task types.TaskID, obj types.ObjectID) {
-	l.mu.Lock()
-	w, ok := l.waiting[task]
-	if !ok {
-		l.mu.Unlock()
-		return
-	}
-	delete(w.missing, obj)
-	// One wake clears every dependency that has already landed, not just
-	// its own: under a busy runqueue the per-dependency resolver goroutines
-	// each wait for a timeslice, so clearing strictly one-per-wake makes
-	// the park→scheduled edge grow linearly in dependency count even when
-	// all the objects are long since local. The sweep costs one local
-	// store lookup per still-missing dep; the bypassed resolvers find
-	// their object present on their next wake and exit.
+// unparkLocked evicts a waiting task: from the waiting set and from every
+// row of the dependency table it sits in.
+func (l *Local) unparkLocked(w *waitingTask) {
+	delete(l.waiting, w.spec.ID)
 	for dep := range w.missing {
-		if l.cfg.Store.Contains(dep) {
-			delete(w.missing, dep)
+		l.unwaitLocked(dep, w.spec.ID)
+	}
+}
+
+// unwaitLocked drops task from obj's row and cancels obj's resolver once no
+// parked task needs the object any more.
+func (l *Local) unwaitLocked(obj types.ObjectID, task types.TaskID) {
+	if row := l.parked[obj]; row != nil {
+		delete(row.tasks, task)
+		if len(row.tasks) == 0 {
+			delete(l.parked, obj)
+			row.cancel()
 		}
 	}
-	if len(w.missing) > 0 {
-		l.mu.Unlock()
-		return
-	}
-	delete(l.waiting, task)
-	l.runnable = append(l.runnable, &queuedTask{spec: w.spec, enqueuedAt: time.Now()})
-	l.mu.Unlock()
-	l.dispatchReady()
 }
 
 // dispatchReady admits runnable tasks while resources allow, on the

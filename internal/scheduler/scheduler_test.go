@@ -71,13 +71,12 @@ func buildLocal(t *testing.T, total types.Resources, spillThreshold int) (*Local
 	log := newExecLog()
 	led := ledgertest.New(ctrl, nid)
 	l := NewLocal(LocalConfig{
-		Node:            nid,
-		Total:           total,
-		Ctrl:            ctrl,
-		Store:           store,
-		Ledger:          led,
-		SpillThreshold:  spillThreshold,
-		DepPollInterval: 5 * time.Millisecond,
+		Node:           nid,
+		Total:          total,
+		Ctrl:           ctrl,
+		Store:          store,
+		Ledger:         led,
+		SpillThreshold: spillThreshold,
 	})
 	l.SetExec(log.exec(led, store))
 	l.Start()

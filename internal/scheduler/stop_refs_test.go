@@ -33,14 +33,13 @@ func TestStopReturnsQueuedBorrows(t *testing.T) {
 	// in runnable/waiting, which is exactly the state an abrupt Stop
 	// abandons.
 	l := NewLocal(LocalConfig{
-		Node:            nid,
-		Total:           types.CPU(4),
-		Ctrl:            ctrl,
-		Store:           store,
-		Refs:            tracker,
-		Ledger:          ledgertest.New(ctrl, nid),
-		SpillThreshold:  SpillNever,
-		DepPollInterval: 5 * time.Millisecond,
+		Node:           nid,
+		Total:          types.CPU(4),
+		Ctrl:           ctrl,
+		Store:          store,
+		Refs:           tracker,
+		Ledger:         ledgertest.New(ctrl, nid),
+		SpillThreshold: SpillNever,
 	})
 
 	// A runnable task: its dependency is locally resident.

@@ -37,12 +37,13 @@ func parkOnPending(t *testing.T, recon func(l *Local, dep types.ObjectID)) (*Loc
 	counting := &passCounter{Store: ctrl, obj: dep, passes: make(chan struct{}, 64)} // room for every pass of a period
 	l.cfg.Ctrl = counting
 	var calls atomic.Int64
-	l.SetRecon(func(id types.ObjectID) {
+	l.cfg.Recon = func(id types.ObjectID, _ types.TaskID) error {
 		if id == dep {
 			calls.Add(1)
 			recon(l, dep)
 		}
-	})
+		return nil
+	}
 	spec := tSpec(77, nil, dep)
 	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)

@@ -49,8 +49,10 @@ func (l *inprocListener) Close() error {
 	return nil
 }
 
+func (l *inprocListener) Addr() string { return l.addr }
+
 // Listen implements Network.
-func (n *Inproc) Listen(addr string, srv *Server) (io.Closer, error) {
+func (n *Inproc) Listen(addr string, srv *Server) (Listener, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, dup := n.servers[addr]; dup {

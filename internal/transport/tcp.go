@@ -115,8 +115,10 @@ func (l *tcpListener) Close() error {
 	return err
 }
 
+func (l *tcpListener) Addr() string { return l.ln.Addr().String() }
+
 // Listen implements Network.
-func (TCP) Listen(addr string, srv *Server) (io.Closer, error) {
+func (TCP) Listen(addr string, srv *Server) (Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

@@ -46,10 +46,18 @@ type Client interface {
 	Close() error
 }
 
+// Listener is a bound server; it serves until closed.
+type Listener interface {
+	io.Closer
+	// Addr is the address clients dial: the bound one, so a TCP listen on
+	// port 0 reports the port the kernel picked.
+	Addr() string
+}
+
 // Network abstracts how servers bind and clients connect.
 type Network interface {
-	// Listen binds srv at addr and serves until the returned closer closes.
-	Listen(addr string, srv *Server) (io.Closer, error)
+	// Listen binds srv at addr and serves until the returned listener closes.
+	Listen(addr string, srv *Server) (Listener, error)
 	// Dial connects to the server at addr.
 	Dial(addr string) (Client, error)
 }

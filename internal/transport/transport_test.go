@@ -42,6 +42,7 @@ func runNetworkSuite(t *testing.T, nw Network, addr string) {
 	}
 	defer l.Close()
 
+	addr = l.Addr()
 	c, err := nw.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +144,7 @@ func runNetworkSuite(t *testing.T, nw Network, addr string) {
 
 func TestInprocNetwork(t *testing.T) { runNetworkSuite(t, NewInproc(0), "node1") }
 
-func TestTCPNetwork(t *testing.T) { runNetworkSuite(t, TCP{}, "127.0.0.1:39181") }
+func TestTCPNetwork(t *testing.T) { runNetworkSuite(t, TCP{}, "127.0.0.1:0") }
 
 func TestInprocLatencyInjection(t *testing.T) {
 	nw := NewInproc(2 * time.Millisecond)
@@ -210,12 +211,12 @@ func TestDuplicateHandlerPanics(t *testing.T) {
 
 func TestTCPLargePayload(t *testing.T) {
 	srv := echoServer()
-	l, err := TCP{}.Listen("127.0.0.1:39182", srv)
+	l, err := TCP{}.Listen("127.0.0.1:0", srv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	c, err := TCP{}.Dial("127.0.0.1:39182")
+	c, err := TCP{}.Dial(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,12 +244,12 @@ func TestTCPCloseFailsPendingCallWithErrClosed(t *testing.T) {
 		<-release
 		return nil, nil
 	})
-	l, err := TCP{}.Listen("127.0.0.1:39184", srv)
+	l, err := TCP{}.Listen("127.0.0.1:0", srv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	c, err := TCP{}.Dial("127.0.0.1:39184")
+	c, err := TCP{}.Dial(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,12 +278,12 @@ func TestTCPServerStreamStopsOnClientDisconnect(t *testing.T) {
 		close(handlerDone)
 		return nil
 	})
-	l, err := TCP{}.Listen("127.0.0.1:39183", srv)
+	l, err := TCP{}.Listen("127.0.0.1:0", srv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	c, err := TCP{}.Dial("127.0.0.1:39183")
+	c, err := TCP{}.Dial(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
