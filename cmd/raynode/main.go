@@ -138,22 +138,15 @@ func main() {
 	log.Printf("node %v up at %s with %v", n.ID(), n.Addr(), res)
 
 	if *head {
-		calls := newTCPCaller()
+		calls := node.NewCaller(transport.TCP{})
+		defer calls.Close()
 		g := scheduler.NewGlobal(scheduler.GlobalConfig{
-			Ctrl:   ctrl,
-			Policy: scheduler.LocalityPolicy{},
-			Assign: func(nid types.NodeID, addr string, spec types.TaskSpec) error {
-				return calls.call(addr, node.AssignMethod, codec.MustEncode(spec))
-			},
-			Reserve: func(nid types.NodeID, addr string, group types.PlacementGroupID, bundle int, res types.Resources) error {
-				return calls.call(addr, node.ReserveMethod, codec.MustEncode(node.ReserveReq{Group: group, Bundle: bundle, Res: res}))
-			},
-			ReleaseGroup: func(nid types.NodeID, addr string, group types.PlacementGroupID, removed bool) error {
-				return calls.call(addr, node.GroupReleaseMethod, codec.MustEncode(node.GroupReleaseReq{Group: group, Removed: removed}))
-			},
-			FailTask: func(nid types.NodeID, addr string, spec types.TaskSpec, reason string) error {
-				return calls.call(addr, node.FailTaskMethod, codec.MustEncode(node.FailTaskReq{Spec: spec, Reason: reason}))
-			},
+			Ctrl:         ctrl,
+			Policy:       scheduler.LocalityPolicy{},
+			Assign:       calls.Assign,
+			Reserve:      calls.Reserve,
+			ReleaseGroup: calls.ReleaseGroup,
+			FailTask:     calls.FailTask,
 		})
 		g.Start()
 		defer g.Stop()
@@ -374,42 +367,6 @@ func derivePortAddrs(base string, n int) ([]string, error) {
 		out[i] = net.JoinHostPort(host, strconv.Itoa(port+1+i))
 	}
 	return out, nil
-}
-
-// tcpCaller delivers global-scheduler RPCs (placements, gang reservations,
-// releases, fail requests) over TCP with connection caching.
-type tcpCaller struct {
-	mu    sync.Mutex
-	conns map[string]transport.Client
-}
-
-func newTCPCaller() *tcpCaller {
-	return &tcpCaller{conns: make(map[string]transport.Client)}
-}
-
-func (t *tcpCaller) call(addr, method string, payload []byte) error {
-	t.mu.Lock()
-	client, ok := t.conns[addr]
-	if !ok {
-		var err error
-		client, err = (transport.TCP{}).Dial(addr)
-		if err != nil {
-			t.mu.Unlock()
-			return err
-		}
-		t.conns[addr] = client
-	}
-	t.mu.Unlock()
-	if _, err := client.Call(method, payload); err != nil {
-		t.mu.Lock()
-		if t.conns[addr] == client {
-			client.Close()
-			delete(t.conns, addr)
-		}
-		t.mu.Unlock()
-		return err
-	}
-	return nil
 }
 
 // builtinRegistry holds the functions every raynode can execute: the demo

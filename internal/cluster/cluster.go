@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/gcs"
 	"repro/internal/lifetime"
@@ -109,8 +108,9 @@ type Cluster struct {
 	shardClients []*gcs.Sharded
 	gcsTmpDir    string
 
-	mu      sync.Mutex
-	clients map[string]transport.Client
+	mu sync.Mutex
+	// calls delivers the global schedulers' calls to the nodes.
+	calls *node.Caller
 	// addMu serializes AddNode calls against each other and against
 	// Shutdown (index assignment spans node boot; a node booted after
 	// Shutdown's snapshot would leak un-stopped).
@@ -142,8 +142,8 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:     cfg,
 		Network: transport.NewInproc(cfg.HopLatency),
-		clients: make(map[string]transport.Client),
 	}
+	c.calls = node.NewCaller(c.Network)
 	if cfg.GCSShards > 0 {
 		if err := c.startShardedGCS(cfg); err != nil {
 			return nil, err
@@ -178,10 +178,10 @@ func New(cfg Config) (*Cluster, error) {
 		g := scheduler.NewGlobal(scheduler.GlobalConfig{
 			Ctrl:         ctrl,
 			Policy:       cfg.GlobalPolicy,
-			Assign:       c.assign,
-			Reserve:      c.reserve,
-			ReleaseGroup: c.releaseGroup,
-			FailTask:     c.failTask,
+			Assign:       c.calls.Assign,
+			Reserve:      c.calls.Reserve,
+			ReleaseGroup: c.calls.ReleaseGroup,
+			FailTask:     c.calls.FailTask,
 			JobGrace:     cfg.JobGrace,
 		})
 		g.Start()
@@ -339,50 +339,6 @@ func spillDefault(cfg Config, res types.Resources) int {
 // SpillThresholdOf is a convenience for building Config.SpillThreshold.
 func SpillThresholdOf(v int) *int { return &v }
 
-// rpc delivers one scheduler RPC to a node over the cluster network.
-func (c *Cluster) rpc(addr, method string, req any) error {
-	client, err := c.client(addr)
-	if err != nil {
-		return err
-	}
-	_, err = client.Call(method, codec.MustEncode(req))
-	return err
-}
-
-// assign delivers a global placement over the cluster network.
-func (c *Cluster) assign(nid types.NodeID, addr string, spec types.TaskSpec) error {
-	return c.rpc(addr, node.AssignMethod, spec)
-}
-
-// reserve delivers a gang bundle reservation over the cluster network.
-func (c *Cluster) reserve(nid types.NodeID, addr string, group types.PlacementGroupID, bundle int, res types.Resources) error {
-	return c.rpc(addr, node.ReserveMethod, node.ReserveReq{Group: group, Bundle: bundle, Res: res})
-}
-
-// releaseGroup delivers a gang reservation release over the network.
-func (c *Cluster) releaseGroup(nid types.NodeID, addr string, group types.PlacementGroupID, removed bool) error {
-	return c.rpc(addr, node.GroupReleaseMethod, node.GroupReleaseReq{Group: group, Removed: removed})
-}
-
-// failTask asks a node to bury a task with a terminal error.
-func (c *Cluster) failTask(nid types.NodeID, addr string, spec types.TaskSpec, reason string) error {
-	return c.rpc(addr, node.FailTaskMethod, node.FailTaskReq{Spec: spec, Reason: reason})
-}
-
-func (c *Cluster) client(addr string) (transport.Client, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cl, ok := c.clients[addr]; ok {
-		return cl, nil
-	}
-	cl, err := c.Network.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	c.clients[addr] = cl
-	return cl, nil
-}
-
 // Node returns the i-th node.
 func (c *Cluster) Node(i int) *node.Node {
 	c.mu.Lock()
@@ -408,16 +364,7 @@ func (c *Cluster) DriverOn(i int) *core.Client { return core.NewClient(c.Node(i)
 func (c *Cluster) KillNode(i int) {
 	n := c.Node(i)
 	n.Kill()
-	c.dropClientFor(n.Addr())
-}
-
-func (c *Cluster) dropClientFor(addr string) {
-	c.mu.Lock()
-	if cl, ok := c.clients[addr]; ok {
-		cl.Close()
-		delete(c.clients, addr)
-	}
-	c.mu.Unlock()
+	c.calls.Forget(n.Addr())
 }
 
 // Shutdown stops every component.
@@ -434,12 +381,7 @@ func (c *Cluster) Shutdown() {
 	for _, n := range nodes {
 		n.Shutdown()
 	}
-	c.mu.Lock()
-	for addr, cl := range c.clients {
-		cl.Close()
-		delete(c.clients, addr)
-	}
-	c.mu.Unlock()
+	c.calls.Close()
 	for _, cl := range c.shardClients {
 		cl.Close()
 	}

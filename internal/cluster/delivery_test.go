@@ -221,6 +221,43 @@ func TestMessageBudget(t *testing.T) {
 	}
 }
 
+// TestRemoteRefArgumentParksOnce: a data_chain-shaped operation — a 1 MiB
+// put on the driver's node, a task on the GPU node that takes it by
+// reference — parks that task once in the executing node's waiting set, and
+// scheduler.tasks.parked counts it. Prefetch is off, so the argument is
+// missing at admission whatever the timing.
+func TestRemoteRefArgumentParksOnce(t *testing.T) {
+	f := newDeliveryFuncs()
+	size := core.Register1(f.reg, "size", func(tc *core.TaskContext, b []byte) (int, error) { return len(b), nil })
+	c, err := New(Config{Nodes: 2, PerNodeResources: []types.Resources{types.CPU(4), types.GPU(4, 1)},
+		Registry: f.reg, DisablePrefetch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Shutdown)
+	d, ctx := c.Driver(), testCtx(t)
+	parked := func() (n int64) {
+		for i := 0; i < c.NumNodes(); i++ {
+			n += c.Node(i).Metrics().Snapshot().Counters["scheduler.tasks.parked"]
+		}
+		return n
+	}
+	in, err := core.PutTyped(d, make([]byte, 1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := size.RemoteRef(d, in, onGPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := core.Get(ctx, d, out); err != nil || v != 1<<20 {
+		t.Fatalf("size(1 MiB) = %d, %v", v, err)
+	}
+	if got, onGPUNode := parked(), c.Node(1).Metrics().Snapshot().Counters["scheduler.tasks.parked"]; got != 1 || onGPUNode != 1 {
+		t.Fatalf("scheduler.tasks.parked = %d (%d on the GPU node), want 1 there", got, onGPUNode)
+	}
+}
+
 // TestDeliverySpanJoinsTheTaskTrace: the producer's push span carries the
 // task, object and trace IDs, so the profiler lists the delivery among the
 // task's own spans.

@@ -58,7 +58,8 @@ func (cl *Client) CreatePlacementGroup(name string, strategy types.PlacementStra
 // may still hold its reservations) — retry it.
 func (cl *Client) RemovePlacementGroup(id types.PlacementGroupID) error {
 	cl.groups.Delete(id)
-	if cl.backend.Control().RemovePlacementGroup(id) {
+	live := []types.PlacementGroupState{types.GroupPending, types.GroupPlacing, types.GroupPlaced}
+	if cl.backend.Control().CASPlacementGroupState(id, live, types.GroupRemoved, nil, 0) {
 		return nil
 	}
 	// A false return is also the idempotent already-removed answer;

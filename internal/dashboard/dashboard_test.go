@@ -515,7 +515,7 @@ func TestMetricsEndpointFamilies(t *testing.T) {
 
 	srv := httptest.NewServer(Handler(c.API))
 	defer srv.Close()
-	want := []string{"scheduler_", "scheduler_waiting_objects", "objectstore_", "gcs_", "lifetime_", "autoscale_",
+	want := []string{"scheduler_", "scheduler_waiting_objects", "scheduler_tasks_parked", "objectstore_", "gcs_", "lifetime_", "autoscale_",
 		`lifetime_ledger_unflushed{ledger="refs"`, `lifetime_ledger_unflushed{ledger="tasks"`,
 		`lifetime_ledger_parked{ledger="refs"`, `lifetime_ledger_parked{ledger="tasks"`}
 	deadline := time.Now().Add(10 * time.Second)

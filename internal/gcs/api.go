@@ -1,9 +1,9 @@
 // Package gcs implements the logically-centralized control plane of the
 // paper's Section 3.2.1 (what Ray later called the Global Control Store).
-// It layers typed tables — task table, object table, node table, and event
-// log — over the sharded kv store, and publishes the notifications (object
-// ready, task status, spillover, node membership) that let every other
-// component be stateless.
+// It layers typed tables — tasks, objects, nodes, jobs and placement
+// groups — and the event log over the sharded kv store, and publishes the
+// notifications (object ready, task status, spillover, node membership)
+// that let every other component be stateless.
 package gcs
 
 import (
@@ -34,14 +34,14 @@ type API interface {
 	// submissions deduplicate.
 	AddTask(state types.TaskState) bool
 	GetTask(id types.TaskID) (types.TaskState, bool)
-	// CASTaskStatus atomically transitions the task's status to `to` iff the
+	// ClaimTask atomically transitions the task's status to `to` iff the
 	// current status is in `from`, reporting success. Replay/resubmission
 	// races are settled through this: exactly one contender wins the
-	// transition back to PENDING and re-executes the task.
-	CASTaskStatus(id types.TaskID, from []types.TaskStatus, to types.TaskStatus) bool
-	// ClaimTask is the ownership-transfer CAS (DESIGN.md §13): it atomically
-	// transitions the status like CASTaskStatus and, on success, stamps
-	// `owner` as the record's Owner and Node and bumps OwnerSeq. The winner
+	// transition back to PENDING and re-executes the task. A non-nil owner
+	// makes it the ownership-transfer CAS (DESIGN.md §13): on success it
+	// also stamps owner as the record's Owner and Node and bumps OwnerSeq.
+	// With types.NilNodeID it is the plain status CAS, which clears the
+	// owner and bumps OwnerSeq on a transition to PENDING. The winner
 	// receives the new OwnerSeq — the base its task ledger's async deltas
 	// must exceed — so a stale delta from any earlier ownership tenure can
 	// never apply past the transfer.
@@ -109,13 +109,14 @@ type API interface {
 	MarkObjectSpilled(id types.ObjectID, node types.NodeID, spilled bool)
 
 	// Placement-group table (gang scheduling). CreatePlacementGroup inserts
-	// the record exactly once (idempotent by group ID); RemovePlacementGroup
-	// transitions it to the terminal Removed state, after which the gang
-	// pass releases its bundle reservations and fails pending member tasks.
+	// the record exactly once (idempotent by group ID).
 	// CASPlacementGroupState is the claim/commit primitive of the gang
 	// protocol: Pending→Placing claims a group for one scheduler's
 	// reservation pass, Placing→Placed commits the bundle→node assignment,
-	// and rollback paths transition back to Pending (clearing BundleNodes).
+	// rollback paths transition back to Pending (clearing BundleNodes), and
+	// removal is the transition to the terminal Removed state from any live
+	// one, after which the gang pass releases the group's bundle
+	// reservations and fails its pending member tasks.
 	// The claimant token fences it: a transition to Placing records claim, a
 	// transition to Placed additionally requires it to match the recorded
 	// claim, and every rollback to Pending clears it. claim 0 skips the
@@ -123,7 +124,6 @@ type API interface {
 	// which fence by state alone). Every transition publishes the updated
 	// record on TopicPlacementGroups.
 	CreatePlacementGroup(spec types.PlacementGroupSpec) bool
-	RemovePlacementGroup(id types.PlacementGroupID) bool
 	GetPlacementGroup(id types.PlacementGroupID) (types.PlacementGroupInfo, bool)
 	PlacementGroups() []types.PlacementGroupInfo
 	CASPlacementGroupState(id types.PlacementGroupID, from []types.PlacementGroupState, to types.PlacementGroupState, bundleNodes []types.NodeID, claim uint64) bool

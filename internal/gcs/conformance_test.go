@@ -238,11 +238,14 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	if got.Status != types.TaskRunning || got.Node != n || got.Retries != 1 {
 		t.Fatalf("after ModifyTaskStates: %+v", got)
 	}
-	if !api.CASTaskStatus(st.Spec.ID, []types.TaskStatus{types.TaskRunning}, types.TaskFinished) {
+	if !casWon(api.ClaimTask(st.Spec.ID, []types.TaskStatus{types.TaskRunning}, types.TaskFinished, types.NilNodeID)) {
 		t.Fatal("CAS lost")
 	}
-	if api.CASTaskStatus(st.Spec.ID, []types.TaskStatus{types.TaskRunning}, types.TaskFinished) {
+	if casWon(api.ClaimTask(st.Spec.ID, []types.TaskStatus{types.TaskRunning}, types.TaskFinished, types.NilNodeID)) {
 		t.Fatal("CAS from wrong state won")
+	}
+	if got, _ = api.GetTask(st.Spec.ID); got.Status != types.TaskFinished || got.Owner != n {
+		t.Fatalf("a plain CAS moved the owner or missed the status: %+v", got)
 	}
 	if len(api.Tasks()) != 1 {
 		t.Fatal("Tasks scan wrong")
@@ -355,8 +358,11 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	if len(api.PlacementGroups()) != 1 {
 		t.Fatal("PlacementGroups scan wrong")
 	}
-	if !api.RemovePlacementGroup(group.ID) || api.RemovePlacementGroup(group.ID) {
-		t.Fatal("RemovePlacementGroup is not idempotent-terminal")
+	if !removeGroup(api, group.ID) || removeGroup(api, group.ID) {
+		t.Fatal("removal is not terminal")
+	}
+	if ginfo, _ := api.GetPlacementGroup(group.ID); ginfo.State != types.GroupRemoved || ginfo.RemovedNs == 0 {
+		t.Fatalf("after removal: %+v", ginfo)
 	}
 
 	// Job table and bulk reclaim.
@@ -431,7 +437,7 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 		t.Fatalf("LineagePins = %d after one pin delivered twice, want 1", info.LineagePins)
 	}
 	finish := func(id types.TaskID) {
-		if !api.CASTaskStatus(id, []types.TaskStatus{types.TaskPending}, types.TaskFinished) {
+		if !casWon(api.ClaimTask(id, []types.TaskStatus{types.TaskPending}, types.TaskFinished, types.NilNodeID)) {
 			t.Fatal("finishing CAS lost")
 		}
 	}
@@ -569,11 +575,11 @@ func TestFanOutObserved(t *testing.T) {
 	s.Tasks()
 	snap := reg.Snapshot()
 	for _, shard := range []string{"0", "1"} {
-		if h := snap.Hists["gcs.rpc.ns;method="+MethodTasks+";shard="+shard]; h.Count != 1 {
+		if h := snap.Hists["gcs.rpc.ns;method="+rpcTasks.name+";shard="+shard]; h.Count != 1 {
 			t.Fatalf("shard %s: scan observed %d times, want 1", shard, h.Count)
 		}
 	}
-	errs := "gcs.rpc.errors;method=" + MethodTasks + ";shard=1"
+	errs := "gcs.rpc.errors;method=" + rpcTasks.name + ";shard=1"
 	if got := snap.Counters[errs]; got != 0 {
 		t.Fatalf("%s = %d on a healthy control plane", errs, got)
 	}

@@ -86,6 +86,10 @@ var (
 		State: types.GroupPlaced, BundleNodes: []types.NodeID{testNodeID(1), testNodeID(2)},
 		CreatedNs: 1, PlacedNs: 5, LastTransitionNs: 5, MutOps: types.OpRing{9},
 	}
+	parentJob = types.JobInfo{
+		Spec:  types.JobSpec{ID: types.JobID(testNodeID(31)), Name: "j", Weight: 2, Quota: types.JobQuota{MaxLiveTasks: 3}},
+		State: types.JobStopped, CreatedNs: 1, StoppingNs: 4, StoppedNs: 6, LastTransitionNs: 6, MutOps: types.OpRing{11},
+	}
 	parentEvent = types.Event{TimeNs: 7, Kind: "finish", Task: testTaskID(10), Object: testObjectID(20), Node: testNodeID(1), Worker: types.WorkerID(testNodeID(3)), Detail: "d"}
 	parentEpoch = int64(1700000000123456789)
 )
@@ -95,6 +99,10 @@ const (
 	// parentFuncHex is a function-table record ({Name: "f", NumReturns: 2})
 	// under "func:f". The table is gone; a directory that holds one still
 	// recovers, the record inert in the kv.
+	// parentJobHex is parentJob in its binary form (tag 0x04), as
+	// codec.MustEncode wrote it at commit d2d4055, when job records were
+	// encoded by hand into the kv store.
+	parentJobHex   = "04061f000000000000000000000000000000016a040600000402080c0c00010b"
 	parentFuncHex  = "0132ff910301010c46756e6374696f6e496e666f01ff9200010201044e616d65010c00010a4e756d52657475726e73010400000008ff92010166010400"
 	parentEventHex = "015eff93030101054576656e7401ff94000107010654696d654e7301040001044b696e64010c0001045461736b01ff960001064f626a65637401ff980001044e6f646501ff8c000106576f726b657201ff9a00010644657461696c010c00000016ff95010101065461736b494401ff960001060120000018ff97010101084f626a656374494401ff980001060120000016ff8b010101064e6f6465494401ff8c0001060120000018ff9901010108576f726b6572494401ff9a0001060120000058ff94010e010666696e69736801100a00000000000000000000000000000001101400000000000000000000000000000001100100000000000000000000000000000001100300000000000000000000000000000001016400"
 	parentEpochHex = "010b0400f82f2f39fc7b0b9a2a"
@@ -147,6 +155,7 @@ func TestRecoversParentEncodedState(t *testing.T) {
 	logger := kv.NewLogger(db, wal)
 	pairs := f.encodings()
 	pairs[keyGroup+parentGroup.Spec.ID.Hex()] = unhex(t, parentGroupHex)
+	pairs[keyJob+parentJob.Spec.ID.Hex()] = unhex(t, parentJobHex)
 	pairs["func:f"] = unhex(t, parentFuncHex)
 	pairs[keyMetaEpoch] = unhex(t, parentEpochHex)
 	keys := make([]string, 0, len(pairs))
@@ -170,6 +179,9 @@ func TestRecoversParentEncodedState(t *testing.T) {
 	s := startTestShard(t, dir).Store()
 	if got := s.PlacementGroups(); len(got) != 1 || !reflect.DeepEqual(got[0], parentGroup) {
 		t.Errorf("PlacementGroups = %+v, want %+v", got, parentGroup)
+	}
+	if got := s.Jobs(); len(got) != 1 || !reflect.DeepEqual(got[0], parentJob) {
+		t.Errorf("Jobs = %+v, want %+v", got, parentJob)
 	}
 	if got, _ := s.db.Get("func:f"); !bytes.Equal(got, unhex(t, parentFuncHex)) {
 		t.Errorf("the function record was rewritten or dropped: %x", got)
@@ -205,12 +217,14 @@ func TestDurableStoreWritesParentFormat(t *testing.T) {
 	}
 	s.ModifyObjectRefCounts(testNodeID(1), map[types.ObjectID]int64{obj: -2}, 44) // drains: a gcidx marker
 	s.AddTask(types.TaskState{Spec: types.TaskSpec{ID: testTaskID(12), Function: "g"}, Status: types.TaskPending})
-	s.CASTaskStatusOp(task, []types.TaskStatus{types.TaskRunning}, types.TaskPending, 45) // a second pendidx marker
-	s.PinObjects(map[types.ObjectID]int64{obj: 1}, 46)                                    // a pinned object record
+	s.ClaimTaskOp(task, []types.TaskStatus{types.TaskRunning}, types.TaskPending, types.NilNodeID, 45) // a second pendidx marker
+	s.PinObjects(map[types.ObjectID]int64{obj: 1}, 46)                                                 // a pinned object record
 	s.CreatePlacementGroup(parentGroup.Spec)
+	s.CreateJob(parentJob.Spec)
+	s.CASJobStateOp(parentJob.Spec.ID, []types.JobState{types.JobRunning}, types.JobStopping, 47)
 	s.LogEvent(parentEvent)
 	tasks, objects, nodes := s.Tasks(), s.Objects(), s.Nodes()
-	groups, epoch := s.PlacementGroups(), s.epoch.UnixNano()
+	groups, jobs, epoch := s.PlacementGroups(), s.Jobs(), s.epoch.UnixNano()
 	pending, garbage := s.StalePendingTasks(0), s.GCEligibleObjects()
 	svc.Close()
 
@@ -245,6 +259,16 @@ func TestDurableStoreWritesParentFormat(t *testing.T) {
 	if len(groups) != 1 {
 		t.Fatalf("setup: %d groups", len(groups))
 	}
+	// The job records have a binary form, and it is the parent's.
+	if !bytes.Equal(codec.MustEncode(parentJob), unhex(t, parentJobHex)) {
+		t.Errorf("a job record no longer encodes to the parent's bytes: %x", codec.MustEncode(parentJob))
+	}
+	for i := range jobs {
+		want[keyJob+jobs[i].Spec.ID.Hex()] = codec.MustEncode(jobs[i])
+	}
+	if len(jobs) != 1 || jobs[0].State != types.JobStopping {
+		t.Fatalf("setup: jobs %+v", jobs)
+	}
 	logged := 0
 	for _, k := range db.ListKeys(keyEvents) {
 		for _, raw := range db.List(k) {
@@ -258,7 +282,7 @@ func TestDurableStoreWritesParentFormat(t *testing.T) {
 	if logged == 0 {
 		t.Error("no events on disk")
 	}
-	for _, prefix := range []string{keyTask, keyObject, keyNode, keyPendIdx, keyGCIdx, keyGroup, "func:", keyMetaEpoch} {
+	for _, prefix := range []string{keyTask, keyObject, keyNode, keyPendIdx, keyGCIdx, keyGroup, keyJob, "func:", keyMetaEpoch} {
 		for _, k := range db.Keys(prefix) {
 			raw, _ := db.Get(k)
 			enc, ok := want[k]

@@ -1,135 +1,71 @@
 package gcs
 
 import (
+	"slices"
+
 	"repro/internal/codec"
 	"repro/internal/types"
 )
 
-// Placement-group table (DESIGN.md §9). Group records are durable like
-// every other control-plane record: all writes flow through the kv store,
-// so on a sharded deployment they are WAL'd and snapshotted with the shard
-// that owns them, and gang-scheduling state survives shard failover.
+// Placement-group table (DESIGN.md §9): a typed table like every other, so
+// on a sharded deployment its records are WAL'd and snapshotted with the
+// shard that owns them, and gang-scheduling state survives shard failover.
 
 // CreatePlacementGroup implements API: exactly-once insertion keyed by
 // group ID. A duplicate create (client retry after a crash suppressed the
 // ack) returns false with the original record intact.
 func (s *Store) CreatePlacementGroup(spec types.PlacementGroupSpec) bool {
 	now := s.NowNs()
-	info := types.PlacementGroupInfo{
-		Spec:             spec,
-		State:            types.GroupPending,
-		CreatedNs:        now,
-		LastTransitionNs: now,
-	}
-	ok := s.db.PutIfAbsent(keyGroup+spec.ID.Hex(), codec.MustEncode(info))
-	if ok {
-		s.db.Publish(chanGroups, codec.MustEncode(info))
+	info := types.PlacementGroupInfo{Spec: spec, State: types.GroupPending, CreatedNs: now, LastTransitionNs: now}
+	created, _ := s.groups.mutate(spec.ID, upsert, func(rec *types.PlacementGroupInfo, exists bool) bool {
+		if !exists {
+			*rec = info.Clone()
+		}
+		return !exists
+	})
+	if created {
+		s.db.Publish(chanGroups, codec.MustEncode(&info))
 		s.logEvent(types.Event{Kind: "pg-create", Detail: spec.ID.String() + " " + spec.Strategy.String()})
 	}
-	return ok
-}
-
-// RemovePlacementGroup implements API: transition to the terminal Removed
-// state from any live state. Removal is idempotent — a second remove (or a
-// retry of one whose ack died with a shard) returns false without touching
-// the record. The gang pass observes the transition and releases the
-// group's reservations; local schedulers fail its pending member tasks.
-func (s *Store) RemovePlacementGroup(id types.PlacementGroupID) bool {
-	var removed types.PlacementGroupInfo
-	won := false
-	s.db.Update(keyGroup+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false
-		}
-		info, err := codec.DecodeAs[types.PlacementGroupInfo](cur)
-		if err != nil || info.State == types.GroupRemoved {
-			return nil, false
-		}
-		now := s.NowNs()
-		info.State = types.GroupRemoved
-		info.BundleNodes = nil
-		info.ClaimToken = 0
-		info.RemovedNs = now
-		info.LastTransitionNs = now
-		removed, won = info, true
-		return codec.MustEncode(info), true
-	})
-	if won {
-		s.db.Publish(chanGroups, codec.MustEncode(removed))
-		s.logEvent(types.Event{Kind: "pg-remove", Detail: id.String()})
-	}
-	return won
+	return created
 }
 
 // GetPlacementGroup implements API.
 func (s *Store) GetPlacementGroup(id types.PlacementGroupID) (types.PlacementGroupInfo, bool) {
-	raw, ok := s.db.Get(keyGroup + id.Hex())
-	if !ok {
-		return types.PlacementGroupInfo{}, false
-	}
-	info, err := codec.DecodeAs[types.PlacementGroupInfo](raw)
-	if err != nil {
-		return types.PlacementGroupInfo{}, false
-	}
-	return info, true
+	return s.groups.get(id)
 }
 
 // PlacementGroups implements API (inspection scan; the gang pass sweeps it,
 // so a group whose pub/sub event was dropped is still placed eventually).
-func (s *Store) PlacementGroups() []types.PlacementGroupInfo {
-	keys := s.db.Keys(keyGroup)
-	out := make([]types.PlacementGroupInfo, 0, len(keys))
-	for _, k := range keys {
-		if raw, ok := s.db.Get(k); ok {
-			if info, err := codec.DecodeAs[types.PlacementGroupInfo](raw); err == nil {
-				out = append(out, info)
-			}
-		}
-	}
-	return out
-}
+func (s *Store) PlacementGroups() []types.PlacementGroupInfo { return s.groups.collect(nil) }
 
 // CASPlacementGroupState implements API: the gang CAS under a claimant
 // token. A transition to Placing records the claimant's token; a transition
 // to Placed requires the caller's token to match the recorded claim — so a
 // claimant stalled past the stale-claim sweep cannot commit over a
 // successor's claim (the successor's Pending→Placing rewrote the token).
-// Rollbacks to Pending clear the token.
+// Rollbacks to Pending clear the token, and so does removal, the terminal
+// transition to Removed from any live state.
 func (s *Store) CASPlacementGroupState(id types.PlacementGroupID, from []types.PlacementGroupState, to types.PlacementGroupState, bundleNodes []types.NodeID, claim uint64) bool {
 	return s.CASPlacementGroupStateOp(id, from, to, bundleNodes, claim, 0)
 }
 
 // CASPlacementGroupStateOp is CASPlacementGroupState with an idempotency
-// token (0 = no dedup), mirroring CASTaskStatusOp: a retried claim whose
+// token (0 = no dedup), mirroring ClaimTaskOp: a retried claim whose
 // original commit survived a shard crash is recognized by its token and
 // reported won, so the gang pass proceeds instead of treating its own
 // earlier commit as a lost race (which would strand the group in Placing).
 func (s *Store) CASPlacementGroupStateOp(id types.PlacementGroupID, from []types.PlacementGroupState, to types.PlacementGroupState, bundleNodes []types.NodeID, claim uint64, op uint64) bool {
 	now := s.NowNs()
-	won := false
-	dupWin := false
+	dup := false
 	var next types.PlacementGroupInfo
-	s.db.Update(keyGroup+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false
-		}
-		info, err := codec.DecodeAs[types.PlacementGroupInfo](cur)
-		if err != nil {
-			return nil, false
-		}
+	won, _ := s.groups.mutate(id, existing, func(info *types.PlacementGroupInfo, _ bool) bool {
 		if info.MutOps.Seen(op) {
-			dupWin = true // this exact CAS already applied
-			return nil, false
+			dup = true // this exact CAS already applied
+			return false
 		}
-		eligible := false
-		for _, f := range from {
-			if info.State == f {
-				eligible = true
-				break
-			}
-		}
-		if !eligible {
-			return nil, false
+		if !slices.Contains(from, info.State) {
+			return false
 		}
 		// Claim fencing: the Placed commit must come from whoever holds the
 		// current Placing claim. A recorded token that does not match the
@@ -140,7 +76,7 @@ func (s *Store) CASPlacementGroupStateOp(id types.PlacementGroupID, from []types
 		// (claim 0) only pass while no claim is recorded, preserving legacy
 		// callers without weakening the fence.
 		if to == types.GroupPlaced && info.ClaimToken != claim {
-			return nil, false
+			return false
 		}
 		// The same fence guards a tokened rollback out of Placing: a stale
 		// claimant unwinding its failed pass must not yank a successor's
@@ -148,7 +84,7 @@ func (s *Store) CASPlacementGroupStateOp(id types.PlacementGroupID, from []types
 		// stays a force — it exists to break claims whose owner died.
 		if to == types.GroupPending && info.State == types.GroupPlacing &&
 			claim != 0 && info.ClaimToken != claim {
-			return nil, false
+			return false
 		}
 		info.MutOps.Record(op, refOpHistory)
 		info.State = to
@@ -157,7 +93,7 @@ func (s *Store) CASPlacementGroupStateOp(id types.PlacementGroupID, from []types
 		case types.GroupPlacing:
 			info.ClaimToken = claim
 		case types.GroupPlaced:
-			info.BundleNodes = bundleNodes
+			info.BundleNodes = slices.Clone(bundleNodes)
 			info.PlacedNs = now
 		case types.GroupPending:
 			info.BundleNodes = nil
@@ -167,13 +103,12 @@ func (s *Store) CASPlacementGroupStateOp(id types.PlacementGroupID, from []types
 			info.ClaimToken = 0
 			info.RemovedNs = now
 		}
-		won = true
-		next = info
-		return codec.MustEncode(info), true
+		next = info.Clone()
+		return true
 	})
 	if won {
-		s.db.Publish(chanGroups, codec.MustEncode(next))
+		s.db.Publish(chanGroups, codec.MustEncode(&next))
 		s.logEvent(types.Event{Kind: "pg-cas:" + to.String(), Detail: id.String()})
 	}
-	return won || dupWin
+	return won || dup
 }

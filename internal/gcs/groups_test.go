@@ -18,6 +18,12 @@ func testGroupSpec(seed byte, bundles int) types.PlacementGroupSpec {
 	return spec
 }
 
+// removeGroup is group removal: the CAS to Removed from any live state.
+func removeGroup(api API, id types.PlacementGroupID) bool {
+	live := []types.PlacementGroupState{types.GroupPending, types.GroupPlacing, types.GroupPlaced}
+	return api.CASPlacementGroupState(id, live, types.GroupRemoved, nil, 0)
+}
+
 func TestGroupTableLifecycle(t *testing.T) {
 	s := NewStore(2)
 	spec := testGroupSpec(1, 2)
@@ -63,10 +69,10 @@ func TestGroupTableLifecycle(t *testing.T) {
 	}
 
 	// Removal is terminal and idempotent.
-	if !s.RemovePlacementGroup(spec.ID) {
+	if !removeGroup(s, spec.ID) {
 		t.Fatal("remove failed")
 	}
-	if s.RemovePlacementGroup(spec.ID) {
+	if removeGroup(s, spec.ID) {
 		t.Fatal("second remove must report false")
 	}
 	if s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending, types.GroupRemoved}, types.GroupPlacing, nil, 0) {
@@ -113,7 +119,7 @@ func TestGroupSubscription(t *testing.T) {
 	spec := testGroupSpec(3, 1)
 	s.CreatePlacementGroup(spec)
 	s.CASPlacementGroupState(spec.ID, []types.PlacementGroupState{types.GroupPending}, types.GroupPlacing, nil, 0)
-	s.RemovePlacementGroup(spec.ID)
+	removeGroup(s, spec.ID)
 
 	states := []types.PlacementGroupState{types.GroupPending, types.GroupPlacing, types.GroupRemoved}
 	for _, want := range states {
@@ -155,7 +161,7 @@ func TestGroupConcurrentCreateRemove(t *testing.T) {
 		}(spec.ID)
 		go func(id types.PlacementGroupID) {
 			defer wg.Done()
-			s.RemovePlacementGroup(id)
+			removeGroup(s, id)
 		}(spec.ID)
 	}
 	wg.Wait()

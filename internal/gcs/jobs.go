@@ -1,63 +1,50 @@
 package gcs
 
 import (
+	"slices"
+
 	"repro/internal/codec"
 	"repro/internal/types"
 )
 
-// Job table (DESIGN.md §14). Job records are durable like every other
-// control-plane record: all writes flow through the kv store, so on a
-// sharded deployment they are WAL'd and snapshotted with the shard that
-// owns them. The Stopped record is deliberately never deleted — it is the
-// tombstone that fences replayed submissions after the job's task and
+// Job table (DESIGN.md §14): a typed table like every other, so on a
+// sharded deployment its records are WAL'd and snapshotted with the shard
+// that owns them. The Stopped record is deliberately never deleted — it is
+// the tombstone that fences replayed submissions after the job's task and
 // object records have been purged.
+
+// publishJob announces a job record on the job channel. next is a copy
+// private to the caller, never the table's own record.
+func (s *Store) publishJob(next *types.JobInfo, kind string) {
+	s.db.Publish(chanJobs, codec.MustEncode(next))
+	s.logEvent(types.Event{Kind: kind, Detail: next.Spec.ID.String()})
+}
 
 // CreateJob implements API: exactly-once insertion keyed by job ID. A
 // duplicate create (client retry after a crash suppressed the ack) returns
 // false with the original record intact.
 func (s *Store) CreateJob(spec types.JobSpec) bool {
 	now := s.NowNs()
-	info := types.JobInfo{
-		Spec:             spec,
-		State:            types.JobRunning,
-		CreatedNs:        now,
-		LastTransitionNs: now,
-	}
-	ok := s.db.PutIfAbsent(keyJob+spec.ID.Hex(), codec.MustEncode(info))
-	if ok {
-		s.db.Publish(chanJobs, codec.MustEncode(info))
+	info := types.JobInfo{Spec: spec, State: types.JobRunning, CreatedNs: now, LastTransitionNs: now}
+	created, _ := s.jobs.mutate(spec.ID, upsert, func(rec *types.JobInfo, exists bool) bool {
+		if !exists {
+			*rec = info
+		}
+		return !exists
+	})
+	if created {
+		s.db.Publish(chanJobs, codec.MustEncode(&info))
 		s.logEvent(types.Event{Kind: "job-create", Detail: spec.ID.String() + " " + spec.Name})
 	}
-	return ok
+	return created
 }
 
 // GetJob implements API.
-func (s *Store) GetJob(id types.JobID) (types.JobInfo, bool) {
-	raw, ok := s.db.Get(keyJob + id.Hex())
-	if !ok {
-		return types.JobInfo{}, false
-	}
-	info, err := codec.DecodeAs[types.JobInfo](raw)
-	if err != nil {
-		return types.JobInfo{}, false
-	}
-	return info, true
-}
+func (s *Store) GetJob(id types.JobID) (types.JobInfo, bool) { return s.jobs.get(id) }
 
 // Jobs implements API (inspection scan; the reclaim pass sweeps it, so a
 // job whose stop event was dropped is still reclaimed eventually).
-func (s *Store) Jobs() []types.JobInfo {
-	keys := s.db.Keys(keyJob)
-	out := make([]types.JobInfo, 0, len(keys))
-	for _, k := range keys {
-		if raw, ok := s.db.Get(k); ok {
-			if info, err := codec.DecodeAs[types.JobInfo](raw); err == nil {
-				out = append(out, info)
-			}
-		}
-	}
-	return out
-}
+func (s *Store) Jobs() []types.JobInfo { return s.jobs.collect(nil) }
 
 // CASJobState implements API.
 func (s *Store) CASJobState(id types.JobID, from []types.JobState, to types.JobState) bool {
@@ -65,37 +52,22 @@ func (s *Store) CASJobState(id types.JobID, from []types.JobState, to types.JobS
 }
 
 // CASJobStateOp is CASJobState with an idempotency token (0 = no dedup),
-// mirroring CASTaskStatusOp: a retried CAS whose original commit survived a
+// mirroring ClaimTaskOp: a retried CAS whose original commit survived a
 // shard crash is recognized by its token in the record's durable MutOps
 // ring and reported won, so the caller (a StopJob retry, the reclaim pass's
 // Stopping→Stopped commit) proceeds instead of treating its own earlier
 // commit as a lost race.
 func (s *Store) CASJobStateOp(id types.JobID, from []types.JobState, to types.JobState, op uint64) bool {
 	now := s.NowNs()
-	won := false
-	dupWin := false
+	dup := false
 	var next types.JobInfo
-	s.db.Update(keyJob+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false
-		}
-		info, err := codec.DecodeAs[types.JobInfo](cur)
-		if err != nil {
-			return nil, false
-		}
+	won, _ := s.jobs.mutate(id, existing, func(info *types.JobInfo, _ bool) bool {
 		if info.MutOps.Seen(op) {
-			dupWin = true // this exact CAS already applied
-			return nil, false
+			dup = true // this exact CAS already applied
+			return false
 		}
-		eligible := false
-		for _, f := range from {
-			if info.State == f {
-				eligible = true
-				break
-			}
-		}
-		if !eligible {
-			return nil, false
+		if !slices.Contains(from, info.State) {
+			return false
 		}
 		info.MutOps.Record(op, refOpHistory)
 		info.State = to
@@ -110,15 +82,13 @@ func (s *Store) CASJobStateOp(id types.JobID, from []types.JobState, to types.Jo
 			// anything yet): the stop never happened.
 			info.StoppingNs = 0
 		}
-		won = true
-		next = info
-		return codec.MustEncode(info), true
+		next = info.Clone()
+		return true
 	})
 	if won {
-		s.db.Publish(chanJobs, codec.MustEncode(next))
-		s.logEvent(types.Event{Kind: "job-cas:" + to.String(), Detail: id.String()})
+		s.publishJob(&next, "job-cas:"+to.String())
 	}
-	return won || dupWin
+	return won || dup
 }
 
 // MarkJobPurged implements API: stamp PurgedNs on a Stopped job whose task
@@ -126,26 +96,19 @@ func (s *Store) CASJobStateOp(id types.JobID, from []types.JobState, to types.Jo
 // a retry whose ack died with a shard) returns false without touching the
 // record.
 func (s *Store) MarkJobPurged(id types.JobID) bool {
-	won := false
+	now := s.NowNs()
 	var next types.JobInfo
-	s.db.Update(keyJob+id.Hex(), func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists {
-			return nil, false
+	won, _ := s.jobs.mutate(id, existing, func(info *types.JobInfo, _ bool) bool {
+		if info.State != types.JobStopped || info.PurgedNs != 0 {
+			return false
 		}
-		info, err := codec.DecodeAs[types.JobInfo](cur)
-		if err != nil || info.State != types.JobStopped || info.PurgedNs != 0 {
-			return nil, false
-		}
-		now := s.NowNs()
 		info.PurgedNs = now
 		info.LastTransitionNs = now
-		won = true
-		next = info
-		return codec.MustEncode(info), true
+		next = info.Clone()
+		return true
 	})
 	if won {
-		s.db.Publish(chanJobs, codec.MustEncode(next))
-		s.logEvent(types.Event{Kind: "job-purged", Detail: id.String()})
+		s.publishJob(&next, "job-purged")
 	}
 	return won
 }

@@ -44,7 +44,7 @@ func lifecycle(api API, node types.NodeID, base, n int) {
 		api.AddObjectLocation(objs[i], node, 8)
 		api.ModifyObjectRefCounts(node, map[types.ObjectID]int64{objs[i]: 0}, uint64(base+i+1))
 		api.RemoveObjectLocation(objs[i], node)
-		api.CASTaskStatus(st.Spec.ID, []types.TaskStatus{types.TaskPending}, types.TaskFinished)
+		api.ClaimTask(st.Spec.ID, []types.TaskStatus{types.TaskPending}, types.TaskFinished, types.NilNodeID)
 	}
 	api.Retire(objs)
 }
@@ -120,7 +120,7 @@ func TestRetireAcrossAShardRestart(t *testing.T) {
 	c.AddObjectLocation(obj, node, 8)
 	c.ModifyObjectRefCounts(node, map[types.ObjectID]int64{obj: 0}, 71)
 	c.RemoveObjectLocation(obj, node)
-	c.CASTaskStatus(st.Spec.ID, []types.TaskStatus{types.TaskPending}, types.TaskFinished)
+	c.ClaimTask(st.Spec.ID, []types.TaskStatus{types.TaskPending}, types.TaskFinished, types.NilNodeID)
 
 	taskShard := c.Map().ShardForKey(TaskKey(st.Spec.ID))
 	sup.KillShard(taskShard)

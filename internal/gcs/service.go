@@ -9,71 +9,58 @@ import (
 	"repro/internal/types"
 )
 
-// Transport method names for the control-plane service. The head node
-// (cmd/raynode -head) serves these; worker processes talk to the control
-// plane exclusively through them, keeping every component except the
-// database stateless across process boundaries (Section 3.2.1).
-const (
-	MethodNowNs            = "gcs.now"
-	MethodAddTask          = "gcs.addTask"
-	MethodGetTask          = "gcs.getTask"
-	MethodCASTaskStatus    = "gcs.casTaskStatus"
-	MethodClaimTask        = "gcs.claimTask"
-	MethodModifyTaskStates = "gcs.modifyTaskStates"
-	MethodLiveTasksOwned   = "gcs.liveTasksOwnedBy"
-	MethodTasks            = "gcs.tasks"
-	MethodStalePending     = "gcs.stalePendingTasks"
-	MethodEnsureObjects    = "gcs.ensureObjects"
-	MethodAddObjLocation   = "gcs.addObjLocation"
-	MethodRemoveObjLoc     = "gcs.removeObjLocation"
-	MethodGetObject        = "gcs.getObject"
-	MethodObjects          = "gcs.objects"
-	MethodModifyObjRefs    = "gcs.modifyObjRefCounts"
-	MethodSweepDeadRefs    = "gcs.sweepDeadNodeRefs"
-	MethodMarkObjSpilled   = "gcs.markObjSpilled"
-	MethodPublishSpill     = "gcs.publishSpill"
-	MethodCreateGroup      = "gcs.createGroup"
-	MethodRemoveGroup      = "gcs.removeGroup"
-	MethodGetGroup         = "gcs.getGroup"
-	MethodGroups           = "gcs.groups"
-	MethodCASGroup         = "gcs.casGroup"
-	MethodCreateJob        = "gcs.createJob"
-	MethodGetJob           = "gcs.getJob"
-	MethodJobs             = "gcs.jobs"
-	MethodCASJob           = "gcs.casJob"
-	MethodMarkJobPurged    = "gcs.markJobPurged"
-	MethodJobTasks         = "gcs.jobTasks"
-	MethodForceReleaseObjs = "gcs.forceReleaseObjects"
-	MethodPurgeObjects     = "gcs.purgeObjects"
-	MethodPurgeTasks       = "gcs.purgeTasks"
-	MethodPinObjects       = "gcs.pinObjects"
-	MethodRecordFacts      = "gcs.recordFacts"
-	MethodRegisterNode     = "gcs.registerNode"
-	MethodHeartbeat        = "gcs.heartbeat"
-	MethodMarkNodeDead     = "gcs.markNodeDead"
-	MethodCASNodeState     = "gcs.casNodeState"
-	MethodGetNode          = "gcs.getNode"
-	MethodNodes            = "gcs.nodes"
-	MethodLogEvent         = "gcs.logEvent"
-	MethodEvents           = "gcs.events"
-	MethodPublishTelemetry = "gcs.publishTelemetry"
-	MethodTelemetry        = "gcs.telemetry"
-	MethodSpans            = "gcs.spans"
+// The control-plane service. The head node (cmd/raynode -head) and every
+// shard service serve it; worker processes talk to the control plane
+// exclusively through it, keeping every component except the database
+// stateless across process boundaries (Section 3.2.1).
+//
+// Each unary method is one row: its wire name and what a Store does with
+// its request. RegisterService serves the rows, and the Sharded client calls
+// them by the same row, so the request and response types of both ends are
+// the row's own and the compiler keeps them in step.
 
-	// StreamSub is every subscription: the payload is the topic byte, then
-	// the ID (subPayload).
-	StreamSub = "gcs.sub"
-)
+// rpc is one unary control-plane method.
+type rpc[Req, Resp any] struct {
+	name  string
+	serve func(*Store, Req) Resp
+}
 
-// Wire request/response shapes (gob via codec).
+// method is what RegisterService needs of a row.
+type method interface {
+	register(srv Registrar, store *Store)
+}
+
+// register serves the row on srv: decode the request, serve it, encode the
+// answer.
+func (m rpc[Req, Resp]) register(srv Registrar, store *Store) {
+	srv.Handle(m.name, func(payload []byte) ([]byte, error) {
+		req, err := codec.DecodeAs[Req](payload)
+		if err != nil {
+			return nil, err
+		}
+		return codec.Encode(m.serve(store, req))
+	})
+}
+
+// ack adapts a Store method with no result to the wire's `true`
+// acknowledgement.
+func ack[Req any](fn func(*Store, Req)) func(*Store, Req) bool {
+	return func(s *Store, req Req) bool { fn(s, req); return true }
+}
+
+// StreamSub is every subscription: the payload is the topic byte, then the
+// ID (subPayload).
+const StreamSub = "gcs.sub"
+
+// Wire request/response shapes (through codec).
 type (
-	casStatusReq struct {
-		ID   types.TaskID
-		From []types.TaskStatus
-		To   types.TaskStatus
-		// Op is the idempotency token for retried CAS claims (0 = no
-		// dedup); see Store.CASTaskStatusOp.
-		Op uint64
+	// none is the request of a method that takes nothing.
+	none struct{}
+	// maybe is the answer of a keyed read: the record, and whether there
+	// is one.
+	maybe[T any] struct {
+		Val T
+		OK  bool
 	}
 	claimTaskReq struct {
 		ID    types.TaskID
@@ -110,9 +97,6 @@ type (
 		// across retries of the same ledger flush (never 0 on this path).
 		Op uint64
 	}
-	sweepRefsReq struct {
-		Node types.NodeID
-	}
 	markSpilledReq struct {
 		ID      types.ObjectID
 		Node    types.NodeID
@@ -139,27 +123,6 @@ type (
 		// (0 = no dedup); see Store.CASNodeStateOp.
 		Op uint64
 	}
-	publishTelemetryReq struct {
-		ID    types.NodeID
-		Snap  metrics.Snapshot
-		Spans []metrics.SpanRecord
-	}
-	maybeTask struct {
-		State types.TaskState
-		OK    bool
-	}
-	maybeObject struct {
-		Info types.ObjectInfo
-		OK   bool
-	}
-	maybeNode struct {
-		Info types.NodeInfo
-		OK   bool
-	}
-	maybeGroup struct {
-		Info types.PlacementGroupInfo
-		OK   bool
-	}
 	casJobReq struct {
 		ID   types.JobID
 		From []types.JobState
@@ -168,9 +131,10 @@ type (
 		// (0 = no dedup); see Store.CASJobStateOp.
 		Op uint64
 	}
-	maybeJob struct {
-		Info types.JobInfo
-		OK   bool
+	publishTelemetryReq struct {
+		ID    types.NodeID
+		Snap  metrics.Snapshot
+		Spans []metrics.SpanRecord
 	}
 	objectIDsReq struct {
 		IDs []types.ObjectID
@@ -199,6 +163,126 @@ type (
 	}
 )
 
+func maybeOf[T any](v T, ok bool) maybe[T] { return maybe[T]{Val: v, OK: ok} }
+
+// The rows. The batch and scan rows drop the store's failed-set / complete
+// results: a local store applies everything it is given and scans its whole
+// table, so both are client-side (sharded transport) concepts.
+var (
+	rpcNow = rpc[none, int64]{"gcs.now", func(s *Store, _ none) int64 { return s.NowNs() }}
+
+	rpcAddTask = rpc[types.TaskState, bool]{"gcs.addTask", (*Store).AddTask}
+	rpcGetTask = rpc[types.TaskID, maybe[types.TaskState]]{"gcs.getTask",
+		func(s *Store, id types.TaskID) maybe[types.TaskState] { return maybeOf(s.GetTask(id)) }}
+	rpcClaimTask = rpc[claimTaskReq, claimTaskResp]{"gcs.claimTask", func(s *Store, r claimTaskReq) claimTaskResp {
+		seq, ok := s.ClaimTaskOp(r.ID, r.From, r.To, r.Owner, r.Op)
+		return claimTaskResp{Seq: seq, OK: ok}
+	}}
+	rpcModifyTaskStates = rpc[types.TaskLedgerBatch, bool]{"gcs.modifyTaskStates", ack(func(s *Store, r types.TaskLedgerBatch) {
+		s.ModifyTaskStates(r.Node, r.Deltas, r.Op)
+	})}
+	rpcLiveTasksOwnedBy = rpc[types.NodeID, []types.TaskState]{"gcs.liveTasksOwnedBy", func(s *Store, owner types.NodeID) []types.TaskState {
+		tasks, _ := s.LiveTasksOwnedBy(owner)
+		return tasks
+	}}
+	rpcTasks             = rpc[none, []types.TaskState]{"gcs.tasks", func(s *Store, _ none) []types.TaskState { return s.Tasks() }}
+	rpcStalePendingTasks = rpc[int64, []types.TaskSpec]{"gcs.stalePendingTasks", (*Store).StalePendingTasks}
+
+	rpcEnsureObjects = rpc[ensureObjectsReq, bool]{"gcs.ensureObjects", ack(func(s *Store, r ensureObjectsReq) {
+		s.EnsureObjects(r.Producers)
+	})}
+	rpcAddObjLocation = rpc[objLocationReq, bool]{"gcs.addObjLocation", ack(func(s *Store, r objLocationReq) {
+		s.AddObjectLocation(r.ID, r.Node, r.Size)
+	})}
+	rpcRemoveObjLocation = rpc[objLocationReq, bool]{"gcs.removeObjLocation", ack(func(s *Store, r objLocationReq) {
+		s.RemoveObjectLocation(r.ID, r.Node)
+	})}
+	rpcGetObject = rpc[types.ObjectID, maybe[types.ObjectInfo]]{"gcs.getObject",
+		func(s *Store, id types.ObjectID) maybe[types.ObjectInfo] { return maybeOf(s.GetObject(id)) }}
+	rpcObjects       = rpc[none, []types.ObjectInfo]{"gcs.objects", func(s *Store, _ none) []types.ObjectInfo { return s.Objects() }}
+	rpcModifyObjRefs = rpc[modifyRefsReq, bool]{"gcs.modifyObjRefCounts", ack(func(s *Store, r modifyRefsReq) {
+		s.ModifyObjectRefCounts(r.Node, r.Deltas, r.Op)
+	})}
+	rpcSweepDeadRefs  = rpc[types.NodeID, int]{"gcs.sweepDeadNodeRefs", (*Store).SweepDeadNodeRefs}
+	rpcMarkObjSpilled = rpc[markSpilledReq, bool]{"gcs.markObjSpilled", ack(func(s *Store, r markSpilledReq) {
+		s.MarkObjectSpilled(r.ID, r.Node, r.Spilled)
+	})}
+	rpcPublishSpill = rpc[types.TaskSpec, bool]{"gcs.publishSpill", ack((*Store).PublishSpill)}
+
+	rpcCreateGroup = rpc[types.PlacementGroupSpec, bool]{"gcs.createGroup", (*Store).CreatePlacementGroup}
+	rpcGetGroup    = rpc[types.PlacementGroupID, maybe[types.PlacementGroupInfo]]{"gcs.getGroup",
+		func(s *Store, id types.PlacementGroupID) maybe[types.PlacementGroupInfo] {
+			return maybeOf(s.GetPlacementGroup(id))
+		}}
+	rpcGroups = rpc[none, []types.PlacementGroupInfo]{"gcs.groups",
+		func(s *Store, _ none) []types.PlacementGroupInfo { return s.PlacementGroups() }}
+	rpcCASGroup = rpc[casGroupReq, bool]{"gcs.casGroup", func(s *Store, r casGroupReq) bool {
+		return s.CASPlacementGroupStateOp(r.ID, r.From, r.To, r.Nodes, r.Claim, r.Op)
+	}}
+
+	rpcCreateJob = rpc[types.JobSpec, bool]{"gcs.createJob", (*Store).CreateJob}
+	rpcGetJob    = rpc[types.JobID, maybe[types.JobInfo]]{"gcs.getJob",
+		func(s *Store, id types.JobID) maybe[types.JobInfo] { return maybeOf(s.GetJob(id)) }}
+	rpcJobs   = rpc[none, []types.JobInfo]{"gcs.jobs", func(s *Store, _ none) []types.JobInfo { return s.Jobs() }}
+	rpcCASJob = rpc[casJobReq, bool]{"gcs.casJob", func(s *Store, r casJobReq) bool {
+		return s.CASJobStateOp(r.ID, r.From, r.To, r.Op)
+	}}
+	rpcMarkJobPurged = rpc[types.JobID, bool]{"gcs.markJobPurged", (*Store).MarkJobPurged}
+	rpcJobTasks      = rpc[types.JobID, []types.TaskState]{"gcs.jobTasks", func(s *Store, job types.JobID) []types.TaskState {
+		tasks, _ := s.JobTasks(job)
+		return tasks
+	}}
+	rpcForceReleaseObjects = rpc[objectIDsReq, bool]{"gcs.forceReleaseObjects", ack(func(s *Store, r objectIDsReq) {
+		s.ForceReleaseObjects(r.IDs)
+	})}
+	rpcPurgeObjects = rpc[objectIDsReq, objectIDsReq]{"gcs.purgeObjects", func(s *Store, r objectIDsReq) objectIDsReq {
+		return objectIDsReq{IDs: s.PurgeObjects(r.IDs)}
+	}}
+	rpcPurgeTasks = rpc[taskIDsReq, purgeTasksResp]{"gcs.purgeTasks", func(s *Store, r taskIDsReq) purgeTasksResp {
+		args, left := s.PurgeTasks(r.IDs)
+		return purgeTasksResp{Args: args, Left: left}
+	}}
+	rpcRecordFacts = rpc[recordFactsReq, recordFactsResp]{"gcs.recordFacts", func(s *Store, r recordFactsReq) recordFactsResp {
+		return recordFactsResp{Objects: s.objectFacts(r.Objects), Tasks: s.taskFacts(r.Tasks)}
+	}}
+	rpcPinObjects = rpc[pinObjectsReq, bool]{"gcs.pinObjects", ack(func(s *Store, r pinObjectsReq) {
+		s.PinObjects(r.Deltas, r.Op)
+	})}
+
+	rpcRegisterNode = rpc[types.NodeInfo, bool]{"gcs.registerNode", ack((*Store).RegisterNode)}
+	rpcHeartbeat    = rpc[heartbeatReq, bool]{"gcs.heartbeat", ack(func(s *Store, r heartbeatReq) {
+		s.Heartbeat(r.ID, r.Queue, r.Avail, r.Store)
+	})}
+	rpcMarkNodeDead = rpc[types.NodeID, bool]{"gcs.markNodeDead", ack((*Store).MarkNodeDead)}
+	rpcCASNodeState = rpc[casNodeReq, bool]{"gcs.casNodeState", func(s *Store, r casNodeReq) bool {
+		return s.CASNodeStateOp(r.ID, r.From, r.To, r.Op)
+	}}
+	rpcGetNode = rpc[types.NodeID, maybe[types.NodeInfo]]{"gcs.getNode",
+		func(s *Store, id types.NodeID) maybe[types.NodeInfo] { return maybeOf(s.GetNode(id)) }}
+	rpcNodes = rpc[none, []types.NodeInfo]{"gcs.nodes", func(s *Store, _ none) []types.NodeInfo { return s.Nodes() }}
+
+	rpcLogEvent         = rpc[types.Event, bool]{"gcs.logEvent", ack((*Store).LogEvent)}
+	rpcEvents           = rpc[none, []types.Event]{"gcs.events", func(s *Store, _ none) []types.Event { return s.Events() }}
+	rpcPublishTelemetry = rpc[publishTelemetryReq, bool]{"gcs.publishTelemetry", ack(func(s *Store, r publishTelemetryReq) {
+		s.PublishTelemetry(r.ID, r.Snap, r.Spans)
+	})}
+	rpcTelemetry = rpc[none, []TelemetrySnapshot]{"gcs.telemetry", func(s *Store, _ none) []TelemetrySnapshot { return s.Telemetry() }}
+	rpcSpans     = rpc[none, []metrics.SpanRecord]{"gcs.spans", func(s *Store, _ none) []metrics.SpanRecord { return s.Spans() }}
+)
+
+// methods is every row RegisterService serves.
+var methods = []method{
+	rpcNow,
+	rpcAddTask, rpcGetTask, rpcClaimTask, rpcModifyTaskStates, rpcLiveTasksOwnedBy, rpcTasks, rpcStalePendingTasks,
+	rpcEnsureObjects, rpcAddObjLocation, rpcRemoveObjLocation, rpcGetObject, rpcObjects, rpcModifyObjRefs,
+	rpcSweepDeadRefs, rpcMarkObjSpilled, rpcPublishSpill,
+	rpcCreateGroup, rpcGetGroup, rpcGroups, rpcCASGroup,
+	rpcCreateJob, rpcGetJob, rpcJobs, rpcCASJob, rpcMarkJobPurged, rpcJobTasks,
+	rpcForceReleaseObjects, rpcPurgeObjects, rpcPurgeTasks, rpcRecordFacts, rpcPinObjects,
+	rpcRegisterNode, rpcHeartbeat, rpcMarkNodeDead, rpcCASNodeState, rpcGetNode, rpcNodes,
+	rpcLogEvent, rpcEvents, rpcPublishTelemetry, rpcTelemetry, rpcSpans,
+}
+
 // Registrar is the method-registration surface RegisterService needs.
 // *transport.Server satisfies it directly; a GCS shard service passes a
 // wrapper that gates every handler behind its kill switch so a "crashed"
@@ -208,123 +292,18 @@ type Registrar interface {
 	HandleStream(method string, h transport.StreamHandler)
 }
 
-// handle registers one unary method: decode the request, call fn, encode
-// its answer. Store methods whose signature is already func(Req) Resp are
-// passed directly; the rest unpack a request struct in a one-line closure.
-func handle[Req, Resp any](srv Registrar, method string, fn func(Req) Resp) {
-	srv.Handle(method, func(payload []byte) ([]byte, error) {
-		req, err := codec.DecodeAs[Req](payload)
-		if err != nil {
-			return nil, err
-		}
-		return codec.Encode(fn(req))
-	})
-}
-
-// handle0 registers a unary method that takes no request.
+// handle0 registers a unary method that takes no request: the shard-map
+// pair, which answers from the service rather than from a Store.
 func handle0[Resp any](srv Registrar, method string, fn func() Resp) {
 	srv.Handle(method, func([]byte) ([]byte, error) { return codec.Encode(fn()) })
 }
 
-// ack adapts a method with no result to the wire's `true` acknowledgement.
-func ack[Req any](fn func(Req)) func(Req) bool {
-	return func(req Req) bool { fn(req); return true }
-}
-
-// RegisterService exposes a local Store over a transport server. The batch
-// and scan methods drop the store's failed-set / complete results: a local
-// store applies everything it is given and scans its whole table, so both
-// are client-side (sharded transport) concepts.
+// RegisterService exposes a local Store over a transport server: every row,
+// and the subscription stream.
 func RegisterService(srv Registrar, store *Store) {
-	handle0(srv, MethodNowNs, store.NowNs)
-
-	handle(srv, MethodAddTask, store.AddTask)
-	handle(srv, MethodGetTask, func(id types.TaskID) maybeTask {
-		st, ok := store.GetTask(id)
-		return maybeTask{State: st, OK: ok}
-	})
-	handle(srv, MethodCASTaskStatus, func(r casStatusReq) bool {
-		return store.CASTaskStatusOp(r.ID, r.From, r.To, r.Op)
-	})
-	handle(srv, MethodClaimTask, func(r claimTaskReq) claimTaskResp {
-		seq, ok := store.ClaimTaskOp(r.ID, r.From, r.To, r.Owner, r.Op)
-		return claimTaskResp{Seq: seq, OK: ok}
-	})
-	handle(srv, MethodModifyTaskStates, ack(func(r types.TaskLedgerBatch) {
-		store.ModifyTaskStates(r.Node, r.Deltas, r.Op)
-	}))
-	handle(srv, MethodLiveTasksOwned, func(owner types.NodeID) []types.TaskState {
-		tasks, _ := store.LiveTasksOwnedBy(owner)
-		return tasks
-	})
-	handle0(srv, MethodTasks, store.Tasks)
-	handle(srv, MethodStalePending, store.StalePendingTasks)
-
-	handle(srv, MethodEnsureObjects, ack(func(r ensureObjectsReq) { store.EnsureObjects(r.Producers) }))
-	handle(srv, MethodAddObjLocation, ack(func(r objLocationReq) { store.AddObjectLocation(r.ID, r.Node, r.Size) }))
-	handle(srv, MethodRemoveObjLoc, ack(func(r objLocationReq) { store.RemoveObjectLocation(r.ID, r.Node) }))
-	handle(srv, MethodGetObject, func(id types.ObjectID) maybeObject {
-		info, ok := store.GetObject(id)
-		return maybeObject{Info: info, OK: ok}
-	})
-	handle0(srv, MethodObjects, store.Objects)
-	handle(srv, MethodModifyObjRefs, ack(func(r modifyRefsReq) {
-		store.ModifyObjectRefCounts(r.Node, r.Deltas, r.Op)
-	}))
-	handle(srv, MethodSweepDeadRefs, func(r sweepRefsReq) int { return store.SweepDeadNodeRefs(r.Node) })
-	handle(srv, MethodMarkObjSpilled, ack(func(r markSpilledReq) { store.MarkObjectSpilled(r.ID, r.Node, r.Spilled) }))
-
-	handle(srv, MethodCreateGroup, store.CreatePlacementGroup)
-	handle(srv, MethodRemoveGroup, store.RemovePlacementGroup)
-	handle(srv, MethodGetGroup, func(id types.PlacementGroupID) maybeGroup {
-		info, ok := store.GetPlacementGroup(id)
-		return maybeGroup{Info: info, OK: ok}
-	})
-	handle0(srv, MethodGroups, store.PlacementGroups)
-	handle(srv, MethodCASGroup, func(r casGroupReq) bool {
-		return store.CASPlacementGroupStateOp(r.ID, r.From, r.To, r.Nodes, r.Claim, r.Op)
-	})
-
-	handle(srv, MethodCreateJob, store.CreateJob)
-	handle(srv, MethodGetJob, func(id types.JobID) maybeJob {
-		info, ok := store.GetJob(id)
-		return maybeJob{Info: info, OK: ok}
-	})
-	handle0(srv, MethodJobs, store.Jobs)
-	handle(srv, MethodCASJob, func(r casJobReq) bool { return store.CASJobStateOp(r.ID, r.From, r.To, r.Op) })
-	handle(srv, MethodMarkJobPurged, store.MarkJobPurged)
-	handle(srv, MethodJobTasks, func(job types.JobID) []types.TaskState {
-		tasks, _ := store.JobTasks(job)
-		return tasks
-	})
-	handle(srv, MethodForceReleaseObjs, ack(func(r objectIDsReq) { store.ForceReleaseObjects(r.IDs) }))
-	handle(srv, MethodPurgeObjects, func(r objectIDsReq) objectIDsReq {
-		return objectIDsReq{IDs: store.PurgeObjects(r.IDs)}
-	})
-	handle(srv, MethodPurgeTasks, func(r taskIDsReq) purgeTasksResp {
-		args, left := store.PurgeTasks(r.IDs)
-		return purgeTasksResp{Args: args, Left: left}
-	})
-	handle(srv, MethodRecordFacts, func(r recordFactsReq) recordFactsResp {
-		return recordFactsResp{Objects: store.objectFacts(r.Objects), Tasks: store.taskFacts(r.Tasks)}
-	})
-	handle(srv, MethodPinObjects, ack(func(r pinObjectsReq) { store.PinObjects(r.Deltas, r.Op) }))
-
-	handle(srv, MethodPublishSpill, ack(store.PublishSpill))
-	handle(srv, MethodRegisterNode, ack(store.RegisterNode))
-	handle(srv, MethodHeartbeat, ack(func(r heartbeatReq) { store.Heartbeat(r.ID, r.Queue, r.Avail, r.Store) }))
-	handle(srv, MethodMarkNodeDead, ack(store.MarkNodeDead))
-	handle(srv, MethodCASNodeState, func(r casNodeReq) bool { return store.CASNodeStateOp(r.ID, r.From, r.To, r.Op) })
-	handle(srv, MethodGetNode, func(id types.NodeID) maybeNode {
-		info, ok := store.GetNode(id)
-		return maybeNode{Info: info, OK: ok}
-	})
-	handle0(srv, MethodNodes, store.Nodes)
-	handle(srv, MethodLogEvent, ack(store.LogEvent))
-	handle0(srv, MethodEvents, store.Events)
-	handle(srv, MethodPublishTelemetry, ack(func(r publishTelemetryReq) { store.PublishTelemetry(r.ID, r.Snap, r.Spans) }))
-	handle0(srv, MethodTelemetry, store.Telemetry)
-	handle0(srv, MethodSpans, store.Spans)
+	for _, m := range methods {
+		m.register(srv, store)
+	}
 
 	// Streaming subscriptions: forward the local subscription's messages
 	// until the client disconnects. The first message is an empty ack sent

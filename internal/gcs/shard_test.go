@@ -193,7 +193,7 @@ func TestShardedClientEndToEnd(t *testing.T) {
 	if st, ok := s.GetTask(testTaskID(7)); !ok || st.Spec.Function != "fn" {
 		t.Fatal("keyed GetTask failed")
 	}
-	if !s.CASTaskStatus(testTaskID(7), []types.TaskStatus{types.TaskPending}, types.TaskQueued) {
+	if !casWon(s.ClaimTask(testTaskID(7), []types.TaskStatus{types.TaskPending}, types.TaskQueued, types.NilNodeID)) {
 		t.Fatal("CAS through sharded client failed")
 	}
 
@@ -356,14 +356,14 @@ func TestCASOpDuplicateReportsWon(t *testing.T) {
 	s.AddTask(types.TaskState{Spec: types.TaskSpec{ID: task}, Status: types.TaskPending})
 
 	const op = 77
-	if !s.CASTaskStatusOp(task, []types.TaskStatus{types.TaskPending}, types.TaskQueued, op) {
+	if !casWon(s.ClaimTaskOp(task, []types.TaskStatus{types.TaskPending}, types.TaskQueued, types.NilNodeID, op)) {
 		t.Fatal("first CAS lost")
 	}
-	if !s.CASTaskStatusOp(task, []types.TaskStatus{types.TaskPending}, types.TaskQueued, op) {
+	if !casWon(s.ClaimTaskOp(task, []types.TaskStatus{types.TaskPending}, types.TaskQueued, types.NilNodeID, op)) {
 		t.Fatal("retried CAS lost to its own commit")
 	}
 	// A genuinely distinct contender still loses.
-	if s.CASTaskStatusOp(task, []types.TaskStatus{types.TaskPending}, types.TaskQueued, 78) {
+	if casWon(s.ClaimTaskOp(task, []types.TaskStatus{types.TaskPending}, types.TaskQueued, types.NilNodeID, 78)) {
 		t.Fatal("second contender won an already-claimed CAS")
 	}
 	if st, _ := s.GetTask(task); st.Status != types.TaskQueued {
@@ -449,7 +449,7 @@ func TestRebuildIndexesReconciles(t *testing.T) {
 	pending, claimed := testTaskID(10), testTaskID(11)
 	s.AddTask(types.TaskState{Spec: types.TaskSpec{ID: pending}, Status: types.TaskPending})
 	s.AddTask(types.TaskState{Spec: types.TaskSpec{ID: claimed}, Status: types.TaskPending})
-	s.CASTaskStatus(claimed, []types.TaskStatus{types.TaskPending}, types.TaskQueued)
+	s.ClaimTask(claimed, []types.TaskStatus{types.TaskPending}, types.TaskQueued, types.NilNodeID)
 	garbage := testObjectID(12)
 	s.EnsureObject(garbage, types.NilTaskID)
 	s.AddObjectLocation(garbage, node, 8)
@@ -483,7 +483,7 @@ func TestStalePendingIndexFollowsTransitions(t *testing.T) {
 		t.Fatalf("pending index after AddTask: %v", got)
 	}
 	// Claimed: leaves the index.
-	if !s.CASTaskStatus(task, []types.TaskStatus{types.TaskPending}, types.TaskQueued) {
+	if !casWon(s.ClaimTask(task, []types.TaskStatus{types.TaskPending}, types.TaskQueued, types.NilNodeID)) {
 		t.Fatal("CAS")
 	}
 	if got := s.StalePendingTasks(0); len(got) != 0 {

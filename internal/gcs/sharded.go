@@ -292,11 +292,11 @@ func (s *Sharded) attempt(idx int, method string, payload []byte) ([]byte, error
 	return nil, err
 }
 
-// shardCall performs one keyed unary RPC with failover: failed attempts
+// shardCall performs one keyed call of m with failover: failed attempts
 // are retried, re-resolving the key against the refreshed map each time,
 // until RetryWindow elapses. ok=false after exhaustion.
-func shardCall[R any](s *Sharded, key, method string, req any) (R, bool) {
-	var zero R
+func shardCall[Req, Resp any](s *Sharded, m rpc[Req, Resp], key string, req Req) (Resp, bool) {
+	var zero Resp
 	payload, err := codec.Encode(req)
 	if err != nil {
 		return zero, false
@@ -304,8 +304,8 @@ func shardCall[R any](s *Sharded, key, method string, req any) (R, bool) {
 	deadline := time.Now().Add(s.cfg.RetryWindow)
 	backoff := time.Millisecond
 	for {
-		if resp, err := s.attempt(s.Map().ShardForKey(key), method, payload); err == nil {
-			out, decErr := codec.DecodeAs[R](resp)
+		if resp, err := s.attempt(s.Map().ShardForKey(key), m.name, payload); err == nil {
+			out, decErr := codec.DecodeAs[Resp](resp)
 			return out, decErr == nil
 		}
 		if time.Now().After(deadline) {
@@ -324,15 +324,15 @@ func shardCall[R any](s *Sharded, key, method string, req any) (R, bool) {
 
 // scanShard is one shard's slice of a fan-out read: two quick attempts,
 // then give up so a dead shard degrades the view instead of stalling it.
-func scanShard[R any](s *Sharded, idx int, method string, req any) (R, bool) {
-	var zero R
+func scanShard[Req, Resp any](s *Sharded, idx int, m rpc[Req, Resp], req Req) (Resp, bool) {
+	var zero Resp
 	payload, err := codec.Encode(req)
 	if err != nil {
 		return zero, false
 	}
 	for range 2 {
-		if resp, err := s.attempt(idx, method, payload); err == nil {
-			out, decErr := codec.DecodeAs[R](resp)
+		if resp, err := s.attempt(idx, m.name, payload); err == nil {
+			out, decErr := codec.DecodeAs[Resp](resp)
 			return out, decErr == nil
 		}
 	}
@@ -344,10 +344,10 @@ func scanShard[R any](s *Sharded, idx int, method string, req any) (R, bool) {
 // every shard, so a shard that stays unreachable makes the view incomplete
 // — callers that must not conclude from a partial scan (owner-death
 // transfer, job reclaim, the dead-node ref sweep) retry on false.
-func scanAll[R any](s *Sharded, method string, req any) (parts []R, complete bool) {
+func scanAll[Req, Resp any](s *Sharded, m rpc[Req, Resp], req Req) (parts []Resp, complete bool) {
 	complete = true
 	for idx := range s.Map().NumShards() {
-		if part, ok := scanShard[R](s, idx, method, req); ok {
+		if part, ok := scanShard(s, idx, m, req); ok {
 			parts = append(parts, part)
 		} else {
 			complete = false
@@ -358,38 +358,28 @@ func scanAll[R any](s *Sharded, method string, req any) (parts []R, complete boo
 
 // fanOut merges one list scan across every shard, degrading gracefully: a
 // dead shard's rows are absent until it recovers.
-func fanOut[R any](s *Sharded, method string, req any) ([]R, bool) {
-	parts, complete := scanAll[[]R](s, method, req)
+func fanOut[Req, R any](s *Sharded, m rpc[Req, []R], req Req) ([]R, bool) {
+	parts, complete := scanAll(s, m, req)
 	return slices.Concat(parts...), complete
 }
 
-// fanOutSum totals one counting pass across every shard.
-func fanOutSum(s *Sharded, method string, req any) (int, bool) {
-	parts, complete := scanAll[int](s, method, req)
-	total := 0
-	for _, n := range parts {
-		total += n
-	}
-	return total, complete
-}
-
 // partition is the one batch fan-out: items are grouped by the shard
-// owning key(item), each group is delivered as one keyed RPC — round trips
-// proportional to the shards touched, not the items — with groups in
+// owning key(item), each group is delivered as one keyed call of m — round
+// trips proportional to the shards touched, not the items — with groups in
 // flight concurrently, and the leftovers are collected: left(resp) for a
 // delivered group (nil left: nothing), the whole group for one whose shard
 // stayed unreachable past the retry window, so the caller requeues or
 // retries exactly those. A group is routed by any member: shardCall
 // re-resolves the key each retry, so a failover re-routes the batch to the
 // new incarnation.
-func partition[T, Resp any](s *Sharded, items []T, key func(T) string, method string, req func([]T) any, left func(Resp) []T) []T {
+func partition[T, Req, Resp any](s *Sharded, m rpc[Req, Resp], items []T, key func(T) string, req func([]T) Req, left func(Resp) []T) []T {
 	if len(items) == 0 {
 		return nil
 	}
-	m := s.Map()
+	sm := s.Map()
 	parts := make(map[int][]T)
 	for _, it := range items {
-		idx := m.ShardForKey(key(it))
+		idx := sm.ShardForKey(key(it))
 		parts[idx] = append(parts[idx], it)
 	}
 	var (
@@ -401,7 +391,7 @@ func partition[T, Resp any](s *Sharded, items []T, key func(T) string, method st
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, ok := shardCall[Resp](s, key(part[0]), method, req(part))
+			resp, ok := shardCall(s, m, key(part[0]), req(part))
 			mu.Lock()
 			defer mu.Unlock()
 			if !ok {
@@ -432,7 +422,7 @@ func subMap[K comparable, V any](m map[K]V, keys []K) map[K]V {
 // across its own restarts.
 func (s *Sharded) NowNs() int64 {
 	for idx := 0; idx < s.Map().NumShards(); idx++ {
-		if v, ok := scanShard[int64](s, idx, MethodNowNs, nil); ok {
+		if v, ok := scanShard(s, idx, rpcNow, none{}); ok {
 			return v
 		}
 	}
@@ -443,7 +433,7 @@ func (s *Sharded) NowNs() int64 {
 // dead shard makes reads unreliable (its records look absent), so callers
 // distinguishing missing-record from unreachable need the conjunction.
 func (s *Sharded) Ping() bool {
-	parts, complete := scanAll[int64](s, MethodNowNs, nil)
+	parts, complete := scanAll(s, rpcNow, none{})
 	return complete && len(parts) > 0
 }
 
@@ -451,31 +441,23 @@ func (s *Sharded) Ping() bool {
 
 // AddTask implements API.
 func (s *Sharded) AddTask(state types.TaskState) bool {
-	v, _ := shardCall[bool](s, TaskKey(state.Spec.ID), MethodAddTask, state)
+	v, _ := shardCall(s, rpcAddTask, TaskKey(state.Spec.ID), state)
 	return v
 }
 
 // GetTask implements API.
 func (s *Sharded) GetTask(id types.TaskID) (types.TaskState, bool) {
-	v, ok := shardCall[maybeTask](s, TaskKey(id), MethodGetTask, id)
-	return v.State, ok && v.OK
+	v, ok := shardCall(s, rpcGetTask, TaskKey(id), id)
+	return v.Val, ok && v.OK
 }
 
-// CASTaskStatus implements API. Like refcount deltas, a CAS claim is not
-// response-idempotent (the retry would lose to its own commit), so each
-// logical CAS carries a token held fixed across retries; the shard's
-// durable CASOps ring reports the duplicate as won.
-func (s *Sharded) CASTaskStatus(id types.TaskID, from []types.TaskStatus, to types.TaskStatus) bool {
-	v, _ := shardCall[bool](s, TaskKey(id), MethodCASTaskStatus,
-		casStatusReq{ID: id, From: from, To: to, Op: newOpToken()})
-	return v
-}
-
-// ClaimTask implements API. Claims are CAS-shaped (a retry would lose to
-// its own commit), so each logical claim carries a fixed token; the returned
-// sequence is the base the new owner's ledger deltas must exceed.
+// ClaimTask implements API. A claim is not response-idempotent (the retry
+// would lose to its own commit), so each logical claim carries a token held
+// fixed across retries, which the shard's durable MutOps ring reports as
+// won; the returned sequence is the base the new owner's ledger deltas must
+// exceed.
 func (s *Sharded) ClaimTask(id types.TaskID, from []types.TaskStatus, to types.TaskStatus, owner types.NodeID) (uint64, bool) {
-	v, ok := shardCall[claimTaskResp](s, TaskKey(id), MethodClaimTask,
+	v, ok := shardCall(s, rpcClaimTask, TaskKey(id),
 		claimTaskReq{ID: id, From: from, To: to, Owner: owner, Op: newOpToken()})
 	return v.Seq, ok && v.OK
 }
@@ -486,9 +468,11 @@ func (s *Sharded) ClaimTask(id types.TaskID, from []types.TaskStatus, to types.T
 // retry window contributes its whole partition to the failed set so the
 // owner requeues those deltas under the same token.
 func (s *Sharded) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
-	rest := partition[types.TaskStateDelta, bool](s, deltas,
-		func(d types.TaskStateDelta) string { return TaskKey(d.ID) }, MethodModifyTaskStates,
-		func(part []types.TaskStateDelta) any { return types.TaskLedgerBatch{Node: node, Deltas: part, Op: op} }, nil)
+	rest := partition(s, rpcModifyTaskStates, deltas,
+		func(d types.TaskStateDelta) string { return TaskKey(d.ID) },
+		func(part []types.TaskStateDelta) types.TaskLedgerBatch {
+			return types.TaskLedgerBatch{Node: node, Deltas: part, Op: op}
+		}, nil)
 	var failed []types.TaskID
 	for _, d := range rest {
 		failed = append(failed, d.ID)
@@ -498,7 +482,7 @@ func (s *Sharded) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDe
 
 // Tasks implements API: merged scan, restored to submit order.
 func (s *Sharded) Tasks() []types.TaskState {
-	out, _ := fanOut[types.TaskState](s, MethodTasks, nil)
+	out, _ := fanOut(s, rpcTasks, none{})
 	sort.Slice(out, func(i, j int) bool { return out[i].SubmittedNs < out[j].SubmittedNs })
 	return out
 }
@@ -506,7 +490,7 @@ func (s *Sharded) Tasks() []types.TaskState {
 // StalePendingTasks implements API: each shard filters on its own clock,
 // so only the (normally tiny) stale set crosses the wire.
 func (s *Sharded) StalePendingTasks(olderThanNs int64) []types.TaskSpec {
-	out, _ := fanOut[types.TaskSpec](s, MethodStalePending, olderThanNs)
+	out, _ := fanOut(s, rpcStalePendingTasks, olderThanNs)
 	return out
 }
 
@@ -514,7 +498,7 @@ func (s *Sharded) StalePendingTasks(olderThanNs int64) []types.TaskSpec {
 // transfer keeps the dead owner on its sweep list and retries rather than
 // re-owning a partial set.
 func (s *Sharded) LiveTasksOwnedBy(owner types.NodeID) ([]types.TaskState, bool) {
-	return fanOut[types.TaskState](s, MethodLiveTasksOwned, owner)
+	return fanOut(s, rpcLiveTasksOwnedBy, owner)
 }
 
 // --- API: object table ---
@@ -524,29 +508,31 @@ func (s *Sharded) LiveTasksOwnedBy(owner types.NodeID) ([]types.TaskState, bool)
 // a missing producer), so partitions carry no token; a shard unreachable
 // past the retry window contributes its partition to the failed set.
 func (s *Sharded) EnsureObjects(producers map[types.ObjectID]types.TaskID) []types.ObjectID {
-	return partition[types.ObjectID, bool](s, slices.Collect(maps.Keys(producers)), ObjectKey, MethodEnsureObjects,
-		func(part []types.ObjectID) any { return ensureObjectsReq{Producers: subMap(producers, part)} }, nil)
+	return partition(s, rpcEnsureObjects, slices.Collect(maps.Keys(producers)), ObjectKey,
+		func(part []types.ObjectID) ensureObjectsReq {
+			return ensureObjectsReq{Producers: subMap(producers, part)}
+		}, nil)
 }
 
 // AddObjectLocation implements API.
 func (s *Sharded) AddObjectLocation(id types.ObjectID, node types.NodeID, size int64) {
-	shardCall[bool](s, ObjectKey(id), MethodAddObjLocation, objLocationReq{ID: id, Node: node, Size: size})
+	shardCall(s, rpcAddObjLocation, ObjectKey(id), objLocationReq{ID: id, Node: node, Size: size})
 }
 
 // RemoveObjectLocation implements API.
 func (s *Sharded) RemoveObjectLocation(id types.ObjectID, node types.NodeID) {
-	shardCall[bool](s, ObjectKey(id), MethodRemoveObjLoc, objLocationReq{ID: id, Node: node})
+	shardCall(s, rpcRemoveObjLocation, ObjectKey(id), objLocationReq{ID: id, Node: node})
 }
 
 // GetObject implements API.
 func (s *Sharded) GetObject(id types.ObjectID) (types.ObjectInfo, bool) {
-	v, ok := shardCall[maybeObject](s, ObjectKey(id), MethodGetObject, id)
-	return v.Info, ok && v.OK
+	v, ok := shardCall(s, rpcGetObject, ObjectKey(id), id)
+	return v.Val, ok && v.OK
 }
 
 // Objects implements API.
 func (s *Sharded) Objects() []types.ObjectInfo {
-	out, _ := fanOut[types.ObjectInfo](s, MethodObjects, nil)
+	out, _ := fanOut(s, rpcObjects, none{})
 	return out
 }
 
@@ -558,8 +544,8 @@ func (s *Sharded) Objects() []types.ObjectInfo {
 // same token, which is what makes the eventual redelivery safe against a
 // crash that committed the partition but lost the ack.
 func (s *Sharded) ModifyObjectRefCounts(node types.NodeID, deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
-	return partition[types.ObjectID, bool](s, slices.Collect(maps.Keys(deltas)), ObjectKey, MethodModifyObjRefs,
-		func(part []types.ObjectID) any {
+	return partition(s, rpcModifyObjRefs, slices.Collect(maps.Keys(deltas)), ObjectKey,
+		func(part []types.ObjectID) modifyRefsReq {
 			return modifyRefsReq{Node: node, Deltas: subMap(deltas, part), Op: op}
 		}, nil)
 }
@@ -569,9 +555,13 @@ func (s *Sharded) ModifyObjectRefCounts(node types.NodeID, deltas map[types.Obje
 // sweep) keeps the node on its sweep list; the sweep is idempotent so the
 // overlap is free.
 func (s *Sharded) SweepDeadNodeRefs(node types.NodeID) int {
-	total, complete := fanOutSum(s, MethodSweepDeadRefs, sweepRefsReq{Node: node})
+	parts, complete := scanAll(s, rpcSweepDeadRefs, node)
 	if !complete {
 		return -1
+	}
+	total := 0
+	for _, n := range parts {
+		total += n
 	}
 	return total
 }
@@ -587,7 +577,7 @@ func newOpToken() uint64 {
 
 // MarkObjectSpilled implements API.
 func (s *Sharded) MarkObjectSpilled(id types.ObjectID, node types.NodeID, spilled bool) {
-	shardCall[bool](s, ObjectKey(id), MethodMarkObjSpilled, markSpilledReq{ID: id, Node: node, Spilled: spilled})
+	shardCall(s, rpcMarkObjSpilled, ObjectKey(id), markSpilledReq{ID: id, Node: node, Spilled: spilled})
 }
 
 // --- API: placement-group table ---
@@ -596,35 +586,29 @@ func (s *Sharded) MarkObjectSpilled(id types.ObjectID, node types.NodeID, spille
 // (insert-if-absent keyed by group ID), so a retry across a shard crash
 // needs no token; the retry's false return leaves the original record.
 func (s *Sharded) CreatePlacementGroup(spec types.PlacementGroupSpec) bool {
-	v, _ := shardCall[bool](s, GroupKey(spec.ID), MethodCreateGroup, spec)
-	return v
-}
-
-// RemovePlacementGroup implements API (idempotent: Removed is terminal).
-func (s *Sharded) RemovePlacementGroup(id types.PlacementGroupID) bool {
-	v, _ := shardCall[bool](s, GroupKey(id), MethodRemoveGroup, id)
+	v, _ := shardCall(s, rpcCreateGroup, GroupKey(spec.ID), spec)
 	return v
 }
 
 // GetPlacementGroup implements API.
 func (s *Sharded) GetPlacementGroup(id types.PlacementGroupID) (types.PlacementGroupInfo, bool) {
-	v, ok := shardCall[maybeGroup](s, GroupKey(id), MethodGetGroup, id)
-	return v.Info, ok && v.OK
+	v, ok := shardCall(s, rpcGetGroup, GroupKey(id), id)
+	return v.Val, ok && v.OK
 }
 
 // PlacementGroups implements API.
 func (s *Sharded) PlacementGroups() []types.PlacementGroupInfo {
-	out, _ := fanOut[types.PlacementGroupInfo](s, MethodGroups, nil)
+	out, _ := fanOut(s, rpcGroups, none{})
 	return out
 }
 
-// CASPlacementGroupState implements API. Like task-status CAS, a gang
-// claim is not response-idempotent (the retry would lose to its own
+// CASPlacementGroupState implements API. Like every other state CAS, a
+// gang claim is not response-idempotent (the retry would lose to its own
 // commit, stranding the group in Placing), so each logical CAS carries a
 // token held fixed across retries; the shard's durable MutOps ring reports
 // the duplicate as won.
 func (s *Sharded) CASPlacementGroupState(id types.PlacementGroupID, from []types.PlacementGroupState, to types.PlacementGroupState, bundleNodes []types.NodeID, claim uint64) bool {
-	v, _ := shardCall[bool](s, GroupKey(id), MethodCASGroup,
+	v, _ := shardCall(s, rpcCASGroup, GroupKey(id),
 		casGroupReq{ID: id, From: from, To: to, Nodes: bundleNodes, Claim: claim, Op: newOpToken()})
 	return v
 }
@@ -635,19 +619,19 @@ func (s *Sharded) CASPlacementGroupState(id types.PlacementGroupID, from []types
 // (insert-if-absent keyed by job ID), so a retry across a shard crash
 // needs no token; the retry's false return leaves the original record.
 func (s *Sharded) CreateJob(spec types.JobSpec) bool {
-	v, _ := shardCall[bool](s, JobKey(spec.ID), MethodCreateJob, spec)
+	v, _ := shardCall(s, rpcCreateJob, JobKey(spec.ID), spec)
 	return v
 }
 
 // GetJob implements API.
 func (s *Sharded) GetJob(id types.JobID) (types.JobInfo, bool) {
-	v, ok := shardCall[maybeJob](s, JobKey(id), MethodGetJob, id)
-	return v.Info, ok && v.OK
+	v, ok := shardCall(s, rpcGetJob, JobKey(id), id)
+	return v.Val, ok && v.OK
 }
 
 // Jobs implements API: merged scan, creation-ordered.
 func (s *Sharded) Jobs() []types.JobInfo {
-	out, _ := fanOut[types.JobInfo](s, MethodJobs, nil)
+	out, _ := fanOut(s, rpcJobs, none{})
 	sort.Slice(out, func(i, j int) bool { return out[i].CreatedNs < out[j].CreatedNs })
 	return out
 }
@@ -658,21 +642,20 @@ func (s *Sharded) Jobs() []types.JobInfo {
 // logical CAS carries a token held fixed across retries; the shard's
 // durable MutOps ring reports the duplicate as won.
 func (s *Sharded) CASJobState(id types.JobID, from []types.JobState, to types.JobState) bool {
-	v, _ := shardCall[bool](s, JobKey(id), MethodCASJob,
-		casJobReq{ID: id, From: from, To: to, Op: newOpToken()})
+	v, _ := shardCall(s, rpcCASJob, JobKey(id), casJobReq{ID: id, From: from, To: to, Op: newOpToken()})
 	return v
 }
 
 // MarkJobPurged implements API (idempotent: PurgedNs only moves off zero).
 func (s *Sharded) MarkJobPurged(id types.JobID) bool {
-	v, _ := shardCall[bool](s, JobKey(id), MethodMarkJobPurged, id)
+	v, _ := shardCall(s, rpcMarkJobPurged, JobKey(id), id)
 	return v
 }
 
 // JobTasks implements API. The reclaim pass must not declare a job
 // drained off a partial scan, so on an incomplete view it retries.
 func (s *Sharded) JobTasks(job types.JobID) ([]types.TaskState, bool) {
-	return fanOut[types.TaskState](s, MethodJobTasks, job)
+	return fanOut(s, rpcJobTasks, job)
 }
 
 // ForceReleaseObjects implements API: partitioned by the shard owning
@@ -681,7 +664,7 @@ func (s *Sharded) JobTasks(job types.JobID) ([]types.TaskState, bool) {
 // contributes its partition to the failed set and the reclaim pass
 // retries it.
 func (s *Sharded) ForceReleaseObjects(ids []types.ObjectID) []types.ObjectID {
-	return partition[types.ObjectID, bool](s, ids, ObjectKey, MethodForceReleaseObjs, objectIDs, nil)
+	return partition(s, rpcForceReleaseObjects, ids, ObjectKey, objectIDs, nil)
 }
 
 // PurgeObjects is retire's object removal, partitioned like
@@ -689,19 +672,19 @@ func (s *Sharded) ForceReleaseObjects(ids []types.ObjectID) []types.ObjectID {
 // still undrained; an unreachable shard's whole partition is reported
 // remaining so the caller retries it.
 func (s *Sharded) PurgeObjects(ids []types.ObjectID) []types.ObjectID {
-	return partition(s, ids, ObjectKey, MethodPurgeObjects, objectIDs,
+	return partition(s, rpcPurgeObjects, ids, ObjectKey, objectIDs,
 		func(resp objectIDsReq) []types.ObjectID { return resp.IDs })
 }
 
-func objectIDs(ids []types.ObjectID) any { return objectIDsReq{IDs: ids} }
+func objectIDs(ids []types.ObjectID) objectIDsReq { return objectIDsReq{IDs: ids} }
 
 // PurgeTasks implements API: partitioned by the shard owning each task
 // record. A delete cannot be told from its own retry, so a partition whose
 // ack died with its shard reports nothing removed the second time and the
 // pins those records held stay — the leak-safe direction.
 func (s *Sharded) PurgeTasks(ids []types.TaskID) (args []types.ObjectID, left []types.TaskID) {
-	left = partition(s, ids, TaskKey, MethodPurgeTasks,
-		func(part []types.TaskID) any { return taskIDsReq{IDs: part} },
+	left = partition(s, rpcPurgeTasks, ids, TaskKey,
+		func(part []types.TaskID) taskIDsReq { return taskIDsReq{IDs: part} },
 		func(resp purgeTasksResp) []types.TaskID {
 			args = append(args, resp.Args...) // partition calls this under its lock
 			return resp.Left
@@ -712,8 +695,8 @@ func (s *Sharded) PurgeTasks(ids []types.TaskID) (args []types.ObjectID, left []
 // PinObjects implements API: partitioned like ModifyObjectRefCounts, every
 // partition under the caller's token.
 func (s *Sharded) PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
-	return partition[types.ObjectID, bool](s, slices.Collect(maps.Keys(deltas)), ObjectKey, MethodPinObjects,
-		func(part []types.ObjectID) any { return pinObjectsReq{Deltas: subMap(deltas, part), Op: op} }, nil)
+	return partition(s, rpcPinObjects, slices.Collect(maps.Keys(deltas)), ObjectKey,
+		func(part []types.ObjectID) pinObjectsReq { return pinObjectsReq{Deltas: subMap(deltas, part), Op: op} }, nil)
 }
 
 // Retire implements API: the policy of retire.go, its reads and removals as
@@ -721,8 +704,8 @@ func (s *Sharded) PinObjects(deltas map[types.ObjectID]int64, op uint64) []types
 func (s *Sharded) Retire(objects []types.ObjectID) Retired { return retire(s, objects) }
 
 // recordFacts is one of retire's batched reads: the records of ids, grouped
-// by owning shard, one message per shard, answered in ids' order. A shard
-// gets two quick attempts where other keyed calls ride out the retry
+// by owning shard, one rpcRecordFacts per shard, answered in ids' order. A
+// shard gets two quick attempts where other keyed calls ride out the retry
 // window — the caller holds a batch, and a dead shard must cost it one
 // short wait — and its records then read as down.
 func recordFacts[K ~[types.IDSize]byte, F any](s *Sharded, ids []K, key func(K) string, req func([]K) recordFactsReq, facts func(recordFactsResp) []F, down F) []F {
@@ -742,7 +725,7 @@ func recordFacts[K ~[types.IDSize]byte, F any](s *Sharded, ids []K, key func(K) 
 			for j, i := range at {
 				part[j] = ids[i]
 			}
-			resp, ok := scanShard[recordFactsResp](s, idx, MethodRecordFacts, req(part))
+			resp, ok := scanShard(s, idx, rpcRecordFacts, req(part))
 			got := facts(resp)
 			for j, i := range at {
 				if ok && j < len(got) {
@@ -776,44 +759,43 @@ func (s *Sharded) taskFacts(ids []types.TaskID) []taskFacts {
 // pending-task sweep is the durable fallback for a publish dropped by a
 // shard crash.
 func (s *Sharded) PublishSpill(spec types.TaskSpec) {
-	shardCall[bool](s, TaskKey(spec.ID), MethodPublishSpill, spec)
+	shardCall(s, rpcPublishSpill, TaskKey(spec.ID), spec)
 }
 
 // --- API: node table ---
 
 // RegisterNode implements API.
 func (s *Sharded) RegisterNode(info types.NodeInfo) {
-	shardCall[bool](s, NodeKey(info.ID), MethodRegisterNode, info)
+	shardCall(s, rpcRegisterNode, NodeKey(info.ID), info)
 }
 
 // Heartbeat implements API.
 func (s *Sharded) Heartbeat(id types.NodeID, queueLen int, avail types.Resources, store types.StoreStats) {
-	shardCall[bool](s, NodeKey(id), MethodHeartbeat, heartbeatReq{ID: id, Queue: queueLen, Avail: avail, Store: store})
+	shardCall(s, rpcHeartbeat, NodeKey(id), heartbeatReq{ID: id, Queue: queueLen, Avail: avail, Store: store})
 }
 
 // MarkNodeDead implements API.
 func (s *Sharded) MarkNodeDead(id types.NodeID) {
-	shardCall[bool](s, NodeKey(id), MethodMarkNodeDead, id)
+	shardCall(s, rpcMarkNodeDead, NodeKey(id), id)
 }
 
 // CASNodeState implements API: tokenized like every other state CAS, so a
 // drain decision retried across a shard crash never loses to its own
 // earlier commit.
 func (s *Sharded) CASNodeState(id types.NodeID, from []types.NodeState, to types.NodeState) bool {
-	v, _ := shardCall[bool](s, NodeKey(id), MethodCASNodeState,
-		casNodeReq{ID: id, From: from, To: to, Op: newOpToken()})
+	v, _ := shardCall(s, rpcCASNodeState, NodeKey(id), casNodeReq{ID: id, From: from, To: to, Op: newOpToken()})
 	return v
 }
 
 // GetNode implements API.
 func (s *Sharded) GetNode(id types.NodeID) (types.NodeInfo, bool) {
-	v, ok := shardCall[maybeNode](s, NodeKey(id), MethodGetNode, id)
-	return v.Info, ok && v.OK
+	v, ok := shardCall(s, rpcGetNode, NodeKey(id), id)
+	return v.Val, ok && v.OK
 }
 
 // Nodes implements API.
 func (s *Sharded) Nodes() []types.NodeInfo {
-	out, _ := fanOut[types.NodeInfo](s, MethodNodes, nil)
+	out, _ := fanOut(s, rpcNodes, none{})
 	sort.Slice(out, func(i, j int) bool { return out[i].ID.Hex() < out[j].ID.Hex() })
 	return out
 }
@@ -822,12 +804,12 @@ func (s *Sharded) Nodes() []types.NodeInfo {
 
 // LogEvent implements API.
 func (s *Sharded) LogEvent(ev types.Event) {
-	shardCall[bool](s, EventKey(ev.Node), MethodLogEvent, ev)
+	shardCall(s, rpcLogEvent, EventKey(ev.Node), ev)
 }
 
 // Events implements API: merged, time-ordered (shards share one epoch).
 func (s *Sharded) Events() []types.Event {
-	out, _ := fanOut[types.Event](s, MethodEvents, nil)
+	out, _ := fanOut(s, rpcEvents, none{})
 	sort.Slice(out, func(i, j int) bool { return out[i].TimeNs < out[j].TimeNs })
 	return out
 }
@@ -836,19 +818,19 @@ func (s *Sharded) Events() []types.Event {
 // on the shard owning the node record, so the per-node state and its
 // telemetry fail (and recover) together.
 func (s *Sharded) PublishTelemetry(id types.NodeID, snap metrics.Snapshot, spans []metrics.SpanRecord) {
-	shardCall[bool](s, NodeKey(id), MethodPublishTelemetry, publishTelemetryReq{ID: id, Snap: snap, Spans: spans})
+	shardCall(s, rpcPublishTelemetry, NodeKey(id), publishTelemetryReq{ID: id, Snap: snap, Spans: spans})
 }
 
 // Telemetry implements TelemetrySink: merged across shards.
 func (s *Sharded) Telemetry() []TelemetrySnapshot {
-	out, _ := fanOut[TelemetrySnapshot](s, MethodTelemetry, nil)
+	out, _ := fanOut(s, rpcTelemetry, none{})
 	sort.Slice(out, func(i, j int) bool { return out[i].Node.String() < out[j].Node.String() })
 	return out
 }
 
 // Spans implements TelemetrySink: merged across shards, time-ordered.
 func (s *Sharded) Spans() []metrics.SpanRecord {
-	out, _ := fanOut[metrics.SpanRecord](s, MethodSpans, nil)
+	out, _ := fanOut(s, rpcSpans, none{})
 	sort.Slice(out, func(i, j int) bool { return out[i].StartNs < out[j].StartNs })
 	return out
 }

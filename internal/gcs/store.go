@@ -15,11 +15,10 @@ import (
 )
 
 // Store is the control plane. It is the only stateful component in the
-// system; everything else can crash and resubscribe. The three tables every
-// task touches — tasks, objects, nodes — are decoded records in typed
-// tables (table.go); jobs, placement groups, events and the clock epoch
-// live in the kv store, which is also the pub/sub bus and, on a
-// durable shard, the hot tables' journal.
+// system; everything else can crash and resubscribe. Every record — task,
+// object, node, job, placement group — is a decoded record in a typed
+// table (table.go). The kv store holds the event log and the clock epoch,
+// is the pub/sub bus and, on a durable shard, the tables' journal.
 type Store struct {
 	db    kv.DB
 	epoch time.Time
@@ -32,6 +31,8 @@ type Store struct {
 	tasks   *table[types.TaskID, types.TaskState]
 	objects *table[types.ObjectID, types.ObjectInfo]
 	nodes   *table[types.NodeID, types.NodeInfo]
+	jobs    *table[types.JobID, types.JobInfo]
+	groups  *table[types.PlacementGroupID, types.PlacementGroupInfo]
 }
 
 // NewStore creates an in-memory control plane with the given stripe count.
@@ -49,9 +50,9 @@ func NewStore(shards int) *Store {
 // components simply reconnect and resubscribe.
 //
 // What db is decides durability, and nothing else does: over a kv.Logger
-// every committed hot record is also written through it, so WAL, snapshot
-// and checkpoint hold exactly what they always held; over a bare kv.Store
-// the hot tables encode nothing.
+// every committed record is also written through it, so WAL, snapshot and
+// checkpoint hold exactly what they always held; over a bare kv.Store the
+// tables encode nothing.
 //
 // The clock epoch is itself part of the durable state (keyMetaEpoch): the
 // first incarnation stamps it, and every recovery re-reads it, so NowNs
@@ -72,9 +73,13 @@ func RecoverStore(db kv.DB) *Store {
 	s.tasks = newTable[types.TaskID](n, keyTask, keyPendIdx, taskPending, (*types.TaskState).Clone)
 	s.objects = newTable[types.ObjectID](n, keyObject, keyGCIdx, gcEligible, (*types.ObjectInfo).Clone)
 	s.nodes = newTable[types.NodeID](n, keyNode, "", nil, (*types.NodeInfo).Clone)
+	s.jobs = newTable[types.JobID](n, keyJob, "", nil, (*types.JobInfo).Clone)
+	s.groups = newTable[types.PlacementGroupID](n, keyGroup, "", nil, (*types.PlacementGroupInfo).Clone)
 	s.tasks.load(db, durable)
 	s.objects.load(db, durable)
 	s.nodes.load(db, durable)
+	s.jobs.load(db, durable)
+	s.groups.load(db, durable)
 	return s
 }
 
@@ -89,8 +94,8 @@ func gcEligible(o *types.ObjectInfo) bool {
 
 // Snapshot writes the whole control state in the kv snapshot format, so
 // kv.Restore + RecoverStore reconstitute it. A durable store's journal
-// already holds every hot record; an in-memory store encodes its tables
-// beside a copy of the kv-resident ones.
+// already holds every record; an in-memory store encodes its tables beside
+// a copy of the event log and the clock epoch.
 func (s *Store) Snapshot(w io.Writer) error {
 	if s.tasks.journal != nil {
 		return s.db.Snapshot(w)
@@ -109,13 +114,16 @@ func (s *Store) Snapshot(w io.Writer) error {
 	s.tasks.dump(all.Put)
 	s.objects.dump(all.Put)
 	s.nodes.dump(all.Put)
+	s.jobs.dump(all.Put)
+	s.groups.dump(all.Put)
 	return all.Snapshot(w)
 }
 
 // Ops returns the cumulative count of table and kv operations (monotonic;
 // the dashboard's kv_ops, E7).
 func (s *Store) Ops() int64 {
-	return s.db.Ops() + s.tasks.ops.Load() + s.objects.ops.Load() + s.nodes.ops.Load()
+	return s.db.Ops() + s.tasks.ops.Load() + s.objects.ops.Load() + s.nodes.ops.Load() +
+		s.jobs.ops.Load() + s.groups.ops.Load()
 }
 
 // SetEventLogging toggles the event log (used by the overhead bench, E13).
@@ -129,16 +137,25 @@ func (s *Store) NowNs() int64 { return time.Since(s.epoch).Nanoseconds() }
 // locations they held are dropped. Sole copies transition to LOST, making
 // them eligible for lineage replay as soon as new nodes join — the recovery
 // sequence Section 3.2.1 sketches.
-func (s *Store) ResetAfterRecovery() {
+func (s *Store) ResetAfterRecovery() { resetAfterRecovery(s) }
+
+// resetAfterRecovery is ResetAfterRecovery over every shard's store. Node
+// and object records live on different shards, so the dead-node set is
+// gathered across all of them before any store's locations are scrubbed.
+func resetAfterRecovery(stores ...*Store) {
 	dead := make(map[types.NodeID]bool)
-	for _, n := range s.Nodes() {
-		dead[n.ID] = true
-		s.MarkNodeDead(n.ID)
+	for _, st := range stores {
+		for _, n := range st.Nodes() {
+			dead[n.ID] = true
+			st.MarkNodeDead(n.ID)
+		}
 	}
-	for _, o := range s.Objects() {
-		for _, loc := range o.Locations {
-			if dead[loc] {
-				s.RemoveObjectLocation(o.ID, loc)
+	for _, st := range stores {
+		for _, o := range st.Objects() {
+			for _, loc := range o.Locations {
+				if dead[loc] {
+					st.RemoveObjectLocation(o.ID, loc)
+				}
 			}
 		}
 	}
@@ -186,40 +203,20 @@ func (s *Store) publishStatus(id types.TaskID, status types.TaskStatus, watched 
 	}
 }
 
-// CASTaskStatus implements API: an atomic conditional status transition.
-func (s *Store) CASTaskStatus(id types.TaskID, from []types.TaskStatus, to types.TaskStatus) bool {
-	return s.CASTaskStatusOp(id, from, to, 0)
-}
-
-// CASTaskStatusOp is CASTaskStatus with an idempotency token (0 = no
-// dedup), mirroring a reference flush's: a retried CAS whose original
-// commit survived a shard crash is recognized by its token and reported
-// won, so the claimant proceeds (enqueues the task) instead of treating
-// its own earlier commit as a lost race.
-func (s *Store) CASTaskStatusOp(id types.TaskID, from []types.TaskStatus, to types.TaskStatus, op uint64) bool {
-	_, won := s.transition(id, from, to, nil, op)
-	return won
-}
-
-// ClaimTask implements API: the ownership-transfer CAS. A successful
-// transition additionally stamps `owner` as the record's Owner and Node and
-// bumps OwnerSeq; the returned sequence is the base the new owner's ledger
-// deltas must exceed.
+// ClaimTask implements API: the status CAS, and with a non-nil owner the
+// ownership-transfer CAS. A successful claim additionally stamps owner as
+// the record's Owner and Node and bumps OwnerSeq; the returned sequence is
+// the base the new owner's ledger deltas must exceed.
 func (s *Store) ClaimTask(id types.TaskID, from []types.TaskStatus, to types.TaskStatus, owner types.NodeID) (uint64, bool) {
 	return s.ClaimTaskOp(id, from, to, owner, 0)
 }
 
-// ClaimTaskOp is ClaimTask with an idempotency token (0 = no dedup): a
-// claim retried across a shard crash is recognized by its token and
-// reported won with the sequence its original commit stamped.
-func (s *Store) ClaimTaskOp(id types.TaskID, from []types.TaskStatus, to types.TaskStatus, owner types.NodeID, op uint64) (uint64, bool) {
-	return s.transition(id, from, to, &owner, op)
-}
-
-// transition is the tokened status CAS behind CASTaskStatusOp (owner nil)
-// and ClaimTaskOp. It reports the record's OwnerSeq after the commit — or,
-// for a redelivered token, the one the original commit stamped.
-func (s *Store) transition(id types.TaskID, from []types.TaskStatus, to types.TaskStatus, owner *types.NodeID, op uint64) (seq uint64, ok bool) {
+// ClaimTaskOp is ClaimTask with an idempotency token (0 = no dedup),
+// mirroring a reference flush's: a CAS retried across a shard crash is
+// recognized by its token and reported won with the sequence its original
+// commit stamped, so the claimant proceeds (enqueues the task) instead of
+// treating its own earlier commit as a lost race.
+func (s *Store) ClaimTaskOp(id types.TaskID, from []types.TaskStatus, to types.TaskStatus, owner types.NodeID, op uint64) (seq uint64, ok bool) {
 	now := s.NowNs()
 	dup := false
 	won, watched := s.tasks.mutate(id, existing, func(st *types.TaskState, _ bool) bool {
@@ -233,8 +230,8 @@ func (s *Store) transition(id types.TaskID, from []types.TaskStatus, to types.Ta
 		st.MutOps.Record(op, refOpHistory)
 		st.Status = to
 		switch {
-		case owner != nil:
-			st.Owner, st.Node = *owner, *owner
+		case !owner.IsNil():
+			st.Owner, st.Node = owner, owner
 			st.OwnerSeq++
 		case to == types.TaskPending:
 			// Back into the unowned spill queue (spill-away, owner-death
@@ -259,10 +256,10 @@ func (s *Store) transition(id types.TaskID, from []types.TaskStatus, to types.Ta
 	})
 	if won {
 		s.publishStatus(id, to, watched)
-		if owner != nil {
-			s.logKind("claim:", to, types.Event{Task: id, Node: *owner})
-		} else {
+		if owner.IsNil() {
 			s.logKind("cas:", to, types.Event{Task: id})
+		} else {
+			s.logKind("claim:", to, types.Event{Task: id, Node: owner})
 		}
 	}
 	return seq, won || dup
@@ -747,7 +744,7 @@ func (s *Store) CASNodeState(id types.NodeID, from []types.NodeState, to types.N
 }
 
 // CASNodeStateOp is CASNodeState with an idempotency token (0 = no dedup),
-// mirroring CASTaskStatusOp: a drain CAS retried across a control-plane
+// mirroring ClaimTaskOp: a drain CAS retried across a control-plane
 // shard crash is recognized by its token in the record's durable MutOps
 // ring and reported won, so the autoscaler (or draining node) proceeds
 // instead of treating its own earlier commit as a lost race.

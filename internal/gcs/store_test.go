@@ -16,6 +16,10 @@ func nodeID(i uint64) types.NodeID {
 	return types.NodeID(types.DeriveTaskID(types.NilTaskID, 1000+i))
 }
 
+// casWon is whether a ClaimTask with a nil owner — the plain status CAS —
+// won.
+func casWon(_ uint64, ok bool) bool { return ok }
+
 func TestAddTaskExactlyOnce(t *testing.T) {
 	s := NewStore(4)
 	st := mkTask(1)
@@ -180,7 +184,7 @@ func TestSpillPubSub(t *testing.T) {
 	s.PublishSpill(spec)
 	select {
 	case raw := <-sub.C():
-		got, err := decodeSpec(raw)
+		got, err := DecodeSpillSpec(raw)
 		if err != nil || got.ID != spec.ID {
 			t.Fatalf("spill decode: %v %v", got.ID, err)
 		}

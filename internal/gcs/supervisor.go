@@ -102,7 +102,11 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		}
 		s.shards = append(s.shards, svc)
 	}
-	s.resetAfterRecovery()
+	var stores []*Store
+	for _, svc := range s.shards {
+		stores = append(stores, svc.Store())
+	}
+	resetAfterRecovery(stores...)
 
 	srv := transport.NewServer()
 	handle0(srv, MethodShardMap, s.Map)
@@ -260,40 +264,6 @@ func (s *Supervisor) checkpointOversized() {
 			if st := svc.Store(); st != nil {
 				st.LogEvent(types.Event{Kind: "shard-checkpoint",
 					Detail: fmt.Sprintf("shard %d WAL over %d bytes", svc.cfg.Index, s.cfg.CheckpointWALBytes)})
-			}
-		}
-	}
-}
-
-// resetAfterRecovery is the cross-shard form of Store.ResetAfterRecovery,
-// run once at supervisor boot: node records and object records live on
-// different shards, so the dead-node set must be gathered across all
-// shards before any shard's object locations can be scrubbed.
-func (s *Supervisor) resetAfterRecovery() {
-	dead := make(map[types.NodeID]bool)
-	for _, svc := range s.shards {
-		st := svc.Store()
-		if st == nil {
-			continue
-		}
-		for _, n := range st.Nodes() {
-			dead[n.ID] = true
-			st.MarkNodeDead(n.ID)
-		}
-	}
-	if len(dead) == 0 {
-		return
-	}
-	for _, svc := range s.shards {
-		st := svc.Store()
-		if st == nil {
-			continue
-		}
-		for _, o := range st.Objects() {
-			for _, loc := range o.Locations {
-				if dead[loc] {
-					st.RemoveObjectLocation(o.ID, loc)
-				}
 			}
 		}
 	}

@@ -11,8 +11,9 @@ import (
 	"repro/internal/types"
 )
 
-// table is one hot control-plane table — tasks, objects or nodes — held as
-// decoded records keyed by the 16-byte ID and striped by it (DESIGN.md §3).
+// table is one control-plane table — tasks, objects, nodes, jobs or
+// placement groups — held as decoded records keyed by the 16-byte ID and
+// striped by it (DESIGN.md §3).
 //
 // Aliasing discipline: the table owns every slice, map and ring its records
 // point to. Writers mutate a record in place under its stripe's lock; what
@@ -239,7 +240,7 @@ func (t *table[K, V]) reindex() {
 	}
 }
 
-// load fills the table from a recovered kv — the only place a hot record is
+// load fills the table from a recovered kv — the only place a record is
 // decoded from stored bytes. A durable store then keeps journaling to db,
 // whose copy snapshots and checkpoints are cut from; an in-memory one drops
 // the bytes it has just decoded.

@@ -5,14 +5,10 @@ import (
 	"repro/internal/types"
 )
 
-// decodeSpec decodes a spill-channel payload back into a TaskSpec.
-func decodeSpec(raw []byte) (types.TaskSpec, error) {
+// DecodeSpillSpec decodes a spill-channel payload back into a TaskSpec.
+func DecodeSpillSpec(raw []byte) (types.TaskSpec, error) {
 	return codec.DecodeAs[types.TaskSpec](raw)
 }
-
-// DecodeSpillSpec is the exported form used by spill subscribers (the
-// global scheduler).
-func DecodeSpillSpec(raw []byte) (types.TaskSpec, error) { return decodeSpec(raw) }
 
 // DecodeNodeEvent decodes a node-membership payload.
 func DecodeNodeEvent(raw []byte) (types.NodeInfo, error) {

@@ -10,12 +10,9 @@ import "io"
 type DB interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, value []byte)
-	PutIfAbsent(key string, value []byte) bool
-	Update(key string, fn func(cur []byte, exists bool) (next []byte, ok bool)) bool
 	Delete(key string) bool
 	AppendRing(key string, value []byte, keep int)
 	List(key string) [][]byte
-	ListLen(key string) int
 	Keys(prefix string) []string
 	ListKeys(prefix string) []string
 

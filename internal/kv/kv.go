@@ -89,13 +89,10 @@ func (s *Store) NumShards() int { return len(s.shards) }
 // Ops returns the cumulative operation count (monotonic; for benchmarks).
 func (s *Store) Ops() int64 { return s.ops.Load() }
 
-func (s *Store) shardFor(key string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return s.shards[h.Sum32()%uint32(len(s.shards))]
-}
+func (s *Store) shardFor(key string) *shard { return s.shards[s.ShardIndex(key)] }
 
-// ShardIndex exposes the shard routing for tests (stability property).
+// ShardIndex is the shard key routes to: FNV-1a of the key, modulo the
+// shard count.
 func (s *Store) ShardIndex(key string) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))
@@ -129,45 +126,6 @@ func (s *Store) Put(key string, value []byte) {
 	}
 	sh.kvs[key] = v
 	sh.mu.Unlock()
-}
-
-// PutIfAbsent stores value only if key has no value; reports whether it
-// stored. This is the primitive behind exactly-once task-table insertion.
-func (s *Store) PutIfAbsent(key string, value []byte) bool {
-	s.ops.Add(1)
-	v := make([]byte, len(value))
-	copy(v, value)
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.kvs[key]; ok {
-		return false
-	}
-	sh.index(key)
-	sh.kvs[key] = v
-	return true
-}
-
-// Update atomically applies fn to the current value (nil, false if absent)
-// and stores the result. If fn returns ok=false the store is unchanged.
-// This is the read-modify-write primitive used by the table layer.
-func (s *Store) Update(key string, fn func(cur []byte, exists bool) (next []byte, ok bool)) bool {
-	s.ops.Add(1)
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur, exists := sh.kvs[key]
-	next, ok := fn(cur, exists)
-	if !ok {
-		return false
-	}
-	v := make([]byte, len(next))
-	copy(v, next)
-	if !exists {
-		sh.index(key)
-	}
-	sh.kvs[key] = v
-	return true
 }
 
 // Delete removes key; reports whether it existed.

@@ -31,49 +31,6 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
-func TestPutIfAbsent(t *testing.T) {
-	s := New(2)
-	if !s.PutIfAbsent("k", []byte("a")) {
-		t.Fatal("first PutIfAbsent failed")
-	}
-	if s.PutIfAbsent("k", []byte("b")) {
-		t.Fatal("second PutIfAbsent succeeded")
-	}
-	v, _ := s.Get("k")
-	if string(v) != "a" {
-		t.Fatal("value overwritten")
-	}
-}
-
-func TestUpdate(t *testing.T) {
-	s := New(1)
-	ok := s.Update("ctr", func(cur []byte, exists bool) ([]byte, bool) {
-		if exists {
-			t.Error("unexpected existing value")
-		}
-		return []byte{1}, true
-	})
-	if !ok {
-		t.Fatal("Update returned false")
-	}
-	s.Update("ctr", func(cur []byte, exists bool) ([]byte, bool) {
-		if !exists || cur[0] != 1 {
-			t.Error("Update did not see prior value")
-		}
-		return []byte{cur[0] + 1}, true
-	})
-	v, _ := s.Get("ctr")
-	if v[0] != 2 {
-		t.Fatalf("counter = %d", v[0])
-	}
-	// Aborted update leaves value unchanged.
-	s.Update("ctr", func(cur []byte, exists bool) ([]byte, bool) { return nil, false })
-	v, _ = s.Get("ctr")
-	if v[0] != 2 {
-		t.Fatal("aborted Update mutated value")
-	}
-}
-
 func TestValueIsolation(t *testing.T) {
 	s := New(1)
 	buf := []byte("abc")
@@ -164,22 +121,13 @@ func TestConcurrentCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				s.Update("ctr", func(cur []byte, exists bool) ([]byte, bool) {
-					var n uint32
-					if exists {
-						n = uint32(cur[0]) | uint32(cur[1])<<8 | uint32(cur[2])<<16 | uint32(cur[3])<<24
-					}
-					n++
-					return []byte{byte(n), byte(n >> 8), byte(n >> 16), byte(n >> 24)}, true
-				})
+				s.Append("ctr", []byte{byte(g)})
 			}
 		}()
 	}
 	wg.Wait()
-	v, _ := s.Get("ctr")
-	n := uint32(v[0]) | uint32(v[1])<<8 | uint32(v[2])<<16 | uint32(v[3])<<24
-	if n != goroutines*perG {
-		t.Fatalf("lost updates: %d != %d", n, goroutines*perG)
+	if n := s.ListLen("ctr"); n != goroutines*perG {
+		t.Fatalf("lost appends: %d != %d", n, goroutines*perG)
 	}
 }
 

@@ -245,36 +245,6 @@ func (l *Logger) Put(key string, value []byte) {
 	l.mu <- struct{}{}
 }
 
-// PutIfAbsent logs only when the write happens.
-func (l *Logger) PutIfAbsent(key string, value []byte) bool {
-	<-l.mu
-	ok := l.Store.PutIfAbsent(key, value)
-	if ok {
-		l.logLocked(walPut, key, value)
-	}
-	l.mu <- struct{}{}
-	return ok
-}
-
-// Update logs the resulting value when the update commits.
-func (l *Logger) Update(key string, fn func(cur []byte, exists bool) ([]byte, bool)) bool {
-	<-l.mu
-	var logged []byte
-	ok := l.Store.Update(key, func(cur []byte, exists bool) ([]byte, bool) {
-		next, commit := fn(cur, exists)
-		if commit {
-			logged = make([]byte, len(next))
-			copy(logged, next)
-		}
-		return next, commit
-	})
-	if ok {
-		l.logLocked(walPut, key, logged)
-	}
-	l.mu <- struct{}{}
-	return ok
-}
-
 // Delete logs and applies atomically.
 func (l *Logger) Delete(key string) bool {
 	<-l.mu

@@ -71,34 +71,21 @@ func TestWALReplayReproducesState(t *testing.T) {
 	l.Delete("b")
 	l.Append("events", []byte("e1"))
 	l.Append("events", []byte("e2"))
-	l.PutIfAbsent("c", []byte("4"))
-	l.PutIfAbsent("c", []byte("5")) // no-op, must not be logged
-	l.Update("a", func(cur []byte, exists bool) ([]byte, bool) {
-		return append(cur, '!'), true
-	})
-	l.Update("a", func(cur []byte, exists bool) ([]byte, bool) {
-		return nil, false // aborted, must not be logged
-	})
 
 	replayed := New(4)
 	n, err := Replay(bytes.NewReader(wal.Bytes()), replayed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Logged: put a, put a, put b, del b, append x2, putIfAbsent c,
-	// committed update a = 8 records; the failed putIfAbsent and aborted
-	// update must not appear.
-	if n != 8 {
-		t.Fatalf("replayed %d records, want 8", n)
+	// Logged: put a, put a, put b, del b, append x2 = 6 records.
+	if n != 6 {
+		t.Fatalf("replayed %d records, want 6", n)
 	}
-	if v, _ := replayed.Get("a"); string(v) != "2!" {
+	if v, _ := replayed.Get("a"); string(v) != "2" {
 		t.Fatalf("a = %q", v)
 	}
 	if _, ok := replayed.Get("b"); ok {
 		t.Fatal("deleted key resurrected")
-	}
-	if v, _ := replayed.Get("c"); string(v) != "4" {
-		t.Fatalf("c = %q", v)
 	}
 	if got := replayed.List("events"); len(got) != 2 || string(got[1]) != "e2" {
 		t.Fatalf("events = %v", got)

@@ -288,4 +288,18 @@ func TestForgetRacingRedelivery(t *testing.T) {
 			t.Fatalf("the third delivery did not land: unflushed %v", tr.Unflushed())
 		}
 	})
+	t.Run("fresh batch fails", func(t *testing.T) {
+		ctrl := &flakyRefs{Store: gcs.NewStore(1), fails: 2, sending: make(chan struct{}), resume: make(chan struct{})}
+		ctrl.calls.Store(1) // the Retain's own flush is the second call: it blocks, then fails
+		tr := NewTracker(ctrl)
+		retained := make(chan struct{})
+		go func() { tr.Retain(a, b); close(retained) }()
+		<-ctrl.sending
+		tr.Forget(a)
+		close(ctrl.resume)
+		<-retained
+		if got := tr.Unflushed(); len(got) != 1 || got[b] != 1 {
+			t.Fatalf("parked %v, want only b's +1", got)
+		}
+	})
 }

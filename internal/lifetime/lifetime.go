@@ -48,6 +48,10 @@ type Tracker struct {
 	ctrl    gcs.API
 	held    map[types.ObjectID]int64
 	pending map[types.ObjectID]int64
+	// sending is the fresh batch being delivered with mu released, as it
+	// stands now (nil: none): Forget swaps in a copy without its key, and
+	// the delivery settles this one, not the map it sent.
+	sending map[types.ObjectID]int64
 }
 
 // NewTracker creates an empty ledger publishing into ctrl, in synchronous
@@ -137,19 +141,28 @@ func (t *Tracker) Unflushed() map[types.ObjectID]int64 {
 // §14), so flushing this node's holds — or replaying their unflushed
 // retains — would only fight the force-release. Pending and parked deltas
 // for the object are discarded; a later Release of a surviving handle
-// no-ops through the held<=0 guard. A parked batch's map is replaced, never
-// written: a redelivery may be sending it with mu released.
+// no-ops through the held<=0 guard. A parked or in-flight batch's map is
+// replaced, never written: a delivery may be sending it with mu released,
+// and settles the replacement, so a send that fails parks nothing of id.
 func (t *Tracker) Forget(id types.ObjectID) {
 	t.mu.Lock()
 	delete(t.held, id)
 	delete(t.pending, id)
-	for i, b := range t.retry {
-		if _, ok := b.deltas[id]; ok {
-			t.retry[i].deltas = maps.Clone(b.deltas)
-			delete(t.retry[i].deltas, id)
-		}
+	t.sending = without(t.sending, id)
+	for i := range t.retry {
+		t.retry[i].deltas = without(t.retry[i].deltas, id)
 	}
 	t.mu.Unlock()
+}
+
+// without is deltas less id: deltas itself when it lacks id, else a copy.
+func without(deltas map[types.ObjectID]int64, id types.ObjectID) map[types.ObjectID]int64 {
+	if _, ok := deltas[id]; !ok {
+		return deltas
+	}
+	deltas = maps.Clone(deltas)
+	delete(deltas, id)
+	return deltas
 }
 
 // ReleaseAll drops every reference the tracker holds (component shutdown)
@@ -171,7 +184,13 @@ func (t *Tracker) send(node types.NodeID, deltas map[types.ObjectID]int64, op ui
 	return t.ctrl.ModifyObjectRefCounts(node, deltas, op)
 }
 
+// settleLocked settles a parked batch as the ledger hands it over, and the
+// fresh one as Forget left it: flushes are serialized and fresh runs after
+// every redelivery, so sending is set exactly while the fresh batch settles.
 func (t *Tracker) settleLocked(deltas map[types.ObjectID]int64, failed []types.ObjectID) map[types.ObjectID]int64 {
+	if t.sending != nil {
+		deltas, t.sending = t.sending, nil
+	}
 	return deltasOf(deltas, failed)
 }
 
@@ -183,6 +202,7 @@ func (t *Tracker) fresh() bool {
 	}
 	deltas := t.pending
 	t.pending = make(map[types.ObjectID]int64)
+	t.sending = deltas
 	node := t.node
 	t.mu.Unlock()
 	return t.deliver(node, deltas)

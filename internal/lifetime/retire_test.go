@@ -110,7 +110,7 @@ func TestEarlyProposalIsMadeOnceMore(t *testing.T) {
 	if res := m.RetireDue(first); res.Objects != 0 || len(res.Again) != 2 {
 		t.Fatalf("first proposal of two objects with running producers = %+v, want both to be tried again", res)
 	}
-	ctrl.CASTaskStatus(late.ID, []types.TaskStatus{types.TaskPending}, types.TaskFinished)
+	ctrl.ClaimTask(late.ID, []types.TaskStatus{types.TaskPending}, types.TaskFinished, types.NilNodeID)
 	if res := m.RetireDue(first.Add(reclaimGrace)); res.Objects+len(res.Again) != 0 {
 		t.Fatalf("second proposal made after one grace, not two: %+v", res)
 	}

@@ -123,7 +123,7 @@ func (l *Local) ReleaseGroup(group types.PlacementGroupID, removed bool) {
 // won owns the task.
 func (l *Local) respillGrouped(spec types.TaskSpec) {
 	l.bridgeSpill(spec) // flushes this task's ledger state: the table the CAS reads is current
-	if !l.cfg.Ctrl.CASTaskStatus(spec.ID, []types.TaskStatus{types.TaskQueued, types.TaskScheduled}, types.TaskPending) {
+	if _, ok := l.cfg.Ctrl.ClaimTask(spec.ID, []types.TaskStatus{types.TaskQueued, types.TaskScheduled}, types.TaskPending, types.NilNodeID); !ok {
 		return
 	}
 	l.spilled.Add(1)

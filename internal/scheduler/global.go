@@ -348,9 +348,9 @@ func (g *Global) transferDeadOwner(owner types.NodeID) {
 	tasks, complete := g.cfg.Ctrl.LiveTasksOwnedBy(owner)
 	for _, st := range tasks {
 		// The dead owner's ledger is gone: the follower is the only copy left to CAS.
-		if !g.cfg.Ctrl.CASTaskStatus(st.Spec.ID,
+		if _, ok := g.cfg.Ctrl.ClaimTask(st.Spec.ID,
 			[]types.TaskStatus{types.TaskPending, types.TaskQueued, types.TaskScheduled, types.TaskRunning},
-			types.TaskPending) {
+			types.TaskPending, types.NilNodeID); !ok {
 			continue // moved on by itself: terminal or already re-owned
 		}
 		g.cfg.Ctrl.LogEvent(types.Event{Kind: "owner-transfer", Task: st.Spec.ID, Node: owner,

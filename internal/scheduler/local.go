@@ -234,6 +234,9 @@ type schedObs struct {
 	submitted  *metrics.Counter
 	spilled    *metrics.Counter
 	dispatched *metrics.Counter
+	// parked counts tasks entering waiting: admitted with an argument not
+	// yet in the local store.
+	parked     *metrics.Counter
 	dispatchNs *metrics.Histogram
 }
 
@@ -254,6 +257,7 @@ func NewLocal(cfg LocalConfig) *Local {
 		submitted:  cfg.Metrics.Counter("scheduler.tasks.submitted"),
 		spilled:    cfg.Metrics.Counter("scheduler.tasks.spilled"),
 		dispatched: cfg.Metrics.Counter("scheduler.tasks.dispatched"),
+		parked:     cfg.Metrics.Counter("scheduler.tasks.parked"),
 		dispatchNs: cfg.Metrics.Histogram("scheduler.dispatch.latency.ns"),
 	}
 	if cfg.Metrics != nil {
@@ -595,7 +599,7 @@ func (l *Local) DrainBacklog() int {
 // placement, whoever won owns the task and no publish is needed.
 func (l *Local) spillAway(spec types.TaskSpec) {
 	l.bridgeSpill(spec) // flushes this task's ledger state: the table the CAS reads is current
-	if !l.cfg.Ctrl.CASTaskStatus(spec.ID, []types.TaskStatus{types.TaskQueued, types.TaskScheduled}, types.TaskPending) {
+	if _, ok := l.cfg.Ctrl.ClaimTask(spec.ID, []types.TaskStatus{types.TaskQueued, types.TaskScheduled}, types.TaskPending, types.NilNodeID); !ok {
 		if st, ok := l.cfg.Ctrl.GetTask(spec.ID); !ok || st.Status != types.TaskPending {
 			return // claimed elsewhere (or terminal): not ours to publish
 		}
@@ -782,6 +786,7 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 	}
 	w := &waitingTask{spec: spec, missing: missing}
 	l.waiting[spec.ID] = w
+	l.obs.parked.Inc()
 	for dep := range missing {
 		row := l.parked[dep]
 		if row == nil {
@@ -995,7 +1000,7 @@ func (l *Local) dispatchReady() {
 		// claimant and pay no control-plane write here.
 		if task.spec.InGroup() {
 			l.cfg.Ledger.FlushTask(task.spec.ID)
-			if !l.cfg.Ctrl.CASTaskStatus(task.spec.ID, []types.TaskStatus{types.TaskQueued}, types.TaskScheduled) {
+			if _, ok := l.cfg.Ctrl.ClaimTask(task.spec.ID, []types.TaskStatus{types.TaskQueued}, types.TaskScheduled, types.NilNodeID); !ok {
 				l.releaseHeld(task.spec)
 				if l.cfg.Refs != nil {
 					l.cfg.Refs.Release(task.spec.Deps()...)

@@ -3,6 +3,7 @@ package types
 import (
 	"encoding/hex"
 	"fmt"
+	"slices"
 )
 
 // JobID names a job: one tenant's workload — a driver session, a batch
@@ -139,6 +140,13 @@ type JobInfo struct {
 
 // Stopped reports whether the job reached its terminal state.
 func (j *JobInfo) Stopped() bool { return j.State == JobStopped }
+
+// Clone returns a deep copy: no slice is shared with j.
+func (j *JobInfo) Clone() JobInfo {
+	c := *j
+	c.MutOps = slices.Clone(j.MutOps)
+	return c
+}
 
 // ReasonJobStopped prefixes the failure message stored into the return
 // objects of tasks buried by a job stop; the core layer recognizes it and

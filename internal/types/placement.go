@@ -3,6 +3,7 @@ package types
 import (
 	"encoding/hex"
 	"fmt"
+	"slices"
 )
 
 // PlacementGroupID names a placement group: a gang-scheduled set of
@@ -133,6 +134,18 @@ type PlacementGroupInfo struct {
 	// because the successor's claim rewrote the token (mirrors the MutOps
 	// idempotency rings; see gcs.Store.CASPlacementGroupState).
 	ClaimToken uint64
+}
+
+// Clone returns a deep copy: no slice or map is shared with g.
+func (g *PlacementGroupInfo) Clone() PlacementGroupInfo {
+	c := *g
+	c.Spec.Bundles = slices.Clone(g.Spec.Bundles)
+	for i := range c.Spec.Bundles {
+		c.Spec.Bundles[i].Resources = c.Spec.Bundles[i].Resources.Clone()
+	}
+	c.BundleNodes = slices.Clone(g.BundleNodes)
+	c.MutOps = slices.Clone(g.MutOps)
+	return c
 }
 
 // NodeFor returns the node holding bundle's reservation, or nil ID when the
