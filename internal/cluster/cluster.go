@@ -81,9 +81,6 @@ type Config struct {
 	// DisableEventLog turns off control-plane event logging (E13 measures
 	// the difference).
 	DisableEventLog bool
-	// DisablePrefetch turns off park-time dependency prefetch in every
-	// local scheduler (the before arm of experiment E19).
-	DisablePrefetch bool
 	// JobGrace is how long a Stopped job's task and object records survive
 	// before the purge pass tombstones them (DESIGN.md §14). Zero selects
 	// the scheduler default; negative disables purging.
@@ -231,7 +228,6 @@ func (c *Cluster) AddNode() (*node.Node, error) {
 		Ctrl:              ctrl,
 		Registry:          cfg.Registry,
 		HeartbeatInterval: cfg.HeartbeatInterval,
-		DisablePrefetch:   cfg.DisablePrefetch,
 	})
 	if err != nil {
 		return nil, err

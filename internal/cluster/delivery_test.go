@@ -224,13 +224,13 @@ func TestMessageBudget(t *testing.T) {
 // TestRemoteRefArgumentParksOnce: a data_chain-shaped operation — a 1 MiB
 // put on the driver's node, a task on the GPU node that takes it by
 // reference — parks that task once in the executing node's waiting set, and
-// scheduler.tasks.parked counts it. Prefetch is off, so the argument is
-// missing at admission whatever the timing.
+// scheduler.tasks.parked counts it: the argument is missing at admission,
+// since the row's resolver is the only thing that fetches it.
 func TestRemoteRefArgumentParksOnce(t *testing.T) {
 	f := newDeliveryFuncs()
 	size := core.Register1(f.reg, "size", func(tc *core.TaskContext, b []byte) (int, error) { return len(b), nil })
 	c, err := New(Config{Nodes: 2, PerNodeResources: []types.Resources{types.CPU(4), types.GPU(4, 1)},
-		Registry: f.reg, DisablePrefetch: true})
+		Registry: f.reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,19 +64,18 @@ type PullManager struct {
 	conns    map[string]transport.Client
 	addrs    map[types.NodeID]string
 	windows  map[string]chan struct{}
-	// stop gates new connections after Close; baseCtx cancels background
-	// prefetches: fire-and-forget pulls must not outlive the node,
-	// re-dial peers, and register locations for a store that is shutting
-	// down.
+	// stop gates new connections after Close; baseCtx cancels the
+	// migration pulls a peer's drain asks for: they must not outlive the
+	// node, re-dial peers, and register locations for a store that is
+	// shutting down.
 	stop       chan struct{}
 	stopOnce   sync.Once
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	objects    atomic.Int64
-	chunks     atomic.Int64
-	bytes      atomic.Int64
-	prefetched atomic.Int64
+	objects atomic.Int64
+	chunks  atomic.Int64
+	bytes   atomic.Int64
 
 	// obs holds pre-resolved instruments (SetObservability); all nil-safe.
 	obs pullObs
@@ -88,7 +87,6 @@ type pullObs struct {
 	objects    *metrics.Counter
 	chunks     *metrics.Counter
 	bytes      *metrics.Counter
-	prefetches *metrics.Counter
 	migrated   *metrics.Counter
 	pullNs     *metrics.Histogram
 	chunkNs    *metrics.Histogram
@@ -126,7 +124,6 @@ func (p *PullManager) SetObservability(reg *metrics.Registry, tracer *metrics.Tr
 		objects:    reg.Counter("lifetime.pull.objects"),
 		chunks:     reg.Counter("lifetime.pull.chunks"),
 		bytes:      reg.Counter("lifetime.pull.bytes"),
-		prefetches: reg.Counter("lifetime.prefetches"),
 		migrated:   reg.Counter("lifetime.migrated.objects"),
 		pullNs:     reg.Histogram("lifetime.pull.ns"),
 		chunkNs:    reg.Histogram("lifetime.pull.chunk.ns"),
@@ -140,59 +137,6 @@ func (p *PullManager) SetObservability(reg *metrics.Registry, tracer *metrics.Tr
 // Stats returns cumulative (objects, chunks, bytes) pulled.
 func (p *PullManager) Stats() (objects, chunks, bytes int64) {
 	return p.objects.Load(), p.chunks.Load(), p.bytes.Load()
-}
-
-// Prefetched returns how many background pulls Prefetch has started.
-func (p *PullManager) Prefetched() int64 { return p.prefetched.Load() }
-
-// prefetchTimeout bounds one background pull. Generous: a prefetch is a
-// head start, not a guarantee — on expiry the parked task's resolver
-// still drives the dependency to residency.
-const prefetchTimeout = 30 * time.Second
-
-// Prefetch starts overlapping background pulls for every id that is
-// already Ready somewhere but not locally resident. The local scheduler
-// calls it with a parked task's full missing-dependency set, so chunked
-// pulls for the whole set begin immediately — before the per-dependency
-// resolver goroutines have attached their readiness subscriptions, which
-// on a sharded control plane each cost a stream round trip (E19).
-// Dependencies still Pending are skipped; their resolvers fetch on the
-// ready edge as before. Concurrent fetches of the same object collapse
-// into one pull via the in-flight table, so prefetch and resolver never
-// transfer twice.
-func (p *PullManager) Prefetch(ids []types.ObjectID) {
-	for _, id := range ids {
-		if p.store.Contains(id) {
-			continue
-		}
-		// An in-flight pull (an earlier prefetch, or a resolver already
-		// fetching) makes the lookup redundant — a re-enqueued task must
-		// not re-pay a control RPC per dependency.
-		p.mu.Lock()
-		_, pulling := p.inflight[id]
-		p.mu.Unlock()
-		if pulling {
-			continue
-		}
-		// Fully asynchronous: even the control-plane readiness lookup runs
-		// off the caller's (scheduler enqueue) path. The pull context
-		// derives from the manager's base context, so Close (node
-		// shutdown) aborts it.
-		go func(id types.ObjectID) {
-			if p.baseCtx.Err() != nil {
-				return
-			}
-			info, ok := p.ctrl.GetObject(id)
-			if !ok || info.State != types.ObjectReady || len(info.Locations) == 0 {
-				return
-			}
-			p.prefetched.Add(1)
-			p.obs.prefetches.Inc()
-			ctx, cancel := context.WithTimeout(p.baseCtx, prefetchTimeout)
-			defer cancel()
-			_ = p.FetchObject(ctx, info) // best effort; resolvers are the backstop
-		}(id)
-	}
 }
 
 // Fetch ensures id is locally resident, pulling from the given candidate
@@ -474,9 +418,9 @@ func (p *PullManager) pullChunk(ctx context.Context, id types.ObjectID, offset, 
 func (p *PullManager) conn(addr string) (transport.Client, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// Refuse new connections once closed: a background prefetch racing
-	// Close would otherwise dial and cache a client after the map was
-	// drained, leaking the connection (Close's drain and this insert are
+	// Refuse new connections once closed: a migration pull racing Close
+	// would otherwise dial and cache a client after the map was drained,
+	// leaking the connection (Close's drain and this insert are
 	// serialized on p.mu, so the check is race-free).
 	select {
 	case <-p.stop:
@@ -576,7 +520,7 @@ func (p *PullManager) window(addr string) chan struct{} {
 	return win
 }
 
-// Close aborts background prefetches and releases cached connections.
+// Close aborts migration pulls and releases cached connections.
 func (p *PullManager) Close() {
 	p.stopOnce.Do(func() {
 		close(p.stop)

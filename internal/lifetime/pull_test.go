@@ -318,45 +318,3 @@ func TestChunkRequestWire(t *testing.T) {
 		t.Fatal("zero-length request decoded")
 	}
 }
-
-// TestPrefetchPullsReadySet checks Prefetch pulls every ready remote
-// dependency into the local store in the background, skips pending and
-// already-local objects, and collapses with concurrent Fetch calls.
-func TestPrefetchPullsReadySet(t *testing.T) {
-	srcs, dst, ctrl, pm := pullFixture(t, transport.NewInproc(0), 1, PullConfig{})
-	src := srcs[0]
-
-	ready1, ready2 := testObj(60), testObj(61)
-	src.Put(ready1, []byte("a"))
-	src.Put(ready2, patterned(300<<10)) // chunked path
-	local := testObj(62)
-	dst.Put(local, []byte("here"))
-	pending := testObj(63)
-	ctrl.EnsureObject(pending, types.NilTaskID)
-
-	pm.Prefetch([]types.ObjectID{ready1, ready2, local, pending})
-
-	// A pull counts itself after its bytes land, so residency alone does
-	// not mean both background pulls have finished: wait for the count too.
-	pulled := func() int64 { objects, _, _ := pm.Stats(); return objects }
-	deadline := time.Now().Add(5 * time.Second)
-	for !(dst.Contains(ready1) && dst.Contains(ready2) && pulled() == 2) {
-		if time.Now().After(deadline) {
-			t.Fatal("prefetch did not pull ready objects")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if dst.Contains(pending) {
-		t.Fatal("prefetch must not invent pending objects")
-	}
-	if got := pm.Prefetched(); got != 2 {
-		t.Fatalf("prefetched = %d, want 2 (local and pending skipped)", got)
-	}
-	// Collapsing: a Fetch racing the prefetch transfers the object once.
-	if err := pm.Fetch(context.Background(), ready2, []types.NodeID{src.Node()}); err != nil {
-		t.Fatal(err)
-	}
-	if objects := pulled(); objects != 2 {
-		t.Fatalf("objects pulled = %d, want 2 (no double transfer)", objects)
-	}
-}

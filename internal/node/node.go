@@ -99,8 +99,6 @@ type Config struct {
 	Registry *core.Registry
 	// HeartbeatInterval for load reporting; 0 disables heartbeats.
 	HeartbeatInterval time.Duration
-	// DisablePrefetch turns off park-time dependency prefetch (E19).
-	DisablePrefetch bool
 	// DrainPollInterval bounds how quickly the node notices a Draining
 	// mark on its own control-plane record (the pub/sub fast path makes it
 	// rarely matter). Zero selects a default.
@@ -256,18 +254,16 @@ func New(cfg Config) (*Node, error) {
 		},
 	}
 	n.sched = scheduler.NewLocal(scheduler.LocalConfig{
-		Node:            id,
-		Total:           cfg.Resources,
-		Ctrl:            cfg.Ctrl,
-		Store:           n.store,
-		Fetcher:         n.fetcher,
-		Refs:            n.life.Tracker(),
-		Ledger:          n.taskled,
-		Recon:           func(id types.ObjectID, task types.TaskID) error { return n.recon.RequestReturn(id, task) },
-		SpillThreshold:  cfg.SpillThreshold,
-		DisablePrefetch: cfg.DisablePrefetch,
-		Metrics:         n.reg,
-		Tracer:          n.tracer,
+		Node:           id,
+		Total:          cfg.Resources,
+		Ctrl:           cfg.Ctrl,
+		Store:          n.store,
+		Fetcher:        n.fetcher,
+		Refs:           n.life.Tracker(),
+		Ledger:         n.taskled,
+		Recon:          func(id types.ObjectID, task types.TaskID) error { return n.recon.RequestReturn(id, task) },
+		SpillThreshold: cfg.SpillThreshold,
+		Metrics:        n.reg,
 		JobFence: func(id types.JobID) bool {
 			info, ok := n.admit.Job(id)
 			return ok && info.State != types.JobRunning

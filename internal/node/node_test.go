@@ -344,9 +344,6 @@ func TestRemoteResolveReadsTheRecordOnce(t *testing.T) {
 	n, err := New(Config{
 		Resources: types.CPU(4), Network: nw, ListenAddr: "resolver", Ctrl: ctrl, Registry: testRegistry(),
 		SpillThreshold: scheduler.SpillNever,
-		// The park-time prefetch is a second, concurrent resolver of the same
-		// dependency, with a read of its own.
-		DisablePrefetch: true,
 	})
 	if err != nil {
 		t.Fatal(err)

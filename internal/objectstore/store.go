@@ -211,6 +211,8 @@ type Store struct {
 	// under pressure while garbage is dropped outright. It is a control-
 	// plane RPC and is only ever called outside mu.
 	referenced func(types.ObjectID) bool
+	// arrived, when set, is told of every object Put stores (SetArrivalHook).
+	arrived func(types.ObjectID)
 
 	spills   int64
 	restores int64
@@ -324,6 +326,15 @@ func (s *Store) SetSpillTier(t SpillTier) {
 func (s *Store) SetRefChecker(fn func(types.ObjectID) bool) {
 	s.mu.Lock()
 	s.referenced = fn
+	s.mu.Unlock()
+}
+
+// SetArrivalHook installs fn, which Put calls with every object it stores:
+// on the storing goroutine, after the object's waiters are woken and before
+// its location is published. Call before the store is shared.
+func (s *Store) SetArrivalHook(fn func(types.ObjectID)) {
+	s.mu.Lock()
+	s.arrived = fn
 	s.mu.Unlock()
 }
 
@@ -454,6 +465,7 @@ func (s *Store) Put(id types.ObjectID, data []byte) error {
 	drain := s.enqueuePublishLocked(id, func(ctrl gcs.API) {
 		ctrl.AddObjectLocation(id, s.node, size)
 	})
+	arrived := s.arrived
 	s.mu.Unlock()
 
 	// Waiters first: they are local consumers of bytes that are already
@@ -461,6 +473,9 @@ func (s *Store) Put(id types.ObjectID, data []byte) error {
 	// gate them.
 	for _, w := range ws {
 		close(w)
+	}
+	if arrived != nil {
+		arrived(id)
 	}
 	if drain {
 		s.drainPublishes(id)

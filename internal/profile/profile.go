@@ -102,7 +102,7 @@ func Build(ctrl gcs.API) *Timeline {
 // spills, restores, pull chunks, drain migrations, executions. Spans that
 // carry only an object ID are correlated to the task that produced the
 // object via the object table's lineage edge, so one task's whole
-// submit→park→prefetch→schedule→exec→put chain — including I/O the task
+// submit→park→pull→schedule→exec→put chain — including I/O the task
 // table cannot see — stitches into a single trace.
 func BuildFull(ctrl gcs.API) *Timeline {
 	tl := Build(ctrl)

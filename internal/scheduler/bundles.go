@@ -101,7 +101,7 @@ func (l *Local) ReleaseGroup(group types.PlacementGroupID, removed bool) {
 		if removed {
 			l.FailTask(spec, types.ReasonGroupRemoved+spec.Group.String())
 		} else {
-			l.respillGrouped(spec)
+			l.spillAway(spec)
 		}
 		// Return the enqueue-time borrows last, mirroring runTask's LIFO
 		// ordering (respill re-retains through the bridge first).
@@ -114,20 +114,6 @@ func (l *Local) ReleaseGroup(group types.PlacementGroupID, removed bool) {
 			Detail: fmt.Sprintf("%v removed=%v members=%d", group, removed, len(members))})
 		l.dispatchReady()
 	}
-}
-
-// respillGrouped sends a member task back through the global spill queue
-// after its bundle reservation left this node: the gang pass re-places the
-// group as a unit and the task follows. The CAS back to PENDING makes the
-// respill race-free against concurrent placements; if it is lost, whoever
-// won owns the task.
-func (l *Local) respillGrouped(spec types.TaskSpec) {
-	l.bridgeSpill(spec) // flushes this task's ledger state: the table the CAS reads is current
-	if _, ok := l.cfg.Ctrl.ClaimTask(spec.ID, []types.TaskStatus{types.TaskQueued, types.TaskScheduled}, types.TaskPending, types.NilNodeID); !ok {
-		return
-	}
-	l.spilled.Add(1)
-	l.cfg.Ctrl.PublishSpill(spec)
 }
 
 // FailTask terminally fails a task, storing error payloads under every

@@ -30,17 +30,6 @@ type Fetcher interface {
 	FetchObject(ctx context.Context, info types.ObjectInfo) error
 }
 
-// Prefetcher is optionally implemented by Fetchers that can start
-// background pulls for a whole dependency set at once (lifetime.PullManager
-// does). When a task parks waiting, the scheduler hands over its full
-// missing-dependency list so overlapping chunked pulls begin immediately,
-// before the per-object resolvers have even attached their readiness
-// subscriptions (which on a sharded control plane each cost a stream
-// round trip).
-type Prefetcher interface {
-	Prefetch(ids []types.ObjectID)
-}
-
 // RefLedger records task-argument borrows: while a task is queued or
 // running here, its dependency objects hold an extra reference so the
 // lifetime GC cannot reclaim them out from under the dispatcher.
@@ -133,15 +122,9 @@ type LocalConfig struct {
 	// the runnable backlog reaches this length. SpillNever / SpillAlways
 	// select the extremes.
 	SpillThreshold int
-	// DisablePrefetch turns off the park-time dependency prefetch (the
-	// before/after arm of experiment E19).
-	DisablePrefetch bool
 	// Metrics, when set, records queue depths, task-flow counters, and the
 	// dispatch-latency histogram. Nil disables instrumentation.
 	Metrics *metrics.Registry
-	// Tracer, when set, records prefetch spans tagged with the task's
-	// trace context. Nil disables.
-	Tracer *metrics.Tracer
 	// JobFence, when set, reports whether a job is stopping or stopped;
 	// submissions under such a job are refused with ErrJobFenced. Nil
 	// disables the fence (single-tenant deployments).
@@ -157,10 +140,13 @@ type queuedTask struct {
 	enqueuedAt time.Time
 }
 
-// waitingTask is a task with unresolved dependencies.
+// waitingTask is a task in the waiting set: one with unresolved
+// dependencies, or one whose QUEUED stamp is not in yet. It becomes runnable
+// once both are done, whichever comes last.
 type waitingTask struct {
 	spec    types.TaskSpec
 	missing map[types.ObjectID]bool
+	queued  bool
 }
 
 // parkedObj is one row of the dependency table: the tasks parked on one
@@ -174,10 +160,13 @@ type parkedObj struct {
 // The resolve loop's periods (DESIGN.md §4.2): a missed object-ready edge
 // is noticed within pollPeriod, and a pending object's producer is probed
 // for a stranded task every strandedPeriod wakeups (≤ 200 ms), starting one
-// period in, so a healthy producer costs no probe.
+// period in, so a healthy producer costs no probe. fetchTimeout bounds one
+// pull of the object: a pull cut short starts again from its first byte, so
+// the bound must outlast the largest transfer, not a poll period.
 const (
 	pollPeriod     = 10 * time.Millisecond
 	strandedPeriod = 20
+	fetchTimeout   = 30 * time.Second
 )
 
 // Local is the per-node scheduler: the first stop for every task born on
@@ -253,6 +242,7 @@ func NewLocal(cfg LocalConfig) *Local {
 		holding: make(map[types.TaskID]*resourcePool),
 	}
 	l.stopCtx, l.stopCancel = context.WithCancel(context.Background())
+	cfg.Store.SetArrivalHook(l.arrived)
 	l.obs = schedObs{
 		submitted:  cfg.Metrics.Counter("scheduler.tasks.submitted"),
 		spilled:    cfg.Metrics.Counter("scheduler.tasks.spilled"),
@@ -506,6 +496,8 @@ func (l *Local) releaseBridge(task types.TaskID, deps []types.ObjectID) {
 	defer l.wg.Done()
 	sub := l.cfg.Ctrl.Subscribe(gcs.TopicTaskStatus, task)
 	defer sub.Close()
+	poll := time.NewTicker(pollPeriod)
+	defer poll.Stop()
 	for {
 		if st, ok := l.cfg.Ctrl.GetTask(task); ok {
 			switch st.Status {
@@ -516,7 +508,7 @@ func (l *Local) releaseBridge(task types.TaskID, deps []types.ObjectID) {
 		}
 		select {
 		case <-sub.C():
-		case <-time.After(pollPeriod):
+		case <-poll.C:
 		case <-l.stopCtx.Done():
 			// Node stopping mid-bridge: keep the borrow rather than expose
 			// a task still parked in the queue. Node.Shutdown's tracker
@@ -592,11 +584,13 @@ func (l *Local) DrainBacklog() int {
 }
 
 // spillAway routes a task this node owns (or owned) back through the
-// global spill queue. Unlike the group respill, it also handles tasks
-// already reset to PENDING (the executor's retry path during a drain):
-// the CAS releases a live QUEUED/SCHEDULED claim, and the publish happens
-// whenever the task ends up unowned — if the CAS lost to a concurrent
-// placement, whoever won owns the task and no publish is needed.
+// global spill queue: the drain's backlog hand-off and divert, and a
+// grouped task whose bundle reservation left this node (the gang pass
+// re-places the group as a unit and the task follows). The CAS releases a
+// live QUEUED/SCHEDULED claim; a task still PENDING — reset by the
+// executor's retry path, or evicted before its enqueue stamped QUEUED — is
+// published as it stands. If the CAS lost to a concurrent placement,
+// whoever won owns the task and no publish is needed.
 func (l *Local) spillAway(spec types.TaskSpec) {
 	l.bridgeSpill(spec) // flushes this task's ledger state: the table the CAS reads is current
 	if _, ok := l.cfg.Ctrl.ClaimTask(spec.ID, []types.TaskStatus{types.TaskQueued, types.TaskScheduled}, types.TaskPending, types.NilNodeID); !ok {
@@ -702,9 +696,11 @@ func (l *Local) outputsIntact(spec types.TaskSpec) bool {
 	return true
 }
 
-// enqueue moves a task into runnable or waiting depending on dependency
-// residency, parking it in the dependency table under each missing object
-// (dataflow trigger).
+// enqueue admits a task to this node's waiting set, parking it in the
+// dependency table under each missing object (dataflow trigger), and moves
+// it to the runnable queue once nothing is missing and its QUEUED stamp is
+// in. The rows' resolvers start before the borrow flush, so records are read
+// and pulls run while that round trip is in flight (E19).
 func (l *Local) enqueue(spec types.TaskSpec) {
 	// Drain divert: paths that bypass Submit's fence (the executor's retry
 	// re-enqueue, runTask's evicted-args requeue, racing placements) land
@@ -714,79 +710,43 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 		l.spillAway(spec)
 		return
 	}
-	// Prefetch the missing dependency set before anything else: the pulls
-	// run in the background while the control-plane writes below (status
-	// stamp, per-dependency borrow retains) pay their round trips, so by
-	// the time the per-object resolvers attach, small dependencies are
-	// often already local (E19). The snapshot races nothing: prefetch is
-	// best-effort and the authoritative missing set is recomputed under
-	// the lock below.
-	if !l.cfg.DisablePrefetch && l.cfg.Fetcher != nil {
-		if pf, ok := l.cfg.Fetcher.(Prefetcher); ok {
-			var absent []types.ObjectID
-			seen := make(map[types.ObjectID]bool)
-			for _, dep := range spec.Deps() {
-				if !seen[dep] && !l.cfg.Store.Contains(dep) {
-					seen[dep] = true
-					absent = append(absent, dep)
-				}
-			}
-			if len(absent) > 0 {
-				sp := l.cfg.Tracer.Begin("prefetch", "scheduler.prefetch")
-				sp.Task = spec.ID.Hex()
-				sp.Trace = spec.TraceID
-				sp.Detail = fmt.Sprintf("%d deps", len(absent))
-				pf.Prefetch(absent)
-				sp.End()
-			}
-		}
-	}
 	// Borrow the dependencies for the lifetime of this enqueue: the matching
 	// release happens at the end of runTask. A task re-enqueued from
 	// runTask's evicted-args path borrows again before that release fires,
 	// so the count never dips to zero while the task is anywhere in the
-	// pipeline. The borrows flush BEFORE the QUEUED stamp below: the stamp
-	// is what lets a previous holder's spill bridge drop its borrow, so this
-	// node's share must already be in the control plane's count — and one
-	// batched flush covers the whole dependency set, which is why parking
-	// cost stays flat in the number of dependencies.
-	if l.cfg.Refs != nil {
-		if deps := spec.Deps(); len(deps) > 0 {
-			l.cfg.Refs.Retain(deps...)
-			l.cfg.Refs.Flush()
-		}
+	// pipeline. The retain is a local append made before the task is visible
+	// to the paths that evict it and return its borrows.
+	deps := spec.Deps()
+	borrow := l.cfg.Refs != nil && len(deps) > 0
+	if borrow {
+		l.cfg.Refs.Retain(deps...)
 	}
-	// Stamp this node as the task's current holder. If this node dies with
-	// the task still queued, the task table points at a dead node and the
-	// owner-death transfer (or any consumer's reconstruction check) will
-	// re-own the task (R6); without the stamp, a task queued-but-not-
-	// dispatched on a dead node would be invisible. The stamp is an
-	// in-process append that rides the next batched flush.
-	l.cfg.Ledger.Transition(spec.ID, types.TaskQueued, types.NilWorkerID, "")
-	missing := make(map[types.ObjectID]bool)
-	for _, dep := range spec.Deps() {
+	var missing map[types.ObjectID]bool
+	for _, dep := range deps {
 		if !missing[dep] && !l.cfg.Store.Contains(dep) {
+			if missing == nil {
+				missing = make(map[types.ObjectID]bool)
+			}
 			missing[dep] = true
 		}
 	}
+	w := &waitingTask{spec: spec, missing: missing}
 	l.mu.Lock()
 	if l.stopped {
 		l.mu.Unlock()
 		// The task will never run here; return its fresh borrows.
-		if l.cfg.Refs != nil {
-			l.cfg.Refs.Release(spec.Deps()...)
+		if borrow {
+			l.cfg.Refs.Release(deps...)
 		}
 		return
 	}
-	if len(missing) == 0 {
-		l.runnable = append(l.runnable, &queuedTask{spec: spec, enqueuedAt: time.Now()})
-		l.mu.Unlock()
-		l.dispatchReady()
-		return
-	}
-	w := &waitingTask{spec: spec, missing: missing}
+	// From here until its QUEUED stamp, the evicting paths can see a task
+	// born here that is still PENDING in the task table: spillAway publishes
+	// such a task as it stands, and FailTask claims PENDING too.
 	l.waiting[spec.ID] = w
-	l.obs.parked.Inc()
+	if len(missing) > 0 {
+		l.obs.parked.Inc()
+	}
 	for dep := range missing {
 		row := l.parked[dep]
 		if row == nil {
@@ -802,7 +762,48 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 		}
 		row.tasks[spec.ID] = w
 	}
+	if borrow {
+		// The borrows flush BEFORE the QUEUED stamp: the stamp is what lets
+		// a previous holder's spill bridge drop its borrow, so this node's
+		// share must already be in the control plane's count — and one
+		// batched flush covers the whole dependency set, which is why
+		// parking cost stays flat in the number of dependencies.
+		l.mu.Unlock()
+		l.cfg.Refs.Flush()
+		l.mu.Lock()
+		if l.waiting[spec.ID] != w {
+			// Evicted meanwhile: the evictor settled the task and its borrows.
+			l.mu.Unlock()
+			return
+		}
+	}
+	// Stamp this node as the task's current holder. If this node dies with
+	// the task still queued, the task table points at a dead node and the
+	// owner-death transfer (or any consumer's reconstruction check) will
+	// re-own the task (R6); without the stamp, a task queued-but-not-
+	// dispatched on a dead node would be invisible. The stamp is made under
+	// the lock, so that no evictor's stamps (FailTask's FAILED, say) can
+	// come before it. It is an in-process append that rides the next batched
+	// flush while the ledger's flusher runs; a ledger never started (unit
+	// tests) or halted at shutdown flushes it inline, under the lock.
+	l.cfg.Ledger.Transition(spec.ID, types.TaskQueued, types.NilWorkerID, "")
+	w.queued = true
+	ready := l.readyLocked(w)
 	l.mu.Unlock()
+	if ready {
+		l.dispatchReady()
+	}
+}
+
+// readyLocked moves w from the waiting set to the runnable queue if nothing
+// is missing and its QUEUED stamp is in, and reports whether it did.
+func (l *Local) readyLocked(w *waitingTask) bool {
+	if len(w.missing) > 0 || !w.queued {
+		return false
+	}
+	delete(l.waiting, w.spec.ID)
+	l.runnable = append(l.runnable, &queuedTask{spec: w.spec, enqueuedAt: time.Now()})
+	return true
 }
 
 // Resolve blocks until id is resident here and returns its bytes, pulling a
@@ -825,7 +826,9 @@ func (l *Local) resolveParked(ctx context.Context, obj types.ObjectID) {
 	_, err := l.resolve(ctx, obj, types.NilTaskID, true)
 	switch {
 	case err == nil:
-		l.landed(obj)
+		if l.landed(obj) {
+			l.dispatchReady()
+		}
 	case errors.Is(err, types.ErrReclaimed):
 		l.failParkedOn(obj)
 	}
@@ -833,15 +836,29 @@ func (l *Local) resolveParked(ctx context.Context, obj types.ObjectID) {
 
 // resolve is the one resolve loop, under a Get and under a parked
 // dependency: check the store, read the record, fetch, reconstruct or probe,
-// then wait for the arrival, the ready topic or a poll. It subscribes before
-// its first check, so no ready edge falls between them. A parked resolver
-// needs only residency, and fails only on types.ErrReclaimed.
+// then wait for the arrival, the ready topic or a poll. A Get subscribes
+// before its first look, so no ready edge falls between them. A parked
+// resolver's first look runs unsubscribed, so a dependency already ready
+// elsewhere is pulled without waiting to attach to its topic (a round trip
+// on a sharded control plane) while enqueue's borrow flush is in flight
+// (E19); a look that leaves the object missing subscribes and looks again
+// before any probe or wait. A parked resolver needs only residency, and
+// fails only on types.ErrReclaimed.
 func (l *Local) resolve(ctx context.Context, id types.ObjectID, task types.TaskID, parked bool) ([]byte, error) {
-	sub := l.cfg.Ctrl.Subscribe(gcs.TopicObjectReady, id)
-	defer sub.Close()
-	poll := time.NewTicker(pollPeriod)
-	defer poll.Stop()
-	for wakeups := 1; ; wakeups++ {
+	var sub gcs.Sub
+	var poll *time.Ticker
+	if !parked {
+		sub = l.cfg.Ctrl.Subscribe(gcs.TopicObjectReady, id)
+		poll = time.NewTicker(pollPeriod)
+	}
+	defer func() {
+		if sub != nil {
+			sub.Close()
+			poll.Stop()
+		}
+	}()
+	// wakeups numbers the looks that follow a wait.
+	for wakeups := 1; ; {
 		if parked {
 			if l.cfg.Store.Contains(id) {
 				return nil, nil
@@ -859,11 +876,14 @@ func (l *Local) resolve(ctx context.Context, id types.ObjectID, task types.TaskI
 			probe = wakeups > 1
 		case info.State == types.ObjectReady:
 			if l.cfg.Fetcher != nil && len(info.Locations) > 0 {
-				fctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+				fctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 				err := l.cfg.Fetcher.FetchObject(fctx, info)
 				cancel()
 				if err == nil {
 					continue
+				}
+				if ctx.Err() != nil {
+					return nil, ctx.Err()
 				}
 			}
 		case info.State == types.ObjectLost:
@@ -873,6 +893,11 @@ func (l *Local) resolve(ctx context.Context, id types.ObjectID, task types.TaskI
 			// running there when it died). The reconstructor no-ops for
 			// healthy producers and replays stranded ones.
 			probe = wakeups%strandedPeriod == 0
+		}
+		if sub == nil {
+			sub = l.cfg.Ctrl.Subscribe(gcs.TopicObjectReady, id)
+			poll = time.NewTicker(pollPeriod)
+			continue
 		}
 		if probe && l.cfg.Recon != nil {
 			err := l.cfg.Recon(id, task)
@@ -889,16 +914,19 @@ func (l *Local) resolve(ctx context.Context, id types.ObjectID, task types.TaskI
 		case <-l.stopCtx.Done():
 			return nil, ErrStopped
 		}
+		wakeups++
 	}
 }
 
 // landed clears obj from every task parked on it; a task whose missing set
-// empties becomes runnable. One wake clears every dependency of the task that
-// has already landed, not just obj: under a busy runqueue each object's
+// empties becomes runnable, and landed reports whether one did. The store
+// calls it on every arrival (arrived), and a row's resolver on finding its
+// object resident. One wake clears every dependency of the task that has
+// already landed, not just obj: under a busy runqueue each object's
 // resolver waits for a timeslice, so clearing strictly one per wake would
 // make the park→scheduled edge grow linearly in dependency count even when
 // all the objects are long since local.
-func (l *Local) landed(obj types.ObjectID) {
+func (l *Local) landed(obj types.ObjectID) bool {
 	l.mu.Lock()
 	ready := false
 	if row := l.parked[obj]; row != nil {
@@ -909,16 +937,24 @@ func (l *Local) landed(obj types.ObjectID) {
 					l.unwaitLocked(dep, id)
 				}
 			}
-			if len(w.missing) == 0 {
-				delete(l.waiting, id)
-				l.runnable = append(l.runnable, &queuedTask{spec: w.spec, enqueuedAt: time.Now()})
+			if l.readyLocked(w) {
 				ready = true
 			}
 		}
 	}
 	l.mu.Unlock()
-	if ready {
-		l.dispatchReady()
+	return ready
+}
+
+// arrived is the store's arrival hook: it lands obj's row on the storing
+// goroutine, before the store publishes the object's location — a round
+// trip that a row's resolver, pulling the object, would otherwise wait out
+// before landing it (E19). The dispatch it makes due runs on a goroutine of
+// its own, so no control-plane call of the dispatch (a grouped task's
+// claim, a stray's respill) holds up that publish.
+func (l *Local) arrived(obj types.ObjectID) {
+	if l.landed(obj) {
+		go l.dispatchReady()
 	}
 }
 
@@ -979,7 +1015,7 @@ func (l *Local) dispatchReady() {
 		// the lock: the gang pass re-places their group as a unit and the
 		// global scheduler routes them to the new holder.
 		for _, spec := range strays {
-			l.respillGrouped(spec)
+			l.spillAway(spec)
 			if l.cfg.Refs != nil {
 				l.cfg.Refs.Release(spec.Deps()...)
 			}
