@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/gcs"
 	"repro/internal/scheduler"
 	"repro/internal/types"
 )
@@ -79,8 +80,9 @@ func main() {
 
 	finished := func(job types.JobID) int {
 		n := 0
-		for _, t := range c.Ctrl.Tasks() {
-			if t.Spec.Job == job && t.Status == types.TaskFinished {
+		tasks, _ := c.Ctrl.ScanTasks(gcs.TaskFilter{Job: job})
+		for _, t := range tasks {
+			if t.Status == types.TaskFinished {
 				n++
 			}
 		}
@@ -141,8 +143,8 @@ func main() {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		info, ok := c.Ctrl.GetJob(background.ID)
-		if ok && info.PurgedNs != 0 {
-			tasks, _ := c.Ctrl.JobTasks(background.ID)
+		if ok && info.State == types.JobPurged {
+			tasks, _ := c.Ctrl.ScanTasks(gcs.TaskFilter{Job: background.ID})
 			fmt.Printf("background job: state=%s, task records left=%d (tombstoned after %s grace)\n",
 				info.State, len(tasks), 300*time.Millisecond)
 			break

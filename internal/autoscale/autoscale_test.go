@@ -158,17 +158,20 @@ func TestScaleDownRespectsMinNodes(t *testing.T) {
 
 // TestBusyClusterResetsIdleClock: any backlog re-arms the idle window.
 func TestBusyClusterResetsIdleClock(t *testing.T) {
-	a, s := harness(t, Policy{MinNodes: 1, IdleAfter: 10 * time.Millisecond, Cooldown: time.Millisecond}, &fakeProv{}, 2)
+	// Each half of the window is 60% of IdleAfter: both together exceed
+	// it, and a sleep would have to overshoot by 80 ms to reach it alone.
+	const idleAfter = 200 * time.Millisecond
+	a, s := harness(t, Policy{MinNodes: 1, IdleAfter: idleAfter, Cooldown: time.Millisecond}, &fakeProv{}, 2)
 	beat(s, 1, 0, types.CPU(4))
 	beat(s, 2, 0, types.CPU(4))
 	a.tick()
-	time.Sleep(6 * time.Millisecond)
+	time.Sleep(idleAfter * 6 / 10)
 	beat(s, 1, 3, types.CPU(1)) // busy again
 	a.tick()                    // resets the idle clock
 	beat(s, 1, 0, types.CPU(4))
 	a.tick() // idle re-arms from now
-	time.Sleep(6 * time.Millisecond)
-	a.tick() // 6ms < IdleAfter since re-arm: no drain yet
+	time.Sleep(idleAfter * 6 / 10)
+	a.tick() // less than IdleAfter since re-arm: no drain yet
 	for i := byte(1); i <= 2; i++ {
 		if info, _ := s.GetNode(nid(i)); info.State != types.NodeActive {
 			t.Fatal("drained before the idle window elapsed")

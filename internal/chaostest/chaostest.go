@@ -186,7 +186,8 @@ func (c *Checker) AwaitTaskConservation(t testing.TB, within time.Duration, ids 
 // submitted task that is absent or not yet in a terminal state.
 func (c *Checker) taskConservationViolations(ids []types.TaskID) []string {
 	table := make(map[types.TaskID]types.TaskState)
-	for _, ts := range c.api.Tasks() {
+	tasks, _ := c.api.ScanTasks(gcs.TaskFilter{})
+	for _, ts := range tasks {
 		table[ts.Spec.ID] = ts
 	}
 	var bad []string

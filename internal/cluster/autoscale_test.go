@@ -9,6 +9,7 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/chaostest"
 	"repro/internal/core"
+	"repro/internal/gcs"
 	"repro/internal/scheduler"
 	"repro/internal/types"
 )
@@ -129,7 +130,8 @@ func runElasticity(t *testing.T, c *Cluster, h *elasticityHarness) {
 			t.Fatalf("blob %d unreadable after drains: len=%d err=%v", i, len(data), err)
 		}
 	}
-	for _, ts := range c.API.Tasks() {
+	tasks, _ := c.API.ScanTasks(gcs.TaskFilter{})
+	for _, ts := range tasks {
 		if ts.Status == types.TaskFailed {
 			t.Fatalf("task %v failed during elasticity cycle: %s", ts.Spec.ID, ts.Error)
 		}

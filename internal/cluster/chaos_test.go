@@ -399,7 +399,8 @@ func TestShardFailoverDurableState(t *testing.T) {
 	// catch a flush mid-flight and mistake follower lag for lost state.
 	snapshot := func() (map[string]types.TaskStatus, map[string]int64) {
 		tasks := make(map[string]types.TaskStatus)
-		for _, ts := range c.API.Tasks() {
+		all, _ := c.API.ScanTasks(gcs.TaskFilter{})
+		for _, ts := range all {
 			tasks[ts.Spec.ID.Hex()] = ts.Status
 		}
 		refs := make(map[string]int64)
@@ -437,7 +438,8 @@ func TestShardFailoverDurableState(t *testing.T) {
 
 	// Lineage: every pre-kill task record survived with its status.
 	postTasks := make(map[string]types.TaskStatus)
-	for _, ts := range c.API.Tasks() {
+	all, _ := c.API.ScanTasks(gcs.TaskFilter{})
+	for _, ts := range all {
 		postTasks[ts.Spec.ID.Hex()] = ts.Status
 	}
 	for id, status := range preTasks {

@@ -49,10 +49,6 @@ type Config struct {
 	// control-plane shards. Zero selects 20ms when sharded; negative
 	// disables auto-restart (tests drive KillShard/RestartShard manually).
 	GCSAutoRestart time.Duration
-	// GCSCheckpointWALBytes, when positive, makes the supervisor checkpoint
-	// any shard whose WAL grows past this many bytes (bounded recovery
-	// replay). Zero disables size-triggered checkpoints.
-	GCSCheckpointWALBytes int64
 	// HopLatency is the one-way network delay between nodes (default 0).
 	HopLatency time.Duration
 	// SpillThreshold is each local scheduler's backlog bound before
@@ -64,9 +60,6 @@ type Config struct {
 	// SpillDir, when set, enables each node's disk spill tier; node i
 	// spills into SpillDir/node-i. Empty disables spilling.
 	SpillDir string
-	// SpillBudget bounds each node's spill tier bytes on disk; 0 =
-	// unlimited (see node.Config.SpillBudget).
-	SpillBudget int64
 	// Pull tunes the chunked pull protocol (zero value = defaults).
 	Pull lifetime.PullConfig
 	// GlobalPolicy selects the placement policy (default locality-aware).
@@ -76,8 +69,6 @@ type Config struct {
 	GlobalSchedulers int
 	// Registry holds the remote functions every node's workers can run.
 	Registry *core.Registry
-	// HeartbeatInterval for node load reports (default 20ms).
-	HeartbeatInterval time.Duration
 	// DisableEventLog turns off control-plane event logging (E13 measures
 	// the difference).
 	DisableEventLog bool
@@ -86,6 +77,10 @@ type Config struct {
 	// the scheduler default; negative disables purging.
 	JobGrace time.Duration
 }
+
+// heartbeatInterval is how often each node of an in-process cluster
+// reports its load.
+const heartbeatInterval = 20 * time.Millisecond
 
 // Cluster is a running in-process cluster.
 type Cluster struct {
@@ -131,9 +126,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.GlobalSchedulers <= 0 {
 		cfg.GlobalSchedulers = 1
-	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = 20 * time.Millisecond
 	}
 
 	c := &Cluster{
@@ -220,14 +212,13 @@ func (c *Cluster) AddNode() (*node.Node, error) {
 		Resources:         res.Clone(),
 		StoreCapacity:     cfg.StoreCapacity,
 		SpillDir:          spillDir,
-		SpillBudget:       cfg.SpillBudget,
 		Pull:              cfg.Pull,
 		SpillThreshold:    spill,
 		Network:           c.Network,
 		ListenAddr:        fmt.Sprintf("node-%d", i),
 		Ctrl:              ctrl,
 		Registry:          cfg.Registry,
-		HeartbeatInterval: cfg.HeartbeatInterval,
+		HeartbeatInterval: heartbeatInterval,
 	})
 	if err != nil {
 		return nil, err
@@ -276,14 +267,13 @@ func (c *Cluster) startShardedGCS(cfg Config) error {
 		auto = 0
 	}
 	sup, err := gcs.NewSupervisor(gcs.SupervisorConfig{
-		Shards:             cfg.GCSShards,
-		Network:            c.Network,
-		MapAddr:            GCSMapAddr,
-		DataDir:            dataDir,
-		SubShards:          cfg.Shards,
-		AutoRestart:        auto,
-		CheckpointWALBytes: cfg.GCSCheckpointWALBytes,
-		DisableEventLog:    cfg.DisableEventLog,
+		Shards:          cfg.GCSShards,
+		Network:         c.Network,
+		MapAddr:         GCSMapAddr,
+		DataDir:         dataDir,
+		SubShards:       cfg.Shards,
+		AutoRestart:     auto,
+		DisableEventLog: cfg.DisableEventLog,
 	})
 	if err != nil {
 		c.removeGCSTmp()

@@ -68,7 +68,7 @@ func TestJobStopShardKillMidReclaim(t *testing.T) {
 	}
 	// Let the quick tasks land and the slow ones dispatch.
 	waitFor(t, 10*time.Second, "tenant burst visible", func() bool {
-		tasks, complete := c.API.JobTasks(job.ID)
+		tasks, complete := c.API.ScanTasks(gcs.TaskFilter{Job: job.ID})
 		return complete && len(tasks) == len(ids)
 	})
 
@@ -90,14 +90,14 @@ func TestJobStopShardKillMidReclaim(t *testing.T) {
 	check := chaostest.New(c.API)
 	waitFor(t, 30*time.Second, "job stopped across shard kills", func() bool {
 		info, ok := c.API.GetJob(job.ID)
-		return ok && info.State == types.JobStopped
+		return ok && info.Stopped()
 	})
 	waitFor(t, 30*time.Second, "job purged across shard kills", func() bool {
 		info, ok := c.API.GetJob(job.ID)
 		if !ok || info.PurgedNs == 0 {
 			return false
 		}
-		tasks, complete := c.API.JobTasks(job.ID)
+		tasks, complete := c.API.ScanTasks(gcs.TaskFilter{Job: job.ID})
 		return complete && len(tasks) == 0
 	})
 
@@ -109,7 +109,7 @@ func TestJobStopShardKillMidReclaim(t *testing.T) {
 	// reappear — not from a straggler ledger flush, not from a WAL replay,
 	// not from lineage reconstruction of a purged object.
 	time.Sleep(300 * time.Millisecond)
-	if tasks, complete := c.API.JobTasks(job.ID); !complete || len(tasks) != 0 {
+	if tasks, complete := c.API.ScanTasks(gcs.TaskFilter{Job: job.ID}); !complete || len(tasks) != 0 {
 		t.Fatalf("tenant task records resurrected after purge: %d (complete=%v)", len(tasks), complete)
 	}
 
@@ -119,17 +119,17 @@ func TestJobStopShardKillMidReclaim(t *testing.T) {
 	}
 
 	// The tombstones are durable: restart the job record's shard and the
-	// Stopped+purged record must replay from snapshot+WAL, not revert.
+	// Purged record must replay from snapshot+WAL, not revert.
 	c.Super.KillShard(idx)
 	waitFor(t, 20*time.Second, "shard back after tombstone restart", func() bool {
 		p, ok := c.API.(gcs.Pinger)
 		return ok && p.Ping()
 	})
 	info, ok := c.API.GetJob(job.ID)
-	if !ok || info.State != types.JobStopped || info.PurgedNs == 0 {
+	if !ok || info.State != types.JobPurged || info.PurgedNs == 0 {
 		t.Fatalf("job tombstone did not survive restart: %+v ok=%v", info, ok)
 	}
-	if tasks, complete := c.API.JobTasks(job.ID); !complete || len(tasks) != 0 {
+	if tasks, complete := c.API.ScanTasks(gcs.TaskFilter{Job: job.ID}); !complete || len(tasks) != 0 {
 		t.Fatalf("purged task records resurrected by WAL replay: %d (complete=%v)", len(tasks), complete)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gcs"
 	"repro/internal/scheduler"
 	"repro/internal/types"
 )
@@ -41,7 +42,7 @@ func sleepTask(reg *core.Registry, name string) core.Func1[int, int] {
 // dropping tasks never dispatched.
 func scheduledStamps(c *Cluster, job types.JobID) []int64 {
 	var out []int64
-	tasks, _ := c.API.JobTasks(job)
+	tasks, _ := c.API.ScanTasks(gcs.TaskFilter{Job: job})
 	for _, st := range tasks {
 		if st.ScheduledNs > 0 {
 			out = append(out, st.ScheduledNs)
@@ -83,7 +84,7 @@ func TestJobFairShareDispatch(t *testing.T) {
 		}
 	}
 	waitFor(t, 60*time.Second, "victim tasks finished", func() bool {
-		tasks, _ := c.API.JobTasks(victim.ID)
+		tasks, _ := c.API.ScanTasks(gcs.TaskFilter{Job: victim.ID})
 		done := 0
 		for _, st := range tasks {
 			if st.Status == types.TaskFinished {
@@ -158,7 +159,7 @@ func TestJobIsolationLatency(t *testing.T) {
 	}
 
 	var allSubmitted int64
-	tasks, _ := c.API.JobTasks(victim.ID)
+	tasks, _ := c.API.ScanTasks(gcs.TaskFilter{Job: victim.ID})
 	for _, st := range tasks {
 		allSubmitted = max(allSubmitted, st.SubmittedNs)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gcs"
 	"repro/internal/types"
 )
 
@@ -58,8 +59,8 @@ func TestJobLifecycle(t *testing.T) {
 			t.Fatalf("tenant task %d: v=%d err=%v", i, v, err)
 		}
 	}
-	if tasks, complete := c.API.JobTasks(job.ID); !complete || len(tasks) != 3 {
-		t.Fatalf("JobTasks: %d records complete=%v, want 3", len(tasks), complete)
+	if tasks, complete := c.API.ScanTasks(gcs.TaskFilter{Job: job.ID}); !complete || len(tasks) != 3 {
+		t.Fatalf("ScanTasks by job: %d records complete=%v, want 3", len(tasks), complete)
 	}
 
 	// Submitting under an unknown job fails fast and typed.
@@ -108,17 +109,17 @@ func TestJobLifecycle(t *testing.T) {
 	}
 
 	// The job commits Stopped, and after the grace period its task records
-	// tombstone while the Stopped record itself survives as the fence.
+	// go while the job record itself, moved to Purged, survives as the fence.
 	waitFor(t, 5*time.Second, "job stopped", func() bool {
 		info, ok := d.GetJob(job.ID)
-		return ok && info.State == types.JobStopped
+		return ok && info.Stopped()
 	})
 	waitFor(t, 5*time.Second, "records purged", func() bool {
 		info, ok := d.GetJob(job.ID)
 		if !ok || info.PurgedNs == 0 {
 			return false
 		}
-		tasks, complete := c.API.JobTasks(job.ID)
+		tasks, complete := c.API.ScanTasks(gcs.TaskFilter{Job: job.ID})
 		return complete && len(tasks) == 0
 	})
 	if _, err := id.Options(job.Option()).Remote(d, 1); !errors.Is(err, core.ErrJobTerminated) {

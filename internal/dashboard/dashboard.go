@@ -359,7 +359,8 @@ func taskView(t types.TaskState, nowNs int64) TaskView {
 func tasksView(ctrl gcs.API) []TaskView {
 	now := ctrl.NowNs()
 	var out []TaskView
-	for _, t := range ctrl.Tasks() {
+	tasks, _ := ctrl.ScanTasks(gcs.TaskFilter{})
+	for _, t := range tasks {
 		out = append(out, taskView(t, now))
 	}
 	return out
@@ -482,7 +483,7 @@ func jobsView(ctrl gcs.API) []JobView {
 	if len(records) == 0 {
 		return nil
 	}
-	tasks := ctrl.Tasks()
+	tasks, _ := ctrl.ScanTasks(gcs.TaskFilter{})
 	usage := jobs.ComputeUsage(tasks, ctrl.Objects())
 	totals := make(map[types.JobID]int)
 	for _, t := range tasks {
@@ -599,7 +600,7 @@ func overview(ctrl gcs.API, o handlerOpts, w http.ResponseWriter) {
 			}
 		}
 	}
-	tasks := ctrl.Tasks()
+	tasks, _ := ctrl.ScanTasks(gcs.TaskFilter{})
 	byStatus := map[types.TaskStatus]int{}
 	for _, t := range tasks {
 		byStatus[t.Status]++
@@ -646,7 +647,7 @@ func overview(ctrl gcs.API, o handlerOpts, w http.ResponseWriter) {
 			byState[j.State]++
 		}
 		fmt.Fprintf(w, "jobs: %d total", len(jobRecords))
-		for _, st := range []types.JobState{types.JobRunning, types.JobStopping, types.JobStopped} {
+		for _, st := range []types.JobState{types.JobRunning, types.JobStopping, types.JobStopped, types.JobPurged} {
 			if n := byState[st]; n > 0 {
 				fmt.Fprintf(w, "  %s=%d", st, n)
 			}

@@ -79,7 +79,8 @@ func (r *Reconstructor) deriveProducer(id types.ObjectID) (types.TaskState, bool
 	if !r.ctrlReachable() {
 		return types.TaskState{}, false // a partial scan proves nothing
 	}
-	for _, st := range r.Ctrl.Tasks() {
+	tasks, _ := r.Ctrl.ScanTasks(gcs.TaskFilter{})
+	for _, st := range tasks {
 		for i := 0; i < st.Spec.NumReturns; i++ {
 			if st.Spec.ReturnID(i) == id {
 				return st, true

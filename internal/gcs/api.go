@@ -57,12 +57,13 @@ type API interface {
 	// rejected by the owner/seq guard (authority moved on) are consumed, not
 	// failed. Nil means fully applied.
 	ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID
-	// LiveTasksOwnedBy returns every non-terminal task whose record names
-	// `owner` as its ledger authority, plus whether the scan covered the
-	// whole table (false when a shard was unreachable — the owner-death
-	// transfer retries later rather than concluding from a partial view).
-	LiveTasksOwnedBy(owner types.NodeID) ([]types.TaskState, bool)
-	Tasks() []types.TaskState
+	// ScanTasks is the one task-table scan: the records f selects, in
+	// submit order, plus whether the scan covered the whole table (false
+	// when a shard was unreachable — the owner-death transfer and the job
+	// reclaim pass retry later rather than concluding from a partial view).
+	// Each shard applies the filter, so only matching records cross the
+	// wire.
+	ScanTasks(f TaskFilter) ([]types.TaskState, bool)
 	// StalePendingTasks returns the specs of tasks durably recorded
 	// PENDING whose latest transition is at least olderThanNs old — tasks
 	// claimed by nobody, typically because their spill publish died with a
@@ -130,23 +131,16 @@ type API interface {
 
 	// Job table (multi-tenancy, DESIGN.md §14). CreateJob inserts the record
 	// exactly once (idempotent by job ID); CASJobState drives the lifecycle
-	// (Running→Stopping→Stopped; Stopped is the terminal tombstone that
-	// outlives the job's purged records). Every transition publishes the
-	// updated record on TopicJobs, which the global schedulers' fair-share
-	// queue and reclaim pass consume.
+	// (Running→Stopping→Stopped→Purged). Stopped means the job's tasks are
+	// buried and its references dropped; the transition to Purged, once its
+	// task and object records are gone, stamps PurgedNs exactly once, and
+	// the Purged record is the tombstone that fences replayed submissions.
+	// Every transition publishes the updated record on TopicJobs, which the
+	// global schedulers' fair-share queue and reclaim pass consume.
 	CreateJob(spec types.JobSpec) bool
 	GetJob(id types.JobID) (types.JobInfo, bool)
 	Jobs() []types.JobInfo
 	CASJobState(id types.JobID, from []types.JobState, to types.JobState) bool
-	// MarkJobPurged stamps PurgedNs on a Stopped job once its task and
-	// object records have been tombstoned; idempotent (false if already
-	// stamped, missing, or not Stopped).
-	MarkJobPurged(id types.JobID) bool
-	// JobTasks returns every task record (any status) attributed to the
-	// job, plus whether the scan covered the whole table (false when a
-	// shard was unreachable — the reclaim pass retries rather than
-	// concluding from a partial view).
-	JobTasks(job types.JobID) ([]types.TaskState, bool)
 	// ForceReleaseObjects is the job-stop reclaim hammer: each object's
 	// refcount is forced to zero, its Holders attribution dropped, and —
 	// when copies remain — a GC publish fires so the lifetime subsystem
@@ -204,6 +198,22 @@ type API interface {
 	// ignores id (callers pass the nil ID of the kind it carries). Once
 	// Subscribe returns, no later publish on the channel can be missed.
 	Subscribe(topic Topic, id [types.IDSize]byte) Sub
+}
+
+// TaskFilter selects the records of an API.ScanTasks scan. The zero value
+// selects every task; set fields narrow the selection and combine.
+type TaskFilter struct {
+	// Owner, when set, selects the live (non-terminal) tasks whose record
+	// names it as their ledger authority: the owner-death transfer's set.
+	Owner types.NodeID
+	// Job, when set, selects the job's tasks in any status: the reclaim
+	// pass's set.
+	Job types.JobID
+}
+
+func (f TaskFilter) match(st *types.TaskState) bool {
+	return (f.Owner.IsNil() || st.Owner == f.Owner && !st.Status.Terminal()) &&
+		(f.Job.IsNil() || st.Spec.Job == f.Job)
 }
 
 // Topic names a control-plane pub/sub channel (API.Subscribe). The first

@@ -169,6 +169,19 @@ func refCount(t *testing.T, api API, id types.ObjectID) int64 {
 	return info.RefCount
 }
 
+// casJobOp is CASJobState under a token the caller holds: what a retry of
+// the call sends after the first attempt's ack was lost.
+func casJobOp(api API, id types.JobID, from []types.JobState, to types.JobState, op uint64) bool {
+	switch a := api.(type) {
+	case *Store:
+		return a.CASJobStateOp(id, from, to, op)
+	case *Sharded:
+		won, _ := shardCall(a, rpcCASJob, JobKey(id), casJobReq{ID: id, From: from, To: to, Op: op})
+		return won
+	}
+	panic("casJobOp: unknown control plane")
+}
+
 // recv waits for one message on sub.
 func recv(t *testing.T, sub Sub, what string) []byte {
 	t.Helper()
@@ -221,8 +234,12 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	if _, ok := api.ClaimTask(st.Spec.ID, []types.TaskStatus{types.TaskPending}, types.TaskQueued, nodeID(51)); ok {
 		t.Fatal("second claim from the wrong state won")
 	}
-	if live, complete := api.LiveTasksOwnedBy(n); !complete || len(live) != 1 || live[0].Spec.ID != st.Spec.ID {
-		t.Fatalf("LiveTasksOwnedBy: %v complete=%v", live, complete)
+	owned := TaskFilter{Owner: n}
+	if live, complete := api.ScanTasks(owned); !complete || len(live) != 1 || live[0].Spec.ID != st.Spec.ID {
+		t.Fatalf("ScanTasks by owner: %v complete=%v", live, complete)
+	}
+	if live, complete := api.ScanTasks(TaskFilter{Owner: nodeID(51)}); !complete || len(live) != 0 {
+		t.Fatalf("ScanTasks by a node that owns nothing: %v complete=%v", live, complete)
 	}
 	statusSub := api.Subscribe(TopicTaskStatus, st.Spec.ID)
 	defer statusSub.Close()
@@ -247,8 +264,11 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	if got, _ = api.GetTask(st.Spec.ID); got.Status != types.TaskFinished || got.Owner != n {
 		t.Fatalf("a plain CAS moved the owner or missed the status: %+v", got)
 	}
-	if len(api.Tasks()) != 1 {
-		t.Fatal("Tasks scan wrong")
+	if all, complete := api.ScanTasks(TaskFilter{}); !complete || len(all) != 1 {
+		t.Fatalf("ScanTasks of the whole table: %v complete=%v", all, complete)
+	}
+	if live, _ := api.ScanTasks(owned); len(live) != 0 {
+		t.Fatalf("ScanTasks by owner kept a finished task: %v", live)
 	}
 	// Writes made through the API must be visible in the backing store.
 	if _, ok := backing(st.Spec.ID); !ok {
@@ -380,11 +400,15 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	if len(api.Jobs()) != 1 {
 		t.Fatal("Jobs scan wrong")
 	}
-	if tasks, complete := api.JobTasks(job); !complete || len(tasks) != 1 || tasks[0].Spec.ID != st.Spec.ID {
-		t.Fatalf("JobTasks: %v complete=%v", tasks, complete)
+	if !api.AddTask(mkTask(501)) { // in no job
+		t.Fatal("AddTask failed")
 	}
-	if api.MarkJobPurged(job) {
-		t.Fatal("MarkJobPurged stamped a running job")
+	if tasks, complete := api.ScanTasks(TaskFilter{Job: job}); !complete || len(tasks) != 1 || tasks[0].Spec.ID != st.Spec.ID {
+		t.Fatalf("ScanTasks by job: %v complete=%v", tasks, complete)
+	}
+	stopped := []types.JobState{types.JobStopped}
+	if api.CASJobState(job, stopped, types.JobPurged) {
+		t.Fatal("a running job was purged")
 	}
 	if !api.CASJobState(job, []types.JobState{types.JobRunning}, types.JobStopping) ||
 		api.CASJobState(job, []types.JobState{types.JobRunning}, types.JobStopping) ||
@@ -410,8 +434,15 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	if purged := PurgeAndUnpin(api, []types.TaskID{st.Spec.ID}); purged != 1 {
 		t.Fatalf("PurgeAndUnpin of the job's finished task = %d, want 1", purged)
 	}
-	if !api.MarkJobPurged(job) || api.MarkJobPurged(job) {
-		t.Fatal("MarkJobPurged is not idempotent")
+	if !casJobOp(api, job, stopped, types.JobPurged, 64) || !casJobOp(api, job, stopped, types.JobPurged, 64) {
+		t.Fatal("the purge CAS or its retry under the same token lost")
+	}
+	purged, _ := api.GetJob(job)
+	if api.CASJobState(job, stopped, types.JobPurged) || api.CASJobState(job, []types.JobState{types.JobPurged}, types.JobPurged) {
+		t.Fatal("a purged job was purged again")
+	}
+	if jinfo, _ := api.GetJob(job); jinfo.State != types.JobPurged || !jinfo.Stopped() || jinfo.PurgedNs == 0 || jinfo.PurgedNs != purged.PurgedNs {
+		t.Fatalf("after the purge: %+v, first stamp %d", jinfo, purged.PurgedNs)
 	}
 
 	// Record lifetime: t1 -> a, t2(a, a) -> b. A record goes only when
@@ -572,7 +603,7 @@ func TestFanOutObserved(t *testing.T) {
 	}
 	defer s.Close()
 
-	s.Tasks()
+	s.ScanTasks(TaskFilter{})
 	snap := reg.Snapshot()
 	for _, shard := range []string{"0", "1"} {
 		if h := snap.Hists["gcs.rpc.ns;method="+rpcTasks.name+";shard="+shard]; h.Count != 1 {
@@ -585,7 +616,13 @@ func TestFanOutObserved(t *testing.T) {
 	}
 
 	sup.KillShard(1)
-	s.Tasks()
+	var job types.JobID
+	job[0] = 7
+	for _, f := range []TaskFilter{{}, {Owner: nodeID(50)}, {Job: job}} {
+		if _, complete := s.ScanTasks(f); complete {
+			t.Fatalf("ScanTasks(%+v) reported a complete view with a shard killed", f)
+		}
+	}
 	if got := reg.Snapshot().Counters[errs]; got == 0 {
 		t.Fatalf("%s not bumped by a fan-out read against a killed shard", errs)
 	}

@@ -9,7 +9,7 @@ import (
 
 // Job table (DESIGN.md §14): a typed table like every other, so on a
 // sharded deployment its records are WAL'd and snapshotted with the shard
-// that owns them. The Stopped record is deliberately never deleted — it is
+// that owns them. The Purged record is deliberately never deleted — it is
 // the tombstone that fences replayed submissions after the job's task and
 // object records have been purged.
 
@@ -55,8 +55,8 @@ func (s *Store) CASJobState(id types.JobID, from []types.JobState, to types.JobS
 // mirroring ClaimTaskOp: a retried CAS whose original commit survived a
 // shard crash is recognized by its token in the record's durable MutOps
 // ring and reported won, so the caller (a StopJob retry, the reclaim pass's
-// Stopping→Stopped commit) proceeds instead of treating its own earlier
-// commit as a lost race.
+// Stopping→Stopped or Stopped→Purged commit) proceeds instead of treating
+// its own earlier commit as a lost race.
 func (s *Store) CASJobStateOp(id types.JobID, from []types.JobState, to types.JobState, op uint64) bool {
 	now := s.NowNs()
 	dup := false
@@ -66,8 +66,8 @@ func (s *Store) CASJobStateOp(id types.JobID, from []types.JobState, to types.Jo
 			dup = true // this exact CAS already applied
 			return false
 		}
-		if !slices.Contains(from, info.State) {
-			return false
+		if info.State == types.JobPurged || !slices.Contains(from, info.State) {
+			return false // Purged is final: PurgedNs is stamped once
 		}
 		info.MutOps.Record(op, refOpHistory)
 		info.State = to
@@ -77,6 +77,8 @@ func (s *Store) CASJobStateOp(id types.JobID, from []types.JobState, to types.Jo
 			info.StoppingNs = now
 		case types.JobStopped:
 			info.StoppedNs = now
+		case types.JobPurged:
+			info.PurgedNs = now
 		case types.JobRunning:
 			// Rollback (operator abort of a stop that has not buried
 			// anything yet): the stop never happened.
@@ -89,37 +91,6 @@ func (s *Store) CASJobStateOp(id types.JobID, from []types.JobState, to types.Jo
 		s.publishJob(&next, "job-cas:"+to.String())
 	}
 	return won || dup
-}
-
-// MarkJobPurged implements API: stamp PurgedNs on a Stopped job whose task
-// and object records have been tombstoned. Idempotent — a second stamp (or
-// a retry whose ack died with a shard) returns false without touching the
-// record.
-func (s *Store) MarkJobPurged(id types.JobID) bool {
-	now := s.NowNs()
-	var next types.JobInfo
-	won, _ := s.jobs.mutate(id, existing, func(info *types.JobInfo, _ bool) bool {
-		if info.State != types.JobStopped || info.PurgedNs != 0 {
-			return false
-		}
-		info.PurgedNs = now
-		info.LastTransitionNs = now
-		next = info.Clone()
-		return true
-	})
-	if won {
-		s.publishJob(&next, "job-purged")
-	}
-	return won
-}
-
-// JobTasks implements API: the reclaim pass's source of truth. Scans the
-// task table for records attributed to the job — any status, so one scan
-// serves both the bury phase (live tasks to fail) and the purge phase
-// (terminal records to tombstone, object IDs to derive). The in-process
-// store always has a complete view.
-func (s *Store) JobTasks(job types.JobID) ([]types.TaskState, bool) {
-	return s.tasks.collect(func(st *types.TaskState) bool { return st.Spec.Job == job }), true
 }
 
 // ForceReleaseObjects implements API: the job-stop reclaim hammer. Each

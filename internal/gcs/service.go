@@ -181,11 +181,10 @@ var (
 	rpcModifyTaskStates = rpc[types.TaskLedgerBatch, bool]{"gcs.modifyTaskStates", ack(func(s *Store, r types.TaskLedgerBatch) {
 		s.ModifyTaskStates(r.Node, r.Deltas, r.Op)
 	})}
-	rpcLiveTasksOwnedBy = rpc[types.NodeID, []types.TaskState]{"gcs.liveTasksOwnedBy", func(s *Store, owner types.NodeID) []types.TaskState {
-		tasks, _ := s.LiveTasksOwnedBy(owner)
+	rpcTasks = rpc[TaskFilter, []types.TaskState]{"gcs.tasks", func(s *Store, f TaskFilter) []types.TaskState {
+		tasks, _ := s.ScanTasks(f)
 		return tasks
 	}}
-	rpcTasks             = rpc[none, []types.TaskState]{"gcs.tasks", func(s *Store, _ none) []types.TaskState { return s.Tasks() }}
 	rpcStalePendingTasks = rpc[int64, []types.TaskSpec]{"gcs.stalePendingTasks", (*Store).StalePendingTasks}
 
 	rpcEnsureObjects = rpc[ensureObjectsReq, bool]{"gcs.ensureObjects", ack(func(s *Store, r ensureObjectsReq) {
@@ -226,11 +225,6 @@ var (
 	rpcJobs   = rpc[none, []types.JobInfo]{"gcs.jobs", func(s *Store, _ none) []types.JobInfo { return s.Jobs() }}
 	rpcCASJob = rpc[casJobReq, bool]{"gcs.casJob", func(s *Store, r casJobReq) bool {
 		return s.CASJobStateOp(r.ID, r.From, r.To, r.Op)
-	}}
-	rpcMarkJobPurged = rpc[types.JobID, bool]{"gcs.markJobPurged", (*Store).MarkJobPurged}
-	rpcJobTasks      = rpc[types.JobID, []types.TaskState]{"gcs.jobTasks", func(s *Store, job types.JobID) []types.TaskState {
-		tasks, _ := s.JobTasks(job)
-		return tasks
 	}}
 	rpcForceReleaseObjects = rpc[objectIDsReq, bool]{"gcs.forceReleaseObjects", ack(func(s *Store, r objectIDsReq) {
 		s.ForceReleaseObjects(r.IDs)
@@ -273,11 +267,11 @@ var (
 // methods is every row RegisterService serves.
 var methods = []method{
 	rpcNow,
-	rpcAddTask, rpcGetTask, rpcClaimTask, rpcModifyTaskStates, rpcLiveTasksOwnedBy, rpcTasks, rpcStalePendingTasks,
+	rpcAddTask, rpcGetTask, rpcClaimTask, rpcModifyTaskStates, rpcTasks, rpcStalePendingTasks,
 	rpcEnsureObjects, rpcAddObjLocation, rpcRemoveObjLocation, rpcGetObject, rpcObjects, rpcModifyObjRefs,
 	rpcSweepDeadRefs, rpcMarkObjSpilled, rpcPublishSpill,
 	rpcCreateGroup, rpcGetGroup, rpcGroups, rpcCASGroup,
-	rpcCreateJob, rpcGetJob, rpcJobs, rpcCASJob, rpcMarkJobPurged, rpcJobTasks,
+	rpcCreateJob, rpcGetJob, rpcJobs, rpcCASJob,
 	rpcForceReleaseObjects, rpcPurgeObjects, rpcPurgeTasks, rpcRecordFacts, rpcPinObjects,
 	rpcRegisterNode, rpcHeartbeat, rpcMarkNodeDead, rpcCASNodeState, rpcGetNode, rpcNodes,
 	rpcLogEvent, rpcEvents, rpcPublishTelemetry, rpcTelemetry, rpcSpans,

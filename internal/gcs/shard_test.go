@@ -184,8 +184,8 @@ func TestShardedClientEndToEnd(t *testing.T) {
 		s.EnsureObjects(map[types.ObjectID]types.TaskID{obj: task})
 		s.AddObjectLocation(obj, testNodeID(1), int64(i))
 	}
-	if got := len(s.Tasks()); got != 12 {
-		t.Fatalf("merged task scan = %d rows", got)
+	if got, _ := s.ScanTasks(TaskFilter{}); len(got) != 12 {
+		t.Fatalf("merged task scan = %d rows", len(got))
 	}
 	if got := len(s.Objects()); got != 12 {
 		t.Fatalf("merged object scan = %d rows", got)

@@ -480,11 +480,13 @@ func (s *Sharded) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDe
 	return failed
 }
 
-// Tasks implements API: merged scan, restored to submit order.
-func (s *Sharded) Tasks() []types.TaskState {
-	out, _ := fanOut(s, rpcTasks, none{})
-	sort.Slice(out, func(i, j int) bool { return out[i].SubmittedNs < out[j].SubmittedNs })
-	return out
+// ScanTasks implements API: each shard filters, the merge restores submit
+// order. On an incomplete view the owner-death transfer and the reclaim
+// pass retry rather than act on a partial set.
+func (s *Sharded) ScanTasks(f TaskFilter) ([]types.TaskState, bool) {
+	out, complete := fanOut(s, rpcTasks, f)
+	sortBySubmit(out)
+	return out, complete
 }
 
 // StalePendingTasks implements API: each shard filters on its own clock,
@@ -492,13 +494,6 @@ func (s *Sharded) Tasks() []types.TaskState {
 func (s *Sharded) StalePendingTasks(olderThanNs int64) []types.TaskSpec {
 	out, _ := fanOut(s, rpcStalePendingTasks, olderThanNs)
 	return out
-}
-
-// LiveTasksOwnedBy implements API. On an incomplete view the owner-death
-// transfer keeps the dead owner on its sweep list and retries rather than
-// re-owning a partial set.
-func (s *Sharded) LiveTasksOwnedBy(owner types.NodeID) ([]types.TaskState, bool) {
-	return fanOut(s, rpcLiveTasksOwnedBy, owner)
 }
 
 // --- API: object table ---
@@ -644,18 +639,6 @@ func (s *Sharded) Jobs() []types.JobInfo {
 func (s *Sharded) CASJobState(id types.JobID, from []types.JobState, to types.JobState) bool {
 	v, _ := shardCall(s, rpcCASJob, JobKey(id), casJobReq{ID: id, From: from, To: to, Op: newOpToken()})
 	return v
-}
-
-// MarkJobPurged implements API (idempotent: PurgedNs only moves off zero).
-func (s *Sharded) MarkJobPurged(id types.JobID) bool {
-	v, _ := shardCall(s, rpcMarkJobPurged, JobKey(id), id)
-	return v
-}
-
-// JobTasks implements API. The reclaim pass must not declare a job
-// drained off a partial scan, so on an incomplete view it retries.
-func (s *Sharded) JobTasks(job types.JobID) ([]types.TaskState, bool) {
-	return fanOut(s, rpcJobTasks, job)
 }
 
 // ForceReleaseObjects implements API: partitioned by the shard owning

@@ -340,20 +340,22 @@ func (s *Store) applyTaskDelta(d *types.TaskStateDelta, op uint64) {
 	}
 }
 
-// LiveTasksOwnedBy implements API: the owner-death transfer's source of
-// truth. Scans the follower table for non-terminal records whose ledger
-// authority is `owner`; the in-process store always has a complete view.
-func (s *Store) LiveTasksOwnedBy(owner types.NodeID) ([]types.TaskState, bool) {
-	return s.tasks.collect(func(st *types.TaskState) bool {
-		return st.Owner == owner && !st.Status.Terminal()
-	}), true
+// ScanTasks implements API: the in-process store always has a complete
+// view.
+func (s *Store) ScanTasks(f TaskFilter) ([]types.TaskState, bool) {
+	out := s.tasks.collect(f.match)
+	sortBySubmit(out)
+	return out, true
 }
 
-// Tasks implements API (inspection scan, R7).
+// Tasks is ScanTasks of the whole table, for in-process inspection.
 func (s *Store) Tasks() []types.TaskState {
-	out := s.tasks.collect(nil)
-	sort.Slice(out, func(i, j int) bool { return out[i].SubmittedNs < out[j].SubmittedNs })
+	out, _ := s.ScanTasks(TaskFilter{})
 	return out
+}
+
+func sortBySubmit(tasks []types.TaskState) {
+	sort.Slice(tasks, func(i, j int) bool { return tasks[i].SubmittedNs < tasks[j].SubmittedNs })
 }
 
 // StalePendingTasks implements API: the server-side filter behind the

@@ -119,12 +119,8 @@ func TestReadsDoNotAliasTable(t *testing.T) {
 
 	unharmed(t, "GetTask", func() []types.TaskState { return single(s.GetTask(task)) }, scribbleTask)
 	unharmed(t, "Tasks", s.Tasks, scribbleTask)
-	unharmed(t, "LiveTasksOwnedBy", func() []types.TaskState {
-		sts, _ := s.LiveTasksOwnedBy(node)
-		return sts
-	}, scribbleTask)
-	unharmed(t, "JobTasks", func() []types.TaskState {
-		sts, _ := s.JobTasks(types.JobID{})
+	unharmed(t, "ScanTasks", func() []types.TaskState {
+		sts, _ := s.ScanTasks(TaskFilter{Owner: node})
 		return sts
 	}, scribbleTask)
 	unharmed(t, "GetObject", func() []types.ObjectInfo { return single(s.GetObject(obj)) }, scribbleObject)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/gcs"
 	"repro/internal/types"
 )
 
@@ -12,7 +13,7 @@ import (
 // satisfies it; tests satisfy it with fixtures.
 type Control interface {
 	GetJob(id types.JobID) (types.JobInfo, bool)
-	Tasks() []types.TaskState
+	ScanTasks(f gcs.TaskFilter) ([]types.TaskState, bool)
 	Objects() []types.ObjectInfo
 }
 
@@ -165,7 +166,8 @@ func (a *Admission) jobUsage(job types.JobID) (Usage, int) {
 	stale := time.Since(a.usageAt) >= a.ttl
 	a.mu.Unlock()
 	if stale {
-		usage := ComputeUsage(a.ctrl.Tasks(), a.ctrl.Objects())
+		tasks, _ := a.ctrl.ScanTasks(gcs.TaskFilter{})
+		usage := ComputeUsage(tasks, a.ctrl.Objects())
 		a.mu.Lock()
 		// Re-check under the lock: a concurrent refresh may have won.
 		if time.Since(a.usageAt) >= a.ttl {

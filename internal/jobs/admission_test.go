@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gcs"
 	"repro/internal/types"
 )
 
@@ -21,9 +22,9 @@ func (f *fakeControl) GetJob(id types.JobID) (types.JobInfo, bool) {
 	info, ok := f.jobs[id]
 	return info, ok
 }
-func (f *fakeControl) Tasks() []types.TaskState {
+func (f *fakeControl) ScanTasks(gcs.TaskFilter) ([]types.TaskState, bool) {
 	f.scans++
-	return f.tasks
+	return f.tasks, true
 }
 func (f *fakeControl) Objects() []types.ObjectInfo { return f.objects }
 

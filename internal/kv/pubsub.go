@@ -24,9 +24,6 @@ type Subscription struct {
 // closed and the queue has drained.
 func (sub *Subscription) C() <-chan []byte { return sub.out }
 
-// Channel returns the channel name subscribed to.
-func (sub *Subscription) Channel() string { return sub.channel }
-
 // Close detaches the subscription. Pending queued messages are discarded
 // and C is closed. Close is idempotent.
 func (sub *Subscription) Close() {

@@ -21,27 +21,23 @@ type PullConfig struct {
 	// ChunkSize is the transfer granularity; objects at or below it move in
 	// one round trip. Default 256 KiB.
 	ChunkSize int64
-	// PerPeerWindow bounds concurrent chunk requests to one peer — the
-	// backpressure that keeps a puller from flooding a single source node.
-	// Default 4.
-	PerPeerWindow int
-	// MaxConcurrent bounds concurrent chunk requests across all peers of one
-	// pull. Default 16.
-	MaxConcurrent int
 }
 
 func (c PullConfig) withDefaults() PullConfig {
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = 256 << 10
 	}
-	if c.PerPeerWindow <= 0 {
-		c.PerPeerWindow = 4
-	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 16
-	}
 	return c
 }
+
+const (
+	// perPeerWindow bounds concurrent chunk requests to one peer — the
+	// backpressure that keeps a puller from flooding a single source node.
+	perPeerWindow = 4
+	// maxConcurrent bounds concurrent chunk requests across all peers of
+	// one pull.
+	maxConcurrent = 16
+)
 
 // PullManager moves objects between this node's store and its peers'. It
 // replaces the original single-shot fetcher: large objects transfer as
@@ -325,7 +321,7 @@ func (p *PullManager) pullWhole(ctx context.Context, id types.ObjectID, peers []
 func (p *PullManager) pullChunked(ctx context.Context, id types.ObjectID, size int64, peers []peer) error {
 	nchunks := int((size + p.cfg.ChunkSize - 1) / p.cfg.ChunkSize)
 	parts := make([][]byte, nchunks)
-	slots := make(chan struct{}, p.cfg.MaxConcurrent)
+	slots := make(chan struct{}, maxConcurrent)
 
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
@@ -514,7 +510,7 @@ func (p *PullManager) window(addr string) chan struct{} {
 	defer p.mu.Unlock()
 	win, ok := p.windows[addr]
 	if !ok {
-		win = make(chan struct{}, p.cfg.PerPeerWindow)
+		win = make(chan struct{}, perPeerWindow)
 		p.windows[addr] = win
 	}
 	return win

@@ -1,8 +1,6 @@
 package lifetime
 
 import (
-	"maps"
-	"slices"
 	"sync"
 	"time"
 
@@ -365,22 +363,6 @@ func (l *TaskLedger) StopNotify(ch chan<- types.TaskID, ids ...types.TaskID) {
 			l.watch[id] = chans
 		}
 	}
-}
-
-// UnflushedTasks snapshots the tasks whose latest state the follower table
-// has not acked: dirty ledger entries plus every parked batch. The chaos
-// suites' task-conservation checker samples this — the follower's view
-// plus unflushed deltas must eventually converge on the owners' views.
-func (l *TaskLedger) UnflushedTasks() []types.TaskID {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	seen := maps.Clone(l.dirty)
-	for _, b := range l.retry {
-		for _, d := range b.deltas {
-			seen[d.ID] = struct{}{}
-		}
-	}
-	return slices.Collect(maps.Keys(seen))
 }
 
 // FlushTask synchronously pushes ONE task's unflushed state — its lineage

@@ -99,21 +99,6 @@ type Config struct {
 	Registry *core.Registry
 	// HeartbeatInterval for load reporting; 0 disables heartbeats.
 	HeartbeatInterval time.Duration
-	// DrainPollInterval bounds how quickly the node notices a Draining
-	// mark on its own control-plane record (the pub/sub fast path makes it
-	// rarely matter). Zero selects a default.
-	DrainPollInterval time.Duration
-	// OnDrained, when set, is invoked after a drain completes — state
-	// Drained committed, every object migrated — just before the node
-	// shuts itself down (tests and cluster bookkeeping hook it).
-	OnDrained func()
-	// DisableTelemetry turns off the node's metrics registry and span
-	// tracer (benchmark baselines; the default is on — the record path
-	// costs a few atomic adds).
-	DisableTelemetry bool
-	// TraceBuffer caps the span ring between heartbeat harvests; 0 selects
-	// the tracer default.
-	TraceBuffer int
 	// Metrics, when set, is the registry the node instruments into instead
 	// of creating its own — processes that host more than the node (e.g.
 	// raynode's head, which also runs the GCS supervisor) share one so all
@@ -137,8 +122,8 @@ type Node struct {
 	sched   *scheduler.Local
 	exec    *worker
 	recon   reconstructor
-	// reg/tracer are this node's telemetry plane; nil when disabled. The
-	// heartbeat loop ships snapshots and drained spans to the GCS.
+	// reg/tracer are this node's telemetry plane. The heartbeat loop ships
+	// snapshots and drained spans to the GCS.
 	reg    *metrics.Registry
 	tracer *metrics.Tracer
 	sink   gcs.TelemetrySink
@@ -182,25 +167,23 @@ func New(cfg Config) (*Node, error) {
 	}
 
 	n := &Node{id: id, cfg: cfg, ctrl: cfg.Ctrl, stop: make(chan struct{})}
-	if !cfg.DisableTelemetry {
-		n.reg = cfg.Metrics
-		if n.reg == nil {
-			n.reg = metrics.NewRegistry()
-		}
-		// Span timestamps use the cluster clock: one control-plane NowNs at
-		// boot plus the local monotonic offset, so spans from different
-		// nodes line up on one trace timeline without per-span RPCs.
-		boot := cfg.Ctrl.NowNs()
-		started := time.Now()
-		n.tracer = metrics.NewTracer(cfg.TraceBuffer, id.Hex(), func() int64 {
-			return boot + time.Since(started).Nanoseconds()
-		})
-		n.sink, _ = cfg.Ctrl.(gcs.TelemetrySink)
-		// A remote or sharded control-plane client can time its RPCs; wire
-		// it into this node's registry so gcs.rpc.* ships with heartbeats.
-		if ms, ok := cfg.Ctrl.(interface{ SetMetrics(*metrics.Registry) }); ok {
-			ms.SetMetrics(n.reg)
-		}
+	n.reg = cfg.Metrics
+	if n.reg == nil {
+		n.reg = metrics.NewRegistry()
+	}
+	// Span timestamps use the cluster clock: one control-plane NowNs at
+	// boot plus the local monotonic offset, so spans from different nodes
+	// line up on one trace timeline without per-span RPCs.
+	boot := cfg.Ctrl.NowNs()
+	started := time.Now()
+	n.tracer = metrics.NewTracer(0, id.Hex(), func() int64 {
+		return boot + time.Since(started).Nanoseconds()
+	})
+	n.sink, _ = cfg.Ctrl.(gcs.TelemetrySink)
+	// A remote or sharded control-plane client can time its RPCs; wire it
+	// into this node's registry so gcs.rpc.* ships with heartbeats.
+	if ms, ok := cfg.Ctrl.(interface{ SetMetrics(*metrics.Registry) }); ok {
+		ms.SetMetrics(n.reg)
 	}
 	n.store = objectstore.New(id, cfg.Ctrl, cfg.StoreCapacity)
 	n.store.SetObservability(n.reg, n.tracer)
@@ -362,10 +345,10 @@ func (n *Node) Executor() ExecStats { return n.exec }
 // Registry returns the node's function registry.
 func (n *Node) Registry() *core.Registry { return n.cfg.Registry }
 
-// Metrics returns the node's metrics registry (nil when telemetry is off).
+// Metrics returns the node's metrics registry.
 func (n *Node) Metrics() *metrics.Registry { return n.reg }
 
-// Tracer returns the node's span tracer (nil when telemetry is off).
+// Tracer returns the node's span tracer.
 func (n *Node) Tracer() *metrics.Tracer { return n.tracer }
 
 func (n *Node) resolvePeerAddr(id types.NodeID) (string, bool) {
@@ -402,7 +385,7 @@ func (n *Node) heartbeatLoop() {
 // a failed publish drops this interval's spans rather than retrying into
 // a degraded control plane.
 func (n *Node) publishTelemetry() {
-	if n.sink == nil || n.reg == nil {
+	if n.sink == nil {
 		return
 	}
 	spans := n.tracer.Drain()
@@ -410,6 +393,13 @@ func (n *Node) publishTelemetry() {
 }
 
 // --- drain protocol (DESIGN.md §10) ---
+
+// drainPoll is how often a node reads its own record for a Draining mark
+// the node-events subscription missed. It is deliberately slow: the
+// subscription is the fast path, a drain start tolerates sub-second
+// latency, and every poll tick is a control-plane RPC paid by every node
+// for its whole lifetime.
+const drainPoll = 500 * time.Millisecond
 
 // drainWatch notices a Draining mark on this node's own control-plane
 // record — set by the autoscaler's scale-down decision or an operator's
@@ -419,14 +409,7 @@ func (n *Node) drainWatch() {
 	defer n.wg.Done()
 	sub := n.ctrl.Subscribe(gcs.TopicNodes, types.NilNodeID)
 	defer sub.Close()
-	// The poll is deliberately slow: the subscription is the fast path, a
-	// drain start tolerates sub-second latency, and every poll tick is a
-	// control-plane RPC paid by every node for its whole lifetime.
-	poll := n.cfg.DrainPollInterval
-	if poll <= 0 {
-		poll = 500 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
+	t := time.NewTicker(drainPoll)
 	defer t.Stop()
 	subC := sub.C()
 	for {
@@ -509,9 +492,6 @@ func (n *Node) runDrain() bool {
 	// it with its location deregistered so consumers see Lost (lineage
 	// replay) instead of a phantom copy on a deregistered node.
 	n.store.DropAll()
-	if n.cfg.OnDrained != nil {
-		n.cfg.OnDrained()
-	}
 	go n.Shutdown()
 	return true
 }
@@ -591,8 +571,10 @@ func (n *Node) ResolveTaskOutput(ctx context.Context, task types.TaskID, id type
 		ended := make(chan types.TaskID, 1)
 		n.taskled.Notify(ended, task)
 		defer n.taskled.StopNotify(ended, task)
+		arrival := n.store.WaitChan(id)
+		defer n.store.StopWait(id, arrival)
 		select {
-		case <-n.store.WaitChan(id):
+		case <-arrival:
 		case <-ended:
 		case <-ctx.Done():
 			return nil, ctx.Err()

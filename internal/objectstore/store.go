@@ -26,6 +26,7 @@ package objectstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -935,7 +936,9 @@ func (s *Store) PinCount(id types.ObjectID) int {
 }
 
 // WaitChan returns a channel closed when id becomes locally present. If the
-// object is already present the returned channel is closed immediately.
+// object is already present the returned channel is closed immediately. A
+// caller that stops waiting before the channel closes passes it to
+// StopWait: the store holds it until id arrives here otherwise.
 func (s *Store) WaitChan(id types.ObjectID) <-chan struct{} {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -946,6 +949,32 @@ func (s *Store) WaitChan(id types.ObjectID) <-chan struct{} {
 	}
 	s.waiters[id] = append(s.waiters[id], ch)
 	return ch
+}
+
+// StopWait drops ch, a WaitChan channel on id, unless an arrival already
+// took and closed it.
+func (s *Store) StopWait(id types.ObjectID, ch <-chan struct{}) {
+	select {
+	case <-ch:
+		return
+	default:
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ws := slices.DeleteFunc(s.waiters[id], func(w chan struct{}) bool { return w == ch })
+	if len(ws) == 0 {
+		delete(s.waiters, id)
+	} else {
+		s.waiters[id] = ws
+	}
+}
+
+// Waiters reports how many WaitChan channels on id are pending (test hook:
+// waiter-balance assertions for the resolve paths).
+func (s *Store) Waiters(id types.ObjectID) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.waiters[id])
 }
 
 // Delete removes id locally (memory and spill tier) and deregisters the

@@ -64,11 +64,27 @@ func TestWaitChan(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("waiter never fired")
 	}
+	if n := s.Waiters(id); n != 0 {
+		t.Fatalf("%d waiters left after the arrival", n)
+	}
+	s.StopWait(id, ch) // fired: a no-op
 	// Already-present object: channel closed immediately.
 	select {
 	case <-s.WaitChan(id):
 	case <-time.After(time.Second):
 		t.Fatal("present-object wait did not fire")
+	}
+	// A waiter that stops before its object arrives leaves nothing behind.
+	absent := testObj(4)
+	first, second := s.WaitChan(absent), s.WaitChan(absent)
+	s.StopWait(absent, first)
+	if n := s.Waiters(absent); n != 1 {
+		t.Fatalf("%d waiters after one of two stopped, want 1", n)
+	}
+	s.StopWait(absent, second)
+	s.StopWait(absent, second)
+	if n := s.Waiters(absent); n != 0 {
+		t.Fatalf("%d waiters after both stopped", n)
 	}
 }
 

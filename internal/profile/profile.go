@@ -78,7 +78,7 @@ type Timeline struct {
 
 // Build reconstructs the timeline from the control plane.
 func Build(ctrl gcs.API) *Timeline {
-	tasks := ctrl.Tasks()
+	tasks, _ := ctrl.ScanTasks(gcs.TaskFilter{})
 	tl := &Timeline{Events: ctrl.Events()}
 	for _, t := range tasks {
 		tl.Spans = append(tl.Spans, Span{

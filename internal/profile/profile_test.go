@@ -54,7 +54,8 @@ func awaitFinished(t *testing.T, ctrl gcs.API, n int) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		done := 0
-		for _, ts := range ctrl.Tasks() {
+		tasks, _ := ctrl.ScanTasks(gcs.TaskFilter{})
+		for _, ts := range tasks {
 			if ts.Status == types.TaskFinished {
 				done++
 			}

@@ -68,6 +68,11 @@ const gangScanInterval = 250 * time.Millisecond
 // re-verified against their nodes (checkGroupMembers' repair probe).
 const probeInterval = time.Second
 
+// stalePlacing is how long a group may sit in Placing before
+// sweepStalePlacing takes its claimant for dead: an order of magnitude
+// above any healthy reservation pass.
+const stalePlacing = 10 * sweepAge
+
 // gangPass reconciles every placement group against the cluster. It runs
 // on group events, node events, and the retry tick, and is idempotent —
 // the group table is the single source of truth, so a pass that observes a
@@ -141,7 +146,6 @@ func (g *Global) tryPlaceGroup(info types.PlacementGroupInfo) {
 	nodes := g.schedulableNodes()
 	plan := planBundles(info.Spec, nodes)
 	if plan == nil {
-		g.gangParked.Add(1)
 		return
 	}
 	id := info.Spec.ID
@@ -168,7 +172,6 @@ func (g *Global) tryPlaceGroup(info types.PlacementGroupInfo) {
 		return
 	}
 	g.cacheGroup(id, types.GroupPlaced, plan)
-	g.gangPlaced.Add(1)
 	g.cfg.Ctrl.LogEvent(types.Event{Kind: "gang-placed", Detail: id.String() + " " + info.Spec.Strategy.String()})
 	g.retryParked() // parked member tasks can now route to their bundles
 }
@@ -180,12 +183,10 @@ func (g *Global) tryPlaceGroup(info types.PlacementGroupInfo) {
 // stalls past the stale threshold, gets swept, and wakes after a NEW
 // claimant re-claimed cannot commit: the successor's claim rewrote the
 // token and the stale commit's token no longer matches (the ROADMAP
-// "gang claim tokens" hole, now closed at the commit CAS itself). The
-// threshold stays an order of magnitude above any healthy reservation
-// pass so only effectively-dead claimants are swept.
+// "gang claim tokens" hole, now closed at the commit CAS itself). Only a
+// claim older than stalePlacing is swept.
 func (g *Global) sweepStalePlacing(info types.PlacementGroupInfo) {
-	staleNs := (10 * g.cfg.SweepAge).Nanoseconds()
-	if g.cfg.Ctrl.NowNs()-info.LastTransitionNs < staleNs {
+	if g.cfg.Ctrl.NowNs()-info.LastTransitionNs < stalePlacing.Nanoseconds() {
 		return // recent claim: assume its owner is still reserving
 	}
 	if !g.cfg.Ctrl.CASPlacementGroupState(info.Spec.ID, []types.PlacementGroupState{types.GroupPlacing}, types.GroupPending, nil, 0) {

@@ -25,20 +25,6 @@ type GlobalConfig struct {
 	Reserve      ReserveFunc
 	ReleaseGroup GroupReleaseFunc
 	FailTask     FailFunc
-	// RetryInterval bounds how long an unplaceable task parks before the
-	// next placement attempt. Zero selects a default.
-	RetryInterval time.Duration
-	// SweepInterval is how often the pending-task sweep scans the task
-	// table for stale unclaimed PENDING tasks — spilled tasks whose
-	// pub/sub publish was dropped (e.g. by a control-plane shard crash
-	// between accepting the publish and delivering it). The task record
-	// itself is durable, so the sweep is the at-least-once fallback under
-	// the at-most-once spill channel. Zero selects a default; negative
-	// disables the sweep.
-	SweepInterval time.Duration
-	// SweepAge is how long a task may sit in PENDING before the sweep
-	// considers it unclaimed. Zero selects a default.
-	SweepAge time.Duration
 	// JobGrace is how long a Stopped job's task and object records linger
 	// before the reclaim pass tombstones them (DESIGN.md §14) — the window
 	// in which dashboards and stragglers can still observe the corpse.
@@ -116,25 +102,31 @@ type Global struct {
 	groupSub gcs.Sub
 	jobSub   gcs.Sub
 
-	placed     atomic.Int64
-	parkedCt   atomic.Int64
-	gangPlaced atomic.Int64
-	gangParked atomic.Int64
+	placed   atomic.Int64
+	parkedCt atomic.Int64
 }
+
+const (
+	// retryInterval bounds how long an unplaceable task parks before the
+	// next placement attempt.
+	retryInterval = 50 * time.Millisecond
+	// sweepInterval is how often the pending-task sweep scans the task
+	// table for stale unclaimed PENDING tasks — spilled tasks whose
+	// pub/sub publish was dropped (e.g. by a control-plane shard crash
+	// between accepting the publish and delivering it). The task record
+	// itself is durable, so the sweep is the at-least-once fallback under
+	// the at-most-once spill channel. The tick also runs the dead-owner
+	// sweep and the job pass.
+	sweepInterval = 500 * time.Millisecond
+	// sweepAge is how long a task may sit in PENDING before the sweep
+	// considers it unclaimed.
+	sweepAge = 500 * time.Millisecond
+)
 
 // NewGlobal builds a global scheduler; call Start to begin placing.
 func NewGlobal(cfg GlobalConfig) *Global {
 	if cfg.Policy == nil {
 		cfg.Policy = LocalityPolicy{}
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = 50 * time.Millisecond
-	}
-	if cfg.SweepInterval == 0 {
-		cfg.SweepInterval = 500 * time.Millisecond
-	}
-	if cfg.SweepAge <= 0 {
-		cfg.SweepAge = 500 * time.Millisecond
 	}
 	if cfg.JobGrace == 0 {
 		cfg.JobGrace = 500 * time.Millisecond
@@ -182,12 +174,6 @@ func (g *Global) Placed() int64 { return g.placed.Load() }
 // Parked returns how many placement attempts found no feasible node.
 func (g *Global) Parked() int64 { return g.parkedCt.Load() }
 
-// GangPlaced returns how many placement groups this scheduler committed.
-func (g *Global) GangPlaced() int64 { return g.gangPlaced.Load() }
-
-// GangParked returns how many gang passes found a group infeasible.
-func (g *Global) GangParked() int64 { return g.gangParked.Load() }
-
 func (g *Global) run() {
 	defer g.wg.Done()
 	spillSub := g.spillSub
@@ -198,7 +184,7 @@ func (g *Global) run() {
 	defer groupSub.Close()
 	jobSub := g.jobSub
 	defer jobSub.Close()
-	retry := time.NewTicker(g.cfg.RetryInterval)
+	retry := time.NewTicker(retryInterval)
 	defer retry.Stop()
 	// The pace tick re-runs gated fair dispatch as heartbeats absorb
 	// earlier placements. It exists because backlog held by the contention
@@ -207,12 +193,8 @@ func (g *Global) run() {
 	// cluster saturated. A no-op (one int compare) whenever nothing is held.
 	pace := time.NewTicker(5 * time.Millisecond)
 	defer pace.Stop()
-	var sweep <-chan time.Time
-	if g.cfg.SweepInterval > 0 {
-		t := time.NewTicker(g.cfg.SweepInterval)
-		defer t.Stop()
-		sweep = t.C
-	}
+	sweep := time.NewTicker(sweepInterval)
+	defer sweep.Stop()
 
 	// Receive through local variables so a closed subscription disables
 	// its case (nil channel) instead of becoming permanently ready — a
@@ -266,7 +248,7 @@ func (g *Global) run() {
 		case <-retry.C:
 			g.gangPass(false)
 			g.retryParked()
-		case <-sweep:
+		case <-sweep.C:
 			g.sweepPending()
 			g.sweepDeadOwners()
 			g.jobPass() // at-least-once fallback for dropped job events
@@ -277,7 +259,7 @@ func (g *Global) run() {
 }
 
 // sweepPending rescues spilled tasks whose spill publish was lost: a task
-// durably recorded PENDING but claimed by nobody for longer than SweepAge
+// durably recorded PENDING but claimed by nobody for longer than sweepAge
 // is re-placed. The control plane filters server-side (per shard, on its
 // own clock, aged from the task's latest transition so a retry's reset to
 // PENDING gets its full grace period), and placement delivers through
@@ -286,7 +268,7 @@ func (g *Global) run() {
 // converge on one owner.
 func (g *Global) sweepPending() {
 	parked := g.parkedIDs()
-	for _, spec := range g.cfg.Ctrl.StalePendingTasks(g.cfg.SweepAge.Nanoseconds()) {
+	for _, spec := range g.cfg.Ctrl.StalePendingTasks(sweepAge.Nanoseconds()) {
 		if parked[spec.ID] {
 			continue
 		}
@@ -345,7 +327,7 @@ func (g *Global) transferDeadOwner(owner types.NodeID) {
 	if done {
 		return
 	}
-	tasks, complete := g.cfg.Ctrl.LiveTasksOwnedBy(owner)
+	tasks, complete := g.cfg.Ctrl.ScanTasks(gcs.TaskFilter{Owner: owner})
 	for _, st := range tasks {
 		// The dead owner's ledger is gone: the follower is the only copy left to CAS.
 		if _, ok := g.cfg.Ctrl.ClaimTask(st.Spec.ID,

@@ -196,8 +196,8 @@ func (g *Global) ctrlComplete() bool {
 }
 
 // jobPass reconciles every job record: Stopping jobs advance through the
-// reclaim pipeline, Stopped-but-unpurged jobs are tombstoned once their
-// grace period lapses. Runs on job events and the sweep tick, and is
+// reclaim pipeline, Stopped jobs are purged once their grace period
+// lapses. Runs on job events and the sweep tick, and is
 // idempotent — every step re-derives its inputs from durable tables, so a
 // crash (or shard failover) mid-pass is retried by the next one.
 func (g *Global) jobPass() {
@@ -206,7 +206,7 @@ func (g *Global) jobPass() {
 		switch {
 		case j.State == types.JobStopping:
 			g.reclaimJob(j)
-		case j.State == types.JobStopped && j.PurgedNs == 0:
+		case j.State == types.JobStopped:
 			g.purgeJob(j)
 		}
 	}
@@ -231,7 +231,7 @@ func (g *Global) reclaimJob(j types.JobInfo) {
 	g.mu.Unlock()
 
 	viewOK := g.ctrlComplete()
-	tasks, complete := g.cfg.Ctrl.JobTasks(job)
+	tasks, complete := g.cfg.Ctrl.ScanTasks(gcs.TaskFilter{Job: job})
 	live := 0
 	nodes := g.schedulableNodes() // shared across members: one scan, not one per task
 	for _, st := range tasks {
@@ -304,8 +304,8 @@ func (g *Global) jobObjectIDs(tasks []types.TaskState) []types.ObjectID {
 // job records are left and drops their pins, and a last retire takes what
 // only those held. An object a record outside the job still takes by
 // reference outlives the job, with that record.
-// The Stopped job record itself survives as the durable tombstone that
-// fences replays.
+// The job record itself survives, moved to Purged, as the durable
+// tombstone that fences replays.
 func (g *Global) purgeJob(j types.JobInfo) {
 	if g.cfg.JobGrace < 0 {
 		return
@@ -318,7 +318,7 @@ func (g *Global) purgeJob(j types.JobInfo) {
 	if !g.ctrlComplete() {
 		return
 	}
-	tasks, complete := g.cfg.Ctrl.JobTasks(job)
+	tasks, complete := g.cfg.Ctrl.ScanTasks(gcs.TaskFilter{Job: job})
 	if !complete {
 		return
 	}
@@ -343,7 +343,7 @@ func (g *Global) purgeJob(j types.JobInfo) {
 		g.cfg.Ctrl.LogEvent(types.Event{Kind: "job-purge-tasks", Detail: job.String()})
 	}
 	g.cfg.Ctrl.Retire(objects) // what only the job's own leftover records pinned
-	if g.cfg.Ctrl.MarkJobPurged(job) {
+	if g.cfg.Ctrl.CASJobState(job, []types.JobState{types.JobStopped}, types.JobPurged) {
 		g.cfg.Ctrl.LogEvent(types.Event{Kind: "job-purged",
 			Detail: fmt.Sprintf("%s tasks=%d", job, len(tasks))})
 	}

@@ -843,15 +843,21 @@ func (l *Local) resolveParked(ctx context.Context, obj types.ObjectID) {
 // on a sharded control plane) while enqueue's borrow flush is in flight
 // (E19); a look that leaves the object missing subscribes and looks again
 // before any probe or wait. A parked resolver needs only residency, and
-// fails only on types.ErrReclaimed.
+// fails only on types.ErrReclaimed. The arrival channel is taken once per
+// wait that can end by an arrival, not once per lap, and dropped on return,
+// so a resolve that ends without the object holds no waiter in the store.
 func (l *Local) resolve(ctx context.Context, id types.ObjectID, task types.TaskID, parked bool) ([]byte, error) {
 	var sub gcs.Sub
 	var poll *time.Ticker
+	var arrival <-chan struct{}
 	if !parked {
 		sub = l.cfg.Ctrl.Subscribe(gcs.TopicObjectReady, id)
 		poll = time.NewTicker(pollPeriod)
 	}
 	defer func() {
+		if arrival != nil {
+			l.cfg.Store.StopWait(id, arrival)
+		}
 		if sub != nil {
 			sub.Close()
 			poll.Stop()
@@ -905,8 +911,12 @@ func (l *Local) resolve(ctx context.Context, id types.ObjectID, task types.TaskI
 				return nil, err
 			}
 		}
+		if arrival == nil {
+			arrival = l.cfg.Store.WaitChan(id)
+		}
 		select {
-		case <-l.cfg.Store.WaitChan(id):
+		case <-arrival:
+			arrival = nil // re-taken if the object leaves again
 		case <-sub.C():
 		case <-poll.C:
 		case <-ctx.Done():

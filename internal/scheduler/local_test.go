@@ -1,7 +1,10 @@
 package scheduler
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/types"
 )
@@ -53,5 +56,32 @@ func TestGatherArgsUnwindAlias(t *testing.T) {
 	}
 	if got := store.PinCount(b); got != 0 {
 		t.Fatalf("unwind left %d pins on the missing arg", got)
+	}
+}
+
+// TestResolveLeavesNoWaiters: a resolve holds at most one arrival channel
+// in the store however many poll periods it waits, and a resolve that ends
+// without the object arriving (here, a cancelled Get) leaves none behind.
+func TestResolveLeavesNoWaiters(t *testing.T) {
+	l, _, _, store := buildLocal(t, types.CPU(2), SpillNever)
+	id := types.ObjectIDForReturn(types.DeriveTaskID(types.NilTaskID, 810), 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := l.Resolve(ctx, id, types.NilTaskID)
+		done <- err
+	}()
+	for range 6 {
+		time.Sleep(pollPeriod)
+		if n := store.Waiters(id); n > 1 {
+			t.Fatalf("a waiting resolve holds %d arrival channels, want at most 1", n)
+		}
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Resolve = %v, want the cancellation", err)
+	}
+	if n := store.Waiters(id); n != 0 {
+		t.Fatalf("a cancelled resolve left %d arrival channels in the store", n)
 	}
 }

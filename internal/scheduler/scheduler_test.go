@@ -449,9 +449,6 @@ func TestGlobalSweepRescuesUnclaimedPending(t *testing.T) {
 			placed <- spec.ID
 			return nil
 		},
-		RetryInterval: 10 * time.Millisecond,
-		SweepInterval: 10 * time.Millisecond,
-		SweepAge:      time.Nanosecond,
 	})
 	g.Start()
 	defer g.Stop()
@@ -464,13 +461,18 @@ func TestGlobalSweepRescuesUnclaimedPending(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("unclaimed PENDING task never rescued by the sweep")
 	}
-	// Give the sweep a few more ticks: the claimed task must stay unswept.
-	select {
-	case id := <-placed:
-		if id == claimed.ID {
-			t.Fatal("sweep re-placed a task already claimed QUEUED")
+	// Watch at least one more sweep tick: the claimed task must stay
+	// unswept (the lost one, never claimed by the fake Assign, may recur).
+	for deadline := time.After(2 * sweepInterval); ; {
+		select {
+		case id := <-placed:
+			if id == claimed.ID {
+				t.Fatal("sweep re-placed a task already claimed QUEUED")
+			}
+			continue
+		case <-deadline:
 		}
-	case <-time.After(50 * time.Millisecond):
+		break
 	}
 }
 

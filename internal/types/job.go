@@ -96,17 +96,19 @@ type JobState int
 // Job lifecycle. Running admits submissions. Stopping marks a reclaim in
 // progress: submissions are fenced, the job's live tasks are failed with
 // ReasonJobStopped, and its object refs are force-released. Stopped is
-// terminal — reached only once every live task is buried and every ref
-// dropped; after a grace period the job's task and object records are
-// purged, leaving the Stopped job record itself as the durable tombstone
-// (so replayed submissions against the dead job keep failing typed).
+// reached only once every live task is buried and every ref dropped; after
+// a grace period the job's task and object records are purged and the job
+// moves to Purged, which is final: the Purged job record itself is the
+// durable tombstone (so replayed submissions against the dead job keep
+// failing typed).
 const (
 	JobRunning JobState = iota
 	JobStopping
 	JobStopped
+	JobPurged
 )
 
-var jobStateNames = [...]string{"RUNNING", "STOPPING", "STOPPED"}
+var jobStateNames = [...]string{"RUNNING", "STOPPING", "STOPPED", "PURGED"}
 
 func (s JobState) String() string {
 	if s < 0 || int(s) >= len(jobStateNames) {
@@ -115,12 +117,12 @@ func (s JobState) String() string {
 	return jobStateNames[s]
 }
 
-// Terminal reports whether no further transitions are expected.
-func (s JobState) Terminal() bool { return s == JobStopped }
+// Terminal reports whether the job has ended: Stopped, or Purged after it.
+func (s JobState) Terminal() bool { return s >= JobStopped }
 
 // JobInfo is the job-table record: spec plus mutable lifecycle state. It is
 // durable like every other control-plane record (WAL + snapshot on a
-// sharded deployment) and survives its own workload: the Stopped record is
+// sharded deployment) and survives its own workload: the Purged record is
 // the tombstone that outlives the purged task/object records.
 type JobInfo struct {
 	Spec  JobSpec
@@ -130,16 +132,16 @@ type JobInfo struct {
 	StoppingNs       int64
 	StoppedNs        int64
 	LastTransitionNs int64
-	// PurgedNs is stamped once the job's task and object records have been
-	// tombstoned after the post-stop grace period; zero means reclamation
-	// of records is still pending (or the job is live).
+	// PurgedNs is stamped by the transition to Purged, once the job's task
+	// and object records are gone after the post-stop grace period; zero
+	// means reclamation of records is still pending (or the job is live).
 	PurgedNs int64
 	// MutOps dedups a state CAS retried across a shard crash (see OpRing).
 	MutOps OpRing
 }
 
-// Stopped reports whether the job reached its terminal state.
-func (j *JobInfo) Stopped() bool { return j.State == JobStopped }
+// Stopped reports whether the job has ended (State.Terminal).
+func (j *JobInfo) Stopped() bool { return j.State.Terminal() }
 
 // Clone returns a deep copy: no slice is shared with j.
 func (j *JobInfo) Clone() JobInfo {
