@@ -163,8 +163,9 @@ func TestDepTableBudget(t *testing.T) {
 					t.Fatalf("%d parked tasks ran, want %d", ran, end.ran)
 				}
 				// The resolvers were cancelled or found their object; their exits
-				// are asynchronous.
-				await("back to the baseline", func() bool { return rise() <= 0 })
+				// are asynchronous. The executors that ran the tasks stay parked
+				// for the next ones: they are the scheduler's, not the table's.
+				await("back to the baseline", func() bool { return rise()-l.idleExecutors() <= 0 })
 				if n, c := fetcher.started.Load(), fetcher.cancelled.Load(); c != n {
 					t.Fatalf("%d of %d pulls saw their context cancelled", c, n)
 				}

@@ -17,8 +17,9 @@ import (
 )
 
 // ExecFunc runs one task whose dependencies have all been resolved to local
-// bytes. The local scheduler invokes it on a dedicated goroutine after
-// acquiring the task's resources.
+// bytes. The local scheduler invokes it on an executor goroutine after
+// acquiring the task's resources; the goroutine runs one task at a time and,
+// once ExecFunc returns, may be handed the next one.
 type ExecFunc func(ctx context.Context, spec types.TaskSpec, args [][]byte)
 
 // Fetcher pulls a remote object into the local store. lifetime.PullManager
@@ -169,6 +170,14 @@ const (
 	fetchTimeout   = 30 * time.Second
 )
 
+// maxIdleExecutors caps the executor goroutines parked between tasks; one
+// that finds the cap reached exits instead. A parked executor costs its
+// stack, as the tasks it ran grew it (a few KiB). 64 is four times the
+// widest CPU pool a node is given here (16 slots), which leaves room for
+// tasks blocked in Get. A wider burst of fractional-CPU tasks starts
+// goroutines for its excess, as every task once did.
+const maxIdleExecutors = 64
+
 // Local is the per-node scheduler: the first stop for every task born on
 // this node (bottom-up scheduling). Tasks become runnable when their
 // dependency objects are resident in the node's object store, are admitted
@@ -199,8 +208,15 @@ type Local struct {
 	// Exec in between) queue, and Start dispatches them.
 	started bool
 	stopped bool
+	// idle is the stack of parked executors, each waiting on its own
+	// channel for the next task: dispatch pops the most recently parked, the
+	// one whose stack and caches are warmest. Stop closes what is left.
+	idle []chan types.TaskSpec
 
 	wg sync.WaitGroup
+	// execs counts live executor goroutines, parked or running: Stop
+	// returns once they have all exited.
+	execs sync.WaitGroup
 
 	// draining is the admission fence (DESIGN.md §10): while set, placed
 	// assignments are refused with ErrDraining, locally-born tasks spill to
@@ -227,6 +243,9 @@ type schedObs struct {
 	// yet in the local store.
 	parked     *metrics.Counter
 	dispatchNs *metrics.Histogram
+	// executors counts executor goroutines started (handOff found none
+	// parked).
+	executors *metrics.Counter
 }
 
 // NewLocal builds a local scheduler; call Start before submitting.
@@ -249,6 +268,7 @@ func NewLocal(cfg LocalConfig) *Local {
 		dispatched: cfg.Metrics.Counter("scheduler.tasks.dispatched"),
 		parked:     cfg.Metrics.Counter("scheduler.tasks.parked"),
 		dispatchNs: cfg.Metrics.Histogram("scheduler.dispatch.latency.ns"),
+		executors:  cfg.Metrics.Counter("scheduler.executors.started"),
 	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.GaugeFunc("scheduler.queue.depth", func() int64 { return int64(l.QueueLen()) })
@@ -258,6 +278,7 @@ func NewLocal(cfg LocalConfig) *Local {
 			defer l.mu.Unlock()
 			return int64(len(l.parked))
 		})
+		cfg.Metrics.GaugeFunc("scheduler.executors.idle", func() int64 { return int64(l.idleExecutors()) })
 	}
 	return l
 }
@@ -283,7 +304,9 @@ func (l *Local) Start() {
 // touched: their context is cancelled, runTask's deferred release settles
 // them, and wg.Wait below lets them finish doing so. A dispatch racing Stop
 // either admitted its task before the stopped flag went up — then wg already
-// counts it (admitOne) and Stop waits for it — or admits nothing.
+// counts it (admitOne) and Stop waits for it — or admits nothing. Once no
+// task runs, the parked executors are closed, an executor still on its way
+// to park sees the flag and exits instead, and Stop waits for them all.
 func (l *Local) Stop() {
 	l.mu.Lock()
 	if l.stopped {
@@ -309,6 +332,22 @@ func (l *Local) Stop() {
 		l.cfg.Refs.Flush()
 	}
 	l.wg.Wait()
+	l.mu.Lock()
+	idle := l.idle
+	l.idle = nil
+	l.mu.Unlock()
+	for _, next := range idle {
+		close(next)
+	}
+	l.execs.Wait()
+}
+
+// idleExecutors reports how many executor goroutines are parked waiting for
+// a task.
+func (l *Local) idleExecutors() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.idle)
 }
 
 // QueueLen reports the runnable backlog (heartbeat load signal).
@@ -1063,8 +1102,56 @@ func (l *Local) dispatchReady() {
 		l.dispatched.Add(1)
 		l.obs.dispatched.Inc()
 		l.obs.dispatchNs.Observe(time.Since(task.enqueuedAt).Nanoseconds())
-		go l.runTask(task.spec)
+		l.handOff(task.spec)
 	}
+}
+
+// handOff runs an admitted task on the most recently parked executor, or on
+// a new one when none is parked. The send readies a parked receiver on the
+// sender's processor, next in line, as a go statement would; the channel's
+// one slot takes the task if the executor has not reached its receive yet.
+func (l *Local) handOff(spec types.TaskSpec) {
+	l.mu.Lock()
+	if n := len(l.idle); n > 0 {
+		next := l.idle[n-1]
+		l.idle = l.idle[:n-1]
+		l.mu.Unlock()
+		next <- spec
+		return
+	}
+	l.mu.Unlock()
+	l.obs.executors.Inc()
+	// Counted before the admitted task's wg count drops, so before Stop can
+	// reach l.execs.Wait.
+	l.execs.Add(1)
+	go l.execute(spec)
+}
+
+// execute is an executor goroutine: it runs its first task, then parks and
+// runs whatever it is handed, one task at a time, so a task reuses a stack
+// earlier tasks grew instead of growing a fresh one. A task blocked in Get
+// keeps its executor; the next dispatch finds another or starts one.
+func (l *Local) execute(spec types.TaskSpec) {
+	defer l.execs.Done()
+	next := make(chan types.TaskSpec, 1)
+	for ok := true; ok; spec, ok = <-next {
+		l.runTask(spec)
+		if !l.park(next) {
+			return
+		}
+	}
+}
+
+// park puts an executor that finished its task on the idle stack, unless the
+// scheduler has stopped or maxIdleExecutors are parked already.
+func (l *Local) park(next chan types.TaskSpec) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.stopped || len(l.idle) >= maxIdleExecutors {
+		return false
+	}
+	l.idle = append(l.idle, next)
+	return true
 }
 
 // admitOne pops the first runnable task whose resources are available —
