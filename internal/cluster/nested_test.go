@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaostest"
 	"repro/internal/core"
 	"repro/internal/types"
 )
@@ -27,14 +28,16 @@ func goroutineID() uint64 {
 // next and blocks in Get on it, on a node with one CPU: the blocked task
 // lends its CPU to its child, and the child runs on an executor of its own,
 // since every executor is either parked or still running its task — none is
-// handed a task while the one it runs is blocked. Shutdown leaves no
-// goroutine behind.
+// handed a task while the one it runs is blocked. Every task of the chain
+// ends in one terminal state, the lent CPU is back in the node's books, and
+// Shutdown leaves no goroutine behind.
 func TestNestedGetChainOnOneCPU(t *testing.T) {
 	const depth = 8
 	var (
 		mu      sync.Mutex
 		running = map[uint64]int{} // goroutine → depth of the task body it runs
 		reused  []string
+		tasks   []types.TaskID
 	)
 	reg := core.NewRegistry()
 	var chain core.Func1[int, int]
@@ -45,6 +48,7 @@ func TestNestedGetChainOnOneCPU(t *testing.T) {
 			reused = append(reused, "task "+strconv.Itoa(n)+" started on the executor of blocked task "+strconv.Itoa(outer))
 		}
 		running[g] = n
+		tasks = append(tasks, tc.Spec().ID)
 		mu.Unlock()
 		defer func() {
 			mu.Lock()
@@ -78,6 +82,15 @@ func TestNestedGetChainOnOneCPU(t *testing.T) {
 		// A deadlocked node's Shutdown waits on the deadlock: leave it.
 		t.Fatalf("depth-%d chain on one CPU: Get = %d, %v", depth, v, err)
 	}
+	mu.Lock()
+	ids := append([]types.TaskID(nil), tasks...)
+	mu.Unlock()
+	if len(ids) != depth {
+		t.Fatalf("%d task bodies ran for a depth-%d chain", len(ids), depth)
+	}
+	check := chaostest.New(c.API)
+	check.AwaitTaskConservation(t, 10*time.Second, ids)
+	check.AwaitQuiescentBooks(t, 5*time.Second, map[string]chaostest.Books{"node-0": c.Node(0).Scheduler()})
 	c.Shutdown()
 	mu.Lock()
 	defer mu.Unlock()

@@ -263,7 +263,9 @@ func Search(ctx context.Context, driver *core.Client, cfg Config) (Result, error
 	start := time.Now()
 	t := newTree(cfg)
 	type flight struct{ leaf *node }
-	inflight := make(map[types.ObjectID]flight)
+	// Keyed by the whole ref: Wait needs the producing task to tell a
+	// result still on its way from a retired one.
+	inflight := make(map[core.ObjectRef]flight)
 	launched := 0
 
 	launch := func() error {
@@ -276,7 +278,7 @@ func Search(ctx context.Context, driver *core.Client, cfg Config) (Result, error
 		if err != nil {
 			return err
 		}
-		inflight[ref.ID] = flight{leaf: leaf}
+		inflight[ref] = flight{leaf: leaf}
 		launched++
 		return nil
 	}
@@ -289,16 +291,16 @@ func Search(ctx context.Context, driver *core.Client, cfg Config) (Result, error
 			}
 		}
 		refs := make([]core.ObjectRef, 0, len(inflight))
-		for id := range inflight {
-			refs = append(refs, core.ObjectRef{ID: id})
+		for ref := range inflight {
+			refs = append(refs, ref)
 		}
 		ready, _, err := driver.Wait(ctx, refs, 1, -1)
 		if err != nil {
 			return Result{}, err
 		}
 		for _, r := range ready {
-			fl := inflight[r.ID]
-			delete(inflight, r.ID)
+			fl := inflight[r]
+			delete(inflight, r)
 			raw, err := driver.Get(ctx, r)
 			if err != nil {
 				return Result{}, err

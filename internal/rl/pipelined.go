@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/types"
 
 	"repro/internal/sim"
 )
@@ -41,7 +40,9 @@ func RunPipelined(ctx context.Context, cfg Config, driver *core.Client, chunk in
 
 	for iter := 0; iter < cfg.Iters; iter++ {
 		stepsDone := make([]int, cfg.NumSims)
-		inflight := make(map[types.ObjectID]int)
+		// Keyed by the whole ref: Wait needs the producing task to tell a
+		// result still on its way from a retired one.
+		inflight := make(map[core.ObjectRef]int)
 		finalRefs := make([]core.ObjectRef, cfg.NumSims)
 
 		// Launch step 1 of every simulator (no actions yet).
@@ -50,15 +51,15 @@ func RunPipelined(ctx context.Context, cfg Config, driver *core.Client, chunk in
 			if err != nil {
 				return report, err
 			}
-			inflight[ref.ID] = i
+			inflight[ref] = i
 			report.TotalSteps++
 		}
 
 		var pool []readyCarry
 		for len(inflight) > 0 {
 			refs := make([]core.ObjectRef, 0, len(inflight))
-			for id := range inflight {
-				refs = append(refs, core.ObjectRef{ID: id})
+			for ref := range inflight {
+				refs = append(refs, ref)
 			}
 			k := chunk
 			if k > len(refs) {
@@ -69,8 +70,8 @@ func RunPipelined(ctx context.Context, cfg Config, driver *core.Client, chunk in
 				return report, err
 			}
 			for _, r := range ready {
-				simIdx := inflight[r.ID]
-				delete(inflight, r.ID)
+				simIdx := inflight[r]
+				delete(inflight, r)
 				stepsDone[simIdx]++
 				if stepsDone[simIdx] >= cfg.StepsPerIter {
 					finalRefs[simIdx] = r
@@ -96,7 +97,7 @@ func RunPipelined(ctx context.Context, cfg Config, driver *core.Client, chunk in
 				if err != nil {
 					return report, err
 				}
-				inflight[ref.ID] = e.sim
+				inflight[ref] = e.sim
 				report.TotalSteps++
 			}
 			pool = nil

@@ -29,25 +29,17 @@ type bundleKey struct {
 // re-issue reservations freely). Returns false when the capacity is not
 // currently available — the caller rolls back the whole gang.
 func (l *Local) ReserveBundle(group types.PlacementGroupID, bundle int, res types.Resources) bool {
-	l.mu.Lock()
-	if l.stopped {
-		l.mu.Unlock()
-		return false
-	}
 	key := bundleKey{group: group, bundle: bundle}
-	if _, ok := l.bundles[key]; ok {
-		l.mu.Unlock()
-		return true
+	l.mu.Lock()
+	_, held := l.bundles[key]
+	ok := !l.stopped && (held || l.res.tryAcquire(res))
+	if ok && !held {
+		l.bundles[key] = newResourcePool(res)
 	}
-	if !l.res.tryAcquire(res) {
-		l.mu.Unlock()
-		return false
-	}
-	if l.bundles == nil {
-		l.bundles = make(map[bundleKey]*resourcePool)
-	}
-	l.bundles[key] = newResourcePool(res)
 	l.mu.Unlock()
+	if !ok || held {
+		return ok
+	}
 	// Event logging is a control-plane RPC in distributed mode: keep it
 	// outside l.mu so a slow control plane cannot freeze the node's
 	// scheduling (same discipline as the object store's lock scope).
@@ -65,11 +57,13 @@ func (l *Local) ReserveBundle(group types.PlacementGroupID, bundle int, res type
 // with removed=true they fail with the typed group-removed error.
 // Idempotent — releasing an absent group is a no-op.
 func (l *Local) ReleaseGroup(group types.PlacementGroupID, removed bool) {
-	l.mu.Lock()
-	if l.stopped {
-		l.mu.Unlock()
+	if l.isStopped() {
 		return
 	}
+	// The members go before the reservations, so dispatch never finds one
+	// stranded without its bundle and respills a member this call fails.
+	members := l.evict(func(spec types.TaskSpec, _ map[types.ObjectID]bool) bool { return spec.Group == group }, true)
+	l.mu.Lock()
 	released := false
 	for key, pool := range l.bundles {
 		if key.group != group {
@@ -79,36 +73,12 @@ func (l *Local) ReleaseGroup(group types.PlacementGroupID, removed bool) {
 		l.res.release(pool.detach(l.res))
 		released = true
 	}
-	var members []types.TaskSpec
-	kept := l.runnable[:0]
-	for _, t := range l.runnable {
-		if t.spec.Group == group {
-			members = append(members, t.spec)
-		} else {
-			kept = append(kept, t)
-		}
-	}
-	l.runnable = kept
-	for _, w := range l.waiting {
-		if w.spec.Group == group {
-			members = append(members, w.spec)
-			l.unparkLocked(w)
-		}
-	}
 	l.mu.Unlock()
-
-	for _, spec := range members {
-		if removed {
-			l.FailTask(spec, types.ReasonGroupRemoved+spec.Group.String())
-		} else {
-			l.spillAway(spec)
-		}
-		// Return the enqueue-time borrows last, mirroring runTask's LIFO
-		// ordering (respill re-retains through the bridge first).
-		if l.cfg.Refs != nil {
-			l.cfg.Refs.Release(spec.Deps()...)
-		}
+	fate := l.spillAway
+	if removed {
+		fate = func(spec types.TaskSpec) { l.FailTask(spec, types.ReasonGroupRemoved+spec.Group.String()) }
 	}
+	l.settle(members, fate)
 	if released {
 		l.cfg.Ctrl.LogEvent(types.Event{Kind: "gang-release", Node: l.cfg.Node,
 			Detail: fmt.Sprintf("%v removed=%v members=%d", group, removed, len(members))})
@@ -162,12 +132,10 @@ func (l *Local) FailTask(spec types.TaskSpec, reason string) {
 	l.cfg.Ledger.Disown(spec.ID)
 }
 
-// hasBundle reports whether this node holds (group, bundle)'s reservation.
-func (l *Local) hasBundle(group types.PlacementGroupID, bundle int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, ok := l.bundles[bundleKey{group: group, bundle: bundle}]
-	return ok
+// bundleLocked returns the reservation pool spec's bundle holds here, nil
+// when this node holds none; mu held.
+func (l *Local) bundleLocked(spec types.TaskSpec) *resourcePool {
+	return l.bundles[bundleKey{group: spec.Group, bundle: spec.Bundle}]
 }
 
 // poolFor resolves the resource pool a task draws from: its bundle's
@@ -177,9 +145,9 @@ func (l *Local) hasBundle(group types.PlacementGroupID, bundle int) bool {
 func (l *Local) poolFor(spec types.TaskSpec) *resourcePool {
 	if spec.InGroup() {
 		l.mu.Lock()
-		pool, ok := l.bundles[bundleKey{group: spec.Group, bundle: spec.Bundle}]
+		pool := l.bundleLocked(spec)
 		l.mu.Unlock()
-		if ok {
+		if pool != nil {
 			return pool
 		}
 	}

@@ -12,18 +12,30 @@ import (
 	"repro/internal/types"
 )
 
-// subCounter is a control plane that counts object-ready subscriptions:
-// each is one resolver.
+// subCounter is a control plane that counts object-ready subscriptions,
+// each one resolver's, and how many of them were closed.
 type subCounter struct {
 	*gcs.Store
-	ready atomic.Int64
+	ready, closed atomic.Int64
 }
 
 func (c *subCounter) Subscribe(topic gcs.Topic, id [types.IDSize]byte) gcs.Sub {
-	if topic == gcs.TopicObjectReady {
-		c.ready.Add(1)
+	sub := c.Store.Subscribe(topic, id)
+	if topic != gcs.TopicObjectReady {
+		return sub
 	}
-	return c.Store.Subscribe(topic, id)
+	c.ready.Add(1)
+	return closeCounter{Sub: sub, closed: &c.closed}
+}
+
+type closeCounter struct {
+	gcs.Sub
+	closed *atomic.Int64
+}
+
+func (s closeCounter) Close() {
+	s.closed.Add(1)
+	s.Sub.Close()
 }
 
 // blockingFetcher is a Fetcher whose pulls never finish on their own: each
@@ -163,9 +175,15 @@ func TestDepTableBudget(t *testing.T) {
 					t.Fatalf("%d parked tasks ran, want %d", ran, end.ran)
 				}
 				// The resolvers were cancelled or found their object; their exits
-				// are asynchronous. The executors that ran the tasks stay parked
-				// for the next ones: they are the scheduler's, not the table's.
-				await("back to the baseline", func() bool { return rise()-l.idleExecutors() <= 0 })
+				// are asynchronous. The table's own count of resolvers and the
+				// closed subscriptions say its goroutines are gone. The process
+				// may hold no more than that beyond the executors that ran the
+				// tasks, which stay parked for the next ones: they are the
+				// executor pool's (its scheduler.executors.idle gauge).
+				await("back to the baseline", func() bool {
+					return l.deps.resolvers.Load() == 0 && counting.closed.Load() == counting.ready.Load() &&
+						int64(rise()) <= l.execs.parked()
+				})
 				if n, c := fetcher.started.Load(), fetcher.cancelled.Load(); c != n {
 					t.Fatalf("%d of %d pulls saw their context cancelled", c, n)
 				}

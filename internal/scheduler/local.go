@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/gcs"
 	"repro/internal/jobs"
 	"repro/internal/metrics"
@@ -141,48 +140,23 @@ type queuedTask struct {
 	enqueuedAt time.Time
 }
 
-// waitingTask is a task in the waiting set: one with unresolved
-// dependencies, or one whose QUEUED stamp is not in yet. It becomes runnable
-// once both are done, whichever comes last.
-type waitingTask struct {
-	spec    types.TaskSpec
-	missing map[types.ObjectID]bool
-	queued  bool
-}
-
-// parkedObj is one row of the dependency table: the tasks parked on one
-// missing object, and the cancel of its one resolver. The row goes, and the
-// resolver stops polling and fetching, once no parked task needs the object.
-type parkedObj struct {
-	tasks  map[types.TaskID]*waitingTask
-	cancel context.CancelFunc
-}
-
-// The resolve loop's periods (DESIGN.md §4.2): a missed object-ready edge
-// is noticed within pollPeriod, and a pending object's producer is probed
-// for a stranded task every strandedPeriod wakeups (≤ 200 ms), starting one
-// period in, so a healthy producer costs no probe. fetchTimeout bounds one
-// pull of the object: a pull cut short starts again from its first byte, so
-// the bound must outlast the largest transfer, not a poll period.
-const (
-	pollPeriod     = 10 * time.Millisecond
-	strandedPeriod = 20
-	fetchTimeout   = 30 * time.Second
-)
-
-// maxIdleExecutors caps the executor goroutines parked between tasks; one
-// that finds the cap reached exits instead. A parked executor costs its
-// stack, as the tasks it ran grew it (a few KiB). 64 is four times the
-// widest CPU pool a node is given here (16 slots), which leaves room for
-// tasks blocked in Get. A wider burst of fractional-CPU tasks starts
-// goroutines for its excess, as every task once did.
-const maxIdleExecutors = 64
-
 // Local is the per-node scheduler: the first stop for every task born on
 // this node (bottom-up scheduling). Tasks become runnable when their
 // dependency objects are resident in the node's object store, are admitted
 // when their resource demand fits, and spill to the global scheduler when
-// the node is overloaded or the task is locally infeasible.
+// the node is overloaded or the task is locally infeasible. A task is
+// admitted (Submit, enqueue), waits in the dependency table (deps), is
+// dispatched (dispatchReady), runs on an executor (execs, runTask), and
+// releases what it holds.
+//
+// Whenever another lock holder can look, a task admitted here is in exactly
+// one place — the dependency table, runnable or holding — or it is being
+// settled, or runTask is handing it back to the table (evicted arguments);
+// evict is the one way out of the first two but a dispatch. Lock
+// order: the table's lock before mu, never the reverse. The table holds its
+// lock while it hands a ready task to runnable (pushRunnable), so a reader
+// that looks at the table first and at runnable next (evict, Busy) sees a
+// task in transit in one of them. The executor pool's lock is taken alone.
 type Local struct {
 	cfg LocalConfig
 	res *resourcePool
@@ -191,11 +165,13 @@ type Local struct {
 	stopCtx    context.Context
 	stopCancel context.CancelFunc
 
+	deps  *depTable
+	execs *executors
+
+	// mu guards the five fields below.
 	mu       sync.Mutex
 	runnable []*queuedTask
-	waiting  map[types.TaskID]*waitingTask
-	parked   map[types.ObjectID]*parkedObj // the dependency table: waiting, by object
-	bundles  map[bundleKey]*resourcePool   // gang reservations held here
+	bundles  map[bundleKey]*resourcePool // gang reservations held here
 	// holding maps a dispatched task to the pool instance it acquired its
 	// resources from. Releases must go through this exact instance: a
 	// bundle released and re-reserved creates a NEW pool under the same
@@ -208,15 +184,10 @@ type Local struct {
 	// Exec in between) queue, and Start dispatches them.
 	started bool
 	stopped bool
-	// idle is the stack of parked executors, each waiting on its own
-	// channel for the next task: dispatch pops the most recently parked, the
-	// one whose stack and caches are warmest. Stop closes what is left.
-	idle []chan types.TaskSpec
 
+	// wg counts dispatched tasks, resolvers and spill bridges: Stop waits
+	// for them before it closes the executor pool.
 	wg sync.WaitGroup
-	// execs counts live executor goroutines, parked or running: Stop
-	// returns once they have all exited.
-	execs sync.WaitGroup
 
 	// draining is the admission fence (DESIGN.md §10): while set, placed
 	// assignments are refused with ErrDraining, locally-born tasks spill to
@@ -239,13 +210,7 @@ type schedObs struct {
 	submitted  *metrics.Counter
 	spilled    *metrics.Counter
 	dispatched *metrics.Counter
-	// parked counts tasks entering waiting: admitted with an argument not
-	// yet in the local store.
-	parked     *metrics.Counter
 	dispatchNs *metrics.Histogram
-	// executors counts executor goroutines started (handOff found none
-	// parked).
-	executors *metrics.Counter
 }
 
 // NewLocal builds a local scheduler; call Start before submitting.
@@ -256,29 +221,22 @@ func NewLocal(cfg LocalConfig) *Local {
 	l := &Local{
 		cfg:     cfg,
 		res:     newResourcePool(cfg.Total),
-		waiting: make(map[types.TaskID]*waitingTask),
-		parked:  make(map[types.ObjectID]*parkedObj),
+		bundles: make(map[bundleKey]*resourcePool),
 		holding: make(map[types.TaskID]*resourcePool),
 	}
 	l.stopCtx, l.stopCancel = context.WithCancel(context.Background())
-	cfg.Store.SetArrivalHook(l.arrived)
+	l.deps = newDepTable(l)
+	l.execs = newExecutors(l.runTask, cfg.Metrics)
+	cfg.Store.SetArrivalHook(l.deps.arrived)
 	l.obs = schedObs{
 		submitted:  cfg.Metrics.Counter("scheduler.tasks.submitted"),
 		spilled:    cfg.Metrics.Counter("scheduler.tasks.spilled"),
 		dispatched: cfg.Metrics.Counter("scheduler.tasks.dispatched"),
-		parked:     cfg.Metrics.Counter("scheduler.tasks.parked"),
 		dispatchNs: cfg.Metrics.Histogram("scheduler.dispatch.latency.ns"),
-		executors:  cfg.Metrics.Counter("scheduler.executors.started"),
 	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.GaugeFunc("scheduler.queue.depth", func() int64 { return int64(l.QueueLen()) })
 		cfg.Metrics.GaugeFunc("scheduler.waiting.depth", func() int64 { return int64(l.WaitingLen()) })
-		cfg.Metrics.GaugeFunc("scheduler.waiting.objects", func() int64 {
-			l.mu.Lock()
-			defer l.mu.Unlock()
-			return int64(len(l.parked))
-		})
-		cfg.Metrics.GaugeFunc("scheduler.executors.idle", func() int64 { return int64(l.idleExecutors()) })
 	}
 	return l
 }
@@ -304,9 +262,9 @@ func (l *Local) Start() {
 // touched: their context is cancelled, runTask's deferred release settles
 // them, and wg.Wait below lets them finish doing so. A dispatch racing Stop
 // either admitted its task before the stopped flag went up — then wg already
-// counts it (admitOne) and Stop waits for it — or admits nothing. Once no
-// task runs, the parked executors are closed, an executor still on its way
-// to park sees the flag and exits instead, and Stop waits for them all.
+// counts it (admitOne) and Stop waits for it — or admits nothing. The flag
+// goes up before the eviction, and the table parks nothing once it is up.
+// Once no task runs, the executor pool closes (executors.close).
 func (l *Local) Stop() {
 	l.mu.Lock()
 	if l.stopped {
@@ -314,40 +272,22 @@ func (l *Local) Stop() {
 		return
 	}
 	l.stopped = true
-	var abandoned []types.TaskSpec
-	for _, t := range l.runnable {
-		abandoned = append(abandoned, t.spec)
-	}
-	l.runnable = nil
-	for _, w := range l.waiting {
-		abandoned = append(abandoned, w.spec)
-		l.unparkLocked(w)
-	}
 	l.mu.Unlock()
+	abandoned := l.evict(anyTask, true)
 	l.stopCancel()
+	l.settle(abandoned, nil)
 	if l.cfg.Refs != nil && len(abandoned) > 0 {
-		for _, spec := range abandoned {
-			l.cfg.Refs.Release(spec.Deps()...)
-		}
 		l.cfg.Refs.Flush()
 	}
 	l.wg.Wait()
-	l.mu.Lock()
-	idle := l.idle
-	l.idle = nil
-	l.mu.Unlock()
-	for _, next := range idle {
-		close(next)
-	}
-	l.execs.Wait()
+	l.execs.close()
 }
 
-// idleExecutors reports how many executor goroutines are parked waiting for
-// a task.
-func (l *Local) idleExecutors() int {
+// isStopped reports whether Stop has run.
+func (l *Local) isStopped() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.idle)
+	return l.stopped
 }
 
 // QueueLen reports the runnable backlog (heartbeat load signal).
@@ -358,11 +298,7 @@ func (l *Local) QueueLen() int {
 }
 
 // WaitingLen reports tasks blocked on dependencies.
-func (l *Local) WaitingLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.waiting)
-}
+func (l *Local) WaitingLen() int { return l.deps.len() }
 
 // Stats returns (submitted, spilled, dispatched) counters.
 func (l *Local) Stats() (int64, int64, int64) {
@@ -406,7 +342,9 @@ func (l *Local) ReacquireFor(spec types.TaskSpec) {
 		}
 		pool := l.poolFor(spec)
 		if pool.acquireBlocking(spec.Resources, l.stopCtx.Done(), timeout) {
-			l.bindHeld(spec.ID, pool)
+			l.mu.Lock()
+			l.holding[spec.ID] = pool
+			l.mu.Unlock()
 			return
 		}
 		if l.stopCtx.Err() != nil {
@@ -471,28 +409,21 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 	// reused as the placement-group routing fabric). A soft locality hint
 	// naming another node spills for the same reason — the hint is only
 	// meaningful with the global view.
+	spill := l.draining.Load()
 	if spec.InGroup() {
-		if l.hasBundle(spec.Group, spec.Bundle) && !l.draining.Load() {
-			l.enqueue(spec)
-		} else {
-			l.spilled.Add(1)
-			l.obs.spilled.Inc()
-			l.bridgeSpill(spec)
-			l.cfg.Ctrl.PublishSpill(spec)
-		}
-		return nil
+		spill = spill || l.poolFor(spec) == l.res
+	} else {
+		localityElsewhere := !spec.Locality.IsNil() && spec.Locality != l.cfg.Node
+		infeasible := !spec.Resources.FeasibleOn(l.cfg.Total)
+		overloaded := l.cfg.SpillThreshold >= 0 && backlog >= l.cfg.SpillThreshold
+		spill = spill || infeasible || overloaded || localityElsewhere
 	}
-	localityElsewhere := !spec.Locality.IsNil() && spec.Locality != l.cfg.Node
-	infeasible := !spec.Resources.FeasibleOn(l.cfg.Total)
-	overloaded := l.cfg.SpillThreshold >= 0 && backlog >= l.cfg.SpillThreshold
-	if infeasible || overloaded || localityElsewhere || l.draining.Load() {
-		l.spilled.Add(1)
-		l.obs.spilled.Inc()
+	if spill {
 		l.bridgeSpill(spec)
-		l.cfg.Ctrl.PublishSpill(spec)
-		return nil
+		l.publishSpill(spec)
+	} else {
+		l.enqueue(spec)
 	}
-	l.enqueue(spec)
 	return nil
 }
 
@@ -561,12 +492,9 @@ func (l *Local) releaseBridge(task types.TaskID, deps []types.ObjectID) {
 // executor's retry path uses it (the task's status was already reset to
 // PENDING by the retry bookkeeping, so the dedupe logic would drop it).
 func (l *Local) Enqueue(spec types.TaskSpec) error {
-	l.mu.Lock()
-	if l.stopped {
-		l.mu.Unlock()
+	if l.isStopped() {
 		return ErrStopped
 	}
-	l.mu.Unlock()
 	l.enqueue(spec)
 	return nil
 }
@@ -582,11 +510,14 @@ func (l *Local) Draining() bool { return l.draining.Load() }
 // Busy reports how many tasks this scheduler still owns in any stage:
 // runnable, waiting on dependencies, or dispatched with resources held.
 // A draining node quiesces when DrainBacklog has evicted the queues and
-// Busy reaches zero (every dispatched task released its resources).
+// Busy reaches zero (every dispatched task released its resources). The
+// table is read first: a task that leaves it after that read is in
+// runnable before the table's lock drops (see Local).
 func (l *Local) Busy() int {
+	waiting := l.deps.len()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.runnable) + len(l.waiting) + len(l.holding)
+	return waiting + len(l.runnable) + len(l.holding)
 }
 
 // DrainBacklog evicts every queued and waiting task back through the
@@ -596,29 +527,11 @@ func (l *Local) Busy() int {
 // place. Dispatched (running) tasks are untouched — the drain waits for
 // them via Busy. Returns how many tasks were handed off.
 func (l *Local) DrainBacklog() int {
-	l.mu.Lock()
-	if l.stopped {
-		l.mu.Unlock()
+	if l.isStopped() {
 		return 0
 	}
-	var evicted []types.TaskSpec
-	for _, t := range l.runnable {
-		evicted = append(evicted, t.spec)
-	}
-	l.runnable = nil
-	for _, w := range l.waiting {
-		evicted = append(evicted, w.spec)
-		l.unparkLocked(w)
-	}
-	l.mu.Unlock()
-	for _, spec := range evicted {
-		l.spillAway(spec)
-		// Return the enqueue-time borrows last, mirroring runTask's LIFO
-		// ordering (spillAway re-retains through the bridge first).
-		if l.cfg.Refs != nil {
-			l.cfg.Refs.Release(spec.Deps()...)
-		}
-	}
+	evicted := l.evict(anyTask, true)
+	l.settle(evicted, l.spillAway)
 	return len(evicted)
 }
 
@@ -637,6 +550,10 @@ func (l *Local) spillAway(spec types.TaskSpec) {
 			return // claimed elsewhere (or terminal): not ours to publish
 		}
 	}
+	l.publishSpill(spec)
+}
+
+func (l *Local) publishSpill(spec types.TaskSpec) {
 	l.spilled.Add(1)
 	l.obs.spilled.Inc()
 	l.cfg.Ctrl.PublishSpill(spec)
@@ -654,10 +571,12 @@ func (l *Local) SetExec(fn ExecFunc) { l.cfg.Exec = fn }
 // skipping the ensure would leave return objects without their Producer
 // edge — losing lineage reconstructability for anything this task outputs.
 //
-// This is the ONE synchronous control-plane write a locally-born task pays
-// (admission): the task is owned from birth, and its return-object producer
-// edges ride the ledger's batched flush instead of one ensure round trip
-// per return.
+// This AddTask is one of the TWO synchronous control-plane writes a
+// locally-born task pays: this one at admission, and its return Put's
+// AddObjectLocation, which objectstore.Store.Put drains on the executor's
+// goroutine (ROADMAP.md item 2 moves both into the ledger's batched flush).
+// The task is owned from birth, and its return-object producer edges ride
+// that flush already instead of one ensure round trip per return.
 func (l *Local) record(spec types.TaskSpec, placed bool) bool {
 	st := types.TaskState{Spec: spec, Status: types.TaskPending, Node: l.cfg.Node}
 	if !placed {
@@ -735,11 +654,11 @@ func (l *Local) outputsIntact(spec types.TaskSpec) bool {
 	return true
 }
 
-// enqueue admits a task to this node's waiting set, parking it in the
-// dependency table under each missing object (dataflow trigger), and moves
-// it to the runnable queue once nothing is missing and its QUEUED stamp is
-// in. The rows' resolvers start before the borrow flush, so records are read
-// and pulls run while that round trip is in flight (E19).
+// enqueue admits a task to this node's dependency table, parked under
+// each missing object (dataflow trigger); the table moves it to the
+// runnable queue once nothing is missing and its QUEUED stamp is in. The
+// rows' resolvers start before the borrow flush, so records are read and
+// pulls run while that round trip is in flight (E19).
 func (l *Local) enqueue(spec types.TaskSpec) {
 	// Drain divert: paths that bypass Submit's fence (the executor's retry
 	// re-enqueue, runTask's evicted-args requeue, racing placements) land
@@ -769,37 +688,16 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 			missing[dep] = true
 		}
 	}
-	w := &waitingTask{spec: spec, missing: missing}
-	l.mu.Lock()
-	if l.stopped {
-		l.mu.Unlock()
-		// The task will never run here; return its fresh borrows.
+	// From here until its QUEUED stamp, the evicting paths can see a task
+	// born here that is still PENDING in the task table: spillAway publishes
+	// such a task as it stands, and FailTask claims PENDING too.
+	w := l.deps.park(spec, missing)
+	if w == nil {
+		// Stopped: the task will never run here; return its fresh borrows.
 		if borrow {
 			l.cfg.Refs.Release(deps...)
 		}
 		return
-	}
-	// From here until its QUEUED stamp, the evicting paths can see a task
-	// born here that is still PENDING in the task table: spillAway publishes
-	// such a task as it stands, and FailTask claims PENDING too.
-	l.waiting[spec.ID] = w
-	if len(missing) > 0 {
-		l.obs.parked.Inc()
-	}
-	for dep := range missing {
-		row := l.parked[dep]
-		if row == nil {
-			// The object's first parked task starts its one resolver, counted
-			// under the lock that checked stopped, so Stop's wg.Wait cannot
-			// slip between the check and the resolver's registration.
-			row = &parkedObj{tasks: make(map[types.TaskID]*waitingTask)}
-			var ctx context.Context
-			ctx, row.cancel = context.WithCancel(l.stopCtx)
-			l.parked[dep] = row
-			l.wg.Add(1)
-			go l.resolveParked(ctx, dep)
-		}
-		row.tasks[spec.ID] = w
 	}
 	if borrow {
 		// The borrows flush BEFORE the QUEUED stamp: the stamp is what lets
@@ -807,42 +705,65 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 		// share must already be in the control plane's count — and one
 		// batched flush covers the whole dependency set, which is why
 		// parking cost stays flat in the number of dependencies.
-		l.mu.Unlock()
 		l.cfg.Refs.Flush()
-		l.mu.Lock()
-		if l.waiting[spec.ID] != w {
-			// Evicted meanwhile: the evictor settled the task and its borrows.
-			l.mu.Unlock()
-			return
-		}
 	}
-	// Stamp this node as the task's current holder. If this node dies with
-	// the task still queued, the task table points at a dead node and the
-	// owner-death transfer (or any consumer's reconstruction check) will
-	// re-own the task (R6); without the stamp, a task queued-but-not-
-	// dispatched on a dead node would be invisible. The stamp is made under
-	// the lock, so that no evictor's stamps (FailTask's FAILED, say) can
-	// come before it. It is an in-process append that rides the next batched
-	// flush while the ledger's flusher runs; a ledger never started (unit
-	// tests) or halted at shutdown flushes it inline, under the lock.
-	l.cfg.Ledger.Transition(spec.ID, types.TaskQueued, types.NilWorkerID, "")
-	w.queued = true
-	ready := l.readyLocked(w)
-	l.mu.Unlock()
-	if ready {
+	if l.deps.queue(w) {
 		l.dispatchReady()
 	}
 }
 
-// readyLocked moves w from the waiting set to the runnable queue if nothing
-// is missing and its QUEUED stamp is in, and reports whether it did.
-func (l *Local) readyLocked(w *waitingTask) bool {
-	if len(w.missing) > 0 || !w.queued {
-		return false
+// pushRunnable appends a task the dependency table has readied to the
+// runnable queue; the table calls it holding its own lock (see Local).
+func (l *Local) pushRunnable(spec types.TaskSpec) {
+	l.mu.Lock()
+	l.runnable = append(l.runnable, &queuedTask{spec: spec, enqueuedAt: time.Now()})
+	l.mu.Unlock()
+}
+
+// evictPred picks the tasks evict takes: spec is the task, missing the
+// objects it still waits on (nil for a runnable task). It is called holding
+// the lock of the place it picks from: the table's, or mu.
+type evictPred = func(spec types.TaskSpec, missing map[types.ObjectID]bool) bool
+
+func anyTask(types.TaskSpec, map[types.ObjectID]bool) bool { return true }
+
+// evict takes the tasks pred matches out of the dependency table, when
+// parked is set, and then out of runnable, and returns them to be settled.
+// A matching task the table readies meanwhile is in runnable by the time
+// evict looks there (see Local). It is the one eviction path: Stop,
+// DrainBacklog, ReleaseGroup, a reclaimed argument and dispatchReady's
+// strays.
+func (l *Local) evict(pred evictPred, parked bool) (out []types.TaskSpec) {
+	if parked {
+		out = l.deps.evict(pred)
 	}
-	delete(l.waiting, w.spec.ID)
-	l.runnable = append(l.runnable, &queuedTask{spec: w.spec, enqueuedAt: time.Now()})
-	return true
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	kept := l.runnable[:0]
+	for _, t := range l.runnable {
+		if pred(t.spec, nil) {
+			out = append(out, t.spec)
+		} else {
+			kept = append(kept, t)
+		}
+	}
+	clear(l.runnable[len(kept):])
+	l.runnable = kept
+	return out
+}
+
+// settle disposes of evicted tasks: fate fails or respills each one (nil
+// abandons it), then its enqueue-time borrows are returned, last, mirroring
+// runTask's LIFO order (a respill re-retains through its bridge first).
+func (l *Local) settle(specs []types.TaskSpec, fate func(types.TaskSpec)) {
+	for _, spec := range specs {
+		if fate != nil {
+			fate(spec)
+		}
+		if l.cfg.Refs != nil {
+			l.cfg.Refs.Release(spec.Deps()...)
+		}
+	}
 }
 
 // Resolve blocks until id is resident here and returns its bytes, pulling a
@@ -854,199 +775,7 @@ func (l *Local) Resolve(ctx context.Context, id types.ObjectID, task types.TaskI
 	if data, ok := l.cfg.Store.Get(id); ok {
 		return data, nil
 	}
-	return l.resolve(ctx, id, task, false)
-}
-
-// resolveParked is the one resolver of a missing object tasks are parked
-// on. It ends when the object lands, when nothing can produce it any more,
-// or when its row empties and cancels it.
-func (l *Local) resolveParked(ctx context.Context, obj types.ObjectID) {
-	defer l.wg.Done()
-	_, err := l.resolve(ctx, obj, types.NilTaskID, true)
-	switch {
-	case err == nil:
-		if l.landed(obj) {
-			l.dispatchReady()
-		}
-	case errors.Is(err, types.ErrReclaimed):
-		l.failParkedOn(obj)
-	}
-}
-
-// resolve is the one resolve loop, under a Get and under a parked
-// dependency: check the store, read the record, fetch, reconstruct or probe,
-// then wait for the arrival, the ready topic or a poll. A Get subscribes
-// before its first look, so no ready edge falls between them. A parked
-// resolver's first look runs unsubscribed, so a dependency already ready
-// elsewhere is pulled without waiting to attach to its topic (a round trip
-// on a sharded control plane) while enqueue's borrow flush is in flight
-// (E19); a look that leaves the object missing subscribes and looks again
-// before any probe or wait. A parked resolver needs only residency, and
-// fails only on types.ErrReclaimed. The arrival channel is taken once per
-// wait that can end by an arrival, not once per lap, and dropped on return,
-// so a resolve that ends without the object holds no waiter in the store.
-func (l *Local) resolve(ctx context.Context, id types.ObjectID, task types.TaskID, parked bool) ([]byte, error) {
-	var sub gcs.Sub
-	var poll *time.Ticker
-	var arrival <-chan struct{}
-	if !parked {
-		sub = l.cfg.Ctrl.Subscribe(gcs.TopicObjectReady, id)
-		poll = time.NewTicker(pollPeriod)
-	}
-	defer func() {
-		if arrival != nil {
-			l.cfg.Store.StopWait(id, arrival)
-		}
-		if sub != nil {
-			sub.Close()
-			poll.Stop()
-		}
-	}()
-	// wakeups numbers the looks that follow a wait.
-	for wakeups := 1; ; {
-		if parked {
-			if l.cfg.Store.Contains(id) {
-				return nil, nil
-			}
-		} else if data, ok := l.cfg.Store.Get(id); ok {
-			return data, nil
-		}
-		probe := false
-		info, ok := l.cfg.Ctrl.GetObject(id)
-		switch {
-		case !ok || info.State == types.ObjectPending && info.Producer.IsNil():
-			// No lineage in sight. On the first look that is the producer
-			// edge trailing its task by a ledger flush; after a poll it is
-			// worth asking whether any task returns the object at all.
-			probe = wakeups > 1
-		case info.State == types.ObjectReady:
-			if l.cfg.Fetcher != nil && len(info.Locations) > 0 {
-				fctx, cancel := context.WithTimeout(ctx, fetchTimeout)
-				err := l.cfg.Fetcher.FetchObject(fctx, info)
-				cancel()
-				if err == nil {
-					continue
-				}
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-			}
-		case info.State == types.ObjectLost:
-			probe = true
-		default:
-			// Pending: possibly a producer stranded on a dead node (queued or
-			// running there when it died). The reconstructor no-ops for
-			// healthy producers and replays stranded ones.
-			probe = wakeups%strandedPeriod == 0
-		}
-		if sub == nil {
-			sub = l.cfg.Ctrl.Subscribe(gcs.TopicObjectReady, id)
-			poll = time.NewTicker(pollPeriod)
-			continue
-		}
-		if probe && l.cfg.Recon != nil {
-			err := l.cfg.Recon(id, task)
-			if errors.Is(err, types.ErrReclaimed) || err != nil && !parked && !errors.Is(err, fault.ErrControlUnavailable) {
-				return nil, err
-			}
-		}
-		if arrival == nil {
-			arrival = l.cfg.Store.WaitChan(id)
-		}
-		select {
-		case <-arrival:
-			arrival = nil // re-taken if the object leaves again
-		case <-sub.C():
-		case <-poll.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-l.stopCtx.Done():
-			return nil, ErrStopped
-		}
-		wakeups++
-	}
-}
-
-// landed clears obj from every task parked on it; a task whose missing set
-// empties becomes runnable, and landed reports whether one did. The store
-// calls it on every arrival (arrived), and a row's resolver on finding its
-// object resident. One wake clears every dependency of the task that has
-// already landed, not just obj: under a busy runqueue each object's
-// resolver waits for a timeslice, so clearing strictly one per wake would
-// make the park→scheduled edge grow linearly in dependency count even when
-// all the objects are long since local.
-func (l *Local) landed(obj types.ObjectID) bool {
-	l.mu.Lock()
-	ready := false
-	if row := l.parked[obj]; row != nil {
-		for id, w := range row.tasks {
-			for dep := range w.missing {
-				if dep == obj || l.cfg.Store.Contains(dep) {
-					delete(w.missing, dep)
-					l.unwaitLocked(dep, id)
-				}
-			}
-			if l.readyLocked(w) {
-				ready = true
-			}
-		}
-	}
-	l.mu.Unlock()
-	return ready
-}
-
-// arrived is the store's arrival hook: it lands obj's row on the storing
-// goroutine, before the store publishes the object's location — a round
-// trip that a row's resolver, pulling the object, would otherwise wait out
-// before landing it (E19). The dispatch it makes due runs on a goroutine of
-// its own, so no control-plane call of the dispatch (a grouped task's
-// claim, a stray's respill) holds up that publish.
-func (l *Local) arrived(obj types.ObjectID) {
-	if l.landed(obj) {
-		go l.dispatchReady()
-	}
-}
-
-// failParkedOn fails every task parked here on obj, which no record says
-// anything can produce any more (types.ReasonReclaimed; Get on their returns
-// yields core.ErrReclaimed).
-func (l *Local) failParkedOn(obj types.ObjectID) {
-	l.mu.Lock()
-	var failed []types.TaskSpec
-	if row := l.parked[obj]; row != nil {
-		for _, w := range row.tasks {
-			failed = append(failed, w.spec)
-			l.unparkLocked(w)
-		}
-	}
-	l.mu.Unlock()
-	for _, spec := range failed {
-		l.FailTask(spec, types.ReasonReclaimed+obj.String())
-		if l.cfg.Refs != nil {
-			l.cfg.Refs.Release(spec.Deps()...)
-		}
-	}
-}
-
-// unparkLocked evicts a waiting task: from the waiting set and from every
-// row of the dependency table it sits in.
-func (l *Local) unparkLocked(w *waitingTask) {
-	delete(l.waiting, w.spec.ID)
-	for dep := range w.missing {
-		l.unwaitLocked(dep, w.spec.ID)
-	}
-}
-
-// unwaitLocked drops task from obj's row and cancels obj's resolver once no
-// parked task needs the object any more.
-func (l *Local) unwaitLocked(obj types.ObjectID, task types.TaskID) {
-	if row := l.parked[obj]; row != nil {
-		delete(row.tasks, task)
-		if len(row.tasks) == 0 {
-			delete(l.parked, obj)
-			row.cancel()
-		}
-	}
+	return l.deps.resolve(ctx, id, task, false)
 }
 
 // dispatchReady admits runnable tasks while resources allow, on the
@@ -1059,15 +788,15 @@ func (l *Local) unwaitLocked(obj types.ObjectID, task types.TaskID) {
 // driver entering Get) is next to run on that goroutine's processor.
 func (l *Local) dispatchReady() {
 	for {
-		task, strays, ok := l.admitOne()
-		// Grouped tasks whose reservation left this node respill outside
-		// the lock: the gang pass re-places their group as a unit and the
-		// global scheduler routes them to the new holder.
-		for _, spec := range strays {
-			l.spillAway(spec)
-			if l.cfg.Refs != nil {
-				l.cfg.Refs.Release(spec.Deps()...)
+		task, stray, ok := l.admitOne()
+		if stray {
+			// Grouped tasks whose reservation left this node respill outside
+			// the lock: the gang pass re-places their group as a unit and the
+			// global scheduler routes them to the new holder.
+			strayed := func(spec types.TaskSpec, _ map[types.ObjectID]bool) bool {
+				return spec.InGroup() && l.bundleLocked(spec) == nil
 			}
+			l.settle(l.evict(strayed, false), l.spillAway)
 		}
 		if !ok {
 			return
@@ -1102,95 +831,40 @@ func (l *Local) dispatchReady() {
 		l.dispatched.Add(1)
 		l.obs.dispatched.Inc()
 		l.obs.dispatchNs.Observe(time.Since(task.enqueuedAt).Nanoseconds())
-		l.handOff(task.spec)
+		l.execs.handOff(task.spec)
 	}
-}
-
-// handOff runs an admitted task on the most recently parked executor, or on
-// a new one when none is parked. The send readies a parked receiver on the
-// sender's processor, next in line, as a go statement would; the channel's
-// one slot takes the task if the executor has not reached its receive yet.
-func (l *Local) handOff(spec types.TaskSpec) {
-	l.mu.Lock()
-	if n := len(l.idle); n > 0 {
-		next := l.idle[n-1]
-		l.idle = l.idle[:n-1]
-		l.mu.Unlock()
-		next <- spec
-		return
-	}
-	l.mu.Unlock()
-	l.obs.executors.Inc()
-	// Counted before the admitted task's wg count drops, so before Stop can
-	// reach l.execs.Wait.
-	l.execs.Add(1)
-	go l.execute(spec)
-}
-
-// execute is an executor goroutine: it runs its first task, then parks and
-// runs whatever it is handed, one task at a time, so a task reuses a stack
-// earlier tasks grew instead of growing a fresh one. A task blocked in Get
-// keeps its executor; the next dispatch finds another or starts one.
-func (l *Local) execute(spec types.TaskSpec) {
-	defer l.execs.Done()
-	next := make(chan types.TaskSpec, 1)
-	for ok := true; ok; spec, ok = <-next {
-		l.runTask(spec)
-		if !l.park(next) {
-			return
-		}
-	}
-}
-
-// park puts an executor that finished its task on the idle stack, unless the
-// scheduler has stopped or maxIdleExecutors are parked already.
-func (l *Local) park(next chan types.TaskSpec) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.stopped || len(l.idle) >= maxIdleExecutors {
-		return false
-	}
-	l.idle = append(l.idle, next)
-	return true
 }
 
 // admitOne pops the first runnable task whose resources are available —
 // from its bundle's reservation pool for placement-group members, from the
-// general pool otherwise. Grouped tasks stranded without a reservation are
-// returned separately for respilling. Nothing is admitted before Start or
-// after Stop. An admitted task is counted in wg before the lock drops, so a
-// Stop racing the dispatch waits for the task instead of missing it; the
-// caller owes that count to runTask (or a wg.Done if it drops the task).
-func (l *Local) admitOne() (admitted *queuedTask, strays []types.TaskSpec, ok bool) {
+// general pool otherwise. It passes over grouped tasks stranded without a
+// reservation and reports whether it saw one (the caller evicts them for
+// respilling). Nothing is admitted before Start or after Stop. An
+// admitted task is counted in wg before the lock drops, so a Stop racing
+// the dispatch waits for the task instead of missing it; the caller owes
+// that count to runTask (or a wg.Done if it drops the task).
+func (l *Local) admitOne() (admitted *queuedTask, stray, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.started || l.stopped {
-		return nil, nil, false
+		return nil, false, false
 	}
-	kept := l.runnable[:0]
-	for _, t := range l.runnable {
-		if t.spec.InGroup() {
-			if _, held := l.bundles[bundleKey{group: t.spec.Group, bundle: t.spec.Bundle}]; !held {
-				strays = append(strays, t.spec)
-				continue
-			}
-		}
-		kept = append(kept, t)
-	}
-	l.runnable = kept
 	for i, t := range l.runnable {
 		pool := l.res
 		if t.spec.InGroup() {
-			pool = l.bundles[bundleKey{group: t.spec.Group, bundle: t.spec.Bundle}]
+			if pool = l.bundleLocked(t.spec); pool == nil {
+				stray = true
+				continue
+			}
 		}
 		if pool.tryAcquire(t.spec.Resources) {
 			l.runnable = append(l.runnable[:i], l.runnable[i+1:]...)
 			l.holding[t.spec.ID] = pool
 			l.wg.Add(1)
-			return t, strays, true
+			return t, stray, true
 		}
 	}
-	return nil, strays, false
+	return nil, stray, false
 }
 
 // releaseHeld returns a task's resources to the exact pool instance it
@@ -1206,16 +880,9 @@ func (l *Local) releaseHeld(spec types.TaskSpec) {
 	pool.release(spec.Resources)
 }
 
-// bindHeld records the pool a task just (re)acquired resources from.
-func (l *Local) bindHeld(id types.TaskID, pool *resourcePool) {
-	l.mu.Lock()
-	l.holding[id] = pool
-	l.mu.Unlock()
-}
-
 // runTask resolves argument bytes and executes. Dependencies were local at
 // enqueue time but may have been evicted since; in that case the task goes
-// back to waiting.
+// back to the dependency table.
 func (l *Local) runTask(spec types.TaskSpec) {
 	defer l.wg.Done()
 	defer l.dispatchReady()
