@@ -267,13 +267,32 @@ func appendTaskStateDelta(b []byte, d *types.TaskStateDelta) []byte {
 	return b
 }
 
+// appendTaskLedgerBatch writes the deltas, then the token, then the specs
+// of the births among them, each after its delta's index. The births trail
+// the record and are left out when there are none, so a batch without one
+// is byte for byte what it was before births existed.
 func appendTaskLedgerBatch(b []byte, t *types.TaskLedgerBatch) []byte {
 	b = append(b, t.Node[:]...)
 	b = binary.AppendUvarint(b, uint64(len(t.Deltas)))
+	births := 0
 	for i := range t.Deltas {
 		b = appendTaskStateDelta(b, &t.Deltas[i])
+		if t.Deltas[i].Spec != nil {
+			births++
+		}
 	}
 	b = binary.AppendUvarint(b, t.Op)
+	if births == 0 {
+		return b
+	}
+	b = binary.AppendUvarint(b, uint64(births))
+	for i := range t.Deltas {
+		if s := t.Deltas[i].Spec; s != nil {
+			b = binary.AppendUvarint(b, uint64(i))
+			b = appendTaskSpec(b, s)
+			b = append(b, s.Origin[:]...)
+		}
+	}
 	return b
 }
 
@@ -609,6 +628,22 @@ func (r *binReader) taskLedgerBatch(t *types.TaskLedgerBatch) error {
 		}
 	}
 	t.Op = r.uvarint()
+	if r.err != nil || r.pos == len(r.buf) {
+		return r.err
+	}
+	// A birth is at least its index, a spec's IDs and its Origin.
+	for n := r.count(100); n > 0 && r.err == nil; n-- {
+		i := r.uvarint()
+		if i >= uint64(len(t.Deltas)) {
+			return fmt.Errorf("codec: birth of delta %d in a batch of %d", i, len(t.Deltas))
+		}
+		spec := new(types.TaskSpec)
+		if r.taskSpec(spec) != nil {
+			break
+		}
+		spec.Origin = r.id16()
+		t.Deltas[i].Spec = spec
+	}
 	return r.err
 }
 

@@ -210,6 +210,36 @@ func TestFastLineagePinsTrailing(t *testing.T) {
 	roundTrip(t, o)
 }
 
+// TestFastBirthsTrailTheBatch: the specs of a batch's births ride after
+// its token, so a batch without one is the bytes it always was, and a
+// batch with one round-trips with the spec on its delta.
+func TestFastBirthsTrailTheBatch(t *testing.T) {
+	b := sampleTaskLedgerBatch()
+	bare := MustEncode(b)
+	spec := sampleTaskSpec()
+	spec.Origin = types.NodeID(id16(15))
+	b.Deltas[1].Spec = &spec
+	born := MustEncode(b)
+	if !bytes.HasPrefix(born, bare) {
+		t.Fatal("a batch with a birth does not start with the batch without it")
+	}
+	roundTrip(t, b)
+	if _, err := DecodeAs[types.TaskLedgerBatch](born[:len(born)-1]); err == nil {
+		t.Fatal("batch with a truncated birth decoded")
+	}
+}
+
+// TestFastReturnCacheNotEncoded: the return IDs a spec caches stay out of
+// its encoding, which is the spec's without them.
+func TestFastReturnCacheNotEncoded(t *testing.T) {
+	spec := sampleTaskSpec()
+	bare := MustEncode(spec)
+	spec.CacheReturns()
+	if !bytes.Equal(MustEncode(spec), bare) {
+		t.Fatal("a spec with cached return IDs encodes differently")
+	}
+}
+
 func TestFastRoundTripZeroValues(t *testing.T) {
 	roundTrip(t, types.ObjectInfo{})
 	roundTrip(t, types.TaskSpec{})
@@ -271,12 +301,14 @@ func TestFastWrongTarget(t *testing.T) {
 func TestFastFieldSetsCovered(t *testing.T) {
 	expect := map[reflect.Type][]string{
 		reflect.TypeOf(types.ObjectInfo{}): {"ID", "Size", "Producer", "State", "Locations", "RefCount", "EverRetained", "RefOps", "Holders", "SpilledOn", "LineagePins"},
-		reflect.TypeOf(types.TaskSpec{}):   {"ID", "Function", "Args", "NumReturns", "Resources", "Parent", "SubmitIndex", "MaxRetries", "Locality", "Group", "Bundle", "TraceID", "Job", "Actor", "Origin"},
+		// returns is the spec's in-process cache of its return IDs, which
+		// no form encodes.
+		reflect.TypeOf(types.TaskSpec{}):   {"ID", "Function", "Args", "NumReturns", "Resources", "Parent", "SubmitIndex", "MaxRetries", "Locality", "Group", "Bundle", "TraceID", "Job", "Actor", "Origin", "returns"},
 		reflect.TypeOf(types.TaskState{}):  {"Spec", "Status", "Node", "Worker", "Error", "Retries", "SubmittedNs", "ScheduledNs", "StartedNs", "FinishedNs", "LastTransitionNs", "MutOps", "Owner", "OwnerSeq"},
 		reflect.TypeOf(types.NodeInfo{}):   {"ID", "Addr", "Total", "Alive", "LastSeen", "State", "DrainNs", "QueueLen", "Available", "Store", "MutOps"},
 		reflect.TypeOf(types.Arg{}):        {"IsRef", "Ref", "Value"},
 		reflect.TypeOf(types.StoreStats{}): {"UsedBytes", "SpilledBytes", "Objects", "Spills", "Restores", "Reclaimed", "TierEvicted"},
-		reflect.TypeOf(types.TaskStateDelta{}): {"ID", "Owner", "Seq", "Status", "Node", "Worker", "Error", "Retries",
+		reflect.TypeOf(types.TaskStateDelta{}): {"ID", "Owner", "Seq", "Spec", "Status", "Node", "Worker", "Error", "Retries",
 			"SubmittedNs", "ScheduledNs", "StartedNs", "FinishedNs", "LastTransitionNs"},
 		reflect.TypeOf(types.TaskLedgerBatch{}): {"Node", "Deltas", "Op"},
 		reflect.TypeOf(types.JobInfo{}): {"Spec", "State", "CreatedNs", "StoppingNs", "StoppedNs",

@@ -72,7 +72,11 @@ func fuzzSeeds() [][]byte {
 		b, _ := hex.DecodeString(h)
 		seeds = append(seeds, b)
 	}
-	return seeds
+	// A ledger batch carrying a birth, whole and cut inside the birth.
+	born, spec := sampleTaskLedgerBatch(), sampleTaskSpec()
+	born.Deltas[1].Spec = &spec
+	b := MustEncode(born)
+	return append(seeds, b, b[:len(b)-1])
 }
 
 func corpusFile(i int, seed []byte) (path, content string) {

@@ -50,7 +50,12 @@ type RefCounted interface {
 // ownership ledger (node.Node is; DESIGN.md §13). Futures whose producing
 // task is owned by this node resolve from the ledger's in-process state
 // events and the node's own store — a Get or Wait on locally-submitted work
-// costs zero control-plane calls. OwnsTask reports current local authority.
+// costs zero control-plane calls. OwnsTask reports current local authority;
+// the ledger holds a task born here before the table does. OwnRoot
+// registers a driver root drawn at random (NewClient), whose tasks' records
+// may then reach the table in the ledger's batched flush; LandBirths writes
+// the records of tasks that the ledger still owes, and TaskFlushes counts
+// its completed flushes.
 // NotifyTaskEnd sends a task's ID on ch when it reaches a terminal state OR
 // local authority is dropped (transfer) — at once if that already happened
 // — so waiters re-check rather than trust the wake blindly; ch needs room
@@ -59,6 +64,9 @@ type RefCounted interface {
 // owner-side while the task is owned here.
 type TaskOwner interface {
 	OwnsTask(id types.TaskID) bool
+	OwnRoot(root types.TaskID)
+	LandBirths(tasks ...types.TaskID)
+	TaskFlushes() uint64
 	NotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID)
 	StopNotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID)
 	ResolveTaskOutput(ctx context.Context, task types.TaskID, id types.ObjectID) ([]byte, error)
@@ -216,13 +224,16 @@ func (c *caller) submit(function string, args []types.Arg, o TaskOptions) ([]Obj
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	// Derived once here, the return IDs ride every copy of the spec: the
+	// birth's producer edges and the executor's Put read them.
+	rets := spec.CacheReturns()
 	if err := c.backend.SubmitTask(spec); err != nil {
 		return nil, err
 	}
 	refs := make([]ObjectRef, o.NumReturns)
-	for i := range refs {
-		refs[i] = ObjectRef{ID: spec.ReturnID(i), Task: spec.ID}
-		c.retain(refs[i].ID)
+	for i, id := range rets {
+		refs[i] = ObjectRef{ID: id, Task: spec.ID}
+		c.retain(id)
 	}
 	return refs, nil
 }
@@ -368,8 +379,10 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 	defer c.exitBlocked()
 
 	// unknown collects, per countReady, the refs the object table has no
-	// record of: the ones that may have been retired.
+	// record of: the ones that may have been retired. suspects holds the
+	// owner's flush count when each was first found in neither table.
 	var unknown []ObjectRef
+	var suspects map[types.ObjectID]uint64
 	isReady := func(r ObjectRef) bool {
 		if c.backend.ObjectLocal(r.ID) {
 			return true
@@ -491,7 +504,10 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 		case <-poll.C:
 			n = countReady() // safety net against missed edges
 			if n < numReturns {
-				if err := reclaimedAmong(ctrl, unknown); err != nil {
+				if suspects == nil {
+					suspects = make(map[types.ObjectID]uint64)
+				}
+				if err := reclaimedAmong(ctrl, owner, unknown, suspects); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -502,24 +518,46 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 		}
 	}
 out:
+	var born []types.TaskID
 	for _, r := range refs {
 		if done[r.ID] {
 			ready = append(ready, r)
+			if owner != nil && !r.Task.IsNil() {
+				born = append(born, r.Task)
+			}
 		} else {
 			pending = append(pending, r)
 		}
+	}
+	if len(born) > 0 {
+		// What Wait reports ready the caller may hand anywhere, so the
+		// records of its tasks born here go to the table first.
+		owner.LandBirths(born...)
 	}
 	return ready, pending, nil
 }
 
 // reclaimedAmong reports ErrReclaimed if one of refs — futures the object
-// table has no record of — can never complete because the task table has no
-// record of its producer either. AddTask is synchronous at submit and a
-// Put's location is published before its ref exists, so this absence is not
-// lateness: the records were retired (DESIGN.md §17).
-func reclaimedAmong(ctrl gcs.API, refs []ObjectRef) error {
+// table has no record of — can never complete because its records were
+// retired (DESIGN.md §17). Absence alone is not proof: a task born on this
+// node reaches the table in its owner's batched flush, and until then its
+// owner's ledger is the only record of it and of its returns. So a ref
+// counts as retired only when the owner does not hold its task and it is
+// absent from both tables on two reads with a whole flush of the owner's
+// ledger between them (owner nil: on two polls); suspects carries the first
+// reads from poll to poll. A Put's location is published before its ref
+// exists, and a ref that reached this node from elsewhere had its birth
+// flushed before it left its owner.
+func reclaimedAmong(ctrl gcs.API, owner TaskOwner, refs []ObjectRef, suspects map[types.ObjectID]uint64) error {
+	var flushes uint64
+	if owner != nil {
+		flushes = owner.TaskFlushes()
+	}
 	for _, r := range refs {
 		if !r.Task.IsNil() {
+			if owner != nil && owner.OwnsTask(r.Task) {
+				continue
+			}
 			if _, ok := ctrl.GetTask(r.Task); ok {
 				continue
 			}
@@ -527,7 +565,15 @@ func reclaimedAmong(ctrl gcs.API, refs []ObjectRef) error {
 		if p, ok := ctrl.(gcs.Pinger); ok && !p.Ping() {
 			return nil // an unreachable shard reads as absent
 		}
-		if _, ok := ctrl.GetObject(r.ID); !ok {
+		if _, ok := ctrl.GetObject(r.ID); ok {
+			continue
+		}
+		first, seen := suspects[r.ID]
+		if !seen {
+			suspects[r.ID] = flushes
+			continue
+		}
+		if owner == nil || flushes >= first+2 {
 			return fmt.Errorf("%w: %v", ErrReclaimed, r.ID)
 		}
 	}
@@ -545,6 +591,9 @@ func NewClient(b Backend) *Client {
 	var root types.TaskID
 	if _, err := rand.Read(root[:]); err != nil {
 		panic(err) // crypto/rand failure is unrecoverable
+	}
+	if o, ok := b.(TaskOwner); ok {
+		o.OwnRoot(root) // a random root's tasks are new to the control plane
 	}
 	return NewClientWithRoot(b, root)
 }

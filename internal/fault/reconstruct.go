@@ -39,18 +39,40 @@ func (r *Reconstructor) ctrlReachable() bool {
 
 // TaskLookup is the owner-side view of task state (lifetime.TaskLedger):
 // authoritative for tasks this node owns, and fresher than the follower
-// table, whose view trails by a flush interval.
+// table, whose view trails by a flush interval — a task born here is in the
+// table only once the ledger's flush wrote its birth. Flush is that flush.
 type TaskLookup interface {
 	Lookup(id types.TaskID) (types.TaskState, bool)
+	Flush() bool
 }
 
 // producerOf finds the task that returns id: hint's record when the caller
-// named one, a scan of the table otherwise.
+// named one — the owner's first, which holds a task born here before the
+// table does — and a scan of the table otherwise. A scan that finds nothing
+// is repeated once the owner's ledger has flushed, so a producer born here
+// whose birth was still on its way is not taken for a retired one.
 func (r *Reconstructor) producerOf(id types.ObjectID, hint types.TaskID) (types.TaskState, bool) {
-	if hint.IsNil() {
-		return r.deriveProducer(id)
+	if !hint.IsNil() {
+		if st, ok := r.lookupOwned(hint); ok {
+			return st, true
+		}
+		return r.Ctrl.GetTask(hint)
 	}
-	return r.Ctrl.GetTask(hint)
+	st, ok := r.deriveProducer(id)
+	if !ok && r.Ledger != nil {
+		r.Ledger.Flush()
+		st, ok = r.deriveProducer(id)
+	}
+	return st, ok
+}
+
+// lookupOwned is the ledger's view of a task it owns and holds the spec of.
+func (r *Reconstructor) lookupOwned(id types.TaskID) (types.TaskState, bool) {
+	if r.Ledger == nil {
+		return types.TaskState{}, false
+	}
+	st, ok := r.Ledger.Lookup(id)
+	return st, ok && st.Spec.ID == id
 }
 
 // Reconstructor replays producing tasks to regenerate lost objects.
@@ -66,11 +88,11 @@ type Reconstructor struct {
 }
 
 // deriveProducer rebuilds a missing object→producer edge from the task
-// table. The admission AddTask is the synchronous, durable half of
-// lineage (DESIGN.md §13): every spec is in the table before its task can
-// run, while the object record's Producer edge rides the owner's async
-// ensure flush — a crash (or a control-plane snapshot taken) inside that
-// window loses only the index, never the lineage. Return-object IDs are
+// table. A task's birth writes its spec and, after it, its return objects'
+// producer edges (DESIGN.md §13), so a crash (or a control-plane snapshot
+// taken) between the two loses only the index, never the lineage — and an
+// executing node's location publish can create the object record before
+// either. Return-object IDs are
 // deterministic (H("ret" ‖ task ‖ index)), so the edge is recomputable
 // from the specs. O(tasks × returns) over a table the size of the live
 // set, paid only when an object without a copy has no recorded producer —
@@ -106,11 +128,13 @@ func (r *Reconstructor) deriveProducer(id types.ObjectID) (types.TaskState, bool
 // types.NilTaskID.
 //
 // An object with no lineage anywhere — no producer edge on its record (or
-// no record) and no task in the table that returns it — yields
-// types.ErrReclaimed: AddTask is synchronous at submit, so a return whose
-// task the table does not know was retired (or never submitted), and there
-// is nothing to wait for. Callers ask only after a first poll, so the one
-// flush interval by which an edge may trail its task costs no scan.
+// no record), no task in the table that returns it, and none in this
+// node's ledger after it flushed — yields types.ErrReclaimed: a return
+// whose task neither its owner nor the table knows was retired (or never
+// submitted), and there is nothing to wait for. A ref that reached another
+// node had its producer's birth flushed before it left the owner. Callers
+// ask only after a first poll, so the one flush interval by which a birth
+// may trail its task costs no scan.
 func (r *Reconstructor) RequestReturn(id types.ObjectID, task types.TaskID) error {
 	info, ok := r.Ctrl.GetObject(id)
 	if !ok {
@@ -150,20 +174,25 @@ func (r *Reconstructor) RequestReturn(id types.ObjectID, task types.TaskID) erro
 	// is known in-process. A live owned producer is by definition healthy
 	// (it is admitted on THIS node, which is alive), and an owned terminal
 	// failure already stored error payloads under the returns — neither
-	// needs a table read or a replay. Anything else (owned-but-finished
-	// with the object lost, or not owned at all) falls through to the
-	// follower table, which holds the spec replay needs.
+	// needs a table read or a replay. An owned task that finished with the
+	// object lost replays from the ledger's spec, which the table may not
+	// hold yet; a task not owned here falls through to the follower table.
+	var st types.TaskState
+	ok = false
 	if r.Ledger != nil {
-		if st, owned := r.Ledger.Lookup(info.Producer); owned {
+		if st, ok = r.Ledger.Lookup(info.Producer); ok {
 			switch st.Status {
 			case types.TaskPending, types.TaskQueued, types.TaskScheduled, types.TaskRunning:
 				return nil
 			case types.TaskFailed:
 				return nil
 			}
+			ok = st.Spec.ID == info.Producer
 		}
 	}
-	st, ok := r.Ctrl.GetTask(info.Producer)
+	if !ok {
+		st, ok = r.Ctrl.GetTask(info.Producer)
+	}
 	if !ok {
 		if !r.ctrlReachable() {
 			return fmt.Errorf("%w: looking up lineage of %v", ErrControlUnavailable, info.Producer)

@@ -30,8 +30,10 @@ type API interface {
 	NowNs() int64
 
 	// Task table. AddTask inserts the spec exactly once (lineage record);
-	// re-adding an existing task returns false, which is how replayed
-	// submissions deduplicate.
+	// re-adding an existing task returns false. No submission calls it: a
+	// task's record is born in its owner's ledger and reaches the table as
+	// a birth in ModifyTaskStates (DESIGN.md §13). It stays for tools and
+	// for tests that seed a table.
 	AddTask(state types.TaskState) bool
 	GetTask(id types.TaskID) (types.TaskState, bool)
 	// ClaimTask atomically transitions the task's status to `to` iff the
@@ -51,11 +53,16 @@ type API interface {
 	// bound to one idempotency token recorded in each touched record's
 	// MutOps ring so redelivery after a shard crash re-applies exactly the
 	// records the crash missed. A delta applies only if its Owner matches
-	// the record's and its Seq exceeds the record's OwnerSeq. Returns the
-	// IDs whose deltas could NOT be applied because their shard stayed
-	// unreachable, so the caller requeues them under the same token; deltas
-	// rejected by the owner/seq guard (authority moved on) are consumed, not
-	// failed. Nil means fully applied.
+	// the record's and its Seq exceeds the record's OwnerSeq. A delta that
+	// carries its Spec is a birth: it inserts the record exactly once (a
+	// redelivery under the same token finds its own record and counts as
+	// applied) and gives the task's return objects their producer edges,
+	// so a born task needs no EnsureObjects. Returns the IDs whose deltas
+	// could NOT be applied because their shard stayed unreachable, so the
+	// caller requeues them under the same token, and the births that found
+	// a record already there — which is how replayed submissions
+	// deduplicate; deltas rejected by the owner/seq guard (authority moved
+	// on) are consumed, not failed. Nil means fully applied.
 	ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID
 	// ScanTasks is the one task-table scan: the records f selects, in
 	// submit order, plus whether the scan covered the whole table (false
@@ -165,8 +172,8 @@ type API interface {
 	// PinObjects adds deltas to the objects' LineagePins (clamped at zero),
 	// under one idempotency token recorded per object like a reference
 	// flush's. The owner's task ledger sends +1 for each distinct
-	// by-reference argument of a task whose AddTask inserted a fresh
-	// record; whoever removes a task record sends the -1. Returns the IDs
+	// by-reference argument of a task whose birth inserted its record;
+	// whoever removes a task record sends the -1. Returns the IDs
 	// whose shard stayed unreachable, to be retried under the same token.
 	PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID
 

@@ -531,6 +531,29 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 		t.Fatal("orphaned object record survived")
 	}
 
+	// Births: a spec-carrying delta inserts its record once and gives the
+	// return its producer edge; its redelivery under the same token is its
+	// own, and a birth under another token finds the record and is refused.
+	born := mkTask(520)
+	birth := types.TaskStateDelta{ID: born.Spec.ID, Owner: n, Status: types.TaskPending, Node: n, Spec: &born.Spec}
+	finished := delta(born.Spec.ID, 1, types.TaskFinished)
+	finished.Owner = n
+	for _, op := range []uint64{70, 70} {
+		if failed := api.ModifyTaskStates(n, []types.TaskStateDelta{birth}, op); len(failed) != 0 {
+			t.Fatalf("birth under token %d not applied: %v", op, failed)
+		}
+	}
+	if failed := api.ModifyTaskStates(n, []types.TaskStateDelta{birth}, 71); !slices.Equal(failed, []types.TaskID{born.Spec.ID}) {
+		t.Fatalf("a second birth of a recorded task reported %v, want it refused", failed)
+	}
+	api.ModifyTaskStates(n, []types.TaskStateDelta{finished}, 72)
+	if got, ok := api.GetTask(born.Spec.ID); !ok || got.Status != types.TaskFinished || got.Owner != n || got.Spec.Function != "f" {
+		t.Fatalf("born record: %+v %v", got, ok)
+	}
+	if info, ok := api.GetObject(born.Spec.ReturnID(0)); !ok || info.Producer != born.Spec.ID {
+		t.Fatalf("born task's return: %+v %v", info, ok)
+	}
+
 	// Events, telemetry.
 	api.LogEvent(types.Event{Kind: "custom", Node: n})
 	if !slices.ContainsFunc(api.Events(), func(ev types.Event) bool { return ev.Kind == "custom" }) {

@@ -178,9 +178,9 @@ var (
 		seq, ok := s.ClaimTaskOp(r.ID, r.From, r.To, r.Owner, r.Op)
 		return claimTaskResp{Seq: seq, OK: ok}
 	}}
-	rpcModifyTaskStates = rpc[types.TaskLedgerBatch, bool]{"gcs.modifyTaskStates", ack(func(s *Store, r types.TaskLedgerBatch) {
-		s.ModifyTaskStates(r.Node, r.Deltas, r.Op)
-	})}
+	rpcModifyTaskStates = rpc[types.TaskLedgerBatch, taskIDsReq]{"gcs.modifyTaskStates", func(s *Store, r types.TaskLedgerBatch) taskIDsReq {
+		return taskIDsReq{IDs: s.modifyTaskStates(r.Deltas, r.Op)}
+	}}
 	rpcTasks = rpc[TaskFilter, []types.TaskState]{"gcs.tasks", func(s *Store, f TaskFilter) []types.TaskState {
 		tasks, _ := s.ScanTasks(f)
 		return tasks

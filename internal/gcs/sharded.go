@@ -466,16 +466,46 @@ func (s *Sharded) ClaimTask(id types.TaskID, from []types.TaskStatus, to types.T
 // the shard owning each task record. Every partition carries the caller's
 // token (dedup is recorded per task), and a shard unreachable past the
 // retry window contributes its whole partition to the failed set so the
-// owner requeues those deltas under the same token.
+// owner requeues those deltas under the same token. The births a shard
+// took then get their return objects' producer edges, partitioned by the
+// objects' shards; a birth whose edges did not all land is reported with
+// the failed, and its redelivery, which its token makes a no-op on the
+// task's shard, ensures them again. A birth that did not land ensures
+// nothing.
 func (s *Sharded) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
 	rest := partition(s, rpcModifyTaskStates, deltas,
 		func(d types.TaskStateDelta) string { return TaskKey(d.ID) },
 		func(part []types.TaskStateDelta) types.TaskLedgerBatch {
 			return types.TaskLedgerBatch{Node: node, Deltas: part, Op: op}
-		}, nil)
-	var failed []types.TaskID
+		}, func(r taskIDsReq) []types.TaskStateDelta {
+			refused := make([]types.TaskStateDelta, len(r.IDs))
+			for i, id := range r.IDs {
+				refused[i].ID = id
+			}
+			return refused
+		})
+	failed := make([]types.TaskID, 0, len(rest))
 	for _, d := range rest {
 		failed = append(failed, d.ID)
+	}
+	var edges map[types.ObjectID]types.TaskID
+	for i := range deltas {
+		if spec := deltas[i].Spec; spec != nil && !slices.Contains(failed, spec.ID) {
+			if edges == nil {
+				edges = make(map[types.ObjectID]types.TaskID)
+			}
+			for r := 0; r < spec.NumReturns; r++ {
+				edges[spec.ReturnID(r)] = spec.ID
+			}
+		}
+	}
+	for _, id := range s.EnsureObjects(edges) {
+		if !slices.Contains(failed, edges[id]) {
+			failed = append(failed, edges[id])
+		}
+	}
+	if len(failed) == 0 {
+		return nil
 	}
 	return failed
 }

@@ -268,13 +268,62 @@ func (s *Store) ClaimTaskOp(id types.TaskID, from []types.TaskStatus, to types.T
 // ModifyTaskStates implements API: one owner's task-ledger flush. Each
 // delta is the owner's full latest view of a task's mutable state, applied
 // under the batch's idempotency token; per-record owner/seq guards consume
-// (rather than fail) deltas whose authority has moved on. The in-process
-// store is always fully reachable, so this never reports failures.
+// (rather than fail) deltas whose authority has moved on. Births insert
+// their records, and every birth's return objects get their producer edge.
+// The in-process store is always fully reachable, so what it reports is
+// only the births that found a record already there.
 func (s *Store) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
+	refused := s.modifyTaskStates(deltas, op)
 	for i := range deltas {
-		s.applyTaskDelta(&deltas[i], op)
+		if spec := deltas[i].Spec; spec != nil {
+			for r := 0; r < spec.NumReturns; r++ {
+				s.EnsureObject(spec.ReturnID(r), spec.ID)
+			}
+		}
 	}
-	return nil
+	return refused
+}
+
+// modifyTaskStates is ModifyTaskStates on this store's task table alone —
+// the producer edges of the births are the caller's, since in a sharded
+// control plane the return objects' records live on other shards. It
+// returns the births that found a record already there.
+func (s *Store) modifyTaskStates(deltas []types.TaskStateDelta, op uint64) (refused []types.TaskID) {
+	for i := range deltas {
+		if deltas[i].Spec == nil {
+			s.applyTaskDelta(&deltas[i], op)
+		} else if !s.applyBirth(&deltas[i], op) {
+			refused = append(refused, deltas[i].ID)
+		}
+	}
+	return refused
+}
+
+// applyBirth inserts a birth's record unless the table holds one. A birth
+// redelivered under its token finds its own record and counts as applied;
+// like every touch, any duplicate re-derives the PENDING marker.
+func (s *Store) applyBirth(d *types.TaskStateDelta, op uint64) bool {
+	at := d.SubmittedNs
+	if at <= 0 {
+		at = s.NowNs()
+	}
+	own := false
+	added, _ := s.tasks.mutate(d.ID, upsert, func(st *types.TaskState, exists bool) bool {
+		if exists {
+			own = st.MutOps.Seen(op)
+			return false
+		}
+		*st = types.TaskState{
+			Spec: d.Spec.Clone(), Status: d.Status, Node: d.Node,
+			SubmittedNs: at, LastTransitionNs: at, Owner: d.Owner, OwnerSeq: d.Seq,
+		}
+		st.MutOps.Record(op, refOpHistory)
+		return true
+	})
+	if added {
+		s.logEvent(types.Event{Kind: "submit", Task: d.ID, Node: d.Node})
+	}
+	return added || own
 }
 
 // applyTaskDelta applies one ledger delta to the follower record. Mirrors

@@ -14,10 +14,11 @@ import (
 )
 
 // callCounter is a control plane that counts the calls the two ledgers
-// flush through.
+// flush through; births counts the ModifyTaskStates calls that carry one,
+// states the others.
 type callCounter struct {
 	*gcs.Store
-	refs, states, ensures, pins atomic.Int64
+	refs, states, ensures, pins, births atomic.Int64
 }
 
 func (c *callCounter) ModifyObjectRefCounts(node types.NodeID, deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
@@ -26,7 +27,11 @@ func (c *callCounter) ModifyObjectRefCounts(node types.NodeID, deltas map[types.
 }
 
 func (c *callCounter) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
-	c.states.Add(1)
+	if slices.ContainsFunc(deltas, func(d types.TaskStateDelta) bool { return d.Spec != nil }) {
+		c.births.Add(1)
+	} else {
+		c.states.Add(1)
+	}
 	return c.Store.ModifyTaskStates(node, deltas, op)
 }
 
@@ -63,6 +68,29 @@ func ledgerWorkload(ctrl *callCounter, tr *Tracker, led *TaskLedger) {
 		led.EnsureLineage(task, types.ObjectIDForReturn(task, 0))
 		led.PinLineage(task, obj(i))
 	}
+}
+
+// birthWorkload gives led 100 tasks born under one driver root, each with
+// one return and one by-reference argument, and makes each finish: three
+// transitions. It returns their specs.
+func birthWorkload(t *testing.T, led *TaskLedger) []types.TaskSpec {
+	root := types.DeriveTaskID(types.NilTaskID, 3000)
+	led.Root(root)
+	specs := make([]types.TaskSpec, 100)
+	for i := range specs {
+		idx := uint64(i + 1)
+		specs[i] = types.TaskSpec{
+			ID: types.DeriveTaskID(root, idx), Function: "f", NumReturns: 1,
+			Parent: root, SubmitIndex: idx, Args: []types.Arg{types.RefArg(sweepObjID(byte(1 + i%50)))},
+		}
+		if adopted, fresh := led.Birth(specs[i]); !adopted || !fresh {
+			t.Fatalf("birth %d: adopted %v, fresh %v", i, adopted, fresh)
+		}
+		for _, s := range []types.TaskStatus{types.TaskQueued, types.TaskRunning, types.TaskFinished} {
+			led.Transition(specs[i].ID, s, types.WorkerID{}, "")
+		}
+	}
+	return specs
 }
 
 func newCountedLedgers() (*callCounter, *Tracker, *TaskLedger) {
@@ -102,6 +130,41 @@ func TestLedgerFlushBudget(t *testing.T) {
 		ledgerWorkload(ctrl, tr, led)
 		if got := ctrl.counts(); got != [4]int64{200, 300, 100, 100} {
 			t.Fatalf("unstarted ledgers made refs, states, ensures, pins = %v calls, want one per mutation (200, 300, 100, 100)", got)
+		}
+	})
+
+	// Births: a task born in the ledger reaches the table in the flush — one
+	// births-carrying ModifyTaskStates ahead of the pins and the deltas —
+	// with its return's producer edge derived from it, so no EnsureObjects.
+	// Unstarted, each birth is one write of its own.
+	t.Run("births", func(t *testing.T) {
+		for _, batched := range []bool{true, false} {
+			ctrl, _, led := newCountedLedgers()
+			led.async = batched
+			specs := birthWorkload(t, led)
+			want := [4]int64{100, 300, 0, 100} // births, states, ensures, pins
+			if batched {
+				if got := ctrl.births.Load() + ctrl.states.Load(); got != 0 {
+					t.Fatalf("batched births reached the control plane: %d calls", got)
+				}
+				if !led.Flush() {
+					t.Fatal("the flush did not drain")
+				}
+				want = [4]int64{1, 1, 0, 1}
+			}
+			got := [4]int64{ctrl.births.Load(), ctrl.states.Load(), ctrl.ensures.Load(), ctrl.pins.Load()}
+			if got != want {
+				t.Fatalf("batched=%v: births, states, ensures, pins = %v calls, want %v", batched, got, want)
+			}
+			for _, spec := range specs {
+				st, ok := ctrl.GetTask(spec.ID)
+				if !ok || st.Status != types.TaskFinished || st.Owner != led.Node() || st.Spec.Function != "f" {
+					t.Fatalf("batched=%v: record of %v: %+v, %v", batched, spec.ID, st, ok)
+				}
+				if info, ok := ctrl.GetObject(spec.ReturnID(0)); !ok || info.Producer != spec.ID {
+					t.Fatalf("batched=%v: return of %v: %+v, %v", batched, spec.ID, info, ok)
+				}
+			}
 		}
 	})
 

@@ -19,9 +19,9 @@ func New(ctrl gcs.API, node types.NodeID) *lifetime.TaskLedger {
 }
 
 // Admit records spec as a task born on led's node, the way Local.Submit
-// admits one: the AddTask names the owner and the ledger adopts the tenure.
-// For tests that hand a task straight to an executor or to Local.Enqueue.
-func Admit(ctrl gcs.API, led *lifetime.TaskLedger, spec types.TaskSpec) {
-	ctrl.AddTask(types.TaskState{Spec: spec, Status: types.TaskPending, Node: led.Node(), Owner: led.Node()})
-	led.Adopt(spec.ID, 0, types.TaskPending)
+// admits one: the ledger adopts it and, never started, writes its birth
+// inline. For tests that hand a task straight to an executor or to
+// Local.Enqueue.
+func Admit(led *lifetime.TaskLedger, spec types.TaskSpec) {
+	led.Birth(spec)
 }

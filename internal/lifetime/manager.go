@@ -35,6 +35,9 @@ type Manager struct {
 	ctrl    gcs.API
 	store   *objectstore.Store
 	tracker *Tracker
+	// tasks, when set, is the node's task ledger: no object drained after
+	// the oldest birth it still owes is proposed (see RetireDue).
+	tasks *TaskLedger
 
 	sub      gcs.Sub
 	stop     chan struct{}
@@ -112,13 +115,55 @@ func (m *Manager) Proposals() (queued int, oldest time.Duration) {
 	return queued, oldest
 }
 
+// SetTaskLedger makes proposals wait for the births tasks owes. Call before
+// Start.
+func (m *Manager) SetTaskLedger(tasks *TaskLedger) { m.tasks = tasks }
+
 // RetireDue hands every proposal a grace old at now (twice that for a
-// second attempt) to the control plane's Retire in one batch. The tracker's
-// flusher calls it each tick; tests call it with a later now.
+// second attempt) to the control plane's Retire in one batch; tests and
+// tools call it, with a later now to skip the grace. It first lands the
+// births the task ledger owes, waiting for a flush in progress, so a task
+// born here that finished and was read is in the table before anything
+// reads the table's absence as retirement. The tracker's flusher runs the
+// same pass each tick without that wait (retireDue): the task ledger's own
+// flusher lands births within an interval, and the tick must not stall on
+// a shard that does not answer.
 func (m *Manager) RetireDue(now time.Time) gcs.Retired {
+	if m.tasks != nil {
+		m.tasks.landBirths()
+	}
+	return m.retireDue(now)
+}
+
+// retireDue is RetireDue without landing the owed births.
+//
+// An object drained after the oldest birth the task ledger still owes
+// waits: its producer may be that task, whose record — and with it the
+// object's producer edge — is not in the table yet. Retiring the object
+// first would leave the birth to write a record, and recreate an object
+// record, that nothing proposes again.
+func (m *Manager) retireDue(now time.Time) gcs.Retired {
+	cut, again := now.Add(-reclaimGrace), now.Add(-2*reclaimGrace)
 	m.pmu.Lock()
-	first := takeDue(&m.drained, now.Add(-reclaimGrace))
-	second := takeDue(&m.again, now.Add(-2*reclaimGrace))
+	due := len(m.drained) > 0 && !m.drained[0].at.After(cut) || len(m.again) > 0 && !m.again[0].at.After(again)
+	m.pmu.Unlock()
+	if !due {
+		return gcs.Retired{}
+	}
+	if m.tasks != nil {
+		if born, ok := m.tasks.oldestBirth(); ok {
+			born = born.Add(-time.Nanosecond)
+			if born.Before(cut) {
+				cut = born
+			}
+			if born.Before(again) {
+				again = born
+			}
+		}
+	}
+	m.pmu.Lock()
+	first := takeDue(&m.drained, cut)
+	second := takeDue(&m.again, again)
 	m.pmu.Unlock()
 	if len(first)+len(second) == 0 {
 		return gcs.Retired{}
@@ -200,7 +245,7 @@ func (m *Manager) Referenced(id types.ObjectID) bool {
 // ledger mode attributed to this node, and launches the collection loop.
 func (m *Manager) Start() {
 	m.tracker.SetNode(m.store.Node())
-	m.tracker.onTick = func() { m.RetireDue(time.Now()) }
+	m.tracker.onTick = func() { m.retireDue(time.Now()) }
 	m.tracker.Start()
 	m.sub = m.ctrl.Subscribe(gcs.TopicObjectGC, types.NilObjectID)
 	m.wg.Add(1)

@@ -222,6 +222,7 @@ func New(cfg Config) (*Node, error) {
 	n.taskled = lifetime.NewTaskLedger(cfg.Ctrl)
 	n.taskled.SetNode(id)
 	n.taskled.SetMetrics(n.reg)
+	n.life.SetTaskLedger(n.taskled)
 	// Per-submit job admission (DESIGN.md §14). The TTL cache amortizes the
 	// job-record read and quota usage scan across a burst of submissions.
 	n.admit = jobs.NewAdmission(cfg.Ctrl, 0)
@@ -547,6 +548,15 @@ func (n *Node) NodeID() types.NodeID { return n.id }
 // node owns resolve from the in-process ledger's state events instead of
 // per-object control-plane subscriptions (DESIGN.md §13).
 func (n *Node) OwnsTask(id types.TaskID) bool { return n.taskled.Owns(id) }
+
+// OwnRoot implements core.TaskOwner (lifetime.TaskLedger.Root).
+func (n *Node) OwnRoot(root types.TaskID) { n.taskled.Root(root) }
+
+// LandBirths implements core.TaskOwner (lifetime.TaskLedger.LandBirths).
+func (n *Node) LandBirths(tasks ...types.TaskID) { n.taskled.LandBirths(tasks...) }
+
+// TaskFlushes implements core.TaskOwner (lifetime.TaskLedger.Flushes).
+func (n *Node) TaskFlushes() uint64 { return n.taskled.Flushes() }
 
 // NotifyTaskEnd implements core.TaskOwner (lifetime.TaskLedger.Notify).
 func (n *Node) NotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID) {

@@ -47,7 +47,7 @@ func TestFailTaskReadsOwnersView(t *testing.T) {
 	// says PENDING when FailTask runs.
 	stale := func(i uint64, stamps ...types.TaskStatus) types.TaskSpec {
 		spec := tSpec(i, nil)
-		ledgertest.Admit(ctrl, led, spec)
+		ledgertest.Admit(led, spec)
 		park.held.Store(true)
 		for _, s := range stamps {
 			led.Transition(spec.ID, s, types.NilWorkerID, "")

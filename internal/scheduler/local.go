@@ -48,24 +48,24 @@ type RefLedger interface {
 // the node that submits (or claims) a task stamps every lifecycle
 // transition into an in-process ledger, flushed to the GCS task table as
 // batched sequenced deltas. lifetime.TaskLedger is the production
-// implementation. Adopt seeds a tenure (after the one synchronous AddTask
-// or ClaimTask that establishes it), Transition stamps a state change
-// without a control-plane round trip, EnsureLineage records return-object
-// producer edges and PinLineage the record's hold on its by-reference
-// arguments' records to ride the same flush, Disown drops local authority
-// when the task leaves this node, and Flush forces the happens-before
-// edge on every handoff another node may act on.
+// implementation. Birth adopts a task born here, whose record the ledger's
+// next flush writes, Adopt seeds the tenure a ClaimTask established,
+// Transition stamps a state change without a control-plane round trip,
+// Disown drops local authority when the task leaves this node, and Flush
+// forces the happens-before edge on every handoff another node may act on.
 type TaskLedger interface {
+	Birth(spec types.TaskSpec) (adopted, fresh bool)
 	Adopt(id types.TaskID, baseSeq uint64, status types.TaskStatus)
 	Transition(id types.TaskID, status types.TaskStatus, worker types.WorkerID, errMsg string) bool
-	EnsureLineage(producer types.TaskID, returns ...types.ObjectID)
-	PinLineage(task types.TaskID, args ...types.ObjectID)
 	Disown(id types.TaskID)
 	Owns(id types.TaskID) bool
 	Flush() bool
-	// FlushTask forces the happens-before edge for ONE task's handoff
-	// without draining the whole ledger inline on the spill path.
-	FlushTask(id types.TaskID)
+	// FlushTask forces the happens-before edge for ONE task's handoff —
+	// its birth and those the ledger owes besides, then its own state —
+	// without draining the whole ledger inline on the spill path. It
+	// reports whether the table held the task's record before this node's
+	// birth of it.
+	FlushTask(id types.TaskID) (held bool)
 }
 
 // ErrStopped is returned for submissions to a stopped scheduler.
@@ -374,12 +374,15 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 	l.submitted.Add(1)
 	l.obs.submitted.Inc()
 
-	fresh := l.record(spec, placed)
 	if placed {
 		// A draining node admits nothing: refuse before the ownership claim
 		// so the global scheduler parks the task and re-places it on a node
-		// that is still Active (the task stays PENDING, unowned).
+		// that is still Active (the task stays PENDING, and no ledger here
+		// speaks for it).
 		if l.draining.Load() {
+			if l.record(spec, false) {
+				l.cfg.Ledger.Disown(spec.ID)
+			}
 			return ErrDraining
 		}
 		// A global-scheduler assignment. Several global schedulers may each
@@ -387,36 +390,33 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 		// Section 3.2); the QUEUED claim below makes exactly one
 		// destination own it. The claim also opens this node's ownership
 		// tenure: the returned sequence is the fence base every ledger delta
-		// for this task must exceed.
-		seq, ok := l.cfg.Ctrl.ClaimTask(spec.ID, []types.TaskStatus{types.TaskPending}, types.TaskQueued, l.cfg.Node)
+		// for this task must exceed. A placement whose task has no record
+		// yet is born here first and claimed again.
+		claim := func() (uint64, bool) {
+			return l.cfg.Ctrl.ClaimTask(spec.ID, []types.TaskStatus{types.TaskPending}, types.TaskQueued, l.cfg.Node)
+		}
+		seq, ok := claim()
 		if !ok {
-			return nil
+			if !l.record(spec, false) {
+				return nil // the record is another's, and so was the claim
+			}
+			if seq, ok = claim(); !ok {
+				l.cfg.Ledger.Disown(spec.ID) // the record this call wrote went to another claim
+				return nil
+			}
 		}
 		l.cfg.Ledger.Adopt(spec.ID, seq, types.TaskQueued)
 		l.enqueue(spec)
 		return nil
 	}
-	if !fresh && !l.shouldRerun(spec) {
+	// A spilled task's birth lands in its bridge's flush, ahead of the
+	// publish.
+	spill := l.spills(spec, backlog)
+	if added := l.record(spec, spill || l.startsNow(spec, backlog)); !added && !l.shouldRerun(spec) {
 		// Already known to the control plane: either in flight elsewhere or
 		// finished with intact outputs (replayed submission, results
 		// reusable outright). Only the CAS winner re-runs.
 		return nil
-	}
-
-	// Grouped tasks run only where their bundle reservation lives: born on
-	// the holder they enqueue directly, anywhere else they spill so the
-	// gang-aware global scheduler routes them (Section 3.2.2's spillover,
-	// reused as the placement-group routing fabric). A soft locality hint
-	// naming another node spills for the same reason — the hint is only
-	// meaningful with the global view.
-	spill := l.draining.Load()
-	if spec.InGroup() {
-		spill = spill || l.poolFor(spec) == l.res
-	} else {
-		localityElsewhere := !spec.Locality.IsNil() && spec.Locality != l.cfg.Node
-		infeasible := !spec.Resources.FeasibleOn(l.cfg.Total)
-		overloaded := l.cfg.SpillThreshold >= 0 && backlog >= l.cfg.SpillThreshold
-		spill = spill || infeasible || overloaded || localityElsewhere
 	}
 	if spill {
 		l.bridgeSpill(spec)
@@ -425,6 +425,26 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 		l.enqueue(spec)
 	}
 	return nil
+}
+
+// spills is the spillover decision for a task born here. Grouped tasks run
+// only where their bundle reservation lives: born on the holder they
+// enqueue directly, anywhere else they spill so the gang-aware global
+// scheduler routes them (Section 3.2.2's spillover, reused as the
+// placement-group routing fabric). A soft locality hint naming another node
+// spills for the same reason — the hint is only meaningful with the global
+// view.
+func (l *Local) spills(spec types.TaskSpec, backlog int) bool {
+	if l.draining.Load() {
+		return true
+	}
+	if spec.InGroup() {
+		return l.poolFor(spec) == l.res
+	}
+	localityElsewhere := !spec.Locality.IsNil() && spec.Locality != l.cfg.Node
+	infeasible := !spec.Resources.FeasibleOn(l.cfg.Total)
+	overloaded := l.cfg.SpillThreshold >= 0 && backlog >= l.cfg.SpillThreshold
+	return infeasible || overloaded || localityElsewhere
 }
 
 // bridgeSpill holds a borrow on a spilled task's dependencies while the
@@ -436,13 +456,15 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 // transition) or a terminal state; an unplaceable task keeps its bridge,
 // which is the conservative direction (leak, never lose a live argument).
 func (l *Local) bridgeSpill(spec types.TaskSpec) {
-	// Flush-before-handoff for task state: the spilled task's lineage
-	// ensures and latest stamped state must be in the follower table before
+	// Flush-before-handoff for task state: the spilled task's record, its
+	// lineage and latest stamped state must be in the follower table before
 	// another node can act on the spill, and local authority drops — whoever
-	// claims the task next owns its lifecycle. Only THIS task's unflushed
-	// state matters for the handoff; a full ledger flush here would
-	// serialize every spill behind the whole dirty set (a per-task sync
-	// round trip on the submit path).
+	// claims the task next owns its lifecycle. So must the records of the
+	// tasks born here whose returns it takes as arguments: FlushTask writes
+	// every owed birth. Only THIS task's other unflushed state matters for
+	// the handoff; a full ledger flush here would serialize every spill
+	// behind the whole dirty set (a per-task sync round trip on the submit
+	// path).
 	l.cfg.Ledger.FlushTask(spec.ID)
 	l.cfg.Ledger.Disown(spec.ID)
 	if l.cfg.Refs == nil {
@@ -469,12 +491,18 @@ func (l *Local) releaseBridge(task types.TaskID, deps []types.ObjectID) {
 	poll := time.NewTicker(pollPeriod)
 	defer poll.Stop()
 	for {
-		if st, ok := l.cfg.Ctrl.GetTask(task); ok {
+		st, ok := l.cfg.Ctrl.GetTask(task)
+		if ok {
 			switch st.Status {
 			case types.TaskScheduled, types.TaskRunning, types.TaskFinished, types.TaskLost, types.TaskFailed:
 				l.cfg.Refs.Release(deps...)
 				return
 			}
+		} else if p, probes := l.cfg.Ctrl.(gcs.Pinger); !probes || p.Ping() {
+			// The spill landed the task's record, so a record the table
+			// no longer holds was retired or purged: the task is over.
+			l.cfg.Refs.Release(deps...)
+			return
 		}
 		select {
 		case <-sub.C():
@@ -564,40 +592,46 @@ func (l *Local) publishSpill(spec types.TaskSpec) {
 // node itself as the tasks' API backend.)
 func (l *Local) SetExec(fn ExecFunc) { l.cfg.Exec = fn }
 
-// record writes the lineage record; reports whether the task is new.
-// The lineage ensure runs unconditionally (it is create-or-heal): a
-// duplicate AddTask can be a retry whose original ack died with a
-// control-plane shard between the task write and the object writes, and
-// skipping the ensure would leave return objects without their Producer
-// edge — losing lineage reconstructability for anything this task outputs.
+// record adopts the task into the ledger as born here and reports whether
+// it is new to the control plane. The record itself — the lineage, with the
+// return objects' producer edges derived from it — is the ledger's birth.
+// A task whose ID is provably new (Birth) leaves its birth to a later flush
+// when lazy is set — it starts at once, or spills and its bridge flushes
+// the birth — so such a task pays no control-plane write at admission.
+// Any other submission flushes its birth at once: it may duplicate a
+// record (a replay, a retry's children, a fixed driver root, a placement),
+// and the birth reports whether the table held one, which is the dedupe.
+// So does a task of a job, since admission's usage scan counts the job's
+// records, and a task that has to wait here: its owner may die while it
+// waits, and the owner-death transfer re-places only what the table holds.
 //
-// This AddTask is one of the TWO synchronous control-plane writes a
-// locally-born task pays: this one at admission, and its return Put's
-// AddObjectLocation, which objectstore.Store.Put drains on the executor's
-// goroutine (ROADMAP.md item 2 moves both into the ledger's batched flush).
-// The task is owned from birth, and its return-object producer edges ride
-// that flush already instead of one ensure round trip per return.
-func (l *Local) record(spec types.TaskSpec, placed bool) bool {
-	st := types.TaskState{Spec: spec, Status: types.TaskPending, Node: l.cfg.Node}
-	if !placed {
-		st.Owner = l.cfg.Node // born here: owned from birth (§13)
+// One synchronous write remains on a local task's path: its return Put's
+// AddObjectLocation, which objectstore.Store.Put makes after waking the
+// local waiters. It stays eager because a reader on another node finds a
+// result only through the object table; a lazy location would need an
+// escape protocol for every such reader.
+func (l *Local) record(spec types.TaskSpec, lazy bool) bool {
+	adopted, fresh := l.cfg.Ledger.Birth(spec)
+	if fresh && lazy && spec.Job.IsNil() {
+		return true
 	}
-	added := l.cfg.Ctrl.AddTask(st)
-	if added && !placed {
-		l.cfg.Ledger.Adopt(spec.ID, 0, types.TaskPending)
+	held := l.cfg.Ledger.FlushTask(spec.ID)
+	return adopted && !held
+}
+
+// startsNow reports whether spec, admitted now behind backlog runnable
+// tasks, would start at once: nothing ahead of it, its demand available,
+// its arguments here.
+func (l *Local) startsNow(spec types.TaskSpec, backlog int) bool {
+	if backlog > 0 || !l.poolFor(spec).fits(spec.Resources) {
+		return false
 	}
-	if added {
-		// The record now in the table takes these objects by reference;
-		// whoever removes it drops the pins (DESIGN.md §17). Exactly once:
-		// a duplicate AddTask inserted nothing and pins nothing.
-		l.cfg.Ledger.PinLineage(spec.ID, spec.DistinctDeps()...)
+	for _, a := range spec.Args {
+		if a.IsRef && !l.cfg.Store.Contains(a.Ref) {
+			return false
+		}
 	}
-	returns := make([]types.ObjectID, spec.NumReturns)
-	for i := range returns {
-		returns[i] = spec.ReturnID(i)
-	}
-	l.cfg.Ledger.EnsureLineage(spec.ID, returns...)
-	return added
+	return true
 }
 
 // claimPending re-owns a stale task for this node (the steal paths of

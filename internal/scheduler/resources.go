@@ -51,6 +51,13 @@ func (p *resourcePool) tryAcquire(r types.Resources) bool {
 	return true
 }
 
+// fits reports whether r is available now, without taking it.
+func (p *resourcePool) fits(r types.Resources) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return !p.closed && r.Fits(p.avail)
+}
+
 // acquireBlocking waits until r is available, stop closes, or the
 // optional timeout elapses (0 = wait forever); reports whether the
 // acquisition happened. Used when a blocked task reclaims its lent

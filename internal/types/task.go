@@ -67,6 +67,12 @@ type TaskSpec struct {
 	// record, so on a replay it may name a node that has since died; nil
 	// (specs recorded before the field existed) means no delivery.
 	Origin NodeID
+
+	// returns caches the return IDs CacheReturns derived, so the submitter,
+	// the control plane's birth and the executor do not hash them again. It
+	// travels with in-process copies of the spec and is never encoded: a
+	// decoded spec derives its IDs afresh.
+	returns []ObjectID
 }
 
 // Clone returns a deep copy: no slice or map is shared with s.
@@ -88,7 +94,24 @@ func (s *TaskSpec) ReturnID(i int) ObjectID {
 	if i < 0 || i >= s.NumReturns {
 		panic(fmt.Sprintf("types: return index %d out of range [0,%d)", i, s.NumReturns))
 	}
+	if len(s.returns) == s.NumReturns {
+		return s.returns[i]
+	}
 	return ObjectIDForReturn(s.ID, i)
+}
+
+// CacheReturns derives the spec's return IDs once and keeps them on s, so
+// ReturnID on s and on every later copy of it reads them instead of hashing.
+// The submitter calls it while the spec is still its own; the result is
+// shared by the copies and must not be modified.
+func (s *TaskSpec) CacheReturns() []ObjectID {
+	if len(s.returns) != s.NumReturns {
+		s.returns = make([]ObjectID, s.NumReturns)
+		for i := range s.returns {
+			s.returns[i] = ObjectIDForReturn(s.ID, i)
+		}
+	}
+	return s.returns
 }
 
 // Deps returns the object IDs this task depends on (its reference args).
@@ -191,10 +214,10 @@ type TaskState struct {
 	MutOps OpRing
 	// Owner is the node whose task ledger holds authority over this record
 	// (DESIGN.md §13): transitions arrive as batched async deltas from the
-	// owner, and the table is a follower. Set by AddTask to the submitting
-	// node, transferred by the placed-claim CAS, and cleared (nil) when the
-	// task sits unowned in the global spill queue or after an owner-death
-	// transfer.
+	// owner, and the table is a follower. Set by the task's birth to the
+	// submitting node, transferred by the placed-claim CAS, and cleared
+	// (nil) when the task sits unowned in the global spill queue or after an
+	// owner-death transfer.
 	Owner NodeID
 	// OwnerSeq is the owner's per-task transition sequence number last
 	// applied to this record. A delta applies only if it carries the
@@ -218,10 +241,16 @@ func (t *TaskState) Clone() TaskState {
 // coalesced inside one flush interval (QUEUED→SCHEDULED→RUNNING→FINISHED
 // for a sub-millisecond task) land as a single delta, and redelivery under
 // the batch token is naturally idempotent.
+//
+// A delta that carries Spec is a birth instead: the owner's first write of
+// a task born on its node, which inserts the record (PENDING, Owner and
+// OwnerSeq as given) if the table holds none and derives the return
+// objects' producer edges from the spec.
 type TaskStateDelta struct {
 	ID    TaskID
 	Owner NodeID // the ledger's node; must match the record's Owner to apply
 	Seq   uint64 // owner's transition sequence; must exceed the record's OwnerSeq
+	Spec  *TaskSpec
 
 	Status  TaskStatus
 	Node    NodeID

@@ -80,7 +80,7 @@ func setup(t *testing.T, hooks Hooks) (*Executor, *stubBackend, *core.Registry) 
 	return ex, b, reg
 }
 
-func (s *stubBackend) admit(spec types.TaskSpec) { ledgertest.Admit(s.ctrl, s.led, spec) }
+func (s *stubBackend) admit(spec types.TaskSpec) { ledgertest.Admit(s.led, spec) }
 
 func TestExecuteStoresReturnsAndStatus(t *testing.T) {
 	ex, b, reg := setup(t, Hooks{})
