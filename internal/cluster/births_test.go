@@ -18,13 +18,16 @@ import (
 )
 
 // ctrlProbe wraps one node's control plane. It counts every call made on a
-// driver's submit path, the births-carrying ModifyTaskStates calls and the
-// EnsureObjects calls, and while held it blocks the task ledger's flush
+// driver's submit path, the births-carrying ModifyTaskStates calls, the
+// EnsureObjects calls and the location calls, and while held it blocks the
+// task ledger's flush
 // calls (ModifyTaskStates, EnsureObjects, PinObjects) — and, if asked, the
 // reference ledger's (ModifyObjectRefCounts) — until released.
 type ctrlProbe struct {
 	gcs.API
 	onSubmit, births, ensures atomic.Int64
+	// adds and removes count the location calls.
+	adds, removes atomic.Int64
 
 	mu       sync.Mutex
 	hold     chan struct{}
@@ -147,11 +150,13 @@ func (p *ctrlProbe) StalePendingTasks(olderThanNs int64) []types.TaskSpec {
 
 func (p *ctrlProbe) AddObjectLocation(id types.ObjectID, node types.NodeID, size int64) {
 	p.call()
+	p.adds.Add(1)
 	p.API.AddObjectLocation(id, node, size)
 }
 
 func (p *ctrlProbe) RemoveObjectLocation(id types.ObjectID, node types.NodeID) {
 	p.call()
+	p.removes.Add(1)
 	p.API.RemoveObjectLocation(id, node)
 }
 

@@ -157,6 +157,11 @@ func TestJobIsolationLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The stamps ride each executing node's batched ledger flush: land them
+	// before reading.
+	for i := 0; i < c.NumNodes(); i++ {
+		c.Node(i).TaskLedger().Flush()
+	}
 
 	var allSubmitted int64
 	tasks, _ := c.API.ScanTasks(gcs.TaskFilter{Job: victim.ID})

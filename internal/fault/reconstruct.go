@@ -154,7 +154,7 @@ func (r *Reconstructor) RequestReturn(id types.ObjectID, task types.TaskID) erro
 	if info.Producer.IsNil() {
 		// No lineage edge. Transient under owner-based lineage (DESIGN.md
 		// §13) — the record was created by a refcount flush and the owner's
-		// EnsureObjects delta is still in flight — unless no task returns
+		// birth of its producer is still in flight — unless no task returns
 		// the object at all: then it is a Put whose copies are gone, or, if
 		// it never had a copy, something retired.
 		st, found := r.producerOf(id, task)

@@ -52,7 +52,7 @@ const (
 	holdLocated
 	holdPinned
 	// holdUnproduced: no producer edge and no bytes yet — a record a
-	// reference flush created ahead of the lineage ensure, or recreated
+	// reference flush created ahead of its producer's birth, or recreated
 	// after a retire. Not a Put (born with its copy), so not for this call.
 	holdUnproduced
 )

@@ -594,9 +594,8 @@ func (s *Store) applyRefDelta(holder types.NodeID, id types.ObjectID, delta int6
 
 // PinObjects implements API: one batch of lineage-pin deltas under one
 // token, recorded per object like a reference flush's. A pin may reach the
-// table before the record it pins (the owner's lineage ensure rides the
-// same flush), so a positive delta starts a missing record; an unpin never
-// does. The in-process store cannot fail partially.
+// table before the record it pins, so a positive delta starts a missing
+// record; an unpin never does. The in-process store cannot fail partially.
 func (s *Store) PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
 	for id, delta := range deltas {
 		m := existing

@@ -11,18 +11,22 @@ import (
 // TestWALSizeTriggeredCheckpoint churns mutations through a supervised
 // shard with a small checkpoint threshold and asserts the WAL stays
 // bounded: size-triggered checkpoints must keep recovery replay cost
-// proportional to the threshold, not to uptime. Durability is re-verified
-// by a kill+restart after the churn — the snapshot the checkpoints wrote
-// (plus whatever WAL tail remains) must reproduce the final state.
+// proportional to the threshold, not to uptime. The test runs the
+// supervision pass itself after every round of mutations, so the bound is
+// exact: one round past the threshold. Durability is re-verified by a
+// kill+restart after the churn — the snapshot the checkpoints wrote (plus
+// whatever WAL tail remains) must reproduce the final state.
 func TestWALSizeTriggeredCheckpoint(t *testing.T) {
 	const threshold = 8 << 10 // 8 KiB: small enough that churn crosses it many times
 	nw := transport.NewInproc(0)
 	sup, err := NewSupervisor(SupervisorConfig{
-		Shards:             1,
-		Network:            nw,
-		MapAddr:            "gcs",
-		DataDir:            t.TempDir(),
-		AutoRestart:        5 * time.Millisecond,
+		Shards:  1,
+		Network: nw,
+		MapAddr: "gcs",
+		DataDir: t.TempDir(),
+		// The ticker never fires during the test: the passes below are the
+		// only ones.
+		AutoRestart:        time.Hour,
 		CheckpointWALBytes: threshold,
 	})
 	if err != nil {
@@ -33,9 +37,11 @@ func TestWALSizeTriggeredCheckpoint(t *testing.T) {
 
 	// Churn: job records created and walked through their lifecycle — every
 	// call below is a WAL'd mutation on the single shard.
-	var maxWAL int64
+	var maxWAL, round int64
+	truncations := 0
 	var jobs []types.JobID
 	for i := 0; i < 400; i++ {
+		before := sup.Shard(0).Stats().WALBytes
 		var id types.JobID
 		id[0], id[1], id[2] = byte(i), byte(i>>8), 0x5A
 		if !s.CreateJob(types.JobSpec{ID: id, Name: "churn", Weight: 1}) {
@@ -44,44 +50,30 @@ func TestWALSizeTriggeredCheckpoint(t *testing.T) {
 		jobs = append(jobs, id)
 		s.CASJobState(id, []types.JobState{types.JobRunning}, types.JobStopping)
 		s.CASJobState(id, []types.JobState{types.JobStopping}, types.JobStopped)
-		if w := sup.Shard(0).Stats().WALBytes; w > maxWAL {
-			maxWAL = w
+		w := sup.Shard(0).Stats().WALBytes
+		maxWAL, round = max(maxWAL, w), max(round, w-before)
+		sup.checkpointOversized()
+		if after := sup.Shard(0).Stats().WALBytes; after < w {
+			truncations++
+		} else if w >= threshold {
+			t.Fatalf("round %d: a WAL of %d bytes, over the %d-byte threshold, was not checkpointed", i, w, threshold)
 		}
-		if i%25 == 0 {
-			// Give the supervision tick a chance to observe the growth; the
-			// churn loop alone can outrun a 5ms ticker, and on a loaded
-			// machine the ticker itself can slip.
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	// Let the final tick settle, then sample once more.
-	time.Sleep(50 * time.Millisecond)
-	if w := sup.Shard(0).Stats().WALBytes; w > maxWAL {
-		maxWAL = w
 	}
 
-	// The bound: the WAL may overshoot between ticks, but must never grow
-	// anywhere near the unbounded total (400 creates + 800 CAS transitions
-	// of gob-encoded records — hundreds of KiB without checkpoints). 8x the
-	// threshold allows a full inter-tick burst on a slow CI machine.
-	if maxWAL > 8*threshold {
-		t.Fatalf("WAL grew to %d bytes under churn (threshold %d): checkpoints not bounding it", maxWAL, threshold)
+	// The bound: the WAL never exceeds the threshold by more than one round
+	// of mutations — hundreds of KiB without checkpoints.
+	if maxWAL >= threshold+round {
+		t.Fatalf("WAL grew to %d bytes under churn (threshold %d, one round %d): checkpoints not bounding it", maxWAL, threshold, round)
 	}
-	if sup.Shard(0).Stats().WALBytes >= maxWAL && maxWAL > threshold {
-		// At least one truncation must have happened if the WAL ever crossed
-		// the threshold.
-		t.Fatalf("WAL never truncated: now=%d max=%d", sup.Shard(0).Stats().WALBytes, maxWAL)
+	if truncations == 0 {
+		t.Fatalf("WAL never truncated (max %d bytes)", maxWAL)
 	}
 
-	// Durability across the checkpoints: kill and let the supervisor
-	// restart from snapshot+WAL; every record must survive.
+	// Durability across the checkpoints: kill and restart from
+	// snapshot+WAL; every record must survive.
 	sup.KillShard(0)
-	deadline := time.Now().Add(10 * time.Second)
-	for !sup.Shard(0).Alive() {
-		if time.Now().After(deadline) {
-			t.Fatal("shard never auto-restarted")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := sup.RestartShard(0); err != nil {
+		t.Fatal(err)
 	}
 	if got := len(s.Jobs()); got != len(jobs) {
 		t.Fatalf("job records after restart = %d, want %d", got, len(jobs))

@@ -45,29 +45,19 @@ func (c *callCounter) PinObjects(deltas map[types.ObjectID]int64, op uint64) []t
 	return c.Store.PinObjects(deltas, op)
 }
 
-func (c *callCounter) counts() [4]int64 {
-	return [4]int64{c.refs.Load(), c.states.Load(), c.ensures.Load(), c.pins.Load()}
+// counts reads refs, births, states, ensures and pins.
+func (c *callCounter) counts() [5]int64 {
+	return [5]int64{c.refs.Load(), c.births.Load(), c.states.Load(), c.ensures.Load(), c.pins.Load()}
 }
 
 // ledgerWorkload drives both ledgers: 100 retain/release pairs over 50
-// objects, and 100 task lifecycles — Adopt, three transitions, a lineage
-// edge and a lineage pin each.
-func ledgerWorkload(ctrl *callCounter, tr *Tracker, led *TaskLedger) {
-	obj := func(i int) types.ObjectID { return sweepObjID(byte(1 + i%50)) }
+// objects, and birthWorkload's 100 task lifecycles.
+func ledgerWorkload(t *testing.T, tr *Tracker, led *TaskLedger) {
 	for i := 0; i < 100; i++ {
-		tr.Retain(obj(i))
-		tr.Release(obj(i))
+		tr.Retain(sweepObjID(byte(1 + i%50)))
+		tr.Release(sweepObjID(byte(1 + i%50)))
 	}
-	for i := 0; i < 100; i++ {
-		task := types.DeriveTaskID(types.NilTaskID, uint64(1000+i))
-		ctrl.AddTask(types.TaskState{Spec: types.TaskSpec{ID: task, Function: "f"}, Owner: led.Node()})
-		led.Adopt(task, 0, types.TaskPending)
-		for _, s := range []types.TaskStatus{types.TaskQueued, types.TaskRunning, types.TaskFinished} {
-			led.Transition(task, s, types.WorkerID{}, "")
-		}
-		led.EnsureLineage(task, types.ObjectIDForReturn(task, 0))
-		led.PinLineage(task, obj(i))
-	}
+	birthWorkload(t, led)
 }
 
 // birthWorkload gives led 100 tasks born under one driver root, each with
@@ -102,59 +92,48 @@ func newCountedLedgers() (*callCounter, *Tracker, *TaskLedger) {
 }
 
 // TestLedgerFlushBudget pins what the two ledgers cost the control plane.
-// Batched, a whole workload is one call of each kind; before Start, every
-// mutation is one call; past flushKickThreshold entries of any kind the
-// flusher is kicked; and Start→Stop or Start→Abandon leaves no goroutine
-// behind.
+// A task born in the ledger reaches the table in the flush — one
+// births-carrying ModifyTaskStates ahead of the pins and the deltas — with
+// its return's producer edge derived from it, so no EnsureObjects. Batched,
+// a whole workload is one call of each kind; before Start, every mutation
+// is one call (a birth's own, and its pins'); past flushKickThreshold
+// entries of any kind the flusher is kicked; and Start→Stop or
+// Start→Abandon leaves no goroutine behind.
 func TestLedgerFlushBudget(t *testing.T) {
-	t.Run("batched", func(t *testing.T) {
-		ctrl, tr, led := newCountedLedgers()
-		tr.async, led.async = true, true // batched, with this test as the flusher
-		ledgerWorkload(ctrl, tr, led)
-		if got := ctrl.counts(); got != [4]int64{} {
-			t.Fatalf("batched mutations reached the control plane: refs, states, ensures, pins = %v", got)
-		}
-		if !tr.Flush() || !led.Flush() {
-			t.Fatal("a flush did not drain")
-		}
-		if got := ctrl.counts(); got != [4]int64{1, 1, 1, 1} {
-			t.Fatalf("one flush of each ledger made refs, states, ensures, pins = %v calls, want one each", got)
-		}
-		if info, _ := ctrl.GetObject(sweepObjID(7)); !info.EverRetained || info.RefCount != 0 || info.LineagePins != 2 {
-			t.Fatalf("object after the flush: %+v", info)
-		}
-	})
+	for _, batched := range []bool{true, false} {
+		name := map[bool]string{true: "batched", false: "sync"}[batched]
+		t.Run(name, func(t *testing.T) {
+			ctrl, tr, led := newCountedLedgers()
+			tr.async, led.async = batched, batched // batched, with this test as the flusher
+			ledgerWorkload(t, tr, led)
+			want := [5]int64{200, 100, 300, 0, 100} // refs, births, states, ensures, pins
+			if batched {
+				if got := ctrl.counts(); got != [5]int64{} {
+					t.Fatalf("batched mutations reached the control plane: refs, births, states, ensures, pins = %v", got)
+				}
+				if !tr.Flush() || !led.Flush() {
+					t.Fatal("a flush did not drain")
+				}
+				want = [5]int64{1, 1, 1, 0, 1}
+			}
+			if got := ctrl.counts(); got != want {
+				t.Fatalf("refs, births, states, ensures, pins = %v calls, want %v", got, want)
+			}
+			if info, _ := ctrl.GetObject(sweepObjID(7)); !info.EverRetained || info.RefCount != 0 || info.LineagePins != 2 {
+				t.Fatalf("object after the flush: %+v", info)
+			}
+		})
+	}
 
-	t.Run("sync", func(t *testing.T) {
-		ctrl, tr, led := newCountedLedgers()
-		ledgerWorkload(ctrl, tr, led)
-		if got := ctrl.counts(); got != [4]int64{200, 300, 100, 100} {
-			t.Fatalf("unstarted ledgers made refs, states, ensures, pins = %v calls, want one per mutation (200, 300, 100, 100)", got)
-		}
-	})
-
-	// Births: a task born in the ledger reaches the table in the flush — one
-	// births-carrying ModifyTaskStates ahead of the pins and the deltas —
-	// with its return's producer edge derived from it, so no EnsureObjects.
-	// Unstarted, each birth is one write of its own.
+	// Births: in either mode, each born task's record is in the table,
+	// FINISHED and owned here, with its return's producer edge from it.
 	t.Run("births", func(t *testing.T) {
 		for _, batched := range []bool{true, false} {
 			ctrl, _, led := newCountedLedgers()
 			led.async = batched
 			specs := birthWorkload(t, led)
-			want := [4]int64{100, 300, 0, 100} // births, states, ensures, pins
-			if batched {
-				if got := ctrl.births.Load() + ctrl.states.Load(); got != 0 {
-					t.Fatalf("batched births reached the control plane: %d calls", got)
-				}
-				if !led.Flush() {
-					t.Fatal("the flush did not drain")
-				}
-				want = [4]int64{1, 1, 0, 1}
-			}
-			got := [4]int64{ctrl.births.Load(), ctrl.states.Load(), ctrl.ensures.Load(), ctrl.pins.Load()}
-			if got != want {
-				t.Fatalf("batched=%v: births, states, ensures, pins = %v calls, want %v", batched, got, want)
+			if !led.Flush() {
+				t.Fatal("the flush did not drain")
 			}
 			for _, spec := range specs {
 				st, ok := ctrl.GetTask(spec.ID)
@@ -171,11 +150,10 @@ func TestLedgerFlushBudget(t *testing.T) {
 	t.Run("kick", func(t *testing.T) {
 		_, _, led := newCountedLedgers()
 		led.async = true // batched, and no flusher takes the kick
-		task := types.DeriveTaskID(types.NilTaskID, 2000)
 		for i := 0; i < 300; i++ {
-			led.EnsureLineage(task, types.ObjectIDForReturn(task, i))
+			led.Birth(types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, uint64(2000+i)), Function: "f"})
 			if kicked := len(led.kick) == 1; kicked != (i+1 >= flushKickThreshold) {
-				t.Fatalf("after %d lineage edges kicked = %v", i+1, kicked)
+				t.Fatalf("after %d births kicked = %v", i+1, kicked)
 			}
 		}
 	})
@@ -252,9 +230,7 @@ func TestLedgerFlushLagGauges(t *testing.T) {
 	led.SetMetrics(reg)
 	tr.async, led.async = true, true // batched, with this test as the flusher
 	tr.Retain(sweepObjID(91), sweepObjID(92))
-	task := types.DeriveTaskID(types.NilTaskID, 3000)
-	led.EnsureLineage(task, types.ObjectIDForReturn(task, 0))
-	led.PinLineage(task, sweepObjID(91))
+	led.Birth(types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 3000), Function: "f", Args: []types.Arg{types.RefArg(sweepObjID(91))}})
 	gauges := func() [4]int64 {
 		g := reg.Snapshot().Gauges
 		return [4]int64{
@@ -262,8 +238,8 @@ func TestLedgerFlushLagGauges(t *testing.T) {
 			g["lifetime.ledger.unflushed;ledger=tasks"], g["lifetime.ledger.parked;ledger=tasks"],
 		}
 	}
-	if got := gauges(); got != [4]int64{2, 0, 2, 0} {
-		t.Fatalf("refs unflushed, parked, tasks unflushed, parked = %v before a flush, want 2 0 2 0", got)
+	if got := gauges(); got != [4]int64{2, 0, 1, 0} {
+		t.Fatalf("refs unflushed, parked, tasks unflushed, parked = %v before a flush, want 2 0 1 0", got)
 	}
 	ctrl.refuse = true
 	tr.Flush()

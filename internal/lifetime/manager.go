@@ -15,12 +15,12 @@ import (
 // reclaimGrace is how long after a node dropped an object's last local copy
 // it proposes the object's record for retiring (DESIGN.md §17). The drain
 // can run ahead of the control plane's view of the producer: a task whose
-// output is released the moment it is read has its FINISHED stamp, its
-// lineage ensure and its consumers' pins still in owner ledgers, at most a
-// flush interval (plus a redelivery) behind. Twenty-five intervals cover
-// that with a wide margin and are still short against anything a person
-// or a dashboard sees; a proposal that was early all the same is made once
-// more after twice as long, then given up.
+// output is released the moment it is read has its FINISHED stamp and its
+// consumers' pins still in owner ledgers, at most a flush interval (plus a
+// redelivery) behind. Twenty-five intervals cover that with a wide margin
+// and are still short against anything a person or a dashboard sees; a
+// proposal that was early all the same is made once more after twice as
+// long, then given up.
 const reclaimGrace = 25 * defaultFlushInterval
 
 // Manager runs the lifetime subsystem on one node: it owns the node's
@@ -306,7 +306,10 @@ func (m *Manager) run() {
 // object: the store's per-entry state machine settles the accounting on
 // the deleter's side and the in-flight transition finalizes as a no-op
 // (waiters of an in-flight restore are still served the bytes — a valid
-// "Get before Delete" serialization).
+// "Get before Delete" serialization). The drained object is proposed for
+// retiring once the control plane no longer lists the copy: proposed while
+// its deregistration still waited behind another publish of the object,
+// it would be refused as located and never proposed again.
 func (m *Manager) maybeReclaim(id types.ObjectID) {
 	if m.tracker.Held(id) > 0 && !m.jobReclaimed(id) {
 		// The local ledger holds an unflushed reference: the GCS's zero was
@@ -314,6 +317,7 @@ func (m *Manager) maybeReclaim(id types.ObjectID) {
 		// re-trigger GC.
 		return
 	}
+	m.store.ForgetEscape(id)
 	if !m.store.Contains(id) {
 		// Every node hears every GC publish and most hold no copy (memory or
 		// spill tier): nothing to drop here, so nothing to ask the control
@@ -324,14 +328,18 @@ func (m *Manager) maybeReclaim(id types.ObjectID) {
 	if !ok || info.RefCount > 0 {
 		return
 	}
-	if m.store.Delete(id) {
+	if m.store.DeleteThen(id, func() { m.propose(id) }) {
 		m.reclaimed.Add(1)
 		m.ctrl.LogEvent(types.Event{Kind: "object-reclaimed", Object: id, Node: m.store.Node()})
-		m.obs.proposed.Inc()
-		m.pmu.Lock()
-		m.drained = append(m.drained, proposal{id: id, at: time.Now()})
-		m.pmu.Unlock()
 	}
+}
+
+// propose queues id, whose local copy is gone, for retiring.
+func (m *Manager) propose(id types.ObjectID) {
+	m.obs.proposed.Inc()
+	m.pmu.Lock()
+	m.drained = append(m.drained, proposal{id: id, at: time.Now()})
+	m.pmu.Unlock()
 }
 
 // jobReclaimed reports whether id belongs to a terminated tenant job — in

@@ -161,10 +161,11 @@ func pinsOf(t *testing.T, ctrl gcs.API, id types.ObjectID) int64 {
 	return info.LineagePins
 }
 
-// TestPinLineageOnceAheadOfTheTaskDeltas: a pin reaches the table before
-// the deltas of the task that holds it, a refused batch is redelivered
-// under its own token and counts once, FlushTask carries the task's pins,
-// and an abandoned ledger delivers nothing.
+// TestPinLineageOnceAheadOfTheTaskDeltas: a landed birth's pin reaches the
+// table after the birth and before the deltas of the task that holds it, a
+// refused batch is redelivered under its own token and counts once,
+// FlushTask carries the task's pins, and an abandoned ledger delivers
+// nothing.
 func TestPinLineageOnceAheadOfTheTaskDeltas(t *testing.T) {
 	ctrl := &pinRecorder{Store: gcs.NewStore(2)}
 	node := retireTestNode(1)
@@ -172,11 +173,14 @@ func TestPinLineageOnceAheadOfTheTaskDeltas(t *testing.T) {
 	led.SetNode(node)
 	led.async = true // batched, with this test as the flusher
 	arg := sweepObjID(50)
-	task := types.DeriveTaskID(types.NilTaskID, 7)
-	ctrl.AddTask(types.TaskState{Spec: types.TaskSpec{ID: task, Function: "f", Args: []types.Arg{types.RefArg(arg)}}, Owner: node})
-	led.Adopt(task, 0, types.TaskPending)
-
-	led.PinLineage(task, arg)
+	born := func(i uint64) types.TaskID {
+		spec := types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, i), Function: "f", NumReturns: 1, Args: []types.Arg{types.RefArg(arg)}}
+		if adopted, _ := led.Birth(spec); !adopted {
+			t.Fatalf("birth of task %d not adopted", i)
+		}
+		return spec.ID
+	}
+	task := born(7)
 	led.Transition(task, types.TaskFinished, types.NilWorkerID, "")
 	ctrl.refuse = true
 	if led.Flush() {
@@ -192,23 +196,70 @@ func TestPinLineageOnceAheadOfTheTaskDeltas(t *testing.T) {
 	if len(ctrl.ops) != 2 || ctrl.ops[0] != ctrl.ops[1] || ctrl.ops[0] == 0 {
 		t.Fatalf("pin batch tokens %v, want the redelivery under the original token", ctrl.ops)
 	}
-	if len(ctrl.calls) < 2 || ctrl.calls[0] != "pin" {
-		t.Fatalf("flush order %v, want the pins ahead of the task deltas", ctrl.calls)
+	if len(ctrl.calls) < 3 || ctrl.calls[0] != "states" || ctrl.calls[1] != "pin" || ctrl.calls[2] != "states" {
+		t.Fatalf("flush order %v, want the birth, then the pins, then the task deltas", ctrl.calls)
 	}
 
-	other := types.DeriveTaskID(types.NilTaskID, 8)
-	led.PinLineage(other, arg)
+	other := born(8)
 	led.FlushTask(other)
 	if got := pinsOf(t, ctrl, arg); got != 2 {
 		t.Fatalf("LineagePins = %d after FlushTask of a second pinning task, want 2", got)
 	}
 
-	led.PinLineage(types.DeriveTaskID(types.NilTaskID, 9), arg)
+	last := born(9)
 	led.async = false // Abandon waits for the flusher, and there is none
 	led.Abandon()
 	before := len(ctrl.ops)
 	led.Flush()
-	if len(ctrl.ops) != before || pinsOf(t, ctrl, arg) != 2 {
-		t.Fatal("an abandoned ledger delivered a pin")
+	if _, ok := ctrl.GetTask(last); ok || len(ctrl.ops) != before || pinsOf(t, ctrl, arg) != 2 {
+		t.Fatal("an abandoned ledger delivered a birth or a pin")
+	}
+}
+
+// heldAdds is a control plane whose AddObjectLocation lands and then holds
+// its caller, the drainer of the object's publishes, until release closes.
+type heldAdds struct {
+	*gcs.Store
+	landed, release chan struct{}
+}
+
+func (h *heldAdds) AddObjectLocation(id types.ObjectID, node types.NodeID, size int64) {
+	h.Store.AddObjectLocation(id, node, size)
+	close(h.landed)
+	<-h.release
+}
+
+// TestProposalWaitsForTheLocationRemoval: a copy collected while another
+// goroutine still drains the object's publishes has its location removal
+// queued behind them. The object is proposed for retiring once the removal
+// has landed — proposed before, it would be refused as located and never
+// proposed again, and its records would outlive it.
+func TestProposalWaitsForTheLocationRemoval(t *testing.T) {
+	ctrl := &heldAdds{Store: gcs.NewStore(2), landed: make(chan struct{}), release: make(chan struct{})}
+	node := retireTestNode(1)
+	m := NewManager(ctrl, objectstore.New(node, ctrl, 0))
+	spec := types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 77), Function: "f", NumReturns: 1}
+	ctrl.AddTask(types.TaskState{Spec: spec, Status: types.TaskFinished})
+	id := spec.ReturnID(0)
+	ctrl.EnsureObject(id, spec.ID)
+
+	put := make(chan error, 1)
+	go func() { put <- m.store.Put(id, []byte("x")) }()
+	<-ctrl.landed // located, and the Put still holds the object's publishes
+	ctrl.ModifyObjectRefCounts(node, map[types.ObjectID]int64{id: 0}, 0)
+	m.maybeReclaim(id)
+	if m.store.Contains(id) {
+		t.Fatal("garbage copy not collected")
+	}
+	later := time.Now().Add(time.Hour)
+	if res := m.RetireDue(later); res.Located != 0 {
+		t.Fatalf("proposed while the location removal waited: %+v", res)
+	}
+	close(ctrl.release)
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+	if res := m.RetireDue(later); res.Tasks != 1 || res.Objects != 1 {
+		t.Fatalf("after the removal landed RetireDue = %+v, want the task and its object retired", res)
 	}
 }

@@ -31,20 +31,22 @@ import (
 // the table the same way: Birth adopts it with its spec, and the next flush
 // writes its record (its birth) as a spec-carrying entry of one
 // ModifyTaskStates call, ahead of everything else, which also gives its
-// return objects their producer edges. Lineage edges of other tasks
-// (EnsureLineage) and pins (by-reference argument ← task record) follow as
-// batched EnsureObjects and PinObjects calls, ahead of the deltas they
-// justify. Until its birth lands, the ledger is the only record of a task,
-// and a task's pins and deltas wait for its birth.
+// return objects their producer edges. The pins of a landed birth (each
+// by-reference argument ← the task's record) follow as one batched
+// PinObjects call, ahead of the deltas they justify. Until its birth lands,
+// the ledger is the only record of a task, and a task's pins and deltas
+// wait for its birth.
 type TaskLedger struct {
 	ledger[[]types.TaskStateDelta, types.TaskID]
-	ctrl    gcs.API
-	tasks   map[types.TaskID]*ownedTask
-	dirty   map[types.TaskID]struct{}
-	ensures map[types.ObjectID]types.TaskID
-	// pins holds, per freshly recorded task, the objects its record takes
-	// by reference and has yet to pin (PinLineage); pinRetry the pin
-	// batches a shard did not take, under their original tokens.
+	ctrl  gcs.API
+	tasks map[types.TaskID]*ownedTask
+	dirty map[types.TaskID]struct{}
+	// pins holds, per task whose birth landed, the objects its record takes
+	// by reference and has yet to pin: each is pinned once
+	// (types.ObjectInfo.LineagePins) until the record is removed, so the
+	// lineage behind an argument outlives the references to it while a
+	// replay of the task could need it. pinRetry holds the pin batches a
+	// shard did not take, under their original tokens.
 	pins     map[types.TaskID][]types.ObjectID
 	pinRetry []batch[map[types.ObjectID]int64]
 	watch    map[types.TaskID][]chan<- types.TaskID
@@ -55,6 +57,9 @@ type TaskLedger struct {
 	roots  map[types.TaskID]uint64
 	// flushes counts completed flushes of the whole ledger (Flushes).
 	flushes atomic.Uint64
+	// announce publishes the locations the node's store holds back
+	// (SetAnnouncer); nil until set.
+	announce func()
 
 	clockOnce  sync.Once
 	clockBoot  int64
@@ -95,17 +100,27 @@ type ownedTask struct {
 // for store-level tests). Call SetNode and Start for batched async mode.
 func NewTaskLedger(ctrl gcs.API) *TaskLedger {
 	l := &TaskLedger{
-		ctrl:    ctrl,
-		tasks:   make(map[types.TaskID]*ownedTask),
-		dirty:   make(map[types.TaskID]struct{}),
-		ensures: make(map[types.ObjectID]types.TaskID),
-		pins:    make(map[types.TaskID][]types.ObjectID),
-		watch:   make(map[types.TaskID][]chan<- types.TaskID),
-		births:  make(map[types.TaskID]*ownedTask),
-		roots:   make(map[types.TaskID]uint64),
+		ctrl:   ctrl,
+		tasks:  make(map[types.TaskID]*ownedTask),
+		dirty:  make(map[types.TaskID]struct{}),
+		pins:   make(map[types.TaskID][]types.ObjectID),
+		watch:  make(map[types.TaskID][]chan<- types.TaskID),
+		births: make(map[types.TaskID]*ownedTask),
+		roots:  make(map[types.TaskID]uint64),
 	}
 	l.init("tasks", l)
 	return l
+}
+
+// SetAnnouncer makes every flush run fn after it has taken the transitions
+// it sends and before it sends them: the node passes its store's
+// AnnounceDeferred, so a task's FINISHED record never lands ahead of the
+// locations of returns it stored before finishing. Safe to call at any
+// time; nil stops the announcements.
+func (l *TaskLedger) SetAnnouncer(fn func()) {
+	l.mu.Lock()
+	l.announce = fn
+	l.mu.Unlock()
 }
 
 // Node returns the owner identity this ledger stamps into its tasks.
@@ -358,44 +373,6 @@ func (l *TaskLedger) wakeLocked(id types.TaskID) {
 	delete(l.watch, id)
 }
 
-// EnsureLineage records return-object → producer edges in the ledger.
-// They flush as one batched EnsureObjects ahead of the task deltas, and
-// callers that hand an edge to another node (spill bridge, gang
-// re-placement, drain migration) call Flush first — flush-before-handoff,
-// same as refcount borrows.
-func (l *TaskLedger) EnsureLineage(producer types.TaskID, returns ...types.ObjectID) {
-	l.mu.Lock()
-	if !l.dead {
-		for _, id := range returns {
-			if !id.IsNil() {
-				l.ensures[id] = producer
-			}
-		}
-	}
-	l.unlock(true)
-}
-
-// PinLineage records that task's record — inserted by this node, and only
-// then — takes args by reference: each arg's record is pinned once
-// (types.ObjectInfo.LineagePins) until the task's record is removed, so the
-// lineage behind an argument outlives the references to it for as long as
-// a replay of task could need it. A landed birth pins its spec's arguments
-// this way. The pins flush with the lineage ensures, ahead of the task's
-// deltas: the table cannot show the task terminal — and so removable, its
-// pins dropped — before they landed. They may lag the record by a flush
-// interval because until the task ends its scheduler holds real references
-// to the same objects.
-func (l *TaskLedger) PinLineage(task types.TaskID, args ...types.ObjectID) {
-	if len(args) == 0 {
-		return
-	}
-	l.mu.Lock()
-	if !l.dead {
-		l.pins[task] = args
-	}
-	l.unlock(true)
-}
-
 // flushPins delivers the parked pin batches under their original tokens,
 // then pins as a fresh batch. Pin deltas commute, so a batch a shard did
 // not take does not hold back the others. Caller holds flushMu.
@@ -495,8 +472,8 @@ func (l *TaskLedger) StopNotify(ch chan<- types.TaskID, ids ...types.TaskID) {
 	}
 }
 
-// FlushTask synchronously pushes ONE task's unflushed state — its lineage
-// ensures and pins and its dirty delta, if any — ahead of an ownership handoff
+// FlushTask synchronously pushes ONE task's unflushed state — its pins and
+// its dirty delta, if any — ahead of an ownership handoff
 // (spill bridge, drain migration), after every owed birth: an ID that leaves
 // this node must name a record, and so must the producers of its arguments.
 // The handoff invariant only concerns the task changing hands, so draining
@@ -546,16 +523,6 @@ func (l *TaskLedger) FlushTask(id types.TaskID) (held bool) {
 		l.mu.Unlock()
 		return
 	}
-	var ensures map[types.ObjectID]types.TaskID
-	for oid, tid := range l.ensures {
-		if tid == id {
-			if ensures == nil {
-				ensures = make(map[types.ObjectID]types.TaskID)
-			}
-			ensures[oid] = tid
-			delete(l.ensures, oid)
-		}
-	}
 	var pins map[types.TaskID][]types.ObjectID
 	if args, ok := l.pins[id]; ok {
 		pins = map[types.TaskID][]types.ObjectID{id: args}
@@ -570,7 +537,6 @@ func (l *TaskLedger) FlushTask(id types.TaskID) (held bool) {
 	}
 	node := l.node
 	l.mu.Unlock()
-	l.ensure(ensures)
 	l.flushPins(pins)
 	if len(deltas) > 0 {
 		l.deliver(node, deltas)
@@ -654,28 +620,6 @@ func (l *TaskLedger) bear() bool {
 	return !owed
 }
 
-// ensure delivers lineage edges. Ensure is idempotent, so an edge a shard
-// did not take simply waits for the next flush again.
-func (l *TaskLedger) ensure(ensures map[types.ObjectID]types.TaskID) bool {
-	if len(ensures) == 0 {
-		return true
-	}
-	failed := l.ctrl.EnsureObjects(ensures)
-	if len(failed) == 0 {
-		return true
-	}
-	l.mu.Lock()
-	if !l.dead {
-		for _, id := range failed {
-			if _, ok := l.ensures[id]; !ok {
-				l.ensures[id] = ensures[id]
-			}
-		}
-	}
-	l.mu.Unlock()
-	return false
-}
-
 // deltaLocked is the delta that carries t's latest state to the follower
 // table.
 func (l *TaskLedger) deltaLocked(id types.TaskID, t *ownedTask) types.TaskStateDelta {
@@ -715,16 +659,15 @@ func (l *TaskLedger) settleLocked(deltas []types.TaskStateDelta, failed []types.
 	return rest
 }
 
-// fresh delivers, in this order, the owed births, the pending lineage
-// ensures, the pins, and the accumulated transitions as one batch — one
-// delta per task carrying its full latest view, so coalesced intermediate
-// states cost nothing. Births go first because everything else about a
-// task presumes its record. Ensures and pins go next because a FINISHED
-// record whose return objects lack a producer would strand the
-// reconstructor, and a terminal record's removal drops pins that must have
-// landed. The three are taken at once, after the births, so every edge
-// stamped before a transition travels ahead of it; what belongs to a task
-// whose birth did not land stays for a later flush.
+// fresh delivers, in this order, the owed births, the pins, and the
+// accumulated transitions as one batch — one delta per task carrying its
+// full latest view, so coalesced intermediate states cost nothing. Births
+// go first because everything else about a task presumes its record. Pins
+// go next because a terminal record's removal drops pins that must have
+// landed. Both are taken at once, after the births, so every pin queued
+// before a transition travels ahead of it; what belongs to a task whose
+// birth did not land stays for a later flush. Between taking the
+// transitions and sending them it runs the announcer (SetAnnouncer).
 func (l *TaskLedger) fresh() bool {
 	defer l.flushes.Add(1)
 	ok := l.bear()
@@ -732,16 +675,6 @@ func (l *TaskLedger) fresh() bool {
 	if l.dead {
 		l.mu.Unlock()
 		return true
-	}
-	var ensures map[types.ObjectID]types.TaskID
-	if len(l.ensures) > 0 {
-		ensures, l.ensures = l.ensures, make(map[types.ObjectID]types.TaskID)
-		for oid, tid := range ensures {
-			if l.births[tid] != nil {
-				l.ensures[oid] = tid
-				delete(ensures, oid)
-			}
-		}
 	}
 	var pins map[types.TaskID][]types.ObjectID
 	if len(l.pins) > 0 {
@@ -766,10 +699,12 @@ func (l *TaskLedger) fresh() bool {
 			}
 		}
 	}
-	node := l.node
+	node, announce := l.node, l.announce
 	l.mu.Unlock()
 
-	ok = l.ensure(ensures) && ok
+	if announce != nil {
+		announce()
+	}
 	ok = l.flushPins(pins) && ok
 	if len(deltas) > 0 {
 		ok = l.deliver(node, deltas) && ok
@@ -778,14 +713,13 @@ func (l *TaskLedger) fresh() bool {
 }
 
 func (l *TaskLedger) backlogLocked() (int, int, int) {
-	d, e, p, b := len(l.dirty), len(l.ensures), len(l.pins), len(l.births)
-	return d + e + p + b, max(d, e, p, b), len(l.pinRetry)
+	d, p, b := len(l.dirty), len(l.pins), len(l.births)
+	return d + p + b, max(d, p, b), len(l.pinRetry)
 }
 
 func (l *TaskLedger) discardLocked() {
 	l.births = make(map[types.TaskID]*ownedTask)
 	l.dirty = make(map[types.TaskID]struct{})
-	l.ensures = make(map[types.ObjectID]types.TaskID)
 	l.pins = make(map[types.TaskID][]types.ObjectID)
 	l.pinRetry = nil
 }

@@ -40,7 +40,8 @@ func newExecutorShim(n *Node) *executorShim {
 			// directly (Submit's dedupe would treat it as in flight).
 			_ = n.sched.Enqueue(spec)
 		},
-		Deliver: n.fetcher.Deliver,
+		Deliver:     n.fetcher.Deliver,
+		PutDeferred: n.store.PutDeferred,
 	}
 	s.inner = workerpkg.NewExecutor(n.id, n.ctrl, n.cfg.Registry, n, n.taskled, hooks)
 	s.tracer = n.tracer

@@ -222,6 +222,7 @@ func New(cfg Config) (*Node, error) {
 	n.taskled = lifetime.NewTaskLedger(cfg.Ctrl)
 	n.taskled.SetNode(id)
 	n.taskled.SetMetrics(n.reg)
+	n.taskled.SetAnnouncer(n.store.AnnounceDeferred)
 	n.life.SetTaskLedger(n.taskled)
 	// Per-submit job admission (DESIGN.md §14). The TTL cache amortizes the
 	// job-record read and quota usage scan across a burst of submissions.

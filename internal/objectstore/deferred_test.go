@@ -1,0 +1,145 @@
+package objectstore
+
+import (
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/gcs"
+	"repro/internal/types"
+)
+
+// locationCalls is a control plane that counts the location calls a store
+// makes.
+type locationCalls struct {
+	*gcs.Store
+	adds, removes, marks atomic.Int64
+}
+
+func (c *locationCalls) AddObjectLocation(id types.ObjectID, node types.NodeID, size int64) {
+	c.adds.Add(1)
+	c.Store.AddObjectLocation(id, node, size)
+}
+
+func (c *locationCalls) RemoveObjectLocation(id types.ObjectID, node types.NodeID) {
+	c.removes.Add(1)
+	c.Store.RemoveObjectLocation(id, node)
+}
+
+func (c *locationCalls) MarkObjectSpilled(id types.ObjectID, node types.NodeID, spilled bool) {
+	c.marks.Add(1)
+	c.Store.MarkObjectSpilled(id, node, spilled)
+}
+
+func (c *locationCalls) counts() [3]int64 {
+	return [3]int64{c.adds.Load(), c.removes.Load(), c.marks.Load()}
+}
+
+func located(ctrl gcs.API, id types.ObjectID, node types.NodeID) bool {
+	info, _ := ctrl.GetObject(id)
+	return slices.Contains(info.Locations, node)
+}
+
+// TestDeferredPutWaitsForItsAnnouncement: a held-back copy wakes its
+// waiters at once, reaches the table in the next AnnounceDeferred, once,
+// and a copy deleted before then costs the control plane nothing at all.
+func TestDeferredPutWaitsForItsAnnouncement(t *testing.T) {
+	ctrl := &locationCalls{Store: gcs.NewStore(2)}
+	node := testNode(1)
+	s := New(node, ctrl, 0)
+	kept, dropped := testObj(1), testObj(2)
+	waiter := s.WaitChan(kept)
+	if err := s.PutDeferred(kept, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-waiter:
+	default:
+		t.Fatal("a held-back copy did not wake its waiter")
+	}
+	if err := s.PutDeferred(dropped, []byte("dropped")); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctrl.counts(); got != [3]int64{} {
+		t.Fatalf("held-back Puts made adds, removes, marks = %v", got)
+	}
+	if !s.Delete(dropped) {
+		t.Fatal("Delete found no copy")
+	}
+	s.AnnounceDeferred()
+	s.AnnounceDeferred()
+	if got := ctrl.counts(); got != [3]int64{1, 0, 0} {
+		t.Fatalf("after the announcements adds, removes, marks = %v, want one add", got)
+	}
+	if !located(ctrl, kept, node) || located(ctrl, dropped, node) {
+		t.Fatal("the table does not list exactly the announced copy")
+	}
+	s.Delete(kept)
+	if got := ctrl.counts(); got != [3]int64{1, 1, 0} || located(ctrl, kept, node) {
+		t.Fatalf("deleting the announced copy: adds, removes, marks = %v", got)
+	}
+}
+
+// TestEscapeMarks: Announce publishes a held-back copy at once, and marks
+// an object not here yet so that even its PutDeferred publishes at once.
+// No mark outlives its object: Put, Delete and ForgetEscape each clear it.
+func TestEscapeMarks(t *testing.T) {
+	ctrl := &locationCalls{Store: gcs.NewStore(2)}
+	node := testNode(1)
+	s := New(node, ctrl, 0)
+	resident, coming, deleted, forgotten := testObj(1), testObj(2), testObj(3), testObj(4)
+	if err := s.PutDeferred(resident, []byte("r")); err != nil {
+		t.Fatal(err)
+	}
+	s.Announce(resident, coming, deleted, forgotten)
+	if !located(ctrl, resident, node) {
+		t.Fatal("Announce did not publish the held-back copy")
+	}
+	if n := s.EscapeMarks(); n != 3 {
+		t.Fatalf("%d escape marks after announcing three absent objects, want 3", n)
+	}
+	if err := s.PutDeferred(coming, []byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	if !located(ctrl, coming, node) {
+		t.Fatal("the Put of an escaped object did not publish its location")
+	}
+	s.Delete(deleted)
+	s.ForgetEscape(forgotten)
+	if n := s.EscapeMarks(); n != 0 {
+		t.Fatalf("%d escape marks left, want 0", n)
+	}
+	if got := ctrl.counts(); got != [3]int64{2, 0, 0} {
+		t.Fatalf("adds, removes, marks = %v, want two adds", got)
+	}
+	s.Announce(resident)
+	s.AnnounceDeferred()
+	if got := ctrl.adds.Load(); got != 2 {
+		t.Fatalf("re-announcing published copies made %d adds, want 2", got)
+	}
+}
+
+// TestDeferredSpillIsAnnouncedFirst: a held-back copy that spills to disk
+// is announced ahead of its spill mark, which the table would otherwise
+// drop as stale, so the table lists it on disk here.
+func TestDeferredSpillIsAnnouncedFirst(t *testing.T) {
+	ctrl := &locationCalls{Store: gcs.NewStore(2)}
+	node := testNode(1)
+	s := New(node, ctrl, 100)
+	s.SetSpillTier(newMapTier())
+	cold, hot := testObj(1), testObj(2)
+	if err := s.PutDeferred(cold, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(hot, make([]byte, 64)); err != nil { // evicts cold
+		t.Fatal(err)
+	}
+	info, _ := ctrl.GetObject(cold)
+	if !slices.Contains(info.Locations, node) || !info.IsSpilledOn(node) {
+		t.Fatalf("the spilled held-back copy's record: %+v, want it located and spilled here", info)
+	}
+	s.AnnounceDeferred()
+	if got := ctrl.counts(); got != [3]int64{2, 0, 1} {
+		t.Fatalf("adds, removes, marks = %v, want the spill's add and mark and the hot Put's add", got)
+	}
+}

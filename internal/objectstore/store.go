@@ -115,6 +115,11 @@ type entry struct {
 	// Intrusive LRU linkage, valid while the entry is on the list
 	// (state == stateResident). Most recently used at front.
 	prev, next *entry
+
+	// announced is set once the entry's location is queued for the control
+	// plane. A PutDeferred entry starts without it (DESIGN.md §8, "Held-back
+	// locations"); only an announced copy is ever deregistered.
+	announced bool
 }
 
 // lruList is an intrusive doubly-linked list over resident entries with a
@@ -204,6 +209,12 @@ type Store struct {
 	// outside it by whichever goroutine holds the object's drain flag.
 	pubq      map[types.ObjectID][]pubOp
 	pubActive map[types.ObjectID]bool
+	// deferred lists the entries PutDeferred stored unannounced, in Put
+	// order, for AnnounceDeferred; escapes marks objects not here yet that
+	// left this node as a spilled task's argument (Announce): their Put
+	// publishes at once.
+	deferred []*entry
+	escapes  map[types.ObjectID]struct{}
 
 	// tier, when non-nil, enables the disk spill path.
 	tier SpillTier
@@ -258,6 +269,7 @@ func New(node types.NodeID, ctrl gcs.API, capacity int64) *Store {
 		tierRemovals:   make(map[types.ObjectID]int),
 		pubq:           make(map[types.ObjectID][]pubOp),
 		pubActive:      make(map[types.ObjectID]bool),
+		escapes:        make(map[types.ObjectID]struct{}),
 	}
 	s.lru.init()
 	s.evictDone = sync.NewCond(&s.mu)
@@ -330,9 +342,10 @@ func (s *Store) SetRefChecker(fn func(types.ObjectID) bool) {
 	s.mu.Unlock()
 }
 
-// SetArrivalHook installs fn, which Put calls with every object it stores:
-// on the storing goroutine, after the object's waiters are woken and before
-// its location is published. Call before the store is shared.
+// SetArrivalHook installs fn, which Put and PutDeferred call with every
+// object they store: on the storing goroutine, after the object's waiters
+// are woken and before any publish of its location. Call before the store
+// is shared.
 func (s *Store) SetArrivalHook(fn func(types.ObjectID)) {
 	s.mu.Lock()
 	s.arrived = fn
@@ -353,6 +366,30 @@ func (s *Store) enqueuePublishLocked(id types.ObjectID, op pubOp) bool {
 	return true
 }
 
+// announceLocked queues e's location for the control plane. Caller holds
+// s.mu and must call drainPublishes(e.id) after releasing it iff the
+// return value is true.
+func (s *Store) announceLocked(e *entry) bool {
+	e.announced = true
+	id, size := e.id, e.size
+	return s.enqueuePublishLocked(id, func(ctrl gcs.API) {
+		ctrl.AddObjectLocation(id, s.node, size)
+	})
+}
+
+// withdrawLocked queues the removal of e's location, if it was ever
+// announced: a held-back copy the control plane never heard of leaves
+// without a word. Caller holds s.mu and drains e.id iff it returns true.
+func (s *Store) withdrawLocked(e *entry) bool {
+	if !e.announced {
+		return false
+	}
+	id := e.id
+	return s.enqueuePublishLocked(id, func(ctrl gcs.API) {
+		ctrl.RemoveObjectLocation(id, s.node)
+	})
+}
+
 // drainPublishes executes id's queued control-plane calls FIFO, outside
 // the lock. Exactly one drainer runs per object at a time, so calls about
 // one object stay ordered even when the transitions that queued them
@@ -371,6 +408,72 @@ func (s *Store) drainPublishes(id types.ObjectID) {
 	delete(s.pubq, id)
 	delete(s.pubActive, id)
 	s.mu.Unlock()
+}
+
+// --- held-back locations (PutDeferred) ---
+
+// Announce publishes the locations this node holds back for ids, and marks
+// each of ids not here yet, so that its Put publishes at once. The spill
+// bridge calls it with a task's by-reference arguments before the task
+// leaves the node: the node it reaches finds them in the object table.
+// The publishes it becomes the drainer of have landed when it returns.
+func (s *Store) Announce(ids ...types.ObjectID) {
+	var drains []types.ObjectID
+	s.mu.Lock()
+	for _, id := range ids {
+		e, ok := s.objects[id]
+		switch {
+		case !ok && !s.failed:
+			s.escapes[id] = struct{}{}
+		case ok && !e.announced && s.announceLocked(e):
+			drains = append(drains, id)
+		}
+	}
+	s.mu.Unlock()
+	for _, id := range drains {
+		s.drainPublishes(id)
+	}
+}
+
+// AnnounceDeferred publishes every location PutDeferred held back whose
+// copy is still here. The node's task ledger runs it in each flush, after
+// it takes the transitions it sends, so a held-back location waits at most
+// two flush intervals and a FINISHED record never reaches the table ahead
+// of its returns' locations.
+func (s *Store) AnnounceDeferred() {
+	s.mu.Lock()
+	if len(s.deferred) == 0 {
+		s.mu.Unlock()
+		return
+	}
+	var drains []types.ObjectID
+	for _, e := range s.deferred {
+		if s.objects[e.id] == e && !e.announced && s.announceLocked(e) {
+			drains = append(drains, e.id)
+		}
+	}
+	clear(s.deferred)
+	s.deferred = s.deferred[:0]
+	s.mu.Unlock()
+	for _, id := range drains {
+		s.drainPublishes(id)
+	}
+}
+
+// ForgetEscape drops id's escape mark, if any. The lifetime manager calls
+// it when id's last reference is gone: a mark guards a reader that no
+// longer exists.
+func (s *Store) ForgetEscape(id types.ObjectID) {
+	s.mu.Lock()
+	delete(s.escapes, id)
+	s.mu.Unlock()
+}
+
+// EscapeMarks counts the objects Announce marked that have not arrived.
+func (s *Store) EscapeMarks() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.escapes)
 }
 
 // --- tier-file fencing ---
@@ -433,8 +536,21 @@ func (s *Store) execRemoval(tier SpillTier, id types.ObjectID) {
 // location in the control plane — in that order, so an unreachable control
 // plane never delays local consumers of already-resident bytes. Storing an
 // already-present object is a no-op (objects are immutable, so the bytes
-// are identical by construction).
-func (s *Store) Put(id types.ObjectID, data []byte) error {
+// are identical by construction). A copy whose location may wait for the
+// object to leave the node is stored with PutDeferred instead.
+func (s *Store) Put(id types.ObjectID, data []byte) error { return s.put(id, data, false) }
+
+// PutDeferred is Put for a copy whose location may wait until the object
+// escapes this node: the return of a task submitted through the node that
+// ran it, whose readers are on this node until a ref to it leaves. The
+// copy is stored and its waiters woken, but the control plane hears of it
+// only when Announce names it (a spilled task takes it as an argument),
+// when AnnounceDeferred runs (the node's task ledger flush), or when it
+// spills to disk — and never if it is deleted first. An object Announce
+// marked before it arrived is published at once, as by Put.
+func (s *Store) PutDeferred(id types.ObjectID, data []byte) error { return s.put(id, data, true) }
+
+func (s *Store) put(id types.ObjectID, data []byte, deferred bool) error {
 	size := int64(len(data))
 	s.obs.puts.Inc()
 	s.mu.Lock()
@@ -463,9 +579,14 @@ func (s *Store) Put(id types.ObjectID, data []byte) error {
 	s.lru.pushFront(e)
 	ws := s.waiters[id]
 	delete(s.waiters, id)
-	drain := s.enqueuePublishLocked(id, func(ctrl gcs.API) {
-		ctrl.AddObjectLocation(id, s.node, size)
-	})
+	_, escaped := s.escapes[id]
+	delete(s.escapes, id)
+	drain := false
+	if deferred && !escaped {
+		s.deferred = append(s.deferred, e)
+	} else {
+		drain = s.announceLocked(e)
+	}
 	arrived := s.arrived
 	s.mu.Unlock()
 
@@ -593,9 +714,7 @@ func (s *Store) spillOrDrop(e *entry, tier SpillTier, referenced func(types.Obje
 			delete(s.objects, id)
 			s.used -= e.size
 			s.obs.drops.Inc()
-			drain = s.enqueuePublishLocked(id, func(ctrl gcs.API) {
-				ctrl.RemoveObjectLocation(id, s.node)
-			})
+			drain = s.withdrawLocked(e)
 		}
 	case spillErr != nil || e.pinned > 0:
 		// Rollback: re-admit. A tier failure aborts the whole eviction
@@ -612,9 +731,14 @@ func (s *Store) spillOrDrop(e *entry, tier SpillTier, referenced func(types.Obje
 		s.spills++
 		e.data = nil
 		e.state = stateSpilled
+		// A held-back copy is announced first: the control plane drops a
+		// spill mark for a node it does not list as a location.
+		if !e.announced {
+			drain = s.announceLocked(e)
+		}
 		drain = s.enqueuePublishLocked(id, func(ctrl gcs.API) {
 			ctrl.MarkObjectSpilled(id, s.node, true)
-		})
+		}) || drain
 	}
 	if removeFile {
 		s.noteRemovalLocked(id)
@@ -711,9 +835,7 @@ func (s *Store) restore(e *entry) ([]byte, bool) {
 			if removeFile {
 				s.noteRemovalLocked(id)
 			}
-			drain := s.enqueuePublishLocked(id, func(ctrl gcs.API) {
-				ctrl.RemoveObjectLocation(id, s.node)
-			})
+			drain := s.withdrawLocked(e)
 			s.mu.Unlock()
 			if removeFile {
 				s.execRemoval(tier, id)
@@ -981,8 +1103,15 @@ func (s *Store) Waiters(id types.ObjectID) int {
 // location. An in-flight spill or restore of the entry observes the
 // removal at finalize time and settles to a no-op; the entry's accounting
 // share is settled here, exactly once.
-func (s *Store) Delete(id types.ObjectID) bool {
+func (s *Store) Delete(id types.ObjectID) bool { return s.DeleteThen(id, nil) }
+
+// DeleteThen is Delete that, if it removed a copy, runs landed once the
+// control plane no longer lists it: after the deregistration lands, which
+// may be on another goroutine draining id's publishes, or at once for a
+// copy that was never announced. landed must not block.
+func (s *Store) DeleteThen(id types.ObjectID, landed func()) bool {
 	s.mu.Lock()
+	delete(s.escapes, id)
 	e, ok := s.objects[id]
 	if !ok {
 		s.mu.Unlock()
@@ -998,9 +1127,10 @@ func (s *Store) Delete(id types.ObjectID) bool {
 	if removeFile {
 		s.noteRemovalLocked(id)
 	}
-	drain := s.enqueuePublishLocked(id, func(ctrl gcs.API) {
-		ctrl.RemoveObjectLocation(id, s.node)
-	})
+	drain := s.withdrawLocked(e)
+	if landed != nil {
+		drain = s.enqueuePublishLocked(id, func(gcs.API) { landed() }) || drain
+	}
 	s.mu.Unlock()
 	if removeFile {
 		s.execRemoval(tier, id)
@@ -1043,11 +1173,11 @@ func (s *Store) DropAll() {
 		if v.removeFile {
 			s.noteRemovalLocked(id)
 		}
-		v.drainer = s.enqueuePublishLocked(id, func(ctrl gcs.API) {
-			ctrl.RemoveObjectLocation(id, s.node)
-		})
+		v.drainer = s.withdrawLocked(e)
 		victims = append(victims, v)
 	}
+	clear(s.escapes)
+	s.deferred = nil
 	s.lru.init()
 	s.used = 0
 	s.spilled = 0

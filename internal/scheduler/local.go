@@ -467,11 +467,16 @@ func (l *Local) bridgeSpill(spec types.TaskSpec) {
 	// path).
 	l.cfg.Ledger.FlushTask(spec.ID)
 	l.cfg.Ledger.Disown(spec.ID)
-	if l.cfg.Refs == nil {
-		return
-	}
 	deps := spec.Deps()
 	if len(deps) == 0 {
+		return
+	}
+	// The arguments escape with the task: the node it reaches finds them
+	// only through the object table, so the locations this node holds back
+	// are published now, and an argument still being produced here is
+	// published by its Put.
+	l.cfg.Store.Announce(deps...)
+	if l.cfg.Refs == nil {
 		return
 	}
 	l.cfg.Refs.Retain(deps...)
@@ -604,12 +609,10 @@ func (l *Local) SetExec(fn ExecFunc) { l.cfg.Exec = fn }
 // So does a task of a job, since admission's usage scan counts the job's
 // records, and a task that has to wait here: its owner may die while it
 // waits, and the owner-death transfer re-places only what the table holds.
-//
-// One synchronous write remains on a local task's path: its return Put's
-// AddObjectLocation, which objectstore.Store.Put makes after waking the
-// local waiters. It stays eager because a reader on another node finds a
-// result only through the object table; a lazy location would need an
-// escape protocol for every such reader.
+// A task that starts here also leaves its returns' locations to a later
+// flush (objectstore.Store.PutDeferred), so its steady-state path makes no
+// synchronous control-plane write; bridgeSpill publishes them when they
+// escape.
 func (l *Local) record(spec types.TaskSpec, lazy bool) bool {
 	adopted, fresh := l.cfg.Ledger.Birth(spec)
 	if fresh && lazy && spec.Job.IsNil() {
@@ -678,9 +681,16 @@ func (l *Local) nodeAlive(id types.NodeID) (known, alive bool) {
 	return ok, ok && info.Alive
 }
 
+// outputsIntact reports whether every return of spec is here or has a copy
+// the object table lists. The local store is asked first: a return held
+// back here is not in the table yet.
 func (l *Local) outputsIntact(spec types.TaskSpec) bool {
 	for i := 0; i < spec.NumReturns; i++ {
-		info, ok := l.cfg.Ctrl.GetObject(spec.ReturnID(i))
+		id := spec.ReturnID(i)
+		if l.cfg.Store.Contains(id) {
+			continue
+		}
+		info, ok := l.cfg.Ctrl.GetObject(id)
 		if !ok || info.State != types.ObjectReady {
 			return false
 		}
