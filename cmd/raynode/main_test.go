@@ -43,8 +43,9 @@ func TestJoinControlPlane(t *testing.T) {
 
 			var id types.TaskID
 			id[0] = 1
-			if !joiner.AddTask(types.TaskState{Spec: types.TaskSpec{ID: id, Function: "f"}}) {
-				t.Fatal("AddTask through the joiner failed")
+			birth := types.TaskStateDelta{ID: id, Spec: &types.TaskSpec{ID: id, Function: "f"}}
+			if failed := joiner.ModifyTaskStates(types.NilNodeID, []types.TaskStateDelta{birth}, 1); len(failed) != 0 {
+				t.Fatalf("a birth through the joiner failed: %v", failed)
 			}
 			if st, ok := head.GetTask(id); !ok || st.Spec.Function != "f" {
 				t.Fatalf("head does not see the joiner's task: %+v %v", st, ok)

@@ -20,9 +20,8 @@ import (
 // ctrlProbe wraps one node's control plane. It counts every call made on a
 // driver's submit path, the births-carrying ModifyTaskStates calls, the
 // EnsureObjects calls and the location calls, and while held it blocks the
-// task ledger's flush
-// calls (ModifyTaskStates, EnsureObjects, PinObjects) — and, if asked, the
-// reference ledger's (ModifyObjectRefCounts) — until released.
+// task ledger's flush calls (ModifyTaskStates, EnsureObjects) — and, if
+// asked, the reference ledger's (ModifyObjectRefCounts) — until released.
 type ctrlProbe struct {
 	gcs.API
 	onSubmit, births, ensures atomic.Int64
@@ -104,12 +103,6 @@ func (p *ctrlProbe) EnsureObjects(producers map[types.ObjectID]types.TaskID) []t
 	return p.API.EnsureObjects(producers)
 }
 
-func (p *ctrlProbe) PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
-	p.call()
-	p.held(false)
-	return p.API.PinObjects(deltas, op)
-}
-
 // Ping forwards to a control plane that can probe its liveness.
 func (p *ctrlProbe) Ping() bool {
 	if pg, ok := p.API.(gcs.Pinger); ok {
@@ -121,11 +114,6 @@ func (p *ctrlProbe) Ping() bool {
 func (p *ctrlProbe) NowNs() int64 {
 	p.call()
 	return p.API.NowNs()
-}
-
-func (p *ctrlProbe) AddTask(state types.TaskState) bool {
-	p.call()
-	return p.API.AddTask(state)
 }
 
 func (p *ctrlProbe) GetTask(id types.TaskID) (types.TaskState, bool) {
@@ -141,11 +129,6 @@ func (p *ctrlProbe) ClaimTask(id types.TaskID, from []types.TaskStatus, to types
 func (p *ctrlProbe) ScanTasks(f gcs.TaskFilter) ([]types.TaskState, bool) {
 	p.call()
 	return p.API.ScanTasks(f)
-}
-
-func (p *ctrlProbe) StalePendingTasks(olderThanNs int64) []types.TaskSpec {
-	p.call()
-	return p.API.StalePendingTasks(olderThanNs)
 }
 
 func (p *ctrlProbe) AddObjectLocation(id types.ObjectID, node types.NodeID, size int64) {

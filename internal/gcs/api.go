@@ -29,12 +29,8 @@ type API interface {
 	// timestamps use this clock so profiling timelines line up (R7).
 	NowNs() int64
 
-	// Task table. AddTask inserts the spec exactly once (lineage record);
-	// re-adding an existing task returns false. No submission calls it: a
-	// task's record is born in its owner's ledger and reaches the table as
-	// a birth in ModifyTaskStates (DESIGN.md §13). It stays for tools and
-	// for tests that seed a table.
-	AddTask(state types.TaskState) bool
+	// Task table. A task's record is born in its owner's ledger and
+	// reaches the table as a birth in ModifyTaskStates (DESIGN.md §13).
 	GetTask(id types.TaskID) (types.TaskState, bool)
 	// ClaimTask atomically transitions the task's status to `to` iff the
 	// current status is in `from`, reporting success. Replay/resubmission
@@ -56,11 +52,13 @@ type API interface {
 	// the record's and its Seq exceeds the record's OwnerSeq. A delta that
 	// carries its Spec is a birth: it inserts the record exactly once (a
 	// redelivery under the same token finds its own record and counts as
-	// applied) and gives the task's return objects their producer edges,
-	// so a born task needs no EnsureObjects. Returns the IDs whose deltas
-	// could NOT be applied because their shard stayed unreachable, so the
-	// caller requeues them under the same token, and the births that found
-	// a record already there — which is how replayed submissions
+	// applied), gives the task's return objects their producer edges, so a
+	// born task needs no EnsureObjects, and pins each distinct by-reference
+	// argument once (types.ObjectInfo.LineagePins, under op) if the record
+	// is its own. Returns the IDs whose deltas could NOT be applied — their
+	// shard stayed unreachable, or, for a birth, a pin or edge did not land
+	// — so the caller requeues them under the same token, and the births
+	// that found a record already there, which is how replayed submissions
 	// deduplicate; deltas rejected by the owner/seq guard (authority moved
 	// on) are consumed, not failed. Nil means fully applied.
 	ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID
@@ -71,17 +69,12 @@ type API interface {
 	// Each shard applies the filter, so only matching records cross the
 	// wire.
 	ScanTasks(f TaskFilter) ([]types.TaskState, bool)
-	// StalePendingTasks returns the specs of tasks durably recorded
-	// PENDING whose latest transition is at least olderThanNs old — tasks
-	// claimed by nobody, typically because their spill publish died with a
-	// control-plane shard. The global scheduler's rescue sweep consumes
-	// it; filtering server-side keeps the sweep O(stale), not O(history).
-	StalePendingTasks(olderThanNs int64) []types.TaskSpec
 
-	// Object table. EnsureObjects is the lineage flush of the task ledger
-	// (DESIGN.md §13): each entry creates a pending record naming its
-	// producing task, or heals a missing Producer on a record that a
-	// location publish created first. Returns the IDs that could NOT be
+	// Object table. EnsureObjects writes producer edges: each entry creates
+	// a pending record naming its producing task, or heals a missing
+	// Producer on a record that a location publish created first. The
+	// reconstructor's heal calls it, and so do Sharded's births, as the
+	// object-side step of ModifyTaskStates. Returns the IDs that could NOT be
 	// ensured (their shard stayed unreachable) so the caller requeues them;
 	// nil means fully applied. Idempotent, so no token is needed.
 	// AddObjectLocation marks the object ready and publishes on its ready
@@ -164,18 +157,12 @@ type API interface {
 	// arguments back through a released chain. Early, duplicate and stale
 	// proposals are refused; the call is idempotent.
 	Retire(objects []types.ObjectID) Retired
-	// PurgeTasks removes the terminal records among ids. args holds what
-	// the removed records took by reference, once per record and distinct
-	// argument: the caller owes each a PinObjects of -1. left holds the
-	// IDs still in the table — not terminal, or shard unreachable.
+	// PurgeTasks removes the terminal records among ids and drops the pins
+	// they held, after the records are gone. args holds what the removed
+	// records took by reference, once per record and distinct argument;
+	// left holds the IDs still in the table — not terminal, or shard
+	// unreachable.
 	PurgeTasks(ids []types.TaskID) (args []types.ObjectID, left []types.TaskID)
-	// PinObjects adds deltas to the objects' LineagePins (clamped at zero),
-	// under one idempotency token recorded per object like a reference
-	// flush's. The owner's task ledger sends +1 for each distinct
-	// by-reference argument of a task whose birth inserted its record;
-	// whoever removes a task record sends the -1. Returns the IDs
-	// whose shard stayed unreachable, to be retried under the same token.
-	PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID
 
 	// Spillover queue (Section 3.2.2): local schedulers publish tasks they
 	// decline; global schedulers subscribe to TopicSpill.
@@ -216,11 +203,26 @@ type TaskFilter struct {
 	// Job, when set, selects the job's tasks in any status: the reclaim
 	// pass's set.
 	Job types.JobID
+	// Pending, when set, selects the PENDING tasks whose latest transition
+	// is at least PendingForNs old on the answering shard's own clock —
+	// tasks claimed by nobody, typically because their spill publish died
+	// with a control-plane shard: the global scheduler's rescue sweep's
+	// set. The scan walks the PENDING marker index, so it is O(pending),
+	// not O(history), and clients' clock skew does not enter it.
+	Pending      bool
+	PendingForNs int64
 }
 
 func (f TaskFilter) match(st *types.TaskState) bool {
 	return (f.Owner.IsNil() || st.Owner == f.Owner && !st.Status.Terminal()) &&
 		(f.Job.IsNil() || st.Spec.Job == f.Job)
+}
+
+// stale reports whether st is PENDING and its latest transition at least
+// f.PendingForNs before now.
+func (f TaskFilter) stale(st *types.TaskState, now int64) bool {
+	last := max(st.SubmittedNs, st.LastTransitionNs)
+	return st.Status == types.TaskPending && last != 0 && now-last >= f.PendingForNs
 }
 
 // Topic names a control-plane pub/sub channel (API.Subscribe). The first

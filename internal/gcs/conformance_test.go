@@ -159,6 +159,33 @@ func addRef(api API, id types.ObjectID, delta int64) {
 	api.ModifyObjectRefCounts(types.NilNodeID, map[types.ObjectID]int64{id: delta}, 0)
 }
 
+// birthOf is st's record as the birth its owner's ledger sends.
+func birthOf(st *types.TaskState) types.TaskStateDelta {
+	return types.TaskStateDelta{ID: st.Spec.ID, Owner: st.Owner, Seq: st.OwnerSeq, Status: st.Status, Node: st.Node, Spec: &st.Spec}
+}
+
+// addTask writes st's record as one birth under a token of its own and
+// reports whether the table took it.
+func addTask(api API, st types.TaskState) bool {
+	return len(api.ModifyTaskStates(st.Node, []types.TaskStateDelta{birthOf(&st)}, newOpToken())) == 0
+}
+
+// pinObjects sends one batch of pin deltas, a step no API method exposes.
+func pinObjects(api API, deltas map[types.ObjectID]int64, op uint64) {
+	switch a := api.(type) {
+	case *Store:
+		a.pinObjects(deltas, op)
+	case *Sharded:
+		a.pinObjects(deltas, op)
+	}
+}
+
+// pinsOf reads id's lineage pins back.
+func pinsOf(api API, id types.ObjectID) int64 {
+	info, _ := api.GetObject(id)
+	return info.LineagePins
+}
+
 // refCount reads id's reference count back.
 func refCount(t *testing.T, api API, id types.ObjectID) int64 {
 	t.Helper()
@@ -214,18 +241,21 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	// Task table.
 	st := mkTask(500)
 	st.Spec.Job = job
-	if !api.AddTask(st) {
-		t.Fatal("AddTask failed")
+	if !addTask(api, st) {
+		t.Fatal("birth not taken")
 	}
-	if api.AddTask(st) {
-		t.Fatal("duplicate AddTask succeeded")
+	if addTask(api, st) {
+		t.Fatal("a second birth under another token was taken")
 	}
 	got, ok := api.GetTask(st.Spec.ID)
 	if !ok || got.Spec.Function != "f" {
 		t.Fatalf("GetTask: %+v %v", got, ok)
 	}
-	if stale := api.StalePendingTasks(0); len(stale) != 1 || stale[0].ID != st.Spec.ID {
-		t.Fatalf("StalePendingTasks: %v", stale)
+	if stale, complete := api.ScanTasks(TaskFilter{Pending: true}); !complete || len(stale) != 1 || stale[0].Spec.ID != st.Spec.ID {
+		t.Fatalf("ScanTasks of the pending: %v complete=%v", stale, complete)
+	}
+	if stale, _ := api.ScanTasks(TaskFilter{Pending: true, PendingForNs: int64(time.Hour)}); len(stale) != 0 {
+		t.Fatalf("ScanTasks of the pending an hour old: %v", stale)
 	}
 	seq, ok := api.ClaimTask(st.Spec.ID, []types.TaskStatus{types.TaskPending}, types.TaskQueued, n)
 	if !ok || seq == 0 {
@@ -400,8 +430,8 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	if len(api.Jobs()) != 1 {
 		t.Fatal("Jobs scan wrong")
 	}
-	if !api.AddTask(mkTask(501)) { // in no job
-		t.Fatal("AddTask failed")
+	if !addTask(api, mkTask(501)) { // in no job
+		t.Fatal("birth not taken")
 	}
 	if tasks, complete := api.ScanTasks(TaskFilter{Job: job}); !complete || len(tasks) != 1 || tasks[0].Spec.ID != st.Spec.ID {
 		t.Fatalf("ScanTasks by job: %v complete=%v", tasks, complete)
@@ -431,8 +461,8 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	if _, ok := api.GetObject(obj); ok {
 		t.Fatal("purged object still readable")
 	}
-	if purged := PurgeAndUnpin(api, []types.TaskID{st.Spec.ID}); purged != 1 {
-		t.Fatalf("PurgeAndUnpin of the job's finished task = %d, want 1", purged)
+	if _, left := api.PurgeTasks([]types.TaskID{st.Spec.ID}); len(left) != 0 {
+		t.Fatalf("PurgeTasks of the job's finished task left %v", left)
 	}
 	if !casJobOp(api, job, stopped, types.JobPurged, 64) || !casJobOp(api, job, stopped, types.JobPurged, 64) {
 		t.Fatal("the purge CAS or its retry under the same token lost")
@@ -451,21 +481,15 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	a, b := t1.Spec.ReturnID(0), t2.Spec.ReturnID(0)
 	t2.Spec.Args = []types.Arg{types.RefArg(a), types.ValueArg([]byte{1}), types.RefArg(a)}
 	for _, ts := range []types.TaskState{t1, t2} {
-		if !api.AddTask(ts) {
-			t.Fatal("AddTask failed")
+		if !addTask(api, ts) { // the return's producer edge, and t2's pin of a
+			t.Fatal("birth not taken")
 		}
 		out := ts.Spec.ReturnID(0)
-		api.EnsureObjects(map[types.ObjectID]types.TaskID{out: ts.Spec.ID})
 		api.AddObjectLocation(out, n, 8)
 		addRef(api, out, 1)
 	}
-	pin := map[types.ObjectID]int64{a: 1}
-	if failed := api.PinObjects(pin, 61); len(failed) != 0 {
-		t.Fatalf("PinObjects failed for %v", failed)
-	}
-	api.PinObjects(pin, 61) // redelivered: the token is on the record
-	if info, _ := api.GetObject(a); info.LineagePins != 1 {
-		t.Fatalf("LineagePins = %d after one pin delivered twice, want 1", info.LineagePins)
+	if got := pinsOf(api, a); got != 1 {
+		t.Fatalf("LineagePins = %d after the birth of a task that takes it twice, want 1", got)
 	}
 	finish := func(id types.TaskID) {
 		if !casWon(api.ClaimTask(id, []types.TaskStatus{types.TaskPending}, types.TaskFinished, types.NilNodeID)) {
@@ -513,16 +537,11 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	t3 := mkTask(512)
 	t3.Spec.Args = []types.Arg{types.RefArg(obj2)}
 	c := t3.Spec.ReturnID(0)
-	api.AddTask(t3)
-	api.EnsureObjects(map[types.ObjectID]types.TaskID{c: t3.Spec.ID})
+	addTask(api, t3)
 	api.ModifyObjectRefCounts(n, map[types.ObjectID]int64{c: 0}, 62) // retained and released
 	finish(t3.Spec.ID)
 	if args, left := api.PurgeTasks([]types.TaskID{t3.Spec.ID}); !slices.Equal(args, []types.ObjectID{obj2}) || len(left) != 0 {
 		t.Fatalf("PurgeTasks = %v, %v, want the one argument and nothing left", args, left)
-	}
-	api.PinObjects(map[types.ObjectID]int64{obj2: -1}, 63) // nothing to unpin: no record is started, no count goes negative
-	if _, ok := api.GetObject(obj2); ok {
-		t.Fatal("an unpin started a record")
 	}
 	if got := api.Retire([]types.ObjectID{c}); got.Tasks != 0 || got.Objects != 1 {
 		t.Fatalf("Retire after a cut-short one = %+v, want the one object record", got)
@@ -554,6 +573,37 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 		t.Fatalf("born task's return: %+v %v", info, ok)
 	}
 
+	// Lineage pins: a birth that holds its record pins each distinct
+	// by-reference argument once, and a redelivery under its token pins
+	// nothing more; a birth refused as another submission's record pins
+	// nothing; a purge drops the pins of the records it removes; an unpin
+	// never starts a record.
+	x := born.Spec.ReturnID(0)
+	p1, p2 := mkTask(521), mkTask(522)
+	p1.Owner, p1.Node, p2.Owner, p2.Node = n, n, n, n
+	p1.Spec.Args = []types.Arg{types.RefArg(x)}
+	p2.Spec.Args = []types.Arg{types.RefArg(x), types.ValueArg([]byte{2}), types.RefArg(x)}
+	pinning := []types.TaskStateDelta{birthOf(&p1), birthOf(&p2)}
+	for _, what := range []string{"delivered", "redelivered under its token"} {
+		if failed := api.ModifyTaskStates(n, pinning, 73); len(failed) != 0 || pinsOf(api, x) != 2 {
+			t.Fatalf("two births taking x, %s: failed %v, LineagePins = %d, want 2", what, failed, pinsOf(api, x))
+		}
+	}
+	if failed := api.ModifyTaskStates(n, pinning[:1], 74); !slices.Equal(failed, []types.TaskID{p1.Spec.ID}) || pinsOf(api, x) != 2 {
+		t.Fatalf("a birth refused as another's: failed %v, LineagePins = %d, want 2", failed, pinsOf(api, x))
+	}
+	for i, p := range []types.TaskState{p1, p2} {
+		finish(p.Spec.ID)
+		if _, left := api.PurgeTasks([]types.TaskID{p.Spec.ID}); len(left) != 0 || pinsOf(api, x) != int64(1-i) {
+			t.Fatalf("purge %d of the pinning tasks: left %v, LineagePins = %d, want %d", i+1, left, pinsOf(api, x), 1-i)
+		}
+	}
+	ghost := testObjectID(31)
+	pinObjects(api, map[types.ObjectID]int64{ghost: -1}, 75)
+	if _, ok := api.GetObject(ghost); ok {
+		t.Fatal("an unpin started a record")
+	}
+
 	// Events, telemetry.
 	api.LogEvent(types.Event{Kind: "custom", Node: n})
 	if !slices.ContainsFunc(api.Events(), func(ev types.Event) bool { return ev.Kind == "custom" }) {
@@ -575,7 +625,7 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 func TestOneShardTaskStatusSubscription(t *testing.T) {
 	api, _, _ := oneShard(t, transport.NewInproc(0), "gcs")
 	st := mkTask(600)
-	api.AddTask(st)
+	addTask(api, st)
 	sub := api.Subscribe(TopicTaskStatus, st.Spec.ID)
 	defer sub.Close()
 	api.ModifyTaskStates(types.NilNodeID, []types.TaskStateDelta{delta(st.Spec.ID, 1, types.TaskFinished)}, 0)

@@ -195,7 +195,7 @@ func TestRecoversParentEncodedState(t *testing.T) {
 	sameRecords(t, "Tasks", s.Tasks(), f.pending, f.finished)
 	sameRecords(t, "Objects", s.Objects(), f.garbage, f.live, f.pinned)
 	sameRecords(t, "Nodes", s.Nodes(), f.node)
-	if got := s.StalePendingTasks(0); len(got) != 1 || got[0].ID != f.pending.Spec.ID {
+	if got := stalePending(s, 0); len(got) != 1 || got[0].Spec.ID != f.pending.Spec.ID {
 		t.Errorf("StalePendingTasks = %v, want the one pending task", got)
 	}
 	if got := s.GCEligibleObjects(); len(got) != 1 || got[0] != f.garbage.ID {
@@ -218,14 +218,14 @@ func TestDurableStoreWritesParentFormat(t *testing.T) {
 	s.ModifyObjectRefCounts(testNodeID(1), map[types.ObjectID]int64{obj: -2}, 44) // drains: a gcidx marker
 	s.AddTask(types.TaskState{Spec: types.TaskSpec{ID: testTaskID(12), Function: "g"}, Status: types.TaskPending})
 	s.ClaimTaskOp(task, []types.TaskStatus{types.TaskRunning}, types.TaskPending, types.NilNodeID, 45) // a second pendidx marker
-	s.PinObjects(map[types.ObjectID]int64{obj: 1}, 46)                                                 // a pinned object record
+	s.pinObjects(map[types.ObjectID]int64{obj: 1}, 46)                                                 // a pinned object record
 	s.CreatePlacementGroup(parentGroup.Spec)
 	s.CreateJob(parentJob.Spec)
 	s.CASJobStateOp(parentJob.Spec.ID, []types.JobState{types.JobRunning}, types.JobStopping, 47)
 	s.LogEvent(parentEvent)
 	tasks, objects, nodes := s.Tasks(), s.Objects(), s.Nodes()
 	groups, jobs, epoch := s.PlacementGroups(), s.Jobs(), s.epoch.UnixNano()
-	pending, garbage := s.StalePendingTasks(0), s.GCEligibleObjects()
+	pending, garbage := stalePending(s, 0), s.GCEligibleObjects()
 	svc.Close()
 
 	db, _, err := kv.RecoverDir(dir, 4)
@@ -245,8 +245,8 @@ func TestDurableStoreWritesParentFormat(t *testing.T) {
 	if len(pending) != 2 || len(garbage) != 1 {
 		t.Fatalf("setup: %d pending, %d garbage", len(pending), len(garbage))
 	}
-	for _, spec := range pending {
-		want[keyPendIdx+spec.ID.Hex()] = nil
+	for _, st := range pending {
+		want[keyPendIdx+st.Spec.ID.Hex()] = nil
 	}
 	want[keyGCIdx+garbage[0].Hex()] = nil
 	// The gob-borne records: what is on disk is the parent's encoding of

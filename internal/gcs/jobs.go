@@ -153,9 +153,19 @@ func (s *Store) PurgeObjects(ids []types.ObjectID) []types.ObjectID {
 	return remaining
 }
 
-// PurgeTasks implements API: remove the terminal records among ids. What a
-// removed record pinned comes back in args, once per (record, argument).
+// PurgeTasks implements API: remove the terminal records among ids, then
+// drop the pins they held.
 func (s *Store) PurgeTasks(ids []types.TaskID) (args []types.ObjectID, left []types.TaskID) {
+	args, left = s.purgeTasks(ids)
+	s.pinObjects(unpinning(args), 0) // no token: nothing redelivers it
+	return args, left
+}
+
+// purgeTasks is PurgeTasks on this store's task table alone: what a removed
+// record pinned comes back in args, once per (record, argument), for the
+// caller to unpin — in a sharded control plane the objects' records live
+// on other shards.
+func (s *Store) purgeTasks(ids []types.TaskID) (args []types.ObjectID, left []types.TaskID) {
 	for _, id := range ids {
 		if !s.tasks.remove(id, func(st *types.TaskState) bool {
 			if !st.Status.Terminal() {

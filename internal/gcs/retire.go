@@ -13,7 +13,7 @@ import (
 // on a durable shard — once the task is terminal in the table and every
 // return object is dead (types.ObjectInfo.Dead: referenced once, no
 // reference, no copy, and no surviving task record that takes it by
-// reference). The policy is written once, here, over five per-record
+// reference). The policy is written once, here, over four per-record
 // operations; Store runs them on its tables and Sharded as keyed calls.
 
 // Retired reports one Retire call.
@@ -102,17 +102,10 @@ func taskFactsOf(t *types.TaskState) taskFacts {
 	return taskFacts{Terminal: t.Status.Terminal(), Returns: t.Spec.NumReturns}
 }
 
-// taskPurger is what PurgeAndUnpin needs of a control plane: every API
-// has it.
-type taskPurger interface {
-	PurgeTasks(ids []types.TaskID) (args []types.ObjectID, left []types.TaskID)
-	PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID
-}
-
 // retireOps is what the policy needs of a control plane: Store and Sharded
 // have it. The reads answer in the order asked.
 type retireOps interface {
-	taskPurger
+	PurgeTasks(ids []types.TaskID) (args []types.ObjectID, left []types.TaskID)
 	objectFacts(ids []types.ObjectID) []objectFacts
 	taskFacts(ids []types.TaskID) []taskFacts
 	PurgeObjects(ids []types.ObjectID) []types.ObjectID
@@ -125,14 +118,13 @@ type retiree struct {
 }
 
 // retire is the record-lifetime policy. Each round examines a set of
-// objects, removes the producers whose every return is dead — the task
-// record first, then its objects' records, so a call cut short between the
-// two leaves a dead object record that the next proposal of it removes —
-// and unpins the removed tasks' by-reference arguments, last: a pin dropped
-// before its task record is gone could retire lineage a surviving record
-// needs. The unpinned arguments are the next round, so a released chain
-// goes in one call, consumer before producer, and an object still held
-// keeps every record behind it.
+// objects and removes the producers whose every return is dead — the task
+// record first, which drops the pins it held (PurgeTasks), then its
+// objects' records, so a call cut short between the two leaves a dead
+// object record that the next proposal of it removes. The unpinned
+// arguments are the next round, so a released chain goes in one call,
+// consumer before producer, and an object still held keeps every record
+// behind it.
 func retire(c retireOps, proposed []types.ObjectID) (r Retired) {
 	work, first := proposed, true
 	for len(work) > 0 {
@@ -207,9 +199,6 @@ func retire(c retireOps, proposed []types.ObjectID) (r Retired) {
 		if len(args) == 0 {
 			break
 		}
-		// A pin that cannot be dropped now stays: the argument's record
-		// outlives its use, which is how every record lived before.
-		c.PinObjects(unpinning(args), newOpToken())
 		// Several removed tasks may have taken the same object; a proposed
 		// one named twice only has its second removal find nothing.
 		work, first = distinctObjects(args), false
@@ -258,20 +247,6 @@ func (r *Retired) refused(h hold) {
 func distinctObjects(ids []types.ObjectID) []types.ObjectID {
 	slices.SortFunc(ids, func(a, b types.ObjectID) int { return bytes.Compare(a[:], b[:]) })
 	return slices.Compact(ids)
-}
-
-// PurgeAndUnpin removes terminal task records by ID and drops the pins
-// they held: the tail of every path that removes task records outside
-// retire (the job reclaim pass's purge). It reports how many records went.
-func PurgeAndUnpin(c taskPurger, ids []types.TaskID) int {
-	if len(ids) == 0 {
-		return 0
-	}
-	args, left := c.PurgeTasks(ids)
-	if len(args) > 0 {
-		c.PinObjects(unpinning(args), newOpToken())
-	}
-	return len(ids) - len(left)
 }
 
 // unpinning is the pin delta that removing task records owes: one less per

@@ -39,8 +39,7 @@ func lifecycle(api API, node types.NodeID, base, n int) {
 		st := mkTask(uint64(base + i))
 		st.Owner = node
 		objs[i] = st.Spec.ReturnID(0)
-		api.AddTask(st)
-		api.EnsureObjects(map[types.ObjectID]types.TaskID{objs[i]: st.Spec.ID})
+		addTask(api, st)
 		api.AddObjectLocation(objs[i], node, 8)
 		api.ModifyObjectRefCounts(node, map[types.ObjectID]int64{objs[i]: 0}, uint64(base+i+1))
 		api.RemoveObjectLocation(objs[i], node)
@@ -94,8 +93,8 @@ func TestCheckpointShrinksWithTheLiveSet(t *testing.T) {
 	if tasks, objects := s.Records(); tasks != 1 || objects != 1 {
 		t.Fatalf("restart recovered %d task and %d object records, want only the held one of each", tasks, objects)
 	}
-	if len(s.GCEligibleObjects()) != 0 || len(s.StalePendingTasks(0)) != 1 {
-		t.Fatalf("markers after restart: %d gc-eligible, %d pending", len(s.GCEligibleObjects()), len(s.StalePendingTasks(0)))
+	if len(s.GCEligibleObjects()) != 0 || len(stalePending(s, 0)) != 1 {
+		t.Fatalf("markers after restart: %d gc-eligible, %d pending", len(s.GCEligibleObjects()), len(stalePending(s, 0)))
 	}
 }
 
@@ -115,8 +114,7 @@ func TestRetireAcrossAShardRestart(t *testing.T) {
 		}
 	}
 	obj := st.Spec.ReturnID(0)
-	c.AddTask(st)
-	c.EnsureObjects(map[types.ObjectID]types.TaskID{obj: st.Spec.ID})
+	addTask(c, st)
 	c.AddObjectLocation(obj, node, 8)
 	c.ModifyObjectRefCounts(node, map[types.ObjectID]int64{obj: 0}, 71)
 	c.RemoveObjectLocation(obj, node)

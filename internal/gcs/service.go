@@ -171,7 +171,6 @@ func maybeOf[T any](v T, ok bool) maybe[T] { return maybe[T]{Val: v, OK: ok} }
 var (
 	rpcNow = rpc[none, int64]{"gcs.now", func(s *Store, _ none) int64 { return s.NowNs() }}
 
-	rpcAddTask = rpc[types.TaskState, bool]{"gcs.addTask", (*Store).AddTask}
 	rpcGetTask = rpc[types.TaskID, maybe[types.TaskState]]{"gcs.getTask",
 		func(s *Store, id types.TaskID) maybe[types.TaskState] { return maybeOf(s.GetTask(id)) }}
 	rpcClaimTask = rpc[claimTaskReq, claimTaskResp]{"gcs.claimTask", func(s *Store, r claimTaskReq) claimTaskResp {
@@ -185,7 +184,6 @@ var (
 		tasks, _ := s.ScanTasks(f)
 		return tasks
 	}}
-	rpcStalePendingTasks = rpc[int64, []types.TaskSpec]{"gcs.stalePendingTasks", (*Store).StalePendingTasks}
 
 	rpcEnsureObjects = rpc[ensureObjectsReq, bool]{"gcs.ensureObjects", ack(func(s *Store, r ensureObjectsReq) {
 		s.EnsureObjects(r.Producers)
@@ -233,14 +231,14 @@ var (
 		return objectIDsReq{IDs: s.PurgeObjects(r.IDs)}
 	}}
 	rpcPurgeTasks = rpc[taskIDsReq, purgeTasksResp]{"gcs.purgeTasks", func(s *Store, r taskIDsReq) purgeTasksResp {
-		args, left := s.PurgeTasks(r.IDs)
+		args, left := s.purgeTasks(r.IDs)
 		return purgeTasksResp{Args: args, Left: left}
 	}}
 	rpcRecordFacts = rpc[recordFactsReq, recordFactsResp]{"gcs.recordFacts", func(s *Store, r recordFactsReq) recordFactsResp {
 		return recordFactsResp{Objects: s.objectFacts(r.Objects), Tasks: s.taskFacts(r.Tasks)}
 	}}
 	rpcPinObjects = rpc[pinObjectsReq, bool]{"gcs.pinObjects", ack(func(s *Store, r pinObjectsReq) {
-		s.PinObjects(r.Deltas, r.Op)
+		s.pinObjects(r.Deltas, r.Op)
 	})}
 
 	rpcRegisterNode = rpc[types.NodeInfo, bool]{"gcs.registerNode", ack((*Store).RegisterNode)}
@@ -267,7 +265,7 @@ var (
 // methods is every row RegisterService serves.
 var methods = []method{
 	rpcNow,
-	rpcAddTask, rpcGetTask, rpcClaimTask, rpcModifyTaskStates, rpcTasks, rpcStalePendingTasks,
+	rpcGetTask, rpcClaimTask, rpcModifyTaskStates, rpcTasks,
 	rpcEnsureObjects, rpcAddObjLocation, rpcRemoveObjLocation, rpcGetObject, rpcObjects, rpcModifyObjRefs,
 	rpcSweepDeadRefs, rpcMarkObjSpilled, rpcPublishSpill,
 	rpcCreateGroup, rpcGetGroup, rpcGroups, rpcCASGroup,

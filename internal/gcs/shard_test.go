@@ -80,8 +80,8 @@ func TestShardServiceDurableRestart(t *testing.T) {
 
 	task := testTaskID(1)
 	obj := testObjectID(2)
-	if !client.AddTask(types.TaskState{Spec: types.TaskSpec{ID: task, Function: "f"}, Status: types.TaskPending}) {
-		t.Fatal("AddTask failed")
+	if !addTask(client, types.TaskState{Spec: types.TaskSpec{ID: task, Function: "f"}, Status: types.TaskPending}) {
+		t.Fatal("birth not taken")
 	}
 	client.EnsureObjects(map[types.ObjectID]types.TaskID{obj: task})
 	client.AddObjectLocation(obj, testNodeID(3), 128)
@@ -177,8 +177,8 @@ func TestShardedClientEndToEnd(t *testing.T) {
 	// Spread records across shards.
 	for i := byte(0); i < 12; i++ {
 		task := testTaskID(i)
-		if !s.AddTask(types.TaskState{Spec: types.TaskSpec{ID: task, Function: "fn"}, Status: types.TaskPending}) {
-			t.Fatalf("AddTask %d", i)
+		if !addTask(s, types.TaskState{Spec: types.TaskSpec{ID: task, Function: "fn"}, Status: types.TaskPending}) {
+			t.Fatalf("birth %d not taken", i)
 		}
 		obj := testObjectID(i)
 		s.EnsureObjects(map[types.ObjectID]types.TaskID{obj: task})
@@ -224,8 +224,8 @@ func TestShardedFailoverKeyedCall(t *testing.T) {
 
 	task := testTaskID(9)
 	victim := s.Map().ShardForKey(TaskKey(task))
-	if !s.AddTask(types.TaskState{Spec: types.TaskSpec{ID: task, Function: "g"}, Status: types.TaskPending}) {
-		t.Fatal("AddTask")
+	if !addTask(s, types.TaskState{Spec: types.TaskSpec{ID: task, Function: "g"}, Status: types.TaskPending}) {
+		t.Fatal("birth not taken")
 	}
 	sup.KillShard(victim)
 	if s.Ping() {
@@ -394,13 +394,13 @@ func TestAddTaskDuplicateHealsPendingMarker(t *testing.T) {
 	s.AddTask(state)
 	// Simulate the crash window: record durable, marker lost.
 	setMark(s.tasks, task, false)
-	if got := s.StalePendingTasks(0); len(got) != 0 {
+	if got := stalePending(s, 0); len(got) != 0 {
 		t.Fatal("setup: marker should be gone")
 	}
 	if s.AddTask(state) {
 		t.Fatal("duplicate AddTask reported fresh")
 	}
-	if got := s.StalePendingTasks(0); len(got) != 1 {
+	if got := stalePending(s, 0); len(got) != 1 {
 		t.Fatal("duplicate AddTask did not heal the pending marker")
 	}
 }
@@ -463,8 +463,8 @@ func TestRebuildIndexesReconciles(t *testing.T) {
 
 	s.RebuildIndexes()
 
-	got := s.StalePendingTasks(0)
-	if len(got) != 1 || got[0].ID != pending {
+	got := stalePending(s, 0)
+	if len(got) != 1 || got[0].Spec.ID != pending {
 		t.Fatalf("pending index after rebuild: %v", got)
 	}
 	if elig := s.GCEligibleObjects(); len(elig) != 1 || elig[0] != garbage {
@@ -479,25 +479,25 @@ func TestStalePendingIndexFollowsTransitions(t *testing.T) {
 	s := NewStore(2)
 	task := testTaskID(3)
 	s.AddTask(types.TaskState{Spec: types.TaskSpec{ID: task, Function: "f"}, Status: types.TaskPending})
-	if got := s.StalePendingTasks(0); len(got) != 1 || got[0].ID != task {
+	if got := stalePending(s, 0); len(got) != 1 || got[0].Spec.ID != task {
 		t.Fatalf("pending index after AddTask: %v", got)
 	}
 	// Claimed: leaves the index.
 	if !casWon(s.ClaimTask(task, []types.TaskStatus{types.TaskPending}, types.TaskQueued, types.NilNodeID)) {
 		t.Fatal("CAS")
 	}
-	if got := s.StalePendingTasks(0); len(got) != 0 {
+	if got := stalePending(s, 0); len(got) != 0 {
 		t.Fatalf("claimed task still in pending index: %v", got)
 	}
 	// Retry path: reset to PENDING re-enters the index.
 	reset := delta(task, 1, types.TaskPending)
 	reset.LastTransitionNs = s.NowNs()
 	s.ModifyTaskStates(types.NilNodeID, []types.TaskStateDelta{reset}, 0)
-	if got := s.StalePendingTasks(0); len(got) != 1 {
+	if got := stalePending(s, 0); len(got) != 1 {
 		t.Fatalf("reset-to-pending task missing from index: %v", got)
 	}
 	// And the age filter respects the reset's fresh LastTransitionNs.
-	if got := s.StalePendingTasks(int64(time.Hour)); len(got) != 0 {
+	if got := stalePending(s, int64(time.Hour)); len(got) != 0 {
 		t.Fatalf("fresh reset counted as stale: %v", got)
 	}
 }

@@ -439,12 +439,6 @@ func (s *Sharded) Ping() bool {
 
 // --- API: task table ---
 
-// AddTask implements API.
-func (s *Sharded) AddTask(state types.TaskState) bool {
-	v, _ := shardCall(s, rpcAddTask, TaskKey(state.Spec.ID), state)
-	return v
-}
-
 // GetTask implements API.
 func (s *Sharded) GetTask(id types.TaskID) (types.TaskState, bool) {
 	v, ok := shardCall(s, rpcGetTask, TaskKey(id), id)
@@ -466,42 +460,65 @@ func (s *Sharded) ClaimTask(id types.TaskID, from []types.TaskStatus, to types.T
 // the shard owning each task record. Every partition carries the caller's
 // token (dedup is recorded per task), and a shard unreachable past the
 // retry window contributes its whole partition to the failed set so the
-// owner requeues those deltas under the same token. The births a shard
-// took then get their return objects' producer edges, partitioned by the
-// objects' shards; a birth whose edges did not all land is reported with
-// the failed, and its redelivery, which its token makes a no-op on the
-// task's shard, ensures them again. A birth that did not land ensures
-// nothing.
+// owner requeues those deltas under the same token.
+//
+// The births' object-side step follows: their return objects' producer
+// edges and their arguments' pins, partitioned by the objects' shards, the
+// pins aggregated per object under the batch's token. The token makes a
+// redelivery's pins a no-op where they landed, so they go only once every
+// birth of the batch holds its record or was refused as another
+// submission's: were a birth whose shard failed to share an object with
+// one that landed, the first delivery would spend the token on the object
+// without the failed birth's pin, and its redelivery would be a dedup hit.
+// Otherwise no object-side step is sent and every birth of the batch is
+// reported with the failed, its redelivery finding its own record. An
+// object shard that fails reports every birth that pins or ensures an
+// object on it. A birth refused as another's pins and ensures nothing.
 func (s *Sharded) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
+	var refused []types.TaskID
 	rest := partition(s, rpcModifyTaskStates, deltas,
 		func(d types.TaskStateDelta) string { return TaskKey(d.ID) },
 		func(part []types.TaskStateDelta) types.TaskLedgerBatch {
 			return types.TaskLedgerBatch{Node: node, Deltas: part, Op: op}
 		}, func(r taskIDsReq) []types.TaskStateDelta {
-			refused := make([]types.TaskStateDelta, len(r.IDs))
-			for i, id := range r.IDs {
-				refused[i].ID = id
-			}
-			return refused
+			refused = append(refused, r.IDs...) // partition calls this under its lock
+			return nil
 		})
-	failed := make([]types.TaskID, 0, len(rest))
+	failed := refused
 	for _, d := range rest {
 		failed = append(failed, d.ID)
 	}
-	var edges map[types.ObjectID]types.TaskID
+	var (
+		edges map[types.ObjectID]types.TaskID
+		pins  map[types.ObjectID]int64
+		born  []*types.TaskSpec
+	)
 	for i := range deltas {
-		if spec := deltas[i].Spec; spec != nil && !slices.Contains(failed, spec.ID) {
+		spec := deltas[i].Spec
+		switch {
+		case spec == nil || slices.Contains(refused, spec.ID):
+		case len(rest) > 0:
+			if !slices.Contains(failed, spec.ID) {
+				failed = append(failed, spec.ID)
+			}
+		default:
 			if edges == nil {
 				edges = make(map[types.ObjectID]types.TaskID)
 			}
 			for r := 0; r < spec.NumReturns; r++ {
 				edges[spec.ReturnID(r)] = spec.ID
 			}
+			pins = birthPins(pins, spec)
+			born = append(born, spec)
 		}
 	}
-	for _, id := range s.EnsureObjects(edges) {
-		if !slices.Contains(failed, edges[id]) {
-			failed = append(failed, edges[id])
+	down := append(s.EnsureObjects(edges), s.pinObjects(pins, op)...)
+	for _, spec := range born {
+		touches := func(id types.ObjectID) bool {
+			return edges[id] == spec.ID || slices.ContainsFunc(spec.Args, func(a types.Arg) bool { return a.IsRef && a.Ref == id })
+		}
+		if slices.ContainsFunc(down, touches) {
+			failed = append(failed, spec.ID)
 		}
 	}
 	if len(failed) == 0 {
@@ -519,16 +536,9 @@ func (s *Sharded) ScanTasks(f TaskFilter) ([]types.TaskState, bool) {
 	return out, complete
 }
 
-// StalePendingTasks implements API: each shard filters on its own clock,
-// so only the (normally tiny) stale set crosses the wire.
-func (s *Sharded) StalePendingTasks(olderThanNs int64) []types.TaskSpec {
-	out, _ := fanOut(s, rpcStalePendingTasks, olderThanNs)
-	return out
-}
-
 // --- API: object table ---
 
-// EnsureObjects implements API: one lineage flush, partitioned by the
+// EnsureObjects implements API: one batch of edges, partitioned by the
 // shard owning each object record. Ensure is naturally idempotent (heal
 // a missing producer), so partitions carry no token; a shard unreachable
 // past the retry window contributes its partition to the failed set.
@@ -692,9 +702,13 @@ func (s *Sharded) PurgeObjects(ids []types.ObjectID) []types.ObjectID {
 func objectIDs(ids []types.ObjectID) objectIDsReq { return objectIDsReq{IDs: ids} }
 
 // PurgeTasks implements API: partitioned by the shard owning each task
-// record. A delete cannot be told from its own retry, so a partition whose
-// ack died with its shard reports nothing removed the second time and the
-// pins those records held stay — the leak-safe direction.
+// record, then the removed records' pins dropped, partitioned by the
+// objects' shards under one token. A delete cannot be told from its own
+// retry, so a partition whose ack died with its shard reports nothing
+// removed the second time and the pins those records held stay; so does an
+// unpin whose object shard stays unreachable — the leak-safe direction:
+// the argument's record outlives its use, which is how every record lived
+// before.
 func (s *Sharded) PurgeTasks(ids []types.TaskID) (args []types.ObjectID, left []types.TaskID) {
 	left = partition(s, rpcPurgeTasks, ids, TaskKey,
 		func(part []types.TaskID) taskIDsReq { return taskIDsReq{IDs: part} },
@@ -702,12 +716,14 @@ func (s *Sharded) PurgeTasks(ids []types.TaskID) (args []types.ObjectID, left []
 			args = append(args, resp.Args...) // partition calls this under its lock
 			return resp.Left
 		})
+	s.pinObjects(unpinning(args), newOpToken())
 	return args, left
 }
 
-// PinObjects implements API: partitioned like ModifyObjectRefCounts, every
-// partition under the caller's token.
-func (s *Sharded) PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
+// pinObjects is Store.pinObjects partitioned like ModifyObjectRefCounts,
+// every partition under the caller's token. It returns the objects whose
+// shard stayed unreachable.
+func (s *Sharded) pinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
 	return partition(s, rpcPinObjects, slices.Collect(maps.Keys(deltas)), ObjectKey,
 		func(part []types.ObjectID) pinObjectsReq { return pinObjectsReq{Deltas: subMap(deltas, part), Op: op} }, nil)
 }

@@ -174,23 +174,22 @@ func (s *Store) RebuildIndexes() {
 
 // --- task table ---
 
-// AddTask implements API: exactly-once insertion keyed by task ID. A
-// duplicate — often a client retry after a crash suppressed the original
-// ack — changes nothing, but like every touch re-derives the PENDING
-// marker the crash may have cut off from its record.
+// AddTask inserts state's record exactly once, as a birth without its
+// return objects' producer edges: the record pins its by-reference
+// arguments like every born record. A duplicate — often a client retry after
+// a crash suppressed the original ack — changes nothing and returns false.
+// No submission calls it (a task's record is born in its owner's ledger,
+// DESIGN.md §13); it seeds tables for tools and probes.
 func (s *Store) AddTask(state types.TaskState) bool {
+	state = state.Clone()
 	state.SubmittedNs = s.NowNs()
 	state.LastTransitionNs = state.SubmittedNs
-	added, _ := s.tasks.mutate(state.Spec.ID, upsert, func(st *types.TaskState, exists bool) bool {
-		if !exists {
-			*st = state.Clone()
-		}
-		return !exists
-	})
-	if added {
-		s.logEvent(types.Event{Kind: "submit", Task: state.Spec.ID, Node: state.Node})
+	// No token: nothing redelivers it.
+	if !s.insertTask(state, 0) {
+		return false
 	}
-	return added
+	s.pinObjects(birthPins(nil, &state.Spec), 0)
+	return true
 }
 
 // GetTask implements API.
@@ -269,61 +268,83 @@ func (s *Store) ClaimTaskOp(id types.TaskID, from []types.TaskStatus, to types.T
 // delta is the owner's full latest view of a task's mutable state, applied
 // under the batch's idempotency token; per-record owner/seq guards consume
 // (rather than fail) deltas whose authority has moved on. Births insert
-// their records, and every birth's return objects get their producer edge.
-// The in-process store is always fully reachable, so what it reports is
-// only the births that found a record already there.
+// their records, every birth's return objects get their producer edge, and
+// the births that hold their records pin their arguments under the batch's
+// token. The in-process store is always fully reachable, so what it reports
+// is only the births that found another record already there.
 func (s *Store) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
 	refused := s.modifyTaskStates(deltas, op)
+	var pins map[types.ObjectID]int64
 	for i := range deltas {
 		if spec := deltas[i].Spec; spec != nil {
 			for r := 0; r < spec.NumReturns; r++ {
 				s.EnsureObject(spec.ReturnID(r), spec.ID)
 			}
+			if !slices.Contains(refused, spec.ID) {
+				pins = birthPins(pins, spec)
+			}
 		}
 	}
+	s.pinObjects(pins, op)
 	return refused
 }
 
 // modifyTaskStates is ModifyTaskStates on this store's task table alone —
-// the producer edges of the births are the caller's, since in a sharded
-// control plane the return objects' records live on other shards. It
-// returns the births that found a record already there.
+// the producer edges and pins of the births are the caller's, since in a
+// sharded control plane the objects' records live on other shards. It
+// returns the births that found another record already there.
 func (s *Store) modifyTaskStates(deltas []types.TaskStateDelta, op uint64) (refused []types.TaskID) {
 	for i := range deltas {
-		if deltas[i].Spec == nil {
-			s.applyTaskDelta(&deltas[i], op)
-		} else if !s.applyBirth(&deltas[i], op) {
-			refused = append(refused, deltas[i].ID)
+		d := &deltas[i]
+		if d.Spec == nil {
+			s.applyTaskDelta(d, op)
+			continue
+		}
+		at := d.SubmittedNs
+		if at <= 0 {
+			at = s.NowNs()
+		}
+		if !s.insertTask(types.TaskState{
+			Spec: d.Spec.Clone(), Status: d.Status, Node: d.Node,
+			SubmittedNs: at, LastTransitionNs: at, Owner: d.Owner, OwnerSeq: d.Seq,
+		}, op) {
+			refused = append(refused, d.ID)
 		}
 	}
 	return refused
 }
 
-// applyBirth inserts a birth's record unless the table holds one. A birth
-// redelivered under its token finds its own record and counts as applied;
-// like every touch, any duplicate re-derives the PENDING marker.
-func (s *Store) applyBirth(d *types.TaskStateDelta, op uint64) bool {
-	at := d.SubmittedNs
-	if at <= 0 {
-		at = s.NowNs()
-	}
+// insertTask is the one way a task record is born: rec goes in, recording
+// op, unless the table holds a record of its ID. A birth redelivered under
+// its token finds its own record and counts as inserted; like every touch,
+// any duplicate re-derives the PENDING marker. rec is the table's from here.
+func (s *Store) insertTask(rec types.TaskState, op uint64) bool {
 	own := false
-	added, _ := s.tasks.mutate(d.ID, upsert, func(st *types.TaskState, exists bool) bool {
+	added, _ := s.tasks.mutate(rec.Spec.ID, upsert, func(st *types.TaskState, exists bool) bool {
 		if exists {
 			own = st.MutOps.Seen(op)
 			return false
 		}
-		*st = types.TaskState{
-			Spec: d.Spec.Clone(), Status: d.Status, Node: d.Node,
-			SubmittedNs: at, LastTransitionNs: at, Owner: d.Owner, OwnerSeq: d.Seq,
-		}
+		*st = rec
 		st.MutOps.Record(op, refOpHistory)
 		return true
 	})
 	if added {
-		s.logEvent(types.Event{Kind: "submit", Task: d.ID, Node: d.Node})
+		s.logEvent(types.Event{Kind: "submit", Task: rec.Spec.ID, Node: rec.Node})
 	}
 	return added || own
+}
+
+// birthPins adds to pins, allocated on first use, one lineage pin per
+// distinct by-reference argument of spec: what its born record holds.
+func birthPins(pins map[types.ObjectID]int64, spec *types.TaskSpec) map[types.ObjectID]int64 {
+	for _, a := range spec.DistinctDeps() {
+		if pins == nil {
+			pins = make(map[types.ObjectID]int64)
+		}
+		pins[a]++
+	}
+	return pins
 }
 
 // applyTaskDelta applies one ledger delta to the follower record. Mirrors
@@ -390,9 +411,20 @@ func (s *Store) applyTaskDelta(d *types.TaskStateDelta, op uint64) {
 }
 
 // ScanTasks implements API: the in-process store always has a complete
-// view.
+// view. A Pending scan walks the PENDING marker index and ages each record
+// on this store's own clock.
 func (s *Store) ScanTasks(f TaskFilter) ([]types.TaskState, bool) {
-	out := s.tasks.collect(f.match)
+	var out []types.TaskState
+	if f.Pending {
+		now := s.NowNs()
+		for _, id := range s.tasks.markedIDs() {
+			if st, ok := s.tasks.get(id); ok && f.stale(&st, now) && f.match(&st) {
+				out = append(out, st)
+			}
+		}
+	} else {
+		out = s.tasks.collect(f.match)
+	}
 	sortBySubmit(out)
 	return out, true
 }
@@ -405,29 +437,6 @@ func (s *Store) Tasks() []types.TaskState {
 
 func sortBySubmit(tasks []types.TaskState) {
 	sort.Slice(tasks, func(i, j int) bool { return tasks[i].SubmittedNs < tasks[j].SubmittedNs })
-}
-
-// StalePendingTasks implements API: the server-side filter behind the
-// global scheduler's rescue sweep. It walks the durable PENDING marker
-// index — O(currently-pending), not O(task history) — and measures
-// staleness from the latest recorded transition on this store's own
-// clock, so the sweep never pays for (or trips over) cross-client clock
-// skew, and only the handful of stale specs crosses the wire.
-func (s *Store) StalePendingTasks(olderThanNs int64) []types.TaskSpec {
-	now := s.NowNs()
-	var out []types.TaskSpec
-	for _, id := range s.tasks.markedIDs() {
-		st, ok := s.tasks.get(id)
-		if !ok || st.Status != types.TaskPending {
-			continue // claimed since the index was read
-		}
-		last := max(st.SubmittedNs, st.LastTransitionNs)
-		if last == 0 || now-last < olderThanNs {
-			continue
-		}
-		out = append(out, st.Spec)
-	}
-	return out
 }
 
 // --- object table ---
@@ -451,9 +460,8 @@ func (s *Store) EnsureObject(id types.ObjectID, producer types.TaskID) {
 	})
 }
 
-// EnsureObjects implements API: the task ledger's batched lineage flush.
-// The in-process store is always fully reachable, so this never reports
-// failures.
+// EnsureObjects implements API. The in-process store is always fully
+// reachable, so this never reports failures.
 func (s *Store) EnsureObjects(producers map[types.ObjectID]types.TaskID) []types.ObjectID {
 	for id, producer := range producers {
 		s.EnsureObject(id, producer)
@@ -592,11 +600,12 @@ func (s *Store) applyRefDelta(holder types.NodeID, id types.ObjectID, delta int6
 	}
 }
 
-// PinObjects implements API: one batch of lineage-pin deltas under one
-// token, recorded per object like a reference flush's. A pin may reach the
-// table before the record it pins, so a positive delta starts a missing
-// record; an unpin never does. The in-process store cannot fail partially.
-func (s *Store) PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
+// pinObjects adds one batch of lineage-pin deltas to the objects'
+// LineagePins (clamped at zero), under one token recorded per object like a
+// reference flush's. A pin may reach an object's table before the record
+// it pins, so a positive delta starts a missing record; an unpin never
+// does. The in-process store cannot fail partially.
+func (s *Store) pinObjects(deltas map[types.ObjectID]int64, op uint64) {
 	for id, delta := range deltas {
 		m := existing
 		if delta > 0 {
@@ -612,7 +621,6 @@ func (s *Store) PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.O
 			return true
 		})
 	}
-	return nil
 }
 
 // Retire implements API (retire.go holds the policy).

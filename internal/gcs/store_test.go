@@ -16,6 +16,13 @@ func nodeID(i uint64) types.NodeID {
 	return types.NodeID(types.DeriveTaskID(types.NilTaskID, 1000+i))
 }
 
+// stalePending is the rescue sweep's scan: the PENDING records whose latest
+// transition is at least olderThanNs old.
+func stalePending(api API, olderThanNs int64) []types.TaskState {
+	out, _ := api.ScanTasks(TaskFilter{Pending: true, PendingForNs: olderThanNs})
+	return out
+}
+
 // casWon is whether a ClaimTask with a nil owner — the plain status CAS —
 // won.
 func casWon(_ uint64, ok bool) bool { return ok }

@@ -67,9 +67,9 @@ type payload[B any, K comparable] interface {
 	// holds flushMu and the parked batches have all landed.
 	fresh() bool
 	// backlogLocked counts what waits for the next flush: the entries in
-	// all the payload's pending sets, the size of the largest set (what the
-	// kick bounds), and the batches it parks outside the shared FIFO.
-	backlogLocked() (entries, largest, parked int)
+	// all the payload's pending sets and the size of the largest set (what
+	// the kick bounds).
+	backlogLocked() (entries, largest int)
 	// discardLocked drops every waiting entry (Abandon).
 	discardLocked()
 }
@@ -109,8 +109,8 @@ func (l *ledger[B, K]) SetMetrics(reg *metrics.Registry) {
 func (l *ledger[B, K]) backlog() (entries, parked int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	entries, _, parked = l.p.backlogLocked()
-	return entries, parked + len(l.retry)
+	entries, _ = l.p.backlogLocked()
+	return entries, len(l.retry)
 }
 
 // Start switches the ledger to batched mode and launches the background
@@ -191,7 +191,7 @@ func (l *ledger[B, K]) unlock(changed bool) {
 		}
 		return
 	}
-	_, n, _ := l.p.backlogLocked()
+	_, n := l.p.backlogLocked()
 	l.mu.Unlock()
 	if n >= flushKickThreshold {
 		select {

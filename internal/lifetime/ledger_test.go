@@ -15,10 +15,10 @@ import (
 
 // callCounter is a control plane that counts the calls the two ledgers
 // flush through; births counts the ModifyTaskStates calls that carry one,
-// states the others.
+// states the others. No API call pins lineage: a birth does.
 type callCounter struct {
 	*gcs.Store
-	refs, states, ensures, pins, births atomic.Int64
+	refs, states, ensures, births atomic.Int64
 }
 
 func (c *callCounter) ModifyObjectRefCounts(node types.NodeID, deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
@@ -40,14 +40,9 @@ func (c *callCounter) EnsureObjects(producers map[types.ObjectID]types.TaskID) [
 	return c.Store.EnsureObjects(producers)
 }
 
-func (c *callCounter) PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
-	c.pins.Add(1)
-	return c.Store.PinObjects(deltas, op)
-}
-
-// counts reads refs, births, states, ensures and pins.
-func (c *callCounter) counts() [5]int64 {
-	return [5]int64{c.refs.Load(), c.births.Load(), c.states.Load(), c.ensures.Load(), c.pins.Load()}
+// counts reads refs, births, states and ensures.
+func (c *callCounter) counts() [4]int64 {
+	return [4]int64{c.refs.Load(), c.births.Load(), c.states.Load(), c.ensures.Load()}
 }
 
 // ledgerWorkload drives both ledgers: 100 retain/release pairs over 50
@@ -93,12 +88,12 @@ func newCountedLedgers() (*callCounter, *Tracker, *TaskLedger) {
 
 // TestLedgerFlushBudget pins what the two ledgers cost the control plane.
 // A task born in the ledger reaches the table in the flush — one
-// births-carrying ModifyTaskStates ahead of the pins and the deltas — with
-// its return's producer edge derived from it, so no EnsureObjects. Batched,
-// a whole workload is one call of each kind; before Start, every mutation
-// is one call (a birth's own, and its pins'); past flushKickThreshold
-// entries of any kind the flusher is kicked; and Start→Stop or
-// Start→Abandon leaves no goroutine behind.
+// births-carrying ModifyTaskStates ahead of the deltas — with its return's
+// producer edge and its argument's pin derived from it, so no EnsureObjects
+// and no call of its own for the pin. Batched, a whole workload is one call
+// of each kind; before Start, every mutation is one call; past
+// flushKickThreshold entries of any kind the flusher is kicked; and
+// Start→Stop or Start→Abandon leaves no goroutine behind.
 func TestLedgerFlushBudget(t *testing.T) {
 	for _, batched := range []bool{true, false} {
 		name := map[bool]string{true: "batched", false: "sync"}[batched]
@@ -106,18 +101,18 @@ func TestLedgerFlushBudget(t *testing.T) {
 			ctrl, tr, led := newCountedLedgers()
 			tr.async, led.async = batched, batched // batched, with this test as the flusher
 			ledgerWorkload(t, tr, led)
-			want := [5]int64{200, 100, 300, 0, 100} // refs, births, states, ensures, pins
+			want := [4]int64{200, 100, 300, 0} // refs, births, states, ensures
 			if batched {
-				if got := ctrl.counts(); got != [5]int64{} {
-					t.Fatalf("batched mutations reached the control plane: refs, births, states, ensures, pins = %v", got)
+				if got := ctrl.counts(); got != [4]int64{} {
+					t.Fatalf("batched mutations reached the control plane: refs, births, states, ensures = %v", got)
 				}
 				if !tr.Flush() || !led.Flush() {
 					t.Fatal("a flush did not drain")
 				}
-				want = [5]int64{1, 1, 1, 0, 1}
+				want = [4]int64{1, 1, 1, 0}
 			}
 			if got := ctrl.counts(); got != want {
-				t.Fatalf("refs, births, states, ensures, pins = %v calls, want %v", got, want)
+				t.Fatalf("refs, births, states, ensures = %v calls, want %v", got, want)
 			}
 			if info, _ := ctrl.GetObject(sweepObjID(7)); !info.EverRetained || info.RefCount != 0 || info.LineagePins != 2 {
 				t.Fatalf("object after the flush: %+v", info)
@@ -223,14 +218,15 @@ func TestBatchedRetainReleaseTouches(t *testing.T) {
 // TestLedgerFlushLagGauges: each ledger publishes its waiting entries and
 // parked batches under its own label.
 func TestLedgerFlushLagGauges(t *testing.T) {
-	ctrl := &pinRecorder{Store: gcs.NewStore(2)}
+	ctrl := &birthRecorder{Store: gcs.NewStore(2)}
 	reg := metrics.NewRegistry()
 	tr, led := NewTracker(ctrl), NewTaskLedger(ctrl)
 	tr.SetMetrics(reg)
 	led.SetMetrics(reg)
 	tr.async, led.async = true, true // batched, with this test as the flusher
 	tr.Retain(sweepObjID(91), sweepObjID(92))
-	led.Birth(types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 3000), Function: "f", Args: []types.Arg{types.RefArg(sweepObjID(91))}})
+	task := types.DeriveTaskID(types.NilTaskID, 3000)
+	led.Birth(types.TaskSpec{ID: task, Function: "f", Args: []types.Arg{types.RefArg(sweepObjID(91))}})
 	gauges := func() [4]int64 {
 		g := reg.Snapshot().Gauges
 		return [4]int64{
@@ -244,8 +240,16 @@ func TestLedgerFlushLagGauges(t *testing.T) {
 	ctrl.refuse = true
 	tr.Flush()
 	led.Flush()
+	if got := gauges(); got != [4]int64{0, 0, 1, 0} {
+		t.Fatalf("after a flush with the birth refused = %v, want 0 0 1 0: a birth stays owed, not parked", got)
+	}
+	ctrl.refuse = false
+	led.Flush()
+	led.Transition(task, types.TaskFinished, types.NilWorkerID, "")
+	ctrl.refuse = true
+	led.Flush()
 	if got := gauges(); got != [4]int64{0, 0, 0, 1} {
-		t.Fatalf("after a flush with the pins refused = %v, want 0 0 0 1", got)
+		t.Fatalf("after a flush with the delta refused = %v, want 0 0 0 1", got)
 	}
 	ctrl.refuse = false
 	led.Flush()

@@ -208,6 +208,6 @@ func (t *Tracker) fresh() bool {
 	return t.deliver(node, deltas)
 }
 
-func (t *Tracker) backlogLocked() (int, int, int) { return len(t.pending), len(t.pending), 0 }
+func (t *Tracker) backlogLocked() (int, int) { return len(t.pending), len(t.pending) }
 
 func (t *Tracker) discardLocked() { t.pending = make(map[types.ObjectID]int64) }

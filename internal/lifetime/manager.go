@@ -15,9 +15,8 @@ import (
 // reclaimGrace is how long after a node dropped an object's last local copy
 // it proposes the object's record for retiring (DESIGN.md §17). The drain
 // can run ahead of the control plane's view of the producer: a task whose
-// output is released the moment it is read has its FINISHED stamp and its
-// consumers' pins still in owner ledgers, at most a flush interval (plus a
-// redelivery) behind. Twenty-five intervals cover that with a wide margin
+// output is released the moment it is read has its FINISHED stamp still in
+// its owner's ledger, at most a flush interval (plus a redelivery) behind. Twenty-five intervals cover that with a wide margin
 // and are still short against anything a person or a dashboard sees; a
 // proposal that was early all the same is made once more after twice as
 // long, then given up.

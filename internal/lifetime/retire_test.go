@@ -128,51 +128,61 @@ func TestEarlyProposalIsMadeOnceMore(t *testing.T) {
 	}
 }
 
-// pinRecorder is a control plane that records every PinObjects call and
-// can refuse them.
-type pinRecorder struct {
+// birthRecorder is a control plane that records every ModifyTaskStates
+// call — a births call as "births", any other as "states" — with its token,
+// and the lineage pins of watch at each states call that finishes a task.
+// With refuse set it applies nothing and reports every ID not taken; with
+// lose set it applies the batch and still reports every ID, as a shard
+// whose ack died would.
+type birthRecorder struct {
 	*gcs.Store
-	refuse bool
-	ops    []uint64
-	calls  []string
+	watch        types.ObjectID
+	refuse, lose bool
+	calls        []string
+	ops          []uint64
+	pinsAtFinish []int64
 }
 
-func (p *pinRecorder) PinObjects(deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
-	p.ops = append(p.ops, op)
-	p.calls = append(p.calls, "pin")
-	if p.refuse {
-		failed := make([]types.ObjectID, 0, len(deltas))
-		for id := range deltas {
-			failed = append(failed, id)
+func (p *birthRecorder) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
+	kind := "states"
+	for _, d := range deltas {
+		if d.Spec != nil {
+			kind = "births"
+		} else if d.Status == types.TaskFinished {
+			p.pinsAtFinish = append(p.pinsAtFinish, pinsOf(p.Store, p.watch))
 		}
-		return failed
 	}
-	return p.Store.PinObjects(deltas, op)
+	p.calls, p.ops = append(p.calls, kind), append(p.ops, op)
+	if !p.refuse {
+		p.Store.ModifyTaskStates(node, deltas, op)
+	}
+	if !p.refuse && !p.lose {
+		return nil
+	}
+	ids := make([]types.TaskID, len(deltas))
+	for i, d := range deltas {
+		ids[i] = d.ID
+	}
+	return ids
 }
 
-func (p *pinRecorder) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
-	p.calls = append(p.calls, "states")
-	return p.Store.ModifyTaskStates(node, deltas, op)
-}
-
-func pinsOf(t *testing.T, ctrl gcs.API, id types.ObjectID) int64 {
-	t.Helper()
+func pinsOf(ctrl gcs.API, id types.ObjectID) int64 {
 	info, _ := ctrl.GetObject(id)
 	return info.LineagePins
 }
 
-// TestPinLineageOnceAheadOfTheTaskDeltas: a landed birth's pin reaches the
-// table after the birth and before the deltas of the task that holds it, a
-// refused batch is redelivered under its own token and counts once,
-// FlushTask carries the task's pins, and an abandoned ledger delivers
-// nothing.
-func TestPinLineageOnceAheadOfTheTaskDeltas(t *testing.T) {
-	ctrl := &pinRecorder{Store: gcs.NewStore(2)}
+// TestBirthPinsLineageOnceAheadOfTheTaskDeltas: a task's pin of its
+// argument rides its birth — the ledger sends no pin of its own — so it
+// reaches the table before any delta of the task, counts once when the
+// birth is redelivered under its token after an ack was lost, goes with a
+// birth FlushTask writes, and an abandoned ledger delivers nothing.
+func TestBirthPinsLineageOnceAheadOfTheTaskDeltas(t *testing.T) {
+	arg := sweepObjID(50)
+	ctrl := &birthRecorder{Store: gcs.NewStore(2), watch: arg}
 	node := retireTestNode(1)
 	led := NewTaskLedger(ctrl)
 	led.SetNode(node)
 	led.async = true // batched, with this test as the flusher
-	arg := sweepObjID(50)
 	born := func(i uint64) types.TaskID {
 		spec := types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, i), Function: "f", NumReturns: 1, Args: []types.Arg{types.RefArg(arg)}}
 		if adopted, _ := led.Birth(spec); !adopted {
@@ -183,35 +193,42 @@ func TestPinLineageOnceAheadOfTheTaskDeltas(t *testing.T) {
 	task := born(7)
 	led.Transition(task, types.TaskFinished, types.NilWorkerID, "")
 	ctrl.refuse = true
-	if led.Flush() {
-		t.Fatal("Flush reported a drained ledger with its pin batch refused")
+	if led.Flush() || pinsOf(ctrl, arg) != 0 {
+		t.Fatalf("a refused birth: Flush drained, or LineagePins = %d", pinsOf(ctrl, arg))
 	}
-	ctrl.refuse = false
+	ctrl.refuse, ctrl.lose = false, true
+	if led.Flush() || pinsOf(ctrl, arg) != 1 {
+		t.Fatalf("a birth whose ack was lost: Flush drained, or LineagePins = %d, want 1", pinsOf(ctrl, arg))
+	}
+	ctrl.lose = false
 	if !led.Flush() {
-		t.Fatal("Flush did not drain once the control plane took the pins")
+		t.Fatal("Flush did not drain once the control plane took the birth")
 	}
-	if got := pinsOf(t, ctrl, arg); got != 1 {
-		t.Fatalf("LineagePins = %d after one pin refused once and redelivered, want 1", got)
+	if got := pinsOf(ctrl, arg); got != 1 {
+		t.Fatalf("LineagePins = %d after one birth delivered three times, want 1", got)
 	}
-	if len(ctrl.ops) != 2 || ctrl.ops[0] != ctrl.ops[1] || ctrl.ops[0] == 0 {
-		t.Fatalf("pin batch tokens %v, want the redelivery under the original token", ctrl.ops)
+	if len(ctrl.calls) != 4 || ctrl.calls[0] != "births" || ctrl.calls[1] != "births" || ctrl.calls[2] != "births" || ctrl.calls[3] != "states" {
+		t.Fatalf("flush calls %v, want the birth three times, then the task's delta", ctrl.calls)
 	}
-	if len(ctrl.calls) < 3 || ctrl.calls[0] != "states" || ctrl.calls[1] != "pin" || ctrl.calls[2] != "states" {
-		t.Fatalf("flush order %v, want the birth, then the pins, then the task deltas", ctrl.calls)
+	if ctrl.ops[0] != ctrl.ops[1] || ctrl.ops[0] != ctrl.ops[2] || ctrl.ops[0] == 0 {
+		t.Fatalf("birth tokens %v, want every delivery under the first one's", ctrl.ops[:3])
+	}
+	if len(ctrl.pinsAtFinish) != 1 || ctrl.pinsAtFinish[0] != 1 {
+		t.Fatalf("LineagePins when the FINISHED delta was sent: %v, want 1", ctrl.pinsAtFinish)
 	}
 
 	other := born(8)
 	led.FlushTask(other)
-	if got := pinsOf(t, ctrl, arg); got != 2 {
+	if got := pinsOf(ctrl, arg); got != 2 {
 		t.Fatalf("LineagePins = %d after FlushTask of a second pinning task, want 2", got)
 	}
 
 	last := born(9)
 	led.async = false // Abandon waits for the flusher, and there is none
 	led.Abandon()
-	before := len(ctrl.ops)
+	before := len(ctrl.calls)
 	led.Flush()
-	if _, ok := ctrl.GetTask(last); ok || len(ctrl.ops) != before || pinsOf(t, ctrl, arg) != 2 {
+	if _, ok := ctrl.GetTask(last); ok || len(ctrl.calls) != before || pinsOf(ctrl, arg) != 2 {
 		t.Fatal("an abandoned ledger delivered a birth or a pin")
 	}
 }

@@ -30,26 +30,17 @@ import (
 // under a token the tasks' MutOps rings record. A task born here reaches
 // the table the same way: Birth adopts it with its spec, and the next flush
 // writes its record (its birth) as a spec-carrying entry of one
-// ModifyTaskStates call, ahead of everything else, which also gives its
-// return objects their producer edges. The pins of a landed birth (each
-// by-reference argument ← the task's record) follow as one batched
-// PinObjects call, ahead of the deltas they justify. Until its birth lands,
-// the ledger is the only record of a task, and a task's pins and deltas
-// wait for its birth.
+// ModifyTaskStates call, ahead of the deltas. That call also gives the
+// task's return objects their producer edges and pins its by-reference
+// arguments' lineage, so the ledger keeps no pins of its own. Until its
+// birth lands, the ledger is the only record of a task, and a task's
+// deltas wait for its birth.
 type TaskLedger struct {
 	ledger[[]types.TaskStateDelta, types.TaskID]
 	ctrl  gcs.API
 	tasks map[types.TaskID]*ownedTask
 	dirty map[types.TaskID]struct{}
-	// pins holds, per task whose birth landed, the objects its record takes
-	// by reference and has yet to pin: each is pinned once
-	// (types.ObjectInfo.LineagePins) until the record is removed, so the
-	// lineage behind an argument outlives the references to it while a
-	// replay of the task could need it. pinRetry holds the pin batches a
-	// shard did not take, under their original tokens.
-	pins     map[types.TaskID][]types.ObjectID
-	pinRetry []batch[map[types.ObjectID]int64]
-	watch    map[types.TaskID][]chan<- types.TaskID
+	watch map[types.TaskID][]chan<- types.TaskID
 	// births holds the tasks born here whose record the table does not
 	// hold yet (Birth); roots the driver roots drawn on this node (Root),
 	// each with the highest SubmitIndex of a child admitted as fresh.
@@ -103,7 +94,6 @@ func NewTaskLedger(ctrl gcs.API) *TaskLedger {
 		ctrl:   ctrl,
 		tasks:  make(map[types.TaskID]*ownedTask),
 		dirty:  make(map[types.TaskID]struct{}),
-		pins:   make(map[types.TaskID][]types.ObjectID),
 		watch:  make(map[types.TaskID][]chan<- types.TaskID),
 		births: make(map[types.TaskID]*ownedTask),
 		roots:  make(map[types.TaskID]uint64),
@@ -373,43 +363,6 @@ func (l *TaskLedger) wakeLocked(id types.TaskID) {
 	delete(l.watch, id)
 }
 
-// flushPins delivers the parked pin batches under their original tokens,
-// then pins as a fresh batch. Pin deltas commute, so a batch a shard did
-// not take does not hold back the others. Caller holds flushMu.
-func (l *TaskLedger) flushPins(pins map[types.TaskID][]types.ObjectID) bool {
-	l.mu.Lock()
-	batches := l.pinRetry
-	l.pinRetry = nil
-	l.mu.Unlock()
-	if len(batches)+len(pins) == 0 {
-		return true
-	}
-	if len(pins) > 0 {
-		deltas := make(map[types.ObjectID]int64, len(pins))
-		for _, args := range pins {
-			for _, id := range args {
-				deltas[id]++
-			}
-		}
-		batches = append(batches, batch[map[types.ObjectID]int64]{op: newRefToken(), deltas: deltas})
-	}
-	var parked []batch[map[types.ObjectID]int64]
-	for _, b := range batches {
-		if failed := l.ctrl.PinObjects(b.deltas, b.op); len(failed) > 0 {
-			parked = append(parked, batch[map[types.ObjectID]int64]{op: b.op, deltas: deltasOf(b.deltas, failed)})
-		}
-	}
-	if len(parked) == 0 {
-		return true
-	}
-	l.mu.Lock()
-	if !l.dead {
-		l.pinRetry = append(parked, l.pinRetry...)
-	}
-	l.mu.Unlock()
-	return false
-}
-
 // Lookup returns the owner's authoritative view of id, shaped as the
 // table record the follower will eventually hold; Spec is set while the
 // task's birth is owed, when the table does not hold it yet. Owner-side
@@ -472,17 +425,17 @@ func (l *TaskLedger) StopNotify(ch chan<- types.TaskID, ids ...types.TaskID) {
 	}
 }
 
-// FlushTask synchronously pushes ONE task's unflushed state — its pins and
-// its dirty delta, if any — ahead of an ownership handoff
-// (spill bridge, drain migration), after every owed birth: an ID that leaves
-// this node must name a record, and so must the producers of its arguments.
-// The handoff invariant only concerns the task changing hands, so draining
-// the whole ledger inline here would put a full ModifyTaskStates round trip
-// on every spill; a spill-heavy submit burst would serialize each task
-// behind every other task's batch — the per-task sync write this design
-// exists to remove. Falls back to a full Flush when parked batches exist,
-// preserving per-task FIFO delivery. A task whose birth did not land keeps
-// the rest of its state for a later flush.
+// FlushTask synchronously writes every owed birth — each with its pins —
+// then pushes ONE task's dirty delta, if any, ahead of an ownership handoff
+// (spill bridge, drain migration): an ID that leaves this node must name a
+// record, and so must the producers of its arguments. The handoff invariant
+// only concerns the task changing hands, so draining the whole ledger inline
+// here would put a full ModifyTaskStates round trip on every spill; a
+// spill-heavy submit burst would serialize each task behind every other
+// task's batch — the per-task sync write this design exists to remove.
+// Falls back to a full Flush when parked batches exist, preserving per-task
+// FIFO delivery. A task whose birth did not land keeps its delta for a
+// later flush.
 //
 // It reports whether the table held id's record before this node's birth
 // of it: the birth found another record there (the adoption is undone), or
@@ -523,11 +476,6 @@ func (l *TaskLedger) FlushTask(id types.TaskID) (held bool) {
 		l.mu.Unlock()
 		return
 	}
-	var pins map[types.TaskID][]types.ObjectID
-	if args, ok := l.pins[id]; ok {
-		pins = map[types.TaskID][]types.ObjectID{id: args}
-		delete(l.pins, id)
-	}
 	var deltas []types.TaskStateDelta
 	if _, dirty := l.dirty[id]; dirty {
 		delete(l.dirty, id)
@@ -537,7 +485,6 @@ func (l *TaskLedger) FlushTask(id types.TaskID) (held bool) {
 	}
 	node := l.node
 	l.mu.Unlock()
-	l.flushPins(pins)
 	if len(deltas) > 0 {
 		l.deliver(node, deltas)
 	}
@@ -545,11 +492,11 @@ func (l *TaskLedger) FlushTask(id types.TaskID) (held bool) {
 }
 
 // bear writes the owed births, each under the token of its first delivery,
-// so a redelivery finds its own record; the caller holds flushMu. A landed
-// birth queues the pins of the record it wrote. A birth the table did not
-// take stays owed, unless the table holds a record it did not write: then
-// another submission of the ID came first, and the adoption is undone.
-// Reports whether nothing stays owed.
+// so a redelivery finds its own record and the pins it wrote count once;
+// the caller holds flushMu. A birth the table did not take stays owed,
+// unless the table holds a record it did not write: then another
+// submission of the ID came first, and the adoption is undone. Reports
+// whether nothing stays owed.
 func (l *TaskLedger) bear() bool {
 	l.mu.Lock()
 	if l.dead || len(l.births) == 0 {
@@ -611,9 +558,6 @@ func (l *TaskLedger) bear() bool {
 			}
 			delete(l.births, d.ID)
 			t.owed = false
-			if args := t.spec.DistinctDeps(); len(args) > 0 {
-				l.pins[d.ID] = args
-			}
 			t.spec = types.TaskSpec{}
 		}
 	}
@@ -659,15 +603,13 @@ func (l *TaskLedger) settleLocked(deltas []types.TaskStateDelta, failed []types.
 	return rest
 }
 
-// fresh delivers, in this order, the owed births, the pins, and the
-// accumulated transitions as one batch — one delta per task carrying its
-// full latest view, so coalesced intermediate states cost nothing. Births
-// go first because everything else about a task presumes its record. Pins
-// go next because a terminal record's removal drops pins that must have
-// landed. Both are taken at once, after the births, so every pin queued
-// before a transition travels ahead of it; what belongs to a task whose
-// birth did not land stays for a later flush. Between taking the
-// transitions and sending them it runs the announcer (SetAnnouncer).
+// fresh delivers the owed births, then the accumulated transitions as one
+// batch — one delta per task carrying its full latest view, so coalesced
+// intermediate states cost nothing. Births go first because everything
+// else about a task presumes its record, and a terminal record's removal
+// drops the pins its birth wrote; the deltas of a task whose birth did not
+// land stay for a later flush. Between taking the transitions and sending
+// them it runs the announcer (SetAnnouncer).
 func (l *TaskLedger) fresh() bool {
 	defer l.flushes.Add(1)
 	ok := l.bear()
@@ -675,16 +617,6 @@ func (l *TaskLedger) fresh() bool {
 	if l.dead {
 		l.mu.Unlock()
 		return true
-	}
-	var pins map[types.TaskID][]types.ObjectID
-	if len(l.pins) > 0 {
-		pins, l.pins = l.pins, make(map[types.TaskID][]types.ObjectID)
-		for id, args := range pins {
-			if l.births[id] != nil {
-				l.pins[id] = args
-				delete(pins, id)
-			}
-		}
 	}
 	var deltas []types.TaskStateDelta
 	if len(l.dirty) > 0 {
@@ -705,21 +637,18 @@ func (l *TaskLedger) fresh() bool {
 	if announce != nil {
 		announce()
 	}
-	ok = l.flushPins(pins) && ok
 	if len(deltas) > 0 {
 		ok = l.deliver(node, deltas) && ok
 	}
 	return ok
 }
 
-func (l *TaskLedger) backlogLocked() (int, int, int) {
-	d, p, b := len(l.dirty), len(l.pins), len(l.births)
-	return d + p + b, max(d, p, b), len(l.pinRetry)
+func (l *TaskLedger) backlogLocked() (int, int) {
+	d, b := len(l.dirty), len(l.births)
+	return d + b, max(d, b)
 }
 
 func (l *TaskLedger) discardLocked() {
 	l.births = make(map[types.TaskID]*ownedTask)
 	l.dirty = make(map[types.TaskID]struct{})
-	l.pins = make(map[types.TaskID][]types.ObjectID)
-	l.pinRetry = nil
 }

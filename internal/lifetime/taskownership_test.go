@@ -141,8 +141,9 @@ func TestTaskOwnershipConservationAcrossShardKill(t *testing.T) {
 	var ids []types.TaskID
 	for i := byte(0); i < 24; i++ {
 		spec := ownSpec(0x10 + i)
-		if !client.AddTask(types.TaskState{Spec: spec, Status: types.TaskPending, Owner: owner}) {
-			t.Fatalf("AddTask %d rejected", i)
+		birth := types.TaskStateDelta{ID: spec.ID, Owner: owner, Status: types.TaskPending, Spec: &spec}
+		if failed := client.ModifyTaskStates(owner, []types.TaskStateDelta{birth}, uint64(i)+1); len(failed) != 0 {
+			t.Fatalf("birth %d rejected", i)
 		}
 		ledger.Adopt(spec.ID, 0, types.TaskPending)
 		ids = append(ids, spec.ID)
@@ -320,5 +321,156 @@ func TestNotifyDeliversEndOfTenureOnOneChannel(t *testing.T) {
 	drain()
 	if got[stays] != 0 {
 		t.Fatal("an unregistered channel still received an event")
+	}
+}
+
+// finishWatch is a control-plane client that, as each FINISHED delta goes
+// out, records whether every argument of every task the test knows has a
+// lineage pin for each record in the table that takes it.
+type finishWatch struct {
+	*gcs.Sharded
+	specs []types.TaskSpec
+	short []string
+}
+
+func (w *finishWatch) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
+	for _, d := range deltas {
+		if d.Spec == nil && d.Status == types.TaskFinished {
+			for obj, n := range recordsTaking(w.Sharded, w.specs) {
+				if info, _ := w.GetObject(obj); info.LineagePins < n {
+					w.short = append(w.short, d.ID.String())
+				}
+			}
+		}
+	}
+	return w.Sharded.ModifyTaskStates(node, deltas, op)
+}
+
+// recordsTaking counts, per object, the records in ctrl among specs' tasks
+// that take it by reference.
+func recordsTaking(ctrl gcs.API, specs []types.TaskSpec) map[types.ObjectID]int64 {
+	n := make(map[types.ObjectID]int64)
+	for _, spec := range specs {
+		if st, ok := ctrl.GetTask(spec.ID); ok {
+			for _, a := range st.Spec.DistinctDeps() {
+				n[a]++
+			}
+		}
+	}
+	return n
+}
+
+// TestBirthPinsAcrossShardFailures: over two shards, one batch of births
+// meets its second task's shard down, and another meets the shard of the
+// object both its tasks take down. Once the ledger has redelivered, every
+// object's lineage pins equal the records that take it — also after a
+// purge — and no task's FINISHED delta went out ahead of its pins. In the
+// first batch the two tasks share an object on the shard that stayed up:
+// pins sent for the part of the batch that landed would spend the batch's
+// token on that object, and the redelivery's pins would be a dedup hit.
+func TestBirthPinsAcrossShardFailures(t *testing.T) {
+	nw := transport.NewInproc(0)
+	sup, err := gcs.NewSupervisor(gcs.SupervisorConfig{Shards: 2, Network: nw, MapAddr: "gcs-birthpins", DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	client, err := gcs.NewSharded(gcs.ShardedConfig{Network: nw, MapAddr: "gcs-birthpins", RetryWindow: 30 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctrl := &finishWatch{Sharded: client}
+	owner := ownNode(9)
+	led := NewTaskLedger(ctrl)
+	led.SetNode(owner)
+	led.async = true // batched, with this test as the flusher
+
+	const up, down = 0, 1
+	next := uint64(0)
+	taskOn := func(shard int, args ...types.ObjectID) types.TaskSpec {
+		for {
+			next++
+			id := types.DeriveTaskID(types.NilTaskID, 9000+next)
+			if client.Map().ShardForKey(gcs.TaskKey(id)) == shard {
+				spec := types.TaskSpec{ID: id, Function: "f", NumReturns: 1}
+				for _, a := range args {
+					spec.Args = append(spec.Args, types.RefArg(a))
+				}
+				return spec
+			}
+		}
+	}
+	objectOn := func(shard int) types.ObjectID {
+		for {
+			next++
+			if id := sweepObjID(byte(next)); client.Map().ShardForKey(gcs.ObjectKey(id)) == shard {
+				client.AddObjectLocation(id, owner, 8) // a Put's record
+				return id
+			}
+		}
+	}
+	bear := func(specs ...types.TaskSpec) {
+		for _, spec := range specs {
+			if adopted, _ := led.Birth(spec); !adopted {
+				t.Fatalf("birth of %v not adopted", spec.ID)
+			}
+			led.Transition(spec.ID, types.TaskFinished, types.NilWorkerID, "")
+		}
+		ctrl.specs = append(ctrl.specs, specs...)
+	}
+	settle := func(what string) {
+		t.Helper()
+		if led.Flush() {
+			t.Fatalf("%s: the flush drained with a shard down", what)
+		}
+		if err := sup.RestartShard(down); err != nil {
+			t.Fatal(err)
+		}
+		if !led.Flush() {
+			t.Fatalf("%s: the redelivery did not drain", what)
+		}
+	}
+	balanced := func(what string) {
+		t.Helper()
+		for obj, n := range recordsTaking(client, ctrl.specs) {
+			if info, _ := client.GetObject(obj); info.LineagePins != n {
+				t.Errorf("%s: %v has %d lineage pins, %d records take it", what, obj, info.LineagePins, n)
+			}
+		}
+	}
+
+	// A task shard down: a lands, b does not; both take x, on the shard
+	// that stayed up, and b takes it twice.
+	x := objectOn(up)
+	a, b := taskOn(up, x), taskOn(down, x, x)
+	sup.KillShard(down)
+	bear(a, b)
+	settle("a task shard down")
+	balanced("after a task shard came back")
+
+	// An object shard down: both tasks land, the object they take does not
+	// get its pins.
+	y := objectOn(down)
+	c, e := taskOn(up, y), taskOn(up, y)
+	bear(c, e)
+	sup.KillShard(down)
+	settle("an object shard down")
+	balanced("after an object shard came back")
+
+	if len(ctrl.short) != 0 {
+		t.Errorf("FINISHED deltas sent ahead of their pins: %v", ctrl.short)
+	}
+	for _, spec := range ctrl.specs {
+		if st, ok := client.GetTask(spec.ID); !ok || st.Status != types.TaskFinished {
+			t.Fatalf("record of %v: %+v %v", spec.ID, st, ok)
+		}
+	}
+	if _, left := client.PurgeTasks([]types.TaskID{a.ID, c.ID}); len(left) != 0 {
+		t.Fatalf("purge left %v", left)
+	}
+	balanced("after a purge")
+	if info, _ := client.GetObject(x); info.LineagePins != 1 {
+		t.Fatalf("x has %d lineage pins after its first taker went, want 1", info.LineagePins)
 	}
 }

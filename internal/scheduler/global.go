@@ -268,18 +268,19 @@ func (g *Global) run() {
 // converge on one owner.
 func (g *Global) sweepPending() {
 	parked := g.parkedIDs()
-	for _, spec := range g.cfg.Ctrl.StalePendingTasks(sweepAge.Nanoseconds()) {
-		if parked[spec.ID] {
+	stale, _ := g.cfg.Ctrl.ScanTasks(gcs.TaskFilter{Pending: true, PendingForNs: sweepAge.Nanoseconds()})
+	for _, st := range stale {
+		if parked[st.Spec.ID] {
 			continue
 		}
-		if g.fair.Contains(spec.ID) {
+		if g.fair.Contains(st.Spec.ID) {
 			// Held by the fair queue's contention gate, not lost: rescuing
 			// it here would bypass the DRR ordering the gate exists for.
 			// (Safe against this scheduler dying with it: a peer global's
 			// sweep does not hold it and will rescue.)
 			continue
 		}
-		g.place(spec)
+		g.place(st.Spec)
 	}
 }
 

@@ -339,7 +339,7 @@ func (g *Global) purgeJob(j types.JobInfo) {
 			done = append(done, st.Spec.ID)
 		}
 	}
-	if gcs.PurgeAndUnpin(g.cfg.Ctrl, done) > 0 {
+	if _, left := g.cfg.Ctrl.PurgeTasks(done); len(left) < len(done) {
 		g.cfg.Ctrl.LogEvent(types.Event{Kind: "job-purge-tasks", Detail: job.String()})
 	}
 	g.cfg.Ctrl.Retire(objects) // what only the job's own leftover records pinned
