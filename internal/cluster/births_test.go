@@ -19,18 +19,30 @@ import (
 
 // ctrlProbe wraps one node's control plane. It counts every call made on a
 // driver's submit path, the births-carrying ModifyTaskStates calls, the
-// EnsureObjects calls and the location calls, and while held it blocks the
-// task ledger's flush calls (ModifyTaskStates, EnsureObjects) — and, if
-// asked, the reference ledger's (ModifyObjectRefCounts) — until released.
+// EnsureObjects calls, the location calls, the events and the Retire
+// calls, and it records every task and object a ledger flush names. While
+// held it blocks the task ledger's flush calls (ModifyTaskStates,
+// EnsureObjects) — and, if asked, the reference ledger's
+// (ModifyObjectRefCounts) — until released.
 type ctrlProbe struct {
 	gcs.API
 	onSubmit, births, ensures atomic.Int64
 	// adds and removes count the location calls.
 	adds, removes atomic.Int64
+	// events and retires count LogEvent and Retire calls; waiting counts
+	// the calls blocked by a hold.
+	events, retires, waiting atomic.Int64
 
 	mu       sync.Mutex
 	hold     chan struct{}
 	holdRefs bool
+	// holdDeltas narrows a hold to the ModifyTaskStates calls that carry
+	// no birth (holdDeltaFlush).
+	holdDeltas bool
+	// flushedTasks and flushedObjects count the entries each task and
+	// object had in ModifyTaskStates and ModifyObjectRefCounts calls.
+	flushedTasks   map[types.TaskID]int
+	flushedObjects map[types.ObjectID]int
 }
 
 // call counts a call whose stack passes through the driver's submit.
@@ -53,7 +65,17 @@ func (p *ctrlProbe) call() {
 // reference ledger's too, block until releaseFlush.
 func (p *ctrlProbe) holdFlush(refs bool) {
 	p.mu.Lock()
-	p.hold, p.holdRefs = make(chan struct{}), refs
+	p.hold, p.holdRefs, p.holdDeltas = make(chan struct{}), refs, false
+	p.mu.Unlock()
+}
+
+// holdDeltaFlush makes the task ledger's ModifyTaskStates calls that carry
+// no birth, and with refs the reference ledger's calls, block until
+// releaseFlush: a task-ledger flush held there has already written its
+// births and announced what it announces.
+func (p *ctrlProbe) holdDeltaFlush(refs bool) {
+	p.mu.Lock()
+	p.hold, p.holdRefs, p.holdDeltas = make(chan struct{}), refs, true
 	p.mu.Unlock()
 }
 
@@ -66,39 +88,72 @@ func (p *ctrlProbe) releaseFlush() {
 	p.mu.Unlock()
 }
 
-func (p *ctrlProbe) held(refs bool) {
+// held blocks a call while a hold covers it: refs marks the reference
+// ledger's calls, births a call that carries a birth.
+func (p *ctrlProbe) held(refs, births bool) {
 	p.mu.Lock()
 	hold := p.hold
-	if refs && !p.holdRefs {
+	if refs && !p.holdRefs || p.holdDeltas && births {
 		hold = nil
 	}
 	p.mu.Unlock()
 	if hold != nil {
+		p.waiting.Add(1)
 		<-hold
+		p.waiting.Add(-1)
 	}
 }
 
 func (p *ctrlProbe) ModifyObjectRefCounts(node types.NodeID, deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
 	p.call()
-	p.held(true)
+	p.mu.Lock()
+	if p.flushedObjects == nil {
+		p.flushedObjects = make(map[types.ObjectID]int)
+	}
+	for id := range deltas {
+		p.flushedObjects[id]++
+	}
+	p.mu.Unlock()
+	p.held(true, false)
 	return p.API.ModifyObjectRefCounts(node, deltas, op)
 }
 
 func (p *ctrlProbe) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
 	p.call()
-	p.held(false)
-	for _, d := range deltas {
-		if d.Spec != nil {
-			p.births.Add(1)
-			break
-		}
+	births := false
+	p.mu.Lock()
+	if p.flushedTasks == nil {
+		p.flushedTasks = make(map[types.TaskID]int)
 	}
+	for _, d := range deltas {
+		births = births || d.Spec != nil
+		p.flushedTasks[d.ID]++
+	}
+	p.mu.Unlock()
+	if births {
+		p.births.Add(1)
+	}
+	p.held(false, births)
 	return p.API.ModifyTaskStates(node, deltas, op)
+}
+
+// flushed reports how many ledger-flush entries named any of tasks or any
+// of objects.
+func (p *ctrlProbe) flushed(tasks []types.TaskID, objects []types.ObjectID) (taskEntries, objectEntries int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, id := range tasks {
+		taskEntries += p.flushedTasks[id]
+	}
+	for _, id := range objects {
+		objectEntries += p.flushedObjects[id]
+	}
+	return taskEntries, objectEntries
 }
 
 func (p *ctrlProbe) EnsureObjects(producers map[types.ObjectID]types.TaskID) []types.ObjectID {
 	p.call()
-	p.held(false)
+	p.held(false, false)
 	p.ensures.Add(1)
 	return p.API.EnsureObjects(producers)
 }
@@ -210,6 +265,7 @@ func (p *ctrlProbe) ForceReleaseObjects(ids []types.ObjectID) []types.ObjectID {
 
 func (p *ctrlProbe) Retire(objects []types.ObjectID) gcs.Retired {
 	p.call()
+	p.retires.Add(1)
 	return p.API.Retire(objects)
 }
 
@@ -255,6 +311,7 @@ func (p *ctrlProbe) Nodes() []types.NodeInfo {
 
 func (p *ctrlProbe) LogEvent(ev types.Event) {
 	p.call()
+	p.events.Add(1)
 	p.API.LogEvent(ev)
 }
 
@@ -449,6 +506,10 @@ func TestBirthRacesRetirement(t *testing.T) {
 
 		probe.holdFlush(false)
 		ref := runNoop(t, d)
+		// The reference is counted in the table before its release, so the
+		// result takes the table's path: released before anything about it
+		// left the node, it would be collected at home, with no proposal.
+		n.Lifetime().Tracker().Flush()
 		drainedAndProposed(t, n, d, ref)
 		// RetireDue lands the owed births first, so it waits for the flush.
 		retiring := make(chan struct{})

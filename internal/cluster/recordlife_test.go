@@ -233,39 +233,83 @@ func TestJobPurgeUnpinsWhatItsTasksTook(t *testing.T) {
 	}
 }
 
-// TestLateReaderIsToldNotLeftWaiting: a Get or Wait on a future whose
-// records were retired returns ErrReclaimed within a poll, and a task
-// submitted with it as an argument fails with it.
+// TestLateReaderIsToldNotLeftWaiting: a Get or Wait on a released future
+// whose records are gone returns ErrReclaimed within a poll, and a task
+// submitted with it as an argument fails with it — whether its owner
+// collected it at home, so that the tables never held it, or the tables
+// held it and gcs.Retire retired it.
 func TestLateReaderIsToldNotLeftWaiting(t *testing.T) {
-	f := newLifeFuncs()
-	c := singleNodeWith(t, f.reg)
-	d := c.Driver()
+	t.Run("home-collected", func(t *testing.T) {
+		f := newLifeFuncs()
+		c := singleNodeWith(t, f.reg)
+		n, d := c.Node(0), c.Driver()
+		// Released before any flush, a result is collected at home unless a
+		// flush caught its task still running and wrote its birth: then try
+		// again.
+		var ref core.Ref[int]
+		for attempt := 0; ; attempt++ {
+			var err error
+			if ref, err = f.inc.Remote(d, 1); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := core.Get(testCtx(t), d, ref); err != nil || v != 2 {
+				t.Fatalf("Get = %d, %v", v, err)
+			}
+			home := homeTasks(n)
+			d.Release(ref.Ref)
+			n.TaskLedger().Flush()
+			if homeTasks(n) > home {
+				break
+			}
+			if attempt == 10 {
+				t.Fatal("no released result was collected at home in ten attempts")
+			}
+		}
+		if _, ok := c.API.GetTask(ref.Ref.Task); ok {
+			t.Fatal("a task collected at home is in the table")
+		}
+		lateReaderIsTold(t, f, d, ref)
+	})
+	t.Run("table-retired", func(t *testing.T) {
+		f := newLifeFuncs()
+		c := singleNodeWith(t, f.reg)
+		n, d := c.Node(0), c.Driver()
+		ref, err := f.inc.Remote(d, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := core.Get(testCtx(t), d, ref); err != nil || v != 2 {
+			t.Fatalf("Get = %d, %v", v, err)
+		}
+		// The task and the reference reach the tables before the release:
+		// the table's path collects the result.
+		n.LandBirths(ref.Ref.Task)
+		n.Lifetime().Tracker().Flush()
+		d.Release(ref.Ref)
+		retired(t, c, "the released task's records to be retired", ref.Ref.Task)
+		lateReaderIsTold(t, f, d, ref)
+	})
+}
 
-	ref, err := f.inc.Remote(d, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := core.Get(testCtx(t), d, ref); err != nil || v != 2 {
-		t.Fatalf("Get = %d, %v", v, err)
-	}
-	d.Release(ref.Ref)
-	retired(t, c, "the released task's records to be retired", ref.Ref.Task)
-
+// lateReaderIsTold checks that every late reader of the released ref is
+// told ErrReclaimed, none left waiting.
+func lateReaderIsTold(t *testing.T, f *lifeFuncs, d *core.Client, ref core.Ref[int]) {
+	t.Helper()
 	// A reader left waiting would be waiting for this context.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := core.Get(ctx, d, ref); !errors.Is(err, core.ErrReclaimed) {
-		t.Fatalf("Get of a retired future: %v, want ErrReclaimed", err)
+		t.Fatalf("Get of a reclaimed future: %v, want ErrReclaimed", err)
 	}
 	if _, _, err := d.Wait(ctx, []core.ObjectRef{ref.Ref}, 1, -1); !errors.Is(err, core.ErrReclaimed) {
-		t.Fatalf("Wait on a retired future: %v, want ErrReclaimed", err)
+		t.Fatalf("Wait on a reclaimed future: %v, want ErrReclaimed", err)
 	}
 	late, err := f.inc.RemoteRef(d, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := core.Get(ctx, d, late); !errors.Is(err, core.ErrReclaimed) || !errors.Is(err, core.ErrTaskFailed) {
-		t.Fatalf("Get of a task submitted on a retired argument: %v, want ErrTaskFailed and ErrReclaimed", err)
+		t.Fatalf("Get of a task submitted on a reclaimed argument: %v, want ErrTaskFailed and ErrReclaimed", err)
 	}
 	if ctx.Err() != nil {
 		t.Fatal("a late reader was left waiting until its context ended")

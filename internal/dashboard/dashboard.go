@@ -550,8 +550,9 @@ func eventsView(ctrl gcs.API) []EventView {
 // recordLifetimeRow is the overview's one line on record lifetime (DESIGN.md
 // §17): how big the tables are, how much of that is dead records waiting
 // out their grace (or, if it only grows, leaked: dead with nobody left to
-// propose them), what the nodes have retired, what they have queued, and
-// why proposals were refused.
+// propose them), what the nodes have retired, what they have queued, why
+// proposals were refused, and what their owners collected at home without
+// the tables ever holding it.
 func recordLifetimeRow(w io.Writer, tasks int, objects []types.ObjectInfo, nodes []metrics.NodeSnapshot) {
 	dead := 0
 	for i := range objects {
@@ -559,7 +560,7 @@ func recordLifetimeRow(w io.Writer, tasks int, objects []types.ObjectInfo, nodes
 			dead++
 		}
 	}
-	var c struct{ tasks, objects, queued, oldestMs, referenced, located, pinned, live, dropped int64 }
+	var c struct{ tasks, objects, queued, oldestMs, referenced, located, pinned, live, dropped, homeTasks, homeObjects int64 }
 	for _, n := range nodes {
 		c.tasks += n.Snap.Counters["lifetime.retire.tasks"]
 		c.objects += n.Snap.Counters["lifetime.retire.objects"]
@@ -570,10 +571,13 @@ func recordLifetimeRow(w io.Writer, tasks int, objects []types.ObjectInfo, nodes
 		c.pinned += n.Snap.Counters["lifetime.retire.refused;cause=pinned"]
 		c.live += n.Snap.Counters["lifetime.retire.refused;cause=producer-live"]
 		c.dropped += n.Snap.Counters["lifetime.retire.dropped"]
+		c.homeTasks += n.Snap.Counters["lifetime.home.tasks"]
+		c.homeObjects += n.Snap.Counters["lifetime.home.objects"]
 	}
 	fmt.Fprintf(w, "records: %d tasks, %d objects live (%d dead); retired %d tasks, %d objects; proposals: %d queued, oldest %dms; "+
-		"refused: referenced=%d located=%d pinned=%d producer-live=%d (dropped %d)\n",
-		tasks, len(objects), dead, c.tasks, c.objects, c.queued, c.oldestMs, c.referenced, c.located, c.pinned, c.live, c.dropped)
+		"refused: referenced=%d located=%d pinned=%d producer-live=%d (dropped %d); collected at home: %d tasks, %d objects\n",
+		tasks, len(objects), dead, c.tasks, c.objects, c.queued, c.oldestMs, c.referenced, c.located, c.pinned, c.live, c.dropped,
+		c.homeTasks, c.homeObjects)
 }
 
 func overview(ctrl gcs.API, o handlerOpts, w http.ResponseWriter) {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gcs"
+	"repro/internal/metrics"
 	"repro/internal/scheduler"
 	"repro/internal/types"
 )
@@ -174,7 +175,7 @@ func TestEndpoints(t *testing.T) {
 		if code != 200 {
 			t.Fatalf("status %d", code)
 		}
-		for _, want := range []string{"nodes: 2", "tasks: 1", "FINISHED=1", "records: 1 tasks, ", "proposals: 0 queued"} {
+		for _, want := range []string{"nodes: 2", "tasks: 1", "FINISHED=1", "records: 1 tasks, ", "proposals: 0 queued", "; collected at home: "} {
 			if !strings.Contains(body, want) {
 				t.Fatalf("overview missing %q:\n%s", want, body)
 			}
@@ -192,6 +193,23 @@ func TestEndpoints(t *testing.T) {
 			t.Fatalf("single-store shard view: %d %q", code, body)
 		}
 	})
+}
+
+// TestRecordLifetimeRowCountsHomeCollection: the records row adds up what
+// every node collected at home beside what the nodes retired.
+func TestRecordLifetimeRowCountsHomeCollection(t *testing.T) {
+	snap := func(tasks, objects, retired int64) metrics.NodeSnapshot {
+		return metrics.NodeSnapshot{Snap: metrics.Snapshot{Counters: map[string]int64{
+			"lifetime.home.tasks": tasks, "lifetime.home.objects": objects, "lifetime.retire.tasks": retired,
+		}}}
+	}
+	var b strings.Builder
+	recordLifetimeRow(&b, 0, nil, []metrics.NodeSnapshot{snap(3, 4, 1), snap(2, 2, 0)})
+	for _, want := range []string{"retired 1 tasks, ", "; collected at home: 5 tasks, 6 objects\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("records row missing %q: %q", want, b.String())
+		}
+	}
 }
 
 // TestShardView exercises /api/shards and the overview shard line against

@@ -37,8 +37,11 @@ import (
 // count of the references this node's drivers, borrows, and bridges hold;
 // pending is the net delta per object since the last flush. A key stays in
 // pending when its delta nets to zero, so a retain+release cycle inside one
-// interval still flushes, as a delta-0 "touch": the GCS must learn the
-// object was referenced, or it would never become GC-eligible.
+// interval still flushes, as a delta-0 "touch" that makes the object
+// GC-eligible in the table — unless the object never left this node: a
+// touch on a copy the store holds back waits for the task ledger's next
+// flush, which either collects the object at home (DESIGN.md §17), touch
+// and all, or announces it, and then the touch goes.
 //
 // The embedded ledger flushes: one ModifyObjectRefCounts per interval
 // carries every delta, under a token the objects' RefOps rings record, so a
@@ -52,6 +55,10 @@ type Tracker struct {
 	// stands now (nil: none): Forget swaps in a copy without its key, and
 	// the delivery settles this one, not the map it sent.
 	sending map[types.ObjectID]int64
+	// holdBack, when set (before Start), reports whether a touch on an
+	// object nobody here holds waits for the task ledger's next flush; it
+	// is called under mu.
+	holdBack func(types.ObjectID) bool
 }
 
 // NewTracker creates an empty ledger publishing into ctrl, in synchronous
@@ -196,16 +203,47 @@ func (t *Tracker) settleLocked(deltas map[types.ObjectID]int64, failed []types.O
 
 func (t *Tracker) fresh() bool {
 	t.mu.Lock()
-	if t.dead || len(t.pending) == 0 {
+	if t.dead {
 		t.mu.Unlock()
 		return true
 	}
-	deltas := t.pending
-	t.pending = make(map[types.ObjectID]int64)
+	var deltas map[types.ObjectID]int64
+	for id, d := range t.pending {
+		if d == 0 && t.holdBack != nil && t.held[id] == 0 && t.holdBack(id) {
+			continue
+		}
+		if deltas == nil {
+			deltas = make(map[types.ObjectID]int64, len(t.pending))
+		}
+		deltas[id] = d
+		delete(t.pending, id)
+	}
+	if deltas == nil {
+		t.mu.Unlock()
+		return true
+	}
 	t.sending = deltas
 	node := t.node
 	t.mu.Unlock()
 	return t.deliver(node, deltas)
+}
+
+// touchOnlyLocked reports whether id's only state here is a net-zero entry
+// no batch has sent or parked: nothing here holds it, and nothing about it
+// reached the table from this tracker.
+func (t *Tracker) touchOnlyLocked(id types.ObjectID) bool {
+	if d, ok := t.pending[id]; !ok || d != 0 || t.held[id] != 0 {
+		return false
+	}
+	if _, ok := t.sending[id]; ok {
+		return false
+	}
+	for _, b := range t.retry {
+		if _, ok := b.deltas[id]; ok {
+			return false
+		}
+	}
+	return true
 }
 
 func (t *Tracker) backlogLocked() (int, int) { return len(t.pending), len(t.pending) }

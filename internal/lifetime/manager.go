@@ -14,12 +14,15 @@ import (
 
 // reclaimGrace is how long after a node dropped an object's last local copy
 // it proposes the object's record for retiring (DESIGN.md §17). The drain
-// can run ahead of the control plane's view of the producer: a task whose
-// output is released the moment it is read has its FINISHED stamp still in
-// its owner's ledger, at most a flush interval (plus a redelivery) behind. Twenty-five intervals cover that with a wide margin
-// and are still short against anything a person or a dashboard sees; a
-// proposal that was early all the same is made once more after twice as
-// long, then given up.
+// can run ahead of the control plane's view of the producer: a return that
+// was announced, or whose touch was sent, before its producer's FINISHED
+// stamp reaches the table is drained with that stamp still in its owner's
+// ledger, at most a flush interval (plus a redelivery) behind. A return
+// released before anything about it left its owner is not drained at all:
+// its owner collects it at home, grace zero (CollectHome). Twenty-five
+// intervals cover the rest with a wide margin and are still short against
+// anything a person or a dashboard sees; a proposal that was early all the
+// same is made once more after twice as long, then given up.
 const reclaimGrace = 25 * defaultFlushInterval
 
 // Manager runs the lifetime subsystem on one node: it owns the node's
@@ -60,10 +63,12 @@ type proposal struct {
 	at time.Time
 }
 
-// retireObs are the record-lifetime instruments (nil-safe).
+// retireObs are the record-lifetime instruments (nil-safe): the retire
+// proposals and their outcomes, and what the node collected at home.
 type retireObs struct {
 	proposed, tasks, objects, dropped  *metrics.Counter
 	referenced, located, pinned, early *metrics.Counter
+	homeTasks, homeObjects             *metrics.Counter
 }
 
 // NewManager builds a manager for store; call Start to begin collecting.
@@ -94,6 +99,7 @@ func (m *Manager) SetMetrics(reg *metrics.Registry) {
 		pinned:     refused("pinned"),
 		early:      refused("producer-live"),
 	}
+	m.obs.homeTasks, m.obs.homeObjects = reg.Counter("lifetime.home.tasks"), reg.Counter("lifetime.home.objects")
 	if reg != nil {
 		reg.GaugeFunc("lifetime.retire.queued", func() int64 { n, _ := m.Proposals(); return int64(n) })
 		reg.GaugeFunc("lifetime.retire.oldest_ms", func() int64 { _, age := m.Proposals(); return age.Milliseconds() })
@@ -114,9 +120,40 @@ func (m *Manager) Proposals() (queued int, oldest time.Duration) {
 	return queued, oldest
 }
 
-// SetTaskLedger makes proposals wait for the births tasks owes. Call before
-// Start.
-func (m *Manager) SetTaskLedger(tasks *TaskLedger) { m.tasks = tasks }
+// SetTaskLedger makes proposals wait for the births tasks owes, and makes
+// the tracker hold back the touch on a copy the store holds back while the
+// ledger's flushes decide the copy's fate (CollectHome). Call before Start.
+func (m *Manager) SetTaskLedger(tasks *TaskLedger) {
+	m.tasks = tasks
+	m.tracker.holdBack = func(id types.ObjectID) bool { return tasks.homing.Load() && m.store.HeldBack(id) }
+}
+
+// CollectHome collects the returns of a task at home (DESIGN.md §17), if
+// nothing about them left this node: each has no tracker state but a
+// net-zero entry no batch has sent or parked, and a copy the store holds
+// back and no task here took. It then drops those entries and copies, with
+// no word to the control plane, and reports true; otherwise it changes
+// nothing. The node's task ledger calls it from its flush, under its lock
+// (TaskLedger.SetCollector).
+func (m *Manager) CollectHome(ids []types.ObjectID) bool {
+	t := m.tracker
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, id := range ids {
+		if !t.touchOnlyLocked(id) {
+			return false
+		}
+	}
+	if !m.store.CollectHome(ids) {
+		return false
+	}
+	for _, id := range ids {
+		delete(t.pending, id)
+	}
+	m.obs.homeTasks.Inc()
+	m.obs.homeObjects.Add(int64(len(ids)))
+	return true
+}
 
 // RetireDue hands every proposal a grace old at now (twice that for a
 // second attempt) to the control plane's Retire in one batch; tests and
@@ -316,7 +353,7 @@ func (m *Manager) maybeReclaim(id types.ObjectID) {
 		// re-trigger GC.
 		return
 	}
-	m.store.ForgetEscape(id)
+	m.store.ForgetMarks(id)
 	if !m.store.Contains(id) {
 		// Every node hears every GC publish and most hold no copy (memory or
 		// spill tier): nothing to drop here, so nothing to ask the control

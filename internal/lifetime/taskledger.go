@@ -34,7 +34,9 @@ import (
 // task's return objects their producer edges and pins its by-reference
 // arguments' lineage, so the ledger keeps no pins of its own. Until its
 // birth lands, the ledger is the only record of a task, and a task's
-// deltas wait for its birth.
+// deltas wait for its birth. A task whose birth was never sent, and whose
+// returns were released before anything about them left this node, never
+// reaches the table: the flush collects it at home (SetCollector).
 type TaskLedger struct {
 	ledger[[]types.TaskStateDelta, types.TaskID]
 	ctrl  gcs.API
@@ -49,8 +51,11 @@ type TaskLedger struct {
 	// flushes counts completed flushes of the whole ledger (Flushes).
 	flushes atomic.Uint64
 	// announce publishes the locations the node's store holds back
-	// (SetAnnouncer); nil until set.
+	// (SetAnnouncer); home collects a task's returns at home
+	// (SetCollector). Each is nil until set; homing is set while both are.
 	announce func()
+	home     *Manager
+	homing   atomic.Bool
 
 	clockOnce  sync.Once
 	clockBoot  int64
@@ -110,6 +115,22 @@ func NewTaskLedger(ctrl gcs.API) *TaskLedger {
 func (l *TaskLedger) SetAnnouncer(fn func()) {
 	l.mu.Lock()
 	l.announce = fn
+	l.homing.Store(l.announce != nil && l.home != nil)
+	l.mu.Unlock()
+}
+
+// SetCollector makes every flush, before it writes births, offer m the
+// returns of each task born here that is terminal and whose birth it never
+// sent (Manager.CollectHome); a task whose returns m collected at home is
+// dropped as if it had never been (DESIGN.md §17, "Collected at home"). A
+// flush that announces nothing (no announcer) collects nothing either:
+// collection and announcement are the two fates of a held-back location.
+// m is called under the ledger's lock, which comes before the tracker's
+// and the store's.
+func (l *TaskLedger) SetCollector(m *Manager) {
+	l.mu.Lock()
+	l.home = m
+	l.homing.Store(l.announce != nil && l.home != nil)
 	l.mu.Unlock()
 }
 
@@ -493,15 +514,19 @@ func (l *TaskLedger) FlushTask(id types.TaskID) (held bool) {
 
 // bear writes the owed births, each under the token of its first delivery,
 // so a redelivery finds its own record and the pins it wrote count once;
-// the caller holds flushMu. A birth the table did not take stays owed,
-// unless the table holds a record it did not write: then another
-// submission of the ID came first, and the adoption is undone. Reports
-// whether nothing stays owed.
+// the caller holds flushMu. First it collects at home what it can
+// (SetCollector): a birth it drops there is never written. A birth the
+// table did not take stays owed, unless the table holds a record it did
+// not write: then another submission of the ID came first, and the
+// adoption is undone. Reports whether nothing stays owed.
 func (l *TaskLedger) bear() bool {
 	l.mu.Lock()
 	if l.dead || len(l.births) == 0 {
 		l.mu.Unlock()
 		return true
+	}
+	if l.homing.Load() {
+		l.collectLocked()
 	}
 	var batches []batch[[]types.TaskStateDelta]
 	op := uint64(0)
@@ -562,6 +587,17 @@ func (l *TaskLedger) bear() bool {
 		}
 	}
 	return !owed
+}
+
+// collectLocked drops every task whose birth is owed and was never sent,
+// that is terminal, and whose returns the collector took: nothing about it
+// ever left this node, and nothing here needs it any more.
+func (l *TaskLedger) collectLocked() {
+	for id, t := range l.births {
+		if t.birthOp == 0 && t.status.Terminal() && l.home.CollectHome(t.spec.CacheReturns()) {
+			l.dropLocked(id, t)
+		}
+	}
 }
 
 // deltaLocked is the delta that carries t's latest state to the follower

@@ -82,7 +82,7 @@ func TestDeferredPutWaitsForItsAnnouncement(t *testing.T) {
 
 // TestEscapeMarks: Announce publishes a held-back copy at once, and marks
 // an object not here yet so that even its PutDeferred publishes at once.
-// No mark outlives its object: Put, Delete and ForgetEscape each clear it.
+// No mark outlives its object: Put, Delete and ForgetMarks each clear it.
 func TestEscapeMarks(t *testing.T) {
 	ctrl := &locationCalls{Store: gcs.NewStore(2)}
 	node := testNode(1)
@@ -105,7 +105,7 @@ func TestEscapeMarks(t *testing.T) {
 		t.Fatal("the Put of an escaped object did not publish its location")
 	}
 	s.Delete(deleted)
-	s.ForgetEscape(forgotten)
+	s.ForgetMarks(forgotten)
 	if n := s.EscapeMarks(); n != 0 {
 		t.Fatalf("%d escape marks left, want 0", n)
 	}
@@ -141,5 +141,57 @@ func TestDeferredSpillIsAnnouncedFirst(t *testing.T) {
 	s.AnnounceDeferred()
 	if got := ctrl.counts(); got != [3]int64{2, 0, 1} {
 		t.Fatalf("adds, removes, marks = %v, want the spill's add and mark and the hot Put's add", got)
+	}
+}
+
+// TestCollectHome: a held-back copy no task took goes without a word to the
+// control plane, and only all of a set or none of it goes. A copy taken by
+// a task admitted here — before or after it arrived — announced, spilled
+// or pinned is never collected; a copy that misses the taken mark would
+// be.
+func TestCollectHome(t *testing.T) {
+	ctrl := &locationCalls{Store: gcs.NewStore(2)}
+	s := New(testNode(1), ctrl, 0)
+	free, early, late, announced, pinned, plain := testObj(1), testObj(2), testObj(3), testObj(4), testObj(5), testObj(6)
+	if s.Take(early) {
+		t.Fatal("Take found an object not here yet")
+	}
+	for _, id := range []types.ObjectID{free, early, late, announced, pinned} {
+		if err := s.PutDeferred(id, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Put(plain, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Take(late) {
+		t.Fatal("Take missed a resident object")
+	}
+	s.Announce(announced)
+	s.Pin(pinned)
+	if !s.HeldBack(free) {
+		t.Fatal("a held-back copy nobody took is not HeldBack")
+	}
+	for _, id := range []types.ObjectID{early, late, announced, plain} {
+		if s.HeldBack(id) || s.CollectHome([]types.ObjectID{id}) {
+			t.Fatalf("%v: a taken, announced or published copy was offered or collected", id)
+		}
+	}
+	if s.CollectHome([]types.ObjectID{pinned}) {
+		t.Fatal("a pinned copy was collected")
+	}
+	if s.CollectHome([]types.ObjectID{free, early}) || !s.Contains(free) {
+		t.Fatal("a set with a taken copy was collected, whole or in part")
+	}
+	before := ctrl.counts()
+	if !s.CollectHome([]types.ObjectID{free}) || s.Contains(free) {
+		t.Fatal("a held-back copy nobody took was not collected")
+	}
+	if got := ctrl.counts(); got != before {
+		t.Fatalf("collecting at home made location calls: %v, then %v", before, got)
+	}
+	s.AnnounceDeferred()
+	if located(ctrl, free, testNode(1)) {
+		t.Fatal("a copy collected at home was announced")
 	}
 }

@@ -118,8 +118,11 @@ type entry struct {
 
 	// announced is set once the entry's location is queued for the control
 	// plane. A PutDeferred entry starts without it (DESIGN.md §8, "Held-back
-	// locations"); only an announced copy is ever deregistered.
+	// locations"); only an announced copy is ever deregistered. taken is set
+	// once a task admitted here names the object as an argument (Take): a
+	// taken copy is never collected at home (CollectHome).
 	announced bool
+	taken     bool
 }
 
 // lruList is an intrusive doubly-linked list over resident entries with a
@@ -164,6 +167,14 @@ func (l *lruList) coldestUnpinned() *entry {
 	}
 	return nil
 }
+
+// mark is what Announce and Take say of an object not here yet.
+type mark uint8
+
+const (
+	escaped mark = 1 << iota
+	taken
+)
 
 // pubOp is one queued control-plane call about an object.
 type pubOp func(ctrl gcs.API)
@@ -210,11 +221,12 @@ type Store struct {
 	pubq      map[types.ObjectID][]pubOp
 	pubActive map[types.ObjectID]bool
 	// deferred lists the entries PutDeferred stored unannounced, in Put
-	// order, for AnnounceDeferred; escapes marks objects not here yet that
-	// left this node as a spilled task's argument (Announce): their Put
-	// publishes at once.
+	// order, for AnnounceDeferred; marks holds what was said of objects not
+	// here yet, for their Put: that one left this node as a spilled task's
+	// argument (Announce), so its Put publishes at once, or that a task
+	// admitted here takes it (Take).
 	deferred []*entry
-	escapes  map[types.ObjectID]struct{}
+	marks    map[types.ObjectID]mark
 
 	// tier, when non-nil, enables the disk spill path.
 	tier SpillTier
@@ -269,7 +281,7 @@ func New(node types.NodeID, ctrl gcs.API, capacity int64) *Store {
 		tierRemovals:   make(map[types.ObjectID]int),
 		pubq:           make(map[types.ObjectID][]pubOp),
 		pubActive:      make(map[types.ObjectID]bool),
-		escapes:        make(map[types.ObjectID]struct{}),
+		marks:          make(map[types.ObjectID]mark),
 	}
 	s.lru.init()
 	s.evictDone = sync.NewCond(&s.mu)
@@ -424,7 +436,7 @@ func (s *Store) Announce(ids ...types.ObjectID) {
 		e, ok := s.objects[id]
 		switch {
 		case !ok && !s.failed:
-			s.escapes[id] = struct{}{}
+			s.marks[id] |= escaped
 		case ok && !e.announced && s.announceLocked(e):
 			drains = append(drains, id)
 		}
@@ -437,9 +449,10 @@ func (s *Store) Announce(ids ...types.ObjectID) {
 
 // AnnounceDeferred publishes every location PutDeferred held back whose
 // copy is still here. The node's task ledger runs it in each flush, after
-// it takes the transitions it sends, so a held-back location waits at most
-// two flush intervals and a FINISHED record never reaches the table ahead
-// of its returns' locations.
+// it has collected at home what it could (CollectHome) and taken the
+// transitions it sends, so a held-back location waits at most two flush
+// intervals and a FINISHED record never reaches the table ahead of its
+// returns' locations.
 func (s *Store) AnnounceDeferred() {
 	s.mu.Lock()
 	if len(s.deferred) == 0 {
@@ -460,12 +473,12 @@ func (s *Store) AnnounceDeferred() {
 	}
 }
 
-// ForgetEscape drops id's escape mark, if any. The lifetime manager calls
-// it when id's last reference is gone: a mark guards a reader that no
-// longer exists.
-func (s *Store) ForgetEscape(id types.ObjectID) {
+// ForgetMarks drops id's marks, if any. The lifetime manager calls it when
+// id's last reference is gone, and the scheduler when nothing can produce
+// id any more: a mark guards a reader that no longer exists.
+func (s *Store) ForgetMarks(id types.ObjectID) {
 	s.mu.Lock()
-	delete(s.escapes, id)
+	delete(s.marks, id)
 	s.mu.Unlock()
 }
 
@@ -473,7 +486,62 @@ func (s *Store) ForgetEscape(id types.ObjectID) {
 func (s *Store) EscapeMarks() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.escapes)
+	n := 0
+	for _, m := range s.marks {
+		if m&escaped != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// --- collection at home (DESIGN.md §17) ---
+
+// Take reports whether id is here, as Contains does, and marks it taken: a
+// task admitted on this node names it as a by-reference argument, so its
+// copy is never collected at home. An id not here yet is marked for its
+// Put. The mark publishes nothing.
+func (s *Store) Take(id types.ObjectID) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.objects[id]; ok {
+		e.taken = true
+		return true
+	}
+	if !s.failed {
+		s.marks[id] |= taken
+	}
+	return false
+}
+
+// HeldBack reports whether id's copy is one CollectHome could take: in
+// memory, held back (PutDeferred) and never announced, and not taken.
+func (s *Store) HeldBack(id types.ObjectID) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.objects[id]
+	return ok && s.heldBackLocked(e)
+}
+
+func (s *Store) heldBackLocked(e *entry) bool {
+	return e.state == stateResident && !e.announced && !e.taken && s.tierWrites[e.id] == 0
+}
+
+// CollectHome deletes the copies of ids, without a word to the control
+// plane, if every one of them is held back and unpinned; otherwise it
+// deletes none. Nothing outside this node ever heard of such a copy.
+func (s *Store) CollectHome(ids []types.ObjectID) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range ids {
+		if e, ok := s.objects[id]; !ok || !s.heldBackLocked(e) || e.pinned > 0 {
+			return false
+		}
+	}
+	for _, id := range ids {
+		s.removeEntryLocked(s.objects[id])
+	}
+	return true
 }
 
 // --- tier-file fencing ---
@@ -546,7 +614,8 @@ func (s *Store) Put(id types.ObjectID, data []byte) error { return s.put(id, dat
 // copy is stored and its waiters woken, but the control plane hears of it
 // only when Announce names it (a spilled task takes it as an argument),
 // when AnnounceDeferred runs (the node's task ledger flush), or when it
-// spills to disk — and never if it is deleted first. An object Announce
+// spills to disk — and never if it is deleted first, as CollectHome does
+// to a released return whose task never left its owner. An object Announce
 // marked before it arrived is published at once, as by Put.
 func (s *Store) PutDeferred(id types.ObjectID, data []byte) error { return s.put(id, data, true) }
 
@@ -579,10 +648,11 @@ func (s *Store) put(id types.ObjectID, data []byte, deferred bool) error {
 	s.lru.pushFront(e)
 	ws := s.waiters[id]
 	delete(s.waiters, id)
-	_, escaped := s.escapes[id]
-	delete(s.escapes, id)
+	m := s.marks[id]
+	delete(s.marks, id)
+	e.taken = m&taken != 0
 	drain := false
-	if deferred && !escaped {
+	if deferred && m&escaped == 0 {
 		s.deferred = append(s.deferred, e)
 	} else {
 		drain = s.announceLocked(e)
@@ -1111,7 +1181,7 @@ func (s *Store) Delete(id types.ObjectID) bool { return s.DeleteThen(id, nil) }
 // copy that was never announced. landed must not block.
 func (s *Store) DeleteThen(id types.ObjectID, landed func()) bool {
 	s.mu.Lock()
-	delete(s.escapes, id)
+	delete(s.marks, id)
 	e, ok := s.objects[id]
 	if !ok {
 		s.mu.Unlock()
@@ -1176,7 +1246,7 @@ func (s *Store) DropAll() {
 		v.drainer = s.withdrawLocked(e)
 		victims = append(victims, v)
 	}
-	clear(s.escapes)
+	clear(s.marks)
 	s.deferred = nil
 	s.lru.init()
 	s.used = 0

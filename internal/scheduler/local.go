@@ -723,9 +723,11 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 	if borrow {
 		l.cfg.Refs.Retain(deps...)
 	}
+	// The probe marks each dependency taken: a return a task here names is
+	// never collected at home, whatever its count (DESIGN.md §17).
 	var missing map[types.ObjectID]bool
 	for _, dep := range deps {
-		if !missing[dep] && !l.cfg.Store.Contains(dep) {
+		if !missing[dep] && !l.cfg.Store.Take(dep) {
 			if missing == nil {
 				missing = make(map[types.ObjectID]bool)
 			}
