@@ -391,7 +391,7 @@ func TestLocalSubmitControlPlaneBudget(t *testing.T) {
 		t.Fatalf("a warmed local submit made %d control-plane calls, want 0", got)
 	}
 	// The ledger lets go of the task once its FINISHED delta landed; the
-	// executor stamps it just after the Put that woke the Get.
+	// executor stamps it just after its Put, which a Get may have read.
 	landed(t, n, ref)
 	if st, ok := probe.API.GetTask(ref.Task); !ok || st.Status != types.TaskFinished || st.Owner != n.ID() {
 		t.Fatalf("record after the flush: %+v, %v", st, ok)

@@ -71,7 +71,7 @@ func TestLocalRoundTripControlPlaneBudget(t *testing.T) {
 		d.Release(ref)
 		tasks, objects = append(tasks, ref.Task), append(objects, ref.ID)
 	}
-	// A Get returns at the Put, just before the FINISHED stamp: the flush
+	// A Get may return at the Put, just before the FINISHED stamp: the flush
 	// that goes on must find every task terminal.
 	waitFor(t, 10*time.Second, "every task to be terminal", func() bool {
 		for _, id := range tasks {

@@ -132,9 +132,10 @@ type caller struct {
 	job     types.JobID
 	counter atomic.Uint64
 	puts    atomic.Uint64
-	// blockHook, when non-nil, brackets blocking operations so the node can
-	// release the task's resources while it waits (worker lending).
-	blockHook func(blocked bool)
+	// lender, when non-nil, brackets the blocking operations of the task
+	// lent (worker lending).
+	lender Lender
+	lent   *types.TaskSpec
 	// groups caches immutable placement-group specs resolved for grouped
 	// submissions (PlacementGroupID -> types.PlacementGroupSpec), so only
 	// a group's first use pays a control-plane round trip.
@@ -142,14 +143,14 @@ type caller struct {
 }
 
 func (c *caller) enterBlocked() {
-	if c.blockHook != nil {
-		c.blockHook(true)
+	if c.lender != nil {
+		c.lender.Lend(c.lent, true)
 	}
 }
 
 func (c *caller) exitBlocked() {
-	if c.blockHook != nil {
-		c.blockHook(false)
+	if c.lender != nil {
+		c.lender.Lend(c.lent, false)
 	}
 }
 
@@ -670,15 +671,23 @@ type TaskContext struct {
 	ctx  context.Context
 }
 
-// NewTaskContext is used by the executor to set up a task's API handle.
-// blockHook may be nil.
-func NewTaskContext(ctx context.Context, b Backend, spec types.TaskSpec, blockHook func(bool)) *TaskContext {
-	tc := &TaskContext{spec: spec, ctx: ctx}
+// Lender is told when a task enters (true) or leaves (false) a blocking
+// Get or Wait, so the node can lend the task's resources while it waits
+// (worker lending). spec is the blocked task's.
+type Lender interface {
+	Lend(spec *types.TaskSpec, blocked bool)
+}
+
+// NewTaskContext is used by the executor to set up a task's API handle,
+// its one allocation: the context keeps its own copy of *spec. lender may
+// be nil.
+func NewTaskContext(ctx context.Context, b Backend, spec *types.TaskSpec, lender Lender) *TaskContext {
+	tc := &TaskContext{spec: *spec, ctx: ctx}
 	tc.backend = b
 	tc.owner = spec.ID
 	tc.trace = spec.TraceID
 	tc.job = spec.Job
-	tc.blockHook = blockHook
+	tc.lender, tc.lent = lender, &tc.spec
 	return tc
 }
 

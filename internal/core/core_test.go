@@ -265,17 +265,25 @@ func TestRegistryLookupAndNames(t *testing.T) {
 	}
 }
 
+// eventLender records what a TaskContext lends, and for which task.
+type eventLender struct {
+	mu     sync.Mutex
+	events []bool
+	tasks  []types.TaskID
+}
+
+func (l *eventLender) Lend(spec *types.TaskSpec, blocked bool) {
+	l.mu.Lock()
+	l.events = append(l.events, blocked)
+	l.tasks = append(l.tasks, spec.ID)
+	l.mu.Unlock()
+}
+
 func TestTaskContextBlockHookBrackets(t *testing.T) {
 	b := newFakeBackend()
 	spec := types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 5), Function: "f", NumReturns: 1}
-	var events []bool
-	var mu sync.Mutex
-	hook := func(blocked bool) {
-		mu.Lock()
-		events = append(events, blocked)
-		mu.Unlock()
-	}
-	tc := NewTaskContext(context.Background(), b, spec, hook)
+	lender := &eventLender{}
+	tc := NewTaskContext(context.Background(), b, &spec, lender)
 	ref, _ := tc.Submit1(Call{Function: "g"})
 	go func() {
 		time.Sleep(10 * time.Millisecond)
@@ -284,17 +292,22 @@ func TestTaskContextBlockHookBrackets(t *testing.T) {
 	if _, err := tc.Get(ref); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) != 2 || !events[0] || events[1] {
+	lender.mu.Lock()
+	defer lender.mu.Unlock()
+	if events := lender.events; len(events) != 2 || !events[0] || events[1] {
 		t.Fatalf("block hook events = %v, want [true false]", events)
+	}
+	for _, id := range lender.tasks {
+		if id != spec.ID {
+			t.Fatalf("lent task %v, want %v", id, spec.ID)
+		}
 	}
 }
 
 func TestTaskContextChildParentage(t *testing.T) {
 	b := newFakeBackend()
 	spec := types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 6), Function: "f", NumReturns: 1}
-	tc := NewTaskContext(context.Background(), b, spec, nil)
+	tc := NewTaskContext(context.Background(), b, &spec, nil)
 	if _, err := tc.Submit1(Call{Function: "g"}); err != nil {
 		t.Fatal(err)
 	}

@@ -610,11 +610,15 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 		t.Fatal("event lost")
 	}
 	sink := api.(TelemetrySink)
-	sink.PublishTelemetry(n, metrics.Snapshot{Counters: map[string]int64{"c": 3}}, []metrics.SpanRecord{{Name: "s"}})
+	// A node records raw IDs; the readers hand them back in hex.
+	spanTask, spanObj := testTaskID(41), testObjectID(42)
+	sink.PublishTelemetry(n, metrics.Snapshot{Counters: map[string]int64{"c": 3}},
+		[]metrics.SpanRecord{{Name: "s", TaskID: spanTask, ObjectID: spanObj}})
 	if snaps := sink.Telemetry(); len(snaps) != 1 || snaps[0].Node != n || snaps[0].Snap.Counters["c"] != 3 {
 		t.Fatalf("Telemetry: %+v", snaps)
 	}
-	if spans := sink.Spans(); len(spans) != 1 || spans[0].Name != "s" {
+	if spans := sink.Spans(); len(spans) != 1 || spans[0].Name != "s" ||
+		spans[0].Task != spanTask.Hex() || spans[0].Object != spanObj.Hex() {
 		t.Fatalf("Spans: %+v", spans)
 	}
 }

@@ -857,7 +857,8 @@ func (s *Sharded) Telemetry() []TelemetrySnapshot {
 	return out
 }
 
-// Spans implements TelemetrySink: merged across shards, time-ordered.
+// Spans implements TelemetrySink: merged across shards, time-ordered, their
+// IDs in hex (each shard formats what it returns).
 func (s *Sharded) Spans() []metrics.SpanRecord {
 	out, _ := fanOut(s, rpcSpans, none{})
 	sort.Slice(out, func(i, j int) bool { return out[i].StartNs < out[j].StartNs })

@@ -58,12 +58,17 @@ func (t *telemetry) snapshots() []TelemetrySnapshot {
 	return out
 }
 
+// all returns the stored spans, oldest first, with their IDs in hex: the
+// nodes ship raw IDs, and only a reader pays for formatting them.
 func (t *telemetry) all() []metrics.SpanRecord {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]metrics.SpanRecord, t.n)
 	for i := 0; i < t.n; i++ {
 		out[i] = t.spans[(t.start+i)%len(t.spans)]
+	}
+	t.mu.Unlock()
+	for i := range out {
+		out[i].FormatIDs()
 	}
 	return out
 }
@@ -76,7 +81,7 @@ func (s *Store) PublishTelemetry(id types.NodeID, snap metrics.Snapshot, spans [
 // Telemetry implements TelemetrySink.
 func (s *Store) Telemetry() []TelemetrySnapshot { return s.telemetry.snapshots() }
 
-// Spans implements TelemetrySink.
+// Spans implements TelemetrySink: the stored spans, their IDs in hex.
 func (s *Store) Spans() []metrics.SpanRecord { return s.telemetry.all() }
 
 // ExportRecords publishes the control plane's live record counts — the

@@ -207,7 +207,7 @@ func (m *Migrator) migrateOne(ctx context.Context, id types.ObjectID) (bool, err
 			lastErr = err // peer died or refused (e.g. full); try the next
 			continue
 		}
-		sp.Object = id.Hex()
+		sp.ObjectID = id
 		sp.Detail = "to " + t.ID.Hex()
 		sp.End()
 		// Peer acked: its location is published and visible. Deleting the

@@ -184,7 +184,7 @@ func (p *PullManager) fetch(ctx context.Context, id types.ObjectID, locations []
 		p.objects.Add(1)
 		p.obs.objects.Inc()
 		p.obs.pullNs.Observe(time.Since(start).Nanoseconds())
-		sp.Object = id.Hex()
+		sp.ObjectID = id
 		sp.End()
 	}
 	return err
@@ -219,7 +219,7 @@ func (p *PullManager) Deliver(origin types.NodeID, task types.TaskID, trace uint
 		return
 	}
 	sp := p.obs.tracer.Begin("push", "objectstore.push")
-	sp.Task, sp.Object, sp.Trace = task.Hex(), id.Hex(), trace
+	sp.TaskID, sp.ObjectID, sp.Trace = task, id, trace
 	var err error
 	if addr, ok := p.peerAddr(origin); ok {
 		_, err = p.callWithin(addr, objectstore.PushMethod, objectstore.EncodePushRequest(id, data), deliverTimeout)
@@ -403,7 +403,7 @@ func (p *PullManager) pullChunk(ctx context.Context, id types.ObjectID, offset, 
 		p.chunks.Add(1)
 		p.obs.chunks.Inc()
 		p.obs.chunkNs.Observe(time.Since(start).Nanoseconds())
-		sp.Object = id.Hex()
+		sp.ObjectID = id
 		sp.Detail = fmt.Sprintf("chunk %d @%d+%d from %s", c, offset, length, pr.node)
 		sp.End()
 		return resp, nil

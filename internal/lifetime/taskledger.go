@@ -89,6 +89,10 @@ type ownedTask struct {
 	// SubmitIndex of a child admitted as fresh.
 	fresh bool
 	kids  uint64
+	// waiter is the task's first end watcher (Notify, WatchEnd): an
+	// owner-side Get registers without growing the watch map, which holds
+	// the later ones.
+	waiter chan<- types.TaskID
 }
 
 // NewTaskLedger creates an empty ledger publishing into ctrl, in
@@ -167,7 +171,14 @@ func (l *TaskLedger) Adopt(id types.TaskID, baseSeq uint64, status types.TaskSta
 	}
 	l.mu.Lock()
 	if t := l.tasks[id]; t == nil || t.seq <= baseSeq {
-		l.tasks[id] = &ownedTask{seq: baseSeq, status: status}
+		nt := &ownedTask{seq: baseSeq, status: status}
+		if t != nil {
+			// A watcher waits for the task, not for its tenure: FailTask
+			// re-adopts a task it buries, and its FAILED stamp must wake
+			// the Gets waiting on the replaced record.
+			nt.waiter = t.waiter
+		}
+		l.tasks[id] = nt
 		delete(l.births, id) // a claim's record is in the table
 	}
 	l.mu.Unlock()
@@ -343,7 +354,7 @@ func (l *TaskLedger) dropLocked(id types.TaskID, t *ownedTask) {
 		delete(l.tasks, id)
 		delete(l.dirty, id)
 		delete(l.births, id)
-		l.wakeLocked(id)
+		l.wakeLocked(id, t)
 	}
 }
 
@@ -368,20 +379,46 @@ func (l *TaskLedger) stampLocked(id types.TaskID, t *ownedTask, status types.Tas
 	}
 	l.dirty[id] = struct{}{}
 	if status.Terminal() {
-		l.wakeLocked(id)
+		l.wakeLocked(id, t)
 	}
 }
 
-// wakeLocked delivers id to every channel watching it, once. A send never
-// blocks the ledger: a channel without room (see Notify) loses the event.
-func (l *TaskLedger) wakeLocked(id types.TaskID) {
+// wakeLocked delivers id to every channel watching it, once: t's waiter
+// and those in the watch map.
+func (l *TaskLedger) wakeLocked(id types.TaskID, t *ownedTask) {
+	if t.waiter != nil {
+		tell(t.waiter, id)
+		t.waiter = nil
+	}
 	for _, ch := range l.watch[id] {
-		select {
-		case ch <- id:
-		default:
-		}
+		tell(ch, id)
 	}
 	delete(l.watch, id)
+}
+
+// tell sends id on ch without blocking the ledger: a channel without room
+// (see Notify) loses the event.
+func tell(ch chan<- types.TaskID, id types.TaskID) {
+	select {
+	case ch <- id:
+	default:
+	}
+}
+
+// watchLocked registers ch for id's end event if id is owned here and not
+// terminal, and reports whether it did: in the record's waiter slot if that
+// is free, else in the watch map.
+func (l *TaskLedger) watchLocked(ch chan<- types.TaskID, id types.TaskID) bool {
+	t := l.tasks[id]
+	switch {
+	case t == nil || t.status.Terminal():
+		return false
+	case t.waiter == nil:
+		t.waiter = ch
+	default:
+		l.watch[id] = append(l.watch[id], ch)
+	}
+	return true
 }
 
 // Lookup returns the owner's authoritative view of id, shaped as the
@@ -415,15 +452,32 @@ func (l *TaskLedger) Notify(ch chan<- types.TaskID, ids ...types.TaskID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, id := range ids {
-		if t := l.tasks[id]; t == nil || t.status.Terminal() {
-			select {
-			case ch <- id:
-			default:
-			}
-			continue
+		if !l.watchLocked(ch, id) {
+			tell(ch, id)
 		}
-		l.watch[id] = append(l.watch[id], ch)
 	}
+}
+
+// WatchEnd registers ch for id's end event, as Notify does, if id is owned
+// here and not terminal, and reports whether it did; on false nothing is
+// sent. It is the owner-side Get's ownership check and registration under
+// one lock. StopNotify unregisters it.
+func (l *TaskLedger) WatchEnd(ch chan<- types.TaskID, id types.TaskID) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.watchLocked(ch, id)
+}
+
+// Watchers counts the channels registered for id's end event that have not
+// fired (test hook: a finished wait leaves none behind).
+func (l *TaskLedger) Watchers(id types.TaskID) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.watch[id])
+	if t := l.tasks[id]; t != nil && t.waiter != nil {
+		n++
+	}
+	return n
 }
 
 // StopNotify drops ch's registrations for ids that have not fired.
@@ -431,6 +485,10 @@ func (l *TaskLedger) StopNotify(ch chan<- types.TaskID, ids ...types.TaskID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, id := range ids {
+		if t := l.tasks[id]; t != nil && t.waiter == ch {
+			t.waiter = nil
+			continue
+		}
 		chans := l.watch[id]
 		for i, c := range chans {
 			if c == ch {

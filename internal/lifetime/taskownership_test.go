@@ -311,9 +311,10 @@ func TestNotifyDeliversEndOfTenureOnOneChannel(t *testing.T) {
 	}
 
 	led.StopNotify(ch, ids...)
-	led.mu.Lock()
-	left := len(led.watch)
-	led.mu.Unlock()
+	left := 0
+	for _, id := range ids {
+		left += led.Watchers(id)
+	}
 	if left != 0 {
 		t.Fatalf("%d registrations left after StopNotify", left)
 	}
@@ -321,6 +322,43 @@ func TestNotifyDeliversEndOfTenureOnOneChannel(t *testing.T) {
 	drain()
 	if got[stays] != 0 {
 		t.Fatal("an unregistered channel still received an event")
+	}
+}
+
+// TestReadoptedTaskWakesItsWatcher: FailTask buries a task it owns by
+// adopting it anew at the claim's higher sequence, then stamping FAILED.
+// The end watchers registered on the replaced record — the waiter slot's
+// and the watch map's — must wake at that stamp.
+func TestReadoptedTaskWakesItsWatcher(t *testing.T) {
+	st := gcs.NewStore(2)
+	led := NewTaskLedger(st) // unstarted: transitions flush inline
+	led.SetNode(types.NodeID{0xD3})
+	id := ownTask(30)
+	st.AddTask(types.TaskState{Spec: types.TaskSpec{ID: id}, Status: types.TaskQueued, Owner: led.Node()})
+	led.Adopt(id, 0, types.TaskQueued)
+	slot, mapped := make(chan types.TaskID, 1), make(chan types.TaskID, 1)
+	if !led.WatchEnd(slot, id) {
+		t.Fatal("WatchEnd refused a task owned here and not terminal")
+	}
+	led.Notify(mapped, id)
+
+	led.Adopt(id, 7, types.TaskFailed)
+	if led.Watchers(id) != 2 {
+		t.Fatalf("%d end watchers after the re-adoption, want 2", led.Watchers(id))
+	}
+	led.Transition(id, types.TaskFailed, types.WorkerID{}, "buried")
+	for name, ch := range map[string]chan types.TaskID{"waiter slot": slot, "watch map": mapped} {
+		select {
+		case got := <-ch:
+			if got != id {
+				t.Fatalf("%s woke with %v, want %v", name, got, id)
+			}
+		default:
+			t.Fatalf("the FAILED stamp after a re-adoption did not wake the %s's watcher", name)
+		}
+	}
+	if led.WatchEnd(slot, id) {
+		t.Fatal("WatchEnd registered on a terminal task")
 	}
 }
 

@@ -1,39 +1,55 @@
 package metrics
 
 import (
+	"encoding/hex"
 	"sync"
 	"sync/atomic"
 )
 
 // SpanRecord is one finished span as buffered on a node and shipped to the
-// control plane. IDs are hex strings (not repro types — this package stays
-// dependency-free); empty fields mean "not applicable". Trace carries the
-// submit-side trace context propagated through types.TaskSpec, so
-// data-plane work (a spill, a pull chunk, a drain migration) can be
-// stitched into the owning task's timeline even when it happens on a node
-// the task never ran on.
+// control plane. Recorders set the raw 16-byte IDs (this package stays
+// dependency-free, so they are plain arrays): formatting an ID costs two
+// allocations, and the exec span is recorded for every task. Readers fill
+// the hex forms (FormatIDs). Zero or empty fields mean "not applicable".
+// Trace carries the submit-side trace context propagated through
+// types.TaskSpec, so data-plane work (a spill, a pull chunk, a drain
+// migration) can be stitched into the owning task's timeline even when it
+// happens on a node the task never ran on.
 type SpanRecord struct {
-	Name    string // e.g. "objectstore.spill"
-	Cat     string // coarse family: "spill", "pull", "rpc", "sched", ...
-	Task    string // owning task ID (hex), if known at record time
-	Object  string // object ID (hex) the span moved, if any
-	Trace   uint64 // trace context inherited from the submitting driver/task
-	Node    string // node that recorded the span
-	StartNs int64  // cluster-epoch nanoseconds (see Tracer clock note)
-	DurNs   int64
-	Detail  string
+	Name     string   // e.g. "objectstore.spill"
+	Cat      string   // coarse family: "spill", "pull", "rpc", "sched", ...
+	Task     string   // owning task ID (hex), filled by readers
+	Object   string   // object ID (hex) the span moved, filled by readers
+	TaskID   [16]byte // owning task, if known at record time
+	ObjectID [16]byte // object the span moved, if any
+	Trace    uint64   // trace context inherited from the submitting driver/task
+	Node     string   // node that recorded the span
+	StartNs  int64    // cluster-epoch nanoseconds (see Tracer clock note)
+	DurNs    int64
+	Detail   string
+}
+
+// FormatIDs fills Task and Object from the raw IDs, where the recorder set
+// them and the hex form is not there yet.
+func (r *SpanRecord) FormatIDs() {
+	if r.Task == "" && r.TaskID != [16]byte{} {
+		r.Task = hex.EncodeToString(r.TaskID[:])
+	}
+	if r.Object == "" && r.ObjectID != [16]byte{} {
+		r.Object = hex.EncodeToString(r.ObjectID[:])
+	}
 }
 
 // Span is an in-flight span handle returned by Tracer.Begin. It is a plain
 // value: set the exported fields you know, then call End. A zero Span
 // (from a nil tracer) is inert.
 type Span struct {
-	Name   string
-	Cat    string
-	Task   string
-	Object string
-	Trace  uint64
-	Detail string
+	Name     string
+	Cat      string
+	TaskID   [16]byte
+	ObjectID [16]byte
+	Trace    uint64
+	Detail   string
 
 	start int64
 	t     *Tracer
@@ -75,14 +91,15 @@ func (t *Tracer) Begin(cat, name string) Span {
 	return Span{Cat: cat, Name: name, start: t.now(), t: t}
 }
 
-// End finishes the span and buffers it. Inert on a zero Span.
-func (s Span) End() {
+// End finishes the span, buffers it and returns its duration in
+// nanoseconds. Inert on a zero Span, where it returns 0.
+func (s Span) End() int64 {
 	t := s.t
 	if t == nil {
-		return
+		return 0
 	}
 	rec := SpanRecord{
-		Name: s.Name, Cat: s.Cat, Task: s.Task, Object: s.Object,
+		Name: s.Name, Cat: s.Cat, TaskID: s.TaskID, ObjectID: s.ObjectID,
 		Trace: s.Trace, Detail: s.Detail, Node: t.node,
 		StartNs: s.start, DurNs: t.now() - s.start,
 	}
@@ -96,6 +113,7 @@ func (s Span) End() {
 		t.n++
 	}
 	t.mu.Unlock()
+	return rec.DurNs
 }
 
 // Drain removes and returns all buffered spans (oldest first). Nodes call

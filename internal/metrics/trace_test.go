@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,20 +16,31 @@ func TestTracerSpanFields(t *testing.T) {
 	now, _ := fakeClock()
 	tr := NewTracer(8, "n1", now)
 	sp := tr.Begin("spill", "objectstore.spill")
-	sp.Task = "task-1"
-	sp.Object = "obj-1"
+	sp.TaskID = [16]byte{0xaa, 0x01}
+	sp.ObjectID = [16]byte{0xbb, 0x02}
 	sp.Trace = 99
 	sp.Detail = "64KiB"
-	sp.End()
+	if dur := sp.End(); dur != 1 {
+		t.Fatalf("End returned %d, want the span's duration 1", dur)
+	}
 
 	spans := tr.Drain()
 	if len(spans) != 1 {
 		t.Fatalf("drained %d spans, want 1", len(spans))
 	}
 	rec := spans[0]
-	if rec.Name != "objectstore.spill" || rec.Cat != "spill" || rec.Task != "task-1" ||
-		rec.Object != "obj-1" || rec.Trace != 99 || rec.Node != "n1" || rec.Detail != "64KiB" {
+	if rec.Name != "objectstore.spill" || rec.Cat != "spill" || rec.TaskID != sp.TaskID ||
+		rec.ObjectID != sp.ObjectID || rec.Trace != 99 || rec.Node != "n1" || rec.Detail != "64KiB" {
 		t.Fatalf("bad record: %+v", rec)
+	}
+	// The recorder formats nothing; a reader does.
+	if rec.Task != "" || rec.Object != "" {
+		t.Fatalf("recorded span carries hex IDs: %+v", rec)
+	}
+	rec.FormatIDs()
+	zeros := strings.Repeat("00", 14)
+	if rec.Task != "aa01"+zeros || rec.Object != "bb02"+zeros {
+		t.Fatalf("formatted IDs: task %q object %q", rec.Task, rec.Object)
 	}
 	if rec.StartNs != 1 || rec.DurNs != 1 {
 		t.Fatalf("bad timestamps: start=%d dur=%d", rec.StartNs, rec.DurNs)

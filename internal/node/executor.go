@@ -2,7 +2,6 @@ package node
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/types"
@@ -52,12 +51,9 @@ func newExecutorShim(n *Node) *executorShim {
 // Execute implements scheduler.ExecFunc.
 func (s *executorShim) Execute(ctx context.Context, spec types.TaskSpec, args [][]byte) {
 	sp := s.tracer.Begin("exec", "worker.exec")
-	sp.Task = spec.ID.Hex()
-	sp.Trace = spec.TraceID
-	start := time.Now()
+	sp.TaskID, sp.Trace = spec.ID, spec.TraceID
 	s.inner.Execute(ctx, spec, args)
-	s.execNs.Observe(time.Since(start).Nanoseconds())
-	sp.End()
+	s.execNs.Observe(sp.End())
 }
 
 // Active implements ExecStats.

@@ -570,30 +570,40 @@ func (n *Node) StopNotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID) {
 	n.taskled.StopNotify(ch, ids...)
 }
 
+// endWaits recycles the channels owner-side Gets wait on: one event, so
+// capacity 1, and empty whenever it is in the pool.
+var endWaits = sync.Pool{New: func() any { return make(chan types.TaskID, 1) }}
+
 // ResolveTaskOutput implements core.TaskOwner: ResolveObject for id, a
-// return of task. While this node's ledger owns the task, the object can
-// only appear in this node's own store — the executor puts it (or an error
-// payload) there before the terminal stamp — so the wait is on exactly the
-// store's arrival channel and the ledger's end-of-tenure event: no
-// control-plane call. The resolver takes over, unchanged, when the tenure
-// ends with the object still absent (spilled away, drained, transferred,
-// output evicted) and for every task not owned here.
+// return of task. While this node's ledger owns the task, the wait is on the
+// ledger's end event alone: no control-plane call, and no store waiter.
+// Every path that ends a task here stores its returns (or error payloads)
+// before the terminal stamp — the executor, FailTask — so at the event the
+// object is in the store, or the tenure ended without it (spilled away,
+// drained, transferred, output evicted) and the resolver takes over,
+// unchanged, as it does for every task not owned here.
 func (n *Node) ResolveTaskOutput(ctx context.Context, task types.TaskID, id types.ObjectID) ([]byte, error) {
-	if n.taskled.Owns(task) {
-		ended := make(chan types.TaskID, 1)
-		n.taskled.Notify(ended, task)
-		defer n.taskled.StopNotify(ended, task)
-		arrival := n.store.WaitChan(id)
-		defer n.store.StopWait(id, arrival)
+	ended := endWaits.Get().(chan types.TaskID)
+	if n.taskled.WatchEnd(ended, task) {
+		var err error
 		select {
-		case <-arrival:
 		case <-ended:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			err = ctx.Err()
 		case <-n.stop:
-			return nil, scheduler.ErrStopped
+			err = scheduler.ErrStopped
+		}
+		if err != nil {
+			n.taskled.StopNotify(ended, task)
+			select { // the end may have come before StopNotify
+			case <-ended:
+			default:
+			}
+			endWaits.Put(ended)
+			return nil, err
 		}
 	}
+	endWaits.Put(ended)
 	return n.sched.Resolve(ctx, id, task)
 }
 

@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -516,4 +517,107 @@ func TestStrandedProducerIsStillReplayed(t *testing.T) {
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("replay took %v, want about 200 ms", took)
 	}
+}
+
+// TestOwnerGetLeavesNoWatchers is the ledger-side twin of the scheduler's
+// TestResolveLeavesNoWaiters: an owner-side Get waits on one end watcher in
+// the task ledger, and one ended by a cancelled context, or by the node
+// stopping, leaves none behind — neither in the record's waiter slot nor in
+// the watch map. A Get whose context is cancelled as its task ends may find
+// the end event already sent: the channel goes back to the pool empty, so it
+// brings no stale event into the next Get.
+func TestOwnerGetLeavesNoWatchers(t *testing.T) {
+	reg := core.NewRegistry()
+	gate := make(chan struct{})
+	// "cancelling" waits for its Get to be watching, then cancels that Get
+	// as it returns: the Get's wake and the task's end event race.
+	var getCancel atomic.Pointer[context.CancelFunc]
+	watching := make(chan struct{})
+	reg.Register("cancelling", func(*core.TaskContext, [][]byte) ([][]byte, error) {
+		<-watching
+		(*getCancel.Load())()
+		return [][]byte{nil}, nil
+	})
+	reg.Register("gated", func(*core.TaskContext, [][]byte) ([][]byte, error) {
+		<-gate
+		return [][]byte{nil}, nil
+	})
+	n := newTestNode(t, gcs.NewStore(2), transport.NewInproc(0), "n1", reg)
+	var opened sync.Once
+	open := func() { opened.Do(func() { close(gate) }) }
+	defer open() // ahead of the node's shutdown, should the test fail first
+	d := core.NewClient(n)
+	submit := func(fn string) core.ObjectRef {
+		t.Helper()
+		refs, err := d.SubmitOpts(fn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return refs[0]
+	}
+	for i := range 200 {
+		ctx, cancel := context.WithCancel(context.Background())
+		getCancel.Store(&cancel)
+		ref := submit("cancelling")
+		go func() {
+			for n.TaskLedger().Watchers(ref.Task) == 0 {
+				runtime.Gosched()
+			}
+			watching <- struct{}{}
+		}()
+		if _, err := n.ResolveTaskOutput(ctx, ref.Task, ref.ID); err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("Get %d = %v", i, err)
+		}
+		if w := n.TaskLedger().Watchers(ref.Task); w != 0 {
+			t.Fatalf("Get %d left %d end watchers", i, w)
+		}
+		ch := endWaits.Get().(chan types.TaskID)
+		if len(ch) != 0 {
+			t.Fatalf("Get %d put back a channel holding %v", i, <-ch)
+		}
+		endWaits.Put(ch)
+		d.Release(ref)
+	}
+
+	// Gets that wait on a running task, each behind one already waiting so
+	// that the second takes the watch map; ended by cancellation, then by
+	// the node stopping.
+	ref := submit("gated")
+	waiting := func(k int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); n.TaskLedger().Watchers(ref.Task) != k; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d end watchers, want %d", n.TaskLedger().Watchers(ref.Task), k)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	get := func(ctx context.Context) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := n.ResolveTaskOutput(ctx, ref.Task, ref.ID)
+			done <- err
+		}()
+		return done
+	}
+	first := get(context.Background())
+	waiting(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	second := get(ctx)
+	waiting(2)
+	cancel()
+	if err := <-second; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Get = %v", err)
+	}
+	waiting(1)
+	stopped := make(chan struct{})
+	go func() { n.Shutdown(); close(stopped) }()
+	if err := <-first; !errors.Is(err, scheduler.ErrStopped) {
+		t.Fatalf("Get across the node's stop = %v", err)
+	}
+	if w := n.TaskLedger().Watchers(ref.Task); w != 0 {
+		t.Fatalf("a Get ended by the node's stop left %d end watchers", w)
+	}
+	open()
+	<-stopped
 }

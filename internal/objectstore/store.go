@@ -758,7 +758,7 @@ func (s *Store) spillOrDrop(e *entry, tier SpillTier, referenced func(types.Obje
 		s.obs.spillNs.Observe(time.Since(start).Nanoseconds())
 		if wrote {
 			s.obs.spillBytes.Add(e.size)
-			sp.Object = id.Hex()
+			sp.ObjectID = id
 			sp.Detail = fmt.Sprintf("%d bytes", e.size)
 			sp.End()
 		}
@@ -888,7 +888,7 @@ func (s *Store) restore(e *entry) ([]byte, bool) {
 	s.obs.restoreNs.Observe(time.Since(start).Nanoseconds())
 	if err == nil {
 		s.obs.restoreBytes.Add(int64(len(data)))
-		sp.Object = id.Hex()
+		sp.ObjectID = id
 		sp.Detail = fmt.Sprintf("%d bytes", len(data))
 		sp.End()
 	}

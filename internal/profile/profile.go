@@ -114,36 +114,36 @@ func BuildFull(ctrl gcs.API) *Timeline {
 	if len(spans) == 0 {
 		return tl
 	}
-	// Object hex -> (producer task hex, trace) from the object table.
+	// Object -> (producer task, trace) from the object table, keyed by the
+	// raw IDs the spans carry; only a span's stitched task is formatted.
 	type lineage struct {
-		task  string
+		task  types.TaskID
 		trace uint64
 	}
-	traces := make(map[string]uint64, len(tl.Spans))
+	traces := make(map[types.TaskID]uint64, len(tl.Spans))
 	for _, s := range tl.Spans {
-		traces[s.Task.Hex()] = s.Trace
+		traces[s.Task] = s.Trace
 	}
-	byObject := make(map[string]lineage)
+	byObject := make(map[types.ObjectID]lineage)
 	for _, o := range ctrl.Objects() {
-		if o.Producer.IsNil() {
-			continue
+		if !o.Producer.IsNil() {
+			byObject[o.ID] = lineage{task: o.Producer, trace: traces[o.Producer]}
 		}
-		t := o.Producer.Hex()
-		byObject[o.ID.Hex()] = lineage{task: t, trace: traces[t]}
 	}
 	for i := range spans {
 		sp := &spans[i]
-		if sp.Task == "" && sp.Object != "" {
-			if l, ok := byObject[sp.Object]; ok {
-				sp.Task = l.task
-				if sp.Trace == 0 {
-					sp.Trace = l.trace
-				}
+		task := types.TaskID(sp.TaskID)
+		if l, ok := byObject[sp.ObjectID]; ok && task.IsNil() {
+			task = l.task
+			sp.TaskID = task
+			if sp.Trace == 0 {
+				sp.Trace = l.trace
 			}
 		}
-		if sp.Trace == 0 && sp.Task != "" {
-			sp.Trace = traces[sp.Task]
+		if sp.Trace == 0 && !task.IsNil() {
+			sp.Trace = traces[task]
 		}
+		sp.FormatIDs()
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].StartNs < spans[j].StartNs })
 	tl.Data = spans

@@ -134,7 +134,7 @@ func TestBuildFullMergesDataPlaneSpans(t *testing.T) {
 	}
 	sink.PublishTelemetry(c.Node(0).ID(), metrics.Snapshot{}, []metrics.SpanRecord{{
 		Name: "test.pull.chunk", Cat: "pull",
-		Object: produced.ID.Hex(), Node: c.Node(0).ID().Hex(),
+		ObjectID: produced.ID, Node: c.Node(0).ID().Hex(),
 		StartNs: c.Ctrl.NowNs(), DurNs: 1000,
 	}})
 
@@ -163,5 +163,62 @@ func TestBuildFullMergesDataPlaneSpans(t *testing.T) {
 	}
 	if merged.Trace != wantTrace {
 		t.Fatalf("span trace = %x, want %x", merged.Trace, wantTrace)
+	}
+}
+
+// TestBuildFullStitchesExecSpans: the exec span a node records for every
+// task carries the task's raw ID, shipped as recorded; BuildFull hands it
+// back under the task's hex ID and trace, stitched to the task's record.
+func TestBuildFullStitchesExecSpans(t *testing.T) {
+	reg := core.NewRegistry()
+	work := core.Register1(reg, "work", func(tc *core.TaskContext, n int) (int, error) {
+		return n + 1, nil
+	})
+	c, err := cluster.New(cluster.Config{Nodes: 1, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Shutdown)
+	d := c.Driver()
+	r, err := work.Remote(d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := d.Get(ctx, r.Untyped()); err != nil {
+		t.Fatal(err)
+	}
+	task := r.Untyped().Task
+	c.Node(0).LandBirths(task) // the task's record, with its trace
+
+	// Spans ship on heartbeats: poll until the exec span is in.
+	var exec *metrics.SpanRecord
+	var tl *Timeline
+	for deadline := time.Now().Add(10 * time.Second); exec == nil; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no exec span for the task reached the timeline")
+		}
+		tl = BuildFull(c.Ctrl)
+		for i := range tl.Data {
+			if sp := &tl.Data[i]; sp.Cat == "exec" && types.TaskID(sp.TaskID) == task {
+				exec = sp
+			}
+		}
+	}
+	if exec.Task != task.Hex() {
+		t.Fatalf("exec span task = %q, want %q", exec.Task, task.Hex())
+	}
+	var span *Span
+	for i := range tl.Spans {
+		if tl.Spans[i].Task == task {
+			span = &tl.Spans[i]
+		}
+	}
+	if span == nil || span.Trace == 0 {
+		t.Fatalf("the task's record in the timeline: %+v", span)
+	}
+	if exec.Trace != span.Trace {
+		t.Fatalf("exec span trace = %x, want the task's %x", exec.Trace, span.Trace)
 	}
 }

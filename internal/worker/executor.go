@@ -154,13 +154,14 @@ func (e *Executor) invoke(ctx context.Context, spec types.TaskSpec, args [][]byt
 			rets, err = nil, fmt.Errorf("task panicked: %v", r)
 		}
 	}()
-	blockHook := func(blocked bool) {
-		if e.hooks.OnBlocked != nil {
-			e.hooks.OnBlocked(spec, blocked)
-		}
+	return fn(core.NewTaskContext(ctx, e.backend, &spec, e), args)
+}
+
+// Lend implements core.Lender through Hooks.OnBlocked.
+func (e *Executor) Lend(spec *types.TaskSpec, blocked bool) {
+	if e.hooks.OnBlocked != nil {
+		e.hooks.OnBlocked(*spec, blocked)
 	}
-	tc := core.NewTaskContext(ctx, e.backend, spec, blockHook)
-	return fn(tc, args)
 }
 
 // fail records a terminal failure or schedules a retry. On terminal
