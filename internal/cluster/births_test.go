@@ -43,6 +43,9 @@ type ctrlProbe struct {
 	// object had in ModifyTaskStates and ModifyObjectRefCounts calls.
 	flushedTasks   map[types.TaskID]int
 	flushedObjects map[types.ObjectID]int
+	// finished, when set, is called with the task of each FINISHED delta a
+	// ledger flush sends, before the table has it.
+	finished func(types.TaskID)
 }
 
 // call counts a call whose stack passes through the driver's submit.
@@ -129,7 +132,13 @@ func (p *ctrlProbe) ModifyTaskStates(node types.NodeID, deltas []types.TaskState
 		births = births || d.Spec != nil
 		p.flushedTasks[d.ID]++
 	}
+	finished := p.finished
 	p.mu.Unlock()
+	for _, d := range deltas {
+		if finished != nil && d.Status == types.TaskFinished {
+			finished(d.ID)
+		}
+	}
 	if births {
 		p.births.Add(1)
 	}

@@ -14,12 +14,12 @@ import (
 	"repro/internal/types"
 )
 
-// Held-back return locations (DESIGN.md §8): the return of a task that ran
-// on the node it was submitted through reaches the object table when it
-// escapes — as the argument of a task that spills — or in the node's next
-// task-ledger flush, and never if its copy is deleted first. Most tests here
-// hold the flush's announcement back (holdAnnounce), so that an escape path
-// is the only way a location reaches the table.
+// Held-back return locations (DESIGN.md §17): the return of a task that ran
+// on the node it was submitted through reaches the object table when its
+// task's birth lands — in the node's next task-ledger flush, or at once when
+// a spilled task takes it as an argument — and never if its copy is
+// deleted first. Most tests here hold back what the ledger's flushes
+// announce (holdAnnounce), so that the escape paths are tried on their own.
 
 // escapeFuncs are a CPU task the driver's node runs, one that waits for a
 // gate, and GPU tasks only the second node can run.
@@ -70,15 +70,17 @@ func escapeCluster(t *testing.T, f *escapeFuncs) *Cluster {
 }
 
 // holdAnnounce flushes n's task ledger, announcing what its store holds
-// back, and then stops the flushes from announcing until the returned func
-// (or the test's end) lets them again. The flush it makes after the switch
-// waits out one already under way.
+// back, and then unsets the ledger's collector, so that the births its
+// flushes land announce nothing, until the returned func (or the test's
+// end) sets it again. A return stored after its birth landed is still
+// announced at its Put. The flush it makes after the switch waits out one
+// already under way.
 func holdAnnounce(t *testing.T, n *node.Node) (release func()) {
 	t.Helper()
 	n.TaskLedger().Flush()
-	n.TaskLedger().SetAnnouncer(nil)
+	n.TaskLedger().SetCollector(nil)
 	n.TaskLedger().Flush()
-	release = func() { n.TaskLedger().SetAnnouncer(n.Store().AnnounceDeferred) }
+	release = func() { n.TaskLedger().SetCollector(n.Lifetime()) }
 	t.Cleanup(release)
 	return release
 }
@@ -88,44 +90,135 @@ func locatedOn(ctrl gcs.API, id types.ObjectID, n *node.Node) bool {
 	return slices.Contains(info.Locations, n.ID())
 }
 
+// terminal waits until n's task ledger holds task terminal, or no longer
+// holds it: its executor has stored its returns and stamped it.
+func terminal(t *testing.T, n *node.Node, task types.TaskID) {
+	t.Helper()
+	waitFor(t, 10*time.Second, "the task's terminal stamp", func() bool {
+		st, ok := n.TaskLedger().Lookup(task)
+		return !ok || st.Status.Terminal()
+	})
+}
+
 // TestLocalReturnLocationBudget pins what a local result's location costs
-// the control plane: nothing on the way from submit to Get, one
-// AddObjectLocation in the owner's next flush, and nothing at all if the
-// copy is collected first.
+// the control plane, with the task ledger's flusher held by a gated task's
+// delta: nothing on the way from submit to Get, one AddObjectLocation when
+// its birth lands, nothing at all if the copy is collected first, and one
+// at its Put for a return stored after its birth landed.
 func TestLocalReturnLocationBudget(t *testing.T) {
-	reg, _ := birthFuncs(t)
+	reg, open := birthFuncs(t)
 	n, probe := probedNode(t, gcs.NewStore(4), transport.NewInproc(0), reg)
+	defer open()
 	d := core.NewClient(n)
 	for range 10 {
 		runNoop(t, d) // warm: the ledger's clock, the executor pool
 	}
-	release := holdAnnounce(t, n)
-	probe.adds.Store(0)
-	ref := runNoop(t, d)
-	if got := probe.adds.Load(); got != 0 {
-		t.Fatalf("a warmed local round trip made %d AddObjectLocation calls, want 0", got)
+	n.TaskLedger().Flush() // announces the warm-up's results
+	// The task ledger's flusher lands the gated task's birth, and then
+	// blocks on its RUNNING delta; the driver's reference to its return
+	// blocks the reference ledger's, so no reference held across a round
+	// trip below is counted.
+	probe.holdDeltaFlush(true)
+	late, err := d.SubmitOpts("births.gated", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	release()
-	n.TaskLedger().Flush()
-	if got := probe.adds.Load(); got != 1 || !locatedOn(probe.API, ref.ID, n) {
-		t.Fatalf("the flush made %d AddObjectLocation calls (located %v), want 1", got, locatedOn(probe.API, ref.ID, n))
+	waitFor(t, 10*time.Second, "both flushers to block", func() bool { return probe.waiting.Load() == 2 })
+	if n.TaskLedger().Owes(late[0].Task) {
+		t.Fatal("the blocked flusher did not land the gated task's birth")
 	}
 
-	release = holdAnnounce(t, n)
-	probe.adds.Store(0)
-	ref = runNoop(t, d)
-	drainedAndProposed(t, n, d, ref)
-	release()
-	n.TaskLedger().Flush()
-	if a, r := probe.adds.Load(), probe.removes.Load(); a != 0 || r != 0 {
-		t.Fatalf("a result collected before its announcement made %d AddObjectLocation and %d RemoveObjectLocation calls, want 0 and 0", a, r)
+	adds := probe.adds.Load()
+	kept := runNoop(t, d)
+	terminal(t, n, kept.Task)
+	collected := runNoop(t, d)
+	d.Release(collected)
+	terminal(t, n, collected.Task)
+	if got := probe.adds.Load() - adds; got != 0 {
+		t.Fatalf("two warmed local round trips made %d AddObjectLocation calls, want 0", got)
 	}
+	open()
+	terminal(t, n, late[0].Task)
+	if got := probe.adds.Load() - adds; got != 1 || !locatedOn(probe.API, late[0].ID, n) {
+		t.Fatalf("a return stored after its birth landed made %d AddObjectLocation calls (located %v), want 1",
+			got, locatedOn(probe.API, late[0].ID, n))
+	}
+	probe.releaseFlush()
+	n.Lifetime().Tracker().Flush()
+	n.TaskLedger().Flush()
+	if got := probe.adds.Load() - adds; got != 2 || !locatedOn(probe.API, kept.ID, n) {
+		t.Fatalf("the flush made %d AddObjectLocation calls (located %v), want 1", got-1, locatedOn(probe.API, kept.ID, n))
+	}
+	if _, known := probe.API.GetObject(collected.ID); known || probe.removes.Load() != 0 || n.Store().Contains(collected.ID) {
+		t.Fatalf("a result collected before its birth landed left a record (%v) or a copy (%v), or made %d RemoveObjectLocation calls",
+			known, n.Store().Contains(collected.ID), probe.removes.Load())
+	}
+}
+
+// TestReturnLocationRacesItsBirth drives both orders of a local return's
+// Put and its task's birth landing. Either way the return is announced
+// once, and its location is in the table before the FINISHED delta that
+// wakes the table's watchers is sent: by the landing when the Put came
+// first, and by the Put when the landing did.
+func TestReturnLocationRacesItsBirth(t *testing.T) {
+	run := func(t *testing.T, putFirst bool) {
+		reg, open := birthFuncs(t)
+		n, probe := probedNode(t, gcs.NewStore(4), transport.NewInproc(0), reg)
+		defer open()
+		d := core.NewClient(n)
+		runNoop(t, d)
+		n.TaskLedger().Flush()
+		var (
+			mu      sync.Mutex
+			ret     core.ObjectRef
+			located = map[bool]int{}
+		)
+		probe.mu.Lock()
+		probe.finished = func(task types.TaskID) {
+			mu.Lock()
+			defer mu.Unlock()
+			if task == ret.Task {
+				located[locatedOn(probe.API, ret.ID, n)]++
+			}
+		}
+		probe.mu.Unlock()
+		adds := probe.adds.Load()
+		if putFirst {
+			probe.holdFlush(false) // no birth lands
+		}
+		refs, err := d.SubmitOpts("births.gated", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		ret = refs[0]
+		mu.Unlock()
+		if !putFirst {
+			n.TaskLedger().LandBirths(refs[0].Task)
+		}
+		open()
+		terminal(t, n, refs[0].Task)
+		if got := probe.adds.Load() - adds; putFirst && got != 0 {
+			t.Fatalf("a return stored while its birth was owed made %d AddObjectLocation calls, want 0", got)
+		}
+		probe.releaseFlush()
+		landed(t, n, refs[0])
+		mu.Lock()
+		defer mu.Unlock()
+		if a := probe.adds.Load() - adds; a != 1 || located[false] != 0 || located[true] == 0 {
+			t.Fatalf("%d AddObjectLocation calls, FINISHED deltas sent with the return located %d times and not located %d times; want 1, >0 and 0",
+				a, located[true], located[false])
+		}
+	}
+	t.Run("put-first", func(t *testing.T) { run(t, true) })
+	t.Run("landing-first", func(t *testing.T) { run(t, false) })
 }
 
 // TestEscapeOfAnArgumentStillRunning: a task spilled from the driver's node
 // takes as argument the return of a task still running there. The spill
-// marks the argument, so that its Put publishes the location at once: it
-// is in the table when its producer finishes, with announcements held.
+// lands the producer's birth, so that its Put publishes the location at
+// once: it is in the table when its producer finishes, with the flushes'
+// announcements held.
 func TestEscapeOfAnArgumentStillRunning(t *testing.T) {
 	f := newEscapeFuncs(t)
 	c := escapeCluster(t, f)
@@ -142,9 +235,6 @@ func TestEscapeOfAnArgumentStillRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := a.Store().EscapeMarks(); n != 1 {
-		t.Fatalf("%d escape marks after the spill, want 1", n)
-	}
 	finished := make(chan types.TaskID, 1)
 	a.TaskLedger().Notify(finished, arg.Ref.Task)
 	f.open()
@@ -159,8 +249,8 @@ func TestEscapeOfAnArgumentStillRunning(t *testing.T) {
 	if v, err := core.Get(ctx, d, out); err != nil || v != 2 {
 		t.Fatalf("inc(gated(1)) = %d, %v", v, err)
 	}
-	if runs, n := f.runs.Load(), a.Store().EscapeMarks(); runs != 1 || n != 0 {
-		t.Fatalf("the producer ran %d times and %d escape marks are left, want 1 and 0", runs, n)
+	if runs := f.runs.Load(); runs != 1 {
+		t.Fatalf("the producer ran %d times, want 1", runs)
 	}
 }
 
@@ -174,16 +264,26 @@ func TestEscapeOfAResidentArgument(t *testing.T) {
 	holdAnnounce(t, a)
 	d, ctx := c.Driver(), testCtx(t)
 
-	arg, err := f.local.Remote(d, 1)
-	if err != nil {
-		t.Fatal(err)
+	// A flush tick that lands the producer's birth ahead of its Put has the
+	// Put publish the return: that producer is not the one under test, and
+	// another is made.
+	var arg core.Ref[int]
+	for i := 0; ; i++ {
+		var err error
+		if arg, err = f.local.Remote(d, 1); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := core.Get(ctx, d, arg); err != nil || v != 1 {
+			t.Fatalf("local(1) = %d, %v", v, err)
+		}
+		if !locatedOn(c.API, arg.Ref.ID, a) {
+			break
+		}
+		if i == 20 {
+			t.Fatal("every local return was published before it escaped")
+		}
 	}
-	if v, err := core.Get(ctx, d, arg); err != nil || v != 1 {
-		t.Fatalf("local(1) = %d, %v", v, err)
-	}
-	if locatedOn(c.API, arg.Ref.ID, a) {
-		t.Fatal("a local return was published before it escaped")
-	}
+	runs := f.runs.Load()
 	out, err := f.inc.RemoteRef(d, arg, onGPU)
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +294,8 @@ func TestEscapeOfAResidentArgument(t *testing.T) {
 	if v, err := core.Get(ctx, d, out); err != nil || v != 2 {
 		t.Fatalf("inc(local(1)) = %d, %v", v, err)
 	}
-	if runs := f.runs.Load(); runs != 1 {
-		t.Fatalf("the producer ran %d times, want 1", runs)
+	if again := f.runs.Load() - runs; again != 0 {
+		t.Fatalf("the producer ran %d more times, want 0", again)
 	}
 }
 
@@ -246,10 +346,7 @@ func TestDuplicateOfAHeldBackResultIsNotRerun(t *testing.T) {
 	if v, err := core.Get(ctx, c.Driver(), ref); err != nil || v != 5 {
 		t.Fatalf("local(5) = %d, %v", v, err)
 	}
-	landed(t, n, ref.Ref) // FINISHED in the table, the return held back
-	if locatedOn(c.API, ref.Ref.ID, n) {
-		t.Fatal("the return was published before the duplicate")
-	}
+	landed(t, n, ref.Ref) // FINISHED in the table
 	dup, err := f.local.Remote(core.NewClientWithRoot(n, root), 5)
 	if err != nil {
 		t.Fatal(err)
@@ -264,48 +361,4 @@ func TestDuplicateOfAHeldBackResultIsNotRerun(t *testing.T) {
 	if runs := f.runs.Load(); runs != 1 {
 		t.Fatalf("the task ran %d times, want 1", runs)
 	}
-}
-
-// TestEscapeMarksDoNotOutliveTheirObjects: spills mark the arguments not
-// on the driver's node yet. A mark on a local return is cleared by its Put;
-// one on an object made and consumed on the other node, too large to be
-// delivered back, by the object's collection.
-func TestEscapeMarksDoNotOutliveTheirObjects(t *testing.T) {
-	const rounds = 20
-	f := newEscapeFuncs(t)
-	c := escapeCluster(t, f)
-	a, d, ctx := c.Node(0), c.Driver(), testCtx(t)
-	var refs []core.ObjectRef
-	for i := range rounds {
-		arg, err := f.local.Remote(d, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := f.inc.RemoteRef(d, arg, onGPU)
-		if err != nil {
-			t.Fatal(err)
-		}
-		far, err := f.blob.Remote(d, 100<<10, onGPU)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := f.size.RemoteRef(d, far, onGPU)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, err := core.Get(ctx, d, out); err != nil || v != i+1 {
-			t.Fatalf("inc(local(%d)) = %d, %v", i, v, err)
-		}
-		if v, err := core.Get(ctx, d, n); err != nil || v != 100<<10 {
-			t.Fatalf("size(blob) = %d, %v", v, err)
-		}
-		refs = append(refs, arg.Ref, out.Ref, far.Ref, n.Ref)
-	}
-	if n := a.Store().EscapeMarks(); n != rounds {
-		t.Fatalf("%d escape marks with every result read, want %d: one per object made on the other node", n, rounds)
-	}
-	d.Release(refs...)
-	waitFor(t, 10*time.Second, "the escape marks to be cleared", func() bool {
-		return a.Store().EscapeMarks() == 0 && c.Node(1).Store().EscapeMarks() == 0
-	})
 }

@@ -130,8 +130,8 @@ func TestHeldReturnIsNotCollected(t *testing.T) {
 // the consumer's birth pins it as lineage, and the producer's record is
 // what that lineage leads to. The argument is here before its consumer is
 // submitted, so the consumer starts at once and its birth waits for the
-// flush: nothing but the taken mark and the consumer's borrow flush keeps
-// the producer from being collected.
+// flush: nothing but the consumer's borrow flush, which counts the
+// argument in the table, keeps the producer from being collected.
 func TestTakenReturnIsNotCollected(t *testing.T) {
 	f := newLifeFuncs()
 	c := singleNodeWith(t, f.reg)

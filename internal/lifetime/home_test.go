@@ -27,7 +27,6 @@ func newHomeRig() *homeRig {
 	r.m.SetMetrics(r.reg)
 	r.led = NewTaskLedger(r.ctrl)
 	r.led.SetNode(node)
-	r.led.SetAnnouncer(r.store.AnnounceDeferred)
 	r.led.SetCollector(r.m)
 	r.m.SetTaskLedger(r.led)
 	r.m.tracker.SetNode(node)
@@ -101,6 +100,9 @@ func TestCollectHomeRule(t *testing.T) {
 		if st, ok := r.ctrl.GetTask(task); !ok || st.Status != types.TaskFinished {
 			t.Fatalf("a held return's task: %+v, %v; want it FINISHED in the table", st, ok)
 		}
+		if info, _ := r.ctrl.GetObject(ids[0]); len(info.Locations) != 1 {
+			t.Fatalf("a held return's locations after its birth landed: %v, want this node", info.Locations)
+		}
 	})
 	t.Run("one-return-held", func(t *testing.T) {
 		r := newHomeRig()
@@ -136,8 +138,13 @@ func TestCollectHomeRule(t *testing.T) {
 	t.Run("taken", func(t *testing.T) {
 		r := newHomeRig()
 		task, ids := r.born(1, 1)
-		r.store.Take(ids[0]) // a task admitted here names it before it exists
 		r.finish(task, ids)
+		// A task admitted here borrows it and flushes the borrow before its
+		// QUEUED stamp; then it runs, and the borrow and the driver's
+		// reference go.
+		r.m.tracker.Retain(ids...)
+		r.m.tracker.Flush()
+		r.m.tracker.Release(ids...)
 		r.m.tracker.Release(ids...)
 		r.led.Flush()
 		if _, ok := r.ctrl.GetTask(task); !ok {
@@ -155,9 +162,9 @@ func TestCollectHomeRule(t *testing.T) {
 			t.Fatal("a task whose return escaped was collected")
 		}
 	})
-	t.Run("no-announcer", func(t *testing.T) {
+	t.Run("no-collector", func(t *testing.T) {
 		r := newHomeRig()
-		r.led.SetAnnouncer(nil)
+		r.led.SetCollector(nil)
 		task, ids := r.born(1, 1)
 		r.finish(task, ids)
 		r.m.tracker.Release(ids...)
@@ -167,7 +174,7 @@ func TestCollectHomeRule(t *testing.T) {
 		}
 		r.led.Flush()
 		if _, ok := r.ctrl.GetTask(task); !ok {
-			t.Fatal("a flush that announces nothing collected a task")
+			t.Fatal("a ledger with no collector collected a task")
 		}
 	})
 	t.Run("abandoned", func(t *testing.T) {

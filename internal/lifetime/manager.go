@@ -122,18 +122,19 @@ func (m *Manager) Proposals() (queued int, oldest time.Duration) {
 
 // SetTaskLedger makes proposals wait for the births tasks owes, and makes
 // the tracker hold back the touch on a copy the store holds back while the
-// ledger's flushes decide the copy's fate (CollectHome). Call before Start.
+// ledger's flushes decide the copy's fate: collected at home (CollectHome)
+// or announced when its task's birth lands. Call before Start.
 func (m *Manager) SetTaskLedger(tasks *TaskLedger) {
 	m.tasks = tasks
-	m.tracker.holdBack = func(id types.ObjectID) bool { return tasks.homing.Load() && m.store.HeldBack(id) }
+	m.tracker.holdBack = func(id types.ObjectID) bool { return tasks.home.Load() != nil && m.store.HeldBack(id) }
 }
 
 // CollectHome collects the returns of a task at home (DESIGN.md §17), if
 // nothing about them left this node: each has no tracker state but a
 // net-zero entry no batch has sent or parked, and a copy the store holds
-// back and no task here took. It then drops those entries and copies, with
-// no word to the control plane, and reports true; otherwise it changes
-// nothing. The node's task ledger calls it from its flush, under its lock
+// back. It then drops those entries and copies, with no word to the
+// control plane, and reports true; otherwise it changes nothing. The
+// node's task ledger calls it from its flush, under its lock
 // (TaskLedger.SetCollector).
 func (m *Manager) CollectHome(ids []types.ObjectID) bool {
 	t := m.tracker
@@ -353,7 +354,6 @@ func (m *Manager) maybeReclaim(id types.ObjectID) {
 		// re-trigger GC.
 		return
 	}
-	m.store.ForgetMarks(id)
 	if !m.store.Contains(id) {
 		// Every node hears every GC publish and most hold no copy (memory or
 		// spill tier): nothing to drop here, so nothing to ask the control

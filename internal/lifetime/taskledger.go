@@ -33,10 +33,12 @@ import (
 // ModifyTaskStates call, ahead of the deltas. That call also gives the
 // task's return objects their producer edges and pins its by-reference
 // arguments' lineage, so the ledger keeps no pins of its own. Until its
-// birth lands, the ledger is the only record of a task, and a task's
-// deltas wait for its birth. A task whose birth was never sent, and whose
-// returns were released before anything about them left this node, never
-// reaches the table: the flush collects it at home (SetCollector).
+// birth lands, the ledger is the only record of a task: its deltas wait
+// for the birth, and so do its returns' locations, since the birth is where
+// a task and its results escape this node (Owes). A task whose birth was
+// never sent, and whose returns were released before anything about them
+// left this node, never reaches the table: the flush collects it at home
+// (SetCollector).
 type TaskLedger struct {
 	ledger[[]types.TaskStateDelta, types.TaskID]
 	ctrl  gcs.API
@@ -50,12 +52,9 @@ type TaskLedger struct {
 	roots  map[types.TaskID]uint64
 	// flushes counts completed flushes of the whole ledger (Flushes).
 	flushes atomic.Uint64
-	// announce publishes the locations the node's store holds back
-	// (SetAnnouncer); home collects a task's returns at home
-	// (SetCollector). Each is nil until set; homing is set while both are.
-	announce func()
-	home     *Manager
-	homing   atomic.Bool
+	// home, when set, announces the returns of the births that land and
+	// collects tasks at home (SetCollector).
+	home atomic.Pointer[Manager]
 
 	clockOnce  sync.Once
 	clockBoot  int64
@@ -81,9 +80,8 @@ type ownedTask struct {
 	spec   types.TaskSpec
 	bornNs int64
 	// birthOp is the token every delivery of the birth carries, 0 until the
-	// first; owed is set until the birth lands.
+	// first.
 	birthOp uint64
-	owed    bool
 	// fresh marks a task born here with a provably new ID and not run
 	// again since: the IDs of its children are new too. kids is the highest
 	// SubmitIndex of a child admitted as fresh.
@@ -111,32 +109,14 @@ func NewTaskLedger(ctrl gcs.API) *TaskLedger {
 	return l
 }
 
-// SetAnnouncer makes every flush run fn after it has taken the transitions
-// it sends and before it sends them: the node passes its store's
-// AnnounceDeferred, so a task's FINISHED record never lands ahead of the
-// locations of returns it stored before finishing. Safe to call at any
-// time; nil stops the announcements.
-func (l *TaskLedger) SetAnnouncer(fn func()) {
-	l.mu.Lock()
-	l.announce = fn
-	l.homing.Store(l.announce != nil && l.home != nil)
-	l.mu.Unlock()
-}
-
-// SetCollector makes every flush, before it writes births, offer m the
-// returns of each task born here that is terminal and whose birth it never
-// sent (Manager.CollectHome); a task whose returns m collected at home is
-// dropped as if it had never been (DESIGN.md §17, "Collected at home"). A
-// flush that announces nothing (no announcer) collects nothing either:
-// collection and announcement are the two fates of a held-back location.
-// m is called under the ledger's lock, which comes before the tracker's
-// and the store's.
-func (l *TaskLedger) SetCollector(m *Manager) {
-	l.mu.Lock()
-	l.home = m
-	l.homing.Store(l.announce != nil && l.home != nil)
-	l.mu.Unlock()
-}
+// SetCollector gives the held-back returns of tasks born here their two
+// fates (DESIGN.md §17, "Held-back locations"). Every birth that lands has
+// its resident returns announced in m's store, before the flush takes its
+// transitions. Before writing births, a flush offers m the returns of each
+// terminal task whose birth it never sent (Manager.CollectHome), under the
+// ledger's lock, which comes before the tracker's and the store's; a task
+// collected at home is dropped as if it had never been. Nil stops both.
+func (l *TaskLedger) SetCollector(m *Manager) { l.home.Store(m) }
 
 // Node returns the owner identity this ledger stamps into its tasks.
 func (l *TaskLedger) Node() types.NodeID {
@@ -210,7 +190,7 @@ func (l *TaskLedger) Birth(spec types.TaskSpec) (adopted, fresh bool) {
 	} else if p := l.tasks[spec.Parent]; p != nil && p.fresh && spec.SubmitIndex > p.kids {
 		p.kids, fresh = spec.SubmitIndex, true
 	}
-	t := &ownedTask{status: types.TaskPending, spec: spec, bornNs: at, owed: true, fresh: fresh}
+	t := &ownedTask{status: types.TaskPending, spec: spec, bornNs: at, fresh: fresh}
 	l.tasks[spec.ID] = t
 	l.births[spec.ID] = t
 	l.unlock(true)
@@ -248,6 +228,14 @@ func (l *TaskLedger) landBirths() {
 	l.flushMu.Lock()
 	l.bear()
 	l.flushMu.Unlock()
+}
+
+// Owes reports whether task's birth is owed: its returns' locations wait
+// for the birth to land, which announces the copies stored by then.
+func (l *TaskLedger) Owes(task types.TaskID) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.births[task] != nil
 }
 
 // Flushes counts the ledger's completed flushes. A birth adopted before one
@@ -576,15 +564,18 @@ func (l *TaskLedger) FlushTask(id types.TaskID) (held bool) {
 // (SetCollector): a birth it drops there is never written. A birth the
 // table did not take stays owed, unless the table holds a record it did
 // not write: then another submission of the ID came first, and the
-// adoption is undone. Reports whether nothing stays owed.
+// adoption is undone. Last, with the ledger unlocked, it announces the
+// resident returns of every birth that landed. Reports whether nothing
+// stays owed.
 func (l *TaskLedger) bear() bool {
 	l.mu.Lock()
 	if l.dead || len(l.births) == 0 {
 		l.mu.Unlock()
 		return true
 	}
-	if l.homing.Load() {
-		l.collectLocked()
+	home := l.home.Load()
+	if home != nil {
+		l.collectLocked(home)
 	}
 	var batches []batch[[]types.TaskStateDelta]
 	op := uint64(0)
@@ -623,8 +614,8 @@ func (l *TaskLedger) bear() bool {
 		}
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	owed := false
+	var returns []types.ObjectID
 	for _, b := range batches {
 		for _, d := range b.deltas {
 			t := l.births[d.ID]
@@ -640,9 +631,15 @@ func (l *TaskLedger) bear() bool {
 				continue
 			}
 			delete(l.births, d.ID)
-			t.owed = false
+			returns = append(returns, t.spec.CacheReturns()...)
 			t.spec = types.TaskSpec{}
 		}
+	}
+	l.mu.Unlock()
+	// A return stored after this is announced by its Put (Owes): the Put
+	// stores, then asks, so one side or the other sees both facts.
+	if home != nil && len(returns) > 0 {
+		home.store.Announce(returns...)
 	}
 	return !owed
 }
@@ -650,9 +647,9 @@ func (l *TaskLedger) bear() bool {
 // collectLocked drops every task whose birth is owed and was never sent,
 // that is terminal, and whose returns the collector took: nothing about it
 // ever left this node, and nothing here needs it any more.
-func (l *TaskLedger) collectLocked() {
+func (l *TaskLedger) collectLocked(home *Manager) {
 	for id, t := range l.births {
-		if t.birthOp == 0 && t.status.Terminal() && l.home.CollectHome(t.spec.CacheReturns()) {
+		if t.birthOp == 0 && t.status.Terminal() && home.CollectHome(t.spec.CacheReturns()) {
 			l.dropLocked(id, t)
 		}
 	}
@@ -702,8 +699,8 @@ func (l *TaskLedger) settleLocked(deltas []types.TaskStateDelta, failed []types.
 // intermediate states cost nothing. Births go first because everything
 // else about a task presumes its record, and a terminal record's removal
 // drops the pins its birth wrote; the deltas of a task whose birth did not
-// land stay for a later flush. Between taking the transitions and sending
-// them it runs the announcer (SetAnnouncer).
+// land stay for a later flush, and the returns of the births that landed
+// are announced before the transitions are taken.
 func (l *TaskLedger) fresh() bool {
 	defer l.flushes.Add(1)
 	ok := l.bear()
@@ -725,12 +722,8 @@ func (l *TaskLedger) fresh() bool {
 			}
 		}
 	}
-	node, announce := l.node, l.announce
+	node := l.node
 	l.mu.Unlock()
-
-	if announce != nil {
-		announce()
-	}
 	if len(deltas) > 0 {
 		ok = l.deliver(node, deltas) && ok
 	}

@@ -40,12 +40,24 @@ func newExecutorShim(n *Node) *executorShim {
 			_ = n.sched.Enqueue(spec)
 		},
 		Deliver:     n.fetcher.Deliver,
-		PutDeferred: n.store.PutDeferred,
+		PutDeferred: n.putReturn,
 	}
 	s.inner = workerpkg.NewExecutor(n.id, n.ctrl, n.cfg.Registry, n, n.taskled, hooks)
 	s.tracer = n.tracer
 	s.execNs = n.reg.Histogram("worker.exec.ns")
 	return s
+}
+
+// putReturn stores a return of a task born here held back, announcing it
+// at once if the task's birth has landed (lifetime.TaskLedger.Owes).
+func (n *Node) putReturn(task types.TaskID, id types.ObjectID, data []byte) error {
+	if err := n.store.PutDeferred(id, data); err != nil {
+		return err
+	}
+	if !n.taskled.Owes(task) {
+		n.store.Announce(id)
+	}
+	return nil
 }
 
 // Execute implements scheduler.ExecFunc.

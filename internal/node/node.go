@@ -222,7 +222,6 @@ func New(cfg Config) (*Node, error) {
 	n.taskled = lifetime.NewTaskLedger(cfg.Ctrl)
 	n.taskled.SetNode(id)
 	n.taskled.SetMetrics(n.reg)
-	n.taskled.SetAnnouncer(n.store.AnnounceDeferred)
 	n.taskled.SetCollector(n.life)
 	n.life.SetTaskLedger(n.taskled)
 	// Per-submit job admission (DESIGN.md §14). The TTL cache amortizes the

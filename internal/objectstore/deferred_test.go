@@ -41,8 +41,8 @@ func located(ctrl gcs.API, id types.ObjectID, node types.NodeID) bool {
 }
 
 // TestDeferredPutWaitsForItsAnnouncement: a held-back copy wakes its
-// waiters at once, reaches the table in the next AnnounceDeferred, once,
-// and a copy deleted before then costs the control plane nothing at all.
+// waiters at once, reaches the table when Announce names it, once, and a
+// copy deleted before then costs the control plane nothing at all.
 func TestDeferredPutWaitsForItsAnnouncement(t *testing.T) {
 	ctrl := &locationCalls{Store: gcs.NewStore(2)}
 	node := testNode(1)
@@ -66,8 +66,8 @@ func TestDeferredPutWaitsForItsAnnouncement(t *testing.T) {
 	if !s.Delete(dropped) {
 		t.Fatal("Delete found no copy")
 	}
-	s.AnnounceDeferred()
-	s.AnnounceDeferred()
+	s.Announce(kept, dropped)
+	s.Announce(kept, dropped)
 	if got := ctrl.counts(); got != [3]int64{1, 0, 0} {
 		t.Fatalf("after the announcements adds, removes, marks = %v, want one add", got)
 	}
@@ -80,42 +80,30 @@ func TestDeferredPutWaitsForItsAnnouncement(t *testing.T) {
 	}
 }
 
-// TestEscapeMarks: Announce publishes a held-back copy at once, and marks
-// an object not here yet so that even its PutDeferred publishes at once.
-// No mark outlives its object: Put, Delete and ForgetMarks each clear it.
-func TestEscapeMarks(t *testing.T) {
+// TestAnnounce: Announce publishes a held-back copy at once, and only
+// once; it says nothing of an object not here, whose PutDeferred later
+// holds its copy back as any other.
+func TestAnnounce(t *testing.T) {
 	ctrl := &locationCalls{Store: gcs.NewStore(2)}
 	node := testNode(1)
 	s := New(node, ctrl, 0)
-	resident, coming, deleted, forgotten := testObj(1), testObj(2), testObj(3), testObj(4)
+	resident, coming := testObj(1), testObj(2)
 	if err := s.PutDeferred(resident, []byte("r")); err != nil {
 		t.Fatal(err)
 	}
-	s.Announce(resident, coming, deleted, forgotten)
+	s.Announce(resident, coming)
 	if !located(ctrl, resident, node) {
 		t.Fatal("Announce did not publish the held-back copy")
-	}
-	if n := s.EscapeMarks(); n != 3 {
-		t.Fatalf("%d escape marks after announcing three absent objects, want 3", n)
 	}
 	if err := s.PutDeferred(coming, []byte("c")); err != nil {
 		t.Fatal(err)
 	}
-	if !located(ctrl, coming, node) {
-		t.Fatal("the Put of an escaped object did not publish its location")
-	}
-	s.Delete(deleted)
-	s.ForgetMarks(forgotten)
-	if n := s.EscapeMarks(); n != 0 {
-		t.Fatalf("%d escape marks left, want 0", n)
-	}
-	if got := ctrl.counts(); got != [3]int64{2, 0, 0} {
-		t.Fatalf("adds, removes, marks = %v, want two adds", got)
+	if located(ctrl, coming, node) || !s.HeldBack(coming) {
+		t.Fatal("announcing an absent object published its later copy")
 	}
 	s.Announce(resident)
-	s.AnnounceDeferred()
-	if got := ctrl.adds.Load(); got != 2 {
-		t.Fatalf("re-announcing published copies made %d adds, want 2", got)
+	if got := ctrl.counts(); got != [3]int64{1, 0, 0} {
+		t.Fatalf("adds, removes, marks = %v, want one add", got)
 	}
 }
 
@@ -138,25 +126,20 @@ func TestDeferredSpillIsAnnouncedFirst(t *testing.T) {
 	if !slices.Contains(info.Locations, node) || !info.IsSpilledOn(node) {
 		t.Fatalf("the spilled held-back copy's record: %+v, want it located and spilled here", info)
 	}
-	s.AnnounceDeferred()
+	s.Announce(cold)
 	if got := ctrl.counts(); got != [3]int64{2, 0, 1} {
 		t.Fatalf("adds, removes, marks = %v, want the spill's add and mark and the hot Put's add", got)
 	}
 }
 
-// TestCollectHome: a held-back copy no task took goes without a word to the
-// control plane, and only all of a set or none of it goes. A copy taken by
-// a task admitted here — before or after it arrived — announced, spilled
-// or pinned is never collected; a copy that misses the taken mark would
-// be.
+// TestCollectHome: a held-back copy goes without a word to the control
+// plane, and only all of a set or none of it goes. A copy announced,
+// published by Put or pinned is never collected.
 func TestCollectHome(t *testing.T) {
 	ctrl := &locationCalls{Store: gcs.NewStore(2)}
 	s := New(testNode(1), ctrl, 0)
-	free, early, late, announced, pinned, plain := testObj(1), testObj(2), testObj(3), testObj(4), testObj(5), testObj(6)
-	if s.Take(early) {
-		t.Fatal("Take found an object not here yet")
-	}
-	for _, id := range []types.ObjectID{free, early, late, announced, pinned} {
+	free, announced, pinned, plain := testObj(1), testObj(2), testObj(3), testObj(4)
+	for _, id := range []types.ObjectID{free, announced, pinned} {
 		if err := s.PutDeferred(id, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
@@ -164,33 +147,30 @@ func TestCollectHome(t *testing.T) {
 	if err := s.Put(plain, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Take(late) {
-		t.Fatal("Take missed a resident object")
-	}
 	s.Announce(announced)
 	s.Pin(pinned)
 	if !s.HeldBack(free) {
-		t.Fatal("a held-back copy nobody took is not HeldBack")
+		t.Fatal("a held-back copy is not HeldBack")
 	}
-	for _, id := range []types.ObjectID{early, late, announced, plain} {
+	for _, id := range []types.ObjectID{announced, plain} {
 		if s.HeldBack(id) || s.CollectHome([]types.ObjectID{id}) {
-			t.Fatalf("%v: a taken, announced or published copy was offered or collected", id)
+			t.Fatalf("%v: an announced or published copy was offered or collected", id)
 		}
 	}
 	if s.CollectHome([]types.ObjectID{pinned}) {
 		t.Fatal("a pinned copy was collected")
 	}
-	if s.CollectHome([]types.ObjectID{free, early}) || !s.Contains(free) {
-		t.Fatal("a set with a taken copy was collected, whole or in part")
+	if s.CollectHome([]types.ObjectID{free, announced}) || !s.Contains(free) {
+		t.Fatal("a set with an announced copy was collected, whole or in part")
 	}
 	before := ctrl.counts()
 	if !s.CollectHome([]types.ObjectID{free}) || s.Contains(free) {
-		t.Fatal("a held-back copy nobody took was not collected")
+		t.Fatal("a held-back copy was not collected")
 	}
 	if got := ctrl.counts(); got != before {
 		t.Fatalf("collecting at home made location calls: %v, then %v", before, got)
 	}
-	s.AnnounceDeferred()
+	s.Announce(free)
 	if located(ctrl, free, testNode(1)) {
 		t.Fatal("a copy collected at home was announced")
 	}

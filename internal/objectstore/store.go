@@ -117,12 +117,9 @@ type entry struct {
 	prev, next *entry
 
 	// announced is set once the entry's location is queued for the control
-	// plane. A PutDeferred entry starts without it (DESIGN.md §8, "Held-back
-	// locations"); only an announced copy is ever deregistered. taken is set
-	// once a task admitted here names the object as an argument (Take): a
-	// taken copy is never collected at home (CollectHome).
+	// plane. A PutDeferred entry starts without it (DESIGN.md §17, "Held-back
+	// locations"); only an announced copy is ever deregistered.
 	announced bool
-	taken     bool
 }
 
 // lruList is an intrusive doubly-linked list over resident entries with a
@@ -168,14 +165,6 @@ func (l *lruList) coldestUnpinned() *entry {
 	return nil
 }
 
-// mark is what Announce and Take say of an object not here yet.
-type mark uint8
-
-const (
-	escaped mark = 1 << iota
-	taken
-)
-
 // pubOp is one queued control-plane call about an object.
 type pubOp func(ctrl gcs.API)
 
@@ -220,13 +209,6 @@ type Store struct {
 	// outside it by whichever goroutine holds the object's drain flag.
 	pubq      map[types.ObjectID][]pubOp
 	pubActive map[types.ObjectID]bool
-	// deferred lists the entries PutDeferred stored unannounced, in Put
-	// order, for AnnounceDeferred; marks holds what was said of objects not
-	// here yet, for their Put: that one left this node as a spilled task's
-	// argument (Announce), so its Put publishes at once, or that a task
-	// admitted here takes it (Take).
-	deferred []*entry
-	marks    map[types.ObjectID]mark
 
 	// tier, when non-nil, enables the disk spill path.
 	tier SpillTier
@@ -281,7 +263,6 @@ func New(node types.NodeID, ctrl gcs.API, capacity int64) *Store {
 		tierRemovals:   make(map[types.ObjectID]int),
 		pubq:           make(map[types.ObjectID][]pubOp),
 		pubActive:      make(map[types.ObjectID]bool),
-		marks:          make(map[types.ObjectID]mark),
 	}
 	s.lru.init()
 	s.evictDone = sync.NewCond(&s.mu)
@@ -424,20 +405,14 @@ func (s *Store) drainPublishes(id types.ObjectID) {
 
 // --- held-back locations (PutDeferred) ---
 
-// Announce publishes the locations this node holds back for ids, and marks
-// each of ids not here yet, so that its Put publishes at once. The spill
-// bridge calls it with a task's by-reference arguments before the task
-// leaves the node: the node it reaches finds them in the object table.
-// The publishes it becomes the drainer of have landed when it returns.
+// Announce publishes the held-back locations of those of ids stored here,
+// and says nothing of the others. The publishes it becomes the drainer of
+// have landed when it returns.
 func (s *Store) Announce(ids ...types.ObjectID) {
 	var drains []types.ObjectID
 	s.mu.Lock()
 	for _, id := range ids {
-		e, ok := s.objects[id]
-		switch {
-		case !ok && !s.failed:
-			s.marks[id] |= escaped
-		case ok && !e.announced && s.announceLocked(e):
+		if e, ok := s.objects[id]; ok && !e.announced && s.announceLocked(e) {
 			drains = append(drains, id)
 		}
 	}
@@ -447,75 +422,11 @@ func (s *Store) Announce(ids ...types.ObjectID) {
 	}
 }
 
-// AnnounceDeferred publishes every location PutDeferred held back whose
-// copy is still here. The node's task ledger runs it in each flush, after
-// it has collected at home what it could (CollectHome) and taken the
-// transitions it sends, so a held-back location waits at most two flush
-// intervals and a FINISHED record never reaches the table ahead of its
-// returns' locations.
-func (s *Store) AnnounceDeferred() {
-	s.mu.Lock()
-	if len(s.deferred) == 0 {
-		s.mu.Unlock()
-		return
-	}
-	var drains []types.ObjectID
-	for _, e := range s.deferred {
-		if s.objects[e.id] == e && !e.announced && s.announceLocked(e) {
-			drains = append(drains, e.id)
-		}
-	}
-	clear(s.deferred)
-	s.deferred = s.deferred[:0]
-	s.mu.Unlock()
-	for _, id := range drains {
-		s.drainPublishes(id)
-	}
-}
-
-// ForgetMarks drops id's marks, if any. The lifetime manager calls it when
-// id's last reference is gone, and the scheduler when nothing can produce
-// id any more: a mark guards a reader that no longer exists.
-func (s *Store) ForgetMarks(id types.ObjectID) {
-	s.mu.Lock()
-	delete(s.marks, id)
-	s.mu.Unlock()
-}
-
-// EscapeMarks counts the objects Announce marked that have not arrived.
-func (s *Store) EscapeMarks() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, m := range s.marks {
-		if m&escaped != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // --- collection at home (DESIGN.md §17) ---
 
-// Take reports whether id is here, as Contains does, and marks it taken: a
-// task admitted on this node names it as a by-reference argument, so its
-// copy is never collected at home. An id not here yet is marked for its
-// Put. The mark publishes nothing.
-func (s *Store) Take(id types.ObjectID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.objects[id]; ok {
-		e.taken = true
-		return true
-	}
-	if !s.failed {
-		s.marks[id] |= taken
-	}
-	return false
-}
-
 // HeldBack reports whether id's copy is one CollectHome could take: in
-// memory, held back (PutDeferred) and never announced, and not taken.
+// memory, held back (PutDeferred) and never announced, with no tier write
+// in flight.
 func (s *Store) HeldBack(id types.ObjectID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -524,7 +435,7 @@ func (s *Store) HeldBack(id types.ObjectID) bool {
 }
 
 func (s *Store) heldBackLocked(e *entry) bool {
-	return e.state == stateResident && !e.announced && !e.taken && s.tierWrites[e.id] == 0
+	return e.state == stateResident && !e.announced && s.tierWrites[e.id] == 0
 }
 
 // CollectHome deletes the copies of ids, without a word to the control
@@ -608,15 +519,12 @@ func (s *Store) execRemoval(tier SpillTier, id types.ObjectID) {
 // object to leave the node is stored with PutDeferred instead.
 func (s *Store) Put(id types.ObjectID, data []byte) error { return s.put(id, data, false) }
 
-// PutDeferred is Put for a copy whose location may wait until the object
-// escapes this node: the return of a task submitted through the node that
-// ran it, whose readers are on this node until a ref to it leaves. The
-// copy is stored and its waiters woken, but the control plane hears of it
-// only when Announce names it (a spilled task takes it as an argument),
-// when AnnounceDeferred runs (the node's task ledger flush), or when it
-// spills to disk — and never if it is deleted first, as CollectHome does
-// to a released return whose task never left its owner. An object Announce
-// marked before it arrived is published at once, as by Put.
+// PutDeferred is Put for a copy whose location may wait: the return of a
+// task submitted through the node that ran it, whose readers are on this
+// node until its task's birth lands. The copy is stored and its waiters
+// woken, but the control plane hears of it only when Announce names it or
+// when it spills to disk — and never if it is deleted first, as
+// CollectHome does to a released return whose task never left its owner.
 func (s *Store) PutDeferred(id types.ObjectID, data []byte) error { return s.put(id, data, true) }
 
 func (s *Store) put(id types.ObjectID, data []byte, deferred bool) error {
@@ -648,15 +556,7 @@ func (s *Store) put(id types.ObjectID, data []byte, deferred bool) error {
 	s.lru.pushFront(e)
 	ws := s.waiters[id]
 	delete(s.waiters, id)
-	m := s.marks[id]
-	delete(s.marks, id)
-	e.taken = m&taken != 0
-	drain := false
-	if deferred && m&escaped == 0 {
-		s.deferred = append(s.deferred, e)
-	} else {
-		drain = s.announceLocked(e)
-	}
+	drain := !deferred && s.announceLocked(e)
 	arrived := s.arrived
 	s.mu.Unlock()
 
@@ -1181,7 +1081,6 @@ func (s *Store) Delete(id types.ObjectID) bool { return s.DeleteThen(id, nil) }
 // copy that was never announced. landed must not block.
 func (s *Store) DeleteThen(id types.ObjectID, landed func()) bool {
 	s.mu.Lock()
-	delete(s.marks, id)
 	e, ok := s.objects[id]
 	if !ok {
 		s.mu.Unlock()
@@ -1246,8 +1145,6 @@ func (s *Store) DropAll() {
 		v.drainer = s.withdrawLocked(e)
 		victims = append(victims, v)
 	}
-	clear(s.marks)
-	s.deferred = nil
 	s.lru.init()
 	s.used = 0
 	s.spilled = 0

@@ -232,8 +232,7 @@ func (d *depTable) resolveParked(ctx context.Context, obj types.ObjectID) {
 	case errors.Is(err, types.ErrReclaimed):
 		// No record says anything can produce obj any more: the tasks
 		// parked on it fail (types.ReasonReclaimed; Get on their returns
-		// yields core.ErrReclaimed), and its marks guard nothing.
-		d.l.cfg.Store.ForgetMarks(obj)
+		// yields core.ErrReclaimed).
 		waitsOn := func(_ types.TaskSpec, missing map[types.ObjectID]bool) bool { return missing[obj] }
 		d.l.settle(d.l.evict(waitsOn, true), func(spec types.TaskSpec) {
 			d.l.FailTask(spec, types.ReasonReclaimed+obj.String())

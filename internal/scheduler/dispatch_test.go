@@ -183,30 +183,3 @@ func TestStopRacingSubmitSideDispatch(t *testing.T) {
 		}
 	}
 }
-
-// TestAdmissionTakesItsArguments: admitting a task marks each of its
-// by-reference arguments taken, here or still to come, so that neither is
-// ever collected at home (DESIGN.md §17); an object no task named is not
-// marked.
-func TestAdmissionTakesItsArguments(t *testing.T) {
-	l, _, store, _ := unstartedLocal(t, types.CPU(2), SpillNever)
-	obj := func(i uint64) types.ObjectID {
-		return types.ObjectIDForReturn(types.DeriveTaskID(types.NilTaskID, 820+i), 0)
-	}
-	here, coming, other := obj(1), obj(2), obj(3)
-	for _, id := range []types.ObjectID{here, other} {
-		if err := store.PutDeferred(id, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Submit(tSpec(1, nil, here, coming), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.PutDeferred(coming, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if store.HeldBack(here) || store.HeldBack(coming) || !store.HeldBack(other) {
-		t.Fatalf("held back after admission: argument here %v, argument to come %v, bystander %v; want false, false, true",
-			store.HeldBack(here), store.HeldBack(coming), store.HeldBack(other))
-	}
-}

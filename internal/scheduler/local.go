@@ -471,10 +471,9 @@ func (l *Local) bridgeSpill(spec types.TaskSpec) {
 	if len(deps) == 0 {
 		return
 	}
-	// The arguments escape with the task: the node it reaches finds them
-	// only through the object table, so the locations this node holds back
-	// are published now, and an argument still being produced here is
-	// published by its Put.
+	// The arguments escape with the task: the flush above landed their
+	// producers' births, which announces them; this covers a producer whose
+	// birth a shard refused.
 	l.cfg.Store.Announce(deps...)
 	if l.cfg.Refs == nil {
 		return
@@ -609,10 +608,9 @@ func (l *Local) SetExec(fn ExecFunc) { l.cfg.Exec = fn }
 // So does a task of a job, since admission's usage scan counts the job's
 // records, and a task that has to wait here: its owner may die while it
 // waits, and the owner-death transfer re-places only what the table holds.
-// A task that starts here also leaves its returns' locations to a later
-// flush (objectstore.Store.PutDeferred), so its steady-state path makes no
-// synchronous control-plane write; bridgeSpill publishes them when they
-// escape.
+// A task that starts here also leaves its returns' locations to its birth
+// (objectstore.Store.PutDeferred), so its steady-state path makes no
+// synchronous control-plane write.
 func (l *Local) record(spec types.TaskSpec, lazy bool) bool {
 	adopted, fresh := l.cfg.Ledger.Birth(spec)
 	if fresh && lazy && spec.Job.IsNil() {
@@ -723,11 +721,9 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 	if borrow {
 		l.cfg.Refs.Retain(deps...)
 	}
-	// The probe marks each dependency taken: a return a task here names is
-	// never collected at home, whatever its count (DESIGN.md §17).
 	var missing map[types.ObjectID]bool
 	for _, dep := range deps {
-		if !missing[dep] && !l.cfg.Store.Take(dep) {
+		if !missing[dep] && !l.cfg.Store.Contains(dep) {
 			if missing == nil {
 				missing = make(map[types.ObjectID]bool)
 			}
@@ -750,7 +746,10 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 		// a previous holder's spill bridge drop its borrow, so this node's
 		// share must already be in the control plane's count — and one
 		// batched flush covers the whole dependency set, which is why
-		// parking cost stays flat in the number of dependencies.
+		// parking cost stays flat in the number of dependencies. It is also
+		// what keeps a taken return's producer out of collection at home:
+		// a reference counted in the table takes the table's path, however
+		// the borrow nets out (DESIGN.md §17).
 		l.cfg.Refs.Flush()
 	}
 	if l.deps.queue(w) {

@@ -33,10 +33,10 @@ type Hooks struct {
 	// goroutine runs, and a TaskSpec by value is 200 bytes in every frame.
 	Deliver func(origin types.NodeID, task types.TaskID, trace uint64, id types.ObjectID, data []byte)
 	// PutDeferred, when set, stores the returns of a task submitted through
-	// this node without publishing their locations until they escape
+	// this node, whose locations wait for the task's birth to land
 	// (objectstore.Store.PutDeferred). Nil stores every return through the
 	// backend's PutObject.
-	PutDeferred func(id types.ObjectID, data []byte) error
+	PutDeferred func(task types.TaskID, id types.ObjectID, data []byte) error
 }
 
 // TaskLedger is the owner-side task-state ledger (DESIGN.md §13): the
@@ -130,11 +130,11 @@ func (e *Executor) Execute(ctx context.Context, spec types.TaskSpec, args [][]by
 // the origin cannot hear of this node's copy, and start pulling it, while
 // the delivery is still on its way — and both precede the terminal stamp.
 // A task submitted through this node has its readers here: its returns'
-// locations wait until they escape (Hooks.PutDeferred).
+// locations wait for its birth (Hooks.PutDeferred).
 func (e *Executor) storeReturn(spec *types.TaskSpec, i int, data []byte) error {
 	id := spec.ReturnID(i)
 	if spec.Origin == e.node && e.hooks.PutDeferred != nil {
-		return e.hooks.PutDeferred(id, data)
+		return e.hooks.PutDeferred(spec.ID, id, data)
 	}
 	if e.hooks.Deliver != nil {
 		e.hooks.Deliver(spec.Origin, spec.ID, spec.TraceID, id, data)
