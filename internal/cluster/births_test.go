@@ -415,7 +415,9 @@ func TestLocalSubmitControlPlaneBudget(t *testing.T) {
 
 // TestWaitOnBareIDOfUnflushedTask: a Wait on the bare return ID of a task
 // just born here, whose owner's flush is held back, must not read the
-// missing records as retired — the owner's ledger holds them.
+// missing records as retired before they were absent for
+// types.RetiredAfter — the owner's ledger holds them, and a ref read
+// elsewhere waits that long for its birth.
 func TestWaitOnBareIDOfUnflushedTask(t *testing.T) {
 	reg, open := birthFuncs(t)
 	n, probe := probedNode(t, gcs.NewStore(4), transport.NewInproc(0), reg)
@@ -434,7 +436,7 @@ func TestWaitOnBareIDOfUnflushedTask(t *testing.T) {
 	bare := []core.ObjectRef{{ID: refs[0].ID}}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	ready, _, err := d.Wait(ctx, bare, 1, 100*time.Millisecond)
+	ready, _, err := d.Wait(ctx, bare, 1, types.RetiredAfter)
 	if err != nil || len(ready) != 0 {
 		t.Fatalf("Wait on a held-back task's bare return ID: ready %d, %v; want a timeout", len(ready), err)
 	}
@@ -445,11 +447,14 @@ func TestWaitOnBareIDOfUnflushedTask(t *testing.T) {
 	}
 }
 
-// drainedAndProposed releases ref and waits until the node has dropped its
-// copy and queued the object for retiring.
+// drainedAndProposed releases ref, sends the release in an explicit
+// reference flush — a timed one keeps it at home while the task's birth is
+// owed, as a borrow flush does not — and waits until the node has dropped
+// its copy and queued the object for retiring.
 func drainedAndProposed(t *testing.T, n *node.Node, d *core.Client, ref core.ObjectRef) {
 	t.Helper()
 	d.Release(ref)
+	n.Lifetime().Tracker().Flush()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if q, _ := n.Lifetime().Proposals(); q > 0 && !n.Store().Contains(ref.ID) {

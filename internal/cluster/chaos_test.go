@@ -383,15 +383,20 @@ func TestShardFailoverDurableState(t *testing.T) {
 		return refs
 	}
 
-	// Phase 1: committed before the snapshot.
+	// Phase 1: committed before the snapshot. The driver holds every
+	// return, so every birth lands within the bound.
+	born := time.Now()
 	phase1 := submit(0, 6)
 	get(phase1, 0)
+	birthsLanded(t, born, c.Node(0))
 	if err := c.Super.CheckpointAll(); err != nil {
 		t.Fatal(err)
 	}
 	// Phase 2: committed after the snapshot — recoverable only via WAL.
+	born = time.Now()
 	phase2 := submit(10, 6)
 	get(phase2, 10)
+	birthsLanded(t, born, c.Node(0))
 
 	// Freeze the pre-kill truth. Owner ledgers flush task state and
 	// refcounts asynchronously, so "committed" means quiescent: snapshot

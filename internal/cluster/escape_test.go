@@ -144,8 +144,8 @@ func TestLocalReturnLocationBudget(t *testing.T) {
 			got, locatedOn(probe.API, late[0].ID, n))
 	}
 	probe.releaseFlush()
-	n.Lifetime().Tracker().Flush()
 	n.TaskLedger().Flush()
+	n.Lifetime().Tracker().Flush()
 	if got := probe.adds.Load() - adds; got != 2 || !locatedOn(probe.API, kept.ID, n) {
 		t.Fatalf("the flush made %d AddObjectLocation calls (located %v), want 1", got-1, locatedOn(probe.API, kept.ID, n))
 	}
@@ -299,15 +299,17 @@ func TestEscapeOfAResidentArgument(t *testing.T) {
 	}
 }
 
-// TestUnescapedReturnAnnouncedWithinTwoFlushes: a local return nothing
+// TestUnescapedReturnAnnouncedWithinTheBound: a held local return nothing
 // escapes reaches the table in the first task-ledger flush that starts
-// after its Put: it is never missing once two flushes have completed since
-// its Get returned. Counted in flushes, not in time.
-func TestUnescapedReturnAnnouncedWithinTwoFlushes(t *testing.T) {
+// once its task's birth is older than types.BirthBound: it is never missing
+// once the bound has passed since its submit and two flushes have
+// completed since. Counted in flushes past the bound.
+func TestUnescapedReturnAnnouncedWithinTheBound(t *testing.T) {
 	f := newEscapeFuncs(t)
 	c := singleNodeWith(t, f.reg)
 	n, d, ctx := c.Node(0), c.Driver(), testCtx(t)
 	for i := range 20 {
+		born := time.Now()
 		ref, err := f.local.Remote(d, i)
 		if err != nil {
 			t.Fatal(err)
@@ -315,9 +317,10 @@ func TestUnescapedReturnAnnouncedWithinTwoFlushes(t *testing.T) {
 		if v, err := core.Get(ctx, d, ref); err != nil || v != i {
 			t.Fatalf("local(%d) = %d, %v", i, v, err)
 		}
-		since := n.TaskFlushes()
+		time.Sleep(time.Until(born.Add(types.BirthBound)))
+		since := n.TaskLedger().Flushes()
 		for {
-			flushes := n.TaskFlushes() - since
+			flushes := n.TaskLedger().Flushes() - since
 			if locatedOn(c.API, ref.Ref.ID, n) {
 				break
 			}

@@ -28,8 +28,20 @@ func homeTasks(n *node.Node) int64 { return n.Metrics().Counter("lifetime.home.t
 // the call.
 func afterFlushes(t *testing.T, n *node.Node, k uint64) {
 	t.Helper()
-	since := n.TaskFlushes()
-	waitFor(t, 10*time.Second, "task-ledger flushes", func() bool { return n.TaskFlushes()-since >= k })
+	since := n.TaskLedger().Flushes()
+	waitFor(t, 10*time.Second, "task-ledger flushes", func() bool { return n.TaskLedger().Flushes()-since >= k })
+}
+
+// birthsLanded waits until types.BirthBound has passed since born, then for
+// two task-ledger flushes on each of nodes: the second started once the
+// first ended, older than the bound, so every birth adopted before born has
+// landed, or a shard refused it.
+func birthsLanded(t *testing.T, born time.Time, nodes ...*node.Node) {
+	t.Helper()
+	time.Sleep(time.Until(born.Add(types.BirthBound)))
+	for _, n := range nodes {
+		afterFlushes(t, n, 2)
+	}
 }
 
 // TestLocalRoundTripControlPlaneBudget pins what a released local result
@@ -82,8 +94,8 @@ func TestLocalRoundTripControlPlaneBudget(t *testing.T) {
 		return true
 	})
 	probe.releaseFlush()
-	n.Lifetime().Tracker().Flush()
 	afterFlushes(t, n, 2)
+	n.Lifetime().Tracker().Flush() // sends whatever the collection left
 
 	if te, oe := probe.flushed(tasks, objects); te != 0 || oe != 0 {
 		t.Fatalf("the round trips cost %d ModifyTaskStates and %d ModifyObjectRefCounts entries, want 0 and 0", te, oe)
@@ -108,17 +120,123 @@ func TestLocalRoundTripControlPlaneBudget(t *testing.T) {
 	}
 }
 
+// TestLocalRoundTripHeldAcrossTicksBudget: a local result held across two
+// ticks of its node's task ledger, and released then, still costs the
+// control plane nothing. The flushers run at their own cadence; a timed
+// flush leaves a birth younger than types.BirthBound at home, and the
+// deltas on its return with it, so the release finds the task where the
+// round trip left it. A round slower than half the bound proves nothing and
+// is made again.
+func TestLocalRoundTripHeldAcrossTicksBudget(t *testing.T) {
+	reg, _ := birthFuncs(t)
+	n, probe := probedNode(t, gcs.NewStore(4), transport.NewInproc(0), reg)
+	d := core.NewClient(n)
+	for range 10 {
+		runNoop(t, d) // warm: the ledger's clock, the executor pool
+	}
+	n.TaskLedger().Flush()
+
+	home := homeTasks(n)
+	events, retires, adds, removes := probe.events.Load(), probe.retires.Load(), probe.adds.Load(), probe.removes.Load()
+	var tasks []types.TaskID
+	var objects []types.ObjectID
+	slow := 0
+	for len(tasks) < 50 {
+		if slow == 50 {
+			t.Fatalf("%d rounds took longer than half the bound to hold their result across two ticks", slow)
+		}
+		start := time.Now()
+		ref := runNoop(t, d)
+		afterFlushes(t, n, 2)
+		d.Release(ref)
+		if time.Since(start) < types.BirthBound/2 {
+			tasks, objects = append(tasks, ref.Task), append(objects, ref.ID)
+		} else {
+			slow++
+		}
+	}
+	birthsLanded(t, time.Now(), n)
+
+	if te, oe := probe.flushed(tasks, objects); te != 0 || oe != 0 {
+		t.Fatalf("the held round trips cost %d ModifyTaskStates and %d ModifyObjectRefCounts entries, want 0 and 0", te, oe)
+	}
+	for i, id := range objects {
+		if n.Store().Contains(id) || n.TaskLedger().Owns(tasks[i]) {
+			t.Fatalf("round trip %d left state behind: copy %v, ledger %v", i, n.Store().Contains(id), n.TaskLedger().Owns(tasks[i]))
+		}
+	}
+	if got := homeTasks(n) - home; got < int64(len(tasks)) {
+		t.Fatalf("lifetime.home.tasks moved by %d, want at least %d", got, len(tasks))
+	}
+	if slow > 0 {
+		return // a slow round's birth may have landed: the calls below count it
+	}
+	if a, r := probe.adds.Load()-adds, probe.removes.Load()-removes; a != 0 || r != 0 {
+		t.Fatalf("the held round trips cost %d AddObjectLocation and %d RemoveObjectLocation calls, want 0 and 0", a, r)
+	}
+	if rt, ev := probe.retires.Load()-retires, probe.events.Load()-events; rt != 0 || ev != 0 {
+		t.Fatalf("the held round trips cost %d Retire and %d LogEvent calls, want 0 and 0", rt, ev)
+	}
+}
+
+// TestWindowIsCollectedAtHome: windows of 200 no-ops over four nodes, each
+// waited for and released whole, as the benchmark's noop_window runs them.
+// A window ends well inside types.BirthBound, and a timed flush leaves
+// younger births at home, so at least 0.9 of the tasks are collected at
+// home and never reach the control plane.
+func TestWindowIsCollectedAtHome(t *testing.T) {
+	const window, windows = 200, 10
+	reg, _ := birthFuncs(t)
+	c, err := New(Config{Nodes: 4, NodeResources: types.CPU(4), Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Shutdown)
+	d, ctx := c.Driver(), testCtx(t)
+	var nodes []*node.Node
+	for i := range c.NumNodes() {
+		nodes = append(nodes, c.Node(i))
+	}
+	collected := func() (sum int64) {
+		for _, n := range nodes {
+			sum += homeTasks(n)
+		}
+		return sum
+	}
+	before := collected()
+	call := core.Call{Function: "births.noop", Resources: types.CPU(0.0001)}
+	refs := make([]core.ObjectRef, window)
+	for range windows {
+		for i := range refs {
+			if refs[i], err = d.Submit1(call); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ready, _, err := d.Wait(ctx, refs, window, -1)
+		if err != nil || len(ready) != window {
+			t.Fatalf("Wait: %d ready, %v", len(ready), err)
+		}
+		d.Release(refs...)
+	}
+	birthsLanded(t, time.Now(), nodes...)
+	if got, want := collected()-before, int64(0.9*window*windows); got < want {
+		t.Fatalf("lifetime.home.tasks moved by %d over %d tasks, want at least %d", got, window*windows, want)
+	}
+}
+
 // TestHeldReturnIsNotCollected: a return the driver holds keeps its task,
-// whose birth lands within two flushes of the Get.
+// whose birth lands in the first flush that starts once it is older than
+// types.BirthBound.
 func TestHeldReturnIsNotCollected(t *testing.T) {
 	reg, _ := birthFuncs(t)
 	n, probe := probedNode(t, gcs.NewStore(4), transport.NewInproc(0), reg)
 	d := core.NewClient(n)
 	home := homeTasks(n)
+	born := time.Now()
 	ref := runNoop(t, d)
-	afterFlushes(t, n, 2)
+	birthsLanded(t, born, n)
 	if st, ok := probe.API.GetTask(ref.Task); !ok || st.Spec.ID != ref.Task {
-		t.Fatalf("the held return's task is not in the table after two flushes: %+v, %v", st, ok)
+		t.Fatalf("the held return's task is not in the table once its birth is older than the bound: %+v, %v", st, ok)
 	}
 	if got := homeTasks(n) - home; got != 0 {
 		t.Fatalf("%d tasks collected at home, want 0", got)
@@ -161,7 +279,7 @@ func TestTakenReturnIsNotCollected(t *testing.T) {
 		t.Fatalf("%d tasks collected at home, want 0: every producer's return was taken", got)
 	}
 	for i, ch := range chains {
-		n.LandBirths(ch[0].Ref.Task, ch[1].Ref.Task)
+		n.TaskLedger().LandBirths(ch[0].Ref.Task, ch[1].Ref.Task)
 		if info, ok := c.API.GetObject(ch[0].Ref.ID); !ok || info.Producer != ch[0].Ref.Task {
 			t.Fatalf("chain %d: the taken argument's record lost its producer: %+v, %v", i, info, ok)
 		}
@@ -332,6 +450,7 @@ func TestTaskWithOneHeldReturnIsNotCollected(t *testing.T) {
 	n, probe := probedNode(t, gcs.NewStore(4), transport.NewInproc(0), reg)
 	d, ctx := core.NewClient(n), testCtx(t)
 	home := homeTasks(n)
+	born := time.Now()
 	refs, err := d.SubmitOpts("home.two", nil, core.WithNumReturns(2))
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +461,7 @@ func TestTaskWithOneHeldReturnIsNotCollected(t *testing.T) {
 		}
 	}
 	d.Release(refs[1])
-	afterFlushes(t, n, 2)
+	birthsLanded(t, born, n)
 	if got := homeTasks(n) - home; got != 0 {
 		t.Fatalf("%d tasks collected at home, want 0", got)
 	}

@@ -234,40 +234,16 @@ func TestJobPurgeUnpinsWhatItsTasksTook(t *testing.T) {
 }
 
 // TestLateReaderIsToldNotLeftWaiting: a Get or Wait on a released future
-// whose records are gone returns ErrReclaimed within a poll, and a task
-// submitted with it as an argument fails with it — whether its owner
-// collected it at home, so that the tables never held it, or the tables
-// held it and gcs.Retire retired it.
+// whose records are gone returns ErrReclaimed once they have been absent
+// for types.RetiredAfter, and a task submitted with it as an argument fails
+// with it — whether its owner collected it at home, so that the tables
+// never held it, or the tables held it and gcs.Retire retired it.
 func TestLateReaderIsToldNotLeftWaiting(t *testing.T) {
 	t.Run("home-collected", func(t *testing.T) {
 		f := newLifeFuncs()
 		c := singleNodeWith(t, f.reg)
-		n, d := c.Node(0), c.Driver()
-		// Released before any flush, a result is collected at home unless a
-		// flush caught its task still running and wrote its birth: then try
-		// again.
-		var ref core.Ref[int]
-		for attempt := 0; ; attempt++ {
-			var err error
-			if ref, err = f.inc.Remote(d, 1); err != nil {
-				t.Fatal(err)
-			}
-			if v, err := core.Get(testCtx(t), d, ref); err != nil || v != 2 {
-				t.Fatalf("Get = %d, %v", v, err)
-			}
-			home := homeTasks(n)
-			d.Release(ref.Ref)
-			n.TaskLedger().Flush()
-			if homeTasks(n) > home {
-				break
-			}
-			if attempt == 10 {
-				t.Fatal("no released result was collected at home in ten attempts")
-			}
-		}
-		if _, ok := c.API.GetTask(ref.Ref.Task); ok {
-			t.Fatal("a task collected at home is in the table")
-		}
+		d := c.Driver()
+		ref := collectedAtHome(t, f, c, d)
 		lateReaderIsTold(t, f, d, ref)
 	})
 	t.Run("table-retired", func(t *testing.T) {
@@ -283,12 +259,75 @@ func TestLateReaderIsToldNotLeftWaiting(t *testing.T) {
 		}
 		// The task and the reference reach the tables before the release:
 		// the table's path collects the result.
-		n.LandBirths(ref.Ref.Task)
+		n.TaskLedger().LandBirths(ref.Ref.Task)
 		n.Lifetime().Tracker().Flush()
 		d.Release(ref.Ref)
 		retired(t, c, "the released task's records to be retired", ref.Ref.Task)
 		lateReaderIsTold(t, f, d, ref)
 	})
+}
+
+// collectedAtHome runs one life.inc task through d on node 0 and releases
+// its result, which node 0 collects at home: the tables never hold it.
+func collectedAtHome(t *testing.T, f *lifeFuncs, c *Cluster, d *core.Client) core.Ref[int] {
+	t.Helper()
+	n := c.Node(0)
+	// Released before any flush, a result is collected at home unless a
+	// flush caught its task still running and wrote its birth: then try
+	// again.
+	for attempt := 0; ; attempt++ {
+		ref, err := f.inc.Remote(d, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := core.Get(testCtx(t), d, ref); err != nil || v != 2 {
+			t.Fatalf("Get = %d, %v", v, err)
+		}
+		home := homeTasks(n)
+		d.Release(ref.Ref)
+		n.TaskLedger().Flush()
+		if homeTasks(n) > home {
+			if _, ok := c.API.GetTask(ref.Ref.Task); ok {
+				t.Fatal("a task collected at home is in the table")
+			}
+			return ref
+		}
+		if attempt == 10 {
+			t.Fatal("no released result was collected at home in ten attempts")
+		}
+	}
+}
+
+// TestReleasedRefReadElsewhereWaitsOutTheBound: a ref its owner released
+// and collected at home is absent from the tables, as a ref whose birth its
+// owner has not landed yet is for up to types.BirthBound. A reader on
+// another node cannot tell the two apart, so its Get and its Wait are told
+// ErrReclaimed only after the bound, and then they are told.
+func TestReleasedRefReadElsewhereWaitsOutTheBound(t *testing.T) {
+	f := newLifeFuncs()
+	c, err := New(Config{Nodes: 2, Registry: f.reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Shutdown)
+	ref := collectedAtHome(t, f, c, c.Driver())
+	other := c.DriverOn(1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, read := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Get", func() error { _, err := core.Get(ctx, other, ref); return err }},
+		{"Wait", func() error { _, _, err := other.Wait(ctx, []core.ObjectRef{ref.Ref}, 1, -1); return err }},
+	} {
+		start := time.Now()
+		err := read.run()
+		if took := time.Since(start); !errors.Is(err, core.ErrReclaimed) || took <= types.BirthBound {
+			t.Fatalf("%s on node 1 of a ref collected at home on node 0: %v after %v, want ErrReclaimed after more than %v",
+				read.name, err, took, types.BirthBound)
+		}
+	}
 }
 
 // lateReaderIsTold checks that every late reader of the released ref is

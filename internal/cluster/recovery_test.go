@@ -35,6 +35,7 @@ func TestControlPlaneFailover(t *testing.T) {
 	d1 := c1.Driver()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	born := time.Now()
 	var refs []core.Ref[int]
 	for i := 0; i < 6; i++ {
 		r, err := square.Remote(d1, i)
@@ -50,6 +51,7 @@ func TestControlPlaneFailover(t *testing.T) {
 	if _, _, err := d1.Wait(ctx, raw, len(raw), 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	birthsLanded(t, born, c1.Node(0)) // the driver holds every return
 
 	// Snapshot the control database, then crash everything: nodes die with
 	// their object stores, the control plane process is gone.

@@ -53,9 +53,8 @@ type RefCounted interface {
 // costs zero control-plane calls. OwnsTask reports current local authority;
 // the ledger holds a task born here before the table does. OwnRoot
 // registers a driver root drawn at random (NewClient), whose tasks' records
-// may then reach the table in the ledger's batched flush; LandBirths writes
-// the records of tasks that the ledger still owes, and TaskFlushes counts
-// its completed flushes.
+// may then reach the table in the ledger's batched flush, within
+// types.BirthBound, or never if they are collected at home.
 // NotifyTaskEnd sends a task's ID on ch when it reaches a terminal state OR
 // local authority is dropped (transfer) — at once if that already happened
 // — so waiters re-check rather than trust the wake blindly; ch needs room
@@ -65,8 +64,6 @@ type RefCounted interface {
 type TaskOwner interface {
 	OwnsTask(id types.TaskID) bool
 	OwnRoot(root types.TaskID)
-	LandBirths(tasks ...types.TaskID)
-	TaskFlushes() uint64
 	NotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID)
 	StopNotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID)
 	ResolveTaskOutput(ctx context.Context, task types.TaskID, id types.ObjectID) ([]byte, error)
@@ -380,10 +377,10 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 	defer c.exitBlocked()
 
 	// unknown collects, per countReady, the refs the object table has no
-	// record of: the ones that may have been retired. suspects holds the
-	// owner's flush count when each was first found in neither table.
+	// record of: the ones that may have been retired. suspects holds when
+	// each was first found in neither table.
 	var unknown []ObjectRef
-	var suspects map[types.ObjectID]uint64
+	var suspects map[types.ObjectID]time.Time
 	isReady := func(r ObjectRef) bool {
 		if c.backend.ObjectLocal(r.ID) {
 			return true
@@ -506,7 +503,7 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 			n = countReady() // safety net against missed edges
 			if n < numReturns {
 				if suspects == nil {
-					suspects = make(map[types.ObjectID]uint64)
+					suspects = make(map[types.ObjectID]time.Time)
 				}
 				if err := reclaimedAmong(ctrl, owner, unknown, suspects); err != nil {
 					return nil, nil, err
@@ -519,41 +516,27 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 		}
 	}
 out:
-	var born []types.TaskID
 	for _, r := range refs {
 		if done[r.ID] {
 			ready = append(ready, r)
-			if owner != nil && !r.Task.IsNil() {
-				born = append(born, r.Task)
-			}
 		} else {
 			pending = append(pending, r)
 		}
-	}
-	if len(born) > 0 {
-		// What Wait reports ready the caller may hand anywhere, so the
-		// records of its tasks born here go to the table first.
-		owner.LandBirths(born...)
 	}
 	return ready, pending, nil
 }
 
 // reclaimedAmong reports ErrReclaimed if one of refs — futures the object
 // table has no record of — can never complete because its records were
-// retired (DESIGN.md §17). Absence alone is not proof: a task born on this
-// node reaches the table in its owner's batched flush, and until then its
-// owner's ledger is the only record of it and of its returns. So a ref
-// counts as retired only when the owner does not hold its task and it is
-// absent from both tables on two reads with a whole flush of the owner's
-// ledger between them (owner nil: on two polls); suspects carries the first
-// reads from poll to poll. A Put's location is published before its ref
-// exists, and a ref that reached this node from elsewhere had its birth
-// flushed before it left its owner.
-func reclaimedAmong(ctrl gcs.API, owner TaskOwner, refs []ObjectRef, suspects map[types.ObjectID]uint64) error {
-	var flushes uint64
-	if owner != nil {
-		flushes = owner.TaskFlushes()
-	}
+// retired (DESIGN.md §17). Absence alone is not proof: a task born on a node
+// reaches the table when something there asks for its birth, or within
+// types.BirthBound, and until then its owner's ledger is the only record of
+// it and of its returns, wherever its ref went. So a ref counts as retired
+// only when this node's owner does not hold its task and it has been absent
+// from both tables for types.RetiredAfter; suspects carries the first
+// absent read from poll to poll.
+func reclaimedAmong(ctrl gcs.API, owner TaskOwner, refs []ObjectRef, suspects map[types.ObjectID]time.Time) error {
+	now := time.Now()
 	for _, r := range refs {
 		if !r.Task.IsNil() {
 			if owner != nil && owner.OwnsTask(r.Task) {
@@ -571,10 +554,8 @@ func reclaimedAmong(ctrl gcs.API, owner TaskOwner, refs []ObjectRef, suspects ma
 		}
 		first, seen := suspects[r.ID]
 		if !seen {
-			suspects[r.ID] = flushes
-			continue
-		}
-		if owner == nil || flushes >= first+2 {
+			suspects[r.ID] = now
+		} else if now.Sub(first) > types.RetiredAfter {
 			return fmt.Errorf("%w: %v", ErrReclaimed, r.ID)
 		}
 	}

@@ -195,6 +195,53 @@ func TestEndpoints(t *testing.T) {
 	})
 }
 
+// TestRunningTaskIsVisible: a task born on a node reaches the task table
+// once its birth is older than types.BirthBound, so one that runs for
+// 200 ms is shown RUNNING by GetTask and by /api/tasks while it runs.
+func TestRunningTaskIsVisible(t *testing.T) {
+	const runFor = 200 * time.Millisecond
+	reg := core.NewRegistry()
+	done := make(chan struct{})
+	reg.Register("long", func(*core.TaskContext, [][]byte) ([][]byte, error) {
+		time.Sleep(runFor)
+		close(done)
+		return [][]byte{nil}, nil
+	})
+	c, err := cluster.New(cluster.Config{Nodes: 1, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Shutdown)
+	srv := httptest.NewServer(Handler(c.Ctrl))
+	defer srv.Close()
+	ref, err := c.Driver().Submit1(core.Call{Function: "long"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shown := func() bool {
+		if st, ok := c.Ctrl.GetTask(ref.Task); !ok || st.Status != types.TaskRunning {
+			return false
+		}
+		var tasks []TaskView
+		if _, body := get(t, srv, "/api/tasks"); json.Unmarshal([]byte(body), &tasks) != nil {
+			return false
+		}
+		for _, v := range tasks {
+			if v.IDHex == ref.Task.Hex() && v.Status == "RUNNING" {
+				return true
+			}
+		}
+		return false
+	}
+	for !shown() {
+		select {
+		case <-done:
+			t.Fatalf("the task ran for %v and was never shown RUNNING", runFor)
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+}
+
 // TestRecordLifetimeRowCountsHomeCollection: the records row adds up what
 // every node collected at home beside what the nodes retired.
 func TestRecordLifetimeRowCountsHomeCollection(t *testing.T) {

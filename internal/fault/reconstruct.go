@@ -39,8 +39,9 @@ func (r *Reconstructor) ctrlReachable() bool {
 
 // TaskLookup is the owner-side view of task state (lifetime.TaskLedger):
 // authoritative for tasks this node owns, and fresher than the follower
-// table, whose view trails by a flush interval — a task born here is in the
-// table only once the ledger's flush wrote its birth. Flush is that flush.
+// table, whose view trails by up to types.BirthBound — a task born here is
+// in the table only once the ledger's flush wrote its birth. Flush writes
+// every birth it owes.
 type TaskLookup interface {
 	Lookup(id types.TaskID) (types.TaskState, bool)
 	Flush() bool
@@ -130,11 +131,12 @@ func (r *Reconstructor) deriveProducer(id types.ObjectID) (types.TaskState, bool
 // An object with no lineage anywhere — no producer edge on its record (or
 // no record), no task in the table that returns it, and none in this
 // node's ledger after it flushed — yields types.ErrReclaimed: a return
-// whose task neither its owner nor the table knows was retired (or never
-// submitted), and there is nothing to wait for. A ref that reached another
-// node had its producer's birth flushed before it left the owner. Callers
-// ask only after a first poll, so the one flush interval by which a birth
-// may trail its task costs no scan.
+// whose task neither its owner nor the table knows was retired, was never
+// submitted, or was born on another node whose ledger has not landed its
+// birth yet, which it does within types.BirthBound. One answer is therefore
+// not proof: the caller's resolve loop ends on it only once it has read so
+// for types.RetiredAfter, and asks only after a first poll, so the flush
+// interval by which an edge may trail its task costs no scan.
 func (r *Reconstructor) RequestReturn(id types.ObjectID, task types.TaskID) error {
 	info, ok := r.Ctrl.GetObject(id)
 	if !ok {

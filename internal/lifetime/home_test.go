@@ -80,9 +80,9 @@ func TestCollectHomeRule(t *testing.T) {
 		task, ids := r.born(1, 2)
 		r.finish(task, ids)
 		r.m.tracker.Release(ids...)
-		r.m.tracker.Flush() // holds the touches back
+		r.m.tracker.flush(true) // a timed flush holds the touches back
 		if _, ok := r.ctrl.GetObject(ids[0]); ok {
-			t.Fatal("the reference flush sent a touch on a copy the store holds back")
+			t.Fatal("a timed reference flush sent a touch on a return whose birth is owed")
 		}
 		r.led.Flush()
 		if !r.collected(task, ids) {

@@ -12,7 +12,9 @@ import (
 
 // Flush tuning. The interval bounds how stale the GCS's view of an owner's
 // ledger may go (and therefore GC latency); the size kick bounds ledger
-// memory on a node mutating faster than the ticker.
+// memory on a node mutating faster than the ticker. A timed flush leaves
+// what its payload holds back at home (types.BirthBound), so the kick
+// counts only what such a flush would send.
 const (
 	defaultFlushInterval = 2 * time.Millisecond
 	flushKickThreshold   = 256
@@ -63,13 +65,13 @@ type payload[B any, K comparable] interface {
 	// settleLocked returns the part of an attempted b to park under its
 	// token — the failed keys' — and books the rest as acked.
 	settleLocked(b B, failed []K) B
-	// fresh delivers whatever accumulated since the last flush; the caller
-	// holds flushMu and the parked batches have all landed.
-	fresh() bool
-	// backlogLocked counts what waits for the next flush: the entries in
-	// all the payload's pending sets and the size of the largest set (what
-	// the kick bounds).
-	backlogLocked() (entries, largest int)
+	// fresh delivers whatever accumulated since the last flush — on a timed
+	// flush, less what the payload keeps at home; the caller holds flushMu
+	// and the parked batches have all landed.
+	fresh(timed bool) bool
+	// backlogLocked counts what waits for a flush: every entry, and those a
+	// timed flush would send now (what the kick bounds).
+	backlogLocked() (entries, due int)
 	// discardLocked drops every waiting entry (Abandon).
 	discardLocked()
 }
@@ -167,12 +169,12 @@ func (l *ledger[B, K]) flusher() {
 	for {
 		select {
 		case <-tick.C:
-			l.Flush()
+			l.flush(true)
 			if l.onTick != nil {
 				l.onTick()
 			}
 		case <-l.kick:
-			l.Flush()
+			l.flush(true)
 		case <-l.stop:
 			return
 		}
@@ -181,7 +183,7 @@ func (l *ledger[B, K]) flusher() {
 
 // unlock ends a mutation made under mu by releasing it. A ledger not
 // started then flushes inline if the mutation changed anything; a started
-// one kicks its flusher once any pending set holds flushKickThreshold
+// one kicks its flusher once a timed flush would send flushKickThreshold
 // entries.
 func (l *ledger[B, K]) unlock(changed bool) {
 	if !l.async {
@@ -207,15 +209,18 @@ func (l *ledger[B, K]) unlock(changed bool) {
 // means a shard was unreachable and the remainder is parked for the next
 // flush. Callers that need a happens-before edge (the scheduler stamping
 // QUEUED after its borrows, the spill bridge before the respill publish)
-// call this inline; the background flusher calls it on its interval.
-func (l *ledger[B, K]) Flush() bool {
+// call this inline; it sends everything, where the background flusher's
+// timed flush leaves what the payload keeps at home.
+func (l *ledger[B, K]) Flush() bool { return l.flush(false) }
+
+func (l *ledger[B, K]) flush(timed bool) bool {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
-	return l.flushLocked()
+	return l.flushLocked(timed)
 }
 
 // flushLocked is Flush's body; the caller holds flushMu.
-func (l *ledger[B, K]) flushLocked() bool {
+func (l *ledger[B, K]) flushLocked(timed bool) bool {
 	// Parked batches go first: one key's older deltas must land before its
 	// newer ones, and a batch keeps its token so a shard that committed it
 	// before crashing dedups the redelivery. An abandoned ledger — Abandon
@@ -239,7 +244,7 @@ func (l *ledger[B, K]) flushLocked() bool {
 		l.retry = l.retry[1:]
 	}
 	l.mu.Unlock()
-	return l.p.fresh() // sends nothing once dead
+	return l.p.fresh(timed) // sends nothing once dead
 }
 
 // deliver sends b as a fresh batch under a new token and parks the part a

@@ -92,7 +92,8 @@ func newCountedLedgers() (*callCounter, *Tracker, *TaskLedger) {
 // producer edge and its argument's pin derived from it, so no EnsureObjects
 // and no call of its own for the pin. Batched, a whole workload is one call
 // of each kind; before Start, every mutation is one call; past
-// flushKickThreshold entries of any kind the flusher is kicked; and
+// flushKickThreshold entries a timed flush would send the flusher is
+// kicked; and
 // Start→Stop or Start→Abandon leaves no goroutine behind.
 func TestLedgerFlushBudget(t *testing.T) {
 	for _, batched := range []bool{true, false} {
@@ -142,14 +143,31 @@ func TestLedgerFlushBudget(t *testing.T) {
 		}
 	})
 
+	// The kick counts what a timed flush would send: the transitions of
+	// tasks whose birth landed, and births older than types.BirthBound.
 	t.Run("kick", func(t *testing.T) {
 		_, _, led := newCountedLedgers()
 		led.async = true // batched, and no flusher takes the kick
 		for i := 0; i < 300; i++ {
-			led.Birth(types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, uint64(2000+i)), Function: "f"})
+			id := types.DeriveTaskID(types.NilTaskID, uint64(2000+i))
+			led.Adopt(id, 0, types.TaskQueued)
+			led.Transition(id, types.TaskRunning, types.NilWorkerID, "")
 			if kicked := len(led.kick) == 1; kicked != (i+1 >= flushKickThreshold) {
-				t.Fatalf("after %d births kicked = %v", i+1, kicked)
+				t.Fatalf("after %d transitions kicked = %v", i+1, kicked)
 			}
+		}
+		_, _, led = newCountedLedgers()
+		led.async = true
+		for i := 0; i < 300; i++ {
+			led.Birth(types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, uint64(3000+i)), Function: "f"})
+		}
+		if len(led.kick) != 0 {
+			t.Fatal("300 young births kicked the flusher")
+		}
+		time.Sleep(types.BirthBound + time.Millisecond)
+		led.Birth(types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 3300), Function: "f"})
+		if len(led.kick) != 1 {
+			t.Fatal("300 births older than the bound did not kick the flusher")
 		}
 	})
 
@@ -212,6 +230,66 @@ func TestBatchedRetainReleaseTouches(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("the batched touch did not publish GC")
+	}
+}
+
+// TestYoungBirthsDoNotKick: births younger than types.BirthBound wait at
+// home, so a thousand of them in a started ledger cost no flush beyond its
+// ticks: the size kick does not count them. A run slower than the bound
+// proves nothing and is made again.
+func TestYoungBirthsDoNotKick(t *testing.T) {
+	for attempt := 0; ; attempt++ {
+		_, _, led := newCountedLedgers()
+		led.Start()
+		since, start := led.Flushes(), time.Now()
+		for i := 0; i < 1000; i++ {
+			led.Birth(types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, uint64(5000+i)), Function: "f"})
+			runtime.Gosched() // a kicked flusher gets to run
+		}
+		flushes, elapsed := led.Flushes()-since, time.Since(start)
+		led.Abandon()
+		if elapsed >= types.BirthBound && attempt < 3 {
+			continue
+		}
+		// The ticks that can fall in the window, and the flush in flight at
+		// its start.
+		if ticks := uint64(elapsed/defaultFlushInterval) + 1; flushes > ticks+1 {
+			t.Fatalf("1000 young births took %d flushes in %v, want at most %d ticks + 1", flushes, elapsed, ticks)
+		}
+		return
+	}
+}
+
+// TestOwedBirthGauges: the task ledger publishes how many births it keeps
+// at home and the age of the oldest.
+func TestOwedBirthGauges(t *testing.T) {
+	_, _, led := newCountedLedgers()
+	reg := metrics.NewRegistry()
+	led.SetMetrics(reg)
+	led.async = true // batched, with this test as the flusher
+	gauges := func() (int64, int64) {
+		g := reg.Snapshot().Gauges
+		return g["lifetime.births.owed"], g["lifetime.births.oldest_ms"]
+	}
+	if n, age := gauges(); n != 0 || age != 0 {
+		t.Fatalf("owed, oldest_ms = %d, %d before any birth, want 0, 0", n, age)
+	}
+	start := time.Now()
+	for i := 0; i < 3; i++ {
+		led.Birth(types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, uint64(6000+i)), Function: "f"})
+	}
+	time.Sleep(5 * time.Millisecond)
+	n, age := gauges()
+	if upper := time.Since(start).Milliseconds(); n != 3 || age < 5 || age > upper {
+		t.Fatalf("owed, oldest_ms = %d, %d after 3 births 5 ms ago, want 3 and 5..%d", n, age, upper)
+	}
+	led.flush(true)
+	if got, _ := gauges(); got != 3 {
+		t.Fatalf("owed = %d after a timed flush of young births, want 3", got)
+	}
+	led.Flush()
+	if n, age := gauges(); n != 0 || age != 0 {
+		t.Fatalf("owed, oldest_ms = %d, %d after an explicit flush, want 0, 0", n, age)
 	}
 }
 

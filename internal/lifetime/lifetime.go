@@ -38,10 +38,11 @@ import (
 // pending is the net delta per object since the last flush. A key stays in
 // pending when its delta nets to zero, so a retain+release cycle inside one
 // interval still flushes, as a delta-0 "touch" that makes the object
-// GC-eligible in the table — unless the object never left this node: a
-// touch on a copy the store holds back waits for the task ledger's next
-// flush, which either collects the object at home (DESIGN.md §17), touch
-// and all, or announces it, and then the touch goes.
+// GC-eligible in the table — unless the object is a return of a task whose
+// birth the task ledger owes: its delta waits at home, where a timed flush
+// leaves it, until the birth lands (then it joins pending) or the task is
+// collected at home (DESIGN.md §17), delta and all. An explicit Flush sends
+// it all the same.
 //
 // The embedded ledger flushes: one ModifyObjectRefCounts per interval
 // carries every delta, under a token the objects' RefOps rings record, so a
@@ -51,14 +52,14 @@ type Tracker struct {
 	ctrl    gcs.API
 	held    map[types.ObjectID]int64
 	pending map[types.ObjectID]int64
+	// owed holds the returns of the births the task ledger owes (owe,
+	// unowe), and home the deltas on them.
+	owed map[types.ObjectID]struct{}
+	home map[types.ObjectID]int64
 	// sending is the fresh batch being delivered with mu released, as it
 	// stands now (nil: none): Forget swaps in a copy without its key, and
 	// the delivery settles this one, not the map it sent.
 	sending map[types.ObjectID]int64
-	// holdBack, when set (before Start), reports whether a touch on an
-	// object nobody here holds waits for the task ledger's next flush; it
-	// is called under mu.
-	holdBack func(types.ObjectID) bool
 }
 
 // NewTracker creates an empty ledger publishing into ctrl, in synchronous
@@ -69,6 +70,8 @@ func NewTracker(ctrl gcs.API) *Tracker {
 		ctrl:    ctrl,
 		held:    make(map[types.ObjectID]int64),
 		pending: make(map[types.ObjectID]int64),
+		owed:    make(map[types.ObjectID]struct{}),
+		home:    make(map[types.ObjectID]int64),
 	}
 	t.init("refs", t)
 	return t
@@ -83,9 +86,46 @@ func (t *Tracker) Retain(ids ...types.ObjectID) {
 			continue
 		}
 		t.held[id]++
-		t.pending[id]++
+		t.addLocked(id, 1)
 	}
 	t.unlock(true)
+}
+
+// addLocked books delta d on id: at home while id is owed, else pending.
+func (t *Tracker) addLocked(id types.ObjectID, d int64) {
+	if _, ok := t.owed[id]; ok {
+		t.home[id] += d
+	} else {
+		t.pending[id] += d
+	}
+}
+
+// owe keeps the deltas on ids, the returns of a birth the task ledger now
+// owes, at home, with any not sent yet; the ledger calls it under its lock.
+func (t *Tracker) owe(ids []types.ObjectID) {
+	t.mu.Lock()
+	for _, id := range ids {
+		t.owed[id] = struct{}{}
+		if d, ok := t.pending[id]; ok {
+			delete(t.pending, id)
+			t.home[id] += d
+		}
+	}
+	t.mu.Unlock()
+}
+
+// unowe ends owe for ids, whose birth landed or left the ledger: their
+// deltas join pending.
+func (t *Tracker) unowe(ids []types.ObjectID) {
+	t.mu.Lock()
+	for _, id := range ids {
+		delete(t.owed, id)
+		if d, ok := t.home[id]; ok {
+			delete(t.home, id)
+			t.pending[id] += d
+		}
+	}
+	t.mu.Unlock()
 }
 
 // Release drops references previously retained through this tracker.
@@ -104,7 +144,7 @@ func (t *Tracker) Release(ids ...types.ObjectID) {
 		} else {
 			t.held[id] = n - 1
 		}
-		t.pending[id]--
+		t.addLocked(id, -1)
 		any = true
 	}
 	t.unlock(any)
@@ -128,13 +168,16 @@ func (t *Tracker) HeldAll() map[types.ObjectID]int64 {
 }
 
 // Unflushed snapshots the net delta per object the GCS has not yet acked:
-// pending ledger entries plus every batch parked on the retry queue. The
+// pending and home entries plus every batch parked on the retry queue. The
 // chaos suites' conservation checker samples this mid-flight — GCS count
 // plus unflushed deltas must eventually equal the held counts.
 func (t *Tracker) Unflushed() map[types.ObjectID]int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := maps.Clone(t.pending)
+	for id, d := range t.home {
+		out[id] += d
+	}
 	for _, b := range t.retry {
 		for id, d := range b.deltas {
 			out[id] += d
@@ -155,6 +198,7 @@ func (t *Tracker) Forget(id types.ObjectID) {
 	t.mu.Lock()
 	delete(t.held, id)
 	delete(t.pending, id)
+	delete(t.home, id)
 	t.sending = without(t.sending, id)
 	for i := range t.retry {
 		t.retry[i].deltas = without(t.retry[i].deltas, id)
@@ -178,7 +222,7 @@ func without(deltas map[types.ObjectID]int64, id types.ObjectID) map[types.Objec
 func (t *Tracker) ReleaseAll() {
 	t.mu.Lock()
 	for id, n := range t.held {
-		t.pending[id] -= n
+		t.addLocked(id, -n)
 	}
 	t.held = make(map[types.ObjectID]int64)
 	t.mu.Unlock()
@@ -201,22 +245,25 @@ func (t *Tracker) settleLocked(deltas map[types.ObjectID]int64, failed []types.O
 	return deltasOf(deltas, failed)
 }
 
-func (t *Tracker) fresh() bool {
+// fresh sends pending, and on an explicit flush the deltas at home too.
+func (t *Tracker) fresh(timed bool) bool {
 	t.mu.Lock()
 	if t.dead {
 		t.mu.Unlock()
 		return true
 	}
 	var deltas map[types.ObjectID]int64
-	for id, d := range t.pending {
-		if d == 0 && t.holdBack != nil && t.held[id] == 0 && t.holdBack(id) {
-			continue
-		}
+	if len(t.pending) > 0 {
+		deltas, t.pending = t.pending, make(map[types.ObjectID]int64)
+	}
+	if !timed && len(t.home) > 0 {
 		if deltas == nil {
-			deltas = make(map[types.ObjectID]int64, len(t.pending))
+			deltas = make(map[types.ObjectID]int64, len(t.home))
 		}
-		deltas[id] = d
-		delete(t.pending, id)
+		for id, d := range t.home {
+			deltas[id] += d
+		}
+		clear(t.home)
 	}
 	if deltas == nil {
 		t.mu.Unlock()
@@ -229,10 +276,13 @@ func (t *Tracker) fresh() bool {
 }
 
 // touchOnlyLocked reports whether id's only state here is a net-zero entry
-// no batch has sent or parked: nothing here holds it, and nothing about it
-// reached the table from this tracker.
+// at home no batch has sent or parked: nothing here holds it, and nothing
+// about it reached the table from this tracker.
 func (t *Tracker) touchOnlyLocked(id types.ObjectID) bool {
-	if d, ok := t.pending[id]; !ok || d != 0 || t.held[id] != 0 {
+	if d, ok := t.home[id]; !ok || d != 0 || t.held[id] != 0 {
+		return false
+	}
+	if _, ok := t.pending[id]; ok {
 		return false
 	}
 	if _, ok := t.sending[id]; ok {
@@ -246,6 +296,9 @@ func (t *Tracker) touchOnlyLocked(id types.ObjectID) bool {
 	return true
 }
 
-func (t *Tracker) backlogLocked() (int, int) { return len(t.pending), len(t.pending) }
+func (t *Tracker) backlogLocked() (int, int) { return len(t.pending) + len(t.home), len(t.pending) }
 
-func (t *Tracker) discardLocked() { t.pending = make(map[types.ObjectID]int64) }
+func (t *Tracker) discardLocked() {
+	t.pending = make(map[types.ObjectID]int64)
+	t.home = make(map[types.ObjectID]int64)
+}

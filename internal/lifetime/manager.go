@@ -121,18 +121,18 @@ func (m *Manager) Proposals() (queued int, oldest time.Duration) {
 }
 
 // SetTaskLedger makes proposals wait for the births tasks owes, and makes
-// the tracker hold back the touch on a copy the store holds back while the
-// ledger's flushes decide the copy's fate: collected at home (CollectHome)
-// or announced when its task's birth lands. Call before Start.
+// the tracker keep the deltas on their returns at home until each birth
+// lands or its task is collected at home (CollectHome). Call before any
+// birth.
 func (m *Manager) SetTaskLedger(tasks *TaskLedger) {
 	m.tasks = tasks
-	m.tracker.holdBack = func(id types.ObjectID) bool { return tasks.home.Load() != nil && m.store.HeldBack(id) }
+	tasks.refs = m.tracker
 }
 
 // CollectHome collects the returns of a task at home (DESIGN.md §17), if
 // nothing about them left this node: each has no tracker state but a
-// net-zero entry no batch has sent or parked, and a copy the store holds
-// back. It then drops those entries and copies, with no word to the
+// net-zero entry at home no batch has sent or parked, and a copy the store
+// holds back. It then drops those entries and copies, with no word to the
 // control plane, and reports true; otherwise it changes nothing. The
 // node's task ledger calls it from its flush, under its lock
 // (TaskLedger.SetCollector).
@@ -149,7 +149,7 @@ func (m *Manager) CollectHome(ids []types.ObjectID) bool {
 		return false
 	}
 	for _, id := range ids {
-		delete(t.pending, id)
+		delete(t.home, id) // the ledger's drop of the task unowes them
 	}
 	m.obs.homeTasks.Inc()
 	m.obs.homeObjects.Add(int64(len(ids)))
@@ -188,8 +188,8 @@ func (m *Manager) retireDue(now time.Time) gcs.Retired {
 		return gcs.Retired{}
 	}
 	if m.tasks != nil {
-		if born, ok := m.tasks.oldestBirth(); ok {
-			born = born.Add(-time.Nanosecond)
+		if n, age := m.tasks.owedBirths(); n > 0 {
+			born := time.Now().Add(-age - time.Nanosecond)
 			if born.Before(cut) {
 				cut = born
 			}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/gcs"
+	"repro/internal/metrics"
 	"repro/internal/types"
 )
 
@@ -28,14 +29,17 @@ import (
 //
 // The embedded ledger flushes as the Tracker's does, one delta per task
 // under a token the tasks' MutOps rings record. A task born here reaches
-// the table the same way: Birth adopts it with its spec, and the next flush
+// the table the same way: Birth adopts it with its spec, and a flush
 // writes its record (its birth) as a spec-carrying entry of one
 // ModifyTaskStates call, ahead of the deltas. That call also gives the
 // task's return objects their producer edges and pins its by-reference
 // arguments' lineage, so the ledger keeps no pins of its own. Until its
 // birth lands, the ledger is the only record of a task: its deltas wait
-// for the birth, and so do its returns' locations, since the birth is where
-// a task and its results escape this node (Owes). A task whose birth was
+// for the birth, and so do its returns' locations and, on the tracker's
+// timed flushes, the deltas on its returns, since the birth is where a task
+// and its results escape this node (Owes). A birth lands when something
+// asks — Flush, FlushTask, LandBirths, Manager.RetireDue — or, on a timed
+// flush, once it is older than types.BirthBound. A task whose birth was
 // never sent, and whose returns were released before anything about them
 // left this node, never reaches the table: the flush collects it at home
 // (SetCollector).
@@ -43,13 +47,20 @@ type TaskLedger struct {
 	ledger[[]types.TaskStateDelta, types.TaskID]
 	ctrl  gcs.API
 	tasks map[types.TaskID]*ownedTask
+	// dirty holds the tasks whose birth landed and that have a transition
+	// to send; an owed birth's transitions wait on the task (ownedTask.dirty).
 	dirty map[types.TaskID]struct{}
 	watch map[types.TaskID][]chan<- types.TaskID
-	// births holds the tasks born here whose record the table does not
-	// hold yet (Birth); roots the driver roots drawn on this node (Root),
+	// oldest and newest end the list of owed births, the tasks born here
+	// whose record the table does not hold yet (Birth), oldest first; owed
+	// counts them. roots holds the driver roots drawn on this node (Root),
 	// each with the highest SubmitIndex of a child admitted as fresh.
-	births map[types.TaskID]*ownedTask
-	roots  map[types.TaskID]uint64
+	oldest, newest *ownedTask
+	owed           int
+	roots          map[types.TaskID]uint64
+	// refs, when set (Manager.SetTaskLedger), keeps the deltas on the
+	// returns of owed births at home.
+	refs *Tracker
 	// flushes counts completed flushes of the whole ledger (Flushes).
 	flushes atomic.Uint64
 	// home, when set, announces the returns of the births that land and
@@ -79,6 +90,10 @@ type ownedTask struct {
 	// lineage, and a retired record must read as retired.
 	spec   types.TaskSpec
 	bornNs int64
+	// owed marks a birth in the ledger's list of owed births, between older
+	// and newer; dirty, a transition of it that waits for the birth.
+	owed, dirty  bool
+	older, newer *ownedTask
 	// birthOp is the token every delivery of the birth carries, 0 until the
 	// first.
 	birthOp uint64
@@ -98,12 +113,11 @@ type ownedTask struct {
 // for store-level tests). Call SetNode and Start for batched async mode.
 func NewTaskLedger(ctrl gcs.API) *TaskLedger {
 	l := &TaskLedger{
-		ctrl:   ctrl,
-		tasks:  make(map[types.TaskID]*ownedTask),
-		dirty:  make(map[types.TaskID]struct{}),
-		watch:  make(map[types.TaskID][]chan<- types.TaskID),
-		births: make(map[types.TaskID]*ownedTask),
-		roots:  make(map[types.TaskID]uint64),
+		ctrl:  ctrl,
+		tasks: make(map[types.TaskID]*ownedTask),
+		dirty: make(map[types.TaskID]struct{}),
+		watch: make(map[types.TaskID][]chan<- types.TaskID),
+		roots: make(map[types.TaskID]uint64),
 	}
 	l.init("tasks", l)
 	return l
@@ -157,20 +171,21 @@ func (l *TaskLedger) Adopt(id types.TaskID, baseSeq uint64, status types.TaskSta
 			// re-adopts a task it buries, and its FAILED stamp must wake
 			// the Gets waiting on the replaced record.
 			nt.waiter = t.waiter
+			l.unoweLocked(t) // a claim's record is in the table
 		}
 		l.tasks[id] = nt
-		delete(l.births, id) // a claim's record is in the table
 	}
 	l.mu.Unlock()
 }
 
 // Birth adopts a task born on this node, whose record the table does not
 // hold yet: the ledger owes the table the task's birth — its spec, PENDING,
-// this node as Owner — and writes it at the head of its next flush. It
-// reports whether it took the task on (false: this ledger already owns it)
-// and whether the task's ID is provably new: its parent is a driver root
-// drawn here (Root) or a task born fresh here and in its first run, and no
-// child of that parent with this SubmitIndex or a later one came before.
+// this node as Owner — and writes it at the head of a flush that asks for
+// it or finds it older than types.BirthBound. It reports whether it took
+// the task on (false: this ledger already owns it) and whether the task's
+// ID is provably new: its parent is a driver root drawn here (Root) or a
+// task born fresh here and in its first run, and no child of that parent
+// with this SubmitIndex or a later one came before.
 // Only a fresh birth may wait for the flush. Any other ID may be in the
 // table already — a replay, a retry's children, a fixed driver root — and
 // the caller flushes its birth at once (FlushTask), which reports whether
@@ -192,9 +207,48 @@ func (l *TaskLedger) Birth(spec types.TaskSpec) (adopted, fresh bool) {
 	}
 	t := &ownedTask{status: types.TaskPending, spec: spec, bornNs: at, fresh: fresh}
 	l.tasks[spec.ID] = t
-	l.births[spec.ID] = t
+	l.oweLocked(t)
 	l.unlock(true)
 	return true, fresh
+}
+
+// oweLocked appends t to the owed births.
+func (l *TaskLedger) oweLocked(t *ownedTask) {
+	t.owed, t.older = true, l.newest
+	if l.newest != nil {
+		l.newest.newer = t
+	} else {
+		l.oldest = t
+	}
+	l.newest = t
+	l.owed++
+	if l.refs != nil {
+		l.refs.owe(t.spec.CacheReturns())
+	}
+}
+
+// unoweLocked takes t off the owed births, if it is on them: its birth
+// landed, or the task left the ledger. The deltas on its returns join the
+// tracker's pending ones.
+func (l *TaskLedger) unoweLocked(t *ownedTask) {
+	if !t.owed {
+		return
+	}
+	if t.older != nil {
+		t.older.newer = t.newer
+	} else {
+		l.oldest = t.newer
+	}
+	if t.newer != nil {
+		t.newer.older = t.older
+	} else {
+		l.newest = t.older
+	}
+	t.owed, t.older, t.newer = false, nil, nil
+	l.owed--
+	if l.refs != nil {
+		l.refs.unowe(t.spec.CacheReturns())
+	}
 }
 
 // Root registers a driver root drawn at random on this node (core.NewClient):
@@ -215,7 +269,7 @@ func (l *TaskLedger) LandBirths(ids ...types.TaskID) {
 	l.mu.Lock()
 	owed := false
 	for _, id := range ids {
-		owed = owed || l.births[id] != nil
+		owed = owed || l.owesLocked(id)
 	}
 	l.mu.Unlock()
 	if owed {
@@ -226,7 +280,7 @@ func (l *TaskLedger) LandBirths(ids ...types.TaskID) {
 // landBirths writes every owed birth now, waiting for a flush in progress.
 func (l *TaskLedger) landBirths() {
 	l.flushMu.Lock()
-	l.bear()
+	l.bear(false)
 	l.flushMu.Unlock()
 }
 
@@ -235,28 +289,39 @@ func (l *TaskLedger) landBirths() {
 func (l *TaskLedger) Owes(task types.TaskID) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.births[task] != nil
+	return l.owesLocked(task)
 }
 
-// Flushes counts the ledger's completed flushes. A birth adopted before one
-// flush began has landed (or is parked) once the count moved by two: the
-// second flush started after the first ended.
+func (l *TaskLedger) owesLocked(task types.TaskID) bool {
+	t := l.tasks[task]
+	return t != nil && t.owed
+}
+
+// Flushes counts the ledger's completed flushes, timed or not.
 func (l *TaskLedger) Flushes() uint64 { return l.flushes.Load() }
 
-// oldestBirth reports when the oldest birth still owed was adopted.
-func (l *TaskLedger) oldestBirth() (time.Time, bool) {
+// SetMetrics publishes the flush-lag gauges (ledger.SetMetrics) and the
+// births kept at home: lifetime.births.owed, how many are owed, and
+// lifetime.births.oldest_ms, the age of the oldest.
+func (l *TaskLedger) SetMetrics(reg *metrics.Registry) {
+	l.ledger.SetMetrics(reg)
+	reg.GaugeFunc("lifetime.births.owed", func() int64 { n, _ := l.owedBirths(); return int64(n) })
+	reg.GaugeFunc("lifetime.births.oldest_ms", func() int64 { _, age := l.owedBirths(); return age.Milliseconds() })
+}
+
+// owedBirths reports how many births are owed and the age of the oldest.
+func (l *TaskLedger) owedBirths() (int, time.Duration) {
 	l.mu.Lock()
-	oldest := int64(0)
-	for _, t := range l.births {
-		if oldest == 0 || t.bornNs < oldest {
-			oldest = t.bornNs
-		}
+	n, oldest := l.owed, l.oldest
+	var born int64
+	if oldest != nil {
+		born = oldest.bornNs
 	}
 	l.mu.Unlock()
-	if oldest == 0 {
-		return time.Time{}, false
+	if n == 0 {
+		return 0, 0
 	}
-	return time.Now().Add(-time.Duration(l.now() - oldest)), true
+	return n, time.Duration(l.now() - born)
 }
 
 // Owns reports whether id is in this ledger (terminal records linger until
@@ -341,7 +406,7 @@ func (l *TaskLedger) dropLocked(id types.TaskID, t *ownedTask) {
 	if t != nil && l.tasks[id] == t {
 		delete(l.tasks, id)
 		delete(l.dirty, id)
-		delete(l.births, id)
+		l.unoweLocked(t)
 		l.wakeLocked(id, t)
 	}
 }
@@ -365,7 +430,11 @@ func (l *TaskLedger) stampLocked(id types.TaskID, t *ownedTask, status types.Tas
 	case types.TaskFinished, types.TaskLost, types.TaskFailed:
 		t.finishNs = nowNs
 	}
-	l.dirty[id] = struct{}{}
+	if t.owed {
+		t.dirty = true
+	} else {
+		l.dirty[id] = struct{}{}
+	}
 	if status.Terminal() {
 		l.wakeLocked(id, t)
 	}
@@ -534,12 +603,12 @@ func (l *TaskLedger) FlushTask(id types.TaskID) (held bool) {
 		// A parked batch may hold an older delta for this task; shipping a
 		// fresh one around it is exactly the reorder flushMu exists to
 		// prevent. Rare (a shard was just down) — take the slow path.
-		l.flushLocked()
+		l.flushLocked(false)
 		return
 	}
-	l.bear()
+	l.bear(false)
 	l.mu.Lock()
-	if l.dead || l.births[id] != nil {
+	if l.dead || l.owesLocked(id) {
 		l.mu.Unlock()
 		return
 	}
@@ -558,18 +627,23 @@ func (l *TaskLedger) FlushTask(id types.TaskID) (held bool) {
 	return
 }
 
-// bear writes the owed births, each under the token of its first delivery,
-// so a redelivery finds its own record and the pins it wrote count once;
-// the caller holds flushMu. First it collects at home what it can
+// bear writes the owed births — on a timed flush only those older than
+// types.BirthBound or sent before — each under the token of its first
+// delivery, so a redelivery finds its own record and the pins it wrote
+// count once; the caller holds flushMu. First it collects at home what it can
 // (SetCollector): a birth it drops there is never written. A birth the
 // table did not take stays owed, unless the table holds a record it did
 // not write: then another submission of the ID came first, and the
 // adoption is undone. Last, with the ledger unlocked, it announces the
-// resident returns of every birth that landed. Reports whether nothing
-// stays owed.
-func (l *TaskLedger) bear() bool {
+// resident returns of every birth that landed. Reports whether nothing it
+// sent stays owed.
+func (l *TaskLedger) bear(timed bool) bool {
+	var young int64 // born after this: kept at home by a timed flush
+	if timed {
+		young = l.now() - types.BirthBound.Nanoseconds()
+	}
 	l.mu.Lock()
-	if l.dead || len(l.births) == 0 {
+	if l.dead || l.oldest == nil {
 		l.mu.Unlock()
 		return true
 	}
@@ -579,7 +653,10 @@ func (l *TaskLedger) bear() bool {
 	}
 	var batches []batch[[]types.TaskStateDelta]
 	op := uint64(0)
-	for id, t := range l.births {
+	for t := l.oldest; t != nil; t = t.newer {
+		if timed && t.birthOp == 0 && t.bornNs > young {
+			continue
+		}
 		if t.birthOp == 0 {
 			if op == 0 {
 				op = newRefToken()
@@ -591,10 +668,10 @@ func (l *TaskLedger) bear() bool {
 			i++
 		}
 		if i == len(batches) {
-			batches = append(batches, batch[[]types.TaskStateDelta]{op: t.birthOp, deltas: make([]types.TaskStateDelta, 0, len(l.births))})
+			batches = append(batches, batch[[]types.TaskStateDelta]{op: t.birthOp, deltas: make([]types.TaskStateDelta, 0, l.owed)})
 		}
 		batches[i].deltas = append(batches[i].deltas, types.TaskStateDelta{
-			ID: id, Owner: l.node, Status: types.TaskPending, Node: l.node,
+			ID: t.spec.ID, Owner: l.node, Status: types.TaskPending, Node: l.node,
 			SubmittedNs: t.bornNs, LastTransitionNs: t.bornNs, Spec: &t.spec,
 		})
 	}
@@ -618,8 +695,8 @@ func (l *TaskLedger) bear() bool {
 	var returns []types.ObjectID
 	for _, b := range batches {
 		for _, d := range b.deltas {
-			t := l.births[d.ID]
-			if t == nil || t != l.tasks[d.ID] {
+			t := l.tasks[d.ID]
+			if t == nil || !t.owed || t.birthOp != b.op {
 				continue // adopted anew or dropped meanwhile
 			}
 			if other, ok := refused[d.ID]; ok {
@@ -630,7 +707,10 @@ func (l *TaskLedger) bear() bool {
 				}
 				continue
 			}
-			delete(l.births, d.ID)
+			l.unoweLocked(t)
+			if t.dirty {
+				l.dirty[d.ID], t.dirty = struct{}{}, false
+			}
 			returns = append(returns, t.spec.CacheReturns()...)
 			t.spec = types.TaskSpec{}
 		}
@@ -648,10 +728,12 @@ func (l *TaskLedger) bear() bool {
 // that is terminal, and whose returns the collector took: nothing about it
 // ever left this node, and nothing here needs it any more.
 func (l *TaskLedger) collectLocked(home *Manager) {
-	for id, t := range l.births {
+	for t := l.oldest; t != nil; {
+		next := t.newer
 		if t.birthOp == 0 && t.status.Terminal() && home.CollectHome(t.spec.CacheReturns()) {
-			l.dropLocked(id, t)
+			l.dropLocked(t.spec.ID, t)
 		}
+		t = next
 	}
 }
 
@@ -694,16 +776,16 @@ func (l *TaskLedger) settleLocked(deltas []types.TaskStateDelta, failed []types.
 	return rest
 }
 
-// fresh delivers the owed births, then the accumulated transitions as one
+// fresh delivers the owed births (on a timed flush, those bear writes),
+// then the accumulated transitions of the tasks whose birth landed as one
 // batch — one delta per task carrying its full latest view, so coalesced
 // intermediate states cost nothing. Births go first because everything
 // else about a task presumes its record, and a terminal record's removal
-// drops the pins its birth wrote; the deltas of a task whose birth did not
-// land stay for a later flush, and the returns of the births that landed
+// drops the pins its birth wrote; the returns of the births that landed
 // are announced before the transitions are taken.
-func (l *TaskLedger) fresh() bool {
+func (l *TaskLedger) fresh(timed bool) bool {
 	defer l.flushes.Add(1)
-	ok := l.bear()
+	ok := l.bear(timed)
 	l.mu.Lock()
 	if l.dead {
 		l.mu.Unlock()
@@ -713,14 +795,11 @@ func (l *TaskLedger) fresh() bool {
 	if len(l.dirty) > 0 {
 		deltas = make([]types.TaskStateDelta, 0, len(l.dirty))
 		for id := range l.dirty {
-			if l.births[id] != nil {
-				continue
-			}
-			delete(l.dirty, id)
 			if t := l.tasks[id]; t != nil {
 				deltas = append(deltas, l.deltaLocked(id, t))
 			}
 		}
+		clear(l.dirty)
 	}
 	node := l.node
 	l.mu.Unlock()
@@ -730,12 +809,26 @@ func (l *TaskLedger) fresh() bool {
 	return ok
 }
 
-func (l *TaskLedger) backlogLocked() (int, int) {
-	d, b := len(l.dirty), len(l.births)
-	return d + b, max(d, b)
+// backlogLocked counts the transitions and births waiting; due, what a
+// timed flush would send now, counts the landed tasks' transitions and the
+// births older than types.BirthBound, the latter only once the two
+// together could reach the kick.
+func (l *TaskLedger) backlogLocked() (entries, due int) {
+	entries, due = len(l.dirty)+l.owed, len(l.dirty)
+	if entries < flushKickThreshold {
+		return entries, due
+	}
+	young := l.now() - types.BirthBound.Nanoseconds()
+	for t := l.oldest; t != nil && t.bornNs <= young && due < flushKickThreshold; t = t.newer {
+		due++
+	}
+	return entries, due
 }
 
 func (l *TaskLedger) discardLocked() {
-	l.births = make(map[types.TaskID]*ownedTask)
+	for t := l.oldest; t != nil; t = t.newer {
+		t.owed, t.dirty = false, false
+	}
+	l.oldest, l.newest, l.owed = nil, nil, 0
 	l.dirty = make(map[types.TaskID]struct{})
 }

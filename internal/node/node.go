@@ -553,12 +553,6 @@ func (n *Node) OwnsTask(id types.TaskID) bool { return n.taskled.Owns(id) }
 // OwnRoot implements core.TaskOwner (lifetime.TaskLedger.Root).
 func (n *Node) OwnRoot(root types.TaskID) { n.taskled.Root(root) }
 
-// LandBirths implements core.TaskOwner (lifetime.TaskLedger.LandBirths).
-func (n *Node) LandBirths(tasks ...types.TaskID) { n.taskled.LandBirths(tasks...) }
-
-// TaskFlushes implements core.TaskOwner (lifetime.TaskLedger.Flushes).
-func (n *Node) TaskFlushes() uint64 { return n.taskled.Flushes() }
-
 // NotifyTaskEnd implements core.TaskOwner (lifetime.TaskLedger.Notify).
 func (n *Node) NotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID) {
 	n.taskled.Notify(ch, ids...)

@@ -98,13 +98,21 @@ func TestAnnounce(t *testing.T) {
 	if err := s.PutDeferred(coming, []byte("c")); err != nil {
 		t.Fatal(err)
 	}
-	if located(ctrl, coming, node) || !s.HeldBack(coming) {
+	if located(ctrl, coming, node) || !heldBack(s, coming) {
 		t.Fatal("announcing an absent object published its later copy")
 	}
 	s.Announce(resident)
 	if got := ctrl.counts(); got != [3]int64{1, 0, 0} {
 		t.Fatalf("adds, removes, marks = %v, want one add", got)
 	}
+}
+
+// heldBack reports whether id's copy is one CollectHome could take.
+func heldBack(s *Store, id types.ObjectID) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.objects[id]
+	return ok && s.heldBackLocked(e)
 }
 
 // TestDeferredSpillIsAnnouncedFirst: a held-back copy that spills to disk
@@ -149,11 +157,11 @@ func TestCollectHome(t *testing.T) {
 	}
 	s.Announce(announced)
 	s.Pin(pinned)
-	if !s.HeldBack(free) {
-		t.Fatal("a held-back copy is not HeldBack")
+	if !heldBack(s, free) {
+		t.Fatal("a held-back copy is not held back")
 	}
 	for _, id := range []types.ObjectID{announced, plain} {
-		if s.HeldBack(id) || s.CollectHome([]types.ObjectID{id}) {
+		if heldBack(s, id) || s.CollectHome([]types.ObjectID{id}) {
 			t.Fatalf("%v: an announced or published copy was offered or collected", id)
 		}
 	}

@@ -424,16 +424,9 @@ func (s *Store) Announce(ids ...types.ObjectID) {
 
 // --- collection at home (DESIGN.md §17) ---
 
-// HeldBack reports whether id's copy is one CollectHome could take: in
+// heldBackLocked reports whether e's copy is one CollectHome could take: in
 // memory, held back (PutDeferred) and never announced, with no tier write
 // in flight.
-func (s *Store) HeldBack(id types.ObjectID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.objects[id]
-	return ok && s.heldBackLocked(e)
-}
-
 func (s *Store) heldBackLocked(e *entry) bool {
 	return e.state == stateResident && !e.announced && s.tierWrites[e.id] == 0
 }

@@ -190,7 +190,7 @@ func TestBuildFullStitchesExecSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	task := r.Untyped().Task
-	c.Node(0).LandBirths(task) // the task's record, with its trace
+	c.Node(0).TaskLedger().LandBirths(task) // the task's record, with its trace
 
 	// Spans ship on heartbeats: poll until the exec span is in.
 	var exec *metrics.SpanRecord

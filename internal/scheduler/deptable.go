@@ -249,14 +249,17 @@ func (d *depTable) resolveParked(ctx context.Context, obj types.ObjectID) {
 // on a sharded control plane) while enqueue's borrow flush is in flight
 // (E19); a look that leaves the object missing subscribes and looks again
 // before any probe or wait. A parked resolver needs only residency, and
-// fails only on types.ErrReclaimed. The arrival channel is taken once per
-// wait that can end by an arrival, not once per lap, and dropped on return,
-// so a resolve that ends without the object holds no waiter in the store.
+// fails only on types.ErrReclaimed, which ends a resolve only once the
+// reconstructor has read it for types.RetiredAfter. The arrival channel is
+// taken once per wait that can end by an arrival, not once per lap, and
+// dropped on return, so a resolve that ends without the object holds no
+// waiter in the store.
 func (d *depTable) resolve(ctx context.Context, id types.ObjectID, task types.TaskID, parked bool) ([]byte, error) {
 	cfg := &d.l.cfg
 	var sub gcs.Sub
 	var poll *time.Ticker
 	var arrival <-chan struct{}
+	var absent time.Time // when the reconstructor first read id as retired
 	if !parked {
 		sub = cfg.Ctrl.Subscribe(gcs.TopicObjectReady, id)
 		poll = time.NewTicker(pollPeriod)
@@ -314,7 +317,16 @@ func (d *depTable) resolve(ctx context.Context, id types.ObjectID, task types.Ta
 		}
 		if probe && cfg.Recon != nil {
 			err := cfg.Recon(id, task)
-			if errors.Is(err, types.ErrReclaimed) || err != nil && !parked && !errors.Is(err, fault.ErrControlUnavailable) {
+			switch {
+			case errors.Is(err, types.ErrReclaimed):
+				// The birth of a task born on another node may trail its ref
+				// by types.BirthBound: absence is retirement once it lasted.
+				if absent.IsZero() {
+					absent = time.Now()
+				} else if time.Since(absent) > types.RetiredAfter {
+					return nil, err
+				}
+			case err != nil && !parked && !errors.Is(err, fault.ErrControlUnavailable):
 				return nil, err
 			}
 		}

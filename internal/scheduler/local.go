@@ -48,8 +48,8 @@ type RefLedger interface {
 // the node that submits (or claims) a task stamps every lifecycle
 // transition into an in-process ledger, flushed to the GCS task table as
 // batched sequenced deltas. lifetime.TaskLedger is the production
-// implementation. Birth adopts a task born here, whose record the ledger's
-// next flush writes, Adopt seeds the tenure a ClaimTask established,
+// implementation. Birth adopts a task born here, whose record a ledger
+// flush writes when asked or once the birth is old, Adopt seeds the tenure a ClaimTask established,
 // Transition stamps a state change without a control-plane round trip,
 // Disown drops local authority when the task leaves this node, and Flush
 // forces the happens-before edge on every handoff another node may act on.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"time"
 )
 
 // Arg is a task argument: either an inline encoded value or a reference to
@@ -378,6 +379,17 @@ func (o *ObjectInfo) IsSpilledOn(node NodeID) bool {
 // Resubmitting the producer's spec runs it again under the same IDs.
 // core.ErrReclaimed is this value.
 var ErrReclaimed = errors.New("object reclaimed: its record and its lineage were retired")
+
+// BirthBound is how long a task born on a node, and its results, may stay
+// unknown to the control plane while nothing asks for them: its owner's
+// ledger lands every birth older than this in its next timed flush
+// (DESIGN.md §17). A reader takes a ref's absence from the tables for
+// ErrReclaimed only once it has read so for RetiredAfter: the bound, then
+// the owner's flush with room to spare.
+const (
+	BirthBound   = 50 * time.Millisecond
+	RetiredAfter = 2 * BirthBound
+)
 
 // ReasonReclaimed prefixes the failure message stored into the returns of a
 // task that was parked on a retired argument; the core layer recognizes it
