@@ -4,6 +4,7 @@ package cluster
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,22 +13,20 @@ import (
 	"repro/internal/transport"
 )
 
-// TestLocalTaskAllocBudget pins what a warmed local round trip allocates:
-// SubmitOpts, Get and Release of a no-op on the node it was submitted
-// through. Both flushers are held, as in TestLocalRoundTripControlPlaneBudget,
-// so nothing runs but the round trips and the count repeats exactly. It
-// read 20 before exec spans carried raw IDs, the TaskContext lost its
-// closure and the owner-side Get stopped taking a store waiter. The race
+// heldRoundTrip returns a warmed local round trip — SubmitOpts, Get and
+// Release of a no-op on the node it was submitted through — with both
+// flushers held, as in TestLocalRoundTripControlPlaneBudget, so nothing runs
+// but the round trips and what they allocate repeats exactly. The race
 // detector changes allocation counts, so CI runs this file in its own
 // non-race invocation.
-func TestLocalTaskAllocBudget(t *testing.T) {
-	const budget = 12
+func heldRoundTrip(t *testing.T) func() {
+	t.Helper()
 	reg, open := birthFuncs(t)
 	n, probe := probedNode(t, gcs.NewStore(4), transport.NewInproc(0), reg)
-	defer open()
+	t.Cleanup(open)
 	d := core.NewClient(n)
 	for range 10 {
-		runNoop(t, d) // warm: the ledger's clock, the executor pool
+		runNoop(t, d) // warm: the executor pool
 	}
 	n.TaskLedger().Flush()
 	probe.holdDeltaFlush(true)
@@ -35,9 +34,8 @@ func TestLocalTaskAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, "both flushers to block", func() bool { return probe.waiting.Load() == 2 })
-
 	ctx := context.Background()
-	allocs := testing.AllocsPerRun(100, func() {
+	return func() {
 		refs, err := d.SubmitOpts("births.noop", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -46,8 +44,40 @@ func TestLocalTaskAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.Release(refs[0])
-	})
-	if allocs > budget {
+	}
+}
+
+// TestLocalTaskAllocBudget pins how many allocations a warmed local round
+// trip makes. It read 20 before exec spans carried raw IDs, the TaskContext
+// lost its closure and the owner-side Get stopped taking a store waiter,
+// and 12 before a task's spec was held once, from Submit to its executor.
+func TestLocalTaskAllocBudget(t *testing.T) {
+	const budget = 11
+	roundTrip := heldRoundTrip(t)
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > budget {
 		t.Fatalf("a local round trip allocates %v times, budget %d", allocs, budget)
+	}
+}
+
+// TestLocalTaskBytesBudget pins how many bytes a warmed local round trip
+// allocates, from the runtime's running total over many of them. It read
+// about 2,150 B while the spec was copied into the ledger, the dependency
+// table, the runnable queue and the TaskContext.
+func TestLocalTaskBytesBudget(t *testing.T) {
+	const budget, rounds = 1600, 2000
+	roundTrip := heldRoundTrip(t)
+	for range 100 {
+		roundTrip()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		roundTrip()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per > budget {
+		t.Fatalf("a local round trip allocates %d B, budget %d B", per, budget)
+	} else {
+		t.Logf("%d B per round trip", per)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -299,10 +300,22 @@ func TestRetrySucceedsAfterTransientFailure(t *testing.T) {
 	}
 }
 
+// TestMultiNodeSpillover: 4 nodes x 2 CPUs; spill threshold 1 pushes load
+// through the global scheduler onto every node. The threshold counts the
+// tasks the submitting node has no free CPU for, so every task holds its CPU
+// until all 64 are submitted: tasks that finished as fast as the driver
+// submitted them kept that backlog at 0, and nothing spilled (1 run in 200
+// under -race).
 func TestMultiNodeSpillover(t *testing.T) {
 	f := newTestFuncs()
-	// 4 nodes x 2 CPUs; spill threshold 1 pushes load through the global
-	// scheduler onto every node.
+	gate := make(chan struct{})
+	var opened sync.Once
+	open := func() { opened.Do(func() { close(gate) }) }
+	defer open() // ahead of the cluster's shutdown, should the test fail first
+	held := core.Register1(f.reg, "heldSquare", func(tc *core.TaskContext, x int) (int, error) {
+		<-gate
+		return x * x, nil
+	})
 	c, err := New(Config{
 		Nodes:          4,
 		NodeResources:  types.CPU(2),
@@ -316,12 +329,21 @@ func TestMultiNodeSpillover(t *testing.T) {
 	d := c.Driver()
 	var refs []core.Ref[int]
 	for i := 0; i < 64; i++ {
-		ref, err := f.square.Remote(d, i)
+		ref, err := held.Remote(d, i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		refs = append(refs, ref)
 	}
+	waitFor(t, 10*time.Second, "a spilled task to start on another node", func() bool {
+		for i := 1; i < c.NumNodes(); i++ {
+			if c.Node(i).Executor().Active() > 0 {
+				return true
+			}
+		}
+		return false
+	})
+	open()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i, r := range refs {

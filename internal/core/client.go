@@ -130,7 +130,8 @@ type caller struct {
 	counter atomic.Uint64
 	puts    atomic.Uint64
 	// lender, when non-nil, brackets the blocking operations of the task
-	// lent (worker lending).
+	// lent (worker lending). lent is a TaskContext's running task, whose
+	// spec the executor shares read-only.
 	lender Lender
 	lent   *types.TaskSpec
 	// groups caches immutable placement-group specs resolved for grouped
@@ -648,8 +649,7 @@ func (cl *Client) Backend() Backend { return cl.backend }
 // requirement R3 (dynamic task creation from within tasks).
 type TaskContext struct {
 	caller
-	spec types.TaskSpec
-	ctx  context.Context
+	ctx context.Context
 }
 
 // Lender is told when a task enters (true) or leaves (false) a blocking
@@ -660,23 +660,23 @@ type Lender interface {
 }
 
 // NewTaskContext is used by the executor to set up a task's API handle,
-// its one allocation: the context keeps its own copy of *spec. lender may
-// be nil.
+// its one allocation. The context references *spec, which must not change
+// while the task runs. lender may be nil.
 func NewTaskContext(ctx context.Context, b Backend, spec *types.TaskSpec, lender Lender) *TaskContext {
-	tc := &TaskContext{spec: *spec, ctx: ctx}
+	tc := &TaskContext{ctx: ctx}
 	tc.backend = b
 	tc.owner = spec.ID
 	tc.trace = spec.TraceID
 	tc.job = spec.Job
-	tc.lender, tc.lent = lender, &tc.spec
+	tc.lender, tc.lent = lender, spec
 	return tc
 }
 
 // Context returns the execution context (cancelled on node shutdown).
 func (tc *TaskContext) Context() context.Context { return tc.ctx }
 
-// Spec returns the executing task's spec.
-func (tc *TaskContext) Spec() types.TaskSpec { return tc.spec }
+// Spec returns a copy of the executing task's spec.
+func (tc *TaskContext) Spec() types.TaskSpec { return *tc.lent }
 
 // SubmitOpts creates a child task with explicit per-call options
 // (non-blocking, R3).

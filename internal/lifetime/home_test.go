@@ -39,7 +39,7 @@ func (r *homeRig) born(i uint64, returns int) (types.TaskID, []types.ObjectID) {
 	spec := types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, i), Function: "f", NumReturns: returns}
 	ids := spec.CacheReturns()
 	r.m.tracker.Retain(ids...)
-	r.led.Birth(spec)
+	r.led.Birth(&spec, r.led.ClockNs())
 	return spec.ID, ids
 }
 

@@ -1,7 +1,6 @@
 package lifetime
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -67,9 +66,10 @@ type TaskLedger struct {
 	// collects tasks at home (SetCollector).
 	home atomic.Pointer[Manager]
 
-	clockOnce  sync.Once
-	clockBoot  int64
-	clockStart time.Time
+	// clock reads the cluster clock (SetClock). mutNs is the instant of the
+	// latest mutation, which backlogLocked ages the owed births against.
+	clock func() int64
+	mutNs int64
 }
 
 // ownedTask is the authoritative record for one task this node owns.
@@ -86,9 +86,10 @@ type ownedTask struct {
 
 	// spec is the lineage record of a task born here while its birth is
 	// owed: what the birth writes, and what the reconstructor replays
-	// before the table has it. Once the birth lands the table is the
-	// lineage, and a retired record must read as retired.
-	spec   types.TaskSpec
+	// before the table has it. It is the submitter's spec, shared and never
+	// written. Once the birth lands the table is the lineage, and a retired
+	// record must read as retired.
+	spec   *types.TaskSpec
 	bornNs int64
 	// owed marks a birth in the ledger's list of owed births, between older
 	// and newer; dirty, a transition of it that waits for the birth.
@@ -111,9 +112,11 @@ type ownedTask struct {
 // NewTaskLedger creates an empty ledger publishing into ctrl, in
 // synchronous mode: every transition flushes inline (per-call behaviour
 // for store-level tests). Call SetNode and Start for batched async mode.
+// Until SetClock, its stamps read ctrl.NowNs.
 func NewTaskLedger(ctrl gcs.API) *TaskLedger {
 	l := &TaskLedger{
 		ctrl:  ctrl,
+		clock: ctrl.NowNs,
 		tasks: make(map[types.TaskID]*ownedTask),
 		dirty: make(map[types.TaskID]struct{}),
 		watch: make(map[types.TaskID][]chan<- types.TaskID),
@@ -139,19 +142,10 @@ func (l *TaskLedger) Node() types.NodeID {
 	return l.node
 }
 
-// now returns cluster-epoch nanoseconds: one control-plane NowNs at first
-// use plus the local monotonic offset, so ledger timestamps line up with
-// server-stamped ones without a per-transition RPC.
-func (l *TaskLedger) now() int64 {
-	l.clockOnce.Do(func() {
-		l.clockBoot = l.ctrl.NowNs()
-		l.clockStart = time.Now()
-		if l.clockBoot == 0 { // control plane unreachable: local clock
-			l.clockBoot = time.Now().UnixNano()
-		}
-	})
-	return l.clockBoot + time.Since(l.clockStart).Nanoseconds()
-}
+// SetClock sets the clock every stamp reads: the node's cluster clock, in
+// cluster-epoch nanoseconds, so ledger timestamps line up with
+// server-stamped ones without a per-transition RPC. Call it before Start.
+func (l *TaskLedger) SetClock(now func() int64) { l.clock = now }
 
 // Adopt registers a task this node owns whose record the table already
 // holds. baseSeq is the tenure's fence base: the sequence returned by
@@ -178,8 +172,8 @@ func (l *TaskLedger) Adopt(id types.TaskID, baseSeq uint64, status types.TaskSta
 	l.mu.Unlock()
 }
 
-// Birth adopts a task born on this node, whose record the table does not
-// hold yet: the ledger owes the table the task's birth — its spec, PENDING,
+// Birth adopts a task born on this node at atNs (ClockNs), whose record the
+// table does not hold yet: the ledger owes the table the task's birth — its spec, PENDING,
 // this node as Owner — and writes it at the head of a flush that asks for
 // it or finds it older than types.BirthBound. It reports whether it took
 // the task on (false: this ledger already owns it) and whether the task's
@@ -189,12 +183,12 @@ func (l *TaskLedger) Adopt(id types.TaskID, baseSeq uint64, status types.TaskSta
 // Only a fresh birth may wait for the flush. Any other ID may be in the
 // table already — a replay, a retry's children, a fixed driver root — and
 // the caller flushes its birth at once (FlushTask), which reports whether
-// the table held the record.
-func (l *TaskLedger) Birth(spec types.TaskSpec) (adopted, fresh bool) {
+// the table held the record. The ledger keeps spec, unwritten, until the
+// birth lands.
+func (l *TaskLedger) Birth(spec *types.TaskSpec, atNs int64) (adopted, fresh bool) {
 	if spec.ID.IsNil() {
 		return false, false
 	}
-	at := l.now()
 	l.mu.Lock()
 	if l.dead || l.tasks[spec.ID] != nil {
 		l.mu.Unlock()
@@ -205,8 +199,9 @@ func (l *TaskLedger) Birth(spec types.TaskSpec) (adopted, fresh bool) {
 	} else if p := l.tasks[spec.Parent]; p != nil && p.fresh && spec.SubmitIndex > p.kids {
 		p.kids, fresh = spec.SubmitIndex, true
 	}
-	t := &ownedTask{status: types.TaskPending, spec: spec, bornNs: at, fresh: fresh}
+	t := &ownedTask{status: types.TaskPending, spec: spec, bornNs: atNs, fresh: fresh}
 	l.tasks[spec.ID] = t
+	l.mutNs = atNs
 	l.oweLocked(t)
 	l.unlock(true)
 	return true, fresh
@@ -321,7 +316,7 @@ func (l *TaskLedger) owedBirths() (int, time.Duration) {
 	if n == 0 {
 		return 0, 0
 	}
-	return n, time.Duration(l.now() - born)
+	return n, time.Duration(l.clock() - born)
 }
 
 // Owns reports whether id is in this ledger (terminal records linger until
@@ -332,10 +327,11 @@ func (l *TaskLedger) Owns(id types.TaskID) bool {
 	return l.tasks[id] != nil
 }
 
-// ClockNs exposes the ledger's cluster clock (one boot-time NowNs plus the
-// local monotonic offset) so callers can capture transition instants —
-// the executor stamps a task's finish before storing its outputs.
-func (l *TaskLedger) ClockNs() int64 { return l.now() }
+// ClockNs reads the ledger's clock (SetClock) once, so a caller can stamp
+// several things from one instant: a submission's birth and QUEUED stamp,
+// a dispatch's SCHEDULED stamp and latency, a task's finish before its
+// outputs are stored.
+func (l *TaskLedger) ClockNs() int64 { return l.clock() }
 
 // Transition stamps a status change into the ledger: pure in-process in
 // batched mode, no control-plane round trip. worker and errMsg ride along
@@ -349,7 +345,7 @@ func (l *TaskLedger) Transition(id types.TaskID, status types.TaskStatus, worker
 // (from ClockNs); atNs <= 0 stamps the current clock.
 func (l *TaskLedger) TransitionAt(id types.TaskID, status types.TaskStatus, worker types.WorkerID, errMsg string, atNs int64) bool {
 	if atNs <= 0 {
-		atNs = l.now()
+		atNs = l.clock()
 	}
 	l.mu.Lock()
 	t := l.tasks[id]
@@ -371,7 +367,7 @@ func (l *TaskLedger) TransitionAt(id types.TaskID, status types.TaskStatus, work
 // Returns the new count and whether the task should retry, or (-1, false)
 // when the task is not owned here.
 func (l *TaskLedger) TransitionRetry(id types.TaskID, maxRetries int) (int, bool) {
-	atNs := l.now()
+	atNs := l.clock()
 	l.mu.Lock()
 	t := l.tasks[id]
 	if t == nil {
@@ -421,7 +417,7 @@ func (l *TaskLedger) stampLocked(id types.TaskID, t *ownedTask, status types.Tas
 	if errMsg != "" {
 		t.errMsg = errMsg
 	}
-	t.lastNs = nowNs
+	t.lastNs, l.mutNs = nowNs, nowNs
 	switch status {
 	case types.TaskScheduled:
 		t.schedNs = nowNs
@@ -490,12 +486,16 @@ func (l *TaskLedger) Lookup(id types.TaskID) (types.TaskState, bool) {
 	if t == nil {
 		return types.TaskState{}, false
 	}
-	return types.TaskState{
-		Spec: t.spec, Status: t.status, Node: l.node, Worker: t.worker, Error: t.errMsg,
+	st := types.TaskState{
+		Status: t.status, Node: l.node, Worker: t.worker, Error: t.errMsg,
 		Retries: t.retries, SubmittedNs: t.bornNs, ScheduledNs: t.schedNs, StartedNs: t.startNs,
 		FinishedNs: t.finishNs, LastTransitionNs: t.lastNs,
 		Owner: l.node, OwnerSeq: t.seq,
-	}, true
+	}
+	if t.spec != nil {
+		st.Spec = *t.spec
+	}
+	return st, true
 }
 
 // Notify registers ch for one event per task in ids: the task's ID is sent
@@ -638,14 +638,14 @@ func (l *TaskLedger) FlushTask(id types.TaskID) (held bool) {
 // resident returns of every birth that landed. Reports whether nothing it
 // sent stays owed.
 func (l *TaskLedger) bear(timed bool) bool {
-	var young int64 // born after this: kept at home by a timed flush
-	if timed {
-		young = l.now() - types.BirthBound.Nanoseconds()
-	}
 	l.mu.Lock()
 	if l.dead || l.oldest == nil {
 		l.mu.Unlock()
 		return true
+	}
+	var young int64 // born after this: kept at home by a timed flush
+	if timed {
+		young = l.clock() - types.BirthBound.Nanoseconds()
 	}
 	home := l.home.Load()
 	if home != nil {
@@ -672,7 +672,7 @@ func (l *TaskLedger) bear(timed bool) bool {
 		}
 		batches[i].deltas = append(batches[i].deltas, types.TaskStateDelta{
 			ID: t.spec.ID, Owner: l.node, Status: types.TaskPending, Node: l.node,
-			SubmittedNs: t.bornNs, LastTransitionNs: t.bornNs, Spec: &t.spec,
+			SubmittedNs: t.bornNs, LastTransitionNs: t.bornNs, Spec: t.spec,
 		})
 	}
 	node := l.node
@@ -712,7 +712,7 @@ func (l *TaskLedger) bear(timed bool) bool {
 				l.dirty[d.ID], t.dirty = struct{}{}, false
 			}
 			returns = append(returns, t.spec.CacheReturns()...)
-			t.spec = types.TaskSpec{}
+			t.spec = nil
 		}
 	}
 	l.mu.Unlock()
@@ -812,13 +812,14 @@ func (l *TaskLedger) fresh(timed bool) bool {
 // backlogLocked counts the transitions and births waiting; due, what a
 // timed flush would send now, counts the landed tasks' transitions and the
 // births older than types.BirthBound, the latter only once the two
-// together could reach the kick.
+// together could reach the kick. Their age is taken at the latest
+// mutation's instant, so the mutation that asks reads no clock.
 func (l *TaskLedger) backlogLocked() (entries, due int) {
 	entries, due = len(l.dirty)+l.owed, len(l.dirty)
 	if entries < flushKickThreshold {
 		return entries, due
 	}
-	young := l.now() - types.BirthBound.Nanoseconds()
+	young := l.mutNs - types.BirthBound.Nanoseconds()
 	for t := l.oldest; t != nil && t.bornNs <= young && due < flushKickThreshold; t = t.newer {
 		due++
 	}

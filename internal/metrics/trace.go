@@ -88,12 +88,30 @@ func (t *Tracer) Begin(cat, name string) Span {
 	if t == nil {
 		return Span{}
 	}
-	return Span{Cat: cat, Name: name, start: t.now(), t: t}
+	return t.BeginAt(cat, name, t.now())
+}
+
+// BeginAt starts a span at startNs, a reading of the tracer's clock the
+// caller already made. Safe on a nil receiver.
+func (t *Tracer) BeginAt(cat, name string, startNs int64) Span {
+	if t == nil {
+		return Span{}
+	}
+	return Span{Cat: cat, Name: name, start: startNs, t: t}
 }
 
 // End finishes the span, buffers it and returns its duration in
 // nanoseconds. Inert on a zero Span, where it returns 0.
 func (s Span) End() int64 {
+	if s.t == nil {
+		return 0
+	}
+	return s.EndAt(s.t.now())
+}
+
+// EndAt is End at endNs, a reading of the tracer's clock the caller already
+// made.
+func (s Span) EndAt(endNs int64) int64 {
 	t := s.t
 	if t == nil {
 		return 0
@@ -101,7 +119,7 @@ func (s Span) End() int64 {
 	rec := SpanRecord{
 		Name: s.Name, Cat: s.Cat, TaskID: s.TaskID, ObjectID: s.ObjectID,
 		Trace: s.Trace, Detail: s.Detail, Node: t.node,
-		StartNs: s.start, DurNs: t.now() - s.start,
+		StartNs: s.start, DurNs: endNs - s.start,
 	}
 	t.mu.Lock()
 	if t.n == len(t.buf) {
@@ -149,13 +167,4 @@ func (t *Tracer) Node() string {
 		return ""
 	}
 	return t.node
-}
-
-// Now returns the tracer's cluster-epoch clock reading (0 on nil) — used
-// by callers that stamp their own timestamps next to spans.
-func (t *Tracer) Now() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.now()
 }

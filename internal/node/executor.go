@@ -60,12 +60,14 @@ func (n *Node) putReturn(task types.TaskID, id types.ObjectID, data []byte) erro
 	return nil
 }
 
-// Execute implements scheduler.ExecFunc.
-func (s *executorShim) Execute(ctx context.Context, spec types.TaskSpec, args [][]byte) {
-	sp := s.tracer.Begin("exec", "worker.exec")
+// Execute implements scheduler.ExecFunc. The exec span runs from the
+// task's RUNNING stamp to its finish, at the instants the executor read for
+// them, so it reads no clock of its own.
+func (s *executorShim) Execute(ctx context.Context, spec *types.TaskSpec, args [][]byte) {
+	start, end := s.inner.Execute(ctx, spec, args)
+	sp := s.tracer.BeginAt("exec", "worker.exec", start)
 	sp.TaskID, sp.Trace = spec.ID, spec.TraceID
-	s.inner.Execute(ctx, spec, args)
-	s.execNs.Observe(sp.End())
+	s.execNs.Observe(sp.EndAt(end))
 }
 
 // Active implements ExecStats.

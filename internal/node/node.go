@@ -171,14 +171,8 @@ func New(cfg Config) (*Node, error) {
 	if n.reg == nil {
 		n.reg = metrics.NewRegistry()
 	}
-	// Span timestamps use the cluster clock: one control-plane NowNs at
-	// boot plus the local monotonic offset, so spans from different nodes
-	// line up on one trace timeline without per-span RPCs.
-	boot := cfg.Ctrl.NowNs()
-	started := time.Now()
-	n.tracer = metrics.NewTracer(0, id.Hex(), func() int64 {
-		return boot + time.Since(started).Nanoseconds()
-	})
+	now := clusterClock(cfg.Ctrl)
+	n.tracer = metrics.NewTracer(0, id.Hex(), now)
 	n.sink, _ = cfg.Ctrl.(gcs.TelemetrySink)
 	// A remote or sharded control-plane client can time its RPCs; wire it
 	// into this node's registry so gcs.rpc.* ships with heartbeats.
@@ -220,6 +214,7 @@ func New(cfg Config) (*Node, error) {
 	// for the state and lineage of every task submitted through it, and the
 	// GCS task table follows via batched async deltas.
 	n.taskled = lifetime.NewTaskLedger(cfg.Ctrl)
+	n.taskled.SetClock(now)
 	n.taskled.SetNode(id)
 	n.taskled.SetMetrics(n.reg)
 	n.taskled.SetCollector(n.life)
@@ -238,6 +233,7 @@ func New(cfg Config) (*Node, error) {
 			return n.sched.Submit(spec, false)
 		},
 	}
+	n.exec = newExecutorShim(n)
 	n.sched = scheduler.NewLocal(scheduler.LocalConfig{
 		Node:           id,
 		Total:          cfg.Resources,
@@ -246,6 +242,7 @@ func New(cfg Config) (*Node, error) {
 		Fetcher:        n.fetcher,
 		Refs:           n.life.Tracker(),
 		Ledger:         n.taskled,
+		Exec:           n.exec.Execute,
 		Recon:          func(id types.ObjectID, task types.TaskID) error { return n.recon.RequestReturn(id, task) },
 		SpillThreshold: cfg.SpillThreshold,
 		Metrics:        n.reg,
@@ -254,8 +251,6 @@ func New(cfg Config) (*Node, error) {
 			return ok && info.State != types.JobRunning
 		},
 	})
-	n.exec = newExecutorShim(n)
-	n.sched.SetExec(n.exec.Execute)
 
 	n.server = transport.NewServer()
 	n.server.SetMetrics(n.reg)
@@ -321,6 +316,20 @@ func New(cfg Config) (*Node, error) {
 	n.wg.Add(1)
 	go n.drainWatch()
 	return n, nil
+}
+
+// clusterClock returns a node's one clock, in cluster-epoch nanoseconds:
+// one control-plane NowNs at boot plus the local monotonic offset, so
+// stamps and spans from different nodes line up on one timeline without a
+// per-read RPC. The node's task ledger stamps from it, the scheduler and
+// the executor read it through the ledger (ClockNs), and its tracer times
+// spans with it. It is a variable so a test can count the reads.
+var clusterClock = func(ctrl gcs.API) func() int64 {
+	boot, start := ctrl.NowNs(), time.Now()
+	if boot == 0 { // control plane unreachable: the local clock
+		boot = start.UnixNano()
+	}
+	return func() int64 { return boot + int64(time.Since(start)) }
 }
 
 // ID returns the node's identity.

@@ -134,7 +134,7 @@ func (l *Local) FailTask(spec types.TaskSpec, reason string) {
 
 // bundleLocked returns the reservation pool spec's bundle holds here, nil
 // when this node holds none; mu held.
-func (l *Local) bundleLocked(spec types.TaskSpec) *resourcePool {
+func (l *Local) bundleLocked(spec *types.TaskSpec) *resourcePool {
 	return l.bundles[bundleKey{group: spec.Group, bundle: spec.Bundle}]
 }
 
@@ -142,7 +142,7 @@ func (l *Local) bundleLocked(spec types.TaskSpec) *resourcePool {
 // reservation pool when this node holds one, the general pool otherwise
 // (including after the bundle's release — the detached pool's capacity
 // moved to the general pool, so that is where late releases belong).
-func (l *Local) poolFor(spec types.TaskSpec) *resourcePool {
+func (l *Local) poolFor(spec *types.TaskSpec) *resourcePool {
 	if spec.InGroup() {
 		l.mu.Lock()
 		pool := l.bundleLocked(spec)

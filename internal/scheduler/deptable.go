@@ -25,20 +25,27 @@ const (
 	fetchTimeout   = 30 * time.Second
 )
 
-// waitingTask is a task in the dependency table: one with unresolved
-// dependencies, or one whose QUEUED stamp is not in yet. It becomes runnable
-// once both are done, whichever comes last.
-type waitingTask struct {
+// localTask is the one record of a task admitted here, from Submit to its
+// executor (DESIGN.md §3.1). It is the dependency table's entry while the
+// task waits on an argument not yet local or on its QUEUED stamp, the
+// runnable queue's once both are done, whichever comes last, and what the
+// executor pool hands an executor. Its spec is read-only from the moment
+// the record holds it: the task ledger reads it too while the task's birth
+// is owed.
+type localTask struct {
 	spec    types.TaskSpec
 	missing map[types.ObjectID]bool
 	queued  bool
+	// enqueuedNs is when the task became runnable (cluster clock): the
+	// dispatch-latency histogram's start.
+	enqueuedNs int64
 }
 
 // parkedObj is one row of the dependency table: the tasks parked on one
 // missing object, and the cancel of its one resolver. The row goes, and the
 // resolver stops polling and fetching, once no parked task needs the object.
 type parkedObj struct {
-	tasks  map[types.TaskID]*waitingTask
+	tasks  map[types.TaskID]*localTask
 	cancel context.CancelFunc
 }
 
@@ -56,13 +63,13 @@ type depTable struct {
 	resolvers atomic.Int64
 
 	mu      sync.Mutex
-	waiting map[types.TaskID]*waitingTask
+	waiting map[types.TaskID]*localTask
 	parked  map[types.ObjectID]*parkedObj
 }
 
 func newDepTable(l *Local) *depTable {
 	d := &depTable{l: l, parks: l.cfg.Metrics.Counter("scheduler.tasks.parked"),
-		waiting: make(map[types.TaskID]*waitingTask), parked: make(map[types.ObjectID]*parkedObj)}
+		waiting: make(map[types.TaskID]*localTask), parked: make(map[types.ObjectID]*parkedObj)}
 	if l.cfg.Metrics != nil {
 		l.cfg.Metrics.GaugeFunc("scheduler.waiting.objects", func() int64 {
 			d.mu.Lock()
@@ -73,17 +80,17 @@ func newDepTable(l *Local) *depTable {
 	return d
 }
 
-// park enters spec in the table, under each object in missing, or returns
-// nil once Stop has run. Stop sets its flag before its eviction takes this
-// lock, so a task parked here is evicted.
-func (d *depTable) park(spec types.TaskSpec, missing map[types.ObjectID]bool) *waitingTask {
+// park enters t in the table, under each object in missing, and reports
+// whether it did: not once Stop has run. Stop sets its flag before its
+// eviction takes this lock, so a task parked here is evicted.
+func (d *depTable) park(t *localTask, missing map[types.ObjectID]bool) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.l.isStopped() {
-		return nil
+		return false
 	}
-	w := &waitingTask{spec: spec, missing: missing}
-	d.waiting[spec.ID] = w
+	t.missing, t.queued = missing, false
+	d.waiting[t.spec.ID] = t
 	if len(missing) > 0 {
 		d.parks.Inc()
 	}
@@ -93,7 +100,7 @@ func (d *depTable) park(spec types.TaskSpec, missing map[types.ObjectID]bool) *w
 			// The object's first parked task starts its one resolver, counted
 			// under the lock that checked stopped, so Stop's wg.Wait cannot
 			// slip between the check and the resolver's registration.
-			row = &parkedObj{tasks: make(map[types.TaskID]*waitingTask)}
+			row = &parkedObj{tasks: make(map[types.TaskID]*localTask)}
 			var ctx context.Context
 			ctx, row.cancel = context.WithCancel(d.l.stopCtx)
 			d.parked[dep] = row
@@ -101,13 +108,14 @@ func (d *depTable) park(spec types.TaskSpec, missing map[types.ObjectID]bool) *w
 			d.resolvers.Add(1)
 			go d.resolveParked(ctx, dep)
 		}
-		row.tasks[spec.ID] = w
+		row.tasks[t.spec.ID] = t
 	}
-	return w
+	return true
 }
 
-// queue records w's QUEUED stamp and reports whether that made w runnable.
-func (d *depTable) queue(w *waitingTask) bool {
+// queue records w's QUEUED stamp at atNs and reports whether that made w
+// runnable, from the same instant.
+func (d *depTable) queue(w *localTask, atNs int64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.waiting[w.spec.ID] != w {
@@ -124,19 +132,20 @@ func (d *depTable) queue(w *waitingTask) bool {
 	// It is an in-process append that rides the next batched flush while the
 	// ledger's flusher runs; a ledger never started (unit tests) or halted at
 	// shutdown flushes it inline, under the lock.
-	d.l.cfg.Ledger.Transition(w.spec.ID, types.TaskQueued, types.NilWorkerID, "")
+	d.l.cfg.Ledger.TransitionAt(w.spec.ID, types.TaskQueued, types.NilWorkerID, "", atNs)
 	w.queued = true
-	return d.readyLocked(w)
+	return d.readyLocked(w, atNs)
 }
 
-// readyLocked moves w from the table to the runnable queue if nothing is
-// missing and its QUEUED stamp is in, and reports whether it did.
-func (d *depTable) readyLocked(w *waitingTask) bool {
+// readyLocked moves w from the table to the runnable queue, runnable since
+// atNs, if nothing is missing and its QUEUED stamp is in, and reports
+// whether it did.
+func (d *depTable) readyLocked(w *localTask, atNs int64) bool {
 	if len(w.missing) > 0 || !w.queued {
 		return false
 	}
 	delete(d.waiting, w.spec.ID)
-	d.l.pushRunnable(w.spec)
+	d.l.pushRunnable(w, atNs)
 	return true
 }
 
@@ -190,6 +199,7 @@ func (d *depTable) landed(obj types.ObjectID) bool {
 	defer d.mu.Unlock()
 	ready := false
 	if row := d.parked[obj]; row != nil {
+		now := d.l.cfg.Ledger.ClockNs()
 		for id, w := range row.tasks {
 			for dep := range w.missing {
 				if dep == obj || d.l.cfg.Store.Contains(dep) {
@@ -197,7 +207,7 @@ func (d *depTable) landed(obj types.ObjectID) bool {
 					d.unwaitLocked(dep, id)
 				}
 			}
-			if d.readyLocked(w) {
+			if d.readyLocked(w, now) {
 				ready = true
 			}
 		}

@@ -72,14 +72,17 @@ func raceEviction(t *testing.T, evictor string, round uint64) {
 	ctrl.EnsureObject(dep, producer)
 	// The reclaimed evictor is the dependency's resolver: a lost object is
 	// probed at once, and the probe, let go when the race starts, finds the
-	// object reclaimed.
+	// object reclaimed. The resolver probes again while the absence lasts
+	// (a poll period later, when the Put is that late), so only the first
+	// probe signals.
 	var probed, probe chan struct{}
 	if evictor == "reclaimed" {
 		ctrl.AddObjectLocation(dep, tNode(2), 1)
 		ctrl.RemoveObjectLocation(dep, tNode(2))
 		probed, probe = make(chan struct{}), make(chan struct{})
+		var first sync.Once
 		cfg.Recon = func(types.ObjectID, types.TaskID) error {
-			close(probed)
+			first.Do(func() { close(probed) })
 			<-probe
 			return types.ErrReclaimed
 		}

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/metrics"
-	"repro/internal/types"
 )
 
 // maxIdleExecutors caps the executor goroutines parked between tasks; one
@@ -16,9 +15,9 @@ import (
 const maxIdleExecutors = 64
 
 // executors is the local scheduler's pool of executor goroutines (DESIGN.md
-// §3.1). Local hands it admitted tasks; run is Local.runTask.
+// §3.1). Local hands it each admitted task's record; run is Local.runTask.
 type executors struct {
-	run func(types.TaskSpec)
+	run func(*localTask)
 	// started counts executor goroutines started (handOff found none
 	// parked): scheduler.executors.started.
 	started *metrics.Counter
@@ -30,11 +29,11 @@ type executors struct {
 	// idle is the stack of parked executors, each waiting on its own
 	// channel for the next task: handOff pops the most recently parked, the
 	// one whose stack and caches are warmest. close closes what is left.
-	idle   []chan types.TaskSpec
+	idle   []chan *localTask
 	closed bool
 }
 
-func newExecutors(run func(types.TaskSpec), reg *metrics.Registry) *executors {
+func newExecutors(run func(*localTask), reg *metrics.Registry) *executors {
 	e := &executors{run: run, started: reg.Counter("scheduler.executors.started")}
 	if reg != nil {
 		reg.GaugeFunc("scheduler.executors.idle", e.parked)
@@ -54,13 +53,13 @@ func (e *executors) parked() int64 {
 // a new one when none is parked. The send readies a parked receiver on the
 // sender's processor, next in line, as a go statement would; the channel's
 // one slot takes the task if the executor has not reached its receive yet.
-func (e *executors) handOff(spec types.TaskSpec) {
+func (e *executors) handOff(t *localTask) {
 	e.mu.Lock()
 	if n := len(e.idle); n > 0 {
 		next := e.idle[n-1]
 		e.idle = e.idle[:n-1]
 		e.mu.Unlock()
-		next <- spec
+		next <- t
 		return
 	}
 	e.mu.Unlock()
@@ -68,18 +67,18 @@ func (e *executors) handOff(spec types.TaskSpec) {
 	// Counted before the admitted task's wg count drops (runTask), so
 	// before Stop can reach close and its wait.
 	e.live.Add(1)
-	go e.execute(spec)
+	go e.execute(t)
 }
 
 // execute is an executor goroutine: it runs its first task, then parks and
 // runs whatever it is handed, one task at a time, so a task reuses a stack
 // earlier tasks grew instead of growing a fresh one. A task blocked in Get
 // keeps its executor; the next dispatch finds another or starts one.
-func (e *executors) execute(spec types.TaskSpec) {
+func (e *executors) execute(t *localTask) {
 	defer e.live.Done()
-	next := make(chan types.TaskSpec, 1)
-	for ok := true; ok; spec, ok = <-next {
-		e.run(spec)
+	next := make(chan *localTask, 1)
+	for ok := true; ok; t, ok = <-next {
+		e.run(t)
 		if !e.park(next) {
 			return
 		}
@@ -88,7 +87,7 @@ func (e *executors) execute(spec types.TaskSpec) {
 
 // park puts an executor that finished its task on the idle stack, unless the
 // pool is closed or maxIdleExecutors are parked already.
-func (e *executors) park(next chan types.TaskSpec) bool {
+func (e *executors) park(next chan *localTask) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed || len(e.idle) >= maxIdleExecutors {

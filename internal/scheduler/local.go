@@ -18,8 +18,9 @@ import (
 // ExecFunc runs one task whose dependencies have all been resolved to local
 // bytes. The local scheduler invokes it on an executor goroutine after
 // acquiring the task's resources; the goroutine runs one task at a time and,
-// once ExecFunc returns, may be handed the next one.
-type ExecFunc func(ctx context.Context, spec types.TaskSpec, args [][]byte)
+// once ExecFunc returns, may be handed the next one. spec is the task's
+// record, shared with the scheduler and the task ledger: read-only.
+type ExecFunc func(ctx context.Context, spec *types.TaskSpec, args [][]byte)
 
 // Fetcher pulls a remote object into the local store. lifetime.PullManager
 // is the production implementation (chunked, with per-peer backpressure).
@@ -53,10 +54,14 @@ type RefLedger interface {
 // Transition stamps a state change without a control-plane round trip,
 // Disown drops local authority when the task leaves this node, and Flush
 // forces the happens-before edge on every handoff another node may act on.
+// ClockNs reads the node's cluster clock: a stage reads it once and stamps
+// everything it stamps from that instant (Birth, TransitionAt).
 type TaskLedger interface {
-	Birth(spec types.TaskSpec) (adopted, fresh bool)
+	ClockNs() int64
+	Birth(spec *types.TaskSpec, atNs int64) (adopted, fresh bool)
 	Adopt(id types.TaskID, baseSeq uint64, status types.TaskStatus)
 	Transition(id types.TaskID, status types.TaskStatus, worker types.WorkerID, errMsg string) bool
+	TransitionAt(id types.TaskID, status types.TaskStatus, worker types.WorkerID, errMsg string, atNs int64) bool
 	Disown(id types.TaskID)
 	Owns(id types.TaskID) bool
 	Flush() bool
@@ -111,7 +116,7 @@ type LocalConfig struct {
 	// Ledger is the owner-side task-state ledger (DESIGN.md §13), the one
 	// writer of task state on this node. Required.
 	Ledger TaskLedger
-	// Exec runs ready tasks (assigned after construction by the node).
+	// Exec runs ready tasks; SetExec may assign it after construction.
 	Exec ExecFunc
 	// Recon asks the fault-tolerance layer to make an object — lost, or
 	// pending on a producer stranded on a dead node — resolvable again by
@@ -129,15 +134,6 @@ type LocalConfig struct {
 	// submissions under such a job are refused with ErrJobFenced. Nil
 	// disables the fence (single-tenant deployments).
 	JobFence func(types.JobID) bool
-}
-
-// queuedTask is a task whose dependencies are all local, awaiting
-// resources.
-type queuedTask struct {
-	spec types.TaskSpec
-	// enqueuedAt feeds the dispatch-latency histogram (runnable → resources
-	// granted). Wall clock, read only as a difference.
-	enqueuedAt time.Time
 }
 
 // Local is the per-node scheduler: the first stop for every task born on
@@ -170,7 +166,7 @@ type Local struct {
 
 	// mu guards the five fields below.
 	mu       sync.Mutex
-	runnable []*queuedTask
+	runnable []*localTask
 	bundles  map[bundleKey]*resourcePool // gang reservations held here
 	// holding maps a dispatched task to the pool instance it acquired its
 	// resources from. Releases must go through this exact instance: a
@@ -324,7 +320,7 @@ func (l *Local) Available() types.Resources {
 // it reacquires from, which may legitimately differ after a group
 // rollback or re-reservation.
 func (l *Local) ReleaseFor(spec types.TaskSpec) {
-	l.releaseHeld(spec)
+	l.releaseHeld(&spec)
 	l.dispatchReady()
 }
 
@@ -340,7 +336,7 @@ func (l *Local) ReacquireFor(spec types.TaskSpec) {
 		if spec.InGroup() {
 			timeout = reResolve
 		}
-		pool := l.poolFor(spec)
+		pool := l.poolFor(&spec)
 		if pool.acquireBlocking(spec.Resources, l.stopCtx.Done(), timeout) {
 			l.mu.Lock()
 			l.holding[spec.ID] = pool
@@ -356,7 +352,8 @@ func (l *Local) ReacquireFor(spec types.TaskSpec) {
 
 // Submit is the entry point for tasks born on this node (placed=false) and
 // for tasks assigned by the global scheduler (placed=true). It implements
-// the spillover decision of Section 3.2.2.
+// the spillover decision of Section 3.2.2. The task's one record here
+// (localTask) takes its copy of spec, which no code writes after.
 func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 	l.mu.Lock()
 	if l.stopped {
@@ -373,6 +370,8 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 	}
 	l.submitted.Add(1)
 	l.obs.submitted.Inc()
+	t := newLocalTask(spec)
+	sp := &t.spec
 
 	if placed {
 		// A draining node admits nothing: refuse before the ownership claim
@@ -380,7 +379,7 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 		// that is still Active (the task stays PENDING, and no ledger here
 		// speaks for it).
 		if l.draining.Load() {
-			if l.record(spec, false) {
+			if added, _ := l.record(sp, false, l.cfg.Ledger.ClockNs()); added {
 				l.cfg.Ledger.Disown(spec.ID)
 			}
 			return ErrDraining
@@ -397,7 +396,7 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 		}
 		seq, ok := claim()
 		if !ok {
-			if !l.record(spec, false) {
+			if added, _ := l.record(sp, false, l.cfg.Ledger.ClockNs()); !added {
 				return nil // the record is another's, and so was the claim
 			}
 			if seq, ok = claim(); !ok {
@@ -406,25 +405,42 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 			}
 		}
 		l.cfg.Ledger.Adopt(spec.ID, seq, types.TaskQueued)
-		l.enqueue(spec)
+		l.enqueue(t, l.cfg.Ledger.ClockNs())
 		return nil
 	}
-	// A spilled task's birth lands in its bridge's flush, ahead of the
-	// publish.
-	spill := l.spills(spec, backlog)
-	if added := l.record(spec, spill || l.startsNow(spec, backlog)); !added && !l.shouldRerun(spec) {
-		// Already known to the control plane: either in flight elsewhere or
-		// finished with intact outputs (replayed submission, results
-		// reusable outright). Only the CAS winner re-runs.
-		return nil
+	// One clock read stamps the birth, the QUEUED stamp and the enqueue time,
+	// unless a control-plane round trip comes between them. A spilled task's
+	// birth lands in its bridge's flush, ahead of the publish.
+	at := l.cfg.Ledger.ClockNs()
+	spill := l.spills(sp, backlog)
+	added, flushed := l.record(sp, spill || l.startsNow(sp, backlog), at)
+	if !added {
+		if !l.shouldRerun(spec) {
+			// Already known to the control plane: either in flight elsewhere
+			// or finished with intact outputs (replayed submission, results
+			// reusable outright). Only the CAS winner re-runs.
+			return nil
+		}
+		flushed = true
 	}
 	if spill {
 		l.bridgeSpill(spec)
 		l.publishSpill(spec)
-	} else {
-		l.enqueue(spec)
+		return nil
 	}
+	if flushed {
+		at = l.cfg.Ledger.ClockNs()
+	}
+	l.enqueue(t, at)
 	return nil
+}
+
+// newLocalTask makes spec's record, deriving its return IDs first: nothing
+// writes the spec once the record holds it.
+func newLocalTask(spec types.TaskSpec) *localTask {
+	t := &localTask{spec: spec}
+	t.spec.CacheReturns()
+	return t
 }
 
 // spills is the spillover decision for a task born here. Grouped tasks run
@@ -434,7 +450,7 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 // placement-group routing fabric). A soft locality hint naming another node
 // spills for the same reason — the hint is only meaningful with the global
 // view.
-func (l *Local) spills(spec types.TaskSpec, backlog int) bool {
+func (l *Local) spills(spec *types.TaskSpec, backlog int) bool {
 	if l.draining.Load() {
 		return true
 	}
@@ -527,7 +543,7 @@ func (l *Local) Enqueue(spec types.TaskSpec) error {
 	if l.isStopped() {
 		return ErrStopped
 	}
-	l.enqueue(spec)
+	l.enqueue(newLocalTask(spec), l.cfg.Ledger.ClockNs())
 	return nil
 }
 
@@ -591,10 +607,12 @@ func (l *Local) publishSpill(spec types.TaskSpec) {
 	l.cfg.Ctrl.PublishSpill(spec)
 }
 
-// SetExec assigns the execution callback; must be called before Start.
-// (The node wires this after constructing the executor, which needs the
-// node itself as the tasks' API backend.)
-func (l *Local) SetExec(fn ExecFunc) { l.cfg.Exec = fn }
+// SetExec assigns an execution callback that takes the spec by value, a
+// copy per task; must be called before Start. The node sets
+// LocalConfig.Exec instead.
+func (l *Local) SetExec(fn func(ctx context.Context, spec types.TaskSpec, args [][]byte)) {
+	l.cfg.Exec = func(ctx context.Context, spec *types.TaskSpec, args [][]byte) { fn(ctx, *spec, args) }
+}
 
 // record adopts the task into the ledger as born here and reports whether
 // it is new to the control plane. The record itself — the lineage, with the
@@ -610,20 +628,21 @@ func (l *Local) SetExec(fn ExecFunc) { l.cfg.Exec = fn }
 // waits, and the owner-death transfer re-places only what the table holds.
 // A task that starts here also leaves its returns' locations to its birth
 // (objectstore.Store.PutDeferred), so its steady-state path makes no
-// synchronous control-plane write.
-func (l *Local) record(spec types.TaskSpec, lazy bool) bool {
-	adopted, fresh := l.cfg.Ledger.Birth(spec)
+// synchronous control-plane write. The birth is stamped atNs; flushed
+// reports whether record made a control-plane round trip after it.
+func (l *Local) record(spec *types.TaskSpec, lazy bool, atNs int64) (added, flushed bool) {
+	adopted, fresh := l.cfg.Ledger.Birth(spec, atNs)
 	if fresh && lazy && spec.Job.IsNil() {
-		return true
+		return true, false
 	}
 	held := l.cfg.Ledger.FlushTask(spec.ID)
-	return adopted && !held
+	return adopted && !held, true
 }
 
 // startsNow reports whether spec, admitted now behind backlog runnable
 // tasks, would start at once: nothing ahead of it, its demand available,
 // its arguments here.
-func (l *Local) startsNow(spec types.TaskSpec, backlog int) bool {
+func (l *Local) startsNow(spec *types.TaskSpec, backlog int) bool {
 	if backlog > 0 || !l.poolFor(spec).fits(spec.Resources) {
 		return false
 	}
@@ -696,18 +715,21 @@ func (l *Local) outputsIntact(spec types.TaskSpec) bool {
 	return true
 }
 
-// enqueue admits a task to this node's dependency table, parked under
-// each missing object (dataflow trigger); the table moves it to the
-// runnable queue once nothing is missing and its QUEUED stamp is in. The
-// rows' resolvers start before the borrow flush, so records are read and
-// pulls run while that round trip is in flight (E19).
-func (l *Local) enqueue(spec types.TaskSpec) {
+// enqueue admits t to this node's dependency table, parked under each
+// missing object (dataflow trigger); the table moves it to the runnable
+// queue once nothing is missing and its QUEUED stamp is in. atNs is a
+// clock reading the caller made after its last control-plane round trip:
+// the QUEUED stamp's instant and, if t is runnable at once, its enqueue
+// time. The rows' resolvers start before the borrow flush, so records are
+// read and pulls run while that round trip is in flight (E19).
+func (l *Local) enqueue(t *localTask, atNs int64) {
+	spec := &t.spec
 	// Drain divert: paths that bypass Submit's fence (the executor's retry
 	// re-enqueue, runTask's evicted-args requeue, racing placements) land
 	// here; a draining node hands the task to the global queue instead of
 	// growing a backlog it is trying to shed.
 	if l.draining.Load() {
-		l.spillAway(spec)
+		l.spillAway(*spec)
 		return
 	}
 	// Borrow the dependencies for the lifetime of this enqueue: the matching
@@ -733,8 +755,7 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 	// From here until its QUEUED stamp, the evicting paths can see a task
 	// born here that is still PENDING in the task table: spillAway publishes
 	// such a task as it stands, and FailTask claims PENDING too.
-	w := l.deps.park(spec, missing)
-	if w == nil {
+	if !l.deps.park(t, missing) {
 		// Stopped: the task will never run here; return its fresh borrows.
 		if borrow {
 			l.cfg.Refs.Release(deps...)
@@ -751,17 +772,20 @@ func (l *Local) enqueue(spec types.TaskSpec) {
 		// a reference counted in the table takes the table's path, however
 		// the borrow nets out (DESIGN.md §17).
 		l.cfg.Refs.Flush()
+		atNs = l.cfg.Ledger.ClockNs()
 	}
-	if l.deps.queue(w) {
+	if l.deps.queue(t, atNs) {
 		l.dispatchReady()
 	}
 }
 
-// pushRunnable appends a task the dependency table has readied to the
-// runnable queue; the table calls it holding its own lock (see Local).
-func (l *Local) pushRunnable(spec types.TaskSpec) {
+// pushRunnable appends a task the dependency table has readied, runnable
+// since atNs, to the runnable queue; the table calls it holding its own
+// lock (see Local).
+func (l *Local) pushRunnable(t *localTask, atNs int64) {
+	t.enqueuedNs = atNs
 	l.mu.Lock()
-	l.runnable = append(l.runnable, &queuedTask{spec: spec, enqueuedAt: time.Now()})
+	l.runnable = append(l.runnable, t)
 	l.mu.Unlock()
 }
 
@@ -839,7 +863,7 @@ func (l *Local) dispatchReady() {
 			// the lock: the gang pass re-places their group as a unit and the
 			// global scheduler routes them to the new holder.
 			strayed := func(spec types.TaskSpec, _ map[types.ObjectID]bool) bool {
-				return spec.InGroup() && l.bundleLocked(spec) == nil
+				return spec.InGroup() && l.bundleLocked(&spec) == nil
 			}
 			l.settle(l.evict(strayed, false), l.spillAway)
 		}
@@ -860,7 +884,7 @@ func (l *Local) dispatchReady() {
 		if task.spec.InGroup() {
 			l.cfg.Ledger.FlushTask(task.spec.ID)
 			if _, ok := l.cfg.Ctrl.ClaimTask(task.spec.ID, []types.TaskStatus{types.TaskQueued}, types.TaskScheduled, types.NilNodeID); !ok {
-				l.releaseHeld(task.spec)
+				l.releaseHeld(&task.spec)
 				if l.cfg.Refs != nil {
 					l.cfg.Refs.Release(task.spec.Deps()...)
 				}
@@ -869,14 +893,16 @@ func (l *Local) dispatchReady() {
 				continue
 			}
 		}
-		// An in-process ledger append. For a group member it mirrors what
-		// the CAS already stamped, so the next flush's full-state delta
-		// carries SCHEDULED rather than regressing the follower to QUEUED.
-		l.cfg.Ledger.Transition(task.spec.ID, types.TaskScheduled, types.NilWorkerID, "")
+		// An in-process ledger append, and the dispatch latency, from one
+		// clock read. For a group member it mirrors what the CAS already
+		// stamped, so the next flush's full-state delta carries SCHEDULED
+		// rather than regressing the follower to QUEUED.
+		now := l.cfg.Ledger.ClockNs()
+		l.cfg.Ledger.TransitionAt(task.spec.ID, types.TaskScheduled, types.NilWorkerID, "", now)
 		l.dispatched.Add(1)
 		l.obs.dispatched.Inc()
-		l.obs.dispatchNs.Observe(time.Since(task.enqueuedAt).Nanoseconds())
-		l.execs.handOff(task.spec)
+		l.obs.dispatchNs.Observe(now - task.enqueuedNs)
+		l.execs.handOff(task)
 	}
 }
 
@@ -888,7 +914,7 @@ func (l *Local) dispatchReady() {
 // admitted task is counted in wg before the lock drops, so a Stop racing
 // the dispatch waits for the task instead of missing it; the caller owes
 // that count to runTask (or a wg.Done if it drops the task).
-func (l *Local) admitOne() (admitted *queuedTask, stray, ok bool) {
+func (l *Local) admitOne() (admitted *localTask, stray, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.started || l.stopped {
@@ -897,7 +923,7 @@ func (l *Local) admitOne() (admitted *queuedTask, stray, ok bool) {
 	for i, t := range l.runnable {
 		pool := l.res
 		if t.spec.InGroup() {
-			if pool = l.bundleLocked(t.spec); pool == nil {
+			if pool = l.bundleLocked(&t.spec); pool == nil {
 				stray = true
 				continue
 			}
@@ -914,7 +940,7 @@ func (l *Local) admitOne() (admitted *queuedTask, stray, ok bool) {
 
 // releaseHeld returns a task's resources to the exact pool instance it
 // acquired (or last reacquired) them from, clearing the binding.
-func (l *Local) releaseHeld(spec types.TaskSpec) {
+func (l *Local) releaseHeld(spec *types.TaskSpec) {
 	l.mu.Lock()
 	pool := l.holding[spec.ID]
 	delete(l.holding, spec.ID)
@@ -928,7 +954,8 @@ func (l *Local) releaseHeld(spec types.TaskSpec) {
 // runTask resolves argument bytes and executes. Dependencies were local at
 // enqueue time but may have been evicted since; in that case the task goes
 // back to the dependency table.
-func (l *Local) runTask(spec types.TaskSpec) {
+func (l *Local) runTask(t *localTask) {
+	spec := &t.spec
 	defer l.wg.Done()
 	defer l.dispatchReady()
 	// Return the enqueue-time borrows last (LIFO): the evicted-args path
@@ -939,7 +966,7 @@ func (l *Local) runTask(spec types.TaskSpec) {
 	args, missing := l.gatherArgs(spec)
 	if missing {
 		l.releaseHeld(spec)
-		l.enqueue(spec)
+		l.enqueue(t, l.cfg.Ledger.ClockNs())
 		return
 	}
 	defer l.releaseHeld(spec)
@@ -948,7 +975,7 @@ func (l *Local) runTask(spec types.TaskSpec) {
 }
 
 // gatherArgs pins and reads reference arguments from the local store.
-func (l *Local) gatherArgs(spec types.TaskSpec) ([][]byte, bool) {
+func (l *Local) gatherArgs(spec *types.TaskSpec) ([][]byte, bool) {
 	args := make([][]byte, len(spec.Args))
 	for i, a := range spec.Args {
 		if !a.IsRef {
@@ -972,7 +999,7 @@ func (l *Local) gatherArgs(spec types.TaskSpec) ([][]byte, bool) {
 }
 
 // unpinArgs releases the pins taken by gatherArgs once execution ends.
-func (l *Local) unpinArgs(spec types.TaskSpec) {
+func (l *Local) unpinArgs(spec *types.TaskSpec) {
 	for _, a := range spec.Args {
 		if a.IsRef {
 			l.cfg.Store.Unpin(a.Ref)

@@ -31,7 +31,7 @@ func TestGatherArgsUnwindAlias(t *testing.T) {
 		Args:       []types.Arg{types.RefArg(a), types.RefArg(a), types.RefArg(b)},
 	}
 	// Success path: per-occurrence pins, fully released by unpinArgs.
-	args, missing := l.gatherArgs(spec)
+	args, missing := l.gatherArgs(&spec)
 	if missing || len(args) != 3 {
 		t.Fatalf("gatherArgs = %d args, missing=%v", len(args), missing)
 	}
@@ -41,14 +41,14 @@ func TestGatherArgsUnwindAlias(t *testing.T) {
 	if got := store.PinCount(b); got != 1 {
 		t.Fatalf("PinCount(b) = %d, want 1", got)
 	}
-	l.unpinArgs(spec)
+	l.unpinArgs(&spec)
 	if store.PinCount(a) != 0 || store.PinCount(b) != 0 {
 		t.Fatalf("unpinArgs left pins: a=%d b=%d", store.PinCount(a), store.PinCount(b))
 	}
 	// Failure path: the gather fails at the last arg, after the aliased ref
 	// was pinned twice; the unwind must release both of those pins.
 	store.Delete(b)
-	if _, missing := l.gatherArgs(spec); !missing {
+	if _, missing := l.gatherArgs(&spec); !missing {
 		t.Fatal("gatherArgs succeeded without b resident")
 	}
 	if got := store.PinCount(a); got != 0 {

@@ -47,7 +47,7 @@ func newExecLog() *execLog {
 	return &execLog{seen: make(map[types.TaskID]bool), ch: make(chan types.TaskID, 256)}
 }
 
-func (e *execLog) exec(led TaskLedger, store *objectstore.Store) ExecFunc {
+func (e *execLog) exec(led TaskLedger, store *objectstore.Store) func(context.Context, types.TaskSpec, [][]byte) {
 	return func(ctx context.Context, spec types.TaskSpec, args [][]byte) {
 		e.mu.Lock()
 		e.order = append(e.order, spec.ID)

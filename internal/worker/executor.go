@@ -47,7 +47,6 @@ type Hooks struct {
 // rescheduling the task. lifetime.TaskLedger is the implementation.
 type TaskLedger interface {
 	ClockNs() int64
-	Transition(id types.TaskID, status types.TaskStatus, worker types.WorkerID, errMsg string) bool
 	TransitionAt(id types.TaskID, status types.TaskStatus, worker types.WorkerID, errMsg string, atNs int64) bool
 	TransitionRetry(id types.TaskID, maxRetries int) (int, bool)
 }
@@ -83,46 +82,47 @@ func (e *Executor) Executed() int64 { return e.executed.Load() }
 func (e *Executor) Failed() int64 { return e.failed.Load() }
 
 // workerIDFor derives a stable pseudo worker identity for profiling.
-func workerIDFor(spec types.TaskSpec) types.WorkerID {
+func workerIDFor(spec *types.TaskSpec) types.WorkerID {
 	return types.WorkerID(spec.ID)
 }
 
 // Execute runs one task to completion: invoke the function, store returns,
 // and record terminal status. args holds the resolved bytes for every
-// argument (references already dereferenced by the scheduler). Execute is
-// called on its own goroutine by the local scheduler.
-func (e *Executor) Execute(ctx context.Context, spec types.TaskSpec, args [][]byte) {
+// argument (references already dereferenced by the scheduler); spec is
+// read-only. Execute is called on its own goroutine by the local scheduler.
+// It reads the ledger's clock twice, and returns both readings so its
+// caller can time the task without a read of its own: startNs, the RUNNING
+// stamp's instant, and endNs, the finish's (or the failure's).
+func (e *Executor) Execute(ctx context.Context, spec *types.TaskSpec, args [][]byte) (startNs, endNs int64) {
 	e.active.Add(1)
 	defer e.active.Add(-1)
 	wid := workerIDFor(spec)
-	e.ledger.Transition(spec.ID, types.TaskRunning, wid, "")
+	startNs = e.ledger.ClockNs()
+	e.ledger.TransitionAt(spec.ID, types.TaskRunning, wid, "", startNs)
 
 	rets, err := e.invoke(ctx, spec, args)
 	if err != nil {
-		e.fail(spec, wid, err)
-		return
+		return startNs, e.fail(spec, wid, err)
 	}
 	if len(rets) != spec.NumReturns {
-		e.fail(spec, wid, fmt.Errorf("function %s returned %d values, declared %d", spec.Function, len(rets), spec.NumReturns))
-		return
+		return startNs, e.fail(spec, wid, fmt.Errorf("function %s returned %d values, declared %d", spec.Function, len(rets), spec.NumReturns))
 	}
 	// Capture the finish instant before storing outputs: the first Put can
 	// unblock a consumer, and a consumer's recorded start must never
 	// precede its producer's recorded finish. The status transition itself
-	// still publishes only after every output is durable. The instant comes
-	// off the ledger's local cluster clock — no NowNs round trip.
-	finishNs := e.ledger.ClockNs()
+	// still publishes only after every output is durable.
+	endNs = e.ledger.ClockNs()
 	for i, data := range rets {
 		if data == nil {
 			data = codec.MustEncode(nil)
 		}
-		if perr := e.storeReturn(&spec, i, data); perr != nil {
-			e.fail(spec, wid, fmt.Errorf("storing return %d: %w", i, perr))
-			return
+		if perr := e.storeReturn(spec, i, data); perr != nil {
+			return startNs, e.fail(spec, wid, fmt.Errorf("storing return %d: %w", i, perr))
 		}
 	}
 	e.executed.Add(1)
-	e.ledger.TransitionAt(spec.ID, types.TaskFinished, wid, "", finishNs)
+	e.ledger.TransitionAt(spec.ID, types.TaskFinished, wid, "", endNs)
+	return startNs, endNs
 }
 
 // storeReturn makes return value i resolvable: delivered to the task's
@@ -144,7 +144,7 @@ func (e *Executor) storeReturn(spec *types.TaskSpec, i int, data []byte) error {
 
 // invoke runs the function with panic isolation: a panicking task must not
 // take down the node (R6), so panics convert to task failures.
-func (e *Executor) invoke(ctx context.Context, spec types.TaskSpec, args [][]byte) (rets [][]byte, err error) {
+func (e *Executor) invoke(ctx context.Context, spec *types.TaskSpec, args [][]byte) (rets [][]byte, err error) {
 	fn, ok := e.reg.Lookup(spec.Function)
 	if !ok {
 		return nil, fmt.Errorf("function %q not registered on %v", spec.Function, e.node)
@@ -154,7 +154,7 @@ func (e *Executor) invoke(ctx context.Context, spec types.TaskSpec, args [][]byt
 			rets, err = nil, fmt.Errorf("task panicked: %v", r)
 		}
 	}()
-	return fn(core.NewTaskContext(ctx, e.backend, &spec, e), args)
+	return fn(core.NewTaskContext(ctx, e.backend, spec, e), args)
 }
 
 // Lend implements core.Lender through Hooks.OnBlocked.
@@ -164,30 +164,33 @@ func (e *Executor) Lend(spec *types.TaskSpec, blocked bool) {
 	}
 }
 
-// fail records a terminal failure or schedules a retry. On terminal
-// failure, error payloads are stored under every return object so that
-// blocked Gets observe the failure (instead of hanging).
-func (e *Executor) fail(spec types.TaskSpec, wid types.WorkerID, taskErr error) {
+// fail records a terminal failure or schedules a retry, and returns the
+// instant it read for that, before any error payload is stored. On
+// terminal failure, error payloads are stored under every return object so
+// that blocked Gets observe the failure (instead of hanging).
+func (e *Executor) fail(spec *types.TaskSpec, wid types.WorkerID, taskErr error) (atNs int64) {
+	atNs = e.ledger.ClockNs()
 	retries, retrying := e.ledger.TransitionRetry(spec.ID, spec.MaxRetries)
 	if retries < 0 {
 		// Ownership moved out from under the execution (a transfer after a
 		// false-positive death verdict): the successor re-runs the task, and
 		// any stamp from this tenure would be a zombie write the fence
 		// consumes anyway.
-		return
+		return atNs
 	}
 	if retrying && e.hooks.Resubmit != nil {
 		e.ctrl.LogEvent(types.Event{
 			Kind: "retry", Task: spec.ID, Node: e.node, Worker: wid,
 			Detail: fmt.Sprintf("attempt %d/%d: %v", retries, spec.MaxRetries, taskErr),
 		})
-		e.hooks.Resubmit(spec)
-		return
+		e.hooks.Resubmit(*spec)
+		return atNs
 	}
 	e.failed.Add(1)
 	for i := 0; i < spec.NumReturns; i++ {
 		// Best effort: the store may itself be failing.
-		_ = e.storeReturn(&spec, i, codec.EncodeError(taskErr.Error()))
+		_ = e.storeReturn(spec, i, codec.EncodeError(taskErr.Error()))
 	}
-	e.ledger.Transition(spec.ID, types.TaskFailed, wid, taskErr.Error())
+	e.ledger.TransitionAt(spec.ID, types.TaskFailed, wid, taskErr.Error(), atNs)
+	return atNs
 }
