@@ -36,6 +36,14 @@ func heldRoundTrip(t *testing.T) func() {
 	waitFor(t, 10*time.Second, "both flushers to block", func() bool { return probe.waiting.Load() == 2 })
 	ctx := context.Background()
 	return func() {
+		// A Get can return before the executor of its task has released the
+		// task's CPU, and that executor can then wait a scheduler time slice
+		// to run. A task that cannot start at once flushes its birth at
+		// admission, which would wait for the held flush: so each round trip
+		// starts once only the gated task holds resources.
+		for n.Scheduler().Busy() > 1 {
+			runtime.Gosched()
+		}
 		refs, err := d.SubmitOpts("births.noop", nil)
 		if err != nil {
 			t.Fatal(err)

@@ -27,14 +27,16 @@ type bundleKey struct {
 // pool. Idempotent: re-reserving an existing bundle reports success
 // without carving twice (the global scheduler's rollback/retry paths
 // re-issue reservations freely). Returns false when the capacity is not
-// currently available — the caller rolls back the whole gang.
+// currently available — the caller rolls back the whole gang. The bundle's
+// pool keeps its books over the node's name table.
 func (l *Local) ReserveBundle(group types.PlacementGroupID, bundle int, res types.Resources) bool {
 	key := bundleKey{group: group, bundle: bundle}
+	d := l.res.names.demand(res)
 	l.mu.Lock()
 	_, held := l.bundles[key]
-	ok := !l.stopped && (held || l.res.tryAcquire(res))
+	ok := !l.stopped && (held || l.res.tryAcquire(&d))
 	if ok && !held {
-		l.bundles[key] = newResourcePool(res)
+		l.bundles[key] = newResourcePool(l.res.names, l.res.names.vector(res))
 	}
 	l.mu.Unlock()
 	if !ok || held {
@@ -70,7 +72,8 @@ func (l *Local) ReleaseGroup(group types.PlacementGroupID, removed bool) {
 			continue
 		}
 		delete(l.bundles, key)
-		l.res.release(pool.detach(l.res))
+		rest := pool.detach(l.res)
+		l.res.release(&rest)
 		released = true
 	}
 	l.mu.Unlock()
@@ -155,18 +158,22 @@ func (l *Local) poolFor(spec *types.TaskSpec) *resourcePool {
 }
 
 // Accounting snapshots the node's resource books for invariant checks:
-// the general pool's (total, available) plus the count and summed capacity
-// of live bundle reservations. With no tasks running and no reservations,
-// avail == total and reserved is empty — the zero-partial-reservations
-// invariant the gang tests assert.
+// the general pool's (total, available), one key per name of the node's
+// table, plus the count and summed capacity of live bundle reservations,
+// one key per name some reservation holds a positive quantity of. With no
+// tasks running and no reservations, avail == total and reserved is empty
+// — the zero-partial-reservations invariant the gang tests assert.
 func (l *Local) Accounting() (total, avail types.Resources, bundles int, reserved types.Resources) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	total, avail = l.res.snapshot()
 	reserved = types.Resources{}
 	for _, pool := range l.bundles {
-		t, _ := pool.snapshot()
-		reserved.Add(t)
+		for i, q := range pool.total {
+			if q > 0 {
+				reserved[pool.names[i]] += q
+			}
+		}
 		bundles++
 	}
 	return total, avail, bundles, reserved

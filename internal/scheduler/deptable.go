@@ -31,9 +31,11 @@ const (
 // runnable queue's once both are done, whichever comes last, and what the
 // executor pool hands an executor. Its spec is read-only from the moment
 // the record holds it: the task ledger reads it too while the task's birth
-// is owed.
+// is owed. demand is the spec's resource demand, resolved once against the
+// node's name table (Local.newLocalTask).
 type localTask struct {
 	spec    types.TaskSpec
+	demand  demand
 	missing map[types.ObjectID]bool
 	queued  bool
 	// enqueuedNs is when the task became runnable (cluster clock): the

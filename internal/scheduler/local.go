@@ -214,9 +214,10 @@ func NewLocal(cfg LocalConfig) *Local {
 	if cfg.Ledger == nil {
 		panic("scheduler: LocalConfig.Ledger is required")
 	}
+	names := newResNames(cfg.Total)
 	l := &Local{
 		cfg:     cfg,
-		res:     newResourcePool(cfg.Total),
+		res:     newResourcePool(names, names.vector(cfg.Total)),
 		bundles: make(map[bundleKey]*resourcePool),
 		holding: make(map[types.TaskID]*resourcePool),
 	}
@@ -318,9 +319,10 @@ func (l *Local) Available() types.Resources {
 // general pool otherwise (worker lending; see worker.Executor). The lend
 // clears the task's pool binding; ReacquireFor re-binds to whatever pool
 // it reacquires from, which may legitimately differ after a group
-// rollback or re-reservation.
+// rollback or re-reservation. Each resolves the task's demand once.
 func (l *Local) ReleaseFor(spec types.TaskSpec) {
-	l.releaseHeld(&spec)
+	d := l.res.names.demand(spec.Resources)
+	l.releaseHeld(&spec, &d)
 	l.dispatchReady()
 }
 
@@ -331,13 +333,14 @@ func (l *Local) ReleaseFor(spec types.TaskSpec) {
 // the very capacity the task is waiting for out of the pool it waits on.
 func (l *Local) ReacquireFor(spec types.TaskSpec) {
 	const reResolve = 100 * time.Millisecond
+	d := l.res.names.demand(spec.Resources)
 	for {
 		timeout := time.Duration(0)
 		if spec.InGroup() {
 			timeout = reResolve
 		}
 		pool := l.poolFor(&spec)
-		if pool.acquireBlocking(spec.Resources, l.stopCtx.Done(), timeout) {
+		if pool.acquireBlocking(&d, l.stopCtx.Done(), timeout) {
 			l.mu.Lock()
 			l.holding[spec.ID] = pool
 			l.mu.Unlock()
@@ -370,7 +373,7 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 	}
 	l.submitted.Add(1)
 	l.obs.submitted.Inc()
-	t := newLocalTask(spec)
+	t := l.newLocalTask(spec)
 	sp := &t.spec
 
 	if placed {
@@ -412,8 +415,8 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 	// unless a control-plane round trip comes between them. A spilled task's
 	// birth lands in its bridge's flush, ahead of the publish.
 	at := l.cfg.Ledger.ClockNs()
-	spill := l.spills(sp, backlog)
-	added, flushed := l.record(sp, spill || l.startsNow(sp, backlog), at)
+	spill := l.spills(t, backlog)
+	added, flushed := l.record(sp, spill || l.startsNow(t, backlog), at)
 	if !added {
 		if !l.shouldRerun(spec) {
 			// Already known to the control plane: either in flight elsewhere
@@ -435,10 +438,11 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 	return nil
 }
 
-// newLocalTask makes spec's record, deriving its return IDs first: nothing
-// writes the spec once the record holds it.
-func newLocalTask(spec types.TaskSpec) *localTask {
-	t := &localTask{spec: spec}
+// newLocalTask makes spec's record, deriving its return IDs and resolving
+// its resource demand against the node's name table first: nothing writes
+// the spec once the record holds it.
+func (l *Local) newLocalTask(spec types.TaskSpec) *localTask {
+	t := &localTask{spec: spec, demand: l.res.names.demand(spec.Resources)}
 	t.spec.CacheReturns()
 	return t
 }
@@ -450,7 +454,8 @@ func newLocalTask(spec types.TaskSpec) *localTask {
 // placement-group routing fabric). A soft locality hint naming another node
 // spills for the same reason — the hint is only meaningful with the global
 // view.
-func (l *Local) spills(spec *types.TaskSpec, backlog int) bool {
+func (l *Local) spills(t *localTask, backlog int) bool {
+	spec := &t.spec
 	if l.draining.Load() {
 		return true
 	}
@@ -458,7 +463,7 @@ func (l *Local) spills(spec *types.TaskSpec, backlog int) bool {
 		return l.poolFor(spec) == l.res
 	}
 	localityElsewhere := !spec.Locality.IsNil() && spec.Locality != l.cfg.Node
-	infeasible := !spec.Resources.FeasibleOn(l.cfg.Total)
+	infeasible := !l.res.feasible(&t.demand)
 	overloaded := l.cfg.SpillThreshold >= 0 && backlog >= l.cfg.SpillThreshold
 	return infeasible || overloaded || localityElsewhere
 }
@@ -543,7 +548,7 @@ func (l *Local) Enqueue(spec types.TaskSpec) error {
 	if l.isStopped() {
 		return ErrStopped
 	}
-	l.enqueue(newLocalTask(spec), l.cfg.Ledger.ClockNs())
+	l.enqueue(l.newLocalTask(spec), l.cfg.Ledger.ClockNs())
 	return nil
 }
 
@@ -639,11 +644,12 @@ func (l *Local) record(spec *types.TaskSpec, lazy bool, atNs int64) (added, flus
 	return adopted && !held, true
 }
 
-// startsNow reports whether spec, admitted now behind backlog runnable
+// startsNow reports whether t, admitted now behind backlog runnable
 // tasks, would start at once: nothing ahead of it, its demand available,
 // its arguments here.
-func (l *Local) startsNow(spec *types.TaskSpec, backlog int) bool {
-	if backlog > 0 || !l.poolFor(spec).fits(spec.Resources) {
+func (l *Local) startsNow(t *localTask, backlog int) bool {
+	spec := &t.spec
+	if backlog > 0 || !l.poolFor(spec).fits(&t.demand) {
 		return false
 	}
 	for _, a := range spec.Args {
@@ -884,7 +890,7 @@ func (l *Local) dispatchReady() {
 		if task.spec.InGroup() {
 			l.cfg.Ledger.FlushTask(task.spec.ID)
 			if _, ok := l.cfg.Ctrl.ClaimTask(task.spec.ID, []types.TaskStatus{types.TaskQueued}, types.TaskScheduled, types.NilNodeID); !ok {
-				l.releaseHeld(&task.spec)
+				l.releaseHeld(&task.spec, &task.demand)
 				if l.cfg.Refs != nil {
 					l.cfg.Refs.Release(task.spec.Deps()...)
 				}
@@ -928,7 +934,7 @@ func (l *Local) admitOne() (admitted *localTask, stray, ok bool) {
 				continue
 			}
 		}
-		if pool.tryAcquire(t.spec.Resources) {
+		if pool.tryAcquire(&t.demand) {
 			l.runnable = append(l.runnable[:i], l.runnable[i+1:]...)
 			l.holding[t.spec.ID] = pool
 			l.wg.Add(1)
@@ -938,9 +944,9 @@ func (l *Local) admitOne() (admitted *localTask, stray, ok bool) {
 	return nil, stray, false
 }
 
-// releaseHeld returns a task's resources to the exact pool instance it
-// acquired (or last reacquired) them from, clearing the binding.
-func (l *Local) releaseHeld(spec *types.TaskSpec) {
+// releaseHeld returns a task's demand d to the exact pool instance it
+// acquired (or last reacquired) it from, clearing the binding.
+func (l *Local) releaseHeld(spec *types.TaskSpec, d *demand) {
 	l.mu.Lock()
 	pool := l.holding[spec.ID]
 	delete(l.holding, spec.ID)
@@ -948,7 +954,7 @@ func (l *Local) releaseHeld(spec *types.TaskSpec) {
 	if pool == nil {
 		pool = l.poolFor(spec) // defensive: unbound release
 	}
-	pool.release(spec.Resources)
+	pool.release(d)
 }
 
 // runTask resolves argument bytes and executes. Dependencies were local at
@@ -965,11 +971,11 @@ func (l *Local) runTask(t *localTask) {
 	}
 	args, missing := l.gatherArgs(spec)
 	if missing {
-		l.releaseHeld(spec)
+		l.releaseHeld(spec, &t.demand)
 		l.enqueue(t, l.cfg.Ledger.ClockNs())
 		return
 	}
-	defer l.releaseHeld(spec)
+	defer l.releaseHeld(spec, &t.demand)
 	defer l.unpinArgs(spec)
 	l.cfg.Exec(l.stopCtx, spec, args)
 }

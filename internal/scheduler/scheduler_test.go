@@ -265,28 +265,38 @@ func TestStopRejectsSubmissions(t *testing.T) {
 
 // --- resource pool ---
 
+// testPool makes a pool of total and a resolver of demands against its
+// name table.
+func testPool(total types.Resources) (*resourcePool, func(types.Resources) *demand) {
+	names := newResNames(total)
+	return newResourcePool(names, names.vector(total)), func(r types.Resources) *demand {
+		d := names.demand(r)
+		return &d
+	}
+}
+
 func TestResourcePoolAcquireRelease(t *testing.T) {
-	p := newResourcePool(types.CPU(2))
-	if !p.tryAcquire(types.CPU(2)) {
+	p, dem := testPool(types.CPU(2))
+	if !p.tryAcquire(dem(types.CPU(2))) {
 		t.Fatal("acquire failed")
 	}
-	if p.tryAcquire(types.CPU(1)) {
+	if p.tryAcquire(dem(types.CPU(1))) {
 		t.Fatal("overcommitted")
 	}
-	p.release(types.CPU(2))
-	if !p.tryAcquire(types.CPU(1)) {
+	p.release(dem(types.CPU(2)))
+	if !p.tryAcquire(dem(types.CPU(1))) {
 		t.Fatal("release lost capacity")
 	}
 }
 
 func TestResourcePoolBlockingAcquire(t *testing.T) {
-	p := newResourcePool(types.CPU(1))
-	p.tryAcquire(types.CPU(1))
+	p, dem := testPool(types.CPU(1))
+	p.tryAcquire(dem(types.CPU(1)))
 	stop := make(chan struct{})
 	got := make(chan bool, 1)
-	go func() { got <- p.acquireBlocking(types.CPU(1), stop, 0) }()
+	go func() { got <- p.acquireBlocking(dem(types.CPU(1)), stop, 0) }()
 	time.Sleep(20 * time.Millisecond)
-	p.release(types.CPU(1))
+	p.release(dem(types.CPU(1)))
 	select {
 	case ok := <-got:
 		if !ok {
@@ -298,11 +308,11 @@ func TestResourcePoolBlockingAcquire(t *testing.T) {
 }
 
 func TestResourcePoolAcquireAbort(t *testing.T) {
-	p := newResourcePool(types.CPU(1))
-	p.tryAcquire(types.CPU(1))
+	p, dem := testPool(types.CPU(1))
+	p.tryAcquire(dem(types.CPU(1)))
 	stop := make(chan struct{})
 	got := make(chan bool, 1)
-	go func() { got <- p.acquireBlocking(types.CPU(1), stop, 0) }()
+	go func() { got <- p.acquireBlocking(dem(types.CPU(1)), stop, 0) }()
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
 	select {
@@ -314,7 +324,7 @@ func TestResourcePoolAcquireAbort(t *testing.T) {
 		t.Fatal("aborted acquire hung")
 	}
 	// Capacity must be intact.
-	p.release(types.CPU(1))
+	p.release(dem(types.CPU(1)))
 	_, avail := p.snapshot()
 	if avail[types.ResCPU] != 1 {
 		t.Fatalf("capacity leaked: %v", avail)
@@ -325,20 +335,21 @@ func TestResourcePoolAcquireAbort(t *testing.T) {
 // to total.
 func TestResourcePoolBalance(t *testing.T) {
 	f := func(ops []uint8) bool {
-		p := newResourcePool(types.CPU(8))
+		p, dem := testPool(types.CPU(8))
+		one := dem(types.CPU(1))
 		held := 0
 		for _, op := range ops {
 			if op%2 == 0 && held < 8 {
-				if p.tryAcquire(types.CPU(1)) {
+				if p.tryAcquire(one) {
 					held++
 				}
 			} else if held > 0 {
-				p.release(types.CPU(1))
+				p.release(one)
 				held--
 			}
 		}
 		for ; held > 0; held-- {
-			p.release(types.CPU(1))
+			p.release(one)
 		}
 		_, avail := p.snapshot()
 		return avail[types.ResCPU] == 8
