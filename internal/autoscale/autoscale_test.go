@@ -3,6 +3,7 @@ package autoscale
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -183,7 +184,9 @@ func TestBusyClusterResetsIdleClock(t *testing.T) {
 // the record's DrainNs on the cluster clock) is rolled back to Active —
 // including operator-initiated drains the loop never started.
 func TestDrainTimeoutRollsBack(t *testing.T) {
-	a, s := harness(t, Policy{DrainTimeout: 2 * time.Millisecond}, &fakeProv{}, 2)
+	_, s := harness(t, Policy{}, &fakeProv{}, 2)
+	clock := &laterStore{Store: s}
+	a := New(Config{Ctrl: clock, Provisioner: &fakeProv{}, Policy: Policy{DrainTimeout: time.Hour}})
 	if !s.CASNodeState(nid(2), []types.NodeState{types.NodeActive}, types.NodeDraining) {
 		t.Fatal("setup drain failed")
 	}
@@ -191,7 +194,7 @@ func TestDrainTimeoutRollsBack(t *testing.T) {
 	if info, _ := s.GetNode(nid(2)); info.State != types.NodeDraining {
 		t.Fatal("rolled back a young drain")
 	}
-	time.Sleep(5 * time.Millisecond)
+	clock.ahead.Store(int64(time.Hour + time.Millisecond))
 	a.tick()
 	if info, _ := s.GetNode(nid(2)); info.State != types.NodeActive {
 		t.Fatalf("stuck drain not rolled back: %v", info.State)
@@ -200,6 +203,15 @@ func TestDrainTimeoutRollsBack(t *testing.T) {
 		t.Fatalf("bad rollback count: %+v", st)
 	}
 }
+
+// laterStore reads the store's cluster clock ahead by as many nanoseconds
+// as the test sets, so a drain ages without the test sleeping.
+type laterStore struct {
+	*gcs.Store
+	ahead atomic.Int64
+}
+
+func (l *laterStore) NowNs() int64 { return l.Store.NowNs() + l.ahead.Load() }
 
 // TestDrainCompletionCounted: a tracked drain reaching Drained is counted
 // complete and untracked.

@@ -32,6 +32,9 @@ type ctrlProbe struct {
 	// events and retires count LogEvent and Retire calls; waiting counts
 	// the calls blocked by a hold.
 	events, retires, waiting atomic.Int64
+	// refuseBirths makes the task table refuse every birth, as a shard that
+	// is down does, so the births stay owed while the flushers run.
+	refuseBirths atomic.Bool
 
 	mu       sync.Mutex
 	hold     chan struct{}
@@ -141,6 +144,13 @@ func (p *ctrlProbe) ModifyTaskStates(node types.NodeID, deltas []types.TaskState
 	}
 	if births {
 		p.births.Add(1)
+		if p.refuseBirths.Load() {
+			refused := make([]types.TaskID, len(deltas))
+			for i, d := range deltas {
+				refused[i] = d.ID
+			}
+			return refused
+		}
 	}
 	p.held(false, births)
 	return p.API.ModifyTaskStates(node, deltas, op)
@@ -368,7 +378,13 @@ func probedNode(t *testing.T, ctrl gcs.API, nw transport.Network, reg *core.Regi
 // runNoop submits one no-op through d and gets its result.
 func runNoop(t *testing.T, d *core.Client) core.ObjectRef {
 	t.Helper()
-	refs, err := d.SubmitOpts("births.noop", nil)
+	return runNoopWith(t, d)
+}
+
+// runNoopWith is runNoop with options.
+func runNoopWith(t *testing.T, d *core.Client, opts ...core.Option) core.ObjectRef {
+	t.Helper()
+	refs, err := d.SubmitOpts("births.noop", nil, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,6 +426,37 @@ func TestLocalSubmitControlPlaneBudget(t *testing.T) {
 	}
 	if b, e := probe.births.Load(), probe.ensures.Load(); b != 1 || e != 0 {
 		t.Fatalf("the task reached the table in %d births-carrying flushes and %d EnsureObjects, want 1 and 0", b, e)
+	}
+}
+
+// TestDemandReturnedBeforeReaderWakes: in a serial stream of tasks that
+// each demand the whole node, no task parks or queues behind a finished
+// one. A task gives its demand back once its function returns, before its
+// result wakes the driver, so the next submit finds the node free and
+// dispatches at once, however far the finished task's executor lags.
+func TestDemandReturnedBeforeReaderWakes(t *testing.T) {
+	reg, _ := birthFuncs(t)
+	n, _ := probedNode(t, gcs.NewStore(4), transport.NewInproc(0), reg)
+	d := core.NewClient(n)
+	whole := core.WithResources(types.CPU(4))
+	parks := n.Metrics().Counter("scheduler.tasks.parked")
+	parked := parks.Value()
+	ctx := context.Background()
+	for i := range 200 {
+		refs, err := d.SubmitOpts("births.noop", nil, whole)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := n.Scheduler().QueueLen(); q != 0 {
+			t.Fatalf("task %d: runnable behind a finished task", i+1)
+		}
+		if _, err := d.Get(ctx, refs[0]); err != nil {
+			t.Fatal(err)
+		}
+		d.Release(refs[0])
+	}
+	if got := parks.Value() - parked; got != 0 {
+		t.Fatalf("%d tasks parked", got)
 	}
 }
 

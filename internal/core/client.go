@@ -20,8 +20,10 @@ import (
 // production implementation; tests may substitute fakes.
 type Backend interface {
 	// SubmitTask hands a task to the node's local scheduler (bottom-up
-	// scheduling: locally-born work goes to the local scheduler first).
-	SubmitTask(spec types.TaskSpec) error
+	// scheduling: locally-born work goes to the local scheduler first) and
+	// returns its return IDs, derived once, where the task's record holds
+	// them: read-only.
+	SubmitTask(spec types.TaskSpec) ([]types.ObjectID, error)
 	// ResolveObject blocks until the object's bytes are locally available,
 	// fetching from peers and triggering lineage reconstruction as needed.
 	ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, error)
@@ -121,10 +123,10 @@ type caller struct {
 	owner   types.TaskID
 	// trace is stamped on every submitted spec so a driver session's whole
 	// task tree shares one trace ID (descendants inherit it through
-	// NewTaskContext). Zero = untraced.
+	// TaskContext.Init). Zero = untraced.
 	trace uint64
 	// job is the caller's tenant job, inherited by child submissions that
-	// carry no explicit WithJob (descendants flow through NewTaskContext
+	// carry no explicit WithJob (descendants flow through TaskContext.Init
 	// like trace). Nil = untenanted.
 	job     types.JobID
 	counter atomic.Uint64
@@ -177,14 +179,16 @@ func (c *caller) release(refs []ObjectRef) {
 // submit implements task creation (Section 3.1, items 1-3): it derives the
 // deterministic task ID, validates the options against the control plane,
 // hands the spec to the local scheduler, and returns futures immediately
-// without waiting for execution.
-func (c *caller) submit(function string, args []types.Arg, o TaskOptions) ([]ObjectRef, error) {
+// without waiting for execution. The futures go in out when it has room
+// for them, else in a new slice. A spec is read-only once made, so one
+// default demand serves every task that declares none.
+func (c *caller) submit(function string, args []types.Arg, o TaskOptions, out []ObjectRef) ([]ObjectRef, error) {
 	if o.NumReturns == 0 {
 		o.NumReturns = 1
 	}
 	res := o.Resources
 	if res == nil {
-		res = DefaultTaskResources.Clone()
+		res = DefaultTaskResources
 	}
 	if !o.Group.IsNil() {
 		if err := c.validateGroupOptions(&o, res); err != nil {
@@ -223,18 +227,18 @@ func (c *caller) submit(function string, args []types.Arg, o TaskOptions) ([]Obj
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	// Derived once here, the return IDs ride every copy of the spec: the
-	// birth's producer edges and the executor's Put read them.
-	rets := spec.CacheReturns()
-	if err := c.backend.SubmitTask(spec); err != nil {
+	rets, err := c.backend.SubmitTask(spec)
+	if err != nil {
 		return nil, err
 	}
-	refs := make([]ObjectRef, o.NumReturns)
+	if len(out) != len(rets) {
+		out = make([]ObjectRef, len(rets))
+	}
 	for i, id := range rets {
-		refs[i] = ObjectRef{ID: id, Task: spec.ID}
+		out[i] = ObjectRef{ID: id, Task: spec.ID}
 		c.retain(id)
 	}
-	return refs, nil
+	return out, nil
 }
 
 // get implements Section 3.1 item 4: block until the future's value is
@@ -597,14 +601,14 @@ func NewClientWithRoot(b Backend, root types.TaskID) *Client {
 // returns its futures (non-blocking). This is the canonical untyped entry
 // point; the typed Options(...).Remote pipeline builds on the same path.
 func (cl *Client) SubmitOpts(function string, args []types.Arg, opts ...Option) ([]ObjectRef, error) {
-	return cl.submit(function, args, buildOptions(opts))
+	return cl.submit(function, args, buildOptions(opts), nil)
 }
 
 // Submit creates a task and immediately returns its futures (non-blocking).
 //
 // Deprecated: use SubmitOpts or the typed Options(...).Remote pipeline.
 func (cl *Client) Submit(call Call) ([]ObjectRef, error) {
-	return cl.submit(call.Function, call.Args, call.options())
+	return cl.submit(call.Function, call.Args, call.options(), nil)
 }
 
 // Submit1 is Submit for the common single-return case.
@@ -613,11 +617,11 @@ func (cl *Client) Submit(call Call) ([]ObjectRef, error) {
 func (cl *Client) Submit1(call Call) (ObjectRef, error) {
 	o := call.options()
 	o.NumReturns = 1
-	refs, err := cl.submit(call.Function, call.Args, o)
-	if err != nil {
+	var one [1]ObjectRef
+	if _, err := cl.submit(call.Function, call.Args, o, one[:]); err != nil {
 		return ObjectRef{}, err
 	}
-	return refs[0], nil
+	return one[0], nil
 }
 
 // Get blocks until the future completes and returns its encoded bytes.
@@ -654,22 +658,23 @@ type TaskContext struct {
 
 // Lender is told when a task enters (true) or leaves (false) a blocking
 // Get or Wait, so the node can lend the task's resources while it waits
-// (worker lending). spec is the blocked task's.
+// (worker lending), and once more (true) when its function has returned,
+// so that its results find them free. spec is the blocked task's.
 type Lender interface {
 	Lend(spec *types.TaskSpec, blocked bool)
 }
 
-// NewTaskContext is used by the executor to set up a task's API handle,
-// its one allocation. The context references *spec, which must not change
-// while the task runs. lender may be nil.
-func NewTaskContext(ctx context.Context, b Backend, spec *types.TaskSpec, lender Lender) *TaskContext {
-	tc := &TaskContext{ctx: ctx}
+// Init sets up tc as the API handle of spec's run, in place: the executor
+// passes a zero context that the task's record holds, so the handle costs
+// no allocation of its own. The context references *spec, which must not
+// change while the task runs. lender may be nil.
+func (tc *TaskContext) Init(ctx context.Context, b Backend, spec *types.TaskSpec, lender Lender) {
+	tc.ctx = ctx
 	tc.backend = b
 	tc.owner = spec.ID
 	tc.trace = spec.TraceID
 	tc.job = spec.Job
 	tc.lender, tc.lent = lender, spec
-	return tc
 }
 
 // Context returns the execution context (cancelled on node shutdown).
@@ -681,14 +686,14 @@ func (tc *TaskContext) Spec() types.TaskSpec { return *tc.lent }
 // SubmitOpts creates a child task with explicit per-call options
 // (non-blocking, R3).
 func (tc *TaskContext) SubmitOpts(function string, args []types.Arg, opts ...Option) ([]ObjectRef, error) {
-	return tc.submit(function, args, buildOptions(opts))
+	return tc.submit(function, args, buildOptions(opts), nil)
 }
 
 // Submit creates a child task (non-blocking, R3).
 //
 // Deprecated: use SubmitOpts or the typed Options(...).Remote pipeline.
 func (tc *TaskContext) Submit(call Call) ([]ObjectRef, error) {
-	return tc.submit(call.Function, call.Args, call.options())
+	return tc.submit(call.Function, call.Args, call.options(), nil)
 }
 
 // Submit1 is Submit for the single-return case.
@@ -697,11 +702,11 @@ func (tc *TaskContext) Submit(call Call) ([]ObjectRef, error) {
 func (tc *TaskContext) Submit1(call Call) (ObjectRef, error) {
 	o := call.options()
 	o.NumReturns = 1
-	refs, err := tc.submit(call.Function, call.Args, o)
-	if err != nil {
+	var one [1]ObjectRef
+	if _, err := tc.submit(call.Function, call.Args, o, one[:]); err != nil {
 		return ObjectRef{}, err
 	}
-	return refs[0], nil
+	return one[0], nil
 }
 
 // Get blocks on a future. While blocked, the task's resources are released

@@ -31,15 +31,16 @@ func newFakeBackend() *fakeBackend {
 	}
 }
 
-func (f *fakeBackend) SubmitTask(spec types.TaskSpec) error {
+func (f *fakeBackend) SubmitTask(spec types.TaskSpec) ([]types.ObjectID, error) {
+	rets := spec.CacheReturns()
 	f.mu.Lock()
 	f.specs = append(f.specs, spec)
 	f.mu.Unlock()
 	f.ctrl.AddTask(types.TaskState{Spec: spec})
-	for i := 0; i < spec.NumReturns; i++ {
-		f.ctrl.EnsureObject(spec.ReturnID(i), spec.ID)
+	for _, id := range rets {
+		f.ctrl.EnsureObject(id, spec.ID)
 	}
-	return nil
+	return rets, nil
 }
 
 func (f *fakeBackend) ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, error) {
@@ -283,7 +284,8 @@ func TestTaskContextBlockHookBrackets(t *testing.T) {
 	b := newFakeBackend()
 	spec := types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 5), Function: "f", NumReturns: 1}
 	lender := &eventLender{}
-	tc := NewTaskContext(context.Background(), b, &spec, lender)
+	tc := new(TaskContext)
+	tc.Init(context.Background(), b, &spec, lender)
 	ref, _ := tc.Submit1(Call{Function: "g"})
 	go func() {
 		time.Sleep(10 * time.Millisecond)
@@ -307,7 +309,8 @@ func TestTaskContextBlockHookBrackets(t *testing.T) {
 func TestTaskContextChildParentage(t *testing.T) {
 	b := newFakeBackend()
 	spec := types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 6), Function: "f", NumReturns: 1}
-	tc := NewTaskContext(context.Background(), b, &spec, nil)
+	tc := new(TaskContext)
+	tc.Init(context.Background(), b, &spec, nil)
 	if _, err := tc.Submit1(Call{Function: "g"}); err != nil {
 		t.Fatal(err)
 	}

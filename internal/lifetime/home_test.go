@@ -39,7 +39,7 @@ func (r *homeRig) born(i uint64, returns int) (types.TaskID, []types.ObjectID) {
 	spec := types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, i), Function: "f", NumReturns: returns}
 	ids := spec.CacheReturns()
 	r.m.tracker.Retain(ids...)
-	r.led.Birth(&spec, r.led.ClockNs())
+	r.led.Birth(nil, &spec, r.led.ClockNs())
 	return spec.ID, ids
 }
 
@@ -70,6 +70,29 @@ func (r *homeRig) collected(task types.TaskID, ids []types.ObjectID) bool {
 		}
 	}
 	return true
+}
+
+// TestOwedReturnIsOneKey: while a task's birth is owed, the tracker keeps
+// the deltas on its return in the object's one entry, beside its count,
+// and the ledger lists none of the task's transitions for the next flush.
+func TestOwedReturnIsOneKey(t *testing.T) {
+	r := newHomeRig()
+	task, ids := r.born(1, 1)
+	r.led.Transition(task, types.TaskRunning, types.NilWorkerID, "")
+	r.m.tracker.Release(ids...)
+	tr := r.m.tracker
+	tr.mu.Lock()
+	keys, pending, entry := len(tr.held), len(tr.pending), tr.held[ids[0]]
+	tr.mu.Unlock()
+	if keys != 1 || pending != 0 || entry != (ref{owed: true, set: true}) {
+		t.Fatalf("tracker: %d keys, %d pending, entry %+v", keys, pending, entry)
+	}
+	r.led.mu.Lock()
+	listed := len(r.led.dirty)
+	r.led.mu.Unlock()
+	if listed != 0 {
+		t.Fatalf("the ledger lists %d transitions of an owed birth", listed)
+	}
 }
 
 // TestCollectHomeRule pins each condition of collection at home (DESIGN.md

@@ -68,7 +68,7 @@ func birthWorkload(t *testing.T, led *TaskLedger) []types.TaskSpec {
 			ID: types.DeriveTaskID(root, idx), Function: "f", NumReturns: 1,
 			Parent: root, SubmitIndex: idx, Args: []types.Arg{types.RefArg(sweepObjID(byte(1 + i%50)))},
 		}
-		if adopted, fresh := led.Birth(&specs[i], led.ClockNs()); !adopted || !fresh {
+		if adopted, fresh := led.Birth(nil, &specs[i], led.ClockNs()); !adopted || !fresh {
 			t.Fatalf("birth %d: adopted %v, fresh %v", i, adopted, fresh)
 		}
 		for _, s := range []types.TaskStatus{types.TaskQueued, types.TaskRunning, types.TaskFinished} {
@@ -159,13 +159,13 @@ func TestLedgerFlushBudget(t *testing.T) {
 		_, _, led = newCountedLedgers()
 		led.async = true
 		for i := 0; i < 300; i++ {
-			led.Birth(&types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, uint64(3000+i)), Function: "f"}, led.ClockNs())
+			led.Birth(nil, &types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, uint64(3000+i)), Function: "f"}, led.ClockNs())
 		}
 		if len(led.kick) != 0 {
 			t.Fatal("300 young births kicked the flusher")
 		}
 		time.Sleep(types.BirthBound + time.Millisecond)
-		led.Birth(&types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 3300), Function: "f"}, led.ClockNs())
+		led.Birth(nil, &types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 3300), Function: "f"}, led.ClockNs())
 		if len(led.kick) != 1 {
 			t.Fatal("300 births older than the bound did not kick the flusher")
 		}
@@ -243,7 +243,7 @@ func TestYoungBirthsDoNotKick(t *testing.T) {
 		led.Start()
 		since, start := led.Flushes(), time.Now()
 		for i := 0; i < 1000; i++ {
-			led.Birth(&types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, uint64(5000+i)), Function: "f"}, led.ClockNs())
+			led.Birth(nil, &types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, uint64(5000+i)), Function: "f"}, led.ClockNs())
 			runtime.Gosched() // a kicked flusher gets to run
 		}
 		flushes, elapsed := led.Flushes()-since, time.Since(start)
@@ -276,7 +276,7 @@ func TestOwedBirthGauges(t *testing.T) {
 	}
 	start := time.Now()
 	for i := 0; i < 3; i++ {
-		led.Birth(&types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, uint64(6000+i)), Function: "f"}, led.ClockNs())
+		led.Birth(nil, &types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, uint64(6000+i)), Function: "f"}, led.ClockNs())
 	}
 	time.Sleep(5 * time.Millisecond)
 	n, age := gauges()
@@ -304,7 +304,7 @@ func TestLedgerFlushLagGauges(t *testing.T) {
 	tr.async, led.async = true, true // batched, with this test as the flusher
 	tr.Retain(sweepObjID(91), sweepObjID(92))
 	task := types.DeriveTaskID(types.NilTaskID, 3000)
-	led.Birth(&types.TaskSpec{ID: task, Function: "f", Args: []types.Arg{types.RefArg(sweepObjID(91))}}, led.ClockNs())
+	led.Birth(nil, &types.TaskSpec{ID: task, Function: "f", Args: []types.Arg{types.RefArg(sweepObjID(91))}}, led.ClockNs())
 	gauges := func() [4]int64 {
 		g := reg.Snapshot().Gauges
 		return [4]int64{

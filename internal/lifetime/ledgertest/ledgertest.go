@@ -23,5 +23,5 @@ func New(ctrl gcs.API, node types.NodeID) *lifetime.TaskLedger {
 // inline. For tests that hand a task straight to an executor or to
 // Local.Enqueue.
 func Admit(led *lifetime.TaskLedger, spec types.TaskSpec) {
-	led.Birth(&spec, led.ClockNs())
+	led.Birth(nil, &spec, led.ClockNs())
 }

@@ -39,10 +39,10 @@ import (
 // pending when its delta nets to zero, so a retain+release cycle inside one
 // interval still flushes, as a delta-0 "touch" that makes the object
 // GC-eligible in the table — unless the object is a return of a task whose
-// birth the task ledger owes: its delta waits at home, where a timed flush
-// leaves it, until the birth lands (then it joins pending) or the task is
-// collected at home (DESIGN.md §17), delta and all. An explicit Flush sends
-// it all the same.
+// birth the task ledger owes: its delta waits at home, in the task's ledger
+// entry, where a timed flush leaves it, until the birth lands (then it
+// joins pending) or the task is collected at home (DESIGN.md §17), delta
+// and all. An explicit Flush sends it all the same.
 //
 // The embedded ledger flushes: one ModifyObjectRefCounts per interval
 // carries every delta, under a token the objects' RefOps rings record, so a
@@ -50,16 +50,24 @@ import (
 type Tracker struct {
 	ledger[map[types.ObjectID]int64, types.ObjectID]
 	ctrl    gcs.API
-	held    map[types.ObjectID]int64
+	held    map[types.ObjectID]ref
 	pending map[types.ObjectID]int64
-	// owed holds the returns of the births the task ledger owes (owe,
-	// unowe), and home the deltas on them.
-	owed map[types.ObjectID]struct{}
-	home map[types.ObjectID]int64
+	// tasks, when set (Manager.SetTaskLedger), is the task ledger whose
+	// owed births name the objects owed.
+	tasks *TaskLedger
 	// sending is the fresh batch being delivered with mu released, as it
 	// stands now (nil: none): Forget swaps in a copy without its key, and
 	// the delivery settles this one, not the map it sent.
 	sending map[types.ObjectID]int64
+}
+
+// ref is the tracker's state for one object: the n references held here
+// and, while the object is a return of a birth the task ledger owes
+// (owed), the delta kept at home on it, if one was booked (set: a net-zero
+// delta is a touch). A key with neither references nor owed goes.
+type ref struct {
+	n, home   int64
+	owed, set bool
 }
 
 // NewTracker creates an empty ledger publishing into ctrl, in synchronous
@@ -68,10 +76,8 @@ type Tracker struct {
 func NewTracker(ctrl gcs.API) *Tracker {
 	t := &Tracker{
 		ctrl:    ctrl,
-		held:    make(map[types.ObjectID]int64),
+		held:    make(map[types.ObjectID]ref),
 		pending: make(map[types.ObjectID]int64),
-		owed:    make(map[types.ObjectID]struct{}),
-		home:    make(map[types.ObjectID]int64),
 	}
 	t.init("refs", t)
 	return t
@@ -82,21 +88,39 @@ func NewTracker(ctrl gcs.API) *Tracker {
 func (t *Tracker) Retain(ids ...types.ObjectID) {
 	t.mu.Lock()
 	for _, id := range ids {
-		if id.IsNil() {
-			continue
+		if !id.IsNil() {
+			t.bookLocked(id, 1)
 		}
-		t.held[id]++
-		t.addLocked(id, 1)
 	}
 	t.unlock(true)
 }
 
-// addLocked books delta d on id: at home while id is owed, else pending.
-func (t *Tracker) addLocked(id types.ObjectID, d int64) {
-	if _, ok := t.owed[id]; ok {
-		t.home[id] += d
+// bookLocked adds d to id's count and books it as a delta on id: at home
+// while id is owed, else pending.
+func (t *Tracker) bookLocked(id types.ObjectID, d int64) {
+	r := t.held[id]
+	r.n += d
+	if r.owed {
+		r.home, r.set = r.home+d, true
 	} else {
 		t.pending[id] += d
+	}
+	t.setLocked(id, r)
+}
+
+// take empties r's home and returns what it held.
+func (r *ref) take() (d int64, set bool) {
+	d, set = r.home, r.set
+	r.home, r.set = 0, false
+	return d, set
+}
+
+// setLocked stores id's state, or drops the key when nothing is left in it.
+func (t *Tracker) setLocked(id types.ObjectID, r ref) {
+	if r.n == 0 && !r.owed {
+		delete(t.held, id)
+	} else {
+		t.held[id] = r
 	}
 }
 
@@ -105,11 +129,13 @@ func (t *Tracker) addLocked(id types.ObjectID, d int64) {
 func (t *Tracker) owe(ids []types.ObjectID) {
 	t.mu.Lock()
 	for _, id := range ids {
-		t.owed[id] = struct{}{}
+		r := t.held[id]
+		r.owed = true
 		if d, ok := t.pending[id]; ok {
 			delete(t.pending, id)
-			t.home[id] += d
+			r.home, r.set = r.home+d, true
 		}
+		t.held[id] = r
 	}
 	t.mu.Unlock()
 }
@@ -119,10 +145,12 @@ func (t *Tracker) owe(ids []types.ObjectID) {
 func (t *Tracker) unowe(ids []types.ObjectID) {
 	t.mu.Lock()
 	for _, id := range ids {
-		delete(t.owed, id)
-		if d, ok := t.home[id]; ok {
-			delete(t.home, id)
-			t.pending[id] += d
+		if r, ok := t.held[id]; ok {
+			if d, set := r.take(); set {
+				t.pending[id] += d
+			}
+			r.owed = false
+			t.setLocked(id, r)
 		}
 	}
 	t.mu.Unlock()
@@ -135,17 +163,10 @@ func (t *Tracker) Release(ids ...types.ObjectID) {
 	t.mu.Lock()
 	any := false
 	for _, id := range ids {
-		n := t.held[id]
-		if n <= 0 {
-			continue
+		if t.held[id].n > 0 {
+			t.bookLocked(id, -1)
+			any = true
 		}
-		if n == 1 {
-			delete(t.held, id)
-		} else {
-			t.held[id] = n - 1
-		}
-		t.addLocked(id, -1)
-		any = true
 	}
 	t.unlock(any)
 }
@@ -157,14 +178,20 @@ func (t *Tracker) Release(ids ...types.ObjectID) {
 func (t *Tracker) Held(id types.ObjectID) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.held[id]
+	return t.held[id].n
 }
 
 // HeldAll snapshots every reference the tracker holds (invariant checks).
 func (t *Tracker) HeldAll() map[types.ObjectID]int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return maps.Clone(t.held)
+	out := make(map[types.ObjectID]int64, len(t.held))
+	for id, r := range t.held {
+		if r.n > 0 {
+			out[id] = r.n
+		}
+	}
+	return out
 }
 
 // Unflushed snapshots the net delta per object the GCS has not yet acked:
@@ -175,8 +202,10 @@ func (t *Tracker) Unflushed() map[types.ObjectID]int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := maps.Clone(t.pending)
-	for id, d := range t.home {
-		out[id] += d
+	for id, r := range t.held {
+		if r.set {
+			out[id] += r.home
+		}
 	}
 	for _, b := range t.retry {
 		for id, d := range b.deltas {
@@ -196,9 +225,11 @@ func (t *Tracker) Unflushed() map[types.ObjectID]int64 {
 // and settles the replacement, so a send that fails parks nothing of id.
 func (t *Tracker) Forget(id types.ObjectID) {
 	t.mu.Lock()
-	delete(t.held, id)
+	r := t.held[id]
+	r.take()
+	r.n = 0
+	t.setLocked(id, r)
 	delete(t.pending, id)
-	delete(t.home, id)
 	t.sending = without(t.sending, id)
 	for i := range t.retry {
 		t.retry[i].deltas = without(t.retry[i].deltas, id)
@@ -221,10 +252,11 @@ func without(deltas map[types.ObjectID]int64, id types.ObjectID) map[types.Objec
 // alive.
 func (t *Tracker) ReleaseAll() {
 	t.mu.Lock()
-	for id, n := range t.held {
-		t.addLocked(id, -n)
+	for id, r := range t.held {
+		if r.n != 0 {
+			t.bookLocked(id, -r.n)
+		}
 	}
-	t.held = make(map[types.ObjectID]int64)
 	t.mu.Unlock()
 	t.Flush()
 }
@@ -247,39 +279,60 @@ func (t *Tracker) settleLocked(deltas map[types.ObjectID]int64, failed []types.O
 
 // fresh sends pending, and on an explicit flush the deltas at home too.
 func (t *Tracker) fresh(timed bool) bool {
-	t.mu.Lock()
-	if t.dead {
-		t.mu.Unlock()
+	led := t.tasks
+	if timed {
+		led = nil
+	}
+	if led != nil {
+		led.mu.Lock()
+	}
+	deltas, node := t.batch(led)
+	if led != nil {
+		led.mu.Unlock()
+	}
+	if deltas == nil {
 		return true
+	}
+	return t.deliver(node, deltas)
+}
+
+// batch takes pending, and the deltas at home on the returns of led's owed
+// births, as the batch to send; the caller holds led's lock, which comes
+// before mu. A nil led leaves the deltas at home.
+func (t *Tracker) batch(led *TaskLedger) (map[types.ObjectID]int64, types.NodeID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.dead {
+		return nil, t.node
 	}
 	var deltas map[types.ObjectID]int64
 	if len(t.pending) > 0 {
 		deltas, t.pending = t.pending, make(map[types.ObjectID]int64)
 	}
-	if !timed && len(t.home) > 0 {
-		if deltas == nil {
-			deltas = make(map[types.ObjectID]int64, len(t.home))
-		}
-		for id, d := range t.home {
-			deltas[id] += d
-		}
-		clear(t.home)
+	var e *TaskEntry
+	if led != nil {
+		e = led.oldest
 	}
-	if deltas == nil {
-		t.mu.Unlock()
-		return true
+	for ; e != nil; e = e.newer {
+		for _, id := range e.spec.CacheReturns() {
+			if r := t.held[id]; r.set {
+				if deltas == nil {
+					deltas = make(map[types.ObjectID]int64)
+				}
+				deltas[id], _ = r.take()
+				t.held[id] = r
+			}
+		}
 	}
 	t.sending = deltas
-	node := t.node
-	t.mu.Unlock()
-	return t.deliver(node, deltas)
+	return deltas, t.node
 }
 
-// touchOnlyLocked reports whether id's only state here is a net-zero entry
+// touchOnlyLocked reports whether id's only state here is a net-zero delta
 // at home no batch has sent or parked: nothing here holds it, and nothing
 // about it reached the table from this tracker.
 func (t *Tracker) touchOnlyLocked(id types.ObjectID) bool {
-	if d, ok := t.home[id]; !ok || d != 0 || t.held[id] != 0 {
+	if r := t.held[id]; r.n != 0 || !r.owed || !r.set || r.home != 0 {
 		return false
 	}
 	if _, ok := t.pending[id]; ok {
@@ -296,9 +349,6 @@ func (t *Tracker) touchOnlyLocked(id types.ObjectID) bool {
 	return true
 }
 
-func (t *Tracker) backlogLocked() (int, int) { return len(t.pending) + len(t.home), len(t.pending) }
+func (t *Tracker) backlogLocked() (int, int) { return len(t.pending), len(t.pending) }
 
-func (t *Tracker) discardLocked() {
-	t.pending = make(map[types.ObjectID]int64)
-	t.home = make(map[types.ObjectID]int64)
-}
+func (t *Tracker) discardLocked() { t.pending = make(map[types.ObjectID]int64) }

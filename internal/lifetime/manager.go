@@ -19,7 +19,7 @@ import (
 // stamp reaches the table is drained with that stamp still in its owner's
 // ledger, at most a flush interval (plus a redelivery) behind. A return
 // released before anything about it left its owner is not drained at all:
-// its owner collects it at home, grace zero (CollectHome). Twenty-five
+// its owner collects it at home, grace zero (collectHome). Twenty-five
 // intervals cover the rest with a wide margin and are still short against
 // anything a person or a dashboard sees; a proposal that was early all the
 // same is made once more after twice as long, then given up.
@@ -37,9 +37,6 @@ type Manager struct {
 	ctrl    gcs.API
 	store   *objectstore.Store
 	tracker *Tracker
-	// tasks, when set, is the node's task ledger: no object drained after
-	// the oldest birth it still owes is proposed (see RetireDue).
-	tasks *TaskLedger
 
 	sub      gcs.Sub
 	stop     chan struct{}
@@ -120,23 +117,23 @@ func (m *Manager) Proposals() (queued int, oldest time.Duration) {
 	return queued, oldest
 }
 
-// SetTaskLedger makes proposals wait for the births tasks owes, and makes
+// SetTaskLedger makes proposals wait for the births tasks owes (no object
+// drained after the oldest of them is proposed, see RetireDue), and makes
 // the tracker keep the deltas on their returns at home until each birth
-// lands or its task is collected at home (CollectHome). Call before any
+// lands or its task is collected at home (collectHome). Call before any
 // birth.
 func (m *Manager) SetTaskLedger(tasks *TaskLedger) {
-	m.tasks = tasks
-	tasks.refs = m.tracker
+	tasks.refs, m.tracker.tasks = m.tracker, tasks
 }
 
-// CollectHome collects the returns of a task at home (DESIGN.md §17), if
-// nothing about them left this node: each has no tracker state but a
-// net-zero entry at home no batch has sent or parked, and a copy the store
-// holds back. It then drops those entries and copies, with no word to the
-// control plane, and reports true; otherwise it changes nothing. The
+// collectHome collects the returns ids of a task at home (DESIGN.md §17),
+// if nothing about them left this node: each has no tracker state but a
+// net-zero delta at home that no batch has sent or parked, and a copy the
+// store holds back. It then drops those deltas and copies, with no word to
+// the control plane, and reports true; otherwise it changes nothing. The
 // node's task ledger calls it from its flush, under its lock
 // (TaskLedger.SetCollector).
-func (m *Manager) CollectHome(ids []types.ObjectID) bool {
+func (m *Manager) collectHome(ids []types.ObjectID) bool {
 	t := m.tracker
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -149,7 +146,9 @@ func (m *Manager) CollectHome(ids []types.ObjectID) bool {
 		return false
 	}
 	for _, id := range ids {
-		delete(t.home, id) // the ledger's drop of the task unowes them
+		r := t.held[id]
+		r.take() // the ledger's drop of the task unowes them
+		t.held[id] = r
 	}
 	m.obs.homeTasks.Inc()
 	m.obs.homeObjects.Add(int64(len(ids)))
@@ -166,8 +165,8 @@ func (m *Manager) CollectHome(ids []types.ObjectID) bool {
 // flusher lands births within an interval, and the tick must not stall on
 // a shard that does not answer.
 func (m *Manager) RetireDue(now time.Time) gcs.Retired {
-	if m.tasks != nil {
-		m.tasks.landBirths()
+	if m.tracker.tasks != nil {
+		m.tracker.tasks.landBirths()
 	}
 	return m.retireDue(now)
 }
@@ -187,8 +186,8 @@ func (m *Manager) retireDue(now time.Time) gcs.Retired {
 	if !due {
 		return gcs.Retired{}
 	}
-	if m.tasks != nil {
-		if n, age := m.tasks.owedBirths(); n > 0 {
+	if m.tracker.tasks != nil {
+		if n, age := m.tracker.tasks.owedBirths(); n > 0 {
 			born := time.Now().Add(-age - time.Nanosecond)
 			if born.Before(cut) {
 				cut = born

@@ -185,7 +185,7 @@ func TestBirthPinsLineageOnceAheadOfTheTaskDeltas(t *testing.T) {
 	led.async = true // batched, with this test as the flusher
 	born := func(i uint64) types.TaskID {
 		spec := types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, i), Function: "f", NumReturns: 1, Args: []types.Arg{types.RefArg(arg)}}
-		if adopted, _ := led.Birth(&spec, led.ClockNs()); !adopted {
+		if adopted, _ := led.Birth(nil, &spec, led.ClockNs()); !adopted {
 			t.Fatalf("birth of task %d not adopted", i)
 		}
 		return spec.ID

@@ -1,6 +1,7 @@
 package lifetime
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -45,16 +46,16 @@ import (
 type TaskLedger struct {
 	ledger[[]types.TaskStateDelta, types.TaskID]
 	ctrl  gcs.API
-	tasks map[types.TaskID]*ownedTask
-	// dirty holds the tasks whose birth landed and that have a transition
-	// to send; an owed birth's transitions wait on the task (ownedTask.dirty).
-	dirty map[types.TaskID]struct{}
-	watch map[types.TaskID][]chan<- types.TaskID
+	tasks map[types.TaskID]*TaskEntry
+	// dirty lists the tasks whose birth landed and that had a transition to
+	// send since the last flush; an owed birth's transitions wait on the
+	// task (TaskEntry.dirty).
+	dirty []*TaskEntry
 	// oldest and newest end the list of owed births, the tasks born here
 	// whose record the table does not hold yet (Birth), oldest first; owed
 	// counts them. roots holds the driver roots drawn on this node (Root),
 	// each with the highest SubmitIndex of a child admitted as fresh.
-	oldest, newest *ownedTask
+	oldest, newest *TaskEntry
 	owed           int
 	roots          map[types.TaskID]uint64
 	// refs, when set (Manager.SetTaskLedger), keeps the deltas on the
@@ -72,41 +73,50 @@ type TaskLedger struct {
 	mutNs int64
 }
 
-// ownedTask is the authoritative record for one task this node owns.
-type ownedTask struct {
-	seq      uint64 // owner's transition sequence, > the tenure's claim base
-	status   types.TaskStatus
-	worker   types.WorkerID
-	errMsg   string
-	retries  int
-	schedNs  int64
-	startNs  int64
-	finishNs int64
-	lastNs   int64
+// TaskEntry is the authoritative record for one task this node owns, which
+// only the ledger touches, under its lock. A task born here has it in its
+// submitter's record (Birth) until it outlives the round trip.
+type TaskEntry struct {
+	id      types.TaskID
+	seq     uint64 // owner's transition sequence, > the tenure's claim base
+	status  types.TaskStatus
+	worker  types.WorkerID
+	errMsg  string
+	retries int
+	// The cluster-clock instants of the birth, phases and last transition.
+	bornNs, schedNs, startNs, finishNs, lastNs int64
 
 	// spec is the lineage record of a task born here while its birth is
 	// owed: what the birth writes, and what the reconstructor replays
 	// before the table has it. It is the submitter's spec, shared and never
 	// written. Once the birth lands the table is the lineage, and a retired
 	// record must read as retired.
-	spec   *types.TaskSpec
-	bornNs int64
-	// owed marks a birth in the ledger's list of owed births, between older
-	// and newer; dirty, a transition of it that waits for the birth.
-	owed, dirty  bool
-	older, newer *ownedTask
+	spec *types.TaskSpec
+	// older and newer link an owed birth into the ledger's list.
+	older, newer *TaskEntry
 	// birthOp is the token every delivery of the birth carries, 0 until the
 	// first.
 	birthOp uint64
-	// fresh marks a task born here with a provably new ID and not run
-	// again since: the IDs of its children are new too. kids is the highest
-	// SubmitIndex of a child admitted as fresh.
-	fresh bool
-	kids  uint64
-	// waiter is the task's first end watcher (Notify, WatchEnd): an
-	// owner-side Get registers without growing the watch map, which holds
-	// the later ones.
-	waiter chan<- types.TaskID
+	// kids is the highest SubmitIndex of a child admitted as fresh.
+	kids uint64
+	// waiter is the task's first end watcher (Notify, WatchEnd), so an
+	// owner-side Get registers without an allocation; waiters, the rest.
+	waiter  chan<- types.TaskID
+	waiters []chan<- types.TaskID
+	// owed marks a birth on the list of owed births; dirty, a transition
+	// not sent yet, which waits for the birth while that is owed. fresh
+	// marks a task born here with a provably new ID and not run again
+	// since: the IDs of its children are new too. inRecord marks an entry
+	// in its submitter's record.
+	owed, dirty, fresh, inRecord bool
+}
+
+// heldEntry is an entry moved out of its submitter's record, with the
+// lineage it needs, so that the record can go (compactLocked).
+type heldEntry struct {
+	TaskEntry
+	lineage types.TaskSpec
+	ret     [1]types.ObjectID
 }
 
 // NewTaskLedger creates an empty ledger publishing into ctrl, in
@@ -117,9 +127,7 @@ func NewTaskLedger(ctrl gcs.API) *TaskLedger {
 	l := &TaskLedger{
 		ctrl:  ctrl,
 		clock: ctrl.NowNs,
-		tasks: make(map[types.TaskID]*ownedTask),
-		dirty: make(map[types.TaskID]struct{}),
-		watch: make(map[types.TaskID][]chan<- types.TaskID),
+		tasks: make(map[types.TaskID]*TaskEntry),
 		roots: make(map[types.TaskID]uint64),
 	}
 	l.init("tasks", l)
@@ -159,12 +167,13 @@ func (l *TaskLedger) Adopt(id types.TaskID, baseSeq uint64, status types.TaskSta
 	}
 	l.mu.Lock()
 	if t := l.tasks[id]; t == nil || t.seq <= baseSeq {
-		nt := &ownedTask{seq: baseSeq, status: status}
+		nt := &TaskEntry{id: id, seq: baseSeq, status: status}
 		if t != nil {
 			// A watcher waits for the task, not for its tenure: FailTask
 			// re-adopts a task it buries, and its FAILED stamp must wake
 			// the Gets waiting on the replaced record.
-			nt.waiter = t.waiter
+			nt.waiter, nt.waiters = t.waiter, t.waiters
+			t.waiter, t.waiters, t.dirty = nil, nil, false
 			l.unoweLocked(t) // a claim's record is in the table
 		}
 		l.tasks[id] = nt
@@ -173,19 +182,20 @@ func (l *TaskLedger) Adopt(id types.TaskID, baseSeq uint64, status types.TaskSta
 }
 
 // Birth adopts a task born on this node at atNs (ClockNs), whose record the
-// table does not hold yet: the ledger owes the table the task's birth — its spec, PENDING,
-// this node as Owner — and writes it at the head of a flush that asks for
-// it or finds it older than types.BirthBound. It reports whether it took
-// the task on (false: this ledger already owns it) and whether the task's
-// ID is provably new: its parent is a driver root drawn here (Root) or a
-// task born fresh here and in its first run, and no child of that parent
-// with this SubmitIndex or a later one came before.
-// Only a fresh birth may wait for the flush. Any other ID may be in the
-// table already — a replay, a retry's children, a fixed driver root — and
-// the caller flushes its birth at once (FlushTask), which reports whether
-// the table held the record. The ledger keeps spec, unwritten, until the
-// birth lands.
-func (l *TaskLedger) Birth(spec *types.TaskSpec, atNs int64) (adopted, fresh bool) {
+// table does not hold yet, into e: the ledger owes the table the task's
+// birth — its spec, PENDING, this node as Owner — and writes it at the head
+// of a flush that asks for it or finds it older than types.BirthBound. e is
+// unused room in the caller's record of the task, which holds spec too; nil
+// allocates. It reports whether it took the task on (false: this ledger
+// already owns it) and whether the task's ID is provably new: its parent is
+// a driver root drawn here (Root) or a task born fresh here and in its
+// first run, and no child of that parent with this SubmitIndex or a later
+// one came before. Only a fresh birth may wait for the flush. Any other ID
+// may be in the table already — a replay, a retry's children, a fixed
+// driver root — and the caller flushes its birth at once (FlushTask), which
+// reports whether the table held the record. The ledger keeps spec,
+// unwritten, until the birth lands.
+func (l *TaskLedger) Birth(e *TaskEntry, spec *types.TaskSpec, atNs int64) (adopted, fresh bool) {
 	if spec.ID.IsNil() {
 		return false, false
 	}
@@ -199,7 +209,11 @@ func (l *TaskLedger) Birth(spec *types.TaskSpec, atNs int64) (adopted, fresh boo
 	} else if p := l.tasks[spec.Parent]; p != nil && p.fresh && spec.SubmitIndex > p.kids {
 		p.kids, fresh = spec.SubmitIndex, true
 	}
-	t := &ownedTask{status: types.TaskPending, spec: spec, bornNs: atNs, fresh: fresh}
+	t := e
+	if t == nil {
+		t = new(TaskEntry)
+	}
+	*t = TaskEntry{id: spec.ID, status: types.TaskPending, spec: spec, bornNs: atNs, fresh: fresh, inRecord: e != nil}
 	l.tasks[spec.ID] = t
 	l.mutNs = atNs
 	l.oweLocked(t)
@@ -208,7 +222,7 @@ func (l *TaskLedger) Birth(spec *types.TaskSpec, atNs int64) (adopted, fresh boo
 }
 
 // oweLocked appends t to the owed births.
-func (l *TaskLedger) oweLocked(t *ownedTask) {
+func (l *TaskLedger) oweLocked(t *TaskEntry) {
 	t.owed, t.older = true, l.newest
 	if l.newest != nil {
 		l.newest.newer = t
@@ -225,24 +239,34 @@ func (l *TaskLedger) oweLocked(t *ownedTask) {
 // unoweLocked takes t off the owed births, if it is on them: its birth
 // landed, or the task left the ledger. The deltas on its returns join the
 // tracker's pending ones.
-func (l *TaskLedger) unoweLocked(t *ownedTask) {
+func (l *TaskLedger) unoweLocked(t *TaskEntry) {
 	if !t.owed {
 		return
 	}
-	if t.older != nil {
-		t.older.newer = t.newer
-	} else {
-		l.oldest = t.newer
-	}
-	if t.newer != nil {
-		t.newer.older = t.older
-	} else {
-		l.newest = t.older
-	}
+	l.relinkLocked(t, nil)
 	t.owed, t.older, t.newer = false, nil, nil
 	l.owed--
 	if l.refs != nil {
 		l.refs.unowe(t.spec.CacheReturns())
+	}
+}
+
+// relinkLocked puts to, a copy of from, in from's place on the list of
+// owed births, or takes from off the list if to is nil.
+func (l *TaskLedger) relinkLocked(from, to *TaskEntry) {
+	prev, next := to, to // what from's neighbours point to instead
+	if to == nil {
+		prev, next = from.newer, from.older
+	}
+	if from.older != nil {
+		from.older.newer = prev
+	} else {
+		l.oldest = prev
+	}
+	if from.newer != nil {
+		from.newer.older = next
+	} else {
+		l.newest = next
 	}
 }
 
@@ -353,7 +377,7 @@ func (l *TaskLedger) TransitionAt(id types.TaskID, status types.TaskStatus, work
 		l.mu.Unlock()
 		return false
 	}
-	l.stampLocked(id, t, status, worker, errMsg, atNs)
+	l.stampLocked(t, status, worker, errMsg, atNs)
 	l.unlock(true)
 	return true
 }
@@ -381,7 +405,7 @@ func (l *TaskLedger) TransitionRetry(id types.TaskID, maxRetries int) (int, bool
 		l.mu.Unlock()
 		return n, false
 	}
-	l.stampLocked(id, t, types.TaskPending, types.WorkerID{}, "", atNs)
+	l.stampLocked(t, types.TaskPending, types.WorkerID{}, "", atNs)
 	l.unlock(true)
 	return n, true
 }
@@ -393,24 +417,24 @@ func (l *TaskLedger) TransitionRetry(id types.TaskID, maxRetries int) (int, bool
 // wake so owner-side waiters fall back to the follower table.
 func (l *TaskLedger) Disown(id types.TaskID) {
 	l.mu.Lock()
-	l.dropLocked(id, l.tasks[id])
+	l.dropLocked(l.tasks[id])
 	l.mu.Unlock()
 }
 
-// dropLocked forgets t, if it is still id's entry.
-func (l *TaskLedger) dropLocked(id types.TaskID, t *ownedTask) {
-	if t != nil && l.tasks[id] == t {
-		delete(l.tasks, id)
-		delete(l.dirty, id)
+// dropLocked forgets t, if it is still its task's entry.
+func (l *TaskLedger) dropLocked(t *TaskEntry) {
+	if t != nil && l.tasks[t.id] == t {
+		delete(l.tasks, t.id)
+		t.dirty = false
 		l.unoweLocked(t)
-		l.wakeLocked(id, t)
+		l.wakeLocked(t)
 	}
 }
 
 // stampLocked applies one transition under l.mu: bumps the sequence,
 // stamps the per-phase timestamp, marks the task dirty, and wakes terminal
 // watchers.
-func (l *TaskLedger) stampLocked(id types.TaskID, t *ownedTask, status types.TaskStatus, worker types.WorkerID, errMsg string, nowNs int64) {
+func (l *TaskLedger) stampLocked(t *TaskEntry, status types.TaskStatus, worker types.WorkerID, errMsg string, nowNs int64) {
 	t.seq++
 	t.status = status
 	t.worker = worker
@@ -426,27 +450,28 @@ func (l *TaskLedger) stampLocked(id types.TaskID, t *ownedTask, status types.Tas
 	case types.TaskFinished, types.TaskLost, types.TaskFailed:
 		t.finishNs = nowNs
 	}
-	if t.owed {
+	if !t.dirty {
+		// While the birth is owed, the transition waits for it.
 		t.dirty = true
-	} else {
-		l.dirty[id] = struct{}{}
+		if !t.owed {
+			l.dirty = append(l.dirty, t)
+		}
 	}
 	if status.Terminal() {
-		l.wakeLocked(id, t)
+		l.wakeLocked(t)
 	}
 }
 
-// wakeLocked delivers id to every channel watching it, once: t's waiter
-// and those in the watch map.
-func (l *TaskLedger) wakeLocked(id types.TaskID, t *ownedTask) {
+// wakeLocked delivers t's ID to every channel watching it, once.
+func (l *TaskLedger) wakeLocked(t *TaskEntry) {
 	if t.waiter != nil {
-		tell(t.waiter, id)
+		tell(t.waiter, t.id)
 		t.waiter = nil
 	}
-	for _, ch := range l.watch[id] {
-		tell(ch, id)
+	for _, ch := range t.waiters {
+		tell(ch, t.id)
 	}
-	delete(l.watch, id)
+	t.waiters = nil
 }
 
 // tell sends id on ch without blocking the ledger: a channel without room
@@ -459,8 +484,8 @@ func tell(ch chan<- types.TaskID, id types.TaskID) {
 }
 
 // watchLocked registers ch for id's end event if id is owned here and not
-// terminal, and reports whether it did: in the record's waiter slot if that
-// is free, else in the watch map.
+// terminal, and reports whether it did: in the entry's waiter slot if that
+// is free, else among its waiters.
 func (l *TaskLedger) watchLocked(ch chan<- types.TaskID, id types.TaskID) bool {
 	t := l.tasks[id]
 	switch {
@@ -469,7 +494,7 @@ func (l *TaskLedger) watchLocked(ch chan<- types.TaskID, id types.TaskID) bool {
 	case t.waiter == nil:
 		t.waiter = ch
 	default:
-		l.watch[id] = append(l.watch[id], ch)
+		t.waiters = append(t.waiters, ch)
 	}
 	return true
 }
@@ -530,8 +555,12 @@ func (l *TaskLedger) WatchEnd(ch chan<- types.TaskID, id types.TaskID) bool {
 func (l *TaskLedger) Watchers(id types.TaskID) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := len(l.watch[id])
-	if t := l.tasks[id]; t != nil && t.waiter != nil {
+	t := l.tasks[id]
+	if t == nil {
+		return 0
+	}
+	n := len(t.waiters)
+	if t.waiter != nil {
 		n++
 	}
 	return n
@@ -542,21 +571,15 @@ func (l *TaskLedger) StopNotify(ch chan<- types.TaskID, ids ...types.TaskID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, id := range ids {
-		if t := l.tasks[id]; t != nil && t.waiter == ch {
+		t := l.tasks[id]
+		switch {
+		case t == nil:
+		case t.waiter == ch:
 			t.waiter = nil
-			continue
-		}
-		chans := l.watch[id]
-		for i, c := range chans {
-			if c == ch {
-				chans = append(chans[:i], chans[i+1:]...)
-				break
+		default:
+			if i := slices.Index(t.waiters, ch); i >= 0 {
+				t.waiters = slices.Delete(t.waiters, i, i+1)
 			}
-		}
-		if len(chans) == 0 {
-			delete(l.watch, id)
-		} else {
-			l.watch[id] = chans
 		}
 	}
 }
@@ -613,11 +636,9 @@ func (l *TaskLedger) FlushTask(id types.TaskID) (held bool) {
 		return
 	}
 	var deltas []types.TaskStateDelta
-	if _, dirty := l.dirty[id]; dirty {
-		delete(l.dirty, id)
-		if t := l.tasks[id]; t != nil {
-			deltas = []types.TaskStateDelta{l.deltaLocked(id, t)}
-		}
+	if t := l.tasks[id]; t != nil && t.dirty {
+		deltas = []types.TaskStateDelta{l.deltaLocked(t)}
+		t.dirty = false
 	}
 	node := l.node
 	l.mu.Unlock()
@@ -648,9 +669,7 @@ func (l *TaskLedger) bear(timed bool) bool {
 		young = l.clock() - types.BirthBound.Nanoseconds()
 	}
 	home := l.home.Load()
-	if home != nil {
-		l.collectLocked(home)
-	}
+	l.settleOwedLocked(home)
 	var batches []batch[[]types.TaskStateDelta]
 	op := uint64(0)
 	for t := l.oldest; t != nil; t = t.newer {
@@ -671,7 +690,7 @@ func (l *TaskLedger) bear(timed bool) bool {
 			batches = append(batches, batch[[]types.TaskStateDelta]{op: t.birthOp, deltas: make([]types.TaskStateDelta, 0, l.owed)})
 		}
 		batches[i].deltas = append(batches[i].deltas, types.TaskStateDelta{
-			ID: t.spec.ID, Owner: l.node, Status: types.TaskPending, Node: l.node,
+			ID: t.id, Owner: l.node, Status: types.TaskPending, Node: l.node,
 			SubmittedNs: t.bornNs, LastTransitionNs: t.bornNs, Spec: t.spec,
 		})
 	}
@@ -701,7 +720,7 @@ func (l *TaskLedger) bear(timed bool) bool {
 			}
 			if other, ok := refused[d.ID]; ok {
 				if other {
-					l.dropLocked(d.ID, t)
+					l.dropLocked(t)
 				} else {
 					owed = true
 				}
@@ -709,7 +728,7 @@ func (l *TaskLedger) bear(timed bool) bool {
 			}
 			l.unoweLocked(t)
 			if t.dirty {
-				l.dirty[d.ID], t.dirty = struct{}{}, false
+				l.dirty = append(l.dirty, t)
 			}
 			returns = append(returns, t.spec.CacheReturns()...)
 			t.spec = nil
@@ -724,24 +743,44 @@ func (l *TaskLedger) bear(timed bool) bool {
 	return !owed
 }
 
-// collectLocked drops every task whose birth is owed and was never sent,
-// that is terminal, and whose returns the collector took: nothing about it
-// ever left this node, and nothing here needs it any more.
-func (l *TaskLedger) collectLocked(home *Manager) {
+// settleOwedLocked walks the owed births for the terminal ones. One whose
+// birth was never sent, and whose returns home (the collector, if set)
+// takes, is dropped: nothing about it ever left this node, and nothing here
+// needs it any more. Any other has outlived its round trip: its entry moves
+// out of its submitter's record (compactLocked).
+func (l *TaskLedger) settleOwedLocked(home *Manager) {
 	for t := l.oldest; t != nil; {
 		next := t.newer
-		if t.birthOp == 0 && t.status.Terminal() && home.CollectHome(t.spec.CacheReturns()) {
-			l.dropLocked(t.spec.ID, t)
+		if t.status.Terminal() {
+			if t.birthOp == 0 && home != nil && home.collectHome(t.spec.CacheReturns()) {
+				l.dropLocked(t)
+			} else if t.inRecord {
+				l.compactLocked(t)
+			}
 		}
 		t = next
 	}
 }
 
+// compactLocked moves t, an owed birth in its submitter's record, into a
+// heldEntry, in t's place in the map and on the list of owed births: the
+// record, with its context and scheduler state, is garbage once its
+// executor is done with it.
+func (l *TaskLedger) compactLocked(t *TaskEntry) {
+	c := &heldEntry{TaskEntry: *t, lineage: *t.spec}
+	c.lineage.CacheReturnsIn(&c.ret)
+	e := &c.TaskEntry
+	e.spec, e.inRecord = &c.lineage, false
+	l.tasks[t.id] = e
+	l.relinkLocked(t, e)
+	*t = TaskEntry{id: t.id}
+}
+
 // deltaLocked is the delta that carries t's latest state to the follower
 // table.
-func (l *TaskLedger) deltaLocked(id types.TaskID, t *ownedTask) types.TaskStateDelta {
+func (l *TaskLedger) deltaLocked(t *TaskEntry) types.TaskStateDelta {
 	return types.TaskStateDelta{
-		ID: id, Owner: l.node, Seq: t.seq,
+		ID: t.id, Owner: l.node, Seq: t.seq,
 		Status: t.status, Node: l.node, Worker: t.worker,
 		Error: t.errMsg, Retries: t.retries,
 		ScheduledNs: t.schedNs, StartedNs: t.startNs,
@@ -794,13 +833,17 @@ func (l *TaskLedger) fresh(timed bool) bool {
 	var deltas []types.TaskStateDelta
 	if len(l.dirty) > 0 {
 		deltas = make([]types.TaskStateDelta, 0, len(l.dirty))
-		for id := range l.dirty {
-			if t := l.tasks[id]; t != nil {
-				deltas = append(deltas, l.deltaLocked(id, t))
-			}
-		}
-		clear(l.dirty)
 	}
+	for _, t := range l.dirty {
+		// A task listed twice, or whose transition went out with FlushTask
+		// or left with it, is not dirty here.
+		if t.dirty {
+			deltas = append(deltas, l.deltaLocked(t))
+			t.dirty = false
+		}
+	}
+	clear(l.dirty)
+	l.dirty = l.dirty[:0]
 	node := l.node
 	l.mu.Unlock()
 	if len(deltas) > 0 {
@@ -830,6 +873,9 @@ func (l *TaskLedger) discardLocked() {
 	for t := l.oldest; t != nil; t = t.newer {
 		t.owed, t.dirty = false, false
 	}
+	for _, t := range l.dirty {
+		t.dirty = false
+	}
 	l.oldest, l.newest, l.owed = nil, nil, 0
-	l.dirty = make(map[types.TaskID]struct{})
+	l.dirty = nil
 }

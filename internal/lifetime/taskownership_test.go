@@ -450,7 +450,7 @@ func TestBirthPinsAcrossShardFailures(t *testing.T) {
 	}
 	bear := func(specs ...types.TaskSpec) {
 		for _, spec := range specs {
-			if adopted, _ := led.Birth(&spec, led.ClockNs()); !adopted {
+			if adopted, _ := led.Birth(nil, &spec, led.ClockNs()); !adopted {
 				t.Fatalf("birth of %v not adopted", spec.ID)
 			}
 			led.Transition(spec.ID, types.TaskFinished, types.NilWorkerID, "")

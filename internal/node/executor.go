@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/types"
 	workerpkg "repro/internal/worker"
@@ -15,9 +16,10 @@ type ExecStats interface {
 	Failed() int64
 }
 
-// executorShim binds worker.Executor to the node: it supplies the hooks
-// that implement worker lending (a task blocked in Get releases its
-// resources to the local scheduler) and the retry re-enqueue path.
+// executorShim binds worker.Executor to the node: it supplies the retry
+// re-enqueue path and the delivery hooks. Worker lending (a task blocked in
+// Get releases its resources to the local scheduler) goes through the
+// lender the scheduler passes with each task, its record of the task.
 type executorShim struct {
 	inner  *workerpkg.Executor
 	tracer *metrics.Tracer
@@ -27,13 +29,6 @@ type executorShim struct {
 func newExecutorShim(n *Node) *executorShim {
 	s := &executorShim{}
 	hooks := workerpkg.Hooks{
-		OnBlocked: func(spec types.TaskSpec, blocked bool) {
-			if blocked {
-				n.sched.ReleaseFor(spec)
-			} else {
-				n.sched.ReacquireFor(spec)
-			}
-		},
 		Resubmit: func(spec types.TaskSpec) {
 			// Retry bookkeeping already reset the task's status; enqueue
 			// directly (Submit's dedupe would treat it as in flight).
@@ -63,8 +58,8 @@ func (n *Node) putReturn(task types.TaskID, id types.ObjectID, data []byte) erro
 // Execute implements scheduler.ExecFunc. The exec span runs from the
 // task's RUNNING stamp to its finish, at the instants the executor read for
 // them, so it reads no clock of its own.
-func (s *executorShim) Execute(ctx context.Context, spec *types.TaskSpec, args [][]byte) {
-	start, end := s.inner.Execute(ctx, spec, args)
+func (s *executorShim) Execute(ctx context.Context, tc *core.TaskContext, lender core.Lender, spec *types.TaskSpec, args [][]byte) {
+	start, end := s.inner.Execute(ctx, tc, lender, spec, args)
 	sp := s.tracer.BeginAt("exec", "worker.exec", start)
 	sp.TaskID, sp.Trace = spec.ID, spec.TraceID
 	s.execNs.Observe(sp.EndAt(end))

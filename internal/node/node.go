@@ -230,7 +230,8 @@ func New(cfg Config) (*Node, error) {
 			if n.dead.Load() {
 				return scheduler.ErrStopped
 			}
-			return n.sched.Submit(spec, false)
+			_, err := n.sched.Submit(spec, false)
+			return err
 		},
 	}
 	n.exec = newExecutorShim(n)
@@ -264,7 +265,7 @@ func New(cfg Config) (*Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("node: bad assignment: %w", err)
 		}
-		if err := n.sched.Submit(spec, true); err != nil {
+		if _, err := n.sched.Submit(spec, true); err != nil {
 			return nil, err
 		}
 		return nil, nil
@@ -526,9 +527,9 @@ func (n *Node) abortDrain(why string) bool {
 // --- core.Backend ---
 
 // SubmitTask implements core.Backend.
-func (n *Node) SubmitTask(spec types.TaskSpec) error {
+func (n *Node) SubmitTask(spec types.TaskSpec) ([]types.ObjectID, error) {
 	if n.dead.Load() {
-		return scheduler.ErrStopped
+		return nil, scheduler.ErrStopped
 	}
 	return n.sched.Submit(spec, false)
 }

@@ -132,7 +132,7 @@ func TestKillMarksDeadAndDropsObjects(t *testing.T) {
 	if oinfo.State != types.ObjectLost {
 		t.Fatalf("object state after kill: %v", oinfo.State)
 	}
-	if err := n.SubmitTask(types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 82), Function: "double", NumReturns: 1}); err == nil {
+	if _, err := n.SubmitTask(types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 82), Function: "double", NumReturns: 1}); err == nil {
 		t.Fatal("dead node accepted a task")
 	}
 	// Store must refuse resurrection.
@@ -441,7 +441,7 @@ func TestHealthyRemoteGetDoesNotProbeTheReconstructor(t *testing.T) {
 		ID: types.DeriveTaskID(types.NilTaskID, 90), Function: "gated", Args: []types.Arg{core.Val(7)},
 		NumReturns: 1, Resources: types.CPU(1), Origin: origin.ID(),
 	}
-	if err := producer.sched.Submit(spec, true); err != nil {
+	if _, err := producer.sched.Submit(spec, true); err != nil {
 		t.Fatal(err)
 	}
 	<-entered

@@ -7,8 +7,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/gcs"
+	"repro/internal/lifetime"
 	"repro/internal/metrics"
 	"repro/internal/types"
 )
@@ -26,21 +28,33 @@ const (
 )
 
 // localTask is the one record of a task admitted here, from Submit to its
-// executor (DESIGN.md §3.1). It is the dependency table's entry while the
-// task waits on an argument not yet local or on its QUEUED stamp, the
-// runnable queue's once both are done, whichever comes last, and what the
-// executor pool hands an executor. Its spec is read-only from the moment
-// the record holds it: the task ledger reads it too while the task's birth
-// is owed. demand is the spec's resource demand, resolved once against the
+// executor (DESIGN.md §3.1), in one allocation. It is the dependency
+// table's entry while the task waits on an argument not yet local or on its
+// QUEUED stamp, the runnable queue's once both are done, whichever comes
+// last, and what the executor pool hands an executor; it holds the task
+// ledger's entry of a task born here (Birth), the task's context for its
+// run, and its one return ID. Its spec is read-only from the moment the
+// record holds it: the task ledger reads it too while the task's birth is
+// owed. demand is the spec's resource demand, resolved once against the
 // node's name table (Local.newLocalTask).
 type localTask struct {
-	spec    types.TaskSpec
-	demand  demand
+	spec   types.TaskSpec
+	demand demand
+	l      *Local
+	// pool is the pool instance the task holds its demand from, nil while
+	// it holds none (Local.releaseHeld).
+	pool *resourcePool
+	// missing, queued and slot, the task's place in the table's list: see
+	// depTable.
 	missing map[types.ObjectID]bool
 	queued  bool
+	slot    int
 	// enqueuedNs is when the task became runnable (cluster clock): the
 	// dispatch-latency histogram's start.
 	enqueuedNs int64
+	entry      lifetime.TaskEntry
+	tc         core.TaskContext
+	ret        [1]types.ObjectID
 }
 
 // parkedObj is one row of the dependency table: the tasks parked on one
@@ -53,10 +67,10 @@ type parkedObj struct {
 
 // depTable is the local scheduler's dependency table (DESIGN.md §4.2): the
 // tasks admitted here that wait on an argument not yet local or on their
-// QUEUED stamp, by task (waiting) and by missing object (parked), with one
-// resolver per missing object. A task that waits on nothing more goes to
-// Local's runnable queue (pushRunnable) under the table's lock, so no other
-// lock holder sees it in neither place or in both.
+// QUEUED stamp, listed by record (tasks) and by missing object (parked),
+// with one resolver per missing object. A task that waits on nothing more
+// goes to Local's runnable queue (pushRunnable) under the table's lock, so
+// no other lock holder sees it in neither place or in both.
 type depTable struct {
 	l *Local
 	// parks counts tasks parked on an object not yet local
@@ -64,14 +78,15 @@ type depTable struct {
 	parks     *metrics.Counter
 	resolvers atomic.Int64
 
-	mu      sync.Mutex
-	waiting map[types.TaskID]*localTask
-	parked  map[types.ObjectID]*parkedObj
+	mu sync.Mutex
+	// tasks holds each task in the table at its record's slot.
+	tasks  []*localTask
+	parked map[types.ObjectID]*parkedObj
 }
 
 func newDepTable(l *Local) *depTable {
 	d := &depTable{l: l, parks: l.cfg.Metrics.Counter("scheduler.tasks.parked"),
-		waiting: make(map[types.TaskID]*localTask), parked: make(map[types.ObjectID]*parkedObj)}
+		parked: make(map[types.ObjectID]*parkedObj)}
 	if l.cfg.Metrics != nil {
 		l.cfg.Metrics.GaugeFunc("scheduler.waiting.objects", func() int64 {
 			d.mu.Lock()
@@ -92,7 +107,7 @@ func (d *depTable) park(t *localTask, missing map[types.ObjectID]bool) bool {
 		return false
 	}
 	t.missing, t.queued = missing, false
-	d.waiting[t.spec.ID] = t
+	t.slot, d.tasks = len(d.tasks), append(d.tasks, t)
 	if len(missing) > 0 {
 		d.parks.Inc()
 	}
@@ -120,7 +135,7 @@ func (d *depTable) park(t *localTask, missing map[types.ObjectID]bool) bool {
 func (d *depTable) queue(w *localTask, atNs int64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.waiting[w.spec.ID] != w {
+	if !d.holdsLocked(w) {
 		// Evicted since park: the evictor settled the task and its borrows.
 		return false
 	}
@@ -146,16 +161,30 @@ func (d *depTable) readyLocked(w *localTask, atNs int64) bool {
 	if len(w.missing) > 0 || !w.queued {
 		return false
 	}
-	delete(d.waiting, w.spec.ID)
+	d.unlinkLocked(w)
 	d.l.pushRunnable(w, atNs)
 	return true
+}
+
+// holdsLocked reports whether w is in the table.
+func (d *depTable) holdsLocked(w *localTask) bool {
+	return w.slot < len(d.tasks) && d.tasks[w.slot] == w
+}
+
+// unlinkLocked takes w out of the table's list: the last task takes its
+// slot.
+func (d *depTable) unlinkLocked(w *localTask) {
+	last := len(d.tasks) - 1
+	d.tasks[w.slot], d.tasks[last].slot = d.tasks[last], w.slot
+	d.tasks[last] = nil
+	d.tasks = d.tasks[:last]
 }
 
 // len reports how many tasks are in the table.
 func (d *depTable) len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.waiting)
+	return len(d.tasks)
 }
 
 // evict takes the tasks pred matches out of the table and every row they
@@ -163,14 +192,13 @@ func (d *depTable) len() int {
 func (d *depTable) evict(pred evictPred) (out []types.TaskSpec) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for id, w := range d.waiting {
-		if !pred(w.spec, w.missing) {
-			continue
-		}
-		out = append(out, w.spec)
-		delete(d.waiting, id)
-		for dep := range w.missing {
-			d.unwaitLocked(dep, id)
+	for i := len(d.tasks) - 1; i >= 0; i-- { // an unlink moves a visited task
+		if w := d.tasks[i]; pred(w.spec, w.missing) {
+			out = append(out, w.spec)
+			d.unlinkLocked(w)
+			for dep := range w.missing {
+				d.unwaitLocked(dep, w.spec.ID)
+			}
 		}
 	}
 	return out

@@ -3,11 +3,13 @@ package scheduler
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gcs"
 	"repro/internal/types"
 )
@@ -113,7 +115,7 @@ func TestDepTableBudget(t *testing.T) {
 				park := func(i uint64, deps ...types.ObjectID) {
 					spec := tSpec(6200+i, nil, deps...)
 					spec.Group, spec.Bundle = group, 0
-					if err := l.Submit(spec, false); err != nil {
+					if _, err := l.Submit(spec, false); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -215,6 +217,47 @@ func (r *gatedRefs) Flush() bool {
 	return true
 }
 
+// TestInFlightTaskIsFoundByPointer: a task admitted here is reached through
+// its record, not looked up by ID. Waiting on nothing but its QUEUED stamp,
+// it is on the table's list and in no row; running, its record holds its
+// pool and the table is empty.
+func TestInFlightTaskIsFoundByPointer(t *testing.T) {
+	l, _, store, _ := unstartedLocal(t, types.CPU(2), SpillNever)
+	refs := &gatedRefs{entered: make(chan struct{}), gate: make(chan struct{})}
+	l.cfg.Refs = refs
+	running, release := make(chan *localTask, 1), make(chan struct{})
+	l.cfg.Exec = func(_ context.Context, _ *core.TaskContext, lender core.Lender, _ *types.TaskSpec, _ [][]byte) {
+		running <- lender.(*localTask)
+		<-release
+	}
+	defer close(release)
+	l.Start()
+	dep := types.ObjectIDForReturn(types.DeriveTaskID(types.NilTaskID, 7000), 0)
+	if err := store.Put(dep, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	submitted := make(chan error, 1)
+	go func() { _, err := l.Submit(tSpec(7001, nil, dep), false); submitted <- err }()
+	<-refs.entered
+	l.deps.mu.Lock()
+	listed, rows := slices.Clone(l.deps.tasks), len(l.deps.parked)
+	l.deps.mu.Unlock()
+	if len(listed) != 1 || rows != 0 || len(listed[0].missing) != 0 {
+		t.Fatalf("before its QUEUED stamp: %d in the table, %d rows", len(listed), rows)
+	}
+	close(refs.gate)
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	rec := <-running
+	l.mu.Lock()
+	pool, held := rec.pool, l.held
+	l.mu.Unlock()
+	if pool != l.res || held != 1 || l.WaitingLen() != 0 || rec != listed[0] {
+		t.Fatalf("running: pool bound %v, %d held, %d in the table", pool == l.res, held, l.WaitingLen())
+	}
+}
+
 // spillLog is a control plane that records the tasks published to the
 // global spill queue.
 type spillLog struct {
@@ -259,7 +302,7 @@ func TestEvictBeforeQueuedStamp(t *testing.T) {
 			spec.Group, spec.Bundle = group, 0
 
 			submitted := make(chan error, 1)
-			go func() { submitted <- l.Submit(spec, false) }()
+			go func() { _, err := l.Submit(spec, false); submitted <- err }()
 			<-refs.entered
 			evict.run(l)
 			close(refs.gate)
@@ -330,7 +373,7 @@ func TestResolveFetchBound(t *testing.T) {
 	check("a Get")
 
 	spec := tSpec(6400, nil, remote(1))
-	if err := l.Submit(spec, false); err != nil {
+	if _, err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	check("a parked dependency")

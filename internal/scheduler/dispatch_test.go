@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/gcs"
+	"repro/internal/lifetime"
 	"repro/internal/lifetime/ledgertest"
 	"repro/internal/objectstore"
 	"repro/internal/types"
@@ -20,7 +21,7 @@ import (
 
 // unstartedLocal is buildLocal without SetExec and Start: the state between
 // NewLocal and Start in which the node wires the executor.
-func unstartedLocal(t *testing.T, total types.Resources, spillThreshold int) (*Local, *gcs.Store, *objectstore.Store, TaskLedger) {
+func unstartedLocal(t *testing.T, total types.Resources, spillThreshold int) (*Local, *gcs.Store, *objectstore.Store, *lifetime.TaskLedger) {
 	t.Helper()
 	ctrl := gcs.NewStore(4)
 	nid := tNode(1)
@@ -37,7 +38,7 @@ func unstartedLocal(t *testing.T, total types.Resources, spillThreshold int) (*L
 func TestSubmitBeforeStartQueuesUntilStart(t *testing.T) {
 	l, _, store, led := unstartedLocal(t, types.CPU(2), SpillNever)
 	spec := tSpec(1, nil)
-	if err := l.Submit(spec, false); err != nil {
+	if _, err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	if l.QueueLen() != 1 {
@@ -81,7 +82,7 @@ func TestSpillThresholdCountsTasksThatDoNotFit(t *testing.T) {
 	t.Run("headroom", func(t *testing.T) {
 		l, ran, release := gatedLocal(t, types.CPU(4), threshold)
 		for i := uint64(0); i < burst; i++ {
-			if err := l.Submit(tSpec(100+i, types.CPU(0.0001)), false); err != nil {
+			if _, err := l.Submit(tSpec(100+i, types.CPU(0.0001)), false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -94,7 +95,7 @@ func TestSpillThresholdCountsTasksThatDoNotFit(t *testing.T) {
 	t.Run("over capacity", func(t *testing.T) {
 		l, ran, release := gatedLocal(t, types.CPU(2), threshold)
 		for i := uint64(0); i < burst; i++ {
-			if err := l.Submit(tSpec(400+i, types.CPU(1)), false); err != nil {
+			if _, err := l.Submit(tSpec(400+i, types.CPU(1)), false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -129,7 +130,7 @@ func TestStopContextReachesRunningTask(t *testing.T) {
 		sawCancel.Store(true)
 	})
 	l.Start()
-	if err := l.Submit(tSpec(1, nil), false); err != nil {
+	if _, err := l.Submit(tSpec(1, nil), false); err != nil {
 		t.Fatal(err)
 	}
 	<-running
@@ -162,7 +163,7 @@ func TestStopRacingSubmitSideDispatch(t *testing.T) {
 				defer submitters.Done()
 				<-begin
 				for i := uint64(0); i < 50; i++ {
-					if err := l.Submit(tSpec(1000*g+i+1, nil), false); err != nil {
+					if _, err := l.Submit(tSpec(1000*g+i+1, nil), false); err != nil {
 						return // ErrStopped: the scheduler is gone
 					}
 				}

@@ -138,7 +138,7 @@ func raceEviction(t *testing.T, evictor string, round, rounds uint64) func() boo
 		}
 		spec.Group, spec.Bundle = group, 0
 	}
-	if err := l.Submit(spec, false); err != nil {
+	if _, err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 

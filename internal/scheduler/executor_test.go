@@ -75,7 +75,7 @@ func TestExecutorBudget(t *testing.T) {
 	submit := func() {
 		t.Helper()
 		next++
-		if err := l.Submit(tSpec(next, types.CPU(1)), false); err != nil {
+		if _, err := l.Submit(tSpec(next, types.CPU(1)), false); err != nil {
 			t.Fatal(err)
 		}
 	}

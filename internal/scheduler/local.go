@@ -8,8 +8,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gcs"
 	"repro/internal/jobs"
+	"repro/internal/lifetime"
 	"repro/internal/metrics"
 	"repro/internal/objectstore"
 	"repro/internal/types"
@@ -19,8 +21,12 @@ import (
 // bytes. The local scheduler invokes it on an executor goroutine after
 // acquiring the task's resources; the goroutine runs one task at a time and,
 // once ExecFunc returns, may be handed the next one. spec is the task's
-// record, shared with the scheduler and the task ledger: read-only.
-type ExecFunc func(ctx context.Context, spec *types.TaskSpec, args [][]byte)
+// spec, shared with the scheduler and the task ledger: read-only. tc is the
+// zero API handle the task's record holds for the run, and lender the
+// record, which lends the task's resources while it blocks and gives them
+// back for good when told so once its function has returned
+// (worker.Executor.Execute).
+type ExecFunc func(ctx context.Context, tc *core.TaskContext, lender core.Lender, spec *types.TaskSpec, args [][]byte)
 
 // Fetcher pulls a remote object into the local store. lifetime.PullManager
 // is the production implementation (chunked, with per-peer backpressure).
@@ -43,34 +49,6 @@ type RefLedger interface {
 	Retain(ids ...types.ObjectID)
 	Release(ids ...types.ObjectID)
 	Flush() bool
-}
-
-// TaskLedger is the owner side of task-state authority (DESIGN.md §13):
-// the node that submits (or claims) a task stamps every lifecycle
-// transition into an in-process ledger, flushed to the GCS task table as
-// batched sequenced deltas. lifetime.TaskLedger is the production
-// implementation. Birth adopts a task born here, whose record a ledger
-// flush writes when asked or once the birth is old, Adopt seeds the tenure a ClaimTask established,
-// Transition stamps a state change without a control-plane round trip,
-// Disown drops local authority when the task leaves this node, and Flush
-// forces the happens-before edge on every handoff another node may act on.
-// ClockNs reads the node's cluster clock: a stage reads it once and stamps
-// everything it stamps from that instant (Birth, TransitionAt).
-type TaskLedger interface {
-	ClockNs() int64
-	Birth(spec *types.TaskSpec, atNs int64) (adopted, fresh bool)
-	Adopt(id types.TaskID, baseSeq uint64, status types.TaskStatus)
-	Transition(id types.TaskID, status types.TaskStatus, worker types.WorkerID, errMsg string) bool
-	TransitionAt(id types.TaskID, status types.TaskStatus, worker types.WorkerID, errMsg string, atNs int64) bool
-	Disown(id types.TaskID)
-	Owns(id types.TaskID) bool
-	Flush() bool
-	// FlushTask forces the happens-before edge for ONE task's handoff —
-	// its birth and those the ledger owes besides, then its own state —
-	// without draining the whole ledger inline on the spill path. It
-	// reports whether the table held the task's record before this node's
-	// birth of it.
-	FlushTask(id types.TaskID) (held bool)
 }
 
 // ErrStopped is returned for submissions to a stopped scheduler.
@@ -115,7 +93,7 @@ type LocalConfig struct {
 	Refs RefLedger
 	// Ledger is the owner-side task-state ledger (DESIGN.md §13), the one
 	// writer of task state on this node. Required.
-	Ledger TaskLedger
+	Ledger *lifetime.TaskLedger
 	// Exec runs ready tasks; SetExec may assign it after construction.
 	Exec ExecFunc
 	// Recon asks the fault-tolerance layer to make an object — lost, or
@@ -146,7 +124,7 @@ type LocalConfig struct {
 // releases what it holds.
 //
 // Whenever another lock holder can look, a task admitted here is in exactly
-// one place — the dependency table, runnable or holding — or it is being
+// one place — the dependency table, runnable or held — or it is being
 // settled, or runTask is handing it back to the table (evicted arguments);
 // evict is the one way out of the first two but a dispatch. Lock
 // order: the table's lock before mu, never the reverse. The table holds its
@@ -164,18 +142,13 @@ type Local struct {
 	deps  *depTable
 	execs *executors
 
-	// mu guards the five fields below.
+	// mu guards the five fields below and every task's pool binding
+	// (localTask.pool).
 	mu       sync.Mutex
 	runnable []*localTask
 	bundles  map[bundleKey]*resourcePool // gang reservations held here
-	// holding maps a dispatched task to the pool instance it acquired its
-	// resources from. Releases must go through this exact instance: a
-	// bundle released and re-reserved creates a NEW pool under the same
-	// key, and a key-resolved release from a task admitted against the old
-	// pool would inflate the new pool's books above its reservation.
-	// (Detach forwarding routes releases into dead pools to the general
-	// pool, so the captured instance is always safe to release into.)
-	holding map[types.TaskID]*resourcePool
+	// held counts the tasks that hold their demand from a pool.
+	held int
 	// started gates admission: tasks submitted before Start (the node wires
 	// Exec in between) queue, and Start dispatches them.
 	started bool
@@ -219,7 +192,6 @@ func NewLocal(cfg LocalConfig) *Local {
 		cfg:     cfg,
 		res:     newResourcePool(names, names.vector(cfg.Total)),
 		bundles: make(map[bundleKey]*resourcePool),
-		holding: make(map[types.TaskID]*resourcePool),
 	}
 	l.stopCtx, l.stopCancel = context.WithCancel(context.Background())
 	l.deps = newDepTable(l)
@@ -314,35 +286,39 @@ func (l *Local) Available() types.Resources {
 	return avail
 }
 
-// ReleaseFor lends a blocked task's resources back to the pool it holds
-// them from — its bundle reservation for placement-group members, the
-// general pool otherwise (worker lending; see worker.Executor). The lend
-// clears the task's pool binding; ReacquireFor re-binds to whatever pool
-// it reacquires from, which may legitimately differ after a group
-// rollback or re-reservation. Each resolves the task's demand once.
-func (l *Local) ReleaseFor(spec types.TaskSpec) {
-	d := l.res.names.demand(spec.Resources)
-	l.releaseHeld(&spec, &d)
-	l.dispatchReady()
+// Lend implements core.Lender for t's run (worker lending; see
+// worker.Executor). Blocked, t gives its demand back to the pool it holds
+// it from — its bundle reservation for placement-group members, the
+// general pool otherwise — and what that lets start is dispatched; the
+// executor lends it so for good once t's function has returned. Unblocked,
+// t waits to take its demand again (reacquire).
+func (t *localTask) Lend(_ *types.TaskSpec, blocked bool) {
+	if blocked {
+		t.l.giveBack(t)
+	} else {
+		t.l.reacquire(t)
+	}
 }
 
-// ReacquireFor blocks until the lent resources are regained. The wait is
-// re-resolved periodically (and immediately on bundle-pool detach): a
-// member task parked on the general pool while its bundle was away would
-// otherwise never notice the bundle returning to this node — re-carving
-// the very capacity the task is waiting for out of the pool it waits on.
-func (l *Local) ReacquireFor(spec types.TaskSpec) {
+// reacquire blocks until t's lent demand is regained, and binds t to the
+// pool it came from, which may legitimately differ from the one it was lent
+// to after a group rollback or re-reservation. The wait is re-resolved
+// periodically (and immediately on bundle-pool detach): a member task
+// parked on the general pool while its bundle was away would otherwise
+// never notice the bundle returning to this node — re-carving the very
+// capacity the task is waiting for out of the pool it waits on.
+func (l *Local) reacquire(t *localTask) {
 	const reResolve = 100 * time.Millisecond
-	d := l.res.names.demand(spec.Resources)
 	for {
 		timeout := time.Duration(0)
-		if spec.InGroup() {
+		if t.spec.InGroup() {
 			timeout = reResolve
 		}
-		pool := l.poolFor(&spec)
-		if pool.acquireBlocking(&d, l.stopCtx.Done(), timeout) {
+		pool := l.poolFor(&t.spec)
+		if pool.acquireBlocking(&t.demand, l.stopCtx.Done(), timeout) {
 			l.mu.Lock()
-			l.holding[spec.ID] = pool
+			t.pool = pool
+			l.held++
 			l.mu.Unlock()
 			return
 		}
@@ -356,12 +332,13 @@ func (l *Local) ReacquireFor(spec types.TaskSpec) {
 // Submit is the entry point for tasks born on this node (placed=false) and
 // for tasks assigned by the global scheduler (placed=true). It implements
 // the spillover decision of Section 3.2.2. The task's one record here
-// (localTask) takes its copy of spec, which no code writes after.
-func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
+// (localTask) takes its copy of spec, which no code writes after, and
+// derives its return IDs, which Submit returns: read-only.
+func (l *Local) Submit(spec types.TaskSpec, placed bool) ([]types.ObjectID, error) {
 	l.mu.Lock()
 	if l.stopped {
 		l.mu.Unlock()
-		return ErrStopped
+		return nil, ErrStopped
 	}
 	backlog := len(l.runnable)
 	l.mu.Unlock()
@@ -369,12 +346,12 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 		// The job reclaim fence (DESIGN.md §14). Refusing before the
 		// ownership claim keeps the record PENDING, where the reclaim pass
 		// buries it; admitting would resurrect work the stop already swept.
-		return ErrJobFenced
+		return nil, ErrJobFenced
 	}
 	l.submitted.Add(1)
 	l.obs.submitted.Inc()
 	t := l.newLocalTask(spec)
-	sp := &t.spec
+	rets := t.spec.CacheReturns()
 
 	if placed {
 		// A draining node admits nothing: refuse before the ownership claim
@@ -382,10 +359,10 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 		// that is still Active (the task stays PENDING, and no ledger here
 		// speaks for it).
 		if l.draining.Load() {
-			if added, _ := l.record(sp, false, l.cfg.Ledger.ClockNs()); added {
+			if added, _ := l.record(t, false, l.cfg.Ledger.ClockNs()); added {
 				l.cfg.Ledger.Disown(spec.ID)
 			}
-			return ErrDraining
+			return nil, ErrDraining
 		}
 		// A global-scheduler assignment. Several global schedulers may each
 		// place the same spilled task ("one or more global schedulers",
@@ -399,51 +376,51 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 		}
 		seq, ok := claim()
 		if !ok {
-			if added, _ := l.record(sp, false, l.cfg.Ledger.ClockNs()); !added {
-				return nil // the record is another's, and so was the claim
+			if added, _ := l.record(t, false, l.cfg.Ledger.ClockNs()); !added {
+				return rets, nil // the record is another's, and so was the claim
 			}
 			if seq, ok = claim(); !ok {
 				l.cfg.Ledger.Disown(spec.ID) // the record this call wrote went to another claim
-				return nil
+				return rets, nil
 			}
 		}
 		l.cfg.Ledger.Adopt(spec.ID, seq, types.TaskQueued)
 		l.enqueue(t, l.cfg.Ledger.ClockNs())
-		return nil
+		return rets, nil
 	}
 	// One clock read stamps the birth, the QUEUED stamp and the enqueue time,
 	// unless a control-plane round trip comes between them. A spilled task's
 	// birth lands in its bridge's flush, ahead of the publish.
 	at := l.cfg.Ledger.ClockNs()
 	spill := l.spills(t, backlog)
-	added, flushed := l.record(sp, spill || l.startsNow(t, backlog), at)
+	added, flushed := l.record(t, spill || l.startsNow(t, backlog), at)
 	if !added {
 		if !l.shouldRerun(spec) {
 			// Already known to the control plane: either in flight elsewhere
 			// or finished with intact outputs (replayed submission, results
 			// reusable outright). Only the CAS winner re-runs.
-			return nil
+			return rets, nil
 		}
 		flushed = true
 	}
 	if spill {
 		l.bridgeSpill(spec)
 		l.publishSpill(spec)
-		return nil
+		return rets, nil
 	}
 	if flushed {
 		at = l.cfg.Ledger.ClockNs()
 	}
 	l.enqueue(t, at)
-	return nil
+	return rets, nil
 }
 
-// newLocalTask makes spec's record, deriving its return IDs and resolving
-// its resource demand against the node's name table first: nothing writes
-// the spec once the record holds it.
+// newLocalTask makes spec's record, deriving its return IDs into it and
+// resolving its resource demand against the node's name table first:
+// nothing writes the spec once the record holds it.
 func (l *Local) newLocalTask(spec types.TaskSpec) *localTask {
-	t := &localTask{spec: spec, demand: l.res.names.demand(spec.Resources)}
-	t.spec.CacheReturns()
+	t := &localTask{spec: spec, demand: l.res.names.demand(spec.Resources), l: l}
+	t.spec.CacheReturnsIn(&t.ret)
 	return t
 }
 
@@ -570,7 +547,7 @@ func (l *Local) Busy() int {
 	waiting := l.deps.len()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return waiting + len(l.runnable) + len(l.holding)
+	return waiting + len(l.runnable) + l.held
 }
 
 // DrainBacklog evicts every queued and waiting task back through the
@@ -616,10 +593,12 @@ func (l *Local) publishSpill(spec types.TaskSpec) {
 // copy per task; must be called before Start. The node sets
 // LocalConfig.Exec instead.
 func (l *Local) SetExec(fn func(ctx context.Context, spec types.TaskSpec, args [][]byte)) {
-	l.cfg.Exec = func(ctx context.Context, spec *types.TaskSpec, args [][]byte) { fn(ctx, *spec, args) }
+	l.cfg.Exec = func(ctx context.Context, _ *core.TaskContext, _ core.Lender, spec *types.TaskSpec, args [][]byte) {
+		fn(ctx, *spec, args)
+	}
 }
 
-// record adopts the task into the ledger as born here and reports whether
+// record adopts t into the ledger as born here, in t's entry, and reports whether
 // it is new to the control plane. The record itself — the lineage, with the
 // return objects' producer edges derived from it — is the ledger's birth.
 // A task whose ID is provably new (Birth) leaves its birth to a later flush
@@ -635,12 +614,12 @@ func (l *Local) SetExec(fn func(ctx context.Context, spec types.TaskSpec, args [
 // (objectstore.Store.PutDeferred), so its steady-state path makes no
 // synchronous control-plane write. The birth is stamped atNs; flushed
 // reports whether record made a control-plane round trip after it.
-func (l *Local) record(spec *types.TaskSpec, lazy bool, atNs int64) (added, flushed bool) {
-	adopted, fresh := l.cfg.Ledger.Birth(spec, atNs)
-	if fresh && lazy && spec.Job.IsNil() {
+func (l *Local) record(t *localTask, lazy bool, atNs int64) (added, flushed bool) {
+	adopted, fresh := l.cfg.Ledger.Birth(&t.entry, &t.spec, atNs)
+	if fresh && lazy && t.spec.Job.IsNil() {
 		return true, false
 	}
-	held := l.cfg.Ledger.FlushTask(spec.ID)
+	held := l.cfg.Ledger.FlushTask(t.spec.ID)
 	return adopted && !held, true
 }
 
@@ -890,7 +869,7 @@ func (l *Local) dispatchReady() {
 		if task.spec.InGroup() {
 			l.cfg.Ledger.FlushTask(task.spec.ID)
 			if _, ok := l.cfg.Ctrl.ClaimTask(task.spec.ID, []types.TaskStatus{types.TaskQueued}, types.TaskScheduled, types.NilNodeID); !ok {
-				l.releaseHeld(&task.spec, &task.demand)
+				l.releaseHeld(task) // the loop dispatches on
 				if l.cfg.Refs != nil {
 					l.cfg.Refs.Release(task.spec.Deps()...)
 				}
@@ -936,7 +915,8 @@ func (l *Local) admitOne() (admitted *localTask, stray, ok bool) {
 		}
 		if pool.tryAcquire(&t.demand) {
 			l.runnable = append(l.runnable[:i], l.runnable[i+1:]...)
-			l.holding[t.spec.ID] = pool
+			t.pool = pool
+			l.held++
 			l.wg.Add(1)
 			return t, stray, true
 		}
@@ -944,26 +924,44 @@ func (l *Local) admitOne() (admitted *localTask, stray, ok bool) {
 	return nil, stray, false
 }
 
-// releaseHeld returns a task's demand d to the exact pool instance it
-// acquired (or last reacquired) it from, clearing the binding.
-func (l *Local) releaseHeld(spec *types.TaskSpec, d *demand) {
+// releaseHeld returns t's demand to the exact pool instance it acquired
+// (or last reacquired) it from, if t holds it, and unbinds t. Releases must
+// go through this exact instance: a bundle released and re-reserved
+// creates a NEW pool under the same key, and a key-resolved release from a
+// task admitted against the old pool would inflate the new pool's books
+// above its reservation. (Detach forwarding routes releases into dead pools
+// to the general pool, so the bound instance is always safe to release
+// into.) It reports whether t held its demand.
+func (l *Local) releaseHeld(t *localTask) bool {
 	l.mu.Lock()
-	pool := l.holding[spec.ID]
-	delete(l.holding, spec.ID)
-	l.mu.Unlock()
-	if pool == nil {
-		pool = l.poolFor(spec) // defensive: unbound release
+	pool := t.pool
+	if pool != nil {
+		t.pool = nil
+		l.held--
 	}
-	pool.release(d)
+	l.mu.Unlock()
+	if pool != nil {
+		pool.release(&t.demand)
+	}
+	return pool != nil
+}
+
+// giveBack returns t's demand, if it holds it, and dispatches what that
+// lets start.
+func (l *Local) giveBack(t *localTask) {
+	if l.releaseHeld(t) {
+		l.dispatchReady()
+	}
 }
 
 // runTask resolves argument bytes and executes. Dependencies were local at
 // enqueue time but may have been evicted since; in that case the task goes
-// back to the dependency table.
+// back to the dependency table. The executor gives the task's demand back
+// once its function returns, before a return wakes its reader (Lend); the
+// release after Exec covers an ExecFunc that does not.
 func (l *Local) runTask(t *localTask) {
 	spec := &t.spec
 	defer l.wg.Done()
-	defer l.dispatchReady()
 	// Return the enqueue-time borrows last (LIFO): the evicted-args path
 	// below re-enqueues — and re-borrows — before this defer runs.
 	if l.cfg.Refs != nil {
@@ -971,13 +969,13 @@ func (l *Local) runTask(t *localTask) {
 	}
 	args, missing := l.gatherArgs(spec)
 	if missing {
-		l.releaseHeld(spec, &t.demand)
+		l.giveBack(t)
 		l.enqueue(t, l.cfg.Ledger.ClockNs())
 		return
 	}
-	defer l.releaseHeld(spec, &t.demand)
+	defer l.giveBack(t)
 	defer l.unpinArgs(spec)
-	l.cfg.Exec(l.stopCtx, spec, args)
+	l.cfg.Exec(l.stopCtx, &t.tc, t, spec, args)
 }
 
 // gatherArgs pins and reads reference arguments from the local store.

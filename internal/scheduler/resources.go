@@ -206,7 +206,7 @@ func (p *resourcePool) feasible(d *demand) bool { return d.fitsIn(p.total) }
 // acquireBlocking waits until d is available, stop closes, or the
 // optional timeout elapses (0 = wait forever); reports whether the
 // acquisition happened. Used when a blocked task reclaims its lent
-// resources; the timeout lets ReacquireFor periodically re-resolve which
+// resources; the timeout lets Local.reacquire periodically re-resolve which
 // pool it should be waiting on (a member's bundle can leave and later
 // return to the node while the task is parked here).
 func (p *resourcePool) acquireBlocking(d *demand, stop <-chan struct{}, timeout time.Duration) bool {

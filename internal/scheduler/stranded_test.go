@@ -45,7 +45,7 @@ func parkOnPending(t *testing.T, recon func(l *Local, dep types.ObjectID)) (*Loc
 		return nil
 	}
 	spec := tSpec(77, nil, dep)
-	if err := l.Submit(spec, false); err != nil {
+	if _, err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	return l, log, spec, counting, &calls

@@ -76,9 +76,12 @@ type TaskSpec struct {
 	returns []ObjectID
 }
 
-// Clone returns a deep copy: no slice or map is shared with s.
+// Clone returns a deep copy: no slice or map is shared with s. The copy
+// derives its return IDs afresh, like a decoded spec: s's cache may sit in
+// the record of the task's submitter, which the copy must not keep alive.
 func (s *TaskSpec) Clone() TaskSpec {
 	c := *s
+	c.returns = nil
 	c.Args = slices.Clone(s.Args)
 	for i := range c.Args {
 		c.Args[i].Value = bytes.Clone(c.Args[i].Value)
@@ -112,6 +115,20 @@ func (s *TaskSpec) CacheReturns() []ObjectID {
 			s.returns[i] = ObjectIDForReturn(s.ID, i)
 		}
 	}
+	return s.returns
+}
+
+// CacheReturnsIn is CacheReturns with the room for a single return supplied
+// by the caller: a record that holds the spec holds its one return ID
+// inline, where the spec's copies read it. IDs s already caches are copied,
+// not derived again. A spec with several returns caches them as
+// CacheReturns does.
+func (s *TaskSpec) CacheReturnsIn(one *[1]ObjectID) []ObjectID {
+	if s.NumReturns != 1 {
+		return s.CacheReturns()
+	}
+	one[0] = s.ReturnID(0)
+	s.returns = one[:]
 	return s.returns
 }
 

@@ -19,9 +19,6 @@ import (
 
 // Hooks let the local scheduler observe execution lifecycle events.
 type Hooks struct {
-	// OnBlocked is called when a task enters (true) or leaves (false) a
-	// blocking Get/Wait; the scheduler releases/reacquires its resources.
-	OnBlocked func(spec types.TaskSpec, blocked bool)
 	// Resubmit re-enqueues a task that should retry after a failure.
 	Resubmit func(spec types.TaskSpec)
 	// Deliver, when set, is offered every return value (or error payload)
@@ -93,14 +90,25 @@ func workerIDFor(spec *types.TaskSpec) types.WorkerID {
 // It reads the ledger's clock twice, and returns both readings so its
 // caller can time the task without a read of its own: startNs, the RUNNING
 // stamp's instant, and endNs, the finish's (or the failure's).
-func (e *Executor) Execute(ctx context.Context, spec *types.TaskSpec, args [][]byte) (startNs, endNs int64) {
+//
+// tc is the task's API handle, zero until Execute sets it up in place: the
+// scheduler passes the one its record of the task holds. lender, when not
+// nil, is told when the task blocks in a Get or Wait (worker lending), and
+// once more when its function has returned: Lend(spec, true), with no false
+// after it, before the returns are stored or the task retried, so that the
+// reader a return wakes finds the task's resources free.
+func (e *Executor) Execute(ctx context.Context, tc *core.TaskContext, lender core.Lender, spec *types.TaskSpec, args [][]byte) (startNs, endNs int64) {
 	e.active.Add(1)
 	defer e.active.Add(-1)
 	wid := workerIDFor(spec)
 	startNs = e.ledger.ClockNs()
 	e.ledger.TransitionAt(spec.ID, types.TaskRunning, wid, "", startNs)
 
-	rets, err := e.invoke(ctx, spec, args)
+	tc.Init(ctx, e.backend, spec, lender)
+	rets, err := e.invoke(tc, spec, args)
+	if lender != nil {
+		lender.Lend(spec, true)
+	}
 	if err != nil {
 		return startNs, e.fail(spec, wid, err)
 	}
@@ -144,7 +152,7 @@ func (e *Executor) storeReturn(spec *types.TaskSpec, i int, data []byte) error {
 
 // invoke runs the function with panic isolation: a panicking task must not
 // take down the node (R6), so panics convert to task failures.
-func (e *Executor) invoke(ctx context.Context, spec *types.TaskSpec, args [][]byte) (rets [][]byte, err error) {
+func (e *Executor) invoke(tc *core.TaskContext, spec *types.TaskSpec, args [][]byte) (rets [][]byte, err error) {
 	fn, ok := e.reg.Lookup(spec.Function)
 	if !ok {
 		return nil, fmt.Errorf("function %q not registered on %v", spec.Function, e.node)
@@ -154,14 +162,7 @@ func (e *Executor) invoke(ctx context.Context, spec *types.TaskSpec, args [][]by
 			rets, err = nil, fmt.Errorf("task panicked: %v", r)
 		}
 	}()
-	return fn(core.NewTaskContext(ctx, e.backend, spec, e), args)
-}
-
-// Lend implements core.Lender through Hooks.OnBlocked.
-func (e *Executor) Lend(spec *types.TaskSpec, blocked bool) {
-	if e.hooks.OnBlocked != nil {
-		e.hooks.OnBlocked(*spec, blocked)
-	}
+	return fn(tc, args)
 }
 
 // fail records a terminal failure or schedules a retry, and returns the

@@ -33,7 +33,9 @@ func newStub() *stubBackend {
 	}
 }
 
-func (s *stubBackend) SubmitTask(spec types.TaskSpec) error { return nil }
+func (s *stubBackend) SubmitTask(spec types.TaskSpec) ([]types.ObjectID, error) {
+	return spec.CacheReturns(), nil
+}
 func (s *stubBackend) ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -89,7 +91,7 @@ func TestExecuteStoresReturnsAndStatus(t *testing.T) {
 	})
 	spec := mkSpec(1, "two", 2)
 	b.admit(spec)
-	ex.Execute(context.Background(), &spec, nil)
+	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil)
 
 	for i := 0; i < 2; i++ {
 		if !b.ObjectLocal(spec.ReturnID(i)) {
@@ -109,7 +111,7 @@ func TestUnregisteredFunctionFails(t *testing.T) {
 	ex, b, _ := setup(t, Hooks{})
 	spec := mkSpec(2, "ghost", 1)
 	b.admit(spec)
-	ex.Execute(context.Background(), &spec, nil)
+	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil)
 	st, _ := b.ctrl.GetTask(spec.ID)
 	if st.Status != types.TaskFailed {
 		t.Fatalf("status = %v", st.Status)
@@ -128,7 +130,7 @@ func TestWrongReturnCountFails(t *testing.T) {
 	})
 	spec := mkSpec(3, "liar", 2)
 	b.admit(spec)
-	ex.Execute(context.Background(), &spec, nil)
+	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil)
 	st, _ := b.ctrl.GetTask(spec.ID)
 	if st.Status != types.TaskFailed {
 		t.Fatalf("status = %v", st.Status)
@@ -142,7 +144,7 @@ func TestPanicIsolated(t *testing.T) {
 	})
 	spec := mkSpec(4, "boom", 1)
 	b.admit(spec)
-	ex.Execute(context.Background(), &spec, nil) // must not panic the test
+	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil) // must not panic the test
 	st, _ := b.ctrl.GetTask(spec.ID)
 	if st.Status != types.TaskFailed || st.Error == "" {
 		t.Fatalf("state = %+v", st)
@@ -164,7 +166,7 @@ func TestRetryPathResubmits(t *testing.T) {
 	spec.MaxRetries = 2
 	b.admit(spec)
 
-	ex.Execute(context.Background(), &spec, nil) // attempt 1 -> retry
+	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil) // attempt 1 -> retry
 	select {
 	case got := <-resubmitted:
 		if got.ID != spec.ID {
@@ -178,9 +180,9 @@ func TestRetryPathResubmits(t *testing.T) {
 		t.Fatalf("after retry 1: %+v", st)
 	}
 
-	ex.Execute(context.Background(), &spec, nil) // attempt 2 -> retry
+	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil) // attempt 2 -> retry
 	<-resubmitted
-	ex.Execute(context.Background(), &spec, nil) // attempt 3 -> exhausted
+	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil) // attempt 3 -> exhausted
 	select {
 	case <-resubmitted:
 		t.Fatal("resubmitted past MaxRetries")
@@ -193,15 +195,8 @@ func TestRetryPathResubmits(t *testing.T) {
 }
 
 func TestBlockHookReachesHooks(t *testing.T) {
-	var events []bool
-	var mu sync.Mutex
-	ex, b, reg := setup(t, Hooks{
-		OnBlocked: func(spec types.TaskSpec, blocked bool) {
-			mu.Lock()
-			events = append(events, blocked)
-			mu.Unlock()
-		},
-	})
+	ex, b, reg := setup(t, Hooks{})
+	lender := &eventLender{}
 	// The task gets a future that is already stored remotely-invisible;
 	// put it before Get so ResolveObject succeeds immediately after the
 	// hook fires.
@@ -214,22 +209,41 @@ func TestBlockHookReachesHooks(t *testing.T) {
 		if _, err := tc.Get(child); err != nil {
 			return nil, err
 		}
+		lender.mu.Lock()
+		lender.returned = len(lender.events)
+		lender.mu.Unlock()
 		return [][]byte{codec.MustEncode(0)}, nil
 	})
 	spec := mkSpec(6, "getter", 1)
 	b.admit(spec)
-	ex.Execute(context.Background(), &spec, nil)
+	ex.Execute(context.Background(), new(core.TaskContext), lender, &spec, nil)
 	st, _ := b.ctrl.GetTask(spec.ID)
 	if st.Status != types.TaskFinished {
 		t.Fatalf("status = %v err=%s", st.Status, st.Error)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	lender.mu.Lock()
+	defer lender.mu.Unlock()
 	// ObjectLocal was true at Get time, so the fast path may skip blocking;
-	// either zero or a balanced [true false] sequence is acceptable.
-	if len(events)%2 != 0 {
-		t.Fatalf("unbalanced block events: %v", events)
+	// either zero or a balanced [true false] sequence is acceptable while
+	// the function runs. Once it returns, the task lends its resources for
+	// good: one more true, and nothing after it.
+	events := lender.events
+	if lender.returned%2 != 0 || len(events) != lender.returned+1 || !events[len(events)-1] {
+		t.Fatalf("block events %v, %d of them while the function ran", events, lender.returned)
 	}
+}
+
+// eventLender records the Lend calls of one task.
+type eventLender struct {
+	mu       sync.Mutex
+	events   []bool
+	returned int // events before the function returned
+}
+
+func (l *eventLender) Lend(_ *types.TaskSpec, blocked bool) {
+	l.mu.Lock()
+	l.events = append(l.events, blocked)
+	l.mu.Unlock()
 }
 
 func TestActiveCounter(t *testing.T) {
@@ -241,7 +255,7 @@ func TestActiveCounter(t *testing.T) {
 	})
 	spec := mkSpec(7, "probe", 1)
 	b.admit(spec)
-	ex.Execute(context.Background(), &spec, nil)
+	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil)
 	if got := <-probe; got != 1 {
 		t.Fatalf("active during exec = %d", got)
 	}
@@ -257,7 +271,7 @@ func TestNilReturnBecomesNullPayload(t *testing.T) {
 	})
 	spec := mkSpec(8, "nilret", 1)
 	b.admit(spec)
-	ex.Execute(context.Background(), &spec, nil)
+	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil)
 	if !b.ObjectLocal(spec.ReturnID(0)) {
 		t.Fatal("nil return not stored")
 	}
@@ -303,7 +317,7 @@ func TestRetryCrashWindowClosed(t *testing.T) {
 	spec.MaxRetries = 2
 	b.admit(spec)
 
-	ex.Execute(context.Background(), &spec, nil) // attempt 1 -> retry
+	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil) // attempt 1 -> retry
 	select {
 	case got := <-resubmitted:
 		if got.ID != spec.ID {
@@ -317,9 +331,9 @@ func TestRetryCrashWindowClosed(t *testing.T) {
 		t.Fatalf("after retry 1: status=%v retries=%d", st.Status, st.Retries)
 	}
 
-	ex.Execute(context.Background(), &spec, nil) // attempt 2 -> retry
+	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil) // attempt 2 -> retry
 	<-resubmitted
-	ex.Execute(context.Background(), &spec, nil) // attempt 3 -> exhausted
+	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil) // attempt 3 -> exhausted
 	select {
 	case <-resubmitted:
 		t.Fatal("resubmitted past MaxRetries")
@@ -359,7 +373,7 @@ func TestRetryCrashWindowClosed(t *testing.T) {
 	// a straggler execution finds the task unowned and vanishes silently —
 	// no resubmit, no counter bump, no table write.
 	failedBefore := ex.Failed()
-	ex.Execute(context.Background(), &spec, nil)
+	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil)
 	if ex.Failed() != failedBefore {
 		t.Fatal("zombie execution bumped the failure counter")
 	}
@@ -408,7 +422,7 @@ func TestReturnsAreOfferedForDeliveryBeforeTheyAreStored(t *testing.T) {
 	ok, bad := mkSpec(30, "two", 2), mkSpec(31, "boom", 1)
 	for _, spec := range []types.TaskSpec{ok, bad} {
 		b.admit(spec)
-		ex.Execute(context.Background(), &spec, nil)
+		ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil)
 	}
 	for _, id := range []types.ObjectID{ok.ReturnID(0), ok.ReturnID(1), bad.ReturnID(0)} {
 		stored, _ := b.ResolveObject(context.Background(), id)
