@@ -63,6 +63,9 @@ type TaskLedger struct {
 	refs *Tracker
 	// flushes counts completed flushes of the whole ledger (Flushes).
 	flushes atomic.Uint64
+	// watched counts the end watchers WatchEnd registered: owner-side Gets
+	// that park (lifetime.gets.watched).
+	watched *metrics.Counter
 	// home, when set, announces the returns of the births that land and
 	// collects tasks at home (SetCollector).
 	home atomic.Pointer[Manager]
@@ -319,11 +322,13 @@ func (l *TaskLedger) owesLocked(task types.TaskID) bool {
 // Flushes counts the ledger's completed flushes, timed or not.
 func (l *TaskLedger) Flushes() uint64 { return l.flushes.Load() }
 
-// SetMetrics publishes the flush-lag gauges (ledger.SetMetrics) and the
-// births kept at home: lifetime.births.owed, how many are owed, and
-// lifetime.births.oldest_ms, the age of the oldest.
+// SetMetrics publishes the flush-lag gauges (ledger.SetMetrics), the
+// parked Gets (WatchEnd) and the births kept at home:
+// lifetime.births.owed, how many are owed, and lifetime.births.oldest_ms,
+// the age of the oldest.
 func (l *TaskLedger) SetMetrics(reg *metrics.Registry) {
 	l.ledger.SetMetrics(reg)
+	l.watched = reg.Counter("lifetime.gets.watched")
 	reg.GaugeFunc("lifetime.births.owed", func() int64 { n, _ := l.owedBirths(); return int64(n) })
 	reg.GaugeFunc("lifetime.births.oldest_ms", func() int64 { _, age := l.owedBirths(); return age.Milliseconds() })
 }
@@ -483,11 +488,10 @@ func tell(ch chan<- types.TaskID, id types.TaskID) {
 	}
 }
 
-// watchLocked registers ch for id's end event if id is owned here and not
-// terminal, and reports whether it did: in the entry's waiter slot if that
-// is free, else among its waiters.
-func (l *TaskLedger) watchLocked(ch chan<- types.TaskID, id types.TaskID) bool {
-	t := l.tasks[id]
+// watchLocked registers ch for t's end event if t is an entry of this
+// ledger and not terminal, and reports whether it did: in the entry's waiter
+// slot if that is free, else among its waiters.
+func (l *TaskLedger) watchLocked(ch chan<- types.TaskID, t *TaskEntry) bool {
 	switch {
 	case t == nil || t.status.Terminal():
 		return false
@@ -534,7 +538,7 @@ func (l *TaskLedger) Notify(ch chan<- types.TaskID, ids ...types.TaskID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, id := range ids {
-		if !l.watchLocked(ch, id) {
+		if !l.watchLocked(ch, l.tasks[id]) {
 			tell(ch, id)
 		}
 	}
@@ -543,11 +547,28 @@ func (l *TaskLedger) Notify(ch chan<- types.TaskID, ids ...types.TaskID) {
 // WatchEnd registers ch for id's end event, as Notify does, if id is owned
 // here and not terminal, and reports whether it did; on false nothing is
 // sent. It is the owner-side Get's ownership check and registration under
-// one lock. StopNotify unregisters it.
+// one lock, counted in lifetime.gets.watched. StopNotify unregisters it.
 func (l *TaskLedger) WatchEnd(ch chan<- types.TaskID, id types.TaskID) bool {
+	watching, _ := l.WatchEndOrYield(ch, id, false)
+	return watching
+}
+
+// WatchEndOrYield is WatchEnd, except that with yield set a task SCHEDULED
+// here (handed to an executor that has not started it) is not registered:
+// it reports handed instead, so that the Get can yield its processor to
+// that executor before it calls WatchEnd.
+func (l *TaskLedger) WatchEndOrYield(ch chan<- types.TaskID, id types.TaskID, yield bool) (watching, handed bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.watchLocked(ch, id)
+	t := l.tasks[id]
+	if yield && t != nil && t.status == types.TaskScheduled {
+		return false, true
+	}
+	if !l.watchLocked(ch, t) {
+		return false, false
+	}
+	l.watched.Inc()
+	return true, false
 }
 
 // Watchers counts the channels registered for id's end event that have not

@@ -69,6 +69,10 @@ type Tracer struct {
 	start   int // index of oldest record
 	n       int // live records
 	dropped atomic.Int64
+	// drainMu serializes Drain. spare is the empty ring Drain swaps in for
+	// buf, so that the copy runs outside mu; only Drain touches it.
+	drainMu sync.Mutex
+	spare   []SpanRecord
 
 	node string
 	now  func() int64
@@ -135,21 +139,31 @@ func (s Span) EndAt(endNs int64) int64 {
 }
 
 // Drain removes and returns all buffered spans (oldest first). Nodes call
-// it on each heartbeat to ship spans to the control plane. Nil-safe.
+// it on each heartbeat to ship spans to the control plane. The ring is
+// swapped for an empty one under the lock and copied outside it, so spans
+// ending meanwhile wait only for the swap; they go to the next Drain.
+// Nil-safe.
 func (t *Tracer) Drain() []SpanRecord {
 	if t == nil {
 		return nil
 	}
+	t.drainMu.Lock()
+	defer t.drainMu.Unlock()
+	if t.spare == nil {
+		t.spare = make([]SpanRecord, len(t.buf))
+	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.n == 0 {
+	ring, start, n := t.buf, t.start, t.n
+	if n > 0 {
+		t.buf, t.spare, t.start, t.n = t.spare, ring, 0, 0
+	}
+	t.mu.Unlock()
+	if n == 0 {
 		return nil
 	}
-	out := make([]SpanRecord, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.buf[(t.start+i)%len(t.buf)]
-	}
-	t.start, t.n = 0, 0
+	out := make([]SpanRecord, n)
+	k := copy(out, ring[start:min(start+n, len(ring))])
+	copy(out[k:], ring) // the part that wrapped round
 	return out
 }
 

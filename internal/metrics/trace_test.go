@@ -98,3 +98,92 @@ func TestTracerConcurrent(t *testing.T) {
 		t.Fatalf("drained+dropped = %d, want %d", total, 8*200)
 	}
 }
+
+// Drain swaps the ring for its spare under the lock and copies outside it:
+// spans that end while a Drain copies go to the next Drain, none lost and
+// none twice, each writer's in the order they ended. The ring holds every
+// span, so nothing is dropped either.
+func TestTracerDrainKeepsSpansEndedMeanwhile(t *testing.T) {
+	const writers, each = 4, 2000
+	now, _ := fakeClock()
+	tr := NewTracer(writers*each, "n1", now)
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				sp := tr.Begin("c", "s")
+				sp.Trace = uint64(w*each + i)
+				sp.End()
+			}
+		}()
+	}
+	stop, drained := make(chan struct{}), make(chan []SpanRecord)
+	go func() {
+		var got []SpanRecord
+		for {
+			select {
+			case <-stop:
+				drained <- got
+				return
+			default:
+				got = append(got, tr.Drain()...)
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	got := append(<-drained, tr.Drain()...)
+	if len(got) != writers*each || tr.Dropped() != 0 {
+		t.Fatalf("drained %d spans and dropped %d, want %d and 0", len(got), tr.Dropped(), writers*each)
+	}
+	next := make([]uint64, writers) // each writer's next span
+	for _, rec := range got {
+		w := rec.Trace / each
+		if want := w*each + next[w]; rec.Trace != want {
+			t.Fatalf("writer %d's span %d drained where %d was due", w, rec.Trace, want)
+		}
+		next[w]++
+	}
+}
+
+// Drain and the rings it swaps keep the ring's order across wrap-round and
+// overflow, round after round: each Drain returns what ended since the last.
+func TestTracerDrainRounds(t *testing.T) {
+	now, _ := fakeClock()
+	tr := NewTracer(3, "n1", now)
+	var trace uint64
+	for round, k := range []int{1, 3, 5, 2, 4, 0, 3} {
+		for range k {
+			sp := tr.Begin("c", "s")
+			sp.Trace = trace
+			trace++
+			sp.End()
+		}
+		spans := tr.Drain()
+		if len(spans) != min(k, 3) {
+			t.Fatalf("round %d drained %d spans, want %d", round, len(spans), min(k, 3))
+		}
+		for i, rec := range spans {
+			if want := trace - uint64(len(spans)-i); rec.Trace != want {
+				t.Fatalf("round %d span %d has trace %d, want %d", round, i, rec.Trace, want)
+			}
+		}
+	}
+}
+
+// A non-empty Drain makes one allocation, the n-sized slice it returns.
+func TestTracerDrainAllocs(t *testing.T) {
+	now, _ := fakeClock()
+	tr := NewTracer(0, "n1", now)
+	allocs := testing.AllocsPerRun(100, func() {
+		tr.Begin("c", "s").End()
+		if spans := tr.Drain(); len(spans) != 1 {
+			t.Fatalf("drained %d spans, want 1", len(spans))
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a Drain of one span made %v allocations, want 1", allocs)
+	}
+}

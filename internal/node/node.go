@@ -10,6 +10,7 @@ import (
 	"context"
 	"crypto/rand"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -584,10 +585,23 @@ var endWaits = sync.Pool{New: func() any { return make(chan types.TaskID, 1) }}
 // before the terminal stamp — the executor, FailTask — so at the event the
 // object is in the store, or the tenure ended without it (spilled away,
 // drained, transferred, output evicted) and the resolver takes over,
-// unchanged, as it does for every task not owned here.
+// unchanged, as it does for every task not owned here. A task still
+// SCHEDULED was just handed to an executor, readied next on this processor
+// (dispatchReady): the Get yields to it once, and waits only if the return
+// is not stored by then. It runs no task itself, so its context still ends
+// it.
 func (n *Node) ResolveTaskOutput(ctx context.Context, task types.TaskID, id types.ObjectID) ([]byte, error) {
 	ended := endWaits.Get().(chan types.TaskID)
-	if n.taskled.WatchEnd(ended, task) {
+	defer endWaits.Put(ended)
+	watching, handed := n.taskled.WatchEndOrYield(ended, task, true)
+	if handed {
+		runtime.Gosched()
+		if data, ok := n.store.Get(id); ok {
+			return data, nil
+		}
+		watching = n.taskled.WatchEnd(ended, task)
+	}
+	if watching {
 		var err error
 		select {
 		case <-ended:
@@ -602,11 +616,9 @@ func (n *Node) ResolveTaskOutput(ctx context.Context, task types.TaskID, id type
 			case <-ended:
 			default:
 			}
-			endWaits.Put(ended)
 			return nil, err
 		}
 	}
-	endWaits.Put(ended)
 	return n.sched.Resolve(ctx, id, task)
 }
 
