@@ -27,6 +27,9 @@ import (
 type ctrlProbe struct {
 	gcs.API
 	onSubmit, births, ensures atomic.Int64
+	// birthsOnSubmit and refFlushesOnSubmit count the births-carrying
+	// ModifyTaskStates and the ModifyObjectRefCounts calls among onSubmit.
+	birthsOnSubmit, refFlushesOnSubmit atomic.Int64
 	// adds and removes count the location calls.
 	adds, removes atomic.Int64
 	// events and retires count LogEvent and Retire calls; waiting counts
@@ -43,26 +46,30 @@ type ctrlProbe struct {
 	// no birth (holdDeltaFlush).
 	holdDeltas bool
 	// flushedTasks and flushedObjects count the entries each task and
-	// object had in ModifyTaskStates and ModifyObjectRefCounts calls.
+	// object had in ModifyTaskStates and ModifyObjectRefCounts calls;
+	// bornIn, once countBirths made it, counts the births-carrying calls
+	// that carried each task's birth.
 	flushedTasks   map[types.TaskID]int
 	flushedObjects map[types.ObjectID]int
+	bornIn         map[types.TaskID]int
 	// finished, when set, is called with the task of each FINISHED delta a
 	// ledger flush sends, before the table has it.
 	finished func(types.TaskID)
 }
 
-// call counts a call whose stack passes through the driver's submit.
-func (p *ctrlProbe) call() {
+// call counts a call whose stack passes through the driver's submit, and
+// reports whether it does.
+func (p *ctrlProbe) call() bool {
 	pcs := make([]uintptr, 64)
 	frames := runtime.CallersFrames(pcs[:runtime.Callers(3, pcs)])
 	for {
 		f, more := frames.Next()
 		if strings.HasSuffix(f.Function, "core.(*caller).submit") {
 			p.onSubmit.Add(1)
-			return
+			return true
 		}
 		if !more {
-			return
+			return false
 		}
 	}
 }
@@ -111,7 +118,9 @@ func (p *ctrlProbe) held(refs, births bool) {
 }
 
 func (p *ctrlProbe) ModifyObjectRefCounts(node types.NodeID, deltas map[types.ObjectID]int64, op uint64) []types.ObjectID {
-	p.call()
+	if p.call() {
+		p.refFlushesOnSubmit.Add(1)
+	}
 	p.mu.Lock()
 	if p.flushedObjects == nil {
 		p.flushedObjects = make(map[types.ObjectID]int)
@@ -125,14 +134,19 @@ func (p *ctrlProbe) ModifyObjectRefCounts(node types.NodeID, deltas map[types.Ob
 }
 
 func (p *ctrlProbe) ModifyTaskStates(node types.NodeID, deltas []types.TaskStateDelta, op uint64) []types.TaskID {
-	p.call()
+	onSubmit := p.call()
 	births := false
 	p.mu.Lock()
 	if p.flushedTasks == nil {
 		p.flushedTasks = make(map[types.TaskID]int)
 	}
 	for _, d := range deltas {
-		births = births || d.Spec != nil
+		if d.Spec != nil {
+			births = true
+			if p.bornIn != nil {
+				p.bornIn[d.ID]++
+			}
+		}
 		p.flushedTasks[d.ID]++
 	}
 	finished := p.finished
@@ -144,6 +158,9 @@ func (p *ctrlProbe) ModifyTaskStates(node types.NodeID, deltas []types.TaskState
 	}
 	if births {
 		p.births.Add(1)
+		if onSubmit {
+			p.birthsOnSubmit.Add(1)
+		}
 		if p.refuseBirths.Load() {
 			refused := make([]types.TaskID, len(deltas))
 			for i, d := range deltas {
@@ -168,6 +185,21 @@ func (p *ctrlProbe) flushed(tasks []types.TaskID, objects []types.ObjectID) (tas
 		objectEntries += p.flushedObjects[id]
 	}
 	return taskEntries, objectEntries
+}
+
+// countBirths starts counting each task's births.
+func (p *ctrlProbe) countBirths() {
+	p.mu.Lock()
+	p.bornIn = make(map[types.TaskID]int)
+	p.mu.Unlock()
+}
+
+// bornCount reports how many births-carrying flushes carried id's birth
+// since countBirths.
+func (p *ctrlProbe) bornCount(id types.TaskID) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.bornIn[id]
 }
 
 func (p *ctrlProbe) EnsureObjects(producers map[types.ObjectID]types.TaskID) []types.ObjectID {
@@ -398,10 +430,13 @@ func runNoopWith(t *testing.T, d *core.Client, opts ...core.Option) core.ObjectR
 
 // TestLocalSubmitControlPlaneBudget pins what a locally born task costs the
 // control plane: nothing while the driver submits it, and one birth in the
-// owner's batched flush, which carries its return's producer edge.
+// owner's batched flush, which carries its return's producer edge. A task
+// that parks on the return of one still running costs one call at submit,
+// the flush of its argument's borrow, and its birth waits for a flush too.
 func TestLocalSubmitControlPlaneBudget(t *testing.T) {
-	reg, _ := birthFuncs(t)
+	reg, open := birthFuncs(t)
 	n, probe := probedNode(t, gcs.NewStore(4), transport.NewInproc(0), reg)
+	defer open() // ahead of the node's shutdown, should the test fail first
 	d := core.NewClient(n)
 	for range 10 {
 		runNoop(t, d) // warm: the ledger's clock, the executor pool
@@ -426,6 +461,86 @@ func TestLocalSubmitControlPlaneBudget(t *testing.T) {
 	}
 	if b, e := probe.births.Load(), probe.ensures.Load(); b != 1 || e != 0 {
 		t.Fatalf("the task reached the table in %d births-carrying flushes and %d EnsureObjects, want 1 and 0", b, e)
+	}
+
+	gated, err := d.SubmitOpts("births.gated", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.onSubmit.Store(0)
+	probe.birthsOnSubmit.Store(0)
+	probe.refFlushesOnSubmit.Store(0)
+	probe.countBirths()
+	parked, err := d.SubmitOpts("births.noop", []types.Arg{core.RefOf(gated[0])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, b, r := probe.onSubmit.Load(), probe.birthsOnSubmit.Load(), probe.refFlushesOnSubmit.Load(); got != 1 || b != 0 || r != 1 {
+		t.Fatalf("a parked submit made %d control-plane calls, %d of them births-carrying and %d reference flushes; want 1, 0 and 1", got, b, r)
+	}
+	if n.Scheduler().WaitingLen() != 1 {
+		t.Fatal("the task did not park on its argument")
+	}
+	n.TaskLedger().Flush()
+	if got := probe.bornCount(parked[0].Task); got != 1 {
+		t.Fatalf("the parked task's birth came in %d births-carrying flushes, want 1", got)
+	}
+	if st, ok := probe.API.GetTask(parked[0].Task); !ok || st.Owner != n.ID() {
+		t.Fatalf("the parked task's record after the flush: %+v, %v", st, ok)
+	}
+	open()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := d.Get(ctx, parked[0]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChainWhileTaskTableHeld: a driver submits a three-task chain, each
+// task taking the previous one's return, and Gets its end while the task
+// table takes no write. The first task is still running when the others
+// are submitted, so neither starts at once: their births wait for the
+// flush like any fresh task's, and no submit waits for the held table.
+func TestChainWhileTaskTableHeld(t *testing.T) {
+	reg, open := birthFuncs(t)
+	n, probe := probedNode(t, gcs.NewStore(4), transport.NewInproc(0), reg)
+	defer open() // ahead of the node's shutdown, should the test fail first
+	d := core.NewClient(n)
+	runNoop(t, d)
+	n.TaskLedger().Flush()
+
+	probe.holdFlush(false)
+	first, err := d.SubmitOpts("births.gated", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first task's stamps hold the ledger's flusher in the task table.
+	waitFor(t, 10*time.Second, "the task ledger's flush to block", func() bool { return probe.waiting.Load() > 0 })
+	done := make(chan error, 1)
+	go func() {
+		second, err := d.SubmitOpts("births.noop", []types.Arg{core.RefOf(first[0])})
+		if err != nil {
+			done <- err
+			return
+		}
+		third, err := d.SubmitOpts("births.noop", []types.Arg{core.RefOf(second[0])})
+		if err != nil {
+			done <- err
+			return
+		}
+		open()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, err = d.Get(ctx, third[0])
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the chain did not finish while the task table was held")
 	}
 }
 

@@ -80,7 +80,11 @@ func TestDataflowOrderingInvariant(t *testing.T) {
 
 	// Owner-side futures resolve from the owner's ledger, so Wait can
 	// return a flush interval before the last FINISHED delta lands in the
-	// follower table (DESIGN.md §13). Let the follower settle first.
+	// follower table, and a fresh task's birth waits for the flush
+	// (DESIGN.md §13). Land the births, then let the follower settle.
+	for i := range c.NumNodes() {
+		c.Node(i).TaskLedger().Flush()
+	}
 	settle := time.Now().Add(10 * time.Second)
 	for {
 		lagging := false

@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"context"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chaostest"
 	"repro/internal/core"
+	"repro/internal/node"
 	"repro/internal/scheduler"
 	"repro/internal/types"
 )
@@ -168,4 +171,128 @@ func TestOwnerTransferCommitThenDie(t *testing.T) {
 				ts.Spec.ID, fin, ts.FinishedNs)
 		}
 	}
+}
+
+// probedClusterNode boots one more node into c whose control plane is c's
+// behind a probe.
+func probedClusterNode(t *testing.T, c *Cluster, res types.Resources) (*node.Node, *ctrlProbe) {
+	t.Helper()
+	c.addMu.Lock()
+	defer c.addMu.Unlock()
+	probe := &ctrlProbe{API: c.API}
+	n, err := node.New(node.Config{
+		Resources: res, Network: c.Network, ListenAddr: fmt.Sprintf("node-%d", c.NumNodes()), Ctrl: probe,
+		Registry: c.cfg.Registry, SpillThreshold: scheduler.SpillNever, HeartbeatInterval: heartbeatInterval,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	c.nodes = append(c.nodes, n)
+	c.mu.Unlock()
+	return n, probe
+}
+
+// TestOwnerDeathWithOwedBirths kills a node that holds parked tasks whose
+// births are still owed: a chain its own driver submitted, whose births
+// wait for the flush, and the children that a task placed there by a
+// surviving driver submitted behind a slow sibling, whose births the
+// table refused. The node's task table refuses every birth, as a shard
+// that is down does, so the births stay owed however long the setup takes.
+// A task fate-shares with its owner: the table holds no record of any of
+// them, the surviving driver's result comes back correct through the
+// replay of the parent on a node that joins after the kill, and the
+// reference books balance.
+func TestOwnerDeathWithOwedBirths(t *testing.T) {
+	reg := core.NewRegistry()
+	gate := make(chan struct{})
+	slow := core.Register1(reg, "owed.slow", func(tc *core.TaskContext, x int) (int, error) {
+		select {
+		case <-gate:
+			return x, nil
+		case <-tc.Context().Done():
+			return 0, tc.Context().Err()
+		}
+	})
+	inc := core.Register1(reg, "owed.inc", func(tc *core.TaskContext, x int) (int, error) { return x + 1, nil })
+	children := make(chan [2]types.TaskID, 1)
+	var runs atomic.Int32
+	parent := core.Register1(reg, "owed.parent", func(tc *core.TaskContext, x int) (int, error) {
+		runs.Add(1)
+		s, err := slow.Remote(tc, x)
+		if err != nil {
+			return 0, err
+		}
+		k, err := inc.RemoteRef(tc, s)
+		if err != nil {
+			return 0, err
+		}
+		select {
+		case children <- [2]types.TaskID{s.Ref.Task, k.Ref.Task}:
+		default: // the replay's, which have the same IDs
+		}
+		v, err := core.TaskGet(tc, k)
+		return 10 * v, err
+	})
+	c, err := New(Config{Nodes: 1, PerNodeResources: []types.Resources{types.CPU(2), nil, types.GPU(2, 1)}, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	n1, probe := probedClusterNode(t, c, types.GPU(4, 1))
+	probe.refuseBirths.Store(true)
+
+	d0 := c.Driver()
+	ref, err := parent.Remote(d0, 4, onGPU) // only node 1 has a GPU
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owed []types.TaskID
+	select {
+	case kids := <-children:
+		owed = kids[:]
+	case <-time.After(10 * time.Second):
+		t.Fatal("the parent did not run")
+	}
+	d1 := c.DriverOn(1)
+	s1, err := slow.Remote(d1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, err := inc.RemoteRef(d1, s1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owed = append(owed, s1.Ref.Task, k1.Ref.Task)
+	waitFor(t, 10*time.Second, "both slow tasks' successors to park", func() bool { return n1.Scheduler().WaitingLen() == 2 })
+	for _, id := range owed {
+		if !n1.TaskLedger().Owes(id) {
+			t.Fatalf("task %v's birth is not owed before the kill", id)
+		}
+	}
+	c.KillNode(1)
+	for _, id := range owed {
+		if st, ok := c.API.GetTask(id); ok {
+			t.Fatalf("task %v born on the dead node has a record: %+v", id, st)
+		}
+	}
+
+	if _, err := c.AddNode(); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	if v, err := core.Get(testCtx(t), d0, ref); err != nil || v != 50 {
+		t.Fatalf("the parent after its node died = %d, %v; want 50", v, err)
+	}
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("the parent ran %d times, want 2", got)
+	}
+	d0.Release(ref.Ref)
+	check := chaostest.New(c.API)
+	check.AwaitTaskConservation(t, 10*time.Second, []types.TaskID{ref.Ref.Task})
+	check.AwaitRefConservation(t, 10*time.Second, map[string]chaostest.Ledger{
+		"node-0": c.Node(0).Lifetime().Tracker(),
+		"node-2": c.Node(2).Lifetime().Tracker(),
+	})
+	check.AwaitReferencedReachable(t, 10*time.Second)
 }

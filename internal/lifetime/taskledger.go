@@ -193,7 +193,9 @@ func (l *TaskLedger) Adopt(id types.TaskID, baseSeq uint64, status types.TaskSta
 // already owns it) and whether the task's ID is provably new: its parent is
 // a driver root drawn here (Root) or a task born fresh here and in its
 // first run, and no child of that parent with this SubmitIndex or a later
-// one came before. Only a fresh birth may wait for the flush. Any other ID
+// one came before. Only a fresh birth may wait for the flush, and the
+// scheduler lets every fresh birth of a task without a job wait, whether
+// the task starts, spills or waits (scheduler.Local.record). Any other ID
 // may be in the table already — a replay, a retry's children, a fixed
 // driver root — and the caller flushes its birth at once (FlushTask), which
 // reports whether the table held the record. The ledger keeps spec,
@@ -394,12 +396,13 @@ func (l *TaskLedger) TransitionAt(id types.TaskID, status types.TaskStatus, work
 // bump exhausts maxRetries the reset is skipped (the caller stamps the
 // terminal failure next; the count rides that delta).
 // Returns the new count and whether the task should retry, or (-1, false)
-// when the task is not owned here.
+// when the task is not owned here, as nothing is once the ledger is
+// abandoned: a task its killed node's stop interrupts stores no failure.
 func (l *TaskLedger) TransitionRetry(id types.TaskID, maxRetries int) (int, bool) {
 	atNs := l.clock()
 	l.mu.Lock()
 	t := l.tasks[id]
-	if t == nil {
+	if t == nil || l.dead {
 		l.mu.Unlock()
 		return -1, false
 	}
@@ -620,7 +623,8 @@ func (l *TaskLedger) StopNotify(ch chan<- types.TaskID, ids ...types.TaskID) {
 // It reports whether the table held id's record before this node's birth
 // of it: the birth found another record there (the adoption is undone), or
 // id is not owned here. That is the duplicate check of a submission whose
-// ID may not be new (Birth).
+// ID may not be new (Birth); a job's task lands its birth here too, since
+// admission's usage scan counts the job's records.
 //
 // It holds flushMu, so it is a barrier: when it returns, a background flush
 // that had already taken this task's delta off the dirty set has landed

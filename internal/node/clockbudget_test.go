@@ -54,10 +54,8 @@ func TestLocalRoundTripClockBudget(t *testing.T) {
 	reg := core.NewRegistry()
 	reg.Register("noop", func(*core.TaskContext, [][]byte) ([][]byte, error) { return [][]byte{nil}, nil })
 	ctrl := &stalledTaskTable{API: gcs.NewStore(2), gate: make(chan struct{})}
-	// CPUs to spare: a task that could not start at once would flush its
-	// birth, and wait for the stalled flush.
 	n, err := New(Config{
-		Resources: types.CPU(64), Network: transport.NewInproc(0), ListenAddr: "n1",
+		Resources: types.CPU(4), Network: transport.NewInproc(0), ListenAddr: "n1",
 		Ctrl: ctrl, Registry: reg, SpillThreshold: scheduler.SpillNever,
 	})
 	if err != nil {

@@ -673,7 +673,6 @@ func (n *Node) Shutdown() {
 func (n *Node) Kill() {
 	n.stopOnce.Do(func() {
 		n.dead.Store(true)
-		close(n.stop)
 		// Abandon the reference ledger FIRST: unflushed deltas die with the
 		// process (and the dead-latch stops the scheduler teardown below
 		// from flushing its releases — a crashed node cannot release). The
@@ -681,8 +680,10 @@ func (n *Node) Kill() {
 		n.life.Kill()
 		// Same for the task ledger: unflushed task-state deltas die here,
 		// and the global scheduler's owner-transfer sweep re-drives the
-		// tasks this owner leaves behind in the follower table.
+		// tasks this owner leaves behind in the follower table. A task the
+		// stop interrupts then stores no failure for a reader to take.
 		n.taskled.Abandon()
+		close(n.stop)
 		n.sched.Stop()
 		if n.listener != nil {
 			n.listener.Close()

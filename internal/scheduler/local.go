@@ -359,7 +359,7 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) ([]types.ObjectID, erro
 		// that is still Active (the task stays PENDING, and no ledger here
 		// speaks for it).
 		if l.draining.Load() {
-			if added, _ := l.record(t, false, l.cfg.Ledger.ClockNs()); added {
+			if added, _ := l.record(t, l.cfg.Ledger.ClockNs()); added {
 				l.cfg.Ledger.Disown(spec.ID)
 			}
 			return nil, ErrDraining
@@ -376,7 +376,7 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) ([]types.ObjectID, erro
 		}
 		seq, ok := claim()
 		if !ok {
-			if added, _ := l.record(t, false, l.cfg.Ledger.ClockNs()); !added {
+			if added, _ := l.record(t, l.cfg.Ledger.ClockNs()); !added {
 				return rets, nil // the record is another's, and so was the claim
 			}
 			if seq, ok = claim(); !ok {
@@ -393,7 +393,7 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) ([]types.ObjectID, erro
 	// birth lands in its bridge's flush, ahead of the publish.
 	at := l.cfg.Ledger.ClockNs()
 	spill := l.spills(t, backlog)
-	added, flushed := l.record(t, spill || l.startsNow(t, backlog), at)
+	added, flushed := l.record(t, at)
 	if !added {
 		if !l.shouldRerun(spec) {
 			// Already known to the control plane: either in flight elsewhere
@@ -601,42 +601,26 @@ func (l *Local) SetExec(fn func(ctx context.Context, spec types.TaskSpec, args [
 // record adopts t into the ledger as born here, in t's entry, and reports whether
 // it is new to the control plane. The record itself — the lineage, with the
 // return objects' producer edges derived from it — is the ledger's birth.
-// A task whose ID is provably new (Birth) leaves its birth to a later flush
-// when lazy is set — it starts at once, or spills and its bridge flushes
-// the birth — so such a task pays no control-plane write at admission.
-// Any other submission flushes its birth at once: it may duplicate a
-// record (a replay, a retry's children, a fixed driver root, a placement),
-// and the birth reports whether the table held one, which is the dedupe.
-// So does a task of a job, since admission's usage scan counts the job's
-// records, and a task that has to wait here: its owner may die while it
-// waits, and the owner-death transfer re-places only what the table holds.
-// A task that starts here also leaves its returns' locations to its birth
-// (objectstore.Store.PutDeferred), so its steady-state path makes no
-// synchronous control-plane write. The birth is stamped atNs; flushed
-// reports whether record made a control-plane round trip after it.
-func (l *Local) record(t *localTask, lazy bool, atNs int64) (added, flushed bool) {
+// A task whose ID is provably new (Birth) and that belongs to no job leaves
+// its birth to a later flush, whether it starts at once, spills (its bridge
+// flushes the birth) or waits here: it fate-shares with this node, its
+// owner, whose death takes its submitter too, and the submitter's lineage
+// replays it. Any other submission flushes its birth at once: it may
+// duplicate a record (a replay, a retry's children, a fixed driver root, a
+// placement), and the birth reports whether the table held one, which is
+// the dedupe. So does a task of a job, since admission's usage scan counts
+// the job's records. A task that starts here also leaves its returns'
+// locations to its birth (objectstore.Store.PutDeferred), so its
+// steady-state path makes no synchronous control-plane write. The birth is
+// stamped atNs; flushed reports whether record made a control-plane round
+// trip after it.
+func (l *Local) record(t *localTask, atNs int64) (added, flushed bool) {
 	adopted, fresh := l.cfg.Ledger.Birth(&t.entry, &t.spec, atNs)
-	if fresh && lazy && t.spec.Job.IsNil() {
+	if fresh && t.spec.Job.IsNil() {
 		return true, false
 	}
 	held := l.cfg.Ledger.FlushTask(t.spec.ID)
 	return adopted && !held, true
-}
-
-// startsNow reports whether t, admitted now behind backlog runnable
-// tasks, would start at once: nothing ahead of it, its demand available,
-// its arguments here.
-func (l *Local) startsNow(t *localTask, backlog int) bool {
-	spec := &t.spec
-	if backlog > 0 || !l.poolFor(spec).fits(&t.demand) {
-		return false
-	}
-	for _, a := range spec.Args {
-		if a.IsRef && !l.cfg.Store.Contains(a.Ref) {
-			return false
-		}
-	}
-	return true
 }
 
 // claimPending re-owns a stale task for this node (the steal paths of
