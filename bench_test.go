@@ -248,8 +248,8 @@ func BenchmarkParkToScheduledLatency(b *testing.B) {
 				mu.Unlock()
 				args := make([]types.Arg, deps)
 				// deps-1 dependencies are ready before the consumer parks:
-				// their resolvers clear instantly and only the gated one
-				// holds the task in waiting.
+				// they are local, and only the gated one holds the task in
+				// waiting.
 				for j := 0; j < deps-1; j++ {
 					ref, err := d.Submit1(core.Call{Function: "noop", Resources: types.CPU(0.0001)})
 					if err != nil {
@@ -269,8 +269,8 @@ func BenchmarkParkToScheduledLatency(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				// Let the consumer park with its resolvers attached before
-				// the gate opens, so the timed section is purely
+				// Let the consumer park, its row watched, before the gate
+				// opens, so the timed section is purely
 				// last-dep-ready → scheduled → done.
 				time.Sleep(2 * time.Millisecond)
 				b.StartTimer()

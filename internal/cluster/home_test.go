@@ -73,8 +73,10 @@ func TestLocalRoundTripControlPlaneBudget(t *testing.T) {
 	var tasks []types.TaskID
 	var objects []types.ObjectID
 	for range 100 {
-		// A task that could not start at once would flush its birth at
-		// admission, and wait for the held flush.
+		// Each round trip's task starts at once, on a free CPU with nothing
+		// queued ahead of it. The birth rule does not need this: a task that
+		// waits for a CPU also leaves its birth to the flush. It keeps every
+		// round trip on the one path this test counts.
 		waitFor(t, 10*time.Second, "a free CPU", func() bool {
 			_, avail, _, _ := n.Scheduler().Accounting()
 			return types.CPU(1).Fits(avail) && n.Scheduler().QueueLen() == 0

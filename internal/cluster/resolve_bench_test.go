@@ -13,8 +13,9 @@ import (
 // BenchmarkDepResolve measures experiment E19: end-to-end latency of a task
 // whose dependency set lives on a remote node. The cluster runs a sharded
 // control plane over a network with hop latency, so every record read,
-// subscription attach and borrow flush costs real round trips; the rows'
-// resolvers read and pull while the enqueue's borrow flush is in flight.
+// subscription attach and borrow flush costs real round trips; the
+// dependency table watches the objects and pulls them while the enqueue's
+// borrow flush is in flight.
 func BenchmarkDepResolve(b *testing.B) {
 	const deps = 8
 	cases := []struct {

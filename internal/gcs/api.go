@@ -85,6 +85,14 @@ type API interface {
 	RemoveObjectLocation(id types.ObjectID, node types.NodeID)
 	GetObject(id types.ObjectID) (types.ObjectInfo, bool)
 	Objects() []types.ObjectInfo
+	// WatchObjects is a node's dependency table looking at the objects its
+	// parked tasks wait on (DESIGN.md §3.1): one answer per id, in ids'
+	// order. A ready object's answer lists its copies. Any other object that
+	// has a record gets node as a watcher: the object's next location is
+	// published once on node's TopicNodeReady channel, so the node needs no
+	// subscription per object. Watching again is harmless; a watch lasts
+	// until that location or until the record is retired.
+	WatchObjects(node types.NodeID, ids []types.ObjectID) []ObjectWatch
 
 	// Object lifetime (internal/lifetime). ModifyObjectRefCounts applies one
 	// node's ledger flush: a batch of net per-object deltas attributed to
@@ -194,6 +202,16 @@ type API interface {
 	Subscribe(topic Topic, id [types.IDSize]byte) Sub
 }
 
+// ObjectWatch is what WatchObjects answers of one object.
+type ObjectWatch struct {
+	// Locations lists the copies of a ready object; nil if it is not ready.
+	Locations []types.NodeID
+	// Lineage reports that the record names the object's producer, and Lost
+	// that every copy of a ready object is gone. An object with no record,
+	// or whose shard did not answer, reads as neither and is not watched.
+	Lineage, Lost bool
+}
+
 // TaskFilter selects the records of an API.ScanTasks scan. The zero value
 // selects every task; set fields narrow the selection and combine.
 type TaskFilter struct {
@@ -227,9 +245,10 @@ func (f TaskFilter) stale(st *types.TaskState, now int64) bool {
 
 // Topic names a control-plane pub/sub channel (API.Subscribe). The first
 // two are per record: the subscription hears one task's or one object's
-// channel, which lives on the shard owning that record. The rest are
-// broadcasts every shard publishes on; a subscription to one merges every
-// shard's feed and ignores the ID it was given.
+// channel, which lives on the shard owning that record. The third is per
+// node, and every shard publishes on it. The rest are broadcasts every
+// shard publishes on; a subscription to one merges every shard's feed and
+// ignores the ID it was given.
 type Topic uint8
 
 const (
@@ -239,6 +258,9 @@ const (
 	// TopicObjectReady fires when one object gains a copy; payload the
 	// ObjectID bytes.
 	TopicObjectReady
+	// TopicNodeReady carries the objects one node watches (WatchObjects),
+	// each as it gains its first copy since the watch (DecodeNodeReady).
+	TopicNodeReady
 	// TopicObjectGC carries objects whose reference count drained to zero;
 	// payload the ObjectID bytes. A subscription over the wire first
 	// replays the objects eligible now, so a publish a shard crash dropped
@@ -326,6 +348,7 @@ const (
 	keyGCIdx   = "gcidx:"   // + ObjectID hex; GC-eligible, not yet drained
 
 	chanObjReady   = "ready:"  // + ObjectID hex; payload = ObjectID bytes
+	chanNodeReady  = "nready:" // + NodeID hex; payload = ObjectID, then location NodeID bytes
 	chanTaskStatus = "tstat:"  // + TaskID hex; payload = [1]byte{status}
 	chanSpill      = "spill"   // payload = gob(TaskSpec)
 	chanNodes      = "nodes"   // payload = gob(NodeInfo)

@@ -315,8 +315,23 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	}
 	readySub := api.Subscribe(TopicObjectReady, obj)
 	defer readySub.Close()
+	// A dependency table watches its objects on its node's ready topic: a
+	// pending object is watched, one without a record is not.
+	watcher, unknown := nodeID(52), testObjectID(10)
+	watchSub := api.Subscribe(TopicNodeReady, watcher)
+	defer watchSub.Close()
+	if w := api.WatchObjects(watcher, []types.ObjectID{obj, unknown}); len(w) != 2 ||
+		w[0].Locations != nil || !w[0].Lineage || w[0].Lost || w[1].Locations != nil || w[1].Lineage || w[1].Lost {
+		t.Fatalf("WatchObjects of a pending object and an unknown one: %+v", w)
+	}
 	api.AddObjectLocation(obj, n, 64)
 	recv(t, readySub, "object-ready")
+	if id, at, ok := DecodeNodeReady(recv(t, watchSub, "a watched object's location")); !ok || id != obj || at != n {
+		t.Fatalf("node-ready payload: %v at %v (ok=%v), want %v at %v", id, at, ok, obj, n)
+	}
+	if w := api.WatchObjects(watcher, []types.ObjectID{obj}); len(w) != 1 || !slices.Equal(w[0].Locations, []types.NodeID{n}) {
+		t.Fatalf("WatchObjects of a ready object: %+v", w)
+	}
 	api.MarkObjectSpilled(obj, n, true)
 	info, ok := api.GetObject(obj)
 	if !ok || info.State != types.ObjectReady || info.Size != 64 || !info.IsSpilledOn(n) {
@@ -455,6 +470,9 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 		t.Fatalf("PurgeObjects left %v, want [%v]", left, obj)
 	}
 	api.RemoveObjectLocation(obj, n)
+	if w := api.WatchObjects(watcher, []types.ObjectID{obj}); len(w) != 1 || w[0].Locations != nil || !w[0].Lost {
+		t.Fatalf("WatchObjects of a lost object: %+v", w)
+	}
 	if left := ops.PurgeObjects([]types.ObjectID{obj}); len(left) != 0 {
 		t.Fatalf("PurgeObjects left %v after the last copy went", left)
 	}

@@ -156,6 +156,10 @@ type (
 		Objects []objectFacts
 		Tasks   []taskFacts
 	}
+	watchObjectsReq struct {
+		Node types.NodeID
+		IDs  []types.ObjectID
+	}
 	pinObjectsReq struct {
 		Deltas map[types.ObjectID]int64
 		// Op is the batch's idempotency token, recorded per object.
@@ -196,7 +200,10 @@ var (
 	})}
 	rpcGetObject = rpc[types.ObjectID, maybe[types.ObjectInfo]]{"gcs.getObject",
 		func(s *Store, id types.ObjectID) maybe[types.ObjectInfo] { return maybeOf(s.GetObject(id)) }}
-	rpcObjects       = rpc[none, []types.ObjectInfo]{"gcs.objects", func(s *Store, _ none) []types.ObjectInfo { return s.Objects() }}
+	rpcObjects      = rpc[none, []types.ObjectInfo]{"gcs.objects", func(s *Store, _ none) []types.ObjectInfo { return s.Objects() }}
+	rpcWatchObjects = rpc[watchObjectsReq, []ObjectWatch]{"gcs.watchObjects", func(s *Store, r watchObjectsReq) []ObjectWatch {
+		return s.WatchObjects(r.Node, r.IDs)
+	}}
 	rpcModifyObjRefs = rpc[modifyRefsReq, bool]{"gcs.modifyObjRefCounts", ack(func(s *Store, r modifyRefsReq) {
 		s.ModifyObjectRefCounts(r.Node, r.Deltas, r.Op)
 	})}
@@ -266,7 +273,7 @@ var (
 var methods = []method{
 	rpcNow,
 	rpcGetTask, rpcClaimTask, rpcModifyTaskStates, rpcTasks,
-	rpcEnsureObjects, rpcAddObjLocation, rpcRemoveObjLocation, rpcGetObject, rpcObjects, rpcModifyObjRefs,
+	rpcEnsureObjects, rpcAddObjLocation, rpcRemoveObjLocation, rpcGetObject, rpcObjects, rpcWatchObjects, rpcModifyObjRefs,
 	rpcSweepDeadRefs, rpcMarkObjSpilled, rpcPublishSpill,
 	rpcCreateGroup, rpcGetGroup, rpcGroups, rpcCASGroup,
 	rpcCreateJob, rpcGetJob, rpcJobs, rpcCASJob,

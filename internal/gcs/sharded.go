@@ -571,6 +571,15 @@ func (s *Sharded) Objects() []types.ObjectInfo {
 	return out
 }
 
+// WatchObjects implements API: one call per shard owning some of ids. A
+// shard that does not answer leaves its objects unwatched, and they read as
+// having no record; the watcher looks again.
+func (s *Sharded) WatchObjects(node types.NodeID, ids []types.ObjectID) []ObjectWatch {
+	return byShard(s, ids, ObjectKey, func(idx int, part []types.ObjectID) ([]ObjectWatch, bool) {
+		return scanShard(s, idx, rpcWatchObjects, watchObjectsReq{Node: node, IDs: part})
+	}, ObjectWatch{})
+}
+
 // ModifyObjectRefCounts implements API: one ledger flush, partitioned by
 // owning shard. Every partition carries the caller's token (dedup is
 // recorded per object, so slices of one batch cannot confuse each other).
@@ -732,12 +741,12 @@ func (s *Sharded) pinObjects(deltas map[types.ObjectID]int64, op uint64) []types
 // keyed calls.
 func (s *Sharded) Retire(objects []types.ObjectID) Retired { return retire(s, objects) }
 
-// recordFacts is one of retire's batched reads: the records of ids, grouped
-// by owning shard, one rpcRecordFacts per shard, answered in ids' order. A
-// shard gets two quick attempts where other keyed calls ride out the retry
-// window — the caller holds a batch, and a dead shard must cost it one
-// short wait — and its records then read as down.
-func recordFacts[K ~[types.IDSize]byte, F any](s *Sharded, ids []K, key func(K) string, req func([]K) recordFactsReq, facts func(recordFactsResp) []F, down F) []F {
+// byShard is a batched read of records: ids grouped by owning shard, one
+// ask per shard, the answers in ids' order. A shard gets the two quick
+// attempts of scanShard where other keyed calls ride out the retry window —
+// the caller holds a batch, and a dead shard must cost it one short wait —
+// and its records then read as down.
+func byShard[K ~[types.IDSize]byte, F any](s *Sharded, ids []K, key func(K) string, ask func(idx int, part []K) ([]F, bool), down F) []F {
 	out := make([]F, len(ids))
 	m := s.Map()
 	byShard := make(map[int][]int)
@@ -754,8 +763,7 @@ func recordFacts[K ~[types.IDSize]byte, F any](s *Sharded, ids []K, key func(K) 
 			for j, i := range at {
 				part[j] = ids[i]
 			}
-			resp, ok := scanShard(s, idx, rpcRecordFacts, req(part))
-			got := facts(resp)
+			got, ok := ask(idx, part)
 			for j, i := range at {
 				if ok && j < len(got) {
 					out[i] = got[j]
@@ -769,16 +777,19 @@ func recordFacts[K ~[types.IDSize]byte, F any](s *Sharded, ids []K, key func(K) 
 	return out
 }
 
+// objectFacts and taskFacts are retire's batched reads.
 func (s *Sharded) objectFacts(ids []types.ObjectID) []objectFacts {
-	return recordFacts(s, ids, ObjectKey,
-		func(part []types.ObjectID) recordFactsReq { return recordFactsReq{Objects: part} },
-		func(resp recordFactsResp) []objectFacts { return resp.Objects }, objectFacts{Look: unreachable})
+	return byShard(s, ids, ObjectKey, func(idx int, part []types.ObjectID) ([]objectFacts, bool) {
+		resp, ok := scanShard(s, idx, rpcRecordFacts, recordFactsReq{Objects: part})
+		return resp.Objects, ok
+	}, objectFacts{Look: unreachable})
 }
 
 func (s *Sharded) taskFacts(ids []types.TaskID) []taskFacts {
-	return recordFacts(s, ids, TaskKey,
-		func(part []types.TaskID) recordFactsReq { return recordFactsReq{Tasks: part} },
-		func(resp recordFactsResp) []taskFacts { return resp.Tasks }, taskFacts{Look: unreachable})
+	return byShard(s, ids, TaskKey, func(idx int, part []types.TaskID) ([]taskFacts, bool) {
+		resp, ok := scanShard(s, idx, rpcRecordFacts, recordFactsReq{Tasks: part})
+		return resp.Tasks, ok
+	}, taskFacts{Look: unreachable})
 }
 
 // --- API: spillover ---
@@ -868,9 +879,9 @@ func (s *Sharded) Spans() []metrics.SpanRecord {
 // --- resilient subscriptions ---
 
 // Subscribe implements API. A per-record topic attaches to the one shard
-// owning the record, which is where its channel publishes; a broadcast
-// topic merges every shard's feed (each record's transitions publish on
-// the shard that owns it).
+// owning the record, which is where its channel publishes; a node's ready
+// topic and a broadcast topic merge every shard's feed (each record's
+// transitions publish on the shard that owns it).
 func (s *Sharded) Subscribe(topic Topic, id [types.IDSize]byte) Sub {
 	m := s.Map()
 	var shards []int

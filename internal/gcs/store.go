@@ -495,6 +495,12 @@ func (s *Store) AddObjectLocation(id types.ObjectID, node types.NodeID, size int
 	if watched {
 		s.db.Publish(key(chanObjReady, id), id[:])
 	}
+	if watchers := s.objects.takeWatchers(id); watchers != nil {
+		msg := nodeReadyPayload(id, node)
+		for _, w := range watchers {
+			s.db.Publish(key(chanNodeReady, w), msg)
+		}
+	}
 	if garbage {
 		// The object's references came and went before its bytes arrived —
 		// possible since batched ledger flushes can deliver a retain+release
@@ -737,6 +743,23 @@ func (s *Store) GetObject(id types.ObjectID) (types.ObjectInfo, bool) { return s
 // Objects implements API (inspection scan, R7).
 func (s *Store) Objects() []types.ObjectInfo { return s.objects.collect(nil) }
 
+// WatchObjects implements API: each look copies a ready object's locations
+// and nothing else of its record.
+func (s *Store) WatchObjects(node types.NodeID, ids []types.ObjectID) []ObjectWatch {
+	out := make([]ObjectWatch, len(ids))
+	for i, id := range ids {
+		s.objects.watchOnce(id, node, func(o *types.ObjectInfo) bool {
+			if o.State == types.ObjectReady {
+				out[i].Locations = slices.Clone(o.Locations)
+				return true
+			}
+			out[i].Lineage, out[i].Lost = !o.Producer.IsNil(), o.State == types.ObjectLost
+			return false
+		})
+	}
+	return out
+}
+
 // --- spillover ---
 
 // PublishSpill implements API.
@@ -894,6 +917,8 @@ func (s *Store) Subscribe(topic Topic, id [types.IDSize]byte) Sub {
 		return s.tasks.subscribe(s.db, chanTaskStatus, types.TaskID(id))
 	case TopicObjectReady:
 		return s.objects.subscribe(s.db, chanObjReady, types.ObjectID(id))
+	case TopicNodeReady:
+		return s.db.Subscribe(key(chanNodeReady, types.NodeID(id)))
 	}
 	return s.db.Subscribe(broadcastChannel[topic])
 }

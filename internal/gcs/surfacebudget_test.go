@@ -15,7 +15,7 @@ import (
 // one-shard control plane serves: the rows and the subscription stream,
 // plus the shard-map pair RegisterSingleShard adds.
 func TestAPISurfaceBudget(t *testing.T) {
-	const apiMethods, wireNames = 34, 41
+	const apiMethods, wireNames = 35, 42
 	methods := reflect.TypeOf((*API)(nil)).Elem().NumMethod()
 	if methods != apiMethods {
 		t.Errorf("gcs.API has %d methods, pinned at %d", methods, apiMethods)

@@ -3,6 +3,7 @@ package gcs
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -50,6 +51,9 @@ type stripe[K comparable, V any] struct {
 	// watched counts the live subscriptions to each record's own pub/sub
 	// channel, so a mutation nobody listens to builds no channel name.
 	watched map[K]int
+	// watchers lists the nodes that asked to hear a record's next change
+	// once (watchOnce). Like watched, it is never journaled.
+	watchers map[K][]types.NodeID
 }
 
 // mode says what mutate does about a missing record and about the journal.
@@ -64,7 +68,8 @@ const (
 func newTable[K ~[types.IDSize]byte, V any](stripes int, prefix, markPrefix string, marked func(*V) bool, clone func(*V) V) *table[K, V] {
 	t := &table[K, V]{prefix: prefix, clone: clone, markPrefix: markPrefix, marked: marked, stripes: make([]stripe[K, V], stripes)}
 	for i := range t.stripes {
-		t.stripes[i] = stripe[K, V]{recs: make(map[K]*V), marks: make(map[K]struct{}), watched: make(map[K]int)}
+		t.stripes[i] = stripe[K, V]{recs: make(map[K]*V), marks: make(map[K]struct{}), watched: make(map[K]int),
+			watchers: make(map[K][]types.NodeID)}
 	}
 	return t
 }
@@ -162,8 +167,35 @@ func (t *table[K, V]) view(id K, fn func(rec *V)) bool {
 	return ok
 }
 
-// remove deletes id's record, and its marker with it, if ok approves. It
-// reports whether the record is gone.
+// watchOnce runs look on id's record, if there is one, under its stripe's
+// lock, and adds node to the record's watchers unless look reports the
+// record settled. look must neither change rec nor keep it. The caller of
+// the change a watcher waits for takes the watchers after committing it
+// (takeWatchers): a watch that look allowed came before that commit.
+func (t *table[K, V]) watchOnce(id K, node types.NodeID, look func(rec *V) (settled bool)) {
+	t.ops.Add(1)
+	st := t.stripe(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if rec, ok := st.recs[id]; ok && !look(rec) && !slices.Contains(st.watchers[id], node) {
+		st.watchers[id] = append(st.watchers[id], node)
+	}
+}
+
+// takeWatchers removes and returns id's watchers.
+func (t *table[K, V]) takeWatchers(id K) []types.NodeID {
+	st := t.stripe(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	nodes := st.watchers[id]
+	if nodes != nil {
+		delete(st.watchers, id)
+	}
+	return nodes
+}
+
+// remove deletes id's record, its marker and its watchers, if ok approves.
+// It reports whether the record is gone.
 func (t *table[K, V]) remove(id K, ok func(*V) bool) bool {
 	t.ops.Add(1)
 	st := t.stripe(id)
@@ -174,6 +206,7 @@ func (t *table[K, V]) remove(id K, ok func(*V) bool) bool {
 			return false
 		}
 		delete(st.recs, id)
+		delete(st.watchers, id)
 		t.live.Add(-1)
 		if t.journal != nil {
 			t.journal.Delete(key(t.prefix, id))

@@ -24,3 +24,18 @@ func DecodeGroupEvent(raw []byte) (types.PlacementGroupInfo, error) {
 func DecodeJobEvent(raw []byte) (types.JobInfo, error) {
 	return codec.DecodeAs[types.JobInfo](raw)
 }
+
+// nodeReadyPayload is a TopicNodeReady message: the object, then the node
+// that holds its new copy.
+func nodeReadyPayload(id types.ObjectID, at types.NodeID) []byte {
+	return append(append(make([]byte, 0, 2*types.IDSize), id[:]...), at[:]...)
+}
+
+// DecodeNodeReady decodes a TopicNodeReady message: the watched object and
+// the node that holds its new copy.
+func DecodeNodeReady(raw []byte) (id types.ObjectID, at types.NodeID, ok bool) {
+	if len(raw) != 2*types.IDSize {
+		return id, at, false
+	}
+	return types.ObjectID(raw[:types.IDSize]), types.NodeID(raw[types.IDSize:]), true
+}

@@ -146,9 +146,9 @@ type worker = executorShim
 
 // reconstructor is what the node asks of the fault-tolerance layer
 // (fault.Reconstructor): make a lost object, or one whose producer is
-// stranded on a dead node, resolvable again. The scheduler's resolver reads
-// the field at call time, so a wrapper put in front of it after New (a test's
-// counter) sees every call.
+// stranded on a dead node, resolvable again. The scheduler's dependency
+// table and resolve loop read the field at call time, so a wrapper put in
+// front of it after New (a test's counter) sees every call.
 type reconstructor interface {
 	RequestReturn(id types.ObjectID, task types.TaskID) error
 }

@@ -3,24 +3,27 @@ package scheduler
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/gcs"
 	"repro/internal/lifetime"
 	"repro/internal/metrics"
 	"repro/internal/types"
 )
 
-// The resolve loop's periods (DESIGN.md §4.2): a missed object-ready edge
-// is noticed within pollPeriod, and a pending object's producer is probed
-// for a stranded task every strandedPeriod wakeups (≤ 200 ms), starting one
-// period in, so a healthy producer costs no probe. fetchTimeout bounds one
-// pull of the object: a pull cut short starts again from its first byte, so
-// the bound must outlast the largest transfer, not a poll period.
+// The dependency table's periods (DESIGN.md §4.2). While rows exist, the
+// table sweeps them every pollPeriod: an object with no lineage in sight is
+// looked at again and probed on every sweep after the first, a lost one
+// probed on every sweep, and every row's look is renewed — its watch too,
+// which a control-plane failover drops — every strandedPeriod sweeps
+// (≤ 200 ms), when a pending object's producer is probed for a stranded
+// task, starting one period in, so a healthy producer costs no probe. A
+// Get's resolve loop polls at the same period. fetchTimeout bounds one pull
+// of the object: a pull cut short starts again from its first byte, so the
+// bound must outlast the largest transfer, not a poll period.
 const (
 	pollPeriod     = 10 * time.Millisecond
 	strandedPeriod = 20
@@ -44,11 +47,12 @@ type localTask struct {
 	// pool is the pool instance the task holds its demand from, nil while
 	// it holds none (Local.releaseHeld).
 	pool *resourcePool
-	// missing, queued and slot, the task's place in the table's list: see
-	// depTable.
-	missing map[types.ObjectID]bool
-	queued  bool
-	slot    int
+	// waits counts the task's arguments not yet local; queued and slot,
+	// the task's place in the table's list: see depTable. The rows a task
+	// sits in are among its arguments' (removeLocked).
+	waits  int32
+	slot   int32
+	queued bool
 	// enqueuedNs is when the task became runnable (cluster clock): the
 	// dispatch-latency histogram's start.
 	enqueuedNs int64
@@ -58,74 +62,200 @@ type localTask struct {
 }
 
 // parkedObj is one row of the dependency table: the tasks parked on one
-// missing object, and the cancel of its one resolver. The row goes, and the
-// resolver stops polling and fetching, once no parked task needs the object.
+// missing object, and what the table last learnt of the object. A row holds
+// no goroutine, timer, context or subscription: the store's arrival hook
+// lands it, the node's ready feed or a look starts its pull, and the sweep
+// looks again and probes.
 type parkedObj struct {
-	tasks  map[types.TaskID]*localTask
-	cancel context.CancelFunc
+	tasks []*localTask
+	// sinceNs is when the row's first task parked (ledger clock).
+	sinceNs int64
+	look    rowLook
+	// sweeps counts the sweeps that found the row with no pull in flight.
+	sweeps int
+	// pull cancels the row's pull in flight; nil while none is.
+	pull context.CancelFunc
+	// absent is when a probe first read the object as reclaimed.
+	absent time.Time
 }
 
-// depTable is the local scheduler's dependency table (DESIGN.md §4.2): the
+// rowLook is what the table last learnt of a row's object.
+type rowLook uint8
+
+const (
+	// lookAgain: no look yet, a pull failed, or the look found no record or
+	// no producer edge in it; the next sweep looks again.
+	lookAgain rowLook = iota
+	// lookPending: the record names a producer, and the control plane sends
+	// the object's next location on the node's ready feed.
+	lookPending
+	// lookLost: the object was ready and every copy is gone.
+	lookLost
+)
+
+// probeDue reports whether a row's object, just looked at, is worth a probe
+// now: a lost one at any look; one with no lineage in sight after the first
+// sweep (before it, that is the producer edge trailing its task by a ledger
+// flush); a pending one every strandedPeriod sweeps.
+func (r *parkedObj) probeDue() bool {
+	switch r.look {
+	case lookLost:
+		return true
+	case lookAgain:
+		return r.sweeps > 0
+	}
+	return r.sweeps > 0 && r.sweeps%strandedPeriod == 0
+}
+
+// rowRef names one row, so that a caller that dropped the table's lock can
+// tell it from a later row on the same object.
+type rowRef struct {
+	id  types.ObjectID
+	row *parkedObj
+}
+
+// depTable is the local scheduler's dependency table (DESIGN.md §3.1): the
 // tasks admitted here that wait on an argument not yet local or on their
-// QUEUED stamp, listed by record (tasks) and by missing object (parked),
-// with one resolver per missing object. A task that waits on nothing more
-// goes to Local's runnable queue (pushRunnable) under the table's lock, so
-// no other lock holder sees it in neither place or in both.
+// QUEUED stamp, listed by record (tasks) and by missing object (parked).
+// Three edges feed it: the store's arrival hook (arrived), the node's one
+// object-readiness subscription, and its one goroutine (run), which
+// consumes that feed, looks at new rows' objects in one batched
+// control-plane call, starts pulls and, only while rows exist, sweeps them.
+// A task that waits on nothing more goes to Local's runnable queue
+// (pushRunnable) under the table's lock, so no other lock holder sees it in
+// neither place or in both.
 type depTable struct {
 	l *Local
 	// parks counts tasks parked on an object not yet local
-	// (scheduler.tasks.parked); resolvers, live resolver goroutines.
-	parks     *metrics.Counter
-	resolvers atomic.Int64
+	// (scheduler.tasks.parked).
+	parks *metrics.Counter
+	// kick wakes run once park has opened rows, whose objects fresh lists.
+	kick chan struct{}
+	// beforePark, when set, runs in enqueue between its look at the store
+	// and park: a test's window for an argument landing there.
+	beforePark func()
 
 	mu sync.Mutex
 	// tasks holds each task in the table at its record's slot.
-	tasks  []*localTask
-	parked map[types.ObjectID]*parkedObj
+	tasks   []*localTask
+	parked  map[types.ObjectID]*parkedObj
+	fresh   []types.ObjectID
+	probing bool
 }
 
 func newDepTable(l *Local) *depTable {
 	d := &depTable{l: l, parks: l.cfg.Metrics.Counter("scheduler.tasks.parked"),
-		parked: make(map[types.ObjectID]*parkedObj)}
+		kick: make(chan struct{}, 1), parked: make(map[types.ObjectID]*parkedObj)}
 	if l.cfg.Metrics != nil {
 		l.cfg.Metrics.GaugeFunc("scheduler.waiting.objects", func() int64 {
 			d.mu.Lock()
 			defer d.mu.Unlock()
 			return int64(len(d.parked))
 		})
+		l.cfg.Metrics.GaugeFunc("scheduler.parked.oldest_ms", d.oldestMs)
 	}
 	return d
 }
 
-// park enters t in the table, under each object in missing, and reports
-// whether it did: not once Stop has run. Stop sets its flag before its
-// eviction takes this lock, so a task parked here is evicted.
-func (d *depTable) park(t *localTask, missing map[types.ObjectID]bool) bool {
+// oldestMs is how long the oldest task parked on a missing object has
+// waited, in milliseconds of the ledger's clock: a row's first task is its
+// oldest.
+func (d *depTable) oldestMs() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.parked) == 0 {
+		return 0
+	}
+	now := d.l.cfg.Ledger.ClockNs()
+	oldest := now
+	for _, row := range d.parked {
+		oldest = min(oldest, row.sinceNs)
+	}
+	return (now - oldest) / int64(time.Millisecond)
+}
+
+// start opens the node's ready feed and starts run. Local.Start calls it
+// once, with run already counted in wg.
+func (d *depTable) start() {
+	go d.run(d.l.cfg.Ctrl.Subscribe(gcs.TopicNodeReady, d.l.cfg.Node))
+}
+
+// run is the table's one goroutine. It hands each message of the node's
+// ready feed to readyAt, looks at the objects of the rows park opened, and
+// sweeps every pollPeriod while rows exist.
+func (d *depTable) run(sub gcs.Sub) {
+	defer d.l.wg.Done()
+	defer sub.Close()
+	feed := sub.C()
+	sweep := time.NewTimer(pollPeriod)
+	sweep.Stop()
+	armed := false
+	for {
+		select {
+		case msg, ok := <-feed:
+			if !ok {
+				feed = nil // the control-plane client closed: the sweeps look
+				continue
+			}
+			d.readyAt(msg)
+		case <-d.kick:
+			d.mu.Lock()
+			fresh := d.fresh
+			d.fresh = nil
+			d.mu.Unlock()
+			d.probe(d.look(fresh))
+			if !armed {
+				sweep.Reset(pollPeriod)
+				armed = true
+			}
+		case <-sweep.C:
+			if armed = d.sweep(); armed {
+				sweep.Reset(pollPeriod)
+			}
+		case <-d.l.stopCtx.Done():
+			return
+		}
+	}
+}
+
+// park enters t in the table, under each object in missing that is still
+// not local, and reports whether it did: not once Stop has run. Stop sets
+// its flag before its eviction takes this lock, so a task parked here is
+// evicted. The objects of the rows it opens, sinceNs atNs, go to run to be
+// looked at, off the caller's path.
+func (d *depTable) park(t *localTask, missing []types.ObjectID, atNs int64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.l.isStopped() {
 		return false
 	}
-	t.missing, t.queued = missing, false
-	t.slot, d.tasks = len(d.tasks), append(d.tasks, t)
-	if len(missing) > 0 {
-		d.parks.Inc()
-	}
-	for dep := range missing {
+	t.queued, t.waits = false, 0
+	t.slot, d.tasks = int32(len(d.tasks)), append(d.tasks, t)
+	opened := false
+	for _, dep := range missing {
+		// An argument that landed since enqueue looked found no row to wake.
+		// Its arrival is in the store before its hook takes this lock.
+		if d.l.cfg.Store.Contains(dep) {
+			continue
+		}
+		t.waits++
 		row := d.parked[dep]
 		if row == nil {
-			// The object's first parked task starts its one resolver, counted
-			// under the lock that checked stopped, so Stop's wg.Wait cannot
-			// slip between the check and the resolver's registration.
-			row = &parkedObj{tasks: make(map[types.TaskID]*localTask)}
-			var ctx context.Context
-			ctx, row.cancel = context.WithCancel(d.l.stopCtx)
+			row = &parkedObj{sinceNs: atNs}
 			d.parked[dep] = row
-			d.l.wg.Add(1)
-			d.resolvers.Add(1)
-			go d.resolveParked(ctx, dep)
+			d.fresh = append(d.fresh, dep)
+			opened = true
 		}
-		row.tasks[t.spec.ID] = t
+		row.tasks = append(row.tasks, t)
+	}
+	if t.waits > 0 {
+		d.parks.Inc()
+	}
+	if opened {
+		select {
+		case d.kick <- struct{}{}:
+		default:
+		}
 	}
 	return true
 }
@@ -158,7 +288,7 @@ func (d *depTable) queue(w *localTask, atNs int64) bool {
 // atNs, if nothing is missing and its QUEUED stamp is in, and reports
 // whether it did.
 func (d *depTable) readyLocked(w *localTask, atNs int64) bool {
-	if len(w.missing) > 0 || !w.queued {
+	if w.waits > 0 || !w.queued {
 		return false
 	}
 	d.unlinkLocked(w)
@@ -168,7 +298,7 @@ func (d *depTable) readyLocked(w *localTask, atNs int64) bool {
 
 // holdsLocked reports whether w is in the table.
 func (d *depTable) holdsLocked(w *localTask) bool {
-	return w.slot < len(d.tasks) && d.tasks[w.slot] == w
+	return int(w.slot) < len(d.tasks) && d.tasks[w.slot] == w
 }
 
 // unlinkLocked takes w out of the table's list: the last task takes its
@@ -193,53 +323,61 @@ func (d *depTable) evict(pred evictPred) (out []types.TaskSpec) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i := len(d.tasks) - 1; i >= 0; i-- { // an unlink moves a visited task
-		if w := d.tasks[i]; pred(w.spec, w.missing) {
+		if w := d.tasks[i]; pred(&w.spec) {
 			out = append(out, w.spec)
-			d.unlinkLocked(w)
-			for dep := range w.missing {
-				d.unwaitLocked(dep, w.spec.ID)
-			}
+			d.removeLocked(w)
 		}
 	}
 	return out
 }
 
-// unwaitLocked drops task from obj's row and cancels obj's resolver once no
-// parked task needs the object any more.
-func (d *depTable) unwaitLocked(obj types.ObjectID, task types.TaskID) {
-	if row := d.parked[obj]; row != nil {
-		delete(row.tasks, task)
-		if len(row.tasks) == 0 {
-			delete(d.parked, obj)
-			row.cancel()
+// removeLocked takes w out of the table's list and out of every row it
+// sits in: the rows of those of its arguments that have one and list it.
+func (d *depTable) removeLocked(w *localTask) {
+	d.unlinkLocked(w)
+	for _, a := range w.spec.Args {
+		if !a.IsRef {
+			continue
+		}
+		row := d.parked[a.Ref]
+		if row == nil {
+			continue
+		}
+		if i := slices.Index(row.tasks, w); i >= 0 {
+			row.tasks = slices.Delete(row.tasks, i, i+1)
+			if len(row.tasks) == 0 {
+				d.dropLocked(a.Ref, row)
+			}
 		}
 	}
 }
 
-// landed clears obj from every task parked on it; a task whose missing set
-// empties becomes runnable, and landed reports whether one did. The store
-// calls it on every arrival (arrived), and a row's resolver on finding its
-// object resident. One wake clears every dependency of the task that has
-// already landed, not just obj: under a busy runqueue each object's
-// resolver waits for a timeslice, so clearing strictly one per wake would
-// make the park→scheduled edge grow linearly in dependency count even when
-// all the objects are long since local.
+// dropLocked deletes id's row and cancels its pull in flight.
+func (d *depTable) dropLocked(id types.ObjectID, row *parkedObj) {
+	delete(d.parked, id)
+	if row.pull != nil {
+		row.pull()
+	}
+}
+
+// landed wakes the tasks parked on obj, which is now local: each waits on
+// one argument fewer, and one that waits on none with its QUEUED stamp in
+// becomes runnable; landed reports whether one did. The row goes. The
+// store calls it on every arrival (arrived), and a pull on finishing.
 func (d *depTable) landed(obj types.ObjectID) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	row := d.parked[obj]
+	if row == nil {
+		return false
+	}
+	d.dropLocked(obj, row)
+	now := d.l.cfg.Ledger.ClockNs()
 	ready := false
-	if row := d.parked[obj]; row != nil {
-		now := d.l.cfg.Ledger.ClockNs()
-		for id, w := range row.tasks {
-			for dep := range w.missing {
-				if dep == obj || d.l.cfg.Store.Contains(dep) {
-					delete(w.missing, dep)
-					d.unwaitLocked(dep, id)
-				}
-			}
-			if d.readyLocked(w, now) {
-				ready = true
-			}
+	for _, w := range row.tasks {
+		w.waits--
+		if d.readyLocked(w, now) {
+			ready = true
 		}
 	}
 	return ready
@@ -247,142 +385,190 @@ func (d *depTable) landed(obj types.ObjectID) bool {
 
 // arrived is the store's arrival hook: it lands obj's row on the storing
 // goroutine, before the store publishes the object's location — a round
-// trip that a row's resolver, pulling the object, would otherwise wait out
-// before landing it (E19). The dispatch it makes due runs on a goroutine of
-// its own, so no control-plane call of the dispatch (a grouped task's
-// claim, a stray's respill) holds up that publish.
+// trip that a pull would otherwise wait out before landing it (E19). The
+// dispatch it makes due runs on a goroutine of its own, so no control-plane
+// call of the dispatch (a grouped task's claim, a stray's respill) holds up
+// that publish.
 func (d *depTable) arrived(obj types.ObjectID) {
 	if d.landed(obj) {
 		go d.l.dispatchReady()
 	}
 }
 
-// resolveParked is the one resolver of a missing object tasks are parked
-// on. It ends when the object lands, when nothing can produce it any more,
-// or when its row empties and cancels it.
-func (d *depTable) resolveParked(ctx context.Context, obj types.ObjectID) {
-	defer d.l.wg.Done()
-	defer d.resolvers.Add(-1)
-	_, err := d.resolve(ctx, obj, types.NilTaskID, true)
-	switch {
-	case err == nil:
-		if d.landed(obj) {
-			d.l.dispatchReady()
-		}
-	case errors.Is(err, types.ErrReclaimed):
-		// No record says anything can produce obj any more: the tasks
-		// parked on it fail (types.ReasonReclaimed; Get on their returns
-		// yields core.ErrReclaimed).
-		waitsOn := func(_ types.TaskSpec, missing map[types.ObjectID]bool) bool { return missing[obj] }
-		d.l.settle(d.l.evict(waitsOn, true), func(spec types.TaskSpec) {
-			d.l.FailTask(spec, types.ReasonReclaimed+obj.String())
-		})
+// readyAt takes one message of the node's ready feed: a watched object has
+// a new copy at a node. A row waiting on it with no pull in flight pulls
+// it from there. A copy here has landed its row through the arrival hook.
+func (d *depTable) readyAt(msg []byte) {
+	id, at, ok := gcs.DecodeNodeReady(msg)
+	if !ok || at == d.l.cfg.Node {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if row := d.parked[id]; row != nil && row.pull == nil {
+		d.pullLocked(id, row, []types.NodeID{at})
 	}
 }
 
-// resolve is the one resolve loop, under a Get and under a parked
-// dependency: check the store, read the record, fetch, reconstruct or probe,
-// then wait for the arrival, the ready topic or a poll. A Get subscribes
-// before its first look, so no ready edge falls between them. A parked
-// resolver's first look runs unsubscribed, so a dependency already ready
-// elsewhere is pulled without waiting to attach to its topic (a round trip
-// on a sharded control plane) while enqueue's borrow flush is in flight
-// (E19); a look that leaves the object missing subscribes and looks again
-// before any probe or wait. A parked resolver needs only residency, and
-// fails only on types.ErrReclaimed, which ends a resolve only once the
-// reconstructor has read it for types.RetiredAfter. The arrival channel is
-// taken once per wait that can end by an arrival, not once per lap, and
-// dropped on return, so a resolve that ends without the object holds no
-// waiter in the store.
-func (d *depTable) resolve(ctx context.Context, id types.ObjectID, task types.TaskID, parked bool) ([]byte, error) {
-	cfg := &d.l.cfg
-	var sub gcs.Sub
-	var poll *time.Ticker
-	var arrival <-chan struct{}
-	var absent time.Time // when the reconstructor first read id as retired
-	if !parked {
-		sub = cfg.Ctrl.Subscribe(gcs.TopicObjectReady, id)
-		poll = time.NewTicker(pollPeriod)
+// look asks the control plane about the objects of ids' rows in one call,
+// which watches those not ready, and acts on each answer: a ready object is
+// pulled at once, even while enqueue's borrow flush is in flight (E19). It
+// returns the rows due a probe.
+func (d *depTable) look(ids []types.ObjectID) (probes []rowRef) {
+	d.mu.Lock()
+	ids = slices.DeleteFunc(ids, func(id types.ObjectID) bool {
+		row := d.parked[id]
+		return row == nil || row.pull != nil
+	})
+	d.mu.Unlock()
+	if len(ids) == 0 {
+		return nil
 	}
-	defer func() {
-		if arrival != nil {
-			cfg.Store.StopWait(id, arrival)
-		}
-		if sub != nil {
-			sub.Close()
-			poll.Stop()
-		}
-	}()
-	// wakeups numbers the looks that follow a wait.
-	for wakeups := 1; ; {
-		if parked {
-			if cfg.Store.Contains(id) {
-				return nil, nil
-			}
-		} else if data, ok := cfg.Store.Get(id); ok {
-			return data, nil
-		}
-		probe := false
-		info, ok := cfg.Ctrl.GetObject(id)
-		switch {
-		case !ok || info.State == types.ObjectPending && info.Producer.IsNil():
-			// No lineage in sight. On the first look that is the producer
-			// edge trailing its task by a ledger flush; after a poll it is
-			// worth asking whether any task returns the object at all.
-			probe = wakeups > 1
-		case info.State == types.ObjectReady:
-			if cfg.Fetcher != nil && len(info.Locations) > 0 {
-				fctx, cancel := context.WithTimeout(ctx, fetchTimeout)
-				err := cfg.Fetcher.FetchObject(fctx, info)
-				cancel()
-				if err == nil {
-					continue
-				}
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-			}
-		case info.State == types.ObjectLost:
-			probe = true
-		default:
-			// Pending: possibly a producer stranded on a dead node (queued or
-			// running there when it died). The reconstructor no-ops for
-			// healthy producers and replays stranded ones.
-			probe = wakeups%strandedPeriod == 0
-		}
-		if sub == nil {
-			sub = cfg.Ctrl.Subscribe(gcs.TopicObjectReady, id)
-			poll = time.NewTicker(pollPeriod)
+	answers := d.l.cfg.Ctrl.WatchObjects(d.l.cfg.Node, ids)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, id := range ids {
+		row := d.parked[id]
+		if row == nil || row.pull != nil {
 			continue
 		}
-		if probe && cfg.Recon != nil {
-			err := cfg.Recon(id, task)
-			switch {
-			case errors.Is(err, types.ErrReclaimed):
-				// The birth of a task born on another node may trail its ref
-				// by types.BirthBound: absence is retirement once it lasted.
-				if absent.IsZero() {
-					absent = time.Now()
-				} else if time.Since(absent) > types.RetiredAfter {
-					return nil, err
-				}
-			case err != nil && !parked && !errors.Is(err, fault.ErrControlUnavailable):
-				return nil, err
+		switch a := answers[i]; {
+		case len(a.Locations) > 0:
+			d.pullLocked(id, row, a.Locations)
+			continue
+		case a.Lost:
+			row.look = lookLost
+		case !a.Lineage:
+			row.look = lookAgain
+		default:
+			row.look = lookPending
+		}
+		if row.probeDue() {
+			probes = append(probes, rowRef{id, row})
+		}
+	}
+	return probes
+}
+
+// sweep is the table's periodic pass over the rows with no pull in flight:
+// it looks again at the objects of lookAgain rows, renews every row's look
+// every strandedPeriod sweeps, and probes lost objects. It reports whether
+// rows remain.
+func (d *depTable) sweep() bool {
+	var relook []types.ObjectID
+	var probes []rowRef
+	d.mu.Lock()
+	for id, row := range d.parked {
+		if row.pull != nil {
+			continue
+		}
+		row.sweeps++
+		switch {
+		case row.look == lookAgain || row.sweeps%strandedPeriod == 0:
+			relook = append(relook, id)
+		case row.look == lookLost:
+			probes = append(probes, rowRef{id, row})
+		}
+	}
+	rows := len(d.parked) > 0
+	d.mu.Unlock()
+	d.probe(append(probes, d.look(relook)...))
+	return rows
+}
+
+// pullLocked starts a pull of id's object from locations for row, unless
+// the node cannot fetch: then the row waits for an arrival.
+func (d *depTable) pullLocked(id types.ObjectID, row *parkedObj, locations []types.NodeID) {
+	if d.l.cfg.Fetcher == nil {
+		row.look = lookPending
+		return
+	}
+	ctx, cancel := context.WithTimeout(d.l.stopCtx, fetchTimeout)
+	row.pull = cancel
+	d.l.wg.Add(1)
+	go d.pull(ctx, cancel, id, row, locations)
+}
+
+// pull is one pull in flight, the only goroutine a row ever holds. The
+// object's arrival lands the row; a pull that failed leaves it for the next
+// sweep to look at again.
+func (d *depTable) pull(ctx context.Context, cancel context.CancelFunc, id types.ObjectID, row *parkedObj, locations []types.NodeID) {
+	defer d.l.wg.Done()
+	defer cancel()
+	if d.l.cfg.Fetcher.Fetch(ctx, id, locations) == nil {
+		if d.landed(id) {
+			d.l.dispatchReady()
+		}
+		return
+	}
+	d.mu.Lock()
+	if d.parked[id] == row {
+		row.pull, row.look = nil, lookAgain
+	}
+	d.mu.Unlock()
+}
+
+// probe runs the reconstructor over rows on a goroutine of its own, one
+// probe pass at a time: a lost object is reconstructed, a producer stranded
+// on a dead node replayed. No record says anything can produce an object
+// that reads as reclaimed for types.RetiredAfter: the tasks parked on it
+// fail (types.ReasonReclaimed; Get on their returns yields
+// core.ErrReclaimed).
+func (d *depTable) probe(rows []rowRef) {
+	if len(rows) == 0 || d.l.cfg.Recon == nil {
+		return
+	}
+	d.mu.Lock()
+	if d.probing {
+		d.mu.Unlock()
+		return
+	}
+	d.probing = true
+	d.mu.Unlock()
+	d.l.wg.Add(1)
+	go func() {
+		defer d.l.wg.Done()
+		for _, r := range rows {
+			if d.holdsRow(r) && errors.Is(d.l.cfg.Recon(r.id, types.NilTaskID), types.ErrReclaimed) {
+				d.reclaimed(r)
 			}
 		}
-		if arrival == nil {
-			arrival = cfg.Store.WaitChan(id)
-		}
-		select {
-		case <-arrival:
-			arrival = nil // re-taken if the object leaves again
-		case <-sub.C():
-		case <-poll.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-d.l.stopCtx.Done():
-			return nil, ErrStopped
-		}
-		wakeups++
+		d.mu.Lock()
+		d.probing = false
+		d.mu.Unlock()
+	}()
+}
+
+// holdsRow reports whether r's row is still in the table.
+func (d *depTable) holdsRow(r rowRef) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.parked[r.id] == r.row
+}
+
+// reclaimed takes a probe that read r's object as reclaimed. The birth of
+// a task born on another node may trail its ref by types.BirthBound, so the
+// absence ends the row only once it has lasted types.RetiredAfter.
+func (d *depTable) reclaimed(r rowRef) {
+	d.mu.Lock()
+	if d.parked[r.id] != r.row {
+		d.mu.Unlock()
+		return
 	}
+	if r.row.absent.IsZero() {
+		r.row.absent = time.Now()
+	}
+	if time.Since(r.row.absent) <= types.RetiredAfter {
+		d.mu.Unlock()
+		return
+	}
+	var failed []types.TaskSpec
+	for _, w := range slices.Clone(r.row.tasks) {
+		failed = append(failed, w.spec)
+		d.removeLocked(w)
+	}
+	d.mu.Unlock()
+	d.l.settle(failed, func(spec types.TaskSpec) {
+		d.l.FailTask(spec, types.ReasonReclaimed+r.id.String())
+	})
 }

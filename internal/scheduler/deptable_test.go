@@ -11,33 +11,82 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gcs"
+	"repro/internal/lifetime"
+	"repro/internal/lifetime/ledgertest"
+	"repro/internal/metrics"
+	"repro/internal/objectstore"
 	"repro/internal/types"
 )
 
-// subCounter is a control plane that counts object-ready subscriptions,
-// each one resolver's, and how many of them were closed.
-type subCounter struct {
+// tableCtrl is a control plane that counts what a dependency table asks of
+// it: watch calls and the objects they name, object-record reads, and
+// subscriptions by topic.
+type tableCtrl struct {
 	*gcs.Store
-	ready, closed atomic.Int64
+	watches, watched, reads atomic.Int64
+	nodeSubs, objectSubs    atomic.Int64
 }
 
-func (c *subCounter) Subscribe(topic gcs.Topic, id [types.IDSize]byte) gcs.Sub {
-	sub := c.Store.Subscribe(topic, id)
-	if topic != gcs.TopicObjectReady {
-		return sub
+func (c *tableCtrl) WatchObjects(node types.NodeID, ids []types.ObjectID) []gcs.ObjectWatch {
+	c.watches.Add(1)
+	c.watched.Add(int64(len(ids)))
+	return c.Store.WatchObjects(node, ids)
+}
+
+func (c *tableCtrl) GetObject(id types.ObjectID) (types.ObjectInfo, bool) {
+	c.reads.Add(1)
+	return c.Store.GetObject(id)
+}
+
+func (c *tableCtrl) Subscribe(topic gcs.Topic, id [types.IDSize]byte) gcs.Sub {
+	switch topic {
+	case gcs.TopicNodeReady:
+		c.nodeSubs.Add(1)
+	case gcs.TopicObjectReady:
+		c.objectSubs.Add(1)
 	}
-	c.ready.Add(1)
-	return closeCounter{Sub: sub, closed: &c.closed}
+	return c.Store.Subscribe(topic, id)
 }
 
-type closeCounter struct {
-	gcs.Sub
-	closed *atomic.Int64
+// countedLocal is a started Local whose control plane counts what its
+// dependency table asks of it, from Start on.
+func countedLocal(t *testing.T) (*Local, *execLog, *tableCtrl, *objectstore.Store) {
+	t.Helper()
+	l, ctrl, store, led := unstartedLocal(t, types.CPU(2), SpillNever)
+	counted := &tableCtrl{Store: ctrl}
+	l.cfg.Ctrl = counted
+	log := newExecLog()
+	l.SetExec(log.exec(led, store))
+	l.Start()
+	return l, log, counted, store
 }
 
-func (s closeCounter) Close() {
-	s.closed.Add(1)
-	s.Sub.Close()
+// meteredLocal is an unstarted Local with a metrics registry, on a ledger
+// whose clock the test sets.
+func meteredLocal(t *testing.T, clock func() int64) (*Local, *metrics.Registry, *gcs.Store, *objectstore.Store, *lifetime.TaskLedger) {
+	t.Helper()
+	ctrl := gcs.NewStore(4)
+	nid := tNode(1)
+	ctrl.RegisterNode(types.NodeInfo{ID: nid, Addr: "x", Total: types.CPU(2)})
+	store := objectstore.New(nid, ctrl, 0)
+	led := ledgertest.New(ctrl, nid)
+	if clock != nil {
+		led.SetClock(clock)
+	}
+	reg := metrics.NewRegistry()
+	l := NewLocal(LocalConfig{Node: nid, Total: types.CPU(2), Ctrl: ctrl, Store: store, Ledger: led,
+		SpillThreshold: SpillNever, Metrics: reg})
+	t.Cleanup(l.Stop)
+	return l, reg, ctrl, store, led
+}
+
+// pendingObject is a return of a task that has not run: its record names
+// its producer and lists no copy.
+func pendingObject(ctrl *gcs.Store, i uint64) types.ObjectID {
+	producer := types.DeriveTaskID(types.NilTaskID, i)
+	id := types.ObjectIDForReturn(producer, 0)
+	ctrl.EnsureObject(id, producer)
+	return id
 }
 
 // blockingFetcher is a Fetcher whose pulls never finish on their own: each
@@ -46,24 +95,55 @@ type blockingFetcher struct {
 	started, cancelled atomic.Int64
 }
 
-func (f *blockingFetcher) FetchObject(ctx context.Context, _ types.ObjectInfo) error {
+func (f *blockingFetcher) Fetch(ctx context.Context, _ types.ObjectID, _ []types.NodeID) error {
 	f.started.Add(1)
 	<-ctx.Done()
 	f.cancelled.Add(1)
 	return ctx.Err()
 }
 
-// TestDepTableBudget: parked tasks wait per object, not per (task,
-// dependency). However many tasks park on one missing object, it has one
-// resolver — one subscription and one goroutine, plus the in-process
-// subscription's pump — and k distinct missing objects have k. Evicting the
-// parked tasks, by any of the three paths that do, or landing the objects
-// all at once leaves no resolver behind.
+func (f *blockingFetcher) FetchObject(ctx context.Context, info types.ObjectInfo) error {
+	return f.Fetch(ctx, info.ID, info.Locations)
+}
+
+// storingFetcher is a Fetcher that stores the object at once, as a pull
+// would, and counts the pulls.
+type storingFetcher struct {
+	store   *objectstore.Store
+	fetched atomic.Int64
+}
+
+func (f *storingFetcher) Fetch(_ context.Context, id types.ObjectID, _ []types.NodeID) error {
+	f.fetched.Add(1)
+	return f.store.Put(id, []byte("d"))
+}
+
+func (f *storingFetcher) FetchObject(ctx context.Context, info types.ObjectInfo) error {
+	return f.Fetch(ctx, info.ID, info.Locations)
+}
+
+// await polls cond for up to 5 s.
+func await(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("never %s", what)
+		}
+	}
+}
+
+// TestDepTableBudget: a parked task costs no goroutine, timer or
+// subscription, per task or per object. 64 tasks parked on one missing
+// object, then one task parked on 8 more, raise the process's goroutines by
+// 0; the node keeps its one readiness subscription, which Start opened, and
+// each object is watched once. Evicting the parked tasks, by any of the
+// three paths that do, or landing the objects all at once leaves the
+// process at its baseline.
 //
 // The "while fetching" cases park the same tasks on objects ready on another
-// node, whose pulls never finish: each row's resolver starts one pull and
-// needs no subscription for it. Evicting the tasks cancels every pull a row
-// started, and no pull starts afterwards.
+// node, whose pulls never finish: a pull in flight holds one goroutine, and
+// each row starts one. Evicting the tasks cancels every pull a row started,
+// and no pull starts afterwards.
 func TestDepTableBudget(t *testing.T) {
 	const fanIn, k = 64, 8
 	group := tGroup(61)
@@ -95,18 +175,14 @@ func TestDepTableBudget(t *testing.T) {
 				name += " while fetching"
 			}
 			t.Run(name, func(t *testing.T) {
-				l, log, ctrl, _ := buildLocal(t, types.CPU(2), SpillNever)
-				counting := &subCounter{Store: ctrl}
-				l.cfg.Ctrl = counting
+				l, log, ctrl, _ := countedLocal(t)
 				fetcher := &blockingFetcher{}
 				l.cfg.Fetcher = fetcher
 				if !l.ReserveBundle(group, 0, types.CPU(1)) {
 					t.Fatal("reserve failed")
 				}
 				missing := func(i uint64) types.ObjectID {
-					producer := types.DeriveTaskID(types.NilTaskID, 6100+i)
-					id := types.ObjectIDForReturn(producer, 0)
-					ctrl.EnsureObject(id, producer)
+					id := pendingObject(ctrl.Store, 6100+i)
 					if fetching {
 						ctrl.AddObjectLocation(id, tNode(2), 1)
 					}
@@ -121,21 +197,14 @@ func TestDepTableBudget(t *testing.T) {
 				}
 				baseline := runtime.NumGoroutine()
 				rise := func() int { return runtime.NumGoroutine() - baseline }
-				// Resolvers subscribe, or start their pull, on their own
-				// goroutines: wait for the ones due to have, then count.
-				started := func() int64 { return counting.ready.Load() + fetcher.started.Load() }
-				await := func(what string, cond func() bool) {
-					t.Helper()
-					for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-						if time.Now().After(deadline) {
-							t.Fatalf("never %s: %d subscriptions, %d pulls, %d goroutines over baseline",
-								what, counting.ready.Load(), fetcher.started.Load(), rise())
-						}
+				// The table looks at new rows, and starts their pulls, on its
+				// own goroutine: wait for the looks due, then count.
+				looked := func(rows int64) func() bool {
+					return func() bool {
+						return ctrl.watched.Load() >= rows && (!fetching || fetcher.started.Load() >= rows)
 					}
 				}
-				// A row waiting on a pending object costs its resolver and the
-				// subscription's pump; one pulling costs the resolver alone.
-				perRow := 2
+				perRow := 0
 				if fetching {
 					perRow = 1
 				}
@@ -144,9 +213,9 @@ func TestDepTableBudget(t *testing.T) {
 				for i := 0; i < fanIn; i++ {
 					park(uint64(i), shared)
 				}
-				await("started", func() bool { return started() >= 1 })
-				if n := started(); n != 1 {
-					t.Fatalf("%d tasks parked on one object opened %d subscriptions and pulls, want 1", fanIn, n)
+				await(t, "looked at the shared object", looked(1))
+				if n := ctrl.watched.Load(); n != 1 {
+					t.Fatalf("%d tasks parked on one object: it was looked at %d times, want 1", fanIn, n)
 				}
 				if n := rise(); n > perRow {
 					t.Fatalf("%d tasks parked on one object cost %d goroutines, want ≤ %d", fanIn, n, perRow)
@@ -157,38 +226,35 @@ func TestDepTableBudget(t *testing.T) {
 					distinct = append(distinct, missing(uint64(i)))
 				}
 				park(fanIn, distinct...)
-				await("started", func() bool { return started() >= 1+k })
+				await(t, "looked at the distinct objects", looked(1+k))
 				if n := rise(); n > perRow*(1+k) {
 					t.Fatalf("one task parked on %d objects raised goroutines by %d, want ≤ %d", k, n, perRow*(1+k))
 				}
 				if l.WaitingLen() != fanIn+1 {
 					t.Fatalf("waiting = %d, want %d", l.WaitingLen(), fanIn+1)
 				}
-				if fetching && counting.ready.Load() != 0 {
-					t.Fatalf("resolvers pulling ready objects opened %d subscriptions, want 0", counting.ready.Load())
+				if n, o := ctrl.nodeSubs.Load(), ctrl.objectSubs.Load(); n != 1 || o != 0 {
+					t.Fatalf("the table holds %d readiness subscriptions and %d per-object ones, want 1 and 0", n, o)
+				}
+				if pulls := fetcher.started.Load(); fetching && pulls != 1+k || !fetching && pulls != 0 {
+					t.Fatalf("%d pulls started", pulls)
 				}
 
 				end.run(l, append(distinct, shared))
-				await("drained", func() bool { return l.Busy() == 0 })
+				await(t, "drained", func() bool { return l.Busy() == 0 })
 				log.mu.Lock()
 				ran := len(log.seen)
 				log.mu.Unlock()
 				if ran != end.ran {
 					t.Fatalf("%d parked tasks ran, want %d", ran, end.ran)
 				}
-				// The resolvers were cancelled or found their object; their exits
-				// are asynchronous. The table's own count of resolvers and the
-				// closed subscriptions say its goroutines are gone. The process
-				// may hold no more than that beyond the executors that ran the
+				// A cancelled pull's exit is asynchronous. The process may hold
+				// no more than the baseline beyond the executors that ran the
 				// tasks, which stay parked for the next ones: they are the
 				// executor pool's (its scheduler.executors.idle gauge).
-				await("back to the baseline", func() bool {
-					return l.deps.resolvers.Load() == 0 && counting.closed.Load() == counting.ready.Load() &&
-						int64(rise()) <= l.execs.parked()
+				await(t, "back to the baseline", func() bool {
+					return fetcher.cancelled.Load() == fetcher.started.Load() && int64(rise()) <= l.execs.parked()
 				})
-				if n, c := fetcher.started.Load(), fetcher.cancelled.Load(); c != n {
-					t.Fatalf("%d of %d pulls saw their context cancelled", c, n)
-				}
 				pulls := fetcher.started.Load()
 				time.Sleep(3 * pollPeriod)
 				if n := fetcher.started.Load(); n != pulls {
@@ -196,6 +262,108 @@ func TestDepTableBudget(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDepTableWatchBudget: a task parked on 16 pending objects that then
+// become ready on another node costs the table one batched watch call —
+// two at most, should a sweep renew the watches — no object-record read and
+// no subscription of its own: the node's ready feed brings each object's
+// location, and the table starts one pull per object.
+func TestDepTableWatchBudget(t *testing.T) {
+	const n = 16
+	l, log, ctrl, store := countedLocal(t)
+	fetcher := &storingFetcher{store: store}
+	l.cfg.Fetcher = fetcher
+	var deps []types.ObjectID
+	for i := range uint64(n) {
+		deps = append(deps, pendingObject(ctrl.Store, 6800+i))
+	}
+	spec := tSpec(6900, nil, deps...)
+	if _, err := l.Submit(spec, false); err != nil {
+		t.Fatal(err)
+	}
+	await(t, "watched the objects", func() bool { return ctrl.watched.Load() >= n })
+	for _, id := range deps {
+		ctrl.AddObjectLocation(id, tNode(2), 1)
+	}
+	waitExec(t, log, spec.ID)
+	if got := fetcher.fetched.Load(); got != n {
+		t.Fatalf("%d pulls for %d objects", got, n)
+	}
+	if calls, reads := ctrl.watches.Load(), ctrl.reads.Load(); calls > 2 || reads != 0 {
+		t.Fatalf("the table made %d watch calls and %d object reads, want ≤ 2 and 0", calls, reads)
+	}
+	if nodeSubs, objectSubs := ctrl.nodeSubs.Load(), ctrl.objectSubs.Load(); nodeSubs != 1 || objectSubs != 0 {
+		t.Fatalf("%d readiness and %d per-object subscriptions, want 1 and 0", nodeSubs, objectSubs)
+	}
+}
+
+// TestParkCatchesALandingArgument: an argument that lands between
+// enqueue's look at the store and park finds no row for its arrival to
+// wake. park looks again under the table's lock, so the task is not parked
+// on it: no row opens, nothing counts as parked, and the task runs.
+func TestParkCatchesALandingArgument(t *testing.T) {
+	l, reg, ctrl, store, led := meteredLocal(t, nil)
+	log := newExecLog()
+	l.SetExec(log.exec(led, store))
+	l.Start()
+	dep := pendingObject(ctrl, 7000)
+	l.deps.beforePark = func() {
+		if err := store.Put(dep, []byte("d")); err != nil {
+			t.Error(err)
+		}
+	}
+	spec := tSpec(7001, nil, dep)
+	if _, err := l.Submit(spec, false); err != nil {
+		t.Fatal(err)
+	}
+	l.deps.mu.Lock()
+	rows := len(l.deps.parked)
+	l.deps.mu.Unlock()
+	if parked := reg.Snapshot().Counters["scheduler.tasks.parked"]; parked != 0 || rows != 0 {
+		t.Fatalf("an argument that landed before park: %d tasks parked, %d rows opened, want 0", parked, rows)
+	}
+	waitExec(t, log, spec.ID)
+}
+
+// TestParkedOldestGauge: scheduler.parked.oldest_ms reads how long the
+// oldest task parked on a missing object has waited, on the ledger's clock,
+// and 0 once nothing is parked.
+func TestParkedOldestGauge(t *testing.T) {
+	var now atomic.Int64
+	now.Store(int64(time.Second))
+	l, reg, ctrl, store, led := meteredLocal(t, now.Load)
+	log := newExecLog()
+	l.SetExec(log.exec(led, store))
+	l.Start()
+	oldest := func() int64 { return reg.Snapshot().Gauges["scheduler.parked.oldest_ms"] }
+	if got := oldest(); got != 0 {
+		t.Fatalf("nothing parked: oldest = %d ms", got)
+	}
+	first, second := pendingObject(ctrl, 7100), pendingObject(ctrl, 7101)
+	if _, err := l.Submit(tSpec(7102, nil, first), false); err != nil {
+		t.Fatal(err)
+	}
+	now.Add(int64(30 * time.Millisecond))
+	if _, err := l.Submit(tSpec(7103, nil, second), false); err != nil {
+		t.Fatal(err)
+	}
+	now.Add(int64(20 * time.Millisecond))
+	if got := oldest(); got != 50 {
+		t.Fatalf("oldest = %d ms, want 50", got)
+	}
+	if err := store.Put(first, []byte("d")); err != nil {
+		t.Fatal(err)
+	}
+	if got := oldest(); got != 20 {
+		t.Fatalf("after the oldest task's argument landed: oldest = %d ms, want 20", got)
+	}
+	if err := store.Put(second, []byte("d")); err != nil {
+		t.Fatal(err)
+	}
+	if got := oldest(); got != 0 {
+		t.Fatalf("after every argument landed: oldest = %d ms, want 0", got)
 	}
 }
 
@@ -242,7 +410,7 @@ func TestInFlightTaskIsFoundByPointer(t *testing.T) {
 	l.deps.mu.Lock()
 	listed, rows := slices.Clone(l.deps.tasks), len(l.deps.parked)
 	l.deps.mu.Unlock()
-	if len(listed) != 1 || rows != 0 || len(listed[0].missing) != 0 {
+	if len(listed) != 1 || rows != 0 || listed[0].waits != 0 {
 		t.Fatalf("before its QUEUED stamp: %d in the table, %d rows", len(listed), rows)
 	}
 	close(refs.gate)
@@ -339,17 +507,21 @@ type deadlineFetcher struct {
 	left chan time.Duration
 }
 
-func (f *deadlineFetcher) FetchObject(ctx context.Context, info types.ObjectInfo) error {
+func (f *deadlineFetcher) Fetch(ctx context.Context, id types.ObjectID, _ []types.NodeID) error {
 	dl, ok := ctx.Deadline()
 	if !ok {
 		dl = time.Now()
 	}
 	f.left <- time.Until(dl)
-	return f.l.cfg.Store.Put(info.ID, []byte("d"))
+	return f.l.cfg.Store.Put(id, []byte("d"))
 }
 
-// TestResolveFetchBound: the resolve loop bounds one pull by fetchTimeout,
-// for a Get and for a parked dependency alike. A tighter bound restarts a
+func (f *deadlineFetcher) FetchObject(ctx context.Context, info types.ObjectInfo) error {
+	return f.Fetch(ctx, info.ID, info.Locations)
+}
+
+// TestResolveFetchBound: one pull is bounded by fetchTimeout, for a Get and
+// for a parked dependency alike. A tighter bound restarts a
 // long pull from its first byte on every lap, so it never finishes.
 func TestResolveFetchBound(t *testing.T) {
 	l, log, ctrl, _ := buildLocal(t, types.CPU(2), SpillNever)

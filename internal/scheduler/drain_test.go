@@ -56,7 +56,7 @@ func TestDrainingAdmissionFence(t *testing.T) {
 }
 
 // TestDrainBacklogRespills pins the backlog hand-off: DrainBacklog evicts
-// waiting tasks (cancelling their resolvers), publishes them to the spill
+// waiting tasks (cancelling their pulls), publishes them to the spill
 // queue with their claim released (status back to PENDING), and leaves the
 // scheduler quiescent.
 func TestDrainBacklogRespills(t *testing.T) {

@@ -21,7 +21,9 @@ import (
 // rest exit, and Stop leaves none. Read through the metrics an operator
 // sees: scheduler.executors.started and scheduler.executors.idle. Goroutine
 // counts are bounds, not equalities: a previous test's goroutines may still
-// be exiting when the baseline is read.
+// be exiting when the baseline is read. The baseline is read once Start has
+// started the dependency table's goroutine and its feed, which are the
+// scheduler's own, not executors.
 func TestExecutorBudget(t *testing.T) {
 	const warm, serial, burst = 16, 1000, maxIdleExecutors + 8
 	ctrl := gcs.NewStore(4)
@@ -31,7 +33,6 @@ func TestExecutorBudget(t *testing.T) {
 	store := objectstore.New(nid, ctrl, 0)
 	led := ledgertest.New(ctrl, nid)
 	reg := metrics.NewRegistry()
-	baseline := runtime.NumGoroutine()
 
 	l := NewLocal(LocalConfig{Node: nid, Total: total, Ctrl: ctrl, Store: store, Ledger: led, SpillThreshold: SpillNever, Metrics: reg})
 	stopped := false
@@ -59,6 +60,7 @@ func TestExecutorBudget(t *testing.T) {
 		done <- struct{}{}
 	})
 	l.Start()
+	baseline := runtime.NumGoroutine()
 
 	started := func() int64 { return reg.Snapshot().Counters["scheduler.executors.started"] }
 	idle := func() int64 { return reg.Snapshot().Gauges["scheduler.executors.idle"] }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/gcs"
 	"repro/internal/jobs"
 	"repro/internal/lifetime"
@@ -31,9 +33,13 @@ type ExecFunc func(ctx context.Context, tc *core.TaskContext, lender core.Lender
 // Fetcher pulls a remote object into the local store. lifetime.PullManager
 // is the production implementation (chunked, with per-peer backpressure).
 type Fetcher interface {
+	// Fetch pulls id from one of locations; the pull reads what else it
+	// needs of the object's record. The dependency table, which learns
+	// locations alone, calls it.
+	Fetch(ctx context.Context, id types.ObjectID, locations []types.NodeID) error
 	// FetchObject pulls the object info describes from info.Locations. It
-	// takes the whole record because the caller has just read it, and the
-	// pull needs its size and spill state too.
+	// takes the whole record because the caller, a Get, has just read it,
+	// and the pull needs its size and spill state too.
 	FetchObject(ctx context.Context, info types.ObjectInfo) error
 }
 
@@ -154,8 +160,9 @@ type Local struct {
 	started bool
 	stopped bool
 
-	// wg counts dispatched tasks, resolvers and spill bridges: Stop waits
-	// for them before it closes the executor pool.
+	// wg counts dispatched tasks, the dependency table's goroutine, its
+	// pulls and probes, and spill bridges: Stop waits for them before it
+	// closes the executor pool.
 	wg sync.WaitGroup
 
 	// draining is the admission fence (DESIGN.md §10): while set, placed
@@ -210,15 +217,22 @@ func NewLocal(cfg LocalConfig) *Local {
 	return l
 }
 
-// Start opens admission and dispatches whatever was submitted before it.
-// There is no dispatcher goroutine: from here on, every event that can make
-// a task admissible — a submission, a dependency landing, a task or a
-// reservation returning resources — dispatches on the goroutine it happens
-// on (dispatchReady).
+// Start opens admission, starts the dependency table's goroutine and
+// dispatches whatever was submitted before it. There is no dispatcher
+// goroutine: from here on, every event that can make a task admissible — a
+// submission, a dependency landing, a task or a reservation returning
+// resources — dispatches on the goroutine it happens on (dispatchReady).
 func (l *Local) Start() {
 	l.mu.Lock()
+	first := !l.started && !l.stopped
 	l.started = true
+	if first {
+		l.wg.Add(1) // the table's goroutine, counted before Stop can wait
+	}
 	l.mu.Unlock()
+	if first {
+		l.deps.start()
+	}
 	l.dispatchReady()
 }
 
@@ -551,10 +565,10 @@ func (l *Local) Busy() int {
 }
 
 // DrainBacklog evicts every queued and waiting task back through the
-// global spill queue (the drain protocol's backlog hand-off): resolvers
-// are cancelled, ownership claims are released via CAS, and each task's
-// dependencies ride a spill bridge until its next owner's borrows are in
-// place. Dispatched (running) tasks are untouched — the drain waits for
+// global spill queue (the drain protocol's backlog hand-off): pulls in
+// flight are cancelled, ownership claims are released via CAS, and each
+// task's dependencies ride a spill bridge until its next owner's borrows
+// are in place. Dispatched (running) tasks are untouched — the drain waits for
 // them via Busy. Returns how many tasks were handed off.
 func (l *Local) DrainBacklog() int {
 	if l.isStopped() {
@@ -689,8 +703,9 @@ func (l *Local) outputsIntact(spec types.TaskSpec) bool {
 // queue once nothing is missing and its QUEUED stamp is in. atNs is a
 // clock reading the caller made after its last control-plane round trip:
 // the QUEUED stamp's instant and, if t is runnable at once, its enqueue
-// time. The rows' resolvers start before the borrow flush, so records are
-// read and pulls run while that round trip is in flight (E19).
+// time. The table looks at new rows' objects on its own goroutine, so
+// records are read and pulls run while the borrow flush is in flight
+// (E19).
 func (l *Local) enqueue(t *localTask, atNs int64) {
 	spec := &t.spec
 	// Drain divert: paths that bypass Submit's fence (the executor's retry
@@ -712,19 +727,19 @@ func (l *Local) enqueue(t *localTask, atNs int64) {
 	if borrow {
 		l.cfg.Refs.Retain(deps...)
 	}
-	var missing map[types.ObjectID]bool
+	var missing []types.ObjectID
 	for _, dep := range deps {
-		if !missing[dep] && !l.cfg.Store.Contains(dep) {
-			if missing == nil {
-				missing = make(map[types.ObjectID]bool)
-			}
-			missing[dep] = true
+		if !slices.Contains(missing, dep) && !l.cfg.Store.Contains(dep) {
+			missing = append(missing, dep)
 		}
+	}
+	if l.deps.beforePark != nil {
+		l.deps.beforePark()
 	}
 	// From here until its QUEUED stamp, the evicting paths can see a task
 	// born here that is still PENDING in the task table: spillAway publishes
 	// such a task as it stands, and FailTask claims PENDING too.
-	if !l.deps.park(t, missing) {
+	if !l.deps.park(t, missing, atNs) {
 		// Stopped: the task will never run here; return its fresh borrows.
 		if borrow {
 			l.cfg.Refs.Release(deps...)
@@ -758,19 +773,18 @@ func (l *Local) pushRunnable(t *localTask, atNs int64) {
 	l.mu.Unlock()
 }
 
-// evictPred picks the tasks evict takes: spec is the task, missing the
-// objects it still waits on (nil for a runnable task). It is called holding
-// the lock of the place it picks from: the table's, or mu.
-type evictPred = func(spec types.TaskSpec, missing map[types.ObjectID]bool) bool
+// evictPred picks the tasks evict takes by their spec, read-only. It is
+// called holding the lock of the place it picks from: the table's, or mu.
+type evictPred = func(spec *types.TaskSpec) bool
 
-func anyTask(types.TaskSpec, map[types.ObjectID]bool) bool { return true }
+func anyTask(*types.TaskSpec) bool { return true }
 
 // evict takes the tasks pred matches out of the dependency table, when
 // parked is set, and then out of runnable, and returns them to be settled.
 // A matching task the table readies meanwhile is in runnable by the time
-// evict looks there (see Local). It is the one eviction path: Stop,
-// DrainBacklog, ReleaseGroup, a reclaimed argument and dispatchReady's
-// strays.
+// evict looks there (see Local). It is the one eviction path but the
+// table's own for a reclaimed argument: Stop, DrainBacklog, ReleaseGroup
+// and dispatchReady's strays.
 func (l *Local) evict(pred evictPred, parked bool) (out []types.TaskSpec) {
 	if parked {
 		out = l.deps.evict(pred)
@@ -779,7 +793,7 @@ func (l *Local) evict(pred evictPred, parked bool) (out []types.TaskSpec) {
 	defer l.mu.Unlock()
 	kept := l.runnable[:0]
 	for _, t := range l.runnable {
-		if pred(t.spec, nil) {
+		if pred(&t.spec) {
 			out = append(out, t.spec)
 		} else {
 			kept = append(kept, t)
@@ -809,15 +823,98 @@ func (l *Local) settle(specs []types.TaskSpec, fate func(types.TaskSpec)) {
 // every Get. task, when known, is the task id is a return of. It returns
 // any reconstructor error but the transient fault.ErrControlUnavailable, so
 // a reader of a retired object (DESIGN.md §17) gets types.ErrReclaimed.
+//
+// The loop runs on the caller's goroutine: check the store, read the
+// record, fetch, reconstruct or probe, then wait for the arrival, the
+// object's ready topic or a poll. It subscribes before its first look, so
+// no ready edge falls between them. types.ErrReclaimed ends it only once
+// the reconstructor has read it for types.RetiredAfter. The arrival channel
+// is taken once per wait that can end by an arrival, not once per lap, and
+// dropped on return, so a resolve that ends without the object holds no
+// waiter in the store.
 func (l *Local) Resolve(ctx context.Context, id types.ObjectID, task types.TaskID) ([]byte, error) {
-	if data, ok := l.cfg.Store.Get(id); ok {
+	cfg := &l.cfg
+	if data, ok := cfg.Store.Get(id); ok {
 		return data, nil
 	}
-	return l.deps.resolve(ctx, id, task, false)
+	sub := cfg.Ctrl.Subscribe(gcs.TopicObjectReady, id)
+	poll := time.NewTicker(pollPeriod)
+	var arrival <-chan struct{}
+	var absent time.Time // when the reconstructor first read id as retired
+	defer func() {
+		if arrival != nil {
+			cfg.Store.StopWait(id, arrival)
+		}
+		sub.Close()
+		poll.Stop()
+	}()
+	// wakeups numbers the looks that follow a wait.
+	for wakeups := 1; ; {
+		if data, ok := cfg.Store.Get(id); ok {
+			return data, nil
+		}
+		probe := false
+		info, ok := cfg.Ctrl.GetObject(id)
+		switch {
+		case !ok || info.State == types.ObjectPending && info.Producer.IsNil():
+			// No lineage in sight. On the first look that is the producer
+			// edge trailing its task by a ledger flush; after a poll it is
+			// worth asking whether any task returns the object at all.
+			probe = wakeups > 1
+		case info.State == types.ObjectReady:
+			if cfg.Fetcher != nil && len(info.Locations) > 0 {
+				fctx, cancel := context.WithTimeout(ctx, fetchTimeout)
+				err := cfg.Fetcher.FetchObject(fctx, info)
+				cancel()
+				if err == nil {
+					continue
+				}
+				if ctx.Err() != nil {
+					return nil, ctx.Err()
+				}
+			}
+		case info.State == types.ObjectLost:
+			probe = true
+		default:
+			// Pending: possibly a producer stranded on a dead node (queued or
+			// running there when it died). The reconstructor no-ops for
+			// healthy producers and replays stranded ones.
+			probe = wakeups%strandedPeriod == 0
+		}
+		if probe && cfg.Recon != nil {
+			err := cfg.Recon(id, task)
+			switch {
+			case errors.Is(err, types.ErrReclaimed):
+				// The birth of a task born on another node may trail its ref
+				// by types.BirthBound: absence is retirement once it lasted.
+				if absent.IsZero() {
+					absent = time.Now()
+				} else if time.Since(absent) > types.RetiredAfter {
+					return nil, err
+				}
+			case err != nil && !errors.Is(err, fault.ErrControlUnavailable):
+				return nil, err
+			}
+		}
+		if arrival == nil {
+			arrival = cfg.Store.WaitChan(id)
+		}
+		select {
+		case <-arrival:
+			arrival = nil // re-taken if the object leaves again
+		case <-sub.C():
+		case <-poll.C:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-l.stopCtx.Done():
+			return nil, ErrStopped
+		}
+		wakeups++
+	}
 }
 
 // dispatchReady admits runnable tasks while resources allow, on the
-// caller's goroutine: the submitter's, a dependency resolver's, a finishing
+// caller's goroutine: the submitter's, a dependency's pull's, a finishing
 // task's, a blocked task's lending its resources. Concurrent callers are
 // safe — admitOne pops one task at a time under l.mu, in queue order — and
 // no caller holds l.mu. Admission scans past a head-of-line task whose
@@ -831,8 +928,8 @@ func (l *Local) dispatchReady() {
 			// Grouped tasks whose reservation left this node respill outside
 			// the lock: the gang pass re-places their group as a unit and the
 			// global scheduler routes them to the new holder.
-			strayed := func(spec types.TaskSpec, _ map[types.ObjectID]bool) bool {
-				return spec.InGroup() && l.bundleLocked(&spec) == nil
+			strayed := func(spec *types.TaskSpec) bool {
+				return spec.InGroup() && l.bundleLocked(spec) == nil
 			}
 			l.settle(l.evict(strayed, false), l.spillAway)
 		}

@@ -1,29 +1,31 @@
 package scheduler
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/gcs"
 	"repro/internal/types"
 )
 
-// passCounter is a control plane that signals every GetObject of one
-// object: each is one pass of that dependency's resolver.
+// passCounter is a control plane that signals every watch of one object:
+// each is one look of the dependency table at it.
 type passCounter struct {
 	*gcs.Store
 	obj    types.ObjectID
 	passes chan struct{}
 }
 
-func (p *passCounter) GetObject(id types.ObjectID) (types.ObjectInfo, bool) {
-	if id == p.obj {
+func (p *passCounter) WatchObjects(node types.NodeID, ids []types.ObjectID) []gcs.ObjectWatch {
+	if slices.Contains(ids, p.obj) {
 		select {
 		case p.passes <- struct{}{}:
 		default:
 		}
 	}
-	return p.Store.GetObject(id)
+	return p.Store.WatchObjects(node, ids)
 }
 
 // parkOnPending parks a consumer on a PENDING dependency behind a counting
@@ -53,13 +55,23 @@ func parkOnPending(t *testing.T, recon func(l *Local, dep types.ObjectID)) (*Loc
 
 // TestHealthyParkedDepSkipsStrandedProbe: a dependency parked on a healthy
 // producer costs no reconstructor call — the throttle starts a period in,
-// not on the first pass of every parked dependency.
+// not on the first look at every parked dependency, nor on the sweeps
+// before strandedPeriod.
 func TestHealthyParkedDepSkipsStrandedProbe(t *testing.T) {
 	l, log, spec, ctrl, calls := parkOnPending(t, func(*Local, types.ObjectID) {})
 	<-ctrl.passes
-	<-ctrl.passes // second pass begun: the first one is over
-	if n := calls.Load(); n != 0 {
-		t.Fatalf("healthy parked dependency cost %d reconstructor calls on its first pass", n)
+	sweeps := func() int {
+		l.deps.mu.Lock()
+		defer l.deps.mu.Unlock()
+		return l.deps.parked[ctrl.obj].sweeps
+	}
+	for sweeps() < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	// Read before the sweep count: a count still short of strandedPeriod
+	// says no probe was due when the calls were read.
+	if n := calls.Load(); n != 0 && sweeps() < strandedPeriod {
+		t.Fatalf("healthy parked dependency cost %d reconstructor calls before a stranded period", n)
 	}
 	if err := l.cfg.Store.Put(ctrl.obj, []byte("d")); err != nil {
 		t.Fatal(err)
