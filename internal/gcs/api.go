@@ -259,7 +259,8 @@ const (
 	// ObjectID bytes.
 	TopicObjectReady
 	// TopicNodeReady carries the objects one node watches (WatchObjects),
-	// each as it gains its first copy since the watch (DecodeNodeReady).
+	// each as it gains its first copy since the watch, with that copy's
+	// node and the object's size (DecodeNodeReady).
 	TopicNodeReady
 	// TopicObjectGC carries objects whose reference count drained to zero;
 	// payload the ObjectID bytes. A subscription over the wire first
@@ -348,7 +349,7 @@ const (
 	keyGCIdx   = "gcidx:"   // + ObjectID hex; GC-eligible, not yet drained
 
 	chanObjReady   = "ready:"  // + ObjectID hex; payload = ObjectID bytes
-	chanNodeReady  = "nready:" // + NodeID hex; payload = ObjectID, then location NodeID bytes
+	chanNodeReady  = "nready:" // + NodeID hex; payload = ObjectID, location NodeID, size
 	chanTaskStatus = "tstat:"  // + TaskID hex; payload = [1]byte{status}
 	chanSpill      = "spill"   // payload = gob(TaskSpec)
 	chanNodes      = "nodes"   // payload = gob(NodeInfo)

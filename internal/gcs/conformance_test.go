@@ -326,8 +326,9 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	}
 	api.AddObjectLocation(obj, n, 64)
 	recv(t, readySub, "object-ready")
-	if id, at, ok := DecodeNodeReady(recv(t, watchSub, "a watched object's location")); !ok || id != obj || at != n {
-		t.Fatalf("node-ready payload: %v at %v (ok=%v), want %v at %v", id, at, ok, obj, n)
+	if got, ok := DecodeNodeReady(recv(t, watchSub, "a watched object's location")); !ok || got.ID != obj ||
+		!slices.Equal(got.Locations, []types.NodeID{n}) || got.Size != 64 {
+		t.Fatalf("node-ready payload: %+v (ok=%v), want %v at %v, 64 bytes", got, ok, obj, n)
 	}
 	if w := api.WatchObjects(watcher, []types.ObjectID{obj}); len(w) != 1 || !slices.Equal(w[0].Locations, []types.NodeID{n}) {
 		t.Fatalf("WatchObjects of a ready object: %+v", w)

@@ -496,7 +496,7 @@ func (s *Store) AddObjectLocation(id types.ObjectID, node types.NodeID, size int
 		s.db.Publish(key(chanObjReady, id), id[:])
 	}
 	if watchers := s.objects.takeWatchers(id); watchers != nil {
-		msg := nodeReadyPayload(id, node)
+		msg := nodeReadyPayload(id, node, size)
 		for _, w := range watchers {
 			s.db.Publish(key(chanNodeReady, w), msg)
 		}

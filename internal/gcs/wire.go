@@ -1,6 +1,8 @@
 package gcs
 
 import (
+	"encoding/binary"
+
 	"repro/internal/codec"
 	"repro/internal/types"
 )
@@ -25,17 +27,21 @@ func DecodeJobEvent(raw []byte) (types.JobInfo, error) {
 	return codec.DecodeAs[types.JobInfo](raw)
 }
 
-// nodeReadyPayload is a TopicNodeReady message: the object, then the node
-// that holds its new copy.
-func nodeReadyPayload(id types.ObjectID, at types.NodeID) []byte {
-	return append(append(make([]byte, 0, 2*types.IDSize), id[:]...), at[:]...)
+// nodeReadyPayload is a TopicNodeReady message: the object, the node that
+// holds its new copy, and its size.
+func nodeReadyPayload(id types.ObjectID, at types.NodeID, size int64) []byte {
+	msg := append(append(make([]byte, 0, 2*types.IDSize+8), id[:]...), at[:]...)
+	return binary.LittleEndian.AppendUint64(msg, uint64(size))
 }
 
-// DecodeNodeReady decodes a TopicNodeReady message: the watched object and
-// the node that holds its new copy.
-func DecodeNodeReady(raw []byte) (id types.ObjectID, at types.NodeID, ok bool) {
-	if len(raw) != 2*types.IDSize {
-		return id, at, false
+// DecodeNodeReady decodes a TopicNodeReady message into what a pull of the
+// watched object needs: its ID, its size, and the new copy as its one
+// location, in memory.
+func DecodeNodeReady(raw []byte) (types.ObjectInfo, bool) {
+	if len(raw) != 2*types.IDSize+8 {
+		return types.ObjectInfo{}, false
 	}
-	return types.ObjectID(raw[:types.IDSize]), types.NodeID(raw[types.IDSize:]), true
+	return types.ObjectInfo{ID: types.ObjectID(raw[:types.IDSize]), State: types.ObjectReady,
+		Locations: []types.NodeID{types.NodeID(raw[types.IDSize : 2*types.IDSize])},
+		Size:      int64(binary.LittleEndian.Uint64(raw[2*types.IDSize:]))}, true
 }

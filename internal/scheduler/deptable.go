@@ -397,23 +397,25 @@ func (d *depTable) arrived(obj types.ObjectID) {
 
 // readyAt takes one message of the node's ready feed: a watched object has
 // a new copy at a node. A row waiting on it with no pull in flight pulls
-// it from there. A copy here has landed its row through the arrival hook.
+// it from there; the message carries the size the pull needs, so the pull
+// reads no record. A copy here has landed its row through the arrival hook.
 func (d *depTable) readyAt(msg []byte) {
-	id, at, ok := gcs.DecodeNodeReady(msg)
-	if !ok || at == d.l.cfg.Node {
+	info, ok := gcs.DecodeNodeReady(msg)
+	if !ok || info.Locations[0] == d.l.cfg.Node {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if row := d.parked[id]; row != nil && row.pull == nil {
-		d.pullLocked(id, row, []types.NodeID{at})
+	if row := d.parked[info.ID]; row != nil && row.pull == nil {
+		d.pullLocked(row, info.ID, func(ctx context.Context) error { return d.l.cfg.Fetcher.FetchObject(ctx, info) })
 	}
 }
 
 // look asks the control plane about the objects of ids' rows in one call,
 // which watches those not ready, and acts on each answer: a ready object is
-// pulled at once, even while enqueue's borrow flush is in flight (E19). It
-// returns the rows due a probe.
+// pulled at once, even while enqueue's borrow flush is in flight (E19). The
+// answer lists locations only, so that pull reads the object's record for
+// its size and spill state. look returns the rows due a probe.
 func (d *depTable) look(ids []types.ObjectID) (probes []rowRef) {
 	d.mu.Lock()
 	ids = slices.DeleteFunc(ids, func(id types.ObjectID) bool {
@@ -434,7 +436,7 @@ func (d *depTable) look(ids []types.ObjectID) (probes []rowRef) {
 		}
 		switch a := answers[i]; {
 		case len(a.Locations) > 0:
-			d.pullLocked(id, row, a.Locations)
+			d.pullLocked(row, id, func(ctx context.Context) error { return d.l.cfg.Fetcher.Fetch(ctx, id, a.Locations) })
 			continue
 		case a.Lost:
 			row.look = lookLost
@@ -476,9 +478,9 @@ func (d *depTable) sweep() bool {
 	return rows
 }
 
-// pullLocked starts a pull of id's object from locations for row, unless
-// the node cannot fetch: then the row waits for an arrival.
-func (d *depTable) pullLocked(id types.ObjectID, row *parkedObj, locations []types.NodeID) {
+// pullLocked starts fetch, a pull of id's object for row, unless the node
+// cannot fetch: then the row waits for an arrival.
+func (d *depTable) pullLocked(row *parkedObj, id types.ObjectID, fetch func(context.Context) error) {
 	if d.l.cfg.Fetcher == nil {
 		row.look = lookPending
 		return
@@ -486,16 +488,16 @@ func (d *depTable) pullLocked(id types.ObjectID, row *parkedObj, locations []typ
 	ctx, cancel := context.WithTimeout(d.l.stopCtx, fetchTimeout)
 	row.pull = cancel
 	d.l.wg.Add(1)
-	go d.pull(ctx, cancel, id, row, locations)
+	go d.pull(ctx, cancel, row, id, fetch)
 }
 
 // pull is one pull in flight, the only goroutine a row ever holds. The
 // object's arrival lands the row; a pull that failed leaves it for the next
 // sweep to look at again.
-func (d *depTable) pull(ctx context.Context, cancel context.CancelFunc, id types.ObjectID, row *parkedObj, locations []types.NodeID) {
+func (d *depTable) pull(ctx context.Context, cancel context.CancelFunc, row *parkedObj, id types.ObjectID, fetch func(context.Context) error) {
 	defer d.l.wg.Done()
 	defer cancel()
-	if d.l.cfg.Fetcher.Fetch(ctx, id, locations) == nil {
+	if fetch(ctx) == nil {
 		if d.landed(id) {
 			d.l.dispatchReady()
 		}

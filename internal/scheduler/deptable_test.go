@@ -107,10 +107,11 @@ func (f *blockingFetcher) FetchObject(ctx context.Context, info types.ObjectInfo
 }
 
 // storingFetcher is a Fetcher that stores the object at once, as a pull
-// would, and counts the pulls.
+// would, and counts the pulls, and those handed a record with the object's
+// size (sized), which need not read one.
 type storingFetcher struct {
-	store   *objectstore.Store
-	fetched atomic.Int64
+	store          *objectstore.Store
+	fetched, sized atomic.Int64
 }
 
 func (f *storingFetcher) Fetch(_ context.Context, id types.ObjectID, _ []types.NodeID) error {
@@ -119,6 +120,9 @@ func (f *storingFetcher) Fetch(_ context.Context, id types.ObjectID, _ []types.N
 }
 
 func (f *storingFetcher) FetchObject(ctx context.Context, info types.ObjectInfo) error {
+	if info.Size > 0 {
+		f.sized.Add(1)
+	}
 	return f.Fetch(ctx, info.ID, info.Locations)
 }
 
@@ -269,7 +273,8 @@ func TestDepTableBudget(t *testing.T) {
 // become ready on another node costs the table one batched watch call —
 // two at most, should a sweep renew the watches — no object-record read and
 // no subscription of its own: the node's ready feed brings each object's
-// location, and the table starts one pull per object.
+// location and size, and the table starts one pull per object that needs
+// no record read either.
 func TestDepTableWatchBudget(t *testing.T) {
 	const n = 16
 	l, log, ctrl, store := countedLocal(t)
@@ -288,8 +293,8 @@ func TestDepTableWatchBudget(t *testing.T) {
 		ctrl.AddObjectLocation(id, tNode(2), 1)
 	}
 	waitExec(t, log, spec.ID)
-	if got := fetcher.fetched.Load(); got != n {
-		t.Fatalf("%d pulls for %d objects", got, n)
+	if got, sized := fetcher.fetched.Load(), fetcher.sized.Load(); got != n || sized != n {
+		t.Fatalf("%d pulls for %d objects, %d of them handed the size", got, n, sized)
 	}
 	if calls, reads := ctrl.watches.Load(), ctrl.reads.Load(); calls > 2 || reads != 0 {
 		t.Fatalf("the table made %d watch calls and %d object reads, want ≤ 2 and 0", calls, reads)

@@ -34,12 +34,13 @@ type ExecFunc func(ctx context.Context, tc *core.TaskContext, lender core.Lender
 // is the production implementation (chunked, with per-peer backpressure).
 type Fetcher interface {
 	// Fetch pulls id from one of locations; the pull reads what else it
-	// needs of the object's record. The dependency table, which learns
-	// locations alone, calls it.
+	// needs of the object's record. The dependency table calls it for an
+	// object its watch call found ready, whose answer lists locations alone.
 	Fetch(ctx context.Context, id types.ObjectID, locations []types.NodeID) error
 	// FetchObject pulls the object info describes from info.Locations. It
-	// takes the whole record because the caller, a Get, has just read it,
-	// and the pull needs its size and spill state too.
+	// takes a record because the caller has what the pull needs besides
+	// the locations, size and spill state: a Get has just read the record,
+	// and the node's ready feed carries a new in-memory copy's size.
 	FetchObject(ctx context.Context, info types.ObjectInfo) error
 }
 
