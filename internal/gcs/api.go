@@ -87,11 +87,12 @@ type API interface {
 	Objects() []types.ObjectInfo
 	// WatchObjects is a node's dependency table looking at the objects its
 	// parked tasks wait on (DESIGN.md §3.1): one answer per id, in ids'
-	// order. A ready object's answer lists its copies. Any other object that
-	// has a record gets node as a watcher: the object's next location is
-	// published once on node's TopicNodeReady channel, so the node needs no
-	// subscription per object. Watching again is harmless; a watch lasts
-	// until that location or until the record is retired.
+	// order. A ready object's answer holds what a pull of it needs of its
+	// record. Any other object that has a record gets node as a watcher: the
+	// object's next location is published once on node's TopicNodeReady
+	// channel, so the node needs no subscription per object. Watching again
+	// is harmless; a watch lasts until that location or until the record is
+	// retired.
 	WatchObjects(node types.NodeID, ids []types.ObjectID) []ObjectWatch
 
 	// Object lifetime (internal/lifetime). ModifyObjectRefCounts applies one
@@ -205,7 +206,10 @@ type API interface {
 // ObjectWatch is what WatchObjects answers of one object.
 type ObjectWatch struct {
 	// Locations lists the copies of a ready object; nil if it is not ready.
-	Locations []types.NodeID
+	// SpilledOn and Size are the rest a pull of a ready object needs: the
+	// copies on a disk spill tier, and the object's size.
+	Locations, SpilledOn []types.NodeID
+	Size                 int64
 	// Lineage reports that the record names the object's producer, and Lost
 	// that every copy of a ready object is gone. An object with no record,
 	// or whose shard did not answer, reads as neither and is not watched.

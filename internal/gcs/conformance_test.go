@@ -330,10 +330,14 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 		!slices.Equal(got.Locations, []types.NodeID{n}) || got.Size != 64 {
 		t.Fatalf("node-ready payload: %+v (ok=%v), want %v at %v, 64 bytes", got, ok, obj, n)
 	}
-	if w := api.WatchObjects(watcher, []types.ObjectID{obj}); len(w) != 1 || !slices.Equal(w[0].Locations, []types.NodeID{n}) {
+	if w := api.WatchObjects(watcher, []types.ObjectID{obj}); len(w) != 1 || !slices.Equal(w[0].Locations, []types.NodeID{n}) ||
+		w[0].Size != 64 || w[0].SpilledOn != nil {
 		t.Fatalf("WatchObjects of a ready object: %+v", w)
 	}
 	api.MarkObjectSpilled(obj, n, true)
+	if w := api.WatchObjects(watcher, []types.ObjectID{obj}); len(w) != 1 || !slices.Equal(w[0].SpilledOn, []types.NodeID{n}) {
+		t.Fatalf("WatchObjects of a spilled object: %+v", w)
+	}
 	info, ok := api.GetObject(obj)
 	if !ok || info.State != types.ObjectReady || info.Size != 64 || !info.IsSpilledOn(n) {
 		t.Fatalf("GetObject: %+v %v", info, ok)

@@ -743,14 +743,14 @@ func (s *Store) GetObject(id types.ObjectID) (types.ObjectInfo, bool) { return s
 // Objects implements API (inspection scan, R7).
 func (s *Store) Objects() []types.ObjectInfo { return s.objects.collect(nil) }
 
-// WatchObjects implements API: each look copies a ready object's locations
-// and nothing else of its record.
+// WatchObjects implements API: each look copies of a ready object's record
+// only what a pull needs.
 func (s *Store) WatchObjects(node types.NodeID, ids []types.ObjectID) []ObjectWatch {
 	out := make([]ObjectWatch, len(ids))
 	for i, id := range ids {
 		s.objects.watchOnce(id, node, func(o *types.ObjectInfo) bool {
 			if o.State == types.ObjectReady {
-				out[i].Locations = slices.Clone(o.Locations)
+				out[i] = ObjectWatch{Locations: slices.Clone(o.Locations), SpilledOn: slices.Clone(o.SpilledOn), Size: o.Size}
 				return true
 			}
 			out[i].Lineage, out[i].Lost = !o.Producer.IsNil(), o.State == types.ObjectLost

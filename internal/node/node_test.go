@@ -312,7 +312,9 @@ func TestTCPClusterSmoke(t *testing.T) {
 	}
 }
 
-// countingCtrl counts object-record reads, per object.
+// countingCtrl counts object-record reads, per object: a GetObject, or a
+// dependency table's watch call naming the object, which answers a ready
+// object's record.
 type countingCtrl struct {
 	gcs.API
 	mu    sync.Mutex
@@ -326,6 +328,15 @@ func (c *countingCtrl) GetObject(id types.ObjectID) (types.ObjectInfo, bool) {
 	return c.API.GetObject(id)
 }
 
+func (c *countingCtrl) WatchObjects(node types.NodeID, ids []types.ObjectID) []gcs.ObjectWatch {
+	c.mu.Lock()
+	for _, id := range ids {
+		c.reads[id]++
+	}
+	c.mu.Unlock()
+	return c.API.WatchObjects(node, ids)
+}
+
 func (c *countingCtrl) readsOf(id types.ObjectID) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -335,8 +346,8 @@ func (c *countingCtrl) readsOf(id types.ObjectID) int {
 // TestRemoteResolveReadsTheRecordOnce: resolving an object that lives on
 // another node costs one object-table read, whether a Get or a task's
 // dependency asks — the pull takes size and spill state from the record the
-// resolver fetched for its locations. On a sharded control plane each read
-// is an RPC.
+// resolver fetched for its locations, or from the dependency table's watch
+// call. On a sharded control plane each read is an RPC.
 func TestRemoteResolveReadsTheRecordOnce(t *testing.T) {
 	store := gcs.NewStore(2)
 	nw := transport.NewInproc(0)

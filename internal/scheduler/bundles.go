@@ -64,7 +64,7 @@ func (l *Local) ReleaseGroup(group types.PlacementGroupID, removed bool) {
 	}
 	// The members go before the reservations, so dispatch never finds one
 	// stranded without its bundle and respills a member this call fails.
-	members := l.evict(func(spec *types.TaskSpec) bool { return spec.Group == group }, true)
+	members := l.evict(func(spec *types.TaskSpec, _ bool) bool { return spec.Group == group }, true)
 	l.mu.Lock()
 	released := false
 	for key, pool := range l.bundles {

@@ -53,8 +53,9 @@ type localTask struct {
 	waits  int32
 	slot   int32
 	queued bool
-	// enqueuedNs is when the task became runnable (cluster clock): the
-	// dispatch-latency histogram's start.
+	// enqueuedNs is when the task parked on a missing argument (cluster
+	// clock), which the oldest-parked gauge reads, and then when it became
+	// runnable: the dispatch-latency histogram's start.
 	enqueuedNs int64
 	entry      lifetime.TaskEntry
 	tc         core.TaskContext
@@ -68,13 +69,13 @@ type localTask struct {
 // looks again and probes.
 type parkedObj struct {
 	tasks []*localTask
-	// sinceNs is when the row's first task parked (ledger clock).
-	sinceNs int64
-	look    rowLook
+	look  rowLook
 	// sweeps counts the sweeps that found the row with no pull in flight.
 	sweeps int
 	// pull cancels the row's pull in flight; nil while none is.
 	pull context.CancelFunc
+	// listed marks the row as listed in the table's probes.
+	listed bool
 	// absent is when a probe first read the object as reclaimed.
 	absent time.Time
 }
@@ -137,9 +138,12 @@ type depTable struct {
 
 	mu sync.Mutex
 	// tasks holds each task in the table at its record's slot.
-	tasks   []*localTask
-	parked  map[types.ObjectID]*parkedObj
-	fresh   []types.ObjectID
+	tasks  []*localTask
+	parked map[types.ObjectID]*parkedObj
+	fresh  []types.ObjectID
+	// probes lists the rows due a probe, each once, in the order they came
+	// due; probing is set while a goroutine works through them.
+	probes  []rowRef
 	probing bool
 }
 
@@ -158,8 +162,7 @@ func newDepTable(l *Local) *depTable {
 }
 
 // oldestMs is how long the oldest task parked on a missing object has
-// waited, in milliseconds of the ledger's clock: a row's first task is its
-// oldest.
+// waited, in milliseconds of the ledger's clock.
 func (d *depTable) oldestMs() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -168,8 +171,10 @@ func (d *depTable) oldestMs() int64 {
 	}
 	now := d.l.cfg.Ledger.ClockNs()
 	oldest := now
-	for _, row := range d.parked {
-		oldest = min(oldest, row.sinceNs)
+	for _, w := range d.tasks {
+		if w.waits > 0 {
+			oldest = min(oldest, w.enqueuedNs)
+		}
 	}
 	return (now - oldest) / int64(time.Millisecond)
 }
@@ -221,15 +226,15 @@ func (d *depTable) run(sub gcs.Sub) {
 // park enters t in the table, under each object in missing that is still
 // not local, and reports whether it did: not once Stop has run. Stop sets
 // its flag before its eviction takes this lock, so a task parked here is
-// evicted. The objects of the rows it opens, sinceNs atNs, go to run to be
-// looked at, off the caller's path.
+// evicted. t parks at atNs. The objects of the rows it opens go to run to
+// be looked at, off the caller's path.
 func (d *depTable) park(t *localTask, missing []types.ObjectID, atNs int64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.l.isStopped() {
 		return false
 	}
-	t.queued, t.waits = false, 0
+	t.queued, t.waits, t.enqueuedNs = false, 0, atNs
 	t.slot, d.tasks = int32(len(d.tasks)), append(d.tasks, t)
 	opened := false
 	for _, dep := range missing {
@@ -241,7 +246,7 @@ func (d *depTable) park(t *localTask, missing []types.ObjectID, atNs int64) bool
 		t.waits++
 		row := d.parked[dep]
 		if row == nil {
-			row = &parkedObj{sinceNs: atNs}
+			row = &parkedObj{}
 			d.parked[dep] = row
 			d.fresh = append(d.fresh, dep)
 			opened = true
@@ -323,7 +328,7 @@ func (d *depTable) evict(pred evictPred) (out []types.TaskSpec) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i := len(d.tasks) - 1; i >= 0; i-- { // an unlink moves a visited task
-		if w := d.tasks[i]; pred(&w.spec) {
+		if w := d.tasks[i]; pred(&w.spec, true) {
 			out = append(out, w.spec)
 			d.removeLocked(w)
 		}
@@ -407,15 +412,14 @@ func (d *depTable) readyAt(msg []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if row := d.parked[info.ID]; row != nil && row.pull == nil {
-		d.pullLocked(row, info.ID, func(ctx context.Context) error { return d.l.cfg.Fetcher.FetchObject(ctx, info) })
+		d.pullLocked(row, info)
 	}
 }
 
 // look asks the control plane about the objects of ids' rows in one call,
 // which watches those not ready, and acts on each answer: a ready object is
-// pulled at once, even while enqueue's borrow flush is in flight (E19). The
-// answer lists locations only, so that pull reads the object's record for
-// its size and spill state. look returns the rows due a probe.
+// pulled at once, even while enqueue's borrow flush is in flight (E19), with
+// no read of its record. look returns the rows due a probe.
 func (d *depTable) look(ids []types.ObjectID) (probes []rowRef) {
 	d.mu.Lock()
 	ids = slices.DeleteFunc(ids, func(id types.ObjectID) bool {
@@ -436,7 +440,8 @@ func (d *depTable) look(ids []types.ObjectID) (probes []rowRef) {
 		}
 		switch a := answers[i]; {
 		case len(a.Locations) > 0:
-			d.pullLocked(row, id, func(ctx context.Context) error { return d.l.cfg.Fetcher.Fetch(ctx, id, a.Locations) })
+			info := types.ObjectInfo{ID: id, State: types.ObjectReady, Size: a.Size, Locations: a.Locations, SpilledOn: a.SpilledOn}
+			d.pullLocked(row, info)
 			continue
 		case a.Lost:
 			row.look = lookLost
@@ -478,9 +483,9 @@ func (d *depTable) sweep() bool {
 	return rows
 }
 
-// pullLocked starts fetch, a pull of id's object for row, unless the node
-// cannot fetch: then the row waits for an arrival.
-func (d *depTable) pullLocked(row *parkedObj, id types.ObjectID, fetch func(context.Context) error) {
+// pullLocked starts a pull for row of the object info describes, unless the
+// node cannot fetch: then the row waits for an arrival.
+func (d *depTable) pullLocked(row *parkedObj, info types.ObjectInfo) {
 	if d.l.cfg.Fetcher == nil {
 		row.look = lookPending
 		return
@@ -488,39 +493,47 @@ func (d *depTable) pullLocked(row *parkedObj, id types.ObjectID, fetch func(cont
 	ctx, cancel := context.WithTimeout(d.l.stopCtx, fetchTimeout)
 	row.pull = cancel
 	d.l.wg.Add(1)
-	go d.pull(ctx, cancel, row, id, fetch)
+	go d.pull(ctx, cancel, row, info)
 }
 
 // pull is one pull in flight, the only goroutine a row ever holds. The
 // object's arrival lands the row; a pull that failed leaves it for the next
 // sweep to look at again.
-func (d *depTable) pull(ctx context.Context, cancel context.CancelFunc, row *parkedObj, id types.ObjectID, fetch func(context.Context) error) {
+func (d *depTable) pull(ctx context.Context, cancel context.CancelFunc, row *parkedObj, info types.ObjectInfo) {
 	defer d.l.wg.Done()
 	defer cancel()
-	if fetch(ctx) == nil {
-		if d.landed(id) {
+	if d.l.cfg.Fetcher.FetchObject(ctx, info) == nil {
+		if d.landed(info.ID) {
 			d.l.dispatchReady()
 		}
 		return
 	}
 	d.mu.Lock()
-	if d.parked[id] == row {
+	if d.parked[info.ID] == row {
 		row.pull, row.look = nil, lookAgain
 	}
 	d.mu.Unlock()
 }
 
-// probe runs the reconstructor over rows on a goroutine of its own, one
-// probe pass at a time: a lost object is reconstructed, a producer stranded
-// on a dead node replayed. No record says anything can produce an object
-// that reads as reclaimed for types.RetiredAfter: the tasks parked on it
-// fail (types.ReasonReclaimed; Get on their returns yields
-// core.ErrReclaimed).
+// probe lists rows as due a probe, each row once, and runs the
+// reconstructor over the list on a goroutine of its own while it is not
+// empty: a lost object is reconstructed, a producer stranded on a dead node
+// replayed. A row that comes due while a probe runs waits for the probes
+// listed ahead of it, not for its next period. No record says
+// anything can produce an object that reads as reclaimed for
+// types.RetiredAfter: the tasks parked on it fail (types.ReasonReclaimed;
+// Get on their returns yields core.ErrReclaimed).
 func (d *depTable) probe(rows []rowRef) {
 	if len(rows) == 0 || d.l.cfg.Recon == nil {
 		return
 	}
 	d.mu.Lock()
+	for _, r := range rows {
+		if !r.row.listed {
+			r.row.listed = true
+			d.probes = append(d.probes, r)
+		}
+	}
 	if d.probing {
 		d.mu.Unlock()
 		return
@@ -530,27 +543,39 @@ func (d *depTable) probe(rows []rowRef) {
 	d.l.wg.Add(1)
 	go func() {
 		defer d.l.wg.Done()
-		for _, r := range rows {
-			if d.holdsRow(r) && errors.Is(d.l.cfg.Recon(r.id, types.NilTaskID), types.ErrReclaimed) {
+		for {
+			r, ok := d.nextProbe()
+			if !ok {
+				return
+			}
+			if errors.Is(d.l.cfg.Recon(r.id, types.NilTaskID), types.ErrReclaimed) {
 				d.reclaimed(r)
 			}
 		}
-		d.mu.Lock()
-		d.probing = false
-		d.mu.Unlock()
 	}()
 }
 
-// holdsRow reports whether r's row is still in the table.
-func (d *depTable) holdsRow(r rowRef) bool {
+// nextProbe takes the first listed row still in the table, or clears
+// probing once none is left.
+func (d *depTable) nextProbe() (rowRef, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.parked[r.id] == r.row
+	for len(d.probes) > 0 {
+		r := d.probes[0]
+		d.probes = d.probes[1:]
+		r.row.listed = false
+		if d.parked[r.id] == r.row {
+			return r, true
+		}
+	}
+	d.probes, d.probing = nil, false
+	return rowRef{}, false
 }
 
 // reclaimed takes a probe that read r's object as reclaimed. The birth of
 // a task born on another node may trail its ref by types.BirthBound, so the
-// absence ends the row only once it has lasted types.RetiredAfter.
+// absence fails the tasks still parked on the row only once it has lasted
+// types.RetiredAfter.
 func (d *depTable) reclaimed(r rowRef) {
 	d.mu.Lock()
 	if d.parked[r.id] != r.row {
@@ -560,17 +585,16 @@ func (d *depTable) reclaimed(r rowRef) {
 	if r.row.absent.IsZero() {
 		r.row.absent = time.Now()
 	}
-	if time.Since(r.row.absent) <= types.RetiredAfter {
-		d.mu.Unlock()
+	retired := time.Since(r.row.absent) > types.RetiredAfter
+	d.mu.Unlock()
+	if !retired {
 		return
 	}
-	var failed []types.TaskSpec
-	for _, w := range slices.Clone(r.row.tasks) {
-		failed = append(failed, w.spec)
-		d.removeLocked(w)
+	waitsOn := func(spec *types.TaskSpec, parked bool) bool {
+		return parked && d.parked[r.id] == r.row &&
+			slices.ContainsFunc(r.row.tasks, func(w *localTask) bool { return &w.spec == spec })
 	}
-	d.mu.Unlock()
-	d.l.settle(failed, func(spec types.TaskSpec) {
+	d.l.settle(d.l.evict(waitsOn, true), func(spec types.TaskSpec) {
 		d.l.FailTask(spec, types.ReasonReclaimed+r.id.String())
 	})
 }

@@ -95,15 +95,11 @@ type blockingFetcher struct {
 	started, cancelled atomic.Int64
 }
 
-func (f *blockingFetcher) Fetch(ctx context.Context, _ types.ObjectID, _ []types.NodeID) error {
+func (f *blockingFetcher) FetchObject(ctx context.Context, _ types.ObjectInfo) error {
 	f.started.Add(1)
 	<-ctx.Done()
 	f.cancelled.Add(1)
 	return ctx.Err()
-}
-
-func (f *blockingFetcher) FetchObject(ctx context.Context, info types.ObjectInfo) error {
-	return f.Fetch(ctx, info.ID, info.Locations)
 }
 
 // storingFetcher is a Fetcher that stores the object at once, as a pull
@@ -114,16 +110,12 @@ type storingFetcher struct {
 	fetched, sized atomic.Int64
 }
 
-func (f *storingFetcher) Fetch(_ context.Context, id types.ObjectID, _ []types.NodeID) error {
+func (f *storingFetcher) FetchObject(_ context.Context, info types.ObjectInfo) error {
 	f.fetched.Add(1)
-	return f.store.Put(id, []byte("d"))
-}
-
-func (f *storingFetcher) FetchObject(ctx context.Context, info types.ObjectInfo) error {
 	if info.Size > 0 {
 		f.sized.Add(1)
 	}
-	return f.Fetch(ctx, info.ID, info.Locations)
+	return f.store.Put(info.ID, []byte("d"))
 }
 
 // await polls cond for up to 5 s.
@@ -274,7 +266,8 @@ func TestDepTableBudget(t *testing.T) {
 // two at most, should a sweep renew the watches — no object-record read and
 // no subscription of its own: the node's ready feed brings each object's
 // location and size, and the table starts one pull per object that needs
-// no record read either.
+// no record read either. A task parked on 16 objects already ready there
+// costs the same: the watch call's answer holds what each pull needs.
 func TestDepTableWatchBudget(t *testing.T) {
 	const n = 16
 	l, log, ctrl, store := countedLocal(t)
@@ -298,6 +291,25 @@ func TestDepTableWatchBudget(t *testing.T) {
 	}
 	if calls, reads := ctrl.watches.Load(), ctrl.reads.Load(); calls > 2 || reads != 0 {
 		t.Fatalf("the table made %d watch calls and %d object reads, want ≤ 2 and 0", calls, reads)
+	}
+
+	var ready []types.ObjectID
+	for i := range uint64(n) {
+		id := pendingObject(ctrl.Store, 6920+i)
+		ctrl.AddObjectLocation(id, tNode(2), 1)
+		ready = append(ready, id)
+	}
+	calls := ctrl.watches.Load()
+	spec = tSpec(6940, nil, ready...)
+	if _, err := l.Submit(spec, false); err != nil {
+		t.Fatal(err)
+	}
+	waitExec(t, log, spec.ID)
+	if got, sized := fetcher.fetched.Load(), fetcher.sized.Load(); got != 2*n || sized != 2*n {
+		t.Fatalf("%d pulls for %d ready objects, %d of them handed the size", got-n, n, sized-n)
+	}
+	if calls, reads := ctrl.watches.Load()-calls, ctrl.reads.Load(); calls > 2 || reads != 0 {
+		t.Fatalf("ready objects: the table made %d watch calls and %d object reads, want ≤ 2 and 0", calls, reads)
 	}
 	if nodeSubs, objectSubs := ctrl.nodeSubs.Load(), ctrl.objectSubs.Load(); nodeSubs != 1 || objectSubs != 0 {
 		t.Fatalf("%d readiness and %d per-object subscriptions, want 1 and 0", nodeSubs, objectSubs)
@@ -334,7 +346,8 @@ func TestParkCatchesALandingArgument(t *testing.T) {
 
 // TestParkedOldestGauge: scheduler.parked.oldest_ms reads how long the
 // oldest task parked on a missing object has waited, on the ledger's clock,
-// and 0 once nothing is parked.
+// and 0 once nothing is parked. A task that leaves a row by eviction takes
+// its age with it, though the row stays.
 func TestParkedOldestGauge(t *testing.T) {
 	var now atomic.Int64
 	now.Store(int64(time.Second))
@@ -342,27 +355,41 @@ func TestParkedOldestGauge(t *testing.T) {
 	log := newExecLog()
 	l.SetExec(log.exec(led, store))
 	l.Start()
+	group := tGroup(71)
+	if !l.ReserveBundle(group, 0, types.CPU(1)) {
+		t.Fatal("reserve failed")
+	}
 	oldest := func() int64 { return reg.Snapshot().Gauges["scheduler.parked.oldest_ms"] }
 	if got := oldest(); got != 0 {
 		t.Fatalf("nothing parked: oldest = %d ms", got)
 	}
+	submit := func(spec types.TaskSpec) {
+		t.Helper()
+		if _, err := l.Submit(spec, false); err != nil {
+			t.Fatal(err)
+		}
+	}
 	first, second := pendingObject(ctrl, 7100), pendingObject(ctrl, 7101)
-	if _, err := l.Submit(tSpec(7102, nil, first), false); err != nil {
-		t.Fatal(err)
-	}
+	grouped := tSpec(7102, nil, first)
+	grouped.Group, grouped.Bundle = group, 0
+	submit(grouped)
 	now.Add(int64(30 * time.Millisecond))
-	if _, err := l.Submit(tSpec(7103, nil, second), false); err != nil {
-		t.Fatal(err)
-	}
+	submit(tSpec(7103, nil, first))
+	submit(tSpec(7104, nil, second))
 	now.Add(int64(20 * time.Millisecond))
 	if got := oldest(); got != 50 {
 		t.Fatalf("oldest = %d ms, want 50", got)
 	}
+	l.ReleaseGroup(group, true)
+	if got := oldest(); got != 20 {
+		t.Fatalf("after the oldest task was evicted from its row: oldest = %d ms, want 20", got)
+	}
+	now.Add(int64(10 * time.Millisecond))
 	if err := store.Put(first, []byte("d")); err != nil {
 		t.Fatal(err)
 	}
-	if got := oldest(); got != 20 {
-		t.Fatalf("after the oldest task's argument landed: oldest = %d ms, want 20", got)
+	if got := oldest(); got != 30 {
+		t.Fatalf("after the first argument landed: oldest = %d ms, want 30", got)
 	}
 	if err := store.Put(second, []byte("d")); err != nil {
 		t.Fatal(err)
@@ -512,17 +539,13 @@ type deadlineFetcher struct {
 	left chan time.Duration
 }
 
-func (f *deadlineFetcher) Fetch(ctx context.Context, id types.ObjectID, _ []types.NodeID) error {
+func (f *deadlineFetcher) FetchObject(ctx context.Context, info types.ObjectInfo) error {
 	dl, ok := ctx.Deadline()
 	if !ok {
 		dl = time.Now()
 	}
 	f.left <- time.Until(dl)
-	return f.l.cfg.Store.Put(id, []byte("d"))
-}
-
-func (f *deadlineFetcher) FetchObject(ctx context.Context, info types.ObjectInfo) error {
-	return f.Fetch(ctx, info.ID, info.Locations)
+	return f.l.cfg.Store.Put(info.ID, []byte("d"))
 }
 
 // TestResolveFetchBound: one pull is bounded by fetchTimeout, for a Get and

@@ -21,9 +21,9 @@ import (
 // rest exit, and Stop leaves none. Read through the metrics an operator
 // sees: scheduler.executors.started and scheduler.executors.idle. Goroutine
 // counts are bounds, not equalities: a previous test's goroutines may still
-// be exiting when the baseline is read. The baseline is read once Start has
-// started the dependency table's goroutine and its feed, which are the
-// scheduler's own, not executors.
+// be exiting when the baselines are read. Two are read: before NewLocal,
+// which Stop returns to, and once Start has started the dependency table's
+// goroutine and its feed, which the bounds on executors count from.
 func TestExecutorBudget(t *testing.T) {
 	const warm, serial, burst = 16, 1000, maxIdleExecutors + 8
 	ctrl := gcs.NewStore(4)
@@ -33,6 +33,7 @@ func TestExecutorBudget(t *testing.T) {
 	store := objectstore.New(nid, ctrl, 0)
 	led := ledgertest.New(ctrl, nid)
 	reg := metrics.NewRegistry()
+	before := runtime.NumGoroutine()
 
 	l := NewLocal(LocalConfig{Node: nid, Total: total, Ctrl: ctrl, Store: store, Ledger: led, SpillThreshold: SpillNever, Metrics: reg})
 	stopped := false
@@ -131,5 +132,5 @@ func TestExecutorBudget(t *testing.T) {
 	if n := idle(); n != 0 {
 		t.Fatalf("%d executors parked after Stop, want 0", n)
 	}
-	await("back to the baseline after Stop", func() bool { return runtime.NumGoroutine() <= baseline })
+	await("back to the baseline after Stop", func() bool { return runtime.NumGoroutine() <= before })
 }

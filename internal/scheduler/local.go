@@ -33,14 +33,11 @@ type ExecFunc func(ctx context.Context, tc *core.TaskContext, lender core.Lender
 // Fetcher pulls a remote object into the local store. lifetime.PullManager
 // is the production implementation (chunked, with per-peer backpressure).
 type Fetcher interface {
-	// Fetch pulls id from one of locations; the pull reads what else it
-	// needs of the object's record. The dependency table calls it for an
-	// object its watch call found ready, whose answer lists locations alone.
-	Fetch(ctx context.Context, id types.ObjectID, locations []types.NodeID) error
 	// FetchObject pulls the object info describes from info.Locations. It
 	// takes a record because the caller has what the pull needs besides
 	// the locations, size and spill state: a Get has just read the record,
-	// and the node's ready feed carries a new in-memory copy's size.
+	// the dependency table's watch call answers them of a ready object, and
+	// the node's ready feed carries a new in-memory copy's size.
 	FetchObject(ctx context.Context, info types.ObjectInfo) error
 }
 
@@ -774,18 +771,19 @@ func (l *Local) pushRunnable(t *localTask, atNs int64) {
 	l.mu.Unlock()
 }
 
-// evictPred picks the tasks evict takes by their spec, read-only. It is
-// called holding the lock of the place it picks from: the table's, or mu.
-type evictPred = func(spec *types.TaskSpec) bool
+// evictPred picks the tasks evict takes by their spec, read-only; parked
+// tells where it picks from. It is called holding the lock of that place:
+// the table's when parked is set, mu otherwise.
+type evictPred = func(spec *types.TaskSpec, parked bool) bool
 
-func anyTask(*types.TaskSpec) bool { return true }
+func anyTask(*types.TaskSpec, bool) bool { return true }
 
 // evict takes the tasks pred matches out of the dependency table, when
 // parked is set, and then out of runnable, and returns them to be settled.
 // A matching task the table readies meanwhile is in runnable by the time
-// evict looks there (see Local). It is the one eviction path but the
-// table's own for a reclaimed argument: Stop, DrainBacklog, ReleaseGroup
-// and dispatchReady's strays.
+// evict looks there (see Local). It is the one eviction path: Stop,
+// DrainBacklog, ReleaseGroup, a reclaimed argument and dispatchReady's
+// strays.
 func (l *Local) evict(pred evictPred, parked bool) (out []types.TaskSpec) {
 	if parked {
 		out = l.deps.evict(pred)
@@ -794,7 +792,7 @@ func (l *Local) evict(pred evictPred, parked bool) (out []types.TaskSpec) {
 	defer l.mu.Unlock()
 	kept := l.runnable[:0]
 	for _, t := range l.runnable {
-		if pred(&t.spec) {
+		if pred(&t.spec, false) {
 			out = append(out, t.spec)
 		} else {
 			kept = append(kept, t)
@@ -929,7 +927,7 @@ func (l *Local) dispatchReady() {
 			// Grouped tasks whose reservation left this node respill outside
 			// the lock: the gang pass re-places their group as a unit and the
 			// global scheduler routes them to the new holder.
-			strayed := func(spec *types.TaskSpec) bool {
+			strayed := func(spec *types.TaskSpec, _ bool) bool {
 				return spec.InGroup() && l.bundleLocked(spec) == nil
 			}
 			l.settle(l.evict(strayed, false), l.spillAway)

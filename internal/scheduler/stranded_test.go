@@ -90,3 +90,58 @@ func TestStrandedProducerStillReplayed(t *testing.T) {
 		t.Fatalf("stranded producer probed %d times, want exactly 1", n)
 	}
 }
+
+// TestSlowProbeDelaysStrandedProbeOnly: a row that comes due a probe while
+// another row's probe runs waits for that probe, not for its next period.
+// One task parks on a pending object and on one with no record, whose probe
+// comes due on every sweep; the first of those probes lasts until the
+// pending row's stranded-producer probe has come due. That probe still
+// runs within two sweeps of coming due.
+func TestSlowProbeDelaysStrandedProbeOnly(t *testing.T) {
+	l, log, ctrl, _ := buildLocal(t, types.CPU(2), SpillNever)
+	producer := types.DeriveTaskID(types.NilTaskID, 4343)
+	pending := types.ObjectIDForReturn(producer, 0)
+	ctrl.EnsureObject(pending, producer)
+	orphan := types.PutObjectID(types.NilTaskID, 4344)
+	sweeps := func() int {
+		l.deps.mu.Lock()
+		defer l.deps.mu.Unlock()
+		if row := l.deps.parked[pending]; row != nil {
+			return row.sweeps
+		}
+		return -1
+	}
+	probedAt := make(chan int, 1)
+	l.cfg.Recon = func(id types.ObjectID, _ types.TaskID) error {
+		switch id {
+		case orphan:
+			for n := sweeps(); n >= 0 && n <= strandedPeriod; n = sweeps() {
+				time.Sleep(time.Millisecond)
+			}
+		case pending:
+			select {
+			case probedAt <- sweeps():
+			default:
+			}
+		}
+		return nil
+	}
+	spec := tSpec(79, nil, pending, orphan)
+	if _, err := l.Submit(spec, false); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case at := <-probedAt:
+		if at > strandedPeriod+2 {
+			t.Fatalf("the stranded-producer probe due at sweep %d ran at sweep %d", strandedPeriod, at)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stranded-producer probe never ran")
+	}
+	for _, id := range []types.ObjectID{pending, orphan} {
+		if err := l.cfg.Store.Put(id, []byte("d")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitExec(t, log, spec.ID)
+}
