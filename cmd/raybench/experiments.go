@@ -227,7 +227,7 @@ func expReconstruction(quick bool) {
 	// (DESIGN.md §6.3), so it holds a copy of the second half too. It gives
 	// those copies up here, or the kill would lose nothing.
 	for _, r := range raw[n/2:] {
-		if st, ok := c.Ctrl.GetTask(r.Task); ok && st.Node != c.Node(0).ID() {
+		if st, ok := c.Ctrl.GetTask(r.ID.Producer()); ok && st.Node != c.Node(0).ID() {
 			c.Node(0).Store().Delete(r.ID)
 		}
 	}

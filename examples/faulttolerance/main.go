@@ -87,7 +87,7 @@ func main() {
 	// pressure), or nothing would be lost and nothing replayed.
 	fmt.Println("\nphase 2: killing node 2 (a third of the cluster); the driver's node drops its delivered copies")
 	for _, r := range raw {
-		if st, ok := c.Ctrl.GetTask(r.Task); ok && st.Node != c.Node(0).ID() {
+		if st, ok := c.Ctrl.GetTask(r.ID.Producer()); ok && st.Node != c.Node(0).ID() {
 			c.Node(0).Store().Delete(r.ID)
 		}
 	}

@@ -33,8 +33,8 @@ type ctrlProbe struct {
 	// adds and removes count the location calls.
 	adds, removes atomic.Int64
 	// events and retires count LogEvent and Retire calls; waiting counts
-	// the calls blocked by a hold.
-	events, retires, waiting atomic.Int64
+	// the calls blocked by a hold; scans counts ScanTasks calls.
+	events, retires, waiting, scans atomic.Int64
 	// refuseBirths makes the task table refuse every birth, as a shard that
 	// is down does, so the births stay owed while the flushers run.
 	refuseBirths atomic.Bool
@@ -234,6 +234,7 @@ func (p *ctrlProbe) ClaimTask(id types.TaskID, from []types.TaskStatus, to types
 
 func (p *ctrlProbe) ScanTasks(f gcs.TaskFilter) ([]types.TaskState, bool) {
 	p.call()
+	p.scans.Add(1)
 	return p.API.ScanTasks(f)
 }
 
@@ -541,6 +542,38 @@ func TestChainWhileTaskTableHeld(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the chain did not finish while the task table was held")
+	}
+}
+
+// TestParkOnSlowLocalProducerScansNoTable: a task parked on the return of
+// a local producer that runs three polls long, whose birth is still owed,
+// finds the producer through the return's ID in the owner's ledger. The
+// dependency table's probes scan no task table however long it runs.
+func TestParkOnSlowLocalProducerScansNoTable(t *testing.T) {
+	reg, open := birthFuncs(t)
+	n, probe := probedNode(t, gcs.NewStore(4), transport.NewInproc(0), reg)
+	defer open() // ahead of the node's shutdown, should the test fail first
+	d := core.NewClient(n)
+	runNoop(t, d)
+	n.TaskLedger().Flush()
+	probe.scans.Store(0)
+	first, err := d.SubmitOpts("births.gated", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := d.SubmitOpts("births.noop", []types.Arg{core.RefOf(first[0])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(35 * time.Millisecond) // three polls of the dependency table
+	open()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := d.Get(ctx, second[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := probe.scans.Load(); got != 0 {
+		t.Fatalf("%d task-table scans while a task parked on a slow local producer, want 0", got)
 	}
 }
 

@@ -229,17 +229,6 @@ func TestFastBirthsTrailTheBatch(t *testing.T) {
 	}
 }
 
-// TestFastReturnCacheNotEncoded: the return IDs a spec caches stay out of
-// its encoding, which is the spec's without them.
-func TestFastReturnCacheNotEncoded(t *testing.T) {
-	spec := sampleTaskSpec()
-	bare := MustEncode(spec)
-	spec.CacheReturns()
-	if !bytes.Equal(MustEncode(spec), bare) {
-		t.Fatal("a spec with cached return IDs encodes differently")
-	}
-}
-
 func TestFastRoundTripZeroValues(t *testing.T) {
 	roundTrip(t, types.ObjectInfo{})
 	roundTrip(t, types.TaskSpec{})
@@ -301,9 +290,7 @@ func TestFastWrongTarget(t *testing.T) {
 func TestFastFieldSetsCovered(t *testing.T) {
 	expect := map[reflect.Type][]string{
 		reflect.TypeOf(types.ObjectInfo{}): {"ID", "Size", "Producer", "State", "Locations", "RefCount", "EverRetained", "RefOps", "Holders", "SpilledOn", "LineagePins"},
-		// returns is the spec's in-process cache of its return IDs, which
-		// no form encodes.
-		reflect.TypeOf(types.TaskSpec{}):   {"ID", "Function", "Args", "NumReturns", "Resources", "Parent", "SubmitIndex", "MaxRetries", "Locality", "Group", "Bundle", "TraceID", "Job", "Actor", "Origin", "returns"},
+		reflect.TypeOf(types.TaskSpec{}):   {"ID", "Function", "Args", "NumReturns", "Resources", "Parent", "SubmitIndex", "MaxRetries", "Locality", "Group", "Bundle", "TraceID", "Job", "Actor", "Origin"},
 		reflect.TypeOf(types.TaskState{}):  {"Spec", "Status", "Node", "Worker", "Error", "Retries", "SubmittedNs", "ScheduledNs", "StartedNs", "FinishedNs", "LastTransitionNs", "MutOps", "Owner", "OwnerSeq"},
 		reflect.TypeOf(types.NodeInfo{}):   {"ID", "Addr", "Total", "Alive", "LastSeen", "State", "DrainNs", "QueueLen", "Available", "Store", "MutOps"},
 		reflect.TypeOf(types.Arg{}):        {"IsRef", "Ref", "Value"},

@@ -20,12 +20,11 @@ import (
 // production implementation; tests may substitute fakes.
 type Backend interface {
 	// SubmitTask hands a task to the node's local scheduler (bottom-up
-	// scheduling: locally-born work goes to the local scheduler first) and
-	// returns its return IDs, derived once, where the task's record holds
-	// them: read-only.
-	SubmitTask(spec types.TaskSpec) ([]types.ObjectID, error)
+	// scheduling: locally-born work goes to the local scheduler first).
+	SubmitTask(spec types.TaskSpec) error
 	// ResolveObject blocks until the object's bytes are locally available,
-	// fetching from peers and triggering lineage reconstruction as needed.
+	// fetching from peers and triggering lineage reconstruction as needed;
+	// a TaskOwner waits owner-side while it owns the object's producer.
 	ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, error)
 	// ObjectLocal reports whether the object is already in the local store.
 	ObjectLocal(id types.ObjectID) bool
@@ -61,14 +60,14 @@ type RefCounted interface {
 // local authority is dropped (transfer) — at once if that already happened
 // — so waiters re-check rather than trust the wake blindly; ch needs room
 // for one event per id, and StopNotifyTaskEnd unregisters what has not
-// fired. ResolveTaskOutput is ResolveObject for a return of task, waiting
-// owner-side while the task is owned here.
+// fired. A ref's producing task is the one its ID names
+// (types.ObjectID.Producer), so a ref rebuilt from a bare ID waits
+// owner-side too.
 type TaskOwner interface {
 	OwnsTask(id types.TaskID) bool
 	OwnRoot(root types.TaskID)
 	NotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID)
 	StopNotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID)
-	ResolveTaskOutput(ctx context.Context, task types.TaskID, id types.ObjectID) ([]byte, error)
 }
 
 // Call describes one task invocation.
@@ -227,16 +226,15 @@ func (c *caller) submit(function string, args []types.Arg, o TaskOptions, out []
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	rets, err := c.backend.SubmitTask(spec)
-	if err != nil {
+	if err := c.backend.SubmitTask(spec); err != nil {
 		return nil, err
 	}
-	if len(out) != len(rets) {
-		out = make([]ObjectRef, len(rets))
+	if len(out) != spec.NumReturns {
+		out = make([]ObjectRef, spec.NumReturns)
 	}
-	for i, id := range rets {
-		out[i] = ObjectRef{ID: id, Task: spec.ID}
-		c.retain(id)
+	for i := range out {
+		out[i] = ObjectRef{ID: spec.ReturnID(i), Task: spec.ID}
+		c.retain(out[i].ID)
 	}
 	return out, nil
 }
@@ -252,13 +250,7 @@ func (c *caller) get(ctx context.Context, ref ObjectRef) ([]byte, error) {
 	}
 	c.enterBlocked()
 	defer c.exitBlocked()
-	var data []byte
-	var err error
-	if owner, ok := c.backend.(TaskOwner); ok && !ref.Task.IsNil() {
-		data, err = owner.ResolveTaskOutput(ctx, ref.Task, ref.ID)
-	} else {
-		data, err = c.backend.ResolveObject(ctx, ref.ID)
-	}
+	data, err := c.backend.ResolveObject(ctx, ref.ID)
 	if err != nil {
 		return nil, err
 	}
@@ -297,22 +289,22 @@ func isGroupRemovedPayload(msg string) bool {
 }
 
 // hasReason reports whether msg is exactly reason followed by a short ID
-// (its tag and twelve hex digits), the shape the schedulers store.
+// (its tag and twelve hex digits, and a return's decimal index after a
+// dot), the shape the schedulers store.
 func hasReason(msg, reason, tag string) bool {
 	rest, ok := strings.CutPrefix(msg, reason)
 	if !ok {
 		return false
 	}
 	rest, ok = strings.CutPrefix(rest, tag)
-	if !ok || len(rest) != 12 {
+	if !ok {
 		return false
 	}
-	for _, c := range rest {
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
-			return false
-		}
+	rest, index, dotted := strings.Cut(rest, ".")
+	if len(rest) != 12 || strings.Trim(rest, "0123456789abcdef") != "" {
+		return false
 	}
-	return true
+	return !dotted || index != "" && strings.Trim(index, "0123456789") == ""
 }
 
 func tryLocal(b Backend, id types.ObjectID) ([]byte, bool) {
@@ -452,8 +444,8 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 		if done[r.ID] {
 			continue // already ready on the first scan: no wake source needed
 		}
-		if owner != nil && !r.Task.IsNil() && owner.OwnsTask(r.Task) {
-			owned[r.Task] = append(owned[r.Task], r)
+		if task := r.ID.Producer(); owner != nil && !task.IsNil() && owner.OwnsTask(task) {
+			owned[task] = append(owned[task], r)
 			continue
 		}
 		subscribe(r.ID)
@@ -543,11 +535,11 @@ out:
 func reclaimedAmong(ctrl gcs.API, owner TaskOwner, refs []ObjectRef, suspects map[types.ObjectID]time.Time) error {
 	now := time.Now()
 	for _, r := range refs {
-		if !r.Task.IsNil() {
-			if owner != nil && owner.OwnsTask(r.Task) {
+		if task := r.ID.Producer(); !task.IsNil() {
+			if owner != nil && owner.OwnsTask(task) {
 				continue
 			}
-			if _, ok := ctrl.GetTask(r.Task); ok {
+			if _, ok := ctrl.GetTask(task); ok {
 				continue
 			}
 		}

@@ -31,8 +31,8 @@ func newFakeBackend() *fakeBackend {
 	}
 }
 
-func (f *fakeBackend) SubmitTask(spec types.TaskSpec) ([]types.ObjectID, error) {
-	rets := spec.CacheReturns()
+func (f *fakeBackend) SubmitTask(spec types.TaskSpec) error {
+	rets := spec.AppendReturns(nil)
 	f.mu.Lock()
 	f.specs = append(f.specs, spec)
 	f.mu.Unlock()
@@ -40,7 +40,7 @@ func (f *fakeBackend) SubmitTask(spec types.TaskSpec) ([]types.ObjectID, error) 
 	for _, id := range rets {
 		f.ctrl.EnsureObject(id, spec.ID)
 	}
-	return rets, nil
+	return nil
 }
 
 func (f *fakeBackend) ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, error) {

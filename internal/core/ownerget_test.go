@@ -96,9 +96,9 @@ type probed struct {
 	reached chan struct{}
 }
 
-func (p *probed) ResolveTaskOutput(ctx context.Context, task types.TaskID, id types.ObjectID) ([]byte, error) {
+func (p *probed) ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, error) {
 	p.reached <- struct{}{}
-	return p.Node.ResolveTaskOutput(ctx, task, id)
+	return p.Node.ResolveObject(ctx, id)
 }
 
 func probedClient(n *node.Node) (*core.Client, <-chan struct{}) {

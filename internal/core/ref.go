@@ -17,9 +17,10 @@ import (
 type ObjectRef struct {
 	ID types.ObjectID
 	// Task is the producing task, when the ref came from a Submit on this
-	// process (zero for Puts and refs reconstructed from bare IDs). It
-	// lets owner-side waits resolve from the local task ledger's state
-	// events instead of control-plane table reads (DESIGN.md §13).
+	// process (zero for Puts and refs reconstructed from bare IDs). The
+	// runtime does not read it: ID.Producer names the producing task of any
+	// return. Outside tests its one reader is the benchmark module
+	// (bench/), and the field goes in the next change to that module.
 	Task types.TaskID
 }
 

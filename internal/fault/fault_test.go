@@ -20,7 +20,7 @@ func TestRequestObjectReadyIsNoop(t *testing.T) {
 		called = true
 		return nil
 	}}
-	if err := r.RequestReturn(obj, types.NilTaskID); err != nil {
+	if err := r.RequestReturn(obj); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -43,7 +43,7 @@ func TestRequestObjectReplaysProducer(t *testing.T) {
 		resubmitted = &s
 		return nil
 	}}
-	if err := r.RequestReturn(obj, types.NilTaskID); err != nil {
+	if err := r.RequestReturn(obj); err != nil {
 		t.Fatal(err)
 	}
 	if resubmitted == nil || resubmitted.ID != spec.ID {
@@ -69,7 +69,7 @@ func TestRequestObjectPutIsNotReconstructable(t *testing.T) {
 	ctrl.RemoveObjectLocation(obj, node)
 
 	r := &Reconstructor{Ctrl: ctrl, Resubmit: func(s types.TaskSpec) error { return nil }}
-	err := r.RequestReturn(obj, types.NilTaskID)
+	err := r.RequestReturn(obj)
 	if !errors.Is(err, ErrNotReconstructable) {
 		t.Fatalf("err = %v", err)
 	}
@@ -79,7 +79,7 @@ func TestRequestObjectUnknown(t *testing.T) {
 	ctrl := gcs.NewStore(2)
 	r := &Reconstructor{Ctrl: ctrl, Resubmit: func(s types.TaskSpec) error { return nil }}
 	obj := types.ObjectIDForReturn(types.DeriveTaskID(types.NilTaskID, 4), 0)
-	if err := r.RequestReturn(obj, types.NilTaskID); err == nil {
+	if err := r.RequestReturn(obj); err == nil {
 		t.Fatal("unknown object accepted")
 	}
 }
@@ -125,7 +125,7 @@ func TestRequestObjectDeadControlPlaneIsRetryable(t *testing.T) {
 		Ctrl:     &deadCtrl{API: backing, deadObjects: true},
 		Resubmit: func(types.TaskSpec) error { t.Fatal("resubmitted through a dead control plane"); return nil },
 	}
-	err := r.RequestReturn(obj, types.NilTaskID)
+	err := r.RequestReturn(obj)
 	if !errors.Is(err, ErrControlUnavailable) {
 		t.Fatalf("object lookup against dead GCS: err = %v, want ErrControlUnavailable", err)
 	}
@@ -133,7 +133,7 @@ func TestRequestObjectDeadControlPlaneIsRetryable(t *testing.T) {
 	// Same when the object read succeeds but the lineage lookup hits the
 	// dead shard.
 	r.Ctrl = &deadCtrl{API: backing, deadTasks: true}
-	err = r.RequestReturn(obj, types.NilTaskID)
+	err = r.RequestReturn(obj)
 	if !errors.Is(err, ErrControlUnavailable) {
 		t.Fatalf("lineage lookup against dead GCS: err = %v, want ErrControlUnavailable", err)
 	}
@@ -145,7 +145,7 @@ func TestRequestObjectDeadControlPlaneIsRetryable(t *testing.T) {
 	// attempted; accept it quietly to prove the error cleared.
 	resubmitted := false
 	r.Resubmit = func(types.TaskSpec) error { resubmitted = true; return nil }
-	if err := r.RequestReturn(obj, types.NilTaskID); err != nil {
+	if err := r.RequestReturn(obj); err != nil {
 		t.Fatalf("after recovery: %v", err)
 	}
 	if !resubmitted {
@@ -163,7 +163,42 @@ func TestRequestObjectMissingLineage(t *testing.T) {
 	ctrl.RemoveObjectLocation(obj, node)
 
 	r := &Reconstructor{Ctrl: ctrl, Resubmit: func(s types.TaskSpec) error { return nil }}
-	if err := r.RequestReturn(obj, types.NilTaskID); err == nil {
+	if err := r.RequestReturn(obj); err == nil {
 		t.Fatal("missing lineage record accepted")
+	}
+}
+
+// scanCount counts the task-table scans made through it.
+type scanCount struct {
+	gcs.API
+	scans int
+}
+
+func (s *scanCount) ScanTasks(f gcs.TaskFilter) ([]types.TaskState, bool) {
+	s.scans++
+	return s.API.ScanTasks(f)
+}
+
+// TestLostPutScansNoTable: a put's ID names no producer, so a lost put is
+// not reconstructable without a look at the task table.
+func TestLostPutScansNoTable(t *testing.T) {
+	store := gcs.NewStore(2)
+	spec := types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 7), Function: "f", NumReturns: 1}
+	store.AddTask(types.TaskState{Spec: spec, Status: types.TaskFinished})
+	obj := types.PutObjectID(spec.ID, 1)
+	node := types.NodeID(types.DeriveTaskID(types.NilTaskID, 104))
+	store.AddObjectLocation(obj, node, 8)
+	store.RemoveObjectLocation(obj, node)
+	ctrl := &scanCount{API: store}
+
+	r := &Reconstructor{Ctrl: ctrl, Resubmit: func(types.TaskSpec) error {
+		t.Fatal("replayed a task for a put")
+		return nil
+	}}
+	if err := r.RequestReturn(obj); !errors.Is(err, ErrNotReconstructable) {
+		t.Fatalf("err = %v, want ErrNotReconstructable", err)
+	}
+	if ctrl.scans != 0 {
+		t.Fatalf("%d task-table scans for a lost put, want 0", ctrl.scans)
 	}
 }

@@ -1,9 +1,11 @@
 // Package fault implements the transparent fault tolerance of the paper's
 // Section 3.2.1 (R6): because the control plane stores the computation
 // lineage (every task spec, plus each object's producing task), lost
-// objects are reconstructed by replaying the tasks that produced them.
-// Deterministic task and object IDs make replay idempotent, and the task
-// table's CAS transitions guarantee a single re-executor per task.
+// objects are reconstructed by replaying the tasks that produced them. A
+// return's ID names its producer (types.ObjectID.Producer), so the producer
+// of an object whose record lacks the edge is one lookup away, never a
+// scan. Deterministic task and object IDs make replay idempotent, and the
+// task table's CAS transitions guarantee a single re-executor per task.
 package fault
 
 import (
@@ -40,40 +42,9 @@ func (r *Reconstructor) ctrlReachable() bool {
 // TaskLookup is the owner-side view of task state (lifetime.TaskLedger):
 // authoritative for tasks this node owns, and fresher than the follower
 // table, whose view trails by up to types.BirthBound — a task born here is
-// in the table only once the ledger's flush wrote its birth. Flush writes
-// every birth it owes.
+// in the table only once the ledger's flush wrote its birth.
 type TaskLookup interface {
 	Lookup(id types.TaskID) (types.TaskState, bool)
-	Flush() bool
-}
-
-// producerOf finds the task that returns id: hint's record when the caller
-// named one — the owner's first, which holds a task born here before the
-// table does — and a scan of the table otherwise. A scan that finds nothing
-// is repeated once the owner's ledger has flushed, so a producer born here
-// whose birth was still on its way is not taken for a retired one.
-func (r *Reconstructor) producerOf(id types.ObjectID, hint types.TaskID) (types.TaskState, bool) {
-	if !hint.IsNil() {
-		if st, ok := r.lookupOwned(hint); ok {
-			return st, true
-		}
-		return r.Ctrl.GetTask(hint)
-	}
-	st, ok := r.deriveProducer(id)
-	if !ok && r.Ledger != nil {
-		r.Ledger.Flush()
-		st, ok = r.deriveProducer(id)
-	}
-	return st, ok
-}
-
-// lookupOwned is the ledger's view of a task it owns and holds the spec of.
-func (r *Reconstructor) lookupOwned(id types.TaskID) (types.TaskState, bool) {
-	if r.Ledger == nil {
-		return types.TaskState{}, false
-	}
-	st, ok := r.Ledger.Lookup(id)
-	return st, ok && st.Spec.ID == id
 }
 
 // Reconstructor replays producing tasks to regenerate lost objects.
@@ -88,31 +59,6 @@ type Reconstructor struct {
 	Resubmit func(spec types.TaskSpec) error
 }
 
-// deriveProducer rebuilds a missing object→producer edge from the task
-// table. A task's birth writes its spec and, after it, its return objects'
-// producer edges (DESIGN.md §13), so a crash (or a control-plane snapshot
-// taken) between the two loses only the index, never the lineage — and an
-// executing node's location publish can create the object record before
-// either. Return-object IDs are
-// deterministic (H("ret" ‖ task ‖ index)), so the edge is recomputable
-// from the specs. O(tasks × returns) over a table the size of the live
-// set, paid only when an object without a copy has no recorded producer —
-// a catastrophic failover, or a reader holding a ref to something retired.
-func (r *Reconstructor) deriveProducer(id types.ObjectID) (types.TaskState, bool) {
-	if !r.ctrlReachable() {
-		return types.TaskState{}, false // a partial scan proves nothing
-	}
-	tasks, _ := r.Ctrl.ScanTasks(gcs.TaskFilter{})
-	for _, st := range tasks {
-		for i := 0; i < st.Spec.NumReturns; i++ {
-			if st.Spec.ReturnID(i) == id {
-				return st, true
-			}
-		}
-	}
-	return types.TaskState{}, false
-}
-
 // RequestReturn triggers reconstruction of id if it is lost, or if it is
 // pending but its producer is stranded (recorded on a node that has died —
 // which covers both tasks that were running there and tasks that sat in its
@@ -123,21 +69,17 @@ func (r *Reconstructor) deriveProducer(id types.ObjectID) (types.TaskState, bool
 // the scheduler's resolve loop calls back into RequestReturn for each
 // unavailable dependency it encounters.
 //
-// A caller that knows id is a return of task (a future carries its
-// producer) passes it: where the record has no producer edge, the one
-// task-table read replaces the scan that derives it. Others pass
-// types.NilTaskID.
-//
-// An object with no lineage anywhere — no producer edge on its record (or
-// no record), no task in the table that returns it, and none in this
-// node's ledger after it flushed — yields types.ErrReclaimed: a return
-// whose task neither its owner nor the table knows was retired, was never
-// submitted, or was born on another node whose ledger has not landed its
-// birth yet, which it does within types.BirthBound. One answer is therefore
-// not proof: the caller's resolve loop ends on it only once it has read so
-// for types.RetiredAfter, and asks only after a first poll, so the flush
-// interval by which an edge may trail its task costs no scan.
-func (r *Reconstructor) RequestReturn(id types.ObjectID, task types.TaskID) error {
+// The producer is the one the record names, or else the one the ID names
+// (types.ObjectID.Producer): the edge trails its task's birth, and a
+// snapshot may hold a record without it. The producer's state comes from
+// this node's ledger, else from one task-table read. A lost put yields
+// ErrNotReconstructable. A put with no record, or a return whose task
+// neither the ledger nor the table knows, yields types.ErrReclaimed: it was
+// retired, never submitted, or born on another node whose ledger has not
+// landed its birth yet, which it does within types.BirthBound. One answer
+// is therefore not proof: the caller's resolve loop ends on it only once
+// it has read so for types.RetiredAfter.
+func (r *Reconstructor) RequestReturn(id types.ObjectID) error {
 	info, ok := r.Ctrl.GetObject(id)
 	if !ok {
 		if !r.ctrlReachable() {
@@ -153,24 +95,15 @@ func (r *Reconstructor) RequestReturn(id types.ObjectID, task types.TaskID) erro
 	if info.State == types.ObjectReady {
 		return nil
 	}
-	if info.Producer.IsNil() {
-		// No lineage edge. Transient under owner-based lineage (DESIGN.md
-		// §13) — the record was created by a refcount flush and the owner's
-		// birth of its producer is still in flight — unless no task returns
-		// the object at all: then it is a Put whose copies are gone, or, if
-		// it never had a copy, something retired.
-		st, found := r.producerOf(id, task)
-		if !found {
-			if !r.ctrlReachable() {
-				return fmt.Errorf("%w: deriving the producer of %v", ErrControlUnavailable, id)
-			}
-			if info.State == types.ObjectPending {
-				return fmt.Errorf("%w: %v", types.ErrReclaimed, id)
-			}
-			return fmt.Errorf("%w: %v", ErrNotReconstructable, id)
+	producer := info.Producer
+	if producer.IsNil() {
+		producer = id.Producer()
+	}
+	if producer.IsNil() {
+		if info.State == types.ObjectPending {
+			return fmt.Errorf("%w: %v", types.ErrReclaimed, id)
 		}
-		r.Ctrl.EnsureObjects(map[types.ObjectID]types.TaskID{id: st.Spec.ID}) // heal: next resolve is O(1) again
-		info.Producer = st.Spec.ID
+		return fmt.Errorf("%w: %v", ErrNotReconstructable, id)
 	}
 	// Owner-ledger fast path: if this node owns the producer, its liveness
 	// is known in-process. A live owned producer is by definition healthy
@@ -182,25 +115,25 @@ func (r *Reconstructor) RequestReturn(id types.ObjectID, task types.TaskID) erro
 	var st types.TaskState
 	ok = false
 	if r.Ledger != nil {
-		if st, ok = r.Ledger.Lookup(info.Producer); ok {
+		if st, ok = r.Ledger.Lookup(producer); ok {
 			switch st.Status {
 			case types.TaskPending, types.TaskQueued, types.TaskScheduled, types.TaskRunning:
 				return nil
 			case types.TaskFailed:
 				return nil
 			}
-			ok = st.Spec.ID == info.Producer
+			ok = st.Spec.ID == producer
 		}
 	}
 	if !ok {
-		st, ok = r.Ctrl.GetTask(info.Producer)
+		st, ok = r.Ctrl.GetTask(producer)
 	}
 	if !ok {
 		if !r.ctrlReachable() {
-			return fmt.Errorf("%w: looking up lineage of %v", ErrControlUnavailable, info.Producer)
+			return fmt.Errorf("%w: looking up lineage of %v", ErrControlUnavailable, producer)
 		}
-		if st, ok = r.Ctrl.GetTask(info.Producer); !ok {
-			return fmt.Errorf("%w: %v (lineage record for task %v gone)", types.ErrReclaimed, id, info.Producer)
+		if st, ok = r.Ctrl.GetTask(producer); !ok {
+			return fmt.Errorf("%w: %v (lineage record for task %v gone)", types.ErrReclaimed, id, producer)
 		}
 	}
 	if info.State == types.ObjectPending {

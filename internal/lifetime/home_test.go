@@ -37,7 +37,7 @@ func newHomeRig() *homeRig {
 // born adopts task i's birth, with its driver's reference to each return.
 func (r *homeRig) born(i uint64, returns int) (types.TaskID, []types.ObjectID) {
 	spec := types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, i), Function: "f", NumReturns: returns}
-	ids := spec.CacheReturns()
+	ids := spec.AppendReturns(nil)
 	r.m.tracker.Retain(ids...)
 	r.led.Birth(nil, &spec, r.led.ClockNs())
 	return spec.ID, ids

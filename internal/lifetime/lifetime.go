@@ -314,7 +314,8 @@ func (t *Tracker) batch(led *TaskLedger) (map[types.ObjectID]int64, types.NodeID
 		e = led.oldest
 	}
 	for ; e != nil; e = e.newer {
-		for _, id := range e.spec.CacheReturns() {
+		for i := range e.spec.NumReturns {
+			id := e.spec.ReturnID(i)
 			if r := t.held[id]; r.set {
 				if deltas == nil {
 					deltas = make(map[types.ObjectID]int64)

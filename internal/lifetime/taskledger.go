@@ -119,7 +119,6 @@ type TaskEntry struct {
 type heldEntry struct {
 	TaskEntry
 	lineage types.TaskSpec
-	ret     [1]types.ObjectID
 }
 
 // NewTaskLedger creates an empty ledger publishing into ctrl, in
@@ -237,7 +236,8 @@ func (l *TaskLedger) oweLocked(t *TaskEntry) {
 	l.newest = t
 	l.owed++
 	if l.refs != nil {
-		l.refs.owe(t.spec.CacheReturns())
+		var one [1]types.ObjectID
+		l.refs.owe(t.spec.AppendReturns(one[:0]))
 	}
 }
 
@@ -252,7 +252,8 @@ func (l *TaskLedger) unoweLocked(t *TaskEntry) {
 	t.owed, t.older, t.newer = false, nil, nil
 	l.owed--
 	if l.refs != nil {
-		l.refs.unowe(t.spec.CacheReturns())
+		var one [1]types.ObjectID
+		l.refs.unowe(t.spec.AppendReturns(one[:0]))
 	}
 }
 
@@ -755,7 +756,7 @@ func (l *TaskLedger) bear(timed bool) bool {
 			if t.dirty {
 				l.dirty = append(l.dirty, t)
 			}
-			returns = append(returns, t.spec.CacheReturns()...)
+			returns = t.spec.AppendReturns(returns)
 			t.spec = nil
 		}
 	}
@@ -774,10 +775,11 @@ func (l *TaskLedger) bear(timed bool) bool {
 // needs it any more. Any other has outlived its round trip: its entry moves
 // out of its submitter's record (compactLocked).
 func (l *TaskLedger) settleOwedLocked(home *Manager) {
+	var one [1]types.ObjectID
 	for t := l.oldest; t != nil; {
 		next := t.newer
 		if t.status.Terminal() {
-			if t.birthOp == 0 && home != nil && home.collectHome(t.spec.CacheReturns()) {
+			if t.birthOp == 0 && home != nil && home.collectHome(t.spec.AppendReturns(one[:0])) {
 				l.dropLocked(t)
 			} else if t.inRecord {
 				l.compactLocked(t)
@@ -793,7 +795,6 @@ func (l *TaskLedger) settleOwedLocked(home *Manager) {
 // executor is done with it.
 func (l *TaskLedger) compactLocked(t *TaskEntry) {
 	c := &heldEntry{TaskEntry: *t, lineage: *t.spec}
-	c.lineage.CacheReturnsIn(&c.ret)
 	e := &c.TaskEntry
 	e.spec, e.inRecord = &c.lineage, false
 	l.tasks[t.id] = e

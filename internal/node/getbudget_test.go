@@ -11,7 +11,7 @@ import (
 )
 
 // TestOwnerGetWatcherBudget pins the owner-side Get's yield
-// (ResolveTaskOutput): a driver's Get on the task it just submitted finds
+// (Node.ResolveObject): a driver's Get on the task it just submitted finds
 // the task SCHEDULED, its executor readied next on the driver's processor,
 // and yields to it instead of parking on an end watcher. On one processor
 // the executor then runs the task before the driver resumes, so the Get

@@ -150,7 +150,7 @@ type worker = executorShim
 // table and resolve loop read the field at call time, so a wrapper put in
 // front of it after New (a test's counter) sees every call.
 type reconstructor interface {
-	RequestReturn(id types.ObjectID, task types.TaskID) error
+	RequestReturn(id types.ObjectID) error
 }
 
 // New builds and starts a node: object store, pull server, local scheduler,
@@ -231,8 +231,7 @@ func New(cfg Config) (*Node, error) {
 			if n.dead.Load() {
 				return scheduler.ErrStopped
 			}
-			_, err := n.sched.Submit(spec, false)
-			return err
+			return n.sched.Submit(spec, false)
 		},
 	}
 	n.exec = newExecutorShim(n)
@@ -245,7 +244,7 @@ func New(cfg Config) (*Node, error) {
 		Refs:           n.life.Tracker(),
 		Ledger:         n.taskled,
 		Exec:           n.exec.Execute,
-		Recon:          func(id types.ObjectID, task types.TaskID) error { return n.recon.RequestReturn(id, task) },
+		Recon:          func(id types.ObjectID) error { return n.recon.RequestReturn(id) },
 		SpillThreshold: cfg.SpillThreshold,
 		Metrics:        n.reg,
 		JobFence: func(id types.JobID) bool {
@@ -266,7 +265,7 @@ func New(cfg Config) (*Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("node: bad assignment: %w", err)
 		}
-		if _, err := n.sched.Submit(spec, true); err != nil {
+		if err := n.sched.Submit(spec, true); err != nil {
 			return nil, err
 		}
 		return nil, nil
@@ -528,9 +527,9 @@ func (n *Node) abortDrain(why string) bool {
 // --- core.Backend ---
 
 // SubmitTask implements core.Backend.
-func (n *Node) SubmitTask(spec types.TaskSpec) ([]types.ObjectID, error) {
+func (n *Node) SubmitTask(spec types.TaskSpec) error {
 	if n.dead.Load() {
-		return nil, scheduler.ErrStopped
+		return scheduler.ErrStopped
 	}
 	return n.sched.Submit(spec, false)
 }
@@ -578,50 +577,6 @@ func (n *Node) StopNotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID) {
 // capacity 1, and empty whenever it is in the pool.
 var endWaits = sync.Pool{New: func() any { return make(chan types.TaskID, 1) }}
 
-// ResolveTaskOutput implements core.TaskOwner: ResolveObject for id, a
-// return of task. While this node's ledger owns the task, the wait is on the
-// ledger's end event alone: no control-plane call, and no store waiter.
-// Every path that ends a task here stores its returns (or error payloads)
-// before the terminal stamp — the executor, FailTask — so at the event the
-// object is in the store, or the tenure ended without it (spilled away,
-// drained, transferred, output evicted) and the resolver takes over,
-// unchanged, as it does for every task not owned here. A task still
-// SCHEDULED was just handed to an executor, readied next on this processor
-// (dispatchReady): the Get yields to it once, and waits only if the return
-// is not stored by then. It runs no task itself, so its context still ends
-// it.
-func (n *Node) ResolveTaskOutput(ctx context.Context, task types.TaskID, id types.ObjectID) ([]byte, error) {
-	ended := endWaits.Get().(chan types.TaskID)
-	defer endWaits.Put(ended)
-	watching, handed := n.taskled.WatchEndOrYield(ended, task, true)
-	if handed {
-		runtime.Gosched()
-		if data, ok := n.store.Get(id); ok {
-			return data, nil
-		}
-		watching = n.taskled.WatchEnd(ended, task)
-	}
-	if watching {
-		var err error
-		select {
-		case <-ended:
-		case <-ctx.Done():
-			err = ctx.Err()
-		case <-n.stop:
-			err = scheduler.ErrStopped
-		}
-		if err != nil {
-			n.taskled.StopNotify(ended, task)
-			select { // the end may have come before StopNotify
-			case <-ended:
-			default:
-			}
-			return nil, err
-		}
-	}
-	return n.sched.Resolve(ctx, id, task)
-}
-
 // AdmitJobTask implements core.JobGate: one tenanted submission is decided
 // against the job's record and quota ceilings through the node's TTL-cached
 // admission state (DESIGN.md §14).
@@ -631,9 +586,50 @@ func (n *Node) AdmitJobTask(job types.JobID) error { return n.admit.Admit(job) }
 func (n *Node) TaskLedger() *lifetime.TaskLedger { return n.taskled }
 
 // ResolveObject implements core.Backend: the local scheduler's resolver
-// (scheduler.Local.Resolve), run on the caller's goroutine.
+// (scheduler.Local.Resolve), run on the caller's goroutine. While this
+// node's ledger owns the task id is a return of (types.ObjectID.Producer),
+// the wait is on the ledger's end event alone: no control-plane call, and
+// no store waiter. Every path that ends a task here stores its returns (or
+// error payloads) before the terminal stamp — the executor, FailTask — so
+// at the event the object is in the store, or the tenure ended without it
+// (spilled away, drained, transferred, output evicted) and the resolver
+// takes over, unchanged, as it does for every object whose task is not
+// owned here. A task still SCHEDULED was just handed to an executor,
+// readied next on this processor (dispatchReady): the Get yields to it
+// once, and waits only if the return is not stored by then. It runs no task
+// itself, so its context still ends it.
 func (n *Node) ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, error) {
-	return n.sched.Resolve(ctx, id, types.NilTaskID)
+	if task := id.Producer(); !task.IsNil() {
+		ended := endWaits.Get().(chan types.TaskID)
+		defer endWaits.Put(ended)
+		watching, handed := n.taskled.WatchEndOrYield(ended, task, true)
+		if handed {
+			runtime.Gosched()
+			if data, ok := n.store.Get(id); ok {
+				return data, nil
+			}
+			watching = n.taskled.WatchEnd(ended, task)
+		}
+		if watching {
+			var err error
+			select {
+			case <-ended:
+			case <-ctx.Done():
+				err = ctx.Err()
+			case <-n.stop:
+				err = scheduler.ErrStopped
+			}
+			if err != nil {
+				n.taskled.StopNotify(ended, task)
+				select { // the end may have come before StopNotify
+				case <-ended:
+				default:
+				}
+				return nil, err
+			}
+		}
+	}
+	return n.sched.Resolve(ctx, id)
 }
 
 // --- lifecycle ---

@@ -132,7 +132,7 @@ func TestKillMarksDeadAndDropsObjects(t *testing.T) {
 	if oinfo.State != types.ObjectLost {
 		t.Fatalf("object state after kill: %v", oinfo.State)
 	}
-	if _, err := n.SubmitTask(types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 82), Function: "double", NumReturns: 1}); err == nil {
+	if err := n.SubmitTask(types.TaskSpec{ID: types.DeriveTaskID(types.NilTaskID, 82), Function: "double", NumReturns: 1}); err == nil {
 		t.Fatal("dead node accepted a task")
 	}
 	// Store must refuse resurrection.
@@ -414,9 +414,9 @@ type countingRecon struct {
 	calls atomic.Int64
 }
 
-func (c *countingRecon) RequestReturn(id types.ObjectID, task types.TaskID) error {
+func (c *countingRecon) RequestReturn(id types.ObjectID) error {
 	c.calls.Add(1)
-	return c.reconstructor.RequestReturn(id, task)
+	return c.reconstructor.RequestReturn(id)
 }
 
 // countRecon puts a counter in front of n's reconstructor. Call it before
@@ -452,7 +452,7 @@ func TestHealthyRemoteGetDoesNotProbeTheReconstructor(t *testing.T) {
 		ID: types.DeriveTaskID(types.NilTaskID, 90), Function: "gated", Args: []types.Arg{core.Val(7)},
 		NumReturns: 1, Resources: types.CPU(1), Origin: origin.ID(),
 	}
-	if _, err := producer.sched.Submit(spec, true); err != nil {
+	if err := producer.sched.Submit(spec, true); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
@@ -576,7 +576,7 @@ func TestOwnerGetLeavesNoWatchers(t *testing.T) {
 			}
 			watching <- struct{}{}
 		}()
-		if _, err := n.ResolveTaskOutput(ctx, ref.Task, ref.ID); err != nil && !errors.Is(err, context.Canceled) {
+		if _, err := n.ResolveObject(ctx, ref.ID); err != nil && !errors.Is(err, context.Canceled) {
 			t.Fatalf("Get %d = %v", i, err)
 		}
 		if w := n.TaskLedger().Watchers(ref.Task); w != 0 {
@@ -606,7 +606,7 @@ func TestOwnerGetLeavesNoWatchers(t *testing.T) {
 	get := func(ctx context.Context) chan error {
 		done := make(chan error, 1)
 		go func() {
-			_, err := n.ResolveTaskOutput(ctx, ref.Task, ref.ID)
+			_, err := n.ResolveObject(ctx, ref.ID)
 			done <- err
 		}()
 		return done

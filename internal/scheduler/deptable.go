@@ -35,8 +35,8 @@ const (
 // table's entry while the task waits on an argument not yet local or on its
 // QUEUED stamp, the runnable queue's once both are done, whichever comes
 // last, and what the executor pool hands an executor; it holds the task
-// ledger's entry of a task born here (Birth), the task's context for its
-// run, and its one return ID. Its spec is read-only from the moment the
+// ledger's entry of a task born here (Birth) and the task's context for its
+// run. Its spec is read-only from the moment the
 // record holds it: the task ledger reads it too while the task's birth is
 // owed. demand is the spec's resource demand, resolved once against the
 // node's name table (Local.newLocalTask).
@@ -59,7 +59,6 @@ type localTask struct {
 	enqueuedNs int64
 	entry      lifetime.TaskEntry
 	tc         core.TaskContext
-	ret        [1]types.ObjectID
 }
 
 // parkedObj is one row of the dependency table: the tasks parked on one
@@ -548,7 +547,7 @@ func (d *depTable) probe(rows []rowRef) {
 			if !ok {
 				return
 			}
-			if errors.Is(d.l.cfg.Recon(r.id, types.NilTaskID), types.ErrReclaimed) {
+			if errors.Is(d.l.cfg.Recon(r.id), types.ErrReclaimed) {
 				d.reclaimed(r)
 			}
 		}

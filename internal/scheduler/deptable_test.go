@@ -187,7 +187,7 @@ func TestDepTableBudget(t *testing.T) {
 				park := func(i uint64, deps ...types.ObjectID) {
 					spec := tSpec(6200+i, nil, deps...)
 					spec.Group, spec.Bundle = group, 0
-					if _, err := l.Submit(spec, false); err != nil {
+					if err := l.Submit(spec, false); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -278,7 +278,7 @@ func TestDepTableWatchBudget(t *testing.T) {
 		deps = append(deps, pendingObject(ctrl.Store, 6800+i))
 	}
 	spec := tSpec(6900, nil, deps...)
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	await(t, "watched the objects", func() bool { return ctrl.watched.Load() >= n })
@@ -301,7 +301,7 @@ func TestDepTableWatchBudget(t *testing.T) {
 	}
 	calls := ctrl.watches.Load()
 	spec = tSpec(6940, nil, ready...)
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	waitExec(t, log, spec.ID)
@@ -332,7 +332,7 @@ func TestParkCatchesALandingArgument(t *testing.T) {
 		}
 	}
 	spec := tSpec(7001, nil, dep)
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	l.deps.mu.Lock()
@@ -365,7 +365,7 @@ func TestParkedOldestGauge(t *testing.T) {
 	}
 	submit := func(spec types.TaskSpec) {
 		t.Helper()
-		if _, err := l.Submit(spec, false); err != nil {
+		if err := l.Submit(spec, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -437,7 +437,7 @@ func TestInFlightTaskIsFoundByPointer(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitted := make(chan error, 1)
-	go func() { _, err := l.Submit(tSpec(7001, nil, dep), false); submitted <- err }()
+	go func() { err := l.Submit(tSpec(7001, nil, dep), false); submitted <- err }()
 	<-refs.entered
 	l.deps.mu.Lock()
 	listed, rows := slices.Clone(l.deps.tasks), len(l.deps.parked)
@@ -502,7 +502,7 @@ func TestEvictBeforeQueuedStamp(t *testing.T) {
 			spec.Group, spec.Bundle = group, 0
 
 			submitted := make(chan error, 1)
-			go func() { _, err := l.Submit(spec, false); submitted <- err }()
+			go func() { err := l.Submit(spec, false); submitted <- err }()
 			<-refs.entered
 			evict.run(l)
 			close(refs.gate)
@@ -567,13 +567,13 @@ func TestResolveFetchBound(t *testing.T) {
 		}
 	}
 
-	if _, err := l.Resolve(context.Background(), remote(0), types.NilTaskID); err != nil {
+	if _, err := l.Resolve(context.Background(), remote(0)); err != nil {
 		t.Fatal(err)
 	}
 	check("a Get")
 
 	spec := tSpec(6400, nil, remote(1))
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	check("a parked dependency")

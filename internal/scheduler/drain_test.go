@@ -23,7 +23,7 @@ func TestDrainingAdmissionFence(t *testing.T) {
 
 	// Global assignment: refused before any ownership claim.
 	placed := tSpec(300, types.CPU(1))
-	if _, err := l.Submit(placed, true); !errors.Is(err, ErrDraining) {
+	if err := l.Submit(placed, true); !errors.Is(err, ErrDraining) {
 		t.Fatalf("placed submit on draining node: err=%v, want ErrDraining", err)
 	}
 	if st, ok := ctrl.GetTask(placed.ID); !ok || st.Status != types.TaskPending {
@@ -32,7 +32,7 @@ func TestDrainingAdmissionFence(t *testing.T) {
 
 	// Locally-born task: spills to the global queue, never runs here.
 	local := tSpec(301, types.CPU(1))
-	if _, err := l.Submit(local, false); err != nil {
+	if err := l.Submit(local, false); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -49,7 +49,7 @@ func TestDrainingAdmissionFence(t *testing.T) {
 	// Fence down: admission resumes.
 	l.SetDraining(false)
 	resumed := tSpec(302, types.CPU(1))
-	if _, err := l.Submit(resumed, false); err != nil {
+	if err := l.Submit(resumed, false); err != nil {
 		t.Fatal(err)
 	}
 	waitExec(t, log, resumed.ID)
@@ -69,7 +69,7 @@ func TestDrainBacklogRespills(t *testing.T) {
 	dep[0] = 88
 	ctrl.EnsureObject(dep, types.NilTaskID)
 	blocked := tSpec(310, types.CPU(1), dep)
-	if _, err := l.Submit(blocked, false); err != nil {
+	if err := l.Submit(blocked, false); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)

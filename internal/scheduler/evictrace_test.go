@@ -107,7 +107,7 @@ func raceEviction(t *testing.T, evictor string, round, rounds uint64) func() boo
 		probed, probe = make(chan struct{}), make(chan struct{})
 		var first time.Time
 		var last sync.Once
-		cfg.Recon = func(types.ObjectID, types.TaskID) error {
+		cfg.Recon = func(types.ObjectID) error {
 			if first.IsZero() {
 				first = time.Now()
 			}
@@ -138,7 +138,7 @@ func raceEviction(t *testing.T, evictor string, round, rounds uint64) func() boo
 		}
 		spec.Group, spec.Bundle = group, 0
 	}
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 

@@ -78,7 +78,7 @@ func TestExecutorBudget(t *testing.T) {
 	submit := func() {
 		t.Helper()
 		next++
-		if _, err := l.Submit(tSpec(next, types.CPU(1)), false); err != nil {
+		if err := l.Submit(tSpec(next, types.CPU(1)), false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -64,7 +64,7 @@ func TestGroupedTaskRunsFromReservation(t *testing.T) {
 	spec := tSpec(50, types.CPU(2))
 	spec.Group = g
 	spec.Bundle = 0
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	waitExec(t, log, spec.ID)
@@ -94,7 +94,7 @@ func TestGroupedTaskWithoutReservationSpills(t *testing.T) {
 	spec := tSpec(51, types.CPU(1))
 	spec.Group = tGroup(3)
 	spec.Bundle = 0
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -118,7 +118,7 @@ func TestLocalityHintSpills(t *testing.T) {
 
 	spec := tSpec(52, types.CPU(1))
 	spec.Locality = tNode(99) // not this node
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -145,7 +145,7 @@ func TestReleaseGroupFailsQueuedMembers(t *testing.T) {
 	spec := tSpec(53, types.CPU(1), dep)
 	spec.Group = g
 	spec.Bundle = 0
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)

@@ -102,9 +102,9 @@ type LocalConfig struct {
 	Exec ExecFunc
 	// Recon asks the fault-tolerance layer to make an object — lost, or
 	// pending on a producer stranded on a dead node — resolvable again by
-	// lineage replay; task, when known, is the task it is a return of.
-	// fault.Reconstructor.RequestReturn; nil disables reconstruction.
-	Recon func(id types.ObjectID, task types.TaskID) error
+	// lineage replay: fault.Reconstructor.RequestReturn; nil disables
+	// reconstruction.
+	Recon func(id types.ObjectID) error
 	// SpillThreshold: locally-born tasks spill to the global scheduler when
 	// the runnable backlog reaches this length. SpillNever / SpillAlways
 	// select the extremes.
@@ -344,13 +344,12 @@ func (l *Local) reacquire(t *localTask) {
 // Submit is the entry point for tasks born on this node (placed=false) and
 // for tasks assigned by the global scheduler (placed=true). It implements
 // the spillover decision of Section 3.2.2. The task's one record here
-// (localTask) takes its copy of spec, which no code writes after, and
-// derives its return IDs, which Submit returns: read-only.
-func (l *Local) Submit(spec types.TaskSpec, placed bool) ([]types.ObjectID, error) {
+// (localTask) takes its copy of spec, which no code writes after.
+func (l *Local) Submit(spec types.TaskSpec, placed bool) error {
 	l.mu.Lock()
 	if l.stopped {
 		l.mu.Unlock()
-		return nil, ErrStopped
+		return ErrStopped
 	}
 	backlog := len(l.runnable)
 	l.mu.Unlock()
@@ -358,12 +357,11 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) ([]types.ObjectID, erro
 		// The job reclaim fence (DESIGN.md §14). Refusing before the
 		// ownership claim keeps the record PENDING, where the reclaim pass
 		// buries it; admitting would resurrect work the stop already swept.
-		return nil, ErrJobFenced
+		return ErrJobFenced
 	}
 	l.submitted.Add(1)
 	l.obs.submitted.Inc()
 	t := l.newLocalTask(spec)
-	rets := t.spec.CacheReturns()
 
 	if placed {
 		// A draining node admits nothing: refuse before the ownership claim
@@ -374,7 +372,7 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) ([]types.ObjectID, erro
 			if added, _ := l.record(t, l.cfg.Ledger.ClockNs()); added {
 				l.cfg.Ledger.Disown(spec.ID)
 			}
-			return nil, ErrDraining
+			return ErrDraining
 		}
 		// A global-scheduler assignment. Several global schedulers may each
 		// place the same spilled task ("one or more global schedulers",
@@ -389,16 +387,16 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) ([]types.ObjectID, erro
 		seq, ok := claim()
 		if !ok {
 			if added, _ := l.record(t, l.cfg.Ledger.ClockNs()); !added {
-				return rets, nil // the record is another's, and so was the claim
+				return nil // the record is another's, and so was the claim
 			}
 			if seq, ok = claim(); !ok {
 				l.cfg.Ledger.Disown(spec.ID) // the record this call wrote went to another claim
-				return rets, nil
+				return nil
 			}
 		}
 		l.cfg.Ledger.Adopt(spec.ID, seq, types.TaskQueued)
 		l.enqueue(t, l.cfg.Ledger.ClockNs())
-		return rets, nil
+		return nil
 	}
 	// One clock read stamps the birth, the QUEUED stamp and the enqueue time,
 	// unless a control-plane round trip comes between them. A spilled task's
@@ -411,29 +409,27 @@ func (l *Local) Submit(spec types.TaskSpec, placed bool) ([]types.ObjectID, erro
 			// Already known to the control plane: either in flight elsewhere
 			// or finished with intact outputs (replayed submission, results
 			// reusable outright). Only the CAS winner re-runs.
-			return rets, nil
+			return nil
 		}
 		flushed = true
 	}
 	if spill {
 		l.bridgeSpill(spec)
 		l.publishSpill(spec)
-		return rets, nil
+		return nil
 	}
 	if flushed {
 		at = l.cfg.Ledger.ClockNs()
 	}
 	l.enqueue(t, at)
-	return rets, nil
+	return nil
 }
 
-// newLocalTask makes spec's record, deriving its return IDs into it and
-// resolving its resource demand against the node's name table first:
-// nothing writes the spec once the record holds it.
+// newLocalTask makes spec's record, resolving its resource demand against
+// the node's name table first: nothing writes the spec once the record
+// holds it.
 func (l *Local) newLocalTask(spec types.TaskSpec) *localTask {
-	t := &localTask{spec: spec, demand: l.res.names.demand(spec.Resources), l: l}
-	t.spec.CacheReturnsIn(&t.ret)
-	return t
+	return &localTask{spec: spec, demand: l.res.names.demand(spec.Resources), l: l}
 }
 
 // spills is the spillover decision for a task born here. Grouped tasks run
@@ -819,7 +815,7 @@ func (l *Local) settle(specs []types.TaskSpec, fate func(types.TaskSpec)) {
 
 // Resolve blocks until id is resident here and returns its bytes, pulling a
 // remote copy and replaying lineage for a lost one: the machinery under
-// every Get. task, when known, is the task id is a return of. It returns
+// every Get. It returns
 // any reconstructor error but the transient fault.ErrControlUnavailable, so
 // a reader of a retired object (DESIGN.md §17) gets types.ErrReclaimed.
 //
@@ -831,7 +827,7 @@ func (l *Local) settle(specs []types.TaskSpec, fate func(types.TaskSpec)) {
 // is taken once per wait that can end by an arrival, not once per lap, and
 // dropped on return, so a resolve that ends without the object holds no
 // waiter in the store.
-func (l *Local) Resolve(ctx context.Context, id types.ObjectID, task types.TaskID) ([]byte, error) {
+func (l *Local) Resolve(ctx context.Context, id types.ObjectID) ([]byte, error) {
 	cfg := &l.cfg
 	if data, ok := cfg.Store.Get(id); ok {
 		return data, nil
@@ -856,9 +852,10 @@ func (l *Local) Resolve(ctx context.Context, id types.ObjectID, task types.TaskI
 		info, ok := cfg.Ctrl.GetObject(id)
 		switch {
 		case !ok || info.State == types.ObjectPending && info.Producer.IsNil():
-			// No lineage in sight. On the first look that is the producer
-			// edge trailing its task by a ledger flush; after a poll it is
-			// worth asking whether any task returns the object at all.
+			// No record, or no producer edge in it. On the first look that
+			// is the edge trailing its task by a ledger flush; after a poll
+			// it is worth asking whether the task the ID names, if any, is
+			// still known.
 			probe = wakeups > 1
 		case info.State == types.ObjectReady:
 			if cfg.Fetcher != nil && len(info.Locations) > 0 {
@@ -881,7 +878,7 @@ func (l *Local) Resolve(ctx context.Context, id types.ObjectID, task types.TaskI
 			probe = wakeups%strandedPeriod == 0
 		}
 		if probe && cfg.Recon != nil {
-			err := cfg.Recon(id, task)
+			err := cfg.Recon(id)
 			switch {
 			case errors.Is(err, types.ErrReclaimed):
 				// The birth of a task born on another node may trail its ref

@@ -68,7 +68,7 @@ func TestResolveLeavesNoWaiters(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := l.Resolve(ctx, id, types.NilTaskID)
+		_, err := l.Resolve(ctx, id)
 		done <- err
 	}()
 	for range 6 {

@@ -103,7 +103,7 @@ func waitExec(t *testing.T, log *execLog, want types.TaskID) {
 func TestImmediateDispatch(t *testing.T) {
 	l, log, _, _ := buildLocal(t, types.CPU(2), SpillNever)
 	spec := tSpec(1, nil)
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	waitExec(t, log, spec.ID)
@@ -114,7 +114,7 @@ func TestDependencyGatesDispatch(t *testing.T) {
 	dep := types.ObjectIDForReturn(types.DeriveTaskID(types.NilTaskID, 777), 0)
 	ctrl.EnsureObject(dep, types.DeriveTaskID(types.NilTaskID, 777))
 	spec := tSpec(2, nil, dep)
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -137,7 +137,7 @@ func TestInfeasibleTaskSpills(t *testing.T) {
 	sub := ctrl.Subscribe(gcs.TopicSpill, types.NilTaskID)
 	defer sub.Close()
 	spec := tSpec(3, types.GPU(1, 1)) // no GPU on this node
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -160,7 +160,7 @@ func TestSpillAlwaysForwardsEverything(t *testing.T) {
 	sub := ctrl.Subscribe(gcs.TopicSpill, types.NilTaskID)
 	defer sub.Close()
 	for i := uint64(10); i < 14; i++ {
-		if _, err := l.Submit(tSpec(i, nil), false); err != nil {
+		if err := l.Submit(tSpec(i, nil), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func TestSpillAlwaysForwardsEverything(t *testing.T) {
 func TestPlacedTaskNeverSpills(t *testing.T) {
 	l, log, _, _ := buildLocal(t, types.CPU(2), SpillAlways)
 	spec := tSpec(20, nil)
-	if _, err := l.Submit(spec, true); err != nil {
+	if err := l.Submit(spec, true); err != nil {
 		t.Fatal(err)
 	}
 	waitExec(t, log, spec.ID)
@@ -207,7 +207,7 @@ func TestResourceBoundedConcurrency(t *testing.T) {
 	l.Start()
 	defer l.Stop()
 	for i := uint64(30); i < 42; i++ {
-		if _, err := l.Submit(tSpec(i, types.CPU(1)), false); err != nil {
+		if err := l.Submit(tSpec(i, types.CPU(1)), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,12 +226,12 @@ func TestResourceBoundedConcurrency(t *testing.T) {
 func TestDuplicateSubmissionDropped(t *testing.T) {
 	l, log, _, _ := buildLocal(t, types.CPU(2), SpillNever)
 	spec := tSpec(50, nil)
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	waitExec(t, log, spec.ID)
 	// Outputs intact: duplicate must not re-execute.
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -244,13 +244,13 @@ func TestDuplicateSubmissionDropped(t *testing.T) {
 func TestReplayAfterOutputLoss(t *testing.T) {
 	l, log, _, store := buildLocal(t, types.CPU(2), SpillNever)
 	spec := tSpec(51, nil)
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	waitExec(t, log, spec.ID)
 	// Lose the output; resubmission must re-execute (lineage replay).
 	store.DropAll()
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	waitExec(t, log, spec.ID)
@@ -259,7 +259,7 @@ func TestReplayAfterOutputLoss(t *testing.T) {
 func TestStopRejectsSubmissions(t *testing.T) {
 	l, _, _, _ := buildLocal(t, types.CPU(1), SpillNever)
 	l.Stop()
-	if _, err := l.Submit(tSpec(60, nil), false); err != ErrStopped {
+	if err := l.Submit(tSpec(60, nil), false); err != ErrStopped {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -502,7 +502,7 @@ func TestDuplicateSubmitRestoresLineageEdge(t *testing.T) {
 	if _, ok := ctrl.GetObject(spec.ReturnID(0)); ok {
 		t.Fatal("setup: object record must not exist yet")
 	}
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	waitExec(t, log, spec.ID)

@@ -47,14 +47,14 @@ func TestStopReturnsQueuedBorrows(t *testing.T) {
 	if err := store.Put(readyDep, []byte("dep")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Submit(tSpec(1, types.CPU(1), readyDep), false); err != nil {
+	if err := l.Submit(tSpec(1, types.CPU(1), readyDep), false); err != nil {
 		t.Fatal(err)
 	}
 	// A waiting task: its dependency exists in the table but has no copy
 	// anywhere yet, so the task parks with resolvers attached.
 	pendingDep := types.ObjectIDForReturn(types.DeriveTaskID(types.NilTaskID, 501), 0)
 	ctrl.EnsureObject(pendingDep, types.DeriveTaskID(types.NilTaskID, 502))
-	if _, err := l.Submit(tSpec(2, types.CPU(1), pendingDep), false); err != nil {
+	if err := l.Submit(tSpec(2, types.CPU(1), pendingDep), false); err != nil {
 		t.Fatal(err)
 	}
 

@@ -39,7 +39,7 @@ func parkOnPending(t *testing.T, recon func(l *Local, dep types.ObjectID)) (*Loc
 	counting := &passCounter{Store: ctrl, obj: dep, passes: make(chan struct{}, 64)} // room for every pass of a period
 	l.cfg.Ctrl = counting
 	var calls atomic.Int64
-	l.cfg.Recon = func(id types.ObjectID, _ types.TaskID) error {
+	l.cfg.Recon = func(id types.ObjectID) error {
 		if id == dep {
 			calls.Add(1)
 			recon(l, dep)
@@ -47,7 +47,7 @@ func parkOnPending(t *testing.T, recon func(l *Local, dep types.ObjectID)) (*Loc
 		return nil
 	}
 	spec := tSpec(77, nil, dep)
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	return l, log, spec, counting, &calls
@@ -112,7 +112,7 @@ func TestSlowProbeDelaysStrandedProbeOnly(t *testing.T) {
 		return -1
 	}
 	probedAt := make(chan int, 1)
-	l.cfg.Recon = func(id types.ObjectID, _ types.TaskID) error {
+	l.cfg.Recon = func(id types.ObjectID) error {
 		switch id {
 		case orphan:
 			for n := sweeps(); n >= 0 && n <= strandedPeriod; n = sweeps() {
@@ -127,7 +127,7 @@ func TestSlowProbeDelaysStrandedProbeOnly(t *testing.T) {
 		return nil
 	}
 	spec := tSpec(79, nil, pending, orphan)
-	if _, err := l.Submit(spec, false); err != nil {
+	if err := l.Submit(spec, false); err != nil {
 		t.Fatal(err)
 	}
 	select {

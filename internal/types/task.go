@@ -68,20 +68,11 @@ type TaskSpec struct {
 	// record, so on a replay it may name a node that has since died; nil
 	// (specs recorded before the field existed) means no delivery.
 	Origin NodeID
-
-	// returns caches the return IDs CacheReturns derived, so the submitter,
-	// the control plane's birth and the executor do not hash them again. It
-	// travels with in-process copies of the spec and is never encoded: a
-	// decoded spec derives its IDs afresh.
-	returns []ObjectID
 }
 
-// Clone returns a deep copy: no slice or map is shared with s. The copy
-// derives its return IDs afresh, like a decoded spec: s's cache may sit in
-// the record of the task's submitter, which the copy must not keep alive.
+// Clone returns a deep copy: no slice or map is shared with s.
 func (s *TaskSpec) Clone() TaskSpec {
 	c := *s
-	c.returns = nil
 	c.Args = slices.Clone(s.Args)
 	for i := range c.Args {
 		c.Args[i].Value = bytes.Clone(c.Args[i].Value)
@@ -98,38 +89,16 @@ func (s *TaskSpec) ReturnID(i int) ObjectID {
 	if i < 0 || i >= s.NumReturns {
 		panic(fmt.Sprintf("types: return index %d out of range [0,%d)", i, s.NumReturns))
 	}
-	if len(s.returns) == s.NumReturns {
-		return s.returns[i]
-	}
 	return ObjectIDForReturn(s.ID, i)
 }
 
-// CacheReturns derives the spec's return IDs once and keeps them on s, so
-// ReturnID on s and on every later copy of it reads them instead of hashing.
-// The submitter calls it while the spec is still its own; the result is
-// shared by the copies and must not be modified.
-func (s *TaskSpec) CacheReturns() []ObjectID {
-	if len(s.returns) != s.NumReturns {
-		s.returns = make([]ObjectID, s.NumReturns)
-		for i := range s.returns {
-			s.returns[i] = ObjectIDForReturn(s.ID, i)
-		}
+// AppendReturns appends the spec's return IDs to dst and returns the
+// extended slice.
+func (s *TaskSpec) AppendReturns(dst []ObjectID) []ObjectID {
+	for i := range s.NumReturns {
+		dst = append(dst, ObjectIDForReturn(s.ID, i))
 	}
-	return s.returns
-}
-
-// CacheReturnsIn is CacheReturns with the room for a single return supplied
-// by the caller: a record that holds the spec holds its one return ID
-// inline, where the spec's copies read it. IDs s already caches are copied,
-// not derived again. A spec with several returns caches them as
-// CacheReturns does.
-func (s *TaskSpec) CacheReturnsIn(one *[1]ObjectID) []ObjectID {
-	if s.NumReturns != 1 {
-		return s.CacheReturns()
-	}
-	one[0] = s.ReturnID(0)
-	s.returns = one[:]
-	return s.returns
+	return dst
 }
 
 // Deps returns the object IDs this task depends on (its reference args).
@@ -163,8 +132,14 @@ func (s *TaskSpec) Validate() error {
 	if s.Function == "" {
 		return fmt.Errorf("types: task %s has empty function name", s.ID)
 	}
+	if low(s.ID) != 0 {
+		return fmt.Errorf("types: task ID %s has non-zero low bytes", s.ID.Hex())
+	}
 	if s.NumReturns < 0 {
 		return fmt.Errorf("types: task %s has negative NumReturns", s.ID)
+	}
+	if s.NumReturns > MaxReturns {
+		return fmt.Errorf("types: task %s has %d returns, more than %d", s.ID, s.NumReturns, MaxReturns)
 	}
 	if err := s.Resources.Validate(); err != nil {
 		return fmt.Errorf("task %s: %w", s.ID, err)

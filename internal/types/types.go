@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 )
 
 // IDSize is the length in bytes of every identifier in the system.
@@ -36,7 +37,15 @@ var (
 
 func shortHex(b []byte) string { return hex.EncodeToString(b[:6]) }
 
-func (id ObjectID) String() string { return "obj-" + shortHex(id[:]) }
+// String prints the short form, and a return's index after it: the returns
+// of one task share their leading bytes.
+func (id ObjectID) String() string {
+	if i, ok := id.returnIndex(); ok {
+		return "obj-" + shortHex(id[:]) + "." + strconv.FormatUint(uint64(i), 10)
+	}
+	return "obj-" + shortHex(id[:])
+}
+
 func (id TaskID) String() string   { return "task-" + shortHex(id[:]) }
 func (id NodeID) String() string   { return "node-" + shortHex(id[:]) }
 func (id WorkerID) String() string { return "worker-" + shortHex(id[:]) }
@@ -98,19 +107,36 @@ func ParseNodeID(s string) (NodeID, error) {
 	return id, nil
 }
 
-// derive hashes tag ‖ id ‖ n — the one function behind every derived ID,
-// and a pure one: lineage replay re-derives IDs and must land on the same
-// bytes (DESIGN.md §4.1). The input is assembled in a stack array and
-// Sum256 returns an array, so a derivation allocates nothing.
+// The ID layout (DESIGN.md §4.1). A task ID is the first taskBytes bytes of
+// a hash, and its low 4 bytes are zero. A return ID is its task's taskBytes
+// bytes followed by the big-endian return index plus one, whose top bit is
+// clear; a put ID is a hash's first taskBytes bytes followed by putMark. So
+// an object names its producer (Producer) with no lookup.
+const (
+	taskBytes = IDSize - 4
+	putMark   = 1 << 31
+	// MaxReturns bounds TaskSpec.NumReturns: the return indices a return
+	// ID's low 4 bytes can hold below putMark.
+	MaxReturns = putMark - 1
+)
+
+// derive hashes tag ‖ id ‖ n into the leading bytes of an ID, and leaves
+// its low 4 bytes zero: the one function behind every task and put ID, and
+// a pure one, since lineage replay re-derives IDs and must land on the same
+// bytes. The input is assembled in a stack array and Sum256 returns an
+// array, so a derivation allocates nothing.
 func derive(tag string, id [IDSize]byte, n uint64) (out [IDSize]byte) {
 	var buf [4 + IDSize + 8]byte // the longest tag is "task"
 	b := append(buf[:0], tag...)
 	b = append(b, id[:]...)
 	b = binary.BigEndian.AppendUint64(b, n)
 	sum := sha256.Sum256(b)
-	copy(out[:], sum[:])
+	copy(out[:taskBytes], sum[:])
 	return out
 }
+
+// low is an ID's low 4 bytes.
+func low(id [IDSize]byte) uint32 { return binary.BigEndian.Uint32(id[taskBytes:]) }
 
 // DeriveTaskID deterministically derives the ID of the index-th task
 // submitted by parent. Determinism is what makes lineage replay idempotent
@@ -118,9 +144,36 @@ func derive(tag string, id [IDSize]byte, n uint64) (out [IDSize]byte) {
 // so a reconstructed task resolves to the same objects as the original.
 func DeriveTaskID(parent TaskID, index uint64) TaskID { return derive("task", parent, index) }
 
-// ObjectIDForReturn derives the ID of the i-th return value of a task.
-func ObjectIDForReturn(task TaskID, i int) ObjectID { return derive("ret", task, uint64(i)) }
+// ObjectIDForReturn is the ID of the i-th return value of a task: the
+// task's leading bytes and i+1, with no hash. i must be below MaxReturns.
+func ObjectIDForReturn(task TaskID, i int) ObjectID {
+	id := ObjectID(task)
+	binary.BigEndian.PutUint32(id[taskBytes:], uint32(i)+1)
+	return id
+}
 
 // PutObjectID derives the ID for the i-th object Put directly (not returned
-// by a task) by the given task or driver.
-func PutObjectID(owner TaskID, i uint64) ObjectID { return derive("put", owner, i) }
+// by a task) by the given task or driver. It is hashed, so a driver's put
+// counter has no ceiling, and marked, so it names no producer.
+func PutObjectID(owner TaskID, i uint64) ObjectID {
+	id := ObjectID(derive("put", owner, i))
+	binary.BigEndian.PutUint32(id[taskBytes:], putMark)
+	return id
+}
+
+// returnIndex is the index of the return id is, if it is one.
+func (id ObjectID) returnIndex() (uint32, bool) {
+	n := low(id)
+	return n - 1, n != 0 && n < putMark
+}
+
+// Producer is the task id is a return of, read from the ID itself, or
+// NilTaskID for a put or any other object.
+func (id ObjectID) Producer() TaskID {
+	if _, ok := id.returnIndex(); !ok {
+		return NilTaskID
+	}
+	var t TaskID
+	copy(t[:taskBytes], id[:taskBytes])
+	return t
+}

@@ -18,15 +18,16 @@ func TestDeriveTaskIDDeterministic(t *testing.T) {
 	}
 }
 
-// TestDerivedIDsPinned holds every derivation to the bytes it has always
-// produced (recorded lineage names objects by them) and to zero allocations.
+// TestDerivedIDsPinned holds every derivation to the bytes of the layout
+// that names an object's producer (recorded lineage names objects by them)
+// and to zero allocations.
 func TestDerivedIDsPinned(t *testing.T) {
 	p := DeriveTaskID(NilTaskID, 7)
 	for _, c := range []struct{ got, want string }{
-		{p.Hex(), "8e561c871048e7d49c5de9022d7b693c"},
-		{DeriveTaskID(p, 1<<40+3).Hex(), "53cdacc37af2d798671819a4519242d2"},
-		{ObjectIDForReturn(p, 2).Hex(), "7cfbea5d412e16c9f3c0fdba49ea66cb"},
-		{PutObjectID(p, 9).Hex(), "7976075018fd83ff10d9dedf0177bb6c"},
+		{p.Hex(), "8e561c871048e7d49c5de90200000000"},
+		{DeriveTaskID(p, 1<<40+3).Hex(), "a9cfd492d70e2388f64e6e9b00000000"},
+		{ObjectIDForReturn(p, 2).Hex(), "8e561c871048e7d49c5de90200000003"},
+		{PutObjectID(p, 9).Hex(), "1fb2461325e2e7fe6002627f80000000"},
 	} {
 		if c.got != c.want {
 			t.Errorf("derived %s, want %s", c.got, c.want)
@@ -79,6 +80,65 @@ func TestObjectIDForReturnDistinct(t *testing.T) {
 	}
 	if seen[PutObjectID(task, 0)] {
 		t.Fatal("put ID collided with return ID")
+	}
+}
+
+// Property: a return names its task, for every valid index.
+func TestReturnNamesProducer(t *testing.T) {
+	f := func(seed uint64, i uint32) bool {
+		task := DeriveTaskID(NilTaskID, seed)
+		idx := int(i % MaxReturns)
+		return ObjectIDForReturn(task, idx).Producer() == task
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	task := DeriveTaskID(NilTaskID, 1)
+	for _, idx := range []int{0, MaxReturns - 1} {
+		if got := ObjectIDForReturn(task, idx).Producer(); got != task {
+			t.Fatalf("return %d names %v, want %v", idx, got, task)
+		}
+	}
+}
+
+// Property: a put names no producer.
+func TestPutNamesNoProducer(t *testing.T) {
+	f := func(seed, i uint64) bool {
+		return PutObjectID(DeriveTaskID(NilTaskID, seed), i).Producer().IsNil()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !ObjectID(DeriveTaskID(NilTaskID, 1)).Producer().IsNil() {
+		t.Fatal("an ID with zero low bytes names a producer")
+	}
+}
+
+// Property: task, return and put IDs never collide, whatever they derive
+// from.
+func TestIDKindsNeverCollide(t *testing.T) {
+	f := func(a, b, c uint64, i uint32) bool {
+		task := ObjectID(DeriveTaskID(DeriveTaskID(NilTaskID, a), b))
+		ret := ObjectIDForReturn(DeriveTaskID(NilTaskID, b), int(i%MaxReturns))
+		put := PutObjectID(DeriveTaskID(NilTaskID, a), c)
+		return task != ret && ret != put && put != task
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestReturnStringsCarryTheIndex(t *testing.T) {
+	task := DeriveTaskID(NilTaskID, 7)
+	a, b := ObjectIDForReturn(task, 0), ObjectIDForReturn(task, 2)
+	if a.String() == b.String() {
+		t.Fatalf("two returns of one task print alike: %s", a)
+	}
+	if got, want := b.String(), "obj-8e561c871048.2"; got != want {
+		t.Fatalf("return prints %s, want %s", got, want)
+	}
+	if got, want := (ObjectID{0xfe, 0xed, 0xfa, 0xce, 0xfe, 0xed}).String(), "obj-feedfacefeed"; got != want {
+		t.Fatalf("an ID with zero low bytes prints %s, want %s", got, want)
 	}
 }
 
@@ -154,6 +214,9 @@ func TestTaskSpecValidate(t *testing.T) {
 		{"nil id", TaskSpec{Function: "f"}, true},
 		{"no function", TaskSpec{ID: id}, true},
 		{"negative returns", TaskSpec{ID: id, Function: "f", NumReturns: -1}, true},
+		{"id with low bytes", TaskSpec{ID: TaskID(ObjectIDForReturn(id, 0)), Function: "f", NumReturns: 1}, true},
+		{"returns past the index space", TaskSpec{ID: id, Function: "f", NumReturns: MaxReturns + 1}, true},
+		{"most returns", TaskSpec{ID: id, Function: "f", NumReturns: MaxReturns}, false},
 		{"bad resources", TaskSpec{ID: id, Function: "f", Resources: Resources{"CPU": -1}}, true},
 	}
 	for _, tc := range cases {
