@@ -33,8 +33,9 @@ type ctrlProbe struct {
 	// adds and removes count the location calls.
 	adds, removes atomic.Int64
 	// events and retires count LogEvent and Retire calls; waiting counts
-	// the calls blocked by a hold; scans counts ScanTasks calls.
-	events, retires, waiting, scans atomic.Int64
+	// the calls blocked by a hold; scans counts ScanTasks calls, and gets
+	// the GetObject calls.
+	events, retires, waiting, scans, gets atomic.Int64
 	// refuseBirths makes the task table refuse every birth, as a shard that
 	// is down does, so the births stay owed while the flushers run.
 	refuseBirths atomic.Bool
@@ -252,6 +253,7 @@ func (p *ctrlProbe) RemoveObjectLocation(id types.ObjectID, node types.NodeID) {
 
 func (p *ctrlProbe) GetObject(id types.ObjectID) (types.ObjectInfo, bool) {
 	p.call()
+	p.gets.Add(1)
 	return p.API.GetObject(id)
 }
 
@@ -548,7 +550,8 @@ func TestChainWhileTaskTableHeld(t *testing.T) {
 // TestParkOnSlowLocalProducerScansNoTable: a task parked on the return of
 // a local producer that runs three polls long, whose birth is still owed,
 // finds the producer through the return's ID in the owner's ledger. The
-// dependency table's probes scan no task table however long it runs.
+// dependency table scans no task table however long it runs, and does not
+// probe the reconstructor while the producer is in flight here.
 func TestParkOnSlowLocalProducerScansNoTable(t *testing.T) {
 	reg, open := birthFuncs(t)
 	n, probe := probedNode(t, gcs.NewStore(4), transport.NewInproc(0), reg)
@@ -557,6 +560,7 @@ func TestParkOnSlowLocalProducerScansNoTable(t *testing.T) {
 	runNoop(t, d)
 	n.TaskLedger().Flush()
 	probe.scans.Store(0)
+	probe.gets.Store(0)
 	first, err := d.SubmitOpts("births.gated", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -566,6 +570,7 @@ func TestParkOnSlowLocalProducerScansNoTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(35 * time.Millisecond) // three polls of the dependency table
+	probes := probe.gets.Load()       // a reconstructor probe reads the record
 	open()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -574,6 +579,9 @@ func TestParkOnSlowLocalProducerScansNoTable(t *testing.T) {
 	}
 	if got := probe.scans.Load(); got != 0 {
 		t.Fatalf("%d task-table scans while a task parked on a slow local producer, want 0", got)
+	}
+	if probes != 0 {
+		t.Fatalf("%d object reads while a task parked on a slow local producer, want 0", probes)
 	}
 }
 

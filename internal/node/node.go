@@ -611,21 +611,27 @@ func (n *Node) ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, er
 			watching = n.taskled.WatchEnd(ended, task)
 		}
 		if watching {
+			// A return already stored needs no wait, though its task is
+			// not terminal: a replay for a lost sibling return holds it
+			// pending here, and a Get may come with no context to end it.
+			data, stored := n.store.Get(id)
 			var err error
-			select {
-			case <-ended:
-			case <-ctx.Done():
-				err = ctx.Err()
-			case <-n.stop:
-				err = scheduler.ErrStopped
+			if !stored {
+				select {
+				case <-ended:
+				case <-ctx.Done():
+					err = ctx.Err()
+				case <-n.stop:
+					err = scheduler.ErrStopped
+				}
 			}
-			if err != nil {
+			if stored || err != nil {
 				n.taskled.StopNotify(ended, task)
 				select { // the end may have come before StopNotify
 				case <-ended:
 				default:
 				}
-				return nil, err
+				return data, err
 			}
 		}
 	}

@@ -632,3 +632,75 @@ func TestOwnerGetLeavesNoWatchers(t *testing.T) {
 	open()
 	<-stopped
 }
+
+// TestStoredReturnOfAReplayedTaskIsNotWaitedFor: while this node replays a
+// two-return task for its lost return 0, the task is pending in the ledger
+// again, but return 1 never left the store. A Get of return 1 — with no
+// context, as core's local pre-check makes it — returns at once instead of
+// waiting for the replay to end.
+func TestStoredReturnOfAReplayedTaskIsNotWaitedFor(t *testing.T) {
+	reg := core.NewRegistry()
+	var runs atomic.Int32
+	replaying, gate := make(chan struct{}), make(chan struct{})
+	reg.Register("pair", func(*core.TaskContext, [][]byte) ([][]byte, error) {
+		if runs.Add(1) > 1 {
+			close(replaying)
+			<-gate
+		}
+		return [][]byte{codec.MustEncode(1), codec.MustEncode(2)}, nil
+	})
+	ctrl := gcs.NewStore(2)
+	n := newTestNode(t, ctrl, transport.NewInproc(0), "n1", reg)
+	var opened sync.Once
+	open := func() { opened.Do(func() { close(gate) }) }
+	defer open() // ahead of the node's shutdown, should the test fail first
+
+	d := core.NewClient(n)
+	refs, err := d.SubmitOpts("pair", nil, core.WithNumReturns(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, ref := range refs {
+		if _, err := d.Get(ctx, ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	task := refs[0].ID.Producer()
+	n.TaskLedger().Flush()
+	st, ok := ctrl.GetTask(task)
+	if !ok {
+		t.Fatal("the finished task is not in the table")
+	}
+	n.store.Delete(refs[0].ID)
+	if err := n.sched.Submit(st.Spec, false); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-replaying:
+	case <-time.After(10 * time.Second):
+		t.Fatal("losing return 0 did not replay its task")
+	}
+	if st, _ := n.TaskLedger().Lookup(task); st.Status.Terminal() {
+		t.Fatalf("replayed task is %v in the ledger, want it in flight", st.Status)
+	}
+
+	got := make(chan error, 1)
+	go func() {
+		raw, err := n.ResolveObject(context.Background(), refs[1].ID)
+		if v, derr := codec.DecodeAs[int](raw); err == nil && (derr != nil || v != 2) {
+			err = fmt.Errorf("return 1 = %d, %v", v, derr)
+		}
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the Get of a stored return waited for its task's replay")
+	}
+	open()
+}

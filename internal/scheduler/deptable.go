@@ -87,7 +87,9 @@ const (
 	// no producer edge in it; the next sweep looks again.
 	lookAgain rowLook = iota
 	// lookPending: the record names a producer, and the control plane sends
-	// the object's next location on the node's ready feed.
+	// the object's next location on the node's ready feed; or the producer
+	// the ID names is in this node's ledger, and its return lands here
+	// through the store's arrival hook.
 	lookPending
 	// lookLost: the object was ready and every copy is gone.
 	lookLost
@@ -430,6 +432,13 @@ func (d *depTable) look(ids []types.ObjectID) (probes []rowRef) {
 		return nil
 	}
 	answers := d.l.cfg.Ctrl.WatchObjects(d.l.cfg.Node, ids)
+	for i, a := range answers {
+		// A return of a task this node's ledger owns has its lineage here
+		// while its birth is still owed to the table.
+		if !a.Lineage && !a.Lost && len(a.Locations) == 0 {
+			answers[i].Lineage = d.l.cfg.Ledger.Owns(ids[i].Producer())
+		}
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i, id := range ids {
