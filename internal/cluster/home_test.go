@@ -73,10 +73,11 @@ func TestLocalRoundTripControlPlaneBudget(t *testing.T) {
 	var tasks []types.TaskID
 	var objects []types.ObjectID
 	for range 100 {
-		// Each round trip's task starts at once, on a free CPU with nothing
-		// queued ahead of it. The birth rule does not need this: a task that
-		// waits for a CPU also leaves its birth to the flush. It keeps every
-		// round trip on the one path this test counts.
+		// A fresh birth of a task without a job waits for the flush whether
+		// the task starts, spills or waits for a CPU, so the birth rule does
+		// not need this wait. It keeps every round trip on the one path this
+		// test counts: the task starts at once, on a free CPU with nothing
+		// queued ahead of it.
 		waitFor(t, 10*time.Second, "a free CPU", func() bool {
 			_, avail, _, _ := n.Scheduler().Accounting()
 			return types.CPU(1).Fits(avail) && n.Scheduler().QueueLen() == 0
@@ -86,10 +87,11 @@ func TestLocalRoundTripControlPlaneBudget(t *testing.T) {
 		tasks, objects = append(tasks, ref.Task), append(objects, ref.ID)
 	}
 	// A Get may return at the Put, just before the FINISHED stamp: the flush
-	// that goes on must find every task terminal.
+	// that goes on must find every task terminal. A task the next round
+	// trip's Birth collected at home has left the ledger already.
 	waitFor(t, 10*time.Second, "every task to be terminal", func() bool {
 		for _, id := range tasks {
-			if st, _ := n.TaskLedger().Lookup(id); !st.Status.Terminal() {
+			if st, owned := n.TaskLedger().Lookup(id); owned && !st.Status.Terminal() {
 				return false
 			}
 		}
@@ -119,6 +121,54 @@ func TestLocalRoundTripControlPlaneBudget(t *testing.T) {
 	}
 	if got := homeTasks(n) - home; got != 100 {
 		t.Fatalf("lifetime.home.tasks moved by %d, want 100", got)
+	}
+}
+
+// TestSerialRoundTripsCollectedAtBirthBudget pins collection at Birth: a
+// serial stream of released round trips, each ended before the next
+// submit, is collected one task at a time by the next Birth, with both
+// flushers held so that no flush walks the owed births. The ledger never
+// owes more than the one birth of the round trip in hand, and none of the
+// tasks or their results reaches the control plane.
+func TestSerialRoundTripsCollectedAtBirthBudget(t *testing.T) {
+	reg, open := birthFuncs(t)
+	n, probe := probedNode(t, gcs.NewStore(4), transport.NewInproc(0), reg)
+	defer open()
+	d := core.NewClient(n)
+	for range 10 {
+		runNoop(t, d) // warm: the ledger's clock, the executor pool
+	}
+	n.TaskLedger().Flush()
+	probe.holdDeltaFlush(true)
+	if _, err := d.SubmitOpts("births.gated", nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "both flushers to block", func() bool { return probe.waiting.Load() == 2 })
+
+	owed := func() int64 { return n.Metrics().Snapshot().Gauges["lifetime.births.owed"] }
+	home := homeTasks(n)
+	var tasks []types.TaskID
+	var objects []types.ObjectID
+	for i := range 100 {
+		ref := runNoop(t, d)
+		d.Release(ref)
+		tasks, objects = append(tasks, ref.Task), append(objects, ref.ID)
+		waitFor(t, 10*time.Second, "the task to be terminal", func() bool {
+			st, _ := n.TaskLedger().Lookup(ref.Task)
+			return st.Status.Terminal()
+		})
+		if o := owed(); o > 1 {
+			t.Fatalf("round trip %d: lifetime.births.owed reads %d, want at most 1", i, o)
+		}
+	}
+	if got := homeTasks(n) - home; got != 99 {
+		t.Fatalf("lifetime.home.tasks moved by %d with the flushers held, want 99", got)
+	}
+	probe.releaseFlush()
+	afterFlushes(t, n, 2)
+	n.Lifetime().Tracker().Flush()
+	if te, oe := probe.flushed(tasks, objects); te != 0 || oe != 0 {
+		t.Fatalf("the round trips cost %d ModifyTaskStates and %d ModifyObjectRefCounts entries, want 0 and 0", te, oe)
 	}
 }
 

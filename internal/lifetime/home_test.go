@@ -214,3 +214,86 @@ func TestCollectHomeRule(t *testing.T) {
 		}
 	})
 }
+
+// TestBirthCollectsTheNewestEnded pins collection at Birth: before it owes
+// a new task, Birth offers the newest owed birth to home collection, under
+// the same rule as the flush. Each case ends a task, or not, then births the
+// next; no flush is made.
+func TestBirthCollectsTheNewestEnded(t *testing.T) {
+	// next births the task after task and reports whether task is kept,
+	// whole: in the ledger, with its return's copy.
+	next := func(t *testing.T, r *homeRig, task types.TaskID, ids []types.ObjectID) bool {
+		t.Helper()
+		r.born(2, 1)
+		owned, stored := r.led.Owns(task), r.store.Contains(ids[0])
+		if owned != stored {
+			t.Fatalf("the ledger owns the task: %v; the store holds its return: %v", owned, stored)
+		}
+		return owned
+	}
+	t.Run("running", func(t *testing.T) {
+		r := newHomeRig()
+		task, ids := r.born(1, 1)
+		r.store.PutDeferred(ids[0], []byte("v"))
+		r.m.tracker.Release(ids...)
+		if !next(t, r, task, ids) {
+			t.Fatal("a task not yet terminal was collected")
+		}
+	})
+	t.Run("held", func(t *testing.T) {
+		r := newHomeRig()
+		task, ids := r.born(1, 1)
+		r.finish(task, ids)
+		if !next(t, r, task, ids) {
+			t.Fatal("a task whose return is held was collected")
+		}
+	})
+	t.Run("sent", func(t *testing.T) {
+		r := newHomeRig()
+		task, ids := r.born(1, 1)
+		r.finish(task, ids)
+		r.m.tracker.Release(ids...)
+		r.led.mu.Lock()
+		r.led.tasks[task].birthOp = newRefToken() // a delivery a shard did not take
+		r.led.mu.Unlock()
+		if !next(t, r, task, ids) {
+			t.Fatal("a task whose birth was sent was collected")
+		}
+	})
+	t.Run("released", func(t *testing.T) {
+		r := newHomeRig()
+		task, ids := r.born(1, 1)
+		r.finish(task, ids)
+		r.m.tracker.Release(ids...)
+		if next(t, r, task, ids) {
+			t.Fatal("an ended, released task that never left the node was kept")
+		}
+		if !r.collected(task, ids) {
+			t.Fatal("the collected task left state behind")
+		}
+		tr := r.m.tracker
+		tr.mu.Lock()
+		_, held := tr.held[ids[0]]
+		keys := len(tr.held)
+		tr.mu.Unlock()
+		r.led.mu.Lock()
+		entries, owed := len(r.led.tasks), r.led.owed
+		r.led.mu.Unlock()
+		if held || keys != 1 || entries != 1 || owed != 1 {
+			t.Fatalf("tracker: return held %v, %d keys; ledger: %d entries, %d owed; want only the next task's", held, keys, entries, owed)
+		}
+		if n := r.reg.Counter("lifetime.home.tasks").Value(); n != 1 {
+			t.Fatalf("counted %d tasks collected at home, want 1", n)
+		}
+	})
+	t.Run("no-collector", func(t *testing.T) {
+		r := newHomeRig()
+		r.led.SetCollector(nil)
+		task, ids := r.born(1, 1)
+		r.finish(task, ids)
+		r.m.tracker.Release(ids...)
+		if !next(t, r, task, ids) {
+			t.Fatal("a ledger with no collector collected a task at Birth")
+		}
+	})
+}

@@ -131,8 +131,8 @@ func (m *Manager) SetTaskLedger(tasks *TaskLedger) {
 // net-zero delta at home that no batch has sent or parked, and a copy the
 // store holds back. It then drops those deltas and copies, with no word to
 // the control plane, and reports true; otherwise it changes nothing. The
-// node's task ledger calls it from its flush, under its lock
-// (TaskLedger.SetCollector).
+// node's task ledger calls it under its lock, from its flush and from
+// Birth, on the newest owed birth (TaskLedger.SetCollector).
 func (m *Manager) collectHome(ids []types.ObjectID) bool {
 	t := m.tracker
 	t.mu.Lock()

@@ -41,8 +41,8 @@ import (
 // asks — Flush, FlushTask, LandBirths, Manager.RetireDue — or, on a timed
 // flush, once it is older than types.BirthBound. A task whose birth was
 // never sent, and whose returns were released before anything about them
-// left this node, never reaches the table: the flush collects it at home
-// (SetCollector).
+// left this node, never reaches the table: the next Birth or flush collects
+// it at home (SetCollector).
 type TaskLedger struct {
 	ledger[[]types.TaskStateDelta, types.TaskID]
 	ctrl  gcs.API
@@ -140,9 +140,10 @@ func NewTaskLedger(ctrl gcs.API) *TaskLedger {
 // fates (DESIGN.md §17, "Held-back locations"). Every birth that lands has
 // its resident returns announced in m's store, before the flush takes its
 // transitions. Before writing births, a flush offers m the returns of each
-// terminal task whose birth it never sent (Manager.CollectHome), under the
-// ledger's lock, which comes before the tracker's and the store's; a task
-// collected at home is dropped as if it had never been. Nil stops both.
+// terminal task whose birth it never sent (Manager.collectHome), and Birth
+// offers the newest such task before it owes the next one; both do so under
+// the ledger's lock, which comes before the tracker's and the store's. A
+// task collected at home is dropped as if it had never been. Nil stops both.
 func (l *TaskLedger) SetCollector(m *Manager) { l.home.Store(m) }
 
 // Node returns the owner identity this ledger stamps into its tasks.
@@ -212,6 +213,11 @@ func (l *TaskLedger) Birth(e *TaskEntry, spec *types.TaskSpec, atNs int64) (adop
 		l.roots[spec.Parent], fresh = spec.SubmitIndex, true
 	} else if p := l.tasks[spec.Parent]; p != nil && p.fresh && spec.SubmitIndex > p.kids {
 		p.kids, fresh = spec.SubmitIndex, true
+	}
+	// The newest owed birth is most often a round trip that has just ended:
+	// collected here, it is one entry, not one of the flush's walk.
+	if l.newest != nil {
+		l.collectLocked(l.newest, l.home.Load())
 	}
 	t := e
 	if t == nil {
@@ -769,24 +775,32 @@ func (l *TaskLedger) bear(timed bool) bool {
 	return !owed
 }
 
-// settleOwedLocked walks the owed births for the terminal ones. One whose
-// birth was never sent, and whose returns home (the collector, if set)
-// takes, is dropped: nothing about it ever left this node, and nothing here
-// needs it any more. Any other has outlived its round trip: its entry moves
-// out of its submitter's record (compactLocked).
+// settleOwedLocked walks the owed births for the terminal ones. One that
+// home collects is gone (collectLocked); any other has outlived its round
+// trip: its entry moves out of its submitter's record (compactLocked). Birth
+// collects the newest owed birth as well, so on a serial stream of round
+// trips the walk finds what ended after its Get returned, and little else.
 func (l *TaskLedger) settleOwedLocked(home *Manager) {
-	var one [1]types.ObjectID
 	for t := l.oldest; t != nil; {
 		next := t.newer
-		if t.status.Terminal() {
-			if t.birthOp == 0 && home != nil && home.collectHome(t.spec.AppendReturns(one[:0])) {
-				l.dropLocked(t)
-			} else if t.inRecord {
-				l.compactLocked(t)
-			}
+		if t.status.Terminal() && !l.collectLocked(t, home) && t.inRecord {
+			l.compactLocked(t)
 		}
 		t = next
 	}
+}
+
+// collectLocked drops t, an owed birth, and reports true if it ended, its
+// birth was never sent, and home (the collector, if set) takes its returns
+// (Manager.collectHome): nothing about it ever left this node, and nothing
+// here needs it any more.
+func (l *TaskLedger) collectLocked(t *TaskEntry, home *Manager) bool {
+	var one [1]types.ObjectID
+	if !t.status.Terminal() || t.birthOp != 0 || home == nil || !home.collectHome(t.spec.AppendReturns(one[:0])) {
+		return false
+	}
+	l.dropLocked(t)
+	return true
 }
 
 // compactLocked moves t, an owed birth in its submitter's record, into a

@@ -40,7 +40,9 @@ func (c *stalledTaskTable) ModifyTaskStates(node types.NodeID, deltas []types.Ta
 // which the exec span reuses. It read the clock 9 times before each stage
 // stamped from one reading. The second case has more than the task ledger's
 // flush-kick threshold (256) of entries waiting, where every ledger
-// mutation used to read the clock again to age the owed births.
+// mutation used to read the clock again to age the owed births. Those
+// entries are round trips whose results are held until the test ends: a
+// released one is collected at home by the next Birth.
 func TestLocalRoundTripClockBudget(t *testing.T) {
 	const budget, rounds, kick = 4, 100, 256
 	var reads atomic.Int64
@@ -65,7 +67,7 @@ func TestLocalRoundTripClockBudget(t *testing.T) {
 	t.Cleanup(func() { close(ctrl.gate) }) // ahead of the node's shutdown
 	d := core.NewClient(n)
 	ctx := context.Background()
-	roundTrip := func() {
+	held := func() core.ObjectRef {
 		refs, err := d.SubmitOpts("noop", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -73,8 +75,9 @@ func TestLocalRoundTripClockBudget(t *testing.T) {
 		if _, err := d.Get(ctx, refs[0]); err != nil {
 			t.Fatal(err)
 		}
-		d.Release(refs[0])
+		return refs[0]
 	}
+	roundTrip := func() { d.Release(held()) }
 	for range 10 {
 		roundTrip() // warm: the executor pool
 	}
@@ -106,8 +109,10 @@ func TestLocalRoundTripClockBudget(t *testing.T) {
 		}
 	}
 	measure("few entries waiting")
+	var kept []core.ObjectRef
+	t.Cleanup(func() { d.Release(kept...) })
 	for waiting() <= kick {
-		roundTrip()
+		kept = append(kept, held())
 	}
 	measure("past the flush kick")
 	if w := waiting(); w <= kick {
