@@ -98,16 +98,27 @@ func TestLocalTaskBytesBudget(t *testing.T) {
 // test read, over ten runs, before the record held the entry: 873 B per
 // task (873 to 893). It reads about 800 B now, and about 1,080 B if the
 // ledger keeps the whole record.
+//
+// Each task is submitted once an executor is parked for it, and the test
+// pins that the held tasks start none: an executor started while a driver
+// outruns the executors still finishing its earlier tasks (under CPU load,
+// say) stays in the heap, since the runtime keeps every goroutine's record,
+// and 261 such starts once read 842 B per task against 769 B without.
 func TestHeldTaskRetainedBytesBudget(t *testing.T) {
 	const budget, tasks = 873, 2000
 	reg, _ := birthFuncs(t)
 	n, probe := probedNode(t, gcs.NewStore(4), transport.NewInproc(0), reg)
 	d := core.NewClient(n)
 	res := types.CPU(1) // one demand for all: the spec shares it
+	started := func() int64 { return n.Metrics().Snapshot().Counters["scheduler.executors.started"] }
+	parked := func() bool { return n.Metrics().Snapshot().Gauges["scheduler.executors.idle"] > 0 }
 	run := func(k int) []core.ObjectRef {
 		refs := make([]core.ObjectRef, 0, k)
 		for range k {
 			refs = append(refs, runNoopWith(t, d, core.WithResources(res)))
+			for !parked() {
+				runtime.Gosched()
+			}
 		}
 		return refs
 	}
@@ -123,8 +134,12 @@ func TestHeldTaskRetainedBytesBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	executors := started()
 	held := run(tasks)
 	flushed()
+	if n := started() - executors; n != 0 {
+		t.Fatalf("%d held tasks run one at a time started %d executors, want 0", tasks, n)
+	}
 	// Halt the flusher, so that no batch it is sending counts: the ledger
 	// keeps its entries.
 	n.TaskLedger().Abandon()

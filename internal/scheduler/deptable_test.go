@@ -246,8 +246,9 @@ func TestDepTableBudget(t *testing.T) {
 				}
 				// A cancelled pull's exit is asynchronous. The process may hold
 				// no more than the baseline beyond the executors that ran the
-				// tasks, which stay parked for the next ones: they are the
-				// executor pool's (its scheduler.executors.idle gauge).
+				// tasks, which stay parked for the next ones, as many as ran at
+				// once: they are the executor pool's (its
+				// scheduler.executors.idle gauge).
 				await(t, "back to the baseline", func() bool {
 					return fetcher.cancelled.Load() == fetcher.started.Load() && int64(rise()) <= l.execs.parked()
 				})

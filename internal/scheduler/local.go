@@ -964,7 +964,7 @@ func (l *Local) dispatchReady() {
 		l.dispatched.Add(1)
 		l.obs.dispatched.Inc()
 		l.obs.dispatchNs.Observe(now - task.enqueuedNs)
-		l.execs.handOff(task)
+		l.execs.handOff(task, now)
 	}
 }
 
