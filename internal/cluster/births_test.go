@@ -18,7 +18,7 @@ import (
 )
 
 // ctrlProbe wraps one node's control plane. It counts every call made on a
-// driver's submit path, the births-carrying ModifyTaskStates calls, the
+// driver's submit path and on its Wait's, the births-carrying ModifyTaskStates calls, the
 // EnsureObjects calls, the location calls, the events and the Retire
 // calls, and it records every task and object a ledger flush names. While
 // held it blocks the task ledger's flush calls (ModifyTaskStates,
@@ -26,7 +26,7 @@ import (
 // (ModifyObjectRefCounts) — until released.
 type ctrlProbe struct {
 	gcs.API
-	onSubmit, births, ensures atomic.Int64
+	onSubmit, onWait, births, ensures atomic.Int64
 	// birthsOnSubmit and refFlushesOnSubmit count the births-carrying
 	// ModifyTaskStates and the ModifyObjectRefCounts calls among onSubmit.
 	birthsOnSubmit, refFlushesOnSubmit atomic.Int64
@@ -59,7 +59,7 @@ type ctrlProbe struct {
 }
 
 // call counts a call whose stack passes through the driver's submit, and
-// reports whether it does.
+// reports whether it does, or through its Wait.
 func (p *ctrlProbe) call() bool {
 	pcs := make([]uintptr, 64)
 	frames := runtime.CallersFrames(pcs[:runtime.Callers(3, pcs)])
@@ -68,6 +68,10 @@ func (p *ctrlProbe) call() bool {
 		if strings.HasSuffix(f.Function, "core.(*caller).submit") {
 			p.onSubmit.Add(1)
 			return true
+		}
+		if strings.Contains(f.Function, "core.(*caller).wait") {
+			p.onWait.Add(1)
+			return false
 		}
 		if !more {
 			return false

@@ -235,11 +235,13 @@ func TestEscapeOfAnArgumentStillRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	finished := make(chan types.TaskID, 1)
-	a.TaskLedger().Notify(finished, arg.Ref.Task)
+	ends, _ := a.TaskLedger().WaitEnds([]types.TaskID{arg.Ref.Task}, 0)
+	if ends.C() == nil {
+		t.Fatal("the running producer is not owned by the driver's node")
+	}
 	f.open()
 	select {
-	case <-finished:
+	case <-ends.C():
 	case <-ctx.Done():
 		t.Fatal("the producer did not finish")
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,6 +29,10 @@ type Backend interface {
 	ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, error)
 	// ObjectLocal reports whether the object is already in the local store.
 	ObjectLocal(id types.ObjectID) bool
+	// ObjectsLocal is ObjectLocal for many objects in one look at the
+	// store: it marks local[i] for each ids[i] there that is not marked
+	// yet, and returns how many it marked.
+	ObjectsLocal(ids []types.ObjectID, local []bool) int
 	// PutObject stores bytes directly (driver- or task-created objects).
 	PutObject(id types.ObjectID, data []byte) error
 	// Control exposes the control plane.
@@ -50,24 +55,35 @@ type RefCounted interface {
 // TaskOwner is optionally implemented by Backends wired to the task
 // ownership ledger (node.Node is; DESIGN.md §13). Futures whose producing
 // task is owned by this node resolve from the ledger's in-process state
-// events and the node's own store — a Get or Wait on locally-submitted work
-// costs zero control-plane calls. OwnsTask reports current local authority;
-// the ledger holds a task born here before the table does. OwnRoot
-// registers a driver root drawn at random (NewClient), whose tasks' records
-// may then reach the table in the ledger's batched flush, within
-// types.BirthBound, or never if they are collected at home.
-// NotifyTaskEnd sends a task's ID on ch when it reaches a terminal state OR
-// local authority is dropped (transfer) — at once if that already happened
-// — so waiters re-check rather than trust the wake blindly; ch needs room
-// for one event per id, and StopNotifyTaskEnd unregisters what has not
-// fired. A ref's producing task is the one its ID names
-// (types.ObjectID.Producer), so a ref rebuilt from a bare ID waits
-// owner-side too.
+// events and the node's own store: while this node owns a task, its outputs
+// can appear nowhere but here, so a Get or Wait on locally-submitted work
+// reads no control-plane record. A ref's producing task is the one its ID
+// names (types.ObjectID.Producer), so a ref rebuilt from a bare ID waits
+// owner-side too. OwnsTask reports current local authority; the ledger
+// holds a task born here before the table does. OwnRoot registers a driver
+// root drawn at random (NewClient), whose tasks' records may then reach the
+// table in the ledger's batched flush, within types.BirthBound, or never if
+// they are collected at home. WaitEnds registers one count over the ends of
+// tasks, listed once per waited ref (lifetime.TaskLedger.WaitEnds): it
+// returns the indexes in tasks of those not owned here or already ended,
+// and an EndWait whose C (nil if it registered none) is told once no more
+// than slack of the registered refs are unended, and at once when a task
+// leaves this node without an end — so a waiter re-checks rather than
+// trusts the tell.
 type TaskOwner interface {
 	OwnsTask(id types.TaskID) bool
 	OwnRoot(root types.TaskID)
-	NotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID)
-	StopNotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID)
+	WaitEnds(tasks []types.TaskID, slack int) (EndWait, []int)
+}
+
+// EndWait is a Wait's registration with its TaskOwner (WaitEnds). Rearm
+// counts again after a tell, over the tasks of the listed refs still
+// waited on, and returns the indexes of those no longer counted; Stop
+// unregisters what has not fired.
+type EndWait interface {
+	C() <-chan struct{}
+	Rearm(tasks []types.TaskID, slack int) (gone []int)
+	Stop()
 }
 
 // Call describes one task invocation.
@@ -352,7 +368,8 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 	// ever complete and block forever. Either reading silently does the
 	// wrong thing for someone, so the contract is distinct refs only.
 	seen := make(map[types.ObjectID]bool, len(refs))
-	for _, r := range refs {
+	ids := make([]types.ObjectID, len(refs))
+	for i, r := range refs {
 		if r.IsNil() {
 			return nil, nil, fmt.Errorf("%w: nil ref", ErrWaitInvalid)
 		}
@@ -360,6 +377,14 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 			return nil, nil, fmt.Errorf("%w: duplicate ref %v", ErrWaitInvalid, r.ID)
 		}
 		seen[r.ID] = true
+		ids[i] = r.ID
+	}
+	// One look at the local store first: an owned ref that is ready is here,
+	// and so, most often, is most of a window.
+	done := make([]bool, len(refs))
+	n := c.backend.ObjectsLocal(ids, done)
+	if n >= numReturns {
+		return split(refs, done)
 	}
 	ctrl := c.backend.Control()
 
@@ -373,131 +398,133 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 	c.enterBlocked()
 	defer c.exitBlocked()
 
-	// unknown collects, per countReady, the refs the object table has no
-	// record of: the ones that may have been retired. suspects holds when
-	// each was first found in neither table.
-	var unknown []ObjectRef
-	var suspects map[types.ObjectID]time.Time
-	isReady := func(r ObjectRef) bool {
-		if c.backend.ObjectLocal(r.ID) {
-			return true
-		}
-		info, ok := ctrl.GetObject(r.ID)
-		if !ok {
-			unknown = append(unknown, r)
-		}
-		return ok && info.State == types.ObjectReady
-	}
-
-	done := make(map[types.ObjectID]bool, len(refs))
-	countReady := func() int {
-		n := 0
-		unknown = unknown[:0]
-		for _, r := range refs {
-			if done[r.ID] {
-				n++
-				continue
-			}
-			if isReady(r) {
-				done[r.ID] = true
-				n++
-			}
-		}
-		return n
-	}
-
-	// Subscribe before the first scan so no ready transition is missed.
-	// Owner-side futures (DESIGN.md §13): a ref whose producing task this
-	// node's ledger owns needs NO control-plane subscription — the
-	// executor stores outputs (or error payloads) strictly before the
-	// terminal transition, so the ledger's terminal event implies the
-	// object is resolvable locally. Those refs wake from the ledger's
-	// in-process events; only refs produced elsewhere (or by Puts) pay the
-	// per-ref subscription stream. A ledger wake is advisory (it also fires
-	// on ownership transfer), so it triggers a re-check, not a blind
-	// completion.
-	owner, _ := c.backend.(TaskOwner)
-	subs := make([]gcs.Sub, 0, len(refs))
+	// A ref that no ledger here counts for is followed through the control
+	// plane: its per-object ready stream, subscribed before its record is
+	// read so that no ready transition is missed. Each stream's first
+	// message names its ref, so an event marks that one ref done instead of
+	// re-reading every pending record.
+	var (
+		followed []bool
+		readyC   chan int
+		subs     []gcs.Sub
+	)
 	defer func() {
 		for _, s := range subs {
 			s.Close()
 		}
 	}()
-	// Each ready channel is per-object, so its first message identifies
-	// exactly which ref completed — the event marks that one ref done
-	// instead of re-scanning (and re-fetching) every pending object, which
-	// made a window of W waits cost O(W²) object-table reads.
-	readyC := make(chan types.ObjectID, len(refs))
-	subscribe := func(id types.ObjectID) {
-		sub := ctrl.Subscribe(gcs.TopicObjectReady, id)
-		subs = append(subs, sub)
-		go func(s gcs.Sub, id types.ObjectID) {
-			if _, ok := <-s.C(); ok {
-				readyC <- id // buffered one slot per ref; never blocks
-			}
-		}(sub, id)
-	}
-	// owned maps each task this node owns to its refs still waited on; all
-	// of them wake through one channel the ledger sends the task's ID on.
-	owned := make(map[types.TaskID][]ObjectRef)
-	for _, r := range refs {
-		if done[r.ID] {
-			continue // already ready on the first scan: no wake source needed
+	// unknown collects, per poll, the followed refs the object table has no
+	// record of: the ones that may have been retired. suspects holds when
+	// each was first found in neither table.
+	var unknown []ObjectRef
+	var suspects map[types.ObjectID]time.Time
+	readAnywhere := func(i int) {
+		info, ok := ctrl.GetObject(ids[i])
+		if !ok {
+			unknown = append(unknown, refs[i])
+		} else if info.State == types.ObjectReady {
+			done[i] = true
+			n++
 		}
-		if task := r.ID.Producer(); owner != nil && !task.IsNil() && owner.OwnsTask(task) {
-			owned[task] = append(owned[task], r)
+	}
+	follow := func(i int) {
+		if readyC == nil {
+			followed, readyC = make([]bool, len(refs)), make(chan int, len(refs))
+		}
+		followed[i] = true
+		sub := ctrl.Subscribe(gcs.TopicObjectReady, ids[i])
+		subs = append(subs, sub)
+		go func() {
+			if _, ok := <-sub.C(); ok {
+				readyC <- i // buffered one slot per ref; never blocks
+			}
+		}()
+		if !done[i] {
+			readAnywhere(i)
+		}
+	}
+
+	// Owner-side futures (DESIGN.md §13): the refs whose producer this
+	// node's ledger owns are counted there, under one registration, and
+	// read no control-plane record. The executor stores a task's outputs
+	// (or error payloads) before its terminal stamp, so once enough of the
+	// counted tasks ended, enough of their refs are in the store — unless a
+	// tenure moved (spill-away, drain, transfer) or an output went, and
+	// those refs are followed instead. slack is how many refs may stay
+	// pending once the Wait is satisfied.
+	owner, _ := c.backend.(TaskOwner)
+	slack := len(refs) - numReturns
+	owned := make([]int, 0, len(refs)-n) // the refs the ledger counts for
+	tasks := make([]types.TaskID, 0, len(refs)-n)
+	for i, r := range refs {
+		if done[i] {
 			continue
 		}
-		subscribe(r.ID)
-	}
-	var wakeC chan types.TaskID
-	if len(owned) > 0 {
-		tasks := make([]types.TaskID, 0, len(owned))
-		for task := range owned {
-			tasks = append(tasks, task)
+		if task := r.ID.Producer(); owner != nil && !task.IsNil() {
+			owned, tasks = append(owned, i), append(tasks, task)
+		} else {
+			follow(i)
 		}
-		wakeC = make(chan types.TaskID, len(tasks)) // one slot per task; never blocks the ledger
-		owner.NotifyTaskEnd(wakeC, tasks...)
-		defer owner.StopNotifyTaskEnd(wakeC, tasks...)
+	}
+	var ends EndWait
+	var wakeC <-chan struct{} // nil until something is counted
+	// moved follows the owned refs at gone, indexes in owned, that are not
+	// in the store: their tasks left this node, or ended between the
+	// store's look and the ledger's. Then it drops them from owned.
+	moved := func(gone []int) {
+		if len(gone) == 0 {
+			return
+		}
+		n += c.backend.ObjectsLocal(ids, done)
+		for _, g := range gone {
+			if i := owned[g]; !done[i] {
+				follow(i)
+			}
+			owned[g] = -1
+		}
+		owned = slices.DeleteFunc(owned, func(i int) bool { return i < 0 })
+	}
+	if len(tasks) > 0 {
+		var gone []int
+		ends, gone = owner.WaitEnds(tasks, slack)
+		defer ends.Stop()
+		wakeC = ends.C()
+		moved(gone)
 	}
 
 	// The poll is a safety net for missed edges only — completions arrive
-	// through owner wakes and per-object subscriptions, so each tick's
-	// full rescan (an object-table read per unready ref) should be rare,
-	// not the steady-state cadence of every waiting driver.
+	// through the ledger's tells and per-object streams, so each tick's
+	// rescan (a record read per followed ref) should be rare, not the
+	// steady-state cadence of every waiting driver.
 	poll := time.NewTicker(10 * time.Millisecond)
 	defer poll.Stop()
-	n := countReady()
 	for n < numReturns {
 		select {
-		case id := <-readyC:
-			if !done[id] {
-				done[id] = true
+		case i := <-readyC:
+			if !done[i] {
+				done[i] = true
 				n++
 			}
-		case task := <-wakeC:
-			// Ledger event for one owned task: re-check its refs only, never
-			// trust blindly — the event also fires on ownership transfer. A
-			// full countReady() here cost O(W) object-table reads per wake,
-			// O(W²) per window. If the task terminated, the executor already
-			// stored the outputs locally; if ownership moved instead, fall
-			// back to the per-object stream (subscribe-then-recheck, same
-			// no-missed-edge order as the setup loop).
-			for _, r := range owned[task] {
-				if done[r.ID] {
-					continue
+		case <-wakeC:
+			// Enough counted tasks ended, or one left: one look at the store,
+			// then count again over the owned refs still pending, and follow
+			// those whose tasks ended without their output here or left.
+			if n += c.backend.ObjectsLocal(ids, done); n < numReturns {
+				owned = slices.DeleteFunc(owned, func(i int) bool { return done[i] })
+				again := make([]types.TaskID, len(owned)) // tasks stays as registered, for Stop
+				for k, i := range owned {
+					again[k] = refs[i].ID.Producer()
 				}
-				if !isReady(r) {
-					subscribe(r.ID)
-					if !isReady(r) {
-						continue
-					}
-				}
-				done[r.ID] = true
-				n++
+				moved(ends.Rearm(again, slack))
 			}
 		case <-poll.C:
-			n = countReady() // safety net against missed edges
+			n += c.backend.ObjectsLocal(ids, done)
+			unknown = unknown[:0]
+			for i, f := range followed {
+				if f && !done[i] {
+					readAnywhere(i)
+				}
+			}
 			if n < numReturns {
 				if suspects == nil {
 					suspects = make(map[types.ObjectID]time.Time)
@@ -507,14 +534,19 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 				}
 			}
 		case <-deadline:
-			goto out
+			return split(refs, done)
 		case <-ctx.Done():
 			return nil, nil, ctx.Err()
 		}
 	}
-out:
-	for _, r := range refs {
-		if done[r.ID] {
+	return split(refs, done)
+}
+
+// split divides refs into those done marks and the rest.
+func split(refs []ObjectRef, done []bool) (ready, pending []ObjectRef, err error) {
+	ready = make([]ObjectRef, 0, len(refs))
+	for i, r := range refs {
+		if done[i] {
 			ready = append(ready, r)
 		} else {
 			pending = append(pending, r)

@@ -69,6 +69,17 @@ func (f *fakeBackend) ObjectLocal(id types.ObjectID) bool {
 	return ok
 }
 
+func (f *fakeBackend) ObjectsLocal(ids []types.ObjectID, local []bool) int {
+	n := 0
+	for i, id := range ids {
+		if !local[i] && f.ObjectLocal(id) {
+			local[i] = true
+			n++
+		}
+	}
+	return n
+}
+
 func (f *fakeBackend) PutObject(id types.ObjectID, data []byte) error {
 	f.mu.Lock()
 	f.objects[id] = data

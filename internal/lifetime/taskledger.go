@@ -66,6 +66,8 @@ type TaskLedger struct {
 	// watched counts the end watchers WatchEnd registered: owner-side Gets
 	// that park (lifetime.gets.watched).
 	watched *metrics.Counter
+	// woken counts the tells to Waits' counts (lifetime.waits.woken).
+	woken *metrics.Counter
 	// home, when set, announces the returns of the births that land and
 	// collects tasks at home (SetCollector).
 	home atomic.Pointer[Manager]
@@ -102,16 +104,25 @@ type TaskEntry struct {
 	birthOp uint64
 	// kids is the highest SubmitIndex of a child admitted as fresh.
 	kids uint64
-	// waiter is the task's first end watcher (Notify, WatchEnd), so an
-	// owner-side Get registers without an allocation; waiters, the rest.
-	waiter  chan<- types.TaskID
-	waiters []chan<- types.TaskID
+	// waiter is the task's first Get watching its end (WatchEnd) and wait
+	// the first Wait counting it (WaitEnds), so that neither registers with
+	// an allocation; more holds the rest of either kind.
+	waiter chan<- types.TaskID
+	wait   *EndWait
+	more   []watcher
 	// owed marks a birth on the list of owed births; dirty, a transition
 	// not sent yet, which waits for the birth while that is owed. fresh
 	// marks a task born here with a provably new ID and not run again
 	// since: the IDs of its children are new too. inRecord marks an entry
 	// in its submitter's record.
 	owed, dirty, fresh, inRecord bool
+}
+
+// watcher is an end watcher beyond an entry's first of its kind: a Get's
+// channel or a Wait's count.
+type watcher struct {
+	ch   chan<- types.TaskID
+	wait *EndWait
 }
 
 // heldEntry is an entry moved out of its submitter's record, with the
@@ -174,9 +185,9 @@ func (l *TaskLedger) Adopt(id types.TaskID, baseSeq uint64, status types.TaskSta
 		if t != nil {
 			// A watcher waits for the task, not for its tenure: FailTask
 			// re-adopts a task it buries, and its FAILED stamp must wake
-			// the Gets waiting on the replaced record.
-			nt.waiter, nt.waiters = t.waiter, t.waiters
-			t.waiter, t.waiters, t.dirty = nil, nil, false
+			// the Gets and count for the Waits watching the replaced record.
+			nt.waiter, nt.wait, nt.more = t.waiter, t.wait, t.more
+			t.waiter, t.wait, t.more, t.dirty = nil, nil, nil, false
 			l.unoweLocked(t) // a claim's record is in the table
 		}
 		l.tasks[id] = nt
@@ -332,12 +343,14 @@ func (l *TaskLedger) owesLocked(task types.TaskID) bool {
 func (l *TaskLedger) Flushes() uint64 { return l.flushes.Load() }
 
 // SetMetrics publishes the flush-lag gauges (ledger.SetMetrics), the
-// parked Gets (WatchEnd) and the births kept at home:
+// parked Gets (WatchEnd), the tells to Waits (WaitEnds) and the births
+// kept at home:
 // lifetime.births.owed, how many are owed, and lifetime.births.oldest_ms,
 // the age of the oldest.
 func (l *TaskLedger) SetMetrics(reg *metrics.Registry) {
 	l.ledger.SetMetrics(reg)
 	l.watched = reg.Counter("lifetime.gets.watched")
+	l.woken = reg.Counter("lifetime.waits.woken")
 	reg.GaugeFunc("lifetime.births.owed", func() int64 { n, _ := l.owedBirths(); return int64(n) })
 	reg.GaugeFunc("lifetime.births.oldest_ms", func() int64 { _, age := l.owedBirths(); return age.Milliseconds() })
 }
@@ -442,7 +455,7 @@ func (l *TaskLedger) dropLocked(t *TaskEntry) {
 		delete(l.tasks, t.id)
 		t.dirty = false
 		l.unoweLocked(t)
-		l.wakeLocked(t)
+		l.wakeLocked(t, true)
 	}
 }
 
@@ -473,24 +486,34 @@ func (l *TaskLedger) stampLocked(t *TaskEntry, status types.TaskStatus, worker t
 		}
 	}
 	if status.Terminal() {
-		l.wakeLocked(t)
+		l.wakeLocked(t, false)
 	}
 }
 
-// wakeLocked delivers t's ID to every channel watching it, once.
-func (l *TaskLedger) wakeLocked(t *TaskEntry) {
+// wakeLocked ends t's watches, once: it sends t's ID to every Get watching
+// it and counts t's end for every Wait; dropped, t left the ledger without
+// an end.
+func (l *TaskLedger) wakeLocked(t *TaskEntry, dropped bool) {
 	if t.waiter != nil {
 		tell(t.waiter, t.id)
 		t.waiter = nil
 	}
-	for _, ch := range t.waiters {
-		tell(ch, t.id)
+	if t.wait != nil {
+		l.endLocked(t.wait, dropped)
+		t.wait = nil
 	}
-	t.waiters = nil
+	for _, w := range t.more {
+		if w.wait != nil {
+			l.endLocked(w.wait, dropped)
+		} else {
+			tell(w.ch, t.id)
+		}
+	}
+	t.more = nil
 }
 
 // tell sends id on ch without blocking the ledger: a channel without room
-// (see Notify) loses the event.
+// loses the event.
 func tell(ch chan<- types.TaskID, id types.TaskID) {
 	select {
 	case ch <- id:
@@ -500,7 +523,7 @@ func tell(ch chan<- types.TaskID, id types.TaskID) {
 
 // watchLocked registers ch for t's end event if t is an entry of this
 // ledger and not terminal, and reports whether it did: in the entry's waiter
-// slot if that is free, else among its waiters.
+// slot if that is free, else among the rest.
 func (l *TaskLedger) watchLocked(ch chan<- types.TaskID, t *TaskEntry) bool {
 	switch {
 	case t == nil || t.status.Terminal():
@@ -508,7 +531,7 @@ func (l *TaskLedger) watchLocked(ch chan<- types.TaskID, t *TaskEntry) bool {
 	case t.waiter == nil:
 		t.waiter = ch
 	default:
-		t.waiters = append(t.waiters, ch)
+		t.more = append(t.more, watcher{ch: ch})
 	}
 	return true
 }
@@ -537,27 +560,14 @@ func (l *TaskLedger) Lookup(id types.TaskID) (types.TaskState, bool) {
 	return st, true
 }
 
-// Notify registers ch for one event per task in ids: the task's ID is sent
-// when it reaches a terminal state or local authority over it is dropped
-// (Disown: spill-away, drain, burial, an observed transfer). Tasks already
-// terminal or not owned here are sent before Notify returns — "nothing more
-// to wait for here, re-check". An event is a hint to re-check, not a
-// completion. ch needs room for one event per id, which is also the most it
-// will receive; StopNotify unregisters whatever has not fired.
-func (l *TaskLedger) Notify(ch chan<- types.TaskID, ids ...types.TaskID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, id := range ids {
-		if !l.watchLocked(ch, l.tasks[id]) {
-			tell(ch, id)
-		}
-	}
-}
-
-// WatchEnd registers ch for id's end event, as Notify does, if id is owned
-// here and not terminal, and reports whether it did; on false nothing is
-// sent. It is the owner-side Get's ownership check and registration under
-// one lock, counted in lifetime.gets.watched. StopNotify unregisters it.
+// WatchEnd registers ch for id's end event if id is owned here and not
+// terminal, and reports whether it did; on false nothing is sent. The event
+// is id, sent without blocking once the task reaches a terminal state or
+// local authority over it is dropped (Disown: spill-away, drain, burial, an
+// observed transfer), so it is a hint to re-check, not a completion; ch
+// needs room for it. It is the owner-side Get's ownership check and
+// registration under one lock, counted in lifetime.gets.watched. Unwatch
+// unregisters it.
 func (l *TaskLedger) WatchEnd(ch chan<- types.TaskID, id types.TaskID) bool {
 	watching, _ := l.WatchEndOrYield(ch, id, false)
 	return watching
@@ -581,7 +591,7 @@ func (l *TaskLedger) WatchEndOrYield(ch chan<- types.TaskID, id types.TaskID, yi
 	return true, false
 }
 
-// Watchers counts the channels registered for id's end event that have not
+// Watchers counts the Gets and Waits registered for id's end that have not
 // fired (test hook: a finished wait leaves none behind).
 func (l *TaskLedger) Watchers(id types.TaskID) int {
 	l.mu.Lock()
@@ -590,29 +600,147 @@ func (l *TaskLedger) Watchers(id types.TaskID) int {
 	if t == nil {
 		return 0
 	}
-	n := len(t.waiters)
+	n := len(t.more)
 	if t.waiter != nil {
+		n++
+	}
+	if t.wait != nil {
 		n++
 	}
 	return n
 }
 
-// StopNotify drops ch's registrations for ids that have not fired.
-func (l *TaskLedger) StopNotify(ch chan<- types.TaskID, ids ...types.TaskID) {
+// Unwatch drops ch's registration for id's end, if it has not fired.
+func (l *TaskLedger) Unwatch(ch chan<- types.TaskID, id types.TaskID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, id := range ids {
-		t := l.tasks[id]
-		switch {
-		case t == nil:
-		case t.waiter == ch:
-			t.waiter = nil
-		default:
-			if i := slices.Index(t.waiters, ch); i >= 0 {
-				t.waiters = slices.Delete(t.waiters, i, i+1)
-			}
+	t := l.tasks[id]
+	switch {
+	case t == nil:
+	case t.waiter == ch:
+		t.waiter = nil
+	default:
+		if i := slices.IndexFunc(t.more, func(w watcher) bool { return w.ch == ch }); i >= 0 {
+			t.more = slices.Delete(t.more, i, i+1)
 		}
 	}
+}
+
+// EndWait is one Wait's count of the ends of the tasks that produce the
+// refs it waits on (WaitEnds). The ledger tells C, without blocking, when
+// enough of them ended, and at once when one of them leaves the ledger
+// without an end; a tell is a hint to re-check, not a completion.
+type EndWait struct {
+	l *TaskLedger
+	c chan struct{}
+	// tasks is what WaitEnds listed, for Stop. live counts the listed refs
+	// whose task is registered and has not ended; left, the ends still to
+	// count before C is told.
+	tasks      []types.TaskID
+	live, left int
+}
+
+// WaitEnds registers one count for the ends of tasks, listed once per
+// waited ref, so that a task's weight is its number of waited refs. Under
+// one lock it registers every listed task this ledger owns and that has not
+// ended, and returns the indexes in tasks of the others, not owned here or
+// already terminal. C is told once no more than slack of the registered refs
+// are unended, and at least one has ended: slack is the number of the
+// waiter's pending refs, registered or not, that may stay pending when it is
+// satisfied. A task that leaves the ledger without an end (Disown) tells C
+// at once. C is nil if nothing was registered. Stop unregisters what has not
+// fired, and the caller leaves tasks as it is until then. Each tell is
+// counted in lifetime.waits.woken.
+func (l *TaskLedger) WaitEnds(tasks []types.TaskID, slack int) (w *EndWait, gone []int) {
+	w = &EndWait{l: l, tasks: tasks}
+	return w, w.count(tasks, slack, true)
+}
+
+// C is told when enough of the registered tasks ended, or one left.
+func (w *EndWait) C() <-chan struct{} { return w.c }
+
+// Rearm counts again, after a tell: tasks are those of w's listed refs the
+// waiter still waits on, and slack is as in WaitEnds. It returns the indexes
+// in tasks of those w no longer counts, whose tasks ended or left the
+// ledger; C is told once no more than slack of the others are unended.
+func (w *EndWait) Rearm(tasks []types.TaskID, slack int) (gone []int) {
+	return w.count(tasks, slack, false)
+}
+
+// count arms w over tasks, registering it on them first if register is set.
+func (w *EndWait) count(tasks []types.TaskID, slack int, register bool) (gone []int) {
+	l := w.l
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	live := 0
+	for i, id := range tasks {
+		t := l.tasks[id]
+		switch {
+		case t == nil || t.status.Terminal() || !register && !t.watchedBy(w):
+			gone = append(gone, i)
+			continue
+		case !register:
+		case t.wait == nil:
+			t.wait = w
+		default:
+			t.more = append(t.more, watcher{wait: w})
+		}
+		live++
+	}
+	if register && live > 0 {
+		w.c, w.live = make(chan struct{}, 1), live
+	}
+	w.left = max(1, live-slack)
+	return gone
+}
+
+// Stop unregisters w from the tasks it still watches.
+func (w *EndWait) Stop() {
+	if w.c == nil {
+		return // nothing was registered
+	}
+	l := w.l
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, id := range w.tasks {
+		if w.live == 0 {
+			return
+		}
+		if t := l.tasks[id]; t != nil {
+			w.live -= t.unwatch(w)
+		}
+	}
+}
+
+// endLocked counts the end of one of w's registered refs, or its task's
+// departure (dropped), and tells w when it was the last end w waited for,
+// or at once on a departure.
+func (l *TaskLedger) endLocked(w *EndWait, dropped bool) {
+	w.live--
+	if w.left--; w.left == 0 || dropped {
+		select {
+		case w.c <- struct{}{}:
+			l.woken.Inc()
+		default:
+		}
+	}
+}
+
+// watchedBy reports whether w counts t's end.
+func (t *TaskEntry) watchedBy(w *EndWait) bool {
+	return t.wait == w || slices.ContainsFunc(t.more, func(m watcher) bool { return m.wait == w })
+}
+
+// unwatch drops every registration of w on t and returns how many it
+// dropped.
+func (t *TaskEntry) unwatch(w *EndWait) int {
+	n := 0
+	if t.wait == w {
+		t.wait, n = nil, 1
+	}
+	k := len(t.more)
+	t.more = slices.DeleteFunc(t.more, func(m watcher) bool { return m.wait == w })
+	return n + k - len(t.more)
 }
 
 // FlushTask synchronously writes every owed birth — each with its pins —

@@ -1,12 +1,14 @@
 package lifetime
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/chaostest"
 	"repro/internal/gcs"
+	"repro/internal/metrics"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -252,16 +254,30 @@ func TestFlushTaskWaitsForInFlightFlush(t *testing.T) {
 	}
 }
 
-// TestNotifyDeliversEndOfTenureOnOneChannel: one channel carries the
-// end-of-tenure events of a set of tasks — a terminal stamp, a Disown —
-// each exactly once; a task already terminal, or never owned, is delivered
-// by the registration itself; a non-terminal stamp (a retry's reset to
-// PENDING included) delivers nothing; and StopNotify leaves no registration
-// behind for a later event to fire into.
-func TestNotifyDeliversEndOfTenureOnOneChannel(t *testing.T) {
+// told reports whether w was told, and takes the tell.
+func told(w *EndWait) bool {
+	select {
+	case <-w.C():
+		return true
+	default:
+		return false
+	}
+}
+
+// TestWaitEndsCountsEachEndOfTenure: one count carries the end-of-tenure
+// events of a set of tasks — a terminal stamp, a Disown — and a count armed
+// to tell at the first end tells at each of them once; a task already
+// terminal, or never owned, is returned by the registration itself and
+// counted nowhere; a non-terminal stamp (a retry's reset to PENDING
+// included) tells nothing; a Rearm returns the tasks whose end was counted
+// or that left; and Stop leaves no registration behind for a later end to
+// tell.
+func TestWaitEndsCountsEachEndOfTenure(t *testing.T) {
 	st := gcs.NewStore(2)
 	led := NewTaskLedger(st) // unstarted: transitions flush inline
 	led.SetNode(types.NodeID{0xD2})
+	reg := metrics.NewRegistry()
+	led.SetMetrics(reg)
 	finishes, moves, retries, stays, done, stranger := ownTask(20), ownTask(21), ownTask(22), ownTask(23), ownTask(24), ownTask(25)
 	for _, id := range []types.TaskID{finishes, moves, retries, stays, done} {
 		st.AddTask(types.TaskState{Spec: types.TaskSpec{ID: id}, Status: types.TaskPending, Owner: led.Node()})
@@ -275,60 +291,105 @@ func TestNotifyDeliversEndOfTenureOnOneChannel(t *testing.T) {
 	led.mu.Unlock()
 
 	ids := []types.TaskID{finishes, moves, retries, stays, done, stranger}
-	ch := make(chan types.TaskID, len(ids))
-	led.Notify(ch, ids...)
-	got := map[types.TaskID]int{}
-	drain := func() {
-		for {
-			select {
-			case id := <-ch:
-				got[id]++
-			default:
-				return
-			}
-		}
+	slack := len(ids) - 1 // tell at the first end
+	w, gone := led.WaitEnds(ids, slack)
+	if !slices.Equal(gone, []int{4, 5}) {
+		t.Fatalf("registration returned %v, want the terminal task and the one not owned (4, 5)", gone)
 	}
-	drain()
-	if len(got) != 2 || got[done] != 1 || got[stranger] != 1 {
-		t.Fatalf("registration delivered %v, want the terminal task and the one not owned, once each", got)
+	if told(w) {
+		t.Fatal("the registration told its count")
 	}
 
 	led.Transition(stays, types.TaskRunning, types.WorkerID{}, "")
 	if n, retrying := led.TransitionRetry(retries, 1); n != 1 || !retrying {
 		t.Fatalf("TransitionRetry = %d, %v", n, retrying)
 	}
-	drain()
-	if len(got) != 2 {
-		t.Fatalf("a non-terminal stamp delivered an event: %v", got)
+	if told(w) {
+		t.Fatal("a non-terminal stamp told the count")
 	}
 
+	rest := []types.TaskID{moves, retries, stays}
 	led.Transition(finishes, types.TaskFinished, types.WorkerID{}, "")
+	if !told(w) {
+		t.Fatal("a finish did not tell")
+	}
+	if gone := w.Rearm(rest, slack); len(gone) != 0 {
+		t.Fatalf("Rearm after the finish returned %v, want none", gone)
+	}
 	led.Disown(moves)
+	if !told(w) {
+		t.Fatal("a disown did not tell")
+	}
+	if gone := w.Rearm(rest, slack); !slices.Equal(gone, []int{0}) {
+		t.Fatalf("Rearm after the disown returned %v, want the disowned task (0)", gone)
+	}
 	led.Transition(retries, types.TaskFailed, types.WorkerID{}, "boom")
-	drain()
-	if len(got) != 5 || got[finishes] != 1 || got[moves] != 1 || got[retries] != 1 {
-		t.Fatalf("after a finish, a disown and a failure: %v", got)
+	if !told(w) {
+		t.Fatal("a failure did not tell")
+	}
+	if gone := w.Rearm(rest[1:], slack); !slices.Equal(gone, []int{0}) {
+		t.Fatalf("Rearm after the failure returned %v, want the failed task (0)", gone)
+	}
+	if got := reg.Counter("lifetime.waits.woken").Value(); got != 3 {
+		t.Fatalf("lifetime.waits.woken = %d, want 3", got)
 	}
 
-	led.StopNotify(ch, ids...)
+	w.Stop()
 	left := 0
 	for _, id := range ids {
 		left += led.Watchers(id)
 	}
 	if left != 0 {
-		t.Fatalf("%d registrations left after StopNotify", left)
+		t.Fatalf("%d registrations left after Stop", left)
 	}
 	led.Transition(stays, types.TaskFinished, types.WorkerID{}, "")
-	drain()
-	if got[stays] != 0 {
-		t.Fatal("an unregistered channel still received an event")
+	if told(w) {
+		t.Fatal("a stopped count was still told")
+	}
+}
+
+// TestWaitEndsTellsOnceEnoughEnded: a count tells once, when no more than
+// slack of its registered refs are unended — a task listed once per waited
+// ref weighs as many — and not at the ends after; nothing registered
+// returns no count.
+func TestWaitEndsTellsOnceEnoughEnded(t *testing.T) {
+	st := gcs.NewStore(2)
+	led := NewTaskLedger(st)
+	led.SetNode(types.NodeID{0xD4})
+	a, b, c := ownTask(40), ownTask(41), ownTask(42)
+	for _, id := range []types.TaskID{a, b, c} {
+		st.AddTask(types.TaskState{Spec: types.TaskSpec{ID: id}, Status: types.TaskPending, Owner: led.Node()})
+		led.Adopt(id, 0, types.TaskPending)
+	}
+	w, gone := led.WaitEnds([]types.TaskID{a, b, b, c}, 1)
+	if len(gone) != 0 {
+		t.Fatalf("registration returned %v, want none", gone)
+	}
+	if led.Watchers(b) != 2 {
+		t.Fatalf("b has %d registrations, want one per listed ref (2)", led.Watchers(b))
+	}
+	led.Transition(a, types.TaskFinished, types.WorkerID{}, "")
+	if told(w) {
+		t.Fatal("told with three of four refs unended, slack 1")
+	}
+	led.Transition(b, types.TaskFinished, types.WorkerID{}, "")
+	if !told(w) {
+		t.Fatal("not told with one of four refs unended, slack 1")
+	}
+	led.Transition(c, types.TaskFinished, types.WorkerID{}, "")
+	if told(w) {
+		t.Fatal("told again after the count was met")
+	}
+	if w, gone := led.WaitEnds([]types.TaskID{a, ownTask(43)}, 0); w.C() != nil || len(gone) != 2 {
+		t.Fatalf("WaitEnds over an ended task and a stranger returned %v; want no count and both", gone)
 	}
 }
 
 // TestReadoptedTaskWakesItsWatcher: FailTask buries a task it owns by
 // adopting it anew at the claim's higher sequence, then stamping FAILED.
-// The end watchers registered on the replaced record — the waiter slot's
-// and the watch map's — must wake at that stamp.
+// The end watchers registered on the replaced record — a Get's in the
+// waiter slot, another Get's among the rest, and a Wait's count — must
+// wake at that stamp.
 func TestReadoptedTaskWakesItsWatcher(t *testing.T) {
 	st := gcs.NewStore(2)
 	led := NewTaskLedger(st) // unstarted: transitions flush inline
@@ -340,14 +401,17 @@ func TestReadoptedTaskWakesItsWatcher(t *testing.T) {
 	if !led.WatchEnd(slot, id) {
 		t.Fatal("WatchEnd refused a task owned here and not terminal")
 	}
-	led.Notify(mapped, id)
+	if !led.WatchEnd(mapped, id) {
+		t.Fatal("a second WatchEnd was refused")
+	}
+	w, _ := led.WaitEnds([]types.TaskID{id}, 0)
 
 	led.Adopt(id, 7, types.TaskFailed)
-	if led.Watchers(id) != 2 {
-		t.Fatalf("%d end watchers after the re-adoption, want 2", led.Watchers(id))
+	if led.Watchers(id) != 3 {
+		t.Fatalf("%d end watchers after the re-adoption, want 3", led.Watchers(id))
 	}
 	led.Transition(id, types.TaskFailed, types.WorkerID{}, "buried")
-	for name, ch := range map[string]chan types.TaskID{"waiter slot": slot, "watch map": mapped} {
+	for name, ch := range map[string]chan types.TaskID{"waiter slot": slot, "more": mapped} {
 		select {
 		case got := <-ch:
 			if got != id {
@@ -356,6 +420,9 @@ func TestReadoptedTaskWakesItsWatcher(t *testing.T) {
 		default:
 			t.Fatalf("the FAILED stamp after a re-adoption did not wake the %s's watcher", name)
 		}
+	}
+	if !told(w) {
+		t.Fatal("the FAILED stamp after a re-adoption did not tell the Wait's count")
 	}
 	if led.WatchEnd(slot, id) {
 		t.Fatal("WatchEnd registered on a terminal task")

@@ -537,6 +537,11 @@ func (n *Node) SubmitTask(spec types.TaskSpec) error {
 // ObjectLocal implements core.Backend.
 func (n *Node) ObjectLocal(id types.ObjectID) bool { return n.store.Contains(id) }
 
+// ObjectsLocal implements core.Backend (objectstore.Store.ContainsEach).
+func (n *Node) ObjectsLocal(ids []types.ObjectID, local []bool) int {
+	return n.store.ContainsEach(ids, local)
+}
+
 // PutObject implements core.Backend.
 func (n *Node) PutObject(id types.ObjectID, data []byte) error {
 	return n.store.Put(id, data)
@@ -563,14 +568,9 @@ func (n *Node) OwnsTask(id types.TaskID) bool { return n.taskled.Owns(id) }
 // OwnRoot implements core.TaskOwner (lifetime.TaskLedger.Root).
 func (n *Node) OwnRoot(root types.TaskID) { n.taskled.Root(root) }
 
-// NotifyTaskEnd implements core.TaskOwner (lifetime.TaskLedger.Notify).
-func (n *Node) NotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID) {
-	n.taskled.Notify(ch, ids...)
-}
-
-// StopNotifyTaskEnd implements core.TaskOwner.
-func (n *Node) StopNotifyTaskEnd(ch chan<- types.TaskID, ids ...types.TaskID) {
-	n.taskled.StopNotify(ch, ids...)
+// WaitEnds implements core.TaskOwner (lifetime.TaskLedger.WaitEnds).
+func (n *Node) WaitEnds(tasks []types.TaskID, slack int) (core.EndWait, []int) {
+	return n.taskled.WaitEnds(tasks, slack)
 }
 
 // endWaits recycles the channels owner-side Gets wait on: one event, so
@@ -626,8 +626,8 @@ func (n *Node) ResolveObject(ctx context.Context, id types.ObjectID) ([]byte, er
 				}
 			}
 			if stored || err != nil {
-				n.taskled.StopNotify(ended, task)
-				select { // the end may have come before StopNotify
+				n.taskled.Unwatch(ended, task)
+				select { // the end may have come before Unwatch
 				case <-ended:
 				default:
 				}

@@ -989,6 +989,24 @@ func (s *Store) Contains(id types.ObjectID) bool {
 	return ok
 }
 
+// ContainsEach is Contains for many objects under one lock: it marks
+// found[i] for each ids[i] held here that is not marked yet, and returns how
+// many it marked.
+func (s *Store) ContainsEach(ids []types.ObjectID, found []bool) int {
+	n := 0
+	s.mu.Lock()
+	for i, id := range ids {
+		if !found[i] {
+			if _, ok := s.objects[id]; ok {
+				found[i] = true
+				n++
+			}
+		}
+	}
+	s.mu.Unlock()
+	return n
+}
+
 // Pin prevents eviction of id while a worker uses its buffer.
 func (s *Store) Pin(id types.ObjectID) {
 	s.mu.Lock()

@@ -48,6 +48,17 @@ func (s *stubBackend) ObjectLocal(id types.ObjectID) bool {
 	_, ok := s.objects[id]
 	return ok
 }
+
+func (s *stubBackend) ObjectsLocal(ids []types.ObjectID, local []bool) int {
+	n := 0
+	for i, id := range ids {
+		if !local[i] && s.ObjectLocal(id) {
+			local[i] = true
+			n++
+		}
+	}
+	return n
+}
 func (s *stubBackend) PutObject(id types.ObjectID, data []byte) error {
 	s.mu.Lock()
 	s.objects[id] = data
