@@ -125,18 +125,17 @@ func awaitTraffic(t *testing.T, c *Cluster, base, want traffic, what string) {
 	}
 }
 
-// getCountingCtrl counts the two control-plane calls a blocking Get makes
-// when it has to go through the resolver.
+// getCountingCtrl counts the two control-plane calls a blocking Get can
+// make when it has to wait on the dependency table: its row's look, and a
+// probe's record read.
 type getCountingCtrl struct {
 	gcs.API
-	subscribes, reads atomic.Int64
+	watches, reads atomic.Int64
 }
 
-func (c *getCountingCtrl) Subscribe(topic gcs.Topic, id [types.IDSize]byte) gcs.Sub {
-	if topic == gcs.TopicObjectReady {
-		c.subscribes.Add(1)
-	}
-	return c.API.Subscribe(topic, id)
+func (c *getCountingCtrl) WatchObjects(node types.NodeID, ids []types.ObjectID) []gcs.ObjectWatch {
+	c.watches.Add(1)
+	return c.API.WatchObjects(node, ids)
 }
 
 func (c *getCountingCtrl) GetObject(id types.ObjectID) (types.ObjectInfo, bool) {
@@ -194,8 +193,8 @@ func TestMessageBudget(t *testing.T) {
 	awaitTraffic(t, c, base, traffic{messages: 6, pulledObjects: 1, pulledChunks: 5, executed: 1}, "remote task, 1 MiB result")
 
 	// A local task does not touch the control plane to wait for its result
-	// either: a Get of a task the driver's own node owns opens no readiness
-	// subscription and reads no object record (DESIGN.md §13). The
+	// either: a Get of a task the driver's own node owns opens no row in
+	// its dependency table and reads no object record (DESIGN.md §13). The
 	// reconstructor's first act is such a read, so it was not called.
 	// Counted on one more node, joined through a counting view of the same
 	// control plane.
@@ -216,8 +215,8 @@ func TestMessageBudget(t *testing.T) {
 	if v, err := core.Get(ctx, de, ref); err != nil || v != 8 {
 		t.Fatalf("local(8) on the counted node = %d, %v", v, err)
 	}
-	if subs, reads := counted.subscribes.Load(), counted.reads.Load(); subs != 0 || reads != 0 {
-		t.Fatalf("a local submit and Get made %d object-ready subscriptions and %d GetObject calls, want none", subs, reads)
+	if watches, reads := counted.watches.Load(), counted.reads.Load(); watches != 0 || reads != 0 {
+		t.Fatalf("a local submit and Get made %d WatchObjects and %d GetObject calls, want none", watches, reads)
 	}
 }
 

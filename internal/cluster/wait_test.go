@@ -164,19 +164,20 @@ func TestWaitReturnsAtTheKthEnd(t *testing.T) {
 
 // TestWaitFollowsADisownedTask: a Wait on the return of an owned task that
 // is disowned mid-wait is told at once and follows the ref through the
-// control plane from then on. The return is made ready on another node
-// only, so neither the store nor a poll's reads of the refs it had not
-// followed could see it: only the subscription the disown led to.
+// node's dependency table from then on. The return is made ready on
+// another node only, so the store could not see it: only the row the
+// disown led to.
 func TestWaitFollowsADisownedTask(t *testing.T) {
 	ctrl := gcs.NewStore(4)
-	n, probe, _, _ := waitNode(t, ctrl)
+	n, _, _, _ := waitNode(t, ctrl)
 	d, ctx := core.NewClient(n), testCtx(t)
 	refs := submitGated(t, d, "wait.a", 1)
-	calls := probe.onWait.Load()
 	res := asyncWait(ctx, d, refs, 1, -1)
 	waitFor(t, 10*time.Second, "the Wait to register", func() bool { return watchers(n, refs) == 1 })
 	n.TaskLedger().Disown(refs[0].ID.Producer())
-	waitFor(t, 10*time.Second, "the Wait to follow the ref", func() bool { return probe.onWait.Load()-calls >= 2 })
+	waitFor(t, 10*time.Second, "the Wait to follow the ref", func() bool {
+		return n.Metrics().Snapshot().Gauges["scheduler.waiting.objects"] == 1
+	})
 	ctrl.AddObjectLocation(refs[0].ID, types.NodeID{0xEE}, 8)
 	r := <-res
 	if r.err != nil || len(r.ready) != 1 {

@@ -33,6 +33,12 @@ type Backend interface {
 	// store: it marks local[i] for each ids[i] there that is not marked
 	// yet, and returns how many it marked.
 	ObjectsLocal(ids []types.ObjectID, local []bool) int
+	// Follow is a Wait on refs no ledger here counts, ids[i] for each i in
+	// which: each is told on told, once, when a copy of it exists anywhere,
+	// or with the error that ends the wait on it. told has room for every
+	// tell. stop unregisters what has not been told. node.Node registers
+	// them on its dependency table's rows (DESIGN.md §3.1).
+	Follow(ids []types.ObjectID, which []int, told chan<- Followed) (stop func())
 	// PutObject stores bytes directly (driver- or task-created objects).
 	PutObject(id types.ObjectID, data []byte) error
 	// Control exposes the control plane.
@@ -52,6 +58,13 @@ type RefCounted interface {
 	ReleaseObject(id types.ObjectID)
 }
 
+// Followed is one tell of Backend.Follow: the ref at Index is ready
+// somewhere, or, with Err set, never will be.
+type Followed struct {
+	Index int
+	Err   error
+}
+
 // TaskOwner is optionally implemented by Backends wired to the task
 // ownership ledger (node.Node is; DESIGN.md §13). Futures whose producing
 // task is owned by this node resolve from the ledger's in-process state
@@ -59,19 +72,17 @@ type RefCounted interface {
 // can appear nowhere but here, so a Get or Wait on locally-submitted work
 // reads no control-plane record. A ref's producing task is the one its ID
 // names (types.ObjectID.Producer), so a ref rebuilt from a bare ID waits
-// owner-side too. OwnsTask reports current local authority; the ledger
-// holds a task born here before the table does. OwnRoot registers a driver
-// root drawn at random (NewClient), whose tasks' records may then reach the
-// table in the ledger's batched flush, within types.BirthBound, or never if
-// they are collected at home. WaitEnds registers one count over the ends of
-// tasks, listed once per waited ref (lifetime.TaskLedger.WaitEnds): it
-// returns the indexes in tasks of those not owned here or already ended,
-// and an EndWait whose C (nil if it registered none) is told once no more
-// than slack of the registered refs are unended, and at once when a task
-// leaves this node without an end — so a waiter re-checks rather than
-// trusts the tell.
+// owner-side too; the refs it does not count, a Wait follows on the node's
+// dependency table (Backend.Follow). OwnRoot registers a driver root drawn
+// at random (NewClient), whose tasks' records may then reach the table in
+// the ledger's batched flush, within types.BirthBound, or never if they are
+// collected at home. WaitEnds registers one count over the ends of tasks,
+// listed once per waited ref (lifetime.TaskLedger.WaitEnds): it returns the
+// indexes in tasks of those not owned here or already ended, and an EndWait
+// whose C (nil if it registered none) is told once no more than slack of the
+// registered refs are unended, and at once when a task leaves this node
+// without an end — so a waiter re-checks rather than trusts the tell.
 type TaskOwner interface {
-	OwnsTask(id types.TaskID) bool
 	OwnRoot(root types.TaskID)
 	WaitEnds(tasks []types.TaskID, slack int) (EndWait, []int)
 }
@@ -386,7 +397,6 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 	if n >= numReturns {
 		return split(refs, done)
 	}
-	ctrl := c.backend.Control()
 
 	var deadline <-chan time.Time
 	if timeout >= 0 {
@@ -398,50 +408,25 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 	c.enterBlocked()
 	defer c.exitBlocked()
 
-	// A ref that no ledger here counts for is followed through the control
-	// plane: its per-object ready stream, subscribed before its record is
-	// read so that no ready transition is missed. Each stream's first
-	// message names its ref, so an event marks that one ref done instead of
-	// re-reading every pending record.
+	// A ref that no ledger here counts for is followed (Backend.Follow): it
+	// is told once it is ready anywhere, or with the error that ends it.
 	var (
-		followed []bool
-		readyC   chan int
-		subs     []gcs.Sub
+		told  chan Followed // made at the first follow, with room for every ref
+		stops []func()
 	)
 	defer func() {
-		for _, s := range subs {
-			s.Close()
+		for _, stop := range stops {
+			stop()
 		}
 	}()
-	// unknown collects, per poll, the followed refs the object table has no
-	// record of: the ones that may have been retired. suspects holds when
-	// each was first found in neither table.
-	var unknown []ObjectRef
-	var suspects map[types.ObjectID]time.Time
-	readAnywhere := func(i int) {
-		info, ok := ctrl.GetObject(ids[i])
-		if !ok {
-			unknown = append(unknown, refs[i])
-		} else if info.State == types.ObjectReady {
-			done[i] = true
-			n++
+	follow := func(which []int) {
+		if len(which) == 0 {
+			return
 		}
-	}
-	follow := func(i int) {
-		if readyC == nil {
-			followed, readyC = make([]bool, len(refs)), make(chan int, len(refs))
+		if told == nil {
+			told = make(chan Followed, len(refs))
 		}
-		followed[i] = true
-		sub := ctrl.Subscribe(gcs.TopicObjectReady, ids[i])
-		subs = append(subs, sub)
-		go func() {
-			if _, ok := <-sub.C(); ok {
-				readyC <- i // buffered one slot per ref; never blocks
-			}
-		}()
-		if !done[i] {
-			readAnywhere(i)
-		}
+		stops = append(stops, c.backend.Follow(ids, which, told))
 	}
 
 	// Owner-side futures (DESIGN.md §13): the refs whose producer this
@@ -456,6 +441,7 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 	slack := len(refs) - numReturns
 	owned := make([]int, 0, len(refs)-n) // the refs the ledger counts for
 	tasks := make([]types.TaskID, 0, len(refs)-n)
+	var unowned []int
 	for i, r := range refs {
 		if done[i] {
 			continue
@@ -463,9 +449,10 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 		if task := r.ID.Producer(); owner != nil && !task.IsNil() {
 			owned, tasks = append(owned, i), append(tasks, task)
 		} else {
-			follow(i)
+			unowned = append(unowned, i)
 		}
 	}
+	follow(unowned)
 	var ends EndWait
 	var wakeC <-chan struct{} // nil until something is counted
 	// moved follows the owned refs at gone, indexes in owned, that are not
@@ -476,12 +463,14 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 			return
 		}
 		n += c.backend.ObjectsLocal(ids, done)
+		var left []int
 		for _, g := range gone {
 			if i := owned[g]; !done[i] {
-				follow(i)
+				left = append(left, i)
 			}
 			owned[g] = -1
 		}
+		follow(left)
 		owned = slices.DeleteFunc(owned, func(i int) bool { return i < 0 })
 	}
 	if len(tasks) > 0 {
@@ -492,17 +481,14 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 		moved(gone)
 	}
 
-	// The poll is a safety net for missed edges only — completions arrive
-	// through the ledger's tells and per-object streams, so each tick's
-	// rescan (a record read per followed ref) should be rare, not the
-	// steady-state cadence of every waiting driver.
-	poll := time.NewTicker(10 * time.Millisecond)
-	defer poll.Stop()
 	for n < numReturns {
 		select {
-		case i := <-readyC:
-			if !done[i] {
-				done[i] = true
+		case f := <-told:
+			if f.Err != nil {
+				return nil, nil, f.Err
+			}
+			if !done[f.Index] {
+				done[f.Index] = true
 				n++
 			}
 		case <-wakeC:
@@ -516,22 +502,6 @@ func (c *caller) wait(ctx context.Context, refs []ObjectRef, numReturns int, tim
 					again[k] = refs[i].ID.Producer()
 				}
 				moved(ends.Rearm(again, slack))
-			}
-		case <-poll.C:
-			n += c.backend.ObjectsLocal(ids, done)
-			unknown = unknown[:0]
-			for i, f := range followed {
-				if f && !done[i] {
-					readAnywhere(i)
-				}
-			}
-			if n < numReturns {
-				if suspects == nil {
-					suspects = make(map[types.ObjectID]time.Time)
-				}
-				if err := reclaimedAmong(ctrl, owner, unknown, suspects); err != nil {
-					return nil, nil, err
-				}
 			}
 		case <-deadline:
 			return split(refs, done)
@@ -553,42 +523,6 @@ func split(refs []ObjectRef, done []bool) (ready, pending []ObjectRef, err error
 		}
 	}
 	return ready, pending, nil
-}
-
-// reclaimedAmong reports ErrReclaimed if one of refs — futures the object
-// table has no record of — can never complete because its records were
-// retired (DESIGN.md §17). Absence alone is not proof: a task born on a node
-// reaches the table when something there asks for its birth, or within
-// types.BirthBound, and until then its owner's ledger is the only record of
-// it and of its returns, wherever its ref went. So a ref counts as retired
-// only when this node's owner does not hold its task and it has been absent
-// from both tables for types.RetiredAfter; suspects carries the first
-// absent read from poll to poll.
-func reclaimedAmong(ctrl gcs.API, owner TaskOwner, refs []ObjectRef, suspects map[types.ObjectID]time.Time) error {
-	now := time.Now()
-	for _, r := range refs {
-		if task := r.ID.Producer(); !task.IsNil() {
-			if owner != nil && owner.OwnsTask(task) {
-				continue
-			}
-			if _, ok := ctrl.GetTask(task); ok {
-				continue
-			}
-		}
-		if p, ok := ctrl.(gcs.Pinger); ok && !p.Ping() {
-			return nil // an unreachable shard reads as absent
-		}
-		if _, ok := ctrl.GetObject(r.ID); ok {
-			continue
-		}
-		first, seen := suspects[r.ID]
-		if !seen {
-			suspects[r.ID] = now
-		} else if now.Sub(first) > types.RetiredAfter {
-			return fmt.Errorf("%w: %v", ErrReclaimed, r.ID)
-		}
-	}
-	return nil
 }
 
 // Client is the driver's handle to the cluster: the root of the task tree.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +22,13 @@ type fakeBackend struct {
 	mu      sync.Mutex
 	objects map[types.ObjectID][]byte
 	specs   []types.TaskSpec
+	// follows holds the Waits' watches (Follow), which PutObject tells.
+	follows map[types.ObjectID][]fakeFollow
+}
+
+type fakeFollow struct {
+	told chan<- Followed
+	i    int
 }
 
 func newFakeBackend() *fakeBackend {
@@ -28,6 +36,7 @@ func newFakeBackend() *fakeBackend {
 		ctrl:    gcs.NewStore(2),
 		node:    types.NodeID(types.DeriveTaskID(types.NilTaskID, 31337)),
 		objects: make(map[types.ObjectID][]byte),
+		follows: make(map[types.ObjectID][]fakeFollow),
 	}
 }
 
@@ -83,9 +92,32 @@ func (f *fakeBackend) ObjectsLocal(ids []types.ObjectID, local []bool) int {
 func (f *fakeBackend) PutObject(id types.ObjectID, data []byte) error {
 	f.mu.Lock()
 	f.objects[id] = data
+	for _, w := range f.follows[id] {
+		w.told <- Followed{Index: w.i}
+	}
+	delete(f.follows, id)
 	f.mu.Unlock()
 	f.ctrl.AddObjectLocation(id, f.node, int64(len(data)))
 	return nil
+}
+
+func (f *fakeBackend) Follow(ids []types.ObjectID, which []int, told chan<- Followed) func() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, i := range which {
+		if _, ok := f.objects[ids[i]]; ok {
+			told <- Followed{Index: i}
+		} else {
+			f.follows[ids[i]] = append(f.follows[ids[i]], fakeFollow{told, i})
+		}
+	}
+	return func() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		for _, i := range which {
+			f.follows[ids[i]] = slices.DeleteFunc(f.follows[ids[i]], func(w fakeFollow) bool { return w.told == told })
+		}
+	}
 }
 
 func (f *fakeBackend) Control() gcs.API     { return f.ctrl }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/types"
@@ -231,25 +230,4 @@ func TaskGet[T any](tc *TaskContext, ref Ref[T]) (T, error) {
 func PutTyped[T any](cl *Client, v T) (Ref[T], error) {
 	ref, err := cl.Put(v)
 	return Ref[T]{Ref: ref}, err
-}
-
-// WaitRefs adapts Wait to typed futures.
-func WaitRefs[T any](ctx context.Context, cl *Client, refs []Ref[T], numReturns int, timeout time.Duration) (ready, pending []Ref[T], err error) {
-	raw := make([]ObjectRef, len(refs))
-	byID := make(map[types.ObjectID]Ref[T], len(refs))
-	for i, r := range refs {
-		raw[i] = r.Ref
-		byID[r.Ref.ID] = r
-	}
-	rdy, pnd, err := cl.Wait(ctx, raw, numReturns, timeout)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, r := range rdy {
-		ready = append(ready, byID[r.ID])
-	}
-	for _, r := range pnd {
-		pending = append(pending, byID[r.ID])
-	}
-	return ready, pending, nil
 }

@@ -202,7 +202,7 @@ func TestOwnedGetFollowsATaskDrainedAway(t *testing.T) {
 	n0 := c.Node(0)
 	d, reached := probedClient(n0)
 	ref := queuedBehindBlocker(t, f, d)
-	if !n0.OwnsTask(ref.Ref.Task) {
+	if !n0.TaskLedger().Owns(ref.Ref.Task) {
 		t.Fatal("node 0 does not own the task queued on it")
 	}
 	got := asyncGet(testCtx(t), d, ref)
@@ -215,7 +215,7 @@ func TestOwnedGetFollowsATaskDrainedAway(t *testing.T) {
 	if r := <-got; r.err != nil || r.v != -5 {
 		t.Fatalf("Get of a task drained away mid-wait = %d, %v", r.v, r.err)
 	}
-	if n0.OwnsTask(ref.Ref.Task) {
+	if n0.TaskLedger().Owns(ref.Ref.Task) {
 		t.Fatal("node 0 still owns the task it handed off")
 	}
 	await(t, "the task to be recorded FINISHED on node 1", func() bool {

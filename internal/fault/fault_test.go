@@ -111,8 +111,8 @@ func (d *deadCtrl) Ping() bool { return false }
 
 // TestRequestObjectDeadControlPlaneIsRetryable is the regression test for
 // the resolver-wedging bug: RequestReturn against a dead GCS incarnation
-// must return ErrControlUnavailable — a retryable error the resolver loop
-// keeps waiting on — instead of a permanent "object unknown" failure (or,
+// must return ErrControlUnavailable — a retryable error the dependency
+// table keeps waiting on — instead of a permanent "object unknown" failure (or,
 // worse, a spurious replay of a healthy task).
 func TestRequestObjectDeadControlPlaneIsRetryable(t *testing.T) {
 	backing := gcs.NewStore(2)

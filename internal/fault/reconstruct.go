@@ -64,10 +64,9 @@ type Reconstructor struct {
 // which covers both tasks that were running there and tasks that sat in its
 // queues without ever being dispatched). It returns nil when the object is
 // ready, healthily being produced, or a replay was initiated; the caller
-// continues waiting for the object-ready notification. Transitive
-// reconstruction of the replayed task's own lost inputs happens naturally:
-// the scheduler's resolve loop calls back into RequestReturn for each
-// unavailable dependency it encounters.
+// keeps waiting for the object. Transitive reconstruction of the replayed
+// task's own lost inputs happens naturally: the replay parks on them in the
+// scheduler's dependency table, whose probe calls back into RequestReturn.
 //
 // The producer is the one the record names, or else the one the ID names
 // (types.ObjectID.Producer): the edge trails its task's birth, and a
@@ -77,7 +76,7 @@ type Reconstructor struct {
 // neither the ledger nor the table knows, yields types.ErrReclaimed: it was
 // retired, never submitted, or born on another node whose ledger has not
 // landed its birth yet, which it does within types.BirthBound. One answer
-// is therefore not proof: the caller's resolve loop ends on it only once
+// is therefore not proof: the dependency table ends a wait on it only once
 // it has read so for types.RetiredAfter.
 func (r *Reconstructor) RequestReturn(id types.ObjectID) error {
 	info, ok := r.Ctrl.GetObject(id)

@@ -77,8 +77,8 @@ type API interface {
 	// object-side step of ModifyTaskStates. Returns the IDs that could NOT be
 	// ensured (their shard stayed unreachable) so the caller requeues them;
 	// nil means fully applied. Idempotent, so no token is needed.
-	// AddObjectLocation marks the object ready and publishes on its ready
-	// channel; RemoveObjectLocation transitions to Lost when the last copy
+	// AddObjectLocation marks the object ready and tells the nodes watching
+	// it (WatchObjects); RemoveObjectLocation transitions to Lost when the last copy
 	// disappears.
 	EnsureObjects(producers map[types.ObjectID]types.TaskID) []types.ObjectID
 	AddObjectLocation(id types.ObjectID, node types.NodeID, size int64)
@@ -248,20 +248,17 @@ func (f TaskFilter) stale(st *types.TaskState, now int64) bool {
 }
 
 // Topic names a control-plane pub/sub channel (API.Subscribe). The first
-// two are per record: the subscription hears one task's or one object's
-// channel, which lives on the shard owning that record. The third is per
-// node, and every shard publishes on it. The rest are broadcasts every
-// shard publishes on; a subscription to one merges every shard's feed and
-// ignores the ID it was given.
+// is per record: the subscription hears one task's channel, which lives on
+// the shard owning that record. The second is per node, and every shard
+// publishes on it. The rest are broadcasts every shard publishes on; a
+// subscription to one merges every shard's feed and ignores the ID it was
+// given.
 type Topic uint8
 
 const (
 	// TopicTaskStatus carries one task's status transitions; payload
 	// [1]byte{status}.
 	TopicTaskStatus Topic = iota
-	// TopicObjectReady fires when one object gains a copy; payload the
-	// ObjectID bytes.
-	TopicObjectReady
 	// TopicNodeReady carries the objects one node watches (WatchObjects),
 	// each as it gains its first copy since the watch, with that copy's
 	// node and the object's size (DecodeNodeReady).
@@ -352,7 +349,6 @@ const (
 	keyPendIdx = "pendidx:" // + TaskID hex; task currently PENDING
 	keyGCIdx   = "gcidx:"   // + ObjectID hex; GC-eligible, not yet drained
 
-	chanObjReady   = "ready:"  // + ObjectID hex; payload = ObjectID bytes
 	chanNodeReady  = "nready:" // + NodeID hex; payload = ObjectID, location NodeID, size
 	chanTaskStatus = "tstat:"  // + TaskID hex; payload = [1]byte{status}
 	chanSpill      = "spill"   // payload = gob(TaskSpec)

@@ -313,8 +313,6 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	if info, ok := api.GetObject(obj2); !ok || info.Producer != st.Spec.ID || info.State != types.ObjectPending {
 		t.Fatalf("EnsureObjects lineage edge: %+v %v", info, ok)
 	}
-	readySub := api.Subscribe(TopicObjectReady, obj)
-	defer readySub.Close()
 	// A dependency table watches its objects on its node's ready topic: a
 	// pending object is watched, one without a record is not.
 	watcher, unknown := nodeID(52), testObjectID(10)
@@ -325,7 +323,6 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 		t.Fatalf("WatchObjects of a pending object and an unknown one: %+v", w)
 	}
 	api.AddObjectLocation(obj, n, 64)
-	recv(t, readySub, "object-ready")
 	if got, ok := DecodeNodeReady(recv(t, watchSub, "a watched object's location")); !ok || got.ID != obj ||
 		!slices.Equal(got.Locations, []types.NodeID{n}) || got.Size != 64 {
 		t.Fatalf("node-ready payload: %+v (ok=%v), want %v at %v, 64 bytes", got, ok, obj, n)

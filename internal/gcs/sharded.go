@@ -878,7 +878,7 @@ func (s *Sharded) Spans() []metrics.SpanRecord {
 
 // --- resilient subscriptions ---
 
-// Subscribe implements API. A per-record topic attaches to the one shard
+// Subscribe implements API. The per-record topic attaches to the one shard
 // owning the record, which is where its channel publishes; a node's ready
 // topic and a broadcast topic merge every shard's feed (each record's
 // transitions publish on the shard that owns it).
@@ -888,8 +888,6 @@ func (s *Sharded) Subscribe(topic Topic, id [types.IDSize]byte) Sub {
 	switch topic {
 	case TopicTaskStatus:
 		shards = []int{m.ShardForKey(TaskKey(id))}
-	case TopicObjectReady:
-		shards = []int{m.ShardForKey(ObjectKey(id))}
 	default:
 		for i := range m.NumShards() {
 			shards = append(shards, i)

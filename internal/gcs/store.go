@@ -478,11 +478,12 @@ func (s *Store) publishGC(id types.ObjectID, kind string, node types.NodeID) {
 }
 
 // AddObjectLocation implements API. The first location moves the object to
-// Ready and fires its ready channel, which is what unblocks dataflow
-// dispatch in every local scheduler waiting on it.
+// Ready, and each location is published to the nodes watching the object,
+// which is what unblocks dataflow dispatch, Gets and Waits in every local
+// scheduler waiting on it.
 func (s *Store) AddObjectLocation(id types.ObjectID, node types.NodeID, size int64) {
 	garbage := false
-	_, watched := s.objects.mutate(id, upsert, func(info *types.ObjectInfo, _ bool) bool {
+	s.objects.mutate(id, upsert, func(info *types.ObjectInfo, _ bool) bool {
 		info.ID = id
 		if !info.HasLocation(node) {
 			info.Locations = append(info.Locations, node)
@@ -492,9 +493,6 @@ func (s *Store) AddObjectLocation(id types.ObjectID, node types.NodeID, size int
 		garbage = info.EverRetained && info.RefCount == 0
 		return true
 	})
-	if watched {
-		s.db.Publish(key(chanObjReady, id), id[:])
-	}
 	if watchers := s.objects.takeWatchers(id); watchers != nil {
 		msg := nodeReadyPayload(id, node, size)
 		for _, w := range watchers {
@@ -908,15 +906,13 @@ func (s *Store) Events() []types.Event {
 	return out
 }
 
-// Subscribe implements API. The per-record topics count the record as
+// Subscribe implements API. The per-record topic counts the record as
 // watched while the subscription is open, so a mutation nobody listens to
 // publishes nothing.
 func (s *Store) Subscribe(topic Topic, id [types.IDSize]byte) Sub {
 	switch topic {
 	case TopicTaskStatus:
 		return s.tasks.subscribe(s.db, chanTaskStatus, types.TaskID(id))
-	case TopicObjectReady:
-		return s.objects.subscribe(s.db, chanObjReady, types.ObjectID(id))
 	case TopicNodeReady:
 		return s.db.Subscribe(key(chanNodeReady, types.NodeID(id)))
 	}

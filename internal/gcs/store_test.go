@@ -136,15 +136,8 @@ func TestObjectLifecycle(t *testing.T) {
 		t.Fatalf("pending object: %+v, %v", info, ok)
 	}
 
-	sub := s.Subscribe(TopicObjectReady, obj)
-	defer sub.Close()
 	n1, n2 := nodeID(1), nodeID(2)
 	s.AddObjectLocation(obj, n1, 128)
-	select {
-	case <-sub.C():
-	case <-time.After(time.Second):
-		t.Fatal("ready notification not published")
-	}
 	info, _ = s.GetObject(obj)
 	if info.State != types.ObjectReady || info.Size != 128 || !info.HasLocation(n1) {
 		t.Fatalf("ready object: %+v", info)

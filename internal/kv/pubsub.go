@@ -4,7 +4,7 @@ import "sync"
 
 // Subscription receives messages published to one channel. Delivery is
 // lossless until Close: an internal unbounded queue decouples publishers
-// from slow subscribers, because a dropped object-ready notification would
+// from slow subscribers, because a dropped message of a node's ready feed would
 // wedge the dataflow dispatcher. Messages arrive in publish order.
 type Subscription struct {
 	channel string

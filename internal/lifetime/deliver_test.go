@@ -163,12 +163,13 @@ func specFrom(origin types.NodeID, i uint64) (types.TaskSpec, types.ObjectID) {
 func TestDeliverStoresAndPublishesAtOrigin(t *testing.T) {
 	f := newDeliverFixture(t, transport.NewInproc(0), "origin")
 	spec, id := specFrom(f.origin.Node(), 70)
-	arrival := f.origin.WaitChan(id)
+	arrived := make(chan types.ObjectID, 1)
+	f.origin.SetArrivalHook(func(id types.ObjectID) { arrived <- id })
 	deliver(f.pm, spec, id, []byte("result"))
 	select {
-	case <-arrival:
+	case <-arrived:
 	default:
-		t.Fatal("a waiter on the origin's store was not woken by the delivery")
+		t.Fatal("the delivery did not tell the origin's arrival hook")
 	}
 	if got, ok := f.origin.Get(id); !ok || string(got) != "result" {
 		t.Fatalf("origin holds %q, %v", got, ok)

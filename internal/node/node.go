@@ -147,8 +147,8 @@ type worker = executorShim
 // reconstructor is what the node asks of the fault-tolerance layer
 // (fault.Reconstructor): make a lost object, or one whose producer is
 // stranded on a dead node, resolvable again. The scheduler's dependency
-// table and resolve loop read the field at call time, so a wrapper put in
-// front of it after New (a test's counter) sees every call.
+// table reads the field at call time, so a wrapper put in front of it
+// after New (a test's counter) sees every call.
 type reconstructor interface {
 	RequestReturn(id types.ObjectID) error
 }
@@ -557,13 +557,13 @@ func (n *Node) RetainObject(id types.ObjectID) { n.life.Tracker().Retain(id) }
 // ReleaseObject implements core.RefCounted.
 func (n *Node) ReleaseObject(id types.ObjectID) { n.life.Tracker().Release(id) }
 
+// Follow implements core.Backend (scheduler.Local.Follow).
+func (n *Node) Follow(ids []types.ObjectID, which []int, told chan<- core.Followed) (stop func()) {
+	return n.sched.Follow(ids, which, told)
+}
+
 // NodeID implements core.Backend.
 func (n *Node) NodeID() types.NodeID { return n.id }
-
-// OwnsTask implements core.TaskOwner: futures whose producing task this
-// node owns resolve from the in-process ledger's state events instead of
-// per-object control-plane subscriptions (DESIGN.md §13).
-func (n *Node) OwnsTask(id types.TaskID) bool { return n.taskled.Owns(id) }
 
 // OwnRoot implements core.TaskOwner (lifetime.TaskLedger.Root).
 func (n *Node) OwnRoot(root types.TaskID) { n.taskled.Root(root) }
@@ -586,10 +586,10 @@ func (n *Node) AdmitJobTask(job types.JobID) error { return n.admit.Admit(job) }
 func (n *Node) TaskLedger() *lifetime.TaskLedger { return n.taskled }
 
 // ResolveObject implements core.Backend: the local scheduler's resolver
-// (scheduler.Local.Resolve), run on the caller's goroutine. While this
-// node's ledger owns the task id is a return of (types.ObjectID.Producer),
-// the wait is on the ledger's end event alone: no control-plane call, and
-// no store waiter. Every path that ends a task here stores its returns (or
+// (scheduler.Local.Resolve). While this node's ledger owns the task id is
+// a return of (types.ObjectID.Producer), the wait is on the ledger's end
+// event alone: no control-plane call, and no row in the dependency table.
+// Every path that ends a task here stores its returns (or
 // error payloads) before the terminal stamp — the executor, FailTask — so
 // at the event the object is in the store, or the tenure ended without it
 // (spilled away, drained, transferred, output evicted) and the resolver

@@ -40,22 +40,21 @@ func located(ctrl gcs.API, id types.ObjectID, node types.NodeID) bool {
 	return slices.Contains(info.Locations, node)
 }
 
-// TestDeferredPutWaitsForItsAnnouncement: a held-back copy wakes its
-// waiters at once, reaches the table when Announce names it, once, and a
+// TestDeferredPutWaitsForItsAnnouncement: a held-back copy tells the
+// arrival hook at once, reaches the table when Announce names it, once, and a
 // copy deleted before then costs the control plane nothing at all.
 func TestDeferredPutWaitsForItsAnnouncement(t *testing.T) {
 	ctrl := &locationCalls{Store: gcs.NewStore(2)}
 	node := testNode(1)
 	s := New(node, ctrl, 0)
 	kept, dropped := testObj(1), testObj(2)
-	waiter := s.WaitChan(kept)
+	var arrived []types.ObjectID
+	s.SetArrivalHook(func(id types.ObjectID) { arrived = append(arrived, id) })
 	if err := s.PutDeferred(kept, []byte("kept")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-waiter:
-	default:
-		t.Fatal("a held-back copy did not wake its waiter")
+	if len(arrived) != 1 || arrived[0] != kept {
+		t.Fatalf("a held-back copy told the arrival hook %v", arrived)
 	}
 	if err := s.PutDeferred(dropped, []byte("dropped")); err != nil {
 		t.Fatal(err)

@@ -281,15 +281,17 @@ func (c *blockingCtrl) AddObjectLocation(id types.ObjectID, node types.NodeID, s
 	c.API.AddObjectLocation(id, node, size)
 }
 
-// TestPutWakesWaitersBeforePublish: local waiters consume bytes that are
-// already resident; an unreachable control plane must not delay them. The
-// publish still lands (in order) once the control plane recovers.
+// TestPutWakesWaitersBeforePublish: local waiters, which the arrival hook
+// wakes, consume bytes that are already resident; an unreachable control
+// plane must not delay them. The publish still lands (in order) once the
+// control plane recovers.
 func TestPutWakesWaitersBeforePublish(t *testing.T) {
 	inner := gcs.NewStore(1)
 	ctrl := &blockingCtrl{API: inner, gate: make(chan struct{})}
 	s := New(testNode(1), ctrl, 0)
 	id := testObj(370)
-	w := s.WaitChan(id)
+	w := make(chan types.ObjectID, 1)
+	s.SetArrivalHook(func(id types.ObjectID) { w <- id })
 	putDone := make(chan error, 1)
 	go func() { putDone <- s.Put(id, []byte("x")) }()
 	select {

@@ -26,7 +26,6 @@ package objectstore
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -175,7 +174,6 @@ type Store struct {
 
 	mu       sync.Mutex
 	objects  map[types.ObjectID]*entry
-	waiters  map[types.ObjectID][]chan struct{}
 	lru      lruList
 	capacity int64 // bytes; 0 = unlimited
 	used     int64 // memory-resident bytes (includes stateSpilling entries)
@@ -256,7 +254,6 @@ func New(node types.NodeID, ctrl gcs.API, capacity int64) *Store {
 		node:           node,
 		ctrl:           ctrl,
 		objects:        make(map[types.ObjectID]*entry),
-		waiters:        make(map[types.ObjectID][]chan struct{}),
 		capacity:       capacity,
 		tierWrites:     make(map[types.ObjectID]int),
 		tierRemoveWant: make(map[types.ObjectID]bool),
@@ -336,9 +333,10 @@ func (s *Store) SetRefChecker(fn func(types.ObjectID) bool) {
 }
 
 // SetArrivalHook installs fn, which Put and PutDeferred call with every
-// object they store: on the storing goroutine, after the object's waiters
-// are woken and before any publish of its location. Call before the store
-// is shared.
+// object they store: on the storing goroutine, before any publish of its
+// location. It is the store's one arrival edge, which wakes the node's
+// local consumers of the object (scheduler.depTable). Call before the
+// store is shared.
 func (s *Store) SetArrivalHook(fn func(types.ObjectID)) {
 	s.mu.Lock()
 	s.arrived = fn
@@ -504,7 +502,7 @@ func (s *Store) execRemoval(tier SpillTier, id types.ObjectID) {
 
 // --- core API ---
 
-// Put stores data under id, wakes local waiters, and then records the
+// Put stores data under id, tells the arrival hook, and then records the
 // location in the control plane — in that order, so an unreachable control
 // plane never delays local consumers of already-resident bytes. Storing an
 // already-present object is a no-op (objects are immutable, so the bytes
@@ -514,8 +512,8 @@ func (s *Store) Put(id types.ObjectID, data []byte) error { return s.put(id, dat
 
 // PutDeferred is Put for a copy whose location may wait: the return of a
 // task submitted through the node that ran it, whose readers are on this
-// node until its task's birth lands. The copy is stored and its waiters
-// woken, but the control plane hears of it only when Announce names it or
+// node until its task's birth lands. The copy is stored and the arrival
+// hook told, but the control plane hears of it only when Announce names it or
 // when it spills to disk — and never if it is deleted first, as
 // CollectHome does to a released return whose task never left its owner.
 func (s *Store) PutDeferred(id types.ObjectID, data []byte) error { return s.put(id, data, true) }
@@ -547,18 +545,13 @@ func (s *Store) put(id types.ObjectID, data []byte, deferred bool) error {
 	s.objects[id] = e
 	s.used += size
 	s.lru.pushFront(e)
-	ws := s.waiters[id]
-	delete(s.waiters, id)
 	drain := !deferred && s.announceLocked(e)
 	arrived := s.arrived
 	s.mu.Unlock()
 
-	// Waiters first: they are local consumers of bytes that are already
-	// here; the control-plane publish can block on a failover and must not
-	// gate them.
-	for _, w := range ws {
-		close(w)
-	}
+	// The arrival hook first: it wakes local consumers of bytes that are
+	// already here; the control-plane publish can block on a failover and
+	// must not gate them.
 	if arrived != nil {
 		arrived(id)
 	}
@@ -1036,48 +1029,6 @@ func (s *Store) PinCount(id types.ObjectID) int {
 		return e.pinned
 	}
 	return 0
-}
-
-// WaitChan returns a channel closed when id becomes locally present. If the
-// object is already present the returned channel is closed immediately. A
-// caller that stops waiting before the channel closes passes it to
-// StopWait: the store holds it until id arrives here otherwise.
-func (s *Store) WaitChan(id types.ObjectID) <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := make(chan struct{})
-	if _, ok := s.objects[id]; ok {
-		close(ch)
-		return ch
-	}
-	s.waiters[id] = append(s.waiters[id], ch)
-	return ch
-}
-
-// StopWait drops ch, a WaitChan channel on id, unless an arrival already
-// took and closed it.
-func (s *Store) StopWait(id types.ObjectID, ch <-chan struct{}) {
-	select {
-	case <-ch:
-		return
-	default:
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ws := slices.DeleteFunc(s.waiters[id], func(w chan struct{}) bool { return w == ch })
-	if len(ws) == 0 {
-		delete(s.waiters, id)
-	} else {
-		s.waiters[id] = ws
-	}
-}
-
-// Waiters reports how many WaitChan channels on id are pending (test hook:
-// waiter-balance assertions for the resolve paths).
-func (s *Store) Waiters(id types.ObjectID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.waiters[id])
 }
 
 // Delete removes id locally (memory and spill tier) and deregisters the

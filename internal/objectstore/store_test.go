@@ -49,42 +49,24 @@ func TestPutIdempotent(t *testing.T) {
 	}
 }
 
-func TestWaitChan(t *testing.T) {
+// TestArrivalHook: the arrival hook hears of each object Put stores, once,
+// on the storing goroutine, with the object already readable; a Put of an
+// object already here stores nothing and tells nothing.
+func TestArrivalHook(t *testing.T) {
 	s := New(testNode(1), gcs.NewStore(1), 0)
-	id := testObj(3)
-	ch := s.WaitChan(id)
-	select {
-	case <-ch:
-		t.Fatal("waiter fired before Put")
-	case <-time.After(10 * time.Millisecond):
-	}
-	go s.Put(id, []byte("x"))
-	select {
-	case <-ch:
-	case <-time.After(time.Second):
-		t.Fatal("waiter never fired")
-	}
-	if n := s.Waiters(id); n != 0 {
-		t.Fatalf("%d waiters left after the arrival", n)
-	}
-	s.StopWait(id, ch) // fired: a no-op
-	// Already-present object: channel closed immediately.
-	select {
-	case <-s.WaitChan(id):
-	case <-time.After(time.Second):
-		t.Fatal("present-object wait did not fire")
-	}
-	// A waiter that stops before its object arrives leaves nothing behind.
-	absent := testObj(4)
-	first, second := s.WaitChan(absent), s.WaitChan(absent)
-	s.StopWait(absent, first)
-	if n := s.Waiters(absent); n != 1 {
-		t.Fatalf("%d waiters after one of two stopped, want 1", n)
-	}
-	s.StopWait(absent, second)
-	s.StopWait(absent, second)
-	if n := s.Waiters(absent); n != 0 {
-		t.Fatalf("%d waiters after both stopped", n)
+	var arrived []types.ObjectID
+	s.SetArrivalHook(func(id types.ObjectID) {
+		if !s.Contains(id) {
+			t.Errorf("told of %v before it was readable", id)
+		}
+		arrived = append(arrived, id)
+	})
+	a, b := testObj(3), testObj(4)
+	s.Put(a, []byte("x"))
+	s.Put(a, []byte("x"))
+	s.Put(b, []byte("y"))
+	if len(arrived) != 2 || arrived[0] != a || arrived[1] != b {
+		t.Fatalf("arrivals %v, want %v then %v once each", arrived, a, b)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/gcs"
 	"repro/internal/lifetime"
 	"repro/internal/metrics"
@@ -20,10 +21,10 @@ import (
 // probed on every sweep, and every row's look is renewed — its watch too,
 // which a control-plane failover drops — every strandedPeriod sweeps
 // (≤ 200 ms), when a pending object's producer is probed for a stranded
-// task, starting one period in, so a healthy producer costs no probe. A
-// Get's resolve loop polls at the same period. fetchTimeout bounds one pull
-// of the object: a pull cut short starts again from its first byte, so the
-// bound must outlast the largest transfer, not a poll period.
+// task, starting one period in, so a healthy producer costs no probe.
+// fetchTimeout bounds one pull of the object: a pull cut short starts again
+// from its first byte, so the bound must outlast the largest transfer, not
+// a poll period.
 const (
 	pollPeriod     = 10 * time.Millisecond
 	strandedPeriod = 20
@@ -61,14 +62,15 @@ type localTask struct {
 	tc         core.TaskContext
 }
 
-// parkedObj is one row of the dependency table: the tasks parked on one
-// missing object, and what the table last learnt of the object. A row holds
-// no goroutine, timer, context or subscription: the store's arrival hook
-// lands it, the node's ready feed or a look starts its pull, and the sweep
-// looks again and probes.
+// parkedObj is one row of the dependency table: what waits on one object
+// not here — the tasks parked on it, Gets and Waits — and what the table
+// last learnt of the object. A row holds no goroutine, timer, context or
+// subscription: the store's arrival hook lands it, the node's ready feed or
+// a look starts its pull, and the sweep looks again and probes.
 type parkedObj struct {
-	tasks []*localTask
-	look  rowLook
+	tasks    []*localTask
+	watchers []watcher
+	look     rowLook
 	// sweeps counts the sweeps that found the row with no pull in flight.
 	sweeps int
 	// pull cancels the row's pull in flight; nil while none is.
@@ -77,6 +79,35 @@ type parkedObj struct {
 	listed bool
 	// absent is when a probe first read the object as reclaimed.
 	absent time.Time
+}
+
+// watcher is a Get (here: Local.Resolve) or a Wait (Local.Follow) on a
+// row, told once on ch, with its ref's index: a Get when the object lands
+// here, a Wait when the table learns of a copy anywhere, and both of the
+// error that ends the row. A row of Waits alone pulls nothing. No tell
+// blocks: ch has room for one tell per ref it watches.
+type watcher struct {
+	ch   chan<- core.Followed
+	i    int
+	here bool
+}
+
+// idle reports whether nothing waits on the row any more.
+func (r *parkedObj) idle() bool { return len(r.tasks)+len(r.watchers) == 0 }
+
+// tell tells the row's watchers err, nil for a copy, and forgets them: all
+// of them, or only the Waits for a copy elsewhere.
+func (r *parkedObj) tell(err error, all bool) {
+	kept := r.watchers[:0]
+	for _, w := range r.watchers {
+		if w.here && !all {
+			kept = append(kept, w)
+		} else {
+			w.ch <- core.Followed{Index: w.i, Err: err}
+		}
+	}
+	clear(r.watchers[len(kept):])
+	r.watchers = kept
 }
 
 // rowLook is what the table last learnt of a row's object.
@@ -118,7 +149,8 @@ type rowRef struct {
 
 // depTable is the local scheduler's dependency table (DESIGN.md §3.1): the
 // tasks admitted here that wait on an argument not yet local or on their
-// QUEUED stamp, listed by record (tasks) and by missing object (parked).
+// QUEUED stamp, listed by record (tasks) and by missing object (parked),
+// and the Gets and Waits on objects not here, in the same rows.
 // Three edges feed it: the store's arrival hook (arrived), the node's one
 // object-readiness subscription, and its one goroutine (run), which
 // consumes that feed, looks at new rows' objects in one batched
@@ -131,7 +163,7 @@ type depTable struct {
 	// parks counts tasks parked on an object not yet local
 	// (scheduler.tasks.parked).
 	parks *metrics.Counter
-	// kick wakes run once park has opened rows, whose objects fresh lists.
+	// kick wakes run once rows were opened, whose objects fresh lists.
 	kick chan struct{}
 	// beforePark, when set, runs in enqueue between its look at the store
 	// and park: a test's window for an argument landing there.
@@ -237,7 +269,6 @@ func (d *depTable) park(t *localTask, missing []types.ObjectID, atNs int64) bool
 	}
 	t.queued, t.waits, t.enqueuedNs = false, 0, atNs
 	t.slot, d.tasks = int32(len(d.tasks)), append(d.tasks, t)
-	opened := false
 	for _, dep := range missing {
 		// An argument that landed since enqueue looked found no row to wake.
 		// Its arrival is in the store before its hook takes this lock.
@@ -245,25 +276,58 @@ func (d *depTable) park(t *localTask, missing []types.ObjectID, atNs int64) bool
 			continue
 		}
 		t.waits++
-		row := d.parked[dep]
-		if row == nil {
-			row = &parkedObj{}
-			d.parked[dep] = row
-			d.fresh = append(d.fresh, dep)
-			opened = true
-		}
+		row := d.rowLocked(dep)
 		row.tasks = append(row.tasks, t)
 	}
 	if t.waits > 0 {
 		d.parks.Inc()
 	}
-	if opened {
+	return true
+}
+
+// rowLocked returns id's row, opening one if there is none: its object
+// goes to run to be looked at, off the caller's path.
+func (d *depTable) rowLocked(id types.ObjectID) *parkedObj {
+	row := d.parked[id]
+	if row == nil {
+		row = &parkedObj{}
+		d.parked[id] = row
+		d.fresh = append(d.fresh, id)
 		select {
 		case d.kick <- struct{}{}:
 		default:
 		}
 	}
-	return true
+	return row
+}
+
+// watch registers ch for ids[i], i in which, on their rows: a Get's
+// (here) or a Wait's. Each is told at once if its object is here, or, for
+// a Wait, being pulled.
+func (d *depTable) watch(ids []types.ObjectID, which []int, ch chan<- core.Followed, here bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, i := range which {
+		if row := d.parked[ids[i]]; !here && row != nil && row.pull != nil || d.l.cfg.Store.Contains(ids[i]) {
+			ch <- core.Followed{Index: i}
+			continue
+		}
+		row := d.rowLocked(ids[i])
+		row.watchers = append(row.watchers, watcher{ch, i, here})
+	}
+}
+
+// unwatch takes what watch registered for ch, and has not been told, off
+// the rows.
+func (d *depTable) unwatch(ids []types.ObjectID, which []int, ch chan<- core.Followed) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, i := range which {
+		if row := d.parked[ids[i]]; row != nil {
+			row.watchers = slices.DeleteFunc(row.watchers, func(w watcher) bool { return w.ch == ch })
+			d.dropIdleLocked(ids[i], row)
+		}
+	}
 }
 
 // queue records w's QUEUED stamp at atNs and reports whether that made w
@@ -351,10 +415,15 @@ func (d *depTable) removeLocked(w *localTask) {
 		}
 		if i := slices.Index(row.tasks, w); i >= 0 {
 			row.tasks = slices.Delete(row.tasks, i, i+1)
-			if len(row.tasks) == 0 {
-				d.dropLocked(a.Ref, row)
-			}
+			d.dropIdleLocked(a.Ref, row)
 		}
+	}
+}
+
+// dropIdleLocked drops id's row if nothing waits on it any more.
+func (d *depTable) dropIdleLocked(id types.ObjectID, row *parkedObj) {
+	if row.idle() {
+		d.dropLocked(id, row)
 	}
 }
 
@@ -366,10 +435,11 @@ func (d *depTable) dropLocked(id types.ObjectID, row *parkedObj) {
 	}
 }
 
-// landed wakes the tasks parked on obj, which is now local: each waits on
-// one argument fewer, and one that waits on none with its QUEUED stamp in
-// becomes runnable; landed reports whether one did. The row goes. The
-// store calls it on every arrival (arrived), and a pull on finishing.
+// landed wakes what waits on obj, which is now local: its Gets and Waits,
+// and its tasks, which each wait on one argument fewer; one that waits on
+// none with its QUEUED stamp in becomes runnable, and landed reports
+// whether one did. The row goes. The store calls it on every arrival
+// (arrived), and a pull on finishing.
 func (d *depTable) landed(obj types.ObjectID) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -378,6 +448,7 @@ func (d *depTable) landed(obj types.ObjectID) bool {
 		return false
 	}
 	d.dropLocked(obj, row)
+	row.tell(nil, true)
 	now := d.l.cfg.Ledger.ClockNs()
 	ready := false
 	for _, w := range row.tasks {
@@ -402,9 +473,10 @@ func (d *depTable) arrived(obj types.ObjectID) {
 }
 
 // readyAt takes one message of the node's ready feed: a watched object has
-// a new copy at a node. A row waiting on it with no pull in flight pulls
-// it from there; the message carries the size the pull needs, so the pull
-// reads no record. A copy here has landed its row through the arrival hook.
+// a new copy at a node, which a row waiting on it with no pull in flight
+// takes (locatedLocked); the message carries the size a pull needs, so the
+// pull reads no record. A copy here has landed its row through the arrival
+// hook.
 func (d *depTable) readyAt(msg []byte) {
 	info, ok := gcs.DecodeNodeReady(msg)
 	if !ok || info.Locations[0] == d.l.cfg.Node {
@@ -413,14 +485,26 @@ func (d *depTable) readyAt(msg []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if row := d.parked[info.ID]; row != nil && row.pull == nil {
-		d.pullLocked(row, info)
+		d.locatedLocked(info.ID, row, info)
 	}
+}
+
+// locatedLocked takes a copy of row's object elsewhere, which info
+// describes: the row's Waits are told, and the row pulls the object if a
+// task or a Get waits for it here, or goes.
+func (d *depTable) locatedLocked(id types.ObjectID, row *parkedObj, info types.ObjectInfo) {
+	if row.tell(nil, false); row.idle() {
+		d.dropLocked(id, row)
+		return
+	}
+	d.pullLocked(row, info)
 }
 
 // look asks the control plane about the objects of ids' rows in one call,
 // which watches those not ready, and acts on each answer: a ready object is
-// pulled at once, even while enqueue's borrow flush is in flight (E19), with
-// no read of its record. look returns the rows due a probe.
+// taken at once (locatedLocked), a pull even while enqueue's borrow flush is
+// in flight (E19), with no read of its record. look returns the rows due a
+// probe.
 func (d *depTable) look(ids []types.ObjectID) (probes []rowRef) {
 	d.mu.Lock()
 	ids = slices.DeleteFunc(ids, func(id types.ObjectID) bool {
@@ -449,7 +533,7 @@ func (d *depTable) look(ids []types.ObjectID) (probes []rowRef) {
 		switch a := answers[i]; {
 		case len(a.Locations) > 0:
 			info := types.ObjectInfo{ID: id, State: types.ObjectReady, Size: a.Size, Locations: a.Locations, SpilledOn: a.SpilledOn}
-			d.pullLocked(row, info)
+			d.locatedLocked(id, row, info)
 			continue
 		case a.Lost:
 			row.look = lookLost
@@ -527,10 +611,8 @@ func (d *depTable) pull(ctx context.Context, cancel context.CancelFunc, row *par
 // reconstructor over the list on a goroutine of its own while it is not
 // empty: a lost object is reconstructed, a producer stranded on a dead node
 // replayed. A row that comes due while a probe runs waits for the probes
-// listed ahead of it, not for its next period. No record says
-// anything can produce an object that reads as reclaimed for
-// types.RetiredAfter: the tasks parked on it fail (types.ReasonReclaimed;
-// Get on their returns yields core.ErrReclaimed).
+// listed ahead of it, not for its next period. Any error but the transient
+// fault.ErrControlUnavailable ends the row (fail).
 func (d *depTable) probe(rows []rowRef) {
 	if len(rows) == 0 || d.l.cfg.Recon == nil {
 		return
@@ -556,8 +638,14 @@ func (d *depTable) probe(rows []rowRef) {
 			if !ok {
 				return
 			}
-			if errors.Is(d.l.cfg.Recon(r.id), types.ErrReclaimed) {
-				d.reclaimed(r)
+			switch err := d.l.cfg.Recon(r.id); {
+			case err == nil || errors.Is(err, fault.ErrControlUnavailable):
+			case errors.Is(err, types.ErrReclaimed):
+				d.fail(r, err, types.ReasonReclaimed)
+			case errors.Is(err, fault.ErrNotReconstructable):
+				d.fail(r, err, types.ReasonLost)
+			default:
+				d.fail(r, err, "")
 			}
 		}
 	}()
@@ -580,22 +668,33 @@ func (d *depTable) nextProbe() (rowRef, bool) {
 	return rowRef{}, false
 }
 
-// reclaimed takes a probe that read r's object as reclaimed. The birth of
-// a task born on another node may trail its ref by types.BirthBound, so the
-// absence fails the tasks still parked on the row only once it has lasted
-// types.RetiredAfter.
-func (d *depTable) reclaimed(r rowRef) {
+// fail ends r's row with err, a probe's: its Gets and Waits are told err,
+// and the tasks parked on it fail with reason and the object's ID, or, with
+// no reason, stay parked. An object no record says anything can produce
+// (types.ErrReclaimed, types.ReasonReclaimed: Get on the failed tasks'
+// returns yields core.ErrReclaimed) ends the row only once it has read so
+// for types.RetiredAfter, since the birth of a task born on another node
+// may trail its ref by types.BirthBound. A lost put ends it at once
+// (fault.ErrNotReconstructable, types.ReasonLost).
+func (d *depTable) fail(r rowRef, err error, reason string) {
 	d.mu.Lock()
 	if d.parked[r.id] != r.row {
 		d.mu.Unlock()
 		return
 	}
-	if r.row.absent.IsZero() {
-		r.row.absent = time.Now()
+	if reason == types.ReasonReclaimed {
+		if r.row.absent.IsZero() {
+			r.row.absent = time.Now()
+		}
+		if time.Since(r.row.absent) <= types.RetiredAfter {
+			d.mu.Unlock()
+			return
+		}
 	}
-	retired := time.Since(r.row.absent) > types.RetiredAfter
+	r.row.tell(err, true)
+	d.dropIdleLocked(r.id, r.row)
 	d.mu.Unlock()
-	if !retired {
+	if reason == "" {
 		return
 	}
 	waitsOn := func(spec *types.TaskSpec, parked bool) bool {
@@ -603,6 +702,6 @@ func (d *depTable) reclaimed(r rowRef) {
 			slices.ContainsFunc(r.row.tasks, func(w *localTask) bool { return &w.spec == spec })
 	}
 	d.l.settle(d.l.evict(waitsOn, true), func(spec types.TaskSpec) {
-		d.l.FailTask(spec, types.ReasonReclaimed+r.id.String())
+		d.l.FailTask(spec, reason+r.id.String())
 	})
 }

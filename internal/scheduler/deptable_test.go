@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"slices"
 	"sync"
@@ -9,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/gcs"
 	"repro/internal/lifetime"
 	"repro/internal/lifetime/ledgertest"
@@ -20,11 +23,11 @@ import (
 
 // tableCtrl is a control plane that counts what a dependency table asks of
 // it: watch calls and the objects they name, object-record reads, and
-// subscriptions by topic.
+// subscriptions: to the node's ready feed, and to any other topic.
 type tableCtrl struct {
 	*gcs.Store
 	watches, watched, reads atomic.Int64
-	nodeSubs, objectSubs    atomic.Int64
+	nodeSubs, otherSubs     atomic.Int64
 }
 
 func (c *tableCtrl) WatchObjects(node types.NodeID, ids []types.ObjectID) []gcs.ObjectWatch {
@@ -39,11 +42,10 @@ func (c *tableCtrl) GetObject(id types.ObjectID) (types.ObjectInfo, bool) {
 }
 
 func (c *tableCtrl) Subscribe(topic gcs.Topic, id [types.IDSize]byte) gcs.Sub {
-	switch topic {
-	case gcs.TopicNodeReady:
+	if topic == gcs.TopicNodeReady {
 		c.nodeSubs.Add(1)
-	case gcs.TopicObjectReady:
-		c.objectSubs.Add(1)
+	} else {
+		c.otherSubs.Add(1)
 	}
 	return c.Store.Subscribe(topic, id)
 }
@@ -229,8 +231,8 @@ func TestDepTableBudget(t *testing.T) {
 				if l.WaitingLen() != fanIn+1 {
 					t.Fatalf("waiting = %d, want %d", l.WaitingLen(), fanIn+1)
 				}
-				if n, o := ctrl.nodeSubs.Load(), ctrl.objectSubs.Load(); n != 1 || o != 0 {
-					t.Fatalf("the table holds %d readiness subscriptions and %d per-object ones, want 1 and 0", n, o)
+				if n, o := ctrl.nodeSubs.Load(), ctrl.otherSubs.Load(); n != 1 || o != 0 {
+					t.Fatalf("the table holds %d readiness subscriptions and %d others, want 1 and 0", n, o)
 				}
 				if pulls := fetcher.started.Load(); fetching && pulls != 1+k || !fetching && pulls != 0 {
 					t.Fatalf("%d pulls started", pulls)
@@ -312,8 +314,8 @@ func TestDepTableWatchBudget(t *testing.T) {
 	if calls, reads := ctrl.watches.Load()-calls, ctrl.reads.Load(); calls > 2 || reads != 0 {
 		t.Fatalf("ready objects: the table made %d watch calls and %d object reads, want ≤ 2 and 0", calls, reads)
 	}
-	if nodeSubs, objectSubs := ctrl.nodeSubs.Load(), ctrl.objectSubs.Load(); nodeSubs != 1 || objectSubs != 0 {
-		t.Fatalf("%d readiness and %d per-object subscriptions, want 1 and 0", nodeSubs, objectSubs)
+	if nodeSubs, otherSubs := ctrl.nodeSubs.Load(), ctrl.otherSubs.Load(); nodeSubs != 1 || otherSubs != 0 {
+		t.Fatalf("%d readiness and %d other subscriptions, want 1 and 0", nodeSubs, otherSubs)
 	}
 }
 
@@ -579,4 +581,55 @@ func TestResolveFetchBound(t *testing.T) {
 	}
 	check("a parked dependency")
 	waitExec(t, log, spec.ID)
+}
+
+// TestLostPutEndsItsRow: a put whose only copy is recorded lost cannot be
+// made again. The row on it ends at its first probe: a task parked on it
+// fails with types.ReasonLost and the object's ID, and a Get and a Wait on
+// it are told fault.ErrNotReconstructable rather than left waiting.
+func TestLostPutEndsItsRow(t *testing.T) {
+	l, log, ctrl, store := buildLocal(t, types.CPU(2), SpillNever)
+	recon := &fault.Reconstructor{Ctrl: ctrl, Resubmit: func(spec types.TaskSpec) error { return l.Submit(spec, false) }}
+	l.cfg.Recon = recon.RequestReturn
+	lost := types.PutObjectID(types.NilTaskID, 7100)
+	ctrl.AddObjectLocation(lost, tNode(2), 1)
+	ctrl.RemoveObjectLocation(lost, tNode(2))
+
+	spec := tSpec(7200, nil, lost)
+	if err := l.Submit(spec, false); err != nil {
+		t.Fatal(err)
+	}
+	await(t, "the parked task to fail", func() bool { return store.Contains(spec.ReturnID(0)) })
+	data, _ := store.Get(spec.ReturnID(0))
+	if msg, isErr := codec.AsError(data); !isErr || msg != types.ReasonLost+lost.String() {
+		t.Fatalf("the parked task's return holds %q (an error: %v), want %q", msg, isErr, types.ReasonLost+lost.String())
+	}
+	log.mu.Lock()
+	ran := log.seen[spec.ID]
+	log.mu.Unlock()
+	if ran {
+		t.Fatal("the task parked on a lost put ran")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := l.Resolve(ctx, lost); !errors.Is(err, fault.ErrNotReconstructable) {
+		t.Fatalf("Get of a lost put: %v, want fault.ErrNotReconstructable", err)
+	}
+	told := make(chan core.Followed, 1)
+	stop := l.Follow([]types.ObjectID{lost}, []int{0}, told)
+	defer stop()
+	select {
+	case f := <-told:
+		if !errors.Is(f.Err, fault.ErrNotReconstructable) {
+			t.Fatalf("Wait on a lost put told %v, want fault.ErrNotReconstructable", f.Err)
+		}
+	case <-ctx.Done():
+		t.Fatal("a Wait on a lost put was left waiting")
+	}
+	await(t, "the rows to go", func() bool {
+		l.deps.mu.Lock()
+		defer l.deps.mu.Unlock()
+		return len(l.deps.parked) == 0
+	})
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/gcs"
 	"repro/internal/jobs"
 	"repro/internal/lifetime"
@@ -33,11 +32,9 @@ type ExecFunc func(ctx context.Context, tc *core.TaskContext, lender core.Lender
 // Fetcher pulls a remote object into the local store. lifetime.PullManager
 // is the production implementation (chunked, with per-peer backpressure).
 type Fetcher interface {
-	// FetchObject pulls the object info describes from info.Locations. It
-	// takes a record because the caller has what the pull needs besides
-	// the locations, size and spill state: a Get has just read the record,
-	// the dependency table's watch call answers them of a ready object, and
-	// the node's ready feed carries a new in-memory copy's size.
+	// FetchObject pulls the object info describes from info.Locations. The
+	// dependency table's watch call answers the rest a pull needs of a ready
+	// object, and the node's ready feed carries a new copy's size.
 	FetchObject(ctx context.Context, info types.ObjectInfo) error
 }
 
@@ -813,100 +810,47 @@ func (l *Local) settle(specs []types.TaskSpec, fate func(types.TaskSpec)) {
 	}
 }
 
-// Resolve blocks until id is resident here and returns its bytes, pulling a
-// remote copy and replaying lineage for a lost one: the machinery under
-// every Get. It returns
-// any reconstructor error but the transient fault.ErrControlUnavailable, so
-// a reader of a retired object (DESIGN.md §17) gets types.ErrReclaimed.
-//
-// The loop runs on the caller's goroutine: check the store, read the
-// record, fetch, reconstruct or probe, then wait for the arrival, the
-// object's ready topic or a poll. It subscribes before its first look, so
-// no ready edge falls between them. types.ErrReclaimed ends it only once
-// the reconstructor has read it for types.RetiredAfter. The arrival channel
-// is taken once per wait that can end by an arrival, not once per lap, and
-// dropped on return, so a resolve that ends without the object holds no
-// waiter in the store.
+// Resolve blocks until id is resident here and returns its bytes: the
+// machinery under every Get. It waits on id's row of the dependency table,
+// whose look, pull, probe and reconstruction serve it as they serve a task
+// parked on id (DESIGN.md §3.1), and returns the error that ends the row
+// but the transient fault.ErrControlUnavailable, so a reader of a retired
+// object (DESIGN.md §17) gets types.ErrReclaimed once it has read so for
+// types.RetiredAfter. A Get that ends without the object leaves nothing in
+// the table.
 func (l *Local) Resolve(ctx context.Context, id types.ObjectID) ([]byte, error) {
-	cfg := &l.cfg
-	if data, ok := cfg.Store.Get(id); ok {
-		return data, nil
-	}
-	sub := cfg.Ctrl.Subscribe(gcs.TopicObjectReady, id)
-	poll := time.NewTicker(pollPeriod)
-	var arrival <-chan struct{}
-	var absent time.Time // when the reconstructor first read id as retired
-	defer func() {
-		if arrival != nil {
-			cfg.Store.StopWait(id, arrival)
-		}
-		sub.Close()
-		poll.Stop()
-	}()
-	// wakeups numbers the looks that follow a wait.
-	for wakeups := 1; ; {
-		if data, ok := cfg.Store.Get(id); ok {
+	ids, which := []types.ObjectID{id}, []int{0}
+	got := make(chan core.Followed, 1)
+	for {
+		if data, ok := l.cfg.Store.Get(id); ok {
 			return data, nil
 		}
-		probe := false
-		info, ok := cfg.Ctrl.GetObject(id)
-		switch {
-		case !ok || info.State == types.ObjectPending && info.Producer.IsNil():
-			// No record, or no producer edge in it. On the first look that
-			// is the edge trailing its task by a ledger flush; after a poll
-			// it is worth asking whether the task the ID names, if any, is
-			// still known.
-			probe = wakeups > 1
-		case info.State == types.ObjectReady:
-			if cfg.Fetcher != nil && len(info.Locations) > 0 {
-				fctx, cancel := context.WithTimeout(ctx, fetchTimeout)
-				err := cfg.Fetcher.FetchObject(fctx, info)
-				cancel()
-				if err == nil {
-					continue
-				}
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-			}
-		case info.State == types.ObjectLost:
-			probe = true
-		default:
-			// Pending: possibly a producer stranded on a dead node (queued or
-			// running there when it died). The reconstructor no-ops for
-			// healthy producers and replays stranded ones.
-			probe = wakeups%strandedPeriod == 0
-		}
-		if probe && cfg.Recon != nil {
-			err := cfg.Recon(id)
-			switch {
-			case errors.Is(err, types.ErrReclaimed):
-				// The birth of a task born on another node may trail its ref
-				// by types.BirthBound: absence is retirement once it lasted.
-				if absent.IsZero() {
-					absent = time.Now()
-				} else if time.Since(absent) > types.RetiredAfter {
-					return nil, err
-				}
-			case err != nil && !errors.Is(err, fault.ErrControlUnavailable):
-				return nil, err
-			}
-		}
-		if arrival == nil {
-			arrival = cfg.Store.WaitChan(id)
-		}
+		// Told at once if id landed since the look, and again if it has gone
+		// since the tell.
+		l.deps.watch(ids, which, got, true)
 		select {
-		case <-arrival:
-			arrival = nil // re-taken if the object leaves again
-		case <-sub.C():
-		case <-poll.C:
+		case f := <-got:
+			if f.Err != nil {
+				return nil, f.Err
+			}
 		case <-ctx.Done():
+			l.deps.unwatch(ids, which, got)
 			return nil, ctx.Err()
 		case <-l.stopCtx.Done():
+			l.deps.unwatch(ids, which, got)
 			return nil, ErrStopped
 		}
-		wakeups++
 	}
+}
+
+// Follow registers a Wait's refs not counted by a ledger here, ids[i] for
+// each i in which, on their rows of the dependency table: each is told on
+// told, once, when the table learns of a copy anywhere, or of the error that
+// ends its row (Resolve). A Wait's row pulls nothing. stop takes what has
+// not been told off the rows.
+func (l *Local) Follow(ids []types.ObjectID, which []int, told chan<- core.Followed) (stop func()) {
+	l.deps.watch(ids, which, told, false)
+	return func() { l.deps.unwatch(ids, which, told) }
 }
 
 // dispatchReady admits runnable tasks while resources allow, on the

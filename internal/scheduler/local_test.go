@@ -59,11 +59,12 @@ func TestGatherArgsUnwindAlias(t *testing.T) {
 	}
 }
 
-// TestResolveLeavesNoWaiters: a resolve holds at most one arrival channel
-// in the store however many poll periods it waits, and a resolve that ends
-// without the object arriving (here, a cancelled Get) leaves none behind.
+// TestResolveLeavesNoWaiters: a Get of an object not here waits on one
+// getter in the object's row of the dependency table however many sweeps
+// it waits, and a Get that ends without the object arriving (here, a
+// cancelled one) leaves no getter and no row behind.
 func TestResolveLeavesNoWaiters(t *testing.T) {
-	l, _, _, store := buildLocal(t, types.CPU(2), SpillNever)
+	l, _, _, _ := buildLocal(t, types.CPU(2), SpillNever)
 	id := types.ObjectIDForReturn(types.DeriveTaskID(types.NilTaskID, 810), 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -71,17 +72,29 @@ func TestResolveLeavesNoWaiters(t *testing.T) {
 		_, err := l.Resolve(ctx, id)
 		done <- err
 	}()
+	getters := func() int {
+		l.deps.mu.Lock()
+		defer l.deps.mu.Unlock()
+		if row := l.deps.parked[id]; row != nil {
+			return len(row.watchers)
+		}
+		return 0
+	}
+	await(t, "the Get to register", func() bool { return getters() == 1 })
 	for range 6 {
 		time.Sleep(pollPeriod)
-		if n := store.Waiters(id); n > 1 {
-			t.Fatalf("a waiting resolve holds %d arrival channels, want at most 1", n)
+		if n := getters(); n != 1 {
+			t.Fatalf("a waiting Get holds %d getters, want 1", n)
 		}
 	}
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Resolve = %v, want the cancellation", err)
 	}
-	if n := store.Waiters(id); n != 0 {
-		t.Fatalf("a cancelled resolve left %d arrival channels in the store", n)
+	l.deps.mu.Lock()
+	rows := len(l.deps.parked)
+	l.deps.mu.Unlock()
+	if rows != 0 {
+		t.Fatalf("a cancelled Get left %d rows in the table", rows)
 	}
 }

@@ -388,6 +388,11 @@ const (
 // and surfaces ErrReclaimed from Get.
 const ReasonReclaimed = "argument-reclaimed: "
 
+// ReasonLost prefixes the failure message stored into the returns of a task
+// that was parked on a lost object nothing can make again: a put whose
+// every copy is gone.
+const ReasonLost = "argument-lost: "
+
 // StoreStats is a node's object-store usage snapshot. Nodes publish it with
 // heartbeats so dashboards and placement see memory pressure without asking
 // the node (the control plane stays the single source of truth, R7).

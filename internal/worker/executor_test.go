@@ -66,8 +66,9 @@ func (s *stubBackend) PutObject(id types.ObjectID, data []byte) error {
 	s.ctrl.AddObjectLocation(id, s.node, int64(len(data)))
 	return nil
 }
-func (s *stubBackend) Control() gcs.API     { return s.ctrl }
-func (s *stubBackend) NodeID() types.NodeID { return s.node }
+func (s *stubBackend) Follow([]types.ObjectID, []int, chan<- core.Followed) func() { return func() {} }
+func (s *stubBackend) Control() gcs.API                                            { return s.ctrl }
+func (s *stubBackend) NodeID() types.NodeID                                        { return s.node }
 
 func mkSpec(i uint64, fn string, returns int) types.TaskSpec {
 	return types.TaskSpec{
