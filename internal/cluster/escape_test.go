@@ -124,7 +124,8 @@ func TestLocalReturnLocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, "both flushers to block", func() bool { return probe.waiting.Load() == 2 })
-	if n.TaskLedger().Owes(late[0].Task) {
+	// Lookup's Spec is set while the birth is owed.
+	if st, _ := n.TaskLedger().Lookup(late[0].Task); !st.Spec.ID.IsNil() {
 		t.Fatal("the blocked flusher did not land the gated task's birth")
 	}
 

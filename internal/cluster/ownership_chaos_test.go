@@ -266,7 +266,7 @@ func TestOwnerDeathWithOwedBirths(t *testing.T) {
 	owed = append(owed, s1.Ref.Task, k1.Ref.Task)
 	waitFor(t, 10*time.Second, "both slow tasks' successors to park", func() bool { return n1.Scheduler().WaitingLen() == 2 })
 	for _, id := range owed {
-		if !n1.TaskLedger().Owes(id) {
+		if st, _ := n1.TaskLedger().Lookup(id); st.Spec.ID.IsNil() { // Spec is set while the birth is owed
 			t.Fatalf("task %v's birth is not owed before the kill", id)
 		}
 	}

@@ -33,7 +33,7 @@ type ledger[B any, K comparable] struct {
 	p    payload[B, K]
 
 	// mu guards these fields and the payload's entries alike.
-	mu    sync.Mutex
+	mu    ledgerMutex
 	node  types.NodeID
 	retry []batch[B]
 	async bool

@@ -124,11 +124,15 @@ func (t *Tracker) setLocked(id types.ObjectID, r ref) {
 	}
 }
 
-// owe keeps the deltas on ids, the returns of a birth the task ledger now
-// owes, at home, with any not sent yet; the ledger calls it under its lock.
-func (t *Tracker) owe(ids []types.ObjectID) {
+// birth is the task ledger's one call for a birth, made under its lock.
+// First home, if set, collects at home the ended task whose returns are
+// ended (Manager.collectHomeLocked), which takes them off the tracker; then
+// the deltas on owed, the returns of the birth the ledger now owes, stay at
+// home, with any not sent yet. It reports whether home collected.
+func (t *Tracker) birth(home *Manager, ended, owed []types.ObjectID) (collected bool) {
 	t.mu.Lock()
-	for _, id := range ids {
+	collected = home != nil && len(ended) > 0 && home.collectHomeLocked(ended)
+	for _, id := range owed {
 		r := t.held[id]
 		r.owed = true
 		if d, ok := t.pending[id]; ok {
@@ -138,10 +142,11 @@ func (t *Tracker) owe(ids []types.ObjectID) {
 		t.held[id] = r
 	}
 	t.mu.Unlock()
+	return collected
 }
 
-// unowe ends owe for ids, whose birth landed or left the ledger: their
-// deltas join pending.
+// unowe ends what birth began for ids, whose birth landed or left the
+// ledger: their deltas join pending.
 func (t *Tracker) unowe(ids []types.ObjectID) {
 	t.mu.Lock()
 	for _, id := range ids {
@@ -160,6 +165,9 @@ func (t *Tracker) unowe(ids []types.ObjectID) {
 // Releasing a reference the tracker does not hold is a no-op, so one buggy
 // caller cannot drive the cluster count negative.
 func (t *Tracker) Release(ids ...types.ObjectID) {
+	if len(ids) == 0 {
+		return
+	}
 	t.mu.Lock()
 	any := false
 	for _, id := range ids {

@@ -129,14 +129,20 @@ func (m *Manager) SetTaskLedger(tasks *TaskLedger) {
 // collectHome collects the returns ids of a task at home (DESIGN.md §17),
 // if nothing about them left this node: each has no tracker state but a
 // net-zero delta at home that no batch has sent or parked, and a copy the
-// store holds back. It then drops those deltas and copies, with no word to
-// the control plane, and reports true; otherwise it changes nothing. The
-// node's task ledger calls it under its lock, from its flush and from
-// Birth, on the newest owed birth (TaskLedger.SetCollector).
+// store holds back. It then drops those copies and the tracker's state on
+// ids, with no word to the control plane, and reports true; otherwise it
+// changes nothing. The node's task ledger calls it under its lock, from its
+// flush, and from Birth on the newest owed birth, in the tracker call that
+// Birth makes anyway (Tracker.birth; TaskLedger.SetCollector).
 func (m *Manager) collectHome(ids []types.ObjectID) bool {
+	m.tracker.mu.Lock()
+	defer m.tracker.mu.Unlock()
+	return m.collectHomeLocked(ids)
+}
+
+// collectHomeLocked is collectHome under the tracker's lock.
+func (m *Manager) collectHomeLocked(ids []types.ObjectID) bool {
 	t := m.tracker
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, id := range ids {
 		if !t.touchOnlyLocked(id) {
 			return false
@@ -146,9 +152,7 @@ func (m *Manager) collectHome(ids []types.ObjectID) bool {
 		return false
 	}
 	for _, id := range ids {
-		r := t.held[id]
-		r.take() // the ledger's drop of the task unowes them
-		t.held[id] = r
+		delete(t.held, id) // nothing is left in it
 	}
 	m.obs.homeTasks.Inc()
 	m.obs.homeObjects.Add(int64(len(ids)))

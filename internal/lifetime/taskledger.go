@@ -79,8 +79,9 @@ type TaskLedger struct {
 }
 
 // TaskEntry is the authoritative record for one task this node owns, which
-// only the ledger touches, under its lock. A task born here has it in its
-// submitter's record (Birth) until it outlives the round trip.
+// only the ledger touches, under its lock, but for the stamps parked in it
+// (Park). A task born here has it in its submitter's record (Birth) until it
+// outlives the round trip.
 type TaskEntry struct {
 	id      types.TaskID
 	seq     uint64 // owner's transition sequence, > the tenure's claim base
@@ -90,6 +91,9 @@ type TaskEntry struct {
 	retries int
 	// The cluster-clock instants of the birth, phases and last transition.
 	bornNs, schedNs, startNs, finishNs, lastNs int64
+	// parkedNs holds the instant of each phase parked in the entry (Park),
+	// in the order of parkedPhases.
+	parkedNs [len(parkedPhases)]int64
 
 	// spec is the lineage record of a task born here while its birth is
 	// owed: what the birth writes, and what the reconstructor replays
@@ -110,6 +114,11 @@ type TaskEntry struct {
 	waiter chan<- types.TaskID
 	wait   *EndWait
 	more   []watcher
+	// park is parkOpen while stamps may park in the entry, and one bit per
+	// phase parked and not folded yet (foldLocked). It and parkedNs are
+	// plain words read and written through sync/atomic's functions: an
+	// entry is copied whole when it moves out of its record (compactLocked).
+	park uint32
 	// owed marks a birth on the list of owed births; dirty, a transition
 	// not sent yet, which waits for the birth while that is owed. fresh
 	// marks a task born here with a provably new ID and not run again
@@ -117,6 +126,17 @@ type TaskEntry struct {
 	// in its submitter's record.
 	owed, dirty, fresh, inRecord bool
 }
+
+// An entry's park word is open from Birth, on a started ledger, until the
+// birth lands, the task leaves the ledger or it is adopted anew. The close
+// is a swap that folds what it finds, so a parked stamp is either folded by
+// the closer, or its compare-and-swap fails and it takes the lock.
+const parkOpen uint32 = 1
+
+var parkedPhases = [...]types.TaskStatus{types.TaskQueued, types.TaskScheduled, types.TaskRunning}
+
+// parkedBit is the park word's bit of parkedPhases[i].
+func parkedBit(i int) uint32 { return parkOpen << (i + 1) }
 
 // watcher is an end watcher beyond an entry's first of its kind: a Get's
 // channel or a Wait's count.
@@ -186,9 +206,9 @@ func (l *TaskLedger) Adopt(id types.TaskID, baseSeq uint64, status types.TaskSta
 			// A watcher waits for the task, not for its tenure: FailTask
 			// re-adopts a task it buries, and its FAILED stamp must wake
 			// the Gets and count for the Waits watching the replaced record.
+			l.unoweLocked(t, false) // a claim's record is in the table
 			nt.waiter, nt.wait, nt.more = t.waiter, t.wait, t.more
 			t.waiter, t.wait, t.more, t.dirty = nil, nil, nil, false
-			l.unoweLocked(t) // a claim's record is in the table
 		}
 		l.tasks[id] = nt
 	}
@@ -210,7 +230,8 @@ func (l *TaskLedger) Adopt(id types.TaskID, baseSeq uint64, status types.TaskSta
 // may be in the table already — a replay, a retry's children, a fixed
 // driver root — and the caller flushes its birth at once (FlushTask), which
 // reports whether the table held the record. The ledger keeps spec,
-// unwritten, until the birth lands.
+// unwritten, until the birth lands. On a started ledger, the stamps short of
+// the end of a task born into e park there (Park).
 func (l *TaskLedger) Birth(e *TaskEntry, spec *types.TaskSpec, atNs int64) (adopted, fresh bool) {
 	if spec.ID.IsNil() {
 		return false, false
@@ -226,15 +247,28 @@ func (l *TaskLedger) Birth(e *TaskEntry, spec *types.TaskSpec, atNs int64) (adop
 		p.kids, fresh = spec.SubmitIndex, true
 	}
 	// The newest owed birth is most often a round trip that has just ended:
-	// collected here, it is one entry, not one of the flush's walk.
-	if l.newest != nil {
-		l.collectLocked(l.newest, l.home.Load())
+	// collected here, it is one entry, not one of the flush's walk. The
+	// tracker hears of it and of the new birth's returns in one call.
+	// Without the tracker there is nothing to collect: a return is
+	// collected on its tracker state.
+	if l.refs != nil {
+		var ended []types.ObjectID
+		var one, two [1]types.ObjectID
+		if t := l.newest; t != nil && t.endedUnsent() {
+			ended = t.spec.AppendReturns(one[:0])
+		}
+		if l.refs.birth(l.home.Load(), ended, spec.AppendReturns(two[:0])) {
+			l.dropLocked(l.newest, true)
+		}
 	}
 	t := e
 	if t == nil {
 		t = new(TaskEntry)
 	}
 	*t = TaskEntry{id: spec.ID, status: types.TaskPending, spec: spec, bornNs: atNs, fresh: fresh, inRecord: e != nil}
+	if e != nil && l.async {
+		t.park = parkOpen
+	}
 	l.tasks[spec.ID] = t
 	l.mutNs = atNs
 	l.oweLocked(t)
@@ -252,23 +286,21 @@ func (l *TaskLedger) oweLocked(t *TaskEntry) {
 	}
 	l.newest = t
 	l.owed++
-	if l.refs != nil {
-		var one [1]types.ObjectID
-		l.refs.owe(t.spec.AppendReturns(one[:0]))
-	}
 }
 
 // unoweLocked takes t off the owed births, if it is on them: its birth
-// landed, or the task left the ledger. The deltas on its returns join the
-// tracker's pending ones.
-func (l *TaskLedger) unoweLocked(t *TaskEntry) {
+// landed, or the task left the ledger. It closes t to parked stamps, folding
+// what is parked, and the deltas on its returns join the tracker's pending
+// ones, unless collected: collection at home took them off the tracker.
+func (l *TaskLedger) unoweLocked(t *TaskEntry, collected bool) {
 	if !t.owed {
 		return
 	}
+	l.foldLocked(t, true)
 	l.relinkLocked(t, nil)
 	t.owed, t.older, t.newer = false, nil, nil
 	l.owed--
-	if l.refs != nil {
+	if l.refs != nil && !collected {
 		var one [1]types.ObjectID
 		l.refs.unowe(t.spec.AppendReturns(one[:0]))
 	}
@@ -326,14 +358,7 @@ func (l *TaskLedger) landBirths() {
 	l.flushMu.Unlock()
 }
 
-// Owes reports whether task's birth is owed: its returns' locations wait
-// for the birth to land, which announces the copies stored by then.
-func (l *TaskLedger) Owes(task types.TaskID) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.owesLocked(task)
-}
-
+// owesLocked reports whether task's birth is owed.
 func (l *TaskLedger) owesLocked(task types.TaskID) bool {
 	t := l.tasks[task]
 	return t != nil && t.owed
@@ -409,6 +434,83 @@ func (l *TaskLedger) TransitionAt(id types.TaskID, status types.TaskStatus, work
 	return true
 }
 
+// Park stamps status, a phase short of the end (QUEUED, SCHEDULED or
+// RUNNING), for task id at atNs, as TransitionAt does, but with no lock
+// while e is open: e is the entry its submitter's record holds (Birth) and
+// the task's birth is owed. The stamp waits in e, its instant beside it,
+// until the ledger folds it under its lock, before anything reads or stamps
+// the entry. A parked QUEUED drops the later phases an earlier run of the
+// same record parked (the evicted-arguments path queues a task again). A
+// closed entry, or another, takes the lock. It reports false when the task
+// is not owned here.
+func (l *TaskLedger) Park(e *TaskEntry, id types.TaskID, status types.TaskStatus, atNs int64) bool {
+	if i := slices.Index(parkedPhases[:], status); i >= 0 && e != nil {
+		for w := atomic.LoadUint32(&e.park); w&parkOpen != 0; w = atomic.LoadUint32(&e.park) {
+			atomic.StoreInt64(&e.parkedNs[i], atNs)
+			next := w | parkedBit(i)
+			if i == 0 {
+				next &^= parkedBit(1) | parkedBit(2)
+			}
+			if atomic.CompareAndSwapUint32(&e.park, w, next) {
+				return true
+			}
+		}
+	}
+	return l.TransitionAt(id, status, runner(id, status), "", atNs)
+}
+
+// runner is the worker a stamp of status names: the task's ID for RUNNING,
+// as worker.Executor names it, none before.
+func runner(id types.TaskID, status types.TaskStatus) types.WorkerID {
+	if status == types.TaskRunning {
+		return types.WorkerID(id)
+	}
+	return types.NilWorkerID
+}
+
+// foldLocked stamps what is parked in t, in phase order (Park); closing, it
+// also closes t, so that later stamps take the lock. A fold does not move
+// mutNs back.
+func (l *TaskLedger) foldLocked(t *TaskEntry, closing bool) {
+	var w uint32
+	if closing {
+		w = atomic.SwapUint32(&t.park, 0)
+	} else {
+		for w = atomic.LoadUint32(&t.park); w > parkOpen; w = atomic.LoadUint32(&t.park) {
+			if atomic.CompareAndSwapUint32(&t.park, w, parkOpen) {
+				break
+			}
+		}
+	}
+	for i, status := range parkedPhases {
+		if w&parkedBit(i) != 0 {
+			l.applyLocked(t, status, runner(t.id, status), "", atomic.LoadInt64(&t.parkedNs[i]))
+		}
+	}
+}
+
+// EndOwed stamps the end of task id at atNs, a terminal status, if its
+// birth is owed, and reports whether it did: the birth's landing then
+// announces the returns the task stored held back here
+// (objectstore.Store.PutDeferred), so they must be stored before this
+// asks. e is the entry the task's record holds, its entry in the ledger
+// while the birth is owed, so the common case is one lock and no lookup; a
+// retry's record holds none. On false nothing is stamped: the caller
+// announces the returns, then stamps the end (TransitionAt).
+func (l *TaskLedger) EndOwed(e *TaskEntry, id types.TaskID, status types.TaskStatus, worker types.WorkerID, errMsg string, atNs int64) bool {
+	l.mu.Lock()
+	if e == nil || !e.owed {
+		e = l.tasks[id]
+	}
+	if e == nil || !e.owed {
+		l.mu.Unlock()
+		return false
+	}
+	l.stampLocked(e, status, worker, errMsg, atNs)
+	l.unlock(true)
+	return true
+}
+
 // TransitionRetry folds the retry bookkeeping into ONE ledger transition:
 // the retry count bump and the reset to PENDING land atomically in a
 // single sequenced delta, so there is no instant at which a node dying
@@ -445,31 +547,38 @@ func (l *TaskLedger) TransitionRetry(id types.TaskID, maxRetries int) (int, bool
 // wake so owner-side waiters fall back to the follower table.
 func (l *TaskLedger) Disown(id types.TaskID) {
 	l.mu.Lock()
-	l.dropLocked(l.tasks[id])
+	l.dropLocked(l.tasks[id], false)
 	l.mu.Unlock()
 }
 
-// dropLocked forgets t, if it is still its task's entry.
-func (l *TaskLedger) dropLocked(t *TaskEntry) {
+// dropLocked forgets t, if it is still its task's entry; collected, home
+// took its returns off the tracker (unoweLocked).
+func (l *TaskLedger) dropLocked(t *TaskEntry, collected bool) {
 	if t != nil && l.tasks[t.id] == t {
 		delete(l.tasks, t.id)
+		l.unoweLocked(t, collected)
 		t.dirty = false
-		l.unoweLocked(t)
 		l.wakeLocked(t, true)
 	}
 }
 
-// stampLocked applies one transition under l.mu: bumps the sequence,
+// stampLocked applies one transition under l.mu, after what is parked in t.
+func (l *TaskLedger) stampLocked(t *TaskEntry, status types.TaskStatus, worker types.WorkerID, errMsg string, nowNs int64) {
+	l.foldLocked(t, false)
+	l.applyLocked(t, status, worker, errMsg, nowNs)
+}
+
+// applyLocked applies one transition under l.mu: bumps the sequence,
 // stamps the per-phase timestamp, marks the task dirty, and wakes terminal
 // watchers.
-func (l *TaskLedger) stampLocked(t *TaskEntry, status types.TaskStatus, worker types.WorkerID, errMsg string, nowNs int64) {
+func (l *TaskLedger) applyLocked(t *TaskEntry, status types.TaskStatus, worker types.WorkerID, errMsg string, nowNs int64) {
 	t.seq++
 	t.status = status
 	t.worker = worker
 	if errMsg != "" {
 		t.errMsg = errMsg
 	}
-	t.lastNs, l.mutNs = nowNs, nowNs
+	t.lastNs, l.mutNs = nowNs, max(l.mutNs, nowNs)
 	switch status {
 	case types.TaskScheduled:
 		t.schedNs = nowNs
@@ -548,6 +657,7 @@ func (l *TaskLedger) Lookup(id types.TaskID) (types.TaskState, bool) {
 	if t == nil {
 		return types.TaskState{}, false
 	}
+	l.foldLocked(t, false)
 	st := types.TaskState{
 		Status: t.status, Node: l.node, Worker: t.worker, Error: t.errMsg,
 		Retries: t.retries, SubmittedNs: t.bornNs, ScheduledNs: t.schedNs, StartedNs: t.startNs,
@@ -581,8 +691,11 @@ func (l *TaskLedger) WatchEndOrYield(ch chan<- types.TaskID, id types.TaskID, yi
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	t := l.tasks[id]
-	if yield && t != nil && t.status == types.TaskScheduled {
-		return false, true
+	if yield && t != nil {
+		l.foldLocked(t, false)
+		if t.status == types.TaskScheduled {
+			return false, true
+		}
 	}
 	if !l.watchLocked(ch, t) {
 		return false, false
@@ -880,13 +993,13 @@ func (l *TaskLedger) bear(timed bool) bool {
 			}
 			if other, ok := refused[d.ID]; ok {
 				if other {
-					l.dropLocked(t)
+					l.dropLocked(t, false)
 				} else {
 					owed = true
 				}
 				continue
 			}
-			l.unoweLocked(t)
+			l.unoweLocked(t, false)
 			if t.dirty {
 				l.dirty = append(l.dirty, t)
 			}
@@ -924,18 +1037,24 @@ func (l *TaskLedger) settleOwedLocked(home *Manager) {
 // here needs it any more.
 func (l *TaskLedger) collectLocked(t *TaskEntry, home *Manager) bool {
 	var one [1]types.ObjectID
-	if !t.status.Terminal() || t.birthOp != 0 || home == nil || !home.collectHome(t.spec.AppendReturns(one[:0])) {
+	if !t.endedUnsent() || home == nil || !home.collectHome(t.spec.AppendReturns(one[:0])) {
 		return false
 	}
-	l.dropLocked(t)
+	l.dropLocked(t, true)
 	return true
 }
+
+// endedUnsent reports whether t, an owed birth, ended and its birth was
+// never sent: what collection at home asks of a task.
+func (t *TaskEntry) endedUnsent() bool { return t.status.Terminal() && t.birthOp == 0 }
 
 // compactLocked moves t, an owed birth in its submitter's record, into a
 // heldEntry, in t's place in the map and on the list of owed births: the
 // record, with its context and scheduler state, is garbage once its
 // executor is done with it.
 func (l *TaskLedger) compactLocked(t *TaskEntry) {
+	l.foldLocked(t, true) // nothing parks in a copy
+
 	c := &heldEntry{TaskEntry: *t, lineage: *t.spec}
 	e := &c.TaskEntry
 	e.spec, e.inRecord = &c.lineage, false

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/core"
+	"repro/internal/lifetime"
 	"repro/internal/metrics"
 	"repro/internal/types"
 	workerpkg "repro/internal/worker"
@@ -35,7 +36,8 @@ func newExecutorShim(n *Node) *executorShim {
 			_ = n.sched.Enqueue(spec)
 		},
 		Deliver:     n.fetcher.Deliver,
-		PutDeferred: n.putReturn,
+		PutDeferred: n.store.PutDeferred,
+		Announce:    n.store.Announce,
 	}
 	s.inner = workerpkg.NewExecutor(n.id, n.ctrl, n.cfg.Registry, n, n.taskled, hooks)
 	s.tracer = n.tracer
@@ -43,23 +45,11 @@ func newExecutorShim(n *Node) *executorShim {
 	return s
 }
 
-// putReturn stores a return of a task born here held back, announcing it
-// at once if the task's birth has landed (lifetime.TaskLedger.Owes).
-func (n *Node) putReturn(task types.TaskID, id types.ObjectID, data []byte) error {
-	if err := n.store.PutDeferred(id, data); err != nil {
-		return err
-	}
-	if !n.taskled.Owes(task) {
-		n.store.Announce(id)
-	}
-	return nil
-}
-
 // Execute implements scheduler.ExecFunc. The exec span runs from the
 // task's RUNNING stamp to its finish, at the instants the executor read for
 // them, so it reads no clock of its own.
-func (s *executorShim) Execute(ctx context.Context, tc *core.TaskContext, lender core.Lender, spec *types.TaskSpec, args [][]byte) {
-	start, end := s.inner.Execute(ctx, tc, lender, spec, args)
+func (s *executorShim) Execute(ctx context.Context, tc *core.TaskContext, lender core.Lender, e *lifetime.TaskEntry, spec *types.TaskSpec, args [][]byte) {
+	start, end := s.inner.Execute(ctx, tc, lender, e, spec, args)
 	sp := s.tracer.BeginAt("exec", "worker.exec", start)
 	sp.TaskID, sp.Trace = spec.ID, spec.TraceID
 	s.execNs.Observe(sp.EndAt(end))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -169,6 +170,12 @@ type depTable struct {
 	// and park: a test's window for an argument landing there.
 	beforePark func()
 
+	// live counts the open rows and the parks and watches in progress, each
+	// raised before its look at the store: a Put whose arrival reads it 0
+	// was stored before any such look, which sees the object, so the
+	// arrival has no row to land and takes no lock (arrived).
+	live atomic.Int64
+
 	mu sync.Mutex
 	// tasks holds each task in the table at its record's slot.
 	tasks  []*localTask
@@ -262,6 +269,8 @@ func (d *depTable) run(sub gcs.Sub) {
 // evicted. t parks at atNs. The objects of the rows it opens go to run to
 // be looked at, off the caller's path.
 func (d *depTable) park(t *localTask, missing []types.ObjectID, atNs int64) bool {
+	d.live.Add(1)
+	defer d.live.Add(-1)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.l.isStopped() {
@@ -292,6 +301,7 @@ func (d *depTable) rowLocked(id types.ObjectID) *parkedObj {
 	if row == nil {
 		row = &parkedObj{}
 		d.parked[id] = row
+		d.live.Add(1)
 		d.fresh = append(d.fresh, id)
 		select {
 		case d.kick <- struct{}{}:
@@ -305,6 +315,8 @@ func (d *depTable) rowLocked(id types.ObjectID) *parkedObj {
 // (here) or a Wait's. Each is told at once if its object is here, or, for
 // a Wait, being pulled.
 func (d *depTable) watch(ids []types.ObjectID, which []int, ch chan<- core.Followed, here bool) {
+	d.live.Add(1)
+	defer d.live.Add(-1)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, i := range which {
@@ -345,11 +357,13 @@ func (d *depTable) queue(w *localTask, atNs int64) bool {
 	// re-own the task (R6); without the stamp, a task queued-but-not-
 	// dispatched on a dead node would be invisible. The stamp is made under
 	// the table's lock, which every evictor of a task in the table takes, so
-	// that no evictor's stamps (FailTask's FAILED, say) can come before it.
-	// It is an in-process append that rides the next batched flush while the
-	// ledger's flusher runs; a ledger never started (unit tests) or halted at
-	// shutdown flushes it inline, under the lock.
-	d.l.cfg.Ledger.TransitionAt(w.spec.ID, types.TaskQueued, types.NilWorkerID, "", atNs)
+	// that no evictor's stamps (FailTask's FAILED, say) can come before it:
+	// parked in the task's entry while its birth is owed, it is folded before
+	// any other stamp (lifetime.TaskLedger.Park). Else it is an in-process
+	// append that rides the next batched flush while the ledger's flusher
+	// runs; a ledger never started (unit tests) flushes it inline, under the
+	// lock.
+	d.l.cfg.Ledger.Park(&w.entry, w.spec.ID, types.TaskQueued, atNs)
 	w.queued = true
 	return d.readyLocked(w, atNs)
 }
@@ -430,6 +444,7 @@ func (d *depTable) dropIdleLocked(id types.ObjectID, row *parkedObj) {
 // dropLocked deletes id's row and cancels its pull in flight.
 func (d *depTable) dropLocked(id types.ObjectID, row *parkedObj) {
 	delete(d.parked, id)
+	d.live.Add(-1)
 	if row.pull != nil {
 		row.pull()
 	}
@@ -465,9 +480,10 @@ func (d *depTable) landed(obj types.ObjectID) bool {
 // trip that a pull would otherwise wait out before landing it (E19). The
 // dispatch it makes due runs on a goroutine of its own, so no control-plane
 // call of the dispatch (a grouped task's claim, a stray's respill) holds up
-// that publish.
+// that publish. With no row open and no park or watch looking, it takes no
+// lock (live).
 func (d *depTable) arrived(obj types.ObjectID) {
-	if d.landed(obj) {
+	if d.live.Load() != 0 && d.landed(obj) {
 		go d.l.dispatchReady()
 	}
 }

@@ -429,7 +429,7 @@ func TestInFlightTaskIsFoundByPointer(t *testing.T) {
 	refs := &gatedRefs{entered: make(chan struct{}), gate: make(chan struct{})}
 	l.cfg.Refs = refs
 	running, release := make(chan *localTask, 1), make(chan struct{})
-	l.cfg.Exec = func(_ context.Context, _ *core.TaskContext, lender core.Lender, _ *types.TaskSpec, _ [][]byte) {
+	l.cfg.Exec = func(_ context.Context, _ *core.TaskContext, lender core.Lender, _ *lifetime.TaskEntry, _ *types.TaskSpec, _ [][]byte) {
 		running <- lender.(*localTask)
 		<-release
 	}

@@ -23,11 +23,12 @@ import (
 // acquiring the task's resources; the goroutine runs one task at a time and,
 // once ExecFunc returns, may be handed the next one. spec is the task's
 // spec, shared with the scheduler and the task ledger: read-only. tc is the
-// zero API handle the task's record holds for the run, and lender the
-// record, which lends the task's resources while it blocks and gives them
-// back for good when told so once its function has returned
-// (worker.Executor.Execute).
-type ExecFunc func(ctx context.Context, tc *core.TaskContext, lender core.Lender, spec *types.TaskSpec, args [][]byte)
+// zero API handle the task's record holds for the run, e the task ledger's
+// entry the record holds, where the run's stamps park while the task's
+// birth is owed (lifetime.TaskLedger.Park), and lender the record, which
+// lends the task's resources while it blocks and gives them back for good
+// when told so once its function has returned (worker.Executor.Execute).
+type ExecFunc func(ctx context.Context, tc *core.TaskContext, lender core.Lender, e *lifetime.TaskEntry, spec *types.TaskSpec, args [][]byte)
 
 // Fetcher pulls a remote object into the local store. lifetime.PullManager
 // is the production implementation (chunked, with per-peer backpressure).
@@ -598,7 +599,7 @@ func (l *Local) publishSpill(spec types.TaskSpec) {
 // copy per task; must be called before Start. The node sets
 // LocalConfig.Exec instead.
 func (l *Local) SetExec(fn func(ctx context.Context, spec types.TaskSpec, args [][]byte)) {
-	l.cfg.Exec = func(ctx context.Context, _ *core.TaskContext, _ core.Lender, spec *types.TaskSpec, args [][]byte) {
+	l.cfg.Exec = func(ctx context.Context, _ *core.TaskContext, _ core.Lender, _ *lifetime.TaskEntry, spec *types.TaskSpec, args [][]byte) {
 		fn(ctx, *spec, args)
 	}
 }
@@ -899,12 +900,13 @@ func (l *Local) dispatchReady() {
 				continue
 			}
 		}
-		// An in-process ledger append, and the dispatch latency, from one
-		// clock read. For a group member it mirrors what the CAS already
-		// stamped, so the next flush's full-state delta carries SCHEDULED
-		// rather than regressing the follower to QUEUED.
+		// An in-process ledger append, parked in the task's entry while its
+		// birth is owed, and the dispatch latency, from one clock read. For a
+		// group member it mirrors what the CAS already stamped, so the next
+		// flush's full-state delta carries SCHEDULED rather than regressing
+		// the follower to QUEUED.
 		now := l.cfg.Ledger.ClockNs()
-		l.cfg.Ledger.TransitionAt(task.spec.ID, types.TaskScheduled, types.NilWorkerID, "", now)
+		l.cfg.Ledger.Park(&task.entry, task.spec.ID, types.TaskScheduled, now)
 		l.dispatched.Add(1)
 		l.obs.dispatched.Inc()
 		l.obs.dispatchNs.Observe(now - task.enqueuedNs)
@@ -996,7 +998,7 @@ func (l *Local) runTask(t *localTask) {
 	}
 	defer l.giveBack(t)
 	defer l.unpinArgs(spec)
-	l.cfg.Exec(l.stopCtx, &t.tc, t, spec, args)
+	l.cfg.Exec(l.stopCtx, &t.tc, t, &t.entry, spec, args)
 }
 
 // gatherArgs pins and reads reference arguments from the local store.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/gcs"
+	"repro/internal/lifetime"
 	"repro/internal/types"
 )
 
@@ -31,19 +32,26 @@ type Hooks struct {
 	Deliver func(origin types.NodeID, task types.TaskID, trace uint64, id types.ObjectID, data []byte)
 	// PutDeferred, when set, stores the returns of a task submitted through
 	// this node, whose locations wait for the task's birth to land
-	// (objectstore.Store.PutDeferred). Nil stores every return through the
-	// backend's PutObject.
-	PutDeferred func(task types.TaskID, id types.ObjectID, data []byte) error
+	// (objectstore.Store.PutDeferred); Announce, set with it, announces them
+	// when the birth landed before the task ended (TaskLedger.EndOwed). Nil
+	// stores every return through the backend's PutObject.
+	PutDeferred func(id types.ObjectID, data []byte) error
+	Announce    func(ids ...types.ObjectID)
 }
 
 // TaskLedger is the owner-side task-state ledger (DESIGN.md §13): the
 // executor stamps RUNNING and terminal transitions into it instead of
-// paying a synchronous control-plane write per transition. TransitionRetry
+// paying a synchronous control-plane write per transition. While a task's
+// birth is owed, its RUNNING stamp parks in the ledger entry its record
+// holds, with no lock (Park), and its end is one call that also asks whether
+// the birth still owes its returns' locations (EndOwed). TransitionRetry
 // folds the retry count bump and the PENDING reset into one sequenced
 // delta, so a node dying mid-retry can never burn an attempt without
 // rescheduling the task. lifetime.TaskLedger is the implementation.
 type TaskLedger interface {
 	ClockNs() int64
+	Park(e *lifetime.TaskEntry, id types.TaskID, status types.TaskStatus, atNs int64) bool
+	EndOwed(e *lifetime.TaskEntry, id types.TaskID, status types.TaskStatus, worker types.WorkerID, errMsg string, atNs int64) bool
 	TransitionAt(id types.TaskID, status types.TaskStatus, worker types.WorkerID, errMsg string, atNs int64) bool
 	TransitionRetry(id types.TaskID, maxRetries int) (int, bool)
 }
@@ -91,18 +99,20 @@ func workerIDFor(spec *types.TaskSpec) types.WorkerID {
 // caller can time the task without a read of its own: startNs, the RUNNING
 // stamp's instant, and endNs, the finish's (or the failure's).
 //
-// tc is the task's API handle, zero until Execute sets it up in place: the
-// scheduler passes the one its record of the task holds. lender, when not
+// tc is the task's API handle, zero until Execute sets it up in place, and
+// entry the ledger entry where the run's stamps park while the task's birth
+// is owed (TaskLedger.Park): the scheduler passes the ones its record of
+// the task holds. lender, when not
 // nil, is told when the task blocks in a Get or Wait (worker lending), and
 // once more when its function has returned: Lend(spec, true), with no false
 // after it, before the returns are stored or the task retried, so that the
 // reader a return wakes finds the task's resources free.
-func (e *Executor) Execute(ctx context.Context, tc *core.TaskContext, lender core.Lender, spec *types.TaskSpec, args [][]byte) (startNs, endNs int64) {
+func (e *Executor) Execute(ctx context.Context, tc *core.TaskContext, lender core.Lender, entry *lifetime.TaskEntry, spec *types.TaskSpec, args [][]byte) (startNs, endNs int64) {
 	e.active.Add(1)
 	defer e.active.Add(-1)
 	wid := workerIDFor(spec)
 	startNs = e.ledger.ClockNs()
-	e.ledger.TransitionAt(spec.ID, types.TaskRunning, wid, "", startNs)
+	e.ledger.Park(entry, spec.ID, types.TaskRunning, startNs)
 
 	tc.Init(ctx, e.backend, spec, lender)
 	rets, err := e.invoke(tc, spec, args)
@@ -110,10 +120,10 @@ func (e *Executor) Execute(ctx context.Context, tc *core.TaskContext, lender cor
 		lender.Lend(spec, true)
 	}
 	if err != nil {
-		return startNs, e.fail(spec, wid, err)
+		return startNs, e.fail(entry, spec, wid, err)
 	}
 	if len(rets) != spec.NumReturns {
-		return startNs, e.fail(spec, wid, fmt.Errorf("function %s returned %d values, declared %d", spec.Function, len(rets), spec.NumReturns))
+		return startNs, e.fail(entry, spec, wid, fmt.Errorf("function %s returned %d values, declared %d", spec.Function, len(rets), spec.NumReturns))
 	}
 	// Capture the finish instant before storing outputs: the first Put can
 	// unblock a consumer, and a consumer's recorded start must never
@@ -125,12 +135,32 @@ func (e *Executor) Execute(ctx context.Context, tc *core.TaskContext, lender cor
 			data = codec.MustEncode(nil)
 		}
 		if perr := e.storeReturn(spec, i, data); perr != nil {
-			return startNs, e.fail(spec, wid, fmt.Errorf("storing return %d: %w", i, perr))
+			return startNs, e.fail(entry, spec, wid, fmt.Errorf("storing return %d: %w", i, perr))
 		}
 	}
 	e.executed.Add(1)
-	e.ledger.TransitionAt(spec.ID, types.TaskFinished, wid, "", endNs)
+	e.end(entry, spec, types.TaskFinished, wid, "", endNs)
 	return startNs, endNs
+}
+
+// end stamps the task's end once its returns are stored. Returns held back
+// here wait for the task's birth, if it is still owed, whose landing
+// announces them (TaskLedger.EndOwed); otherwise they are announced here,
+// before the stamp.
+func (e *Executor) end(entry *lifetime.TaskEntry, spec *types.TaskSpec, status types.TaskStatus, wid types.WorkerID, errMsg string, atNs int64) {
+	if e.heldBack(spec) {
+		if e.ledger.EndOwed(entry, spec.ID, status, wid, errMsg, atNs) {
+			return
+		}
+		var one [1]types.ObjectID
+		e.hooks.Announce(spec.AppendReturns(one[:0])...)
+	}
+	e.ledger.TransitionAt(spec.ID, status, wid, errMsg, atNs)
+}
+
+// heldBack reports whether spec's returns are stored held back here.
+func (e *Executor) heldBack(spec *types.TaskSpec) bool {
+	return spec.Origin == e.node && e.hooks.PutDeferred != nil
 }
 
 // storeReturn makes return value i resolvable: delivered to the task's
@@ -141,8 +171,8 @@ func (e *Executor) Execute(ctx context.Context, tc *core.TaskContext, lender cor
 // locations wait for its birth (Hooks.PutDeferred).
 func (e *Executor) storeReturn(spec *types.TaskSpec, i int, data []byte) error {
 	id := spec.ReturnID(i)
-	if spec.Origin == e.node && e.hooks.PutDeferred != nil {
-		return e.hooks.PutDeferred(spec.ID, id, data)
+	if e.heldBack(spec) {
+		return e.hooks.PutDeferred(id, data)
 	}
 	if e.hooks.Deliver != nil {
 		e.hooks.Deliver(spec.Origin, spec.ID, spec.TraceID, id, data)
@@ -169,7 +199,7 @@ func (e *Executor) invoke(tc *core.TaskContext, spec *types.TaskSpec, args [][]b
 // instant it read for that, before any error payload is stored. On
 // terminal failure, error payloads are stored under every return object so
 // that blocked Gets observe the failure (instead of hanging).
-func (e *Executor) fail(spec *types.TaskSpec, wid types.WorkerID, taskErr error) (atNs int64) {
+func (e *Executor) fail(entry *lifetime.TaskEntry, spec *types.TaskSpec, wid types.WorkerID, taskErr error) (atNs int64) {
 	atNs = e.ledger.ClockNs()
 	retries, retrying := e.ledger.TransitionRetry(spec.ID, spec.MaxRetries)
 	if retries < 0 {
@@ -192,6 +222,6 @@ func (e *Executor) fail(spec *types.TaskSpec, wid types.WorkerID, taskErr error)
 		// Best effort: the store may itself be failing.
 		_ = e.storeReturn(spec, i, codec.EncodeError(taskErr.Error()))
 	}
-	e.ledger.TransitionAt(spec.ID, types.TaskFailed, wid, taskErr.Error(), atNs)
+	e.end(entry, spec, types.TaskFailed, wid, taskErr.Error(), atNs)
 	return atNs
 }

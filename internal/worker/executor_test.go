@@ -101,7 +101,7 @@ func TestExecuteStoresReturnsAndStatus(t *testing.T) {
 	})
 	spec := mkSpec(1, "two", 2)
 	b.admit(spec)
-	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil)
+	ex.Execute(context.Background(), new(core.TaskContext), nil, nil, &spec, nil)
 
 	for i := 0; i < 2; i++ {
 		if !b.ObjectLocal(spec.ReturnID(i)) {
@@ -121,7 +121,7 @@ func TestUnregisteredFunctionFails(t *testing.T) {
 	ex, b, _ := setup(t, Hooks{})
 	spec := mkSpec(2, "ghost", 1)
 	b.admit(spec)
-	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil)
+	ex.Execute(context.Background(), new(core.TaskContext), nil, nil, &spec, nil)
 	st, _ := b.ctrl.GetTask(spec.ID)
 	if st.Status != types.TaskFailed {
 		t.Fatalf("status = %v", st.Status)
@@ -140,7 +140,7 @@ func TestWrongReturnCountFails(t *testing.T) {
 	})
 	spec := mkSpec(3, "liar", 2)
 	b.admit(spec)
-	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil)
+	ex.Execute(context.Background(), new(core.TaskContext), nil, nil, &spec, nil)
 	st, _ := b.ctrl.GetTask(spec.ID)
 	if st.Status != types.TaskFailed {
 		t.Fatalf("status = %v", st.Status)
@@ -154,7 +154,7 @@ func TestPanicIsolated(t *testing.T) {
 	})
 	spec := mkSpec(4, "boom", 1)
 	b.admit(spec)
-	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil) // must not panic the test
+	ex.Execute(context.Background(), new(core.TaskContext), nil, nil, &spec, nil) // must not panic the test
 	st, _ := b.ctrl.GetTask(spec.ID)
 	if st.Status != types.TaskFailed || st.Error == "" {
 		t.Fatalf("state = %+v", st)
@@ -176,7 +176,7 @@ func TestRetryPathResubmits(t *testing.T) {
 	spec.MaxRetries = 2
 	b.admit(spec)
 
-	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil) // attempt 1 -> retry
+	ex.Execute(context.Background(), new(core.TaskContext), nil, nil, &spec, nil) // attempt 1 -> retry
 	select {
 	case got := <-resubmitted:
 		if got.ID != spec.ID {
@@ -190,9 +190,9 @@ func TestRetryPathResubmits(t *testing.T) {
 		t.Fatalf("after retry 1: %+v", st)
 	}
 
-	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil) // attempt 2 -> retry
+	ex.Execute(context.Background(), new(core.TaskContext), nil, nil, &spec, nil) // attempt 2 -> retry
 	<-resubmitted
-	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil) // attempt 3 -> exhausted
+	ex.Execute(context.Background(), new(core.TaskContext), nil, nil, &spec, nil) // attempt 3 -> exhausted
 	select {
 	case <-resubmitted:
 		t.Fatal("resubmitted past MaxRetries")
@@ -226,7 +226,7 @@ func TestBlockHookReachesHooks(t *testing.T) {
 	})
 	spec := mkSpec(6, "getter", 1)
 	b.admit(spec)
-	ex.Execute(context.Background(), new(core.TaskContext), lender, &spec, nil)
+	ex.Execute(context.Background(), new(core.TaskContext), lender, nil, &spec, nil)
 	st, _ := b.ctrl.GetTask(spec.ID)
 	if st.Status != types.TaskFinished {
 		t.Fatalf("status = %v err=%s", st.Status, st.Error)
@@ -265,7 +265,7 @@ func TestActiveCounter(t *testing.T) {
 	})
 	spec := mkSpec(7, "probe", 1)
 	b.admit(spec)
-	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil)
+	ex.Execute(context.Background(), new(core.TaskContext), nil, nil, &spec, nil)
 	if got := <-probe; got != 1 {
 		t.Fatalf("active during exec = %d", got)
 	}
@@ -281,7 +281,7 @@ func TestNilReturnBecomesNullPayload(t *testing.T) {
 	})
 	spec := mkSpec(8, "nilret", 1)
 	b.admit(spec)
-	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil)
+	ex.Execute(context.Background(), new(core.TaskContext), nil, nil, &spec, nil)
 	if !b.ObjectLocal(spec.ReturnID(0)) {
 		t.Fatal("nil return not stored")
 	}
@@ -327,7 +327,7 @@ func TestRetryCrashWindowClosed(t *testing.T) {
 	spec.MaxRetries = 2
 	b.admit(spec)
 
-	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil) // attempt 1 -> retry
+	ex.Execute(context.Background(), new(core.TaskContext), nil, nil, &spec, nil) // attempt 1 -> retry
 	select {
 	case got := <-resubmitted:
 		if got.ID != spec.ID {
@@ -341,9 +341,9 @@ func TestRetryCrashWindowClosed(t *testing.T) {
 		t.Fatalf("after retry 1: status=%v retries=%d", st.Status, st.Retries)
 	}
 
-	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil) // attempt 2 -> retry
+	ex.Execute(context.Background(), new(core.TaskContext), nil, nil, &spec, nil) // attempt 2 -> retry
 	<-resubmitted
-	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil) // attempt 3 -> exhausted
+	ex.Execute(context.Background(), new(core.TaskContext), nil, nil, &spec, nil) // attempt 3 -> exhausted
 	select {
 	case <-resubmitted:
 		t.Fatal("resubmitted past MaxRetries")
@@ -383,7 +383,7 @@ func TestRetryCrashWindowClosed(t *testing.T) {
 	// a straggler execution finds the task unowned and vanishes silently —
 	// no resubmit, no counter bump, no table write.
 	failedBefore := ex.Failed()
-	ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil)
+	ex.Execute(context.Background(), new(core.TaskContext), nil, nil, &spec, nil)
 	if ex.Failed() != failedBefore {
 		t.Fatal("zombie execution bumped the failure counter")
 	}
@@ -432,7 +432,7 @@ func TestReturnsAreOfferedForDeliveryBeforeTheyAreStored(t *testing.T) {
 	ok, bad := mkSpec(30, "two", 2), mkSpec(31, "boom", 1)
 	for _, spec := range []types.TaskSpec{ok, bad} {
 		b.admit(spec)
-		ex.Execute(context.Background(), new(core.TaskContext), nil, &spec, nil)
+		ex.Execute(context.Background(), new(core.TaskContext), nil, nil, &spec, nil)
 	}
 	for _, id := range []types.ObjectID{ok.ReturnID(0), ok.ReturnID(1), bad.ReturnID(0)} {
 		stored, _ := b.ResolveObject(context.Background(), id)
