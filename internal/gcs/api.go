@@ -196,8 +196,8 @@ type API interface {
 	LogEvent(ev types.Event)
 	Events() []types.Event
 
-	// Subscribe opens one of the control plane's pub/sub channels. A
-	// per-record topic hears only the record id names; a broadcast topic
+	// Subscribe opens one of the control plane's pub/sub channels. The
+	// per-node topic hears only the node id names; a broadcast topic
 	// ignores id (callers pass the nil ID of the kind it carries). Once
 	// Subscribe returns, no later publish on the channel can be missed.
 	Subscribe(topic Topic, id [types.IDSize]byte) Sub
@@ -247,22 +247,18 @@ func (f TaskFilter) stale(st *types.TaskState, now int64) bool {
 	return st.Status == types.TaskPending && last != 0 && now-last >= f.PendingForNs
 }
 
-// Topic names a control-plane pub/sub channel (API.Subscribe). The first
-// is per record: the subscription hears one task's channel, which lives on
-// the shard owning that record. The second is per node, and every shard
-// publishes on it. The rest are broadcasts every shard publishes on; a
-// subscription to one merges every shard's feed and ignores the ID it was
-// given.
+// Topic names a control-plane pub/sub channel (API.Subscribe). No topic is
+// per record. The first is per node: every shard publishes on the channel
+// of the node the ID names. The rest are broadcasts every shard publishes
+// on. A subscription to any topic merges every shard's feed; a broadcast's
+// ignores the ID it was given.
 type Topic uint8
 
 const (
-	// TopicTaskStatus carries one task's status transitions; payload
-	// [1]byte{status}.
-	TopicTaskStatus Topic = iota
 	// TopicNodeReady carries the objects one node watches (WatchObjects),
 	// each as it gains its first copy since the watch, with that copy's
 	// node and the object's size (DecodeNodeReady).
-	TopicNodeReady
+	TopicNodeReady Topic = iota
 	// TopicObjectGC carries objects whose reference count drained to zero;
 	// payload the ObjectID bytes. A subscription over the wire first
 	// replays the objects eligible now, so a publish a shard crash dropped
@@ -282,7 +278,7 @@ const (
 )
 
 // broadcastChannel is the kv channel of each broadcast topic ("" for the
-// per-record ones).
+// per-node one).
 var broadcastChannel = [...]string{
 	TopicObjectGC:        chanObjGC,
 	TopicSpill:           chanSpill,
@@ -349,11 +345,10 @@ const (
 	keyPendIdx = "pendidx:" // + TaskID hex; task currently PENDING
 	keyGCIdx   = "gcidx:"   // + ObjectID hex; GC-eligible, not yet drained
 
-	chanNodeReady  = "nready:" // + NodeID hex; payload = ObjectID, location NodeID, size
-	chanTaskStatus = "tstat:"  // + TaskID hex; payload = [1]byte{status}
-	chanSpill      = "spill"   // payload = gob(TaskSpec)
-	chanNodes      = "nodes"   // payload = gob(NodeInfo)
-	chanObjGC      = "objgc"   // payload = ObjectID bytes; refcount hit zero
-	chanGroups     = "pgroups" // payload = gob(PlacementGroupInfo)
-	chanJobs       = "jobs"    // payload = encoded JobInfo
+	chanNodeReady = "nready:" // + NodeID hex; payload = ObjectID, location NodeID, size
+	chanSpill     = "spill"   // payload = gob(TaskSpec)
+	chanNodes     = "nodes"   // payload = gob(NodeInfo)
+	chanObjGC     = "objgc"   // payload = ObjectID bytes; refcount hit zero
+	chanGroups    = "pgroups" // payload = gob(PlacementGroupInfo)
+	chanJobs      = "jobs"    // payload = encoded JobInfo
 )

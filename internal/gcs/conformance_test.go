@@ -271,15 +271,10 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	if live, complete := api.ScanTasks(TaskFilter{Owner: nodeID(51)}); !complete || len(live) != 0 {
 		t.Fatalf("ScanTasks by a node that owns nothing: %v complete=%v", live, complete)
 	}
-	statusSub := api.Subscribe(TopicTaskStatus, st.Spec.ID)
-	defer statusSub.Close()
 	running := delta(st.Spec.ID, seq+1, types.TaskRunning)
 	running.Owner, running.Node, running.Retries = n, n, 1
 	if failed := api.ModifyTaskStates(n, []types.TaskStateDelta{running}, 41); len(failed) != 0 {
 		t.Fatalf("ModifyTaskStates failed for %v", failed)
-	}
-	if msg := recv(t, statusSub, "task status"); types.TaskStatus(msg[0]) != types.TaskRunning {
-		t.Fatalf("status payload %v", msg)
 	}
 	got, _ = api.GetTask(st.Spec.ID)
 	if got.Status != types.TaskRunning || got.Node != n || got.Retries != 1 {
@@ -643,18 +638,21 @@ func exerciseAPI(t *testing.T, api API, backing func(types.TaskID) (types.TaskSt
 	}
 }
 
-// TestOneShardTaskStatusSubscription: the subscription is acked by the
+// TestOneShardNodeReadySubscription: the subscription is acked by the
 // service before Subscribe returns, so a publish made right after cannot be
-// missed.
-func TestOneShardTaskStatusSubscription(t *testing.T) {
+// missed: a location added right after the watch reaches the node's feed.
+func TestOneShardNodeReadySubscription(t *testing.T) {
 	api, _, _ := oneShard(t, transport.NewInproc(0), "gcs")
 	st := mkTask(600)
 	addTask(api, st)
-	sub := api.Subscribe(TopicTaskStatus, st.Spec.ID)
+	watcher, obj := nodeID(60), st.Spec.ReturnID(0)
+	api.EnsureObjects(map[types.ObjectID]types.TaskID{obj: st.Spec.ID})
+	sub := api.Subscribe(TopicNodeReady, watcher)
 	defer sub.Close()
-	api.ModifyTaskStates(types.NilNodeID, []types.TaskStateDelta{delta(st.Spec.ID, 1, types.TaskFinished)}, 0)
-	if msg := recv(t, sub, "status"); types.TaskStatus(msg[0]) != types.TaskFinished {
-		t.Fatalf("status payload %v", msg)
+	api.WatchObjects(watcher, []types.ObjectID{obj})
+	api.AddObjectLocation(obj, nodeID(61), 8)
+	if got, ok := DecodeNodeReady(recv(t, sub, "a watched object's location")); !ok || got.ID != obj {
+		t.Fatalf("node-ready payload: %+v (ok=%v), want %v", got, ok, obj)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 func (s *Store) CreatePlacementGroup(spec types.PlacementGroupSpec) bool {
 	now := s.NowNs()
 	info := types.PlacementGroupInfo{Spec: spec, State: types.GroupPending, CreatedNs: now, LastTransitionNs: now}
-	created, _ := s.groups.mutate(spec.ID, upsert, func(rec *types.PlacementGroupInfo, exists bool) bool {
+	created := s.groups.mutate(spec.ID, upsert, func(rec *types.PlacementGroupInfo, exists bool) bool {
 		if !exists {
 			*rec = info.Clone()
 		}
@@ -59,7 +59,7 @@ func (s *Store) CASPlacementGroupStateOp(id types.PlacementGroupID, from []types
 	now := s.NowNs()
 	dup := false
 	var next types.PlacementGroupInfo
-	won, _ := s.groups.mutate(id, existing, func(info *types.PlacementGroupInfo, _ bool) bool {
+	won := s.groups.mutate(id, existing, func(info *types.PlacementGroupInfo, _ bool) bool {
 		if info.MutOps.Seen(op) {
 			dup = true // this exact CAS already applied
 			return false

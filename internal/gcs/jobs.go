@@ -26,7 +26,7 @@ func (s *Store) publishJob(next *types.JobInfo, kind string) {
 func (s *Store) CreateJob(spec types.JobSpec) bool {
 	now := s.NowNs()
 	info := types.JobInfo{Spec: spec, State: types.JobRunning, CreatedNs: now, LastTransitionNs: now}
-	created, _ := s.jobs.mutate(spec.ID, upsert, func(rec *types.JobInfo, exists bool) bool {
+	created := s.jobs.mutate(spec.ID, upsert, func(rec *types.JobInfo, exists bool) bool {
 		if !exists {
 			*rec = info
 		}
@@ -61,7 +61,7 @@ func (s *Store) CASJobStateOp(id types.JobID, from []types.JobState, to types.Jo
 	now := s.NowNs()
 	dup := false
 	var next types.JobInfo
-	won, _ := s.jobs.mutate(id, existing, func(info *types.JobInfo, _ bool) bool {
+	won := s.jobs.mutate(id, existing, func(info *types.JobInfo, _ bool) bool {
 		if info.MutOps.Seen(op) {
 			dup = true // this exact CAS already applied
 			return false

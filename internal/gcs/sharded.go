@@ -878,20 +878,12 @@ func (s *Sharded) Spans() []metrics.SpanRecord {
 
 // --- resilient subscriptions ---
 
-// Subscribe implements API. The per-record topic attaches to the one shard
-// owning the record, which is where its channel publishes; a node's ready
-// topic and a broadcast topic merge every shard's feed (each record's
-// transitions publish on the shard that owns it).
+// Subscribe implements API: every topic merges every shard's feed (each
+// record's transitions publish on the shard that owns it).
 func (s *Sharded) Subscribe(topic Topic, id [types.IDSize]byte) Sub {
-	m := s.Map()
 	var shards []int
-	switch topic {
-	case TopicTaskStatus:
-		shards = []int{m.ShardForKey(TaskKey(id))}
-	default:
-		for i := range m.NumShards() {
-			shards = append(shards, i)
-		}
+	for i := range s.Map().NumShards() {
+		shards = append(shards, i)
 	}
 	return s.newResilientSub(subPayload(topic, id), shards)
 }

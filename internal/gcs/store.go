@@ -195,13 +195,6 @@ func (s *Store) AddTask(state types.TaskState) bool {
 // GetTask implements API.
 func (s *Store) GetTask(id types.TaskID) (types.TaskState, bool) { return s.tasks.get(id) }
 
-// publishStatus fires the task's status channel, if anyone listens.
-func (s *Store) publishStatus(id types.TaskID, status types.TaskStatus, watched bool) {
-	if watched {
-		s.db.Publish(key(chanTaskStatus, id), []byte{byte(status)})
-	}
-}
-
 // ClaimTask implements API: the status CAS, and with a non-nil owner the
 // ownership-transfer CAS. A successful claim additionally stamps owner as
 // the record's Owner and Node and bumps OwnerSeq; the returned sequence is
@@ -218,7 +211,7 @@ func (s *Store) ClaimTask(id types.TaskID, from []types.TaskStatus, to types.Tas
 func (s *Store) ClaimTaskOp(id types.TaskID, from []types.TaskStatus, to types.TaskStatus, owner types.NodeID, op uint64) (seq uint64, ok bool) {
 	now := s.NowNs()
 	dup := false
-	won, watched := s.tasks.mutate(id, existing, func(st *types.TaskState, _ bool) bool {
+	won := s.tasks.mutate(id, existing, func(st *types.TaskState, _ bool) bool {
 		if st.MutOps.Seen(op) {
 			dup, seq = true, st.OwnerSeq // this exact CAS already applied
 			return false
@@ -254,7 +247,6 @@ func (s *Store) ClaimTaskOp(id types.TaskID, from []types.TaskStatus, to types.T
 		return true
 	})
 	if won {
-		s.publishStatus(id, to, watched)
 		if owner.IsNil() {
 			s.logKind("cas:", to, types.Event{Task: id})
 		} else {
@@ -320,7 +312,7 @@ func (s *Store) modifyTaskStates(deltas []types.TaskStateDelta, op uint64) (refu
 // any duplicate re-derives the PENDING marker. rec is the table's from here.
 func (s *Store) insertTask(rec types.TaskState, op uint64) bool {
 	own := false
-	added, _ := s.tasks.mutate(rec.Spec.ID, upsert, func(st *types.TaskState, exists bool) bool {
+	added := s.tasks.mutate(rec.Spec.ID, upsert, func(st *types.TaskState, exists bool) bool {
 		if exists {
 			own = st.MutOps.Seen(op)
 			return false
@@ -349,15 +341,11 @@ func birthPins(pins map[types.ObjectID]int64, spec *types.TaskSpec) map[types.Ob
 
 // applyTaskDelta applies one ledger delta to the follower record. Mirrors
 // applyRefDelta's crash discipline: a redelivered token skips the state
-// write but redoes the crash-droppable side effects (the marker, which any
-// touch re-derives, and the status publish), since the original commit may
-// have died before them.
+// write but redoes the crash-droppable side effect (the marker, which any
+// touch re-derives), since the original commit may have died before it.
 func (s *Store) applyTaskDelta(d *types.TaskStateDelta, op uint64) {
-	dup := false
-	status := d.Status
-	applied, watched := s.tasks.mutate(d.ID, existing, func(st *types.TaskState, _ bool) bool {
+	applied := s.tasks.mutate(d.ID, existing, func(st *types.TaskState, _ bool) bool {
 		if st.MutOps.Seen(op) {
-			dup, status = true, st.Status
 			return false
 		}
 		if st.Owner != d.Owner || d.Seq <= st.OwnerSeq {
@@ -402,9 +390,6 @@ func (s *Store) applyTaskDelta(d *types.TaskStateDelta, op uint64) {
 		}
 		return true
 	})
-	if applied || dup {
-		s.publishStatus(d.ID, status, watched)
-	}
 	if applied {
 		s.logKind("status:", d.Status, types.Event{Task: d.ID, Node: d.Node, Worker: d.Worker, Detail: d.Error})
 	}
@@ -676,7 +661,7 @@ func (s *Store) SweepDeadNodeRefs(node types.NodeID) int {
 	swept := 0
 	for _, id := range held {
 		gc := false
-		adjusted, _ := s.objects.mutate(id, existing, func(info *types.ObjectInfo, _ bool) bool {
+		adjusted := s.objects.mutate(id, existing, func(info *types.ObjectInfo, _ bool) bool {
 			share := info.Holders[node]
 			if share <= 0 {
 				return false
@@ -807,7 +792,7 @@ func (s *Store) Heartbeat(id types.NodeID, queueLen int, avail types.Resources, 
 // MarkNodeDead implements API.
 func (s *Store) MarkNodeDead(id types.NodeID) {
 	var dead types.NodeInfo
-	found, _ := s.nodes.mutate(id, existing, func(info *types.NodeInfo, _ bool) bool {
+	found := s.nodes.mutate(id, existing, func(info *types.NodeInfo, _ bool) bool {
 		info.Alive = false
 		dead = info.Clone()
 		return true
@@ -831,7 +816,7 @@ func (s *Store) CASNodeStateOp(id types.NodeID, from []types.NodeState, to types
 	now := s.NowNs()
 	dup := false
 	var next types.NodeInfo
-	won, _ := s.nodes.mutate(id, existing, func(info *types.NodeInfo, _ bool) bool {
+	won := s.nodes.mutate(id, existing, func(info *types.NodeInfo, _ bool) bool {
 		if info.MutOps.Seen(op) {
 			dup = true // this exact CAS already applied
 			return false
@@ -906,14 +891,9 @@ func (s *Store) Events() []types.Event {
 	return out
 }
 
-// Subscribe implements API. The per-record topic counts the record as
-// watched while the subscription is open, so a mutation nobody listens to
-// publishes nothing.
+// Subscribe implements API.
 func (s *Store) Subscribe(topic Topic, id [types.IDSize]byte) Sub {
-	switch topic {
-	case TopicTaskStatus:
-		return s.tasks.subscribe(s.db, chanTaskStatus, types.TaskID(id))
-	case TopicNodeReady:
+	if topic == TopicNodeReady {
 		return s.db.Subscribe(key(chanNodeReady, types.NodeID(id)))
 	}
 	return s.db.Subscribe(broadcastChannel[topic])

@@ -48,11 +48,8 @@ type stripe[K comparable, V any] struct {
 	mu    sync.Mutex
 	recs  map[K]*V
 	marks map[K]struct{}
-	// watched counts the live subscriptions to each record's own pub/sub
-	// channel, so a mutation nobody listens to builds no channel name.
-	watched map[K]int
 	// watchers lists the nodes that asked to hear a record's next change
-	// once (watchOnce). Like watched, it is never journaled.
+	// once (watchOnce). It is never journaled.
 	watchers map[K][]types.NodeID
 }
 
@@ -68,8 +65,7 @@ const (
 func newTable[K ~[types.IDSize]byte, V any](stripes int, prefix, markPrefix string, marked func(*V) bool, clone func(*V) V) *table[K, V] {
 	t := &table[K, V]{prefix: prefix, clone: clone, markPrefix: markPrefix, marked: marked, stripes: make([]stripe[K, V], stripes)}
 	for i := range t.stripes {
-		t.stripes[i] = stripe[K, V]{recs: make(map[K]*V), marks: make(map[K]struct{}), watched: make(map[K]int),
-			watchers: make(map[K][]types.NodeID)}
+		t.stripes[i] = stripe[K, V]{recs: make(map[K]*V), marks: make(map[K]struct{}), watchers: make(map[K][]types.NodeID)}
 	}
 	return t
 }
@@ -86,9 +82,9 @@ func key[K ~[types.IDSize]byte](prefix string, id K) string {
 // id's record and runs fn on it in place; fn reports whether it changed the
 // record and must leave an unchanged one untouched. A change is committed
 // (inserted if new, journaled unless unlogged) and the marker reconciled
-// before the lock drops. It returns fn's verdict and whether the record's
-// channel has a subscriber; side effects run after, off the lock.
-func (t *table[K, V]) mutate(id K, m mode, fn func(rec *V, exists bool) bool) (changed, watched bool) {
+// before the lock drops. It returns fn's verdict; side effects run after,
+// off the lock.
+func (t *table[K, V]) mutate(id K, m mode, fn func(rec *V, exists bool) bool) (changed bool) {
 	t.ops.Add(1)
 	st := t.stripe(id)
 	st.mu.Lock()
@@ -110,7 +106,7 @@ func (t *table[K, V]) mutate(id K, m mode, fn func(rec *V, exists bool) bool) (c
 		t.journal.Put(key(t.prefix, id), codec.MustEncode(rec))
 	}
 	t.reconcile(st, id, rec)
-	return changed, st.watched[id] > 0
+	return changed
 }
 
 // reconcile makes id's marker agree with its record (nil: no record) and
@@ -319,35 +315,4 @@ func (t *table[K, V]) dump(put func(key string, value []byte)) {
 		}
 		st.mu.Unlock()
 	}
-}
-
-// recordSub is a subscription to one record's channel; while it is open
-// the record counts as watched.
-type recordSub struct {
-	Sub
-	once    sync.Once
-	unwatch func()
-}
-
-func (r *recordSub) Close() {
-	r.once.Do(r.unwatch)
-	r.Sub.Close()
-}
-
-// subscribe opens id's per-record channel. The subscription is attached
-// before the record counts as watched: a mutation that commits after that
-// sees the count and publishes, and one that committed before it is visible
-// to the read every subscriber does next.
-func (t *table[K, V]) subscribe(db kv.DB, channel string, id K) Sub {
-	watch := func(delta int) {
-		st := t.stripe(id)
-		st.mu.Lock()
-		if st.watched[id] += delta; st.watched[id] == 0 {
-			delete(st.watched, id)
-		}
-		st.mu.Unlock()
-	}
-	sub := db.Subscribe(key(channel, id))
-	watch(+1)
-	return &recordSub{Sub: sub, unwatch: func() { watch(-1) }}
 }

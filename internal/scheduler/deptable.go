@@ -16,8 +16,9 @@ import (
 	"repro/internal/types"
 )
 
-// The dependency table's periods (DESIGN.md §4.2). While rows exist, the
-// table sweeps them every pollPeriod: an object with no lineage in sight is
+// The dependency table's periods (DESIGN.md §4.2). While rows or spill
+// bridges exist, the table sweeps them every pollPeriod: a bridged task's
+// record is read once per sweep, an object with no lineage in sight is
 // looked at again and probed on every sweep after the first, a lost one
 // probed on every sweep, and every row's look is renewed — its watch too,
 // which a control-plane failover drops — every strandedPeriod sweeps
@@ -155,16 +156,19 @@ type rowRef struct {
 // Three edges feed it: the store's arrival hook (arrived), the node's one
 // object-readiness subscription, and its one goroutine (run), which
 // consumes that feed, looks at new rows' objects in one batched
-// control-plane call, starts pulls and, only while rows exist, sweeps them.
+// control-plane call, starts pulls and, only while rows or spill bridges
+// exist, sweeps them.
 // A task that waits on nothing more goes to Local's runnable queue
 // (pushRunnable) under the table's lock, so no other lock holder sees it in
-// neither place or in both.
+// neither place or in both. The spill bridges (Local.bridgeSpill) are the
+// table's too, and the same sweeps release them.
 type depTable struct {
 	l *Local
 	// parks counts tasks parked on an object not yet local
 	// (scheduler.tasks.parked).
 	parks *metrics.Counter
-	// kick wakes run once rows were opened, whose objects fresh lists.
+	// kick wakes run once rows were opened, whose objects fresh lists, or a
+	// bridge was made.
 	kick chan struct{}
 	// beforePark, when set, runs in enqueue between its look at the store
 	// and park: a test's window for an argument landing there.
@@ -185,6 +189,9 @@ type depTable struct {
 	// due; probing is set while a goroutine works through them.
 	probes  []rowRef
 	probing bool
+	// bridges holds the borrows each spilled task's bridges took on its
+	// arguments, until a sweep reads the task claimed or over.
+	bridges map[types.TaskID][]types.ObjectID
 }
 
 func newDepTable(l *Local) *depTable {
@@ -227,7 +234,7 @@ func (d *depTable) start() {
 
 // run is the table's one goroutine. It hands each message of the node's
 // ready feed to readyAt, looks at the objects of the rows park opened, and
-// sweeps every pollPeriod while rows exist.
+// sweeps every pollPeriod while rows or bridges exist.
 func (d *depTable) run(sub gcs.Sub) {
 	defer d.l.wg.Done()
 	defer sub.Close()
@@ -303,12 +310,30 @@ func (d *depTable) rowLocked(id types.ObjectID) *parkedObj {
 		d.parked[id] = row
 		d.live.Add(1)
 		d.fresh = append(d.fresh, id)
-		select {
-		case d.kick <- struct{}{}:
-		default:
-		}
+		d.wake()
 	}
 	return row
+}
+
+// wake kicks run, which arms the sweep if it is not armed.
+func (d *depTable) wake() {
+	select {
+	case d.kick <- struct{}{}:
+	default:
+	}
+}
+
+// bridge holds deps, a spill bridge's borrow on task's arguments, until a
+// sweep releases it (sweepBridges). A Stop leaves it held: Node.Shutdown's
+// tracker ReleaseAll settles the count.
+func (d *depTable) bridge(task types.TaskID, deps []types.ObjectID) {
+	d.mu.Lock()
+	if d.bridges == nil {
+		d.bridges = make(map[types.TaskID][]types.ObjectID)
+	}
+	d.bridges[task] = append(d.bridges[task], deps...)
+	d.mu.Unlock()
+	d.wake()
 }
 
 // watch registers ch for ids[i], i in which, on their rows: a Get's
@@ -565,10 +590,11 @@ func (d *depTable) look(ids []types.ObjectID) (probes []rowRef) {
 	return probes
 }
 
-// sweep is the table's periodic pass over the rows with no pull in flight:
-// it looks again at the objects of lookAgain rows, renews every row's look
-// every strandedPeriod sweeps, and probes lost objects. It reports whether
-// rows remain.
+// sweep is the table's periodic pass over the rows with no pull in flight
+// and the bridges: it looks again at the objects of lookAgain rows, renews
+// every row's look every strandedPeriod sweeps, probes lost objects, and
+// releases the bridges whose tasks moved on. It reports whether rows or
+// bridges remain.
 func (d *depTable) sweep() bool {
 	var relook []types.ObjectID
 	var probes []rowRef
@@ -588,7 +614,46 @@ func (d *depTable) sweep() bool {
 	rows := len(d.parked) > 0
 	d.mu.Unlock()
 	d.probe(append(probes, d.look(relook)...))
-	return rows
+	return d.sweepBridges() || rows
+}
+
+// sweepBridges reads each bridged task's record once and releases the
+// borrows of a task that reached SCHEDULED (the destination's borrow is in
+// place before that stamp) or an end, or whose record is gone while the
+// control plane answers: the spill landed the record, so a table that no
+// longer holds it retired or purged it. Any other bridge is kept for the
+// next sweep, and so is every bridge after a read that found the control
+// plane silent. It reports whether bridges remain.
+func (d *depTable) sweepBridges() bool {
+	d.mu.Lock()
+	bridges := d.bridges
+	d.bridges = nil
+	d.mu.Unlock()
+	var free []types.ObjectID
+	for task, deps := range bridges {
+		if st, ok := d.l.cfg.Ctrl.GetTask(task); !ok {
+			if p, probes := d.l.cfg.Ctrl.(gcs.Pinger); probes && !p.Ping() {
+				break
+			}
+		} else if st.Status == types.TaskPending || st.Status == types.TaskQueued {
+			continue // unclaimed, or claimed and not yet SCHEDULED
+		}
+		free = append(free, deps...)
+		delete(bridges, task)
+	}
+	if len(free) > 0 {
+		d.l.cfg.Refs.Release(free...)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.bridges == nil {
+		d.bridges = bridges
+	} else {
+		for task, deps := range bridges { // d.bridges holds those made since the take
+			d.bridges[task] = append(d.bridges[task], deps...)
+		}
+	}
+	return len(d.bridges) > 0
 }
 
 // pullLocked starts a pull for row of the object info describes, unless the

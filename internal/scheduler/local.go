@@ -157,8 +157,8 @@ type Local struct {
 	stopped bool
 
 	// wg counts dispatched tasks, the dependency table's goroutine, its
-	// pulls and probes, and spill bridges: Stop waits for them before it
-	// closes the executor pool.
+	// pulls and probes: Stop waits for them before it closes the executor
+	// pool.
 	wg sync.WaitGroup
 
 	// draining is the admission fence (DESIGN.md §10): while set, placed
@@ -455,10 +455,12 @@ func (l *Local) spills(t *localTask, backlog int) bool {
 // task travels through the global spill queue: without it there is a
 // window — publish until the destination node's enqueue — in which the
 // task holds no references and a driver Release could let the GC reclaim
-// its arguments. The bridge drops once the task reaches SCHEDULED (the
-// destination's enqueue-time borrow is in place strictly before that
-// transition) or a terminal state; an unplaceable task keeps its bridge,
-// which is the conservative direction (leak, never lose a live argument).
+// its arguments. The bridge is an entry in the dependency table, whose
+// sweep drops it once the task reaches SCHEDULED (the destination's
+// enqueue-time borrow is in place strictly before that transition) or a
+// terminal state (depTable.sweepBridges); an unplaceable task keeps its
+// bridge, which is the conservative direction (leak, never lose a live
+// argument).
 func (l *Local) bridgeSpill(spec types.TaskSpec) {
 	// Flush-before-handoff for task state: the spilled task's record, its
 	// lineage and latest stamped state must be in the follower table before
@@ -488,40 +490,7 @@ func (l *Local) bridgeSpill(spec types.TaskSpec) {
 	// driver (or a previous holder) may release, and a pending-only retain
 	// would let that release race the count to zero.
 	l.cfg.Refs.Flush()
-	l.wg.Add(1)
-	go l.releaseBridge(spec.ID, deps)
-}
-
-func (l *Local) releaseBridge(task types.TaskID, deps []types.ObjectID) {
-	defer l.wg.Done()
-	sub := l.cfg.Ctrl.Subscribe(gcs.TopicTaskStatus, task)
-	defer sub.Close()
-	poll := time.NewTicker(pollPeriod)
-	defer poll.Stop()
-	for {
-		st, ok := l.cfg.Ctrl.GetTask(task)
-		if ok {
-			switch st.Status {
-			case types.TaskScheduled, types.TaskRunning, types.TaskFinished, types.TaskLost, types.TaskFailed:
-				l.cfg.Refs.Release(deps...)
-				return
-			}
-		} else if p, probes := l.cfg.Ctrl.(gcs.Pinger); !probes || p.Ping() {
-			// The spill landed the task's record, so a record the table
-			// no longer holds was retired or purged: the task is over.
-			l.cfg.Refs.Release(deps...)
-			return
-		}
-		select {
-		case <-sub.C():
-		case <-poll.C:
-		case <-l.stopCtx.Done():
-			// Node stopping mid-bridge: keep the borrow rather than expose
-			// a task still parked in the queue. Node.Shutdown's tracker
-			// ReleaseAll settles the count.
-			return
-		}
-	}
+	l.deps.bridge(spec.ID, deps)
 }
 
 // Enqueue bypasses the duplicate-submission check and spill decision; the
